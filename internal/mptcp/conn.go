@@ -1,6 +1,8 @@
 package mptcp
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -89,7 +91,7 @@ type Conn struct {
 
 	// Client-side (receiver) state.
 	recvNext  uint64
-	ooo       map[uint64]int // seq -> len
+	ooo       []oooSeg // out-of-order segments beyond recvNext, sorted by seq
 	delivered uint64
 
 	// OnDeliver fires at the receiver as in-order bytes arrive.
@@ -120,7 +122,6 @@ func NewConn(sim *netem.Sim, serverIP, clientIP string, cfg Config) *Conn {
 		cfg:      cfg,
 		serverIP: serverIP,
 		clientIP: clientIP,
-		ooo:      make(map[uint64]int),
 		state:    stateEstablished,
 	}
 	c.sim.Register(serverIP, c.handleAtServer)
@@ -233,16 +234,19 @@ func (c *Conn) handleAtClient(p *netem.Packet) {
 	case seg.Seq <= c.recvNext:
 		c.advance(int(end - c.recvNext))
 	default:
-		c.ooo[seg.Seq] = seg.Len
+		c.bufferOOO(seg.Seq, seg.Len)
 	}
-	// Drain contiguous out-of-order data.
-	for {
-		l, ok := c.ooo[c.recvNext]
-		if !ok {
-			break
+	// Drain contiguous out-of-order data. A buffered segment that recvNext
+	// has overtaken (a retransmission cut on other boundaries covered its
+	// start) is dropped, tail included: the sender resends those bytes.
+	k := 0
+	for ; k < len(c.ooo) && c.ooo[k].seq <= c.recvNext; k++ {
+		if c.ooo[k].seq == c.recvNext {
+			c.advance(c.ooo[k].n)
 		}
-		delete(c.ooo, c.recvNext)
-		c.advance(l)
+	}
+	if k > 0 {
+		c.ooo = append(c.ooo[:0], c.ooo[k:]...)
 	}
 	// ACK (immediate, echoing the timestamp for RTT sampling and
 	// reporting the first hole for SACK-lite recovery).
@@ -256,13 +260,29 @@ func (c *Conn) handleAtClient(p *netem.Packet) {
 // firstOOO returns the lowest buffered out-of-order offset (0 if none):
 // the end of the receiver's first hole.
 func (c *Conn) firstOOO() uint64 {
-	var low uint64
-	for seq := range c.ooo {
-		if low == 0 || seq < low {
-			low = seq
-		}
+	if len(c.ooo) == 0 {
+		return 0
 	}
-	return low
+	return c.ooo[0].seq
+}
+
+// oooSeg is one buffered out-of-order segment.
+type oooSeg struct {
+	seq uint64
+	n   int
+}
+
+// bufferOOO records segment [seq, seq+n), replacing the length of a segment
+// already buffered at the same seq.
+func (c *Conn) bufferOOO(seq uint64, n int) {
+	i, found := slices.BinarySearchFunc(c.ooo, seq, func(e oooSeg, seq uint64) int {
+		return cmp.Compare(e.seq, seq)
+	})
+	if found {
+		c.ooo[i].n = n
+		return
+	}
+	c.ooo = slices.Insert(c.ooo, i, oooSeg{seq, n})
 }
 
 func (c *Conn) advance(n int) {

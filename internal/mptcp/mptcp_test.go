@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/netem"
 )
 
@@ -455,5 +456,71 @@ func TestPropertyDeliveryConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// inject hands the client one data segment as if it had just arrived.
+func inject(c *Conn, seq uint64, n int) {
+	seg := c.segs.get()
+	seg.ConnID, seg.SubflowID = c.id, c.subflowSeq
+	seg.Seq, seg.Len, seg.ACK = seq, n, true
+	c.handleAtClient(&netem.Packet{Payload: seg})
+}
+
+// TestOOODropsOvertakenSegments sends overlapping segment boundaries: a
+// retransmission cut differently from the original advances recvNext past
+// the start of a buffered segment. That entry can never drain (the drain
+// matches on exact seq), so it must be dropped rather than sit in the
+// buffer for the life of the connection reporting a hole end at or below
+// the cumulative ACK.
+func TestOOODropsOvertakenSegments(t *testing.T) {
+	sim, _ := bulkWorld(1, 10e6, time.Millisecond, 0)
+	c := NewConn(sim, "server", "client", DefaultConfig())
+	type ack struct{ ack, holeEnd uint64 }
+	var acks []ack
+	sim.OnSend = func(p *netem.Packet, _ time.Duration) {
+		if seg := p.Payload.(*Segment); p.Src == "client" {
+			acks = append(acks, ack{seg.Ack, seg.HoleEnd})
+		}
+	}
+	inject(c, 4000, 500)
+	inject(c, 2000, 1000)
+	inject(c, 4000, 1000) // same seq, longer: replaces the buffered length
+	inject(c, 0, 2500)    // overtakes the segment buffered at 2000
+	if c.recvNext != 2500 || c.Delivered() != 2500 {
+		t.Fatalf("recvNext = %d, delivered = %d, want 2500 (overtaken tail must not be delivered)", c.recvNext, c.Delivered())
+	}
+	if len(c.ooo) != 1 || c.firstOOO() != 4000 {
+		t.Fatalf("ooo = %v after overtaking, want only the segment at 4000", c.ooo)
+	}
+	inject(c, 2500, 1500) // fills the hole: the segment at 4000 drains
+	if c.recvNext != 5000 || len(c.ooo) != 0 {
+		t.Fatalf("recvNext = %d, ooo = %v, want 5000 and empty", c.recvNext, c.ooo)
+	}
+	want := []ack{{0, 4000}, {0, 2000}, {0, 2000}, {2500, 4000}, {5000, 0}}
+	if fmt.Sprint(acks) != fmt.Sprint(want) {
+		t.Fatalf("acks (ack, holeEnd) = %v, want %v", acks, want)
+	}
+}
+
+// BenchmarkBulkTransfer measures what runs on top of netem's Send in every
+// Table 1 / Fig. 8-10 experiment: one Conn in steady state over Table 1's
+// own link (the Downtown route at night: loss, jitter, the operator's
+// per-epoch policer) — data, ACKs, RTO re-arming, out-of-order buffering
+// and loss recovery. One op is one MSS delivered in order. The CI bench
+// smoke gates it at 0 allocs/op.
+func BenchmarkBulkTransfer(b *testing.B) {
+	sim := netem.NewSim(1)
+	sim.Connect("server", "client", mobility.NewOperator(1).CellularLink(mobility.Downtown, true))
+	c := NewConn(sim, "server", "client", DefaultConfig())
+	c.Write(1 << 40)
+	sim.RunUntil(30 * time.Second) // past slow start; pools and wheel slots warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	target := c.Delivered() + uint64(b.N)*MSS
+	for c.Delivered() < target {
+		if !sim.Step() {
+			b.Fatal("transfer stalled")
+		}
 	}
 }

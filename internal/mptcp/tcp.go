@@ -99,7 +99,7 @@ type senderState struct {
 	recoverEnd uint64
 	rtxNxt     uint64 // next byte to retransmit within the current hole
 
-	rtoTimer *netem.Event
+	rtoTimer *netem.Timer  // owned for the sender's lifetime, re-armed per ACK
 	lastProg time.Duration // last time sndUna advanced (RTO restart)
 	dead     bool
 
@@ -124,7 +124,7 @@ func newSender(sim *netem.Sim, connID uint64, subflowID uint32, src, dst string,
 	if segs == nil {
 		segs = &segPool{}
 	}
-	return &senderState{
+	s := &senderState{
 		sim:       sim,
 		connID:    connID,
 		subflowID: subflowID,
@@ -141,6 +141,8 @@ func newSender(sim *netem.Sim, connID uint64, subflowID uint32, src, dst string,
 		rto:       initialRTO,
 		onSend:    onSend,
 	}
+	s.rtoTimer = sim.NewTimer(s.onRTO)
+	return s
 }
 
 // supply makes bytes up to absolute offset lim available to send.
@@ -199,27 +201,22 @@ func (s *senderState) armRTO() {
 		return
 	}
 	if s.inFlight() == 0 {
-		if s.rtoTimer != nil {
-			s.rtoTimer.Cancel()
-			s.rtoTimer = nil
-		}
+		s.rtoTimer.Stop()
 		return
 	}
-	if s.rtoTimer != nil {
-		return // already armed
+	if !s.rtoTimer.Armed() {
+		s.rtoTimer.Reset(s.rto)
 	}
-	s.rtoTimer = s.sim.After(s.rto, s.onRTO)
 }
 
 func (s *senderState) onRTO() {
-	s.rtoTimer = nil
 	if s.dead || s.inFlight() == 0 {
 		return
 	}
 	// Restart rather than fire when the ACK clock made progress since the
 	// timer was armed (RFC 6298 §5.3 behaviour).
 	if since := s.sim.Now() - s.lastProg; since < s.rto {
-		s.rtoTimer = s.sim.After(s.rto-since, s.onRTO)
+		s.rtoTimer.Reset(s.rto - since)
 		return
 	}
 	// Timeout: collapse to one MSS, exponential backoff, retransmit head.
@@ -260,10 +257,7 @@ func (s *senderState) handleAck(ack uint64, holeEnd uint64, sentAt time.Duration
 			s.sndNxt = s.sndUna
 		}
 		s.dupAcks = 0
-		if s.rtoTimer != nil {
-			s.rtoTimer.Cancel()
-			s.rtoTimer = nil
-		}
+		s.rtoTimer.Stop()
 		if s.inRecovery {
 			if ack >= s.recoverEnd {
 				s.inRecovery = false
@@ -336,10 +330,7 @@ func (s *senderState) sampleRTT(rtt time.Duration) {
 // kill stops the sender permanently (address invalidated).
 func (s *senderState) kill() {
 	s.dead = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
-	}
+	s.rtoTimer.Stop()
 }
 
 // retransmitHole resends the recovery window sequentially from rtxNxt

@@ -246,3 +246,33 @@ func TestShaperDirectionSurvivesConnectOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestNightRateMemoIsQueryOrderIndependent: the per-epoch memo must not
+// change what Rate returns — revisiting an earlier epoch after a later one
+// gives the same draw a fresh policy computes.
+func TestNightRateMemoIsQueryOrderIndependent(t *testing.T) {
+	memo := NewDefaultDayNightPolicy(5)
+	night := 12 * time.Hour // 01:00 from the 13:00 anchor
+	for _, epoch := range []int{3, 3, 7, 3, 0, 7} {
+		at := night + time.Duration(epoch)*memo.NightEpoch + time.Second
+		if got, want := memo.Rate(at), NewDefaultDayNightPolicy(5).Rate(at); got != want {
+			t.Fatalf("epoch %d: memoized rate %v, fresh policy %v", epoch, got, want)
+		}
+	}
+}
+
+// BenchmarkShaperAdmitNight is the per-packet cost of the operator policer
+// at night, where the rate is a per-epoch lognormal draw: one admit per op,
+// packets 500 µs apart (about 40 epochs per 1M ops).
+func BenchmarkShaperAdmitNight(b *testing.B) {
+	p := NewDefaultDayNightPolicy(1)
+	p.ClockStart = time.Hour
+	sh := NewShaper(p.Rate, 0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var now time.Duration
+	for i := 0; i < b.N; i++ {
+		now += 500 * time.Microsecond
+		sh.admit(now, 1432)
+	}
+}

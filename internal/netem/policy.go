@@ -11,6 +11,11 @@ import (
 // highly variable shared-capacity process.
 //
 // Virtual time 0 corresponds to ClockStart within a 24h day.
+//
+// Rate memoizes the current night epoch's draw in the policy value, so a
+// value must be owned by one Sim: give each link its own copy (as
+// mobility.Operator.CellularLink does) rather than sharing a pointer
+// between concurrently running simulations.
 type DayNightPolicy struct {
 	ClockStart time.Duration // time-of-day at sim time 0 (e.g. 13h * time.Hour)
 	SwitchOn   time.Duration // daytime policing begins (e.g. 6h)
@@ -26,6 +31,12 @@ type DayNightPolicy struct {
 	NightEpoch   time.Duration
 
 	seed int64
+
+	// Night-rate memo: the draw only changes once per NightEpoch, while the
+	// shaper asks on every packet.
+	memoEpoch int64
+	memoRate  float64
+	memoOK    bool
 }
 
 // NewDefaultDayNightPolicy returns a policy calibrated to Appendix A:
@@ -71,10 +82,13 @@ func (p *DayNightPolicy) Rate(t time.Duration) float64 {
 }
 
 // nightRate draws a deterministic pseudo-random capacity per epoch using a
-// splitmix-style hash, so the policy is stateless and reproducible
-// regardless of query order.
+// splitmix-style hash, so the value is a pure function of (seed, epoch) and
+// reproducible regardless of query order.
 func (p *DayNightPolicy) nightRate(t time.Duration) float64 {
 	epoch := int64(t / p.NightEpoch)
+	if p.memoOK && epoch == p.memoEpoch {
+		return p.memoRate
+	}
 	u := hash2(uint64(p.seed), uint64(epoch))
 	// Box-Muller from two uniform draws derived from the hash.
 	u1 := float64(u>>11) / float64(1<<53)
@@ -93,6 +107,7 @@ func (p *DayNightPolicy) nightRate(t time.Duration) float64 {
 	if r < 0.2e6 {
 		r = 0.2e6
 	}
+	p.memoEpoch, p.memoRate, p.memoOK = epoch, r, true
 	return r
 }
 

@@ -33,6 +33,7 @@ type Event struct {
 	// recycled through the sim's free list once popped.
 	pkt       *Packet
 	dst       *handlerRef
+	tm        *Timer // non-nil for a Timer's resident event (see timer.go)
 	cancelled bool
 	index     int // heap index while resident in an eventHeap
 }
@@ -343,8 +344,8 @@ func (s *Sim) Step() bool {
 		if e == nil {
 			return false
 		}
-		if e.cancelled {
-			s.release(e)
+		if e.stale() {
+			s.discard(e)
 			continue
 		}
 		s.now = e.at
@@ -367,6 +368,9 @@ func (s *Sim) Step() bool {
 			// Auto-recycle unless the handler re-sent the same packet
 			// (inflight again) or it was never pooled.
 			s.PutPacket(pkt)
+		} else if t := e.tm; t != nil {
+			t.queued, t.armed = false, false
+			t.fn()
 		} else {
 			e.fn()
 		}
@@ -398,21 +402,39 @@ func (s *Sim) RunUntil(t time.Duration) {
 }
 
 // peek returns the next live event without firing it, or nil when the
-// queue is drained, discarding cancelled events at the top so RunUntil's
-// bound check sees a live one.
+// queue is drained, discarding stale events at the top so RunUntil's bound
+// check sees a live one.
 func (s *Sim) peek() *Event {
 	for {
 		e := s.sched.peek()
-		if e == nil {
-			return nil
-		}
-		if !e.cancelled {
+		if e == nil || !e.stale() {
 			return e
 		}
 		s.sched.pop()
-		s.release(e)
+		s.discard(e)
 	}
 }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
+// stale reports whether e must be skipped at the queue head without
+// advancing the clock: it was cancelled, or it is a Timer's resident event
+// and the timer has been stopped or re-armed since the event was queued.
+func (e *Event) stale() bool {
+	return e.cancelled || e.tm != nil && !(e.tm.armed && e.tm.seq == e.seq)
+}
+
+// discard disposes of a stale event popped from the queue. A timer's
+// resident event goes back in at the live deadline if the timer is armed.
+func (s *Sim) discard(e *Event) {
+	if t := e.tm; t != nil {
+		t.queued = false
+		if t.armed {
+			t.enqueue()
+		}
+		return
+	}
+	s.release(e)
+}
+
+// Pending reports the number of scheduled events, including cancelled
+// one-shots and the resident event of a stopped Timer.
 func (s *Sim) Pending() int { return s.sched.len() }
