@@ -150,9 +150,15 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 		IDT: telcoID, Key: key, Cert: cert,
 		Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 2.0},
 	}
+	// One pooled client for the daemon's life (the demo trusts the demo key).
+	bc, err := broker.DialClient(brokerAddr)
+	if err != nil {
+		fatalf("broker at %s: %v", brokerAddr, err)
+	}
+	defer bc.Close()
 	agw := epc.NewAGW(epc.AGWConfig{
 		Telco:   telco,
-		Brokers: dialDirectory{brokerAddr: brokerAddr},
+		Brokers: epc.StaticDirectory{ID: demoBrokerID, Client: bc, Pub: demoBrokerKey().Public()},
 	})
 	srv, err := epc.ServeNAS(agw, listen)
 	if err != nil {
@@ -161,21 +167,6 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 	defer srv.Close()
 	obs.Infof(logSub, "bTelco %s: NAS on %s, broker at %s", telcoID, srv.Addr(), brokerAddr)
 	waitForInterrupt()
-}
-
-// dialDirectory resolves any broker ID to the configured brokerd address
-// (the demo trusts the demo broker key).
-type dialDirectory struct{ brokerAddr string }
-
-func (d dialDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
-	if idB != demoBrokerID {
-		return nil, pki.PublicIdentity{}, fmt.Errorf("unknown broker %q", idB)
-	}
-	c, err := broker.DialClient(d.brokerAddr)
-	if err != nil {
-		return nil, pki.PublicIdentity{}, err
-	}
-	return c, demoBrokerKey().Public(), nil
 }
 
 func runUE(btelcoAddr, telcoID string) {

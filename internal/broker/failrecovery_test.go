@@ -153,3 +153,73 @@ func TestRestartNilSnapshot(t *testing.T) {
 		t.Fatal("shedFor=0 must not start degraded")
 	}
 }
+
+// A typed shed means the broker never looked at the request: on each of
+// the three ways an attach can be shed, the very same request is granted
+// once the broker admits it, and only a second delivery after that grant
+// trips the replay filter. This is what lets a UE retransmit a shed
+// request instead of sealing and signing a new one.
+func TestShedLeavesNonceUnconsumed(t *testing.T) {
+	isShed := func(err error) bool {
+		var ra *wire.RetryAfterError
+		return errors.As(err, &ra)
+	}
+	grantedThenReplay := func(t *testing.T, h *harness, req *sap.AuthReqT) {
+		t.Helper()
+		resp, err := h.brk.HandleAuthRequest(req)
+		if err != nil || !resp.Granted {
+			t.Fatalf("retransmitted request after the shed: resp=%+v err=%v, want a grant", resp, err)
+		}
+		resp, err = h.brk.HandleAuthRequest(req)
+		if err != nil || resp.Granted || resp.Cause != "replayed nonce" {
+			t.Fatalf("consumed request delivered again: resp=%+v err=%v, want a replayed-nonce denial", resp, err)
+		}
+	}
+
+	t.Run("degraded HandleAuthRequest", func(t *testing.T) {
+		h := newHarness(t)
+		req := authReq(t, h)
+		h.brk.ShedLoad(time.Second)
+		if _, err := h.brk.HandleAuthRequest(req); !isShed(err) {
+			t.Fatalf("err = %v, want a typed shed", err)
+		}
+		h.brk.Resume()
+		grantedThenReplay(t, h, req)
+	})
+
+	t.Run("AdmitAttach refusal inside HandleAuthRequest", func(t *testing.T) {
+		h := newHarness(t)
+		var now time.Duration
+		h.brk.EnableAdmission(AdmissionConfig{Rate: 1, Burst: 2}, func() time.Duration { return now })
+		h.attach(t)
+		h.attach(t) // bucket drained
+		req := authReq(t, h)
+		if _, err := h.brk.HandleAuthRequest(req); !isShed(err) {
+			t.Fatalf("err = %v, want a typed shed", err)
+		}
+		now += 2 * time.Second // two tokens: the retransmission and the replay
+		grantedThenReplay(t, h, req)
+	})
+
+	t.Run("storm pre-enqueue AdmitAttach", func(t *testing.T) {
+		for _, serial := range []bool{false, true} {
+			h := newHarness(t)
+			h.brk.EnableAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 1}, func() time.Duration { return 0 })
+			bat := h.brk.NewBatcher(serial)
+			req := authReq(t, h)
+			if err := h.brk.AdmitAttach(1); !isShed(err) { // queue full: shed before enqueue
+				t.Fatalf("serial=%v: err = %v, want a typed shed", serial, err)
+			}
+			for i, want := range []string{"", "replayed nonce"} {
+				if err := h.brk.AdmitAttach(0); err != nil {
+					t.Fatal(err)
+				}
+				bat.EnqueueAuth(req)
+				outs := bat.Flush()
+				if len(outs) != 1 || outs[0].Err != nil || outs[0].Auth.Granted != (want == "") || outs[0].Auth.Cause != want {
+					t.Fatalf("serial=%v delivery %d: %+v, want cause %q", serial, i, outs, want)
+				}
+			}
+		}
+	})
+}

@@ -93,15 +93,17 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 
 // Client is a wire-protocol client implementing epc.BrokerClient plus
 // report upload; used by AGWs and (for UE reports) by the UE's data path.
-type Client struct{ C *wire.Client }
+// Long-lived and safe for concurrent use: each call borrows a connection
+// from the client's wire.Pool.
+type Client struct{ p *wire.Pool }
 
 // DialClient connects to a brokerd server.
 func DialClient(addr string) (*Client, error) {
-	c, err := wire.Dial(addr)
+	p, err := wire.DialPool(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{C: c}, nil
+	return &Client{p: p}, nil
 }
 
 // Authenticate implements the SAP round trip.
@@ -112,7 +114,7 @@ func (c *Client) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 // AuthenticateCtx is Authenticate with a span context propagated in the
 // frame header (implements epc.BrokerClientCtx).
 func (c *Client) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.AuthResp, error) {
-	_, reply, err := c.C.CallCtx(wire.TypeSAPAuthRequest, sc, req.Marshal())
+	_, reply, err := c.p.Call(wire.TypeSAPAuthRequest, sc, req.Marshal())
 	if err != nil {
 		return nil, err
 	}
@@ -121,14 +123,9 @@ func (c *Client) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.Au
 
 // UploadReport delivers one sealed traffic report.
 func (c *Client) UploadReport(env *billing.SealedReport) error {
-	return c.UploadReportCtx(obs.SpanContext{}, env)
-}
-
-// UploadReportCtx is UploadReport with a span context in the frame header.
-func (c *Client) UploadReportCtx(sc obs.SpanContext, env *billing.SealedReport) error {
-	_, _, err := c.C.CallCtx(wire.TypeReportUpload, sc, env.Marshal())
+	_, _, err := c.p.Call(wire.TypeReportUpload, obs.SpanContext{}, env.Marshal())
 	return err
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.C.Close() }
+// Close closes the client's idle connections.
+func (c *Client) Close() error { return c.p.Close() }

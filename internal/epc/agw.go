@@ -44,6 +44,23 @@ type BrokerDirectory interface {
 	Lookup(idB string) (BrokerClient, pki.PublicIdentity, error)
 }
 
+// StaticDirectory is the BrokerDirectory of a deployment that knows one
+// broker: every attach gets the same long-lived client (over the wire, a
+// pooled broker.Client), so none pays a dial. Client's builder closes it.
+type StaticDirectory struct {
+	ID     string
+	Client BrokerClient
+	Pub    pki.PublicIdentity
+}
+
+// Lookup implements BrokerDirectory.
+func (d StaticDirectory) Lookup(idB string) (BrokerClient, pki.PublicIdentity, error) {
+	if idB != d.ID {
+		return nil, pki.PublicIdentity{}, fmt.Errorf("epc: unknown broker %q", idB)
+	}
+	return d.Client, d.Pub, nil
+}
+
 // Instrument wraps module-level operations for latency accounting (the
 // Fig. 7 per-module breakdown). The default is pass-through.
 type Instrument func(module string, f func() error) error

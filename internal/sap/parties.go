@@ -23,10 +23,13 @@ type UEState struct {
 	BrokerPub pki.PublicIdentity
 }
 
-// PendingAttach is the UE-side state for one in-flight attach.
+// PendingAttach is the UE-side state for one in-flight attach. Req is the
+// request it was created with: until the broker consumes the nonce, those
+// bytes can be sent to IDT again instead of sealing and signing anew.
 type PendingAttach struct {
 	IDT   string
 	Nonce [NonceSize]byte
+	Req   *AuthReqU
 }
 
 // NewAttachRequest runs UE procedures 1–4 of Fig. 2 for bTelco idT.
@@ -45,7 +48,7 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 		SealedVec: sealed,
 		Sig:       u.Key.Sign(sealed),
 	}
-	return req, &PendingAttach{IDT: idT, Nonce: nonce}, nil
+	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req}, nil
 }
 
 // HandleResponse runs UE procedures 5–6 of Fig. 2: verify the broker's

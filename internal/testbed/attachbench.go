@@ -142,15 +142,6 @@ func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, erro
 	return resp, err
 }
 
-type benchDirectory struct{ c instrumentedBroker }
-
-func (d benchDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
-	if idB != d.c.b.ID() {
-		return nil, pki.PublicIdentity{}, fmt.Errorf("testbed: unknown broker %q", idB)
-	}
-	return d.c, d.c.b.Public(), nil
-}
-
 func newAttachWorld(place Placement) (*attachWorld, error) {
 	clock := NewVirtualClock()
 	now := time.Unix(1_750_000_000, 0)
@@ -191,7 +182,9 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 	w.agw = epc.NewAGW(epc.AGWConfig{
 		Telco:       telco,
 		Subscribers: instrumentedSDB{db: sdb, clock: clock, place: place},
-		Brokers:     benchDirectory{instrumentedBroker{b: brk, clock: clock, place: place}},
+		Brokers: epc.StaticDirectory{
+			ID: brk.ID(), Client: instrumentedBroker{b: brk, clock: clock, place: place}, Pub: brk.Public(),
+		},
 		Instrument: func(module string, f func() error) error {
 			// AGW-local work: charge real wall time only; the static AGW
 			// cost is charged once per attach below.

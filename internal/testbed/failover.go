@@ -253,7 +253,7 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 			Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
 		}
 		w.agws[i] = epc.NewAGW(epc.AGWConfig{
-			Telco: w.telcos[i], Brokers: foDirectory{w},
+			Telco: w.telcos[i], Brokers: epc.StaticDirectory{ID: w.brkCfg.ID, Client: foBrokerClient{w}, Pub: w.brokerPub},
 			Tracer: cfg.Tracer, TraceIDs: w.ids,
 		})
 	}
@@ -293,17 +293,8 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	return w, nil
 }
 
-// foDirectory routes AGW broker lookups to the world's current broker
+// foBrokerClient routes AGW broker calls to the world's current broker
 // instance — or fails when the broker process is down.
-type foDirectory struct{ w *foWorld }
-
-func (d foDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
-	if idB != d.w.brkCfg.ID {
-		return nil, pki.PublicIdentity{}, fmt.Errorf("testbed: unknown broker %q", idB)
-	}
-	return foBrokerClient(d), d.w.brokerPub, nil
-}
-
 type foBrokerClient struct{ w *foWorld }
 
 func (c foBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {

@@ -31,34 +31,17 @@ type RealDeployment struct {
 	AGW    *epc.AGW
 	SDB    *epc.SubscriberDB
 
-	BrokerSrv *broker.Server
-	SDBSrv    *epc.SDBServer
-	NASSrv    *epc.NASServer
-	Orc       *orc8r.Orchestrator
-	OrcSrv    *orc8r.Server
-	orcClient *orc8r.Client
+	BrokerSrv    *broker.Server
+	SDBSrv       *epc.SDBServer
+	NASSrv       *epc.NASServer
+	Orc          *orc8r.Orchestrator
+	OrcSrv       *orc8r.Server
+	orcClient    *orc8r.Client
+	brokerClient *broker.Client // pooled; shared by the AGW's directory and the report uploads
 
 	brokerKey *pki.KeyPair
 	telco     *sap.TelcoState
 	ranSeq    atomic.Uint64
-}
-
-// wireDirectory resolves broker IDs to wire clients.
-type wireDirectory struct {
-	id   string
-	addr string
-	pub  pki.PublicIdentity
-}
-
-func (d wireDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
-	if idB != d.id {
-		return nil, pki.PublicIdentity{}, fmt.Errorf("testbed: unknown broker %q", idB)
-	}
-	c, err := broker.DialClient(d.addr)
-	if err != nil {
-		return nil, pki.PublicIdentity{}, err
-	}
-	return c, d.pub, nil
 }
 
 // NewRealDeployment starts all three servers on loopback.
@@ -85,9 +68,14 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		return nil, err
 	}
 
+	if d.brokerClient, err = broker.DialClient(d.BrokerSrv.Addr()); err != nil {
+		d.Close()
+		return nil, err
+	}
+
 	d.SDB = epc.NewSubscriberDB()
 	if d.SDBSrv, err = epc.ServeSDB(d.SDB, "127.0.0.1:0"); err != nil {
-		d.BrokerSrv.Close()
+		d.Close()
 		return nil, err
 	}
 
@@ -111,13 +99,9 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 	d.AGW = epc.NewAGW(epc.AGWConfig{
 		Telco:       d.telco,
 		Subscribers: sdbClient,
-		Brokers: wireDirectory{
-			id:   d.Broker.ID(),
-			addr: d.BrokerSrv.Addr(),
-			pub:  d.Broker.Public(),
-		},
-		Tracer:   tr,
-		TraceIDs: ids,
+		Brokers:     epc.StaticDirectory{ID: d.Broker.ID(), Client: d.brokerClient, Pub: d.Broker.Public()},
+		Tracer:      tr,
+		TraceIDs:    ids,
 	})
 	if d.NASSrv, err = epc.ServeNAS(d.AGW, "127.0.0.1:0"); err != nil {
 		d.Close()
@@ -169,6 +153,9 @@ func (d *RealDeployment) Close() {
 	}
 	if d.SDBSrv != nil {
 		d.SDBSrv.Close()
+	}
+	if d.brokerClient != nil {
+		d.brokerClient.Close()
 	}
 	if d.BrokerSrv != nil {
 		d.BrokerSrv.Close()
@@ -233,12 +220,7 @@ func (d *RealDeployment) UploadUEReport(dev *ue.Device, rel time.Duration) error
 	if err != nil {
 		return err
 	}
-	c, err := broker.DialClient(d.BrokerSrv.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.UploadReport(env)
+	return d.brokerClient.UploadReport(env)
 }
 
 // UploadTelcoReport sends the AGW-side report for a session.
@@ -247,10 +229,5 @@ func (d *RealDeployment) UploadTelcoReport(sessionID uint64, rel time.Duration) 
 	if err != nil {
 		return err
 	}
-	c, err := broker.DialClient(d.BrokerSrv.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.UploadReport(env)
+	return d.brokerClient.UploadReport(env)
 }

@@ -1,0 +1,125 @@
+package testbed
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"cellbricks/internal/broker"
+	"cellbricks/internal/obs"
+)
+
+func counter(name string) float64 { return obs.Default().Snapshot()[name] }
+
+// attachDetach runs n billed SAP sessions on a new UE of d.
+func attachDetach(d *RealDeployment, n int) error {
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		a, err := dev.AttachSAP(tx, d.TelcoID())
+		if err != nil {
+			return fmt.Errorf("attach %d: %w", i, err)
+		}
+		if err := d.UploadTelcoReport(a.SessionID, time.Second); err != nil {
+			return fmt.Errorf("telco report %d: %w", i, err)
+		}
+		if err := d.UploadUEReport(dev, time.Second); err != nil {
+			return fmt.Errorf("UE report %d: %w", i, err)
+		}
+		if err := dev.Detach(tx); err != nil {
+			return fmt.Errorf("detach %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// The leak regression test: sequential sessions ride one warm broker
+// connection. Broker connections come only from pool dials, so none in 500
+// sessions means the broker still serves the one it started with; and its
+// goroutine count (one per served connection) stays flat. At the parent of
+// this test every attach dialled a connection that nothing closed: one more
+// broker-side connection and goroutine per attach until a GC finalized them.
+func TestRealDeploymentSequentialAttachesHoldOneBrokerConn(t *testing.T) {
+	n := 500
+	if raceEnabled {
+		n = 100 // the detector slows each attach's crypto ~10x
+	}
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := attachDetach(d, 5); err != nil { // reach steady state first
+		t.Fatal(err)
+	}
+	goroutines, dials, reuses := runtime.NumGoroutine(), counter("wire_pool_dials_total"), counter("wire_pool_reuses_total")
+	if err := attachDetach(d, n); err != nil {
+		t.Fatal(err)
+	}
+	// One goroutine of slack for the second UE's NAS connection.
+	if got := runtime.NumGoroutine(); got > goroutines+1 {
+		t.Fatalf("goroutines grew from %d to %d over %d attaches", goroutines, got, n)
+	}
+	if got := counter("wire_pool_dials_total") - dials; got != 0 {
+		t.Fatalf("wire_pool_dials_total moved by %v over %d sequential attaches", got, n)
+	}
+	if got := counter("wire_pool_reuses_total") - reuses; got != float64(3*n) {
+		t.Fatalf("wire_pool_reuses_total moved by %v, want %d (one attach and two reports per session)", got, 3*n)
+	}
+}
+
+// A broker restart between two attaches closes the AGW's pooled
+// connection under it; the second attach must succeed on one redial.
+func TestRealDeploymentAttachSurvivesBrokerRestart(t *testing.T) {
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := attachDetach(d, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := d.BrokerSrv.Addr()
+	d.BrokerSrv.Close()
+	if d.BrokerSrv, err = broker.Serve(d.Broker, addr); err != nil {
+		t.Fatal(err)
+	}
+	redials := counter("wire_client_redials_total")
+	if err := attachDetach(d, 1); err != nil {
+		t.Fatalf("session after broker restart: %v", err)
+	}
+	if got := counter("wire_client_redials_total") - redials; got != 1 {
+		t.Fatalf("attach after broker restart cost %v redials, want exactly 1", got)
+	}
+	if st := d.AGW.Stats(); st.AttachFailures != 0 || st.Attaches != 2 {
+		t.Fatalf("AGW stats %+v, want 2 attaches and no failure", st)
+	}
+}
+
+// BenchmarkAttachRealLoopback is one SAP attach + detach over the loopback
+// deployment: UE -> NAS socket -> AGW -> pooled broker socket -> brokerd.
+func BenchmarkAttachRealLoopback(b *testing.B) {
+	d, err := NewRealDeployment()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dev.AttachSAP(tx, d.TelcoID()); err != nil {
+			b.Fatal(err)
+		}
+		if err := dev.Detach(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -206,6 +206,8 @@ type StormResult struct {
 	Retries  int
 	GiveUps  int
 
+	Retransmits int // attempts that resent a shed request: attempts minus requests built (not rendered)
+
 	SpikeArrivals int
 	SpikeGrants   int
 	SpikeSheds    int
@@ -269,6 +271,10 @@ type stormUE struct {
 	// A ticket is consumed optimistically at attempt time and restored
 	// if admission sheds the attempt before the broker saw it.
 	resume []*sap.ResumeSession
+	// shelf holds, per cell, the full request admission shed; fwd the cell's
+	// signed forward of it. Taken and restored together, like resume.
+	shelf ue.AttachShelf
+	fwd   []*sap.AuthReqT
 
 	stormStart    time.Duration
 	attachedSince time.Duration
@@ -437,6 +443,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 					IDU: idU, IDB: stormBrokerName, Key: key, BrokerPub: w.brokerPub,
 				},
 				resume: make([]*sap.ResumeSession, C),
+				fwd:    make([]*sap.AuthReqT, C),
 			}
 			u.meter = ue.NewBasebandMeter(key, w.brokerPub)
 			grp.ues = append(grp.ues, u)
@@ -589,20 +596,27 @@ func (u *stormUE) attempt(seq int) {
 		}
 	}
 
-	reqU, pending, err := u.st.NewAttachRequest(cell.idT)
+	pending, resent, err := u.shelf.Take(u.st, cell.idT)
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	reqT, err := cell.telco.ForwardRequest(reqU)
-	if err != nil {
-		w.fail(err)
-		return
+	reqT := u.fwd[ci]
+	u.fwd[ci] = nil
+	if !resent || reqT == nil {
+		if reqT, err = cell.telco.ForwardRequest(pending.Req); err != nil {
+			w.fail(err)
+			return
+		}
 	}
 	w.toBroker(g, func() {
 		if err := w.brk.AdmitAttach(w.bat.Depth()); err != nil {
 			w.tallyShed()
-			w.toGroup(g, func() { u.failAttach(seq, err) })
+			w.toGroup(g, func() {
+				u.shelf.Settle(pending, err) // broker never saw it
+				u.fwd[ci] = reqT
+				u.failAttach(seq, err)
+			})
 			return
 		}
 		w.bat.EnqueueAuth(reqT)
@@ -808,6 +822,7 @@ func (w *stormWorld) collect() StormResult {
 		res.Resumes += grp.resumes
 		res.LatMS = append(res.LatMS, grp.latMS...)
 		for _, u := range grp.ues {
+			res.Retransmits += u.shelf.Resent
 			dur := u.attachedDur
 			if u.sess != nil {
 				dur += cfg.Duration - u.attachedSince

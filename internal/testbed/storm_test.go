@@ -125,3 +125,40 @@ func TestStormAttemptAccounting(t *testing.T) {
 		t.Errorf("availability out of range: %f", res.Availability)
 	}
 }
+
+// Retransmitting shed requests changes what the UEs compute, never what
+// the storm renders: these are the parent commit's hashes (before
+// ue.AttachShelf existed) for seeds {1, 3, 5}, which every K x mode must
+// still produce. Retransmits itself is unrendered bookkeeping: each one
+// follows the shed that shelved its request, every grant or denial
+// consumed a request built for it alone, and the obs counter agrees.
+func TestStormRetransmitsShedRequestsAtParentHashes(t *testing.T) {
+	parent := map[int64]string{
+		1: "c1bb1f04173a8f5c159720f31e89dbf0bc29135b009d4a8b81ad195e640803ba",
+		3: "a7226f4f21ab2127ae5867b927ec9563f624c59c848220cbba07be079a93b9fa",
+		5: "f2d979c43c38191f1d7b9ed93b31f803c7b94098aa4b24c28dea0ff1c527d7ce",
+	}
+	for seed, want := range parent {
+		for _, shards := range []int{1, 4} {
+			for _, serial := range []bool{false, true} {
+				cfg := stormTestConfig(serial, shards)
+				cfg.Seed = seed
+				before := counter("ue_attach_retransmits_total")
+				h, res := stormHash(t, cfg)
+				moved := counter("ue_attach_retransmits_total") - before
+				if h != want {
+					t.Errorf("seed=%d shards=%d serial=%v: render hash %s, parent rendered %s", seed, shards, serial, h, want)
+				}
+				if res.Retransmits == 0 || res.Retransmits > res.Sheds {
+					t.Errorf("seed=%d shards=%d serial=%v: %d retransmits for %d sheds", seed, shards, serial, res.Retransmits, res.Sheds)
+				}
+				if built := res.Attempts - res.Retransmits; built < res.Grants+res.Denied {
+					t.Errorf("seed=%d shards=%d serial=%v: %d requests built for %d the broker consumed", seed, shards, serial, built, res.Grants+res.Denied)
+				}
+				if moved != float64(res.Retransmits) {
+					t.Errorf("seed=%d shards=%d serial=%v: ue_attach_retransmits_total moved %v, result says %d", seed, shards, serial, moved, res.Retransmits)
+				}
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ var mtr struct {
 	fallbacks     *obs.Counter
 	giveups       *obs.Counter
 	sheds         *obs.Counter
+	retransmits   *obs.Counter
 	watchdogTrips *obs.Counter
 }
 
@@ -24,7 +25,7 @@ func init() { SetMetricsEnabled(true) }
 func SetMetricsEnabled(on bool) {
 	if !on {
 		mtr.attempts, mtr.retries, mtr.fallbacks, mtr.giveups = nil, nil, nil, nil
-		mtr.sheds, mtr.watchdogTrips = nil, nil
+		mtr.sheds, mtr.retransmits, mtr.watchdogTrips = nil, nil, nil
 		return
 	}
 	r := obs.Default()
@@ -33,5 +34,6 @@ func SetMetricsEnabled(on bool) {
 	mtr.fallbacks = r.Counter("ue_attach_fallbacks_total", "times the FSM rotated off the serving bTelco")
 	mtr.giveups = r.Counter("ue_attach_giveups_total", "attach budgets exhausted without success")
 	mtr.sheds = r.Counter("ue_attach_shed_total", "attach attempts refused by a shedding broker (typed retry-after hint honored)")
+	mtr.retransmits = r.Counter("ue_attach_retransmits_total", "attach attempts that resent a shed request instead of building a new one")
 	mtr.watchdogTrips = r.Counter("ue_watchdog_trips_total", "no-goodput watchdog trips (blackhole evidence)")
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"cellbricks/internal/sap"
 	"cellbricks/internal/wire"
 )
 
@@ -168,6 +169,47 @@ func (m *AttachFSM) Fail(err error) (delay time.Duration, giveUp bool) {
 		delay = ra.After
 	}
 	return delay, false
+}
+
+// maxShelved bounds an AttachShelf; a full one is emptied (rebuilding is safe).
+const maxShelved = 8
+
+// AttachShelf keeps, per target bTelco, the attach request a shedding
+// broker refused. A typed shed (*wire.RetryAfterError) is raised before the
+// broker validates a request or records its nonce, so the next attempt at
+// that bTelco retransmits the identical bytes — as NAS does on T3410 — and
+// every broker check runs on them unchanged; any other outcome drops the
+// request (DESIGN.md §2.4). The zero value is ready to use; the holder
+// serializes access.
+type AttachShelf struct {
+	Resent  int // requests Take handed out for retransmission
+	byTelco map[string]*sap.PendingAttach
+}
+
+// Take returns the attach to send to bTelco idT: the shelved one, removed
+// so no overlapping attempt can send it too (resent), or else a new one.
+func (s *AttachShelf) Take(u *sap.UEState, idT string) (p *sap.PendingAttach, resent bool, err error) {
+	if p = s.byTelco[idT]; p != nil {
+		delete(s.byTelco, idT)
+		s.Resent++
+		mtr.retransmits.Add(1)
+		return p, true, nil
+	}
+	_, p, err = u.NewAttachRequest(idT)
+	return p, false, err
+}
+
+// Settle records how the attempt that sent p ended: a typed shed shelves
+// p for the next attempt at its bTelco, anything else leaves it dropped.
+func (s *AttachShelf) Settle(p *sap.PendingAttach, err error) {
+	var ra *wire.RetryAfterError
+	if !errors.As(err, &ra) {
+		return
+	}
+	if s.byTelco == nil || len(s.byTelco) >= maxShelved {
+		s.byTelco = make(map[string]*sap.PendingAttach)
+	}
+	s.byTelco[p.IDT] = p
 }
 
 // AttachCandidate is one (bTelco, transport) the device can attach

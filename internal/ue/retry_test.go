@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"cellbricks/internal/broker"
 	"cellbricks/internal/epc"
+	"cellbricks/internal/nas"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -319,5 +321,116 @@ func TestAttachSAPRetryBudgetExhausts(t *testing.T) {
 	}
 	if fsm.Attempts() != 3 {
 		t.Fatalf("attempts = %d, want 3", fsm.Attempts())
+	}
+}
+
+// --- retransmitting a shed request ---
+
+// recording wraps candidate 0's transport, keeping every uplink envelope.
+func (w *retryWorld) recording(ranID string, sent *[][]byte) NASTransport {
+	tx := w.candidate(0, ranID).Tx
+	return func(envelope []byte) ([]byte, error) {
+		*sent = append(*sent, append([]byte(nil), envelope...))
+		return tx(envelope)
+	}
+}
+
+func TestAttachSAPRetransmitsShedRequest(t *testing.T) {
+	w := newRetryWorld(t)
+	d := NewDevice("rt-ue-4", nil, w.cb)
+	var sent [][]byte
+	tx := w.recording("rt-ue-4", &sent)
+	idT := w.telcos[0].IDT
+	retransmits := mtr.retransmits.Value()
+
+	w.brk.ShedLoad(40 * time.Millisecond)
+	_, err := d.AttachSAP(tx, idT)
+	var ra *wire.RetryAfterError
+	if !errors.As(err, &ra) {
+		t.Fatalf("attach at a shedding broker: err = %v, want the typed shed", err)
+	}
+	w.brk.Resume()
+	if _, err := d.AttachSAP(tx, idT); err != nil {
+		t.Fatalf("retransmitted attach: %v", err)
+	}
+	if !bytes.Equal(sent[0], sent[1]) {
+		t.Fatal("attach after a shed built a new request instead of retransmitting the shed one")
+	}
+	if got := mtr.retransmits.Value() - retransmits; got != 1 {
+		t.Fatalf("ue_attach_retransmits_total moved by %d, want 1", got)
+	}
+
+	// The grant consumed that request: the next attach builds a new one,
+	// and the old bytes, replayed by hand, hit the broker's replay filter.
+	if err := d.Detach(tx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AttachSAP(tx, idT); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(sent[1], sent[len(sent)-1]) {
+		t.Fatal("a request the broker consumed was sent again")
+	}
+	if got := mtr.retransmits.Value() - retransmits; got != 1 {
+		t.Fatalf("ue_attach_retransmits_total moved by %d after an unshed attach, want still 1", got)
+	}
+	reply, err := w.agws[0].HandleNAS("rt-ue-4-replay", sent[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := nas.Decode(reply[1:])
+	if rej, ok := msg.(*nas.AttachReject); err != nil || !ok || !strings.Contains(rej.Cause, "replayed nonce") {
+		t.Fatalf("replayed request: %#v (%v), want a replayed-nonce reject", msg, err)
+	}
+}
+
+// Only the typed shed keeps a request: a transport error or a denial drops
+// it, and the shelf holds at most one request per bTelco, maxShelved in all.
+func TestAttachShelfDropsOnAnythingButShed(t *testing.T) {
+	w := newRetryWorld(t)
+	d := NewDevice("rt-ue-5", nil, w.cb)
+	var sent [][]byte
+	tx := w.recording("rt-ue-5", &sent)
+	idT := w.telcos[0].IDT
+
+	w.down[0] = true
+	if _, err := d.AttachSAP(tx, idT); err == nil {
+		t.Fatal("attach through a dead bTelco succeeded")
+	}
+	w.down[0] = false
+	w.brk.RevokeUser(w.cb.IDU)
+	if _, err := d.AttachSAP(tx, idT); !errors.Is(err, ErrRejected) {
+		t.Fatalf("attach of a revoked user: err = %v, want ErrRejected", err)
+	}
+	if _, err := d.AttachSAP(tx, idT); !errors.Is(err, ErrRejected) {
+		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+	if bytes.Equal(sent[0], sent[1]) || bytes.Equal(sent[1], sent[2]) {
+		t.Fatal("a request was reused after a transport error or a denial")
+	}
+	if n := len(d.shelf.byTelco); n != 0 {
+		t.Fatalf("%d requests shelved after non-shed failures", n)
+	}
+
+	var s AttachShelf
+	shed := &wire.RetryAfterError{After: time.Second}
+	for i := 0; i < 3*maxShelved; i++ {
+		p, resent, err := s.Take(w.cb, fmt.Sprintf("telco-%d", i))
+		if err != nil || resent {
+			t.Fatalf("take %d: resent=%v err=%v", i, resent, err)
+		}
+		s.Settle(p, fmt.Errorf("%w: shed: %w", ErrRejected, shed))
+		s.Settle(p, shed) // twice for one bTelco still holds one
+		if len(s.byTelco) > maxShelved {
+			t.Fatalf("shelf holds %d requests, bound is %d", len(s.byTelco), maxShelved)
+		}
+	}
+	last := fmt.Sprintf("telco-%d", 3*maxShelved-1)
+	p, resent, _ := s.Take(w.cb, last)
+	if !resent || p.IDT != last {
+		t.Fatalf("Take(%s) = %+v resent=%v, want the shelved request for that bTelco", last, p, resent)
+	}
+	if _, resent, _ = s.Take(w.cb, last); resent {
+		t.Fatal("a taken request was still on the shelf")
 	}
 }

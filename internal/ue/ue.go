@@ -58,7 +58,8 @@ type Device struct {
 	mu     sync.Mutex
 	ctx    *nas.SecurityContext
 	attach *Attachment
-	enc    []byte // NAS encode scratch (guarded by mu; Protect copies out)
+	enc    []byte      // NAS encode scratch (guarded by mu; Protect copies out)
+	shelf  AttachShelf // shed SAP requests awaiting retransmission (guarded by mu)
 
 	// Causal tracing (armed by TraceAttach; zero-valued = untraced, with
 	// byte-identical envelopes to the pre-tracing format).
@@ -222,15 +223,23 @@ func (d *Device) AttachLegacy(tx NASTransport) (*Attachment, error) {
 // AttachSAP runs the CellBricks attach against bTelco idT: one exchange
 // with the network, whose reply carries the broker-sealed authRespU. The
 // shared secret ss then seeds the NAS context (the SMC exchange is
-// subsumed because both sides already hold ss).
-func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
+// subsumed because both sides already hold ss). A request the broker shed
+// stays on the device's AttachShelf for the next attach to idT to resend.
+func (d *Device) AttachSAP(tx NASTransport, idT string) (_ *Attachment, err error) {
 	if d.CB == nil {
 		return nil, errors.New("ue: no CellBricks SIM state")
 	}
-	reqU, pending, err := d.CB.NewAttachRequest(idT)
+	d.mu.Lock()
+	pending, _, err := d.shelf.Take(d.CB, idT)
+	d.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		d.mu.Lock()
+		d.shelf.Settle(pending, err)
+		d.mu.Unlock()
+	}()
 	sc := d.attachSpanCtx()
 	start := d.tr.Now()
 	defer func() {
@@ -239,7 +248,7 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
 				map[string]string{"telco": idT})
 		}
 	}()
-	reply, err := tx(plainEnvelopeCtx(&nas.AttachRequestSAP{BrokerID: d.CB.IDB, AuthReqU: reqU.Marshal()}, sc))
+	reply, err := tx(plainEnvelopeCtx(&nas.AttachRequestSAP{BrokerID: d.CB.IDB, AuthReqU: pending.Req.Marshal()}, sc))
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,8 @@ var mtr struct {
 	deadlineHits *obs.Counter
 	shedReplies  *obs.Counter
 	panics       *obs.Counter
+	poolDials    *obs.Counter
+	poolReuses   *obs.Counter
 
 	callLatency *obs.Histogram
 }
@@ -37,6 +39,7 @@ func SetMetricsEnabled(on bool) {
 		mtr.framesSent, mtr.framesRecv, mtr.bytesSent, mtr.bytesRecv = nil, nil, nil, nil
 		mtr.calls, mtr.retries, mtr.redials, mtr.broken = nil, nil, nil, nil
 		mtr.deadlineHits, mtr.shedReplies, mtr.panics = nil, nil, nil
+		mtr.poolDials, mtr.poolReuses = nil, nil
 		mtr.callLatency = nil
 		return
 	}
@@ -52,5 +55,7 @@ func SetMetricsEnabled(on bool) {
 	mtr.deadlineHits = r.Counter("wire_client_deadline_hits_total", "call attempts that failed on an i/o timeout")
 	mtr.shedReplies = r.Counter("wire_client_shed_replies_total", "typed retry-after replies received")
 	mtr.panics = r.Counter("wire_server_panics_total", "handler panics recovered by the server")
+	mtr.poolDials = r.Counter("wire_pool_dials_total", "connections a Pool dialled because none was idle")
+	mtr.poolReuses = r.Counter("wire_pool_reuses_total", "Pool calls served on an idle connection")
 	mtr.callLatency = r.Histogram("wire_call_seconds", "end-to-end Call latency including retries", nil)
 }

@@ -14,7 +14,8 @@
 // adds per-call deadlines and bounded, jittered-exponential-backoff
 // retries; ServerOptions adds idle-connection timeouts. A degraded server
 // can shed load with a typed retry-after reply (TypeRetryAfter /
-// RetryAfterError) that survives the round trip.
+// RetryAfterError) that survives the round trip. Pool keeps a caller's
+// connections to one server warm between calls.
 package wire
 
 import (
@@ -442,13 +443,23 @@ type ClientStats struct {
 // Client is a synchronous request/response client over one TCP connection.
 // Safe for concurrent use; calls serialize.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	addr   string
-	closed bool
-	opts   Options
-	rng    *rand.Rand
-	stats  ClientStats
+	mu      sync.Mutex
+	conn    net.Conn
+	replied int // reply bytes read by the current call, across its attempts
+	addr    string
+	closed  bool
+	opts    Options
+	rng     *rand.Rand
+	stats   ClientStats
+}
+
+// replyReader counts the call's reply bytes: a Pool resends only if none came.
+type replyReader struct{ c *Client }
+
+func (r replyReader) Read(p []byte) (int, error) {
+	n, err := r.c.conn.Read(p)
+	r.c.replied += n
+	return n, err
 }
 
 // Dial connects a client with default options.
@@ -532,7 +543,7 @@ func (c *Client) callOnce(msgType byte, sc obs.SpanContext, payload []byte) (byt
 	if err := WriteFrameCtx(c.conn, msgType, sc, payload); err != nil {
 		return 0, nil, err, true
 	}
-	replyType, reply, err := ReadFrame(c.conn)
+	replyType, reply, err := ReadFrame(replyReader{c})
 	if err != nil {
 		return 0, nil, err, true
 	}
@@ -565,6 +576,7 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 		return 0, nil, ErrClosed
 	}
 	c.stats.Calls++
+	c.replied = 0
 	mtr.calls.Add(1)
 	if mtr.callLatency != nil {
 		start := time.Now()
