@@ -165,21 +165,11 @@ func main() {
 	traceSession := flag.String("trace-session", "", "restrict -trace-out/-timeline-out to one trace ID (16 hex digits, as printed in timeline headers)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder ring (recent trace events per component) to this file; always written on a failing exit (default cbbench-flight.txt)")
 	byzNoSLO := flag.Bool("byz-no-slo", false, "byzantine: disable the SLO-breach quarantine signal (the SLO engine still evaluates and renders margins)")
-	sched := flag.String("sched", "wheel", "netem event scheduler: wheel|heap (output is identical; heap is the reference for A/B determinism checks)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile per experiment to <prefix>.<exp>.cpu.pprof")
 	memProfile := flag.String("memprofile", "", "write a heap profile per experiment to <prefix>.<exp>.mem.pprof")
 	verbose := flag.Bool("v", false, "enable debug-level logging")
 	flag.Parse()
 	obs.Verbose(*verbose)
-	switch *sched {
-	case "wheel":
-		netem.SetDefaultScheduler(netem.SchedulerWheel)
-	case "heap":
-		netem.SetDefaultScheduler(netem.SchedulerHeap)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q: want wheel|heap\n", *sched)
-		os.Exit(2)
-	}
 
 	// The tracer is always armed so the flight recorder has a feed; the
 	// full event log is retained only when something will consume it.

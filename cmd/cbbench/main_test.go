@@ -64,3 +64,56 @@ func TestFailoverOutputUnchangedByTracing(t *testing.T) {
 		t.Fatal("trace is empty")
 	}
 }
+
+// TestReadmeFlagTableMatchesHelp keeps the README's cbbench flag table and
+// the binary's own -h listing naming the same flags, in both directions.
+func TestReadmeFlagTableMatchesHelp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	help, err := exec.Command(buildCbbench(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("cbbench -h: %v\n%s", err, help)
+	}
+	inHelp := map[string]bool{}
+	for _, line := range strings.Split(string(help), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			inHelp[strings.Fields(name)[0]] = true
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### `cbbench`")
+	if !ok {
+		t.Fatal("README has no cbbench flag section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	inReadme := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		// The first cell may group flags: `-a` / `-b`, or `-a/-b/-c`.
+		cell, _, _ := strings.Cut(line[1:], "|")
+		for _, name := range strings.FieldsFunc(cell, func(r rune) bool { return r == '`' || r == '/' || r == ' ' }) {
+			inReadme[strings.TrimPrefix(name, "-")] = true
+		}
+	}
+
+	if len(inHelp) == 0 || len(inReadme) == 0 {
+		t.Fatalf("parsed %d flags from -h and %d from the README", len(inHelp), len(inReadme))
+	}
+	for name := range inHelp {
+		if !inReadme[name] {
+			t.Errorf("flag -%s is in cbbench -h but not in the README table", name)
+		}
+	}
+	for name := range inReadme {
+		if !inHelp[name] {
+			t.Errorf("flag -%s is in the README table but not in cbbench -h", name)
+		}
+	}
+}

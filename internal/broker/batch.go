@@ -1,44 +1,35 @@
 package broker
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cellbricks/internal/billing"
-	"cellbricks/internal/nas"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 )
 
-// Batcher coalesces broker control-plane work — full SAP handshakes,
+// Batcher queues broker control-plane work — full SAP handshakes,
 // fast-path resumes, and billing reports — arriving within one sim-clock
-// flush window into a single state transaction, the SoftCell aggregation
-// pattern applied to the brokered control plane. Callers enqueue at
-// arrival and call Flush at window boundaries; Depth between the two is
-// the backlog admission control keys off.
+// flush window and hands it to the broker transaction (transaction.go) at
+// the window boundary, the SoftCell aggregation pattern applied to the
+// brokered control plane. Callers enqueue at arrival and call Flush at
+// window boundaries; Depth between the two is the backlog admission
+// control keys off.
 //
-// Two modes share the one queue and flush schedule, so arrival order,
-// admission depths, and decision order are identical — only the
-// execution strategy differs:
+// Both modes share the one queue and flush schedule, so arrival order,
+// admission depths, and decision order are identical; they differ only
+// in the window the transaction sees:
 //
-//   - serial (the baseline): each item is processed independently at the
-//     flush boundary through the exact single-request handlers.
-//   - batch: one three-phase pipeline per flush — parallel stateless
-//     validation (certificates, signatures, report decryption), ONE
-//     ordered commit transaction under a single lock acquisition
-//     (replay filters, policy, grant bookkeeping, report ingestion,
-//     with quarantine reviews coalesced to one per touched bTelco), and
-//     parallel response finalization (sealing + signing grants).
+//   - serial (the baseline): a window of one — each item is its own
+//     transaction, exactly what the single-request handlers run.
+//   - batch: the whole flush is one transaction — stateless stages in
+//     parallel, ONE ordered commit under a single lock acquisition.
 //
 // For honest traffic the two modes produce byte-identical outcomes —
-// the storm determinism gate pins this. Two documented divergences
-// exist under adversarial load: (1) quarantine reviews are coalesced
-// per flush, so a score that dips below the entry threshold and
-// recovers within one window quarantines serially but not batched;
-// (2) the flush window is an atomicity boundary — a report or resume
+// the storm determinism gate pins this. A window larger than one
+// diverges in two documented ways under adversarial load: (1) quarantine
+// reviews are coalesced per window, so a score that dips below the entry
+// threshold and recovers within one window quarantines serially but not
+// batched; (2) the window is an atomicity boundary — a report or resume
 // naming a session granted in the SAME flush is refused (the grant
 // response has not even been delivered yet, so honest parties cannot
 // produce one).
@@ -47,7 +38,7 @@ type Batcher struct {
 	serial bool
 
 	mu    sync.Mutex
-	items []*batchItem
+	items []*txItem
 
 	flushes uint64
 	total   uint64
@@ -64,40 +55,6 @@ type BatchOutcome struct {
 	Err      error
 }
 
-type batchKind uint8
-
-const (
-	batchAuth batchKind = iota
-	batchResume
-	batchReport
-)
-
-type batchItem struct {
-	kind   batchKind
-	auth   *sap.AuthReqT
-	resume *sap.ResumeReq
-	report *billing.SealedReport
-
-	// Pipeline scratch.
-	v       *sap.ValidatedAuth // auth: Validate output
-	vErr    error
-	rec     *sap.GrantRecord // resume/report: grant snapshot
-	macErr  error            // resume: MAC verdict
-	r       *billing.Report  // report: decoded body
-	openErr error
-	signer  pki.PublicIdentity
-	sigOK   bool
-
-	// Commit outputs for the finalize phase.
-	granted bool
-	params  qos.Params
-	ss      nas.MasterKey
-	uref    string
-	score   float64
-
-	out BatchOutcome
-}
-
 // NewBatcher builds a batcher over this broker. serial selects the
 // baseline per-item execution strategy (for A/B runs and the
 // determinism gate); false selects the pipelined transaction.
@@ -109,21 +66,21 @@ func (b *Brokerd) NewBatcher(serial bool) *Batcher {
 // is responsible for admission (AdmitAttach with Depth()) — enqueued
 // items are past the gate and always processed.
 func (t *Batcher) EnqueueAuth(req *sap.AuthReqT) {
-	t.enqueue(&batchItem{kind: batchAuth, auth: req})
+	t.enqueue(&txItem{kind: txAuth, auth: req})
 }
 
 // EnqueueResume queues a fast-path resume for the next flush.
 func (t *Batcher) EnqueueResume(req *sap.ResumeReq) {
-	t.enqueue(&batchItem{kind: batchResume, resume: req})
+	t.enqueue(&txItem{kind: txResume, resume: req})
 }
 
 // EnqueueReport queues a sealed billing report for the next flush.
 // Reports bypass admission by design.
 func (t *Batcher) EnqueueReport(env *billing.SealedReport) {
-	t.enqueue(&batchItem{kind: batchReport, report: env})
+	t.enqueue(&txItem{kind: txReport, report: env})
 }
 
-func (t *Batcher) enqueue(it *batchItem) {
+func (t *Batcher) enqueue(it *txItem) {
 	t.mu.Lock()
 	t.items = append(t.items, it)
 	t.total++
@@ -159,293 +116,15 @@ func (t *Batcher) Flush() []BatchOutcome {
 		return nil
 	}
 	if t.serial {
-		return t.flushSerial(items)
+		for _, it := range items {
+			t.b.transact(it)
+		}
+	} else {
+		t.b.transactWindow(items)
 	}
-	return t.flushBatch(items)
-}
-
-// flushSerial is the baseline: every item through the single-request
-// handlers, in order.
-func (t *Batcher) flushSerial(items []*batchItem) []BatchOutcome {
-	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		switch it.kind {
-		case batchAuth:
-			resp, err := t.b.handleAuthCore(it.auth)
-			out[i] = BatchOutcome{Auth: resp, Err: err}
-		case batchResume:
-			resp, err := t.b.handleResumeCore(it.resume)
-			out[i] = BatchOutcome{Resume: resp, Err: err}
-		case batchReport:
-			mm, err := t.b.HandleReport(it.report)
-			out[i] = BatchOutcome{Mismatch: mm, Err: err}
-		}
-	}
-	return out
-}
-
-// flushBatch is the pipelined transaction described on the type.
-func (t *Batcher) flushBatch(items []*batchItem) []BatchOutcome {
-	b := t.b
-
-	// Phase 1 (parallel, stateless): SAP validation for handshakes,
-	// decrypt+decode for reports. sap.Validate and pki are safe for
-	// concurrent use; nothing here touches broker state.
-	runParallel(len(items), func(i int) {
-		it := items[i]
-		switch it.kind {
-		case batchAuth:
-			it.v, it.vErr = b.sap.Validate(it.auth)
-		case batchReport:
-			body, err := b.cfg.Key.Open(it.report.Sealed)
-			if err != nil {
-				it.openErr = fmt.Errorf("broker: report undecryptable: %w", err)
-				return
-			}
-			it.r, it.openErr = billing.UnmarshalReport(body)
-		}
-	})
-
-	// Snapshot (one lock): resolve the grant and expected signer for
-	// resumes and reports. A same-flush grant cannot be referenced by
-	// honest traffic (its response is undelivered), so resolving against
-	// pre-flush state is the atomicity boundary documented on the type.
-	b.mu.Lock()
-	for _, it := range items {
-		switch it.kind {
-		case batchResume:
-			it.rec = b.grants[it.resume.URef]
-		case batchReport:
-			if it.openErr != nil {
-				continue
-			}
-			it.rec = b.grants[it.r.SessionRef]
-			if it.rec != nil {
-				switch it.r.Reporter {
-				case billing.ReporterUE:
-					it.signer = b.users[it.rec.IDU]
-				case billing.ReporterTelco:
-					it.signer = b.telcoKeys[it.rec.IDT]
-				}
-			}
-		}
-	}
-	b.mu.Unlock()
-
-	// Phase 2 (parallel, stateless): signature and MAC verification.
-	runParallel(len(items), func(i int) {
-		it := items[i]
-		switch it.kind {
-		case batchResume:
-			if it.rec != nil {
-				it.macErr = sap.VerifyResumeReq(it.resume, it.rec.SS)
-			}
-		case batchReport:
-			if it.openErr == nil && it.rec != nil {
-				it.sigOK = it.signer.Verify(it.report.Sealed, it.report.Sig) == nil
-			}
-		}
-	})
-
-	// Phase 3 (ordered commit): ONE lock acquisition covers every replay
-	// filter, policy decision, grant insertion, and report ingestion, in
-	// arrival order — the single state transaction. Quarantine reviews
-	// coalesce to one per touched bTelco, in first-touch order.
-	lockedPolicy := sap.AuthorizerFunc(func(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
-		return b.authorizeLocked(idU, idT, terms)
-	})
-	var touched []string
-	evidence := make(map[string]bool)
-	b.mu.Lock()
-	for _, it := range items {
-		switch it.kind {
-		case batchAuth:
-			t.commitAuthLocked(it, lockedPolicy)
-		case batchResume:
-			t.commitResumeLocked(it)
-		case batchReport:
-			t.commitReportLocked(it, &touched, evidence)
-		}
-	}
-	for _, idT := range touched {
-		b.reviewTelcoLocked(idT, evidence[idT])
-	}
-	b.mu.Unlock()
-
-	// Phase 4 (parallel, stateless): seal and sign granted handshake
-	// responses. Resume responses were already built inline — they are
-	// a few HMACs, not worth a phase.
-	runParallel(len(items), func(i int) {
-		it := items[i]
-		if it.kind != batchAuth || !it.granted {
-			return
-		}
-		resp, _, err := b.sap.Finalize(it.v, it.params, it.ss, it.uref)
-		if err != nil {
-			it.out.Err = err
-			return
-		}
-		resp.TelcoScore = it.score
-		it.out.Auth = resp
-	})
-
 	out := make([]BatchOutcome, len(items))
 	for i, it := range items {
 		out[i] = it.out
 	}
 	return out
-}
-
-// commitAuthLocked mirrors handleAuthCore's decision half: Decide under
-// the already-held broker lock, mint, and record the grant. Sealing and
-// signing are deferred to the parallel finalize phase. Mutex held.
-func (t *Batcher) commitAuthLocked(it *batchItem, policy sap.Authorizer) {
-	b := t.b
-	if it.vErr != nil {
-		mtr.attachDenied.Add(1)
-		it.out.Err = it.vErr
-		return
-	}
-	if it.v.DenyCause != "" {
-		mtr.attachGranted.Add(1)
-		it.out.Auth = &sap.AuthResp{Granted: false, Cause: it.v.DenyCause, TelcoScore: b.verifier.TelcoScore(it.auth.IDT)}
-		return
-	}
-	params, cause := b.sap.Decide(it.v, policy)
-	if cause != "" {
-		mtr.attachGranted.Add(1)
-		it.out.Auth = &sap.AuthResp{Granted: false, Cause: cause, TelcoScore: b.verifier.TelcoScore(it.auth.IDT)}
-		return
-	}
-	ss, uref, err := sap.MintSession()
-	if err != nil {
-		mtr.attachDenied.Add(1)
-		it.out.Err = err
-		return
-	}
-	it.granted, it.params, it.ss, it.uref = true, params, ss, uref
-	it.score = b.verifier.TelcoScore(it.auth.IDT)
-	rec := &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: it.auth.IDT, SS: ss, Terms: it.auth.Terms, QoS: params}
-	b.grants[uref] = rec
-	b.prices[uref] = it.auth.Terms.PricePerGB
-	b.telcoKeys[rec.IDT] = it.auth.Cert.Identity
-	b.verifier.BindSession(uref, rec.IDU, rec.IDT)
-	mtr.attachGranted.Add(1)
-}
-
-// commitResumeLocked mirrors handleResumeCore's decision half with the
-// MAC verdict already computed. Mutex held.
-func (t *Batcher) commitResumeLocked(it *batchItem) {
-	b := t.b
-	req := it.resume
-	score := b.verifier.TelcoScore(req.IDT)
-	deny := func(cause string) {
-		mtr.resumeDenied.Add(1)
-		it.out.Resume = sap.DenyResume(cause, score)
-	}
-	switch {
-	case it.rec == nil:
-		deny("unknown session reference")
-		return
-	case it.rec.IDT != req.IDT:
-		deny("bTelco identity mismatch")
-		return
-	case b.resumed[req.URef]:
-		deny("session reference already resumed")
-		return
-	case it.macErr != nil:
-		deny("resume MAC invalid")
-		return
-	}
-	params, err := b.authorizeLocked(it.rec.IDU, req.IDT, it.rec.Terms)
-	if err != nil {
-		deny("authorization denied: " + err.Error())
-		return
-	}
-	resp, ss2, uref2 := sap.GrantResume(req, it.rec.SS, params, score)
-	b.resumed[req.URef] = true
-	rec2 := &sap.GrantRecord{URef: uref2, IDU: it.rec.IDU, IDT: it.rec.IDT, SS: ss2, Terms: it.rec.Terms, QoS: params}
-	b.grants[uref2] = rec2
-	b.prices[uref2] = b.prices[req.URef]
-	b.verifier.BindSession(uref2, rec2.IDU, rec2.IDT)
-	mtr.resumeGranted.Add(1)
-	it.out.Resume = resp
-}
-
-// commitReportLocked mirrors HandleReport's ingest half with decode and
-// signature verification already done, deferring the quarantine review
-// to the per-flush coalesced pass. Mutex held.
-func (t *Batcher) commitReportLocked(it *batchItem, touched *[]string, evidence map[string]bool) {
-	b := t.b
-	if it.openErr != nil {
-		it.out.Err = it.openErr
-		return
-	}
-	if it.rec == nil {
-		it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.r.SessionRef)
-		return
-	}
-	if !it.sigOK {
-		it.out.Err = ErrBadReporterKey
-		return
-	}
-	byRep := b.reports[it.r.SessionRef]
-	if byRep == nil {
-		byRep = make(map[billing.Reporter][]*billing.Report)
-		b.reports[it.r.SessionRef] = byRep
-	}
-	byRep[it.r.Reporter] = append(byRep[it.r.Reporter], it.r)
-	if it.r.Reporter == billing.ReporterUE {
-		b.checkQoS(it.rec, it.r)
-	}
-	mtr.reports.Add(1)
-	mm, err := b.verifier.Ingest(it.r)
-	if mm != nil {
-		mtr.mismatches.Add(1)
-	}
-	if isReplay(err) {
-		mtr.replays.Add(1)
-	}
-	if mm != nil || isReplay(err) {
-		b.invalidateAuthCacheLocked()
-	}
-	idT := it.rec.IDT
-	if _, seen := evidence[idT]; !seen {
-		*touched = append(*touched, idT)
-	}
-	evidence[idT] = evidence[idT] || mm != nil || isReplay(err)
-	it.out.Mismatch, it.out.Err = mm, err
-}
-
-// runParallel fans f over [0, n) across up to GOMAXPROCS workers. With
-// one worker (or one item) it degrades to a plain loop — on a single
-// core the batch pipeline's win is the lock coalescing and the cache,
-// not parallelism.
-func runParallel(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -109,7 +109,7 @@ func New(cfg Config) *Brokerd {
 		qosViolations: make(map[string]int),
 		resumed:       make(map[string]bool),
 	}
-	b.sap = sap.NewBrokerState(cfg.ID, cfg.Key, cfg.Anchor, sap.AuthorizerFunc(b.authorize), cfg.Now)
+	b.sap = sap.NewBrokerState(cfg.ID, cfg.Key, cfg.Anchor, sap.AuthorizerFunc(b.authorizeLocked), cfg.Now)
 	return b
 }
 
@@ -138,20 +138,13 @@ func (b *Brokerd) RevokeUser(idU string) {
 	b.mu.Unlock()
 }
 
-// authorize is the broker's admission policy, run inside SAP request
-// handling: reputation gate, suspect gate, price gate, then QoS selection
-// clamped to the bTelco's capability.
-func (b *Brokerd) authorize(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.authorizeLocked(idU, idT, terms)
-}
-
-// authorizeLocked is authorize with the broker lock already held — the
-// entry point the batch commit phase uses. It consults the auth-decision
-// cache (grants only, current epoch only; bypassed while a custom
-// policy chain is installed) before falling through to the full
-// decision.
+// authorizeLocked is the broker's admission policy, run by the commit
+// stage of the broker transaction (for a handshake through sap.Decide,
+// which is why the SAP state's policy assumes b.mu is already held):
+// reputation gate, suspect gate, price gate, then QoS selection clamped
+// to the bTelco's capability. It consults the auth-decision cache
+// (grants only, current epoch only; bypassed while a custom policy chain
+// is installed) before falling through to the full decision.
 func (b *Brokerd) authorizeLocked(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
 	useCache := b.authCacheMax > 0 && b.policy == nil
 	var key authCacheKey
@@ -233,48 +226,48 @@ func (b *Brokerd) ShedCount() uint64 {
 	return b.shedCount
 }
 
-// HandleAuthRequest processes one SAP request from a bTelco. On grant it
-// binds the session for billing alignment and remembers the bTelco's
-// certified key for report verification. A degraded broker sheds the
-// request with a typed retry-after error before any crypto runs, and an
-// armed admission shedder (EnableAdmission) charges one attach next.
-func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
+// gateAttach is the entry gate of the single-request attach handlers: a
+// degraded broker sheds with its typed retry-after hint, then an armed
+// admission shedder (EnableAdmission) charges one attach. Both run before
+// any nonce or crypto work, so a shed request can be retransmitted as is.
+func (b *Brokerd) gateAttach() error {
 	b.mu.Lock()
-	if hint := b.shedHint; hint > 0 {
+	hint := b.shedHint
+	if hint > 0 {
 		b.shedCount++
-		b.mu.Unlock()
-		mtr.attachShed.Add(1)
-		return nil, &wire.RetryAfterError{After: hint}
 	}
 	b.mu.Unlock()
-	if err := b.AdmitAttach(0); err != nil {
-		return nil, err
+	if hint > 0 {
+		mtr.attachShed.Add(1)
+		return &wire.RetryAfterError{After: hint}
 	}
-	return b.handleAuthCore(req)
+	return b.AdmitAttach(0)
 }
 
-// handleAuthCore runs the SAP handshake plus grant bookkeeping with the
-// degraded-mode and admission gates already passed — the entry point the
-// Batcher's serial flush uses (admission was charged at enqueue).
-func (b *Brokerd) handleAuthCore(req *sap.AuthReqT) (*sap.AuthResp, error) {
-	resp, rec, err := b.sap.HandleRequest(req)
-	if err != nil {
-		mtr.attachDenied.Add(1)
+// HandleAuthRequest processes one SAP request from a bTelco: the entry
+// gate, then a broker transaction of one item. On grant it binds the
+// session for billing alignment and remembers the bTelco's certified key
+// for report verification.
+func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
+	if err := b.gateAttach(); err != nil {
 		return nil, err
 	}
-	// Piggyback the requester's current reputation on every reply —
-	// grant or denial — so scores propagate into SAP offers.
-	resp.TelcoScore = b.TelcoScore(req.IDT)
-	mtr.attachGranted.Add(1)
-	if rec != nil {
-		b.mu.Lock()
-		b.grants[rec.URef] = rec
-		b.prices[rec.URef] = req.Terms.PricePerGB
-		b.telcoKeys[rec.IDT] = req.Cert.Identity
-		b.verifier.BindSession(rec.URef, rec.IDU, rec.IDT)
-		b.mu.Unlock()
+	it := txItem{kind: txAuth, auth: req}
+	b.transact(&it)
+	return it.out.Auth, it.out.Err
+}
+
+// HandleResume processes one SAP fast-path re-attach (see sap/resume.go
+// for the protocol) behind the same entry gate. On a grant the successor
+// session is bound for billing alignment exactly like a full handshake's
+// grant; a refusal is a denial response, not an error.
+func (b *Brokerd) HandleResume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	if err := b.gateAttach(); err != nil {
+		return nil, err
 	}
-	return resp, nil
+	it := txItem{kind: txResume, resume: req}
+	b.transact(&it)
+	return it.out.Resume, it.out.Err
 }
 
 // Errors from report ingestion.
@@ -287,64 +280,11 @@ var (
 // broker decrypts it with its own key, identifies the session and
 // reporter, verifies the signature against the key it expects for that
 // reporter, and runs the discrepancy check when the pair completes.
+// Reports pass no gate (see ShedLoad).
 func (b *Brokerd) HandleReport(env *billing.SealedReport) (*billing.Mismatch, error) {
-	body, err := b.cfg.Key.Open(env.Sealed)
-	if err != nil {
-		return nil, fmt.Errorf("broker: report undecryptable: %w", err)
-	}
-	r, err := billing.UnmarshalReport(body)
-	if err != nil {
-		return nil, err
-	}
-	// One lock acquisition resolves the session and the expected signer;
-	// the Ed25519 verification itself runs outside the lock so concurrent
-	// report streams don't serialize on the crypto.
-	b.mu.Lock()
-	rec := b.grants[r.SessionRef]
-	var signer pki.PublicIdentity
-	if rec != nil {
-		switch r.Reporter {
-		case billing.ReporterUE:
-			signer = b.users[rec.IDU]
-		case billing.ReporterTelco:
-			signer = b.telcoKeys[rec.IDT]
-		}
-	}
-	b.mu.Unlock()
-	if rec == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, r.SessionRef)
-	}
-	if err := signer.Verify(env.Sealed, env.Sig); err != nil {
-		return nil, ErrBadReporterKey
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	byRep := b.reports[r.SessionRef]
-	if byRep == nil {
-		byRep = make(map[billing.Reporter][]*billing.Report)
-		b.reports[r.SessionRef] = byRep
-	}
-	byRep[r.Reporter] = append(byRep[r.Reporter], r)
-	if r.Reporter == billing.ReporterUE {
-		b.checkQoS(rec, r)
-	}
-	mtr.reports.Add(1)
-	mm, err := b.verifier.Ingest(r)
-	if mm != nil {
-		mtr.mismatches.Add(1)
-	}
-	if isReplay(err) {
-		mtr.replays.Add(1)
-	}
-	// Evidence moved the bTelco's reputation (and possibly the user
-	// suspect list): cached auth decisions predate it.
-	if mm != nil || isReplay(err) {
-		b.invalidateAuthCacheLocked()
-	}
-	// Any ingest can move the bTelco's reputation (pass, mismatch, or
-	// replay penalty): re-evaluate quarantine while the lock is held.
-	b.reviewTelcoLocked(rec.IDT, mm != nil || isReplay(err))
-	return mm, err
+	it := txItem{kind: txReport, report: env}
+	b.transact(&it)
+	return it.out.Mismatch, it.out.Err
 }
 
 // isReplay reports whether an ingest error is the replay rejection.

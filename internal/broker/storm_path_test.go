@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -235,36 +236,275 @@ func TestBrokerResumeSingleUse(t *testing.T) {
 	}
 }
 
+// entryShapes are the three ways one request reaches the broker
+// transaction: the single-request handler, and a Batcher flush of that one
+// item in serial and in batch mode.
+var entryShapes = []struct {
+	name   string
+	submit func(h *harness, in *txItem) BatchOutcome
+}{
+	{"direct", func(h *harness, in *txItem) BatchOutcome {
+		var out BatchOutcome
+		switch in.kind {
+		case txAuth:
+			out.Auth, out.Err = h.brk.HandleAuthRequest(in.auth)
+		case txResume:
+			out.Resume, out.Err = h.brk.HandleResume(in.resume)
+		case txReport:
+			out.Mismatch, out.Err = h.brk.HandleReport(in.report)
+		}
+		return out
+	}},
+	{"serial batcher", func(h *harness, in *txItem) BatchOutcome { return flushOne(h.brk.NewBatcher(true), in) }},
+	{"batch batcher", func(h *harness, in *txItem) BatchOutcome { return flushOne(h.brk.NewBatcher(false), in) }},
+}
+
+func flushOne(bat *Batcher, in *txItem) BatchOutcome {
+	switch in.kind {
+	case txAuth:
+		bat.EnqueueAuth(in.auth)
+	case txResume:
+		bat.EnqueueResume(in.resume)
+	case txReport:
+		bat.EnqueueReport(in.report)
+	}
+	return bat.Flush()[0]
+}
+
+// brokerCounts holds every counter a transaction can move, and the
+// batcher's two queue counters.
+type brokerCounts struct {
+	granted, denied, resumeGranted, resumeDenied uint64
+	reports, mismatches, replays                 uint64
+	batchItems, batchFlushes                     uint64
+}
+
+// countersSince reads the counters relative to an earlier reading.
+func countersSince(base brokerCounts) brokerCounts {
+	return brokerCounts{
+		mtr.attachGranted.Value() - base.granted, mtr.attachDenied.Value() - base.denied,
+		mtr.resumeGranted.Value() - base.resumeGranted, mtr.resumeDenied.Value() - base.resumeDenied,
+		mtr.reports.Value() - base.reports, mtr.mismatches.Value() - base.mismatches, mtr.replays.Value() - base.replays,
+		mtr.batchItems.Value() - base.batchItems, mtr.batchFlushes.Value() - base.batchFlushes,
+	}
+}
+
+// errClass maps an outcome error to the sentinel it wraps (the full text
+// embeds random session references).
+func errClass(err error) error {
+	for _, target := range []error{sap.ErrBadRequest, ErrBadReporterKey, ErrUnknownSession, billing.ErrReplayedReport} {
+		if errors.Is(err, target) {
+			return target
+		}
+	}
+	return err
+}
+
+// verdict flattens an outcome to what a caller can observe of it.
+func verdict(o BatchOutcome) string {
+	switch {
+	case o.Err != nil:
+		return "err: " + errClass(o.Err).Error()
+	case o.Auth != nil:
+		return fmt.Sprintf("auth granted=%v cause=%q score=%v", o.Auth.Granted, o.Auth.Cause, o.Auth.TelcoScore)
+	case o.Resume != nil:
+		return fmt.Sprintf("resume granted=%v cause=%q score=%v", o.Resume.Granted, o.Resume.Cause, o.Resume.TelcoScore)
+	}
+	return fmt.Sprintf("report mismatch=%v", o.Mismatch != nil)
+}
+
+// The adversarial inputs, each through all three entry shapes: the broker
+// must reach the same verdict, cause, score and counters whichever way
+// the request came in, and never panic.
 func TestBrokerResumeDenyLadder(t *testing.T) {
-	h := newHarness(t)
-	tkt, grant := h.resumeTicket(t)
-
-	// Unknown reference.
-	bogus := &sap.ResumeSession{IDT: h.telco.IDT, URef: "nope", SS: grant.SS}
-	req, _ := bogus.NewResumeRequest()
-	resp, err := h.brk.HandleResume(req)
-	if err != nil || resp.Granted || !strings.Contains(resp.Cause, "unknown session") {
-		t.Fatalf("unknown ref: %v %+v", err, resp)
+	forwarded := func(t *testing.T, h *harness, tkt *sap.ResumeSession, ss [32]byte) *sap.ResumeReq {
+		t.Helper()
+		req, err := tkt.NewResumeRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.telco.ForwardResume(req, ss); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	sealed := func(t *testing.T, h *harness, r *billing.Report, signer *pki.KeyPair) *txItem {
+		t.Helper()
+		env, err := billing.Seal(r, signer, h.brk.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &txItem{kind: txReport, report: env}
+	}
+	tankScore := func(t *testing.T, h *harness, ref string) {
+		t.Helper()
+		for seq := uint32(1); seq <= 10; seq++ {
+			h.report(t, billing.ReporterUE, h.ueKey, ref, seq, 1_000_000)
+			h.report(t, billing.ReporterTelco, h.telco.Key, ref, seq, 5_000_000)
+		}
 	}
 
-	// Wrong bTelco claiming the session.
-	req2, _ := tkt.NewResumeRequest()
-	req2.IDT = "some-other-telco"
-	req2.MACU = nil // MACs are recomputed below the identity check anyway
-	resp, err = h.brk.HandleResume(req2)
-	if err != nil || resp.Granted || !strings.Contains(resp.Cause, "identity mismatch") {
-		t.Fatalf("wrong telco: %v %+v", err, resp)
+	cases := []struct {
+		name string
+		// build prepares the harness and returns the one item under test.
+		build     func(t *testing.T, h *harness) *txItem
+		wantErr   error  // errors.Is target; nil = the item must not error
+		wantCause string // substring of the denial cause, for attach items
+		check     func(t *testing.T, h *harness)
+	}{
+		{name: "resume: unknown reference", wantCause: "unknown session",
+			build: func(t *testing.T, h *harness) *txItem {
+				_, grant := h.resumeTicket(t)
+				bogus := &sap.ResumeSession{IDT: h.telco.IDT, URef: "nope", SS: grant.SS}
+				req, _ := bogus.NewResumeRequest()
+				return &txItem{kind: txResume, resume: req}
+			}},
+		{name: "resume: wrong bTelco claims the session", wantCause: "identity mismatch",
+			build: func(t *testing.T, h *harness) *txItem {
+				tkt, _ := h.resumeTicket(t)
+				req, _ := tkt.NewResumeRequest()
+				req.IDT = "some-other-telco" // MACs sit below the identity check
+				return &txItem{kind: txResume, resume: req}
+			}},
+		{name: "resume: reused reference", wantCause: "already resumed",
+			build: func(t *testing.T, h *harness) *txItem {
+				tkt, grant := h.resumeTicket(t)
+				if resp, err := h.brk.HandleResume(forwarded(t, h, tkt, grant.SS)); err != nil || !resp.Granted {
+					t.Fatalf("first resume: %v %+v", err, resp)
+				}
+				return &txItem{kind: txResume, resume: forwarded(t, h, tkt, grant.SS)}
+			}},
+		{name: "resume: bad MAC", wantCause: "MAC invalid",
+			build: func(t *testing.T, h *harness) *txItem {
+				tkt, grant := h.resumeTicket(t)
+				req := forwarded(t, h, tkt, grant.SS)
+				req.MACT[0] ^= 1
+				return &txItem{kind: txResume, resume: req}
+			}},
+		{name: "resume: policy re-runs", wantCause: "authorization denied",
+			build: func(t *testing.T, h *harness) *txItem {
+				tkt, grant := h.resumeTicket(t)
+				tankScore(t, h, grant.URef)
+				return &txItem{kind: txResume, resume: forwarded(t, h, tkt, grant.SS)}
+			}},
+		{name: "resume: nil", wantErr: sap.ErrBadRequest,
+			build: func(t *testing.T, h *harness) *txItem { return &txItem{kind: txResume} }},
+		{name: "auth: nil", wantErr: sap.ErrBadRequest,
+			build: func(t *testing.T, h *harness) *txItem { return &txItem{kind: txAuth} }},
+		{name: "auth: replayed nonce", wantCause: "replayed nonce",
+			build: func(t *testing.T, h *harness) *txItem {
+				req := authReq(t, h)
+				if resp, err := h.brk.HandleAuthRequest(req); err != nil || !resp.Granted {
+					t.Fatalf("first delivery: %v %+v", err, resp)
+				}
+				return &txItem{kind: txAuth, auth: req}
+			}},
+		{name: "report: wrong signer", wantErr: ErrBadReporterKey,
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				// The telco forges a UE report with its own key.
+				return sealed(t, h, &billing.Report{SessionRef: ref, Reporter: billing.ReporterUE, Seq: 1, DLBytes: 1}, h.telco.Key)
+			}},
+		{name: "report: unknown session", wantErr: ErrUnknownSession,
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				return sealed(t, h, &billing.Report{SessionRef: "bogus", Reporter: billing.ReporterUE, Seq: 1}, h.ueKey)
+			}},
+		{name: "report: replayed seq", wantErr: billing.ErrReplayedReport,
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				h.report(t, billing.ReporterUE, h.ueKey, ref, 1, 1_000_000)
+				h.report(t, billing.ReporterTelco, h.telco.Key, ref, 1, 1_000_000)
+				stale := &billing.Report{SessionRef: ref, Reporter: billing.ReporterTelco, Seq: 1, Rel: 30 * time.Second, DLBytes: 1_000_000}
+				return sealed(t, h, stale, h.telco.Key)
+			},
+			check: func(t *testing.T, h *harness) {
+				if s := h.brk.TelcoScore("h-telco"); s >= 1 {
+					t.Fatalf("replay not penalized: score %v", s)
+				}
+			}},
+		{name: "report: QoS violation",
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				// QCI 9 budget 300 ms; the 3x factor puts the line at 900 ms.
+				r := &billing.Report{SessionRef: ref, Reporter: billing.ReporterUE, Seq: 1, Rel: 30 * time.Second,
+					DLBytes: 1_000_000, QoS: billing.QoSMetrics{DLDelayMs: 2500}}
+				return sealed(t, h, r, h.ueKey)
+			},
+			check: func(t *testing.T, h *harness) {
+				if got := h.brk.QoSViolations("h-telco"); got != 1 {
+					t.Fatalf("QoS violations = %d, want 1", got)
+				}
+			}},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var first string
+			for _, shape := range entryShapes {
+				h := newHarness(t)
+				in := c.build(t, h)
+				before := countersSince(brokerCounts{})
+				out := shape.submit(h, in)
+				delta := countersSince(before)
 
-	// Bad MAC.
-	req3, _ := tkt.NewResumeRequest()
-	if err := h.telco.ForwardResume(req3, grant.SS); err != nil {
-		t.Fatal(err)
+				if !errors.Is(out.Err, c.wantErr) || (c.wantErr == nil && out.Err != nil) {
+					t.Fatalf("%s: err = %v, want %v", shape.name, out.Err, c.wantErr)
+				}
+				if c.wantCause != "" {
+					granted, cause := true, ""
+					if out.Auth != nil {
+						granted, cause = out.Auth.Granted, out.Auth.Cause
+					} else if out.Resume != nil {
+						granted, cause = out.Resume.Granted, out.Resume.Cause
+					}
+					if granted || !strings.Contains(cause, c.wantCause) {
+						t.Fatalf("%s: outcome %s, want a denial with %q", shape.name, verdict(out), c.wantCause)
+					}
+				}
+				if c.check != nil {
+					c.check(t, h)
+				}
+				// Only the batcher's own queue counters may tell the
+				// shapes apart; the direct handler must not touch them.
+				wantQueue := uint64(1)
+				if shape.name == "direct" {
+					wantQueue = 0
+				}
+				if delta.batchItems != wantQueue || delta.batchFlushes != wantQueue {
+					t.Fatalf("%s: batch items/flushes moved by %d/%d", shape.name, delta.batchItems, delta.batchFlushes)
+				}
+				delta.batchItems, delta.batchFlushes = 0, 0
+				got := fmt.Sprintf("%s | broker score %v | counters %+v", verdict(out), h.brk.TelcoScore("h-telco"), delta)
+				if first == "" {
+					first = got
+				} else if got != first {
+					t.Fatalf("%s disagrees with %s:\n  %s\n  %s", shape.name, entryShapes[0].name, got, first)
+				}
+			}
+		})
 	}
-	req3.MACT[0] ^= 1
-	resp, err = h.brk.HandleResume(req3)
-	if err != nil || resp.Granted || !strings.Contains(resp.Cause, "MAC invalid") {
-		t.Fatalf("bad MAC: %v %+v", err, resp)
+}
+
+// broker_attach_granted_total counts grants only; a protocol denial
+// (policy, replayed nonce) is a denial, whichever way the request came in.
+func TestAttachCountersSplitGrantsFromDenials(t *testing.T) {
+	for _, shape := range entryShapes {
+		h := newHarness(t)
+		before := countersSince(brokerCounts{})
+		req := authReq(t, h)
+		for i, wantCause := range []string{"", "replayed nonce", "price"} {
+			if i == 2 {
+				h.brk.cfg.MaxPricePerGB = 1.0 // the telco advertises 1.5
+				req = authReq(t, h)
+			}
+			out := shape.submit(h, &txItem{kind: txAuth, auth: req})
+			if out.Err != nil || out.Auth.Granted != (wantCause == "") || !strings.Contains(out.Auth.Cause, wantCause) {
+				t.Fatalf("%s delivery %d: %s, want cause %q", shape.name, i, verdict(out), wantCause)
+			}
+		}
+		if delta := countersSince(before); delta.granted != 1 || delta.denied != 2 {
+			t.Fatalf("%s: granted +%d denied +%d, want +1/+2", shape.name, delta.granted, delta.denied)
+		}
 	}
 }
 
@@ -352,10 +592,17 @@ func stormMix(t *testing.T, h *harness, bat *Batcher, ref string, tkt *sap.Resum
 	seal(billing.ReporterTelco, h.telco.Key, 1, 1_005_000) // honest pair
 	seal(billing.ReporterUE, h.ueKey, 2, 1_000_000)
 	seal(billing.ReporterTelco, h.telco.Key, 2, 9_000_000) // inflation
-	// A report for an unknown session errors identically in both modes.
+	// The adversarial inputs of TestBrokerResumeDenyLadder inside a window:
+	// an unknown session, a UE report forged under the telco's key, a
+	// replayed sequence number, and nil requests error identically in both
+	// modes.
 	r := &billing.Report{SessionRef: "bogus", Reporter: billing.ReporterUE, Seq: 1}
 	env, _ := billing.Seal(r, h.ueKey, h.brk.Public())
 	bat.EnqueueReport(env)
+	seal(billing.ReporterUE, h.telco.Key, 3, 1_000_000)
+	seal(billing.ReporterTelco, h.telco.Key, 1, 1_005_000)
+	bat.EnqueueAuth(nil)
+	bat.EnqueueResume(nil)
 }
 
 func TestBatcherSerialAndPipelinedAgree(t *testing.T) {
@@ -371,7 +618,7 @@ func TestBatcherSerialAndPipelinedAgree(t *testing.T) {
 	hb.brk.EnableAuthCache(64) // the optimized config the storm uses
 	stormMix(t, hs, batS, grantS.URef, tktS, grantS.SS)
 	stormMix(t, hb, batB, grantB.URef, tktB, grantB.SS)
-	if d := batS.Depth(); d != 10 || batB.Depth() != d {
+	if d := batS.Depth(); d != 14 || batB.Depth() != d {
 		t.Fatalf("depths %d/%d", batS.Depth(), batB.Depth())
 	}
 
@@ -382,7 +629,7 @@ func TestBatcherSerialAndPipelinedAgree(t *testing.T) {
 	}
 	for i := range outS {
 		s, b := outS[i], outB[i]
-		if (s.Err == nil) != (b.Err == nil) {
+		if errClass(s.Err) != errClass(b.Err) {
 			t.Fatalf("item %d: err %v vs %v", i, s.Err, b.Err)
 		}
 		if (s.Auth == nil) != (b.Auth == nil) || (s.Resume == nil) != (b.Resume == nil) ||
@@ -402,7 +649,7 @@ func TestBatcherSerialAndPipelinedAgree(t *testing.T) {
 		t.Fatalf("post-flush scores diverge: %v vs %v", fS, fB)
 	}
 	flushes, items := batB.Stats()
-	if flushes != 1 || items != 10 {
+	if flushes != 1 || items != 14 {
 		t.Fatalf("stats = %d flushes / %d items", flushes, items)
 	}
 	// Both flushed queues drain.

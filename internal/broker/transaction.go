@@ -1,0 +1,356 @@
+package broker
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"cellbricks/internal/billing"
+	"cellbricks/internal/pki"
+	"cellbricks/internal/qos"
+	"cellbricks/internal/sap"
+)
+
+// The broker transaction (DESIGN.md §2.5). Every SAP handshake, fast-path
+// resume and billing report is decided by the same five stages, whether it
+// arrives alone (HandleAuthRequest, HandleResume, HandleReport) or inside
+// a Batcher window:
+//
+//	prepare   stateless  sap.Validate; report decrypt + decode
+//	resolve   b.mu       grant record and expected signer
+//	verify    stateless  resume MAC; report signature
+//	commit    b.mu       arrival order: nonce + policy, mint, grant
+//	                     bookkeeping, resume consumption, report ingest,
+//	                     then the quarantine review of each touched bTelco
+//	finalize  stateless  seal + sign a granted handshake
+//
+// An item that fails a stage carries the failure in out.Err and the
+// later stages skip it. A grant is committed before it is finalized: if
+// sealing fails the caller gets the error and the (unusable, never
+// delivered) grant record stays.
+
+type txKind uint8
+
+const (
+	txAuth txKind = iota
+	txResume
+	txReport
+)
+
+// txItem is one request moving through the stages; exactly one of
+// auth/resume/report is the input, selected by kind.
+type txItem struct {
+	kind   txKind
+	auth   *sap.AuthReqT
+	resume *sap.ResumeReq
+	report *billing.SealedReport
+
+	v      *sap.ValidatedAuth // prepare: validated handshake
+	r      *billing.Report    // prepare: decoded report
+	signer pki.PublicIdentity // resolve: key the report must verify under
+	macErr error              // verify: resume MAC verdict (a denial, not an Err)
+	// rec is the session a resume or report names (resolve), or the
+	// grant a handshake just committed (commit; nil = not granted).
+	rec   *sap.GrantRecord
+	score float64 // commit: the bTelco's reputation, echoed in the grant
+
+	out BatchOutcome
+}
+
+// transact runs the stages for a window of one. It is transactWindow
+// written out straight — no closures, no slices — so the handlers' item
+// stays on their stack.
+func (b *Brokerd) transact(it *txItem) {
+	b.prepare(it)
+	b.mu.Lock()
+	b.resolveLocked(it)
+	b.mu.Unlock()
+	b.verify(it)
+	b.mu.Lock()
+	if idT, misbehaved := b.commitLocked(it); idT != "" {
+		b.reviewTelcoLocked(idT, misbehaved)
+	}
+	b.mu.Unlock()
+	b.finalize(it)
+}
+
+// transactWindow runs the stages once for a whole window: the stateless
+// stages fan out across cores, resolve and commit each take the lock
+// once. Two things differ from len(items) transactions of one, and only
+// under adversarial load: quarantine reviews coalesce to one per touched
+// bTelco (first-touch order) after the last commit, and sessions are
+// resolved before any item commits, so an item naming a session granted
+// in the same window is refused.
+func (b *Brokerd) transactWindow(items []*txItem) {
+	runParallel(len(items), func(i int) { b.prepare(items[i]) })
+	b.mu.Lock()
+	for _, it := range items {
+		b.resolveLocked(it)
+	}
+	b.mu.Unlock()
+	runParallel(len(items), func(i int) { b.verify(items[i]) })
+
+	type review struct {
+		idT        string
+		misbehaved bool
+	}
+	var touched []review
+	b.mu.Lock()
+next:
+	for _, it := range items {
+		idT, misbehaved := b.commitLocked(it)
+		if idT == "" {
+			continue
+		}
+		for i := range touched {
+			if touched[i].idT == idT {
+				touched[i].misbehaved = touched[i].misbehaved || misbehaved
+				continue next
+			}
+		}
+		touched = append(touched, review{idT, misbehaved})
+	}
+	for _, r := range touched {
+		b.reviewTelcoLocked(r.idT, r.misbehaved)
+	}
+	b.mu.Unlock()
+	runParallel(len(items), func(i int) { b.finalize(items[i]) })
+}
+
+// prepare does the work that needs no broker state. sap.Validate and pki
+// are safe for concurrent use.
+func (b *Brokerd) prepare(it *txItem) {
+	switch it.kind {
+	case txAuth:
+		it.v, it.out.Err = b.sap.Validate(it.auth)
+	case txResume:
+		if it.resume == nil {
+			it.out.Err = sap.ErrBadRequest
+		}
+	case txReport:
+		if it.report == nil {
+			it.out.Err = sap.ErrBadRequest
+			return
+		}
+		body, err := b.cfg.Key.Open(it.report.Sealed)
+		if err != nil {
+			it.out.Err = fmt.Errorf("broker: report undecryptable: %w", err)
+			return
+		}
+		it.r, it.out.Err = billing.UnmarshalReport(body)
+	}
+}
+
+// resolveLocked looks up the session a resume or report names and, for a
+// report, the key its signature is expected under. Mutex held.
+func (b *Brokerd) resolveLocked(it *txItem) {
+	if it.out.Err != nil {
+		return
+	}
+	switch it.kind {
+	case txResume:
+		it.rec = b.grants[it.resume.URef]
+	case txReport:
+		if it.rec = b.grants[it.r.SessionRef]; it.rec == nil {
+			return
+		}
+		switch it.r.Reporter {
+		case billing.ReporterUE:
+			it.signer = b.users[it.rec.IDU]
+		case billing.ReporterTelco:
+			it.signer = b.telcoKeys[it.rec.IDT]
+		}
+	}
+}
+
+// verify runs the crypto that needed resolve's answer, outside the lock
+// so concurrent requests do not serialize on it.
+func (b *Brokerd) verify(it *txItem) {
+	if it.out.Err != nil {
+		return
+	}
+	switch it.kind {
+	case txResume:
+		if it.rec != nil {
+			it.macErr = sap.VerifyResumeReq(it.resume, it.rec.SS)
+		}
+	case txReport:
+		if it.rec == nil {
+			it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.r.SessionRef)
+		} else if it.signer.Verify(it.report.Sealed, it.report.Sig) != nil {
+			it.out.Err = ErrBadReporterKey
+		}
+	}
+}
+
+// commitLocked applies one item's state change. It returns the bTelco
+// whose reputation the item may have moved ("" for none) and whether the
+// item was fresh evidence against it; the caller owes that bTelco a
+// reviewTelcoLocked before releasing the lock. Mutex held.
+func (b *Brokerd) commitLocked(it *txItem) (idT string, misbehaved bool) {
+	switch {
+	case it.kind == txAuth:
+		b.commitAuthLocked(it)
+	case it.out.Err != nil: // failed an earlier stage: nothing to commit
+	case it.kind == txResume:
+		b.commitResumeLocked(it)
+	default:
+		return b.commitReportLocked(it)
+	}
+	return "", false
+}
+
+// commitAuthLocked decides a handshake: replay filter and policy (Decide
+// reaches authorizeLocked through the SAP state's policy), then mint and
+// record the grant — bound for billing alignment, with the bTelco's
+// certified key remembered for report verification. Mutex held.
+func (b *Brokerd) commitAuthLocked(it *txItem) {
+	if it.out.Err != nil {
+		mtr.attachDenied.Add(1)
+		return
+	}
+	req, cause := it.auth, it.v.DenyCause
+	var params qos.Params
+	if cause == "" {
+		params, cause = b.sap.Decide(it.v, nil)
+	}
+	// Every reply — grant or denial — carries the requester's current
+	// reputation, so scores propagate into SAP offers.
+	it.score = b.verifier.TelcoScore(req.IDT)
+	if cause != "" {
+		mtr.attachDenied.Add(1)
+		it.out.Auth = &sap.AuthResp{Granted: false, Cause: cause, TelcoScore: it.score}
+		return
+	}
+	ss, uref, err := sap.MintSession()
+	if err != nil {
+		mtr.attachDenied.Add(1)
+		it.out.Err = err
+		return
+	}
+	it.rec = &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
+	b.grants[uref] = it.rec
+	b.prices[uref] = req.Terms.PricePerGB
+	b.telcoKeys[req.IDT] = req.Cert.Identity
+	b.verifier.BindSession(uref, it.rec.IDU, req.IDT)
+	mtr.attachGranted.Add(1)
+}
+
+// commitResumeLocked decides a fast-path re-attach (sap/resume.go has the
+// protocol). The session reference is single-use, and the authorization
+// policy re-runs so a quarantined or score-gated bTelco is denied exactly
+// as a full attach would be. Mutex held.
+func (b *Brokerd) commitResumeLocked(it *txItem) {
+	req, rec := it.resume, it.rec
+	score := b.verifier.TelcoScore(req.IDT)
+	var params qos.Params
+	var cause string
+	switch {
+	case rec == nil:
+		cause = "unknown session reference"
+	case rec.IDT != req.IDT:
+		cause = "bTelco identity mismatch"
+	case b.resumed[req.URef]:
+		cause = "session reference already resumed"
+	case it.macErr != nil:
+		cause = "resume MAC invalid"
+	default:
+		var err error
+		if params, err = b.authorizeLocked(rec.IDU, req.IDT, rec.Terms); err != nil {
+			cause = "authorization denied: " + err.Error()
+		}
+	}
+	if cause != "" {
+		mtr.resumeDenied.Add(1)
+		it.out.Resume = sap.DenyResume(cause, score)
+		return
+	}
+	resp, ss2, uref2 := sap.GrantResume(req, rec.SS, params, score)
+	b.resumed[req.URef] = true
+	b.grants[uref2] = &sap.GrantRecord{URef: uref2, IDU: rec.IDU, IDT: rec.IDT, SS: ss2, Terms: rec.Terms, QoS: params}
+	b.prices[uref2] = b.prices[req.URef]
+	b.verifier.BindSession(uref2, rec.IDU, rec.IDT)
+	mtr.resumeGranted.Add(1)
+	it.out.Resume = resp
+}
+
+// commitReportLocked ingests a verified report and runs the Fig. 5
+// discrepancy check when the pair completes. Mutex held.
+func (b *Brokerd) commitReportLocked(it *txItem) (idT string, misbehaved bool) {
+	r := it.r
+	byRep := b.reports[r.SessionRef]
+	if byRep == nil {
+		byRep = make(map[billing.Reporter][]*billing.Report)
+		b.reports[r.SessionRef] = byRep
+	}
+	byRep[r.Reporter] = append(byRep[r.Reporter], r)
+	if r.Reporter == billing.ReporterUE {
+		b.checkQoS(it.rec, r)
+	}
+	mtr.reports.Add(1)
+	mm, err := b.verifier.Ingest(r)
+	if mm != nil {
+		mtr.mismatches.Add(1)
+	}
+	if isReplay(err) {
+		mtr.replays.Add(1)
+	}
+	// Evidence moved the bTelco's reputation (and possibly the user
+	// suspect list): cached auth decisions predate it.
+	misbehaved = mm != nil || isReplay(err)
+	if misbehaved {
+		b.invalidateAuthCacheLocked()
+	}
+	it.out.Mismatch, it.out.Err = mm, err
+	// Any ingest can move the reputation — pass, mismatch or replay
+	// penalty — so every ingest owes a quarantine review.
+	return it.rec.IDT, misbehaved
+}
+
+// finalize seals and signs the responses of a committed grant.
+func (b *Brokerd) finalize(it *txItem) {
+	if it.kind != txAuth || it.rec == nil {
+		return
+	}
+	resp, _, err := b.sap.Finalize(it.v, it.rec.QoS, it.rec.SS, it.rec.URef)
+	if err != nil {
+		it.out.Err = err
+		return
+	}
+	resp.TelcoScore = it.score
+	it.out.Auth = resp
+}
+
+// runParallel fans f over [0, n) across up to GOMAXPROCS workers. With
+// one worker (or one item) it degrades to a plain loop — on a single
+// core a window's win is the lock coalescing and the cache, not
+// parallelism.
+func runParallel(n int, f func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}

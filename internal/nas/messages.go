@@ -23,9 +23,6 @@ const (
 	MsgDetachAccept
 	MsgSessionRequest
 	MsgSessionAccept
-	// MsgAttachResume is appended after the original set so every
-	// pre-existing type byte keeps its value on the wire.
-	MsgAttachResume
 )
 
 // Message is a decodable NAS message.
@@ -82,8 +79,6 @@ func Decode(b []byte) (Message, error) {
 		m = &SessionRequest{}
 	case MsgSessionAccept:
 		m = &SessionAccept{}
-	case MsgAttachResume:
-		m = &AttachResume{}
 	default:
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownMessage, b[0])
 	}
@@ -299,31 +294,6 @@ func (m *AttachRequestSAP) unmarshalBody(b []byte) error {
 	r := reader{b: b}
 	m.BrokerID = r.str()
 	m.AuthReqU = append([]byte(nil), r.bytes()...)
-	return r.done()
-}
-
-// AttachResume carries the UE's session-resumption fast-path request (an
-// opaque sap.ResumeReq blob — uref, nonce, and HMACs, no asymmetric
-// crypto) plus the broker identifier for routing, mirroring
-// AttachRequestSAP. The serving bTelco co-signs the blob before
-// forwarding; a broker that refuses resumption answers with the same
-// typed retry-after AttachReject hint as any other shed attach.
-type AttachResume struct {
-	BrokerID  string
-	ResumeReq []byte
-}
-
-func (*AttachResume) Type() byte { return MsgAttachResume }
-func (m *AttachResume) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.str(m.BrokerID)
-	w.bytes(m.ResumeReq)
-	return w.b
-}
-func (m *AttachResume) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.BrokerID = r.str()
-	m.ResumeReq = append([]byte(nil), r.bytes()...)
 	return r.done()
 }
 

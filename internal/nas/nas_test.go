@@ -154,7 +154,6 @@ func allMessages() []Message {
 		&SecurityModeCommand{CipherAlg: 2, IntegrityAlg: 2, ReplayedCaps: 7},
 		&SecurityModeComplete{},
 		&AttachRequestSAP{BrokerID: "broker.example", AuthReqU: []byte("sealed-blob")},
-		&AttachResume{BrokerID: "broker.example", ResumeReq: []byte("resume-blob")},
 		&AttachAccept{SessionID: 99, IP: "10.1.2.3", BearerID: 5, QCI: 9, DLAmbrBps: 20e6, ULAmbrBps: 5e6, AuthRespU: []byte("resp")},
 		&AttachReject{Cause: "authorization denied"},
 		&DetachRequest{SessionID: 99},
@@ -189,8 +188,7 @@ func TestMessageTypesUnique(t *testing.T) {
 	}
 }
 
-// The resume message was appended after the original set; its type byte
-// (and everyone else's) is wire state shared with deployed peers.
+// Type bytes are wire state shared with deployed peers.
 func TestMessageTypeBytesStable(t *testing.T) {
 	if got := (&AttachRequestSAP{}).Type(); got != 6 {
 		t.Fatalf("AttachRequestSAP type byte moved: %d", got)
@@ -198,17 +196,17 @@ func TestMessageTypeBytesStable(t *testing.T) {
 	if got := (&SessionAccept{}).Type(); got != 12 {
 		t.Fatalf("SessionAccept type byte moved: %d", got)
 	}
-	if got := (&AttachResume{}).Type(); got != 13 {
-		t.Fatalf("AttachResume type byte moved: %d", got)
-	}
 }
 
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty decode accepted")
 	}
-	if _, err := Decode([]byte{0xFF}); !errors.Is(err, ErrUnknownMessage) {
-		t.Fatalf("unknown type: err=%v", err)
+	// 13 was the retired AttachResume message: unknown like any other.
+	for _, ty := range []byte{13, 0xFF} {
+		if _, err := Decode([]byte{ty}); !errors.Is(err, ErrUnknownMessage) {
+			t.Fatalf("unknown type %d: err=%v", ty, err)
+		}
 	}
 	// Truncated body.
 	wire := Encode(&AttachAccept{SessionID: 1, IP: "10.0.0.1"})

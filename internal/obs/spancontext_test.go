@@ -122,7 +122,7 @@ func TestTracerSpanContextRecords(t *testing.T) {
 	child := root.Child(ids.Next())
 
 	tr.SpanCtx(root, "ue", "attach", 0, 10, map[string]string{"session": "s1"})
-	tr.EventCtx(child, "sap", "auth", nil)
+	tr.SpanCtx(child, "sap", "auth", now, 0, nil)
 	tr.Event("chaos", "fault", nil)
 
 	ev := tr.Events()

@@ -155,27 +155,6 @@ func (t *Tracer) EventAt(at time.Duration, cat, name string, args map[string]str
 	t.record(TraceEvent{Cat: cat, Name: name, Start: at, Instant: true, Args: args})
 }
 
-// EventCtx records an instant event carrying a span context at the current
-// clock reading.
-func (t *Tracer) EventCtx(sc SpanContext, cat, name string, args map[string]string) {
-	if t == nil {
-		return
-	}
-	t.EventCtxAt(sc, t.Now(), cat, name, args)
-}
-
-// EventCtxAt records an instant event carrying a span context at an
-// explicit timestamp.
-func (t *Tracer) EventCtxAt(sc SpanContext, at time.Duration, cat, name string, args map[string]string) {
-	if t == nil {
-		return
-	}
-	t.record(TraceEvent{
-		Cat: cat, Name: name, Start: at, Instant: true,
-		Trace: sc.Trace, Span: sc.Span, Parent: sc.Parent, Args: args,
-	})
-}
-
 // Span records a complete span [start, start+dur).
 func (t *Tracer) Span(cat, name string, start, dur time.Duration, args map[string]string) {
 	if t == nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"cellbricks/internal/obs"
 )
 
 func testRAN(n int) *RAN {
@@ -210,42 +208,5 @@ func TestSelectPriceBreaksTie(t *testing.T) {
 	got := Select(cands, ValueAware())
 	if got[0].Cell.ID != "same-b" {
 		t.Fatalf("equal-signal tie not broken by price: %s first", got[0].Cell.ID)
-	}
-}
-
-// TestSelectTraced: the traced wrapper ranks identically to Select and
-// records one ran/cell-select span carrying the candidate counts and the
-// winner; with a nil tracer or zero parent it degrades to plain Select.
-func TestSelectTraced(t *testing.T) {
-	tr := obs.NewTracer(func() time.Duration { return 42 * time.Millisecond })
-	ids := obs.NewSpanIDSource(7)
-	parent := ids.NewTrace()
-
-	got := SelectTraced(selCands(), SignalOnly(), tr, ids, parent)
-	want := Select(selCands(), SignalOnly())
-	if len(got) != len(want) || got[0].Cell.ID != want[0].Cell.ID {
-		t.Fatalf("traced ranking diverged: %+v vs %+v", got, want)
-	}
-	evs := tr.Events()
-	if len(evs) != 1 {
-		t.Fatalf("events = %d, want 1", len(evs))
-	}
-	e := evs[0]
-	if e.Cat != "ran" || e.Name != "cell-select" || e.Trace != parent.Trace || e.Parent != parent.Span {
-		t.Fatalf("span = %+v", e)
-	}
-	if e.Args["chosen"] != "strong-pricey" || e.Args["candidates"] != "4" || e.Args["eligible"] != "4" {
-		t.Fatalf("args = %+v", e.Args)
-	}
-
-	// Untraced fallbacks record nothing and still rank.
-	if got := SelectTraced(selCands(), SignalOnly(), nil, nil, parent); len(got) != 4 {
-		t.Fatalf("nil-tracer fallback: %+v", got)
-	}
-	if got := SelectTraced(selCands(), SignalOnly(), tr, ids, obs.SpanContext{}); len(got) != 4 {
-		t.Fatalf("zero-parent fallback: %+v", got)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("fallbacks recorded spans: %d", tr.Len())
 	}
 }

@@ -1,11 +1,6 @@
 package ran
 
-import (
-	"sort"
-	"strconv"
-
-	"cellbricks/internal/obs"
-)
+import "sort"
 
 // This file implements the UE-driven, network-assisted cell selection the
 // paper sketches for host-driven mobility (§4.2): with every tower
@@ -89,29 +84,6 @@ func Select(cands []Candidate, p SelectionPolicy) []Candidate {
 		return s
 	}
 	sort.SliceStable(ok, func(i, j int) bool { return score(ok[i]) > score(ok[j]) })
-	return ok
-}
-
-// SelectTraced is Select with a causal-trace record: when tr/ids are live
-// and parent is a valid span context, it records a ran/cell-select span
-// (child of parent) carrying the candidate counts and the winning cell, so
-// a session timeline can attribute selection latency and show *why* a cell
-// won (or that every candidate was disqualified).
-func SelectTraced(cands []Candidate, p SelectionPolicy,
-	tr *obs.Tracer, ids *obs.SpanIDSource, parent obs.SpanContext) []Candidate {
-	if tr == nil || ids == nil || !parent.Valid() {
-		return Select(cands, p)
-	}
-	start := tr.Now()
-	ok := Select(cands, p)
-	args := map[string]string{
-		"candidates": strconv.Itoa(len(cands)),
-		"eligible":   strconv.Itoa(len(ok)),
-	}
-	if len(ok) > 0 {
-		args["chosen"] = ok[0].Cell.ID
-	}
-	tr.SpanCtx(parent.Child(ids.Next()), "ran", "cell-select", start, tr.Now()-start, args)
 	return ok
 }
 

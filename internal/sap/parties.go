@@ -242,8 +242,8 @@ type GrantRecord struct {
 // signature and membership, enforce replay protection, run policy, mint
 // ss, and emit the two sealed responses. The returned GrantRecord is nil
 // when the response is a denial. It composes the three pipeline phases
-// (Validate → Decide → Finalize, see pipeline.go) serially; a batching
-// broker drives the phases directly.
+// (Validate → Decide → Finalize, see pipeline.go) serially; brokerd
+// drives the phases directly.
 func (b *BrokerState) HandleRequest(req *AuthReqT) (*AuthResp, *GrantRecord, error) {
 	v, err := b.Validate(req)
 	if err != nil {
@@ -268,7 +268,10 @@ func newURef() (string, error) {
 	if _, err := io.ReadFull(rand.Reader, b[:]); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(b[:]), nil
+	// Encoded through a stack buffer: the string is the only allocation.
+	var dst [2 * len(b)]byte
+	hex.Encode(dst[:], b[:])
+	return string(dst[:]), nil
 }
 
 // nonceCache is a bounded replay filter.

@@ -21,8 +21,9 @@ import (
 //   - Finalize: sealing and signing the two responses for a pre-minted
 //     (ss, uref). Stateless again, so a batch signs grants in parallel.
 //
-// HandleRequest (parties.go) composes the three phases back into the
-// serial path; broker.Batcher drives them directly.
+// HandleRequest (parties.go) composes the three phases for a standalone
+// BrokerState; brokerd drives them directly from its staged transaction
+// (broker/transaction.go), for one request or a whole batch window.
 
 // ValidatedAuth is the outcome of the Validate phase for one request.
 // When DenyCause is non-empty, validation already failed and Decide /
@@ -105,8 +106,7 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 
 // Decide runs the order-sensitive phase for a validated request: the
 // replay filter and the authorization policy. policy overrides b.Policy
-// when non-nil — a batching broker passes a variant that assumes its own
-// lock is already held. A non-empty cause is a denial.
+// when non-nil. A non-empty cause is a denial.
 func (b *BrokerState) Decide(v *ValidatedAuth, policy Authorizer) (qos.Params, string) {
 	b.mu.Lock()
 	fresh := b.nonces.add(v.Vec.Nonce)

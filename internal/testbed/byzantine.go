@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -226,7 +225,6 @@ type ByzantineResult struct {
 
 const (
 	byzBrokerName   = "byz-broker"
-	byzCtrlSize     = 600
 	byzNASTimeout   = time.Second
 	byzAttachLat    = 31680 * time.Microsecond
 	byzWatchdogTick = time.Second
@@ -239,20 +237,6 @@ const (
 )
 
 var errByzNASTimeout = errors.New("testbed: NAS attach timed out")
-
-// byzMsg is a control-plane packet payload: a closure executed on the
-// destination endpoint's shard.
-type byzMsg struct{ fn func() }
-
-// latticeAt returns the first instant strictly after base on the entity's
-// private lattice: whole milliseconds plus its sub-millisecond phase.
-func latticeAt(base, phase time.Duration) time.Duration {
-	t := base/time.Millisecond*time.Millisecond + phase
-	for t <= base {
-		t += time.Millisecond
-	}
-	return t
-}
 
 type byzSession struct {
 	ue    *byzUE
@@ -313,12 +297,11 @@ type byzUE struct {
 }
 
 type byzGroup struct {
-	w      *byzWorld
-	idx    int
-	sim    *netem.Sim
-	gwName string
-	cells  []*byzCell
-	ues    []*byzUE
+	w     *byzWorld
+	idx   int
+	sim   *netem.Sim
+	cells []*byzCell
+	ues   []*byzUE
 
 	// Shard-local tallies, merged after the run.
 	attempts, attaches, denied int
@@ -327,9 +310,8 @@ type byzGroup struct {
 }
 
 type byzWorld struct {
+	brokerMailbox
 	cfg       ByzantineConfig
-	world     *netem.World
-	sim0      *netem.Sim
 	groups    []*byzGroup
 	brk       *broker.Brokerd
 	brokerPub pki.PublicIdentity
@@ -349,40 +331,6 @@ type byzWorld struct {
 	sloAvail    *obs.SLOTracker // attach availability, ratio-min
 	sloAttach   *obs.SLOTracker // attach-grant latency, p99
 	sloOverbill *obs.SLOTracker // fleet-wide claimed/honest billing ratio
-
-	runErr error
-}
-
-func (w *byzWorld) fail(err error) {
-	if w.runErr == nil && err != nil {
-		w.runErr = err
-	}
-}
-
-// toBroker ships a closure to the broker endpoint over group g's gateway
-// link; it executes on shard 0 in canonical arrival order.
-func (w *byzWorld) toBroker(g int, fn func()) {
-	grp := w.groups[g]
-	pkt := grp.sim.GetPacket()
-	pkt.Src, pkt.Dst, pkt.Size = grp.gwName, byzBrokerName, byzCtrlSize
-	pkt.Payload = byzMsg{fn}
-	grp.sim.Send(pkt)
-}
-
-// toGroup ships a closure from the broker back to group g's gateway; it
-// executes on g's shard.
-func (w *byzWorld) toGroup(g int, fn func()) {
-	grp := w.groups[g]
-	pkt := w.sim0.GetPacket()
-	pkt.Src, pkt.Dst, pkt.Size = byzBrokerName, grp.gwName, byzCtrlSize
-	pkt.Payload = byzMsg{fn}
-	w.sim0.Send(pkt)
-}
-
-func byzSeed(tag byte, idx int) []byte {
-	b := bytes.Repeat([]byte{tag}, 32)
-	b[0], b[1] = byte(idx), byte(idx>>8)
-	return b
 }
 
 // perGroupAdversaries spreads round(frac*total) adversaries over the
@@ -404,22 +352,20 @@ func perGroupAdversaries(groups, cells int, frac float64) []int {
 }
 
 func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
-	world := netem.NewWorld(cfg.Seed, cfg.Shards)
 	w := &byzWorld{
-		cfg:      cfg,
-		world:    world,
-		sim0:     world.Shard(0),
-		telcoLoc: make(map[string]*byzCell),
+		brokerMailbox: newBrokerMailbox(cfg.Seed, cfg.Shards, byzBrokerName, "byz-gw-%d"),
+		cfg:           cfg,
+		telcoLoc:      make(map[string]*byzCell),
 	}
 	cfg.Tracer.SetClock(w.sim0.Now)
 
 	// Control plane: seeded principals, fixed certificate epoch.
 	epoch := time.Unix(1_760_000_000, 0)
-	ca, err := pki.NewCAFromSeed("byz-ca", byzSeed(101, 0))
+	ca, err := pki.NewCAFromSeed("byz-ca", entitySeed(101, 0))
 	if err != nil {
 		return nil, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(byzSeed(102, 0))
+	brokerKey, err := pki.KeyPairFromSeed(entitySeed(102, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -496,12 +442,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	w.rplPerCell = make([]int, G*C)
 	w.wdPerCell = make([]int, G*C)
 
-	w.world.Place(byzBrokerName, 0)
-	w.world.Register(byzBrokerName, func(p *netem.Packet) {
-		if m, ok := p.Payload.(byzMsg); ok {
-			m.fn()
-		}
-	})
+	w.placeBroker()
 
 	// Quarantine entry revokes the cell's live sessions: the broker tells
 	// the owning group's gateway, which kicks every attached UE into a
@@ -524,29 +465,12 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	})
 
 	for g := 0; g < G; g++ {
-		shard := g % cfg.Shards
-		grp := &byzGroup{
-			w:      w,
-			idx:    g,
-			sim:    world.Shard(shard),
-			gwName: fmt.Sprintf("byz-gw-%d", g),
-		}
+		grp := &byzGroup{w: w, idx: g, sim: w.addGateway(g % cfg.Shards)}
 		w.groups = append(w.groups, grp)
-		w.world.Place(grp.gwName, shard)
-		w.world.Register(grp.gwName, func(p *netem.Packet) {
-			if m, ok := p.Payload.(byzMsg); ok {
-				m.fn()
-			}
-		})
-		// The gateway delays are distinct primes-offset values so control
-		// packets from different groups never tie at the broker.
-		w.world.Connect(grp.gwName, byzBrokerName, &netem.Link{
-			Delay: 10*time.Millisecond + time.Duration(g)*1009*time.Nanosecond,
-		})
 
 		for c := 0; c < C; c++ {
 			global := g*C + c
-			key, err := pki.KeyPairFromSeed(byzSeed(110, global))
+			key, err := pki.KeyPairFromSeed(entitySeed(110, global))
 			if err != nil {
 				return nil, err
 			}
@@ -587,7 +511,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 
 		for j := 0; j < U; j++ {
 			global := g*U + j
-			key, err := pki.KeyPairFromSeed(byzSeed(120, global))
+			key, err := pki.KeyPairFromSeed(entitySeed(120, global))
 			if err != nil {
 				return nil, err
 			}

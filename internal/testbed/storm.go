@@ -180,7 +180,6 @@ func (c StormConfig) rateAt(t time.Duration) float64 {
 
 const (
 	stormBrokerName = "storm-broker"
-	stormCtrlSize   = 600
 	// stormFlushPhase is the sub-millisecond phase of the batch flush
 	// tick on shard 0. UE lattice phases are whole microseconds and
 	// gateway delays add g*1009 ns per hop, so no packet arrival lands
@@ -282,12 +281,11 @@ type stormUE struct {
 }
 
 type stormGroup struct {
-	w      *stormWorld
-	idx    int
-	sim    *netem.Sim
-	gwName string
-	cells  []*stormCell
-	ues    []*stormUE
+	w     *stormWorld
+	idx   int
+	sim   *netem.Sim
+	cells []*stormCell
+	ues   []*stormUE
 
 	// Shard-local tallies, merged after the run.
 	arrivals, spikeArrivals    int
@@ -297,9 +295,8 @@ type stormGroup struct {
 }
 
 type stormWorld struct {
+	brokerMailbox
 	cfg       StormConfig
-	world     *netem.World
-	sim0      *netem.Sim
 	groups    []*stormGroup
 	brk       *broker.Brokerd
 	bat       *broker.Batcher
@@ -316,46 +313,20 @@ type stormWorld struct {
 	spikeSheds  int
 	reports     int
 	mismatches  int
-
-	runErr error
-}
-
-func (w *stormWorld) fail(err error) {
-	if w.runErr == nil && err != nil {
-		w.runErr = err
-	}
-}
-
-// toBroker ships a closure to the broker endpoint over group g's gateway
-// link; it executes on shard 0 in canonical arrival order.
-func (w *stormWorld) toBroker(g int, fn func()) {
-	grp := w.groups[g]
-	pkt := grp.sim.GetPacket()
-	pkt.Src, pkt.Dst, pkt.Size = grp.gwName, stormBrokerName, stormCtrlSize
-	pkt.Payload = byzMsg{fn}
-	grp.sim.Send(pkt)
-}
-
-// toGroup ships a closure from the broker back to group g's gateway; it
-// executes on g's shard.
-func (w *stormWorld) toGroup(g int, fn func()) {
-	grp := w.groups[g]
-	pkt := w.sim0.GetPacket()
-	pkt.Src, pkt.Dst, pkt.Size = stormBrokerName, grp.gwName, stormCtrlSize
-	pkt.Payload = byzMsg{fn}
-	w.sim0.Send(pkt)
 }
 
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
-	world := netem.NewWorld(cfg.Seed, cfg.Shards)
-	w := &stormWorld{cfg: cfg, world: world, sim0: world.Shard(0)}
+	w := &stormWorld{
+		brokerMailbox: newBrokerMailbox(cfg.Seed, cfg.Shards, stormBrokerName, "storm-gw-%d"),
+		cfg:           cfg,
+	}
 
 	epoch := time.Unix(1_760_000_000, 0)
-	ca, err := pki.NewCAFromSeed("storm-ca", byzSeed(201, 0))
+	ca, err := pki.NewCAFromSeed("storm-ca", entitySeed(201, 0))
 	if err != nil {
 		return nil, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(byzSeed(202, 0))
+	brokerKey, err := pki.KeyPairFromSeed(entitySeed(202, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -378,37 +349,15 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 		return nil, fmt.Errorf("testbed: storm supports at most 999 UEs (lattice phases), got %d", nUE)
 	}
 
-	w.world.Place(stormBrokerName, 0)
-	w.world.Register(stormBrokerName, func(p *netem.Packet) {
-		if m, ok := p.Payload.(byzMsg); ok {
-			m.fn()
-		}
-	})
+	w.placeBroker()
 
 	for g := 0; g < G; g++ {
-		shard := g % cfg.Shards
-		grp := &stormGroup{
-			w:      w,
-			idx:    g,
-			sim:    world.Shard(shard),
-			gwName: fmt.Sprintf("storm-gw-%d", g),
-		}
+		grp := &stormGroup{w: w, idx: g, sim: w.addGateway(g % cfg.Shards)}
 		w.groups = append(w.groups, grp)
-		w.world.Place(grp.gwName, shard)
-		w.world.Register(grp.gwName, func(p *netem.Packet) {
-			if m, ok := p.Payload.(byzMsg); ok {
-				m.fn()
-			}
-		})
-		// Prime-offset delays: control packets from different groups
-		// never tie at the broker (see the byzantine recipe).
-		w.world.Connect(grp.gwName, stormBrokerName, &netem.Link{
-			Delay: 10*time.Millisecond + time.Duration(g)*1009*time.Nanosecond,
-		})
 
 		for c := 0; c < C; c++ {
 			global := g*C + c
-			key, err := pki.KeyPairFromSeed(byzSeed(210, global))
+			key, err := pki.KeyPairFromSeed(entitySeed(210, global))
 			if err != nil {
 				return nil, err
 			}
@@ -428,7 +377,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 
 		for j := 0; j < U; j++ {
 			global := g*U + j
-			key, err := pki.KeyPairFromSeed(byzSeed(220, global))
+			key, err := pki.KeyPairFromSeed(entitySeed(220, global))
 			if err != nil {
 				return nil, err
 			}
