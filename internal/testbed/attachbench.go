@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"cellbricks/internal/broker"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/obs"
-	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
@@ -144,34 +142,18 @@ func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, erro
 
 func newAttachWorld(place Placement) (*attachWorld, error) {
 	clock := NewVirtualClock()
-	now := time.Unix(1_750_000_000, 0)
-
-	ca, err := pki.NewCAFromSeed("bench-ca", bytes.Repeat([]byte{41}, 32))
+	p, err := newPrincipals("bench-ca", flatSeed(41), "broker.bench", flatSeed(42), time.Unix(1_750_000_000, 0), nil)
 	if err != nil {
 		return nil, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{42}, 32))
+	brk := p.brk
+	cb, _, err := p.newSubscriber(flatSeed(43))
 	if err != nil {
 		return nil, err
 	}
-	cfg := broker.DefaultConfig("broker.bench", brokerKey, ca.Public())
-	cfg.Now = func() time.Time { return now }
-	brk := broker.New(cfg)
-
-	ueKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{43}, 32))
+	telco, err := p.newTelco("btelco-bench", flatSeed(44), 1.0)
 	if err != nil {
 		return nil, err
-	}
-	idU := brk.RegisterUser(ueKey.Public())
-
-	telcoKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{44}, 32))
-	if err != nil {
-		return nil, err
-	}
-	cert := ca.Issue("btelco-bench", "btelco", telcoKey.Public(), now.Add(-time.Hour), now.Add(24*time.Hour))
-	telco := &sap.TelcoState{
-		IDT: "btelco-bench", Key: telcoKey, Cert: cert,
-		Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
 	}
 
 	sdb := epc.NewSubscriberDB()
@@ -191,7 +173,6 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 			return clock.Exec(SpanAGW, 0, f)
 		},
 	})
-	cb := &sap.UEState{IDU: idU, IDB: "broker.bench", Key: ueKey, BrokerPub: brokerKey.Public()}
 	w.dev = ue.NewDevice("bench-ue", nil, cb)
 	w.legacy = ue.NewDevice("bench-ue-legacy", &aka.SIM{K: k, IMSI: "001010123456789"}, nil)
 	return w, nil

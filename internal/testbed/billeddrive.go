@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -9,11 +8,7 @@ import (
 	"cellbricks/internal/broker"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
-	"cellbricks/internal/mobility"
-	"cellbricks/internal/ue"
 )
 
 // BilledDriveResult is the outcome of a drive with the full verifiable
@@ -46,37 +41,18 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 	}
 	var res BilledDriveResult
 
-	// Real control-plane principals.
-	ca, err := pki.NewCAFromSeed("drive-ca", bytes.Repeat([]byte{71}, 32))
+	// Real control-plane principals. The verifier slack absorbs bytes in
+	// flight at a detachment: BDP + bottleneck queue of the night path
+	// (~0.8 MB at ~15 Mbps with a 600 ms AQM budget).
+	prin, err := newPrincipals("drive-ca", flatSeed(71), "broker.drive", flatSeed(72), time.Time{}, func(c *broker.Config) {
+		c.VerifierConfig.SlackBytes = 1 << 20
+	})
 	if err != nil {
 		return res, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{72}, 32))
+	ueState, meter, err := prin.newSubscriber(flatSeed(73))
 	if err != nil {
 		return res, err
-	}
-	brkCfg := broker.DefaultConfig("broker.drive", brokerKey, ca.Public())
-	// Absorb bytes in flight at a detachment: BDP + bottleneck queue of
-	// the night path (~0.8 MB at ~15 Mbps with a 600 ms AQM budget).
-	brkCfg.VerifierConfig.SlackBytes = 1 << 20
-	brk := broker.New(brkCfg)
-	ueKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{73}, 32))
-	if err != nil {
-		return res, err
-	}
-	idU := brk.RegisterUser(ueKey.Public())
-	ueState := &sap.UEState{IDU: idU, IDB: "broker.drive", Key: ueKey, BrokerPub: brokerKey.Public()}
-	meter := ue.NewBasebandMeter(ueKey, brokerKey.Public())
-
-	certNow := time.Now()
-	newTelco := func(i int) *sap.TelcoState {
-		key, err := pki.GenerateKeyPair()
-		if err != nil {
-			return nil
-		}
-		id := fmt.Sprintf("drive-btelco-%d", i)
-		cert := ca.Issue(id, "btelco", key.Public(), certNow.Add(-time.Hour), certNow.Add(24*time.Hour))
-		return &sap.TelcoState{IDT: id, Key: key, Cert: cert, Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 2.0}}
 	}
 
 	// Per-session state.
@@ -95,10 +71,8 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 
 	// Emulated data plane.
 	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
-	ueIP := "bd-ue-0"
-	sim.Connect(ServerIP, ueIP, op.CellularLink(sc.Route, sc.Night))
-	conn := mptcp.NewConn(sim, ServerIP, ueIP, mptcp.Config{
+	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "bd-ue")
+	conn := mptcp.NewConn(sim, ServerIP, path.ip, mptcp.Config{
 		Multipath: true, AddrWorkWait: sc.MPTCPWait, Timeout: 60 * time.Second,
 	})
 	// The UE baseband counts *received radio bytes* (PDCP counters see
@@ -107,27 +81,12 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 
 	var cur *session
 	attach := func(idx int) error {
-		telco := newTelco(idx)
-		if telco == nil {
-			return fmt.Errorf("testbed: telco key generation failed")
-		}
-		reqU, pending, err := ueState.NewAttachRequest(telco.IDT)
+		telco, err := prin.newTelco(fmt.Sprintf("drive-btelco-%d", idx), nil, 2.0)
 		if err != nil {
 			return err
 		}
-		reqT, err := telco.ForwardRequest(reqU)
+		grant, _, err := prin.attach(ueState, telco)
 		if err != nil {
-			return err
-		}
-		resp, err := brk.HandleAuthRequest(reqT)
-		if err != nil {
-			return err
-		}
-		grant, respU, err := telco.HandleResponse(brokerKey.Public(), resp)
-		if err != nil {
-			return err
-		}
-		if _, _, err := ueState.HandleResponse(pending, respU); err != nil {
 			return err
 		}
 		meter.StartSession()
@@ -146,7 +105,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 	// the honest discrepancy of §4.3: bytes the bTelco carried that never
 	// reached the UE (radio loss, in-flight at detachment).
 	sim.OnSend = func(p *netem.Packet, _ time.Duration) {
-		if cur == nil || p.Dst != ueIP {
+		if cur == nil || p.Dst != path.ip {
 			return
 		}
 		if seg, ok := p.Payload.(*mptcp.Segment); ok && seg.Len > 0 {
@@ -156,7 +115,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		}
 	}
 	sim.OnDeliver = func(p *netem.Packet, _ time.Duration) {
-		if cur == nil || p.Dst != ueIP {
+		if cur == nil || p.Dst != path.ip {
 			return
 		}
 		if seg, ok := p.Payload.(*mptcp.Segment); ok && seg.Len > 0 {
@@ -173,15 +132,11 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		}
 		rel := sim.Now() - cur.started
 		cur.seq++
-		telcoRep := &billing.Report{
-			SessionRef: cur.uref, Reporter: billing.ReporterTelco,
-			Seq: cur.seq, Rel: rel, DLBytes: cur.telcoBytes,
-		}
-		env, err := billing.Seal(telcoRep, cur.telco.Key, brokerKey.Public())
+		env, err := prin.telcoReport(cur.telco, cur.uref, cur.seq, rel, cur.telcoBytes)
 		if err != nil {
 			return err
 		}
-		if _, err := brk.HandleReport(env); err != nil {
+		if _, err := prin.brk.HandleReport(env); err != nil {
 			return err
 		}
 		// Radio losses appear to the baseband as RLC sequence gaps; feed
@@ -195,7 +150,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err != nil {
 			return err
 		}
-		m, err := brk.HandleReport(ueEnv)
+		m, err := prin.brk.HandleReport(ueEnv)
 		if err != nil {
 			return err
 		}
@@ -215,30 +170,21 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err := report(); err != nil && rollErr == nil {
 			rollErr = err
 		}
-		st, err := brk.SettleSession(cur.uref, cycle)
+		st, err := prin.brk.SettleSession(cur.uref, cycle)
 		if err == nil {
 			res.Settlements = append(res.Settlements, st)
 			res.TotalOwed += st.Amount
 		}
 	}
 
-	idx := 0
 	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
-		at := at
 		sim.At(at, func() {
 			if rollErr != nil {
 				return
 			}
 			settle()
 			conn.AddrInvalidated()
-			sim.Disconnect(ServerIP, ueIP)
-			idx++
-			old := cur
-			_ = old
-			ueIP = fmt.Sprintf("bd-ue-%d", idx)
-			sim.Connect(ServerIP, ueIP, op.CellularLink(sc.Route, sc.Night))
-			newIP := ueIP
-			i := idx
+			newIP, i := path.rehome(), path.idx
 			sim.After(sc.AttachLatency, func() {
 				if err := attach(i); err != nil && rollErr == nil {
 					rollErr = err

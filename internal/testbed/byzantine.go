@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
@@ -15,40 +14,22 @@ import (
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/obs"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
 
-// This file is the Byzantine soak: a Jepsen-style experiment in which a
-// seeded fraction of bTelcos actively misbehaves — over/under-reporting
-// usage, replaying stale signed reports, accepting attaches and then
-// blackholing the data path, dropping NAS signaling and handover attaches
-// — while the full detection-to-response loop runs against them: the
-// billing verifier's mismatch/replay checks and UE watchdog evidence feed
-// reputation, reputation feeds the broker's dynamic quarantine, quarantine
-// revokes live sessions and denies re-attach, and UEs steer their retry
-// state machines away from quarantined cells. After the run a set of
-// invariants is checked: every adversary quarantined, no honest bTelco
-// touched, every UE converged to an honest cell, overbilling bounded by
-// the verifier's tolerance, and the attach-availability SLO held.
+// This file is the Byzantine soak (threat model: DESIGN.md §3.1): a seeded
+// fraction of bTelcos misbehaves on a chaos.Adversary schedule while the
+// full detection-to-response loop runs against them — billing verdicts and
+// UE watchdog evidence feed reputation, reputation feeds quarantine,
+// quarantine revokes sessions, UEs steer away — and the invariants collect
+// checks must hold at the horizon.
 //
-// The world shards (netem.World): UEs and cells are partitioned into
-// groups, group g living entirely on shard g mod K; only control traffic
-// (attaches, billing reports, watchdog evidence, quarantine revocations)
-// crosses shards, over per-group gateway links to a broker endpoint on
-// shard 0. Three rules make the output byte-identical for any K:
-//
-//   - All broker state is mutated only inside shard-0 packet handlers, so
-//     the canonical cross-shard arrival order fully serializes it.
-//   - No entity ever draws from a shard's rng; every UE, cell adversary
-//     and fault schedule carries its own seeded source.
-//   - Every cross-shard send is placed on its sender's private time
-//     lattice (whole milliseconds plus a per-entity microsecond phase) and
-//     every gateway link gets a distinct prime-offset delay, so no two
-//     packets from different senders ever arrive at one endpoint at the
-//     same instant — the tie that would otherwise order by shard number.
+// The world is the grouped sharded world of grouped.go: UEs attach and roam
+// only within their group, and only control traffic (attaches, billing
+// reports, watchdog evidence, quarantine revocations) crosses shards. The
+// rules that make the output byte-identical for any shard count are stated
+// once, in DESIGN.md §2.6.
 
 // ByzantineConfig parameterizes one Byzantine soak run.
 type ByzantineConfig struct {
@@ -110,15 +91,7 @@ func (c ByzantineConfig) Defaults() ByzantineConfig {
 	if c.Duration == 0 {
 		c.Duration = 60 * time.Second
 	}
-	if c.Groups <= 0 {
-		c.Groups = 4
-	}
-	if c.CellsPerGroup <= 0 {
-		c.CellsPerGroup = 2
-	}
-	if c.UEsPerGroup <= 0 {
-		c.UEsPerGroup = 6
-	}
+	gridDefaults(&c.Groups, &c.CellsPerGroup, &c.UEsPerGroup, &c.Shards, 6)
 	if c.AdversarialFrac == 0 {
 		c.AdversarialFrac = 0.25
 	}
@@ -144,19 +117,7 @@ func (c ByzantineConfig) Defaults() ByzantineConfig {
 	if c.AvailabilitySLO == 0 {
 		c.AvailabilitySLO = 0.9
 	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 12
-	}
-	if c.Retry.MaxBackoff == 0 {
-		c.Retry.MaxBackoff = 2 * time.Second
-	}
-	if c.Retry.JitterFrac == 0 {
-		c.Retry.JitterFrac = 0.2
-	}
-	c.Retry = c.Retry.WithDefaults()
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
+	c.Retry = retryDefaults(c.Retry, 12)
 	return c
 }
 
@@ -224,97 +185,64 @@ type ByzantineResult struct {
 }
 
 const (
-	byzBrokerName   = "byz-broker"
 	byzNASTimeout   = time.Second
 	byzAttachLat    = 31680 * time.Microsecond
 	byzWatchdogTick = time.Second
-	// byzSLOPhase is the sub-millisecond phase of the 1 Hz SLO engine
-	// tick on shard 0. UE lattice phases are whole microseconds (<= 999
-	// µs) and gateway offsets add g*1009 ns, so no packet arrival can
-	// land on a half-microsecond instant for any plausible group count —
-	// the tick never ties with a handler.
-	byzSLOPhase = 999500 * time.Nanosecond
 )
 
 var errByzNASTimeout = errors.New("testbed: NAS attach timed out")
 
 type byzSession struct {
-	ue    *byzUE
-	cell  *byzCell
-	uref  string
-	start time.Duration
-	live  bool
-	link  *netem.Link
-	dl    uint64 // honest delivered-byte counter (shared tap with the UE meter)
-	seq   uint32
-	last  *billing.SealedReport // previous sealed telco report, for replay
+	sessionCore
+	last *billing.SealedReport // previous sealed telco report, for replay
 }
 
 type byzCell struct {
+	cellCore
 	grp    *byzGroup
-	idx    int // index within the group
-	global int
-	idT    string
-	telco  *sap.TelcoState
 	adv    *chaos.Adversary // nil for honest cells
 	dl, ul *netem.Shaper
 
-	sessions []*byzSession
-	wdLocal  int             // watchdog trips charged to this cell UE-side
-	slo      *obs.SLOTracker // per-cell overbilling ratio window
+	wdLocal int             // watchdog trips charged to this cell UE-side
+	slo     *obs.SLOTracker // per-cell overbilling ratio window
 }
 
 type byzUE struct {
-	grp    *byzGroup
-	idx    int
-	global int
-	phase  time.Duration
-	rng    *rand.Rand
+	ueCore
+	grp *byzGroup
 
-	st    *sap.UEState
-	meter *ue.BasebandMeter
 	conn  *mptcp.Conn
 	wd    *ue.Watchdog
 	srvIP string
 	curIP string
+	link  *netem.Link // the live session's radio link
 	incar int
 
-	sess      *byzSession
-	attachSeq int
-	fsm       *ue.AttachFSM
-	prefer    int
 	handover  bool
-
 	badLocal  []bool
 	lastScore []float64
 	stickCi   int // cell to re-try after a NAS timeout (3GPP T3411 idiom)
 	stickLeft int
 
-	blackholed    bool
-	attachedSince time.Duration
-	attachedDur   time.Duration
-	stormStart    time.Duration // when the current attach storm began
+	blackholed bool
 }
 
 type byzGroup struct {
 	w     *byzWorld
 	idx   int
-	sim   *netem.Sim
 	cells []*byzCell
 	ues   []*byzUE
 
 	// Shard-local tallies, merged after the run.
-	attempts, attaches, denied int
-	nasDrops, giveups          int
-	kicks, roams, wdTrips      int
+	denied, nasDrops      int
+	kicks, roams, wdTrips int
 }
 
 type byzWorld struct {
-	brokerMailbox
-	cfg       ByzantineConfig
-	groups    []*byzGroup
-	brk       *broker.Brokerd
-	brokerPub pki.PublicIdentity
+	groupedWorld
+	cfg    ByzantineConfig
+	groups []*byzGroup
+	quar   broker.QuarantineConfig
 
 	// Shard-0 state: written only by broker-endpoint handlers.
 	telcoLoc   map[string]*byzCell
@@ -352,52 +280,43 @@ func perGroupAdversaries(groups, cells int, frac float64) []int {
 }
 
 func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
-	w := &byzWorld{
-		brokerMailbox: newBrokerMailbox(cfg.Seed, cfg.Shards, byzBrokerName, "byz-gw-%d"),
-		cfg:           cfg,
-		telcoLoc:      make(map[string]*byzCell),
-	}
-	cfg.Tracer.SetClock(w.sim0.Now)
-
-	// Control plane: seeded principals, fixed certificate epoch.
-	epoch := time.Unix(1_760_000_000, 0)
-	ca, err := pki.NewCAFromSeed("byz-ca", entitySeed(101, 0))
-	if err != nil {
-		return nil, err
-	}
-	brokerKey, err := pki.KeyPairFromSeed(entitySeed(102, 0))
-	if err != nil {
-		return nil, err
-	}
-	bcfg := broker.DefaultConfig(byzBrokerName, brokerKey, ca.Public())
-	bcfg.Now = func() time.Time { return epoch }
 	// Quarantine is the sole admission gate under test; a fast EWMA and a
 	// generous in-flight slack keep honest skew invisible while brazen
 	// misbehavior crosses the threshold within a couple of report cycles.
-	bcfg.MinTelcoScore = 0
-	bcfg.VerifierConfig = billing.VerifierConfig{
-		Epsilon:           0.05,
-		Alpha:             0.25,
-		SuspectTelcoCount: 100, // UEs here are honest; don't suspect the kicked
-		SlackBytes:        32 << 10,
-		MaxMismatches:     512,
+	gw, err := newGroupedWorld("byz", 100, cfg.Seed, cfg.Shards, func(c *broker.Config) {
+		c.MinTelcoScore = 0
+		c.VerifierConfig = billing.VerifierConfig{
+			Epsilon:           0.05,
+			Alpha:             0.25,
+			SuspectTelcoCount: 100, // UEs here are honest; don't suspect the kicked
+			SlackBytes:        32 << 10,
+			MaxMismatches:     512,
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	w.brk = broker.New(bcfg)
-	w.brokerPub = brokerKey.Public()
-	w.brk.EnableQuarantine(broker.QuarantineConfig{
-		EnterBelow: 0.7,
-		ExitAbove:  0.9,
-		// Longer than the horizon: a quarantined adversary stays blocked
-		// through the end of the run (the trial path is unit-tested).
-		Probation: 2 * cfg.Duration,
-	}, w.sim0.Now)
+	w := &byzWorld{
+		groupedWorld: gw,
+		cfg:          cfg,
+		telcoLoc:     make(map[string]*byzCell),
+		quar: broker.QuarantineConfig{
+			EnterBelow: 0.7,
+			ExitAbove:  0.9,
+			// Longer than the horizon: a quarantined adversary stays blocked
+			// through the end of the run (the trial path is unit-tested).
+			Probation: 2 * cfg.Duration,
+		},
+	}
+	cfg.Tracer.SetClock(w.sim0.Now)
+	w.brk.EnableQuarantine(w.quar, w.sim0.Now)
 
 	// Windowed SLOs, evaluated at 1 Hz on the broker's shard. Crossings
 	// become trace instants and counters; a per-cell overbilling breach
 	// additionally files broker evidence (the optional detection signal),
 	// so the SLO engine is part of the closed loop, not just reporting.
 	obWindow := 4 * cfg.ReportEvery
-	obBound := 1 + bcfg.VerifierConfig.Epsilon
+	obBound := 1 + w.brkCfg.VerifierConfig.Epsilon
 	sloEnter := obs.Default().Counter("slo_breach_enter_total", "SLO windows crossing into breach")
 	sloExit := obs.Default().Counter("slo_breach_exit_total", "SLO windows recovering from breach")
 	w.slo = obs.NewSLOEngine()
@@ -442,8 +361,6 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	w.rplPerCell = make([]int, G*C)
 	w.wdPerCell = make([]int, G*C)
 
-	w.placeBroker()
-
 	// Quarantine entry revokes the cell's live sessions: the broker tells
 	// the owning group's gateway, which kicks every attached UE into a
 	// re-attach away from the cell. The callback runs under the broker's
@@ -459,86 +376,60 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			"telco": idT, "score": fmt.Sprintf("%.3f", score),
 		})
 		if cell := w.telcoLoc[idT]; entered && cell != nil {
-			ci := cell.idx
-			w.toGroup(cell.grp.idx, func() { cell.grp.kickCell(ci, score) })
+			w.toGroup(cell.grp.idx, func() { cell.grp.kickCell(cell, score) })
 		}
 	})
 
-	for g := 0; g < G; g++ {
-		grp := &byzGroup{w: w, idx: g, sim: w.addGateway(g % cfg.Shards)}
+	grid, err := w.layout(cfg.Seed, G, C, U)
+	if err != nil {
+		return nil, err
+	}
+	for g, gg := range grid {
+		grp := &byzGroup{w: w, idx: g}
 		w.groups = append(w.groups, grp)
 
-		for c := 0; c < C; c++ {
-			global := g*C + c
-			key, err := pki.KeyPairFromSeed(entitySeed(110, global))
-			if err != nil {
-				return nil, err
-			}
-			idT := fmt.Sprintf("byz-telco-%d-%d", g, c)
-			cert := ca.Issue(idT, "btelco", key.Public(), epoch.Add(-time.Hour), epoch.Add(24*time.Hour))
+		for c, cc := range gg.cells {
 			cell := &byzCell{
-				grp:    grp,
-				idx:    c,
-				global: global,
-				idT:    idT,
-				telco: &sap.TelcoState{
-					IDT: idT, Key: key, Cert: cert,
-					Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
-				},
-				dl: netem.NewShaper(netem.ConstantRate(cfg.CellBps), 256*1024, 0),
-				ul: netem.NewShaper(netem.ConstantRate(cfg.CellBps), 256*1024, 0),
+				cellCore: cc,
+				grp:      grp,
+				dl:       netem.NewShaper(netem.ConstantRate(cfg.CellBps), 256*1024, 0),
+				ul:       netem.NewShaper(netem.ConstantRate(cfg.CellBps), 256*1024, 0),
 			}
 			cell.dl.MaxQueueTime = 300 * time.Millisecond
 			cell.ul.MaxQueueTime = 300 * time.Millisecond
 			if c < advPlan[g] {
-				cell.adv = chaos.NewAdversary(cfg.Seed + 7000 + int64(global))
-				sched := cfg.AdvSpec.Compile(cfg.Seed+1000+int64(global), cfg.Duration)
+				cell.adv = chaos.NewAdversary(cfg.Seed + 7000 + int64(cell.global))
+				sched := cfg.AdvSpec.Compile(cfg.Seed+1000+int64(cell.global), cfg.Duration)
 				hooks := cell.adv.Hooks()
 				inner := hooks.Blackhole
 				hooks.Blackhole = func(on bool) {
 					inner(on)
 					cell.setBlackhole(on)
 				}
-				sched.Replay(grp.sim, hooks)
+				sched.Replay(gg.sim, hooks)
 			}
 			cell.slo = w.slo.Declare(obs.SLOSpec{
-				Name: "overbill:" + idT, Kind: obs.SLORatioMax,
+				Name: "overbill:" + cell.telco.IDT, Kind: obs.SLORatioMax,
 				Objective: obBound, Window: obWindow, Buckets: 12,
 			})
 			grp.cells = append(grp.cells, cell)
-			w.telcoLoc[idT] = cell
+			w.telcoLoc[cell.telco.IDT] = cell
 		}
 
-		for j := 0; j < U; j++ {
-			global := g*U + j
-			key, err := pki.KeyPairFromSeed(entitySeed(120, global))
-			if err != nil {
-				return nil, err
-			}
-			idU := w.brk.RegisterUser(key.Public())
+		for j, uc := range gg.ues {
 			u := &byzUE{
-				grp:    grp,
-				idx:    j,
-				global: global,
-				phase:  time.Duration(global+1) * time.Microsecond,
-				rng:    rand.New(rand.NewSource(cfg.Seed + 5000 + int64(global))),
-				st: &sap.UEState{
-					IDU: idU, IDB: byzBrokerName, Key: key, BrokerPub: w.brokerPub,
-				},
+				ueCore:    uc,
+				grp:       grp,
 				wd:        ue.NewWatchdog(cfg.WatchdogWindow),
 				srvIP:     fmt.Sprintf("byz-srv-%d-%d", g, j),
 				badLocal:  make([]bool, C),
 				lastScore: make([]float64, C),
 			}
-			u.meter = ue.NewBasebandMeter(key, w.brokerPub)
 			for i := range u.lastScore {
 				u.lastScore[i] = 1
 			}
 			grp.ues = append(grp.ues, u)
 		}
-	}
-	if nUE+1 >= 1000 {
-		return nil, fmt.Errorf("testbed: byzantine soak supports at most 999 UEs (lattice phases), got %d", nUE)
 	}
 
 	// Initial attaches run synchronously before the clock starts: UE j
@@ -560,10 +451,9 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	// quarantine) and it exercises the handover-drop behavior.
 	for _, grp := range w.groups {
 		for _, u := range grp.ues {
-			u := u
-			grp.sim.At(latticeAt(byzWatchdogTick, u.phase), u.watchdogTick)
+			u.sim.At(latticeAt(byzWatchdogTick, u.phase), u.watchdogTick)
 			conn := u.conn
-			sim := grp.sim
+			sim := u.sim
 			var topUp func()
 			topUp = func() {
 				conn.Write(4 << 20)
@@ -571,7 +461,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			}
 			topUp()
 			roamAt := cfg.Duration/4 + cfg.Duration/4*time.Duration(u.global)/time.Duration(nUE)
-			grp.sim.At(latticeAt(roamAt, u.phase), u.roamTick)
+			u.sim.At(latticeAt(roamAt, u.phase), u.roamTick)
 		}
 	}
 
@@ -583,7 +473,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			w.sim0.At(next, sloTick)
 		}
 	}
-	w.sim0.At(byzWatchdogTick+byzSLOPhase, sloTick)
+	w.sim0.At(byzWatchdogTick+shard0TickPhase, sloTick)
 	return w, nil
 }
 
@@ -605,39 +495,34 @@ func (c *byzCell) newAccessLink(srvIP, ueIP string) *netem.Link {
 // live session's radio link goes dark (or recovers), while the control
 // plane keeps answering politely.
 func (c *byzCell) setBlackhole(on bool) {
-	for _, s := range c.sessions {
-		if s.live {
-			s.link.Down = on
+	for _, u := range c.grp.ues {
+		if u.cur != nil && u.cur.ci == c.idx {
+			u.link.Down = on
 			if on {
-				s.ue.blackholed = true
+				u.blackholed = true
 			}
 		}
 	}
 }
 
-// attachTo runs the control-plane half of an attach success on the UE:
-// session bookkeeping, meter binding, and the report chain.
+// attachTo is the soak's half of an attach success on the UE: the shared
+// session adoption with this world's report chain, then the data-path
+// bookkeeping — the session's radio link and the watchdog.
 func (u *byzUE) attachTo(cell *byzCell, uref string, link *netem.Link) {
-	now := u.grp.sim.Now()
-	s := &byzSession{ue: u, cell: cell, uref: uref, start: now, live: true, link: link}
-	cell.sessions = append(cell.sessions, s)
-	u.sess = s
-	u.attachedSince = now
-	u.meter.StartSession()
-	u.meter.BindSession(uref)
+	s := new(byzSession)
+	u.link = link
+	u.adopt(&cell.cellCore, &s.sessionCore, uref, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
 	if cell.adv.Blackholing() {
 		u.blackholed = true
 	}
-	u.wd.Arm(now, u.conn.Delivered())
-	u.grp.sim.At(latticeAt(now+u.grp.w.cfg.ReportEvery, u.phase), func() { u.reportTick(s) })
+	u.wd.Arm(u.sim.Now(), u.conn.Delivered())
 }
 
 func (u *byzUE) initialAttach(cell *byzCell) error {
-	grp := u.grp
-	u.curIP = fmt.Sprintf("byz-ue-%d-%d-0", grp.idx, u.idx)
+	u.curIP = fmt.Sprintf("byz-ue-%d-%d-0", u.g, u.idx)
 	link := cell.newAccessLink(u.srvIP, u.curIP)
-	grp.sim.Connect(u.srvIP, u.curIP, link)
-	u.conn = mptcp.NewConn(grp.sim, u.srvIP, u.curIP, mptcp.Config{
+	u.sim.Connect(u.srvIP, u.curIP, link)
+	u.conn = mptcp.NewConn(u.sim, u.srvIP, u.curIP, mptcp.Config{
 		Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second,
 	})
 	prev := u.conn.OnDeliver
@@ -652,64 +537,43 @@ func (u *byzUE) initialAttach(cell *byzCell) error {
 		// cell's per-session counter see identical honest values, so any
 		// reported divergence is a lie, not skew.
 		u.meter.CountDL(n)
-		if s := u.sess; s != nil {
+		if s := u.cur; s != nil {
 			s.dl += uint64(n)
 		}
 	}
 
-	reqU, pending, err := u.st.NewAttachRequest(cell.idT)
+	grant, resp, err := u.grp.w.attach(u.st, cell.telco)
 	if err != nil {
 		return err
 	}
-	reqT, err := cell.telco.ForwardRequest(reqU)
-	if err != nil {
-		return err
-	}
-	resp, err := u.grp.w.brk.HandleAuthRequest(reqT)
-	if err != nil {
-		return err
-	}
-	grant, respU, err := cell.telco.HandleResponse(u.grp.w.brokerPub, resp)
-	if err != nil {
-		return err
-	}
-	if _, _, err := u.st.HandleResponse(pending, respU); err != nil {
-		return err
-	}
-	grp.attempts++
-	grp.attaches++
+	u.attempts++
 	u.lastScore[cell.idx] = resp.TelcoScore
 	u.attachTo(cell, grant.URef, link)
 	return nil
 }
 
-// detach tears the current session down: billing keeps the session record
-// for settlement, the data path is disconnected, the watchdog disarmed.
-func (u *byzUE) detach() {
-	s := u.sess
-	if s == nil {
-		return
-	}
-	now := u.grp.sim.Now()
-	s.live = false
-	u.sess = nil
-	u.attachedDur += now - u.attachedSince
+// leave drops the live session — billing keeps the session record for
+// settlement, the data path is disconnected, the watchdog disarmed — and
+// re-attaches preferring the next cell of the group.
+func (u *byzUE) leave(handover bool) {
+	next := (u.cur.ci + 1) % len(u.grp.cells)
+	u.detach()
 	u.wd.Disarm()
 	u.conn.AddrInvalidated()
-	u.grp.sim.Disconnect(u.srvIP, u.curIP)
+	u.sim.Disconnect(u.srvIP, u.curIP)
+	u.startAttach(next, handover)
 }
 
 // startAttach launches the retry state machine preferring group cell
 // `prefer`, steering around locally-bad and low-score cells.
 func (u *byzUE) startAttach(prefer int, handover bool) {
-	u.attachSeq++
-	u.prefer, u.handover = prefer, handover
-	u.stormStart = u.grp.sim.Now()
+	w := u.grp.w
+	u.startStorm(w.cfg.Retry, len(u.grp.cells), prefer)
+	u.handover = handover
 	u.stickLeft = 0
-	u.fsm = ue.NewAttachFSM(u.grp.w.cfg.Retry, len(u.grp.cells), u.rng)
 	u.fsm.SetAvoid(func(i int) bool {
 		ci := (u.prefer + i) % len(u.grp.cells)
-		return u.badLocal[ci] || u.lastScore[ci] < 0.7
+		return u.badLocal[ci] || u.lastScore[ci] < w.quar.EnterBelow
 	})
 	u.attempt(u.attachSeq)
 }
@@ -724,7 +588,7 @@ func (u *byzUE) attempt(seq int) {
 		ci = u.stickCi
 	}
 	cell := u.grp.cells[ci]
-	u.grp.attempts++
+	u.attempts++
 	// Adversarial NAS handling happens at the cell, before anything
 	// reaches the broker: the UE only ever sees a timeout. As real UEs
 	// do (T3411), one timed-out attach is re-tried on the same cell
@@ -743,17 +607,12 @@ func (u *byzUE) attempt(seq int) {
 		return
 	}
 	u.stickLeft = 0
-	reqU, pending, err := u.st.NewAttachRequest(cell.idT)
+	pending, reqT, err := beginAttach(u.st, cell.telco)
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	reqT, err := cell.telco.ForwardRequest(reqU)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	g := u.grp.idx
+	g := u.g
 	stormStart := u.stormStart
 	w.toBroker(g, func() {
 		resp, err := w.brk.HandleAuthRequest(reqT)
@@ -775,27 +634,18 @@ func (u *byzUE) attempt(seq int) {
 }
 
 func (u *byzUE) failAttach(seq int, err error, extra time.Duration) {
-	if seq != u.attachSeq {
-		return
-	}
-	delay, giveUp := u.fsm.Fail(err)
-	if giveUp {
-		u.grp.giveups++
+	delay, retry := u.backoff(seq, err)
+	switch {
+	case retry:
+		u.after(extra+delay, func() { u.attempt(seq) })
+	case seq == u.attachSeq:
 		// Budget exhausted: cool off, then start a fresh machine.
 		u.after(time.Second, func() {
 			if seq == u.attachSeq {
 				u.startAttach(u.prefer, u.handover)
 			}
 		})
-		return
 	}
-	u.after(extra+delay, func() { u.attempt(seq) })
-}
-
-// after schedules fn on this UE's private time lattice, so its
-// cross-shard sends can never tie with another entity's.
-func (u *byzUE) after(d time.Duration, fn func()) {
-	u.grp.sim.At(latticeAt(u.grp.sim.Now()+d, u.phase), fn)
 }
 
 func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.AuthResp) {
@@ -805,27 +655,25 @@ func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.
 	cell := u.grp.cells[ci]
 	// Reputation rides every SAP reply; remember it for steering.
 	u.lastScore[ci] = resp.TelcoScore
-	grant, respU, err := cell.telco.HandleResponse(u.grp.w.brokerPub, resp)
+	grant, _, err := u.grp.w.finishAttach(u.st, cell.telco, pending, resp)
+	if errors.Is(err, errUERejected) {
+		u.grp.w.fail(err)
+		return
+	}
 	if err != nil {
 		u.grp.denied++
 		u.failAttach(seq, err, 0)
 		return
 	}
-	if _, _, err := u.st.HandleResponse(pending, respU); err != nil {
-		u.grp.w.fail(err)
-		return
-	}
-	u.grp.attaches++
 	u.incar++
-	newIP := fmt.Sprintf("byz-ue-%d-%d-%d", u.grp.idx, u.idx, u.incar)
+	newIP := fmt.Sprintf("byz-ue-%d-%d-%d", u.g, u.idx, u.incar)
 	link := cell.newAccessLink(u.srvIP, newIP)
-	u.grp.sim.Connect(u.srvIP, newIP, link)
+	u.sim.Connect(u.srvIP, newIP, link)
 	u.curIP = newIP
 	u.attachTo(cell, grant.URef, link)
-	conn, sim := u.conn, u.grp.sim
-	s := u.sess
-	sim.After(byzAttachLat, func() {
-		if u.sess == s {
+	conn, s := u.conn, u.cur
+	u.sim.After(byzAttachLat, func() {
+		if u.cur == s {
 			conn.AddrAvailable(newIP)
 		}
 	})
@@ -833,35 +681,19 @@ func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.
 
 // reportTick emits the aligned report pair for session s: the UE's sealed
 // baseband report and the bTelco's — distorted or replayed when the cell's
-// adversary schedule says so. Both ride one control packet, so the broker
-// always ingests UE-then-telco per cycle.
+// adversary schedule says so.
 func (u *byzUE) reportTick(s *byzSession) {
 	w := u.grp.w
-	if u.sess != s || w.runErr != nil {
+	if u.cur != &s.sessionCore || w.runErr != nil {
 		return
 	}
-	cell := s.cell
-	now := u.grp.sim.Now()
-	rel := now - s.start
-	ueEnv, err := u.meter.Report(rel)
+	cell := u.grp.cells[s.ci]
+	claimed := cell.adv.MeterBytes(s.dl)
+	ueEnv, tEnv, err := w.reportPair(&u.ueCore, &s.sessionCore, cell.telco, claimed)
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	s.seq++
-	tr := &billing.Report{
-		SessionRef: s.uref,
-		Reporter:   billing.ReporterTelco,
-		Seq:        s.seq,
-		Rel:        rel,
-		DLBytes:    cell.adv.MeterBytes(s.dl),
-	}
-	tEnv, err := billing.Seal(tr, cell.telco.Key, w.brokerPub)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	claimed := tr.DLBytes
 	replayed := false
 	if cell.adv.ReplayReport() && s.last != nil {
 		tEnv = s.last
@@ -870,10 +702,10 @@ func (u *byzUE) reportTick(s *byzSession) {
 		s.last = tEnv
 	}
 	global := cell.global
-	idT := cell.idT
+	idT := cell.telco.IDT
 	honest := s.dl
 	cellSLO := cell.slo
-	w.toBroker(u.grp.idx, func() {
+	w.toBroker(u.g, func() {
 		if _, err := w.brk.HandleReport(ueEnv); err != nil {
 			w.fail(err)
 			return
@@ -902,7 +734,7 @@ func (u *byzUE) reportTick(s *byzSession) {
 			cellSLO.ObserveRatio(now0, float64(claimed), float64(honest))
 		}
 	})
-	u.grp.sim.At(latticeAt(now+w.cfg.ReportEvery, u.phase), func() { u.reportTick(s) })
+	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
 
 // watchdogTick is the UE's 1 Hz no-goodput check. A trip files evidence
@@ -912,35 +744,33 @@ func (u *byzUE) watchdogTick() {
 	if w.runErr != nil {
 		return
 	}
-	now := u.grp.sim.Now()
 	// Availability SLO sample: attached-or-not at the tick instant,
 	// shipped to the shard-0 tracker (1 = attached). Sampled before the
 	// trip logic so a tripping tick still counts the window it wasted.
 	attached := 0.0
-	if u.sess != nil {
+	if u.cur != nil {
 		attached = 1
 	}
-	w.toBroker(u.grp.idx, func() {
+	w.toBroker(u.g, func() {
 		w.sloAvail.ObserveRatio(w.sim0.Now(), attached, 1)
 	})
-	if s := u.sess; s != nil && u.wd.Observe(now, u.conn.Delivered()) {
+	if s := u.cur; s != nil && u.wd.Observe(u.sim.Now(), u.conn.Delivered()) {
 		u.grp.wdTrips++
-		ci := s.cell.idx
-		s.cell.wdLocal++
-		u.badLocal[ci] = true
-		idT := s.cell.idT
-		global := s.cell.global
-		w.toBroker(u.grp.idx, func() {
+		cell := u.grp.cells[s.ci]
+		cell.wdLocal++
+		u.badLocal[s.ci] = true
+		idT := cell.telco.IDT
+		global := cell.global
+		w.toBroker(u.g, func() {
 			score := w.brk.ReportWatchdog(idT, 1)
 			w.wdPerCell[global]++
 			w.cfg.Tracer.Event("watchdog", "evidence", map[string]string{
 				"telco": idT, "score": fmt.Sprintf("%.3f", score),
 			})
 		})
-		u.detach()
-		u.startAttach((ci+1)%len(u.grp.cells), false)
+		u.leave(false)
 	}
-	u.grp.sim.At(latticeAt(now+byzWatchdogTick, u.phase), u.watchdogTick)
+	u.after(byzWatchdogTick, u.watchdogTick)
 }
 
 // roamTick is the UE's recurring mobility event: a handover to the next
@@ -951,30 +781,25 @@ func (u *byzUE) roamTick() {
 	if w.runErr != nil {
 		return
 	}
-	if u.sess != nil {
-		cur := u.sess.cell.idx
+	if u.cur != nil {
 		u.grp.roams++
-		u.detach()
-		u.startAttach((cur+1)%len(u.grp.cells), true)
+		u.leave(true)
 	}
-	next := u.grp.sim.Now() + w.cfg.Duration/3
-	if next < w.cfg.Duration*17/20 {
-		u.grp.sim.At(latticeAt(next, u.phase), u.roamTick)
+	if u.sim.Now()+w.cfg.Duration/3 < w.cfg.Duration*17/20 {
+		u.after(w.cfg.Duration/3, u.roamTick)
 	}
 }
 
-// kickCell revokes every live session on group cell ci: the broker
-// quarantined its bTelco, so attached UEs are detached and re-attach
-// elsewhere (the broker denies the quarantined cell anyway).
-func (grp *byzGroup) kickCell(ci int, score float64) {
-	cell := grp.cells[ci]
+// kickCell revokes every live session on cell: the broker quarantined its
+// bTelco, so attached UEs are detached and re-attach elsewhere (the broker
+// denies the quarantined cell anyway).
+func (grp *byzGroup) kickCell(cell *byzCell, score float64) {
 	for _, u := range grp.ues {
-		if u.sess != nil && u.sess.cell == cell {
+		if u.cur != nil && u.cur.ci == cell.idx {
 			grp.kicks++
-			u.badLocal[ci] = true
-			u.lastScore[ci] = score
-			u.detach()
-			u.startAttach((ci+1)%len(grp.cells), false)
+			u.badLocal[cell.idx] = true
+			u.lastScore[cell.idx] = score
+			u.leave(false)
 		}
 	}
 }
@@ -984,43 +809,41 @@ func (w *byzWorld) collect() ByzantineResult {
 	cfg := w.cfg
 	res := ByzantineResult{Config: cfg, Quarantine: w.quarEvents}
 
-	eps := 0.05
-	slack := float64(32 << 10)
+	eps := w.brkCfg.VerifierConfig.Epsilon
+	slack := float64(w.brkCfg.VerifierConfig.SlackBytes)
 	var availSum float64
+	var bill ledger
 	var overbillBad []string
 	maxOBRatio := 0.0 // worst paid/bound over settled sessions
 
 	for _, grp := range w.groups {
-		res.Attempts += grp.attempts
-		res.Attaches += grp.attaches
 		res.Denied += grp.denied
 		res.NASDrops += grp.nasDrops
-		res.GiveUps += grp.giveups
 		res.Kicks += grp.kicks
 		res.Roams += grp.roams
 		res.WatchdogTrips += grp.wdTrips
 		for _, u := range grp.ues {
-			dur := u.attachedDur
-			if u.sess != nil {
-				dur += cfg.Duration - u.attachedSince
-			}
-			availSum += float64(dur) / float64(cfg.Duration)
+			res.Attempts += u.attempts
+			res.Attaches += u.attaches
+			res.GiveUps += u.giveups
+			availSum += u.attachedFrac(cfg.Duration)
 			if u.blackholed {
 				res.BlackholedUEs++
 			}
 		}
 		for _, cell := range grp.cells {
+			idT := cell.telco.IDT
 			stat := ByzCellStat{
-				ID:          cell.idT,
+				ID:          idT,
 				Adversarial: cell.adv != nil,
-				Score:       w.brk.TelcoScore(cell.idT),
-				Quarantined: w.brk.Quarantined(cell.idT),
+				Score:       w.brk.TelcoScore(idT),
+				Quarantined: w.brk.Quarantined(idT),
 				Sessions:    len(cell.sessions),
 				Mismatches:  w.mmPerCell[cell.global],
 				Replays:     w.rplPerCell[cell.global],
 				Watchdog:    w.wdPerCell[cell.global],
 			}
-			if e, ok := w.brk.QuarantineInfo(cell.idT); ok {
+			if e, ok := w.brk.QuarantineInfo(idT); ok {
 				stat.Strikes = e.Strikes
 			}
 			if cell.adv != nil {
@@ -1032,28 +855,22 @@ func (w *byzWorld) collect() ByzantineResult {
 			res.Cells = append(res.Cells, stat)
 
 			for _, s := range cell.sessions {
-				res.Sessions++
-				res.TrueBytes += s.dl
-				if s.seq == 0 {
-					continue // died before its first report cycle
-				}
-				st, err := w.brk.SettleSession(s.uref, cfg.ReportEvery)
-				if err != nil {
+				st, ok := bill.settle(w.brk, s, cfg.ReportEvery)
+				if !ok {
 					continue
 				}
-				res.VerifiedBytes += st.VerifiedBytes
-				res.PaidUnits += st.Amount
 				bound := float64(s.dl)*(1+eps) + slack + 1
 				if ratio := float64(st.VerifiedBytes) / bound; ratio > maxOBRatio {
 					maxOBRatio = ratio
 				}
 				if float64(st.VerifiedBytes) > bound {
 					overbillBad = append(overbillBad, fmt.Sprintf("%s paid %d > bound %.0f (true %d)",
-						cell.idT, st.VerifiedBytes, bound, s.dl))
+						idT, st.VerifiedBytes, bound, s.dl))
 				}
 			}
 		}
 	}
+	res.Sessions, res.TrueBytes, res.VerifiedBytes, res.PaidUnits = bill.sessions, bill.trueBytes, bill.verified, bill.paid
 	res.Availability = availSum / float64(len(w.groups)*cfg.UEsPerGroup)
 	res.SLO = w.slo.Report()
 
@@ -1088,24 +905,24 @@ func (w *byzWorld) collect() ByzantineResult {
 	for _, grp := range w.groups {
 		for _, u := range grp.ues {
 			switch {
-			case u.sess == nil:
+			case u.cur == nil:
 				detached = append(detached, fmt.Sprintf("ue-%d", u.global))
-			case u.sess.cell.adv != nil:
-				onAdv = append(onAdv, fmt.Sprintf("ue-%d@%s", u.global, u.sess.cell.idT))
+			case grp.cells[u.cur.ci].adv != nil:
+				onAdv = append(onAdv, fmt.Sprintf("ue-%d@%s", u.global, grp.cells[u.cur.ci].telco.IDT))
 			}
 		}
 	}
 	nUE := len(w.groups) * cfg.UEsPerGroup
 	converged := float64(nUE-len(onAdv)-len(detached)) / float64(nUE)
-	// Margins: the quarantine entry threshold (0.7) anchors the score
+	// Margins: the quarantine entry threshold anchors the score
 	// invariants — how far the worst adversary sits below it, and the
 	// worst honest cell above it. Overbilling uses worst paid/bound;
 	// availability its distance to the SLO floor.
 	inv("adversaries-quarantined",
-		len(advFree) == 0, 0.7-maxAdvScore,
+		len(advFree) == 0, w.quar.EnterBelow-maxAdvScore,
 		fmt.Sprintf("%d/%d quarantined%s", res.Adversaries-len(advFree), res.Adversaries, byzList(advFree)))
 	inv("honest-untouched",
-		len(honestDirty) == 0, minHonestScore-0.7,
+		len(honestDirty) == 0, minHonestScore-w.quar.EnterBelow,
 		fmt.Sprintf("%d honest cells clean%s", len(res.Cells)-res.Adversaries-len(honestDirty), byzList(honestDirty)))
 	inv("ues-converged-honest",
 		len(onAdv) == 0 && len(detached) == 0, converged-1,

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -17,8 +16,6 @@ import (
 	"cellbricks/internal/nas"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/obs"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
@@ -158,21 +155,16 @@ type foWorld struct {
 	cfg   FailoverConfig
 	world *netem.World
 	sim   *netem.Sim // shard 0 of world: the whole fault domain
-	op    *mobility.Operator
 
+	path      *accessPath
 	conn      *mptcp.Conn
-	link      *netem.Link
 	flapped   *netem.Link
 	baseLoss  float64
 	frameLoss float64
-	ueIP      string
-	ueIdx     int
 
-	brkCfg    broker.Config
-	brk       *broker.Brokerd
-	brokerPub pki.PublicIdentity
-	live      bool
-	lastSnap  []byte
+	*principals // brk is nil while the broker process is down
+	live        bool
+	lastSnap    []byte
 
 	telcos    [2]*sap.TelcoState
 	agws      [2]*epc.AGW
@@ -208,8 +200,6 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 		cfg:   cfg,
 		world: world,
 		sim:   world.Shard(0),
-		op:    mobility.NewOperator(cfg.Seed + 1),
-		ueIP:  "ft-ip-0",
 		live:  true,
 		res:   res,
 		ids:   obs.NewSpanIDSource(cfg.Seed),
@@ -220,37 +210,16 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	// Control plane: seeded principals and a fixed certificate epoch so
 	// two runs with the same seed are bit-identical regardless of wall
 	// clock.
-	epoch := time.Unix(1_750_000_000, 0)
-	ca, err := pki.NewCAFromSeed("ft-ca", bytes.Repeat([]byte{81}, 32))
-	if err != nil {
+	var err error
+	if w.principals, err = newPrincipals("ft-ca", flatSeed(81), "broker.failover", flatSeed(82), time.Unix(1_750_000_000, 0), nil); err != nil {
 		return nil, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{82}, 32))
-	if err != nil {
+	if w.ueCB, _, err = w.newSubscriber(flatSeed(83)); err != nil {
 		return nil, err
 	}
-	w.brkCfg = broker.DefaultConfig("broker.failover", brokerKey, ca.Public())
-	w.brkCfg.Now = func() time.Time { return epoch }
-	w.brk = broker.New(w.brkCfg)
-	w.brokerPub = brokerKey.Public()
-
-	ueKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{83}, 32))
-	if err != nil {
-		return nil, err
-	}
-	idU := w.brk.RegisterUser(ueKey.Public())
-	w.ueCB = &sap.UEState{IDU: idU, IDB: "broker.failover", Key: ueKey, BrokerPub: w.brokerPub}
-
 	for i := range w.telcos {
-		key, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{byte(84 + i)}, 32))
-		if err != nil {
+		if w.telcos[i], err = w.newTelco(fmt.Sprintf("ft-btelco-%d", i), flatSeed(byte(84+i)), 1.0); err != nil {
 			return nil, err
-		}
-		id := fmt.Sprintf("ft-btelco-%d", i)
-		cert := ca.Issue(id, "btelco", key.Public(), epoch.Add(-time.Hour), epoch.Add(24*time.Hour))
-		w.telcos[i] = &sap.TelcoState{
-			IDT: id, Key: key, Cert: cert,
-			Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
 		}
 		w.agws[i] = epc.NewAGW(epc.AGWConfig{
 			Telco: w.telcos[i], Brokers: epc.StaticDirectory{ID: w.brkCfg.ID, Client: foBrokerClient{w}, Pub: w.brokerPub},
@@ -259,10 +228,9 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	}
 
 	// Data plane.
-	w.link = w.op.CellularLink(cfg.Route, cfg.Night)
-	w.baseLoss = w.link.Loss
-	w.sim.Connect(ServerIP, w.ueIP, w.link)
-	w.conn = mptcp.NewConn(w.sim, ServerIP, w.ueIP, mptcp.Config{
+	w.path = newAccessPath(w.sim, cfg.Seed, cfg.Route, cfg.Night, "ft-ip")
+	w.baseLoss = w.path.link.Loss
+	w.conn = mptcp.NewConn(w.sim, ServerIP, w.path.ip, mptcp.Config{
 		Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second,
 	})
 
@@ -471,7 +439,7 @@ func (w *foWorld) startAttach(newIP string) {
 			if open {
 				w.tracePhases(root, w.sim.Now())
 			}
-			w.resolveAttach(w.sim.Now())
+			w.resolve(w.attachWatch, w.sim.Now())
 			w.sim.After(w.cfg.AttachLatency, func() {
 				if seq == w.attachSeq {
 					w.conn.AddrAvailable(newIP)
@@ -505,15 +473,10 @@ func (w *foWorld) handover() {
 		"n": strconv.Itoa(w.res.Handovers),
 	})
 	w.conn.AddrInvalidated()
-	old := w.ueIP
-	w.ueIdx++
-	w.ueIP = fmt.Sprintf("ft-ip-%d", w.ueIdx)
-	w.sim.Disconnect(ServerIP, old)
-	w.link = w.op.CellularLink(w.cfg.Route, w.cfg.Night)
-	w.baseLoss = w.link.Loss
+	newIP := w.path.rehome()
+	w.baseLoss = w.path.link.Loss
 	w.applyFrameLoss()
-	w.sim.Connect(ServerIP, w.ueIP, w.link)
-	w.startAttach(w.ueIP)
+	w.startAttach(newIP)
 }
 
 func (w *foWorld) applyFrameLoss() {
@@ -521,7 +484,7 @@ func (w *foWorld) applyFrameLoss() {
 	if loss > 0.95 {
 		loss = 0.95
 	}
-	w.link.Loss = loss
+	w.path.link.Loss = loss
 }
 
 // hooks binds the chaos schedule to this world.
@@ -529,19 +492,17 @@ func (w *foWorld) hooks() chaos.Hooks {
 	return chaos.Hooks{
 		LinkFlap: func(down bool) {
 			if down {
-				w.flapped = w.link
-				w.link.Down = true
+				w.flapped = w.path.link
+				w.path.link.Down = true
 				return
 			}
 			if w.flapped != nil {
 				w.flapped.Down = false
 				w.flapped = nil
 			}
-			w.link.Down = false
+			w.path.link.Down = false
 		},
-		LinkPause: func(d time.Duration) {
-			w.link.PausedUntil = w.sim.Now() + d
-		},
+		LinkPause: w.path.pause,
 		BrokerCrash: func() {
 			// The process dies with its in-memory state; only the last
 			// snapshot survives.
@@ -590,19 +551,9 @@ func (w *foWorld) hooks() chaos.Hooks {
 	}
 }
 
-func (w *foWorld) resolveAttach(now time.Duration) {
-	for _, watch := range w.attachWatch {
-		if !watch.resolved && now >= watch.ready {
-			watch.resolved = true
-			watch.outcome.Recovered = true
-			watch.outcome.Recovery = now - watch.outcome.At
-			w.traceRecovered(watch)
-		}
-	}
-}
-
-func (w *foWorld) resolveData(now time.Duration) {
-	for _, watch := range w.dataWatch {
+// resolve marks every armed watcher in list recovered as of now.
+func (w *foWorld) resolve(list []*foWatcher, now time.Duration) {
+	for _, watch := range list {
 		if !watch.resolved && now >= watch.ready {
 			watch.resolved = true
 			watch.outcome.Recovered = true
@@ -632,8 +583,7 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 
 	// Route-driven mobility.
 	for _, at := range cfg.Route.Handovers(w.sim.Rand(), cfg.Night, cfg.Duration) {
-		at := at
-		w.sim.At(at, func() { w.handover() })
+		w.sim.At(at, w.handover)
 	}
 
 	// Arm the fault schedule and its recovery watchers. Attach-path
@@ -678,9 +628,7 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 		prev(n)
 		if n > 0 {
 			now := w.sim.Now()
-			if len(w.dataWatch) > 0 {
-				w.resolveData(now)
-			}
+			w.resolve(w.dataWatch, now)
 			w.resolveGoodput(now)
 		}
 	}

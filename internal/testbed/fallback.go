@@ -1,13 +1,12 @@
 package testbed
 
 import (
-	"fmt"
 	"time"
 
 	"cellbricks/internal/apps"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
-	"cellbricks/internal/mobility"
 )
 
 // RunWebFallback runs the web workload under CellBricks with *plain TCP*
@@ -23,18 +22,16 @@ import (
 func RunWebFallback(sc Scenario) apps.WebResult {
 	sc = sc.Defaults()
 	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
 
 	f := &fallbackLoader{
-		sim: sim,
-		op:  op,
-		sc:  sc,
-		cfg: apps.DefaultWebConfig(),
+		sim:  sim,
+		path: newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "web-ue"),
+		sc:   sc,
+		cfg:  apps.DefaultWebConfig(),
 	}
-	f.connect("web-ue-0")
+	f.dial(f.path.ip)
 	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
-		at := at
-		sim.At(at, func() { f.handover() })
+		sim.At(at, f.handover)
 	}
 	f.end = sim.Now() + sc.Duration
 	f.startPage()
@@ -55,14 +52,12 @@ func RunWebFallback(sc Scenario) apps.WebResult {
 // fallbackLoader is the resumable page loader over throwaway TCP
 // connections.
 type fallbackLoader struct {
-	sim *netem.Sim
-	op  *mobility.Operator
-	sc  Scenario
-	cfg apps.WebConfig
+	sim  *netem.Sim
+	path *accessPath
+	sc   Scenario
+	cfg  apps.WebConfig
 
 	conn  *mptcp.Conn
-	ueIdx int
-	ueIP  string
 	gen   int // connection generation, to ignore stale callbacks
 	loads []time.Duration
 	end   time.Duration
@@ -77,11 +72,9 @@ type fallbackLoader struct {
 	inFlight   bool
 }
 
-func (f *fallbackLoader) connect(ip string) {
-	f.ueIP = ip
-	f.sim.Connect(ServerIP, ip, f.op.CellularLink(f.sc.Route, f.sc.Night))
-	cfg := mptcp.Config{Multipath: false}
-	f.conn = mptcp.NewConn(f.sim, ServerIP, ip, cfg)
+// dial opens a plain TCP connection to the UE's address ip.
+func (f *fallbackLoader) dial(ip string) {
+	f.conn = mptcp.NewConn(f.sim, ServerIP, ip, mptcp.Config{Multipath: false})
 	f.gen++
 	gen := f.gen
 	f.conn.OnDeliver = func(int) { f.onBytes(gen) }
@@ -102,9 +95,7 @@ func (f *fallbackLoader) handover() {
 		}
 	}
 	f.conn.AddrInvalidated() // plain TCP: the connection dies
-	f.sim.Disconnect(ServerIP, f.ueIP)
-	f.ueIdx++
-	newIP := fmt.Sprintf("web-ue-%d", f.ueIdx)
+	newIP := f.path.rehome()
 	// d (attach) + TCP handshake (one round trip on the new path).
 	redialAt := f.sc.AttachLatency + 2*f.sc.Route.Delay
 	rem := remaining
@@ -114,7 +105,7 @@ func (f *fallbackLoader) handover() {
 		if f.done {
 			return
 		}
-		f.connect(newIP)
+		f.dial(newIP)
 		switch {
 		case inFlight:
 			// L7 restart: re-request only the missing range, costing one

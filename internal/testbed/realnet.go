@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -39,9 +38,9 @@ type RealDeployment struct {
 	orcClient    *orc8r.Client
 	brokerClient *broker.Client // pooled; shared by the AGW's directory and the report uploads
 
-	brokerKey *pki.KeyPair
-	telco     *sap.TelcoState
-	ranSeq    atomic.Uint64
+	p      *principals
+	telco  *sap.TelcoState
+	ranSeq atomic.Uint64
 }
 
 // NewRealDeployment starts all three servers on loopback.
@@ -54,16 +53,11 @@ func NewRealDeployment() (*RealDeployment, error) {
 // parents its spans under the NAS envelope's context, and a traced attach
 // over real sockets yields the same span tree the simulator produces.
 func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeployment, error) {
-	d := &RealDeployment{}
-	var err error
-	if d.CA, err = pki.NewCAFromSeed("real-ca", bytes.Repeat([]byte{61}, 32)); err != nil {
+	p, err := newPrincipals("real-ca", flatSeed(61), "broker.real", flatSeed(62), time.Time{}, nil)
+	if err != nil {
 		return nil, err
 	}
-	if d.brokerKey, err = pki.KeyPairFromSeed(bytes.Repeat([]byte{62}, 32)); err != nil {
-		return nil, err
-	}
-	cfg := broker.DefaultConfig("broker.real", d.brokerKey, d.CA.Public())
-	d.Broker = broker.New(cfg)
+	d := &RealDeployment{CA: p.ca, Broker: p.brk, p: p}
 	if d.BrokerSrv, err = broker.ServeTraced(d.Broker, "127.0.0.1:0", tr, ids); err != nil {
 		return nil, err
 	}
@@ -79,16 +73,9 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		return nil, err
 	}
 
-	telcoKey, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{63}, 32))
-	if err != nil {
+	if d.telco, err = p.newTelco("btelco-real", flatSeed(63), 2.0); err != nil {
 		d.Close()
 		return nil, err
-	}
-	now := time.Now()
-	cert := d.CA.Issue("btelco-real", "btelco", telcoKey.Public(), now.Add(-time.Hour), now.Add(24*time.Hour))
-	d.telco = &sap.TelcoState{
-		IDT: "btelco-real", Key: telcoKey, Cert: cert,
-		Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 2.0},
 	}
 
 	sdbClient, err := epc.DialSDB(d.SDBSrv.Addr())
@@ -168,15 +155,12 @@ func (d *RealDeployment) TelcoID() string { return d.telco.IDT }
 // NewCellBricksUE provisions a CellBricks device with the broker and
 // returns it along with a NAS transport dialled over real TCP.
 func (d *RealDeployment) NewCellBricksUE() (*ue.Device, ue.NASTransport, error) {
-	key, err := pki.GenerateKeyPair()
+	st, _, err := d.p.newSubscriber(nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	idU := d.Broker.RegisterUser(key.Public())
 	ranID := fmt.Sprintf("real-ue-%d", d.ranSeq.Add(1))
-	dev := ue.NewDevice(ranID, nil, &sap.UEState{
-		IDU: idU, IDB: d.Broker.ID(), Key: key, BrokerPub: d.Broker.Public(),
-	})
+	dev := ue.NewDevice(ranID, nil, st)
 	tx, err := d.dialNAS(ranID)
 	return dev, tx, err
 }

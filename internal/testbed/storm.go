@@ -1,55 +1,31 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"cellbricks/internal/apps"
-	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/nas"
-	"cellbricks/internal/netem"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
-
-	"math/rand"
 )
 
-// This file is the attach storm: an open-loop workload that drives the
-// broker's control plane the way a stadium letting out drives a real
-// one — a seeded Poisson arrival process whose rate ramps over the run
-// and multiplies through a flash-crowd spike window — and measures how
-// the broker survives it with the three §4.2-adjacent mechanisms this
-// repo grew for the purpose:
+// This file is the attach storm (EXPERIMENTS.md "Attach storm"): an
+// open-loop, seeded Poisson arrival process — a ramping rate with a
+// flash-crowd spike — against one broker defended by batching
+// (broker.Batcher), caching (the auth cache and the resume fast path) and
+// admission control. Serial mode (every item through the single-request
+// handlers) and the optimized pipeline share one arrival schedule, one
+// admission gate and one flush cadence, so the rendered result is
+// byte-identical across the two AND across any shard count; only the
+// wall-clock (Metrics) numbers differ.
 //
-//   - batching: attach handshakes, fast-path resumes and billing
-//     reports arriving within one sim-clock window coalesce into a
-//     single broker state transaction (broker.Batcher);
-//   - caching: granted authorization decisions are memoized and
-//     seq-invalidated (broker.EnableAuthCache), and UEs re-attach over
-//     the HMAC resume fast path instead of the full asymmetric
-//     handshake whenever they hold a live ticket;
-//   - admission control: a token-bucket + queue-depth shedder refuses
-//     attaches the broker cannot absorb, answering with the typed
-//     retry-after hint ue.AttachFSM floors its backoff at.
-//
-// Both execution modes — Serial (baseline: every item through the
-// single-request handlers) and the default optimized pipeline — share
-// one arrival schedule, one admission gate and one flush cadence, so
-// the rendered result is byte-identical across the two AND across any
-// shard count; only the wall-clock (Metrics) numbers differ. That
-// identity is the whole point: the CI gate hashes the render across
-// {K=1, K=4} x {serial, batch} and the bench compares the wall-clock
-// attach throughput at the spike.
-//
-// Determinism follows the byzantine soak's recipe (see byzantine.go):
-// broker state mutates only inside shard-0 handlers, every entity owns
-// a seeded rng, and every cross-shard send rides its sender's private
-// time lattice with prime-offset gateway delays so no two arrivals
-// ever tie. Two storm-specific rules are layered on top:
+// The world is the grouped sharded world of grouped.go, and determinism
+// follows its recipe (DESIGN.md §2.6). Two storm-specific rules are
+// layered on top:
 //
 //   - The UE consumes its resume ticket optimistically at attempt time
 //     and ticket bookkeeping runs on EVERY completion (only session
@@ -57,9 +33,9 @@ import (
 //     admission sheds the attempt — so the optimized mode never
 //     presents a stale single-use ticket and both modes see zero
 //     denials on honest traffic.
-//   - The flush tick runs on shard 0 at a sub-millisecond phase no
-//     packet arrival can occupy, pairing Batcher.Flush outcomes with
-//     their completion callbacks in enqueue order.
+//   - The flush tick runs on shard 0 at shard0TickPhase, pairing
+//     Batcher.Flush outcomes with their completion callbacks in enqueue
+//     order.
 
 // StormConfig parameterizes one attach-storm run.
 type StormConfig struct {
@@ -110,15 +86,7 @@ func (c StormConfig) Defaults() StormConfig {
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
 	}
-	if c.Groups <= 0 {
-		c.Groups = 4
-	}
-	if c.CellsPerGroup <= 0 {
-		c.CellsPerGroup = 2
-	}
-	if c.UEsPerGroup <= 0 {
-		c.UEsPerGroup = 25
-	}
+	gridDefaults(&c.Groups, &c.CellsPerGroup, &c.UEsPerGroup, &c.Shards, 25)
 	if c.BaseRate == 0 {
 		c.BaseRate = 40
 	}
@@ -148,19 +116,7 @@ func (c StormConfig) Defaults() StormConfig {
 			RetryAfter: 500 * time.Millisecond,
 		}
 	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 6
-	}
-	if c.Retry.MaxBackoff == 0 {
-		c.Retry.MaxBackoff = 2 * time.Second
-	}
-	if c.Retry.JitterFrac == 0 {
-		c.Retry.JitterFrac = 0.2
-	}
-	c.Retry = c.Retry.WithDefaults()
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
+	c.Retry = retryDefaults(c.Retry, 6)
 	return c
 }
 
@@ -177,16 +133,6 @@ func (c StormConfig) rateAt(t time.Duration) float64 {
 	}
 	return r
 }
-
-const (
-	stormBrokerName = "storm-broker"
-	// stormFlushPhase is the sub-millisecond phase of the batch flush
-	// tick on shard 0. UE lattice phases are whole microseconds and
-	// gateway delays add g*1009 ns per hop, so no packet arrival lands
-	// on a half-microsecond instant for any plausible group count — the
-	// flush never ties with a handler (same argument as byzSLOPhase).
-	stormFlushPhase = 999500 * time.Nanosecond
-)
 
 // StormResult is the outcome of one storm run. Every field above
 // Metrics derives from virtual time and seeded randomness — Render
@@ -231,41 +177,16 @@ type StormResult struct {
 	BatchFlushes, BatchItems     uint64
 }
 
-type stormSession struct {
-	ue    *stormUE
-	cell  *stormCell
-	uref  string
-	start time.Duration
-	live  bool
-	dl    uint64
-	seq   uint32
-}
-
 type stormCell struct {
-	grp   *stormGroup
-	idx   int
-	idT   string
-	telco *sap.TelcoState
+	cellCore
 	// resumeSS maps live session references to their shared secret —
 	// the bTelco-side state the resume fast path co-signs with.
 	resumeSS map[string]nas.MasterKey
-	sessions []*stormSession
 }
 
 type stormUE struct {
-	grp    *stormGroup
-	idx    int
-	global int
-	phase  time.Duration
-	rng    *rand.Rand
-
-	st    *sap.UEState
-	meter *ue.BasebandMeter
-
-	sess      *stormSession
-	attachSeq int
-	fsm       *ue.AttachFSM
-	prefer    int
+	ueCore
+	grp *stormGroup
 	// resume holds the per-cell fast-path ticket (optimized mode only).
 	// A ticket is consumed optimistically at attempt time and restored
 	// if admission sheds the attempt before the broker saw it.
@@ -274,33 +195,24 @@ type stormUE struct {
 	// signed forward of it. Taken and restored together, like resume.
 	shelf ue.AttachShelf
 	fwd   []*sap.AuthReqT
-
-	stormStart    time.Duration
-	attachedSince time.Duration
-	attachedDur   time.Duration
 }
 
 type stormGroup struct {
 	w     *stormWorld
-	idx   int
-	sim   *netem.Sim
 	cells []*stormCell
 	ues   []*stormUE
 
 	// Shard-local tallies, merged after the run.
-	arrivals, spikeArrivals    int
-	attempts, attaches, denied int
-	retries, giveups, resumes  int
-	latMS                      []float64
+	arrivals, spikeArrivals int
+	resumes                 int
+	latMS                   []float64
 }
 
 type stormWorld struct {
-	brokerMailbox
-	cfg       StormConfig
-	groups    []*stormGroup
-	brk       *broker.Brokerd
-	bat       *broker.Batcher
-	brokerPub pki.PublicIdentity
+	groupedWorld
+	cfg    StormConfig
+	groups []*stormGroup
+	bat    *broker.Batcher
 
 	// Shard-0 state: written only by broker-endpoint handlers and the
 	// flush tick. pending pairs, in enqueue order, with the outcomes
@@ -316,24 +228,11 @@ type stormWorld struct {
 }
 
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
-	w := &stormWorld{
-		brokerMailbox: newBrokerMailbox(cfg.Seed, cfg.Shards, stormBrokerName, "storm-gw-%d"),
-		cfg:           cfg,
-	}
-
-	epoch := time.Unix(1_760_000_000, 0)
-	ca, err := pki.NewCAFromSeed("storm-ca", entitySeed(201, 0))
+	gw, err := newGroupedWorld("storm", 200, cfg.Seed, cfg.Shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	brokerKey, err := pki.KeyPairFromSeed(entitySeed(202, 0))
-	if err != nil {
-		return nil, err
-	}
-	bcfg := broker.DefaultConfig(stormBrokerName, brokerKey, ca.Public())
-	bcfg.Now = func() time.Time { return epoch }
-	w.brk = broker.New(bcfg)
-	w.brokerPub = brokerKey.Public()
+	w := &stormWorld{groupedWorld: gw, cfg: cfg}
 	// The shedder refills on virtual time, so shedding is part of the
 	// deterministic output; the auth cache and the batch pipeline are
 	// the optimized mode's machinery.
@@ -343,59 +242,23 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	}
 	w.bat = w.brk.NewBatcher(cfg.Serial)
 
-	G, C, U := cfg.Groups, cfg.CellsPerGroup, cfg.UEsPerGroup
-	nUE := G * U
-	if nUE+1 >= 1000 {
-		return nil, fmt.Errorf("testbed: storm supports at most 999 UEs (lattice phases), got %d", nUE)
+	C, nUE := cfg.CellsPerGroup, cfg.Groups*cfg.UEsPerGroup
+	grid, err := w.layout(cfg.Seed, cfg.Groups, C, cfg.UEsPerGroup)
+	if err != nil {
+		return nil, err
 	}
-
-	w.placeBroker()
-
-	for g := 0; g < G; g++ {
-		grp := &stormGroup{w: w, idx: g, sim: w.addGateway(g % cfg.Shards)}
+	for _, gg := range grid {
+		grp := &stormGroup{w: w}
 		w.groups = append(w.groups, grp)
-
-		for c := 0; c < C; c++ {
-			global := g*C + c
-			key, err := pki.KeyPairFromSeed(entitySeed(210, global))
-			if err != nil {
-				return nil, err
-			}
-			idT := fmt.Sprintf("storm-telco-%d-%d", g, c)
-			cert := ca.Issue(idT, "btelco", key.Public(), epoch.Add(-time.Hour), epoch.Add(24*time.Hour))
-			grp.cells = append(grp.cells, &stormCell{
-				grp: grp,
-				idx: c,
-				idT: idT,
-				telco: &sap.TelcoState{
-					IDT: idT, Key: key, Cert: cert,
-					Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
-				},
-				resumeSS: make(map[string]nas.MasterKey),
-			})
+		for _, cc := range gg.cells {
+			grp.cells = append(grp.cells, &stormCell{cellCore: cc, resumeSS: make(map[string]nas.MasterKey)})
 		}
-
-		for j := 0; j < U; j++ {
-			global := g*U + j
-			key, err := pki.KeyPairFromSeed(entitySeed(220, global))
-			if err != nil {
-				return nil, err
-			}
-			idU := w.brk.RegisterUser(key.Public())
-			u := &stormUE{
-				grp:    grp,
-				idx:    j,
-				global: global,
-				phase:  time.Duration(global+1) * time.Microsecond,
-				rng:    rand.New(rand.NewSource(cfg.Seed + 5000 + int64(global))),
-				st: &sap.UEState{
-					IDU: idU, IDB: stormBrokerName, Key: key, BrokerPub: w.brokerPub,
-				},
+		for _, uc := range gg.ues {
+			grp.ues = append(grp.ues, &stormUE{
+				ueCore: uc, grp: grp,
 				resume: make([]*sap.ResumeSession, C),
 				fwd:    make([]*sap.AuthReqT, C),
-			}
-			u.meter = ue.NewBasebandMeter(key, w.brokerPub)
-			grp.ues = append(grp.ues, u)
+			})
 		}
 	}
 
@@ -415,7 +278,6 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	lambdaMax := peak * spikeMul / float64(nUE)
 	for _, grp := range w.groups {
 		for _, u := range grp.ues {
-			u := u
 			t := time.Duration(0)
 			for {
 				t += time.Duration(u.rng.ExpFloat64() / lambdaMax * float64(time.Second))
@@ -429,7 +291,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 				if at >= cfg.Duration {
 					break
 				}
-				grp.sim.At(at, u.arrive)
+				u.sim.At(at, u.arrive)
 			}
 		}
 	}
@@ -448,11 +310,11 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 		for i, fn := range pend {
 			fn(outs[i])
 		}
-		if next := latticeAt(w.sim0.Now()+cfg.Window, stormFlushPhase); next < cfg.Duration {
+		if next := latticeAt(w.sim0.Now()+cfg.Window, shard0TickPhase); next < cfg.Duration {
 			w.sim0.At(next, flushTick)
 		}
 	}
-	w.sim0.At(latticeAt(0, stormFlushPhase), flushTick)
+	w.sim0.At(latticeAt(0, shard0TickPhase), flushTick)
 	return w, nil
 }
 
@@ -464,32 +326,14 @@ func (u *stormUE) arrive() {
 	if w.runErr != nil {
 		return
 	}
-	now := u.grp.sim.Now()
 	u.grp.arrivals++
-	if w.cfg.inSpike(now) {
+	if w.cfg.inSpike(u.sim.Now()) {
 		u.grp.spikeArrivals++
 	}
 	u.detach()
-	u.attachSeq++
-	u.prefer = u.attachSeq % len(u.grp.cells)
-	u.stormStart = now
-	u.fsm = ue.NewAttachFSM(w.cfg.Retry, len(u.grp.cells), u.rng)
+	C := len(u.grp.cells)
+	u.startStorm(w.cfg.Retry, C, (u.attachSeq+1)%C)
 	u.attempt(u.attachSeq)
-}
-
-func (u *stormUE) detach() {
-	s := u.sess
-	if s == nil {
-		return
-	}
-	s.live = false
-	u.sess = nil
-	u.attachedDur += u.grp.sim.Now() - u.attachedSince
-}
-
-// after schedules fn on this UE's private time lattice.
-func (u *stormUE) after(d time.Duration, fn func()) {
-	u.grp.sim.At(latticeAt(u.grp.sim.Now()+d, u.phase), fn)
 }
 
 // attempt runs one attach attempt. In optimized mode a UE holding a
@@ -504,11 +348,10 @@ func (u *stormUE) attempt(seq int) {
 	if seq != u.attachSeq || w.runErr != nil {
 		return
 	}
-	C := len(u.grp.cells)
-	ci := (u.prefer + u.fsm.Candidate()) % C
+	ci := (u.prefer + u.fsm.Candidate()) % len(u.grp.cells)
 	cell := u.grp.cells[ci]
-	u.grp.attempts++
-	g := u.grp.idx
+	u.attempts++
+	g := u.g
 
 	if !w.cfg.Serial {
 		if tkt := u.resume[ci]; tkt != nil {
@@ -545,7 +388,7 @@ func (u *stormUE) attempt(seq int) {
 		}
 	}
 
-	pending, resent, err := u.shelf.Take(u.st, cell.idT)
+	pending, resent, err := u.shelf.Take(u.st, cell.telco.IDT)
 	if err != nil {
 		w.fail(err)
 		return
@@ -600,16 +443,10 @@ func (w *stormWorld) tallyAttach(out broker.BatchOutcome) {
 }
 
 func (u *stormUE) failAttach(seq int, err error) {
-	if seq != u.attachSeq {
-		return
+	// On a give-up the UE waits for its next storm arrival.
+	if delay, retry := u.backoff(seq, err); retry {
+		u.after(delay, func() { u.attempt(seq) })
 	}
-	delay, giveUp := u.fsm.Fail(err)
-	if giveUp {
-		u.grp.giveups++
-		return // wait for the next storm arrival
-	}
-	u.grp.retries++
-	u.after(delay, func() { u.attempt(seq) })
 }
 
 // finishFull completes a full-handshake attempt. Ticket bookkeeping
@@ -624,24 +461,23 @@ func (u *stormUE) finishFull(seq, ci int, pending *sap.PendingAttach, out broker
 		return
 	}
 	cell := u.grp.cells[ci]
-	grant, respU, err := cell.telco.HandleResponse(w.brokerPub, out.Auth)
+	grant, ss, err := w.finishAttach(u.st, cell.telco, pending, out.Auth)
+	if errors.Is(err, errUERejected) {
+		w.fail(err)
+		return
+	}
 	if err != nil {
 		u.failAttach(seq, err)
 		return
 	}
-	ss, uref, err := u.st.HandleResponse(pending, respU)
-	if err != nil {
-		w.fail(err)
-		return
-	}
 	if !w.cfg.Serial {
-		u.resume[ci] = &sap.ResumeSession{IDT: cell.idT, URef: uref, SS: ss}
-		cell.resumeSS[uref] = grant.SS
+		u.resume[ci] = &sap.ResumeSession{IDT: cell.telco.IDT, URef: grant.URef, SS: ss}
+		cell.resumeSS[grant.URef] = grant.SS
 	}
 	if seq != u.attachSeq {
 		return
 	}
-	u.attachTo(ci, uref)
+	u.attachTo(cell, grant.URef)
 }
 
 // finishResume completes a fast-path attempt (optimized mode only).
@@ -677,66 +513,41 @@ func (u *stormUE) finishResume(seq, ci int, tkt *sap.ResumeSession, req *sap.Res
 	if seq != u.attachSeq {
 		return
 	}
-	u.attachTo(ci, grant2.URef)
+	u.attachTo(cell, grant2.URef)
 }
 
-// attachTo adopts a granted session: latency sample, billing meter
-// rebind, and the report chain.
-func (u *stormUE) attachTo(ci int, uref string) {
-	now := u.grp.sim.Now()
-	u.grp.attaches++
-	u.grp.latMS = append(u.grp.latMS, float64(now-u.stormStart)/float64(time.Millisecond))
-	cell := u.grp.cells[ci]
-	s := &stormSession{ue: u, cell: cell, uref: uref, start: now, live: true}
-	cell.sessions = append(cell.sessions, s)
-	u.sess = s
-	u.attachedSince = now
-	u.meter.StartSession()
-	u.meter.BindSession(uref)
-	u.grp.sim.At(latticeAt(now+u.grp.w.cfg.ReportEvery, u.phase), func() { u.reportTick(s) })
+// attachTo adopts a granted session: latency sample, then the shared
+// adoption with this world's report chain.
+func (u *stormUE) attachTo(cell *stormCell, uref string) {
+	u.grp.latMS = append(u.grp.latMS, float64(u.sim.Now()-u.stormStart)/float64(time.Millisecond))
+	s := new(sessionCore)
+	u.adopt(&cell.cellCore, s, uref, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
 
 // reportTick emits the aligned billing pair for session s: synthetic
 // but deterministic usage counted into both the UE baseband meter and
 // the bTelco's per-session counter (honest traffic — the verifier must
-// stay silent). Both reports ride one control packet, so the broker
-// ingests UE-then-telco per cycle in both modes.
-func (u *stormUE) reportTick(s *stormSession) {
+// stay silent), ingested UE-then-telco in both modes.
+func (u *stormUE) reportTick(s *sessionCore) {
 	w := u.grp.w
-	if u.sess != s || w.runErr != nil {
+	if u.cur != s || w.runErr != nil {
 		return
 	}
-	now := u.grp.sim.Now()
 	n := 32<<10 + (u.global%17)*997
 	u.meter.CountDL(n)
 	s.dl += uint64(n)
-	s.seq++
-	rel := now - s.start
-	ueEnv, err := u.meter.Report(rel)
+	ueEnv, tEnv, err := w.reportPair(&u.ueCore, s, u.grp.cells[s.ci].telco, s.dl)
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	tr := &billing.Report{
-		SessionRef: s.uref,
-		Reporter:   billing.ReporterTelco,
-		Seq:        s.seq,
-		Rel:        rel,
-		DLBytes:    s.dl,
-	}
-	tEnv, err := billing.Seal(tr, s.cell.telco.Key, w.brokerPub)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	g := u.grp.idx
-	w.toBroker(g, func() {
+	w.toBroker(u.g, func() {
 		w.reports += 2
 		w.bat.EnqueueReport(ueEnv)
 		w.bat.EnqueueReport(tEnv)
 		w.pending = append(w.pending, w.reportOutcome, w.reportOutcome)
 	})
-	u.grp.sim.At(latticeAt(now+w.cfg.ReportEvery, u.phase), func() { u.reportTick(s) })
+	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
 
 func (w *stormWorld) reportOutcome(out broker.BatchOutcome) {
@@ -761,38 +572,27 @@ func (w *stormWorld) collect() StormResult {
 	res.CacheHits, res.CacheMisses, _ = w.brk.AuthCacheStats()
 	res.BatchFlushes, res.BatchItems = w.bat.Stats()
 	var availSum float64
+	var bill ledger
 	for _, grp := range w.groups {
 		res.Arrivals += grp.arrivals
 		res.SpikeArrivals += grp.spikeArrivals
-		res.Attempts += grp.attempts
-		res.Attaches += grp.attaches
-		res.Retries += grp.retries
-		res.GiveUps += grp.giveups
 		res.Resumes += grp.resumes
 		res.LatMS = append(res.LatMS, grp.latMS...)
 		for _, u := range grp.ues {
+			res.Attempts += u.attempts
+			res.Attaches += u.attaches
+			res.Retries += u.retries
+			res.GiveUps += u.giveups
 			res.Retransmits += u.shelf.Resent
-			dur := u.attachedDur
-			if u.sess != nil {
-				dur += cfg.Duration - u.attachedSince
-			}
-			availSum += float64(dur) / float64(cfg.Duration)
+			availSum += u.attachedFrac(cfg.Duration)
 		}
 		for _, cell := range grp.cells {
 			for _, s := range cell.sessions {
-				res.Sessions++
-				if s.seq == 0 {
-					continue // died before its first report cycle
-				}
-				st, err := w.brk.SettleSession(s.uref, cfg.ReportEvery)
-				if err != nil {
-					continue
-				}
-				res.PaidUnits += st.Amount
-				res.VerifiedBytes += st.VerifiedBytes
+				bill.settle(w.brk, s, cfg.ReportEvery)
 			}
 		}
 	}
+	res.Sessions, res.PaidUnits, res.VerifiedBytes = bill.sessions, bill.paid, bill.verified
 	res.Availability = availSum / float64(len(w.groups)*cfg.UEsPerGroup)
 	return res
 }

@@ -6,10 +6,10 @@ import (
 
 	"cellbricks/internal/apps"
 	"cellbricks/internal/epc"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/qos"
-	"cellbricks/internal/mobility"
 )
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
@@ -523,6 +523,20 @@ func TestGeoWorldMatchesCalibratedMTTHO(t *testing.T) {
 	res := apps.NewIperf(w.Sim, w.Conn, time.Second).Run(sc.Duration)
 	if w.Conn.Closed() || res.AvgBps < 3e6 {
 		t.Fatalf("geo drive: closed=%v avg=%.1f Mbps", w.Conn.Closed(), res.AvgBps/1e6)
+	}
+	// QUIC has no address-worker wait on the geometric drive either: the
+	// scenario's MPTCP wait (500 ms by default) must not reach it.
+	quic := sc
+	quic.Duration, quic.Protocol = 2*time.Minute, mptcp.ProtoQUIC
+	noWait := quic
+	noWait.MPTCPWait = time.Nanosecond
+	var avg [2]float64
+	for i, s := range []Scenario{quic, noWait} {
+		gw, _ := NewGeoWorld(s, 64)
+		avg[i] = apps.NewIperf(gw.Sim, gw.Conn, time.Second).Run(s.Duration).AvgBps
+	}
+	if avg[0] != avg[1] {
+		t.Fatalf("geo QUIC drive waited for the MPTCP address worker: %.0f bps, %.0f bps without the wait", avg[0], avg[1])
 	}
 }
 

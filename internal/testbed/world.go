@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"cellbricks/internal/apps"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/ran"
-	"cellbricks/internal/mobility"
 )
 
 // Scenario configures one wide-area emulation run (§6.2): a route, time of
@@ -74,10 +74,7 @@ type World struct {
 	Handovers []time.Duration
 	Scenario  Scenario
 
-	op    *mobility.Operator
-	ueIdx int
-	ueIP  string
-	link  *netem.Link
+	path *accessPath
 }
 
 // ServerIP is the fixed EC2-side address.
@@ -90,14 +87,14 @@ const ServerIP = "server"
 // (new policer state) is installed, and the new address appears after
 // AttachLatency; MPTCP re-joins after its wait period. MNO handovers: the
 // IP persists and the path merely blacks out for MNOOutage.
-func NewWorld(sc Scenario) *World {
-	sc = sc.Defaults()
-	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
-	w := &World{Sim: sim, Scenario: sc, op: op, ueIP: "ue-0"}
-	w.link = op.CellularLink(sc.Route, sc.Night)
-	sim.Connect(ServerIP, w.ueIP, w.link)
+func NewWorld(sc Scenario) *World { return newWorld(sc.Defaults(), nil) }
 
+// newWorld builds the world for a defaulted scenario. handovers fixes the
+// mobility instants; nil draws the route's statistical schedule from the
+// simulator's stream.
+func newWorld(sc Scenario, handovers []time.Duration) *World {
+	sim := netem.NewSim(sc.Seed)
+	w := &World{Sim: sim, Scenario: sc, path: newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "ue")}
 	cfg := mptcp.Config{
 		Multipath:    sc.Arch == ArchCellBricks,
 		Protocol:     sc.Protocol,
@@ -107,13 +104,14 @@ func NewWorld(sc Scenario) *World {
 	if cfg.Protocol == mptcp.ProtoQUIC {
 		cfg.AddrWorkWait = 0 // QUIC has no address-worker artifact
 	}
-	w.Conn = mptcp.NewConn(sim, ServerIP, w.ueIP, cfg)
+	w.Conn = mptcp.NewConn(sim, ServerIP, w.path.ip, cfg)
 
-	rng := sim.Rand()
-	w.Handovers = sc.Route.Handovers(rng, sc.Night, sc.Duration)
-	for _, at := range w.Handovers {
-		at := at
-		sim.At(at, func() { w.handover() })
+	if handovers == nil {
+		handovers = sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration)
+	}
+	w.Handovers = handovers
+	for _, at := range handovers {
+		sim.At(at, w.handover)
 	}
 	return w
 }
@@ -121,49 +119,42 @@ func NewWorld(sc Scenario) *World {
 // handover fires one mobility event against the transport connection.
 func (w *World) handover() {
 	sc := w.Scenario
-	if sc.Arch == ArchCellBricks {
-		oldIP := w.ueIP
-		w.ueIdx++
-		w.ueIP = fmt.Sprintf("ue-%d", w.ueIdx)
-		newIP := w.ueIP
-		if sc.SoftHandover {
-			// Make-before-break: attach to the target first (the SAP
-			// exchange runs while the old radio link still carries
-			// traffic), then migrate and drop the old path.
-			next := w.op.CellularLink(sc.Route, sc.Night)
-			w.Sim.Connect(ServerIP, newIP, next)
-			w.Sim.After(sc.AttachLatency, func() {
-				w.Conn.MigrateSoft(newIP)
-				w.link = next
-				w.Sim.After(200*time.Millisecond, func() { w.Sim.Disconnect(ServerIP, oldIP) })
-			})
-			return
-		}
-		w.Conn.AddrInvalidated()
-		w.Sim.Disconnect(ServerIP, oldIP)
-		w.link = w.op.CellularLink(sc.Route, sc.Night)
-		w.Sim.Connect(ServerIP, newIP, w.link)
-		// A broker outage stalls the SAP attach: the new address only
-		// appears once the broker is reachable again.
-		ready := sc.AttachLatency
-		if sc.BrokerDownFor > 0 {
-			now := w.Sim.Now()
-			end := sc.BrokerDownAt + sc.BrokerDownFor
-			if now >= sc.BrokerDownAt && now < end {
-				ready = end - now + sc.AttachLatency
-			}
-		}
-		w.Sim.After(ready, func() { w.Conn.AddrAvailable(newIP) })
+	if sc.Arch != ArchCellBricks {
+		// MNO: brief radio interruption, same IP, same anchor. The network
+		// forwards buffered data to the target eNodeB, so the gap appears as
+		// a delay spike rather than loss.
+		w.path.pause(sc.MNOOutage)
 		return
 	}
-	// MNO: brief radio interruption, same IP, same anchor. The network
-	// forwards buffered data to the target eNodeB, so the gap appears as
-	// a delay spike rather than loss.
-	w.link.PausedUntil = w.Sim.Now() + sc.MNOOutage
+	if sc.SoftHandover {
+		// Make-before-break: attach to the target first (the SAP
+		// exchange runs while the old radio link still carries
+		// traffic), then migrate and drop the old path.
+		oldIP := w.path.ip
+		newIP := w.path.connectNext()
+		w.Sim.After(sc.AttachLatency, func() {
+			w.Conn.MigrateSoft(newIP)
+			w.Sim.After(200*time.Millisecond, func() { w.Sim.Disconnect(ServerIP, oldIP) })
+		})
+		return
+	}
+	w.Conn.AddrInvalidated()
+	newIP := w.path.rehome()
+	// A broker outage stalls the SAP attach: the new address only
+	// appears once the broker is reachable again.
+	ready := sc.AttachLatency
+	if sc.BrokerDownFor > 0 {
+		now := w.Sim.Now()
+		end := sc.BrokerDownAt + sc.BrokerDownFor
+		if now >= sc.BrokerDownAt && now < end {
+			ready = end - now + sc.AttachLatency
+		}
+	}
+	w.Sim.After(ready, func() { w.Conn.AddrAvailable(newIP) })
 }
 
 // UEIP returns the UE's current address.
-func (w *World) UEIP() string { return w.ueIP }
+func (w *World) UEIP() string { return w.path.ip }
 
 // --- scenario runners for each application class ---
 
@@ -179,30 +170,9 @@ func RunIperf(sc Scenario) apps.IperfResult {
 func RunPing(sc Scenario) (p50 time.Duration, loss float64) {
 	sc = sc.Defaults()
 	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
-	ueIP := "ping-ue-0"
-	link := op.CellularLink(sc.Route, sc.Night)
-	sim.Connect(ServerIP, ueIP, link)
-	p := apps.NewPinger(sim, ueIP, ServerIP, 200*time.Millisecond)
-
-	idx := 0
-	cur := link
-	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
-		at := at
-		sim.At(at, func() {
-			if sc.Arch == ArchCellBricks {
-				p.InvalidateClient()
-				sim.Disconnect(ServerIP, fmt.Sprintf("ping-ue-%d", idx))
-				idx++
-				newIP := fmt.Sprintf("ping-ue-%d", idx)
-				cur = op.CellularLink(sc.Route, sc.Night)
-				sim.Connect(ServerIP, newIP, cur)
-				sim.After(sc.AttachLatency, func() { p.SetClientIP(newIP) })
-			} else {
-				cur.PausedUntil = sim.Now() + sc.MNOOutage
-			}
-		})
-	}
+	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "ping-ue")
+	p := apps.NewPinger(sim, path.ip, ServerIP, 200*time.Millisecond)
+	path.drive(sc, p.InvalidateClient, p.SetClientIP)
 	p.Run(sc.Duration)
 	return p.Stats()
 }
@@ -213,31 +183,10 @@ func RunPing(sc Scenario) (p50 time.Duration, loss float64) {
 func RunVoIP(sc Scenario) apps.VoIPResult {
 	sc = sc.Defaults()
 	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
-	ueIP := "voip-ue-0"
-	link := op.CellularLink(sc.Route, sc.Night)
-	sim.Connect(ServerIP, ueIP, link)
-	v := apps.NewVoIP(sim, ueIP, ServerIP)
-
-	idx := 0
-	cur := link
+	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "voip-ue")
+	v := apps.NewVoIP(sim, path.ip, ServerIP)
 	signalRTT := 2 * sc.Route.Delay
-	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
-		at := at
-		sim.At(at, func() {
-			if sc.Arch == ArchCellBricks {
-				v.InvalidateClient()
-				sim.Disconnect(ServerIP, fmt.Sprintf("voip-ue-%d", idx))
-				idx++
-				newIP := fmt.Sprintf("voip-ue-%d", idx)
-				cur = op.CellularLink(sc.Route, sc.Night)
-				sim.Connect(ServerIP, newIP, cur)
-				sim.After(sc.AttachLatency, func() { v.Rehome(newIP, signalRTT) })
-			} else {
-				cur.PausedUntil = sim.Now() + sc.MNOOutage
-			}
-		})
-	}
+	path.drive(sc, v.InvalidateClient, func(ip string) { v.Rehome(ip, signalRTT) })
 	return v.Run(sc.Duration)
 }
 
@@ -270,22 +219,9 @@ func NewGeoWorld(sc Scenario, towers int) (*World, []ran.HandoverEvent) {
 	mobile := ran.NewMobile(deployment, sc.Route.Speed(sc.Night))
 	events := mobile.DriveHandovers(sc.Duration, 100*time.Millisecond)
 
-	sim := netem.NewSim(sc.Seed)
-	op := mobility.NewOperator(sc.Seed + 1)
-	w := &World{Sim: sim, Scenario: sc, op: op, ueIP: "ue-0"}
-	w.link = op.CellularLink(sc.Route, sc.Night)
-	sim.Connect(ServerIP, w.ueIP, w.link)
-	cfg := mptcp.Config{
-		Multipath:    sc.Arch == ArchCellBricks,
-		Protocol:     sc.Protocol,
-		AddrWorkWait: sc.MPTCPWait,
-		Timeout:      60 * time.Second,
+	at := make([]time.Duration, len(events)) // non-nil even for a drive with no handover
+	for i, ev := range events {
+		at[i] = ev.At
 	}
-	w.Conn = mptcp.NewConn(sim, ServerIP, w.ueIP, cfg)
-	for _, ev := range events {
-		at := ev.At
-		w.Handovers = append(w.Handovers, at)
-		sim.At(at, func() { w.handover() })
-	}
-	return w, events
+	return newWorld(sc, at), events
 }
