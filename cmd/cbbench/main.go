@@ -6,6 +6,9 @@
 //	cbbench -exp fig8            # iperf timeline around a handover
 //	cbbench -exp fig9            # attach-latency factor analysis
 //	cbbench -exp fig10           # day vs night rate limiting
+//	cbbench -exp transports      # MPTCP vs QUIC migration vs TCP + L7 restart
+//	cbbench -exp scale           # shared-cell contention sweep on the sharded world
+//	cbbench -exp billing         # verifiable billing across a full drive
 //	cbbench -exp failover        # fault injection: outage-to-recovery + goodput dip
 //	cbbench -exp byzantine       # Byzantine bTelcos vs quarantine, invariant-checked soak
 //	cbbench -exp storm           # attach storm vs broker batching/caching/admission control
@@ -42,6 +45,10 @@ import (
 	"cellbricks/internal/obs"
 	"cellbricks/internal/testbed"
 )
+
+// expNames is the -exp vocabulary; it feeds the flag help and
+// the unknown-experiment error.
+const expNames = "fig7|table1|fig8|fig9|fig10|transports|scale|billing|failover|byzantine|storm|all"
 
 // testbedDowntown avoids importing trace at every call site.
 func testbedDowntown() mobility.Route { return mobility.Downtown }
@@ -136,7 +143,7 @@ func writeTimelines(events []obs.TraceEvent, path string) (int, error) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig7|table1|fig8|fig9|fig10|transports|scale|billing|failover|byzantine|storm|all")
+	exp := flag.String("exp", "all", "experiment: "+expNames)
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	n := flag.Int("n", 100, "fig7: attach repetitions per cell")
 	dur := flag.Duration("dur", 5*time.Minute, "table1: emulated drive time per cell")
@@ -540,7 +547,7 @@ func main() {
 	}
 
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q: want fig7|table1|fig8|fig9|fig10|transports|scale|billing|failover|byzantine|storm|all\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q: want %s\n", *exp, expNames)
 		os.Exit(2)
 	}
 

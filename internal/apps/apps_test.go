@@ -238,7 +238,7 @@ func TestVideoConstrainedByRate(t *testing.T) {
 
 func TestWebLoadTimes(t *testing.T) {
 	sim, conn := cellWorld(8, 10e6, 25*time.Millisecond)
-	w := NewWeb(sim, conn, DefaultWebConfig())
+	w := NewWeb(sim, conn)
 	res := w.Run(60 * time.Second)
 	if res.Pages < 5 {
 		t.Fatalf("only %d pages", res.Pages)
@@ -251,9 +251,9 @@ func TestWebLoadTimes(t *testing.T) {
 
 func TestWebSlowerOnSlowLink(t *testing.T) {
 	simFast, connFast := cellWorld(9, 10e6, 25*time.Millisecond)
-	fast := NewWeb(simFast, connFast, DefaultWebConfig()).Run(60 * time.Second)
+	fast := NewWeb(simFast, connFast).Run(60 * time.Second)
 	simSlow, connSlow := cellWorld(10, 1.2e6, 25*time.Millisecond)
-	slow := NewWeb(simSlow, connSlow, DefaultWebConfig()).Run(60 * time.Second)
+	slow := NewWeb(simSlow, connSlow).Run(60 * time.Second)
 	if slow.AvgLoad <= fast.AvgLoad {
 		t.Fatalf("slow link loaded faster: %v vs %v", slow.AvgLoad, fast.AvgLoad)
 	}

@@ -14,32 +14,24 @@ type WebResult struct {
 	Pages     int
 }
 
-// WebConfig shapes the synthetic page.
-type WebConfig struct {
-	// PageBytes is the total page weight (default 1.6 MB, a typical
-	// 2021 page).
-	PageBytes int
-	// Rounds models request/response dependency chains (HTML -> CSS/JS ->
-	// images): each round costs an application-level round trip before
+// The synthetic page, calibrated so day/night load times land in the
+// paper's Table 1 range.
+const (
+	// webPageBytes is the total page weight.
+	webPageBytes = 850 * 1024
+	// webRounds models request/response dependency chains (HTML -> CSS/JS
+	// -> images): each round costs an application-level round trip before
 	// its bytes flow.
-	Rounds int
-	// Gap is idle time between page loads.
-	Gap time.Duration
-}
-
-// DefaultWebConfig matches the calibration used in the experiments
-// (page weight and dependency depth chosen so day/night load times land
-// in the paper's Table 1 range).
-func DefaultWebConfig() WebConfig {
-	return WebConfig{PageBytes: 850 * 1024, Rounds: 22, Gap: time.Second}
-}
+	webRounds = 22
+	// webGap is idle time between page loads.
+	webGap = time.Second
+)
 
 // Web drives repeated page downloads over a transport connection and
 // measures load time (Table 1's "Web: Avg. Load Time").
 type Web struct {
 	sim  *netem.Sim
 	conn *mptcp.Conn
-	cfg  WebConfig
 
 	loads   []time.Duration
 	end     time.Duration
@@ -50,11 +42,8 @@ type Web struct {
 }
 
 // NewWeb attaches a page-load workload to a connection.
-func NewWeb(sim *netem.Sim, conn *mptcp.Conn, cfg WebConfig) *Web {
-	if cfg.PageBytes <= 0 {
-		cfg = DefaultWebConfig()
-	}
-	return &Web{sim: sim, conn: conn, cfg: cfg}
+func NewWeb(sim *netem.Sim, conn *mptcp.Conn) *Web {
+	return &Web{sim: sim, conn: conn}
 }
 
 // Run loads pages back-to-back (with gaps) for dur.
@@ -97,7 +86,7 @@ func (w *Web) nextRound() {
 		rtt = 30 * time.Millisecond
 	}
 	w.round++
-	share := w.cfg.PageBytes / w.cfg.Rounds
+	const share = webPageBytes / webRounds
 	w.sim.After(rtt, func() {
 		if w.done {
 			return
@@ -112,11 +101,11 @@ func (w *Web) onBytes() {
 		return
 	}
 	w.target = 0
-	if w.round < w.cfg.Rounds {
+	if w.round < webRounds {
 		w.nextRound()
 		return
 	}
 	// Page complete.
 	w.loads = append(w.loads, w.sim.Now()-w.started)
-	w.sim.After(w.cfg.Gap, w.startPage)
+	w.sim.After(webGap, w.startPage)
 }

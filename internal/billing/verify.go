@@ -104,7 +104,6 @@ type Verifier struct {
 	mismatches []Mismatch
 	mmHead     int
 	mmDropped  uint64
-	checked    int
 }
 
 // ReputationEntry is a bTelco's standing with the broker.
@@ -195,7 +194,6 @@ func (v *Verifier) Ingest(r *Report) (*Mismatch, error) {
 // is |DL_T - DL_U| > threshold. Reputation is an EWMA over pass/fail with
 // the failure contribution weighted by the degree of mismatch.
 func (v *Verifier) check(ue, telco *Report) *Mismatch {
-	v.checked++
 	idT := v.sessionTelco[ue.SessionRef]
 	idU := v.sessionUser[ue.SessionRef]
 	rep := v.telcoRep[idT]
@@ -346,9 +344,6 @@ func (v *Verifier) MismatchesDropped() uint64 { return v.mmDropped }
 
 // Replays counts replayed/stale reports rejected by the freshness gate.
 func (v *Verifier) Replays() int { return v.replays }
-
-// Checked returns the number of aligned pairs evaluated.
-func (v *Verifier) Checked() int { return v.checked }
 
 // Settlement is a periodic payout summary for one session: the broker
 // compensates the bTelco based on verified usage ("at some later time, T1

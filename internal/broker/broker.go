@@ -35,9 +35,6 @@ type Config struct {
 	MinTelcoScore float64
 	// Verifier tuning.
 	VerifierConfig billing.VerifierConfig
-	// BaseQoS is the broker's default qosInfo selection before clamping
-	// to the bTelco's capability.
-	BaseQoS qos.Params
 	// MaxPricePerGB rejects bTelcos whose advertised terms exceed the
 	// broker's willingness to pay (0 disables the check).
 	MaxPricePerGB float64
@@ -51,7 +48,6 @@ func DefaultConfig(id string, key *pki.KeyPair, anchor pki.PublicIdentity) Confi
 		Anchor:         anchor,
 		MinTelcoScore:  0.5,
 		VerifierConfig: billing.DefaultVerifierConfig(),
-		BaseQoS:        qos.DefaultParams(),
 	}
 }
 
@@ -174,14 +170,11 @@ func (b *Brokerd) decideLocked(idU, idT string, terms sap.ServiceTerms) (qos.Par
 	if b.cfg.MaxPricePerGB > 0 && terms.PricePerGB > b.cfg.MaxPricePerGB {
 		return qos.Params{}, fmt.Errorf("price %.2f/GB exceeds limit %.2f", terms.PricePerGB, b.cfg.MaxPricePerGB)
 	}
-	base := b.cfg.BaseQoS
-	if base.QCI == 0 {
-		base = qos.DefaultParams()
-	}
-	// The quarantine rule always runs: the hard-block veto applies even
-	// ahead of a custom policy chain (which may additionally include
-	// QuarantineRule for the trial-phase demotion).
-	d := &Decision{IDU: idU, IDT: idT, Terms: terms, QoS: base}
+	// The selection starts from qos.DefaultParams, before clamping to the
+	// bTelco's capability. The quarantine rule always runs: the hard-block
+	// veto applies even ahead of a custom policy chain (which may
+	// additionally include QuarantineRule for the trial-phase demotion).
+	d := &Decision{IDU: idU, IDT: idT, Terms: terms, QoS: qos.DefaultParams()}
 	if err := b.QuarantineRule()(d); err != nil {
 		return qos.Params{}, err
 	}

@@ -25,10 +25,11 @@ type QuarantineConfig struct {
 	// Probation is the hard-block window length for a first offense;
 	// it doubles with every re-entry (default 30s).
 	Probation time.Duration
-	// TrialQoS is the demoted selection offered during the trial phase.
-	// Zero selects a best-effort tier at 1 Mbps.
-	TrialQoS qos.Params
 }
+
+// trialQoS is the demoted selection offered during the trial phase: a
+// best-effort tier at 1 Mbps.
+var trialQoS = qos.Params{QCI: 9, DLAmbrBps: 1_000_000, ULAmbrBps: 1_000_000}
 
 func (c QuarantineConfig) defaults() QuarantineConfig {
 	if c.EnterBelow == 0 {
@@ -39,9 +40,6 @@ func (c QuarantineConfig) defaults() QuarantineConfig {
 	}
 	if c.Probation == 0 {
 		c.Probation = 30 * time.Second
-	}
-	if c.TrialQoS.QCI == 0 {
-		c.TrialQoS = qos.Params{QCI: 9, DLAmbrBps: 1_000_000, ULAmbrBps: 1_000_000}
 	}
 	return c
 }
@@ -101,18 +99,6 @@ func (b *Brokerd) QuarantineInfo(idT string) (QuarantineEntry, bool) {
 	return QuarantineEntry{}, false
 }
 
-// TelcoScores returns the broker's current reputation for each id, in
-// order — the batch the serving infrastructure polls to steer UEs.
-func (b *Brokerd) TelcoScores(ids []string) []float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]float64, len(ids))
-	for i, id := range ids {
-		out[i] = b.verifier.TelcoScore(id)
-	}
-	return out
-}
-
 // ReportWatchdog ingests UE-side no-goodput watchdog evidence against a
 // bTelco: the UE attached, was accepted, and measured no forward progress
 // for its watchdog window. This is treated as attested misconduct
@@ -166,7 +152,7 @@ func (b *Brokerd) QuarantineRule() Rule {
 			return fmt.Errorf("bTelco %s quarantined (score %.2f, strike %d)",
 				d.IDT, b.verifier.TelcoScore(d.IDT), e.Strikes)
 		}
-		d.QoS = b.quarCfg.TrialQoS
+		d.QoS = trialQoS
 		return nil
 	}
 }

@@ -34,15 +34,6 @@ func NewFaultyConn(conn net.Conn, seed int64, corruptRate, truncateRate float64)
 	}
 }
 
-// SetRates changes the fault probabilities (e.g. a fault window opening
-// and closing).
-func (c *FaultyConn) SetRates(corruptRate, truncateRate float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.corruptRate = corruptRate
-	c.truncateRate = truncateRate
-}
-
 // Faults reports how many writes were corrupted and truncated.
 func (c *FaultyConn) Faults() (corrupted, truncated int) {
 	c.mu.Lock()

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // ErrShort is returned when input is exhausted mid-field.
@@ -26,6 +25,11 @@ type Writer struct{ b []byte }
 
 // NewWriter returns a Writer with optional capacity hint.
 func NewWriter(sizeHint int) *Writer { return &Writer{b: make([]byte, 0, sizeHint)} }
+
+// AppendTo returns a Writer whose fields extend dst; Out returns the
+// extended slice. The allocation-free path for callers that reuse a
+// scratch buffer.
+func AppendTo(dst []byte) Writer { return Writer{b: dst} }
 
 // Bytes appends a length-prefixed byte field.
 func (w *Writer) Bytes(v []byte) {
@@ -59,23 +63,6 @@ func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
 // Out returns the accumulated encoding.
 func (w *Writer) Out() []byte { return w.b }
-
-// Reset empties the Writer, keeping its capacity for reuse.
-func (w *Writer) Reset() { w.b = w.b[:0] }
-
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
-
-// AcquireWriter returns an empty pooled Writer. Release it with
-// ReleaseWriter once the encoding has been copied or written out; the
-// slice from Out aliases the Writer's buffer and must not be retained
-// past the release.
-func AcquireWriter() *Writer { return writerPool.Get().(*Writer) }
-
-// ReleaseWriter resets w and returns it to the pool.
-func ReleaseWriter(w *Writer) {
-	w.Reset()
-	writerPool.Put(w)
-}
 
 // Reader consumes encoded fields, latching the first error.
 type Reader struct {

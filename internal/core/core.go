@@ -92,13 +92,13 @@ type BTelco struct {
 
 // BTelcoConfig shapes a new provider.
 type BTelcoConfig struct {
-	ID         string
-	Terms      sap.ServiceTerms
-	Brokers    epc.BrokerDirectory
-	CertTTL    time.Duration
-	IPPrefix   string
-	Subscriber epc.SubscriberClient // optional legacy support
+	ID      string
+	Terms   sap.ServiceTerms
+	Brokers epc.BrokerDirectory
 }
+
+// btelcoCertTTL is the lifetime of the certificate a new provider is issued.
+const btelcoCertTTL = 365 * 24 * time.Hour
 
 // NewBTelco certifies and starts a provider. The only prerequisites are
 // the certificate and the broker directory — no pre-established agreements
@@ -111,23 +111,14 @@ func (e *Ecosystem) NewBTelco(cfg BTelcoConfig) (*BTelco, error) {
 	if err != nil {
 		return nil, err
 	}
-	ttl := cfg.CertTTL
-	if ttl == 0 {
-		ttl = 365 * 24 * time.Hour
-	}
 	now := time.Now()
-	cert := e.CA.Issue(cfg.ID, "btelco", key.Public(), now.Add(-time.Minute), now.Add(ttl))
+	cert := e.CA.Issue(cfg.ID, "btelco", key.Public(), now.Add(-time.Minute), now.Add(btelcoCertTTL))
 	terms := cfg.Terms
 	if terms.Cap.QCIs == nil {
 		terms.Cap = qos.DefaultCapability()
 	}
 	state := &sap.TelcoState{IDT: cfg.ID, Key: key, Cert: cert, Terms: terms}
-	agw := epc.NewAGW(epc.AGWConfig{
-		Telco:       state,
-		Brokers:     cfg.Brokers,
-		Subscribers: cfg.Subscriber,
-		IPPrefix:    cfg.IPPrefix,
-	})
+	agw := epc.NewAGW(epc.AGWConfig{Telco: state, Brokers: cfg.Brokers})
 	return &BTelco{State: state, AGW: agw}, nil
 }
 

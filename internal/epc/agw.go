@@ -61,19 +61,6 @@ func (d StaticDirectory) Lookup(idB string) (BrokerClient, pki.PublicIdentity, e
 	return d.Client, d.Pub, nil
 }
 
-// Instrument wraps module-level operations for latency accounting (the
-// Fig. 7 per-module breakdown). The default is pass-through.
-type Instrument func(module string, f func() error) error
-
-func passThrough(_ string, f func() error) error { return f() }
-
-// Instrumented module names used by the AGW.
-const (
-	ModuleAGW     = "agw"
-	ModuleSDB     = "sdb"
-	ModuleBrokerd = "brokerd"
-)
-
 // InterceptRecord is one user-plane event mirrored to the lawful-intercept
 // sink for sessions whose SAP grant carried the LI flag (the paper's
 // handover-interface hook: policy decided by the broker, mechanism
@@ -95,8 +82,6 @@ type AGWConfig struct {
 	Subscribers SubscriberClient
 	// Brokers resolves broker IDs for SAP requests.
 	Brokers BrokerDirectory
-	// Instrument wraps module operations; nil means pass-through.
-	Instrument Instrument
 	// IPPrefix seeds the address pool (default "10.45").
 	IPPrefix string
 	// Intercept receives mirrored user-plane events for LI-flagged
@@ -170,9 +155,6 @@ type AGW struct {
 
 // NewAGW builds an access gateway.
 func NewAGW(cfg AGWConfig) *AGW {
-	if cfg.Instrument == nil {
-		cfg.Instrument = passThrough
-	}
 	if cfg.IPPrefix == "" {
 		cfg.IPPrefix = "10.45"
 	}
@@ -195,13 +177,6 @@ func (g *AGW) Session(id uint64) *Session {
 	return g.sessions[id]
 }
 
-// SessionByRAN returns the session attached under a RAN-level identifier.
-func (g *AGW) SessionByRAN(ranID string) *Session {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.byRAN[ranID]
-}
-
 // ActiveSessions counts sessions in the active state.
 func (g *AGW) ActiveSessions() int {
 	g.mu.Lock()
@@ -219,7 +194,6 @@ func (g *AGW) ActiveSessions() int {
 var (
 	ErrNoSession         = errors.New("epc: no session for RAN id")
 	ErrBadState          = errors.New("epc: message invalid in current state")
-	ErrAuthFailed        = errors.New("epc: authentication failed")
 	ErrFlowDisabled      = errors.New("epc: flow not enabled on this AGW")
 	ErrProtectedRequired = errors.New("epc: message must be security-protected")
 )
@@ -243,16 +217,9 @@ func (g *AGW) HandleNAS(ranID string, envelope []byte) ([]byte, error) {
 		if sess == nil || sess.Ctx == nil {
 			return nil, ErrNoSession
 		}
-		var pt []byte
-		err := g.cfg.Instrument(ModuleAGW, func() error {
-			var e error
-			pt, e = sess.Ctx.Unprotect(nas.Uplink, body)
-			return e
-		})
-		if err != nil {
+		if body, err = sess.Ctx.Unprotect(nas.Uplink, body); err != nil {
 			return nil, err
 		}
-		body = pt
 	}
 
 	msg, err := nas.Decode(body)
@@ -335,12 +302,7 @@ func (g *AGW) handleLegacyAttach(ranID string, m *nas.AttachRequestLegacy) ([]by
 	if g.cfg.Subscribers == nil {
 		return nil, ErrFlowDisabled
 	}
-	var vec aka.Vector
-	err := g.cfg.Instrument(ModuleSDB, func() error {
-		var e error
-		vec, e = g.cfg.Subscribers.AuthInfo(m.IMSI)
-		return e
-	})
+	vec, err := g.cfg.Subscribers.AuthInfo(m.IMSI)
 	if err != nil {
 		return g.reject(err.Error()), nil
 	}
@@ -368,19 +330,11 @@ func (g *AGW) handleAuthResponse(sess *Session, m *nas.AuthenticationResponse) (
 	if sess.state != stateAuthPending {
 		return nil, ErrBadState
 	}
-	var ok bool
-	g.cfg.Instrument(ModuleAGW, func() error {
-		ok = subtle.ConstantTimeCompare(m.RES, sess.pendingXRES) == 1
-		return nil
-	})
-	if !ok {
+	if subtle.ConstantTimeCompare(m.RES, sess.pendingXRES) != 1 {
 		g.dropSession(sess)
 		return g.reject("RES mismatch"), nil
 	}
-	g.cfg.Instrument(ModuleAGW, func() error {
-		sess.Ctx = nas.NewSecurityContext(sess.pendingVec.KASME)
-		return nil
-	})
+	sess.Ctx = nas.NewSecurityContext(sess.pendingVec.KASME)
 	sess.state = stateSMCPending
 	return plain(&nas.SecurityModeCommand{CipherAlg: 2, IntegrityAlg: 2}), nil
 }
@@ -393,12 +347,7 @@ func (g *AGW) handleSMCComplete(sess *Session) ([]byte, error) {
 		return nil, ErrBadState
 	}
 	// Second S6A round trip: Update Location Request.
-	var profile SubscriberProfile
-	err := g.cfg.Instrument(ModuleSDB, func() error {
-		var e error
-		profile, e = g.cfg.Subscribers.UpdateLocation(sess.IMSI)
-		return e
-	})
+	profile, err := g.cfg.Subscribers.UpdateLocation(sess.IMSI)
 	if err != nil {
 		g.dropSession(sess)
 		return g.reject(err.Error()), nil
@@ -449,12 +398,9 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		return nil, err
 	}
 	var reqT *sap.AuthReqT
-	if err := step("sap", "forward-request", func() error {
-		return g.cfg.Instrument(ModuleAGW, func() error {
-			var e error
-			reqT, e = g.cfg.Telco.ForwardRequest(reqU)
-			return e
-		})
+	if err := step("sap", "forward-request", func() (e error) {
+		reqT, e = g.cfg.Telco.ForwardRequest(reqU)
+		return e
 	}); err != nil {
 		return nil, err
 	}
@@ -463,27 +409,21 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		return g.reject("unknown broker: " + m.BrokerID), nil
 	}
 	var resp *sap.AuthResp
-	if err := step("broker", "authenticate", func() error {
-		return g.cfg.Instrument(ModuleBrokerd, func() error {
-			var e error
-			if cc, ok := client.(BrokerClientCtx); ok && traced {
-				resp, e = cc.AuthenticateCtx(epcCtx, reqT)
-			} else {
-				resp, e = client.Authenticate(reqT)
-			}
-			return e
-		})
+	if err := step("broker", "authenticate", func() (e error) {
+		if cc, ok := client.(BrokerClientCtx); ok && traced {
+			resp, e = cc.AuthenticateCtx(epcCtx, reqT)
+		} else {
+			resp, e = client.Authenticate(reqT)
+		}
+		return e
 	}); err != nil {
 		return g.rejectErr(err), nil
 	}
 	var grant *sap.Grant
 	var respU *sap.AuthRespU
-	if err := step("sap", "handle-response", func() error {
-		return g.cfg.Instrument(ModuleAGW, func() error {
-			var e error
-			grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
-			return e
-		})
+	if err := step("sap", "handle-response", func() (e error) {
+		grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
+		return e
 	}); err != nil {
 		return g.reject(err.Error()), nil
 	}
@@ -507,12 +447,8 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	// derivation); the SMC exchange itself is folded into attach accept in
 	// SAP since both sides already hold ss.
 	var accept *nas.AttachAccept
-	if err := step("epc", "activate", func() error {
-		g.cfg.Instrument(ModuleAGW, func() error {
-			sess.Ctx = nas.NewSecurityContext(grant.SS)
-			return nil
-		})
-		var e error
+	if err := step("epc", "activate", func() (e error) {
+		sess.Ctx = nas.NewSecurityContext(grant.SS)
 		accept, e = g.activate(sess, grant.Params, respU)
 		return e
 	}); err != nil {

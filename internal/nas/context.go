@@ -50,10 +50,6 @@ func NewSecurityContext(master MasterKey) *SecurityContext {
 	return &SecurityContext{Keys: DeriveHierarchy(master, 0)}
 }
 
-// ULCount exposes the next uplink count (for K_eNB rebinding on
-// re-attachment).
-func (c *SecurityContext) ULCount() uint32 { return c.ulCount }
-
 // Protect ciphers and integrity-protects a NAS payload for the given
 // direction, consuming one counter value. Wire layout:
 // count(4) || dir(1) || ciphertext || mac(4).

@@ -1,9 +1,10 @@
 package nas
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"cellbricks/internal/codec"
 )
 
 // Message type identifiers. The legacy set mirrors the EPS attach call
@@ -82,92 +83,15 @@ func Decode(b []byte) (Message, error) {
 	default:
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownMessage, b[0])
 	}
-	if err := m.unmarshalBody(b[1:]); err != nil {
-		return nil, err
+	// Bodies are codec fields; its errors stay nas's own at this boundary.
+	switch err := m.unmarshalBody(b[1:]); {
+	case err == nil:
+		return m, nil
+	case errors.Is(err, codec.ErrShort):
+		return nil, ErrTooShort
+	default:
+		return nil, fmt.Errorf("nas: message 0x%02x: %w", b[0], err)
 	}
-	return m, nil
-}
-
-// --- field codec helpers ---
-
-type writer struct{ b []byte }
-
-func (w *writer) bytes(v []byte) {
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-func (w *writer) str(v string) { w.bytes([]byte(v)) }
-func (w *writer) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *writer) byte1(v byte) { w.b = append(w.b, v) }
-
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) bytes() []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < 4 {
-		r.err = ErrTooShort
-		return nil
-	}
-	n := binary.BigEndian.Uint32(r.b)
-	if uint64(len(r.b)-4) < uint64(n) {
-		r.err = ErrTooShort
-		return nil
-	}
-	v := r.b[4 : 4+n]
-	r.b = r.b[4+n:]
-	return v
-}
-func (r *reader) str() string { return string(r.bytes()) }
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.err = ErrTooShort
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = ErrTooShort
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-func (r *reader) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.err = ErrTooShort
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("nas: %d trailing bytes", len(r.b))
-	}
-	return nil
 }
 
 // --- legacy attach (EPS-AKA baseline) ---
@@ -182,16 +106,16 @@ type AttachRequestLegacy struct {
 
 func (*AttachRequestLegacy) Type() byte { return MsgAttachRequestLegacy }
 func (m *AttachRequestLegacy) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.str(m.IMSI)
-	w.u32(m.Capabilities)
-	return w.b
+	w := codec.AppendTo(b)
+	w.String(m.IMSI)
+	w.Uint32(m.Capabilities)
+	return w.Out()
 }
 func (m *AttachRequestLegacy) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.IMSI = r.str()
-	m.Capabilities = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	m.IMSI = r.String()
+	m.Capabilities = r.Uint32()
+	return r.Done()
 }
 
 // AuthenticationRequest carries the AKA challenge (RAND, AUTN).
@@ -202,20 +126,20 @@ type AuthenticationRequest struct {
 
 func (*AuthenticationRequest) Type() byte { return MsgAuthenticationRequest }
 func (m *AuthenticationRequest) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.bytes(m.RAND[:])
-	w.bytes(m.AUTN)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Bytes(m.RAND[:])
+	w.Bytes(m.AUTN)
+	return w.Out()
 }
 func (m *AuthenticationRequest) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	rnd := r.bytes()
-	m.AUTN = append([]byte(nil), r.bytes()...)
-	if err := r.done(); err != nil {
+	r := codec.NewReader(b)
+	rnd := r.Bytes()
+	m.AUTN = r.BytesCopy()
+	if err := r.Done(); err != nil {
 		return err
 	}
 	if len(rnd) != 16 {
-		return fmt.Errorf("nas: RAND length %d", len(rnd))
+		return fmt.Errorf("RAND length %d", len(rnd))
 	}
 	copy(m.RAND[:], rnd)
 	return nil
@@ -226,14 +150,14 @@ type AuthenticationResponse struct{ RES []byte }
 
 func (*AuthenticationResponse) Type() byte { return MsgAuthenticationResponse }
 func (m *AuthenticationResponse) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.bytes(m.RES)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Bytes(m.RES)
+	return w.Out()
 }
 func (m *AuthenticationResponse) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.RES = append([]byte(nil), r.bytes()...)
-	return r.done()
+	r := codec.NewReader(b)
+	m.RES = r.BytesCopy()
+	return r.Done()
 }
 
 // SecurityModeCommand selects algorithms and replays the UE capabilities
@@ -246,31 +170,26 @@ type SecurityModeCommand struct {
 
 func (*SecurityModeCommand) Type() byte { return MsgSecurityModeCommand }
 func (m *SecurityModeCommand) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.byte1(m.CipherAlg)
-	w.byte1(m.IntegrityAlg)
-	w.u32(m.ReplayedCaps)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Byte(m.CipherAlg)
+	w.Byte(m.IntegrityAlg)
+	w.Uint32(m.ReplayedCaps)
+	return w.Out()
 }
 func (m *SecurityModeCommand) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.CipherAlg = r.byte1()
-	m.IntegrityAlg = r.byte1()
-	m.ReplayedCaps = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	m.CipherAlg = r.Byte()
+	m.IntegrityAlg = r.Byte()
+	m.ReplayedCaps = r.Uint32()
+	return r.Done()
 }
 
 // SecurityModeComplete acknowledges SMC under the new context.
 type SecurityModeComplete struct{}
 
-func (*SecurityModeComplete) Type() byte                 { return MsgSecurityModeComplete }
-func (*SecurityModeComplete) appendBody(b []byte) []byte { return b }
-func (*SecurityModeComplete) unmarshalBody(b []byte) error {
-	if len(b) != 0 {
-		return fmt.Errorf("nas: %d trailing bytes", len(b))
-	}
-	return nil
-}
+func (*SecurityModeComplete) Type() byte                   { return MsgSecurityModeComplete }
+func (*SecurityModeComplete) appendBody(b []byte) []byte   { return b }
+func (*SecurityModeComplete) unmarshalBody(b []byte) error { return codec.NewReader(b).Done() }
 
 // --- CellBricks SAP attach ---
 
@@ -285,16 +204,16 @@ type AttachRequestSAP struct {
 
 func (*AttachRequestSAP) Type() byte { return MsgAttachRequestSAP }
 func (m *AttachRequestSAP) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.str(m.BrokerID)
-	w.bytes(m.AuthReqU)
-	return w.b
+	w := codec.AppendTo(b)
+	w.String(m.BrokerID)
+	w.Bytes(m.AuthReqU)
+	return w.Out()
 }
 func (m *AttachRequestSAP) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.BrokerID = r.str()
-	m.AuthReqU = append([]byte(nil), r.bytes()...)
-	return r.done()
+	r := codec.NewReader(b)
+	m.BrokerID = r.String()
+	m.AuthReqU = r.BytesCopy()
+	return r.Done()
 }
 
 // AttachAccept completes either attach flow. For SAP it carries the
@@ -312,26 +231,26 @@ type AttachAccept struct {
 
 func (*AttachAccept) Type() byte { return MsgAttachAccept }
 func (m *AttachAccept) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.u64(m.SessionID)
-	w.str(m.IP)
-	w.u32(m.BearerID)
-	w.byte1(m.QCI)
-	w.u64(m.DLAmbrBps)
-	w.u64(m.ULAmbrBps)
-	w.bytes(m.AuthRespU)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Uint64(m.SessionID)
+	w.String(m.IP)
+	w.Uint32(m.BearerID)
+	w.Byte(m.QCI)
+	w.Uint64(m.DLAmbrBps)
+	w.Uint64(m.ULAmbrBps)
+	w.Bytes(m.AuthRespU)
+	return w.Out()
 }
 func (m *AttachAccept) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.SessionID = r.u64()
-	m.IP = r.str()
-	m.BearerID = r.u32()
-	m.QCI = r.byte1()
-	m.DLAmbrBps = r.u64()
-	m.ULAmbrBps = r.u64()
-	m.AuthRespU = append([]byte(nil), r.bytes()...)
-	return r.done()
+	r := codec.NewReader(b)
+	m.SessionID = r.Uint64()
+	m.IP = r.String()
+	m.BearerID = r.Uint32()
+	m.QCI = r.Byte()
+	m.DLAmbrBps = r.Uint64()
+	m.ULAmbrBps = r.Uint64()
+	m.AuthRespU = r.BytesCopy()
+	return r.Done()
 }
 
 // AttachReject reports a failed attach with a cause string. RetryAfterMS,
@@ -345,16 +264,16 @@ type AttachReject struct {
 
 func (*AttachReject) Type() byte { return MsgAttachReject }
 func (m *AttachReject) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.str(m.Cause)
-	w.u32(m.RetryAfterMS)
-	return w.b
+	w := codec.AppendTo(b)
+	w.String(m.Cause)
+	w.Uint32(m.RetryAfterMS)
+	return w.Out()
 }
 func (m *AttachReject) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.Cause = r.str()
-	m.RetryAfterMS = r.u32()
-	return r.done()
+	r := codec.NewReader(b)
+	m.Cause = r.String()
+	m.RetryAfterMS = r.Uint32()
+	return r.Done()
 }
 
 // DetachRequest tears down the attachment (host-driven in CellBricks).
@@ -362,14 +281,14 @@ type DetachRequest struct{ SessionID uint64 }
 
 func (*DetachRequest) Type() byte { return MsgDetachRequest }
 func (m *DetachRequest) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.u64(m.SessionID)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Uint64(m.SessionID)
+	return w.Out()
 }
 func (m *DetachRequest) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.SessionID = r.u64()
-	return r.done()
+	r := codec.NewReader(b)
+	m.SessionID = r.Uint64()
+	return r.Done()
 }
 
 // DetachAccept acknowledges a detach.
@@ -377,14 +296,14 @@ type DetachAccept struct{ SessionID uint64 }
 
 func (*DetachAccept) Type() byte { return MsgDetachAccept }
 func (m *DetachAccept) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.u64(m.SessionID)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Uint64(m.SessionID)
+	return w.Out()
 }
 func (m *DetachAccept) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.SessionID = r.u64()
-	return r.done()
+	r := codec.NewReader(b)
+	m.SessionID = r.Uint64()
+	return r.Done()
 }
 
 // SessionRequest asks for an additional PDN session/bearer.
@@ -396,18 +315,18 @@ type SessionRequest struct {
 
 func (*SessionRequest) Type() byte { return MsgSessionRequest }
 func (m *SessionRequest) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.u64(m.SessionID)
-	w.str(m.APN)
-	w.byte1(m.QCI)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Uint64(m.SessionID)
+	w.String(m.APN)
+	w.Byte(m.QCI)
+	return w.Out()
 }
 func (m *SessionRequest) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.SessionID = r.u64()
-	m.APN = r.str()
-	m.QCI = r.byte1()
-	return r.done()
+	r := codec.NewReader(b)
+	m.SessionID = r.Uint64()
+	m.APN = r.String()
+	m.QCI = r.Byte()
+	return r.Done()
 }
 
 // SessionAccept grants the additional bearer.
@@ -419,16 +338,16 @@ type SessionAccept struct {
 
 func (*SessionAccept) Type() byte { return MsgSessionAccept }
 func (m *SessionAccept) appendBody(b []byte) []byte {
-	w := writer{b: b}
-	w.u64(m.SessionID)
-	w.u32(m.BearerID)
-	w.byte1(m.QCI)
-	return w.b
+	w := codec.AppendTo(b)
+	w.Uint64(m.SessionID)
+	w.Uint32(m.BearerID)
+	w.Byte(m.QCI)
+	return w.Out()
 }
 func (m *SessionAccept) unmarshalBody(b []byte) error {
-	r := reader{b: b}
-	m.SessionID = r.u64()
-	m.BearerID = r.u32()
-	m.QCI = r.byte1()
-	return r.done()
+	r := codec.NewReader(b)
+	m.SessionID = r.Uint64()
+	m.BearerID = r.Uint32()
+	m.QCI = r.Byte()
+	return r.Done()
 }

@@ -227,22 +227,6 @@ func (s *Sim) Disconnect(a, b string) {
 	s.lastPath = nil
 }
 
-// LinkBetween returns the installed link, or nil.
-func (s *Sim) LinkBetween(a, b string) *Link {
-	epA, ok := s.eps[a]
-	if !ok {
-		return nil
-	}
-	epB, ok := s.eps[b]
-	if !ok {
-		return nil
-	}
-	if e := s.paths[packEPs(epA, epB)]; e != nil {
-		return e.link
-	}
-	return nil
-}
-
 // Send transmits a packet from pkt.Src to pkt.Dst across the installed
 // link, applying loss, shaping, serialization and propagation delay. It
 // reports whether the packet was admitted (false = dropped immediately;

@@ -227,15 +227,6 @@ func (s *Sim) Endpoint(name string) Endpoint {
 	return ep
 }
 
-// EndpointName returns the name a handle was interned under, or "" for an
-// invalid handle.
-func (s *Sim) EndpointName(ep Endpoint) string {
-	if ep < 1 || int(ep) > len(s.epNames) {
-		return ""
-	}
-	return s.epNames[ep-1]
-}
-
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // that is always a logic error in a discrete-event model.
 func (s *Sim) At(t time.Duration, fn func()) *Event {

@@ -133,10 +133,6 @@ func (w *World) Shard(i int) *Sim { return w.shards[i] }
 // advanced to at the last barrier.
 func (w *World) Now() time.Duration { return w.now }
 
-// Lookahead reports the current window width (0 until the first
-// cross-shard Connect).
-func (w *World) Lookahead() time.Duration { return w.lookahead }
-
 // Place assigns an endpoint name to a shard. Placing the same name twice
 // on different shards panics; cross-shard routing needs one home per name.
 func (w *World) Place(name string, shard int) {
@@ -147,14 +143,6 @@ func (w *World) Place(name string, shard int) {
 		panic(fmt.Sprintf("netem: Place(%q, %d): already placed on shard %d", name, shard, prev))
 	}
 	w.homes[name] = shard
-}
-
-// Home reports the shard an endpoint was placed on, or -1.
-func (w *World) Home(name string) int {
-	if s, ok := w.homes[name]; ok {
-		return s
-	}
-	return -1
 }
 
 // ShardFor returns the simulator of the shard name was placed on; it

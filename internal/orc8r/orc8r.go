@@ -183,16 +183,6 @@ func (o *Orchestrator) PushConfig(id string, cfg AGWConfigPush) error {
 	return nil
 }
 
-// PushConfigAll updates the default template and every registered AGW.
-func (o *Orchestrator) PushConfigAll(cfg AGWConfigPush) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.defCfg = cfg
-	for _, rec := range o.agws {
-		rec.Config = cfg
-	}
-}
-
 // Get returns a snapshot of one AGW record.
 func (o *Orchestrator) Get(id string) (AGWRecord, bool) {
 	o.mu.Lock()

@@ -39,10 +39,6 @@ const NonceSize = 16
 // Errors surfaced by protocol processing.
 var (
 	ErrBadRequest    = errors.New("sap: malformed request")
-	ErrUnknownUser   = errors.New("sap: unknown UE identifier")
-	ErrUnknownBroker = errors.New("sap: request addressed to a different broker")
-	ErrReplay        = errors.New("sap: replayed nonce")
-	ErrTelcoIdentity = errors.New("sap: bTelco identity mismatch")
 	ErrDenied        = errors.New("sap: authorization denied")
 	ErrNonceMismatch = errors.New("sap: response nonce does not match request")
 	ErrWrongTelco    = errors.New("sap: response names a different bTelco")

@@ -7,7 +7,6 @@ import (
 	"cellbricks/internal/aka"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/epc"
-	"cellbricks/internal/obs"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
@@ -89,59 +88,48 @@ type attachWorld struct {
 	legacy *ue.Device
 	clock  *VirtualClock
 	place  Placement
+	// remoteWall is the measured wall time spent inside northbound
+	// requests, which transport keeps out of the AGW's span.
+	remoteWall time.Duration
+}
+
+// remote charges one northbound request: the network round trip now and,
+// when the returned func runs, the remote module's static cost plus the
+// wall time measured in between.
+func (w *attachWorld) remote(module string, static time.Duration) (done func()) {
+	w.clock.Charge(SpanOther, 2*w.place.OneWay)
+	t0 := benchNow()
+	return func() {
+		wall := benchNow().Sub(t0)
+		w.clock.Charge(module, static+wall)
+		w.remoteWall += wall
+	}
 }
 
 // instrumentedSDB charges the S6A network round trip plus the remote
 // processing cost for each request.
-type instrumentedSDB struct {
-	db    *epc.SubscriberDB
-	clock *VirtualClock
-	place Placement
-}
+type instrumentedSDB struct{ w *attachWorld }
 
 func (s instrumentedSDB) AuthInfo(imsi string) (aka.Vector, error) {
-	s.clock.Charge(SpanOther, 2*s.place.OneWay)
-	var v aka.Vector
-	err := s.clock.Exec(SpanSDB, costSDBVisit, func() error {
-		var e error
-		v, e = s.db.AuthInfo(imsi)
-		return e
-	})
-	return v, err
+	defer s.w.remote(SpanSDB, costSDBVisit)()
+	return s.w.sdb.AuthInfo(imsi)
 }
 
 func (s instrumentedSDB) UpdateLocation(imsi string) (epc.SubscriberProfile, error) {
-	s.clock.Charge(SpanOther, 2*s.place.OneWay)
-	var p epc.SubscriberProfile
-	err := s.clock.Exec(SpanSDB, costSDBVisit, func() error {
-		var e error
-		p, e = s.db.UpdateLocation(imsi)
-		return e
-	})
-	return p, err
+	defer s.w.remote(SpanSDB, costSDBVisit)()
+	return s.w.sdb.UpdateLocation(imsi)
 }
 
 // instrumentedBroker charges the single SAP round trip plus brokerd
 // processing (including its real crypto work).
-type instrumentedBroker struct {
-	b     *broker.Brokerd
-	clock *VirtualClock
-	place Placement
-}
+type instrumentedBroker struct{ w *attachWorld }
 
 func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
-	c.clock.Charge(SpanOther, 2*c.place.OneWay)
-	var resp *sap.AuthResp
-	err := c.clock.Exec(SpanBrokerd, costBrokerd, func() error {
-		var e error
-		resp, e = c.b.HandleAuthRequest(req)
-		return e
-	})
-	return resp, err
+	defer c.w.remote(SpanBrokerd, costBrokerd)()
+	return c.w.brk.HandleAuthRequest(req)
 }
 
 func newAttachWorld(place Placement) (*attachWorld, error) {
-	clock := NewVirtualClock()
 	p, err := newPrincipals("bench-ca", flatSeed(41), "broker.bench", flatSeed(42), time.Unix(1_750_000_000, 0), nil)
 	if err != nil {
 		return nil, err
@@ -160,18 +148,11 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 	k := aka.K{7, 7, 7}
 	sdb.Provision("001010123456789", k, epc.SubscriberProfile{QoS: qos.DefaultParams(), APN: "internet"})
 
-	w := &attachWorld{brk: brk, sdb: sdb, clock: clock, place: place}
+	w := &attachWorld{brk: brk, sdb: sdb, clock: NewVirtualClock(), place: place}
 	w.agw = epc.NewAGW(epc.AGWConfig{
 		Telco:       telco,
-		Subscribers: instrumentedSDB{db: sdb, clock: clock, place: place},
-		Brokers: epc.StaticDirectory{
-			ID: brk.ID(), Client: instrumentedBroker{b: brk, clock: clock, place: place}, Pub: brk.Public(),
-		},
-		Instrument: func(module string, f func() error) error {
-			// AGW-local work: charge real wall time only; the static AGW
-			// cost is charged once per attach below.
-			return clock.Exec(SpanAGW, 0, f)
-		},
+		Subscribers: instrumentedSDB{w},
+		Brokers:     epc.StaticDirectory{ID: brk.ID(), Client: instrumentedBroker{w}, Pub: brk.Public()},
 	})
 	w.dev = ue.NewDevice("bench-ue", nil, cb)
 	w.legacy = ue.NewDevice("bench-ue-legacy", &aka.SIM{K: k, IMSI: "001010123456789"}, nil)
@@ -180,10 +161,16 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 
 // transport wraps the UE<->AGW exchange: each NAS message crosses the eNB
 // (forwarding cost charged once per attach, not per message, matching how
-// the paper attributes its eNB span) and a negligible local link.
+// the paper attributes its eNB span) and a negligible local link. The AGW
+// is measured from outside: the wall time of HandleNAS, less what it spent
+// waiting on northbound requests, is AGW-local work; the static AGW cost is
+// charged once per attach in RunAttach.
 func (w *attachWorld) transport(ranID string) ue.NASTransport {
 	return func(envelope []byte) ([]byte, error) {
-		return w.agw.HandleNAS(ranID, envelope)
+		t0, remote := benchNow(), w.remoteWall
+		reply, err := w.agw.HandleNAS(ranID, envelope)
+		w.clock.Charge(SpanAGW, benchNow().Sub(t0)-(w.remoteWall-remote))
+		return reply, err
 	}
 }
 
@@ -237,19 +224,10 @@ func (w *attachWorld) RunAttach(arch Arch, iteration int) (AttachSample, error) 
 
 // RunAttachBench measures n attachments for one Fig. 7 cell.
 func RunAttachBench(arch Arch, place Placement, n int) (AttachBenchResult, error) {
-	return RunAttachBenchTrace(arch, place, n, nil)
-}
-
-// RunAttachBenchTrace is RunAttachBench with a tracer attached to the
-// cell's virtual clock: every per-module Charge lands as a span on the
-// attach timeline, viewable in Perfetto via cbbench -trace-out.
-func RunAttachBenchTrace(arch Arch, place Placement, n int, tr *obs.Tracer) (AttachBenchResult, error) {
 	w, err := newAttachWorld(place)
 	if err != nil {
 		return AttachBenchResult{}, err
 	}
-	w.clock.Trace(tr)
-	tr.SetClock(w.clock.Now)
 	var total time.Duration
 	sums := make(map[string]time.Duration)
 	for i := 0; i < n; i++ {

@@ -52,16 +52,7 @@ type ByzantineConfig struct {
 	// (default DefaultByzantineSpec: one window of each behavior).
 	AdvSpec chaos.Spec
 
-	CellBps        float64       // per-cell air-interface capacity (default 20 Mbps)
-	ReportEvery    time.Duration // billing report cadence (default 3 s)
-	WatchdogWindow time.Duration // UE no-goodput window (default 4 s)
-	// AvailabilitySLO is the minimum mean fraction of the horizon a UE
-	// must hold an attachment (default 0.9).
-	AvailabilitySLO float64
-
-	// Retry tunes the UE attach state machine (default: 12 attempts,
-	// 20% jitter, 2 s max backoff).
-	Retry ue.RetryPolicy
+	CellBps float64 // per-cell air-interface capacity (default 20 Mbps)
 
 	// Shards is the netem.World shard count (default 1); output is
 	// byte-identical for any value.
@@ -108,16 +99,6 @@ func (c ByzantineConfig) Defaults() ByzantineConfig {
 	if c.CellBps == 0 {
 		c.CellBps = 20e6
 	}
-	if c.ReportEvery == 0 {
-		c.ReportEvery = 3 * time.Second
-	}
-	if c.WatchdogWindow == 0 {
-		c.WatchdogWindow = 4 * time.Second
-	}
-	if c.AvailabilitySLO == 0 {
-		c.AvailabilitySLO = 0.9
-	}
-	c.Retry = retryDefaults(c.Retry, 12)
 	return c
 }
 
@@ -185,10 +166,17 @@ type ByzantineResult struct {
 }
 
 const (
-	byzNASTimeout   = time.Second
-	byzAttachLat    = 31680 * time.Microsecond
-	byzWatchdogTick = time.Second
+	byzNASTimeout     = time.Second
+	byzWatchdogTick   = time.Second
+	byzReportEvery    = 3 * time.Second // billing report cadence
+	byzWatchdogWindow = 4 * time.Second // UE no-goodput window
+	// byzAvailabilitySLO is the minimum mean fraction of the horizon a UE
+	// must hold an attachment.
+	byzAvailabilitySLO = 0.9
 )
+
+// byzRetry is the soak UEs' attach machine policy.
+var byzRetry = groupedRetry(12)
 
 var errByzNASTimeout = errors.New("testbed: NAS attach timed out")
 
@@ -315,7 +303,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	// become trace instants and counters; a per-cell overbilling breach
 	// additionally files broker evidence (the optional detection signal),
 	// so the SLO engine is part of the closed loop, not just reporting.
-	obWindow := 4 * cfg.ReportEvery
+	obWindow := 4 * byzReportEvery
 	obBound := 1 + w.brkCfg.VerifierConfig.Epsilon
 	sloEnter := obs.Default().Counter("slo_breach_enter_total", "SLO windows crossing into breach")
 	sloExit := obs.Default().Counter("slo_breach_exit_total", "SLO windows recovering from breach")
@@ -343,7 +331,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	})
 	w.sloAvail = w.slo.Declare(obs.SLOSpec{
 		Name: "availability", Kind: obs.SLORatioMin,
-		Objective: cfg.AvailabilitySLO, Window: 10 * time.Second, Buckets: 10,
+		Objective: byzAvailabilitySLO, Window: 10 * time.Second, Buckets: 10,
 	})
 	w.sloAttach = w.slo.Declare(obs.SLOSpec{
 		Name: "attach-p99", Kind: obs.SLOLatencyP99,
@@ -420,7 +408,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			u := &byzUE{
 				ueCore:    uc,
 				grp:       grp,
-				wd:        ue.NewWatchdog(cfg.WatchdogWindow),
+				wd:        ue.NewWatchdog(byzWatchdogWindow),
 				srvIP:     fmt.Sprintf("byz-srv-%d-%d", g, j),
 				badLocal:  make([]bool, C),
 				lastScore: make([]float64, C),
@@ -511,7 +499,7 @@ func (c *byzCell) setBlackhole(on bool) {
 func (u *byzUE) attachTo(cell *byzCell, uref string, link *netem.Link) {
 	s := new(byzSession)
 	u.link = link
-	u.adopt(&cell.cellCore, &s.sessionCore, uref, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
+	u.adopt(&cell.cellCore, &s.sessionCore, uref, byzReportEvery, func() { u.reportTick(s) })
 	if cell.adv.Blackholing() {
 		u.blackholed = true
 	}
@@ -568,7 +556,7 @@ func (u *byzUE) leave(handover bool) {
 // `prefer`, steering around locally-bad and low-score cells.
 func (u *byzUE) startAttach(prefer int, handover bool) {
 	w := u.grp.w
-	u.startStorm(w.cfg.Retry, len(u.grp.cells), prefer)
+	u.startStorm(byzRetry, len(u.grp.cells), prefer)
 	u.handover = handover
 	u.stickLeft = 0
 	u.fsm.SetAvoid(func(i int) bool {
@@ -672,7 +660,7 @@ func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.
 	u.curIP = newIP
 	u.attachTo(cell, grant.URef, link)
 	conn, s := u.conn, u.cur
-	u.sim.After(byzAttachLat, func() {
+	u.sim.After(attachLatency, func() {
 		if u.cur == s {
 			conn.AddrAvailable(newIP)
 		}
@@ -734,7 +722,7 @@ func (u *byzUE) reportTick(s *byzSession) {
 			cellSLO.ObserveRatio(now0, float64(claimed), float64(honest))
 		}
 	})
-	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
+	u.after(byzReportEvery, func() { u.reportTick(s) })
 }
 
 // watchdogTick is the UE's 1 Hz no-goodput check. A trip files evidence
@@ -855,7 +843,7 @@ func (w *byzWorld) collect() ByzantineResult {
 			res.Cells = append(res.Cells, stat)
 
 			for _, s := range cell.sessions {
-				st, ok := bill.settle(w.brk, s, cfg.ReportEvery)
+				st, ok := bill.settle(w.brk, s, byzReportEvery)
 				if !ok {
 					continue
 				}
@@ -932,8 +920,8 @@ func (w *byzWorld) collect() ByzantineResult {
 		len(overbillBad) == 0, 1-maxOBRatio,
 		fmt.Sprintf("paid %d vs true %d bytes%s", res.VerifiedBytes, res.TrueBytes, byzList(overbillBad)))
 	inv("availability-slo",
-		res.Availability >= cfg.AvailabilitySLO, res.Availability-cfg.AvailabilitySLO,
-		fmt.Sprintf("%.4f >= %.2f", res.Availability, cfg.AvailabilitySLO))
+		res.Availability >= byzAvailabilitySLO, res.Availability-byzAvailabilitySLO,
+		fmt.Sprintf("%.4f >= %.2f", res.Availability, byzAvailabilitySLO))
 	return res
 }
 
@@ -967,7 +955,7 @@ func (r ByzantineResult) Render() string {
 	c := r.Config
 	fmt.Fprintf(&b, "byzantine seed=%d dur=%v groups=%d cells/grp=%d ues/grp=%d frac=%.2f shards=any\n",
 		c.Seed, c.Duration, c.Groups, c.CellsPerGroup, c.UEsPerGroup, c.AdversarialFrac)
-	fmt.Fprintf(&b, "spec=%q report=%v watchdog=%v\n", c.AdvSpec.String(), c.ReportEvery, c.WatchdogWindow)
+	fmt.Fprintf(&b, "spec=%q report=%v watchdog=%v\n", c.AdvSpec.String(), byzReportEvery, byzWatchdogWindow)
 	fmt.Fprintf(&b, "%-16s %-6s %6s %5s %7s %5s %4s %4s %4s %5s %5s %4s\n",
 		"cell", "role", "score", "quar", "strikes", "sess", "mm", "rpl", "wd", "lies", "nasX", "hoX")
 	for _, s := range r.Cells {

@@ -12,8 +12,6 @@ package testbed
 import (
 	"sync"
 	"time"
-
-	"cellbricks/internal/obs"
 )
 
 // VirtualClock accumulates simulated latency for the prototype benchmark:
@@ -22,10 +20,9 @@ import (
 // work this implementation performs, so CellBricks' extra crypto shows up
 // honestly in the breakdown.
 type VirtualClock struct {
-	mu     sync.Mutex
-	now    time.Duration
-	spans  map[string]time.Duration
-	tracer *obs.Tracer
+	mu    sync.Mutex
+	now   time.Duration
+	spans map[string]time.Duration
 }
 
 // NewVirtualClock returns an empty clock.
@@ -46,32 +43,12 @@ func (c *VirtualClock) Now() time.Duration {
 	return c.now
 }
 
-// Trace attaches a tracer: every Charge is recorded as a span on the
-// clock's virtual timeline, turning the Fig. 7 breakdown into a viewable
-// attach-phase trace.
-func (c *VirtualClock) Trace(t *obs.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracer = t
-}
-
 // Charge adds d to the clock under a module label.
 func (c *VirtualClock) Charge(module string, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := c.now
 	c.now += d
 	c.spans[module] += d
-	c.tracer.Span("attach", module, start, d, nil)
-}
-
-// Exec runs f, charging its real wall-clock duration plus a static cost to
-// the module.
-func (c *VirtualClock) Exec(module string, static time.Duration, f func() error) error {
-	t0 := benchNow()
-	err := f()
-	c.Charge(module, static+benchNow().Sub(t0))
-	return err
 }
 
 // Spans returns a copy of the per-module accumulation.

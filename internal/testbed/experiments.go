@@ -285,7 +285,7 @@ func runFig9(seed int64, trials int, dur time.Duration, r Runner) Fig9Result {
 		{"mod. 32ms", 32 * time.Millisecond, time.Nanosecond}, // ~0 wait
 		{"mod. 64ms", 64 * time.Millisecond, time.Nanosecond},
 		{"mod. 128ms", 128 * time.Millisecond, time.Nanosecond},
-		{"unmod. (500ms)", 31680 * time.Microsecond, 500 * time.Millisecond},
+		{"unmod. (500ms)", attachLatency, 500 * time.Millisecond},
 	}
 	bin := 100 * time.Millisecond
 

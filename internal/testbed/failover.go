@@ -30,30 +30,14 @@ import (
 // §3 availability claim: outage-to-recovery time and goodput dip per fault,
 // reproducible byte-for-byte from (seed, spec).
 
-// FailoverConfig parameterizes one failover run.
+// FailoverConfig parameterizes one failover run: the downtown day drive
+// under the fault spec.
 type FailoverConfig struct {
 	Seed     int64
 	Duration time.Duration
-	Route    mobility.Route
-	Night    bool
 	// Spec is the fault specification; Compile(Seed, Duration) fixes the
 	// schedule.
 	Spec chaos.Spec
-	// Retry tunes the UE attach state machine. The default raises
-	// MaxAttempts to 12 so the worst-case retry budget exceeds the
-	// default broker outage.
-	Retry ue.RetryPolicy
-	// AttachLatency is the detach-to-new-address gap on a successful
-	// attach (default 31.68 ms, as elsewhere in the testbed).
-	AttachLatency time.Duration
-	// SnapshotEvery is the broker's snapshot cadence (default 15 s); the
-	// last snapshot before a crash is what Restart restores.
-	SnapshotEvery time.Duration
-	// ShedFor is the post-restart degraded window during which the broker
-	// refuses attaches with a retry-after hint (default 2 s).
-	ShedFor time.Duration
-	// Bin is the goodput sampling interval (default 1 s).
-	Bin time.Duration
 	// Shards is the netem.World shard count (default 1). The failover
 	// world is one fault domain — everything lives on shard 0 and every
 	// shard draws the same seeded stream — so output is byte-identical
@@ -68,29 +52,29 @@ type FailoverConfig struct {
 	Tracer *obs.Tracer
 }
 
+const (
+	// failoverSnapshotEvery is the broker's snapshot cadence; the last
+	// snapshot before a crash is what Restart restores.
+	failoverSnapshotEvery = 15 * time.Second
+	// failoverShedFor is the post-restart degraded window during which the
+	// broker refuses attaches with a retry-after hint.
+	failoverShedFor = 2 * time.Second
+	// failoverBin is the goodput sampling interval.
+	failoverBin = time.Second
+)
+
+var (
+	// failoverRoute is the drive the faults land on, by day.
+	failoverRoute = mobility.Downtown
+	// failoverRetry is the UE attach machine's policy: 12 attempts, so the
+	// worst-case retry budget exceeds the default broker outage.
+	failoverRetry = ue.RetryPolicy{MaxAttempts: 12}.WithDefaults()
+)
+
 // Defaults fills zero fields.
 func (c FailoverConfig) Defaults() FailoverConfig {
 	if c.Duration == 0 {
 		c.Duration = 2 * time.Minute
-	}
-	if c.Route.Name == "" {
-		c.Route = mobility.Downtown
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 12
-	}
-	c.Retry = c.Retry.WithDefaults()
-	if c.AttachLatency == 0 {
-		c.AttachLatency = 31680 * time.Microsecond
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 15 * time.Second
-	}
-	if c.ShedFor == 0 {
-		c.ShedFor = 2 * time.Second
-	}
-	if c.Bin == 0 {
-		c.Bin = time.Second
 	}
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -228,7 +212,7 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	}
 
 	// Data plane.
-	w.path = newAccessPath(w.sim, cfg.Seed, cfg.Route, cfg.Night, "ft-ip")
+	w.path = newAccessPath(w.sim, cfg.Seed, failoverRoute, false, "ft-ip")
 	w.baseLoss = w.path.link.Loss
 	w.conn = mptcp.NewConn(w.sim, ServerIP, w.path.ip, mptcp.Config{
 		Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second,
@@ -254,10 +238,10 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	snapTick = func() {
 		w.snapshot()
 		if w.sim.Now() < cfg.Duration {
-			w.sim.After(cfg.SnapshotEvery, snapTick)
+			w.sim.After(failoverSnapshotEvery, snapTick)
 		}
 	}
-	w.sim.After(cfg.SnapshotEvery, snapTick)
+	w.sim.After(failoverSnapshotEvery, snapTick)
 	return w, nil
 }
 
@@ -322,13 +306,13 @@ func (w *foWorld) closeStorm(outcome string, args map[string]string) {
 }
 
 // tracePhases records the modeled phase breakdown of a successful attach:
-// the AttachLatency gap between grant and usable address, subdivided under
+// the attachLatency gap between grant and usable address, subdivided under
 // the canonical phase names with fixed fractions, and arms the
 // first-goodput watch on the data path. The protocol spans recorded by the
 // ue/epc/broker layers carry causality; these carry the Fig. 7-shaped
 // durations a timeline renders.
 func (w *foWorld) tracePhases(root obs.SpanContext, now time.Duration) {
-	d := w.cfg.AttachLatency
+	const d = attachLatency
 	cs := d / 8
 	aka := d / 4
 	auth := d * 3 / 8
@@ -415,7 +399,7 @@ func (w *foWorld) tryAttach(ti int) error {
 func (w *foWorld) startAttach(newIP string) {
 	w.attachSeq++
 	seq := w.attachSeq
-	fsm := ue.NewAttachFSM(w.cfg.Retry, len(w.agws), w.sim.Rand())
+	fsm := ue.NewAttachFSM(failoverRetry, len(w.agws), w.sim.Rand())
 	base := w.serving
 	w.openStorm()
 	var attempt func()
@@ -440,7 +424,7 @@ func (w *foWorld) startAttach(newIP string) {
 				w.tracePhases(root, w.sim.Now())
 			}
 			w.resolve(w.attachWatch, w.sim.Now())
-			w.sim.After(w.cfg.AttachLatency, func() {
+			w.sim.After(attachLatency, func() {
 				if seq == w.attachSeq {
 					w.conn.AddrAvailable(newIP)
 				}
@@ -514,7 +498,7 @@ func (w *foWorld) hooks() chaos.Hooks {
 			w.cfg.Tracer.Event("broker", "crash", nil)
 		},
 		BrokerRestart: func() {
-			nb, err := broker.Restart(w.brkCfg, w.lastSnap, w.cfg.ShedFor)
+			nb, err := broker.Restart(w.brkCfg, w.lastSnap, failoverShedFor)
 			if err != nil {
 				if w.runErr == nil {
 					w.runErr = err
@@ -525,9 +509,9 @@ func (w *foWorld) hooks() chaos.Hooks {
 			w.live = true
 			w.res.BrokerRestores++
 			w.cfg.Tracer.Event("broker", "restore", map[string]string{
-				"shed_for": w.cfg.ShedFor.String(),
+				"shed_for": failoverShedFor.String(),
 			})
-			w.sim.After(w.cfg.ShedFor, nb.Resume)
+			w.sim.After(failoverShedFor, nb.Resume)
 		},
 		TelcoCrash: func() {
 			w.crashed = w.serving
@@ -582,7 +566,7 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 	}
 
 	// Route-driven mobility.
-	for _, at := range cfg.Route.Handovers(w.sim.Rand(), cfg.Night, cfg.Duration) {
+	for _, at := range failoverRoute.Handovers(w.sim.Rand(), false, cfg.Duration) {
 		w.sim.At(at, w.handover)
 	}
 
@@ -621,7 +605,7 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 
 	// Goodput measurement; chain onto the iperf delivery tap to feed the
 	// data-plane recovery watchers.
-	ip := apps.NewIperf(w.sim, w.conn, cfg.Bin)
+	ip := apps.NewIperf(w.sim, w.conn, failoverBin)
 	ip.Drive = w.world.RunUntil // only the world may advance shard clocks
 	prev := w.conn.OnDeliver
 	w.conn.OnDeliver = func(n int) {
@@ -697,8 +681,8 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	for i := range res.Outcomes {
 		o := &res.Outcomes[i]
 		from, to := o.At, o.At+o.Dur+2*time.Second
-		o.BaselineBps = windowAvg(baseline.Series, cfg.Bin, from, to)
-		o.FaultedBps = windowAvg(faulted.Series, cfg.Bin, from, to)
+		o.BaselineBps = windowAvg(baseline.Series, failoverBin, from, to)
+		o.FaultedBps = windowAvg(faulted.Series, failoverBin, from, to)
 		if o.BaselineBps > 0 {
 			o.DipPct = 100 * (1 - o.FaultedBps/o.BaselineBps)
 			if o.DipPct < 0 {
@@ -715,8 +699,8 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 // test asserts.
 func (r FailoverResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "failover seed=%d dur=%v route=%s night=%v spec=%q\n",
-		r.Config.Seed, r.Config.Duration, r.Config.Route.Name, r.Config.Night, r.Config.Spec.String())
+	fmt.Fprintf(&b, "failover seed=%d dur=%v route=%s night=false spec=%q\n",
+		r.Config.Seed, r.Config.Duration, failoverRoute.Name, r.Config.Spec.String())
 	b.WriteString(r.Schedule.String())
 	fmt.Fprintf(&b, "baseline=%.3f Mbps faulted=%.3f Mbps\n", r.BaselineBps/1e6, r.FaultedBps/1e6)
 	for _, o := range r.Outcomes {

@@ -75,7 +75,7 @@ func TestFailoverBrokerCrashRecovery(t *testing.T) {
 	// The outage window provably contains an attach storm (forced
 	// handover at +1 s), so recovery is bounded by outage + shed window +
 	// the retry policy's worst-case backoff budget.
-	bound := out.Dur + time.Second + res.Config.ShedFor + res.Config.Retry.Budget()
+	bound := out.Dur + time.Second + failoverShedFor + failoverRetry.Budget()
 	if out.Recovery > bound {
 		t.Fatalf("recovery %v exceeds budget %v\n%s", out.Recovery, bound, res.Render())
 	}

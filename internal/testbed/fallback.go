@@ -27,7 +27,6 @@ func RunWebFallback(sc Scenario) apps.WebResult {
 		sim:  sim,
 		path: newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "web-ue"),
 		sc:   sc,
-		cfg:  apps.DefaultWebConfig(),
 	}
 	f.dial(f.path.ip)
 	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
@@ -49,13 +48,22 @@ func RunWebFallback(sc Scenario) apps.WebResult {
 	return res
 }
 
+// The page is apps.Web's (apps/web.go: 850 KiB in 22 rounds, 1 s between
+// pages), so the transport comparison varies only the transport. The
+// loader re-implements Web's page loop around connection swaps and so
+// restates its unexported calibration; a change there must be made here.
+const (
+	fallbackRounds     = 22
+	fallbackRoundBytes = 850 * 1024 / fallbackRounds
+	fallbackGap        = time.Second
+)
+
 // fallbackLoader is the resumable page loader over throwaway TCP
 // connections.
 type fallbackLoader struct {
 	sim  *netem.Sim
 	path *accessPath
 	sc   Scenario
-	cfg  apps.WebConfig
 
 	conn  *mptcp.Conn
 	gen   int // connection generation, to ignore stale callbacks
@@ -114,7 +122,7 @@ func (f *fallbackLoader) handover() {
 		case f.pageActive:
 			// The handover hit between requests (a think window whose
 			// timer died with the old connection): re-issue the round.
-			f.requestBytes(f.cfg.PageBytes / f.cfg.Rounds)
+			f.requestBytes(fallbackRoundBytes)
 		default:
 			// Between pages: the gap timer is still pending; nothing to
 			// resume.
@@ -137,7 +145,7 @@ func (f *fallbackLoader) nextRound() {
 		return
 	}
 	f.round++
-	f.requestBytes(f.cfg.PageBytes / f.cfg.Rounds)
+	f.requestBytes(fallbackRoundBytes)
 }
 
 // requestBytes issues one application request after a think round trip.
@@ -163,13 +171,13 @@ func (f *fallbackLoader) onBytes(gen int) {
 		return
 	}
 	f.inFlight = false
-	if f.round < f.cfg.Rounds {
+	if f.round < fallbackRounds {
 		f.nextRound()
 		return
 	}
 	f.pageActive = false
 	f.loads = append(f.loads, f.sim.Now()-f.pageStart)
-	f.sim.After(f.cfg.Gap, f.startPage)
+	f.sim.After(fallbackGap, f.startPage)
 }
 
 // RunTransportComparison contrasts the host-transport options the paper

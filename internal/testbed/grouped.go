@@ -268,17 +268,8 @@ func gridDefaults(groups, cells, ues, shards *int, defUEs int) {
 	}
 }
 
-// retryDefaults fills the UE attach machine's policy: the given attempt
-// budget, 2 s maximum backoff, 20% jitter.
-func retryDefaults(r ue.RetryPolicy, attempts int) ue.RetryPolicy {
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = attempts
-	}
-	if r.MaxBackoff == 0 {
-		r.MaxBackoff = 2 * time.Second
-	}
-	if r.JitterFrac == 0 {
-		r.JitterFrac = 0.2
-	}
-	return r.WithDefaults()
+// groupedRetry is the grouped worlds' UE attach machine policy: the given
+// attempt budget, 2 s maximum backoff, 20% jitter.
+func groupedRetry(attempts int) ue.RetryPolicy {
+	return ue.RetryPolicy{MaxAttempts: attempts, MaxBackoff: 2 * time.Second, JitterFrac: 0.2}.WithDefaults()
 }

@@ -49,11 +49,10 @@ type StormConfig struct {
 	UEsPerGroup   int
 
 	// Arrival process, fleet-wide attaches per second: BaseRate at t=0
-	// ramping linearly to PeakRate at the horizon (default 40 -> 80),
+	// (default 40) ramping linearly to twice that at the horizon,
 	// multiplied by Spike inside [SpikeAt, SpikeAt+SpikeDur) (defaults
 	// x8 at Duration/2 for Duration/6).
 	BaseRate float64
-	PeakRate float64
 	Spike    float64
 	SpikeAt  time.Duration
 	SpikeDur time.Duration
@@ -72,10 +71,6 @@ type StormConfig struct {
 	// optimized pipeline. Rendered output is identical either way.
 	Serial bool
 
-	// Retry tunes the UE attach machine (default: 6 attempts, 2 s max
-	// backoff, 20% jitter).
-	Retry ue.RetryPolicy
-
 	// Shards is the netem.World shard count (default 1); output is
 	// byte-identical for any value.
 	Shards int
@@ -89,9 +84,6 @@ func (c StormConfig) Defaults() StormConfig {
 	gridDefaults(&c.Groups, &c.CellsPerGroup, &c.UEsPerGroup, &c.Shards, 25)
 	if c.BaseRate == 0 {
 		c.BaseRate = 40
-	}
-	if c.PeakRate == 0 {
-		c.PeakRate = 2 * c.BaseRate
 	}
 	if c.Spike == 0 {
 		c.Spike = 8
@@ -116,18 +108,24 @@ func (c StormConfig) Defaults() StormConfig {
 			RetryAfter: 500 * time.Millisecond,
 		}
 	}
-	c.Retry = retryDefaults(c.Retry, 6)
 	return c
 }
+
+// stormRetry is the storm UEs' attach machine policy.
+var stormRetry = groupedRetry(6)
+
+// peakRate is the arrival intensity the ramp reaches at the horizon.
+func (c StormConfig) peakRate() float64 { return 2 * c.BaseRate }
 
 // inSpike reports whether instant t falls inside the flash-crowd window.
 func (c StormConfig) inSpike(t time.Duration) bool {
 	return t >= c.SpikeAt && t < c.SpikeAt+c.SpikeDur
 }
 
-// rateAt is the fleet-wide arrival intensity at instant t.
+// rateAt is the fleet-wide arrival intensity at instant t: BaseRate at 0,
+// rising linearly to peakRate at the horizon.
 func (c StormConfig) rateAt(t time.Duration) float64 {
-	r := c.BaseRate + (c.PeakRate-c.BaseRate)*float64(t)/float64(c.Duration)
+	r := c.BaseRate + c.BaseRate*float64(t)/float64(c.Duration)
 	if c.inSpike(t) {
 		r *= c.Spike
 	}
@@ -271,11 +269,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	if spikeMul < 1 {
 		spikeMul = 1
 	}
-	peak := cfg.PeakRate
-	if cfg.BaseRate > peak {
-		peak = cfg.BaseRate
-	}
-	lambdaMax := peak * spikeMul / float64(nUE)
+	lambdaMax := cfg.peakRate() * spikeMul / float64(nUE)
 	for _, grp := range w.groups {
 		for _, u := range grp.ues {
 			t := time.Duration(0)
@@ -332,7 +326,7 @@ func (u *stormUE) arrive() {
 	}
 	u.detach()
 	C := len(u.grp.cells)
-	u.startStorm(w.cfg.Retry, C, (u.attachSeq+1)%C)
+	u.startStorm(stormRetry, C, (u.attachSeq+1)%C)
 	u.attempt(u.attachSeq)
 }
 
@@ -651,7 +645,7 @@ func (r StormResult) Render() string {
 	fmt.Fprintf(&b, "storm seed=%d dur=%v groups=%d cells/grp=%d ues/grp=%d shards=any mode=any\n",
 		c.Seed, c.Duration, c.Groups, c.CellsPerGroup, c.UEsPerGroup)
 	fmt.Fprintf(&b, "rate base=%.1f/s peak=%.1f/s spike=x%.1f @%v for %v window=%v report=%v\n",
-		c.BaseRate, c.PeakRate, c.Spike, c.SpikeAt, c.SpikeDur, c.Window, c.ReportEvery)
+		c.BaseRate, c.peakRate(), c.Spike, c.SpikeAt, c.SpikeDur, c.Window, c.ReportEvery)
 	fmt.Fprintf(&b, "admission rate=%.1f/s burst=%.1f maxqueue=%d hint=%v\n",
 		c.Admission.Rate, c.Admission.Burst, c.Admission.MaxQueue, c.Admission.RetryAfter)
 	fmt.Fprintf(&b, "arrivals=%d attempts=%d attaches=%d grants=%d denied=%d retries=%d giveups=%d\n",

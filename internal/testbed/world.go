@@ -45,10 +45,14 @@ type Scenario struct {
 	Duration      time.Duration
 }
 
+// attachLatency is d, the detach-to-new-address gap of a CellBricks
+// re-attach: the paper's measured us-west-1 attachment latency.
+const attachLatency = 31680 * time.Microsecond
+
 // Defaults fills zero fields with the paper's parameters.
 func (sc Scenario) Defaults() Scenario {
 	if sc.AttachLatency == 0 {
-		sc.AttachLatency = 31680 * time.Microsecond
+		sc.AttachLatency = attachLatency
 	}
 	if sc.MPTCPWait == 0 && sc.Arch == ArchCellBricks {
 		sc.MPTCPWait = 500 * time.Millisecond
@@ -153,9 +157,6 @@ func (w *World) handover() {
 	w.Sim.After(ready, func() { w.Conn.AddrAvailable(newIP) })
 }
 
-// UEIP returns the UE's current address.
-func (w *World) UEIP() string { return w.path.ip }
-
 // --- scenario runners for each application class ---
 
 // RunIperf runs the bulk-throughput workload for the scenario's duration.
@@ -199,7 +200,7 @@ func RunVideo(sc Scenario) apps.VideoResult {
 // RunWeb runs the page-load workload.
 func RunWeb(sc Scenario) apps.WebResult {
 	w := NewWorld(sc)
-	return apps.NewWeb(w.Sim, w.Conn, apps.DefaultWebConfig()).Run(w.Scenario.Duration)
+	return apps.NewWeb(w.Sim, w.Conn).Run(w.Scenario.Duration)
 }
 
 // NewGeoWorld builds a World whose handover instants come from the radio

@@ -18,7 +18,6 @@ var mtr struct {
 	bytesRecv  *obs.Counter
 
 	calls        *obs.Counter
-	retries      *obs.Counter
 	redials      *obs.Counter
 	broken       *obs.Counter
 	deadlineHits *obs.Counter
@@ -37,7 +36,7 @@ func init() { SetMetricsEnabled(true) }
 func SetMetricsEnabled(on bool) {
 	if !on {
 		mtr.framesSent, mtr.framesRecv, mtr.bytesSent, mtr.bytesRecv = nil, nil, nil, nil
-		mtr.calls, mtr.retries, mtr.redials, mtr.broken = nil, nil, nil, nil
+		mtr.calls, mtr.redials, mtr.broken = nil, nil, nil
 		mtr.deadlineHits, mtr.shedReplies, mtr.panics = nil, nil, nil
 		mtr.poolDials, mtr.poolReuses = nil, nil
 		mtr.callLatency = nil
@@ -49,7 +48,6 @@ func SetMetricsEnabled(on bool) {
 	mtr.bytesSent = r.Counter("wire_bytes_sent_total", "payload+header bytes written by WriteFrame")
 	mtr.bytesRecv = r.Counter("wire_bytes_received_total", "payload+header bytes read by ReadFrame")
 	mtr.calls = r.Counter("wire_client_calls_total", "completed Call invocations")
-	mtr.retries = r.Counter("wire_client_retries_total", "extra attempts after a failure or shed reply")
 	mtr.redials = r.Counter("wire_client_redials_total", "client reconnects, including lazy redials")
 	mtr.broken = r.Counter("wire_client_broken_total", "connections abandoned mid-frame")
 	mtr.deadlineHits = r.Counter("wire_client_deadline_hits_total", "call attempts that failed on an i/o timeout")
@@ -57,5 +55,5 @@ func SetMetricsEnabled(on bool) {
 	mtr.panics = r.Counter("wire_server_panics_total", "handler panics recovered by the server")
 	mtr.poolDials = r.Counter("wire_pool_dials_total", "connections a Pool dialled because none was idle")
 	mtr.poolReuses = r.Counter("wire_pool_reuses_total", "Pool calls served on an idle connection")
-	mtr.callLatency = r.Histogram("wire_call_seconds", "end-to-end Call latency including retries", nil)
+	mtr.callLatency = r.Histogram("wire_call_seconds", "end-to-end Call latency", nil)
 }

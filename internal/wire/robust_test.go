@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := DialOptions(s.Addr(), Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,11 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if got := s.HandlerPanics(); got != 1 {
 		t.Fatalf("HandlerPanics = %d, want 1", got)
 	}
-	// ...the connection is closed, but the server survives: the next call
-	// transparently redials and succeeds.
+	// ...and the server closes that one connection but survives: the call
+	// that finds it closed fails and abandons it, the one after redials.
+	if _, _, err := c.Call(TypeAIR, []byte("dead conn")); err == nil {
+		t.Fatal("call on the connection the server closed must fail")
+	}
 	rt, reply, err := c.Call(TypeAIR, []byte("alive"))
 	if err != nil {
 		t.Fatalf("call after panic: %v", err)
@@ -95,8 +99,8 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if rt != TypeAIA || string(reply) != "alive" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.Stats(); st.Redials == 0 {
-		t.Fatalf("expected a redial after the server closed the conn, stats %+v", st)
+	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+		t.Fatalf("a handler panic must cost exactly one connection, stats %+v", st)
 	}
 }
 
@@ -111,7 +115,7 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := DialOptions(s.Addr(), Options{MaxRetries: 3, RetryBackoff: time.Millisecond})
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +124,14 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	if _, _, err := c.Call(TypeNAS, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	// Let the server reap the idle connection, then call again: the retry
-	// loop must mark the dead conn broken and redial rather than desync.
+	// Let the server reap the idle connection, then call again: the call
+	// must mark the dead conn broken rather than desync, and the one after
+	// it redials. (A Pool hides this one failed call behind its resend:
+	// TestPoolRedialsConnectionClosedWhileIdle.)
 	time.Sleep(200 * time.Millisecond)
+	if _, _, err := c.Call(TypeNAS, []byte("lost")); err == nil {
+		t.Fatal("call on the reaped connection must fail")
+	}
 	rt, reply, err := c.Call(TypeNAS, []byte("two"))
 	if err != nil {
 		t.Fatalf("call after idle reap: %v", err)
@@ -130,9 +139,8 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "two" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	st := c.Stats()
-	if st.Broken == 0 || st.Redials == 0 {
-		t.Fatalf("expected broken+redial counters, stats %+v", st)
+	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+		t.Fatalf("an idle reap must cost exactly one connection, stats %+v", st)
 	}
 }
 
@@ -160,45 +168,9 @@ func TestRetryAfterSurfacesTyped(t *testing.T) {
 	if ra.After != 250*time.Millisecond {
 		t.Fatalf("After = %v, want 250ms", ra.After)
 	}
-}
-
-func TestRetryAfterHonoredAsBackoffFloor(t *testing.T) {
-	var calls atomic.Int64
-	s, err := NewServer("127.0.0.1:0", func(mt byte, p []byte) (byte, []byte, error) {
-		if calls.Add(1) == 1 {
-			return 0, nil, &RetryAfterError{After: 80 * time.Millisecond}
-		}
-		return TypeSAPAuthResponse, []byte("granted"), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var slept []time.Duration
-	c, err := DialOptions(s.Addr(), Options{
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-		Sleep:        func(d time.Duration) { slept = append(slept, d) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	rt, reply, err := c.Call(TypeSAPAuthRequest, nil)
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if rt != TypeSAPAuthResponse || string(reply) != "granted" {
-		t.Fatalf("reply = %d %q", rt, reply)
-	}
-	if len(slept) != 1 || slept[0] < 80*time.Millisecond {
-		t.Fatalf("backoff %v did not honour the 80ms retry-after floor", slept)
-	}
-	st := c.Stats()
-	if st.Retries != 1 || st.Broken != 0 {
-		t.Fatalf("shed retry must not break the conn, stats %+v", st)
+	// A shed reply is a completed exchange: the connection stays healthy.
+	if st := c.Stats(); st.Broken != 0 {
+		t.Fatalf("shed reply must not break the conn, stats %+v", st)
 	}
 }
 
@@ -215,12 +187,11 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 
 	// First dial yields a conn that truncates its first write (and lies
 	// about it — the peer sees a frame that never completes); subsequent
-	// dials are clean. The client must abandon the poisoned conn and
-	// succeed on the redial.
+	// dials are clean. The call on the poisoned conn must fail and abandon
+	// it — the server idles the half frame out — and the next call must
+	// succeed on a fresh dial.
 	var dials atomic.Int64
 	c, err := DialOptions(s.Addr(), Options{
-		MaxRetries:   3,
-		RetryBackoff: time.Millisecond,
 		Dialer: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -237,6 +208,9 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 	}
 	defer c.Close()
 
+	if _, _, err := c.Call(TypeNAS, []byte("into the fire")); err == nil {
+		t.Fatal("call over the truncating conn must fail")
+	}
 	rt, reply, err := c.Call(TypeNAS, []byte("through the fire"))
 	if err != nil {
 		t.Fatalf("Call: %v", err)
@@ -244,9 +218,8 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "through the fire" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	st := c.Stats()
-	if st.Broken == 0 || st.Redials == 0 {
-		t.Fatalf("expected the truncated conn to be broken and redialled, stats %+v", st)
+	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+		t.Fatalf("expected the truncated conn to be broken and redialled once, stats %+v", st)
 	}
 }
 
@@ -254,10 +227,10 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 	// The byzantine bTelco's NAS treatment as seen from the wire: the
 	// server silently swallows the first two NAS requests (replying only
 	// long after the client's deadline), and the first redial lands on a
-	// conn that truncates its write mid-frame. The client must break the
-	// stalled conn, break the poisoned conn, and still complete the call —
-	// never desync into reading a stale late reply as the answer to a new
-	// request.
+	// conn that truncates its write mid-frame. Each failed call must break
+	// its conn, and a caller that re-sends (as ue.AttachFSM does) must get
+	// through on a fresh dial — never desync into reading a stale late
+	// reply as the answer to a new request.
 	var calls atomic.Int64
 	s, err := NewServer("127.0.0.1:0", func(mt byte, p []byte) (byte, []byte, error) {
 		if mt == TypeNAS && calls.Add(1) <= 2 {
@@ -272,9 +245,7 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 
 	var dials atomic.Int64
 	c, err := DialOptions(s.Addr(), Options{
-		MaxRetries:   6,
-		RetryBackoff: time.Millisecond,
-		CallTimeout:  50 * time.Millisecond,
+		CallTimeout: 50 * time.Millisecond,
 		Dialer: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -291,16 +262,23 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 	}
 	defer c.Close()
 
-	rt, reply, err := c.Call(TypeNAS, []byte("attach req"))
-	if err != nil {
-		t.Fatalf("Call through drop+truncation storm: %v", err)
+	var failed uint64
+	for ; ; failed++ {
+		req := fmt.Sprintf("attach req %d", failed)
+		rt, reply, err := c.Call(TypeNAS, []byte(req))
+		if err == nil {
+			if rt != TypeNASReply || string(reply) != req {
+				t.Fatalf("reply = %d %q, want echoed %q", rt, reply, req)
+			}
+			break
+		}
+		if failed == 6 {
+			t.Fatalf("no call got through the drop+truncation storm: %v", err)
+		}
 	}
-	if rt != TypeNASReply || string(reply) != "attach req" {
-		t.Fatalf("reply = %d %q, want echoed attach req", rt, reply)
-	}
-	st := c.Stats()
-	if st.Broken < 2 || st.Redials < 2 {
-		t.Fatalf("expected >=2 broken conns and >=2 redials through the storm, stats %+v", st)
+	// Two drops and one truncation; every one cost its connection.
+	if st := c.Stats(); failed != 3 || st.Broken != failed || st.Redials != failed {
+		t.Fatalf("%d failed calls, want 3, each breaking one conn and redialled once, stats %+v", failed, st)
 	}
 	// A fresh call on the healed client must work first try.
 	if _, _, err := c.Call(TypeNAS, []byte("steady")); err != nil {

@@ -10,12 +10,13 @@
 //
 // Robustness: a Call that fails mid-frame leaves the TCP stream in an
 // undefined framing state, so the client marks the connection broken and
-// transparently redials on the next attempt instead of desyncing. Options
-// adds per-call deadlines and bounded, jittered-exponential-backoff
-// retries; ServerOptions adds idle-connection timeouts. A degraded server
-// can shed load with a typed retry-after reply (TypeRetryAfter /
-// RetryAfterError) that survives the round trip. Pool keeps a caller's
-// connections to one server warm between calls.
+// transparently redials on the next call instead of desyncing. A Call is
+// one exchange and is never retried here: retrying is end to end, in
+// ue.AttachFSM (DESIGN.md §2.4). Options adds a per-call deadline;
+// ServerOptions an idle-connection timeout. A degraded server can shed
+// load with a typed retry-after reply (TypeRetryAfter / RetryAfterError)
+// that survives the round trip. Pool keeps a caller's connections to one
+// server warm between calls, resending once if an idle one had died.
 package wire
 
 import (
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -79,9 +79,9 @@ var (
 
 // RetryAfterError is the typed load-shedding signal: a degraded server
 // (e.g. a broker warming up after a crash-restart) answers with it instead
-// of queueing work it cannot serve. Callers — the wire client's retry loop
-// and the UE attach state machine — back off for at least After before
-// retrying. The connection itself remains healthy.
+// of queueing work it cannot serve. The caller that owns the retry — the UE
+// attach state machine — backs off for at least After before retrying. The
+// connection itself remains healthy.
 type RetryAfterError struct{ After time.Duration }
 
 func (e *RetryAfterError) Error() string {
@@ -198,27 +198,20 @@ type Handler func(msgType byte, payload []byte) (replyType byte, reply []byte, e
 type CtxHandler func(sc obs.SpanContext, msgType byte, payload []byte) (replyType byte, reply []byte, err error)
 
 // ServerOptions tunes server robustness. The zero value keeps connections
-// open indefinitely and backs accept errors off between 5 ms and 1 s.
+// open indefinitely.
 type ServerOptions struct {
 	// IdleTimeout closes a connection whose peer sends nothing for this
 	// long (0 = never). A dead or wedged peer then costs one goroutine for
 	// a bounded time instead of forever.
 	IdleTimeout time.Duration
-	// AcceptBackoff is the initial sleep after a non-shutdown Accept
-	// error; it doubles per consecutive failure up to MaxAcceptBackoff.
-	AcceptBackoff    time.Duration
-	MaxAcceptBackoff time.Duration
 }
 
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.AcceptBackoff <= 0 {
-		o.AcceptBackoff = 5 * time.Millisecond
-	}
-	if o.MaxAcceptBackoff <= 0 {
-		o.MaxAcceptBackoff = time.Second
-	}
-	return o
-}
+// A non-shutdown Accept error sleeps acceptBackoff, doubling per
+// consecutive failure up to maxAcceptBackoff.
+const (
+	acceptBackoff    = 5 * time.Millisecond
+	maxAcceptBackoff = time.Second
+)
 
 // Server accepts connections and serves frames with a Handler or
 // CtxHandler.
@@ -243,7 +236,7 @@ func NewServer(addr string, h Handler) (*Server, error) {
 
 // NewServerOptions starts a server with explicit robustness options.
 func NewServerOptions(addr string, h Handler, o ServerOptions) (*Server, error) {
-	return NewServerCtxOptions(addr, func(_ obs.SpanContext, msgType byte, payload []byte) (byte, []byte, error) {
+	return listen(addr, func(_ obs.SpanContext, msgType byte, payload []byte) (byte, []byte, error) {
 		return h(msgType, payload)
 	}, o)
 }
@@ -251,17 +244,15 @@ func NewServerOptions(addr string, h Handler, o ServerOptions) (*Server, error) 
 // NewServerCtx starts a server whose handler receives the span context of
 // traced frames.
 func NewServerCtx(addr string, h CtxHandler) (*Server, error) {
-	return NewServerCtxOptions(addr, h, ServerOptions{})
+	return listen(addr, h, ServerOptions{})
 }
 
-// NewServerCtxOptions starts a context-aware server with explicit
-// robustness options.
-func NewServerCtxOptions(addr string, h CtxHandler, o ServerOptions) (*Server, error) {
+func listen(addr string, h CtxHandler, o ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, handler: h, opts: o.withDefaults(), conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	s := &Server{ln: ln, handler: h, opts: o, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -279,7 +270,7 @@ func (s *Server) HandlerPanics() uint64 {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	backoff := s.opts.AcceptBackoff
+	backoff := acceptBackoff
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -299,12 +290,12 @@ func (s *Server) acceptLoop() {
 				return
 			case <-t.C:
 			}
-			if backoff *= 2; backoff > s.opts.MaxAcceptBackoff {
-				backoff = s.opts.MaxAcceptBackoff
+			if backoff *= 2; backoff > maxAcceptBackoff {
+				backoff = maxAcceptBackoff
 			}
 			continue
 		}
-		backoff = s.opts.AcceptBackoff
+		backoff = acceptBackoff
 		s.mu.Lock()
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
@@ -384,58 +375,23 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Options tunes client robustness. The zero value keeps the original
-// behaviour — no deadlines, no in-call retries — except that a transport
-// error now breaks the connection and the next Call transparently redials
-// instead of reusing a desynced frame stream.
+// Options tunes client robustness. The zero value sets no call deadline
+// and dials plain TCP.
 type Options struct {
-	// CallTimeout bounds each attempt's write+read on the socket
-	// (0 = no deadline).
+	// CallTimeout bounds a call's write+read on the socket (0 = no
+	// deadline).
 	CallTimeout time.Duration
-	// DialTimeout bounds each (re)dial (default 5 s).
-	DialTimeout time.Duration
-	// MaxRetries is how many additional attempts a Call makes after a
-	// transport failure or a retry-after reply, redialling as needed.
-	// Remote application errors (TypeError) never retry.
-	MaxRetries int
-	// RetryBackoff is the base of the exponential backoff between
-	// attempts (default 10 ms), capped at MaxBackoff (default 1 s).
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-	// Jitter randomizes each backoff by up to this fraction (0..1) using
-	// a deterministic source seeded with Seed, so retry storms decorrelate
-	// but tests replay exactly.
-	Jitter float64
-	Seed   int64
-	// Sleep and Dialer are injection points for tests and fault
-	// harnesses; nil selects time.Sleep and a plain TCP dial.
-	Sleep  func(time.Duration)
+	// Dialer is the injection point for tests and fault harnesses; nil
+	// selects a plain TCP dial bounded by dialTimeout.
 	Dialer func(addr string) (net.Conn, error)
 }
 
-func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 10 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-	return o
-}
+// dialTimeout bounds each (re)dial.
+const dialTimeout = 5 * time.Second
 
 // ClientStats counts the client's recovery actions.
 type ClientStats struct {
 	Calls   uint64 // completed Call invocations
-	Retries uint64 // extra attempts after a failure
 	Redials uint64 // reconnects (including the lazy redial after a break)
 	Broken  uint64 // connections abandoned mid-frame
 }
@@ -445,11 +401,10 @@ type ClientStats struct {
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	replied int // reply bytes read by the current call, across its attempts
+	replied int // reply bytes read by the current call
 	addr    string
 	closed  bool
 	opts    Options
-	rng     *rand.Rand
 	stats   ClientStats
 }
 
@@ -470,8 +425,7 @@ func Dial(addr string) (*Client, error) {
 // DialOptions connects a client with explicit robustness options. The
 // initial dial must succeed; later breaks redial transparently.
 func DialOptions(addr string, o Options) (*Client, error) {
-	o = o.withDefaults()
-	c := &Client{addr: addr, opts: o, rng: rand.New(rand.NewSource(o.Seed))}
+	c := &Client{addr: addr, opts: o}
 	conn, err := c.dial()
 	if err != nil {
 		return nil, err
@@ -484,7 +438,7 @@ func (c *Client) dial() (net.Conn, error) {
 	if c.opts.Dialer != nil {
 		return c.opts.Dialer(c.addr)
 	}
-	return net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	return net.DialTimeout("tcp", c.addr, dialTimeout)
 }
 
 // Stats returns a snapshot of the client's recovery counters.
@@ -494,74 +448,28 @@ func (c *Client) Stats() ClientStats {
 	return c.stats
 }
 
-// breakConn abandons a connection whose framing state is undefined (a
-// partial write or read happened). The next attempt redials.
-func (c *Client) breakConn() {
+// abandon gives up on a call whose transport failed: a partial write or
+// read leaves the framing state undefined, so the connection is never
+// reused and the next call redials.
+func (c *Client) abandon(err error) (byte, []byte, error) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		mtr.deadlineHits.Add(1)
+	}
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 		c.stats.Broken++
 		mtr.broken.Add(1)
-		obs.Debugf("wire", "connection to %s broken mid-frame, will redial", c.addr)
 	}
-}
-
-// backoff computes the jittered exponential delay before retry attempt
-// `attempt` (1-based), honouring a server retry-after hint as a floor.
-func (c *Client) backoff(attempt int, floor time.Duration) time.Duration {
-	d := c.opts.RetryBackoff << (attempt - 1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
-	}
-	if j := c.opts.Jitter; j > 0 {
-		d = time.Duration(float64(d) * (1 - j/2 + j*c.rng.Float64()))
-	}
-	if d < floor {
-		d = floor
-	}
-	return d
-}
-
-// callOnce performs one framed exchange on the current connection,
-// redialling first if the previous attempt broke it. transport=true means
-// the connection state is undefined and the frame may not have been
-// served.
-func (c *Client) callOnce(msgType byte, sc obs.SpanContext, payload []byte) (byte, []byte, error, bool) {
-	if c.conn == nil {
-		conn, err := c.dial()
-		if err != nil {
-			return 0, nil, err, true
-		}
-		c.conn = conn
-		c.stats.Redials++
-		mtr.redials.Add(1)
-		obs.Debugf("wire", "redialled %s", c.addr)
-	}
-	if c.opts.CallTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
-	}
-	if err := WriteFrameCtx(c.conn, msgType, sc, payload); err != nil {
-		return 0, nil, err, true
-	}
-	replyType, reply, err := ReadFrame(replyReader{c})
-	if err != nil {
-		return 0, nil, err, true
-	}
-	switch replyType {
-	case TypeError:
-		return replyType, nil, fmt.Errorf("wire: remote error: %s", reply), false
-	case TypeRetryAfter:
-		return replyType, nil, &RetryAfterError{After: decodeRetryAfter(reply)}, false
-	}
-	return replyType, reply, nil, false
+	obs.Debugf("wire", "call to %s failed, will redial: %v", c.addr, err)
+	return 0, nil, err
 }
 
 // Call sends one frame and waits for the reply. A TypeError reply is
-// surfaced as an error; a TypeRetryAfter reply as *RetryAfterError. With
-// MaxRetries > 0, transport failures and retry-after replies are retried
-// with jittered exponential backoff, redialling broken connections; an
-// attempt that fails mid-frame always abandons the connection so a later
-// Call can never read a stale or misaligned reply.
+// surfaced as an error; a TypeRetryAfter reply as *RetryAfterError. A call
+// that fails mid-frame abandons the connection, so a later Call redials and
+// can never read a stale or misaligned reply.
 func (c *Client) Call(msgType byte, payload []byte) (byte, []byte, error) {
 	return c.CallCtx(msgType, obs.SpanContext{}, payload)
 }
@@ -582,46 +490,39 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 		start := time.Now()
 		defer func() { mtr.callLatency.Observe(time.Since(start)) }()
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.stats.Retries++
-			mtr.retries.Add(1)
+	if c.conn == nil {
+		// An earlier call broke the connection: redial first.
+		conn, err := c.dial()
+		if err != nil {
+			return c.abandon(err)
 		}
-		replyType, reply, err, transport := c.callOnce(msgType, sc, payload)
-		if err == nil {
-			return replyType, reply, nil
-		}
-		var ra *RetryAfterError
-		switch {
-		case transport:
-			// Mid-frame failure: the stream is desynced, never reuse it.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				mtr.deadlineHits.Add(1)
-			}
-			c.breakConn()
-			lastErr = err
-			obs.Debugf("wire", "call to %s attempt %d failed: %v", c.addr, attempt+1, err)
-		case errors.As(err, &ra):
-			// Typed shed signal: connection healthy, retry after the hint.
-			mtr.shedReplies.Add(1)
-			lastErr = err
-			obs.Debugf("wire", "server %s shedding load, retry after %v", c.addr, ra.After)
-		default:
-			// Remote application error: the exchange completed; framing is
-			// intact and retrying would re-run a failed request.
-			return replyType, reply, err
-		}
-		if attempt >= c.opts.MaxRetries {
-			return 0, nil, lastErr
-		}
-		floor := time.Duration(0)
-		if ra != nil {
-			floor = ra.After
-		}
-		c.opts.Sleep(c.backoff(attempt+1, floor))
+		c.conn = conn
+		c.stats.Redials++
+		mtr.redials.Add(1)
+		obs.Debugf("wire", "redialled %s", c.addr)
 	}
+	if c.opts.CallTimeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
+	}
+	if err := WriteFrameCtx(c.conn, msgType, sc, payload); err != nil {
+		return c.abandon(err)
+	}
+	replyType, reply, err := ReadFrame(replyReader{c})
+	if err != nil {
+		return c.abandon(err)
+	}
+	// The exchange completed and framing is intact, whatever the reply says.
+	switch replyType {
+	case TypeError:
+		return replyType, nil, fmt.Errorf("wire: remote error: %s", reply)
+	case TypeRetryAfter:
+		// Typed shed signal: the caller that owns the retry backs off.
+		ra := &RetryAfterError{After: decodeRetryAfter(reply)}
+		mtr.shedReplies.Add(1)
+		obs.Debugf("wire", "server %s shedding load, retry after %v", c.addr, ra.After)
+		return 0, nil, ra
+	}
+	return replyType, reply, nil
 }
 
 // Close closes the underlying connection. Subsequent Calls return
