@@ -11,7 +11,7 @@ import (
 	"cellbricks/internal/pki"
 )
 
-func pair(t *testing.T, seed byte) *pki.KeyPair {
+func pair(t testing.TB, seed byte) *pki.KeyPair {
 	t.Helper()
 	k, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{seed}, 32))
 	if err != nil {
@@ -91,6 +91,93 @@ func TestOpenVerifiedRejectsTamper(t *testing.T) {
 	if _, err := OpenVerified(env, broker, ue.Public()); err == nil {
 		t.Fatal("tampered sealed body accepted")
 	}
+}
+
+// Reports of one reporter ride one exchange: SealOn pays no key agreement,
+// the boxes share a prefix, and each still verifies and opens on its own.
+func TestSealOnSharesOneExchange(t *testing.T) {
+	broker, telco := pair(t, 8), pair(t, 9)
+	sealer, err := pki.NewSealer(broker.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *SealedReport
+	for seq := uint32(1); seq <= 4; seq++ {
+		env, err := SealOn(&Report{SessionRef: "s1", Reporter: ReporterTelco, Seq: seq}, telco, sealer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = env
+		} else if !bytes.Equal(env.Sealed[:32], first.Sealed[:32]) || bytes.Equal(env.Sealed, first.Sealed) {
+			t.Fatal("reports on one sealer must share the exchange prefix and nothing else")
+		}
+		got, err := OpenVerified(env, broker, telco.Public())
+		if err != nil || got.Seq != seq {
+			t.Fatalf("seq %d: %+v, %v", seq, got, err)
+		}
+	}
+	one, err := Seal(&Report{SessionRef: "s1", Reporter: ReporterTelco, Seq: 9}, telco, broker.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(one.Sealed[:32], first.Sealed[:32]) {
+		t.Fatal("one-shot Seal reused an exchange")
+	}
+}
+
+// FuzzOpenVerified drives the broker's sealed-report open (ROADMAP 4a)
+// with what a hostile reporter controls. It holds its own signing key, so
+// beyond raw envelope bytes (mode 0) it can sign any sealed bytes (mode 1)
+// and seal any report body (mode 2). The corpus under
+// testdata/fuzz/FuzzOpenVerified runs on every plain `go test`.
+func FuzzOpenVerified(f *testing.F) {
+	broker, reporter := pair(f, 0xB0), pair(f, 0xB1)
+	sealer, err := pki.NewSealer(broker.Public())
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := SealOn(rpt(ReporterTelco, 3, 4096, 0.01), reporter, sealer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Marshal(), byte(0))
+	f.Add(good.Sealed, byte(1))
+	f.Add(rpt(ReporterUE, 1, 10, 0).Marshal(), byte(2))
+	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
+		var env *SealedReport
+		switch mode % 3 {
+		case 0:
+			var err error
+			if env, err = UnmarshalSealedReport(data); err != nil {
+				return
+			}
+		case 1:
+			env = &SealedReport{Sealed: data, Sig: reporter.Sign(data)}
+		case 2:
+			sealed, err := sealer.Seal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env = &SealedReport{Sealed: sealed, Sig: reporter.Sign(sealed)}
+		}
+		r, err := OpenVerified(env, broker, reporter.Public())
+		if err != nil {
+			if r != nil {
+				t.Fatalf("report %+v alongside error %v", r, err)
+			}
+			return
+		}
+		// What opened is a well-formed report no larger than its input.
+		if len(r.SessionRef) > len(data) {
+			t.Fatalf("%d-byte session reference out of %d input bytes", len(r.SessionRef), len(data))
+		}
+		back, err := UnmarshalReport(r.Marshal())
+		if err != nil || (*back != *r && !math.IsNaN(r.CallSecs+r.QoS.DLBitrateBps+r.QoS.ULBitrateBps+
+			r.QoS.DLLossRate+r.QoS.ULLossRate+r.QoS.DLDelayMs+r.QoS.ULDelayMs)) {
+			t.Fatalf("opened report does not round-trip: %+v vs %+v (%v)", back, r, err)
+		}
+	})
 }
 
 func TestSealedReportEnvelopeCodec(t *testing.T) {

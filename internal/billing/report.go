@@ -126,16 +126,25 @@ func UnmarshalSealedReport(b []byte) (*SealedReport, error) {
 	return s, nil
 }
 
-// Seal signs and encrypts a report for the broker. This is the operation
-// the paper locates in the UE baseband firmware ("sign and encrypt the
-// measurement report on the baseband").
-func Seal(r *Report, signer *pki.KeyPair, brokerPub pki.PublicIdentity) (*SealedReport, error) {
-	body := r.Marshal()
-	sealed, err := pki.Seal(brokerPub, body)
+// SealOn signs and encrypts a report for the broker on the exchange the
+// reporter already holds with it: the session's attach exchange in the UE
+// baseband ("sign and encrypt the measurement report on the baseband"), the
+// bTelco's resident one at the AGW.
+func SealOn(r *Report, signer *pki.KeyPair, sealer *pki.Sealer) (*SealedReport, error) {
+	sealed, err := sealer.Seal(r.Marshal())
 	if err != nil {
 		return nil, err
 	}
 	return &SealedReport{Sealed: sealed, Sig: signer.Sign(sealed)}, nil
+}
+
+// Seal is SealOn over a one-message exchange with brokerPub.
+func Seal(r *Report, signer *pki.KeyPair, brokerPub pki.PublicIdentity) (*SealedReport, error) {
+	sealer, err := pki.NewSealer(brokerPub)
+	if err != nil {
+		return nil, err
+	}
+	return SealOn(r, signer, sealer)
 }
 
 // ErrBadReportSignature is returned when an envelope fails verification.

@@ -21,6 +21,8 @@ type harness struct {
 	ueKey *pki.KeyPair
 	telco *sap.TelcoState
 	now   time.Time
+
+	ueSealer *pki.Sealer // the last attach's exchange, for that session's UE reports
 }
 
 func newHarness(t *testing.T) *harness {
@@ -73,6 +75,7 @@ func (h *harness) attach(t *testing.T) (*sap.Grant, string) {
 	if _, _, err := h.ue.HandleResponse(pending, respU); err != nil {
 		t.Fatal(err)
 	}
+	h.ueSealer = pending.Sealer
 	return grant, grant.URef
 }
 

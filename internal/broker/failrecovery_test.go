@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -95,10 +96,39 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	ue := &sap.UEState{IDU: idU, IDB: "broker.restart", Key: uk, BrokerPub: bk.Public()}
 	h := &harness{brk: brk, ca: ca, ue: ue, ueKey: uk, telco: telco, now: now}
 
-	// A grant lands, then the broker "crashes" — the last snapshot is all
-	// that survives.
+	// A grant lands and its first billing pair, then the broker "crashes" —
+	// the last snapshot is all that survives. The restarted process derives
+	// its key pair afresh, so it remembers no key exchange: the memo is a
+	// cache, and neither the snapshot nor recovery knows it exists.
 	_, ref := h.attach(t)
+	inFlight := h.ueSealer
+	sealPair := func(seq uint32) (ueEnv, tEnv *billing.SealedReport) {
+		t.Helper()
+		toBroker, err := telco.SealerTo(bk.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := billing.Report{SessionRef: ref, Seq: seq, Rel: time.Duration(seq) * 30 * time.Second, DLBytes: 1000}
+		r.Reporter = billing.ReporterUE
+		if ueEnv, err = billing.SealOn(&r, uk, inFlight); err != nil {
+			t.Fatal(err)
+		}
+		r.Reporter = billing.ReporterTelco
+		if tEnv, err = billing.SealOn(&r, tk, toBroker); err != nil {
+			t.Fatal(err)
+		}
+		return ueEnv, tEnv
+	}
+	ue1, t1 := sealPair(1)
+	for _, env := range []*billing.SealedReport{ue1, t1} {
+		if m, err := brk.HandleReport(env); err != nil || m != nil {
+			t.Fatalf("report before the crash: %+v, %v", m, err)
+		}
+	}
 	snap := brk.Snapshot()
+	if cfg.Key, err = pki.KeyPairFromSeed(bytes.Repeat([]byte{96}, 32)); err != nil {
+		t.Fatal(err)
+	}
 
 	nb, err := Restart(cfg, snap, 500*time.Millisecond)
 	if err != nil {
@@ -136,6 +166,18 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	_, ref2 := h.attach(t)
 	if ref2 == ref {
 		t.Fatal("fresh attach reused the old session ref")
+	}
+	// The in-flight session's next pair still rides the exchanges opened
+	// before the crash — the UE's attach exchange, the bTelco's resident
+	// one — and the restarted broker, which has seen neither, opens both.
+	ue2, t2 := sealPair(2)
+	if !bytes.Equal(ue2.Sealed[:32], ue1.Sealed[:32]) || !bytes.Equal(t2.Sealed[:32], t1.Sealed[:32]) {
+		t.Fatal("reports after the restart left their pre-crash exchanges")
+	}
+	for _, env := range []*billing.SealedReport{ue2, t2} {
+		if m, err := nb.HandleReport(env); err != nil || m != nil {
+			t.Fatalf("in-flight session's report after restart: %+v, %v", m, err)
+		}
 	}
 }
 

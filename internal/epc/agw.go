@@ -615,24 +615,32 @@ func (g *AGW) Stats() AGWStats {
 
 // GenerateReport builds the bTelco-side traffic report for a SAP session
 // from the user-plane counters, signed with the bTelco key and sealed to
-// the session's broker. rel is the relative timestamp within the session.
+// the session's broker on the bTelco's resident exchange with it. rel is
+// the relative timestamp within the session. Concurrent callers for one
+// session get distinct, gap-free sequence numbers.
 func (g *AGW) GenerateReport(sessionID uint64, rel time.Duration, m billing.QoSMetrics) (*billing.SealedReport, error) {
 	g.mu.Lock()
 	sess := g.sessions[sessionID]
-	g.mu.Unlock()
 	if sess == nil || sess.Kind != KindSAP {
+		g.mu.Unlock()
 		return nil, ErrNoSession
 	}
-	u, _ := g.up.TotalUsage(sess.IP)
 	sess.reportSeq++
+	seq := sess.reportSeq
+	g.mu.Unlock()
+	u, _ := g.up.TotalUsage(sess.IP)
 	r := &billing.Report{
 		SessionRef: sess.URef,
 		Reporter:   billing.ReporterTelco,
-		Seq:        sess.reportSeq,
+		Seq:        seq,
 		Rel:        rel,
 		ULBytes:    u.ULBytes,
 		DLBytes:    u.DLBytes,
 		QoS:        m,
 	}
-	return billing.Seal(r, g.cfg.Telco.Key, sess.brokerPub)
+	sealer, err := g.cfg.Telco.SealerTo(sess.brokerPub)
+	if err != nil {
+		return nil, err
+	}
+	return billing.SealOn(r, g.cfg.Telco.Key, sealer)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,11 +38,12 @@ func (c localBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error
 }
 
 type world struct {
-	agw    *AGW
-	brk    *broker.Brokerd
-	dev    *ue.Device
-	legacy *ue.Device
-	tx     ue.NASTransport
+	agw       *AGW
+	brk       *broker.Brokerd
+	brokerKey *pki.KeyPair
+	dev       *ue.Device
+	legacy    *ue.Device
+	tx        ue.NASTransport
 }
 
 func buildWorld(t *testing.T) *world {
@@ -84,11 +86,12 @@ func buildWorld(t *testing.T) *world {
 	legacyDev := ue.NewDevice("ran-ue-2", &aka.SIM{K: k, IMSI: "001019999999999"}, nil)
 
 	return &world{
-		agw:    agw,
-		brk:    brk,
-		dev:    dev,
-		legacy: legacyDev,
-		tx:     func(env []byte) ([]byte, error) { return agw.HandleNAS("ran-ue-1", env) },
+		agw:       agw,
+		brk:       brk,
+		brokerKey: brokerKey,
+		dev:       dev,
+		legacy:    legacyDev,
+		tx:        func(env []byte) ([]byte, error) { return agw.HandleNAS("ran-ue-1", env) },
 	}
 }
 
@@ -257,6 +260,54 @@ func TestUsageCountingAndTelcoReport(t *testing.T) {
 	}
 	if s := w.brk.TelcoScore("btelco-1"); s < 0.99 {
 		t.Fatalf("telco score %.3f after honest reports", s)
+	}
+}
+
+// Two report drivers on one session (core.BTelco's and RealDeployment's are
+// both reachable that way) must never emit a duplicate Seq — the verifier
+// would book it as a replay against an honest bTelco. Meaningful under
+// -race: the counter used to be bumped outside the AGW lock.
+func TestGenerateReportConcurrentSeqsDistinctGapFree(t *testing.T) {
+	w := buildWorld(t)
+	a, err := w.dev.AttachSAP(w.tx, "btelco-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const drivers, each = 2, 50
+	seqs := make(chan uint32, drivers*each)
+	var wg sync.WaitGroup
+	for g := 0; g < drivers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				env, err := w.agw.GenerateReport(a.SessionID, time.Second, billing.QoSMetrics{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := billing.OpenVerified(env, w.brokerKey, w.agw.cfg.Telco.Key.Public())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seqs <- r.Seq
+			}
+		}()
+	}
+	wg.Wait()
+	close(seqs)
+	seen := make(map[uint32]bool)
+	for s := range seqs {
+		if seen[s] {
+			t.Fatalf("sequence number %d emitted twice", s)
+		}
+		seen[s] = true
+	}
+	for s := uint32(1); s <= drivers*each; s++ {
+		if !seen[s] {
+			t.Fatalf("sequence number %d missing from 1..%d", s, drivers*each)
+		}
 	}
 }
 

@@ -3,7 +3,8 @@
 // identities, a minimal certificate authority for broker and bTelco keys,
 // and "sealed boxes" (ephemeral X25519 ECDH + AES-256-GCM) for
 // encrypting-to-a-public-key, used by the SAP protocol and the verifiable
-// billing reports.
+// billing reports. The exchange behind a box belongs to the relationship,
+// not the message (sealer.go).
 //
 // UE keys are issued by the UE's broker and need no certificates (the
 // broker recognizes its own issuance); broker and bTelco keys carry CA
@@ -11,8 +12,6 @@
 package pki
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/hmac"
@@ -46,6 +45,7 @@ type KeyPair struct {
 
 	boxPriv *ecdh.PrivateKey
 	boxPub  []byte
+	memo    boxMemo // epk → key of the exchanges Open has authenticated
 }
 
 // GenerateKeyPair creates a fresh identity using crypto/rand.
@@ -165,79 +165,6 @@ func readChunk(b []byte) (chunk, rest []byte, err error) {
 		return nil, nil, ErrShortInput
 	}
 	return b[4 : 4+n], b[4+n:], nil
-}
-
-// Seal encrypts msg so only the holder of the recipient's box key can read
-// it: ephemeral X25519 -> HKDF-free HMAC-based key derivation -> AES-GCM.
-// Output layout: epk(32) || nonce(12) || ciphertext.
-func Seal(recipient PublicIdentity, msg []byte) ([]byte, error) {
-	rpub, err := ecdh.X25519().NewPublicKey(recipient.BoxPub)
-	if err != nil {
-		return nil, fmt.Errorf("pki: recipient box key: %w", err)
-	}
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := eph.ECDH(rpub)
-	if err != nil {
-		return nil, err
-	}
-	key := boxKey(shared, eph.PublicKey().Bytes(), recipient.BoxPub)
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 32+len(nonce)+len(msg)+gcm.Overhead())
-	out = append(out, eph.PublicKey().Bytes()...)
-	out = append(out, nonce...)
-	return gcm.Seal(out, nonce, msg, nil), nil
-}
-
-// Open decrypts a sealed box addressed to k.
-func (k *KeyPair) Open(box []byte) ([]byte, error) {
-	if len(box) < 32+12+16 {
-		return nil, ErrShortInput
-	}
-	epk, err := ecdh.X25519().NewPublicKey(box[:32])
-	if err != nil {
-		return nil, fmt.Errorf("pki: ephemeral key: %w", err)
-	}
-	shared, err := k.boxPriv.ECDH(epk)
-	if err != nil {
-		return nil, err
-	}
-	key := boxKey(shared, box[:32], k.boxPub)
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce := box[32 : 32+gcm.NonceSize()]
-	pt, err := gcm.Open(nil, nonce, box[32+gcm.NonceSize():], nil)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
-}
-
-func boxKey(shared, epk, rpk []byte) []byte {
-	mac := hmac.New(sha256.New, shared)
-	mac.Write([]byte("cellbricks-seal-v1"))
-	mac.Write(epk)
-	mac.Write(rpk)
-	return mac.Sum(nil)
 }
 
 // Certificate binds a subject name and role to a public identity, signed

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func mustPair(t *testing.T, seed byte) *KeyPair {
+func mustPair(t testing.TB, seed byte) *KeyPair {
 	t.Helper()
 	s := bytes.Repeat([]byte{seed}, 32)
 	k, err := KeyPairFromSeed(s)

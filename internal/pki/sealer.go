@@ -1,0 +1,290 @@
+package pki
+
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/ecdh"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"crypto/subtle"
+	"fmt"
+	"io"
+	"sync"
+)
+
+// One exchange per relationship (DESIGN.md §2.7). A sealed box is
+// epk(32) ‖ nonce(12) ‖ AES-256-GCM ciphertext, keyed from an X25519
+// exchange between an ephemeral sender key and the recipient's long-term
+// box key. The exchange belongs to the sender–recipient relationship, not
+// to the message: a Sealer does keygen + ECDH once and seals any number of
+// messages, the recipient remembers epk → key for the exchanges it has
+// already authenticated, and a reply comes back on the request's exchange
+// under a direction-separated key. The layout is the same for all three.
+
+const (
+	epkSize      = 32
+	boxNonceSize = 12
+	gcmTagSize   = 16
+	boxOverhead  = epkSize + boxNonceSize + gcmTagSize
+
+	// boxMemoSize bounds a KeyPair's epk → key memo.
+	boxMemoSize = 1024
+	// maxResidentSealers bounds a Sealers set, like CertVerifier's cache.
+	maxResidentSealers = 256
+	// sealsPerResident is how many boxes ride one resident exchange before
+	// it is replaced — far inside AES-GCM's 2³² random-nonce budget.
+	sealsPerResident = 1 << 20
+)
+
+type boxKeyBytes = [sha256.Size]byte
+
+// Sealer seals messages to one recipient over one X25519 exchange. It is
+// immutable after NewSealer and safe for concurrent use.
+type Sealer struct {
+	epk      [epkSize]byte
+	aead     cipher.AEAD // request direction
+	replyKey boxKeyBytes
+}
+
+// NewSealer draws an ephemeral key and runs the exchange with recipient's
+// box key: the only asymmetric work any number of Seal calls will cost.
+func NewSealer(recipient PublicIdentity) (*Sealer, error) {
+	rpub, err := ecdh.X25519().NewPublicKey(recipient.BoxPub)
+	if err != nil {
+		return nil, fmt.Errorf("pki: recipient box key: %w", err)
+	}
+	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	shared, err := eph.ECDH(rpub)
+	if err != nil {
+		return nil, err
+	}
+	s := &Sealer{}
+	copy(s.epk[:], eph.PublicKey().Bytes())
+	key := boxKey(shared, s.epk[:], recipient.BoxPub)
+	if s.aead, err = newBoxAEAD(key[:]); err != nil {
+		return nil, err
+	}
+	s.replyKey = replyKey(key)
+	return s, nil
+}
+
+// Seal encrypts msg on the sealer's exchange under a fresh random nonce.
+func (s *Sealer) Seal(msg []byte) ([]byte, error) {
+	return sealBox(s.aead, s.epk[:], msg)
+}
+
+// OpenReply decrypts a box the recipient built with SealReply from a box
+// of this sealer. A reply to any other exchange, and a request-direction
+// box of this one, fail with ErrDecrypt.
+func (s *Sealer) OpenReply(box []byte) ([]byte, error) {
+	if len(box) < boxOverhead {
+		return nil, ErrShortInput
+	}
+	if subtle.ConstantTimeCompare(box[:epkSize], s.epk[:]) != 1 {
+		return nil, ErrDecrypt
+	}
+	return openBox(s.replyKey, box)
+}
+
+// Seal encrypts msg so only the holder of the recipient's box key can read
+// it, on an exchange of its own. Output layout: epk(32) || nonce(12) ||
+// ciphertext.
+func Seal(recipient PublicIdentity, msg []byte) ([]byte, error) {
+	s, err := NewSealer(recipient)
+	if err != nil {
+		return nil, err
+	}
+	return s.Seal(msg)
+}
+
+// Open decrypts a sealed box addressed to k. The key of an exchange whose
+// box authenticated is remembered, so later boxes on it cost no ECDH; a
+// forgotten exchange is recomputed, so the memo never decides the result.
+func (k *KeyPair) Open(box []byte) ([]byte, error) {
+	if len(box) < boxOverhead {
+		return nil, ErrShortInput
+	}
+	key, known, err := k.exchangeKey(box[:epkSize])
+	if err != nil {
+		return nil, err
+	}
+	pt, err := openBox(key, box)
+	if err == nil && !known {
+		k.memo.put(box[:epkSize], key)
+	}
+	return pt, err
+}
+
+// SealReply encrypts msg to whoever sealed requestBox to k, on that box's
+// exchange: the reply echoes its epk and is keyed for the reverse
+// direction, so only the holder of the request's Sealer opens it. The
+// caller has opened requestBox; an exchange the memo no longer holds is
+// recomputed.
+func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
+	if len(requestBox) < boxOverhead {
+		return nil, ErrShortInput
+	}
+	key, _, err := k.exchangeKey(requestBox[:epkSize])
+	if err != nil {
+		return nil, err
+	}
+	rk := replyKey(key)
+	aead, err := newBoxAEAD(rk[:])
+	if err != nil {
+		return nil, err
+	}
+	return sealBox(aead, requestBox[:epkSize], msg)
+}
+
+// exchangeKey returns the request-direction key of the exchange epk names,
+// from the memo or by ECDH. An epk no exchange can have produced (a
+// low-order point) is ErrDecrypt like any other forgery.
+func (k *KeyPair) exchangeKey(epk []byte) (key boxKeyBytes, known bool, err error) {
+	if key, known = k.memo.get(epk); known {
+		return key, true, nil
+	}
+	pub, err := ecdh.X25519().NewPublicKey(epk)
+	if err != nil {
+		return key, false, ErrDecrypt
+	}
+	shared, err := k.boxPriv.ECDH(pub)
+	if err != nil {
+		return key, false, ErrDecrypt
+	}
+	return boxKey(shared, epk, k.boxPub), false, nil
+}
+
+func boxKey(shared, epk, rpk []byte) (key boxKeyBytes) {
+	mac := hmac.New(sha256.New, shared)
+	mac.Write([]byte("cellbricks-seal-v1"))
+	mac.Write(epk)
+	mac.Write(rpk)
+	mac.Sum(key[:0])
+	return key
+}
+
+// replyKey separates the recipient → sender direction of an exchange.
+func replyKey(key boxKeyBytes) (rk boxKeyBytes) {
+	mac := hmac.New(sha256.New, key[:])
+	mac.Write([]byte("cellbricks-seal-reply-v1"))
+	mac.Sum(rk[:0])
+	return rk
+}
+
+func newBoxAEAD(key []byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
+}
+
+func sealBox(aead cipher.AEAD, epk, msg []byte) ([]byte, error) {
+	out := make([]byte, epkSize+boxNonceSize, boxOverhead+len(msg))
+	copy(out, epk)
+	nonce := out[epkSize:]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return nil, err
+	}
+	return aead.Seal(out, nonce, msg, nil), nil
+}
+
+func openBox(key boxKeyBytes, box []byte) ([]byte, error) {
+	aead, err := newBoxAEAD(key[:])
+	if err != nil {
+		return nil, err
+	}
+	pt, err := aead.Open(nil, box[epkSize:epkSize+boxNonceSize], box[epkSize+boxNonceSize:], nil)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return pt, nil
+}
+
+// boxMemo remembers the keys of the last boxMemoSize exchanges a KeyPair
+// authenticated, first in first out. It holds 32-byte keys rather than
+// cipher.AEADs (an AEAD is ~1 KiB; rebuilding one is a fraction of a
+// microsecond) and allocates nothing until the first put: most KeyPairs
+// in a world are UEs, which never open a request-direction box.
+type boxMemo struct {
+	mu   sync.Mutex
+	keys map[[epkSize]byte]boxKeyBytes
+	ring [][epkSize]byte // insertion order; ring[next] is the oldest once full
+	next int
+}
+
+func (m *boxMemo) get(epk []byte) (boxKeyBytes, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key, ok := m.keys[[epkSize]byte(epk)]
+	return key, ok
+}
+
+func (m *boxMemo) put(epk []byte, key boxKeyBytes) {
+	e := [epkSize]byte(epk)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.keys[e]; dup {
+		return
+	}
+	if m.keys == nil {
+		m.keys = make(map[[epkSize]byte]boxKeyBytes)
+	}
+	if len(m.ring) < boxMemoSize {
+		m.ring = append(m.ring, e)
+	} else {
+		delete(m.keys, m.ring[m.next])
+		m.ring[m.next] = e
+		m.next = (m.next + 1) % boxMemoSize
+	}
+	m.keys[e] = key
+}
+
+// Sealers keeps one resident Sealer per infrastructure recipient — the
+// broker's to each certified bTelco, a bTelco's to each broker — so the
+// steady stream of boxes between the two costs one exchange per
+// sealsPerResident messages. UE keys never get one: a UE's exchange lives
+// and dies with one attach (sap.PendingAttach), or its boxes would link
+// the UE's sessions to each other. The zero value is ready; safe for
+// concurrent use.
+type Sealers struct {
+	mu sync.Mutex
+	to map[string]*residentSealer // by recipient box key
+}
+
+type residentSealer struct {
+	s    *Sealer
+	left int // hand-outs before replacement
+}
+
+// To returns the resident sealer for recipient, running a new exchange on
+// first contact and after every sealsPerResident hand-outs. Callers seal
+// one message per call and do not keep the result.
+func (c *Sealers) To(recipient PublicIdentity) (*Sealer, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.to[string(recipient.BoxPub)]
+	if r == nil || r.left == 0 {
+		s, err := NewSealer(recipient)
+		if err != nil {
+			return nil, err
+		}
+		if c.to == nil {
+			c.to = make(map[string]*residentSealer)
+		}
+		if r == nil && len(c.to) >= maxResidentSealers {
+			for k := range c.to {
+				delete(c.to, k)
+				break
+			}
+		}
+		r = &residentSealer{s: s, left: sealsPerResident}
+		c.to[string(recipient.BoxPub)] = r
+	}
+	r.left--
+	return r.s, nil
+}

@@ -1,0 +1,380 @@
+package pki
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+func mustSealer(t testing.TB, to *KeyPair) *Sealer {
+	t.Helper()
+	s, err := NewSealer(to.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustSeal(t testing.TB, s *Sealer, msg []byte) []byte {
+	t.Helper()
+	box, err := s.Seal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return box
+}
+
+func (k *KeyPair) memoLen() int {
+	k.memo.mu.Lock()
+	defer k.memo.mu.Unlock()
+	if len(k.memo.keys) != len(k.memo.ring) {
+		panic(fmt.Sprintf("memo map holds %d keys, ring %d", len(k.memo.keys), len(k.memo.ring)))
+	}
+	return len(k.memo.keys)
+}
+
+// Any number of boxes ride one exchange: same epk, fresh nonce and
+// ciphertext each time, and every one opens — first by ECDH, then warm.
+func TestSealerManyBoxesOneExchange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		msg  []byte
+	}{
+		{"empty", 3, nil},
+		{"authVec-sized", 16, bytes.Repeat([]byte{0xA5}, 70)},
+		{"report-sized", 64, bytes.Repeat([]byte("r"), 130)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := mustPair(t, 20)
+			s := mustSealer(t, k)
+			nonces, cts := map[string]bool{}, map[string]bool{}
+			var first []byte
+			for i := 0; i < tc.n; i++ {
+				box := mustSeal(t, s, tc.msg)
+				if len(box) != boxOverhead+len(tc.msg) {
+					t.Fatalf("box is %d bytes, want %d", len(box), boxOverhead+len(tc.msg))
+				}
+				if first == nil {
+					first = box
+				} else if !bytes.Equal(box[:epkSize], first[:epkSize]) {
+					t.Fatal("second box on one sealer carries a different epk")
+				}
+				nonces[string(box[epkSize:epkSize+boxNonceSize])] = true
+				cts[string(box[epkSize+boxNonceSize:])] = true
+				got, err := k.Open(box)
+				if err != nil || !bytes.Equal(got, tc.msg) {
+					t.Fatalf("box %d: %q, %v", i, got, err)
+				}
+			}
+			if len(nonces) != tc.n || len(cts) != tc.n {
+				t.Fatalf("%d boxes carry %d nonces and %d ciphertexts", tc.n, len(nonces), len(cts))
+			}
+			if k.memoLen() != 1 {
+				t.Fatalf("one exchange left %d memo entries", k.memoLen())
+			}
+		})
+	}
+}
+
+// Rule "memo": bounded, authenticated-only, and a miss gives what a hit
+// gives.
+func TestOpenMemoBoundedAuthenticatedMissEqualsHit(t *testing.T) {
+	k := mustPair(t, 21)
+	msg := []byte("billing report")
+	s0 := mustSealer(t, k)
+	box0 := mustSeal(t, s0, msg)
+	cold, err := k.Open(box0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := k.memo.get(box0[:epkSize]); !hit {
+		t.Fatal("authenticated exchange was not remembered")
+	}
+	warm, err := k.Open(box0)
+	if err != nil || !bytes.Equal(warm, cold) {
+		t.Fatalf("hit differs from miss: %q vs %q (%v)", warm, cold, err)
+	}
+
+	// Junk — a box that never authenticates — leaves the memo alone, be
+	// its epk fresh or a live one.
+	for _, junk := range [][]byte{
+		bytes.Repeat([]byte{7}, boxOverhead+10),
+		append(append([]byte(nil), box0[:epkSize]...), make([]byte, boxNonceSize+gcmTagSize+4)...),
+	} {
+		if _, err := k.Open(junk); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("junk: err=%v, want ErrDecrypt", err)
+		}
+	}
+	if k.memoLen() != 1 {
+		t.Fatalf("junk entered the memo: %d entries", k.memoLen())
+	}
+
+	// 4× the bound of distinct senders: never over the bound, oldest out
+	// first, and the evicted first exchange still opens.
+	for i := 0; i < 4*boxMemoSize; i++ {
+		if _, err := k.Open(mustSeal(t, mustSealer(t, k), msg)); err != nil {
+			t.Fatal(err)
+		}
+		if n := k.memoLen(); n > boxMemoSize {
+			t.Fatalf("memo holds %d entries after %d senders, bound %d", n, i+2, boxMemoSize)
+		}
+	}
+	if k.memoLen() != boxMemoSize {
+		t.Fatalf("memo holds %d entries, want it full at %d", k.memoLen(), boxMemoSize)
+	}
+	if _, hit := k.memo.get(box0[:epkSize]); hit {
+		t.Fatal("first exchange survived 4× bound later ones")
+	}
+	again, err := k.Open(mustSeal(t, s0, msg))
+	if err != nil || !bytes.Equal(again, cold) {
+		t.Fatalf("evicted exchange: %q, %v", again, err)
+	}
+	reply, err := k.SealReply(box0, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s0.OpenReply(reply); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("reply on an evicted exchange: %q, %v", got, err)
+	}
+}
+
+// Rule "reply channel": a reply opens only on its own exchange and in its
+// own direction, and has the request's layout.
+func TestReplyOpensOnlyOnOwnExchangeAndDirection(t *testing.T) {
+	k := mustPair(t, 22)
+	s, other := mustSealer(t, k), mustSealer(t, k)
+	req := mustSeal(t, s, []byte("authVec"))
+	if _, err := k.Open(req); err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("authRespU")
+	reply, err := k.SealReply(req, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply) != boxOverhead+len(msg) || !bytes.Equal(reply[:epkSize], req[:epkSize]) {
+		t.Fatal("reply does not echo the request's epk in the box layout")
+	}
+	// Repeatable on one request: nothing is consumed on either side.
+	for i := 0; i < 3; i++ {
+		r, err := k.SealReply(req, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.OpenReply(r); err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("pass %d: %q, %v", i, got, err)
+		}
+	}
+
+	tamperedEPK := append([]byte(nil), reply...)
+	tamperedEPK[3] ^= 0x10
+	tamperedReq := append([]byte(nil), req...)
+	tamperedReq[3] ^= 0x10
+	for _, tc := range []struct {
+		name string
+		open func() ([]byte, error)
+		want error
+	}{
+		{"reply with the request-direction key", func() ([]byte, error) { return k.Open(reply) }, ErrDecrypt},
+		{"request with the reply-direction key", func() ([]byte, error) { return s.OpenReply(req) }, ErrDecrypt},
+		{"reply presented to a different sealer", func() ([]byte, error) { return other.OpenReply(reply) }, ErrDecrypt},
+		{"reply with a tampered epk", func() ([]byte, error) { return s.OpenReply(tamperedEPK) }, ErrDecrypt},
+		{"request with a tampered epk", func() ([]byte, error) { return k.Open(tamperedReq) }, ErrDecrypt},
+		{"low-order epk", func() ([]byte, error) { return k.Open(make([]byte, boxOverhead)) }, ErrDecrypt},
+		{"truncated reply", func() ([]byte, error) { return s.OpenReply(reply[:boxOverhead-1]) }, ErrShortInput},
+		{"truncated request", func() ([]byte, error) { return k.Open(req[:boxOverhead-1]) }, ErrShortInput},
+		{"reply to a truncated request", func() ([]byte, error) { return k.SealReply(req[:epkSize], msg) }, ErrShortInput},
+	} {
+		if pt, err := tc.open(); !errors.Is(err, tc.want) || pt != nil {
+			t.Errorf("%s: got %q, %v; want %v", tc.name, pt, err, tc.want)
+		}
+	}
+}
+
+// Rule "who may keep a resident sealer", the pki half: the set is bounded
+// and an exchange is replaced after sealsPerResident hand-outs.
+func TestSealersBoundedAndReplaced(t *testing.T) {
+	var c Sealers
+	k := mustPair(t, 23)
+	first, err := c.To(k.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < sealsPerResident; i++ {
+		if s, _ := c.To(k.Public()); s != first {
+			t.Fatalf("hand-out %d ran a new exchange", i)
+		}
+	}
+	next, err := c.To(k.Public())
+	if err != nil || next == first || next.epk == first.epk {
+		t.Fatalf("hand-out %d kept the old exchange (%v)", sealsPerResident, err)
+	}
+	if got, err := k.Open(mustSeal(t, next, []byte("x"))); err != nil || string(got) != "x" {
+		t.Fatalf("replacement sealer: %q, %v", got, err)
+	}
+	for i := 0; i < maxResidentSealers+8; i++ {
+		seed := bytes.Repeat([]byte{byte(i), byte(i >> 8), 0xEE, 1}, 8)
+		r, err := KeyPairFromSeed(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.To(r.Public()); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.to) > maxResidentSealers {
+			t.Fatalf("%d resident sealers, bound %d", len(c.to), maxResidentSealers)
+		}
+	}
+	if _, err := c.To(PublicIdentity{BoxPub: []byte("short")}); err == nil {
+		t.Fatal("resident sealer for a malformed box key")
+	}
+}
+
+// Seal, Open, SealReply and Sealers.To from several goroutines at once
+// (meaningful under -race).
+func TestSealerConcurrentUse(t *testing.T) {
+	k := mustPair(t, 24)
+	var resident Sealers
+	shared := mustSealer(t, k)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own, err := NewSealer(k.Public())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 40; i++ {
+				msg := []byte(fmt.Sprintf("g%d-%d", g, i))
+				res, err := resident.To(k.Public())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, s := range []*Sealer{shared, own, res} {
+					box, err := s.Seal(msg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := k.Open(box); err != nil || !bytes.Equal(got, msg) {
+						t.Errorf("open: %q, %v", got, err)
+						return
+					}
+					reply, err := k.SealReply(box, msg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := s.OpenReply(reply); err != nil || !bytes.Equal(got, msg) {
+						t.Errorf("reply: %q, %v", got, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := k.memoLen(); n != 6 {
+		t.Fatalf("6 exchanges left %d memo entries", n)
+	}
+}
+
+// fuzzKey is the recipient of the checked-in FuzzOpen corpus.
+func fuzzKey(t testing.TB) *KeyPair {
+	k, err := KeyPairFromSeed(bytes.Repeat([]byte{0xF0}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// FuzzOpen feeds attacker bytes to the one place they meet the box key.
+// The seed corpus under testdata/fuzz/FuzzOpen (genuine boxes sealed to
+// fuzzKey, a reply-direction box, truncations, junk) runs on every plain
+// `go test`.
+func FuzzOpen(f *testing.F) {
+	k := fuzzKey(f)
+	live := mustSealer(f, k)
+	liveBox := mustSeal(f, live, []byte("live"))
+	if _, err := k.Open(liveBox); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(liveBox)
+	f.Add(liveBox[:boxOverhead-1])
+	f.Add(make([]byte, boxOverhead))
+	f.Fuzz(func(t *testing.T, box []byte) {
+		before := k.memoLen()
+		pt, err := k.Open(box)
+		switch {
+		case err == nil:
+			if len(pt) != len(box)-boxOverhead {
+				t.Fatalf("%d-byte box opened to %d bytes", len(box), len(pt))
+			}
+		case errors.Is(err, ErrShortInput):
+			if len(box) >= boxOverhead {
+				t.Fatalf("%d-byte box called short", len(box))
+			}
+		case !errors.Is(err, ErrDecrypt):
+			t.Fatalf("unexpected error %v", err)
+		}
+		after := k.memoLen()
+		if after > boxMemoSize || (err != nil && after != before) {
+			t.Fatalf("memo %d → %d entries on err=%v", before, after, err)
+		}
+		if _, hit := k.memo.get(liveBox[:epkSize]); !hit && before < boxMemoSize {
+			t.Fatal("input evicted a live exchange from a memo that was not full")
+		}
+		// Whatever came in, replying to it neither panics nor opens under
+		// an unrelated sealer.
+		if reply, err := k.SealReply(box, []byte("r")); err == nil {
+			if _, err := live.OpenReply(reply); err == nil && !bytes.Equal(box[:epkSize], liveBox[:epkSize]) {
+				t.Fatal("reply to a foreign exchange opened on the live sealer")
+			}
+		}
+	})
+}
+
+var benchSink []byte
+
+func BenchmarkSealerSeal(b *testing.B) {
+	k := mustPair(b, 42)
+	s := mustSealer(b, k)
+	msg := make([]byte, 70)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = s.Seal(msg)
+	}
+}
+
+func BenchmarkOpenWarm(b *testing.B) {
+	k := mustPair(b, 42)
+	box := mustSeal(b, mustSealer(b, k), make([]byte, 70))
+	if _, err := k.Open(box); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = k.Open(box)
+	}
+}
+
+// BenchmarkOpenCold opens a box on an exchange the memo has not seen: the
+// parent commit's price for every Open.
+func BenchmarkOpenCold(b *testing.B) {
+	k := mustPair(b, 42)
+	box := mustSeal(b, mustSealer(b, k), make([]byte, 70))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.memo = boxMemo{}
+		benchSink, _ = k.Open(box)
+	}
+}

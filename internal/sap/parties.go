@@ -26,10 +26,14 @@ type UEState struct {
 // PendingAttach is the UE-side state for one in-flight attach. Req is the
 // request it was created with: until the broker consumes the nonce, those
 // bytes can be sent to IDT again instead of sealing and signing anew.
+// Sealer is the exchange authVec was sealed on: authRespU comes back on
+// it, and the session's billing reports ride it to the broker. It is never
+// reused by another attach, so no two attaches of one UE share a prefix.
 type PendingAttach struct {
-	IDT   string
-	Nonce [NonceSize]byte
-	Req   *AuthReqU
+	IDT    string
+	Nonce  [NonceSize]byte
+	Req    *AuthReqU
+	Sealer *pki.Sealer
 }
 
 // NewAttachRequest runs UE procedures 1–4 of Fig. 2 for bTelco idT.
@@ -39,7 +43,11 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 		return nil, nil, err
 	}
 	vec := AuthVec{IDU: u.IDU, IDB: u.IDB, IDT: idT, Nonce: nonce}
-	sealed, err := pki.Seal(u.BrokerPub, vec.marshal())
+	sealer, err := pki.NewSealer(u.BrokerPub)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
+	}
+	sealed, err := sealer.Seal(vec.marshal())
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
@@ -48,23 +56,24 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 		SealedVec: sealed,
 		Sig:       u.Key.Sign(sealed),
 	}
-	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req}, nil
+	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req, Sealer: sealer}, nil
 }
 
 // HandleResponse runs UE procedures 5–6 of Fig. 2: verify the broker's
-// signature on authRespU, decrypt it, check the echoed nonce and bTelco
-// identity, and return ss for NAS security-context setup along with the
-// broker-assigned session reference the UE labels its billing reports
-// with.
+// signature on authRespU, decrypt it — it is sealed on the exchange p's
+// authVec opened, so a response to any other attach fails here — check the
+// echoed nonce and bTelco identity, and return ss for NAS security-context
+// setup along with the broker-assigned session reference the UE labels its
+// billing reports with. Repeatable: p is read, never consumed.
 func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterKey, string, error) {
 	var zero nas.MasterKey
-	if resp == nil || p == nil {
+	if resp == nil || p == nil || p.Sealer == nil {
 		return zero, "", ErrBadRequest
 	}
 	if err := u.BrokerPub.Verify(resp.Sealed, resp.Sig); err != nil {
 		return zero, "", fmt.Errorf("sap: authRespU signature: %w", err)
 	}
-	pt, err := u.Key.Open(resp.Sealed)
+	pt, err := p.Sealer.OpenReply(resp.Sealed)
 	if err != nil {
 		return zero, "", fmt.Errorf("sap: authRespU decrypt: %w", err)
 	}
@@ -92,6 +101,14 @@ type TelcoState struct {
 	Key   *pki.KeyPair
 	Cert  *pki.Certificate
 	Terms ServiceTerms
+
+	toBroker pki.Sealers
+}
+
+// SealerTo returns the bTelco's resident sealer to a broker, for the one
+// billing report the caller is about to seal.
+func (t *TelcoState) SealerTo(brokerPub pki.PublicIdentity) (*pki.Sealer, error) {
+	return t.toBroker.To(brokerPub)
 }
 
 // ForwardRequest runs the bTelco's first procedure (Fig. 3 top): augment
@@ -183,6 +200,7 @@ type BrokerState struct {
 	revoked map[string]bool
 	nonces  *nonceCache
 	certs   *pki.CertVerifier // memoized bTelco certificate checks
+	toTelco pki.Sealers       // resident sealers for authRespT, by certified key
 	now     func() time.Time
 }
 

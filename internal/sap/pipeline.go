@@ -6,7 +6,6 @@ import (
 
 	"cellbricks/internal/codec"
 	"cellbricks/internal/nas"
-	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 )
 
@@ -31,7 +30,6 @@ import (
 type ValidatedAuth struct {
 	Req       *AuthReqT
 	Vec       AuthVec
-	PubU      pki.PublicIdentity
 	DenyCause string
 }
 
@@ -100,7 +98,6 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	if v.Vec.IDT != req.IDT {
 		return deny("bTelco identity mismatch")
 	}
-	v.PubU = pubU
 	return v, nil
 }
 
@@ -143,17 +140,24 @@ func MintSession() (nas.MasterKey, string, error) {
 }
 
 // Finalize seals and signs the two responses for a granted request using
-// a pre-minted (ss, uref). Stateless: a batching broker finalizes many
-// grants in parallel after their decisions committed in arrival order.
+// a pre-minted (ss, uref): authRespT on the broker's resident exchange
+// with the certified bTelco, authRespU back on the exchange the UE's
+// authVec arrived on. Order-free and repeatable on one v: a batching
+// broker finalizes many grants in parallel after their decisions
+// committed in arrival order.
 func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, *GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}
-	sealedT, err := pki.Seal(req.Cert.Identity, respT.marshal())
+	toTelco, err := b.toTelco.To(req.Cert.Identity)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
+	}
+	sealedT, err := toTelco.Seal(respT.marshal())
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
 	}
 	respU := innerRespU{IDU: v.Vec.IDU, IDT: req.IDT, URef: uref, SS: ss, Nonce: v.Vec.Nonce}
-	sealedU, err := pki.Seal(v.PubU, respU.marshal())
+	sealedU, err := b.Key.SealReply(req.ReqU.SealedVec, respU.marshal())
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authRespU: %w", err)
 	}

@@ -132,6 +132,10 @@ type ResumeSession struct {
 	IDT  string
 	URef string
 	SS   nas.MasterKey
+	// Sealer is the exchange of the full handshake this ticket descends
+	// from: a resumed session's reports keep riding it (same bTelco by
+	// construction, so nothing new is linkable).
+	Sealer *pki.Sealer
 }
 
 // NewResumeRequest builds the UE half of a fast-path re-attach: a fresh
@@ -168,7 +172,7 @@ func (s *ResumeSession) HandleResumeResponse(req *ResumeReq, resp *ResumeResp) (
 		return nil, zero, fmt.Errorf("%w: derived session reference mismatch", ErrBadRequest)
 	}
 	ss2 := deriveResumeSecret(s.SS, req.Nonce)
-	return &ResumeSession{IDT: s.IDT, URef: resp.URef, SS: ss2}, ss2, nil
+	return &ResumeSession{IDT: s.IDT, URef: resp.URef, SS: ss2, Sealer: s.Sealer}, ss2, nil
 }
 
 // ForwardResume is the serving bTelco's half: verify the UE's MAC under

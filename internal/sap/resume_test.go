@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"cellbricks/internal/pki"
 )
 
 // runResume drives one fast-path exchange end to end at the sap layer:
@@ -49,6 +51,9 @@ func runResume(t *testing.T, f *fixture, tkt *ResumeSession, rec *GrantRecord) (
 	if next.URef == tkt.URef {
 		t.Fatal("successor uref equals the consumed one")
 	}
+	if next.Sealer != tkt.Sealer {
+		t.Fatal("resumed session left the exchange of the handshake it descends from")
+	}
 	if len(next.URef) != len(tkt.URef) {
 		t.Fatalf("successor uref shape changed: %q", next.URef)
 	}
@@ -58,7 +63,11 @@ func runResume(t *testing.T, f *fixture, tkt *ResumeSession, rec *GrantRecord) (
 func TestResumeEndToEnd(t *testing.T) {
 	f := newFixture(t)
 	ueSS, _, grant, rec := f.runAttach(t)
-	tkt := &ResumeSession{IDT: f.telco.IDT, URef: grant.URef, SS: ueSS}
+	sealer, err := pki.NewSealer(f.broker.Key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tkt := &ResumeSession{IDT: f.telco.IDT, URef: grant.URef, SS: ueSS, Sealer: sealer}
 	next, g2 := runResume(t, f, tkt, rec)
 	if g2.Params != grant.Params {
 		t.Fatalf("resume changed QoS: %+v != %+v", g2.Params, grant.Params)

@@ -342,21 +342,81 @@ func TestSAPUERejectsForgedResponse(t *testing.T) {
 
 func TestSAPUERejectsMismatchedNonce(t *testing.T) {
 	f := newFixture(t)
-	// Run two attaches and cross-wire the responses.
+	brokerPub := f.broker.Key.Public()
 	reqU1, pending1, _ := f.ue.NewAttachRequest(f.telco.IDT)
 	reqT1, _ := f.telco.ForwardRequest(reqU1)
-	resp1, _, _ := f.broker.HandleRequest(reqT1)
-	_, respU1, err := f.telco.HandleResponse(f.broker.Key.Public(), resp1)
+	v1, err := f.broker.Validate(reqT1)
+	if err != nil || v1.DenyCause != "" {
+		t.Fatalf("validate: %v %q", err, v1.DenyCause)
+	}
+	ss, uref, _ := MintSession()
+	resp1, _, err := f.broker.Finalize(v1, qos.DefaultParams(), ss, uref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pending2, _ := f.ue.NewAttachRequest(f.telco.IDT)
-	if _, _, err := f.ue.HandleResponse(pending2, respU1); !errors.Is(err, ErrNonceMismatch) {
-		t.Fatalf("err=%v, want ErrNonceMismatch", err)
-	}
-	// Correct pairing still succeeds.
-	if _, _, err := f.ue.HandleResponse(pending1, respU1); err != nil {
+	_, respU1, err := f.telco.HandleResponse(brokerPub, resp1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// A response cross-wired between two attaches does not even decrypt:
+	// it is sealed on the first attach's exchange.
+	_, pending2, _ := f.ue.NewAttachRequest(f.telco.IDT)
+	if _, _, err := f.ue.HandleResponse(pending2, respU1); !errors.Is(err, pki.ErrDecrypt) {
+		t.Fatalf("cross-wired response: err=%v, want ErrDecrypt", err)
+	}
+	// A response on the right exchange echoing the wrong nonce is refused
+	// by the nonce check.
+	wrong := *v1
+	wrong.Vec.Nonce[0] ^= 1
+	respW, _, err := f.broker.Finalize(&wrong, qos.DefaultParams(), ss, uref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.ue.HandleResponse(pending1, &respW.U); !errors.Is(err, ErrNonceMismatch) {
+		t.Fatalf("wrong nonce: err=%v, want ErrNonceMismatch", err)
+	}
+	// Correct pairing succeeds, and again: neither side consumed anything.
+	for i := 0; i < 2; i++ {
+		if got, _, err := f.ue.HandleResponse(pending1, respU1); err != nil || got != ss {
+			t.Fatalf("pass %d: err=%v", i, err)
+		}
+	}
+}
+
+// A UE's exchange is created per attach and never reused: two requests of
+// one UE share no prefix a bTelco could link them by (the paper's
+// no-IMSI-catching property), while everything the broker sends one bTelco
+// rides one resident exchange.
+func TestSAPAttachPrefixNeverRepeats(t *testing.T) {
+	f := newFixture(t)
+	seen := map[string]bool{}
+	var telcoPrefix []byte
+	for i := 0; i < 8; i++ {
+		reqU, pending, err := f.ue.NewAttachRequest(f.telco.IDT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := string(reqU.SealedVec[:32])
+		if seen[prefix] {
+			t.Fatalf("attach %d reuses an earlier attach's exchange", i)
+		}
+		seen[prefix] = true
+		reqT, _ := f.telco.ForwardRequest(reqU)
+		resp, _, err := f.broker.HandleRequest(reqT)
+		if err != nil || !resp.Granted {
+			t.Fatalf("attach %d: %v %+v", i, err, resp)
+		}
+		if !bytes.Equal(resp.U.Sealed[:32], reqU.SealedVec[:32]) {
+			t.Fatal("authRespU is not on the request's exchange")
+		}
+		if _, _, err := f.ue.HandleResponse(pending, &resp.U); err != nil {
+			t.Fatal(err)
+		}
+		if telcoPrefix == nil {
+			telcoPrefix = resp.T.Sealed[:32]
+		} else if !bytes.Equal(telcoPrefix, resp.T.Sealed[:32]) {
+			t.Fatal("broker ran a new exchange with a bTelco it already knows")
+		}
 	}
 }
 

@@ -85,12 +85,12 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err != nil {
 			return err
 		}
-		grant, _, err := prin.attach(ueState, telco)
+		grant, sealer, _, err := prin.attach(ueState, telco)
 		if err != nil {
 			return err
 		}
 		meter.StartSession()
-		meter.BindSession(grant.URef)
+		meter.BindSession(grant.URef, sealer)
 		cur = &session{telco: telco, uref: grant.URef, started: sim.Now()}
 		res.Sessions++
 		return nil

@@ -14,6 +14,7 @@ import (
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/obs"
+	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
@@ -496,10 +497,10 @@ func (c *byzCell) setBlackhole(on bool) {
 // attachTo is the soak's half of an attach success on the UE: the shared
 // session adoption with this world's report chain, then the data-path
 // bookkeeping — the session's radio link and the watchdog.
-func (u *byzUE) attachTo(cell *byzCell, uref string, link *netem.Link) {
+func (u *byzUE) attachTo(cell *byzCell, uref string, sealer *pki.Sealer, link *netem.Link) {
 	s := new(byzSession)
 	u.link = link
-	u.adopt(&cell.cellCore, &s.sessionCore, uref, byzReportEvery, func() { u.reportTick(s) })
+	u.adopt(&cell.cellCore, &s.sessionCore, uref, sealer, byzReportEvery, func() { u.reportTick(s) })
 	if cell.adv.Blackholing() {
 		u.blackholed = true
 	}
@@ -530,13 +531,13 @@ func (u *byzUE) initialAttach(cell *byzCell) error {
 		}
 	}
 
-	grant, resp, err := u.grp.w.attach(u.st, cell.telco)
+	grant, sealer, resp, err := u.grp.w.attach(u.st, cell.telco)
 	if err != nil {
 		return err
 	}
 	u.attempts++
 	u.lastScore[cell.idx] = resp.TelcoScore
-	u.attachTo(cell, grant.URef, link)
+	u.attachTo(cell, grant.URef, sealer, link)
 	return nil
 }
 
@@ -658,7 +659,7 @@ func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.
 	link := cell.newAccessLink(u.srvIP, newIP)
 	u.sim.Connect(u.srvIP, newIP, link)
 	u.curIP = newIP
-	u.attachTo(cell, grant.URef, link)
+	u.attachTo(cell, grant.URef, pending.Sealer, link)
 	conn, s := u.conn, u.cur
 	u.sim.After(attachLatency, func() {
 		if u.cur == s {

@@ -8,6 +8,7 @@ import (
 	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/netem"
+	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
@@ -182,16 +183,17 @@ func (u *ueCore) backoff(seq int, err error) (delay time.Duration, retry bool) {
 }
 
 // adopt makes s the UE's live session on cell under the broker's reference
-// uref: attached-time accounting starts, the baseband meter rebinds, and
-// tick — the world's report cycle for s — first fires one period later.
-func (u *ueCore) adopt(cell *cellCore, s *sessionCore, uref string, every time.Duration, tick func()) {
+// uref: attached-time accounting starts, the baseband meter rebinds to uref
+// and the attach's exchange, and tick — the world's report cycle for s —
+// first fires one period later.
+func (u *ueCore) adopt(cell *cellCore, s *sessionCore, uref string, sealer *pki.Sealer, every time.Duration, tick func()) {
 	now := u.sim.Now()
 	*s = sessionCore{ci: cell.idx, uref: uref, start: now}
 	cell.sessions = append(cell.sessions, s)
 	u.cur, u.attachedSince = s, now
 	u.attaches++
 	u.meter.StartSession()
-	u.meter.BindSession(uref)
+	u.meter.BindSession(uref, sealer)
 	u.after(every, tick)
 }
 

@@ -87,7 +87,7 @@ func (p *principals) newSubscriber(seed []byte) (*sap.UEState, *ue.BasebandMeter
 		return nil, nil, err
 	}
 	st := &sap.UEState{IDU: p.brk.RegisterUser(key.Public()), IDB: p.brkCfg.ID, Key: key, BrokerPub: p.brokerPub}
-	return st, ue.NewBasebandMeter(key, p.brokerPub), nil
+	return st, ue.NewBasebandMeter(key), nil
 }
 
 // beginAttach is the outbound half of the SAP handshake: the UE's request
@@ -122,24 +122,29 @@ func (p *principals) finishAttach(st *sap.UEState, telco *sap.TelcoState, pendin
 	return grant, ss, nil
 }
 
-// attach runs the whole handshake synchronously against the broker.
-func (p *principals) attach(st *sap.UEState, telco *sap.TelcoState) (*sap.Grant, *sap.AuthResp, error) {
+// attach runs the whole handshake synchronously against the broker. The
+// returned sealer is the attach's exchange, for the session's UE reports.
+func (p *principals) attach(st *sap.UEState, telco *sap.TelcoState) (*sap.Grant, *pki.Sealer, *sap.AuthResp, error) {
 	pending, reqT, err := beginAttach(st, telco)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	resp, err := p.brk.HandleAuthRequest(reqT)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	grant, _, err := p.finishAttach(st, telco, pending, resp)
-	return grant, resp, err
+	return grant, pending.Sealer, resp, err
 }
 
 // telcoReport seals the bTelco's half of a billing cycle for the broker.
 func (p *principals) telcoReport(telco *sap.TelcoState, uref string, seq uint32, rel time.Duration, dlBytes uint64) (*billing.SealedReport, error) {
-	return billing.Seal(&billing.Report{
+	sealer, err := telco.SealerTo(p.brokerPub)
+	if err != nil {
+		return nil, err
+	}
+	return billing.SealOn(&billing.Report{
 		SessionRef: uref, Reporter: billing.ReporterTelco,
 		Seq: seq, Rel: rel, DLBytes: dlBytes,
-	}, telco.Key, p.brokerPub)
+	}, telco.Key, sealer)
 }

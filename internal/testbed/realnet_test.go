@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"cellbricks/internal/broker"
+	"cellbricks/internal/nas"
 	"cellbricks/internal/obs"
+	"cellbricks/internal/sap"
 )
 
 func counter(name string) float64 { return obs.Default().Snapshot()[name] }
@@ -97,6 +99,67 @@ func TestRealDeploymentAttachSurvivesBrokerRestart(t *testing.T) {
 	}
 	if st := d.AGW.Stats(); st.AttachFailures != 0 || st.Attaches != 2 {
 		t.Fatalf("AGW stats %+v, want 2 attaches and no failure", st)
+	}
+}
+
+// Rule "a UE key never has a resident sealer", end to end: through
+// ue.Device over the loopback deployment, every attach opens its own
+// exchange, the session's baseband reports ride that one and no earlier
+// one, and the broker books them. What the serving bTelco can see links a
+// report to the attach it served — never one session to the next.
+func TestRealDeploymentUEPrefixNeverRepeatsAcrossAttaches(t *testing.T) {
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attachPrefix string // of the attach request last seen on the air
+	tap := func(env []byte) ([]byte, error) {
+		if _, _, body, err := nas.SplitEnvelope(env); err == nil {
+			if m, err := nas.Decode(body); err == nil {
+				if a, ok := m.(*nas.AttachRequestSAP); ok {
+					reqU, err := sap.UnmarshalAuthReqU(a.AuthReqU)
+					if err != nil {
+						return nil, err
+					}
+					attachPrefix = string(reqU.SealedVec[:32])
+				}
+			}
+		}
+		return tx(env)
+	}
+	seen := map[string]int{}
+	for session := 0; session < 3; session++ {
+		a, err := dev.AttachSAP(tap, d.TelcoID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[attachPrefix]; dup {
+			t.Fatalf("attach %d reuses the exchange of attach %d", session, prev)
+		}
+		seen[attachPrefix] = session
+		if err := d.UploadTelcoReport(a.SessionID, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < 2; cycle++ {
+			env, err := dev.Meter.Report(time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(env.Sealed[:32]); got != attachPrefix {
+				t.Fatalf("session %d report %d does not ride its own attach's exchange", session, cycle)
+			}
+			if err := d.brokerClient.UploadReport(env); err != nil {
+				t.Fatalf("session %d report %d: %v", session, cycle, err)
+			}
+		}
+		if err := dev.Detach(tap); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"cellbricks/internal/apps"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/nas"
+	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
@@ -465,13 +466,13 @@ func (u *stormUE) finishFull(seq, ci int, pending *sap.PendingAttach, out broker
 		return
 	}
 	if !w.cfg.Serial {
-		u.resume[ci] = &sap.ResumeSession{IDT: cell.telco.IDT, URef: grant.URef, SS: ss}
+		u.resume[ci] = &sap.ResumeSession{IDT: cell.telco.IDT, URef: grant.URef, SS: ss, Sealer: pending.Sealer}
 		cell.resumeSS[grant.URef] = grant.SS
 	}
 	if seq != u.attachSeq {
 		return
 	}
-	u.attachTo(cell, grant.URef)
+	u.attachTo(cell, grant.URef, pending.Sealer)
 }
 
 // finishResume completes a fast-path attempt (optimized mode only).
@@ -507,15 +508,15 @@ func (u *stormUE) finishResume(seq, ci int, tkt *sap.ResumeSession, req *sap.Res
 	if seq != u.attachSeq {
 		return
 	}
-	u.attachTo(cell, grant2.URef)
+	u.attachTo(cell, grant2.URef, next.Sealer)
 }
 
 // attachTo adopts a granted session: latency sample, then the shared
 // adoption with this world's report chain.
-func (u *stormUE) attachTo(cell *stormCell, uref string) {
+func (u *stormUE) attachTo(cell *stormCell, uref string, sealer *pki.Sealer) {
 	u.grp.latMS = append(u.grp.latMS, float64(u.sim.Now()-u.stormStart)/float64(time.Millisecond))
 	s := new(sessionCore)
-	u.adopt(&cell.cellCore, s, uref, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
+	u.adopt(&cell.cellCore, s, uref, sealer, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
 
 // reportTick emits the aligned billing pair for session s: synthetic

@@ -95,7 +95,7 @@ func (d *Device) attachSpanCtx() obs.SpanContext {
 func NewDevice(ranID string, legacy *aka.SIM, cb *sap.UEState) *Device {
 	d := &Device{RANID: ranID, Legacy: legacy, CB: cb}
 	if cb != nil {
-		d.Meter = NewBasebandMeter(cb.Key, cb.BrokerPub)
+		d.Meter = NewBasebandMeter(cb.Key)
 	}
 	return d
 }
@@ -274,7 +274,7 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (_ *Attachment, err erro
 	a := d.install(accept)
 	if d.Meter != nil {
 		bindStart := d.tr.Now()
-		d.Meter.BindSession(uref)
+		d.Meter.BindSession(uref, pending.Sealer)
 		// No uref in the args: broker references come from crypto/rand, and
 		// trace output must be byte-identical across runs of one seed.
 		if sc.Valid() {
@@ -400,11 +400,11 @@ func rejectOr(msg nas.Message) error {
 // emits reports signed and sealed *inside* the trust boundary — the OS
 // side only ever sees the sealed envelope.
 type BasebandMeter struct {
-	key       *pki.KeyPair
-	brokerPub pki.PublicIdentity
+	key *pki.KeyPair
 
 	mu         sync.Mutex
 	sessionRef string
+	sealer     *pki.Sealer // the session's attach exchange with the broker
 	seq        uint32
 	ulBytes    uint64
 	dlBytes    uint64
@@ -416,9 +416,9 @@ type BasebandMeter struct {
 	smsCount   uint32
 }
 
-// NewBasebandMeter builds a meter bound to the device key and broker.
-func NewBasebandMeter(key *pki.KeyPair, brokerPub pki.PublicIdentity) *BasebandMeter {
-	return &BasebandMeter{key: key, brokerPub: brokerPub}
+// NewBasebandMeter builds a meter bound to the device key.
+func NewBasebandMeter(key *pki.KeyPair) *BasebandMeter {
+	return &BasebandMeter{key: key}
 }
 
 // StartSession resets counters for a new attachment. The session
@@ -429,18 +429,22 @@ func NewBasebandMeter(key *pki.KeyPair, brokerPub pki.PublicIdentity) *BasebandM
 func (m *BasebandMeter) StartSession() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sessionRef = ""
+	m.sessionRef, m.sealer = "", nil
 	m.seq = 0
 	m.ulBytes, m.dlBytes, m.dlRecv, m.dlLost = 0, 0, 0, 0
 	m.delaySumMs, m.delayN = 0, 0
 	m.callSecs, m.smsCount = 0, 0
 }
 
-// BindSession sets the session reference used in reports.
-func (m *BasebandMeter) BindSession(ref string) {
+// BindSession sets the session reference used in reports and the exchange
+// they are sealed on: the one the session's attach opened with the broker
+// (sap.PendingAttach.Sealer; a resumed session keeps its ticket's). It is
+// dropped at the next StartSession, so reports of two sessions never share
+// a prefix.
+func (m *BasebandMeter) BindSession(ref string, sealer *pki.Sealer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sessionRef = ref
+	m.sessionRef, m.sealer = ref, sealer
 }
 
 // CountUL records transmitted bytes.
@@ -501,6 +505,11 @@ func (m *BasebandMeter) Snapshot() (ul, dl uint64) {
 // "baseband", so neither the OS nor the bTelco can alter it.
 func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error) {
 	m.mu.Lock()
+	sealer := m.sealer
+	if sealer == nil {
+		m.mu.Unlock()
+		return nil, errors.New("ue: baseband meter has no bound session")
+	}
 	m.seq++
 	lossRate := 0.0
 	if m.dlRecv+m.dlLost > 0 {
@@ -525,5 +534,5 @@ func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error)
 		},
 	}
 	m.mu.Unlock()
-	return billing.Seal(r, m.key, m.brokerPub)
+	return billing.SealOn(r, m.key, sealer)
 }

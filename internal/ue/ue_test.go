@@ -86,12 +86,21 @@ func TestAttachSAPRejectsForgedAccept(t *testing.T) {
 	}
 }
 
+func testSealer(t *testing.T, to *pki.KeyPair) *pki.Sealer {
+	t.Helper()
+	s, err := pki.NewSealer(to.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestBasebandMeterCountersAndReport(t *testing.T) {
 	key := testKey(t, 8)
 	brokerKey := testKey(t, 9)
-	m := NewBasebandMeter(key, brokerKey.Public())
+	m := NewBasebandMeter(key)
 	m.StartSession()
-	m.BindSession("sess-1")
+	m.BindSession("sess-1", testSealer(t, brokerKey))
 	m.CountDL(1000)
 	m.CountDL(2000)
 	m.CountUL(300)
@@ -135,7 +144,7 @@ func TestBasebandMeterCountersAndReport(t *testing.T) {
 
 func TestBasebandMeterResetOnNewSession(t *testing.T) {
 	key := testKey(t, 10)
-	m := NewBasebandMeter(key, testKey(t, 11).Public())
+	m := NewBasebandMeter(key)
 	m.StartSession()
 	m.CountDL(500)
 	m.StartSession() // re-attach: counters reset
@@ -148,9 +157,9 @@ func TestBasebandMeterResetOnNewSession(t *testing.T) {
 func TestMeterReportTamperEvident(t *testing.T) {
 	key := testKey(t, 12)
 	brokerKey := testKey(t, 13)
-	m := NewBasebandMeter(key, brokerKey.Public())
+	m := NewBasebandMeter(key)
 	m.StartSession()
-	m.BindSession("s")
+	m.BindSession("s", testSealer(t, brokerKey))
 	m.CountDL(1_000_000)
 	env, err := m.Report(time.Second)
 	if err != nil {
@@ -178,9 +187,9 @@ func TestTransportErrorPropagates(t *testing.T) {
 func TestMeterCallAndSMSAccounting(t *testing.T) {
 	key := testKey(t, 16)
 	brokerKey := testKey(t, 17)
-	m := NewBasebandMeter(key, brokerKey.Public())
+	m := NewBasebandMeter(key)
 	m.StartSession()
-	m.BindSession("s")
+	m.BindSession("s", testSealer(t, brokerKey))
 	m.AddCallSeconds(30.5)
 	m.AddCallSeconds(12)
 	m.CountSMS(3)
@@ -195,8 +204,12 @@ func TestMeterCallAndSMSAccounting(t *testing.T) {
 	if r.CallSecs != 42.5 || r.SMSCount != 3 {
 		t.Fatalf("call=%v sms=%d", r.CallSecs, r.SMSCount)
 	}
-	// New session resets.
+	// New session resets — and is silent until it is bound to an exchange.
 	m.StartSession()
+	if _, err := m.Report(time.Second); err == nil {
+		t.Fatal("unbound meter emitted a report")
+	}
+	m.BindSession("s2", testSealer(t, brokerKey))
 	env2, _ := m.Report(time.Second)
 	r2, _ := billing.OpenVerified(env2, brokerKey, key.Public())
 	if r2.CallSecs != 0 || r2.SMSCount != 0 {
