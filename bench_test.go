@@ -130,9 +130,10 @@ func formatMbps(bps float64) string {
 
 // --- protocol micro-benchmarks ---
 
-// BenchmarkSAPAttachLocal measures a full SAP attach (UE -> AGW -> broker
-// -> back) through the real protocol objects with no simulated latency:
-// the pure protocol + crypto cost per attachment.
+// BenchmarkSAPAttachLocal measures a SAP attach (UE -> AGW -> broker ->
+// back) through the real protocol objects with no simulated latency: the
+// pure protocol + crypto cost per attachment in steady state, where every
+// attach after the first rides its predecessor's ticket (DESIGN.md §2.8).
 func BenchmarkSAPAttachLocal(b *testing.B) {
 	d, err := testbed.NewRealDeployment()
 	if err != nil {

@@ -299,7 +299,7 @@ func main() {
 	}
 
 	if want("fig7") {
-		run("fig7", "Fig. 7: attachment latency breakdown (BL = Magma baseline, CB = CellBricks)", func() (string, map[string]float64, error) {
+		run("fig7", "Fig. 7: attachment latency breakdown (BL = Magma baseline, CB = CellBricks first contact, CBt = CellBricks on a ticket)", func() (string, map[string]float64, error) {
 			results, err := testbed.RunFig7(*n, runner)
 			if err != nil {
 				return "", nil, err

@@ -99,7 +99,10 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	// A grant lands and its first billing pair, then the broker "crashes" —
 	// the last snapshot is all that survives. The restarted process derives
 	// its key pair afresh, so it remembers no key exchange: the memo is a
-	// cache, and neither the snapshot nor recovery knows it exists.
+	// cache, and neither the snapshot nor recovery knows it exists. Nor do
+	// they know tickets exist: the in-flight session is the UE's second, so
+	// its exchange is one the broker never ran and keeps no record of.
+	h.attach(t)
 	_, ref := h.attach(t)
 	inFlight := h.ueSealer
 	sealPair := func(seq uint32) (ueEnv, tEnv *billing.SealedReport) {
@@ -120,6 +123,9 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 		return ueEnv, tEnv
 	}
 	ue1, t1 := sealPair(1)
+	if !bk.TicketBound(ue1.Sealed, idU) {
+		t.Fatal("the in-flight session does not ride a ticket")
+	}
 	for _, env := range []*billing.SealedReport{ue1, t1} {
 		if m, err := brk.HandleReport(env); err != nil || m != nil {
 			t.Fatalf("report before the crash: %+v, %v", m, err)
@@ -154,14 +160,22 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 
 	// During the shed window the restored broker refuses with the typed
 	// hint...
-	_, err = client.Authenticate(authReq(t, h))
+	shed := authReq(t, h)
+	_, err = client.Authenticate(shed)
 	var ra *wire.RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("degraded auth err = %v, want *wire.RetryAfterError", err)
 	}
-	// ...and afterwards the restored user registration serves a fresh
-	// attach: recovery is complete without re-provisioning anything.
+	// ...and afterwards grants the same bytes retransmitted: a request on
+	// the ticket the crashed process minted, which the new one re-derives
+	// from its seed alone.
 	nb.Resume()
+	if resp, err := client.Authenticate(shed); len(shed.ReqU.Sig) != 0 || err != nil || !resp.Granted {
+		t.Fatalf("pre-crash ticket at the restarted broker: sig %d B, %v %+v", len(shed.ReqU.Sig), err, resp)
+	}
+	// The restored user registration serves a fresh attach — the signed
+	// handshake, since the UE never saw that answer: recovery is complete
+	// without re-provisioning anything.
 	h.brk = nb
 	_, ref2 := h.attach(t)
 	if ref2 == ref {

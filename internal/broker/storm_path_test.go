@@ -336,6 +336,17 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 		}
 		return &txItem{kind: txReport, report: env}
 	}
+	// ticketed is the harness UE's second attach request: the first one's
+	// grant armed a ticket (DESIGN.md §2.8), so this one rides it unsigned.
+	ticketed := func(t *testing.T, h *harness) *sap.AuthReqT {
+		t.Helper()
+		h.attach(t)
+		req := authReq(t, h)
+		if len(req.ReqU.Sig) != 0 {
+			t.Fatal("the attach after a grant is not ticketed")
+		}
+		return req
+	}
 	tankScore := func(t *testing.T, h *harness, ref string) {
 		t.Helper()
 		for seq := uint32(1); seq <= 10; seq++ {
@@ -398,6 +409,58 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 					t.Fatalf("first delivery: %v %+v", err, resp)
 				}
 				return &txItem{kind: txAuth, auth: req}
+			}},
+		{name: "ticket: locator replayed without its key", wantCause: "undecryptable",
+			build: func(t *testing.T, h *harness) *txItem {
+				req := ticketed(t, h)
+				req.ReqU.SealedVec = append(req.ReqU.SealedVec[:32:32], bytes.Repeat([]byte{0x5a}, len(req.ReqU.SealedVec)-32)...)
+				reqT, _ := h.telco.ForwardRequest(&req.ReqU)
+				return &txItem{kind: txAuth, auth: reqT}
+			}},
+		{name: "ticket: minted for user A, idU B inside the vector", wantCause: "ticket invalid",
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				victim, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{94}, 32))
+				evil := *h.ue // A's SIM, cloned with its ticket, claiming to be B
+				evil.IDU = h.brk.RegisterUser(victim.Public())
+				reqU, _, err := evil.NewAttachRequest(h.telco.IDT)
+				if err != nil || len(reqU.Sig) != 0 {
+					t.Fatalf("cloned SIM did not ride the ticket: %v", err)
+				}
+				reqT, _ := h.telco.ForwardRequest(reqU)
+				return &txItem{kind: txAuth, auth: reqT}
+			}},
+		{name: "ticket: after RevokeUser", wantCause: "revoked",
+			build: func(t *testing.T, h *harness) *txItem {
+				req := ticketed(t, h)
+				h.brk.RevokeUser(h.ue.IDU)
+				return &txItem{kind: txAuth, auth: req}
+			}},
+		{name: "ticket: presented to a broker built from a different seed", wantCause: "undecryptable",
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{95}, 32))
+				cfg := DefaultConfig("broker.h", bk, h.ca.Public())
+				cfg.Now = func() time.Time { return h.now }
+				h.brk = New(cfg)
+				h.brk.RegisterUser(h.ueKey.Public())
+				h.ue.BrokerPub = bk.Public()
+				return &txItem{kind: txAuth, auth: authReq(t, h)}
+			},
+			check: func(t *testing.T, h *harness) {
+				// The ticket went on the refused attempt, so this is the
+				// full signed handshake — and the new broker grants it.
+				req := authReq(t, h)
+				if resp, err := h.brk.HandleAuthRequest(req); len(req.ReqU.Sig) == 0 || err != nil || !resp.Granted {
+					t.Fatalf("fallback attach: sig %d B, %v %+v", len(req.ReqU.Sig), err, resp)
+				}
+			}},
+		{name: "ticket: signed request with its signature stripped", wantCause: "ticket invalid",
+			build: func(t *testing.T, h *harness) *txItem {
+				req := authReq(t, h)
+				req.ReqU.Sig = nil
+				reqT, _ := h.telco.ForwardRequest(&req.ReqU)
+				return &txItem{kind: txAuth, auth: reqT}
 			}},
 		{name: "report: wrong signer", wantErr: ErrBadReporterKey,
 			build: func(t *testing.T, h *harness) *txItem {

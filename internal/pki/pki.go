@@ -4,7 +4,8 @@
 // and "sealed boxes" (ephemeral X25519 ECDH + AES-256-GCM) for
 // encrypting-to-a-public-key, used by the SAP protocol and the verifiable
 // billing reports. The exchange behind a box belongs to the relationship,
-// not the message (sealer.go).
+// not the message, and between an issuer and a party it has authenticated
+// it can be a PRF-derived Ticket instead of an X25519 one (sealer.go).
 //
 // UE keys are issued by the UE's broker and need no certificates (the
 // broker recognizes its own issuance); broker and bTelco keys carry CA
@@ -46,6 +47,10 @@ type KeyPair struct {
 	boxPriv *ecdh.PrivateKey
 	boxPub  []byte
 	memo    boxMemo // epk → key of the exchanges Open has authenticated
+
+	// ticketSecret keys the PRF behind MintTicket: derived from the seed, so
+	// a KeyPair rebuilt from it honours every ticket the old one minted.
+	ticketSecret boxKeyBytes
 }
 
 // GenerateKeyPair creates a fresh identity using crypto/rand.
@@ -77,11 +82,13 @@ func newKeyPair(pub ed25519.PublicKey, priv ed25519.PrivateKey) (*KeyPair, error
 	if err != nil {
 		return nil, fmt.Errorf("pki: derive box key: %w", err)
 	}
+	seed := boxKeyBytes(priv.Seed())
 	return &KeyPair{
-		Pub:     pub,
-		priv:    priv,
-		boxPriv: boxPriv,
-		boxPub:  boxPriv.PublicKey().Bytes(),
+		Pub:          pub,
+		priv:         priv,
+		boxPriv:      boxPriv,
+		boxPub:       boxPriv.PublicKey().Bytes(),
+		ticketSecret: mac32(&seed, "cellbricks-ticket-v1", nil, ""),
 	}, nil
 }
 

@@ -20,7 +20,10 @@ import (
 // to the message: a Sealer does keygen + ECDH once and seals any number of
 // messages, the recipient remembers epk → key for the exchanges it has
 // already authenticated, and a reply comes back on the request's exchange
-// under a direction-separated key. The layout is the same for all three.
+// under a direction-separated key. The layout is the same for all three —
+// and for a fourth kind of exchange that runs no X25519 at all: a Ticket,
+// whose 32-byte prefix is a locator its issuer turns back into the key with
+// one PRF call (DESIGN.md §2.8).
 
 const (
 	epkSize      = 32
@@ -90,6 +93,54 @@ func (s *Sealer) OpenReply(box []byte) ([]byte, error) {
 	return openBox(s.replyKey, box)
 }
 
+// Ticket is an exchange nobody has to run (DESIGN.md §2.8). Its issuer
+// mints it for a party it has just authenticated and hands it over inside a
+// sealed box; the holder's next box to the issuer rides it — Locator where
+// an ephemeral key would go, keyed by Key — and the issuer re-derives Key
+// from Locator and one secret derived from its long-term seed, so it keeps
+// no table. Locator is 16 random bytes and a 16-byte PRF tag over those and
+// the identifier the ticket was minted for.
+type Ticket struct {
+	Locator [epkSize]byte
+	Key     boxKeyBytes
+}
+
+// ticketRandSize is the random half of a locator; the rest is its tag.
+const ticketRandSize = 16
+
+// MintTicket draws a ticket bound to id.
+func (k *KeyPair) MintTicket(id string) (t Ticket, err error) {
+	if _, err = io.ReadFull(rand.Reader, t.Locator[:ticketRandSize]); err != nil {
+		return t, err
+	}
+	tag := mac32(&k.ticketSecret, ticketBindLabel, t.Locator[:ticketRandSize], id)
+	copy(t.Locator[ticketRandSize:], tag[:])
+	t.Key = mac32(&k.ticketSecret, ticketKeyLabel, t.Locator[:], "")
+	return t, nil
+}
+
+// TicketBound reports whether box rides a ticket k minted for id. A box
+// that opened under k proves its sender holds the key of its locator; this
+// is what ties that locator to one identifier, so a ticket holder cannot
+// speak as anybody else.
+func (k *KeyPair) TicketBound(box []byte, id string) bool {
+	if len(box) < epkSize {
+		return false
+	}
+	tag := mac32(&k.ticketSecret, ticketBindLabel, box[:ticketRandSize], id)
+	return subtle.ConstantTimeCompare(tag[:epkSize-ticketRandSize], box[ticketRandSize:epkSize]) == 1
+}
+
+// TicketSealer returns the sealer of t's exchange: no keygen, no ECDH.
+func TicketSealer(t Ticket) (*Sealer, error) {
+	s := &Sealer{epk: t.Locator, replyKey: replyKey(t.Key)}
+	var err error
+	if s.aead, err = newBoxAEAD(t.Key[:]); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Seal encrypts msg so only the holder of the recipient's box key can read
 // it, on an exchange of its own. Output layout: epk(32) || nonce(12) ||
 // ciphertext.
@@ -102,25 +153,18 @@ func Seal(recipient PublicIdentity, msg []byte) ([]byte, error) {
 }
 
 // Open decrypts a sealed box addressed to k. The key of an exchange whose
-// box authenticated is remembered, so later boxes on it cost no ECDH; a
-// forgotten exchange is recomputed, so the memo never decides the result.
+// box authenticated is remembered, so later boxes on it cost no derivation;
+// a forgotten exchange is recomputed, so the memo never decides the result.
 func (k *KeyPair) Open(box []byte) ([]byte, error) {
 	if len(box) < boxOverhead {
 		return nil, ErrShortInput
 	}
-	key, known, err := k.exchangeKey(box[:epkSize])
-	if err != nil {
-		return nil, err
-	}
-	pt, err := openBox(key, box)
-	if err == nil && !known {
-		k.memo.put(box[:epkSize], key)
-	}
+	pt, _, err := k.open(box)
 	return pt, err
 }
 
 // SealReply encrypts msg to whoever sealed requestBox to k, on that box's
-// exchange: the reply echoes its epk and is keyed for the reverse
+// exchange: the reply echoes its prefix and is keyed for the reverse
 // direction, so only the holder of the request's Sealer opens it. The
 // caller has opened requestBox; an exchange the memo no longer holds is
 // recomputed.
@@ -128,9 +172,12 @@ func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
 	if len(requestBox) < boxOverhead {
 		return nil, ErrShortInput
 	}
-	key, _, err := k.exchangeKey(requestBox[:epkSize])
-	if err != nil {
-		return nil, err
+	key, known := k.memo.get(requestBox[:epkSize])
+	if !known {
+		var err error
+		if _, key, err = k.open(requestBox); err != nil {
+			return nil, err
+		}
 	}
 	rk := replyKey(key)
 	aead, err := newBoxAEAD(rk[:])
@@ -140,22 +187,37 @@ func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
 	return sealBox(aead, requestBox[:epkSize], msg)
 }
 
-// exchangeKey returns the request-direction key of the exchange epk names,
-// from the memo or by ECDH. An epk no exchange can have produced (a
-// low-order point) is ErrDecrypt like any other forgery.
-func (k *KeyPair) exchangeKey(epk []byte) (key boxKeyBytes, known bool, err error) {
-	if key, known = k.memo.get(epk); known {
-		return key, true, nil
+// open decrypts box and returns the request-direction key of its exchange,
+// from the memo or by derivation. Nothing in the clear says whether a
+// prefix the memo does not know is a ticket locator or an X25519 key, so
+// the PRF (a fraction of a microsecond) is tried before the ECDH (tens):
+// only a box sealed under the ticket key authenticates under it. An epk no
+// exchange can have produced (a low-order point) is ErrDecrypt like any
+// other forgery.
+func (k *KeyPair) open(box []byte) (pt []byte, key boxKeyBytes, err error) {
+	prefix := box[:epkSize]
+	var known bool
+	if key, known = k.memo.get(prefix); known {
+		pt, err = openBox(key, box)
+		return pt, key, err
 	}
-	pub, err := ecdh.X25519().NewPublicKey(epk)
-	if err != nil {
-		return key, false, ErrDecrypt
+	key = mac32(&k.ticketSecret, ticketKeyLabel, prefix, "")
+	if pt, err = openBox(key, box); err != nil {
+		pub, perr := ecdh.X25519().NewPublicKey(prefix)
+		if perr != nil {
+			return nil, key, ErrDecrypt
+		}
+		shared, serr := k.boxPriv.ECDH(pub)
+		if serr != nil {
+			return nil, key, ErrDecrypt
+		}
+		key = boxKey(shared, prefix, k.boxPub)
+		pt, err = openBox(key, box)
 	}
-	shared, err := k.boxPriv.ECDH(pub)
-	if err != nil {
-		return key, false, ErrDecrypt
+	if err == nil {
+		k.memo.put(prefix, key)
 	}
-	return boxKey(shared, epk, k.boxPub), false, nil
+	return pt, key, err
 }
 
 func boxKey(shared, epk, rpk []byte) (key boxKeyBytes) {
@@ -168,11 +230,40 @@ func boxKey(shared, epk, rpk []byte) (key boxKeyBytes) {
 }
 
 // replyKey separates the recipient → sender direction of an exchange.
-func replyKey(key boxKeyBytes) (rk boxKeyBytes) {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write([]byte("cellbricks-seal-reply-v1"))
-	mac.Sum(rk[:0])
-	return rk
+func replyKey(key boxKeyBytes) boxKeyBytes {
+	return mac32(&key, "cellbricks-seal-reply-v1", nil, "")
+}
+
+// Labels of the two derivations under a KeyPair's ticket secret.
+const (
+	ticketKeyLabel  = "cellbricks-ticket-key-v1"
+	ticketBindLabel = "cellbricks-ticket-bind-v1"
+)
+
+// mac32 is HMAC-SHA256(key, label ‖ a ‖ b) for the short derivations on
+// the ticketed path, computed in one stack buffer. A ticketed attach runs
+// six of them; at hmac.New's five heap objects apiece they would allocate
+// as much as dropping two signatures and the key agreement saves. Inputs
+// past the buffer (an identifier of a hundred bytes) spill to the heap and
+// stay correct.
+func mac32(key *boxKeyBytes, label string, a []byte, b string) boxKeyBytes {
+	var pad [sha256.BlockSize]byte
+	copy(pad[:], key[:])
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	buf := make([]byte, 0, 192)
+	buf = append(buf, pad[:]...)
+	buf = append(buf, label...)
+	buf = append(buf, a...)
+	buf = append(buf, b...)
+	inner := sha256.Sum256(buf)
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	buf = append(buf[:0], pad[:]...)
+	buf = append(buf, inner[:]...)
+	return sha256.Sum256(buf)
 }
 
 func newBoxAEAD(key []byte) (cipher.AEAD, error) {

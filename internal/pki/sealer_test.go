@@ -2,8 +2,11 @@ package pki
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -285,6 +288,105 @@ func TestSealerConcurrentUse(t *testing.T) {
 	}
 }
 
+func mustTicket(t testing.TB, issuer *KeyPair, id string) (Ticket, *Sealer) {
+	t.Helper()
+	tk, err := issuer.MintTicket(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := TicketSealer(tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk, s
+}
+
+// Rule "a ticket is an exchange nobody ran" (DESIGN.md §2.8): the issuer
+// keeps nothing, so a KeyPair rebuilt from the seed honours it with an empty
+// memo, in both directions; it is bound to one identifier; and without its
+// key a locator is 32 bytes of noise.
+func TestTicketExchangeStatelessBoundAndKeyed(t *testing.T) {
+	issuer := mustPair(t, 23)
+	tk, s := mustTicket(t, issuer, "alice")
+	msg := []byte("authVec")
+	box := mustSeal(t, s, msg)
+	if len(box) != boxOverhead+len(msg) || !bytes.Equal(box[:epkSize], tk.Locator[:]) {
+		t.Fatal("a ticket box is not locator ‖ nonce ‖ ct")
+	}
+
+	for _, k := range []*KeyPair{issuer, mustPair(t, 23)} { // the minter, then a restart
+		if k.memoLen() != 0 {
+			t.Fatal("memo not empty before the first open")
+		}
+		reply, err := k.SealReply(box, []byte("authRespU")) // before any Open: derives
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.OpenReply(reply); err != nil || string(got) != "authRespU" {
+			t.Fatalf("reply: %q, %v", got, err)
+		}
+		for pass := 0; pass < 2; pass++ { // the reply's derivation remembered it; then warm
+			if got, err := k.Open(box); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("pass %d: %q, %v", pass, got, err)
+			}
+		}
+		if k.memoLen() != 1 {
+			t.Fatalf("one ticket left %d memo entries", k.memoLen())
+		}
+		if !k.TicketBound(box, "alice") || k.TicketBound(box, "bob") || k.TicketBound(box[:epkSize-1], "alice") {
+			t.Fatal("ticket binding: want alice only")
+		}
+	}
+
+	// An X25519 exchange still opens beside it, and is bound to nobody.
+	x := mustSeal(t, mustSealer(t, issuer), msg)
+	if _, err := issuer.Open(x); err != nil || issuer.TicketBound(x, "alice") {
+		t.Fatalf("X25519 box beside a ticket: err=%v", err)
+	}
+
+	_, thief := mustTicket(t, mustPair(t, 24), "alice") // right shape, someone else's secret
+	stolen := append(append([]byte(nil), tk.Locator[:]...), mustSeal(t, thief, msg)[epkSize:]...)
+	other := mustPair(t, 25)
+	before := other.memoLen()
+	for _, tc := range []struct {
+		name string
+		open func() ([]byte, error)
+	}{
+		{"locator replayed without its key", func() ([]byte, error) { return mustPair(t, 23).Open(stolen) }},
+		{"reply to a locator replayed without its key", func() ([]byte, error) { return mustPair(t, 23).SealReply(stolen, msg) }},
+		{"ticket presented to a different seed", func() ([]byte, error) { return other.Open(box) }},
+		{"reply from a different seed", func() ([]byte, error) { return other.SealReply(box, msg) }},
+		{"request opened as a reply", func() ([]byte, error) { return s.OpenReply(box) }},
+	} {
+		if pt, err := tc.open(); !errors.Is(err, ErrDecrypt) || pt != nil {
+			t.Errorf("%s: got %q, %v; want ErrDecrypt", tc.name, pt, err)
+		}
+	}
+	if other.TicketBound(box, "alice") || other.memoLen() != before {
+		t.Fatal("a foreign ticket bound or entered the memo")
+	}
+}
+
+// mac32 is HMAC-SHA256, on the stack for the sizes the ticket path uses and
+// still right when an identifier outgrows the buffer.
+func TestMac32IsHMACAndStackOnly(t *testing.T) {
+	key := boxKeyBytes(bytes.Repeat([]byte{9}, 32))
+	a := bytes.Repeat([]byte{7}, 32)
+	for _, id := range []string{"", "0123456789abcdef0123456789abcdef", strings.Repeat("long-id-", 40)} {
+		m := hmac.New(sha256.New, key[:])
+		m.Write([]byte(ticketBindLabel))
+		m.Write(a)
+		m.Write([]byte(id))
+		if got := mac32(&key, ticketBindLabel, a, id); !bytes.Equal(got[:], m.Sum(nil)) {
+			t.Fatalf("mac32 differs from crypto/hmac at a %d-byte id", len(id))
+		}
+	}
+	id := "0123456789abcdef0123456789abcdef"
+	if n := testing.AllocsPerRun(100, func() { key = mac32(&key, ticketBindLabel, a, id) }); n != 0 {
+		t.Fatalf("mac32 allocates %v objects per call", n)
+	}
+}
+
 // fuzzKey is the recipient of the checked-in FuzzOpen corpus.
 func fuzzKey(t testing.TB) *KeyPair {
 	k, err := KeyPairFromSeed(bytes.Repeat([]byte{0xF0}, 32))
@@ -296,8 +398,9 @@ func fuzzKey(t testing.TB) *KeyPair {
 
 // FuzzOpen feeds attacker bytes to the one place they meet the box key.
 // The seed corpus under testdata/fuzz/FuzzOpen (genuine boxes sealed to
-// fuzzKey, a reply-direction box, truncations, junk) runs on every plain
-// `go test`.
+// fuzzKey on X25519 exchanges and on a ticket it minted, reply-direction
+// boxes, a ticket locator without its key, truncations, junk) runs on every
+// plain `go test`.
 func FuzzOpen(f *testing.F) {
 	k := fuzzKey(f)
 	live := mustSealer(f, k)
@@ -366,8 +469,22 @@ func BenchmarkOpenWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenColdTicket opens a ticket box the memo has not seen — every
+// ticketed attach request: one PRF where BenchmarkOpenCold pays an ECDH.
+func BenchmarkOpenColdTicket(b *testing.B) {
+	k := mustPair(b, 42)
+	_, s := mustTicket(b, k, "0123456789abcdef0123456789abcdef")
+	box := mustSeal(b, s, make([]byte, 70))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.memo = boxMemo{}
+		benchSink, _ = k.Open(box)
+	}
+}
+
 // BenchmarkOpenCold opens a box on an exchange the memo has not seen: the
-// parent commit's price for every Open.
+// price of every Open before PR 18, of first contact since.
 func BenchmarkOpenCold(b *testing.B) {
 	k := mustPair(b, 42)
 	box := mustSeal(b, mustSealer(b, k), make([]byte, 70))

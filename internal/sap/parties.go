@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cellbricks/internal/nas"
@@ -21,6 +22,13 @@ type UEState struct {
 	IDB       string
 	Key       *pki.KeyPair
 	BrokerPub pki.PublicIdentity
+
+	// ticket is the *pki.Ticket the broker's last grant carried (DESIGN.md
+	// §2.8), or nil: NewAttachRequest takes it, only a verified grant puts
+	// the next one back. An atomic.Value and not a mutex, so that callers
+	// which build or copy a UEState as a plain struct keep working; a copy
+	// forks the one ticket it holds.
+	ticket atomic.Value
 }
 
 // PendingAttach is the UE-side state for one in-flight attach. Req is the
@@ -34,16 +42,35 @@ type PendingAttach struct {
 	Nonce  [NonceSize]byte
 	Req    *AuthReqU
 	Sealer *pki.Sealer
+
+	// ticketed records that Sealer rides a ticket, so the response is
+	// authenticated by opening on it and carries no broker signature. It is
+	// this UE's own note of what it sent: nothing the network says sets it.
+	ticketed bool
+	// kept is set once a response to this attach has handed its ticket to
+	// the UEState, so replaying that response cannot arm one ticket twice.
+	kept atomic.Bool
 }
 
-// NewAttachRequest runs UE procedures 1–4 of Fig. 2 for bTelco idT.
+// NewAttachRequest runs UE procedures 1–4 of Fig. 2 for bTelco idT. With a
+// ticket in hand it spends it: authVec is sealed on the ticket's exchange
+// and goes out unsigned — no keygen, no ECDH, no signature. Without one
+// (first contact, or after any attach that did not end in a grant) it is
+// the full signed handshake on a fresh X25519 exchange.
 func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error) {
 	nonce, err := pki.NewNonce()
 	if err != nil {
 		return nil, nil, err
 	}
 	vec := AuthVec{IDU: u.IDU, IDB: u.IDB, IDT: idT, Nonce: nonce}
-	sealer, err := pki.NewSealer(u.BrokerPub)
+	var sealer *pki.Sealer
+	ticket, _ := u.ticket.Swap((*pki.Ticket)(nil)).(*pki.Ticket)
+	ticketed := ticket != nil
+	if ticketed {
+		sealer, err = pki.TicketSealer(*ticket)
+	} else {
+		sealer, err = pki.NewSealer(u.BrokerPub)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
@@ -51,12 +78,11 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
-	req := &AuthReqU{
-		IDB:       u.IDB,
-		SealedVec: sealed,
-		Sig:       u.Key.Sign(sealed),
+	req := &AuthReqU{IDB: u.IDB, SealedVec: sealed}
+	if !ticketed {
+		req.Sig = u.Key.Sign(sealed)
 	}
-	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req, Sealer: sealer}, nil
+	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req, Sealer: sealer, ticketed: ticketed}, nil
 }
 
 // HandleResponse runs UE procedures 5–6 of Fig. 2: verify the broker's
@@ -64,14 +90,20 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 // authVec opened, so a response to any other attach fails here — check the
 // echoed nonce and bTelco identity, and return ss for NAS security-context
 // setup along with the broker-assigned session reference the UE labels its
-// billing reports with. Repeatable: p is read, never consumed.
+// billing reports with. The signature is skipped only when p itself went
+// out on a ticket: then the reply key is one nobody but the broker can
+// derive, and a response that opens under it is the broker's. Repeatable:
+// p's request state is read, never consumed; the ticket in the response is
+// kept by the first call that accepts it.
 func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterKey, string, error) {
 	var zero nas.MasterKey
 	if resp == nil || p == nil || p.Sealer == nil {
 		return zero, "", ErrBadRequest
 	}
-	if err := u.BrokerPub.Verify(resp.Sealed, resp.Sig); err != nil {
-		return zero, "", fmt.Errorf("sap: authRespU signature: %w", err)
+	if !p.ticketed {
+		if err := u.BrokerPub.Verify(resp.Sealed, resp.Sig); err != nil {
+			return zero, "", fmt.Errorf("sap: authRespU signature: %w", err)
+		}
 	}
 	pt, err := p.Sealer.OpenReply(resp.Sealed)
 	if err != nil {
@@ -89,6 +121,10 @@ func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterK
 	}
 	if inner.IDU != u.IDU {
 		return zero, "", fmt.Errorf("%w: response for %q", ErrBadRequest, inner.IDU)
+	}
+	if p.kept.CompareAndSwap(false, true) {
+		next := inner.Ticket // a 64-byte copy, so inner stays on the stack
+		u.ticket.Store(&next)
 	}
 	return inner.SS, inner.URef, nil
 }

@@ -31,14 +31,20 @@ type ValidatedAuth struct {
 	Req       *AuthReqT
 	Vec       AuthVec
 	DenyCause string
+
+	// ticketed: the vector was authenticated by a ticket bound to Vec.IDU
+	// rather than by the UE's signature, so Finalize answers in kind.
+	ticketed bool
 }
 
 // Validate runs the stateless half of the broker procedures of Fig. 3:
 // authenticate the bTelco (certificate and signature), decrypt and
-// authenticate the UE's vector, and check membership. It touches no
-// order-sensitive state (the replay filter and policy live in Decide), so
-// any number of Validate calls may run concurrently. The error is non-nil
-// only for a nil request; protocol failures land in DenyCause.
+// authenticate the UE's vector — by the UE's signature, or for a request
+// that carries none by the ticket its box rides (DESIGN.md §2.8) — and
+// check membership. It touches no order-sensitive state (the replay filter
+// and policy live in Decide), so any number of Validate calls may run
+// concurrently. The error is non-nil only for a nil request; protocol
+// failures land in DenyCause.
 func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	if req == nil {
 		return nil, ErrBadRequest
@@ -89,7 +95,15 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	if revoked {
 		return deny("user key revoked")
 	}
-	if err := pubU.Verify(req.ReqU.SealedVec, req.ReqU.Sig); err != nil {
+	// The vector is the UE's if the UE signed the box — or, when the request
+	// carries no signature at all, if the box rides a ticket this broker
+	// minted for that very idU inside an earlier grant: it opened, so the
+	// sender holds the ticket's key, and the locator's tag says whose it is.
+	if v.ticketed = len(req.ReqU.Sig) == 0; v.ticketed {
+		if !b.Key.TicketBound(req.ReqU.SealedVec, v.Vec.IDU) {
+			return deny("UE ticket invalid")
+		}
+	} else if err := pubU.Verify(req.ReqU.SealedVec, req.ReqU.Sig); err != nil {
 		return deny("UE signature invalid")
 	}
 	// The UE bound this request to a specific bTelco; the forwarding
@@ -142,9 +156,11 @@ func MintSession() (nas.MasterKey, string, error) {
 // Finalize seals and signs the two responses for a granted request using
 // a pre-minted (ss, uref): authRespT on the broker's resident exchange
 // with the certified bTelco, authRespU back on the exchange the UE's
-// authVec arrived on. Order-free and repeatable on one v: a batching
-// broker finalizes many grants in parallel after their decisions
-// committed in arrival order.
+// authVec arrived on, carrying the ticket for the UE's next attach. A
+// ticketed request's authRespU goes unsigned: its reply key is derivable
+// by this broker and that UE alone. Order-free and repeatable on one v (a
+// fresh ticket each time): a batching broker finalizes many grants in
+// parallel after their decisions committed in arrival order.
 func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, *GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}
@@ -157,6 +173,9 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
 	}
 	respU := innerRespU{IDU: v.Vec.IDU, IDT: req.IDT, URef: uref, SS: ss, Nonce: v.Vec.Nonce}
+	if respU.Ticket, err = b.Key.MintTicket(v.Vec.IDU); err != nil {
+		return nil, nil, fmt.Errorf("sap: mint ticket: %w", err)
+	}
 	sealedU, err := b.Key.SealReply(req.ReqU.SealedVec, respU.marshal())
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authRespU: %w", err)
@@ -164,7 +183,10 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 	resp := &AuthResp{
 		Granted: true,
 		T:       AuthRespT{Sealed: sealedT, Sig: b.Key.Sign(sealedT)},
-		U:       AuthRespU{Sealed: sealedU, Sig: b.Key.Sign(sealedU)},
+		U:       AuthRespU{Sealed: sealedU},
+	}
+	if !v.ticketed {
+		resp.U.Sig = b.Key.Sign(sealedU)
 	}
 	rec := &GrantRecord{URef: uref, IDU: v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
 	return resp, rec, nil

@@ -18,6 +18,14 @@
 //
 // ss then seeds the standard NAS security context on both sides, exactly
 // where KASME sits in EPS (see package nas).
+//
+// That is first contact. A UE and its broker are not strangers — the broker
+// issued the UE's key — so every grant also carries a single-use ticket,
+// and the UE's next attach rides it: authVec sealed under a key the broker
+// re-derives from the ticket's cleartext locator, no UE signature, no
+// broker signature on authRespU, no X25519 on either side. The bTelco leg
+// is signed and certified as ever, and any attach that does not end in a
+// grant sends the UE back to the full handshake (DESIGN.md §2.8).
 package sap
 
 import (
@@ -80,7 +88,9 @@ func (v *AuthVec) unmarshal(b []byte) error {
 
 // AuthReqU is the UE's attach request: authReqU = (sig_authvec, authVec*,
 // idB) (Fig. 2 step 4). SealedVec is authVec encrypted to pkB; Sig is the
-// UE's signature over SealedVec.
+// UE's signature over SealedVec. A UE holding a ticket from its last grant
+// seals authVec on the ticket and sends no Sig — the box authenticating
+// under a key only the two of them can derive is the proof (DESIGN.md §2.8).
 type AuthReqU struct {
 	IDB       string
 	SealedVec []byte
@@ -131,12 +141,14 @@ func marshalTerms(w *codec.Writer, t ServiceTerms) {
 	w.Float64(t.PricePerGB)
 }
 
-func unmarshalTerms(r *codec.Reader) ServiceTerms {
+// maxQCIs bounds a decoded capability: the standard defines fewer than 64.
+const maxQCIs = 64
+
+func unmarshalTerms(r *codec.Reader) (ServiceTerms, error) {
 	var t ServiceTerms
 	n := r.Uint32()
-	if n > 64 {
-		// Latch an error by over-reading; a capability never has >64 QCIs.
-		n = 64
+	if n > maxQCIs {
+		return t, fmt.Errorf("%w: %d QCIs in a capability", ErrBadRequest, n)
 	}
 	for i := uint32(0); i < n; i++ {
 		t.Cap.QCIs = append(t.Cap.QCIs, qos.QCI(r.Byte()))
@@ -146,7 +158,7 @@ func unmarshalTerms(r *codec.Reader) ServiceTerms {
 	t.Cap.GBRSupported = r.Bool()
 	t.LawfulIntercept = r.Bool()
 	t.PricePerGB = r.Float64()
-	return t
+	return t, nil
 }
 
 // AuthReqT is the bTelco's augmented, signed forward of the UE request to
@@ -190,7 +202,11 @@ func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) {
 	sr := codec.NewReader(signed)
 	reqUB := sr.BytesCopy()
 	m.IDT = sr.String()
-	m.Terms = unmarshalTerms(sr)
+	terms, err := unmarshalTerms(sr)
+	if err != nil {
+		return nil, err
+	}
+	m.Terms = terms
 	if err := sr.Done(); err != nil {
 		return nil, err
 	}
@@ -290,13 +306,15 @@ func (v *innerRespT) unmarshal(b []byte) error {
 }
 
 // innerRespU is the broker->UE payload, sealed to the UE: "identifiers of
-// U and T, ss, and the U-generated nonce".
+// U and T, ss, and the U-generated nonce" — and the ticket U's next attach
+// to this broker rides (DESIGN.md §2.8), which exists nowhere but in here.
 type innerRespU struct {
-	IDU   string
-	IDT   string
-	URef  string // session reference for the UE's billing reports
-	SS    nas.MasterKey
-	Nonce [NonceSize]byte
+	IDU    string
+	IDT    string
+	URef   string // session reference for the UE's billing reports
+	SS     nas.MasterKey
+	Nonce  [NonceSize]byte
+	Ticket pki.Ticket
 }
 
 func (v *innerRespU) marshal() []byte {
@@ -306,6 +324,8 @@ func (v *innerRespU) marshal() []byte {
 	w.String(v.URef)
 	w.Bytes(v.SS[:])
 	w.Bytes(v.Nonce[:])
+	w.Bytes(v.Ticket.Locator[:])
+	w.Bytes(v.Ticket.Key[:])
 	return w.Out()
 }
 
@@ -316,14 +336,19 @@ func (v *innerRespU) unmarshal(b []byte) error {
 	v.URef = r.String()
 	ss := r.Bytes()
 	nonce := r.Bytes()
+	loc := r.Bytes()
+	key := r.Bytes()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if len(ss) != len(v.SS) || len(nonce) != NonceSize {
+	if len(ss) != len(v.SS) || len(nonce) != NonceSize ||
+		len(loc) != len(v.Ticket.Locator) || len(key) != len(v.Ticket.Key) {
 		return ErrBadRequest
 	}
 	copy(v.SS[:], ss)
 	copy(v.Nonce[:], nonce)
+	copy(v.Ticket.Locator[:], loc)
+	copy(v.Ticket.Key[:], key)
 	return nil
 }
 

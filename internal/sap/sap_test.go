@@ -2,12 +2,16 @@ package sap
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 )
@@ -21,7 +25,7 @@ type fixture struct {
 	now    time.Time
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	now := time.Unix(1_750_000_000, 0)
 	ca, err := pki.NewCAFromSeed("root-ca", bytes.Repeat([]byte{77}, 32))
@@ -603,6 +607,326 @@ func TestPropertyResponseNotTransferable(t *testing.T) {
 		_, otherPending, _ := other.NewAttachRequest(f.telco.IDT)
 		if _, _, err := other.HandleResponse(otherPending, respU); err == nil {
 			t.Fatal("authRespU accepted by a different UE")
+		}
+	}
+}
+
+// --- ticketed attaches (DESIGN.md §2.8) ---
+
+// exchange carries a UE request through the bTelco to the broker and the
+// reply back through the bTelco: the broker's answer and, for a grant, the
+// authRespU inside it.
+func (f *fixture) exchange(t *testing.T, reqU *AuthReqU) (*AuthResp, *AuthRespU) {
+	t.Helper()
+	reqT, err := f.telco.ForwardRequest(reqU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err := f.broker.HandleRequest(reqT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Granted {
+		return resp, nil
+	}
+	_, respU, err := f.telco.HandleResponse(f.broker.Key.Public(), resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, respU
+}
+
+// firstContact is the fixture UE's SIM as it left the broker: same identity,
+// no ticket.
+func (f *fixture) firstContact() *UEState {
+	return &UEState{IDU: f.ue.IDU, IDB: f.ue.IDB, Key: f.ue.Key, BrokerPub: f.ue.BrokerPub}
+}
+
+// request is NewAttachRequest, asserting the mode the UE chose.
+func (f *fixture) request(t *testing.T, u *UEState, wantTicketed bool) (*AuthReqU, *PendingAttach) {
+	t.Helper()
+	reqU, p, err := u.NewAttachRequest(f.telco.IDT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ticketed != wantTicketed || (len(reqU.Sig) == 0) != wantTicketed {
+		t.Fatalf("attach ticketed=%v with a %d-byte signature, want ticketed=%v", p.ticketed, len(reqU.Sig), wantTicketed)
+	}
+	return reqU, p
+}
+
+// The first attach is the paper's handshake; every one after a grant rides
+// the ticket that grant carried: no UE signature out, no broker signature
+// on authRespU back, the bTelco leg signed as ever, and the same agreement
+// on ss and URef (runAttach checks those).
+func TestTicketedAttachAfterFirstContact(t *testing.T) {
+	f := newFixture(t)
+	signedReq, _ := f.request(t, f.ue, false)
+	f.runAttach(t) // first contact of the UE that just wasted a request: still signed, no ticket yet
+	for i := 0; i < 3; i++ {
+		reqU, p := f.request(t, f.ue, true)
+		if got, want := len(reqU.Marshal()), len(signedReq.Marshal())-64; got != want {
+			t.Fatalf("ticketed authReqU is %d bytes, want the signed one less its signature (%d)", got, want)
+		}
+		if !f.broker.Key.TicketBound(reqU.SealedVec, f.ue.IDU) {
+			t.Fatal("the request's prefix is not a locator minted for this UE")
+		}
+		resp, respU := f.exchange(t, reqU)
+		if !resp.Granted || len(resp.T.Sig) == 0 || len(respU.Sig) != 0 {
+			t.Fatalf("attach %d: granted=%v cause=%q, authRespT sig %d B, authRespU sig %d B",
+				i, resp.Granted, resp.Cause, len(resp.T.Sig), len(respU.Sig))
+		}
+		if _, _, err := f.ue.HandleResponse(p, respU); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Every way a ticket can be misused ends in a denial or a UE-side refusal,
+// and whatever happened the honest UE's next attach is granted — signed
+// again if its ticket was spent on the attempt.
+func TestTicketedAttachDenyLadder(t *testing.T) {
+	otherBroker := func(f *fixture, seed byte) {
+		key, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{seed}, 32))
+		f.broker = NewBrokerState(f.broker.IDB, key, f.ca.Public(), nil, func() time.Time { return f.now })
+		f.broker.RegisterUser(f.ue.Key.Public())
+		f.ue.BrokerPub = key.Public()
+	}
+	for _, tc := range []struct {
+		name string
+		// run misuses the primed fixture and returns the broker's answer
+		// or the UE's refusal.
+		run       func(t *testing.T, f *fixture) (*AuthResp, error)
+		wantCause string // substring of the broker's denial; "" with wantErr nil = granted
+		wantErr   error  // the UE's refusal
+		spent     bool   // the honest UE's ticket went on the attempt
+	}{
+		{name: "locator replayed without its key", wantCause: "undecryptable", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				seen, _ := f.request(t, f.ue, true) // what a bTelco or the air interface sees
+				forged := &AuthReqU{IDB: seen.IDB, SealedVec: append([]byte(nil), seen.SealedVec...)}
+				rand.Read(forged.SealedVec[32:])
+				resp, _ := f.exchange(t, forged)
+				return resp, nil
+			}},
+		{name: "ticket minted for user A with idU B inside the vector", wantCause: "ticket invalid", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				victim, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{111}, 32))
+				evil := &UEState{IDU: f.broker.RegisterUser(victim.Public()), IDB: f.ue.IDB, Key: f.ue.Key, BrokerPub: f.ue.BrokerPub}
+				evil.ticket.Store(f.ue.ticket.Swap((*pki.Ticket)(nil)))
+				reqU, _ := f.request(t, evil, true)
+				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
+		{name: "ticket after RevokeUser", wantCause: "revoked", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				f.broker.RevokeUser(f.ue.IDU)
+				reqU, _ := f.request(t, f.ue, true)
+				resp, _ := f.exchange(t, reqU)
+				f.broker.mu.Lock()
+				delete(f.broker.revoked, f.ue.IDU) // reinstated, so the ladder's last rung can run
+				f.broker.mu.Unlock()
+				return resp, nil
+			}},
+		{name: "ticket presented to a broker built from a different seed", wantCause: "undecryptable", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				otherBroker(f, 101)
+				reqU, _ := f.request(t, f.ue, true)
+				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
+		{name: "ticket presented to a broker rebuilt from the same seed", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				otherBroker(f, 1) // newFixture's broker seed: no memo, no table, same secret
+				reqU, p := f.request(t, f.ue, true)
+				resp, respU := f.exchange(t, reqU)
+				if respU == nil {
+					return resp, nil
+				}
+				_, _, err := f.ue.HandleResponse(p, respU)
+				f.ue.ticket.Store((*pki.Ticket)(nil)) // drop the new ticket: the last rung expects none
+				return resp, err
+			}},
+		{name: "signed request with its signature stripped", wantCause: "ticket invalid",
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				fresh := f.firstContact()
+				reqU, _ := f.request(t, fresh, false)
+				reqU.Sig = nil
+				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
+		{name: "ticketed request replayed", wantCause: "replay", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				if resp, _ := f.exchange(t, reqU); !resp.Granted {
+					t.Fatalf("first delivery denied: %s", resp.Cause)
+				}
+				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
+		{name: "ticketed request forwarded by another bTelco", wantCause: "mismatch", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				key, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{9}, 32))
+				honest := f.telco
+				f.telco = &TelcoState{IDT: "btelco-evil", Key: key, Terms: honest.Terms,
+					Cert: f.ca.Issue("btelco-evil", "btelco", key.Public(), f.now.Add(-time.Hour), f.now.Add(time.Hour))}
+				resp, _ := f.exchange(t, reqU)
+				f.telco = honest
+				return resp, nil
+			}},
+		{name: "signed-mode response with its signature stripped", wantErr: pki.ErrBadSignature,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				fresh := f.firstContact()
+				reqU, p := f.request(t, fresh, false)
+				resp, respU := f.exchange(t, reqU)
+				_, _, err := fresh.HandleResponse(p, &AuthRespU{Sealed: respU.Sealed})
+				return resp, err
+			}},
+		{name: "ticketed response cross-wired between two attaches", wantErr: pki.ErrDecrypt, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				req1, p1 := f.request(t, f.ue, true)
+				resp, respU1 := f.exchange(t, req1)
+				if _, _, err := f.ue.HandleResponse(p1, respU1); err != nil {
+					t.Fatal(err)
+				}
+				_, p2 := f.request(t, f.ue, true)
+				_, _, err := f.ue.HandleResponse(p2, respU1)
+				return resp, err
+			}},
+		{name: "ticketed response tampered", wantErr: pki.ErrDecrypt, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, p := f.request(t, f.ue, true)
+				resp, respU := f.exchange(t, reqU)
+				respU.Sealed[len(respU.Sealed)-1] ^= 1
+				_, _, err := f.ue.HandleResponse(p, respU)
+				return resp, err
+			}},
+		{name: "response replayed after its ticket was spent", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				req1, p1 := f.request(t, f.ue, true)
+				resp, respU1 := f.exchange(t, req1)
+				if _, _, err := f.ue.HandleResponse(p1, respU1); err != nil {
+					t.Fatal(err)
+				}
+				f.request(t, f.ue, true)                     // spends the ticket respU1 carried, then is lost
+				_, _, err := f.ue.HandleResponse(p1, respU1) // accepted again, arms nothing
+				return resp, err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.runAttach(t) // first contact: the UE now holds a ticket
+			resp, err := tc.run(t, f)
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("UE err = %v, want %v", err, tc.wantErr)
+			}
+			if granted := tc.wantCause == ""; resp.Granted != granted || !strings.Contains(resp.Cause, tc.wantCause) {
+				t.Fatalf("broker: granted=%v cause=%q, want granted=%v cause ~ %q", resp.Granted, resp.Cause, granted, tc.wantCause)
+			}
+			// The last rung: the full signed handshake when the ticket is gone.
+			reqU, p := f.request(t, f.ue, !tc.spent)
+			resp, respU := f.exchange(t, reqU)
+			if !resp.Granted {
+				t.Fatalf("the attach after: denied, %s", resp.Cause)
+			}
+			if _, _, err := f.ue.HandleResponse(p, respU); err != nil {
+				t.Fatalf("the attach after: %v", err)
+			}
+			f.request(t, f.ue, true) // and that grant armed the next ticket
+		})
+	}
+}
+
+// Two goroutines attaching on one UEState: a ticket goes to exactly one of
+// them, so no locator — no 32-byte prefix at all — is ever emitted twice.
+func TestUEStateConcurrentAttachesNeverShareATicket(t *testing.T) {
+	f := newFixture(t)
+	var mu sync.Mutex
+	prefixes, ticketed := map[string]bool{}, 0
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				reqU, p, err := f.ue.NewAttachRequest(f.telco.IDT)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if prefixes[string(reqU.SealedVec[:32])] {
+					t.Error("one prefix emitted twice")
+				}
+				prefixes[string(reqU.SealedVec[:32])] = true
+				if p.ticketed {
+					ticketed++
+				}
+				mu.Unlock()
+				reqT, err := f.telco.ForwardRequest(reqU)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, _, err := f.broker.HandleRequest(reqT)
+				if err != nil || !resp.Granted {
+					t.Errorf("attach: %v %+v", err, resp)
+					return
+				}
+				if _, _, err := f.ue.HandleResponse(p, &resp.U); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(prefixes) != 50 || ticketed == 0 {
+		t.Fatalf("%d distinct prefixes over 50 attaches, %d ticketed", len(prefixes), ticketed)
+	}
+}
+
+// A QCI count no capability can have is a decode error, not a clamp that
+// lets the shifted remainder reach the signature check.
+func TestAuthReqTCodecRejectsBadQCICount(t *testing.T) {
+	wire := func(count uint32, qcis int) []byte {
+		signed := codec.NewWriter(128)
+		signed.Bytes((&AuthReqU{IDB: "b"}).Marshal())
+		signed.String("t")
+		signed.Uint32(count)
+		for i := 0; i < qcis; i++ {
+			signed.Byte(9)
+		}
+		signed.Uint64(1)
+		signed.Uint64(1)
+		signed.Bool(true)
+		signed.Bool(false)
+		signed.Float64(1)
+		w := codec.NewWriter(256)
+		w.Bytes(signed.Out())
+		w.Bytes(nil)
+		w.Bytes(nil)
+		return w.Out()
+	}
+	for _, tc := range []struct {
+		name        string
+		count       uint32
+		qcis        int
+		want        error
+		wantDecoded int
+	}{
+		{"64 is the most a capability holds", 64, 64, nil, 64},
+		{"65", 65, 65, ErrBadRequest, 0},
+		{"2^32-1", math.MaxUint32, 3, ErrBadRequest, 0},
+		{"truncated: 3 announced, 2 present", 3, 2, codec.ErrShort, 0},
+	} {
+		m, err := UnmarshalAuthReqT(wire(tc.count, tc.qcis))
+		if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && len(m.Terms.Cap.QCIs) != tc.wantDecoded {
+			t.Errorf("%s: decoded %d QCIs", tc.name, len(m.Terms.Cap.QCIs))
 		}
 	}
 }

@@ -19,6 +19,11 @@ type Arch string
 const (
 	ArchBaseline   Arch = "BL" // unmodified Magma: EPS-AKA, 2 S6A round trips
 	ArchCellBricks Arch = "CB" // CellBricks: SAP, 1 broker round trip
+	// ArchCellBricksTicketed is a Fig. 7 row only, not a Scenario
+	// architecture: the SAP attach of a UE whose previous grant left it a
+	// ticket (DESIGN.md §2.8). ArchCellBricks in Fig. 7 is always first
+	// contact, the handshake the paper measured.
+	ArchCellBricksTicketed Arch = "CBt"
 )
 
 // Placement is where the SubscriberDB / brokerd runs relative to the AGW
@@ -91,6 +96,9 @@ type attachWorld struct {
 	// remoteWall is the measured wall time spent inside northbound
 	// requests, which transport keeps out of the AGW's span.
 	remoteWall time.Duration
+	// ticketed counts the SAP requests that reached brokerd without a UE
+	// signature, so a test can tell which handshake a row measured.
+	ticketed int
 }
 
 // remote charges one northbound request: the network round trip now and,
@@ -126,6 +134,9 @@ type instrumentedBroker struct{ w *attachWorld }
 
 func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	defer c.w.remote(SpanBrokerd, costBrokerd)()
+	if len(req.ReqU.Sig) == 0 {
+		c.w.ticketed++
+	}
 	return c.w.brk.HandleAuthRequest(req)
 }
 
@@ -190,10 +201,17 @@ func (w *attachWorld) RunAttach(arch Arch, iteration int) (AttachSample, error) 
 	w.clock.Charge(SpanENB, costENB)
 
 	switch arch {
-	case ArchCellBricks:
+	case ArchCellBricks, ArchCellBricksTicketed:
 		w.clock.Charge(SpanAGW, costAGWSAP)
 		ranID := fmt.Sprintf("bench-ue-%d", iteration)
-		dev := ue.NewDevice(ranID, nil, w.dev.CB)
+		// The ticketed row keeps one SIM across samples, so each rides the
+		// ticket of the one before; the paper's row gets a SIM that has
+		// never attached, or samples 2…n would silently be ticketed too.
+		cb := w.dev.CB
+		if arch == ArchCellBricks {
+			cb = &sap.UEState{IDU: cb.IDU, IDB: cb.IDB, Key: cb.Key, BrokerPub: cb.BrokerPub}
+		}
+		dev := ue.NewDevice(ranID, nil, cb)
 		t0 := benchNow()
 		_, err := dev.AttachSAP(w.transport(ranID), "btelco-bench")
 		if err != nil {
@@ -222,11 +240,17 @@ func (w *attachWorld) RunAttach(arch Arch, iteration int) (AttachSample, error) 
 	return AttachSample{Total: w.clock.Now() - start, Spans: spans}, nil
 }
 
-// RunAttachBench measures n attachments for one Fig. 7 cell.
+// RunAttachBench measures n attachments for one Fig. 7 cell. The ticketed
+// row's first contact happens before the first sample.
 func RunAttachBench(arch Arch, place Placement, n int) (AttachBenchResult, error) {
 	w, err := newAttachWorld(place)
 	if err != nil {
 		return AttachBenchResult{}, err
+	}
+	if arch == ArchCellBricksTicketed {
+		if _, err := w.RunAttach(ArchCellBricksTicketed, -1); err != nil {
+			return AttachBenchResult{}, err
+		}
 	}
 	var total time.Duration
 	sums := make(map[string]time.Duration)
@@ -248,14 +272,15 @@ func RunAttachBench(arch Arch, place Placement, n int) (AttachBenchResult, error
 	return res, nil
 }
 
-// RunFig7 measures every Fig. 7 cell — three placements × two
-// architectures, n attachments each. Each cell owns a private attachWorld
-// (its own broker, SubscriberDB, and virtual clock), so the six cells fan
-// out across the runner and reassemble in the canonical order: placements
-// outermost, baseline before CellBricks within each.
+// RunFig7 measures every Fig. 7 cell — three placements × the paper's two
+// architectures and the ticketed attach, n attachments each. Each cell owns
+// a private attachWorld (its own broker, SubscriberDB, and virtual clock),
+// so the nine cells fan out across the runner and reassemble in the
+// canonical order: placements outermost; baseline, CellBricks, CellBricks
+// on a ticket within each.
 func RunFig7(n int, r Runner) ([]AttachBenchResult, error) {
 	places := Placements()
-	archs := []Arch{ArchBaseline, ArchCellBricks}
+	archs := []Arch{ArchBaseline, ArchCellBricks, ArchCellBricksTicketed}
 	return runUnitsErr(r, len(places)*len(archs), func(u int) (AttachBenchResult, error) {
 		return RunAttachBench(archs[u%len(archs)], places[u/len(archs)], n)
 	})

@@ -154,10 +154,8 @@ func TestAttachBreakdownPinned(t *testing.T) {
 		}
 	}
 
-	cb, err := RunAttachBench(ArchCellBricks, place, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The paper's row and the ticketed one differ only in measured crypto
+	// time, which the frozen clock removes: same modules, same round trip.
 	wantCB := map[string]time.Duration{
 		SpanUE:      costUE,
 		SpanENB:     costENB,
@@ -166,22 +164,60 @@ func TestAttachBreakdownPinned(t *testing.T) {
 		SpanBrokerd: costBrokerd,
 		SpanOther:   2 * place.OneWay, // one SAP round trip
 	}
-	for k, want := range wantCB {
-		if got := cb.Breakdown[k]; got != want {
-			t.Errorf("CB %s = %v, want %v", k, got, want)
+	var cbRows []AttachBenchResult
+	for _, arch := range []Arch{ArchCellBricks, ArchCellBricksTicketed} {
+		cb, err := RunAttachBench(arch, place, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for k, want := range wantCB {
+			if got := cb.Breakdown[k]; got != want {
+				t.Errorf("%s %s = %v, want %v", arch, k, got, want)
+			}
+		}
+		cbRows = append(cbRows, cb)
 	}
 
 	// The mean must equal the sum of the per-module means: nothing charged
 	// during an attach escapes the breakdown, and nothing charged outside
 	// one (e.g. world setup) leaks in.
-	for _, r := range []AttachBenchResult{bl, cb} {
+	for _, r := range append(cbRows, bl) {
 		var sum time.Duration
 		for _, v := range r.Breakdown {
 			sum += v
 		}
 		if sum != r.Mean {
 			t.Errorf("%s: breakdown sums to %v, mean is %v", r.Arch, sum, r.Mean)
+		}
+	}
+}
+
+// Fig. 7's "CB" row is the paper's handshake on every sample, not only the
+// first: each sample's SIM has never attached. The "CBt" row is the
+// opposite — its one first contact happens before sampling starts.
+func TestFig7RowsMeasureTheHandshakeTheyName(t *testing.T) {
+	freezeBenchClock(t)
+	for _, tc := range []struct {
+		arch         Arch
+		prime        bool
+		wantTicketed int
+	}{{ArchCellBricks, false, 0}, {ArchCellBricksTicketed, true, 4}} {
+		w, err := newAttachWorld(PlacementLocal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.prime {
+			if _, err := w.RunAttach(tc.arch, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := w.RunAttach(tc.arch, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.ticketed != tc.wantTicketed {
+			t.Errorf("%s: %d of 4 samples reached brokerd on a ticket, want %d", tc.arch, w.ticketed, tc.wantTicketed)
 		}
 	}
 }

@@ -434,3 +434,76 @@ func TestAttachShelfDropsOnAnythingButShed(t *testing.T) {
 		t.Fatal("a taken request was still on the shelf")
 	}
 }
+
+// Whatever mix of grants, sheds, losses and denials a device lives through,
+// no 32-byte authVec prefix — X25519 key or ticket locator (DESIGN.md §2.8)
+// — leaves it twice, except inside the byte-identical retransmission of a
+// shed request; and after anything but a grant the next request is the
+// signed handshake again.
+func TestDeviceNeverRepeatsAPrefixExceptShedRetransmit(t *testing.T) {
+	w := newRetryWorld(t)
+	d := NewDevice("rt-ue-6", nil, w.cb)
+	var sent [][]byte
+	tx := w.recording("rt-ue-6", &sent)
+	idT := w.telcos[0].IDT
+
+	attach := func(wantErr bool) {
+		t.Helper()
+		if _, err := d.AttachSAP(tx, idT); (err != nil) != wantErr {
+			t.Fatalf("attach %d: err = %v, want failure=%v", len(sent), err, wantErr)
+		}
+		if !wantErr {
+			if err := d.Detach(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	attach(false) // first contact
+	attach(false) // ticketed
+	w.brk.ShedLoad(time.Second)
+	attach(true) // ticketed, shed, shelved
+	w.brk.Resume()
+	attach(false) // the same bytes again, granted
+	attach(false) // ticketed
+	w.down[0] = true
+	attach(true) // ticketed, lost with its ticket
+	w.down[0] = false
+	attach(false) // signed
+	w.brk.SetPolicy(qos.DefaultParams(), broker.PriceCap(0.5))
+	attach(true) // ticketed, denied with its ticket
+	w.brk.SetPolicy(qos.DefaultParams())
+	attach(false) // signed
+	attach(false) // ticketed
+
+	wantSigned := []bool{true, false, false, false, false, false, true, false, true, false}
+	byPrefix := map[string][]byte{}
+	var requests [][]byte
+	for _, env := range sent {
+		_, _, body, err := nas.SplitEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := nas.Decode(body)
+		req, ok := msg.(*nas.AttachRequestSAP)
+		if err != nil || !ok {
+			continue // a detach
+		}
+		requests = append(requests, env)
+		reqU, err := sap.UnmarshalAuthReqU(req.AuthReqU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := len(requests) - 1
+		if i < len(wantSigned) && (len(reqU.Sig) != 0) != wantSigned[i] {
+			t.Errorf("request %d carries a %d-byte UE signature, want signed=%v", i, len(reqU.Sig), wantSigned[i])
+		}
+		prefix := string(reqU.SealedVec[:32])
+		if first, dup := byPrefix[prefix]; dup && !bytes.Equal(first, env) {
+			t.Errorf("request %d reuses an earlier request's prefix in different bytes", i)
+		}
+		byPrefix[prefix] = env
+	}
+	if len(requests) != len(wantSigned) || len(byPrefix) != len(requests)-1 || !bytes.Equal(requests[2], requests[3]) {
+		t.Fatalf("%d requests over %d prefixes; want %d requests, one retransmitted", len(requests), len(byPrefix), len(wantSigned))
+	}
+}

@@ -296,7 +296,18 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		backoff = acceptBackoff
+		// Close closes done before it walks conns under the lock, so a
+		// connection accepted while it runs is either registered in time
+		// for that walk or refused here — never left open for Close's
+		// wg.Wait to wait on for ever.
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
