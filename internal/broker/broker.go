@@ -263,6 +263,37 @@ func (b *Brokerd) HandleResume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
 	return it.out.Resume, it.out.Err
 }
 
+// HandleReceipt signs a receipt for grants a bTelco was given under its
+// pass (sap/pass.go): the request is authenticated like an authReqT, and
+// every session reference in it must be a grant this broker recorded for
+// that bTelco — the records it keeps and snapshots anyway. A refusal is a
+// response naming the cause and, for a reference it will not vouch for,
+// the reference. It passes no gate: one signature per 256 attaches.
+func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
+	if req == nil {
+		return nil, sap.ErrBadRequest
+	}
+	if cause := b.sap.CheckReceiptReq(req); cause != "" {
+		mtr.receiptsRefused.Add(1)
+		return &sap.ReceiptResp{Cause: cause}, nil
+	}
+	b.mu.Lock()
+	disowned := ""
+	for _, uref := range req.URefs {
+		if rec := b.grants[uref]; rec == nil || rec.IDT != req.IDT {
+			disowned = uref
+			break
+		}
+	}
+	b.mu.Unlock()
+	if disowned != "" {
+		mtr.receiptsRefused.Add(1)
+		return &sap.ReceiptResp{Cause: "not a grant of this broker to " + req.IDT, Disowned: disowned}, nil
+	}
+	mtr.receiptsSigned.Add(1)
+	return &sap.ReceiptResp{Granted: true, Receipt: b.sap.SignReceipt(req.IDT, req.URefs)}, nil
+}
+
 // Errors from report ingestion.
 var (
 	ErrUnknownSession = errors.New("broker: report for unknown session")

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,22 @@ func (h *harness) attach(t *testing.T) (*sap.Grant, string) {
 	}
 	h.ueSealer = pending.Sealer
 	return grant, grant.URef
+}
+
+// rekeyBroker replaces the harness broker by one built from another seed —
+// same identifier, same subscriber — and points the UE at its key. Tickets
+// and passes of the old one are now stale.
+func (h *harness) rekeyBroker(t *testing.T) {
+	t.Helper()
+	bk, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{95}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("broker.h", bk, h.ca.Public())
+	cfg.Now = func() time.Time { return h.now }
+	h.brk = New(cfg)
+	h.brk.RegisterUser(h.ueKey.Public())
+	h.ue.BrokerPub = bk.Public()
 }
 
 func (h *harness) report(t *testing.T, rep billing.Reporter, signer *pki.KeyPair, ref string, seq uint32, dl uint64) *billing.Mismatch {
@@ -444,5 +461,127 @@ func TestRestoreRejectsWrongBrokerOrVersion(t *testing.T) {
 	}
 	if err := h.brk.Restore(snap[:10]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// Receipts (DESIGN.md §2.9): the broker vouches, with one signature, for
+// exactly the grants it recorded for the asking bTelco — whatever shape the
+// request arrives in — and what it signs a third party can check with
+// nothing but the broker's public key.
+func TestBrokerReceiptLadder(t *testing.T) {
+	// primed returns a harness whose bTelco holds three unreceipted
+	// MAC-mode grants, and their session references.
+	primed := func(t *testing.T) (*harness, []string) {
+		h := newHarness(t)
+		h.attach(t) // first contact: signed, fetches the pass
+		var refs []string
+		for i := 0; i < 3; i++ {
+			_, ref := h.attach(t)
+			refs = append(refs, ref)
+		}
+		return h, refs
+	}
+	for _, tc := range []struct {
+		name string
+		// ask builds the request and the broker that gets it.
+		ask       func(t *testing.T, h *harness) *sap.ReceiptReq
+		wantCause string // "" = signed
+		disowns   bool   // the refusal names the oldest reference asked about
+		wantErr   error  // the bTelco's verdict on the answer
+		left      int    // grants still unreceipted at the bTelco afterwards
+	}{
+		{name: "three grants under the pass",
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq { return h.telco.ReceiptRequest(h.brk.ID()) }},
+		{name: "signed request from a bTelco that dropped its pass",
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq {
+				h.telco.DropPasses()
+				req := h.telco.ReceiptRequest(h.brk.ID())
+				if len(req.Sig) != 64 {
+					t.Fatalf("%d-byte Sig after DropPasses", len(req.Sig))
+				}
+				return req
+			}},
+		{name: "another bTelco's grants", wantCause: "not a grant of this broker to h-telco-2", disowns: true, wantErr: sap.ErrReceiptRefused, left: 2,
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq {
+				// h-telco-2 is certified and asks, under its own name and
+				// signature, for a receipt over sessions granted to h-telco.
+				tk2, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{89}, 32))
+				h.telco.IDT, h.telco.Key = "h-telco-2", tk2
+				h.telco.Cert = h.ca.Issue("h-telco-2", "btelco", tk2.Public(), h.now.Add(-time.Hour), h.now.Add(time.Hour))
+				return h.telco.ReceiptRequest(h.brk.ID())
+			}},
+		{name: "grants the broker has no record of", wantCause: "not a grant of this broker to h-telco", disowns: true, wantErr: sap.ErrReceiptRefused, left: 2,
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq {
+				// The same seed, none of the state: the pass still
+				// authenticates, the grants are gone.
+				bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{91}, 32))
+				cfg := DefaultConfig("broker.h", bk, h.ca.Public())
+				cfg.Now = func() time.Time { return h.now }
+				h.brk = New(cfg)
+				req := h.telco.ReceiptRequest(h.brk.ID())
+				if len(req.Sig) != 32 {
+					t.Fatalf("%d-byte Sig", len(req.Sig))
+				}
+				return req
+			}},
+		{name: "tag flipped", wantCause: "bTelco MAC invalid", wantErr: sap.ErrStalePass, left: 3,
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq {
+				req := h.telco.ReceiptRequest(h.brk.ID())
+				req.Sig[0] ^= 1
+				return req
+			}},
+		{name: "a reference appended after the MAC", wantCause: "bTelco MAC invalid", wantErr: sap.ErrStalePass, left: 3,
+			ask: func(t *testing.T, h *harness) *sap.ReceiptReq {
+				req := h.telco.ReceiptRequest(h.brk.ID())
+				req.URefs = append(req.URefs, "feedfacefeedfacefeedface")
+				return req
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, refs := primed(t)
+			req := tc.ask(t, h)
+			resp, err := h.brk.HandleReceipt(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Granted != (tc.wantCause == "") || resp.Cause != tc.wantCause {
+				t.Fatalf("granted=%v cause=%q, want %q", resp.Granted, resp.Cause, tc.wantCause)
+			}
+			if want := map[bool]string{true: refs[0]}[tc.disowns]; resp.Disowned != want {
+				t.Fatalf("disowned %q, want %q", resp.Disowned, want)
+			}
+			if err := h.telco.AcceptReceipt(h.brk.Public(), req, resp); !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("bTelco: %v, want %v", err, tc.wantErr)
+			}
+			receipts, left := h.telco.Receipts(h.brk.ID())
+			if left != tc.left {
+				t.Fatalf("%d grants unreceipted, want %d", left, tc.left)
+			}
+			if !resp.Granted {
+				return
+			}
+			// A third party holding only the broker's public key.
+			pub := h.brk.Public()
+			for _, ref := range refs {
+				if err := sap.VerifyReceipt(pub, receipts[0], ref); err != nil {
+					t.Fatalf("third party, %s: %v", ref, err)
+				}
+			}
+			// Replayed, the request gets the same statement again — true
+			// both times — and moves nothing at either end.
+			again, err := h.brk.HandleReceipt(req)
+			if err != nil || !again.Granted || sap.VerifyReceipt(pub, &again.Receipt, refs[0]) != nil {
+				t.Fatalf("replayed request: %v %+v", err, again)
+			}
+			if err := h.telco.AcceptReceipt(pub, req, again); err != nil {
+				t.Fatal(err)
+			}
+			if receipts, left := h.telco.Receipts(h.brk.ID()); len(receipts) != 1 || left != 0 {
+				t.Fatalf("after the replay: %d receipts kept, %d unreceipted", len(receipts), left)
+			}
+		})
+	}
+	if _, err := newHarness(t).brk.HandleReceipt(nil); !errors.Is(err, sap.ErrBadRequest) {
+		t.Fatalf("nil request: %v", err)
 	}
 }

@@ -167,11 +167,36 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 		t.Fatalf("degraded auth err = %v, want *wire.RetryAfterError", err)
 	}
 	// ...and afterwards grants the same bytes retransmitted: a request on
-	// the ticket the crashed process minted, which the new one re-derives
-	// from its seed alone.
+	// the ticket the crashed process minted, forwarded under the pass it
+	// handed the bTelco, both of which the new one re-derives from its seed
+	// alone — and answers in kind, unsigned on both legs.
 	nb.Resume()
-	if resp, err := client.Authenticate(shed); len(shed.ReqU.Sig) != 0 || err != nil || !resp.Granted {
-		t.Fatalf("pre-crash ticket at the restarted broker: sig %d B, %v %+v", len(shed.ReqU.Sig), err, resp)
+	resp, err := client.Authenticate(shed)
+	if len(shed.ReqU.Sig) != 0 || len(shed.Sig) != 32 || err != nil || !resp.Granted {
+		t.Fatalf("pre-crash ticket and pass at the restarted broker: UE sig %d B, bTelco sig %d B, %v %+v",
+			len(shed.ReqU.Sig), len(shed.Sig), err, resp)
+	}
+	if len(resp.T.Sig) != 0 || len(resp.U.Sig) != 0 {
+		t.Fatalf("answered with a %d-byte authRespT and a %d-byte authRespU signature", len(resp.T.Sig), len(resp.U.Sig))
+	}
+	if _, _, err := telco.HandleResponse(nb.Public(), resp); err != nil {
+		t.Fatalf("bTelco on the restarted broker's MAC-mode grant: %v", err)
+	}
+	// The in-flight session was granted under the pass before the crash; the
+	// grant record came back with the snapshot, so the restarted broker
+	// signs the receipt for it, over the wire, and anybody can check it.
+	rreq := telco.ReceiptRequest(nb.ID())
+	rresp, err := client.RedeemReceipt(rreq)
+	if err != nil || !rresp.Granted {
+		t.Fatalf("receipt at the restarted broker: %v %+v", err, rresp)
+	}
+	if err := telco.AcceptReceipt(nb.Public(), rreq, rresp); err != nil {
+		t.Fatal(err)
+	}
+	receipts, unreceipted := telco.Receipts(nb.ID())
+	if len(receipts) != 1 || unreceipted != 0 || sap.VerifyReceipt(nb.Public(), receipts[0], ref) != nil {
+		t.Fatalf("%d receipts, %d grants unreceipted, pre-crash session covered: %v",
+			len(receipts), unreceipted, sap.VerifyReceipt(nb.Public(), receipts[0], ref))
 	}
 	// The restored user registration serves a fresh attach — the signed
 	// handshake, since the UE never saw that answer: recovery is complete

@@ -32,6 +32,8 @@ var mtr struct {
 	batchItems         *obs.Counter
 	resumeGranted      *obs.Counter
 	resumeDenied       *obs.Counter
+	receiptsSigned     *obs.Counter
+	receiptsRefused    *obs.Counter
 }
 
 func init() { SetMetricsEnabled(true) }
@@ -49,6 +51,7 @@ func SetMetricsEnabled(on bool) {
 		mtr.admissionRateShed, mtr.admissionQueueShed = nil, nil
 		mtr.batchFlushes, mtr.batchItems = nil, nil
 		mtr.resumeGranted, mtr.resumeDenied = nil, nil
+		mtr.receiptsSigned, mtr.receiptsRefused = nil, nil
 		return
 	}
 	r := obs.Default()
@@ -74,4 +77,6 @@ func SetMetricsEnabled(on bool) {
 	mtr.batchItems = r.Counter("broker_batch_items_total", "control-plane items enqueued into the batcher")
 	mtr.resumeGranted = r.Counter("broker_resume_granted_total", "fast-path session resumptions granted")
 	mtr.resumeDenied = r.Counter("broker_resume_denied_total", "fast-path session resumptions denied")
+	mtr.receiptsSigned = r.Counter("broker_receipts_signed_total", "receipts signed for bTelcos' MAC-mode grants")
+	mtr.receiptsRefused = r.Counter("broker_receipts_refused_total", "receipt requests refused (authentication, or a disowned session)")
 }

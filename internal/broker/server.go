@@ -86,13 +86,28 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 			return 0, nil, err
 		}
 		return wire.TypeReportAck, nil, nil
+	case wire.TypeSAPReceiptRequest:
+		req, err := sap.UnmarshalReceiptReq(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		var resp *sap.ReceiptResp
+		if err := s.span(sc, "handle-receipt", func() error {
+			var e error
+			resp, e = s.B.HandleReceipt(req)
+			return e
+		}); err != nil {
+			return 0, nil, err
+		}
+		return wire.TypeSAPReceiptResponse, resp.Marshal(), nil
 	default:
 		return 0, nil, fmt.Errorf("broker: unexpected message type %d", msgType)
 	}
 }
 
-// Client is a wire-protocol client implementing epc.BrokerClient plus
-// report upload; used by AGWs and (for UE reports) by the UE's data path.
+// Client is a wire-protocol client implementing epc.BrokerClient and
+// epc.BrokerReceiptClient plus report upload; used by AGWs and (for UE
+// reports) by the UE's data path.
 // Long-lived and safe for concurrent use: each call borrows a connection
 // from the client's wire.Pool.
 type Client struct{ p *wire.Pool }
@@ -119,6 +134,16 @@ func (c *Client) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.Au
 		return nil, err
 	}
 	return sap.UnmarshalAuthResp(reply)
+}
+
+// RedeemReceipt implements epc.BrokerReceiptClient: one round trip that
+// turns a bTelco's unreceipted grants into a signed receipt.
+func (c *Client) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
+	_, reply, err := c.p.Call(wire.TypeSAPReceiptRequest, obs.SpanContext{}, req.Marshal())
+	if err != nil {
+		return nil, err
+	}
+	return sap.UnmarshalReceiptResp(reply)
 }
 
 // UploadReport delivers one sealed traffic report.

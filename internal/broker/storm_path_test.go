@@ -347,6 +347,16 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 		}
 		return req
 	}
+	// macdReq is the harness bTelco's forward once it holds the broker's
+	// pass (DESIGN.md §2.9): a 32-byte MAC where its signature went.
+	macdReq := func(t *testing.T, h *harness) *sap.AuthReqT {
+		t.Helper()
+		req := authReq(t, h)
+		if len(req.Sig) != 32 {
+			t.Fatalf("the forward after a grant carries a %d-byte Sig", len(req.Sig))
+		}
+		return req
+	}
 	tankScore := func(t *testing.T, h *harness, ref string) {
 		t.Helper()
 		for seq := uint32(1); seq <= 10; seq++ {
@@ -436,15 +446,14 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				h.brk.RevokeUser(h.ue.IDU)
 				return &txItem{kind: txAuth, auth: req}
 			}},
+		// Until PR 20 the harness bTelco forwarded this one signed; now its
+		// own stale pass would fail first (the "pass:" rows below), so the
+		// ticket's row goes through a bTelco that holds none.
 		{name: "ticket: presented to a broker built from a different seed", wantCause: "undecryptable",
 			build: func(t *testing.T, h *harness) *txItem {
 				h.attach(t)
-				bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{95}, 32))
-				cfg := DefaultConfig("broker.h", bk, h.ca.Public())
-				cfg.Now = func() time.Time { return h.now }
-				h.brk = New(cfg)
-				h.brk.RegisterUser(h.ueKey.Public())
-				h.ue.BrokerPub = bk.Public()
+				h.rekeyBroker(t)
+				h.telco.DropPasses()
 				return &txItem{kind: txAuth, auth: authReq(t, h)}
 			},
 			check: func(t *testing.T, h *harness) {
@@ -461,6 +470,45 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				req.ReqU.Sig = nil
 				reqT, _ := h.telco.ForwardRequest(&req.ReqU)
 				return &txItem{kind: txAuth, auth: reqT}
+			}},
+		{name: "pass: presented to a broker built from a different seed", wantCause: "bTelco MAC invalid",
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				h.rekeyBroker(t)
+				return &txItem{kind: txAuth, auth: macdReq(t, h)}
+			},
+			check: func(t *testing.T, h *harness) {
+				// The refusal drops the pass, and the next forward is the
+				// signed handshake, which the new broker grants.
+				if _, _, err := h.telco.HandleResponse(h.brk.Public(), &sap.AuthResp{Cause: "bTelco MAC invalid"}); !errors.Is(err, sap.ErrStalePass) {
+					t.Fatalf("bTelco on the refusal: %v", err)
+				}
+				req := authReq(t, h)
+				if resp, err := h.brk.HandleAuthRequest(req); len(req.Sig) != 64 || err != nil || !resp.Granted {
+					t.Fatalf("re-forwarded handshake: bTelco sig %d B, %v %+v", len(req.Sig), err, resp)
+				}
+			}},
+		{name: "pass: MAC'd request with its tag flipped", wantCause: "bTelco MAC invalid",
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				req := macdReq(t, h)
+				req.Sig[31] ^= 1
+				return &txItem{kind: txAuth, auth: req}
+			}},
+		{name: "pass: policy re-runs for a MAC'd request", wantCause: "authorization denied",
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				tankScore(t, h, ref) // reputation below MinTelcoScore, and quarantined
+				return &txItem{kind: txAuth, auth: macdReq(t, h)}
+			}},
+		{name: "pass: replayed MAC'd request", wantCause: "replayed nonce",
+			build: func(t *testing.T, h *harness) *txItem {
+				h.attach(t)
+				req := macdReq(t, h)
+				if resp, err := h.brk.HandleAuthRequest(req); err != nil || !resp.Granted || len(resp.T.Sig) != 0 {
+					t.Fatalf("first delivery: %v %+v", err, resp)
+				}
+				return &txItem{kind: txAuth, auth: req}
 			}},
 		{name: "report: wrong signer", wantErr: ErrBadReporterKey,
 			build: func(t *testing.T, h *harness) *txItem {

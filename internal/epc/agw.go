@@ -37,6 +37,13 @@ type BrokerClientCtx interface {
 	AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.AuthResp, error)
 }
 
+// BrokerReceiptClient is the other optional extension: a client that can
+// carry the receipt exchange (sap/pass.go). Behind one that cannot, the
+// bTelco's MAC-mode grants simply go unreceipted past the last 256.
+type BrokerReceiptClient interface {
+	RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error)
+}
+
 // BrokerDirectory resolves a broker identifier (from the UE's authReqU) to
 // a client and the broker's public identity. In deployment this is DNS +
 // WebPKI; here it is injected.
@@ -397,35 +404,48 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	if err != nil {
 		return nil, err
 	}
-	var reqT *sap.AuthReqT
-	if err := step("sap", "forward-request", func() (e error) {
-		reqT, e = g.cfg.Telco.ForwardRequest(reqU)
-		return e
-	}); err != nil {
-		return nil, err
-	}
 	client, brokerPub, err := g.cfg.Brokers.Lookup(m.BrokerID)
 	if err != nil {
 		return g.reject("unknown broker: " + m.BrokerID), nil
 	}
-	var resp *sap.AuthResp
-	if err := step("broker", "authenticate", func() (e error) {
-		if cc, ok := client.(BrokerClientCtx); ok && traced {
-			resp, e = cc.AuthenticateCtx(epcCtx, reqT)
-		} else {
-			resp, e = client.Authenticate(reqT)
-		}
-		return e
-	}); err != nil {
-		return g.rejectErr(err), nil
-	}
 	var grant *sap.Grant
 	var respU *sap.AuthRespU
-	if err := step("sap", "handle-response", func() (e error) {
-		grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
-		return e
-	}); err != nil {
-		return g.reject(err.Error()), nil
+	// A broker that refuses the bTelco's pass MAC (it re-keyed, or the
+	// certificate was renewed) does so before its replay filter sees the
+	// nonce, and the refusal drops the pass: the same reqU goes out once
+	// more, signed, and the UE never hears of it.
+	for try := 0; ; try++ {
+		var reqT *sap.AuthReqT
+		if err := step("sap", "forward-request", func() (e error) {
+			reqT, e = g.cfg.Telco.ForwardRequest(reqU)
+			return e
+		}); err != nil {
+			return nil, err
+		}
+		var resp *sap.AuthResp
+		if err := step("broker", "authenticate", func() (e error) {
+			if cc, ok := client.(BrokerClientCtx); ok && traced {
+				resp, e = cc.AuthenticateCtx(epcCtx, reqT)
+			} else {
+				resp, e = client.Authenticate(reqT)
+			}
+			return e
+		}); err != nil {
+			return g.rejectErr(err), nil
+		}
+		err := step("sap", "handle-response", func() (e error) {
+			grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
+			return e
+		})
+		if err == nil {
+			break
+		}
+		if try > 0 || !errors.Is(err, sap.ErrStalePass) {
+			return g.reject(err.Error()), nil
+		}
+	}
+	if rc, ok := client.(BrokerReceiptClient); ok && g.cfg.Telco.ReceiptDue(m.BrokerID) {
+		_ = step("broker", "redeem-receipt", func() error { return g.redeem(rc, m.BrokerID, brokerPub) })
 	}
 
 	g.mu.Lock()
@@ -458,6 +478,32 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	// the UE has validated the response and installed ss, so it rides
 	// plain — its payload is broker-signed and sealed to the UE.
 	return plain(accept), nil
+}
+
+// redeem turns the bTelco's unreceipted grants of one broker into a signed
+// receipt: one more round trip, once per 256 attaches. A failure costs the
+// attach nothing — the grants stay in the ring and the next attach asks
+// again; after a refused MAC the second request is signed.
+func (g *AGW) redeem(rc BrokerReceiptClient, idB string, brokerPub pki.PublicIdentity) (err error) {
+	for try := 0; try < 2; try++ {
+		req := g.cfg.Telco.ReceiptRequest(idB)
+		if req == nil {
+			return nil
+		}
+		var resp *sap.ReceiptResp
+		if resp, err = rc.RedeemReceipt(req); err == nil {
+			err = g.cfg.Telco.AcceptReceipt(brokerPub, req, resp)
+		}
+		if !errors.Is(err, sap.ErrStalePass) {
+			break
+		}
+	}
+	if err != nil {
+		mtr.receiptFailures.Add(1)
+		return err
+	}
+	mtr.receipts.Add(1)
+	return nil
 }
 
 // activate allocates the IP and bearer and builds the AttachAccept.

@@ -12,6 +12,9 @@ var mtr struct {
 	attachFailures *obs.Counter
 	nasMessages    *obs.Counter
 	activeSessions *obs.Gauge
+
+	receipts        *obs.Counter
+	receiptFailures *obs.Counter
 }
 
 func init() { SetMetricsEnabled(true) }
@@ -22,6 +25,7 @@ func SetMetricsEnabled(on bool) {
 	if !on {
 		mtr.attaches, mtr.attachFailures, mtr.nasMessages = nil, nil, nil
 		mtr.activeSessions = nil
+		mtr.receipts, mtr.receiptFailures = nil, nil
 		return
 	}
 	r := obs.Default()
@@ -29,4 +33,6 @@ func SetMetricsEnabled(on bool) {
 	mtr.attachFailures = r.Counter("epc_attach_failures_total", "attach attempts rejected by the AGW")
 	mtr.nasMessages = r.Counter("epc_nas_messages_total", "uplink NAS messages processed")
 	mtr.activeSessions = r.Gauge("epc_active_sessions", "sessions currently in the active state across AGWs")
+	mtr.receipts = r.Counter("epc_receipts_total", "receipts redeemed for a bTelco's MAC-mode grants")
+	mtr.receiptFailures = r.Counter("epc_receipt_failures_total", "receipt redemptions refused or failed in transit")
 }

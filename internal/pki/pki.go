@@ -5,7 +5,8 @@
 // encrypting-to-a-public-key, used by the SAP protocol and the verifiable
 // billing reports. The exchange behind a box belongs to the relationship,
 // not the message, and between an issuer and a party it has authenticated
-// it can be a PRF-derived Ticket instead of an X25519 one (sealer.go).
+// it can be a PRF-derived Ticket — or, for a certified peer, a Pass — instead
+// of an X25519 one (sealer.go).
 //
 // UE keys are issued by the UE's broker and need no certificates (the
 // broker recognizes its own issuance); broker and bTelco keys carry CA
@@ -196,6 +197,17 @@ func (c *Certificate) signedBytes() []byte {
 	return out
 }
 
+// Digest is the SHA-256 of the certificate's full contents and signature:
+// what CertVerifier keys its cache by, and the public name of the
+// relationship a Pass belongs to (sealer.go).
+func (c *Certificate) Digest() (d [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write(c.signedBytes())
+	h.Write(c.Signature)
+	h.Sum(d[:0])
+	return d
+}
+
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
@@ -288,28 +300,31 @@ func NewCertVerifier(anchor PublicIdentity, max int) *CertVerifier {
 
 // Verify is VerifyCert with memoized signature checks.
 func (v *CertVerifier) Verify(c *Certificate, now time.Time) error {
+	_, err := v.VerifyDigest(c, now)
+	return err
+}
+
+// VerifyDigest is Verify, also returning the certificate digest it keyed
+// the cache by (c.Digest()), so a caller that needs it does not hash twice.
+func (v *CertVerifier) VerifyDigest(c *Certificate, now time.Time) (key [sha256.Size]byte, err error) {
 	if c == nil {
-		return ErrBadCertificate
+		return key, ErrBadCertificate
 	}
-	h := sha256.New()
-	h.Write(c.signedBytes())
-	h.Write(c.Signature)
-	var key [32]byte
-	h.Sum(key[:0])
+	key = c.Digest()
 
 	v.mu.Lock()
 	w, hit := v.seen[key]
 	v.mu.Unlock()
 	if hit {
 		if now.Before(w.notBefore) || now.After(w.notAfter) {
-			return ErrExpired
+			return key, ErrExpired
 		}
-		return nil
+		return key, nil
 	}
 	if err := VerifyCert(v.anchor, c, now); err != nil {
 		// Failures are never cached: ErrExpired depends on `now`, and a
 		// bad signature costs the attacker the full verification anyway.
-		return err
+		return key, err
 	}
 	v.mu.Lock()
 	if len(v.seen) >= v.max {
@@ -320,7 +335,7 @@ func (v *CertVerifier) Verify(c *Certificate, now time.Time) error {
 	}
 	v.seen[key] = certWindow{notBefore: c.NotBefore, notAfter: c.NotAfter}
 	v.mu.Unlock()
-	return nil
+	return key, nil
 }
 
 // NewNonce returns a 16-byte random nonce (replay protection in SAP).

@@ -239,6 +239,13 @@ func TestCertVerifierMemoization(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
+	// Miss or hit, VerifyDigest names the certificate the way Digest does.
+	fresh := NewCertVerifier(ca.Public(), 4)
+	for i := 0; i < 2; i++ {
+		if d, err := fresh.VerifyDigest(cert, now); err != nil || d != cert.Digest() {
+			t.Fatalf("VerifyDigest call %d: %x, %v", i, d, err)
+		}
+	}
 	// Cached entry must still honour the validity window.
 	if err := v.Verify(cert, now.Add(2*time.Hour)); err != ErrExpired {
 		t.Fatalf("cached expired cert: err=%v, want ErrExpired", err)

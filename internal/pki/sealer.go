@@ -23,7 +23,8 @@ import (
 // under a direction-separated key. The layout is the same for all three —
 // and for a fourth kind of exchange that runs no X25519 at all: a Ticket,
 // whose 32-byte prefix is a locator its issuer turns back into the key with
-// one PRF call (DESIGN.md §2.8).
+// one PRF call (DESIGN.md §2.8). A Pass is the Ticket of a whole
+// relationship: its locator is a certificate digest (§2.9).
 
 const (
 	epkSize      = 32
@@ -141,6 +142,30 @@ func TicketSealer(t Ticket) (*Sealer, error) {
 	return s, nil
 }
 
+// Pass is the ticket of a whole relationship (DESIGN.md §2.9): the key k
+// shares with the holder of one certificate, named by that certificate's
+// digest. Like a UE's ticket it is derived, never stored — but it is not
+// random and not single-use: the same digest always yields the same pass, so
+// k's owner re-derives it from the certificate each request carries and the
+// peer fetches it once, inside a sealed and signed grant.
+func (k *KeyPair) Pass(certDigest [sha256.Size]byte) Ticket {
+	return Ticket{Locator: certDigest, Key: mac32(&k.ticketSecret, passLabel, certDigest[:], "")}
+}
+
+// Reply is the ticket of t's reverse direction: what TicketSealer(t.Reply())
+// seals, TicketSealer(t).OpenReply opens and nothing else does. For a Pass,
+// whose issuer answers on it for as long as the relationship lasts — a fixed
+// key, so GCM's 2³² random-nonce budget spans the certificate's lifetime
+// here, not sealsPerResident.
+func (t Ticket) Reply() Ticket { return Ticket{Locator: t.Locator, Key: replyKey(t.Key)} }
+
+// Tag authenticates msg under the ticket's key for the purpose label names:
+// SHA-256 of msg, then one stack-only HMAC. Verify with subtle.ConstantTimeCompare.
+func (t *Ticket) Tag(label string, msg []byte) [sha256.Size]byte {
+	sum := sha256.Sum256(msg)
+	return mac32(&t.Key, label, sum[:], "")
+}
+
 // Seal encrypts msg so only the holder of the recipient's box key can read
 // it, on an exchange of its own. Output layout: epk(32) || nonce(12) ||
 // ciphertext.
@@ -234,10 +259,11 @@ func replyKey(key boxKeyBytes) boxKeyBytes {
 	return mac32(&key, "cellbricks-seal-reply-v1", nil, "")
 }
 
-// Labels of the two derivations under a KeyPair's ticket secret.
+// Labels of the three derivations under a KeyPair's ticket secret.
 const (
 	ticketKeyLabel  = "cellbricks-ticket-key-v1"
 	ticketBindLabel = "cellbricks-ticket-bind-v1"
+	passLabel       = "cellbricks-pass-v1"
 )
 
 // mac32 is HMAC-SHA256(key, label ‖ a ‖ b) for the short derivations on

@@ -367,6 +367,69 @@ func TestTicketExchangeStatelessBoundAndKeyed(t *testing.T) {
 	}
 }
 
+// Rule "a pass is the ticket of a relationship" (DESIGN.md §2.9): derived
+// from the issuer's seed and a certificate digest alone, so a restart
+// derives it again; one per digest and per seed; its MAC is an HMAC over the
+// message's hash, separated by purpose; and what the issuer seals on it, only
+// the pass's holder opens — as a reply, on that digest, and nowhere else.
+func TestPassStatelessPerCertificateTaggedAndAnswered(t *testing.T) {
+	issuer := mustPair(t, 26)
+	a, b := sha256.Sum256([]byte("certificate a")), sha256.Sum256([]byte("certificate b"))
+	pass := issuer.Pass(a)
+	if pass.Locator != a || pass != mustPair(t, 26).Pass(a) {
+		t.Fatal("a pass is not a pure function of seed and digest")
+	}
+	if pass.Key == issuer.Pass(b).Key || pass.Key == mustPair(t, 27).Pass(a).Key {
+		t.Fatal("two certificates, or two issuers, share a pass")
+	}
+	if tk, _ := mustTicket(t, issuer, "alice"); pass.Key == tk.Key {
+		t.Fatal("a pass equals a UE ticket's key")
+	}
+
+	msg := []byte("authReqT")
+	sum := sha256.Sum256(msg)
+	m := hmac.New(sha256.New, pass.Key[:])
+	m.Write([]byte("purpose-1"))
+	m.Write(sum[:])
+	if tag := pass.Tag("purpose-1", msg); !bytes.Equal(tag[:], m.Sum(nil)) {
+		t.Fatal("Tag is not HMAC(key, label ‖ SHA-256(msg))")
+	}
+	if pass.Tag("purpose-1", msg) == pass.Tag("purpose-2", msg) || pass.Tag("purpose-1", msg) == pass.Tag("purpose-1", []byte("authReqT.")) {
+		t.Fatal("tags collide across purposes or messages")
+	}
+	if n := testing.AllocsPerRun(100, func() { pass.Tag("purpose-1", msg) }); n != 0 {
+		t.Fatalf("Tag allocates %v objects per call", n)
+	}
+
+	toHolder, err := TicketSealer(pass.Reply())
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := mustSeal(t, toHolder, []byte("authRespT"))
+	if !bytes.Equal(box[:epkSize], a[:]) {
+		t.Fatal("the answer's prefix is not the certificate digest")
+	}
+	holder, err := TicketSealer(pass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := holder.OpenReply(box); err != nil || string(got) != "authRespT" {
+		t.Fatalf("holder: %q, %v", got, err)
+	}
+	otherCert, _ := TicketSealer(issuer.Pass(b))
+	otherSeed, _ := TicketSealer(mustPair(t, 27).Pass(a))
+	for name, open := range map[string]func() ([]byte, error){
+		"the holder of another certificate's pass": func() ([]byte, error) { return otherCert.OpenReply(box) },
+		"the same certificate at another issuer":   func() ([]byte, error) { return otherSeed.OpenReply(box) },
+		"the issuer's own Open":                    func() ([]byte, error) { return issuer.Open(box) },
+		"a request-direction box read as a reply":  func() ([]byte, error) { return holder.OpenReply(mustSeal(t, holder, msg)) },
+	} {
+		if pt, err := open(); !errors.Is(err, ErrDecrypt) || pt != nil {
+			t.Errorf("%s: got %q, %v; want ErrDecrypt", name, pt, err)
+		}
+	}
+}
+
 // mac32 is HMAC-SHA256, on the stack for the sizes the ticket path uses and
 // still right when an identifier outgrows the buffer.
 func TestMac32IsHMACAndStackOnly(t *testing.T) {

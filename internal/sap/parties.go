@@ -131,7 +131,9 @@ func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterK
 
 // TelcoState is the bTelco side of SAP: a certified key pair plus the
 // service terms it advertises. A bTelco needs nothing else — "only a
-// certified public key and an ability to settle payments".
+// certified public key and an ability to settle payments". What it keeps
+// beyond that it learns from brokers and can lose: a resident sealer and,
+// after one signed handshake, a pass per broker (pass.go).
 type TelcoState struct {
 	IDT   string
 	Key   *pki.KeyPair
@@ -139,6 +141,7 @@ type TelcoState struct {
 	Terms ServiceTerms
 
 	toBroker pki.Sealers
+	brokers  brokerRels
 }
 
 // SealerTo returns the bTelco's resident sealer to a broker, for the one
@@ -149,12 +152,15 @@ func (t *TelcoState) SealerTo(brokerPub pki.PublicIdentity) (*pki.Sealer, error)
 
 // ForwardRequest runs the bTelco's first procedure (Fig. 3 top): augment
 // the UE request with terms, sign, and produce the message for the broker.
+// Holding a pass for that broker it writes a 32-byte MAC where the
+// signature goes (DESIGN.md §2.9); the first request to a broker, and the
+// one after DropPasses, is the paper's.
 func (t *TelcoState) ForwardRequest(reqU *AuthReqU) (*AuthReqT, error) {
 	if reqU == nil || len(reqU.SealedVec) == 0 {
 		return nil, ErrBadRequest
 	}
 	m := &AuthReqT{ReqU: *reqU, IDT: t.IDT, Cert: t.Cert, Terms: t.Terms}
-	m.Sig = t.Key.Sign(m.signedBytes())
+	m.Sig = t.authenticate(reqU.IDB, authReqMACLabel, m.signedBytes())
 	return m, nil
 }
 
@@ -168,19 +174,40 @@ type Grant struct {
 }
 
 // HandleResponse runs the bTelco's second procedure: authenticate the
-// broker by its signature over authRespT, decrypt the grant, and sanity
-// check that it names this bTelco.
+// broker, decrypt the grant, and sanity check that it names this bTelco.
+// Each mode authenticates itself. A signed authRespT is verified under
+// brokerPub and opened with the certified box key, and the pass inside it is
+// kept. An unsigned one is opened only under a pass held from that very
+// brokerPub — a key nobody but that broker derives — so stripping a
+// signature gains nothing, and its URef joins the grants awaiting a receipt.
+// A denial for a refused MAC drops every pass (ErrStalePass). Repeatable on
+// the same inputs.
 func (t *TelcoState) HandleResponse(brokerPub pki.PublicIdentity, resp *AuthResp) (*Grant, *AuthRespU, error) {
 	if resp == nil {
 		return nil, nil, ErrBadRequest
 	}
 	if !resp.Granted {
+		if resp.Cause == causeTelcoMAC {
+			t.DropPasses()
+			return nil, nil, fmt.Errorf("%w: %w", ErrDenied, ErrStalePass)
+		}
 		return nil, nil, fmt.Errorf("%w: %s", ErrDenied, resp.Cause)
 	}
-	if err := brokerPub.Verify(resp.T.Sealed, resp.T.Sig); err != nil {
-		return nil, nil, fmt.Errorf("sap: authRespT signature: %w", err)
+	var pt []byte
+	var err error
+	macd, rel := len(resp.T.Sig) == 0, 0
+	if macd {
+		var opener *pki.Sealer
+		if opener, rel, err = t.brokers.openerFor(brokerPub.SigPub); err != nil {
+			return nil, nil, fmt.Errorf("sap: authRespT signature: %w", err)
+		}
+		pt, err = opener.OpenReply(resp.T.Sealed)
+	} else {
+		if err := brokerPub.Verify(resp.T.Sealed, resp.T.Sig); err != nil {
+			return nil, nil, fmt.Errorf("sap: authRespT signature: %w", err)
+		}
+		pt, err = t.Key.Open(resp.T.Sealed)
 	}
-	pt, err := t.Key.Open(resp.T.Sealed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: authRespT decrypt: %w", err)
 	}
@@ -193,6 +220,11 @@ func (t *TelcoState) HandleResponse(brokerPub pki.PublicIdentity, resp *AuthResp
 	}
 	if err := inner.Params.Validate(t.Terms.Cap); err != nil {
 		return nil, nil, fmt.Errorf("sap: broker qosInfo outside capability: %w", err)
+	}
+	if macd {
+		t.brokers.noteGrant(rel, inner.URef)
+	} else if len(inner.Pass) != 0 {
+		t.brokers.learn(inner.IDB, brokerPub.SigPub, t.Cert, inner.Pass)
 	}
 	return &Grant{URef: inner.URef, SS: inner.SS, Params: inner.Params, LI: inner.LI}, &resp.U, nil
 }
@@ -235,8 +267,9 @@ type BrokerState struct {
 	users   map[string]pki.PublicIdentity // idU -> key the broker issued
 	revoked map[string]bool
 	nonces  *nonceCache
-	certs   *pki.CertVerifier // memoized bTelco certificate checks
-	toTelco pki.Sealers       // resident sealers for authRespT, by certified key
+	certs   *pki.CertVerifier      // memoized bTelco certificate checks
+	toTelco pki.Sealers            // resident sealers for authRespT, by certified key
+	telcos  map[[32]byte]*telcoRel // passes and MAC-mode sealers, by certificate digest
 	now     func() time.Time
 }
 
@@ -258,6 +291,7 @@ func NewBrokerState(idB string, key *pki.KeyPair, anchor pki.PublicIdentity, pol
 		revoked: make(map[string]bool),
 		nonces:  newNonceCache(1 << 16),
 		certs:   pki.NewCertVerifier(anchor, 256),
+		telcos:  make(map[[32]byte]*telcoRel),
 		now:     now,
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cellbricks/internal/codec"
 	"cellbricks/internal/nas"
+	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 )
 
@@ -35,10 +36,16 @@ type ValidatedAuth struct {
 	// ticketed: the vector was authenticated by a ticket bound to Vec.IDU
 	// rather than by the UE's signature, so Finalize answers in kind.
 	ticketed bool
+	// telco is the broker's resident view of the requesting bTelco — a
+	// pointer, not the 64-byte pass, to keep this struct in its size class;
+	// macd: the request was authenticated by a MAC under that pass rather
+	// than by the bTelco's signature, so Finalize answers in kind there too.
+	macd  bool
+	telco *telcoRel
 }
 
 // Validate runs the stateless half of the broker procedures of Fig. 3:
-// authenticate the bTelco (certificate and signature), decrypt and
+// authenticate the bTelco (certificate, and signature or pass MAC), decrypt and
 // authenticate the UE's vector — by the UE's signature, or for a request
 // that carries none by the ticket its box rides (DESIGN.md §2.8) — and
 // check membership. It touches no order-sensitive state (the replay filter
@@ -56,19 +63,13 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	}
 
 	// 1. Authenticate the bTelco: certificate chains to the anchor, the
-	// certificate's subject matches the claimed idT, and the signature
-	// over the augmented request verifies under the certified key. The
-	// certificate check is memoized: every attach through the same bTelco
-	// carries the same certificate, so only the first pays the Ed25519
-	// verification (expiry is still enforced per call).
-	if err := b.certs.Verify(req.Cert, b.now()); err != nil {
-		return deny("bTelco certificate invalid")
-	}
-	if req.Cert.Role != "btelco" || req.Cert.Subject != req.IDT {
-		return deny("bTelco certificate subject/role mismatch")
-	}
-	if err := req.Cert.Identity.Verify(req.signedBytes(), req.Sig); err != nil {
-		return deny("bTelco signature invalid")
+	// certificate's subject matches the claimed idT, and the augmented
+	// request carries the certified key's signature — or, from a bTelco
+	// this broker has granted before, a MAC under the pass of that
+	// certificate (pass.go).
+	var cause string
+	if v.telco, v.macd, cause = b.authTelco(req.Cert, req.IDT, authReqMACLabel, req.signedBytes(), req.Sig); cause != "" {
+		return deny(cause)
 	}
 
 	// 2. Decrypt and authenticate the UE's vector.
@@ -155,16 +156,26 @@ func MintSession() (nas.MasterKey, string, error) {
 
 // Finalize seals and signs the two responses for a granted request using
 // a pre-minted (ss, uref): authRespT on the broker's resident exchange
-// with the certified bTelco, authRespU back on the exchange the UE's
-// authVec arrived on, carrying the ticket for the UE's next attach. A
-// ticketed request's authRespU goes unsigned: its reply key is derivable
-// by this broker and that UE alone. Order-free and repeatable on one v (a
+// with the certified bTelco, carrying the bTelco's pass; authRespU back on
+// the exchange the UE's authVec arrived on, carrying the ticket for the
+// UE's next attach. Each leg answers in kind. A ticketed request's
+// authRespU goes unsigned: its reply key is derivable by this broker and
+// that UE alone. A MAC'd request's authRespT is sealed on the pass's reply
+// direction, unsigned and without the pass: only this broker and the
+// certificate's holder can form that key. Order-free and repeatable on one v (a
 // fresh ticket each time): a batching broker finalizes many grants in
 // parallel after their decisions committed in arrival order.
 func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, *GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}
-	toTelco, err := b.toTelco.To(req.Cert.Identity)
+	var toTelco *pki.Sealer
+	var err error
+	if v.macd {
+		toTelco, err = b.replySealer(v.telco)
+	} else {
+		respT.IDB, respT.Pass = []byte(b.IDB), v.telco.pass.Key[:]
+		toTelco, err = b.toTelco.To(req.Cert.Identity)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
 	}
@@ -182,8 +193,11 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 	}
 	resp := &AuthResp{
 		Granted: true,
-		T:       AuthRespT{Sealed: sealedT, Sig: b.Key.Sign(sealedT)},
+		T:       AuthRespT{Sealed: sealedT},
 		U:       AuthRespU{Sealed: sealedU},
+	}
+	if !v.macd {
+		resp.T.Sig = b.Key.Sign(sealedT)
 	}
 	if !v.ticketed {
 		resp.U.Sig = b.Key.Sign(sealedU)

@@ -23,9 +23,16 @@
 // issued the UE's key — so every grant also carries a single-use ticket,
 // and the UE's next attach rides it: authVec sealed under a key the broker
 // re-derives from the ticket's cleartext locator, no UE signature, no
-// broker signature on authRespU, no X25519 on either side. The bTelco leg
-// is signed and certified as ever, and any attach that does not end in a
-// grant sends the UE back to the full handshake (DESIGN.md §2.8).
+// broker signature on authRespU, no X25519 on either side; any attach that
+// does not end in a grant sends the UE back to the full handshake
+// (DESIGN.md §2.8). Nor are a broker and a bTelco it has granted before: that
+// grant carries a pass, a key the broker re-derives from the bTelco's
+// certificate, and from then on the bTelco leg is certified as ever but
+// MAC'd where it was signed — authReqT under the pass, authRespT sealed on
+// it — with the bTelco's transferable proof of authorization restored as one
+// signed receipt per 256 grants. A refused MAC drops the pass and the same
+// request goes out signed (pass.go, DESIGN.md §2.9). After one grant per UE
+// and one per bTelco, no SAP message of an attach carries a signature.
 package sap
 
 import (
@@ -163,13 +170,14 @@ func unmarshalTerms(r *codec.Reader) (ServiceTerms, error) {
 
 // AuthReqT is the bTelco's augmented, signed forward of the UE request to
 // the broker (Fig. 3 top): authReqT = sign_T(authReqU || idT || terms),
-// accompanied by the bTelco's CA certificate.
+// accompanied by the bTelco's CA certificate. A bTelco that holds the
+// broker's pass puts a MAC under it where the signature goes (pass.go).
 type AuthReqT struct {
 	ReqU  AuthReqU
 	IDT   string
 	Cert  *pki.Certificate
 	Terms ServiceTerms
-	Sig   []byte // bTelco signature over signedBytes
+	Sig   []byte // bTelco signature over signedBytes, or its 32-byte pass MAC
 }
 
 func (m *AuthReqT) signedBytes() []byte {
@@ -266,16 +274,23 @@ func unmarshalCert(b []byte) (*pki.Certificate, error) {
 // "identifiers of U and T, a shared secret ss, and QoS parameters".
 // The UE identifier is an opaque per-session reference (URef), not the
 // real idU — the bTelco still never learns the user's identity.
+//
+// A signed grant also carries the broker's own identifier and the pass T's
+// later requests to it are MAC'd under (DESIGN.md §2.9); both are empty in
+// the MAC-mode grants that follow. They alias the buffer they were read
+// from.
 type innerRespT struct {
 	URef   string
 	IDT    string
 	SS     nas.MasterKey
 	Params qos.Params
 	LI     bool
+	IDB    []byte
+	Pass   []byte
 }
 
 func (v *innerRespT) marshal() []byte {
-	w := codec.NewWriter(128)
+	w := codec.NewWriter(128 + len(v.IDB) + len(v.Pass))
 	w.String(v.URef)
 	w.String(v.IDT)
 	w.Bytes(v.SS[:])
@@ -283,6 +298,8 @@ func (v *innerRespT) marshal() []byte {
 	w.Uint64(v.Params.DLAmbrBps)
 	w.Uint64(v.Params.ULAmbrBps)
 	w.Bool(v.LI)
+	w.Bytes(v.IDB)
+	w.Bytes(v.Pass)
 	return w.Out()
 }
 
@@ -295,11 +312,13 @@ func (v *innerRespT) unmarshal(b []byte) error {
 	v.Params.DLAmbrBps = r.Uint64()
 	v.Params.ULAmbrBps = r.Uint64()
 	v.LI = r.Bool()
+	v.IDB = r.Bytes()
+	v.Pass = r.Bytes()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if len(ss) != len(v.SS) {
-		return fmt.Errorf("%w: ss length %d", ErrBadRequest, len(ss))
+	if len(ss) != len(v.SS) || (len(v.Pass) != 0 && len(v.Pass) != telcoMACSize) {
+		return fmt.Errorf("%w: ss length %d, pass length %d", ErrBadRequest, len(ss), len(v.Pass))
 	}
 	copy(v.SS[:], ss)
 	return nil
@@ -352,7 +371,8 @@ func (v *innerRespU) unmarshal(b []byte) error {
 	return nil
 }
 
-// AuthRespT is the sealed+signed grant for the bTelco.
+// AuthRespT is the sealed+signed grant for the bTelco. The answer to a
+// MAC'd authReqT is sealed on the bTelco's pass and carries no Sig.
 type AuthRespT struct {
 	Sealed []byte
 	Sig    []byte

@@ -642,6 +642,26 @@ func (f *fixture) firstContact() *UEState {
 	return &UEState{IDU: f.ue.IDU, IDB: f.ue.IDB, Key: f.ue.Key, BrokerPub: f.ue.BrokerPub}
 }
 
+// macd is the bTelco's forward of reqU, asserting it went out under a pass.
+func (f *fixture) macd(t *testing.T, reqU *AuthReqU) *AuthReqT {
+	t.Helper()
+	reqT, err := f.telco.ForwardRequest(reqU)
+	if err != nil || len(reqT.Sig) != telcoMACSize {
+		t.Fatalf("forward: %v, %d-byte Sig, want a pass MAC", err, len(reqT.Sig))
+	}
+	return reqT
+}
+
+// answer is the broker's reply to reqT, grant or denial.
+func (f *fixture) answer(t *testing.T, reqT *AuthReqT) *AuthResp {
+	t.Helper()
+	resp, _, err := f.broker.HandleRequest(reqT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // request is NewAttachRequest, asserting the mode the UE chose.
 func (f *fixture) request(t *testing.T, u *UEState, wantTicketed bool) (*AuthReqU, *PendingAttach) {
 	t.Helper()
@@ -655,14 +675,23 @@ func (f *fixture) request(t *testing.T, u *UEState, wantTicketed bool) (*AuthReq
 	return reqU, p
 }
 
-// The first attach is the paper's handshake; every one after a grant rides
-// the ticket that grant carried: no UE signature out, no broker signature
-// on authRespU back, the bTelco leg signed as ever, and the same agreement
-// on ss and URef (runAttach checks those).
+// The first attach is the paper's handshake on both legs; every one after a
+// grant rides the ticket and the pass that grant carried: no UE signature
+// out, a 32-byte MAC for the bTelco's, no broker signature on authRespT or
+// authRespU back, and the same agreement on ss and URef (runAttach checks
+// those). Until PR 20 this test asserted that authRespT stayed signed in
+// steady state; that signature is now a receipt per 256 grants (DESIGN.md
+// §2.9).
 func TestTicketedAttachAfterFirstContact(t *testing.T) {
 	f := newFixture(t)
+	brokerPub := f.broker.Key.Public()
 	signedReq, _ := f.request(t, f.ue, false)
+	signedT, err := f.telco.ForwardRequest(signedReq)
+	if err != nil || len(signedT.Sig) != 64 {
+		t.Fatalf("first forward: %v, %d-byte Sig, want the bTelco's signature", err, len(signedT.Sig))
+	}
 	f.runAttach(t) // first contact of the UE that just wasted a request: still signed, no ticket yet
+	digest := f.telco.Cert.Digest()
 	for i := 0; i < 3; i++ {
 		reqU, p := f.request(t, f.ue, true)
 		if got, want := len(reqU.Marshal()), len(signedReq.Marshal())-64; got != want {
@@ -671,20 +700,38 @@ func TestTicketedAttachAfterFirstContact(t *testing.T) {
 		if !f.broker.Key.TicketBound(reqU.SealedVec, f.ue.IDU) {
 			t.Fatal("the request's prefix is not a locator minted for this UE")
 		}
-		resp, respU := f.exchange(t, reqU)
-		if !resp.Granted || len(resp.T.Sig) == 0 || len(respU.Sig) != 0 {
-			t.Fatalf("attach %d: granted=%v cause=%q, authRespT sig %d B, authRespU sig %d B",
-				i, resp.Granted, resp.Cause, len(resp.T.Sig), len(respU.Sig))
-		}
-		if _, _, err := f.ue.HandleResponse(p, respU); err != nil {
+		reqT, err := f.telco.ForwardRequest(reqU)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got, want := len(reqT.Marshal()), len(signedT.Marshal())-64-32; len(reqT.Sig) != 32 || got != want {
+			t.Fatalf("authReqT carries a %d-byte Sig in %d bytes, want a 32-byte MAC in %d", len(reqT.Sig), got, want)
+		}
+		resp, _, err := f.broker.HandleRequest(reqT)
+		if err != nil || !resp.Granted {
+			t.Fatalf("attach %d: %v %+v", i, err, resp)
+		}
+		if len(resp.T.Sig) != 0 || len(resp.U.Sig) != 0 || !bytes.Equal(resp.T.Sealed[:32], digest[:]) {
+			t.Fatalf("attach %d: authRespT sig %d B, authRespU sig %d B, authRespT on the certificate digest: %v",
+				i, len(resp.T.Sig), len(resp.U.Sig), bytes.Equal(resp.T.Sealed[:32], digest[:]))
+		}
+		grant, respU, err := f.telco.HandleResponse(brokerPub, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, uref, err := f.ue.HandleResponse(p, respU); err != nil || uref != grant.URef {
+			t.Fatalf("UE: %v, URef %q vs the bTelco's %q", err, uref, grant.URef)
+		}
+	}
+	if _, unreceipted := f.telco.Receipts(f.broker.IDB); unreceipted != 3 {
+		t.Fatalf("%d grants await a receipt, want the 3 MAC-mode ones", unreceipted)
 	}
 }
 
-// Every way a ticket can be misused ends in a denial or a UE-side refusal,
-// and whatever happened the honest UE's next attach is granted — signed
-// again if its ticket was spent on the attempt.
+// Every way a ticket or a pass can be misused ends in a denial or a refusal
+// at the UE or the bTelco, and whatever happened the honest UE's next attach
+// through the honest bTelco is granted — signed again on the leg whose
+// ticket was spent, or whose pass was dropped, on the attempt.
 func TestTicketedAttachDenyLadder(t *testing.T) {
 	otherBroker := func(f *fixture, seed byte) {
 		key, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{seed}, 32))
@@ -694,11 +741,12 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		// run misuses the primed fixture and returns the broker's answer
-		// or the UE's refusal.
+		// run misuses the primed fixture (the UE holds a ticket, the bTelco
+		// a pass) and returns the broker's answer or the UE's or bTelco's
+		// refusal.
 		run       func(t *testing.T, f *fixture) (*AuthResp, error)
 		wantCause string // substring of the broker's denial; "" with wantErr nil = granted
-		wantErr   error  // the UE's refusal
+		wantErr   error  // the UE's, or the bTelco's, refusal
 		spent     bool   // the honest UE's ticket went on the attempt
 	}{
 		{name: "locator replayed without its key", wantCause: "undecryptable", spent: true,
@@ -728,11 +776,161 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 				f.broker.mu.Unlock()
 				return resp, nil
 			}},
+		// Until PR 20 the shared bTelco forwarded this one signed and the
+		// broker failed at the ticket; now the bTelco's own stale pass fails
+		// first (next row), so the ticket's row goes through a bTelco that
+		// holds no pass.
 		{name: "ticket presented to a broker built from a different seed", wantCause: "undecryptable", spent: true,
 			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
 				otherBroker(f, 101)
+				f.telco.DropPasses()
 				reqU, _ := f.request(t, f.ue, true)
 				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
+		{name: "pass presented to a broker built from a different seed: denied once, dropped, re-forwarded signed", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				otherBroker(f, 101)
+				forgetTicket(f.ue) // minted by the old broker; its own row is above
+				reqU, p := f.request(t, f.ue, false)
+				resp := f.answer(t, f.macd(t, reqU))
+				if resp.Granted || resp.Cause != causeTelcoMAC {
+					t.Fatalf("stale pass: granted=%v cause=%q", resp.Granted, resp.Cause)
+				}
+				if _, _, err := f.telco.HandleResponse(f.broker.Key.Public(), resp); !errors.Is(err, ErrStalePass) || !errors.Is(err, ErrDenied) {
+					t.Fatalf("bTelco on the refusal: %v", err)
+				}
+				// The same reqU again: the refusal came before the replay
+				// filter, and the bTelco now signs.
+				resp, respU := f.exchange(t, reqU)
+				if respU == nil {
+					return resp, nil
+				}
+				_, _, err := f.ue.HandleResponse(p, respU)
+				forgetTicket(f.ue) // the last rung expects none
+				return resp, err
+			}},
+		{name: "MAC under another bTelco's pass", wantCause: causeTelcoMAC, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				key, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{9}, 32))
+				cert := f.ca.Issue("btelco-evil", "btelco", key.Public(), f.now.Add(-time.Hour), f.now.Add(time.Hour))
+				evilPass := f.broker.Key.Pass(cert.Digest()) // what btelco-evil's own handshake would fetch
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				tag := evilPass.Tag(authReqMACLabel, reqT.signedBytes())
+				reqT.Sig = tag[:]
+				return f.answer(t, reqT), nil
+			}},
+		{name: "MAC'd request with a different, valid certificate", wantCause: causeTelcoMAC, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				reqT.Cert = f.ca.Issue(f.telco.IDT, "btelco", f.telco.Key.Public(), f.now.Add(-time.Minute), f.now.Add(time.Hour))
+				return f.answer(t, reqT), nil
+			}},
+		{name: "expired certificate with a valid MAC", wantCause: "certificate invalid", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				f.broker.now = func() time.Time { return f.now.Add(48 * time.Hour) }
+				resp := f.answer(t, reqT)
+				f.broker.now = func() time.Time { return f.now }
+				return resp, nil
+			}},
+		{name: "policy denies a request with a valid MAC", wantCause: "authorization denied", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				f.broker.Policy = AuthorizerFunc(func(string, string, ServiceTerms) (qos.Params, error) {
+					return qos.Params{}, errors.New("bTelco quarantined")
+				})
+				resp := f.answer(t, reqT)
+				f.broker.Policy = AcceptAll()
+				return resp, nil
+			}},
+		{name: "pass MAC truncated to 31 bytes", wantCause: "signature invalid", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				reqT.Sig = reqT.Sig[:31]
+				return f.answer(t, reqT), nil
+			}},
+		{name: "pass MAC with a 33rd byte", wantCause: "signature invalid", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				reqT.Sig = append(reqT.Sig, 0)
+				return f.answer(t, reqT), nil
+			}},
+		{name: "signature-length garbage where the MAC goes", wantCause: "signature invalid", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT := f.macd(t, reqU)
+				reqT.Sig = bytes.Repeat([]byte{0x5a}, 64)
+				return f.answer(t, reqT), nil
+			}},
+		{name: "signed-mode authRespT with its signature stripped", wantErr: pki.ErrDecrypt, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				reqT, _ := f.passless().ForwardRequest(reqU) // signed, so the answer is
+				resp := f.answer(t, reqT)
+				if len(resp.T.Sig) == 0 {
+					t.Fatal("the answer to a signed authReqT is unsigned")
+				}
+				resp.T.Sig = nil
+				_, _, err := f.telco.HandleResponse(f.broker.Key.Public(), resp) // holds this broker's pass
+				return resp, err
+			}},
+		{name: "unsigned authRespT at a bTelco that holds no pass", wantErr: pki.ErrBadSignature, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, _ := f.request(t, f.ue, true)
+				resp := f.answer(t, f.macd(t, reqU))
+				_, _, err := f.passless().HandleResponse(f.broker.Key.Public(), resp)
+				return resp, err
+			}},
+		{name: "MAC-mode authRespT presented under a different brokerPub", wantErr: pki.ErrBadSignature, spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				other, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{102}, 32))
+				reqU, _ := f.request(t, f.ue, true)
+				resp := f.answer(t, f.macd(t, reqU))
+				_, _, err := f.telco.HandleResponse(other.Public(), resp)
+				return resp, err
+			}},
+		{name: "a broker naming another broker's idB in its grant cannot displace a held pass",
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				// broker.m is certified, reachable and malicious: the grant it
+				// seals for this bTelco claims to come from f.broker.
+				mKey, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{103}, 32))
+				m := NewBrokerState("broker.m", mKey, f.ca.Public(), nil, func() time.Time { return f.now })
+				sub := &UEState{IDU: m.RegisterUser(f.ue.Key.Public()), IDB: m.IDB, Key: f.ue.Key, BrokerPub: mKey.Public()}
+				reqU, _, _ := sub.NewAttachRequest(f.telco.IDT)
+				reqT, _ := f.telco.ForwardRequest(reqU)
+				v, err := m.Validate(reqT)
+				if err != nil || v.DenyCause != "" || len(reqT.Sig) != 64 {
+					t.Fatalf("first contact with broker.m: %v %q, %d-byte Sig", err, v.DenyCause, len(reqT.Sig))
+				}
+				m.IDB = f.broker.IDB
+				ss, uref, _ := MintSession()
+				resp, _, err := m.Finalize(v, qos.DefaultParams(), ss, uref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = f.telco.HandleResponse(mKey.Public(), resp) // a genuine grant of broker.m's
+				return resp, err
+			}},
+		{name: "forged bTelco MAC invalid denial only costs a signed handshake",
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				forged := &AuthResp{Cause: causeTelcoMAC}
+				if _, _, err := f.telco.HandleResponse(f.broker.Key.Public(), forged); !errors.Is(err, ErrStalePass) {
+					t.Fatalf("bTelco on the forged denial: %v", err)
+				}
+				fresh := f.firstContact()
+				reqU, _ := f.request(t, fresh, false)
+				reqT, _ := f.telco.ForwardRequest(reqU)
+				if len(reqT.Sig) != 64 {
+					t.Fatalf("the forward after a dropped pass carries a %d-byte Sig", len(reqT.Sig))
+				}
+				resp, _ := f.exchange(t, reqU) // granted, signed — and the pass is back
 				return resp, nil
 			}},
 		{name: "ticket presented to a broker rebuilt from the same seed", spent: true,
@@ -833,7 +1031,8 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 			if _, _, err := f.ue.HandleResponse(p, respU); err != nil {
 				t.Fatalf("the attach after: %v", err)
 			}
-			f.request(t, f.ue, true) // and that grant armed the next ticket
+			reqU, _ = f.request(t, f.ue, true) // and that grant armed the next ticket
+			f.macd(t, reqU)                    // and left the bTelco holding the broker's pass
 		})
 	}
 }

@@ -20,9 +20,10 @@ const (
 	ArchBaseline   Arch = "BL" // unmodified Magma: EPS-AKA, 2 S6A round trips
 	ArchCellBricks Arch = "CB" // CellBricks: SAP, 1 broker round trip
 	// ArchCellBricksTicketed is a Fig. 7 row only, not a Scenario
-	// architecture: the SAP attach of a UE whose previous grant left it a
-	// ticket (DESIGN.md §2.8). ArchCellBricks in Fig. 7 is always first
-	// contact, the handshake the paper measured.
+	// architecture: the SAP attach in steady state — a UE whose previous
+	// grant left it a ticket (DESIGN.md §2.8) through a bTelco that holds the
+	// broker's pass (§2.9), so no leg signs. ArchCellBricks in Fig. 7 is
+	// always first contact on both legs, the handshake the paper measured.
 	ArchCellBricksTicketed Arch = "CBt"
 )
 
@@ -96,9 +97,12 @@ type attachWorld struct {
 	// remoteWall is the measured wall time spent inside northbound
 	// requests, which transport keeps out of the AGW's span.
 	remoteWall time.Duration
+	// telco is the bTelco the AGW fronts.
+	telco *sap.TelcoState
 	// ticketed counts the SAP requests that reached brokerd without a UE
-	// signature, so a test can tell which handshake a row measured.
-	ticketed int
+	// signature, and macd those with a pass MAC for the bTelco's, so a test
+	// can tell which handshake a row measured.
+	ticketed, macd int
 }
 
 // remote charges one northbound request: the network round trip now and,
@@ -137,6 +141,9 @@ func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, erro
 	if len(req.ReqU.Sig) == 0 {
 		c.w.ticketed++
 	}
+	if len(req.Sig) == 32 {
+		c.w.macd++
+	}
 	return c.w.brk.HandleAuthRequest(req)
 }
 
@@ -159,7 +166,7 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 	k := aka.K{7, 7, 7}
 	sdb.Provision("001010123456789", k, epc.SubscriberProfile{QoS: qos.DefaultParams(), APN: "internet"})
 
-	w := &attachWorld{brk: brk, sdb: sdb, clock: NewVirtualClock(), place: place}
+	w := &attachWorld{brk: brk, sdb: sdb, clock: NewVirtualClock(), place: place, telco: telco}
 	w.agw = epc.NewAGW(epc.AGWConfig{
 		Telco:       telco,
 		Subscribers: instrumentedSDB{w},
@@ -204,12 +211,14 @@ func (w *attachWorld) RunAttach(arch Arch, iteration int) (AttachSample, error) 
 	case ArchCellBricks, ArchCellBricksTicketed:
 		w.clock.Charge(SpanAGW, costAGWSAP)
 		ranID := fmt.Sprintf("bench-ue-%d", iteration)
-		// The ticketed row keeps one SIM across samples, so each rides the
-		// ticket of the one before; the paper's row gets a SIM that has
-		// never attached, or samples 2…n would silently be ticketed too.
+		// The ticketed row keeps one SIM and one bTelco across samples, so
+		// each rides the ticket and the pass of the one before; the paper's
+		// row gets a SIM that has never attached and a bTelco that holds no
+		// pass, or samples 2…n would silently be symmetric too.
 		cb := w.dev.CB
 		if arch == ArchCellBricks {
 			cb = &sap.UEState{IDU: cb.IDU, IDB: cb.IDB, Key: cb.Key, BrokerPub: cb.BrokerPub}
+			w.telco.DropPasses()
 		}
 		dev := ue.NewDevice(ranID, nil, cb)
 		t0 := benchNow()

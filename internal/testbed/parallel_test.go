@@ -219,6 +219,11 @@ func TestFig7RowsMeasureTheHandshakeTheyName(t *testing.T) {
 		if w.ticketed != tc.wantTicketed {
 			t.Errorf("%s: %d of 4 samples reached brokerd on a ticket, want %d", tc.arch, w.ticketed, tc.wantTicketed)
 		}
+		// The bTelco leg goes with the UE leg: the paper's row signs both,
+		// the steady-state row MACs both (DESIGN.md §2.9).
+		if w.macd != tc.wantTicketed {
+			t.Errorf("%s: %d of 4 samples reached brokerd under the bTelco's pass, want %d", tc.arch, w.macd, tc.wantTicketed)
+		}
 	}
 }
 

@@ -58,6 +58,7 @@ func TestRealDeploymentSequentialAttachesHoldOneBrokerConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	goroutines, dials, reuses := runtime.NumGoroutine(), counter("wire_pool_dials_total"), counter("wire_pool_reuses_total")
+	receipts := counter("epc_receipts_total")
 	if err := attachDetach(d, n); err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +69,15 @@ func TestRealDeploymentSequentialAttachesHoldOneBrokerConn(t *testing.T) {
 	if got := counter("wire_pool_dials_total") - dials; got != 0 {
 		t.Fatalf("wire_pool_dials_total moved by %v over %d sequential attaches", got, n)
 	}
-	if got := counter("wire_pool_reuses_total") - reuses; got != float64(3*n) {
-		t.Fatalf("wire_pool_reuses_total moved by %v, want %d (one attach and two reports per session)", got, 3*n)
+	// Every attach but the deployment's first rode the bTelco's pass, and
+	// each 256th of those redeemed a receipt on the same connection
+	// (DESIGN.md §2.9).
+	redeemed := counter("epc_receipts_total") - receipts
+	if want := float64((4 + n) / 256); redeemed != want {
+		t.Fatalf("%v receipts redeemed over %d MAC-mode grants, want %v", redeemed, 4+n, want)
+	}
+	if got := counter("wire_pool_reuses_total") - reuses; got != float64(3*n)+redeemed {
+		t.Fatalf("wire_pool_reuses_total moved by %v, want %v (one attach and two reports per session, one call per receipt)", got, float64(3*n)+redeemed)
 	}
 }
 

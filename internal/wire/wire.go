@@ -62,6 +62,11 @@ const (
 	// big-endian retry-after hint in milliseconds. Surfaced to callers as
 	// *RetryAfterError.
 	TypeRetryAfter
+
+	// bTelco/AGW -> brokerd: redeem MAC-mode grants for a signed receipt
+	// (sap/pass.go). Appended, so every earlier type keeps its value.
+	TypeSAPReceiptRequest
+	TypeSAPReceiptResponse
 )
 
 // FrameTraced is the type-byte bit marking a traced frame: a 24-byte
