@@ -163,7 +163,7 @@ func main() {
 	stormRate := flag.Float64("storm-rate", 40, "storm: fleet-wide base attach arrival rate per second (ramps to 2x by the horizon)")
 	stormSpike := flag.Float64("storm-spike", 8, "storm: flash-crowd rate multiplier over the mid-run spike window")
 	stormUEs := flag.Int("storm-ues", 25, "storm: UEs per group (4 groups of 2 cells)")
-	stormSerial := flag.Bool("storm-serial", false, "storm: serial baseline — no batch pipeline, no auth cache, no resume fast path (rendered output is byte-identical either way)")
+	stormSerial := flag.Bool("storm-serial", false, "storm: no resume fast path — every attach is a full SAP handshake (rendered output is byte-identical either way)")
 	jsonOut := flag.Bool("json", false, "append wall time/allocs/metrics to the bench-trajectory file")
 	jsonPath := flag.String("json-file", "", "bench-trajectory file (default BENCH_<date>.json)")
 	label := flag.String("label", "", "label for this run in the bench-trajectory file")
@@ -521,8 +521,6 @@ func main() {
 				"sheds":                  float64(res.Sheds),
 				"shed_frac":              res.ShedFraction(),
 				"resumes":                float64(res.Resumes),
-				"cache_hits":             float64(res.CacheHits),
-				"cache_misses":           float64(res.CacheMisses),
 				"batch_flushes":          float64(res.BatchFlushes),
 				"batch_items":            float64(res.BatchItems),
 				"wall_pre_ms":            res.WallPre.Seconds() * 1000,

@@ -7,38 +7,18 @@ import (
 	"cellbricks/internal/sap"
 )
 
-// Batcher queues broker control-plane work — full SAP handshakes,
-// fast-path resumes, and billing reports — arriving within one sim-clock
-// flush window and hands it to the broker transaction (transaction.go) at
-// the window boundary, the SoftCell aggregation pattern applied to the
-// brokered control plane. Callers enqueue at arrival and call Flush at
-// window boundaries; Depth between the two is the backlog admission
-// control keys off.
-//
-// Both modes share the one queue and flush schedule, so arrival order,
-// admission depths, and decision order are identical; they differ only
-// in the window the transaction sees:
-//
-//   - serial (the baseline): a window of one — each item is its own
-//     transaction, exactly what the single-request handlers run.
-//   - batch: the whole flush is one transaction — stateless stages in
-//     parallel, ONE ordered commit under a single lock acquisition.
-//
-// For honest traffic the two modes produce byte-identical outcomes —
-// the storm determinism gate pins this. A window larger than one
-// diverges in two documented ways under adversarial load: (1) quarantine
-// reviews are coalesced per window, so a score that dips below the entry
-// threshold and recovers within one window quarantines serially but not
-// batched; (2) the window is an atomicity boundary — a report or resume
-// naming a session granted in the SAME flush is refused (the grant
-// response has not even been delivered yet, so honest parties cannot
-// produce one).
+// Batcher is a queue in front of the broker transaction (transaction.go):
+// full SAP handshakes, fast-path resumes and billing reports are enqueued
+// at arrival and decided at the caller's flush instant — the storm's
+// sim-clock window — one transact per item, in arrival order. It adds no
+// second way to decide: an item flushed here gets exactly the outcome the
+// single-request handler would give it at that instant. What it provides
+// is the backlog between flushes, Depth, which admission control keys off.
 type Batcher struct {
-	b      *Brokerd
-	serial bool
+	b *Brokerd
 
 	mu    sync.Mutex
-	items []*txItem
+	items []txItem
 
 	flushes uint64
 	total   uint64
@@ -55,32 +35,28 @@ type BatchOutcome struct {
 	Err      error
 }
 
-// NewBatcher builds a batcher over this broker. serial selects the
-// baseline per-item execution strategy (for A/B runs and the
-// determinism gate); false selects the pipelined transaction.
-func (b *Brokerd) NewBatcher(serial bool) *Batcher {
-	return &Batcher{b: b, serial: serial}
-}
+// NewBatcher builds an empty queue over this broker.
+func (b *Brokerd) NewBatcher() *Batcher { return &Batcher{b: b} }
 
 // EnqueueAuth queues a full SAP handshake for the next flush. The caller
 // is responsible for admission (AdmitAttach with Depth()) — enqueued
 // items are past the gate and always processed.
 func (t *Batcher) EnqueueAuth(req *sap.AuthReqT) {
-	t.enqueue(&txItem{kind: txAuth, auth: req})
+	t.enqueue(txItem{kind: txAuth, auth: req})
 }
 
 // EnqueueResume queues a fast-path resume for the next flush.
 func (t *Batcher) EnqueueResume(req *sap.ResumeReq) {
-	t.enqueue(&txItem{kind: txResume, resume: req})
+	t.enqueue(txItem{kind: txResume, resume: req})
 }
 
 // EnqueueReport queues a sealed billing report for the next flush.
 // Reports bypass admission by design.
 func (t *Batcher) EnqueueReport(env *billing.SealedReport) {
-	t.enqueue(&txItem{kind: txReport, report: env})
+	t.enqueue(txItem{kind: txReport, report: env})
 }
 
-func (t *Batcher) enqueue(it *txItem) {
+func (t *Batcher) enqueue(it txItem) {
 	t.mu.Lock()
 	t.items = append(t.items, it)
 	t.total++
@@ -103,8 +79,8 @@ func (t *Batcher) Stats() (flushes, items uint64) {
 	return t.flushes, t.total
 }
 
-// Flush drains the queue and processes every item, returning outcomes in
-// enqueue order.
+// Flush drains the queue and transacts every item in enqueue order,
+// returning the outcomes in that order.
 func (t *Batcher) Flush() []BatchOutcome {
 	t.mu.Lock()
 	items := t.items
@@ -115,16 +91,10 @@ func (t *Batcher) Flush() []BatchOutcome {
 	if len(items) == 0 {
 		return nil
 	}
-	if t.serial {
-		for _, it := range items {
-			t.b.transact(it)
-		}
-	} else {
-		t.b.transactWindow(items)
-	}
 	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		out[i] = it.out
+	for i := range items {
+		t.b.transact(&items[i])
+		out[i] = items[i].out
 	}
 	return out
 }

@@ -61,7 +61,6 @@ type Brokerd struct {
 	users         map[string]pki.PublicIdentity // idU -> baseband/report key
 	telcoKeys     map[string]pki.PublicIdentity // idT -> certified key
 	grants        map[string]*sap.GrantRecord   // URef -> grant
-	prices        map[string]float64            // URef -> agreed price per GB
 	reports       map[string]map[billing.Reporter][]*billing.Report
 	qosViolations map[string]int // idT -> QoS incident count
 	policy        sap.Authorizer // optional rule chain (see policy.go)
@@ -73,15 +72,6 @@ type Brokerd struct {
 	quarClock  func() time.Duration
 	quar       map[string]*QuarantineEntry
 	quarNotify func(idT string, entered bool, score float64)
-
-	// Auth-decision cache (authcache.go); authCacheMax == 0 = disabled.
-	authCache    map[authCacheKey]authCacheEntry
-	authOrder    []authCacheKey
-	authSeq      uint64
-	authCacheMax int
-	authHits     uint64
-	authMisses   uint64
-	authInvals   uint64
 
 	// Admission-control shedder (admission.go); nil = disabled.
 	adm *admissionState
@@ -100,7 +90,6 @@ func New(cfg Config) *Brokerd {
 		users:         make(map[string]pki.PublicIdentity),
 		telcoKeys:     make(map[string]pki.PublicIdentity),
 		grants:        make(map[string]*sap.GrantRecord),
-		prices:        make(map[string]float64),
 		reports:       make(map[string]map[billing.Reporter][]*billing.Report),
 		qosViolations: make(map[string]int),
 		resumed:       make(map[string]bool),
@@ -127,38 +116,14 @@ func (b *Brokerd) RegisterUser(pub pki.PublicIdentity) string {
 }
 
 // RevokeUser invalidates a user's key.
-func (b *Brokerd) RevokeUser(idU string) {
-	b.sap.RevokeUser(idU)
-	b.mu.Lock()
-	b.invalidateAuthCacheLocked()
-	b.mu.Unlock()
-}
+func (b *Brokerd) RevokeUser(idU string) { b.sap.RevokeUser(idU) }
 
 // authorizeLocked is the broker's admission policy, run by the commit
 // stage of the broker transaction (for a handshake through sap.Decide,
 // which is why the SAP state's policy assumes b.mu is already held):
 // reputation gate, suspect gate, price gate, then QoS selection clamped
-// to the bTelco's capability. It consults the auth-decision cache
-// (grants only, current epoch only; bypassed while a custom policy chain
-// is installed) before falling through to the full decision.
+// to the bTelco's capability. Mutex held by caller.
 func (b *Brokerd) authorizeLocked(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
-	useCache := b.authCacheMax > 0 && b.policy == nil
-	var key authCacheKey
-	if useCache {
-		key = authCacheKey{idU: idU, idT: idT, terms: terms.Fingerprint()}
-		if p, ok := b.authCacheLookupLocked(key); ok {
-			return p, nil
-		}
-	}
-	params, err := b.decideLocked(idU, idT, terms)
-	if err == nil && useCache {
-		b.authCacheStoreLocked(key, params)
-	}
-	return params, err
-}
-
-// decideLocked is the uncached policy decision. Mutex held by caller.
-func (b *Brokerd) decideLocked(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
 	if b.cfg.MinTelcoScore > 0 {
 		if score := b.verifier.TelcoScore(idT); score < b.cfg.MinTelcoScore {
 			return qos.Params{}, fmt.Errorf("bTelco %s reputation %.2f below %.2f", idT, score, b.cfg.MinTelcoScore)
@@ -337,7 +302,6 @@ func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
 	if degree > 0 {
 		b.qosViolations[rec.IDT]++
 		b.verifier.PenalizeQoS(rec.IDT, math.Min(degree, 1))
-		b.invalidateAuthCacheLocked()
 	}
 }
 
@@ -403,5 +367,7 @@ func (b *Brokerd) SettleSession(uref string, cycle time.Duration) (billing.Settl
 		}
 		pairs[i].Mismatched = diff > th
 	}
-	return b.verifier.Settle(uref, pairs, b.prices[uref]), nil
+	// A session with reports has a grant: commitReportLocked files a
+	// report only under a recorded one, and grants are never deleted.
+	return b.verifier.Settle(uref, pairs, b.grants[uref].Terms.PricePerGB), nil
 }

@@ -283,23 +283,21 @@ func TestShedLeavesNonceUnconsumed(t *testing.T) {
 	})
 
 	t.Run("storm pre-enqueue AdmitAttach", func(t *testing.T) {
-		for _, serial := range []bool{false, true} {
-			h := newHarness(t)
-			h.brk.EnableAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 1}, func() time.Duration { return 0 })
-			bat := h.brk.NewBatcher(serial)
-			req := authReq(t, h)
-			if err := h.brk.AdmitAttach(1); !isShed(err) { // queue full: shed before enqueue
-				t.Fatalf("serial=%v: err = %v, want a typed shed", serial, err)
+		h := newHarness(t)
+		h.brk.EnableAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 1}, func() time.Duration { return 0 })
+		bat := h.brk.NewBatcher()
+		req := authReq(t, h)
+		if err := h.brk.AdmitAttach(1); !isShed(err) { // queue full: shed before enqueue
+			t.Fatalf("err = %v, want a typed shed", err)
+		}
+		for i, want := range []string{"", "replayed nonce"} {
+			if err := h.brk.AdmitAttach(0); err != nil {
+				t.Fatal(err)
 			}
-			for i, want := range []string{"", "replayed nonce"} {
-				if err := h.brk.AdmitAttach(0); err != nil {
-					t.Fatal(err)
-				}
-				bat.EnqueueAuth(req)
-				outs := bat.Flush()
-				if len(outs) != 1 || outs[0].Err != nil || outs[0].Auth.Granted != (want == "") || outs[0].Auth.Cause != want {
-					t.Fatalf("serial=%v delivery %d: %+v, want cause %q", serial, i, outs, want)
-				}
+			bat.EnqueueAuth(req)
+			outs := bat.Flush()
+			if len(outs) != 1 || outs[0].Err != nil || outs[0].Auth.Granted != (want == "") || outs[0].Auth.Cause != want {
+				t.Fatalf("delivery %d: %+v, want cause %q", i, outs, want)
 			}
 		}
 	})

@@ -23,9 +23,6 @@ var mtr struct {
 	quarExit         *obs.Counter
 	quarDenied       *obs.Counter
 
-	authCacheHits      *obs.Counter
-	authCacheMisses    *obs.Counter
-	authCacheInvals    *obs.Counter
 	admissionRateShed  *obs.Counter
 	admissionQueueShed *obs.Counter
 	batchFlushes       *obs.Counter
@@ -36,24 +33,8 @@ var mtr struct {
 	receiptsRefused    *obs.Counter
 }
 
-func init() { SetMetricsEnabled(true) }
-
-// SetMetricsEnabled installs (true) or removes (false) the package's
-// handles in the default registry.
-func SetMetricsEnabled(on bool) {
-	if !on {
-		mtr.attachGranted, mtr.attachDenied, mtr.attachShed = nil, nil, nil
-		mtr.reports, mtr.mismatches = nil, nil
-		mtr.snapshots, mtr.restores = nil, nil
-		mtr.replays, mtr.watchdogEvidence, mtr.sloEvidence = nil, nil, nil
-		mtr.quarEnter, mtr.quarExit, mtr.quarDenied = nil, nil, nil
-		mtr.authCacheHits, mtr.authCacheMisses, mtr.authCacheInvals = nil, nil, nil
-		mtr.admissionRateShed, mtr.admissionQueueShed = nil, nil
-		mtr.batchFlushes, mtr.batchItems = nil, nil
-		mtr.resumeGranted, mtr.resumeDenied = nil, nil
-		mtr.receiptsSigned, mtr.receiptsRefused = nil, nil
-		return
-	}
+// init registers the package's handles in the default registry.
+func init() {
 	r := obs.Default()
 	mtr.attachGranted = r.Counter("broker_attach_granted_total", "SAP auth requests granted")
 	mtr.attachDenied = r.Counter("broker_attach_denied_total", "SAP auth requests denied by policy or crypto")
@@ -68,9 +49,6 @@ func SetMetricsEnabled(on bool) {
 	mtr.quarEnter = r.Counter("broker_quarantine_enter_total", "bTelco quarantine entries")
 	mtr.quarExit = r.Counter("broker_quarantine_exit_total", "bTelco quarantine full exits")
 	mtr.quarDenied = r.Counter("broker_quarantine_denied_total", "attaches denied because the bTelco is quarantined")
-	mtr.authCacheHits = r.Counter("broker_authcache_hits_total", "auth-decision cache hits")
-	mtr.authCacheMisses = r.Counter("broker_authcache_misses_total", "auth-decision cache misses (including stale epochs)")
-	mtr.authCacheInvals = r.Counter("broker_authcache_invalidations_total", "auth-decision cache epoch bumps")
 	mtr.admissionRateShed = r.Counter("broker_admission_rate_shed_total", "attaches shed by the token-bucket rate gate")
 	mtr.admissionQueueShed = r.Counter("broker_admission_queue_shed_total", "attaches shed by the queue-depth gate")
 	mtr.batchFlushes = r.Counter("broker_batch_flushes_total", "batcher flush windows processed")

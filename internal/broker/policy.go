@@ -130,8 +130,4 @@ func (b *Brokerd) SetPolicy(base qos.Params, rules ...Rule) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.policy = Chain(base, rules...)
-	// The auth-decision cache is bypassed while a custom chain is
-	// installed, but bump the epoch anyway so nothing cached under the
-	// previous policy can ever be replayed.
-	b.invalidateAuthCacheLocked()
 }

@@ -68,7 +68,6 @@ func (b *Brokerd) EnableQuarantine(cfg QuarantineConfig, clock func() time.Durat
 	if b.quar == nil {
 		b.quar = make(map[string]*QuarantineEntry)
 	}
-	b.invalidateAuthCacheLocked()
 }
 
 // SetQuarantineNotify installs a callback invoked on every quarantine
@@ -110,7 +109,6 @@ func (b *Brokerd) ReportWatchdog(idT string, degree float64) float64 {
 	defer b.mu.Unlock()
 	mtr.watchdogEvidence.Add(1)
 	b.verifier.PenalizeMisconduct(idT, degree)
-	b.invalidateAuthCacheLocked()
 	b.reviewTelcoLocked(idT, true)
 	return b.verifier.TelcoScore(idT)
 }
@@ -127,7 +125,6 @@ func (b *Brokerd) ReportSLOBreach(idT string, degree float64) float64 {
 	defer b.mu.Unlock()
 	mtr.sloEvidence.Add(1)
 	b.verifier.PenalizeMisconduct(idT, degree)
-	b.invalidateAuthCacheLocked()
 	b.reviewTelcoLocked(idT, true)
 	return b.verifier.TelcoScore(idT)
 }
@@ -175,7 +172,6 @@ func (b *Brokerd) reviewTelcoLocked(idT string, misbehaved bool) {
 		if score < b.quarCfg.EnterBelow {
 			window := b.quarCfg.Probation
 			b.quar[idT] = &QuarantineEntry{Since: now, Until: now + window, Strikes: 1}
-			b.invalidateAuthCacheLocked()
 			mtr.quarEnter.Add(1)
 			if b.quarNotify != nil {
 				b.quarNotify(idT, true, score)
@@ -190,14 +186,12 @@ func (b *Brokerd) reviewTelcoLocked(idT string, misbehaved bool) {
 				window = max
 			}
 			e.Since, e.Until, e.Strikes = now, now+window, e.Strikes+1
-			b.invalidateAuthCacheLocked()
 			mtr.quarEnter.Add(1)
 			if b.quarNotify != nil {
 				b.quarNotify(idT, true, score)
 			}
 		} else if score >= b.quarCfg.ExitAbove {
 			delete(b.quar, idT)
-			b.invalidateAuthCacheLocked()
 			mtr.quarExit.Add(1)
 			if b.quarNotify != nil {
 				b.quarNotify(idT, false, score)

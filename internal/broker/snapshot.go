@@ -15,11 +15,9 @@ import (
 // (since v2) live quarantine entries — so a restarted brokerd resumes
 // exactly where it stopped: sessions keep settling, reputation history
 // survives, and a quarantined bTelco stays quarantined through the
-// restart. (Pending unpaired reports, the nonce/resume replay caches,
-// and the auth-decision cache are deliberately excluded: reports
-// retransmit, a restart naturally re-arms replay protection, and cached
-// decisions must never outlive the state they were derived from —
-// Restore clears the cache.)
+// restart. (Pending unpaired reports and the nonce/resume replay caches
+// are deliberately excluded: reports retransmit, and a restart naturally
+// re-arms replay protection.)
 const snapshotVersion = 2
 
 // Snapshot encodes the broker's durable state.
@@ -49,7 +47,7 @@ func (b *Brokerd) Snapshot() []byte {
 		w.Byte(byte(g.QoS.QCI))
 		w.Uint64(g.QoS.DLAmbrBps)
 		w.Uint64(g.QoS.ULAmbrBps)
-		w.Float64(b.prices[uref])
+		w.Float64(g.Terms.PricePerGB)
 	}
 	reps := b.verifier.Reputations()
 	w.Uint32(uint32(len(reps)))
@@ -123,7 +121,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 		g.QoS.QCI = qos.QCI(r.Byte())
 		g.QoS.DLAmbrBps = r.Uint64()
 		g.QoS.ULAmbrBps = r.Uint64()
-		b.prices[uref] = r.Float64()
+		g.Terms.PricePerGB = r.Float64()
 		b.grants[uref] = g
 		b.verifier.BindSession(uref, g.IDU, g.IDT)
 	}
@@ -158,9 +156,6 @@ func (b *Brokerd) Restore(snap []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// Cached auth decisions must not survive into the restored state —
-	// the snapshot may carry reputation/quarantine entries they predate.
-	b.clearAuthCacheLocked()
 	mtr.restores.Add(1)
 	return nil
 }

@@ -2,9 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/pki"
@@ -13,16 +10,16 @@ import (
 )
 
 // The broker transaction (DESIGN.md §2.5). Every SAP handshake, fast-path
-// resume and billing report is decided by the same five stages, whether it
-// arrives alone (HandleAuthRequest, HandleResume, HandleReport) or inside
-// a Batcher window:
+// resume and billing report is decided by the same five stages, one item
+// at a time, whether it arrives alone (HandleAuthRequest, HandleResume,
+// HandleReport) or is drained from a Batcher queue:
 //
 //	prepare   stateless  sap.Validate; report decrypt + decode
 //	resolve   b.mu       grant record and expected signer
 //	verify    stateless  resume MAC; report signature
 //	commit    b.mu       arrival order: nonce + policy, mint, grant
-//	                     bookkeeping, resume consumption, report ingest,
-//	                     then the quarantine review of each touched bTelco
+//	                     bookkeeping, resume consumption, report ingest
+//	                     and the quarantine review of its bTelco
 //	finalize  stateless  seal + sign a granted handshake
 //
 // An item that fails a stage carries the failure in out.Err and the
@@ -58,9 +55,9 @@ type txItem struct {
 	out BatchOutcome
 }
 
-// transact runs the stages for a window of one. It is transactWindow
-// written out straight — no closures, no slices — so the handlers' item
-// stays on their stack.
+// transact runs the stages for one item; it is the only driver. The
+// crypto stages run outside the lock, so concurrent callers serialize on
+// state, not on signatures and MACs.
 func (b *Brokerd) transact(it *txItem) {
 	b.prepare(it)
 	b.mu.Lock()
@@ -68,54 +65,9 @@ func (b *Brokerd) transact(it *txItem) {
 	b.mu.Unlock()
 	b.verify(it)
 	b.mu.Lock()
-	if idT, misbehaved := b.commitLocked(it); idT != "" {
-		b.reviewTelcoLocked(idT, misbehaved)
-	}
+	b.commitLocked(it)
 	b.mu.Unlock()
 	b.finalize(it)
-}
-
-// transactWindow runs the stages once for a whole window: the stateless
-// stages fan out across cores, resolve and commit each take the lock
-// once. Two things differ from len(items) transactions of one, and only
-// under adversarial load: quarantine reviews coalesce to one per touched
-// bTelco (first-touch order) after the last commit, and sessions are
-// resolved before any item commits, so an item naming a session granted
-// in the same window is refused.
-func (b *Brokerd) transactWindow(items []*txItem) {
-	runParallel(len(items), func(i int) { b.prepare(items[i]) })
-	b.mu.Lock()
-	for _, it := range items {
-		b.resolveLocked(it)
-	}
-	b.mu.Unlock()
-	runParallel(len(items), func(i int) { b.verify(items[i]) })
-
-	type review struct {
-		idT        string
-		misbehaved bool
-	}
-	var touched []review
-	b.mu.Lock()
-next:
-	for _, it := range items {
-		idT, misbehaved := b.commitLocked(it)
-		if idT == "" {
-			continue
-		}
-		for i := range touched {
-			if touched[i].idT == idT {
-				touched[i].misbehaved = touched[i].misbehaved || misbehaved
-				continue next
-			}
-		}
-		touched = append(touched, review{idT, misbehaved})
-	}
-	for _, r := range touched {
-		b.reviewTelcoLocked(r.idT, r.misbehaved)
-	}
-	b.mu.Unlock()
-	runParallel(len(items), func(i int) { b.finalize(items[i]) })
 }
 
 // prepare does the work that needs no broker state. sap.Validate and pki
@@ -184,11 +136,8 @@ func (b *Brokerd) verify(it *txItem) {
 	}
 }
 
-// commitLocked applies one item's state change. It returns the bTelco
-// whose reputation the item may have moved ("" for none) and whether the
-// item was fresh evidence against it; the caller owes that bTelco a
-// reviewTelcoLocked before releasing the lock. Mutex held.
-func (b *Brokerd) commitLocked(it *txItem) (idT string, misbehaved bool) {
+// commitLocked applies one item's state change. Mutex held.
+func (b *Brokerd) commitLocked(it *txItem) {
 	switch {
 	case it.kind == txAuth:
 		b.commitAuthLocked(it)
@@ -196,9 +145,8 @@ func (b *Brokerd) commitLocked(it *txItem) (idT string, misbehaved bool) {
 	case it.kind == txResume:
 		b.commitResumeLocked(it)
 	default:
-		return b.commitReportLocked(it)
+		b.commitReportLocked(it)
 	}
-	return "", false
 }
 
 // commitAuthLocked decides a handshake: replay filter and policy (Decide
@@ -231,7 +179,6 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 	}
 	it.rec = &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
 	b.grants[uref] = it.rec
-	b.prices[uref] = req.Terms.PricePerGB
 	b.telcoKeys[req.IDT] = req.Cert.Identity
 	b.verifier.BindSession(uref, it.rec.IDU, req.IDT)
 	mtr.attachGranted.Add(1)
@@ -269,15 +216,15 @@ func (b *Brokerd) commitResumeLocked(it *txItem) {
 	resp, ss2, uref2 := sap.GrantResume(req, rec.SS, params, score)
 	b.resumed[req.URef] = true
 	b.grants[uref2] = &sap.GrantRecord{URef: uref2, IDU: rec.IDU, IDT: rec.IDT, SS: ss2, Terms: rec.Terms, QoS: params}
-	b.prices[uref2] = b.prices[req.URef]
 	b.verifier.BindSession(uref2, rec.IDU, rec.IDT)
 	mtr.resumeGranted.Add(1)
 	it.out.Resume = resp
 }
 
-// commitReportLocked ingests a verified report and runs the Fig. 5
-// discrepancy check when the pair completes. Mutex held.
-func (b *Brokerd) commitReportLocked(it *txItem) (idT string, misbehaved bool) {
+// commitReportLocked ingests a verified report, runs the Fig. 5
+// discrepancy check when the pair completes, and reviews the bTelco
+// against the quarantine thresholds. Mutex held.
+func (b *Brokerd) commitReportLocked(it *txItem) {
 	r := it.r
 	byRep := b.reports[r.SessionRef]
 	if byRep == nil {
@@ -296,16 +243,10 @@ func (b *Brokerd) commitReportLocked(it *txItem) (idT string, misbehaved bool) {
 	if isReplay(err) {
 		mtr.replays.Add(1)
 	}
-	// Evidence moved the bTelco's reputation (and possibly the user
-	// suspect list): cached auth decisions predate it.
-	misbehaved = mm != nil || isReplay(err)
-	if misbehaved {
-		b.invalidateAuthCacheLocked()
-	}
 	it.out.Mismatch, it.out.Err = mm, err
 	// Any ingest can move the reputation — pass, mismatch or replay
 	// penalty — so every ingest owes a quarantine review.
-	return it.rec.IDT, misbehaved
+	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err))
 }
 
 // finalize seals and signs the responses of a committed grant.
@@ -320,37 +261,4 @@ func (b *Brokerd) finalize(it *txItem) {
 	}
 	resp.TelcoScore = it.score
 	it.out.Auth = resp
-}
-
-// runParallel fans f over [0, n) across up to GOMAXPROCS workers. With
-// one worker (or one item) it degrades to a plain loop — on a single
-// core a window's win is the lock coalescing and the cache, not
-// parallelism.
-func runParallel(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -17,17 +17,8 @@ var mtr struct {
 	receiptFailures *obs.Counter
 }
 
-func init() { SetMetricsEnabled(true) }
-
-// SetMetricsEnabled installs (true) or removes (false) the package's
-// handles in the default registry.
-func SetMetricsEnabled(on bool) {
-	if !on {
-		mtr.attaches, mtr.attachFailures, mtr.nasMessages = nil, nil, nil
-		mtr.activeSessions = nil
-		mtr.receipts, mtr.receiptFailures = nil, nil
-		return
-	}
+// init registers the package's handles in the default registry.
+func init() {
 	r := obs.Default()
 	mtr.attaches = r.Counter("epc_attaches_total", "sessions activated by the AGW")
 	mtr.attachFailures = r.Counter("epc_attach_failures_total", "attach attempts rejected by the AGW")

@@ -2,28 +2,25 @@ package sap
 
 import (
 	"fmt"
-	"hash/fnv"
 
-	"cellbricks/internal/codec"
 	"cellbricks/internal/nas"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 )
 
 // This file splits broker-side SAP request handling into three phases so
-// a batching broker can pipeline them (SoftCell-style aggregation at the
-// core gateway):
+// a broker holds its lock only for the one that touches state:
 //
 //   - Validate: every stateless crypto check — certificate, signatures,
-//     decryption, membership. Safe to run for many requests in parallel.
+//     decryption, membership. Safe to run for many requests concurrently.
 //   - Decide: the order-sensitive state mutation — replay filter and
 //     authorization policy. Must run in arrival order.
 //   - Finalize: sealing and signing the two responses for a pre-minted
-//     (ss, uref). Stateless again, so a batch signs grants in parallel.
+//     (ss, uref). Stateless again.
 //
 // HandleRequest (parties.go) composes the three phases for a standalone
 // BrokerState; brokerd drives them directly from its staged transaction
-// (broker/transaction.go), for one request or a whole batch window.
+// (broker/transaction.go), one request at a time.
 
 // ValidatedAuth is the outcome of the Validate phase for one request.
 // When DenyCause is non-empty, validation already failed and Decide /
@@ -204,16 +201,4 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 	}
 	rec := &GrantRecord{URef: uref, IDU: v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
 	return resp, rec, nil
-}
-
-// Fingerprint returns a stable 64-bit digest of the terms (FNV-1a over
-// the canonical encoding). ServiceTerms itself is not comparable (the
-// capability holds a QCI slice), so this digest is the comparable key the
-// broker's auth-decision cache needs.
-func (t ServiceTerms) Fingerprint() uint64 {
-	w := codec.NewWriter(64)
-	marshalTerms(w, t)
-	h := fnv.New64a()
-	h.Write(w.Out())
-	return h.Sum64()
 }

@@ -188,26 +188,3 @@ func TestResumeCodecRejectsTruncation(t *testing.T) {
 		}
 	}
 }
-
-func TestServiceTermsFingerprint(t *testing.T) {
-	f := newFixture(t)
-	a := f.telco.Terms
-	b := a
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical terms fingerprint differently")
-	}
-	b.PricePerGB += 0.01
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("price change did not move the fingerprint")
-	}
-	c := a
-	c.LawfulIntercept = !c.LawfulIntercept
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("LI change did not move the fingerprint")
-	}
-	d := a
-	d.Cap.MaxDLAmbrBps++
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Fatal("capability change did not move the fingerprint")
-	}
-}

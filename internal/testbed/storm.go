@@ -16,13 +16,15 @@ import (
 
 // This file is the attach storm (EXPERIMENTS.md "Attach storm"): an
 // open-loop, seeded Poisson arrival process — a ramping rate with a
-// flash-crowd spike — against one broker defended by batching
-// (broker.Batcher), caching (the auth cache and the resume fast path) and
-// admission control. Serial mode (every item through the single-request
-// handlers) and the optimized pipeline share one arrival schedule, one
-// admission gate and one flush cadence, so the rendered result is
-// byte-identical across the two AND across any shard count; only the
-// wall-clock (Metrics) numbers differ.
+// flash-crowd spike — against one broker defended by admission control: a
+// token bucket plus a bound on the backlog of a queue (broker.Batcher) that
+// is drained every Window of virtual time, one broker transaction per item
+// in arrival order. A UE re-attaching at a cell it holds a live session
+// reference for goes over the resume fast path (sap/resume.go) unless
+// StormConfig.Serial turns that off; either way the arrival schedule, the
+// admission gate and the flush instants are the same, so the rendered
+// result is byte-identical across the two AND across any shard count; only
+// the wall-clock (Metrics) numbers differ.
 //
 // The world is the grouped sharded world of grouped.go, and determinism
 // follows its recipe (DESIGN.md §2.6). Two storm-specific rules are
@@ -31,9 +33,9 @@ import (
 //   - The UE consumes its resume ticket optimistically at attempt time
 //     and ticket bookkeeping runs on EVERY completion (only session
 //     adoption is attach-seq guarded), with the ticket restored when
-//     admission sheds the attempt — so the optimized mode never
-//     presents a stale single-use ticket and both modes see zero
-//     denials on honest traffic.
+//     admission sheds the attempt — so a UE never presents a stale
+//     single-use ticket and both settings see zero denials on honest
+//     traffic.
 //   - The flush tick runs on shard 0 at shard0TickPhase, pairing
 //     Batcher.Flush outcomes with their completion callbacks in enqueue
 //     order.
@@ -58,7 +60,7 @@ type StormConfig struct {
 	SpikeAt  time.Duration
 	SpikeDur time.Duration
 
-	// Window is the batcher's flush cadence (default 10 ms);
+	// Window is the broker queue's flush cadence (default 10 ms);
 	// ReportEvery the billing cadence per session (default 2 s).
 	Window      time.Duration
 	ReportEvery time.Duration
@@ -67,9 +69,9 @@ type StormConfig struct {
 	// rate 2xBaseRate, burst BaseRate, max queue 48, hint 500 ms.
 	Admission broker.AdmissionConfig
 
-	// Serial selects the baseline execution strategy: per-item handlers,
-	// no auth cache, no resume fast path. The zero value is the
-	// optimized pipeline. Rendered output is identical either way.
+	// Serial turns the resume fast path off: every attach is a full SAP
+	// handshake. It selects nothing else, and rendered output is identical
+	// either way. (The name is the one benchmark/ reads.)
 	Serial bool
 
 	// Shards is the netem.World shard count (default 1); output is
@@ -136,7 +138,7 @@ func (c StormConfig) rateAt(t time.Duration) float64 {
 // StormResult is the outcome of one storm run. Every field above
 // Metrics derives from virtual time and seeded randomness — Render
 // uses only those. Metrics carries the wall-clock performance numbers
-// (which legitimately differ run to run and mode to mode).
+// (which legitimately differ run to run).
 type StormResult struct {
 	Config StormConfig
 
@@ -144,7 +146,7 @@ type StormResult struct {
 	Attempts int // attach attempts (first tries and retries)
 	Attaches int // attach grants adopted by their UE
 	Grants   int // broker grants (includes grants a UE outraced)
-	Resumes  int // grants served over the resume fast path (0 serial)
+	Resumes  int // grants served over the resume fast path (0 with Serial)
 	Denied   int // broker denials
 	Sheds    int // attempts refused by admission control
 	Retries  int
@@ -172,7 +174,6 @@ type StormResult struct {
 	// Wall-clock segments (pre-spike, spike, post-spike) and derived
 	// throughput — Metrics-only, never rendered.
 	WallPre, WallSpike, WallPost time.Duration
-	CacheHits, CacheMisses       uint64
 	BatchFlushes, BatchItems     uint64
 }
 
@@ -186,7 +187,7 @@ type stormCell struct {
 type stormUE struct {
 	ueCore
 	grp *stormGroup
-	// resume holds the per-cell fast-path ticket (optimized mode only).
+	// resume holds the per-cell fast-path ticket (none with Serial).
 	// A ticket is consumed optimistically at attempt time and restored
 	// if admission sheds the attempt before the broker saw it.
 	resume []*sap.ResumeSession
@@ -216,7 +217,7 @@ type stormWorld struct {
 	// Shard-0 state: written only by broker-endpoint handlers and the
 	// flush tick. pending pairs, in enqueue order, with the outcomes
 	// the next Flush returns.
-	pending     []func(broker.BatchOutcome)
+	pending     []stormPending
 	grants      int
 	spikeGrants int
 	denied      int
@@ -226,6 +227,14 @@ type stormWorld struct {
 	mismatches  int
 }
 
+// stormPending is what becomes of one queued item's outcome: an attach's
+// finish runs back on group g's shard; a report (finish nil) is tallied
+// where the flush ran.
+type stormPending struct {
+	g      int
+	finish func(broker.BatchOutcome)
+}
+
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	gw, err := newGroupedWorld("storm", 200, cfg.Seed, cfg.Shards, nil)
 	if err != nil {
@@ -233,13 +242,9 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	}
 	w := &stormWorld{groupedWorld: gw, cfg: cfg}
 	// The shedder refills on virtual time, so shedding is part of the
-	// deterministic output; the auth cache and the batch pipeline are
-	// the optimized mode's machinery.
+	// deterministic output.
 	w.brk.EnableAdmission(cfg.Admission, w.sim0.Now)
-	if !cfg.Serial {
-		w.brk.EnableAuthCache(4096)
-	}
-	w.bat = w.brk.NewBatcher(cfg.Serial)
+	w.bat = w.brk.NewBatcher()
 
 	C, nUE := cfg.CellsPerGroup, cfg.Groups*cfg.UEsPerGroup
 	grid, err := w.layout(cfg.Seed, cfg.Groups, C, cfg.UEsPerGroup)
@@ -265,7 +270,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	// Poisson process at the envelope rate: accepted points follow the
 	// ramp-and-spike intensity exactly, and because the draws happen
 	// here — before the clock starts, from the UE's private rng — the
-	// schedule is identical for any shard count and both modes.
+	// schedule is identical for any shard count, resume on or off.
 	spikeMul := cfg.Spike
 	if spikeMul < 1 {
 		spikeMul = 1
@@ -302,8 +307,14 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 			w.fail(fmt.Errorf("testbed: storm flush returned %d outcomes for %d callbacks", len(outs), len(pend)))
 			return
 		}
-		for i, fn := range pend {
-			fn(outs[i])
+		for i, p := range pend {
+			out := outs[i]
+			if p.finish == nil {
+				w.reportOutcome(out)
+				continue
+			}
+			w.tallyAttach(out)
+			w.toGroup(p.g, func() { p.finish(out) })
 		}
 		if next := latticeAt(w.sim0.Now()+cfg.Window, shard0TickPhase); next < cfg.Duration {
 			w.sim0.At(next, flushTick)
@@ -331,13 +342,13 @@ func (u *stormUE) arrive() {
 	u.attempt(u.attachSeq)
 }
 
-// attempt runs one attach attempt. In optimized mode a UE holding a
-// live ticket for the chosen cell goes over the resume fast path; the
-// ticket is consumed NOW (optimistically) so an overlapping attempt can
-// never replay it, and restored only if admission sheds this attempt
-// before the broker consumed it. Serial mode always runs the full
-// handshake — the sends are identically timed either way, which is what
-// keeps the two modes byte-identical.
+// attempt runs one attach attempt. A UE holding a live ticket for the
+// chosen cell goes over the resume fast path; the ticket is consumed NOW
+// (optimistically) so an overlapping attempt can never replay it, and
+// restored only if admission sheds this attempt before the broker consumed
+// it. Without one (always, with Serial) it runs the full handshake — the
+// sends are identically timed either way, which is what keeps the rendered
+// output independent of the setting.
 func (u *stormUE) attempt(seq int) {
 	w := u.grp.w
 	if seq != u.attachSeq || w.runErr != nil {
@@ -346,40 +357,25 @@ func (u *stormUE) attempt(seq int) {
 	ci := (u.prefer + u.fsm.Candidate()) % len(u.grp.cells)
 	cell := u.grp.cells[ci]
 	u.attempts++
-	g := u.g
 
-	if !w.cfg.Serial {
-		if tkt := u.resume[ci]; tkt != nil {
-			ss, live := cell.resumeSS[tkt.URef]
-			u.resume[ci] = nil
-			if live {
-				req, err := tkt.NewResumeRequest()
-				if err != nil {
-					w.fail(err)
-					return
-				}
-				if err := cell.telco.ForwardResume(req, ss); err != nil {
-					w.fail(err) // our own ticket failed its MAC: a bug
-					return
-				}
-				tkt, ssOld := tkt, ss
-				w.toBroker(g, func() {
-					if err := w.brk.AdmitAttach(w.bat.Depth()); err != nil {
-						w.tallyShed()
-						w.toGroup(g, func() {
-							u.resume[ci] = tkt // broker never saw it
-							u.failAttach(seq, err)
-						})
-						return
-					}
-					w.bat.EnqueueResume(req)
-					w.pending = append(w.pending, func(out broker.BatchOutcome) {
-						w.tallyAttach(out)
-						w.toGroup(g, func() { u.finishResume(seq, ci, tkt, req, ssOld, out) })
-					})
-				})
+	if tkt := u.resume[ci]; tkt != nil {
+		ss, live := cell.resumeSS[tkt.URef]
+		u.resume[ci] = nil
+		if live {
+			req, err := tkt.NewResumeRequest()
+			if err != nil {
+				w.fail(err)
 				return
 			}
+			if err := cell.telco.ForwardResume(req, ss); err != nil {
+				w.fail(err) // our own ticket failed its MAC: a bug
+				return
+			}
+			u.submit(seq,
+				func() { w.bat.EnqueueResume(req) },
+				func(error) { u.resume[ci] = tkt },
+				func(out broker.BatchOutcome) { u.finishResume(seq, ci, tkt, req, ss, out) })
+			return
 		}
 	}
 
@@ -396,27 +392,39 @@ func (u *stormUE) attempt(seq int) {
 			return
 		}
 	}
+	u.submit(seq,
+		func() { w.bat.EnqueueAuth(reqT) },
+		func(err error) {
+			u.shelf.Settle(pending, err)
+			u.fwd[ci] = reqT
+		},
+		func(out broker.BatchOutcome) { u.finishFull(seq, ci, pending, out) })
+}
+
+// submit carries one attempt to the broker: admission against the queue's
+// backlog, then enqueue, with finish registered for the outcome the next
+// flush pairs with it. If admission sheds the attempt the broker never saw
+// it, so restore puts back what the attempt consumed before the UE backs
+// off. enqueue runs on shard 0; restore and finish back on the UE's shard.
+func (u *stormUE) submit(seq int, enqueue func(), restore func(error), finish func(broker.BatchOutcome)) {
+	w, g := u.grp.w, u.g
 	w.toBroker(g, func() {
 		if err := w.brk.AdmitAttach(w.bat.Depth()); err != nil {
 			w.tallyShed()
 			w.toGroup(g, func() {
-				u.shelf.Settle(pending, err) // broker never saw it
-				u.fwd[ci] = reqT
+				restore(err)
 				u.failAttach(seq, err)
 			})
 			return
 		}
-		w.bat.EnqueueAuth(reqT)
-		w.pending = append(w.pending, func(out broker.BatchOutcome) {
-			w.tallyAttach(out)
-			w.toGroup(g, func() { u.finishFull(seq, ci, pending, out) })
-		})
+		enqueue()
+		w.pending = append(w.pending, stormPending{g, finish})
 	})
 }
 
 // tallyShed and tallyAttach run on shard 0 and classify against the
-// broker clock — flush and admission instants are mode-invariant, so
-// these rendered counters are too.
+// broker clock — flush and admission instants do not depend on whether an
+// attempt resumed, so these rendered counters do not either.
 func (w *stormWorld) tallyShed() {
 	w.sheds++
 	if w.cfg.inSpike(w.sim0.Now()) {
@@ -475,9 +483,9 @@ func (u *stormUE) finishFull(seq, ci int, pending *sap.PendingAttach, out broker
 	u.attachTo(cell, grant.URef, pending.Sealer)
 }
 
-// finishResume completes a fast-path attempt (optimized mode only).
-// Like finishFull, the single-use bookkeeping — retire the consumed
-// reference, shelve the successor ticket — is unconditional.
+// finishResume completes a fast-path attempt. Like finishFull, the
+// single-use bookkeeping — retire the consumed reference, shelve the
+// successor ticket — is unconditional.
 func (u *stormUE) finishResume(seq, ci int, tkt *sap.ResumeSession, req *sap.ResumeReq, ssOld nas.MasterKey, out broker.BatchOutcome) {
 	w := u.grp.w
 	if out.Err != nil {
@@ -522,7 +530,7 @@ func (u *stormUE) attachTo(cell *stormCell, uref string, sealer *pki.Sealer) {
 // reportTick emits the aligned billing pair for session s: synthetic
 // but deterministic usage counted into both the UE baseband meter and
 // the bTelco's per-session counter (honest traffic — the verifier must
-// stay silent), ingested UE-then-telco in both modes.
+// stay silent), ingested UE-then-telco.
 func (u *stormUE) reportTick(s *sessionCore) {
 	w := u.grp.w
 	if u.cur != s || w.runErr != nil {
@@ -540,7 +548,7 @@ func (u *stormUE) reportTick(s *sessionCore) {
 		w.reports += 2
 		w.bat.EnqueueReport(ueEnv)
 		w.bat.EnqueueReport(tEnv)
-		w.pending = append(w.pending, w.reportOutcome, w.reportOutcome)
+		w.pending = append(w.pending, stormPending{}, stormPending{})
 	})
 	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
@@ -564,7 +572,6 @@ func (w *stormWorld) collect() StormResult {
 		Reports: w.reports, Mismatches: w.mismatches,
 	}
 	res.Admitted, res.RateSheds, res.QueueSheds = w.brk.AdmissionStats()
-	res.CacheHits, res.CacheMisses, _ = w.brk.AuthCacheStats()
 	res.BatchFlushes, res.BatchItems = w.bat.Stats()
 	var availSum float64
 	var bill ledger
@@ -601,8 +608,8 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	if err != nil {
 		return StormResult{Config: cfg}, err
 	}
-	// Segmented run: the wall-clock cost of each phase is the bench's
-	// batch-vs-serial comparison. Wall time never enters Render.
+	// Segmented run: the wall-clock cost of each phase is what the bench
+	// compares between runs. Wall time never enters Render.
 	t0 := time.Now()
 	w.world.RunUntil(cfg.SpikeAt)
 	t1 := time.Now()
@@ -619,7 +626,7 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 }
 
 // SpikeAttachesPerSec is the wall-clock grant throughput inside the
-// flash-crowd window — the headline batching-vs-serial number.
+// flash-crowd window.
 func (r StormResult) SpikeAttachesPerSec() float64 {
 	if r.WallSpike <= 0 {
 		return 0
@@ -637,9 +644,9 @@ func (r StormResult) ShedFraction() float64 {
 }
 
 // Render produces the deterministic summary: identical bytes for any
-// shard count AND both execution modes — the CI determinism gate
-// hashes exactly this string. Wall-clock numbers are deliberately
-// excluded; so are cache/batch/resume counters (mode-dependent).
+// shard count AND either Serial value — the determinism gate hashes
+// exactly this string. Wall-clock numbers are deliberately excluded; so
+// are the queue and resume counters.
 func (r StormResult) Render() string {
 	var b strings.Builder
 	c := r.Config

@@ -12,7 +12,7 @@ import (
 // stormTestConfig is small enough for CI yet busy enough to exercise
 // every path: the spike overruns the admission rate (sheds, retries),
 // sessions live across report cycles (billing), and arrivals re-attach
-// to cells they hold tickets for (resumes in optimized mode).
+// to cells they hold tickets for (resumes, unless Serial).
 func stormTestConfig(serial bool, shards int) StormConfig {
 	return StormConfig{
 		Seed:          7,
@@ -79,10 +79,7 @@ func TestStormExercisesStormPath(t *testing.T) {
 		t.Errorf("no arrivals classified into the spike window")
 	}
 	if res.Resumes == 0 {
-		t.Errorf("optimized mode never used the resume fast path")
-	}
-	if res.CacheHits == 0 {
-		t.Errorf("auth cache never hit: misses=%d", res.CacheMisses)
+		t.Errorf("the storm never used the resume fast path")
 	}
 	if res.Denied != 0 {
 		t.Errorf("honest storm saw %d denials", res.Denied)
@@ -99,10 +96,36 @@ func TestStormExercisesStormPath(t *testing.T) {
 
 	_, ser := stormHash(t, stormTestConfig(true, 1))
 	if ser.Resumes != 0 {
-		t.Errorf("serial mode used the resume fast path %d times", ser.Resumes)
+		t.Errorf("Serial used the resume fast path %d times", ser.Resumes)
 	}
-	if ser.CacheHits != 0 {
-		t.Errorf("serial mode hit the auth cache %d times", ser.CacheHits)
+}
+
+// What the storm's availability rests on is admission control, not how
+// fast the broker decides: honest traffic is never denied or misbilled,
+// every refusal is the shedder's, the token bucket holds the line through
+// the flash crowd, and a UE gives up at most once per arrival. With the
+// resume fast path and without it.
+func TestStormAdmissionHoldsTheLine(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		_, res := stormHash(t, stormTestConfig(serial, 1))
+		adm := res.Config.Admission
+		if res.Denied != 0 || res.Mismatches != 0 {
+			t.Errorf("serial=%v: honest storm saw %d denials, %d billing mismatches", serial, res.Denied, res.Mismatches)
+		}
+		if res.Sheds == 0 || res.RateSheds+res.QueueSheds != uint64(res.Sheds) {
+			t.Errorf("serial=%v: sheds=%d, shedder says rate=%d queue=%d", serial, res.Sheds, res.RateSheds, res.QueueSheds)
+		}
+		// Grants flushed inside the spike were admitted over a stretch no
+		// longer than it, and a bucket passes at most rate*t + burst in t.
+		if line := adm.Rate*res.Config.SpikeDur.Seconds() + adm.Burst; float64(res.SpikeGrants) > line {
+			t.Errorf("serial=%v: %d grants inside the spike, the bucket allows %.0f", serial, res.SpikeGrants, line)
+		}
+		if res.SpikeSheds == 0 {
+			t.Errorf("serial=%v: the spike never reached the shedder", serial)
+		}
+		if res.GiveUps > res.Arrivals {
+			t.Errorf("serial=%v: %d give-ups for %d arrivals", serial, res.GiveUps, res.Arrivals)
+		}
 	}
 }
 

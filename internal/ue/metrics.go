@@ -18,16 +18,8 @@ var mtr struct {
 	watchdogTrips *obs.Counter
 }
 
-func init() { SetMetricsEnabled(true) }
-
-// SetMetricsEnabled installs (true) or removes (false) the package's
-// handles in the default registry.
-func SetMetricsEnabled(on bool) {
-	if !on {
-		mtr.attempts, mtr.retries, mtr.fallbacks, mtr.giveups = nil, nil, nil, nil
-		mtr.sheds, mtr.retransmits, mtr.watchdogTrips = nil, nil, nil
-		return
-	}
+// init registers the package's handles in the default registry.
+func init() {
 	r := obs.Default()
 	mtr.attempts = r.Counter("ue_attach_attempts_total", "attach attempts started (first try and retries)")
 	mtr.retries = r.Counter("ue_attach_retries_total", "attach failures absorbed by the retry FSM")

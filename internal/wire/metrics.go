@@ -8,9 +8,6 @@ import (
 // genuinely concurrent (one goroutine per connection), so these are shared
 // atomics incremented directly — the costs here are socket syscalls, not
 // nanosecond event dispatch, so a few atomic adds per frame are invisible.
-//
-// Handles are nil-safe: SetMetricsEnabled(false) turns every record into a
-// single predictable branch.
 var mtr struct {
 	framesSent *obs.Counter
 	framesRecv *obs.Counter
@@ -29,19 +26,8 @@ var mtr struct {
 	callLatency *obs.Histogram
 }
 
-func init() { SetMetricsEnabled(true) }
-
-// SetMetricsEnabled installs (true) or removes (false) the package's
-// handles in the default registry.
-func SetMetricsEnabled(on bool) {
-	if !on {
-		mtr.framesSent, mtr.framesRecv, mtr.bytesSent, mtr.bytesRecv = nil, nil, nil, nil
-		mtr.calls, mtr.redials, mtr.broken = nil, nil, nil
-		mtr.deadlineHits, mtr.shedReplies, mtr.panics = nil, nil, nil
-		mtr.poolDials, mtr.poolReuses = nil, nil
-		mtr.callLatency = nil
-		return
-	}
+// init registers the package's handles in the default registry.
+func init() {
 	r := obs.Default()
 	mtr.framesSent = r.Counter("wire_frames_sent_total", "frames written by WriteFrame")
 	mtr.framesRecv = r.Counter("wire_frames_received_total", "frames read by ReadFrame")
