@@ -2,8 +2,10 @@ package billing
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -126,13 +128,16 @@ func TestSealOnSharesOneExchange(t *testing.T) {
 	}
 }
 
-// FuzzOpenVerified drives the broker's sealed-report open (ROADMAP 4a)
-// with what a hostile reporter controls. It holds its own signing key, so
-// beyond raw envelope bytes (mode 0) it can sign any sealed bytes (mode 1)
-// and seal any report body (mode 2). The corpus under
+// FuzzOpenVerified drives the broker's sealed-report authentication
+// (ROADMAP 4a) with what a hostile reporter controls. It holds its own
+// signing key and its own MAC key, so beyond raw envelope bytes (mode 0) it
+// can sign any sealed bytes (mode 1), seal and sign any report body (mode
+// 2), seal and MAC any body (mode 3), and hang a signed checkpoint of
+// digests of its choosing on that (mode 4). The corpus under
 // testdata/fuzz/FuzzOpenVerified runs on every plain `go test`.
 func FuzzOpenVerified(f *testing.F) {
 	broker, reporter := pair(f, 0xB0), pair(f, 0xB1)
+	mac := pki.Ticket{Key: [32]byte{0xB2}}
 	sealer, err := pki.NewSealer(broker.Public())
 	if err != nil {
 		f.Fatal(err)
@@ -144,9 +149,35 @@ func FuzzOpenVerified(f *testing.F) {
 	f.Add(good.Marshal(), byte(0))
 	f.Add(good.Sealed, byte(1))
 	f.Add(rpt(ReporterUE, 1, 10, 0).Marshal(), byte(2))
+	var stream Stream
+	for i := 0; i <= checkpointEvery; i++ { // one signed, 255 MAC'd, one with the checkpoint
+		env, err := stream.Seal(rpt(ReporterTelco, uint32(i+1), 512, 0), reporter, sealer, &mac)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if i == 1 || i == checkpointEvery {
+			f.Add(env.Marshal(), byte(0))
+		}
+	}
+	f.Add(rpt(ReporterUE, 2, 10, 0).Marshal(), byte(3))
+	f.Add(rpt(ReporterUE, 3, 10, 0).Marshal(), byte(4))
 	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
 		var env *SealedReport
-		switch mode % 3 {
+		seal := func(macd bool) {
+			sealed, err := sealer.Seal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env = &SealedReport{Sealed: sealed}
+			if macd {
+				d := digestOf(data)
+				tag := mac.Tag(reportMACLabel, d[:])
+				env.Sig = tag[:]
+			} else {
+				env.Sig = reporter.Sign(sealed)
+			}
+		}
+		switch mode % 5 {
 		case 0:
 			var err error
 			if env, err = UnmarshalSealedReport(data); err != nil {
@@ -155,19 +186,28 @@ func FuzzOpenVerified(f *testing.F) {
 		case 1:
 			env = &SealedReport{Sealed: data, Sig: reporter.Sign(data)}
 		case 2:
-			sealed, err := sealer.Seal(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env = &SealedReport{Sealed: sealed, Sig: reporter.Sign(sealed)}
+			seal(false)
+		case 3:
+			seal(true)
+		case 4:
+			seal(true)
+			cp := &Checkpoint{Digests: []Digest{digestOf(data), sha256.Sum256(data)}}
+			cp.Sig = reporter.Sign(cp.signedBytes())
+			env.Checkpoint = cp
 		}
-		r, err := OpenVerified(env, broker, reporter.Public())
+		o, err := Open(env, broker)
+		if err == nil {
+			err = o.Authenticate(reporter.Public(), &mac)
+		}
+		// OpenVerified is the same two steps with no MAC key on offer.
+		r, verr := OpenVerified(env, broker, reporter.Public())
+		if (verr == nil) != (err == nil && !o.MACd) || (verr != nil && r != nil) {
+			t.Fatalf("OpenVerified says %v (report %v), the two steps say %v with MACd %v", verr, r != nil, err, o.MACd)
+		}
 		if err != nil {
-			if r != nil {
-				t.Fatalf("report %+v alongside error %v", r, err)
-			}
 			return
 		}
+		r = o.Report
 		// What opened is a well-formed report no larger than its input.
 		if len(r.SessionRef) > len(data) {
 			t.Fatalf("%d-byte session reference out of %d input bytes", len(r.SessionRef), len(data))
@@ -176,6 +216,56 @@ func FuzzOpenVerified(f *testing.F) {
 		if err != nil || (*back != *r && !math.IsNaN(r.CallSecs+r.QoS.DLBitrateBps+r.QoS.ULBitrateBps+
 			r.QoS.DLLossRate+r.QoS.ULLossRate+r.QoS.DLDelayMs+r.QoS.ULDelayMs)) {
 			t.Fatalf("opened report does not round-trip: %+v vs %+v (%v)", back, r, err)
+		}
+		// An authenticated checkpoint is one a third party accepts, for
+		// every report whose digest it lists.
+		if cp := env.Checkpoint; cp != nil && slices.Contains(cp.Digests, digestOf(r.Marshal())) {
+			if err := VerifyCheckpoint(reporter.Public(), cp, r); err != nil {
+				t.Fatalf("authenticated checkpoint fails a third party: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzUnmarshalSealedReport covers the billing envelope decoder (ROADMAP
+// 7a): no panic, nothing allocated from an unchecked count, and decode ∘
+// encode = id in both directions.
+func FuzzUnmarshalSealedReport(f *testing.F) {
+	plain := &SealedReport{Sealed: []byte("sealed"), Sig: bytes.Repeat([]byte{1}, 64)}
+	f.Add(plain.Marshal())
+	withCP := &SealedReport{Sealed: []byte("sealed"), Sig: bytes.Repeat([]byte{2}, macSize),
+		Checkpoint: &Checkpoint{Digests: make([]Digest, 3), Sig: bytes.Repeat([]byte{3}, 64)}}
+	f.Add(withCP.Marshal())
+	full := &SealedReport{Checkpoint: &Checkpoint{Digests: make([]Digest, checkpointEvery)}}
+	f.Add(full.Marshal())
+	over := &SealedReport{Checkpoint: &Checkpoint{Digests: make([]Digest, checkpointEvery+1)}}
+	f.Add(over.Marshal())
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xe0})              // 4 GiB of digests claimed, none present
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})              // a checkpoint of no digests
+	f.Add(append(plain.Marshal(), 0, 0, 0, 31))                                // not a whole digest
+	f.Add(append(plain.Marshal(), withCP.Marshal()[len(plain.Marshal()):]...)) // a checkpoint after a signed report
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := UnmarshalSealedReport(data)
+		if err != nil {
+			return
+		}
+		if cp := env.Checkpoint; cp != nil && (len(cp.Digests) < 1 || len(cp.Digests) > checkpointEvery) {
+			t.Fatalf("decoded a checkpoint of %d digests", len(cp.Digests))
+		}
+		if len(env.Sealed)+len(env.Sig) > len(data) {
+			t.Fatalf("%d+%d bytes decoded out of %d", len(env.Sealed), len(env.Sig), len(data))
+		}
+		enc := env.Marshal()
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("re-encoded to %d bytes, input was %d", len(enc), len(data))
+		}
+		back, err := UnmarshalSealedReport(enc)
+		if err != nil || !bytes.Equal(back.Sealed, env.Sealed) || !bytes.Equal(back.Sig, env.Sig) ||
+			(back.Checkpoint == nil) != (env.Checkpoint == nil) {
+			t.Fatalf("decode of the re-encoding: %+v, %v", back, err)
+		}
+		if cp := env.Checkpoint; cp != nil && (!slices.Equal(back.Checkpoint.Digests, cp.Digests) || !bytes.Equal(back.Checkpoint.Sig, cp.Sig)) {
+			t.Fatal("checkpoint changed across a round trip")
 		}
 	})
 }

@@ -3,7 +3,9 @@
 // periodically send signed, encrypted traffic reports to the broker; the
 // broker aligns the two report streams and flags discrepancies beyond a
 // loss-adjusted threshold (Fig. 5), feeding a reputation system under the
-// paper's "dishonest but not malicious" threat model.
+// paper's "dishonest but not malicious" threat model. After a reporter's
+// first contact with the broker "signed" becomes "MAC'd, with one signed
+// checkpoint per 256 reports" (checkpoint.go, DESIGN.md §2.10).
 package billing
 
 import (
@@ -99,27 +101,62 @@ func UnmarshalReport(b []byte) (*Report, error) {
 }
 
 // SealedReport is the tamper-proof envelope: the report body sealed to the
-// broker's public key and signed by the reporter's key (the UE's baseband
-// key, or the bTelco's certified key).
+// broker's public key and authenticated in Sig, where the length tells the
+// mode (DESIGN.md §2.10). 64 bytes are the reporter's signature over Sealed
+// — the UE's baseband key, or the bTelco's certified key — as the paper
+// has it; macSize bytes are a MAC over the body's digest under the key the
+// reporter's attach already proved to the broker. Every checkpointEvery-th
+// MAC'd envelope of a reporter also carries a Checkpoint.
 type SealedReport struct {
-	Sealed []byte
-	Sig    []byte
+	Sealed     []byte
+	Sig        []byte
+	Checkpoint *Checkpoint // optional; nil on all but one envelope in checkpointEvery
 }
 
-// Marshal encodes the envelope.
+// Marshal encodes the envelope. Without a checkpoint these are the bytes
+// the envelope always had; a checkpoint follows them as two more fields,
+// the digests end to end and the signature over them.
 func (s *SealedReport) Marshal() []byte {
-	w := codec.NewWriter(256)
+	cp, hint := s.Checkpoint, 256
+	if cp != nil {
+		hint += 128 + digestSize*len(cp.Digests)
+	}
+	w := codec.NewWriter(hint)
 	w.Bytes(s.Sealed)
 	w.Bytes(s.Sig)
-	return w.Out()
+	if cp == nil {
+		return w.Out()
+	}
+	w.Uint32(uint32(digestSize * len(cp.Digests)))
+	tail := codec.AppendTo(appendDigests(w.Out(), cp.Digests))
+	tail.Bytes(cp.Sig)
+	return tail.Out()
 }
 
-// UnmarshalSealedReport decodes the envelope.
+// UnmarshalSealedReport decodes the envelope. A checkpoint's digest field
+// is read in place and its count checked against checkpointEvery before
+// anything is allocated from it.
 func UnmarshalSealedReport(b []byte) (*SealedReport, error) {
 	rd := codec.NewReader(b)
 	s := &SealedReport{}
 	s.Sealed = rd.BytesCopy()
 	s.Sig = rd.BytesCopy()
+	if rd.Err() == nil && rd.Len() > 0 {
+		raw := rd.Bytes()
+		if rd.Err() != nil {
+			return nil, rd.Err()
+		}
+		n := len(raw) / digestSize
+		if n < 1 || n > checkpointEvery || len(raw)%digestSize != 0 {
+			return nil, fmt.Errorf("billing: a checkpoint of %d digest bytes", len(raw))
+		}
+		cp := &Checkpoint{Digests: make([]Digest, n)}
+		for i := range cp.Digests {
+			copy(cp.Digests[i][:], raw[i*digestSize:])
+		}
+		cp.Sig = rd.BytesCopy()
+		s.Checkpoint = cp
+	}
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
@@ -127,15 +164,12 @@ func UnmarshalSealedReport(b []byte) (*SealedReport, error) {
 }
 
 // SealOn signs and encrypts a report for the broker on the exchange the
-// reporter already holds with it: the session's attach exchange in the UE
-// baseband ("sign and encrypt the measurement report on the baseband"), the
-// bTelco's resident one at the AGW.
+// reporter already holds with it — the paper's scheme ("sign and encrypt
+// the measurement report on the baseband"), and what a Stream falls back
+// to whenever it has no MAC key.
 func SealOn(r *Report, signer *pki.KeyPair, sealer *pki.Sealer) (*SealedReport, error) {
-	sealed, err := sealer.Seal(r.Marshal())
-	if err != nil {
-		return nil, err
-	}
-	return &SealedReport{Sealed: sealed, Sig: signer.Sign(sealed)}, nil
+	var none *Stream
+	return none.Seal(r, signer, sealer, nil)
 }
 
 // Seal is SealOn over a one-message exchange with brokerPub.
@@ -147,18 +181,20 @@ func Seal(r *Report, signer *pki.KeyPair, brokerPub pki.PublicIdentity) (*Sealed
 	return SealOn(r, signer, sealer)
 }
 
-// ErrBadReportSignature is returned when an envelope fails verification.
+// ErrBadReportSignature is returned when an envelope fails verification:
+// its signature, its MAC, or the signature of the checkpoint it carries.
 var ErrBadReportSignature = errors.New("billing: report signature invalid")
 
-// OpenVerified decrypts an envelope with the broker's key and verifies the
-// reporter's signature against the expected identity.
+// OpenVerified decrypts an envelope with the broker's key and authenticates
+// it as signed by reporterPub. A MAC'd envelope fails here: the caller
+// offers no key to check one under.
 func OpenVerified(s *SealedReport, brokerKey *pki.KeyPair, reporterPub pki.PublicIdentity) (*Report, error) {
-	if err := reporterPub.Verify(s.Sealed, s.Sig); err != nil {
-		return nil, ErrBadReportSignature
-	}
-	body, err := brokerKey.Open(s.Sealed)
+	o, err := Open(s, brokerKey)
 	if err != nil {
 		return nil, err
 	}
-	return UnmarshalReport(body)
+	if err := o.Authenticate(reporterPub, nil); err != nil {
+		return nil, err
+	}
+	return o.Report, nil
 }

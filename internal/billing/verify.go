@@ -98,6 +98,11 @@ type Verifier struct {
 	lastSeen map[repKey]freshness
 	replays  int
 
+	// audits tracks each reporter's MAC'd reports against its checkpoints
+	// (checkpoint.go); an entry appears with a reporter's first MAC'd
+	// report.
+	audits map[reporterID]*audit
+
 	// mismatches is a bounded ring (capacity cfg.MaxMismatches): mmHead
 	// is the index of the oldest entry once full, mmDropped counts
 	// evicted incidents.
@@ -126,6 +131,7 @@ func NewVerifier(cfg VerifierConfig) *Verifier {
 		userMisses:   make(map[string]map[string]bool),
 		suspects:     make(map[string]bool),
 		lastSeen:     make(map[repKey]freshness),
+		audits:       make(map[reporterID]*audit),
 	}
 }
 

@@ -59,7 +59,7 @@ type Brokerd struct {
 	mu            sync.Mutex
 	verifier      *billing.Verifier
 	users         map[string]pki.PublicIdentity // idU -> baseband/report key
-	telcoKeys     map[string]pki.PublicIdentity // idT -> certified key
+	telcoKeys     map[string]telcoKey           // idT -> certified key (and pass)
 	grants        map[string]*sap.GrantRecord   // URef -> grant
 	reports       map[string]map[billing.Reporter][]*billing.Report
 	qosViolations map[string]int // idT -> QoS incident count
@@ -82,13 +82,23 @@ type Brokerd struct {
 	resumed map[string]bool
 }
 
+// telcoKey is what the broker remembers of a bTelco it granted through: the
+// certified key its signed reports and checkpoints verify under, and the
+// pass of the certificate its latest grant carried, which its MAC'd reports
+// verify under (DESIGN.md §2.10). Only pub is in the snapshot; pass is nil
+// from a restore until that bTelco's next grant.
+type telcoKey struct {
+	pub  pki.PublicIdentity
+	pass *pki.Ticket
+}
+
 // New creates a brokerd.
 func New(cfg Config) *Brokerd {
 	b := &Brokerd{
 		cfg:           cfg,
 		verifier:      billing.NewVerifier(cfg.VerifierConfig),
 		users:         make(map[string]pki.PublicIdentity),
-		telcoKeys:     make(map[string]pki.PublicIdentity),
+		telcoKeys:     make(map[string]telcoKey),
 		grants:        make(map[string]*sap.GrantRecord),
 		reports:       make(map[string]map[billing.Reporter][]*billing.Report),
 		qosViolations: make(map[string]int),
@@ -259,7 +269,8 @@ func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	return &sap.ReceiptResp{Granted: true, Receipt: b.sap.SignReceipt(req.IDT, req.URefs)}, nil
 }
 
-// Errors from report ingestion.
+// Errors from report ingestion. A MAC'd report from a reporter whose
+// checkpoints are overdue or incomplete is billing.ErrMustSign.
 var (
 	ErrUnknownSession = errors.New("broker: report for unknown session")
 	ErrBadReporterKey = errors.New("broker: report signature does not match registered key")
@@ -267,9 +278,10 @@ var (
 
 // HandleReport ingests one sealed traffic report from either side. The
 // broker decrypts it with its own key, identifies the session and
-// reporter, verifies the signature against the key it expects for that
-// reporter, and runs the discrepancy check when the pair completes.
-// Reports pass no gate (see ShedLoad).
+// reporter, authenticates it — a signature against the key it expects for
+// that reporter, or a MAC under the key that reporter's attach proved
+// (DESIGN.md §2.10) — and runs the discrepancy check when the pair
+// completes. Reports pass no gate (see ShedLoad).
 func (b *Brokerd) HandleReport(env *billing.SealedReport) (*billing.Mismatch, error) {
 	it := txItem{kind: txReport, report: env}
 	b.transact(&it)
@@ -332,6 +344,16 @@ func (b *Brokerd) Mismatches() []billing.Mismatch {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.verifier.Mismatches()
+}
+
+// Checkpoints returns the verified checkpoints the broker holds from one
+// reporter (idU for billing.ReporterUE, idT for billing.ReporterTelco),
+// oldest first: with the report body and the reporter's public key, what
+// billing.VerifyCheckpoint needs.
+func (b *Brokerd) Checkpoints(rep billing.Reporter, id string) []*billing.Checkpoint {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.verifier.Checkpoints(rep, id)
 }
 
 // Grant returns the grant record for a session reference.

@@ -24,6 +24,83 @@ type harness struct {
 	now   time.Time
 
 	ueSealer *pki.Sealer // the last attach's exchange, for that session's UE reports
+	macd     *macStream  // the reporter a "report:" ladder row is about, for its check
+}
+
+// macStream is one reporter of the harness in MAC mode (DESIGN.md §2.10): a
+// billing.Stream with the key the broker derives for it, reporting on one
+// session with a Seq of its own.
+type macStream struct {
+	h      *harness
+	stream billing.Stream
+	signer *pki.KeyPair
+	sealer *pki.Sealer
+	mac    pki.Ticket
+	rep    billing.Reporter
+	ref    string
+	seq    uint32
+}
+
+// ueMACStream attaches a second time — the first grant armed a ticket — and
+// returns the UE's stream on that session, its signed first report sent.
+func (h *harness) ueMACStream(t *testing.T) *macStream {
+	t.Helper()
+	h.attach(t)
+	_, ref := h.attach(t)
+	mac, ticketed := h.ueSealer.MACKey()
+	if !ticketed {
+		t.Fatal("the attach after a grant is not ticketed")
+	}
+	return h.started(t, &macStream{h: h, signer: h.ueKey, sealer: h.ueSealer, mac: mac, rep: billing.ReporterUE, ref: ref})
+}
+
+// telcoMACStream attaches and returns a stream of the harness bTelco under
+// the broker's pass for its certificate, its signed first report sent.
+func (h *harness) telcoMACStream(t *testing.T) *macStream {
+	t.Helper()
+	_, ref := h.attach(t)
+	sealer, err := pki.NewSealer(h.brk.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.started(t, &macStream{h: h, signer: h.telco.Key, sealer: sealer, mac: h.brk.cfg.Key.Pass(h.telco.Cert.Digest()),
+		rep: billing.ReporterTelco, ref: ref})
+}
+
+func (h *harness) started(t *testing.T, m *macStream) *macStream {
+	t.Helper()
+	if env := m.next(t); len(env.Sig) != 64 {
+		t.Fatalf("a stream's first report carries a %d-byte Sig", len(env.Sig))
+	} else if _, err := h.brk.HandleReport(env); err != nil {
+		t.Fatal(err)
+	}
+	h.macd = m
+	return m
+}
+
+// next seals the stream's next report.
+func (m *macStream) next(t *testing.T) *billing.SealedReport {
+	t.Helper()
+	m.seq++
+	env, err := m.stream.Seal(&billing.Report{SessionRef: m.ref, Reporter: m.rep, Seq: m.seq,
+		Rel: time.Duration(m.seq) * 30 * time.Second, DLBytes: 1000 * uint64(m.seq)}, m.signer, m.sealer, &m.mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// send ingests the next n reports, which the broker must accept, and
+// returns the last envelope.
+func (m *macStream) send(t *testing.T, n int) (last *billing.SealedReport) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		last = m.next(t)
+		if _, err := m.h.brk.HandleReport(last); err != nil {
+			t.Fatalf("report %d of %d: %v", i+1, n, err)
+		}
+	}
+	return last
 }
 
 func newHarness(t *testing.T) *harness {
@@ -584,4 +661,68 @@ func TestBrokerReceiptLadder(t *testing.T) {
 	if _, err := newHarness(t).brk.HandleReceipt(nil); !errors.Is(err, sap.ErrBadRequest) {
 		t.Fatalf("nil request: %v", err)
 	}
+}
+
+// What a dispute needs is recoverable from broker state (DESIGN.md §2.10):
+// the report body it stored, the checkpoint it kept and the reporter's
+// public key convince a third party, and an altered body does not.
+func TestBrokerKeepsWhatADisputeNeeds(t *testing.T) {
+	h := newHarness(t)
+	m := h.ueMACStream(t)
+	m.send(t, 256)
+	cps := h.brk.Checkpoints(billing.ReporterUE, h.ue.IDU)
+	if len(cps) != 1 {
+		t.Fatalf("%d checkpoints kept after 256 MAC'd reports, want 1", len(cps))
+	}
+	h.brk.mu.Lock()
+	stored := h.brk.reports[m.ref][billing.ReporterUE]
+	h.brk.mu.Unlock()
+	if len(stored) != 257 {
+		t.Fatalf("%d report bodies stored, want 257", len(stored))
+	}
+	pub := h.ueKey.Public()
+	for _, r := range stored[1:] {
+		if err := billing.VerifyCheckpoint(pub, cps[0], r); err != nil {
+			t.Fatalf("seq %d: %v", r.Seq, err)
+		}
+	}
+	altered := *stored[100]
+	altered.DLBytes += 1 << 20
+	if err := billing.VerifyCheckpoint(pub, cps[0], &altered); !errors.Is(err, billing.ErrBadCheckpoint) {
+		t.Fatalf("altered body: %v", err)
+	}
+	// The signed first report is not the checkpoint's business, and the
+	// bTelco's key proves nothing about the UE's reports.
+	if err := billing.VerifyCheckpoint(pub, cps[0], stored[0]); !errors.Is(err, billing.ErrBadCheckpoint) {
+		t.Fatalf("unlisted report: %v", err)
+	}
+	if err := billing.VerifyCheckpoint(h.telco.Key.Public(), cps[0], stored[1]); !errors.Is(err, billing.ErrBadCheckpoint) {
+		t.Fatalf("wrong reporter key: %v", err)
+	}
+}
+
+// The snapshot carries a bTelco's certified key, not its certificate, so a
+// restored broker cannot derive its pass until its next grant brings the
+// certificate back: MAC'd bTelco reports are refused in between (signed
+// ones are not), and a UE's MAC'd reports never notice — their key derives
+// from the report's own box.
+func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
+	h := newHarness(t)
+	ueStream := h.ueMACStream(t)
+	ueStream.send(t, 2)
+	m := h.telcoMACStream(t)
+	m.send(t, 2)
+	nb, err := Restart(restartConfig(h), h.brk.Snapshot(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.brk = nb
+	if _, err := nb.HandleReport(m.next(t)); !errors.Is(err, ErrBadReporterKey) {
+		t.Fatalf("MAC'd bTelco report at a freshly restored broker: %v", err)
+	}
+	m.seq++
+	h.report(t, billing.ReporterTelco, h.telco.Key, m.ref, m.seq, 1)
+	ueStream.send(t, 2)
+	h.attach(t)
+	m.send(t, 2)
 }

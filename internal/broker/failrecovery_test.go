@@ -105,24 +105,27 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	h.attach(t)
 	_, ref := h.attach(t)
 	inFlight := h.ueSealer
+	ticketMAC, ticketed := inFlight.MACKey()
+	var baseband billing.Stream
 	sealPair := func(seq uint32) (ueEnv, tEnv *billing.SealedReport) {
 		t.Helper()
-		toBroker, err := telco.SealerTo(bk.Public())
-		if err != nil {
-			t.Fatal(err)
-		}
+		var err error
 		r := billing.Report{SessionRef: ref, Seq: seq, Rel: time.Duration(seq) * 30 * time.Second, DLBytes: 1000}
 		r.Reporter = billing.ReporterUE
-		if ueEnv, err = billing.SealOn(&r, uk, inFlight); err != nil {
+		if ueEnv, err = baseband.Seal(&r, uk, inFlight, &ticketMAC); err != nil {
 			t.Fatal(err)
 		}
 		r.Reporter = billing.ReporterTelco
-		if tEnv, err = billing.SealOn(&r, tk, toBroker); err != nil {
+		if tEnv, err = telco.SealReport(bk.Public(), &r); err != nil {
 			t.Fatal(err)
 		}
 		return ueEnv, tEnv
 	}
+	// Each stream's first report is signed; the pair after the crash is MAC'd.
 	ue1, t1 := sealPair(1)
+	if !ticketed || len(ue1.Sig) != 64 || len(t1.Sig) != 64 {
+		t.Fatalf("first pair: ticketed %v, %d- and %d-byte Sig", ticketed, len(ue1.Sig), len(t1.Sig))
+	}
 	if !bk.TicketBound(ue1.Sealed, idU) {
 		t.Fatal("the in-flight session does not ride a ticket")
 	}
@@ -209,9 +212,15 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	// The in-flight session's next pair still rides the exchanges opened
 	// before the crash — the UE's attach exchange, the bTelco's resident
 	// one — and the restarted broker, which has seen neither, opens both.
+	// Both are MAC'd (DESIGN.md §2.10): the UE's key derives from its box,
+	// and the bTelco's pass came back with the grant above — before it, the
+	// restarted broker held only the certified key the snapshot carries.
 	ue2, t2 := sealPair(2)
 	if !bytes.Equal(ue2.Sealed[:32], ue1.Sealed[:32]) || !bytes.Equal(t2.Sealed[:32], t1.Sealed[:32]) {
 		t.Fatal("reports after the restart left their pre-crash exchanges")
+	}
+	if len(ue2.Sig) != 32 || len(t2.Sig) != 32 {
+		t.Fatalf("second pair carries %d- and %d-byte Sigs, want MACs", len(ue2.Sig), len(t2.Sig))
 	}
 	for _, env := range []*billing.SealedReport{ue2, t2} {
 		if m, err := nb.HandleReport(env); err != nil || m != nil {

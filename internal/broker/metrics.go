@@ -31,6 +31,10 @@ var mtr struct {
 	resumeDenied       *obs.Counter
 	receiptsSigned     *obs.Counter
 	receiptsRefused    *obs.Counter
+
+	reportsMACd         *obs.Counter
+	checkpointsVerified *obs.Counter
+	checkpointsRefused  *obs.Counter
 }
 
 // init registers the package's handles in the default registry.
@@ -57,4 +61,7 @@ func init() {
 	mtr.resumeDenied = r.Counter("broker_resume_denied_total", "fast-path session resumptions denied")
 	mtr.receiptsSigned = r.Counter("broker_receipts_signed_total", "receipts signed for bTelcos' MAC-mode grants")
 	mtr.receiptsRefused = r.Counter("broker_receipts_refused_total", "receipt requests refused (authentication, or a disowned session)")
+	mtr.reportsMACd = r.Counter("broker_reports_macd_total", "billing reports ingested on a MAC rather than a signature")
+	mtr.checkpointsVerified = r.Counter("broker_checkpoints_verified_total", "signed report checkpoints verified and kept")
+	mtr.checkpointsRefused = r.Counter("broker_checkpoints_refused_total", "report checkpoints refused (bad signature, replayed, or leaving out an ingested report)")
 }

@@ -17,7 +17,9 @@ import (
 // survives, and a quarantined bTelco stays quarantined through the
 // restart. (Pending unpaired reports and the nonce/resume replay caches
 // are deliberately excluded: reports retransmit, and a restart naturally
-// re-arms replay protection.)
+// re-arms replay protection. So is everything about MAC'd reports: a
+// bTelco's pass comes back with its next grant, and kept checkpoints and
+// pending digests are soft state — DESIGN.md §2.10.)
 const snapshotVersion = 2
 
 // Snapshot encodes the broker's durable state.
@@ -34,9 +36,9 @@ func (b *Brokerd) Snapshot() []byte {
 		w.Bytes(pub.Bytes())
 	}
 	w.Uint32(uint32(len(b.telcoKeys)))
-	for id, pub := range b.telcoKeys {
+	for id, k := range b.telcoKeys {
 		w.String(id)
-		w.Bytes(pub.Bytes())
+		w.Bytes(k.pub.Bytes())
 	}
 	w.Uint32(uint32(len(b.grants)))
 	for uref, g := range b.grants {
@@ -108,7 +110,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 		if err != nil {
 			return err
 		}
-		b.telcoKeys[tid] = pub
+		b.telcoKeys[tid] = telcoKey{pub: pub}
 	}
 	nGrants := r.Uint32()
 	for i := uint32(0); i < nGrants && r.Err() == nil; i++ {

@@ -186,6 +186,7 @@ func enqueue(bat *Batcher, in *txItem) {
 type brokerCounts struct {
 	granted, denied, resumeGranted, resumeDenied uint64
 	reports, mismatches, replays                 uint64
+	macd, checkpoints, checkpointsRefused        uint64
 	batchItems, batchFlushes                     uint64
 }
 
@@ -195,6 +196,7 @@ func countersSince(base brokerCounts) brokerCounts {
 		mtr.attachGranted.Value() - base.granted, mtr.attachDenied.Value() - base.denied,
 		mtr.resumeGranted.Value() - base.resumeGranted, mtr.resumeDenied.Value() - base.resumeDenied,
 		mtr.reports.Value() - base.reports, mtr.mismatches.Value() - base.mismatches, mtr.replays.Value() - base.replays,
+		mtr.reportsMACd.Value() - base.macd, mtr.checkpointsVerified.Value() - base.checkpoints, mtr.checkpointsRefused.Value() - base.checkpointsRefused,
 		mtr.batchItems.Value() - base.batchItems, mtr.batchFlushes.Value() - base.batchFlushes,
 	}
 }
@@ -202,7 +204,7 @@ func countersSince(base brokerCounts) brokerCounts {
 // errClass maps an outcome error to the sentinel it wraps (the full text
 // embeds random session references).
 func errClass(err error) error {
-	for _, target := range []error{sap.ErrBadRequest, ErrBadReporterKey, ErrUnknownSession, billing.ErrReplayedReport} {
+	for _, target := range []error{sap.ErrBadRequest, ErrBadReporterKey, ErrUnknownSession, billing.ErrReplayedReport, billing.ErrMustSign} {
 		if errors.Is(err, target) {
 			return target
 		}
@@ -448,6 +450,126 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				if got := h.brk.QoSViolations("h-telco"); got != 1 {
 					t.Fatalf("QoS violations = %d, want 1", got)
 				}
+			}},
+		// The billing leg after first contact (DESIGN.md §2.10): a MAC'd
+		// report is accepted only under the key its reporter's attach proved,
+		// and a reporter that plays with its checkpoints goes back to signing.
+		{name: "report: MAC under the wrong key", wantErr: ErrBadReporterKey,
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.ueMACStream(t)
+				m.mac.Key[0] ^= 1
+				return &txItem{kind: txReport, report: m.next(t)}
+			}},
+		{name: "report: MAC on a session whose attach was signed", wantErr: ErrBadReporterKey,
+			build: func(t *testing.T, h *harness) *txItem {
+				// First contact rides an X25519 exchange: there is no ticket
+				// lineage, so whatever key tags the report the broker derives none.
+				_, ref := h.attach(t)
+				if _, ticketed := h.ueSealer.MACKey(); ticketed {
+					t.Fatal("first contact rode a ticket")
+				}
+				m := &macStream{h: h, signer: h.ueKey, sealer: h.ueSealer, mac: pki.Ticket{Key: [32]byte{1}}, rep: billing.ReporterUE, ref: ref}
+				m.next(t) // the stream's signed first report
+				return &txItem{kind: txReport, report: m.next(t)}
+			}},
+		{name: "report: MAC from a bTelco whose certificate digest changed", wantErr: ErrBadReporterKey,
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				m.send(t, 3)
+				// The bTelco renews its certificate and is granted under the
+				// new one: the broker's pass for it moves with the digest, and
+				// a MAC under the old pass is a MAC under the wrong key.
+				old := h.telco
+				renewed := h.ca.Issue("h-telco", "btelco", old.Key.Public(), h.now.Add(-time.Minute), h.now.Add(time.Hour))
+				h.telco = &sap.TelcoState{IDT: old.IDT, Key: old.Key, Cert: renewed, Terms: old.Terms}
+				h.attach(t)
+				h.telco = old
+				return &txItem{kind: txReport, report: m.next(t)}
+			}},
+		{name: "report: checkpoint omitting an ingested report",
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				// One MAC'd report from a second stream under the same pass:
+				// the broker ingests it, and no checkpoint of m will list it.
+				side := &macStream{h: h, signer: m.signer, sealer: m.sealer, mac: m.mac, rep: m.rep, ref: m.ref, seq: m.seq}
+				side.next(t)
+				side.send(t, 1)
+				m.seq = side.seq
+				m.send(t, 2*256-1) // the first miss, at report 256, is not yet an omission
+				return &txItem{kind: txReport, report: m.next(t)}
+			},
+			check: func(t *testing.T, h *harness) {
+				if s := h.brk.TelcoScore("h-telco"); s >= 1 {
+					t.Fatalf("omission not penalized: score %v", s)
+				}
+				if n := len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")); n != 2 {
+					t.Fatalf("%d checkpoints kept, want both: each is evidence for what it lists", n)
+				}
+				if _, err := h.brk.HandleReport(h.macd.next(t)); !errors.Is(err, billing.ErrMustSign) {
+					t.Fatalf("MAC'd report after an omission: %v", err)
+				}
+			}},
+		{name: "report: overdue checkpoint",
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.ueMACStream(t)
+				var env *billing.SealedReport
+				for i := 0; i < 2*256; i++ {
+					if env != nil {
+						if _, err := h.brk.HandleReport(env); err != nil {
+							t.Fatal(err)
+						}
+					}
+					env = m.next(t)
+					env.Checkpoint = nil // withheld
+				}
+				return &txItem{kind: txReport, report: env}
+			},
+			check: func(t *testing.T, h *harness) {
+				if !h.brk.Suspect(h.ue.IDU) {
+					t.Fatal("a UE 512 reports behind on its checkpoints is not a suspect")
+				}
+				if _, err := h.brk.HandleReport(h.macd.next(t)); !errors.Is(err, billing.ErrMustSign) {
+					t.Fatalf("MAC'd report from an overdue reporter: %v", err)
+				}
+				// It signs, and is back in MAC mode.
+				h.macd.seq++
+				h.report(t, billing.ReporterUE, h.ueKey, h.macd.ref, h.macd.seq, 1)
+				h.macd.send(t, 1)
+			}},
+		{name: "report: replayed checkpoint",
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				bearer := m.send(t, 256)
+				if bearer.Checkpoint == nil || len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")) != 1 {
+					t.Fatal("the 256th MAC'd report did not deliver a checkpoint")
+				}
+				fresh := m.next(t)
+				fresh.Checkpoint = bearer.Checkpoint
+				return &txItem{kind: txReport, report: fresh}
+			},
+			check: func(t *testing.T, h *harness) {
+				if n := len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")); n != 1 {
+					t.Fatalf("%d checkpoints kept after a replay, want 1", n)
+				}
+				if s := h.brk.TelcoScore("h-telco"); s < 1 {
+					t.Fatalf("a replayed checkpoint on an honest report cost reputation: %v", s)
+				}
+			}},
+		{name: "report: replayed MAC'd report", wantErr: billing.ErrReplayedReport,
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				return &txItem{kind: txReport, report: m.send(t, 2)}
+			},
+			check: func(t *testing.T, h *harness) {
+				if s := h.brk.TelcoScore("h-telco"); s >= 1 {
+					t.Fatalf("replay not penalized: score %v", s)
+				}
+			}},
+		{name: "report: signed report arriving in MAC mode",
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				m.send(t, 3)
+				return sealedReport(t, h, m.ref, billing.ReporterTelco, h.telco.Key, m.seq+1, 1)
 			}},
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 
 	"cellbricks/internal/billing"
@@ -14,12 +15,14 @@ import (
 // at a time, whether it arrives alone (HandleAuthRequest, HandleResume,
 // HandleReport) or is drained from a Batcher queue:
 //
-//	prepare   stateless  sap.Validate; report decrypt + decode
-//	resolve   b.mu       grant record and expected signer
-//	verify    stateless  resume MAC; report signature
+//	prepare   stateless  sap.Validate; report decrypt + decode (billing.Open)
+//	resolve   b.mu       grant record, expected signer, the bTelco's pass
+//	verify    stateless  resume MAC; report MAC or signature, and its
+//	                     checkpoint's signature (billing's Authenticate)
 //	commit    b.mu       arrival order: nonce + policy, mint, grant
 //	                     bookkeeping, resume consumption, report ingest
-//	                     and the quarantine review of its bTelco
+//	                     with its reporter's checkpoint audit, and the
+//	                     quarantine review of its bTelco
 //	finalize  stateless  seal + sign a granted handshake
 //
 // An item that fails a stage carries the failure in out.Err and the
@@ -44,8 +47,9 @@ type txItem struct {
 	report *billing.SealedReport
 
 	v      *sap.ValidatedAuth // prepare: validated handshake
-	r      *billing.Report    // prepare: decoded report
-	signer pki.PublicIdentity // resolve: key the report must verify under
+	o      billing.Opened     // prepare: opened report; verify, commit: what they found
+	signer pki.PublicIdentity // resolve: key the report's signatures must verify under
+	pass   *pki.Ticket        // resolve: key a bTelco's MAC'd report must verify under
 	macErr error              // verify: resume MAC verdict (a denial, not an Err)
 	// rec is the session a resume or report names (resolve), or the
 	// grant a handshake just committed (commit; nil = not granted).
@@ -85,17 +89,18 @@ func (b *Brokerd) prepare(it *txItem) {
 			it.out.Err = sap.ErrBadRequest
 			return
 		}
-		body, err := b.cfg.Key.Open(it.report.Sealed)
-		if err != nil {
-			it.out.Err = fmt.Errorf("broker: report undecryptable: %w", err)
-			return
+		var err error
+		if it.o, err = billing.Open(it.report, b.cfg.Key); err != nil {
+			it.out.Err = fmt.Errorf("broker: report unreadable: %w", err)
 		}
-		it.r, it.out.Err = billing.UnmarshalReport(body)
 	}
 }
 
 // resolveLocked looks up the session a resume or report names and, for a
-// report, the key its signature is expected under. Mutex held.
+// report, the keys it is expected under: the reporter's public key, and for
+// a bTelco the pass of the certificate its latest grant carried (a UE's MAC
+// key needs no state: verify derives it from the report's own box). Mutex
+// held.
 func (b *Brokerd) resolveLocked(it *txItem) {
 	if it.out.Err != nil {
 		return
@@ -104,14 +109,15 @@ func (b *Brokerd) resolveLocked(it *txItem) {
 	case txResume:
 		it.rec = b.grants[it.resume.URef]
 	case txReport:
-		if it.rec = b.grants[it.r.SessionRef]; it.rec == nil {
+		if it.rec = b.grants[it.o.Report.SessionRef]; it.rec == nil {
 			return
 		}
-		switch it.r.Reporter {
+		switch it.o.Report.Reporter {
 		case billing.ReporterUE:
 			it.signer = b.users[it.rec.IDU]
 		case billing.ReporterTelco:
-			it.signer = b.telcoKeys[it.rec.IDT]
+			k := b.telcoKeys[it.rec.IDT]
+			it.signer, it.pass = k.pub, k.pass
 		}
 	}
 }
@@ -129,8 +135,21 @@ func (b *Brokerd) verify(it *txItem) {
 		}
 	case txReport:
 		if it.rec == nil {
-			it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.r.SessionRef)
-		} else if it.signer.Verify(it.report.Sealed, it.report.Sig) != nil {
+			it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
+			return
+		}
+		mac := it.pass
+		if it.o.MACd && it.o.Report.Reporter == billing.ReporterUE {
+			// The key of the ticket the report's box rides, if that is a
+			// ticket this broker minted for the session's user.
+			if t, ok := b.cfg.Key.TicketMAC(it.report.Sealed, it.rec.IDU); ok {
+				mac = &t
+			}
+		}
+		if err := it.o.Authenticate(it.signer, mac); err != nil {
+			if errors.Is(err, billing.ErrBadCheckpoint) {
+				mtr.checkpointsRefused.Add(1)
+			}
 			it.out.Err = ErrBadReporterKey
 		}
 	}
@@ -179,7 +198,12 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 	}
 	it.rec = &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
 	b.grants[uref] = it.rec
-	b.telcoKeys[req.IDT] = req.Cert.Identity
+	// Same digest, same certificate, same key: only a bTelco's first grant,
+	// its first after a restore and one under a renewed certificate store.
+	if k := b.telcoKeys[req.IDT]; k.pass == nil || k.pass.Locator != it.v.TelcoPass().Locator {
+		pass := it.v.TelcoPass()
+		b.telcoKeys[req.IDT] = telcoKey{pub: req.Cert.Identity, pass: &pass}
+	}
 	b.verifier.BindSession(uref, it.rec.IDU, req.IDT)
 	mtr.attachGranted.Add(1)
 }
@@ -221,11 +245,16 @@ func (b *Brokerd) commitResumeLocked(it *txItem) {
 	it.out.Resume = resp
 }
 
-// commitReportLocked ingests a verified report, runs the Fig. 5
-// discrepancy check when the pair completes, and reviews the bTelco
-// against the quarantine thresholds. Mutex held.
+// commitReportLocked ingests an authenticated report, runs the Fig. 5
+// discrepancy check when the pair completes and the checkpoint audit of its
+// reporter (DESIGN.md §2.10), and reviews the bTelco against the quarantine
+// thresholds. Mutex held.
 func (b *Brokerd) commitReportLocked(it *txItem) {
-	r := it.r
+	r := it.o.Report
+	if b.verifier.MustSign(&it.o) {
+		it.out.Err = billing.ErrMustSign
+		return
+	}
 	byRep := b.reports[r.SessionRef]
 	if byRep == nil {
 		byRep = make(map[billing.Reporter][]*billing.Report)
@@ -236,17 +265,27 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 		b.checkQoS(it.rec, r)
 	}
 	mtr.reports.Add(1)
-	mm, err := b.verifier.Ingest(r)
+	mm, err := b.verifier.IngestOpened(&it.o)
 	if mm != nil {
 		mtr.mismatches.Add(1)
 	}
 	if isReplay(err) {
 		mtr.replays.Add(1)
 	}
+	if err == nil && it.o.MACd {
+		mtr.reportsMACd.Add(1)
+	}
+	if it.o.Kept {
+		mtr.checkpointsVerified.Add(1)
+	}
+	if it.o.Refused {
+		mtr.checkpointsRefused.Add(1)
+	}
 	it.out.Mismatch, it.out.Err = mm, err
-	// Any ingest can move the reputation — pass, mismatch or replay
-	// penalty — so every ingest owes a quarantine review.
-	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err))
+	// Any ingest can move the reputation — pass, mismatch, replay or
+	// checkpoint penalty — so every ingest owes a quarantine review.
+	telcoMisconduct := it.o.Misconduct && r.Reporter == billing.ReporterTelco
+	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err) || telcoMisconduct)
 }
 
 // finalize seals and signs the responses of a committed grant.

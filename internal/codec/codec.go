@@ -156,6 +156,10 @@ func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Len returns how many bytes are left to read: a format with an optional
+// trailing field asks before it reads one.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Done returns the latched error, or an error when input remains.
 func (r *Reader) Done() error {
 	if r.err != nil {

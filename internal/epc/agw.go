@@ -660,10 +660,12 @@ func (g *AGW) Stats() AGWStats {
 }
 
 // GenerateReport builds the bTelco-side traffic report for a SAP session
-// from the user-plane counters, signed with the bTelco key and sealed to
-// the session's broker on the bTelco's resident exchange with it. rel is
-// the relative timestamp within the session. Concurrent callers for one
-// session get distinct, gap-free sequence numbers.
+// from the user-plane counters, sealed to the session's broker on the
+// bTelco's resident exchange with it and authenticated the way
+// sap.TelcoState.SealReport decides: MAC'd under the broker's pass, or
+// signed with the bTelco key. rel is the relative timestamp within the
+// session. Concurrent callers for one session get distinct, gap-free
+// sequence numbers.
 func (g *AGW) GenerateReport(sessionID uint64, rel time.Duration, m billing.QoSMetrics) (*billing.SealedReport, error) {
 	g.mu.Lock()
 	sess := g.sessions[sessionID]
@@ -684,9 +686,5 @@ func (g *AGW) GenerateReport(sessionID uint64, rel time.Duration, m billing.QoSM
 		DLBytes:    u.DLBytes,
 		QoS:        m,
 	}
-	sealer, err := g.cfg.Telco.SealerTo(sess.brokerPub)
-	if err != nil {
-		return nil, err
-	}
-	return billing.SealOn(r, g.cfg.Telco.Key, sealer)
+	return g.cfg.Telco.SealReport(sess.brokerPub, r)
 }

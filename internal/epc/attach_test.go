@@ -3,6 +3,7 @@ package epc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -263,51 +264,126 @@ func TestUsageCountingAndTelcoReport(t *testing.T) {
 	}
 }
 
-// Two report drivers on one session (core.BTelco's and RealDeployment's are
-// both reachable that way) must never emit a duplicate Seq — the verifier
-// would book it as a replay against an honest bTelco. Meaningful under
-// -race: the counter used to be bumped outside the AGW lock.
+// concurrentSessions attaches n fresh subscribers of the world's broker
+// through its AGW and returns their session IDs.
+func concurrentSessions(t *testing.T, w *world, n int) []uint64 {
+	t.Helper()
+	ids := make([]uint64, n)
+	for s := range ids {
+		ranID := fmt.Sprintf("ran-conc-%d", s)
+		key, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{byte(150 + s)}, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := ue.NewDevice(ranID, nil, &sap.UEState{
+			IDU: w.brk.RegisterUser(key.Public()), IDB: "broker.example", Key: key, BrokerPub: w.brokerKey.Public(),
+		})
+		a, err := dev.AttachSAP(func(env []byte) ([]byte, error) { return w.agw.HandleNAS(ranID, env) }, "btelco-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[s] = a.SessionID
+	}
+	return ids
+}
+
+// Report drivers run concurrently — two per session (core.BTelco's and
+// RealDeployment's are both reachable that way), several sessions at once —
+// and share the bTelco's one stream toward the broker. A session must never
+// emit a duplicate or skipped Seq (the verifier would book it as a replay
+// against an honest bTelco), and the stream must sign exactly one checkpoint
+// per 256 MAC'd reports whatever the interleaving (DESIGN.md §2.10).
+// Meaningful under -race: the Seq counter used to be bumped outside the AGW
+// lock.
 func TestGenerateReportConcurrentSeqsDistinctGapFree(t *testing.T) {
 	w := buildWorld(t)
-	a, err := w.dev.AttachSAP(w.tx, "btelco-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const drivers, each = 2, 50
-	seqs := make(chan uint32, drivers*each)
+	const sessions, drivers, each = 4, 2, 80
+	seqs := make([]map[uint32]bool, sessions)
+	macd, checkpoints := 0, 0
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for g := 0; g < drivers; g++ {
+	for s, id := range concurrentSessions(t, w, sessions) {
+		seqs[s] = make(map[uint32]bool)
+		for g := 0; g < drivers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					env, err := w.agw.GenerateReport(id, time.Second, billing.QoSMetrics{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					o, err := billing.Open(env, w.brokerKey)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					if seqs[s][o.Report.Seq] {
+						t.Errorf("session %d: sequence number %d emitted twice", s, o.Report.Seq)
+					}
+					seqs[s][o.Report.Seq] = true
+					if o.MACd {
+						macd++
+					}
+					if cp := env.Checkpoint; cp != nil {
+						checkpoints++
+						if len(cp.Digests) != 256 {
+							t.Errorf("a checkpoint of %d digests", len(cp.Digests))
+						}
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for s := range seqs {
+		for q := uint32(1); q <= drivers*each; q++ {
+			if !seqs[s][q] {
+				t.Fatalf("session %d: sequence number %d missing from 1..%d", s, q, drivers*each)
+			}
+		}
+	}
+	// The stream's first report is signed; every other one is MAC'd.
+	if want := sessions*drivers*each - 1; macd != want || checkpoints != want/256 {
+		t.Fatalf("%d MAC'd reports carrying %d checkpoints, want %d and %d", macd, checkpoints, want, want/256)
+	}
+}
+
+// Sessions report concurrently, each uploading what it generates, so the
+// broker ingests the bTelco's stream out of the order it was sealed in:
+// checkpoints overtake reports they list, reports overtake the checkpoint
+// that lists them. None of that is misconduct (a report would have to
+// overtake a whole checkpoint interval of earlier ones to look like an
+// omission), and every checkpoint is kept.
+func TestConcurrentSessionsReportOnOneStream(t *testing.T) {
+	w := buildWorld(t)
+	const sessions, each = 6, 120
+	var wg sync.WaitGroup
+	for _, id := range concurrentSessions(t, w, sessions) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				env, err := w.agw.GenerateReport(a.SessionID, time.Second, billing.QoSMetrics{})
+				env, err := w.agw.GenerateReport(id, time.Second, billing.QoSMetrics{})
+				if err == nil {
+					_, err = w.brk.HandleReport(env)
+				}
 				if err != nil {
-					t.Error(err)
+					t.Errorf("session %d report %d: %v", id, i+1, err)
 					return
 				}
-				r, err := billing.OpenVerified(env, w.brokerKey, w.agw.cfg.Telco.Key.Public())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				seqs <- r.Seq
 			}
 		}()
 	}
 	wg.Wait()
-	close(seqs)
-	seen := make(map[uint32]bool)
-	for s := range seqs {
-		if seen[s] {
-			t.Fatalf("sequence number %d emitted twice", s)
-		}
-		seen[s] = true
+	if kept, want := len(w.brk.Checkpoints(billing.ReporterTelco, "btelco-1")), (sessions*each-1)/256; kept != want {
+		t.Fatalf("broker kept %d checkpoints, want %d", kept, want)
 	}
-	for s := uint32(1); s <= drivers*each; s++ {
-		if !seen[s] {
-			t.Fatalf("sequence number %d missing from 1..%d", s, drivers*each)
-		}
+	if s := w.brk.TelcoScore("btelco-1"); s < 1 {
+		t.Fatalf("telco score %v after honest, reordered reports", s)
 	}
 }
 

@@ -49,6 +49,11 @@ type Sealer struct {
 	epk      [epkSize]byte
 	aead     cipher.AEAD // request direction
 	replyKey boxKeyBytes
+	// macKey tags what rides a ticket's exchange (MACKey); ticketed says
+	// there is one. An X25519 exchange has none: anybody can start one, so
+	// a MAC under its key would say nothing about who sent it.
+	macKey   boxKeyBytes
+	ticketed bool
 }
 
 // NewSealer draws an ephemeral key and runs the exchange with recipient's
@@ -134,12 +139,38 @@ func (k *KeyPair) TicketBound(box []byte, id string) bool {
 
 // TicketSealer returns the sealer of t's exchange: no keygen, no ECDH.
 func TicketSealer(t Ticket) (*Sealer, error) {
-	s := &Sealer{epk: t.Locator, replyKey: replyKey(t.Key)}
+	s := &Sealer{epk: t.Locator, replyKey: replyKey(t.Key), macKey: ticketMACKey(t.Key), ticketed: true}
 	var err error
 	if s.aead, err = newBoxAEAD(t.Key[:]); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// MACKey returns, for a sealer that rides a ticket, the ticket its holder
+// tags messages on that exchange with (Ticket.Tag): the same locator, a key
+// derived from the ticket's and used for nothing else. The issuer gets it
+// back from any box of the exchange with TicketMAC. ok is false for an
+// X25519 exchange.
+func (s *Sealer) MACKey() (t Ticket, ok bool) {
+	return Ticket{Locator: s.epk, Key: s.macKey}, s.ticketed
+}
+
+// TicketMAC re-derives the MACKey of the exchange box rides, provided that
+// is a ticket k minted for id. A tag that verifies under it was made by
+// id's holder of that ticket, or by k's owner.
+func (k *KeyPair) TicketMAC(box []byte, id string) (t Ticket, ok bool) {
+	if !k.TicketBound(box, id) {
+		return t, false
+	}
+	copy(t.Locator[:], box)
+	t.Key = ticketMACKey(mac32(&k.ticketSecret, ticketKeyLabel, t.Locator[:], ""))
+	return t, true
+}
+
+// ticketMACKey separates a ticket's tagging key from its AES-GCM key.
+func ticketMACKey(key boxKeyBytes) boxKeyBytes {
+	return mac32(&key, "cellbricks-ticket-mac-v1", nil, "")
 }
 
 // Pass is the ticket of a whole relationship (DESIGN.md §2.9): the key k

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/nas"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
@@ -144,10 +145,26 @@ type TelcoState struct {
 	brokers  brokerRels
 }
 
-// SealerTo returns the bTelco's resident sealer to a broker, for the one
-// billing report the caller is about to seal.
-func (t *TelcoState) SealerTo(brokerPub pki.PublicIdentity) (*pki.Sealer, error) {
-	return t.toBroker.To(brokerPub)
+// SealReport seals one billing report for the broker brokerPub names, on
+// the bTelco's resident exchange with it: the one place a bTelco's report
+// is authenticated (DESIGN.md §2.10). Holding that broker's pass under its
+// current certificate it MACs the report on the relationship's stream, and
+// every 256th carries a signed checkpoint; otherwise — no grant from that
+// broker yet, DropPasses, a renewed certificate — it signs.
+func (t *TelcoState) SealReport(brokerPub pki.PublicIdentity, r *billing.Report) (*billing.SealedReport, error) {
+	sealer, err := t.toBroker.To(brokerPub)
+	if err != nil {
+		return nil, err
+	}
+	stream, pass, held := t.brokers.reportStream(brokerPub.SigPub, t.Cert)
+	if stream == nil {
+		return billing.SealOn(r, t.Key, sealer)
+	}
+	var mac *pki.Ticket
+	if held {
+		mac = &pass
+	}
+	return stream.Seal(r, t.Key, sealer, mac)
 }
 
 // ForwardRequest runs the bTelco's first procedure (Fig. 3 top): augment

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
 )
@@ -74,6 +75,11 @@ type brokerRel struct {
 	urefs    []string // ring of at most receiptEvery; urefs[head] is the oldest once full
 	head     int
 	receipts []*Receipt
+
+	// reports is the bTelco's billing stream toward this broker (DESIGN.md
+	// §2.10), made at the first report and kept through DropPasses, so a
+	// checkpoint covers MAC'd reports from before and after one.
+	reports *billing.Stream
 }
 
 // brokerRels is the table: few entries, found by idB when forwarding and by
@@ -144,6 +150,25 @@ func (rs *brokerRels) learn(idB, pub []byte, cert *pki.Certificate, key []byte) 
 	r.cert, r.opener = cert, nil
 	copy(r.pub[:], pub)
 	copy(r.key[:], key)
+}
+
+// reportStream returns the billing stream toward the broker pub names (nil:
+// that broker never granted through this bTelco) and, when a pass is held
+// under cert, the pass to MAC reports with.
+func (rs *brokerRels) reportStream(pub []byte, cert *pki.Certificate) (stream *billing.Stream, pass pki.Ticket, held bool) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	r, _ := rs.byPub(pub)
+	if r == nil {
+		return nil, pass, false
+	}
+	if r.reports == nil {
+		r.reports = new(billing.Stream)
+	}
+	if held = r.cert != nil && r.cert == cert; held {
+		pass.Key = r.key
+	}
+	return r.reports, pass, held
 }
 
 // openerFor returns what opens a MAC-mode authRespT from the broker pub

@@ -41,6 +41,11 @@ type ValidatedAuth struct {
 	telco *telcoRel
 }
 
+// TelcoPass returns the pass of the certificate the request carried — what
+// its bTelco MACs under once a signed grant has handed it over. Valid on a
+// request that passed the bTelco's authentication.
+func (v *ValidatedAuth) TelcoPass() pki.Ticket { return v.telco.pass }
+
 // Validate runs the stateless half of the broker procedures of Fig. 3:
 // authenticate the bTelco (certificate, and signature or pass MAC), decrypt and
 // authenticate the UE's vector — by the UE's signature, or for a request

@@ -139,12 +139,8 @@ func (p *principals) attach(st *sap.UEState, telco *sap.TelcoState) (*sap.Grant,
 
 // telcoReport seals the bTelco's half of a billing cycle for the broker.
 func (p *principals) telcoReport(telco *sap.TelcoState, uref string, seq uint32, rel time.Duration, dlBytes uint64) (*billing.SealedReport, error) {
-	sealer, err := telco.SealerTo(p.brokerPub)
-	if err != nil {
-		return nil, err
-	}
-	return billing.SealOn(&billing.Report{
+	return telco.SealReport(p.brokerPub, &billing.Report{
 		SessionRef: uref, Reporter: billing.ReporterTelco,
 		Seq: seq, Rel: rel, DLBytes: dlBytes,
-	}, telco.Key, sealer)
+	})
 }

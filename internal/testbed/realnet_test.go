@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/nas"
 	"cellbricks/internal/obs"
@@ -192,5 +193,57 @@ func BenchmarkAttachRealLoopback(b *testing.B) {
 		if err := dev.Detach(tx); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The billing counters are registered and they move (ROADMAP 5c, first
+// instalment), by exactly what DESIGN.md §2.10 derives for one UE and one
+// bTelco running n single-pair sessions over loopback sockets: 2n reports
+// ingested; all MAC'd but the two of the first session, which is first
+// contact on both legs and each stream's first report; one checkpoint
+// verified per 256 MAC'd reports per reporter; nothing refused, nothing
+// mismatched — and the same 20 frames per session as before checkpoints
+// existed, plus the 4 of each receipt exchange (§2.9), because a checkpoint
+// rides the report that was going up anyway.
+func TestRealDeploymentReportCountersMove(t *testing.T) {
+	const n = 600
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	names := []string{"broker_reports_ingested_total", "broker_reports_macd_total", "broker_checkpoints_verified_total",
+		"broker_checkpoints_refused_total", "broker_report_mismatches_total", "epc_receipts_total",
+		"wire_frames_sent_total", "wire_frames_received_total"}
+	before := obs.Default().Snapshot()
+	if err := attachDetach(d, n); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default().Snapshot()
+	moved := make(map[string]float64, len(names))
+	for _, name := range names {
+		if _, registered := after[name]; !registered {
+			t.Fatalf("%s is not registered", name)
+		}
+		moved[name] = after[name] - before[name]
+	}
+	receipts := float64((n - 1) / 256)
+	for name, want := range map[string]float64{
+		"broker_reports_ingested_total":     2 * n,
+		"broker_reports_macd_total":         2 * (n - 1),
+		"broker_checkpoints_verified_total": 2 * ((n - 1) / 256),
+		"broker_checkpoints_refused_total":  0,
+		"broker_report_mismatches_total":    0,
+		"epc_receipts_total":                receipts,
+	} {
+		if moved[name] != want {
+			t.Errorf("%s moved by %v over %d sessions, want %v", name, moved[name], n, want)
+		}
+	}
+	if frames := moved["wire_frames_sent_total"] + moved["wire_frames_received_total"]; frames != 20*n+4*receipts {
+		t.Errorf("%v frames over %d sessions and %v receipts, want 20 per session and 4 per receipt", frames, n, receipts)
+	}
+	if kept := len(d.Broker.Checkpoints(billing.ReporterTelco, d.TelcoID())); kept != (n-1)/256 {
+		t.Errorf("broker holds %d of the bTelco's checkpoints, want %d", kept, (n-1)/256)
 	}
 }

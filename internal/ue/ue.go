@@ -397,10 +397,15 @@ func rejectOr(msg nas.Message) error {
 // BasebandMeter is the tamper-resistant measurement function the paper
 // embeds in baseband firmware: it counts the session's traffic (PDCP-like
 // byte counters), tracks QoS observations (RLC-like loss, delay), and
-// emits reports signed and sealed *inside* the trust boundary — the OS
-// side only ever sees the sealed envelope.
+// emits reports sealed and authenticated *inside* the trust boundary — the
+// OS side only ever sees the sealed envelope. Authenticated means signed
+// with the device key for a session attached on the signed handshake, and
+// MAC'd under the session's ticket with one signed checkpoint per 256
+// reports after that (DESIGN.md §2.10).
 type BasebandMeter struct {
 	key *pki.KeyPair
+	// stream spans sessions: the device's one report stream to its broker.
+	stream billing.Stream
 
 	mu         sync.Mutex
 	sessionRef string
@@ -501,8 +506,9 @@ func (m *BasebandMeter) Snapshot() (ul, dl uint64) {
 }
 
 // Report emits the next sealed traffic report at relative time rel. It is
-// signed with the device key and sealed to the broker before leaving the
-// "baseband", so neither the OS nor the bTelco can alter it.
+// sealed to the broker and authenticated — by the device key's signature,
+// or by a MAC under the ticket the session's attach rode — before leaving
+// the "baseband", so neither the OS nor the bTelco can alter it.
 func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error) {
 	m.mu.Lock()
 	sealer := m.sealer
@@ -534,5 +540,9 @@ func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error)
 		},
 	}
 	m.mu.Unlock()
-	return billing.SealOn(r, m.key, sealer)
+	var mac *pki.Ticket
+	if t, ticketed := sealer.MACKey(); ticketed {
+		mac = &t
+	}
+	return m.stream.Seal(r, m.key, sealer, mac)
 }
