@@ -163,15 +163,14 @@ func FuzzOpenVerified(f *testing.F) {
 	f.Add(rpt(ReporterUE, 3, 10, 0).Marshal(), byte(4))
 	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
 		var env *SealedReport
-		seal := func(macd bool) {
+		seal := func(macd bool, cp *Checkpoint) {
 			sealed, err := sealer.Seal(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			env = &SealedReport{Sealed: sealed}
+			env = &SealedReport{Sealed: sealed, Checkpoint: cp}
 			if macd {
-				d := digestOf(data)
-				tag := mac.Tag(reportMACLabel, d[:])
+				tag := tagOf(&mac, digestOf(data), cp)
 				env.Sig = tag[:]
 			} else {
 				env.Sig = reporter.Sign(sealed)
@@ -186,14 +185,13 @@ func FuzzOpenVerified(f *testing.F) {
 		case 1:
 			env = &SealedReport{Sealed: data, Sig: reporter.Sign(data)}
 		case 2:
-			seal(false)
+			seal(false, nil)
 		case 3:
-			seal(true)
+			seal(true, nil)
 		case 4:
-			seal(true)
-			cp := &Checkpoint{Digests: []Digest{digestOf(data), sha256.Sum256(data)}}
+			cp := &Checkpoint{Digests: []Digest{digestOf(data), sha256.Sum256(append([]byte("another report"), data...))}}
 			cp.Sig = reporter.Sign(cp.signedBytes())
-			env.Checkpoint = cp
+			seal(true, cp)
 		}
 		o, err := Open(env, broker)
 		if err == nil {

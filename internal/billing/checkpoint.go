@@ -34,21 +34,25 @@ const (
 	macSize    = 32
 	digestSize = sha256.Size
 
-	digestLabel     = "cellbricks-report-v1"
 	reportMACLabel  = "cellbricks-report-mac-v1"
 	checkpointLabel = "cellbricks-checkpoint-v1"
 )
 
-// Digest commits to one report body.
+// Digest commits to one report body: its SHA-256. What it is a digest of is
+// said where it is used, by the label of the MAC and of the checkpoint.
 type Digest [digestSize]byte
 
-// digestOf hashes label ‖ body in one stack buffer: a body is ~120 bytes,
-// and a longer one spills to the heap and stays correct.
-func digestOf(body []byte) Digest {
-	buf := make([]byte, 0, 192)
-	buf = append(buf, digestLabel...)
-	buf = append(buf, body...)
-	return sha256.Sum256(buf)
+func digestOf(body []byte) Digest { return sha256.Sum256(body) }
+
+// tagOf is the MAC of a report: over the body's digest and, when a
+// checkpoint rides along, that checkpoint's signature — so whoever relays
+// the envelope cannot strip or swap the checkpoint without breaking the tag.
+func tagOf(mac *pki.Ticket, d Digest, cp *Checkpoint) [macSize]byte {
+	msg := d[:]
+	if cp != nil {
+		msg = append(msg, cp.Sig...)
+	}
+	return mac.Tag(reportMACLabel, msg)
 }
 
 // Checkpoint is a reporter's signed statement that it sent the reports
@@ -123,12 +127,8 @@ func (st *Stream) Seal(r *Report, signer *pki.KeyPair, sealer *pki.Sealer, mac *
 		}
 		if !signed {
 			d = digestOf(body)
-			if st.digests == nil {
-				st.digests = make([]Digest, 0, 8) // a short-lived stream grows once, not four times
-			}
 			if st.digests = append(st.digests, d); len(st.digests) == checkpointEvery {
-				// A stream that filled one checkpoint will fill the next.
-				due, st.digests = st.digests, make([]Digest, 0, checkpointEvery)
+				due, st.digests = st.digests, nil
 			}
 		}
 		st.mu.Unlock()
@@ -137,13 +137,35 @@ func (st *Stream) Seal(r *Report, signer *pki.KeyPair, sealer *pki.Sealer, mac *
 		env.Sig = signer.Sign(sealed)
 		return env, nil
 	}
-	tag := mac.Tag(reportMACLabel, d[:])
-	env.Sig = tag[:]
 	if due != nil {
 		env.Checkpoint = &Checkpoint{Digests: due}
 		env.Checkpoint.Sig = signer.Sign(env.Checkpoint.signedBytes())
 	}
+	tag := tagOf(mac, d, env.Checkpoint)
+	env.Sig = tag[:]
 	return env, nil
+}
+
+// Upload seals r like Seal and hands the envelope to up, the caller's way
+// to the broker. A MAC'd envelope the broker refuses with ErrMustSign — it
+// holds no key for this reporter (it restarted, the certificate changed,
+// somebody stripped the checkpoint), or the reporter's checkpoints lapsed —
+// goes out once more, signed, with the checkpoint the refused one carried:
+// the same report, so the session's pairing by Seq is undisturbed.
+func (st *Stream) Upload(r *Report, signer *pki.KeyPair, sealer *pki.Sealer, mac *pki.Ticket, up func(*SealedReport) error) error {
+	env, err := st.Seal(r, signer, sealer, mac)
+	if err != nil {
+		return err
+	}
+	if err = up(env); !errors.Is(err, ErrMustSign) || len(env.Sig) != macSize {
+		return err
+	}
+	signed, err := st.Seal(r, signer, sealer, nil)
+	if err != nil {
+		return err
+	}
+	signed.Checkpoint = env.Checkpoint
+	return up(signed)
 }
 
 // Opened is an envelope the broker has decrypted and decoded — the cheap
@@ -155,8 +177,9 @@ type Opened struct {
 	MACd bool
 	// Kept / Refused: IngestOpened kept the envelope's checkpoint as
 	// evidence, or declined it (replayed, or leaving out what it must
-	// cover). Misconduct: it penalised the reporter.
-	Kept, Refused, Misconduct bool
+	// cover). Lapsed: the reporter's checkpoints are overdue or incomplete
+	// as of this report, and its next MAC'd one is ErrMustSign.
+	Kept, Refused, Lapsed bool
 
 	env    *SealedReport
 	digest Digest
@@ -182,16 +205,16 @@ func Open(s *SealedReport, brokerKey *pki.KeyPair) (Opened, error) {
 }
 
 // Authenticate is the one place an envelope's mode is decided. A Sig of
-// macSize bytes is a MAC over the body's digest and must verify under mac
-// (nil: the broker derives no key for this reporter, so none can);
-// anything else must be reporterPub's signature over the box. A checkpoint
-// riding along must carry reporterPub's signature too.
+// macSize bytes is a MAC (tagOf) and must verify under mac (nil: the broker
+// derives no key for this reporter, so none can); anything else must be
+// reporterPub's signature over the box. A checkpoint riding along must
+// carry reporterPub's signature too.
 func (o *Opened) Authenticate(reporterPub pki.PublicIdentity, mac *pki.Ticket) error {
 	if o.MACd {
 		if mac == nil {
 			return ErrBadReportSignature
 		}
-		if tag := mac.Tag(reportMACLabel, o.digest[:]); subtle.ConstantTimeCompare(tag[:], o.env.Sig) != 1 {
+		if tag := tagOf(mac, o.digest, o.env.Checkpoint); subtle.ConstantTimeCompare(tag[:], o.env.Sig) != 1 {
 			return ErrBadReportSignature
 		}
 	} else if err := reporterPub.Verify(o.env.Sealed, o.env.Sig); err != nil {
@@ -205,10 +228,11 @@ func (o *Opened) Authenticate(reporterPub pki.PublicIdentity, mac *pki.Ticket) e
 	return nil
 }
 
-// ErrMustSign refuses a MAC'd report from a reporter whose checkpoints are
-// overdue or left out a report the broker holds: its signed reports are
-// accepted as ever, and the first one lifts the refusal.
-var ErrMustSign = errors.New("billing: reporter must sign: checkpoint overdue or incomplete")
+// ErrMustSign refuses a MAC'd report and asks for the same one signed
+// (Stream.Upload answers it): the broker has no key the MAC verifies under,
+// or the reporter's checkpoints are overdue or left out a report the broker
+// holds. Signed reports are accepted as ever, and the first lifts a lapse.
+var ErrMustSign = errors.New("billing: reporter must sign this report")
 
 // reporterID names one report stream as the broker sees it.
 type reporterID struct {
@@ -249,6 +273,12 @@ func (v *Verifier) MustSign(o *Opened) bool {
 // IngestOpened is Ingest for an authenticated envelope, followed by the
 // reporter's checkpoint audit (DESIGN.md §2.10). A report that Ingest
 // rejects — a replay, an unknown session — leaves the audit untouched.
+//
+// A lapse — a digest two successive checkpoints left out, or
+// 2·checkpointEvery of them with no checkpoint at all — costs the reporter
+// MAC mode until it signs, and the broker the uncovered digests as
+// evidence. It costs no reputation: a reporter that rebooted mid-interval,
+// or whose checkpoint was lost on the way, looks exactly the same.
 func (v *Verifier) IngestOpened(o *Opened) (*Mismatch, error) {
 	mm, err := v.Ingest(o.Report)
 	if err != nil {
@@ -260,7 +290,7 @@ func (v *Verifier) IngestOpened(o *Opened) (*Mismatch, error) {
 		if !o.MACd && cp == nil {
 			return mm, nil
 		}
-		a = &audit{pending: make([]Digest, 0, 8)}
+		a = &audit{}
 		v.audits[who] = a
 	}
 	if !o.MACd {
@@ -268,26 +298,20 @@ func (v *Verifier) IngestOpened(o *Opened) (*Mismatch, error) {
 	} else if _, listed := a.early[o.digest]; listed {
 		delete(a.early, o.digest)
 	} else if a.pending = append(a.pending, o.digest); len(a.pending) >= 2*checkpointEvery {
-		// Overdue: what is pending is forfeited as evidence.
-		a.pending, a.old = a.pending[:0], 0
-		o.Misconduct = true
+		a.pending, a.old = nil, 0
+		o.Lapsed = true
 	}
 	if cp != nil {
 		if a.replayed(cp) {
 			o.Refused = true
 		} else if a.apply(cp) {
-			o.Refused, o.Misconduct = true, true
+			o.Refused, o.Lapsed = true, true
 		} else {
 			o.Kept = true
 		}
 	}
-	if o.Misconduct {
+	if o.Lapsed {
 		a.mustSign = true
-		if who.rep == ReporterTelco {
-			v.PenalizeMisconduct(who.id, 1.0)
-		} else {
-			v.suspects[who.id] = true
-		}
 	}
 	return mm, nil
 }
@@ -308,12 +332,6 @@ func (a *audit) apply(cp *Checkpoint) (omitted bool) {
 		a.kept = append(a.kept[:0], a.kept[1:]...)
 	}
 	a.kept = append(a.kept, cp)
-	// An honest reporter over an ordered, lossless path: the checkpoint
-	// lists exactly what is pending, in order.
-	if a.old == 0 && slices.Equal(a.pending, cp.Digests) {
-		a.pending, a.early = a.pending[:0], nil
-		return false
-	}
 	listed := make(map[Digest]struct{}, len(cp.Digests))
 	for _, d := range cp.Digests {
 		listed[d] = struct{}{}

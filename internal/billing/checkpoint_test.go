@@ -76,6 +76,27 @@ func (g *macRig) mustIngest(env *SealedReport) Opened {
 	return o
 }
 
+// retag is what a reporter playing with its checkpoints does, and nobody
+// else can: MAC env again so that it carries cp (nil: none) instead of the
+// checkpoint its stream gave it.
+func (g *macRig) retag(env *SealedReport, cp *Checkpoint) *SealedReport {
+	g.t.Helper()
+	o, err := Open(env, g.broker)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	tag := tagOf(&g.mac, o.digest, cp)
+	return &SealedReport{Sealed: env.Sealed, Sig: tag[:], Checkpoint: cp}
+}
+
+// unpenalised fails the test if anybody's reputation moved.
+func (g *macRig) unpenalised() {
+	g.t.Helper()
+	if s := g.v.TelcoScore("telco-1"); s != 1 || g.v.Suspect("user-1") {
+		g.t.Fatalf("reputation moved: bTelco score %v, UE suspect %v", s, g.v.Suspect("user-1"))
+	}
+}
+
 // A stream signs its first report, MACs the rest, and signs one checkpoint
 // over each 256 MAC'd ones; without a key it is SealOn, and leaves no trace.
 func TestStreamSignsFirstThenMACsAndCheckpoints(t *testing.T) {
@@ -202,7 +223,11 @@ func TestAuthenticateLadder(t *testing.T) {
 		{"signed by somebody else", signed, g.broker.Public(), &g.mac, ErrBadReportSignature},
 		{"signature cut to MAC length", flip(signed, func(e *SealedReport) { e.Sig = e.Sig[:macSize] }), g.reporter.Public(), &g.mac, ErrBadReportSignature},
 		{"checkpoint rides along", withCP, g.reporter.Public(), &g.mac, nil},
-		{"checkpoint with a flipped signature", flip(withCP, func(e *SealedReport) { e.Checkpoint.Sig[0] ^= 1 }), g.reporter.Public(), &g.mac, ErrBadCheckpoint},
+		{"checkpoint stripped on the way", flip(withCP, func(e *SealedReport) { e.Checkpoint = nil }), g.reporter.Public(), &g.mac, ErrBadReportSignature},
+		{"somebody else's checkpoint hung on a MAC'd report", flip(macd, func(e *SealedReport) { e.Checkpoint = withCP.Checkpoint }), g.reporter.Public(), &g.mac, ErrBadReportSignature},
+		{"signed, with a checkpoint (the resend of a refused carrier)", flip(signed, func(e *SealedReport) { e.Checkpoint = withCP.Checkpoint }), g.reporter.Public(), nil, nil},
+		{"checkpoint with a flipped signature", flip(withCP, func(e *SealedReport) { e.Checkpoint.Sig[0] ^= 1 }), g.reporter.Public(), &g.mac, ErrBadReportSignature},
+		{"checkpoint with a flipped signature, MAC'd over again", g.retag(withCP, &Checkpoint{Digests: withCP.Checkpoint.Digests, Sig: bytes.Repeat([]byte{1}, 64)}), g.reporter.Public(), &g.mac, ErrBadCheckpoint},
 		{"checkpoint under another reporter's key", withCP, g.broker.Public(), &g.mac, ErrBadCheckpoint},
 	} {
 		o, err := Open(c.env, g.broker)
@@ -230,7 +255,7 @@ func TestAuditHonestStream(t *testing.T) {
 		kept := 0
 		for i := 0; i < 1+3*checkpointEvery; i++ {
 			o := g.mustIngest(g.next())
-			if o.Refused || o.Misconduct {
+			if o.Refused || o.Lapsed {
 				t.Fatalf("report %d: %+v", i, o)
 			}
 			if o.Kept {
@@ -278,7 +303,7 @@ func TestAuditToleratesLossReorderAndRestart(t *testing.T) {
 				g.mustIngest(h)
 			}
 		default:
-			if o := g.mustIngest(env); o.Misconduct || o.Refused {
+			if o := g.mustIngest(env); o.Lapsed || o.Refused {
 				t.Fatalf("report %d: %+v", i, o)
 			}
 		}
@@ -296,14 +321,15 @@ func TestAuditToleratesLossReorderAndRestart(t *testing.T) {
 	for i := 1; i < checkpointEvery; i++ {
 		g.next()
 	}
-	if o := g.mustIngest(g.next()); !o.Kept || o.Misconduct {
+	if o := g.mustIngest(g.next()); !o.Kept || o.Lapsed {
 		t.Fatalf("first checkpoint after a restart: %+v", o)
 	}
 }
 
 // A report two successive checkpoints leave out is an omission; 512
-// uncovered reports are an overdue checkpoint. Either way: misconduct,
-// and MAC mode is refused until the reporter signs.
+// uncovered reports are an overdue checkpoint. Either way the reporter has
+// lapsed: MAC mode is refused until it signs, and nobody's reputation moves
+// — the broker cannot tell either from a reboot or a lost frame.
 func TestAuditOmissionAndOverdue(t *testing.T) {
 	t.Run("omission", func(t *testing.T) {
 		g := newMACRig(t, ReporterTelco)
@@ -318,18 +344,16 @@ func TestAuditOmissionAndOverdue(t *testing.T) {
 			o := g.mustIngest(g.next())
 			switch i {
 			case checkpointEvery: // first miss: could still be an overtaking report
-				if !o.Kept || o.Misconduct {
+				if !o.Kept || o.Lapsed {
 					t.Fatalf("checkpoint 1: %+v", o)
 				}
 			case 2 * checkpointEvery:
-				if !o.Refused || !o.Misconduct {
+				if !o.Refused || !o.Lapsed {
 					t.Fatalf("checkpoint 2: %+v", o)
 				}
 			}
 		}
-		if s := g.v.TelcoScore("telco-1"); s >= 1 {
-			t.Fatalf("omission not penalised: score %v", s)
-		}
+		g.unpenalised()
 		if len(g.v.Checkpoints(ReporterTelco, "telco-1")) != 2 {
 			t.Fatal("an omitting checkpoint is still evidence for what it lists")
 		}
@@ -345,17 +369,127 @@ func TestAuditOmissionAndOverdue(t *testing.T) {
 		g := newMACRig(t, ReporterUE)
 		g.mustIngest(g.next())
 		for i := 1; i <= 2*checkpointEvery; i++ {
-			env := g.next()
-			env.Checkpoint = nil // withheld
-			if o := g.mustIngest(env); o.Misconduct != (i == 2*checkpointEvery) {
-				t.Fatalf("report %d: misconduct %v", i, o.Misconduct)
+			env := g.retag(g.next(), nil) // any checkpoint withheld
+			if o := g.mustIngest(env); o.Lapsed != (i == 2*checkpointEvery) {
+				t.Fatalf("report %d: lapsed %v", i, o.Lapsed)
 			}
 		}
-		if !g.v.Suspect("user-1") {
-			t.Fatal("a UE withholding its checkpoints is not on the suspect list")
-		}
+		g.unpenalised()
 		if _, err := g.ingest(g.next()); !errors.Is(err, ErrMustSign) {
 			t.Fatalf("MAC'd report from an overdue reporter: %v", err)
+		}
+	})
+}
+
+// What an honest reporter can do to look like an omitter, and what it costs
+// it: one refused report, answered by Upload with the same report signed.
+func TestAuditLapsesOfAnHonestReporter(t *testing.T) {
+	// upload is the reporter's side of the refusal: Stream.Upload over the
+	// rig's broker.
+	upload := func(g *macRig) (sent []*SealedReport, err error) {
+		g.seq++
+		err = g.stream.Upload(rpt(g.rep, g.seq, 1000*uint64(g.seq), 0), g.reporter, g.sealer, &g.mac, func(env *SealedReport) error {
+			sent = append(sent, env)
+			_, err := g.ingest(env)
+			return err
+		})
+		return sent, err
+	}
+	recovers := func(t *testing.T, g *macRig) {
+		t.Helper()
+		g.unpenalised()
+		sent, err := upload(g)
+		if err != nil || len(sent) != 2 || len(sent[0].Sig) != macSize || len(sent[1].Sig) != 64 {
+			t.Fatalf("upload into a lapse: %d envelopes, %v", len(sent), err)
+		}
+		if sent, err := upload(g); err != nil || len(sent) != 1 || len(sent[0].Sig) != macSize {
+			t.Fatalf("upload after the signed one: %d envelopes, %v", len(sent), err)
+		}
+		g.unpenalised()
+	}
+	for _, rep := range []Reporter{ReporterTelco, ReporterUE} {
+		t.Run("restart mid-interval", func(t *testing.T) {
+			g := newMACRig(t, rep)
+			for i := 0; i < 100; i++ { // one signed, 99 MAC'd and never to be covered
+				g.mustIngest(g.next())
+			}
+			g.stream = Stream{} // a device reboot, a bTelco process restart
+			lapsedAt := 0
+			for i := 1; lapsedAt == 0; i++ {
+				if o := g.mustIngest(g.next()); o.Lapsed {
+					lapsedAt = i
+				}
+			}
+			// The new stream's signed first report, then its second checkpoint.
+			if lapsedAt != 1+2*checkpointEvery {
+				t.Fatalf("lapsed at report %d of the new stream", lapsedAt)
+			}
+			recovers(t, g)
+		})
+		t.Run("checkpoint carrier lost, nothing resent", func(t *testing.T) {
+			g := newMACRig(t, rep)
+			lapsedAt := 0
+			for i := 0; lapsedAt == 0; i++ {
+				env := g.next()
+				if i == checkpointEvery { // the first carrier never arrives
+					continue
+				}
+				if o := g.mustIngest(env); o.Lapsed {
+					lapsedAt = i
+				}
+			}
+			// Checkpoint 2 is the first miss of the 255 orphans, checkpoint 3 the second.
+			if lapsedAt != 3*checkpointEvery {
+				t.Fatalf("lapsed at report %d", lapsedAt)
+			}
+			recovers(t, g)
+		})
+	}
+	t.Run("refused carrier keeps its checkpoint", func(t *testing.T) {
+		g := newMACRig(t, ReporterTelco)
+		for i := 0; i < checkpointEvery; i++ {
+			g.mustIngest(g.next())
+		}
+		// The broker forgets the reporter's key (a restart): the 256th MAC'd
+		// report, the carrier, is refused and comes back signed.
+		known := g.mac
+		g.mac.Key[0] ^= 1
+		g.seq++
+		var sent []*SealedReport
+		err := g.stream.Upload(rpt(g.rep, g.seq, 1, 0), g.reporter, g.sealer, &known, func(env *SealedReport) error {
+			sent = append(sent, env)
+			o, err := g.ingest(env)
+			if errors.Is(err, ErrBadReportSignature) && o.MACd {
+				return ErrMustSign // the broker's answer to a MAC it has no key for
+			}
+			if err == nil && !o.Kept {
+				t.Error("the checkpoint did not arrive with the signed resend")
+			}
+			return err
+		})
+		if err != nil || len(sent) != 2 || sent[1].Checkpoint == nil || sent[1].Checkpoint != sent[0].Checkpoint {
+			t.Fatalf("%d envelopes, %v", len(sent), err)
+		}
+	})
+	t.Run("no resend of a signed report or on another error", func(t *testing.T) {
+		g := newMACRig(t, ReporterTelco)
+		for _, c := range []struct {
+			name string
+			mac  *pki.Ticket
+			fail error
+		}{
+			{"the stream's first report, signed whatever the key", &g.mac, ErrMustSign},
+			{"a keyless report", nil, ErrMustSign},
+			{"a MAC'd report that is a replay", &g.mac, ErrReplayedReport},
+		} {
+			calls := 0
+			err := g.stream.Upload(rpt(g.rep, 1, 1, 0), g.reporter, g.sealer, c.mac, func(*SealedReport) error {
+				calls++
+				return c.fail
+			})
+			if calls != 1 || !errors.Is(err, c.fail) {
+				t.Fatalf("%s: %d uploads, %v", c.name, calls, err)
+			}
 		}
 	})
 }
@@ -380,10 +514,9 @@ func TestAuditReplays(t *testing.T) {
 	if g.v.TelcoScore("telco-1") >= before {
 		t.Fatal("replayed MAC'd report not penalised")
 	}
-	fresh := g.next()
-	fresh.Checkpoint = bearer.Checkpoint
+	fresh := g.retag(g.next(), bearer.Checkpoint)
 	score := g.v.TelcoScore("telco-1")
-	if o := g.mustIngest(fresh); !o.Refused || o.Kept || o.Misconduct || g.v.TelcoScore("telco-1") < score {
+	if o := g.mustIngest(fresh); !o.Refused || o.Kept || o.Lapsed || g.v.TelcoScore("telco-1") < score {
 		t.Fatalf("old checkpoint on a fresh report: %+v", o)
 	}
 	if len(g.v.Checkpoints(ReporterTelco, "telco-1")) != 1 {

@@ -106,7 +106,8 @@ func UnmarshalReport(b []byte) (*Report, error) {
 // — the UE's baseband key, or the bTelco's certified key — as the paper
 // has it; macSize bytes are a MAC over the body's digest under the key the
 // reporter's attach already proved to the broker. Every checkpointEvery-th
-// MAC'd envelope of a reporter also carries a Checkpoint.
+// MAC'd envelope of a reporter also carries a Checkpoint, which its MAC
+// covers too: stripped of it, the envelope no longer authenticates.
 type SealedReport struct {
 	Sealed     []byte
 	Sig        []byte

@@ -269,8 +269,10 @@ func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	return &sap.ReceiptResp{Granted: true, Receipt: b.sap.SignReceipt(req.IDT, req.URefs)}, nil
 }
 
-// Errors from report ingestion. A MAC'd report from a reporter whose
-// checkpoints are overdue or incomplete is billing.ErrMustSign.
+// Errors from report ingestion. A MAC'd report the broker will not take —
+// no key it verifies under (then also ErrBadReporterKey), or a reporter
+// whose checkpoints are overdue or incomplete — is billing.ErrMustSign:
+// the same report, signed, is accepted.
 var (
 	ErrUnknownSession = errors.New("broker: report for unknown session")
 	ErrBadReporterKey = errors.New("broker: report signature does not match registered key")

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -349,6 +350,21 @@ func TestWireServerRoundTrip(t *testing.T) {
 	env, _ := billing.Seal(r, h.ueKey, h.brk.Public())
 	if err := client.UploadReport(env); err != nil {
 		t.Fatal(err)
+	}
+	// A refusal that asks for a signature arrives typed, so that
+	// billing.Stream.Upload can answer it; any other is the wire's text.
+	m := h.telcoMACStream(t)
+	m.mac.Key[0] ^= 1 // the broker derives another key: it restarted, say
+	if err := client.UploadReport(m.next(t)); !errors.Is(err, billing.ErrMustSign) {
+		t.Fatalf("MAC'd report under a key the broker does not hold: %v", err)
+	}
+	m.seq++
+	resent := &billing.Report{SessionRef: m.ref, Reporter: m.rep, Seq: m.seq, Rel: time.Duration(m.seq) * 30 * time.Second}
+	if err := m.stream.Upload(resent, m.signer, m.sealer, &m.mac, client.UploadReport); err != nil {
+		t.Fatalf("Upload over the wire: %v", err)
+	}
+	if err := client.UploadReport(env); err == nil || errors.Is(err, billing.ErrMustSign) {
+		t.Fatalf("a replayed signed report: %v", err)
 	}
 }
 
@@ -717,11 +733,27 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.brk = nb
-	if _, err := nb.HandleReport(m.next(t)); !errors.Is(err, ErrBadReporterKey) {
+	if _, err := nb.HandleReport(m.next(t)); !errors.Is(err, ErrBadReporterKey) || !errors.Is(err, billing.ErrMustSign) {
 		t.Fatalf("MAC'd bTelco report at a freshly restored broker: %v", err)
 	}
+	// Which is the bTelco's cue: its next report, before any new grant, goes
+	// out MAC'd, is refused, and is accepted signed — once, as that Seq.
 	m.seq++
-	h.report(t, billing.ReporterTelco, h.telco.Key, m.ref, m.seq, 1)
+	r := &billing.Report{SessionRef: m.ref, Reporter: m.rep, Seq: m.seq, Rel: time.Duration(m.seq) * 30 * time.Second}
+	var sigs []int
+	if err := m.stream.Upload(r, m.signer, m.sealer, &m.mac, func(env *billing.SealedReport) error {
+		sigs = append(sigs, len(env.Sig))
+		_, err := nb.HandleReport(env)
+		return err
+	}); err != nil || !slices.Equal(sigs, []int{32, 64}) {
+		t.Fatalf("upload to a freshly restored broker: Sig lengths %v, %v", sigs, err)
+	}
+	nb.mu.Lock()
+	stored := nb.reports[m.ref][billing.ReporterTelco]
+	nb.mu.Unlock()
+	if len(stored) != 1 || stored[0].Seq != m.seq {
+		t.Fatalf("%d bTelco reports stored after the restore, want the resent one", len(stored))
+	}
 	ueStream.send(t, 2)
 	h.attach(t)
 	m.send(t, 2)

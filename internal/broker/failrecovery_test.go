@@ -161,6 +161,19 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	}
 	defer client.Close()
 
+	// Before any new grant the restored broker holds the bTelco's certified
+	// key and no pass. The bTelco's next report for its live session goes out
+	// MAC'd, comes back "sign it", and is ingested signed — the real
+	// TelcoState, over the wire, no attach in between.
+	var sigs []int
+	r2 := &billing.Report{SessionRef: ref, Reporter: billing.ReporterTelco, Seq: 2, Rel: time.Minute, DLBytes: 1000}
+	if err := telco.UploadReport(bk.Public(), r2, func(env *billing.SealedReport) error {
+		sigs = append(sigs, len(env.Sig))
+		return client.UploadReport(env)
+	}); err != nil || len(sigs) != 2 || sigs[0] != 32 || sigs[1] != 64 {
+		t.Fatalf("bTelco report right after Restore: Sig lengths %v, %v", sigs, err)
+	}
+
 	// During the shed window the restored broker refuses with the typed
 	// hint...
 	shed := authReq(t, h)
@@ -215,12 +228,12 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	// Both are MAC'd (DESIGN.md §2.10): the UE's key derives from its box,
 	// and the bTelco's pass came back with the grant above — before it, the
 	// restarted broker held only the certified key the snapshot carries.
-	ue2, t2 := sealPair(2)
+	ue2, t2 := sealPair(3)
 	if !bytes.Equal(ue2.Sealed[:32], ue1.Sealed[:32]) || !bytes.Equal(t2.Sealed[:32], t1.Sealed[:32]) {
 		t.Fatal("reports after the restart left their pre-crash exchanges")
 	}
 	if len(ue2.Sig) != 32 || len(t2.Sig) != 32 {
-		t.Fatalf("second pair carries %d- and %d-byte Sigs, want MACs", len(ue2.Sig), len(t2.Sig))
+		t.Fatalf("the pair after the grant carries %d- and %d-byte Sigs, want MACs", len(ue2.Sig), len(t2.Sig))
 	}
 	for _, env := range []*billing.SealedReport{ue2, t2} {
 		if m, err := nb.HandleReport(env); err != nil || m != nil {

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 
 	"cellbricks/internal/billing"
@@ -82,7 +83,9 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 		if err := s.span(sc, "ingest-report", func() error {
 			_, e := s.B.HandleReport(env)
 			return e
-		}); err != nil {
+		}); errors.Is(err, billing.ErrMustSign) {
+			return wire.TypeReportMustSign, nil, nil
+		} else if err != nil {
 			return 0, nil, err
 		}
 		return wire.TypeReportAck, nil, nil
@@ -146,9 +149,14 @@ func (c *Client) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	return sap.UnmarshalReceiptResp(reply)
 }
 
-// UploadReport delivers one sealed traffic report.
+// UploadReport delivers one sealed traffic report. billing.ErrMustSign is
+// the broker's typed refusal of a MAC'd one (billing.Stream.Upload answers
+// it); any other refusal arrives as the wire's error text.
 func (c *Client) UploadReport(env *billing.SealedReport) error {
-	_, _, err := c.p.Call(wire.TypeReportUpload, obs.SpanContext{}, env.Marshal())
+	typ, _, err := c.p.Call(wire.TypeReportUpload, obs.SpanContext{}, env.Marshal())
+	if err == nil && typ == wire.TypeReportMustSign {
+		return billing.ErrMustSign
+	}
 	return err
 }
 

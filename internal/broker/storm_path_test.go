@@ -452,9 +452,10 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				}
 			}},
 		// The billing leg after first contact (DESIGN.md §2.10): a MAC'd
-		// report is accepted only under the key its reporter's attach proved,
-		// and a reporter that plays with its checkpoints goes back to signing.
-		{name: "report: MAC under the wrong key", wantErr: ErrBadReporterKey,
+		// report is accepted only under the key its reporter's attach proved
+		// — refused, it is asked for signed — and a reporter whose checkpoints
+		// lapse goes back to signing, at no cost in reputation.
+		{name: "report: MAC under the wrong key", wantErr: billing.ErrMustSign,
 			build: func(t *testing.T, h *harness) *txItem {
 				m := h.ueMACStream(t)
 				m.mac.Key[0] ^= 1
@@ -486,6 +487,21 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				h.telco = old
 				return &txItem{kind: txReport, report: m.next(t)}
 			}},
+		{name: "report: checkpoint stripped from its carrier", wantErr: billing.ErrMustSign,
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.telcoMACStream(t)
+				m.send(t, 255)
+				carrier := m.next(t)
+				if carrier.Checkpoint == nil {
+					t.Fatal("the 256th MAC'd report carries no checkpoint")
+				}
+				return &txItem{kind: txReport, report: &billing.SealedReport{Sealed: carrier.Sealed, Sig: carrier.Sig}}
+			},
+			check: func(t *testing.T, h *harness) {
+				if n := len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")); n != 0 {
+					t.Fatalf("%d checkpoints kept", n)
+				}
+			}},
 		{name: "report: checkpoint omitting an ingested report",
 			build: func(t *testing.T, h *harness) *txItem {
 				m := h.telcoMACStream(t)
@@ -499,8 +515,9 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				return &txItem{kind: txReport, report: m.next(t)}
 			},
 			check: func(t *testing.T, h *harness) {
-				if s := h.brk.TelcoScore("h-telco"); s >= 1 {
-					t.Fatalf("omission not penalized: score %v", s)
+				// A bTelco that restarted mid-interval looks the same: no penalty.
+				if s := h.brk.TelcoScore("h-telco"); s != 1 {
+					t.Fatalf("an omission moved the bTelco's score to %v", s)
 				}
 				if n := len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")); n != 2 {
 					t.Fatalf("%d checkpoints kept, want both: each is evidence for what it lists", n)
@@ -511,22 +528,28 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 			}},
 		{name: "report: overdue checkpoint",
 			build: func(t *testing.T, h *harness) *txItem {
+				// A UE that loses its stream every 200 reports never fills a
+				// checkpoint: three streams in, 512 MAC'd reports are uncovered.
 				m := h.ueMACStream(t)
 				var env *billing.SealedReport
-				for i := 0; i < 2*256; i++ {
+				for macd := 0; macd < 2*256; {
 					if env != nil {
 						if _, err := h.brk.HandleReport(env); err != nil {
 							t.Fatal(err)
 						}
 					}
-					env = m.next(t)
-					env.Checkpoint = nil // withheld
+					if env = m.next(t); len(env.Sig) != 32 {
+						continue // a new stream's signed first report
+					}
+					if macd++; macd%200 == 0 {
+						m.stream = billing.Stream{}
+					}
 				}
 				return &txItem{kind: txReport, report: env}
 			},
 			check: func(t *testing.T, h *harness) {
-				if !h.brk.Suspect(h.ue.IDU) {
-					t.Fatal("a UE 512 reports behind on its checkpoints is not a suspect")
+				if h.brk.Suspect(h.ue.IDU) {
+					t.Fatal("a UE behind on its checkpoints became a suspect")
 				}
 				if _, err := h.brk.HandleReport(h.macd.next(t)); !errors.Is(err, billing.ErrMustSign) {
 					t.Fatalf("MAC'd report from an overdue reporter: %v", err)
@@ -543,9 +566,11 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				if bearer.Checkpoint == nil || len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")) != 1 {
 					t.Fatal("the 256th MAC'd report did not deliver a checkpoint")
 				}
-				fresh := m.next(t)
-				fresh.Checkpoint = bearer.Checkpoint
-				return &txItem{kind: txReport, report: fresh}
+				// On a signed report: a MAC covers the checkpoint it rides with,
+				// so only the reporter could hang it on a MAC'd one.
+				fresh := sealedReport(t, h, m.ref, billing.ReporterTelco, h.telco.Key, m.seq+1, 1)
+				fresh.report.Checkpoint = bearer.Checkpoint
+				return fresh
 			},
 			check: func(t *testing.T, h *harness) {
 				if n := len(h.brk.Checkpoints(billing.ReporterTelco, "h-telco")); n != 1 {

@@ -151,6 +151,10 @@ func (b *Brokerd) verify(it *txItem) {
 				mtr.checkpointsRefused.Add(1)
 			}
 			it.out.Err = ErrBadReporterKey
+			if it.o.MACd {
+				// The reporter's answer to either is the same report, signed.
+				it.out.Err = fmt.Errorf("%w: %w", ErrBadReporterKey, billing.ErrMustSign)
+			}
 		}
 	}
 }
@@ -282,10 +286,9 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 		mtr.checkpointsRefused.Add(1)
 	}
 	it.out.Mismatch, it.out.Err = mm, err
-	// Any ingest can move the reputation — pass, mismatch, replay or
-	// checkpoint penalty — so every ingest owes a quarantine review.
-	telcoMisconduct := it.o.Misconduct && r.Reporter == billing.ReporterTelco
-	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err) || telcoMisconduct)
+	// Any ingest can move the reputation — pass, mismatch or replay
+	// penalty — so every ingest owes a quarantine review.
+	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err))
 }
 
 // finalize seals and signs the responses of a committed grant.

@@ -195,18 +195,18 @@ func (s *Subscriber) Detach(t *BTelco) error {
 // flow to the broker, which aligns and checks them. It returns the
 // mismatch if the broker flagged one.
 func ReportCycle(b *Broker, t *BTelco, s *Subscriber, sessionID uint64, rel time.Duration) (*billing.Mismatch, error) {
-	telcoEnv, err := t.AGW.GenerateReport(sessionID, rel, billing.QoSMetrics{})
-	if err != nil {
+	var mm *billing.Mismatch
+	up := func(env *billing.SealedReport) (err error) {
+		mm, err = b.D.HandleReport(env)
+		return err
+	}
+	if err := t.AGW.UploadReport(sessionID, rel, billing.QoSMetrics{}, up); err != nil {
 		return nil, err
 	}
-	if _, err := b.D.HandleReport(telcoEnv); err != nil {
+	if err := s.Device.Meter.UploadReport(rel, up); err != nil {
 		return nil, err
 	}
-	ueEnv, err := s.Device.Meter.Report(rel)
-	if err != nil {
-		return nil, err
-	}
-	return b.D.HandleReport(ueEnv)
+	return mm, nil
 }
 
 // ProvisionLegacy issues a legacy SIM (shared key K) against a subscriber

@@ -667,17 +667,38 @@ func (g *AGW) Stats() AGWStats {
 // session. Concurrent callers for one session get distinct, gap-free
 // sequence numbers.
 func (g *AGW) GenerateReport(sessionID uint64, rel time.Duration, m billing.QoSMetrics) (*billing.SealedReport, error) {
+	r, brokerPub, err := g.measure(sessionID, rel, m)
+	if err != nil {
+		return nil, err
+	}
+	return g.cfg.Telco.SealReport(brokerPub, &r)
+}
+
+// UploadReport is GenerateReport with the way to the broker handed in, for
+// a caller that can hear the broker's answer: a MAC'd report refused with
+// billing.ErrMustSign goes out again signed (sap.TelcoState.UploadReport).
+func (g *AGW) UploadReport(sessionID uint64, rel time.Duration, m billing.QoSMetrics, up func(*billing.SealedReport) error) error {
+	r, brokerPub, err := g.measure(sessionID, rel, m)
+	if err != nil {
+		return err
+	}
+	return g.cfg.Telco.UploadReport(brokerPub, &r, up)
+}
+
+// measure takes a session's next report off the user-plane counters, with
+// the broker it is for.
+func (g *AGW) measure(sessionID uint64, rel time.Duration, m billing.QoSMetrics) (billing.Report, pki.PublicIdentity, error) {
 	g.mu.Lock()
 	sess := g.sessions[sessionID]
 	if sess == nil || sess.Kind != KindSAP {
 		g.mu.Unlock()
-		return nil, ErrNoSession
+		return billing.Report{}, pki.PublicIdentity{}, ErrNoSession
 	}
 	sess.reportSeq++
 	seq := sess.reportSeq
 	g.mu.Unlock()
 	u, _ := g.up.TotalUsage(sess.IP)
-	r := &billing.Report{
+	return billing.Report{
 		SessionRef: sess.URef,
 		Reporter:   billing.ReporterTelco,
 		Seq:        seq,
@@ -685,6 +706,5 @@ func (g *AGW) GenerateReport(sessionID uint64, rel time.Duration, m billing.QoSM
 		ULBytes:    u.ULBytes,
 		DLBytes:    u.DLBytes,
 		QoS:        m,
-	}
-	return g.cfg.Telco.SealReport(sess.brokerPub, r)
+	}, sess.brokerPub, nil
 }

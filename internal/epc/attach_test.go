@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -384,6 +385,55 @@ func TestConcurrentSessionsReportOnOneStream(t *testing.T) {
 	}
 	if s := w.brk.TelcoScore("btelco-1"); s < 1 {
 		t.Fatalf("telco score %v after honest, reordered reports", s)
+	}
+}
+
+// Both reporters answer the broker's "sign it" (DESIGN.md §2.10): the report
+// a MAC'd upload was refused for goes out again signed, under the same Seq,
+// and pairs with the other side's as if nothing had happened.
+func TestUploadReportResendsSignedWhenRefused(t *testing.T) {
+	w := buildWorld(t)
+	if _, err := w.dev.AttachSAP(w.tx, "btelco-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.dev.Detach(w.tx); err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.dev.AttachSAP(w.tx, "btelco-1") // ticketed, and under the pass
+	if err != nil {
+		t.Fatal(err)
+	}
+	// refuse is a broker that has forgotten every MAC key for one report.
+	var sigs []int
+	refuse := true
+	up := func(env *billing.SealedReport) error {
+		sigs = append(sigs, len(env.Sig))
+		if len(env.Sig) == 32 && refuse {
+			refuse = false
+			return fmt.Errorf("broker: %w", billing.ErrMustSign)
+		}
+		m, err := w.brk.HandleReport(env)
+		if m != nil {
+			t.Errorf("mismatch: %+v", m)
+		}
+		return err
+	}
+	for cycle, want := range [][]int{{64, 64}, {32, 64, 32, 64}, {32, 32}} {
+		rel := time.Duration(cycle+1) * 30 * time.Second
+		sigs, refuse = sigs[:0], cycle == 1
+		if err := w.agw.UploadReport(a.SessionID, rel, billing.QoSMetrics{}, up); err != nil {
+			t.Fatalf("cycle %d, bTelco: %v", cycle, err)
+		}
+		refuse = cycle == 1
+		if err := w.dev.Meter.UploadReport(rel, up); err != nil {
+			t.Fatalf("cycle %d, UE: %v", cycle, err)
+		}
+		if !slices.Equal(sigs, want) {
+			t.Fatalf("cycle %d: Sig lengths %v, want %v", cycle, sigs, want)
+		}
+	}
+	if s := w.brk.TelcoScore("btelco-1"); s < 0.99 {
+		t.Fatalf("telco score %.3f", s)
 	}
 }
 

@@ -152,19 +152,35 @@ type TelcoState struct {
 // every 256th carries a signed checkpoint; otherwise — no grant from that
 // broker yet, DropPasses, a renewed certificate — it signs.
 func (t *TelcoState) SealReport(brokerPub pki.PublicIdentity, r *billing.Report) (*billing.SealedReport, error) {
+	return t.report(brokerPub, r, nil)
+}
+
+// UploadReport is SealReport with the way to the broker handed in: a MAC'd
+// report the broker refuses with billing.ErrMustSign — it restarted and
+// holds no pass until this bTelco's next grant, say — goes out again
+// signed (billing.Stream.Upload).
+func (t *TelcoState) UploadReport(brokerPub pki.PublicIdentity, r *billing.Report, up func(*billing.SealedReport) error) error {
+	_, err := t.report(brokerPub, r, up)
+	return err
+}
+
+// report seals r and returns it, or with a way to the broker uploads it
+// instead. A broker that never granted through this bTelco has no stream,
+// and no stream signs.
+func (t *TelcoState) report(brokerPub pki.PublicIdentity, r *billing.Report, up func(*billing.SealedReport) error) (*billing.SealedReport, error) {
 	sealer, err := t.toBroker.To(brokerPub)
 	if err != nil {
 		return nil, err
 	}
 	stream, pass, held := t.brokers.reportStream(brokerPub.SigPub, t.Cert)
-	if stream == nil {
-		return billing.SealOn(r, t.Key, sealer)
-	}
 	var mac *pki.Ticket
 	if held {
 		mac = &pass
 	}
-	return stream.Seal(r, t.Key, sealer, mac)
+	if up == nil {
+		return stream.Seal(r, t.Key, sealer, mac)
+	}
+	return nil, stream.Upload(r, t.Key, sealer, mac, up)
 }
 
 // ForwardRequest runs the bTelco's first procedure (Fig. 3 top): augment

@@ -200,18 +200,10 @@ func (d *RealDeployment) dialNAS(ranID string) (ue.NASTransport, error) {
 
 // UploadUEReport sends a UE baseband report to brokerd over the wire.
 func (d *RealDeployment) UploadUEReport(dev *ue.Device, rel time.Duration) error {
-	env, err := dev.Meter.Report(rel)
-	if err != nil {
-		return err
-	}
-	return d.brokerClient.UploadReport(env)
+	return dev.Meter.UploadReport(rel, d.brokerClient.UploadReport)
 }
 
 // UploadTelcoReport sends the AGW-side report for a session.
 func (d *RealDeployment) UploadTelcoReport(sessionID uint64, rel time.Duration) error {
-	env, err := d.AGW.GenerateReport(sessionID, rel, billing.QoSMetrics{})
-	if err != nil {
-		return err
-	}
-	return d.brokerClient.UploadReport(env)
+	return d.AGW.UploadReport(sessionID, rel, billing.QoSMetrics{}, d.brokerClient.UploadReport)
 }

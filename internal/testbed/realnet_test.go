@@ -111,6 +111,72 @@ func TestRealDeploymentAttachSurvivesBrokerRestart(t *testing.T) {
 	}
 }
 
+// A broker that crashes and comes back from its snapshot holds the bTelco's
+// certified key and no pass (DESIGN.md §2.10): the live session's next
+// bTelco report goes out MAC'd, is refused with the typed "sign it" reply,
+// and is resent signed — over the sockets, before any new grant — while the
+// UE's MAC'd report needs no broker state at all. Both are ingested once.
+func TestRealDeploymentReportsSurviveBrokerCrashRestart(t *testing.T) {
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := attachDetach(d, 1); err != nil { // the bTelco's stream has sent its signed first report
+		t.Fatal(err)
+	}
+	if _, err := dev.AttachSAP(tx, d.TelcoID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Detach(tx); err != nil {
+		t.Fatal(err)
+	}
+	a, err := dev.AttachSAP(tx, d.TelcoID()) // ticketed
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func(rel time.Duration) {
+		t.Helper()
+		if err := d.UploadTelcoReport(a.SessionID, rel); err != nil {
+			t.Fatalf("bTelco report at %v: %v", rel, err)
+		}
+		if err := d.UploadUEReport(dev, rel); err != nil {
+			t.Fatalf("UE report at %v: %v", rel, err)
+		}
+	}
+	pair(time.Second) // the device's stream signs its first; the bTelco's is MAC'd
+
+	addr := d.BrokerSrv.Addr()
+	d.BrokerSrv.Close()
+	if d.Broker, err = broker.Restart(d.p.brkCfg, d.Broker.Snapshot(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if d.BrokerSrv, err = broker.Serve(d.Broker, addr); err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Snapshot()
+	pair(2 * time.Second)
+	pair(3 * time.Second)
+	after := obs.Default().Snapshot()
+	for name, want := range map[string]float64{
+		"broker_reports_ingested_total":  4,
+		"broker_reports_macd_total":      2, // the UE's two; the bTelco's two went signed
+		"broker_report_mismatches_total": 0,
+		"broker_report_replays_total":    0,
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %v after the restart, want %v", name, got, want)
+		}
+	}
+	if s := d.Broker.TelcoScore(d.TelcoID()); s != 1 {
+		t.Fatalf("bTelco score %v after the restart", s)
+	}
+}
+
 // Rule "a UE key never has a resident sealer", end to end: through
 // ue.Device over the loopback deployment, every attach opens its own
 // exchange, the session's baseband reports ride that one and no earlier

@@ -510,11 +510,43 @@ func (m *BasebandMeter) Snapshot() (ul, dl uint64) {
 // or by a MAC under the ticket the session's attach rode — before leaving
 // the "baseband", so neither the OS nor the bTelco can alter it.
 func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error) {
+	return m.report(rel, nil)
+}
+
+// UploadReport is Report with the OS's way to the broker handed in: what a
+// caller that can hear the broker's answer uses, because a MAC'd report the
+// broker refuses with billing.ErrMustSign goes out again signed — the same
+// report, sealed twice inside the baseband (billing.Stream.Upload).
+func (m *BasebandMeter) UploadReport(rel time.Duration, up func(*billing.SealedReport) error) error {
+	_, err := m.report(rel, up)
+	return err
+}
+
+// report seals the next report and returns it, or with a way to the broker
+// uploads it instead.
+func (m *BasebandMeter) report(rel time.Duration, up func(*billing.SealedReport) error) (*billing.SealedReport, error) {
+	r, sealer, err := m.measure(rel)
+	if err != nil {
+		return nil, err
+	}
+	// MAC'd only if the session's attach rode a ticket.
+	var mac *pki.Ticket
+	if t, ticketed := sealer.MACKey(); ticketed {
+		mac = &t
+	}
+	if up == nil {
+		return m.stream.Seal(&r, m.key, sealer, mac)
+	}
+	return nil, m.stream.Upload(&r, m.key, sealer, mac, up)
+}
+
+// measure takes the next report off the counters, with the exchange it is
+// to be sealed on.
+func (m *BasebandMeter) measure(rel time.Duration) (billing.Report, *pki.Sealer, error) {
 	m.mu.Lock()
-	sealer := m.sealer
-	if sealer == nil {
-		m.mu.Unlock()
-		return nil, errors.New("ue: baseband meter has no bound session")
+	defer m.mu.Unlock()
+	if m.sealer == nil {
+		return billing.Report{}, nil, errors.New("ue: baseband meter has no bound session")
 	}
 	m.seq++
 	lossRate := 0.0
@@ -525,7 +557,7 @@ func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error)
 	if m.delayN > 0 {
 		delay = m.delaySumMs / float64(m.delayN)
 	}
-	r := &billing.Report{
+	return billing.Report{
 		SessionRef: m.sessionRef,
 		Reporter:   billing.ReporterUE,
 		Seq:        m.seq,
@@ -538,11 +570,5 @@ func (m *BasebandMeter) Report(rel time.Duration) (*billing.SealedReport, error)
 			DLLossRate: lossRate,
 			DLDelayMs:  delay,
 		},
-	}
-	m.mu.Unlock()
-	var mac *pki.Ticket
-	if t, ticketed := sealer.MACKey(); ticketed {
-		mac = &t
-	}
-	return m.stream.Seal(r, m.key, sealer, mac)
+	}, m.sealer, nil
 }

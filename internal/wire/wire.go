@@ -67,6 +67,11 @@ const (
 	// (sap/pass.go). Appended, so every earlier type keeps its value.
 	TypeSAPReceiptRequest
 	TypeSAPReceiptResponse
+
+	// brokerd's reply to a TypeReportUpload it will take only signed
+	// (billing.ErrMustSign): where the TypeError frame went, so the
+	// reporter can tell this refusal from every other. No payload.
+	TypeReportMustSign
 )
 
 // FrameTraced is the type-byte bit marking a traced frame: a 24-byte
