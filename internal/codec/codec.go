@@ -38,7 +38,24 @@ func (w *Writer) Bytes(v []byte) {
 }
 
 // String appends a length-prefixed string field.
-func (w *Writer) String(v string) { w.Bytes([]byte(v)) }
+func (w *Writer) String(v string) {
+	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(v)))
+	w.b = append(w.b, v...)
+}
+
+// Begin opens a length-prefixed field whose content is whatever the caller
+// appends until End: a nested message is encoded in place, in the buffer it
+// is a field of, where Bytes(inner.Marshal()) builds it apart and copies
+// it. Fields nest; each End takes the mark its Begin returned.
+func (w *Writer) Begin() (mark int) {
+	w.b = append(w.b, 0, 0, 0, 0)
+	return len(w.b)
+}
+
+// End closes the field opened at mark by writing its length prefix.
+func (w *Writer) End(mark int) {
+	binary.BigEndian.PutUint32(w.b[mark-4:], uint32(len(w.b)-mark))
+}
 
 // Uint32 appends a fixed 4-byte field.
 func (w *Writer) Uint32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }

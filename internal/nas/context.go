@@ -4,10 +4,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"cellbricks/internal/pki"
 )
 
 // Direction of a protected message, mixed into both the cipher stream and
@@ -30,11 +31,13 @@ var (
 )
 
 // SecurityContext is the per-attachment NAS security state established by
-// the security-mode-control procedure: the derived hierarchy plus
-// independent uplink/downlink counters. One side's Uplink counter is the
-// peer's expected receive counter.
+// the security-mode-control procedure: the NAS keys, expanded once into the
+// forms every message uses, plus independent uplink/downlink counters. One
+// side's Uplink counter is the peer's expected receive counter.
 type SecurityContext struct {
-	Keys    Hierarchy
+	enc cipher.Block // AES-128 key schedule of K_NASenc
+	mac pki.MAC      // HMAC pads of K_NASint
+
 	ulCount uint32 // next count for messages we send uplink
 	dlCount uint32 // next count for messages we send downlink
 
@@ -45,10 +48,21 @@ type SecurityContext struct {
 }
 
 // NewSecurityContext runs the key-derivation half of SMC over the master
-// key (KASME / SAP ss).
+// key (KASME / SAP ss): the two NAS keys, each expanded once. The AS keys
+// are DeriveHierarchy's, for a caller that has a radio leg to key.
 func NewSecurityContext(master MasterKey) *SecurityContext {
-	return &SecurityContext{Keys: DeriveHierarchy(master, 0)}
+	kasme := pki.NewMAC(master[:])
+	kenc := kdf(&kasme, kdfNASEnc, nil)
+	kint := kdf(&kasme, kdfNASInt, nil)
+	enc, err := aes.NewCipher(kenc[:])
+	if err != nil {
+		panic("nas: bad key size: " + err.Error()) // impossible: fixed-size key
+	}
+	return &SecurityContext{enc: enc, mac: pki.NewMAC(kint[:])}
 }
+
+// hdrLen is the clear header of a protected message: count(4) || dir(1).
+const hdrLen = 5
 
 // Protect ciphers and integrity-protects a NAS payload for the given
 // direction, consuming one counter value. Wire layout:
@@ -63,18 +77,20 @@ func (c *SecurityContext) Protect(dir Direction, payload []byte) []byte {
 		count = c.dlCount
 		c.dlCount++
 	}
-	ct := c.crypt(dir, count, payload)
-	out := make([]byte, 0, 5+len(ct)+MACSize)
-	out = binary.BigEndian.AppendUint32(out, count)
-	out = append(out, byte(dir))
-	out = append(out, ct...)
-	return append(out, c.mac(dir, count, ct)...)
+	out := make([]byte, hdrLen+len(payload)+MACSize)
+	binary.BigEndian.PutUint32(out, count)
+	out[4] = byte(dir)
+	body := out[:hdrLen+len(payload)] // header and ciphertext: what the MAC covers
+	c.crypt(dir, count, body[hdrLen:], payload)
+	tag := c.mac.Sum("", body, nil)
+	copy(out[len(body):], tag[:MACSize])
+	return out
 }
 
 // Unprotect verifies and deciphers a protected NAS message, enforcing
 // monotonically increasing counts per direction.
 func (c *SecurityContext) Unprotect(dir Direction, msg []byte) ([]byte, error) {
-	if len(msg) < 5+MACSize {
+	if len(msg) < hdrLen+MACSize {
 		return nil, ErrTooShort
 	}
 	count := binary.BigEndian.Uint32(msg)
@@ -82,9 +98,9 @@ func (c *SecurityContext) Unprotect(dir Direction, msg []byte) ([]byte, error) {
 	if gotDir != dir {
 		return nil, fmt.Errorf("nas: direction mismatch: got %d want %d", gotDir, dir)
 	}
-	ct := msg[5 : len(msg)-MACSize]
-	tag := msg[len(msg)-MACSize:]
-	if !hmac.Equal(tag, c.mac(dir, count, ct)) {
+	body, tag := msg[:len(msg)-MACSize], msg[len(msg)-MACSize:]
+	want := c.mac.Sum("", body, nil)
+	if !hmac.Equal(tag, want[:MACSize]) {
 		return nil, ErrIntegrity
 	}
 	var expected *uint32
@@ -97,30 +113,16 @@ func (c *SecurityContext) Unprotect(dir Direction, msg []byte) ([]byte, error) {
 		return nil, ErrReplay
 	}
 	*expected = count + 1
-	return c.crypt(dir, count, ct), nil
+	out := make([]byte, len(body)-hdrLen)
+	c.crypt(dir, count, out, body[hdrLen:])
+	return out, nil
 }
 
 // crypt applies AES-128-CTR with an IV derived from (count, direction),
-// mirroring the EEA2 construction.
-func (c *SecurityContext) crypt(dir Direction, count uint32, in []byte) []byte {
-	block, err := aes.NewCipher(c.Keys.KNASEnc[:])
-	if err != nil {
-		panic("nas: bad key size: " + err.Error()) // impossible: fixed-size key
-	}
-	var iv [16]byte
+// mirroring the EEA2 construction, from in into out.
+func (c *SecurityContext) crypt(dir Direction, count uint32, out, in []byte) {
+	var iv [aes.BlockSize]byte
 	binary.BigEndian.PutUint32(iv[:4], count)
 	iv[4] = byte(dir)
-	out := make([]byte, len(in))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, in)
-	return out
-}
-
-func (c *SecurityContext) mac(dir Direction, count uint32, ct []byte) []byte {
-	mac := hmac.New(sha256.New, c.Keys.KNASInt[:])
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], count)
-	hdr[4] = byte(dir)
-	mac.Write(hdr[:])
-	mac.Write(ct)
-	return mac.Sum(nil)[:MACSize]
+	cipher.NewCTR(c.enc, iv[:]).XORKeyStream(out, in)
 }

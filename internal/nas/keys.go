@@ -13,12 +13,20 @@
 // Algorithms are stdlib stand-ins for the 3GPP EEA/EIA suites:
 // AES-128-CTR for ciphering (EEA2 is AES-CTR in the standard, too) and
 // HMAC-SHA256/4-byte MAC for integrity.
+//
+// SMC derives what NAS uses and nothing else: NewSecurityContext computes
+// K_NASenc and K_NASint, expands the AES key schedule and the HMAC pads
+// once, and keeps them for the life of the session (DESIGN.md §2.4); it
+// does not keep the keys themselves. K_eNB and the AS keys under it
+// (K_RRCenc, K_RRCint, K_UPenc) belong to the radio leg, which this
+// repository does not model: DeriveHierarchy derives all six, from the same
+// master key and with the same bytes, for whoever asks.
 package nas
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
+
+	"cellbricks/internal/pki"
 )
 
 // KeySize is the size of every derived key in bytes.
@@ -45,19 +53,22 @@ type Hierarchy struct {
 	KUPEnc  Key
 }
 
-// kdf is the 3GPP-style KDF: HMAC-SHA256(key, FC || P0 || L0 ...),
-// simplified to a labelled derivation.
-func kdf(key []byte, label string, ctx []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write([]byte{0x15}) // FC byte, arbitrary but fixed
-	mac.Write([]byte(label))
-	mac.Write([]byte{0x00})
-	mac.Write(ctx)
-	return mac.Sum(nil)
-}
+// Derivation inputs of the 3GPP-style KDF, HMAC-SHA256(key, FC || P0 || L0
+// ...) simplified to a labelled derivation: the FC byte (arbitrary but
+// fixed), the key's name and a zero byte, ahead of the context bytes.
+const (
+	kdfNASEnc = "\x15KNASenc\x00"
+	kdfNASInt = "\x15KNASint\x00"
+	kdfENB    = "\x15KeNB\x00"
+	kdfRRCEnc = "\x15KRRCenc\x00"
+	kdfRRCInt = "\x15KRRCint\x00"
+	kdfUPEnc  = "\x15KUPenc\x00"
+)
 
-func truncKey(b []byte) (k Key) {
-	copy(k[:], b[:KeySize])
+// kdf derives one key under a prepared parent key, on the stack.
+func kdf(parent *pki.MAC, label string, ctx []byte) (k Key) {
+	sum := parent.Sum(label, ctx, nil)
+	copy(k[:], sum[:KeySize])
 	return k
 }
 
@@ -68,13 +79,15 @@ func truncKey(b []byte) (k Key) {
 func DeriveHierarchy(master MasterKey, ulCount uint32) Hierarchy {
 	var cnt [4]byte
 	binary.BigEndian.PutUint32(cnt[:], ulCount)
-	kenb := kdf(master[:], "KeNB", cnt[:])
+	kasme := pki.NewMAC(master[:])
+	kenb := kasme.Sum(kdfENB, cnt[:], nil) // the AS keys derive under all 32 bytes
+	as := pki.NewMAC(kenb[:])
 	return Hierarchy{
-		KNASEnc: truncKey(kdf(master[:], "KNASenc", nil)),
-		KNASInt: truncKey(kdf(master[:], "KNASint", nil)),
-		KENB:    truncKey(kenb),
-		KRRCEnc: truncKey(kdf(kenb, "KRRCenc", nil)),
-		KRRCInt: truncKey(kdf(kenb, "KRRCint", nil)),
-		KUPEnc:  truncKey(kdf(kenb, "KUPenc", nil)),
+		KNASEnc: kdf(&kasme, kdfNASEnc, nil),
+		KNASInt: kdf(&kasme, kdfNASInt, nil),
+		KENB:    Key(kenb[:KeySize]),
+		KRRCEnc: kdf(&as, kdfRRCEnc, nil),
+		KRRCInt: kdf(&as, kdfRRCInt, nil),
+		KUPEnc:  kdf(&as, kdfUPEnc, nil),
 	}
 }

@@ -2,6 +2,7 @@ package nas
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -44,6 +45,72 @@ func TestDeriveHierarchyCountBinding(t *testing.T) {
 	}
 	if a.KNASEnc != b.KNASEnc {
 		t.Fatal("NAS keys should not depend on count")
+	}
+}
+
+// Known answers, computed at the commit before the context kept its key
+// schedule (crypto/hmac per derivation, aes.NewCipher per message): every
+// derived key and every protected byte is wire state shared with a peer
+// that may run the other code.
+func TestKnownAnswers(t *testing.T) {
+	var master MasterKey
+	for i := range master {
+		master[i] = byte(i*7 + 3)
+	}
+	h := DeriveHierarchy(master, 5)
+	for _, k := range []struct {
+		name string
+		got  Key
+		want string
+	}{
+		{"K_NASenc", h.KNASEnc, "7f42b013e733d7fc6c28ec8ba229b17d"},
+		{"K_NASint", h.KNASInt, "000bd95e3f4f0704fab83ff2999f17b8"},
+		{"K_eNB", h.KENB, "076af98ed58a81a1dd55dbb883d1d6f6"},
+		{"K_RRCenc", h.KRRCEnc, "e27ae8cf734ba0d9abb99d5d4dcddcd9"},
+		{"K_RRCint", h.KRRCInt, "c7e2d0bb55bdb246dc48041896e17960"},
+		{"K_UPenc", h.KUPEnc, "b55cc7a94a26f5e28d0cd852af51f864"},
+		{"K_eNB at count 0", DeriveHierarchy(master, 0).KENB, "ab6df518995ed793ba32aabf0cd266a4"},
+	} {
+		if got := hex.EncodeToString(k.got[:]); got != k.want {
+			t.Errorf("%s = %s, want %s", k.name, got, k.want)
+		}
+	}
+
+	c := NewSecurityContext(master)
+	payload := []byte("attach complete: the quick brown fox jumps over the lazy dog")
+	c.Protect(Uplink, []byte("x"))
+	c.Protect(Uplink, []byte("y"))
+	for _, m := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"uplink, count 2", c.Protect(Uplink, payload), "00000002001c100e7f527238c7ea3d72d1bdff0d7b60ab0019bd8d748c033cb0b7e77ffaef23103376df8fb2a755578d982a9852ed35d6a5dce1b9cf3b74d112a7b0b82e47"},
+		{"downlink, count 0", c.Protect(Downlink, payload), "00000000013c7564186e8e5f4d528fb03d357bd0d3cc56bf714ac1094a7510aa8ca7686dd5bbf2325b95a656b5ed340d4c78fb2a54b3ed6241b34d5a34814f6842eb1f832f"},
+		{"downlink, count 1, empty", c.Protect(Downlink, nil), "0000000101f1d7b655"},
+	} {
+		if got := hex.EncodeToString(m.got); got != m.want {
+			t.Errorf("%s:\n got %s\nwant %s", m.name, got, m.want)
+		}
+	}
+}
+
+// A session pays its key set-up once (DESIGN.md §2.4): the context is the
+// struct and the AES schedule, a message its output buffer and a CTR
+// stream. Before, 56 and 23.
+func TestSecurityContextAllocs(t *testing.T) {
+	master := testMaster(13)
+	if n := testing.AllocsPerRun(100, func() { NewSecurityContext(master) }); n > 6 {
+		t.Errorf("NewSecurityContext: %v allocations, want <= 6", n)
+	}
+	ue, net := NewSecurityContext(master), NewSecurityContext(master)
+	payload := bytes.Repeat([]byte{0xA5}, 120)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := net.Unprotect(Uplink, ue.Protect(Uplink, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("Protect + Unprotect of %d bytes: %v allocations, want <= 8", len(payload), n)
 	}
 }
 

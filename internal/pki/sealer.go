@@ -297,32 +297,6 @@ const (
 	passLabel       = "cellbricks-pass-v1"
 )
 
-// mac32 is HMAC-SHA256(key, label ‖ a ‖ b) for the short derivations on
-// the ticketed path, computed in one stack buffer. A ticketed attach runs
-// six of them; at hmac.New's five heap objects apiece they would allocate
-// as much as dropping two signatures and the key agreement saves. Inputs
-// past the buffer (an identifier of a hundred bytes) spill to the heap and
-// stay correct.
-func mac32(key *boxKeyBytes, label string, a []byte, b string) boxKeyBytes {
-	var pad [sha256.BlockSize]byte
-	copy(pad[:], key[:])
-	for i := range pad {
-		pad[i] ^= 0x36
-	}
-	buf := make([]byte, 0, 192)
-	buf = append(buf, pad[:]...)
-	buf = append(buf, label...)
-	buf = append(buf, a...)
-	buf = append(buf, b...)
-	inner := sha256.Sum256(buf)
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c
-	}
-	buf = append(buf[:0], pad[:]...)
-	buf = append(buf, inner[:]...)
-	return sha256.Sum256(buf)
-}
-
 func newBoxAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {

@@ -492,7 +492,7 @@ func (m *ReceiptReq) Marshal() []byte {
 	w := codec.NewWriter(512 + 28*len(m.URefs))
 	w.String(m.IDB)
 	w.String(m.IDT)
-	w.Bytes(marshalCert(m.Cert))
+	marshalCert(w, m.Cert)
 	marshalURefs(w, m.URefs)
 	w.Bytes(m.Sig)
 	return w.Out()

@@ -106,11 +106,17 @@ type AuthReqU struct {
 
 // Marshal encodes the request for transport inside a NAS message.
 func (m *AuthReqU) Marshal() []byte {
-	w := codec.NewWriter(256)
+	w := codec.AppendTo(make([]byte, 0, m.encodedLen()))
+	m.encode(&w)
+	return w.Out()
+}
+
+func (m *AuthReqU) encodedLen() int { return 12 + len(m.IDB) + len(m.SealedVec) + len(m.Sig) }
+
+func (m *AuthReqU) encode(w *codec.Writer) {
 	w.String(m.IDB)
 	w.Bytes(m.SealedVec)
 	w.Bytes(m.Sig)
-	return w.Out()
 }
 
 // UnmarshalAuthReqU decodes an AuthReqU.
@@ -148,6 +154,9 @@ func marshalTerms(w *codec.Writer, t ServiceTerms) {
 	w.Float64(t.PricePerGB)
 }
 
+// termsFixedLen is what marshalTerms writes besides one byte per QCI.
+const termsFixedLen = 30
+
 // maxQCIs bounds a decoded capability: the standard defines fewer than 64.
 const maxQCIs = 64
 
@@ -180,35 +189,52 @@ type AuthReqT struct {
 	Sig   []byte // bTelco signature over signedBytes, or its 32-byte pass MAC
 }
 
-func (m *AuthReqT) signedBytes() []byte {
-	w := codec.NewWriter(512)
-	w.Bytes(m.ReqU.Marshal())
+// signedLen is the size of encodeSigned's output.
+func (m *AuthReqT) signedLen() int {
+	return 4 + m.ReqU.encodedLen() + 4 + len(m.IDT) + termsFixedLen + len(m.Terms.Cap.QCIs)
+}
+
+// encodeSigned appends what the bTelco signs — authReqU || idT || terms —
+// each nested message in place: one buffer, no copy per level.
+func (m *AuthReqT) encodeSigned(w *codec.Writer) {
+	reqU := w.Begin()
+	m.ReqU.encode(w)
+	w.End(reqU)
 	w.String(m.IDT)
 	marshalTerms(w, m.Terms)
+}
+
+func (m *AuthReqT) signedBytes() []byte {
+	w := codec.AppendTo(make([]byte, 0, m.signedLen()))
+	m.encodeSigned(&w)
 	return w.Out()
 }
 
 // Marshal encodes the full request for the wire.
 func (m *AuthReqT) Marshal() []byte {
-	w := codec.NewWriter(1024)
-	w.Bytes(m.signedBytes())
-	w.Bytes(marshalCert(m.Cert))
+	w := codec.AppendTo(make([]byte, 0, 4+m.signedLen()+certLen+4+len(m.Sig)))
+	signed := w.Begin()
+	m.encodeSigned(&w)
+	w.End(signed)
+	marshalCert(&w, m.Cert)
 	w.Bytes(m.Sig)
 	return w.Out()
 }
 
-// UnmarshalAuthReqT decodes an AuthReqT.
+// UnmarshalAuthReqT decodes an AuthReqT. The three nested encodings are
+// parsed where they lie and dropped; what the message keeps is copied out
+// of b at the leaves.
 func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) {
 	r := codec.NewReader(b)
-	signed := r.BytesCopy()
-	certB := r.BytesCopy()
+	signed := r.Bytes()
+	certB := r.Bytes()
 	sig := r.BytesCopy()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	m := &AuthReqT{Sig: sig}
 	sr := codec.NewReader(signed)
-	reqUB := sr.BytesCopy()
+	reqUB := sr.Bytes()
 	m.IDT = sr.String()
 	terms, err := unmarshalTerms(sr)
 	if err != nil {
@@ -231,18 +257,22 @@ func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) {
 	return m, nil
 }
 
-func marshalCert(c *pki.Certificate) []byte {
-	if c == nil {
-		return nil
+// certLen is room for a length-prefixed certificate with Ed25519 and X25519
+// keys and names of a few dozen bytes; a longer one grows the buffer.
+const certLen = 256
+
+// marshalCert appends c as one length-prefixed field, empty for nil.
+func marshalCert(w *codec.Writer, c *pki.Certificate) {
+	cert := w.Begin()
+	if c != nil {
+		w.String(c.Subject)
+		w.String(c.Role)
+		w.Bytes(c.Identity.Bytes())
+		w.Uint64(uint64(c.NotBefore.Unix()))
+		w.Uint64(uint64(c.NotAfter.Unix()))
+		w.Bytes(c.Signature)
 	}
-	w := codec.NewWriter(256)
-	w.String(c.Subject)
-	w.String(c.Role)
-	w.Bytes(c.Identity.Bytes())
-	w.Uint64(uint64(c.NotBefore.Unix()))
-	w.Uint64(uint64(c.NotAfter.Unix()))
-	w.Bytes(c.Signature)
-	return w.Out()
+	w.End(cert)
 }
 
 func unmarshalCert(b []byte) (*pki.Certificate, error) {
@@ -253,7 +283,7 @@ func unmarshalCert(b []byte) (*pki.Certificate, error) {
 	c := &pki.Certificate{}
 	c.Subject = r.String()
 	c.Role = r.String()
-	idB := r.Bytes()
+	idB := r.BytesCopy() // the parsed identity's keys alias it, and outlive b
 	nb := r.Uint64()
 	na := r.Uint64()
 	c.Signature = r.BytesCopy()

@@ -497,6 +497,79 @@ func TestAuthReqTCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
+// AuthReqT is encoded in one buffer; its bytes are those of the encoding it
+// replaced, one Writer per nesting level and a copy into each parent, which
+// this test keeps as the reference. The decoded message owns its bytes: it
+// parses the nested encodings in place but copies every leaf.
+func TestAuthReqTOneBufferSameBytes(t *testing.T) {
+	f := newFixture(t)
+	reqU, _, err := f.ue.NewAttachRequest(f.telco.IDT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signedReq, err := f.telco.ForwardRequest(reqU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*AuthReqT{
+		"signed":  signedReq,
+		"no cert": {ReqU: *reqU, IDT: "t", Terms: f.telco.Terms, Sig: []byte("sig")},
+		"empty":   {},
+	} {
+		ru := codec.NewWriter(0)
+		ru.String(m.ReqU.IDB)
+		ru.Bytes(m.ReqU.SealedVec)
+		ru.Bytes(m.ReqU.Sig)
+		if got := m.ReqU.Marshal(); !bytes.Equal(got, ru.Out()) || cap(got) != len(got) {
+			t.Fatalf("%s: AuthReqU.Marshal: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(ru.Out()))
+		}
+		signed := codec.NewWriter(0)
+		signed.Bytes(ru.Out())
+		signed.String(m.IDT)
+		marshalTerms(signed, m.Terms)
+		if got := m.signedBytes(); !bytes.Equal(got, signed.Out()) || cap(got) != len(got) {
+			t.Fatalf("%s: signedBytes: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(signed.Out()))
+		}
+		var cert []byte
+		if c := m.Cert; c != nil {
+			cw := codec.NewWriter(0)
+			cw.String(c.Subject)
+			cw.String(c.Role)
+			cw.Bytes(c.Identity.Bytes())
+			cw.Uint64(uint64(c.NotBefore.Unix()))
+			cw.Uint64(uint64(c.NotAfter.Unix()))
+			cw.Bytes(c.Signature)
+			cert = cw.Out()
+		}
+		if len(cert)+4 > certLen {
+			t.Fatalf("%s: a %d-byte certificate outgrows certLen", name, len(cert))
+		}
+		full := codec.NewWriter(0)
+		full.Bytes(signed.Out())
+		full.Bytes(cert)
+		full.Bytes(m.Sig)
+		wire := m.Marshal()
+		if !bytes.Equal(wire, full.Out()) {
+			t.Fatalf("%s: Marshal differs from the nested encoding", name)
+		}
+
+		got, err := UnmarshalAuthReqT(wire)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again := got.Marshal()
+		for i := range wire {
+			wire[i] = 0xEE
+		}
+		if !bytes.Equal(again, full.Out()) || !bytes.Equal(got.Marshal(), full.Out()) {
+			t.Fatalf("%s: the decoded message aliases the buffer it was read from", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { signedReq.Marshal() }); n > 2 {
+		t.Errorf("AuthReqT.Marshal: %v allocations, want its buffer and the flattened identity", n)
+	}
+}
+
 // Property: the terms codec round-trips arbitrary capability shapes.
 func TestPropertyTermsCodec(t *testing.T) {
 	f := func(qcis []byte, dl, ul uint64, gbr, li bool, price float64) bool {

@@ -6,7 +6,8 @@
 // Frame layout: length(4, big-endian, covers type+payload) || type(1) ||
 // payload. Each Call writes one frame and reads one frame; the server
 // serves calls on a connection strictly in order, which matches the
-// signalling protocols modelled here.
+// signalling protocols modelled here. A frame is one write(2) and, through
+// the read buffer each end keeps per connection, one read(2).
 //
 // Robustness: a Call that fails mid-frame leaves the TCP stream in an
 // undefined framing state, so the client marks the connection broken and
@@ -20,6 +21,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,6 +120,11 @@ func decodeRetryAfter(p []byte) time.Duration {
 	}
 	return time.Duration(binary.BigEndian.Uint32(p)) * time.Millisecond
 }
+
+// readBuf sizes the per-connection read buffer at both ends: a frame's
+// length prefix and body arrive in one read(2) rather than two. Every frame
+// of an attach fits; a larger one is read straight into its own buffer.
+const readBuf = 4096
 
 // framePool recycles frame assembly buffers across WriteFrame calls: one
 // pooled buffer per frame instead of a fresh header slice, and a single
@@ -262,10 +269,15 @@ func listen(addr string, h CtxHandler, o ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return serve(ln, h, o), nil
+}
+
+// serve starts a server on a listener the caller made.
+func serve(ln net.Listener, h CtxHandler, o ServerOptions) *Server {
 	s := &Server{ln: ln, handler: h, opts: o, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address.
@@ -351,11 +363,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, readBuf)
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		msgType, sc, payload, err := ReadFrameCtx(conn)
+		msgType, sc, payload, err := ReadFrameCtx(br)
 		if err != nil {
 			return
 		}
@@ -422,7 +435,8 @@ type ClientStats struct {
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	replied int // reply bytes read by the current call
+	br      *bufio.Reader // over replyReader, so over conn; lives and dies with it
+	replied int           // reply bytes the current call read off the socket
 	addr    string
 	closed  bool
 	opts    Options
@@ -447,11 +461,9 @@ func Dial(addr string) (*Client, error) {
 // initial dial must succeed; later breaks redial transparently.
 func DialOptions(addr string, o Options) (*Client, error) {
 	c := &Client{addr: addr, opts: o}
-	conn, err := c.dial()
-	if err != nil {
+	if err := c.connect(); err != nil {
 		return nil, err
 	}
-	c.conn = conn
 	return c, nil
 }
 
@@ -460,6 +472,16 @@ func (c *Client) dial() (net.Conn, error) {
 		return c.opts.Dialer(c.addr)
 	}
 	return net.DialTimeout("tcp", c.addr, dialTimeout)
+}
+
+// connect dials c.conn and gives it a fresh read buffer.
+func (c *Client) connect() error {
+	conn, err := c.dial()
+	if err != nil {
+		return err
+	}
+	c.conn, c.br = conn, bufio.NewReaderSize(replyReader{c}, readBuf)
+	return nil
 }
 
 // Stats returns a snapshot of the client's recovery counters.
@@ -479,7 +501,7 @@ func (c *Client) abandon(err error) (byte, []byte, error) {
 	}
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn = nil
+		c.conn, c.br = nil, nil
 		c.stats.Broken++
 		mtr.broken.Add(1)
 	}
@@ -513,11 +535,9 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	}
 	if c.conn == nil {
 		// An earlier call broke the connection: redial first.
-		conn, err := c.dial()
-		if err != nil {
+		if err := c.connect(); err != nil {
 			return c.abandon(err)
 		}
-		c.conn = conn
 		c.stats.Redials++
 		mtr.redials.Add(1)
 		obs.Debugf("wire", "redialled %s", c.addr)
@@ -528,7 +548,7 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	if err := WriteFrameCtx(c.conn, msgType, sc, payload); err != nil {
 		return c.abandon(err)
 	}
-	replyType, reply, err := ReadFrame(replyReader{c})
+	replyType, reply, err := ReadFrame(c.br)
 	if err != nil {
 		return c.abandon(err)
 	}
@@ -560,6 +580,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn = nil
+	c.conn, c.br = nil, nil
 	return err
 }

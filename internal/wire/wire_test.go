@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"cellbricks/internal/obs"
 )
 
 func echoServer(t *testing.T) (*Server, *Client) {
@@ -170,5 +174,83 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	s.Close()
 	if _, _, err := c.Call(TypeNAS, []byte("x")); err == nil {
 		t.Fatal("call to closed server succeeded")
+	}
+}
+
+// readCountingConn counts the Read calls that delivered bytes.
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+type readCountingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l readCountingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return readCountingConn{conn, l.reads}, nil
+}
+
+// A frame costs one read(2) at each end, not one for its length prefix and
+// one for its body: both ends read through a per-connection buffer. Frames
+// past the buffer still arrive whole.
+func TestOneReadPerFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverReads, clientReads atomic.Int64
+	s := serve(readCountingListener{ln, &serverReads}, func(_ obs.SpanContext, _ byte, p []byte) (byte, []byte, error) {
+		return TypeNASReply, p, nil
+	}, ServerOptions{})
+	defer s.Close()
+	c, err := DialOptions(s.Addr(), Options{Dialer: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return readCountingConn{conn, &clientReads}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sizes := []int{0, 1, 9, 400, 1500, readBuf - 5} // the last frame fills the buffer exactly
+	for _, n := range sizes {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		if _, reply, err := c.Call(TypeNAS, payload); err != nil || !bytes.Equal(reply, payload) {
+			t.Fatalf("%d-byte payload: reply of %d bytes, %v", n, len(reply), err)
+		}
+	}
+	if got := serverReads.Load(); got != int64(len(sizes)) {
+		t.Errorf("server read %d times for %d request frames", got, len(sizes))
+	}
+	if got := clientReads.Load(); got != int64(len(sizes)) {
+		t.Errorf("client read %d times for %d reply frames", got, len(sizes))
+	}
+	if c.replied != readBuf {
+		t.Errorf("replied = %d after a %d-byte reply frame: it must count bytes off the socket", c.replied, readBuf)
+	}
+
+	big := bytes.Repeat([]byte{0xB1}, 20*readBuf)
+	if _, reply, err := c.Call(TypeNAS, big); err != nil || !bytes.Equal(reply, big) {
+		t.Fatalf("frame past the read buffer: reply of %d bytes, %v", len(reply), err)
+	}
+	if _, reply, err := c.Call(TypeNAS, []byte("after")); err != nil || string(reply) != "after" {
+		t.Fatalf("small frame after a large one: %q, %v", reply, err)
 	}
 }
