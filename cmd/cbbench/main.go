@@ -18,7 +18,7 @@
 // same rows/series the paper reports. Independent simulations within an
 // experiment fan out over -workers goroutines (default: GOMAXPROCS) with
 // output byte-identical to -seq; -shards K additionally partitions each
-// scale/failover world across K netem shards running in parallel, again
+// scale/byzantine/storm world across K netem shards running in parallel, again
 // with byte-identical output for any K; -json appends a machine-readable
 // record of each experiment's wall time, allocations, and headline
 // metrics to BENCH_<date>.json, building a benchmark trajectory across
@@ -150,7 +150,7 @@ func main() {
 	trials := flag.Int("trials", 3, "fig9: trials per configuration")
 	workers := flag.Int("workers", 0, "worker goroutines for independent simulations (0 = GOMAXPROCS)")
 	seq := flag.Bool("seq", false, "run every simulation sequentially (same output, no parallelism)")
-	shards := flag.Int("shards", 1, "netem world shards for scale/failover (clamped to GOMAXPROCS; output is byte-identical for any value)")
+	shards := flag.Int("shards", 1, "netem world shards for scale/byzantine/storm (clamped to GOMAXPROCS; output is byte-identical for any value)")
 	scaleN := flag.String("scale-n", "1,4,16,64,1024,10240", "scale: comma-separated UE counts to sweep")
 	faults := flag.String("faults", "flap=2x3s,pause=1x800ms,broker=1x10s,crash=1x6s,corrupt=1x5s@0.05",
 		"failover: fault spec, class=COUNTxDUR[@RATE] comma-separated (classes: flap pause broker crash corrupt trunc)")
@@ -409,7 +409,7 @@ func main() {
 				return "", nil, err
 			}
 			res, err := testbed.RunFailover(testbed.FailoverConfig{
-				Seed: *seed, Duration: *dur, Spec: spec, Tracer: tracer, Shards: effShards,
+				Seed: *seed, Duration: *dur, Spec: spec, Tracer: tracer,
 			})
 			if err != nil {
 				return "", nil, err

@@ -84,7 +84,7 @@ func main() {
 	// The session's settlement is conservative: disputed cycles pay out
 	// on the UE-verified bytes, not the inflated claim.
 	uref := cheat.AGW.Session(att.SessionID).URef
-	st, err := brk.D.SettleSession(uref, 30*time.Second)
+	st, err := brk.D.SettleSession(uref)
 	if err != nil {
 		log.Fatal(err)
 	}

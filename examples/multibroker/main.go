@@ -86,11 +86,11 @@ func main() {
 	// verified usage.
 	aliceRef := cell.AGW.Session(aAtt.SessionID).URef
 	bobRef := cell.AGW.Session(bAtt.SessionID).URef
-	sA, err := acme.D.SettleSession(aliceRef, 30*time.Second)
+	sA, err := acme.D.SettleSession(aliceRef)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sB, err := globex.D.SettleSession(bobRef, 30*time.Second)
+	sB, err := globex.D.SettleSession(bobRef)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,11 +23,6 @@ type Iperf struct {
 	conn *mptcp.Conn
 	bin  time.Duration
 
-	// Drive, when set, advances virtual time instead of sim.RunUntil —
-	// the hook that lets a measurement inside a sharded netem.World run
-	// under the world's barrier loop (only the World may advance clocks).
-	Drive func(until time.Duration)
-
 	series    []float64
 	binBytes  uint64
 	total     uint64
@@ -76,11 +71,7 @@ func (ip *Iperf) Run(dur time.Duration) IperfResult {
 	}
 	ip.sim.After(ip.bin, sample)
 	ip.sim.After(dur, func() { ip.stopped = true })
-	if ip.Drive != nil {
-		ip.Drive(ip.started + dur)
-	} else {
-		ip.sim.RunUntil(ip.started + dur)
-	}
+	ip.sim.RunUntil(ip.started + dur)
 
 	elapsed := ip.sim.Now() - ip.started
 	res := IperfResult{

@@ -515,7 +515,7 @@ func TestAlignByTime(t *testing.T) {
 	}
 	ue := []*Report{mk(ReporterUE, 30*time.Second), mk(ReporterUE, 60*time.Second), mk(ReporterUE, 90*time.Second)}
 	telco := []*Report{mk(ReporterTelco, 31*time.Second), mk(ReporterTelco, 58*time.Second)}
-	pairs := AlignByTime(ue, telco, cycle)
+	pairs := alignByTime(ue, telco, cycle)
 	if len(pairs) != 2 {
 		t.Fatalf("aligned %d pairs, want 2", len(pairs))
 	}
@@ -523,7 +523,7 @@ func TestAlignByTime(t *testing.T) {
 		t.Fatalf("pair 0 wrong: %+v", pairs[0])
 	}
 	// A telco report far outside any window pairs with nothing.
-	lone := AlignByTime(ue[:1], []*Report{mk(ReporterTelco, 300*time.Second)}, cycle)
+	lone := alignByTime(ue[:1], []*Report{mk(ReporterTelco, 300*time.Second)}, cycle)
 	if len(lone) != 0 {
 		t.Fatalf("distant reports paired: %v", lone)
 	}
@@ -531,13 +531,19 @@ func TestAlignByTime(t *testing.T) {
 
 func TestSettle(t *testing.T) {
 	v := mkVerifier()
+	ingest := func(v *Verifier, rs ...*Report) {
+		t.Helper()
+		for _, r := range rs {
+			if _, err := v.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	// Reports are cumulative: pair 2 is the newest and disputed, so the
 	// session settles on its UE-attested cumulative total.
-	pairs := []AlignedPair{
-		{UE: rpt(ReporterUE, 1, 1_000_000, 0), Telco: rpt(ReporterTelco, 1, 1_000_000, 0)},
-		{UE: rpt(ReporterUE, 2, 2_000_000, 0), Telco: rpt(ReporterTelco, 2, 6_000_000, 0), Mismatched: true},
-	}
-	s := v.Settle("sess", pairs, 2.0)
+	ingest(v, rpt(ReporterUE, 1, 1_000_000, 0), rpt(ReporterTelco, 1, 1_000_000, 0),
+		rpt(ReporterUE, 2, 2_000_000, 0), rpt(ReporterTelco, 2, 6_000_000, 0))
+	s := v.Settle("sess", 2.0)
 	if !s.Disputed {
 		t.Fatal("disputed pair not marked")
 	}
@@ -552,15 +558,40 @@ func TestSettle(t *testing.T) {
 	if s.IDT != "telco-1" {
 		t.Fatalf("IDT = %q", s.IDT)
 	}
+	// A dispute is sticky, but a later agreeing pair settles on the mean
+	// of both sides again.
+	ingest(v, rpt(ReporterUE, 3, 3_000_000, 0), rpt(ReporterTelco, 3, 3_000_000, 0))
+	if s3 := v.Settle("sess", 2.0); !s3.Disputed || s3.VerifiedBytes != 3_300_000 {
+		t.Fatalf("settlement after the dispute = %+v", s3)
+	}
+	// Of two pairs cut at one Rel, the first stands.
+	tie := rpt(ReporterUE, 4, 4_000_000, 0)
+	tie.Rel = 90 * time.Second
+	tieT := *tie
+	tieT.Reporter = ReporterTelco
+	ingest(v, tie, &tieT)
+	if s4 := v.Settle("sess", 2.0); s4.VerifiedBytes != 3_300_000 {
+		t.Fatalf("a pair at the newest pair's Rel replaced it: %+v", s4)
+	}
 	// An agreeing final pair settles on the mean of both sides.
-	ok := []AlignedPair{{UE: rpt(ReporterUE, 1, 1_000_000, 0), Telco: rpt(ReporterTelco, 1, 1_000_000, 0)}}
-	s2 := v.Settle("sess", ok, 2.0)
+	v = mkVerifier()
+	ingest(v, rpt(ReporterUE, 1, 1_000_000, 0), rpt(ReporterTelco, 1, 1_000_000, 0))
+	s2 := v.Settle("sess", 2.0)
 	if s2.Disputed || s2.VerifiedBytes != 1_100_000 {
 		t.Fatalf("agreeing settlement = %+v", s2)
 	}
-	// No pairs -> zero settlement.
-	if z := v.Settle("sess", nil, 2.0); z.VerifiedBytes != 0 || z.Amount != 0 {
+	// No pairs -> zero settlement, whether the half of one is waiting, the
+	// session has no report at all, or nobody bound it.
+	v = mkVerifier()
+	if z := v.Settle("sess", 2.0); z.VerifiedBytes != 0 || z.Amount != 0 || z.Unpaired != 0 || z.IDT != "telco-1" {
 		t.Fatalf("empty settlement = %+v", z)
+	}
+	ingest(v, rpt(ReporterUE, 1, 1_000_000, 0))
+	if z := v.Settle("sess", 2.0); z.VerifiedBytes != 0 || z.Amount != 0 || z.Unpaired != 1 {
+		t.Fatalf("settlement on a lone half = %+v", z)
+	}
+	if z := v.Settle("nobody", 2.0); z != (Settlement{SessionRef: "nobody"}) {
+		t.Fatalf("unbound settlement = %+v", z)
 	}
 }
 

@@ -255,24 +255,29 @@ type audit struct {
 	mustSign bool
 }
 
-// reporterOf names the stream r belongs to, from the session's binding.
-func (v *Verifier) reporterOf(r *Report) reporterID {
-	if r.Reporter == ReporterUE {
-		return reporterID{ReporterUE, v.sessionUser[r.SessionRef]}
+// reporterOf names the stream a report of reporter rep on session s belongs to.
+func (s *session) reporterOf(rep Reporter) reporterID {
+	if rep == ReporterUE {
+		return reporterID{ReporterUE, s.idU}
 	}
-	return reporterID{ReporterTelco, v.sessionTelco[r.SessionRef]}
+	return reporterID{ReporterTelco, s.idT}
 }
 
 // MustSign reports whether o is a MAC'd envelope from a reporter that is
 // refused MAC mode: the caller answers ErrMustSign and ingests nothing.
 func (v *Verifier) MustSign(o *Opened) bool {
-	a := v.audits[v.reporterOf(o.Report)]
-	return o.MACd && a != nil && a.mustSign
+	s := v.sessions[o.Report.SessionRef]
+	if !o.MACd || s == nil {
+		return false
+	}
+	a := v.audits[s.reporterOf(o.Report.Reporter)]
+	return a != nil && a.mustSign
 }
 
-// IngestOpened is Ingest for an authenticated envelope, followed by the
-// reporter's checkpoint audit (DESIGN.md §2.10). A report that Ingest
-// rejects — a replay, an unknown session — leaves the audit untouched.
+// IngestOpened is Ingest for an authenticated envelope: an accepted body is
+// kept with its session as evidence, and the reporter's checkpoint audit
+// follows (DESIGN.md §2.10). A report that Ingest rejects — a replay, an
+// unknown session — is not kept and leaves the audit untouched.
 //
 // A lapse — a digest two successive checkpoints left out, or
 // 2·checkpointEvery of them with no checkpoint at all — costs the reporter
@@ -280,11 +285,12 @@ func (v *Verifier) MustSign(o *Opened) bool {
 // evidence. It costs no reputation: a reporter that rebooted mid-interval,
 // or whose checkpoint was lost on the way, looks exactly the same.
 func (v *Verifier) IngestOpened(o *Opened) (*Mismatch, error) {
-	mm, err := v.Ingest(o.Report)
+	s, mm, err := v.ingest(o.Report)
 	if err != nil {
 		return mm, err
 	}
-	who := v.reporterOf(o.Report)
+	s.bodies = append(s.bodies, o.Report)
+	who := s.reporterOf(o.Report.Reporter)
 	a, cp := v.audits[who], o.env.Checkpoint
 	if a == nil {
 		if !o.MACd && cp == nil {

@@ -3,7 +3,7 @@ package billing
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -50,26 +50,36 @@ func DefaultVerifierConfig() VerifierConfig {
 	return VerifierConfig{Epsilon: 0.05, Alpha: 0.10, SuspectTelcoCount: 3}
 }
 
-// pairKey aligns reports "using the relative timestamp / sequence".
-type pairKey struct {
-	ref string
-	seq uint32
-}
-
-type pendingPair struct {
-	ue    *Report
-	telco *Report
-}
-
-// repKey tracks per-(session, reporter) freshness for replay detection.
-type repKey struct {
-	ref string
-	rep Reporter
-}
-
+// freshness is the newest (seq, rel) one reporter submitted for a session.
 type freshness struct {
-	seq uint32
-	rel time.Duration
+	rel  time.Duration
+	seq  uint32
+	seen bool
+}
+
+// maxHalves caps the unpaired reports a session holds. An honest pair is
+// one cycle apart at most; a reporter that runs further ahead than this
+// loses its oldest unpaired report (the body stays as evidence), not money
+// it could otherwise have been paid.
+const maxHalves = 8
+
+// session is everything the verifier holds for one bound session reference:
+// evicting a session is deleting its row.
+type session struct {
+	idU, idT string
+	fresh    [2]freshness // by Reporter-1: the replay gate
+	// halves are the reports that can still pair: Seq ascending, all from
+	// the reporter that is ahead and all above the other's freshest Seq.
+	halves []*Report
+	// bodies are the reports IngestOpened accepted, in arrival order: what a
+	// dispute is argued over (DESIGN.md §2.10).
+	bodies []*Report
+	// The settlement so far, folded by check: the totals (UL+DL, cumulative)
+	// and Rel of the newest checked pair — the first of several with one
+	// Rel — whether that pair mismatched, and whether any pair ever did.
+	ueBytes, telcoBytes          uint64
+	rel                          time.Duration
+	paired, mismatched, disputed bool
 }
 
 // ErrReplayedReport is returned by Ingest for a stale or duplicated
@@ -79,24 +89,19 @@ type freshness struct {
 var ErrReplayedReport = fmt.Errorf("billing: replayed or stale report")
 
 // Verifier is the broker-side accounting pipeline: it ingests verified
-// report bodies, aligns UE/bTelco pairs, applies the Fig. 5 discrepancy
-// test, and maintains reputation state.
+// report bodies, pairs UE and bTelco reports by (session, seq), applies the
+// Fig. 5 discrepancy test once per pair, and maintains each session's
+// settlement and the reputation state.
 type Verifier struct {
 	cfg VerifierConfig
 
-	pending map[pairKey]*pendingPair
-	// session -> bTelco identity, provided by the SAP grant records.
-	sessionTelco map[string]string
-	sessionUser  map[string]string
+	sessions map[string]*session // by session reference, from BindSession
 
 	telcoRep   map[string]*ReputationEntry
 	userMisses map[string]map[string]bool // idU -> set of bTelcos disagreed with
 	suspects   map[string]bool
 
-	// lastSeen drives replay detection: the freshest (seq, rel) each
-	// reporter has submitted per session.
-	lastSeen map[repKey]freshness
-	replays  int
+	replays int
 
 	// audits tracks each reporter's MAC'd reports against its checkpoints
 	// (checkpoint.go); an entry appears with a reporter's first MAC'd
@@ -123,23 +128,24 @@ type ReputationEntry struct {
 // NewVerifier builds a verifier.
 func NewVerifier(cfg VerifierConfig) *Verifier {
 	return &Verifier{
-		cfg:          cfg,
-		pending:      make(map[pairKey]*pendingPair),
-		sessionTelco: make(map[string]string),
-		sessionUser:  make(map[string]string),
-		telcoRep:     make(map[string]*ReputationEntry),
-		userMisses:   make(map[string]map[string]bool),
-		suspects:     make(map[string]bool),
-		lastSeen:     make(map[repKey]freshness),
-		audits:       make(map[reporterID]*audit),
+		cfg:        cfg,
+		sessions:   make(map[string]*session),
+		telcoRep:   make(map[string]*ReputationEntry),
+		userMisses: make(map[string]map[string]bool),
+		suspects:   make(map[string]bool),
+		audits:     make(map[reporterID]*audit),
 	}
 }
 
 // BindSession tells the verifier which user and bTelco a session reference
 // belongs to (from the SAP grant record).
 func (v *Verifier) BindSession(ref, idU, idT string) {
-	v.sessionTelco[ref] = idT
-	v.sessionUser[ref] = idU
+	s := v.sessions[ref]
+	if s == nil {
+		s = &session{}
+		v.sessions[ref] = s
+	}
+	s.idU, s.idT = idU, idT
 }
 
 // Ingest adds one verified report body. When its counterpart (same
@@ -147,66 +153,77 @@ func (v *Verifier) BindSession(ref, idU, idT string) {
 // checked immediately and the outcome returned; otherwise ok=true with a
 // nil mismatch.
 func (v *Verifier) Ingest(r *Report) (*Mismatch, error) {
+	_, mm, err := v.ingest(r)
+	return mm, err
+}
+
+// ingest is Ingest, also returning the session the report was filed under.
+func (v *Verifier) ingest(r *Report) (*session, *Mismatch, error) {
 	if r == nil {
-		return nil, fmt.Errorf("billing: nil report")
+		return nil, nil, fmt.Errorf("billing: nil report")
 	}
-	if _, known := v.sessionTelco[r.SessionRef]; !known {
-		return nil, fmt.Errorf("billing: report for unknown session %q", r.SessionRef)
+	s := v.sessions[r.SessionRef]
+	if s == nil {
+		return nil, nil, fmt.Errorf("billing: report for unknown session %q", r.SessionRef)
 	}
 	if r.Reporter != ReporterUE && r.Reporter != ReporterTelco {
-		return nil, fmt.Errorf("billing: bad reporter %d", r.Reporter)
+		return nil, nil, fmt.Errorf("billing: bad reporter %d", r.Reporter)
 	}
 	// Replay/staleness gate: a reporter's (seq, rel) must strictly
 	// advance within a session. A signed old envelope sails through
 	// signature checks, so freshness is this layer's job. Replayed
-	// reports never reach pairing (no zombie pending pairs) and count as
-	// misconduct for the bTelco (its meter, its replay — a UE replay is
-	// handled by the suspect machinery via mismatches it causes).
-	fk := repKey{r.SessionRef, r.Reporter}
-	if last, seen := v.lastSeen[fk]; seen && (r.Seq <= last.seq || r.Rel < last.rel) {
+	// reports never reach pairing and count as misconduct for the bTelco
+	// (its meter, its replay — a UE replay is handled by the suspect
+	// machinery via mismatches it causes).
+	mine, other := &s.fresh[r.Reporter-1], s.fresh[2-r.Reporter]
+	if mine.seen && (r.Seq <= mine.seq || r.Rel < mine.rel) {
 		v.replays++
 		if r.Reporter == ReporterTelco {
-			if rep := v.repEntry(v.sessionTelco[r.SessionRef]); rep != nil {
-				rep.Replays++
-			}
-			v.PenalizeMisconduct(v.sessionTelco[r.SessionRef], 1.0)
+			v.repEntry(s.idT).Replays++
+			v.PenalizeMisconduct(s.idT, 1.0)
 		}
-		return nil, fmt.Errorf("%w: session %q reporter %d seq %d rel %v (last seq %d rel %v)",
-			ErrReplayedReport, r.SessionRef, r.Reporter, r.Seq, r.Rel, last.seq, last.rel)
+		return nil, nil, fmt.Errorf("%w: session %q reporter %d seq %d rel %v (last seq %d rel %v)",
+			ErrReplayedReport, r.SessionRef, r.Reporter, r.Seq, r.Rel, mine.seq, mine.rel)
 	}
-	v.lastSeen[fk] = freshness{seq: r.Seq, rel: r.Rel}
-	k := pairKey{r.SessionRef, r.Seq}
-	p := v.pending[k]
-	if p == nil {
-		p = &pendingPair{}
-		v.pending[k] = p
+	*mine = freshness{rel: r.Rel, seq: r.Seq, seen: true}
+	// Pairing is by (session, seq). The other side's halves below r.Seq
+	// waited for a report this reporter can no longer send: they go.
+	if h := s.halves; len(h) > 0 && h[0].Reporter != r.Reporter {
+		i := 0
+		for i < len(h) && h[i].Seq < r.Seq {
+			i++
+		}
+		var partner *Report
+		if i < len(h) && h[i].Seq == r.Seq {
+			partner = h[i]
+			i++
+		}
+		s.halves = slices.Delete(h, 0, i)
+		if partner != nil {
+			ue, telco := r, partner
+			if r.Reporter == ReporterTelco {
+				ue, telco = partner, r
+			}
+			return s, v.check(s, ue, telco), nil
+		}
 	}
-	switch r.Reporter {
-	case ReporterUE:
-		p.ue = r
-	case ReporterTelco:
-		p.telco = r
-	default:
-		return nil, fmt.Errorf("billing: bad reporter %d", r.Reporter)
+	// r waits for its counterpart, if the other side can still send one.
+	if !other.seen || r.Seq > other.seq {
+		if len(s.halves) == maxHalves {
+			s.halves = slices.Delete(s.halves, 0, 1)
+		}
+		s.halves = append(s.halves, r)
 	}
-	if p.ue == nil || p.telco == nil {
-		return nil, nil
-	}
-	delete(v.pending, k)
-	return v.check(p.ue, p.telco), nil
+	return s, nil, nil
 }
 
-// check applies Fig. 5: threshold = DL_U * (loss_U + epsilon); a mismatch
-// is |DL_T - DL_U| > threshold. Reputation is an EWMA over pass/fail with
-// the failure contribution weighted by the degree of mismatch.
-func (v *Verifier) check(ue, telco *Report) *Mismatch {
-	idT := v.sessionTelco[ue.SessionRef]
-	idU := v.sessionUser[ue.SessionRef]
-	rep := v.telcoRep[idT]
-	if rep == nil {
-		rep = &ReputationEntry{Score: 1}
-		v.telcoRep[idT] = rep
-	}
+// check applies Fig. 5 to a completed pair of session s: threshold =
+// DL_U * (loss_U + epsilon); a mismatch is |DL_T - DL_U| > threshold.
+// Reputation is an EWMA over pass/fail with the failure contribution
+// weighted by the degree of mismatch. The verdict is also folded into the
+// session's settlement, which is all Settle reads.
+func (v *Verifier) check(s *session, ue, telco *Report) *Mismatch {
+	rep := v.repEntry(s.idT)
 	rep.Reports++
 
 	slack := float64(v.cfg.SlackBytes)
@@ -215,10 +232,16 @@ func (v *Verifier) check(ue, telco *Report) *Mismatch {
 	}
 	threshold := float64(ue.DLBytes)*(ue.QoS.DLLossRate+v.cfg.Epsilon) + slack
 	diff := math.Abs(float64(telco.DLBytes) - float64(ue.DLBytes))
-	if diff <= threshold {
+	mismatched := diff > threshold
+	if !s.paired || ue.Rel > s.rel {
+		s.paired, s.rel, s.mismatched = true, ue.Rel, mismatched
+		s.ueBytes, s.telcoBytes = ue.DLBytes+ue.ULBytes, telco.DLBytes+telco.ULBytes
+	}
+	if !mismatched {
 		rep.Score = rep.Score*(1-v.cfg.Alpha) + v.cfg.Alpha*1.0
 		return nil
 	}
+	s.disputed = true
 	degree := diff / math.Max(float64(ue.DLBytes), 1)
 	m := Mismatch{
 		SessionRef: ue.SessionRef,
@@ -239,14 +262,14 @@ func (v *Verifier) check(ue, telco *Report) *Mismatch {
 
 	// Track which bTelcos this user has disagreed with: a user whose
 	// reports clash with many independent bTelcos is the likelier liar.
-	set := v.userMisses[idU]
+	set := v.userMisses[s.idU]
 	if set == nil {
 		set = make(map[string]bool)
-		v.userMisses[idU] = set
+		v.userMisses[s.idU] = set
 	}
-	set[idT] = true
+	set[s.idT] = true
 	if len(set) >= v.cfg.SuspectTelcoCount {
-		v.suspects[idU] = true
+		v.suspects[s.idU] = true
 	}
 	return &m
 }
@@ -300,11 +323,7 @@ func (v *Verifier) PenalizeMisconduct(idT string, degree float64) {
 // reputation system to QoS enforcement. degree in (0,1] scales the hit;
 // QoS misses weigh half as much as accounting fraud.
 func (v *Verifier) PenalizeQoS(idT string, degree float64) {
-	rep := v.telcoRep[idT]
-	if rep == nil {
-		rep = &ReputationEntry{Score: 1}
-		v.telcoRep[idT] = rep
-	}
+	rep := v.repEntry(idT)
 	if degree > 1 {
 		degree = 1
 	}
@@ -361,69 +380,40 @@ type Settlement struct {
 	VerifiedBytes uint64
 	Amount        float64
 	Disputed      bool
+	Unpaired      int // reports still waiting for their counterpart
 }
 
-// Settle computes the payout for a session from its aligned pairs seen so
-// far, at the given price per GB. Reports carry *cumulative* session
-// counters, so the newest aligned pair determines the verified total:
-// the mean of the two sides when that pair agreed, the UE-attested value
-// (conservative) when it mismatched. Disputed is set when any cycle
-// mismatched.
-func (v *Verifier) Settle(ref string, pairs []AlignedPair, pricePerGB float64) Settlement {
-	var last *AlignedPair
-	disputed := false
-	for i := range pairs {
-		if pairs[i].Mismatched {
-			disputed = true
-		}
-		if last == nil || pairs[i].UE.Rel > last.UE.Rel {
-			last = &pairs[i]
-		}
+// Settle prices what Ingest has concluded about a session so far, at the
+// given price per GB. Reports carry *cumulative* session counters, so the
+// newest checked pair determines the verified total: the mean of the two
+// sides when that pair agreed, the UE-attested value (conservative) when
+// it mismatched. Disputed is set when any pair mismatched. A report whose
+// counterpart never came under the same Seq attests nothing.
+func (v *Verifier) Settle(ref string, pricePerGB float64) Settlement {
+	s := v.sessions[ref]
+	if s == nil {
+		return Settlement{SessionRef: ref}
 	}
-	s := Settlement{SessionRef: ref, IDT: v.sessionTelco[ref], Disputed: disputed}
-	if last == nil {
-		return s
+	total := s.ueBytes
+	if !s.mismatched {
+		total = (total + s.telcoBytes) / 2
 	}
-	total := last.UE.DLBytes + last.UE.ULBytes
-	if !last.Mismatched {
-		total = (total + last.Telco.DLBytes + last.Telco.ULBytes) / 2
-	}
-	s.VerifiedBytes = total
-	s.Amount = float64(total) / 1e9 * pricePerGB
-	return s
+	return Settlement{SessionRef: ref, IDT: s.idT, VerifiedBytes: total,
+		Amount: float64(total) / 1e9 * pricePerGB, Disputed: s.disputed, Unpaired: len(s.halves)}
 }
 
-// AlignedPair is an evaluated report pair.
-type AlignedPair struct {
-	UE, Telco  *Report
-	Mismatched bool
-}
-
-// AlignByTime pairs two report streams by nearest relative timestamp
-// within half a reporting cycle — the broker "aligns U's and T's reports"
-// by relative timestamp when sequence numbers drift.
-func AlignByTime(ue, telco []*Report, cycle time.Duration) []AlignedPair {
-	sort.Slice(ue, func(i, j int) bool { return ue[i].Rel < ue[j].Rel })
-	sort.Slice(telco, func(i, j int) bool { return telco[i].Rel < telco[j].Rel })
-	var out []AlignedPair
-	j := 0
-	for _, u := range ue {
-		for j < len(telco) && telco[j].Rel < u.Rel-cycle/2 {
-			j++
-		}
-		if j < len(telco) && absDur(telco[j].Rel-u.Rel) <= cycle/2 {
-			out = append(out, AlignedPair{UE: u, Telco: telco[j]})
-			j++
+// Reports returns the bodies of the reports IngestOpened accepted from one
+// side of a session, in arrival order.
+func (v *Verifier) Reports(ref string, rep Reporter) []*Report {
+	var out []*Report
+	if s := v.sessions[ref]; s != nil {
+		for _, r := range s.bodies {
+			if r.Reporter == rep {
+				out = append(out, r)
+			}
 		}
 	}
 	return out
-}
-
-func absDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // Reputations returns a copy of all reputation entries (snapshotting).

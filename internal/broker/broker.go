@@ -58,14 +58,12 @@ type Brokerd struct {
 
 	mu            sync.Mutex
 	verifier      *billing.Verifier
-	users         map[string]pki.PublicIdentity // idU -> baseband/report key
-	telcoKeys     map[string]telcoKey           // idT -> certified key (and pass)
-	grants        map[string]*sap.GrantRecord   // URef -> grant
-	reports       map[string]map[billing.Reporter][]*billing.Report
-	qosViolations map[string]int // idT -> QoS incident count
-	policy        sap.Authorizer // optional rule chain (see policy.go)
-	shedHint      time.Duration  // non-zero = degraded: shed attach load
-	shedCount     uint64         // auth requests shed while degraded
+	telcoKeys     map[string]telcoKey         // idT -> certified key (and pass)
+	grants        map[string]*sap.GrantRecord // URef -> grant
+	qosViolations map[string]int              // idT -> QoS incident count
+	policy        sap.Authorizer              // optional rule chain (see policy.go)
+	shedHint      time.Duration               // non-zero = degraded: shed attach load
+	shedCount     uint64                      // auth requests shed while degraded
 
 	// Dynamic quarantine (see quarantine.go); nil quarCfg = disabled.
 	quarCfg    *QuarantineConfig
@@ -97,10 +95,8 @@ func New(cfg Config) *Brokerd {
 	b := &Brokerd{
 		cfg:           cfg,
 		verifier:      billing.NewVerifier(cfg.VerifierConfig),
-		users:         make(map[string]pki.PublicIdentity),
 		telcoKeys:     make(map[string]telcoKey),
 		grants:        make(map[string]*sap.GrantRecord),
-		reports:       make(map[string]map[billing.Reporter][]*billing.Report),
 		qosViolations: make(map[string]int),
 		resumed:       make(map[string]bool),
 	}
@@ -117,13 +113,7 @@ func (b *Brokerd) Public() pki.PublicIdentity { return b.cfg.Key.Public() }
 
 // RegisterUser issues membership for a UE key, returning its idU. The
 // same key signs the UE's baseband traffic reports.
-func (b *Brokerd) RegisterUser(pub pki.PublicIdentity) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	id := b.sap.RegisterUser(pub)
-	b.users[id] = pub
-	return id
-}
+func (b *Brokerd) RegisterUser(pub pki.PublicIdentity) string { return b.sap.RegisterUser(pub) }
 
 // RevokeUser invalidates a user's key.
 func (b *Brokerd) RevokeUser(idU string) { b.sap.RevokeUser(idU) }
@@ -358,6 +348,14 @@ func (b *Brokerd) Checkpoints(rep billing.Reporter, id string) []*billing.Checkp
 	return b.verifier.Checkpoints(rep, id)
 }
 
+// Reports returns the bodies of the reports the broker accepted from one
+// side of a session, in arrival order: the other thing an arbiter asks for.
+func (b *Brokerd) Reports(uref string, rep billing.Reporter) []*billing.Report {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.verifier.Reports(uref, rep)
+}
+
 // Grant returns the grant record for a session reference.
 func (b *Brokerd) Grant(uref string) *sap.GrantRecord {
 	b.mu.Lock()
@@ -365,33 +363,15 @@ func (b *Brokerd) Grant(uref string) *sap.GrantRecord {
 	return b.grants[uref]
 }
 
-// SettleSession computes the payout owed to the bTelco for a session from
-// the aligned report pairs received so far, at the price agreed in the
-// SAP exchange.
-func (b *Brokerd) SettleSession(uref string, cycle time.Duration) (billing.Settlement, error) {
+// SettleSession computes the payout owed to the bTelco for a session: what
+// report ingestion has concluded about it so far, at the price agreed in
+// the SAP exchange.
+func (b *Brokerd) SettleSession(uref string) (billing.Settlement, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	byRep := b.reports[uref]
-	if byRep == nil {
+	rec := b.grants[uref]
+	if rec == nil {
 		return billing.Settlement{}, fmt.Errorf("%w: %s", ErrUnknownSession, uref)
 	}
-	pairs := billing.AlignByTime(byRep[billing.ReporterUE], byRep[billing.ReporterTelco], cycle)
-	// Re-evaluate mismatch flags against the verifier's config for the
-	// settlement view.
-	eps := b.cfg.VerifierConfig.Epsilon
-	slack := float64(b.cfg.VerifierConfig.SlackBytes)
-	if slack == 0 {
-		slack = 1500
-	}
-	for i := range pairs {
-		th := float64(pairs[i].UE.DLBytes)*(pairs[i].UE.QoS.DLLossRate+eps) + slack
-		diff := float64(pairs[i].Telco.DLBytes) - float64(pairs[i].UE.DLBytes)
-		if diff < 0 {
-			diff = -diff
-		}
-		pairs[i].Mismatched = diff > th
-	}
-	// A session with reports has a grant: commitReportLocked files a
-	// report only under a recorded one, and grants are never deleted.
-	return b.verifier.Settle(uref, pairs, b.grants[uref].Terms.PricePerGB), nil
+	return b.verifier.Settle(uref, rec.Terms.PricePerGB), nil
 }

@@ -104,7 +104,7 @@ func (m *macStream) send(t *testing.T, n int) (last *billing.SealedReport) {
 	return last
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	now := time.Unix(1_760_000_000, 0)
 	ca, err := pki.NewCAFromSeed("h-ca", bytes.Repeat([]byte{90}, 32))
@@ -130,7 +130,7 @@ func newHarness(t *testing.T) *harness {
 }
 
 // attach runs the SAP exchange, returning the grant and session ref.
-func (h *harness) attach(t *testing.T) (*sap.Grant, string) {
+func (h *harness) attach(t testing.TB) (*sap.Grant, string) {
 	t.Helper()
 	reqU, pending, err := h.ue.NewAttachRequest(h.telco.IDT)
 	if err != nil {
@@ -174,7 +174,7 @@ func (h *harness) rekeyBroker(t *testing.T) {
 	h.ue.BrokerPub = bk.Public()
 }
 
-func (h *harness) report(t *testing.T, rep billing.Reporter, signer *pki.KeyPair, ref string, seq uint32, dl uint64) *billing.Mismatch {
+func (h *harness) report(t testing.TB, rep billing.Reporter, signer *pki.KeyPair, ref string, seq uint32, dl uint64) *billing.Mismatch {
 	t.Helper()
 	r := &billing.Report{
 		SessionRef: ref, Reporter: rep, Seq: seq,
@@ -285,7 +285,7 @@ func TestSettleSessionFlow(t *testing.T) {
 	_, ref := h.attach(t)
 	h.report(t, billing.ReporterUE, h.ueKey, ref, 1, 2_000_000)
 	h.report(t, billing.ReporterTelco, h.telco.Key, ref, 1, 2_020_000)
-	st, err := h.brk.SettleSession(ref, 30*time.Second)
+	st, err := h.brk.SettleSession(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSettleSessionFlow(t *testing.T) {
 	if st.Amount != want {
 		t.Fatalf("amount = %v, want %v", st.Amount, want)
 	}
-	if _, err := h.brk.SettleSession("bogus", time.Second); err == nil {
+	if _, err := h.brk.SettleSession("bogus"); err == nil {
 		t.Fatal("settle for unknown session accepted")
 	}
 }
@@ -526,7 +526,7 @@ func TestSnapshotRestore(t *testing.T) {
 	// ...and keeps settling the old session's reports.
 	h.report(t, billing.ReporterUE, h.ueKey, ref, 2, 2_000_000)
 	h.report(t, billing.ReporterTelco, h.telco.Key, ref, 2, 2_020_000)
-	st, err := fresh.SettleSession(ref, 30*time.Second)
+	st, err := fresh.SettleSession(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,9 +690,7 @@ func TestBrokerKeepsWhatADisputeNeeds(t *testing.T) {
 	if len(cps) != 1 {
 		t.Fatalf("%d checkpoints kept after 256 MAC'd reports, want 1", len(cps))
 	}
-	h.brk.mu.Lock()
-	stored := h.brk.reports[m.ref][billing.ReporterUE]
-	h.brk.mu.Unlock()
+	stored := h.brk.Reports(m.ref, billing.ReporterUE)
 	if len(stored) != 257 {
 		t.Fatalf("%d report bodies stored, want 257", len(stored))
 	}
@@ -748,9 +746,7 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 	}); err != nil || !slices.Equal(sigs, []int{32, 64}) {
 		t.Fatalf("upload to a freshly restored broker: Sig lengths %v, %v", sigs, err)
 	}
-	nb.mu.Lock()
-	stored := nb.reports[m.ref][billing.ReporterTelco]
-	nb.mu.Unlock()
+	stored := nb.Reports(m.ref, billing.ReporterTelco)
 	if len(stored) != 1 || stored[0].Seq != m.seq {
 		t.Fatalf("%d bTelco reports stored after the restore, want the resent one", len(stored))
 	}

@@ -30,8 +30,9 @@ func (b *Brokerd) Snapshot() []byte {
 	w.Byte(snapshotVersion)
 	w.String(b.cfg.ID)
 
-	w.Uint32(uint32(len(b.users)))
-	for id, pub := range b.users {
+	users := b.sap.Users()
+	w.Uint32(uint32(len(users)))
+	for id, pub := range users {
 		w.String(id)
 		w.Bytes(pub.Bytes())
 	}
@@ -94,14 +95,12 @@ func (b *Brokerd) Restore(snap []byte) error {
 
 	nUsers := r.Uint32()
 	for i := uint32(0); i < nUsers && r.Err() == nil; i++ {
-		uid := r.String()
+		_ = r.String() // the idU: RegisterUser derives the same digest from the key
 		pub, err := pki.ParsePublicIdentity(r.Bytes())
 		if err != nil {
 			return err
 		}
-		b.users[uid] = pub
 		b.sap.RegisterUser(pub)
-		_ = uid // RegisterUser derives the same digest id
 	}
 	nTelcos := r.Uint32()
 	for i := uint32(0); i < nTelcos && r.Err() == nil; i++ {

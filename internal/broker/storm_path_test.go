@@ -596,6 +596,82 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				m.send(t, 3)
 				return sealedReport(t, h, m.ref, billing.ReporterTelco, h.telco.Key, m.seq+1, 1)
 			}},
+		// One judge, one record (DESIGN.md §2.5): a pair is a pair by
+		// (session, seq) and nothing else, settlement is what ingest
+		// concluded, and a half that can no longer pair is not kept.
+		{name: "report: bTelco claims 3x under seq + 1000, same Rel",
+			build: func(t *testing.T, h *harness) *txItem {
+				m := h.ueMACStream(t) // the UE's seq 1 is in
+				pass := h.brk.cfg.Key.Pass(h.telco.Cert.Digest())
+				sealer, err := pki.NewSealer(h.brk.Public())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var skewed billing.Stream
+				var env *billing.SealedReport
+				for k := uint32(1); k <= 1000; k++ {
+					if env != nil {
+						if mm, err := h.brk.HandleReport(env); err != nil || mm != nil {
+							t.Fatalf("skewed report %d: %v %v", k-1, mm, err)
+						}
+						m.send(t, 1)
+					}
+					r := &billing.Report{SessionRef: m.ref, Reporter: billing.ReporterTelco, Seq: 1000 + k,
+						Rel: time.Duration(k) * 30 * time.Second, DLBytes: 3000 * uint64(k)}
+					if env, err = skewed.Seal(r, h.telco.Key, sealer, &pass); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return &txItem{kind: txReport, report: env}
+			},
+			check: func(t *testing.T, h *harness) {
+				st, err := h.brk.SettleSession(h.macd.ref)
+				if err != nil || st.VerifiedBytes != 0 || st.Amount != 0 || st.Disputed {
+					t.Fatalf("a reporter that skews its sequence numbers was paired: %+v, %v", st, err)
+				}
+				if st.Unpaired != 8 { // billing's cap on a session's unpaired halves
+					t.Fatalf("%d unpaired halves held after 1,000 unpairable reports a side, want the cap", st.Unpaired)
+				}
+				if e := h.brk.verifier.TelcoEntry("h-telco"); (e != nil && *e != billing.ReputationEntry{Score: 1}) || len(h.brk.Mismatches()) != 0 {
+					t.Fatalf("never paired, yet judged: %+v, %d mismatches", e, len(h.brk.Mismatches()))
+				}
+				if n := len(h.brk.Reports(h.macd.ref, billing.ReporterTelco)); n != 1000 {
+					t.Fatalf("%d skewed bodies kept as evidence, want all 1000", n)
+				}
+			}},
+		{name: "report: same seq, Rel a whole cycle off",
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				h.macd = &macStream{ref: ref}
+				h.report(t, billing.ReporterUE, h.ueKey, ref, 1, 1_000_000)
+				return sealItem(t, h, &billing.Report{SessionRef: ref, Reporter: billing.ReporterTelco, Seq: 1,
+					Rel: 60 * time.Second, DLBytes: 3_000_000}, h.telco.Key)
+			},
+			check: func(t *testing.T, h *harness) {
+				// Paired, and judged on bytes: the UE's figure stands.
+				st, err := h.brk.SettleSession(h.macd.ref)
+				if err != nil || !st.Disputed || st.VerifiedBytes != 1_000_000 || len(h.brk.Mismatches()) != 1 {
+					t.Fatalf("settlement %+v, %v, %d mismatches", st, err, len(h.brk.Mismatches()))
+				}
+			}},
+		{name: "report: UE half whose partner was refused as a replay",
+			build: func(t *testing.T, h *harness) *txItem {
+				_, ref := h.attach(t)
+				h.macd = &macStream{ref: ref}
+				h.report(t, billing.ReporterUE, h.ueKey, ref, 1, 1_000_000)
+				h.report(t, billing.ReporterTelco, h.telco.Key, ref, 2, 2_000_000)
+				late := sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, 1, 1_000_000)
+				if _, err := h.brk.HandleReport(late.report); !errors.Is(err, billing.ErrReplayedReport) {
+					t.Fatalf("the bTelco's seq 1 after its seq 2: %v", err)
+				}
+				return sealedReport(t, h, ref, billing.ReporterUE, h.ueKey, 2, 2_000_000)
+			},
+			check: func(t *testing.T, h *harness) {
+				st, err := h.brk.SettleSession(h.macd.ref)
+				if err != nil || st.Unpaired != 0 || st.VerifiedBytes != 2_000_000 || st.Disputed {
+					t.Fatalf("after the next pair completed: %+v, %v", st, err)
+				}
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -972,7 +1048,7 @@ func TestRestartKeepsAgreedPrice(t *testing.T) {
 		t.Helper()
 		h.report(t, billing.ReporterUE, h.ueKey, grant.URef, 1, 2_000_000)
 		h.report(t, billing.ReporterTelco, h.telco.Key, grant.URef, 1, 2_010_000)
-		st, err := h.brk.SettleSession(grant.URef, 30*time.Second)
+		st, err := h.brk.SettleSession(grant.URef)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ func (b *Brokerd) resolveLocked(it *txItem) {
 		}
 		switch it.o.Report.Reporter {
 		case billing.ReporterUE:
-			it.signer = b.users[it.rec.IDU]
+			it.signer = b.sap.UserKey(it.rec.IDU)
 		case billing.ReporterTelco:
 			k := b.telcoKeys[it.rec.IDT]
 			it.signer, it.pass = k.pub, k.pass
@@ -259,12 +259,6 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 		it.out.Err = billing.ErrMustSign
 		return
 	}
-	byRep := b.reports[r.SessionRef]
-	if byRep == nil {
-		byRep = make(map[billing.Reporter][]*billing.Report)
-		b.reports[r.SessionRef] = byRep
-	}
-	byRep[r.Reporter] = append(byRep[r.Reporter], r)
 	if r.Reporter == billing.ReporterUE {
 		b.checkQoS(it.rec, r)
 	}

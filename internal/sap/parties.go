@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,6 +338,21 @@ func (b *BrokerState) RegisterUser(pub pki.PublicIdentity) string {
 	b.users[id] = pub
 	b.mu.Unlock()
 	return id
+}
+
+// UserKey returns the key registered as idU — the one its baseband signs
+// traffic reports with — or the zero identity.
+func (b *BrokerState) UserKey(idU string) pki.PublicIdentity {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.users[idU]
+}
+
+// Users returns a copy of the user registry (snapshotting).
+func (b *BrokerState) Users() map[string]pki.PublicIdentity {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return maps.Clone(b.users)
 }
 
 // RevokeUser invalidates a user key: "B can revoke U's public key by

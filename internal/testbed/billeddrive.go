@@ -170,7 +170,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err := report(); err != nil && rollErr == nil {
 			rollErr = err
 		}
-		st, err := prin.brk.SettleSession(cur.uref, cycle)
+		st, err := prin.brk.SettleSession(cur.uref)
 		if err == nil {
 			res.Settlements = append(res.Settlements, st)
 			res.TotalOwed += st.Amount

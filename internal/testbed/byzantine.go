@@ -844,7 +844,7 @@ func (w *byzWorld) collect() ByzantineResult {
 			res.Cells = append(res.Cells, stat)
 
 			for _, s := range cell.sessions {
-				st, ok := bill.settle(w.brk, s, byzReportEvery)
+				st, ok := bill.settle(w.brk, s)
 				if !ok {
 					continue
 				}

@@ -38,12 +38,6 @@ type FailoverConfig struct {
 	// Spec is the fault specification; Compile(Seed, Duration) fixes the
 	// schedule.
 	Spec chaos.Spec
-	// Shards is the netem.World shard count (default 1). The failover
-	// world is one fault domain — everything lives on shard 0 and every
-	// shard draws the same seeded stream — so output is byte-identical
-	// for any value (the K-goldens in shard_test.go); the knob exists so
-	// cbbench -shards wires through uniformly.
-	Shards int
 	// Tracer, when set, records the faulted run's protocol events (fault
 	// injections, recoveries, handovers, attach storms, broker lifecycle)
 	// against the simulator clock. Recording never touches the seeded rng
@@ -75,9 +69,6 @@ var (
 func (c FailoverConfig) Defaults() FailoverConfig {
 	if c.Duration == 0 {
 		c.Duration = 2 * time.Minute
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	return c
 }
@@ -136,9 +127,8 @@ type foWatcher struct {
 // foWorld is the failover world: emulated data plane + in-process
 // control plane, both driven by one simulator clock.
 type foWorld struct {
-	cfg   FailoverConfig
-	world *netem.World
-	sim   *netem.Sim // shard 0 of world: the whole fault domain
+	cfg FailoverConfig
+	sim *netem.Sim // one simulator: the whole fault domain
 
 	path      *accessPath
 	conn      *mptcp.Conn
@@ -179,14 +169,12 @@ type foWorld struct {
 }
 
 func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
-	world := netem.NewWorld(cfg.Seed, cfg.Shards)
 	w := &foWorld{
-		cfg:   cfg,
-		world: world,
-		sim:   world.Shard(0),
-		live:  true,
-		res:   res,
-		ids:   obs.NewSpanIDSource(cfg.Seed),
+		cfg:  cfg,
+		sim:  netem.NewSim(cfg.Seed),
+		live: true,
+		res:  res,
+		ids:  obs.NewSpanIDSource(cfg.Seed),
 	}
 	// Trace timestamps are virtual time on this run's simulator clock.
 	cfg.Tracer.SetClock(w.sim.Now)
@@ -606,7 +594,6 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 	// Goodput measurement; chain onto the iperf delivery tap to feed the
 	// data-plane recovery watchers.
 	ip := apps.NewIperf(w.sim, w.conn, failoverBin)
-	ip.Drive = w.world.RunUntil // only the world may advance shard clocks
 	prev := w.conn.OnDeliver
 	w.conn.OnDeliver = func(n int) {
 		prev(n)

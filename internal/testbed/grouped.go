@@ -239,13 +239,13 @@ type ledger struct {
 
 // settle adds session s to the ledger and returns its settlement; ok is
 // false for a session that has none.
-func (l *ledger) settle(brk *broker.Brokerd, s *sessionCore, cycle time.Duration) (st billing.Settlement, ok bool) {
+func (l *ledger) settle(brk *broker.Brokerd, s *sessionCore) (st billing.Settlement, ok bool) {
 	l.sessions++
 	l.trueBytes += s.dl
 	if s.seq == 0 {
 		return st, false // died before its first report cycle
 	}
-	st, err := brk.SettleSession(s.uref, cycle)
+	st, err := brk.SettleSession(s.uref)
 	if err != nil {
 		return st, false
 	}

@@ -38,29 +38,21 @@ func TestScaleShardGoldenSHA256(t *testing.T) {
 }
 
 // TestFailoverShardGoldenSHA256 pins the failover experiment to one hash
-// across shard counts. The failover world is a single fault domain on shard
-// 0, so this checks that merely being hosted in a sharded world (same-seed
-// sibling shards, window-stepped RunUntil) perturbs nothing.
+// across re-runs. The failover world is a single fault domain on one
+// netem.Sim: there is no shard count to vary.
 func TestFailoverShardGoldenSHA256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := FailoverConfig{Seed: 9, Duration: 45 * time.Second}
-	base.Shards = 1
-	r, err := RunFailover(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderSHA(r.Render())
-	for _, k := range []int{4, 8} {
-		base.Shards = k
-		r, err := RunFailover(base)
+	hash := func() string {
+		r, err := RunFailover(FailoverConfig{Seed: 9, Duration: 45 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := renderSHA(r.Render()); got != want {
-			t.Fatalf("K=%d output hash %s != K=1 hash %s", k, got, want)
-		}
+		return renderSHA(r.Render())
+	}
+	if first, second := hash(), hash(); first != second {
+		t.Fatalf("second run's output hash %s != the first's %s", second, first)
 	}
 }
 

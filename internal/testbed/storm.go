@@ -590,7 +590,7 @@ func (w *stormWorld) collect() StormResult {
 		}
 		for _, cell := range grp.cells {
 			for _, s := range cell.sessions {
-				bill.settle(w.brk, s, cfg.ReportEvery)
+				bill.settle(w.brk, s)
 			}
 		}
 	}
