@@ -163,7 +163,6 @@ func main() {
 	stormRate := flag.Float64("storm-rate", 40, "storm: fleet-wide base attach arrival rate per second (ramps to 2x by the horizon)")
 	stormSpike := flag.Float64("storm-spike", 8, "storm: flash-crowd rate multiplier over the mid-run spike window")
 	stormUEs := flag.Int("storm-ues", 25, "storm: UEs per group (4 groups of 2 cells)")
-	stormSerial := flag.Bool("storm-serial", false, "storm: no resume fast path — every attach is a full SAP handshake (rendered output is byte-identical either way)")
 	jsonOut := flag.Bool("json", false, "append wall time/allocs/metrics to the bench-trajectory file")
 	jsonPath := flag.String("json-file", "", "bench-trajectory file (default BENCH_<date>.json)")
 	label := flag.String("label", "", "label for this run in the bench-trajectory file")
@@ -509,7 +508,6 @@ func main() {
 				UEsPerGroup: *stormUEs,
 				BaseRate:    *stormRate,
 				Spike:       *stormSpike,
-				Serial:      *stormSerial,
 				Shards:      effShards,
 			})
 			if err != nil {
@@ -520,7 +518,6 @@ func main() {
 				"attaches":               float64(res.Attaches),
 				"sheds":                  float64(res.Sheds),
 				"shed_frac":              res.ShedFraction(),
-				"resumes":                float64(res.Resumes),
 				"batch_flushes":          float64(res.BatchFlushes),
 				"batch_items":            float64(res.BatchItems),
 				"wall_pre_ms":            res.WallPre.Seconds() * 1000,

@@ -65,8 +65,7 @@ func (b *Brokerd) EnableAdmission(cfg AdmissionConfig, clock func() time.Duratio
 	b.mu.Unlock()
 }
 
-// AdmitAttach charges one attach (full handshake or resume) against the
-// shedder. queueDepth is the caller-observed backlog — pass
+// AdmitAttach charges one attach against the shedder. queueDepth is the caller-observed backlog — pass
 // Batcher.Depth() when enqueueing, 0 when calling the broker directly.
 // Returns nil when admission is disabled or granted, else a typed
 // *wire.RetryAfterError carrying the backoff hint.

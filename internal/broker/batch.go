@@ -8,7 +8,7 @@ import (
 )
 
 // Batcher is a queue in front of the broker transaction (transaction.go):
-// full SAP handshakes, fast-path resumes and billing reports are enqueued
+// SAP handshakes and billing reports are enqueued
 // at arrival and decided at the caller's flush instant — the storm's
 // sim-clock window — one transact per item, in arrival order. It adds no
 // second way to decide: an item flushed here gets exactly the outcome the
@@ -24,13 +24,12 @@ type Batcher struct {
 	total   uint64
 }
 
-// BatchOutcome is the per-item result of a Flush, in enqueue order.
-// Exactly one of Auth/Resume is set for attach items (nil plus Err for
-// hard errors); report items carry the Mismatch verdict and ingest
-// error, mirroring HandleReport.
+// BatchOutcome is the per-item result of a Flush, in enqueue order. An
+// attach item carries its response (nil plus Err for hard errors), as
+// HandleAuthRequest returns it; a report item the Mismatch verdict and
+// ingest error, as HandleReport does.
 type BatchOutcome struct {
 	Auth     *sap.AuthResp
-	Resume   *sap.ResumeResp
 	Mismatch *billing.Mismatch
 	Err      error
 }
@@ -38,16 +37,11 @@ type BatchOutcome struct {
 // NewBatcher builds an empty queue over this broker.
 func (b *Brokerd) NewBatcher() *Batcher { return &Batcher{b: b} }
 
-// EnqueueAuth queues a full SAP handshake for the next flush. The caller
+// EnqueueAuth queues a SAP handshake for the next flush. The caller
 // is responsible for admission (AdmitAttach with Depth()) — enqueued
 // items are past the gate and always processed.
 func (t *Batcher) EnqueueAuth(req *sap.AuthReqT) {
 	t.enqueue(txItem{kind: txAuth, auth: req})
-}
-
-// EnqueueResume queues a fast-path resume for the next flush.
-func (t *Batcher) EnqueueResume(req *sap.ResumeReq) {
-	t.enqueue(txItem{kind: txResume, resume: req})
 }
 
 // EnqueueReport queues a sealed billing report for the next flush.

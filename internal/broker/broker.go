@@ -73,11 +73,6 @@ type Brokerd struct {
 
 	// Admission-control shedder (admission.go); nil = disabled.
 	adm *admissionState
-
-	// Session references already consumed by a fast-path resume
-	// (resume.go). Like the SAP nonce cache this is replay protection,
-	// not durable state: a restart re-arms it empty.
-	resumed map[string]bool
 }
 
 // telcoKey is what the broker remembers of a bTelco it granted through: the
@@ -98,7 +93,6 @@ func New(cfg Config) *Brokerd {
 		telcoKeys:     make(map[string]telcoKey),
 		grants:        make(map[string]*sap.GrantRecord),
 		qosViolations: make(map[string]int),
-		resumed:       make(map[string]bool),
 	}
 	b.sap = sap.NewBrokerState(cfg.ID, cfg.Key, cfg.Anchor, sap.AuthorizerFunc(b.authorizeLocked), cfg.Now)
 	return b
@@ -213,19 +207,6 @@ func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	it := txItem{kind: txAuth, auth: req}
 	b.transact(&it)
 	return it.out.Auth, it.out.Err
-}
-
-// HandleResume processes one SAP fast-path re-attach (see sap/resume.go
-// for the protocol) behind the same entry gate. On a grant the successor
-// session is bound for billing alignment exactly like a full handshake's
-// grant; a refusal is a denial response, not an error.
-func (b *Brokerd) HandleResume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
-	if err := b.gateAttach(); err != nil {
-		return nil, err
-	}
-	it := txItem{kind: txResume, resume: req}
-	b.transact(&it)
-	return it.out.Resume, it.out.Err
 }
 
 // HandleReceipt signs a receipt for grants a bTelco was given under its

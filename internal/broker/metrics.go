@@ -27,8 +27,6 @@ var mtr struct {
 	admissionQueueShed *obs.Counter
 	batchFlushes       *obs.Counter
 	batchItems         *obs.Counter
-	resumeGranted      *obs.Counter
-	resumeDenied       *obs.Counter
 	receiptsSigned     *obs.Counter
 	receiptsRefused    *obs.Counter
 
@@ -57,8 +55,6 @@ func init() {
 	mtr.admissionQueueShed = r.Counter("broker_admission_queue_shed_total", "attaches shed by the queue-depth gate")
 	mtr.batchFlushes = r.Counter("broker_batch_flushes_total", "batcher flush windows processed")
 	mtr.batchItems = r.Counter("broker_batch_items_total", "control-plane items enqueued into the batcher")
-	mtr.resumeGranted = r.Counter("broker_resume_granted_total", "fast-path session resumptions granted")
-	mtr.resumeDenied = r.Counter("broker_resume_denied_total", "fast-path session resumptions denied")
 	mtr.receiptsSigned = r.Counter("broker_receipts_signed_total", "receipts signed for bTelcos' MAC-mode grants")
 	mtr.receiptsRefused = r.Counter("broker_receipts_refused_total", "receipt requests refused (authentication, or a disowned session)")
 	mtr.reportsMACd = r.Counter("broker_reports_macd_total", "billing reports ingested on a MAC rather than a signature")

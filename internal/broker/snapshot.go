@@ -15,8 +15,8 @@ import (
 // (since v2) live quarantine entries — so a restarted brokerd resumes
 // exactly where it stopped: sessions keep settling, reputation history
 // survives, and a quarantined bTelco stays quarantined through the
-// restart. (Pending unpaired reports and the nonce/resume replay caches
-// are deliberately excluded: reports retransmit, and a restart naturally
+// restart. (Pending unpaired reports and the nonce replay cache are
+// deliberately excluded: reports retransmit, and a restart naturally
 // re-arms replay protection. So is everything about MAC'd reports: a
 // bTelco's pass comes back with its next grant, and kept checkpoints and
 // pending digests are soft state — DESIGN.md §2.10.)

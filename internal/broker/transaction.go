@@ -10,19 +10,20 @@ import (
 	"cellbricks/internal/sap"
 )
 
-// The broker transaction (DESIGN.md §2.5). Every SAP handshake, fast-path
-// resume and billing report is decided by the same five stages, one item
-// at a time, whether it arrives alone (HandleAuthRequest, HandleResume,
-// HandleReport) or is drained from a Batcher queue:
+// The broker transaction (DESIGN.md §2.5). Every SAP handshake and billing
+// report is decided by the same five stages, one item at a time, whether it
+// arrives alone (HandleAuthRequest, HandleReport) or is drained from a
+// Batcher queue:
 //
 //	prepare   stateless  sap.Validate; report decrypt + decode (billing.Open)
-//	resolve   b.mu       grant record, expected signer, the bTelco's pass
-//	verify    stateless  resume MAC; report MAC or signature, and its
-//	                     checkpoint's signature (billing's Authenticate)
+//	resolve   b.mu       a report's grant record, expected signer, the
+//	                     bTelco's pass
+//	verify    stateless  report MAC or signature, and its checkpoint's
+//	                     signature (billing's Authenticate)
 //	commit    b.mu       arrival order: nonce + policy, mint, grant
-//	                     bookkeeping, resume consumption, report ingest
-//	                     with its reporter's checkpoint audit, and the
-//	                     quarantine review of its bTelco
+//	                     bookkeeping, report ingest with its reporter's
+//	                     checkpoint audit, and the quarantine review of its
+//	                     bTelco
 //	finalize  stateless  seal + sign a granted handshake
 //
 // An item that fails a stage carries the failure in out.Err and the
@@ -34,25 +35,22 @@ type txKind uint8
 
 const (
 	txAuth txKind = iota
-	txResume
 	txReport
 )
 
 // txItem is one request moving through the stages; exactly one of
-// auth/resume/report is the input, selected by kind.
+// auth/report is the input, selected by kind.
 type txItem struct {
 	kind   txKind
 	auth   *sap.AuthReqT
-	resume *sap.ResumeReq
 	report *billing.SealedReport
 
 	v      *sap.ValidatedAuth // prepare: validated handshake
 	o      billing.Opened     // prepare: opened report; verify, commit: what they found
 	signer pki.PublicIdentity // resolve: key the report's signatures must verify under
 	pass   *pki.Ticket        // resolve: key a bTelco's MAC'd report must verify under
-	macErr error              // verify: resume MAC verdict (a denial, not an Err)
-	// rec is the session a resume or report names (resolve), or the
-	// grant a handshake just committed (commit; nil = not granted).
+	// rec is the session a report names (resolve), or the grant a
+	// handshake just committed (commit; nil = not granted).
 	rec   *sap.GrantRecord
 	score float64 // commit: the bTelco's reputation, echoed in the grant
 
@@ -80,10 +78,6 @@ func (b *Brokerd) prepare(it *txItem) {
 	switch it.kind {
 	case txAuth:
 		it.v, it.out.Err = b.sap.Validate(it.auth)
-	case txResume:
-		if it.resume == nil {
-			it.out.Err = sap.ErrBadRequest
-		}
 	case txReport:
 		if it.report == nil {
 			it.out.Err = sap.ErrBadRequest
@@ -96,65 +90,52 @@ func (b *Brokerd) prepare(it *txItem) {
 	}
 }
 
-// resolveLocked looks up the session a resume or report names and, for a
-// report, the keys it is expected under: the reporter's public key, and for
-// a bTelco the pass of the certificate its latest grant carried (a UE's MAC
-// key needs no state: verify derives it from the report's own box). Mutex
-// held.
+// resolveLocked looks up the session a report names and the keys it is
+// expected under: the reporter's public key, and for a bTelco the pass of
+// the certificate its latest grant carried (a UE's MAC key needs no state:
+// verify derives it from the report's own box). Mutex held.
 func (b *Brokerd) resolveLocked(it *txItem) {
-	if it.out.Err != nil {
+	if it.out.Err != nil || it.kind != txReport {
 		return
 	}
-	switch it.kind {
-	case txResume:
-		it.rec = b.grants[it.resume.URef]
-	case txReport:
-		if it.rec = b.grants[it.o.Report.SessionRef]; it.rec == nil {
-			return
-		}
-		switch it.o.Report.Reporter {
-		case billing.ReporterUE:
-			it.signer = b.sap.UserKey(it.rec.IDU)
-		case billing.ReporterTelco:
-			k := b.telcoKeys[it.rec.IDT]
-			it.signer, it.pass = k.pub, k.pass
-		}
+	if it.rec = b.grants[it.o.Report.SessionRef]; it.rec == nil {
+		return
+	}
+	switch it.o.Report.Reporter {
+	case billing.ReporterUE:
+		it.signer = b.sap.UserKey(it.rec.IDU)
+	case billing.ReporterTelco:
+		k := b.telcoKeys[it.rec.IDT]
+		it.signer, it.pass = k.pub, k.pass
 	}
 }
 
 // verify runs the crypto that needed resolve's answer, outside the lock
 // so concurrent requests do not serialize on it.
 func (b *Brokerd) verify(it *txItem) {
-	if it.out.Err != nil {
+	if it.out.Err != nil || it.kind != txReport {
 		return
 	}
-	switch it.kind {
-	case txResume:
-		if it.rec != nil {
-			it.macErr = sap.VerifyResumeReq(it.resume, it.rec.SS)
+	if it.rec == nil {
+		it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
+		return
+	}
+	mac := it.pass
+	if it.o.MACd && it.o.Report.Reporter == billing.ReporterUE {
+		// The key of the ticket the report's box rides, if that is a
+		// ticket this broker minted for the session's user.
+		if t, ok := b.cfg.Key.TicketMAC(it.report.Sealed, it.rec.IDU); ok {
+			mac = &t
 		}
-	case txReport:
-		if it.rec == nil {
-			it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
-			return
+	}
+	if err := it.o.Authenticate(it.signer, mac); err != nil {
+		if errors.Is(err, billing.ErrBadCheckpoint) {
+			mtr.checkpointsRefused.Add(1)
 		}
-		mac := it.pass
-		if it.o.MACd && it.o.Report.Reporter == billing.ReporterUE {
-			// The key of the ticket the report's box rides, if that is a
-			// ticket this broker minted for the session's user.
-			if t, ok := b.cfg.Key.TicketMAC(it.report.Sealed, it.rec.IDU); ok {
-				mac = &t
-			}
-		}
-		if err := it.o.Authenticate(it.signer, mac); err != nil {
-			if errors.Is(err, billing.ErrBadCheckpoint) {
-				mtr.checkpointsRefused.Add(1)
-			}
-			it.out.Err = ErrBadReporterKey
-			if it.o.MACd {
-				// The reporter's answer to either is the same report, signed.
-				it.out.Err = fmt.Errorf("%w: %w", ErrBadReporterKey, billing.ErrMustSign)
-			}
+		it.out.Err = ErrBadReporterKey
+		if it.o.MACd {
+			// The reporter's answer to either is the same report, signed.
+			it.out.Err = fmt.Errorf("%w: %w", ErrBadReporterKey, billing.ErrMustSign)
 		}
 	}
 }
@@ -165,8 +146,6 @@ func (b *Brokerd) commitLocked(it *txItem) {
 	case it.kind == txAuth:
 		b.commitAuthLocked(it)
 	case it.out.Err != nil: // failed an earlier stage: nothing to commit
-	case it.kind == txResume:
-		b.commitResumeLocked(it)
 	default:
 		b.commitReportLocked(it)
 	}
@@ -210,43 +189,6 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 	}
 	b.verifier.BindSession(uref, it.rec.IDU, req.IDT)
 	mtr.attachGranted.Add(1)
-}
-
-// commitResumeLocked decides a fast-path re-attach (sap/resume.go has the
-// protocol). The session reference is single-use, and the authorization
-// policy re-runs so a quarantined or score-gated bTelco is denied exactly
-// as a full attach would be. Mutex held.
-func (b *Brokerd) commitResumeLocked(it *txItem) {
-	req, rec := it.resume, it.rec
-	score := b.verifier.TelcoScore(req.IDT)
-	var params qos.Params
-	var cause string
-	switch {
-	case rec == nil:
-		cause = "unknown session reference"
-	case rec.IDT != req.IDT:
-		cause = "bTelco identity mismatch"
-	case b.resumed[req.URef]:
-		cause = "session reference already resumed"
-	case it.macErr != nil:
-		cause = "resume MAC invalid"
-	default:
-		var err error
-		if params, err = b.authorizeLocked(rec.IDU, req.IDT, rec.Terms); err != nil {
-			cause = "authorization denied: " + err.Error()
-		}
-	}
-	if cause != "" {
-		mtr.resumeDenied.Add(1)
-		it.out.Resume = sap.DenyResume(cause, score)
-		return
-	}
-	resp, ss2, uref2 := sap.GrantResume(req, rec.SS, params, score)
-	b.resumed[req.URef] = true
-	b.grants[uref2] = &sap.GrantRecord{URef: uref2, IDU: rec.IDU, IDT: rec.IDT, SS: ss2, Terms: rec.Terms, QoS: params}
-	b.verifier.BindSession(uref2, rec.IDU, rec.IDT)
-	mtr.resumeGranted.Add(1)
-	it.out.Resume = resp
 }
 
 // commitReportLocked ingests an authenticated report, runs the Fig. 5

@@ -26,10 +26,11 @@ type UEState struct {
 	BrokerPub pki.PublicIdentity
 
 	// ticket is the *pki.Ticket the broker's last grant carried (DESIGN.md
-	// §2.8), or nil: NewAttachRequest takes it, only a verified grant puts
-	// the next one back. An atomic.Value and not a mutex, so that callers
-	// which build or copy a UEState as a plain struct keep working; a copy
-	// forks the one ticket it holds.
+	// §2.8), or nil: NewAttachRequest takes it, and only a verified grant
+	// puts the next one back — or ReclaimTicket the one a never-opened
+	// request took. An atomic.Value and not a mutex, so that callers which
+	// build or copy a UEState as a plain struct keep working; a copy forks
+	// the one ticket it holds.
 	ticket atomic.Value
 }
 
@@ -37,20 +38,23 @@ type UEState struct {
 // request it was created with: until the broker consumes the nonce, those
 // bytes can be sent to IDT again instead of sealing and signing anew.
 // Sealer is the exchange authVec was sealed on: authRespU comes back on
-// it, and the session's billing reports ride it to the broker. It is never
-// reused by another attach, so no two attaches of one UE share a prefix.
+// it, and the session's billing reports ride it to the broker. No other
+// attach seals on it, and the one that may share its prefix is the attach
+// its ticket is reclaimed for (ReclaimTicket).
 type PendingAttach struct {
 	IDT    string
 	Nonce  [NonceSize]byte
 	Req    *AuthReqU
 	Sealer *pki.Sealer
 
-	// ticketed records that Sealer rides a ticket, so the response is
-	// authenticated by opening on it and carries no broker signature. It is
-	// this UE's own note of what it sent: nothing the network says sets it.
-	ticketed bool
-	// kept is set once a response to this attach has handed its ticket to
-	// the UEState, so replaying that response cannot arm one ticket twice.
+	// spent is the ticket Sealer rides, nil for a signed request. Its being
+	// set is what makes the response authenticated by opening on Sealer
+	// with no broker signature. It is this UE's own note of what it sent:
+	// nothing the network says sets it.
+	spent *pki.Ticket
+	// kept is set once this attach has armed a ticket in the UEState — the
+	// one its response carried, or its own handed back — so neither a
+	// replayed response nor a second reclaim arms one twice.
 	kept atomic.Bool
 }
 
@@ -67,8 +71,7 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 	vec := AuthVec{IDU: u.IDU, IDB: u.IDB, IDT: idT, Nonce: nonce}
 	var sealer *pki.Sealer
 	ticket, _ := u.ticket.Swap((*pki.Ticket)(nil)).(*pki.Ticket)
-	ticketed := ticket != nil
-	if ticketed {
+	if ticket != nil {
 		sealer, err = pki.TicketSealer(*ticket)
 	} else {
 		sealer, err = pki.NewSealer(u.BrokerPub)
@@ -81,10 +84,23 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
 	req := &AuthReqU{IDB: u.IDB, SealedVec: sealed}
-	if !ticketed {
+	if ticket == nil {
 		req.Sig = u.Key.Sign(sealed)
 	}
-	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req, Sealer: sealer, ticketed: ticketed}, nil
+	return req, &PendingAttach{IDT: idT, Nonce: nonce, Req: req, Sealer: sealer, spent: ticket}, nil
+}
+
+// ReclaimTicket hands back the ticket p spent, if the UE holds none (a
+// newer ticket wins; a signed p has none), and reports whether it did. The
+// caller vouches that no broker opened p's request — one that sheds with a
+// typed retry-after hint has not (DESIGN.md §2.4) — and that p is never
+// sent again. Nothing comes back twice, or after p's response armed a
+// ticket (DESIGN.md §2.8).
+func (u *UEState) ReclaimTicket(p *PendingAttach) bool {
+	if p == nil || p.spent == nil || !p.kept.CompareAndSwap(false, true) {
+		return false
+	}
+	return u.ticket.CompareAndSwap((*pki.Ticket)(nil), p.spent)
 }
 
 // HandleResponse runs UE procedures 5–6 of Fig. 2: verify the broker's
@@ -102,7 +118,7 @@ func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterK
 	if resp == nil || p == nil || p.Sealer == nil {
 		return zero, "", ErrBadRequest
 	}
-	if !p.ticketed {
+	if p.spent == nil {
 		if err := u.BrokerPub.Verify(resp.Sealed, resp.Sig); err != nil {
 			return zero, "", fmt.Errorf("sap: authRespU signature: %w", err)
 		}

@@ -387,13 +387,15 @@ func TestSAPUERejectsMismatchedNonce(t *testing.T) {
 	}
 }
 
-// A UE's exchange is created per attach and never reused: two requests of
-// one UE share no prefix a bTelco could link them by (the paper's
-// no-IMSI-catching property), while everything the broker sends one bTelco
-// rides one resident exchange.
+// A UE's exchange is created per attach: two requests of one UE share no
+// prefix a bTelco could link them by (the paper's no-IMSI-catching
+// property), except that a request abandoned unopened hands its ticket to
+// the next one, once (DESIGN.md §2.8) — while everything the broker sends
+// one bTelco rides one resident exchange.
 func TestSAPAttachPrefixNeverRepeats(t *testing.T) {
 	f := newFixture(t)
-	seen := map[string]bool{}
+	seen := map[string]int{}       // prefix -> the attach that sent it
+	abandoned := map[string]bool{} // prefixes whose request was never opened
 	var telcoPrefix []byte
 	for i := 0; i < 8; i++ {
 		reqU, pending, err := f.ue.NewAttachRequest(f.telco.IDT)
@@ -401,10 +403,18 @@ func TestSAPAttachPrefixNeverRepeats(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix := string(reqU.SealedVec[:32])
-		if seen[prefix] {
-			t.Fatalf("attach %d reuses an earlier attach's exchange", i)
+		if prev, dup := seen[prefix]; dup && !abandoned[prefix] {
+			t.Fatalf("attach %d reuses the exchange of attach %d", i, prev)
 		}
-		seen[prefix] = true
+		delete(abandoned, prefix)
+		seen[prefix] = i
+		if i == 3 { // shed before the broker looked, and left for another bTelco
+			if !f.ue.ReclaimTicket(pending) {
+				t.Fatal("a ticketed request never opened handed nothing back")
+			}
+			abandoned[prefix] = true
+			continue
+		}
 		reqT, _ := f.telco.ForwardRequest(reqU)
 		resp, _, err := f.broker.HandleRequest(reqT)
 		if err != nil || !resp.Granted {
@@ -421,6 +431,9 @@ func TestSAPAttachPrefixNeverRepeats(t *testing.T) {
 		} else if !bytes.Equal(telcoPrefix, resp.T.Sealed[:32]) {
 			t.Fatal("broker ran a new exchange with a bTelco it already knows")
 		}
+	}
+	if len(seen) != 7 {
+		t.Fatalf("8 requests over %d prefixes, want 7: one reclaimed ticket, reused once", len(seen))
 	}
 }
 
@@ -742,8 +755,8 @@ func (f *fixture) request(t *testing.T, u *UEState, wantTicketed bool) (*AuthReq
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ticketed != wantTicketed || (len(reqU.Sig) == 0) != wantTicketed {
-		t.Fatalf("attach ticketed=%v with a %d-byte signature, want ticketed=%v", p.ticketed, len(reqU.Sig), wantTicketed)
+	if (p.spent != nil) != wantTicketed || (len(reqU.Sig) == 0) != wantTicketed {
+		t.Fatalf("attach ticketed=%v with a %d-byte signature, want ticketed=%v", p.spent != nil, len(reqU.Sig), wantTicketed)
 	}
 	return reqU, p
 }
@@ -1084,6 +1097,66 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 				_, _, err := f.ue.HandleResponse(p1, respU1) // accepted again, arms nothing
 				return resp, err
 			}},
+		// Reclaim (DESIGN.md §2.8): the ticket of a request nobody opened
+		// comes back, once, to a UE holding none, and the next request rides
+		// it under a fresh nonce.
+		{name: "ticket reclaimed from a request never opened",
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				abandoned, p1 := f.request(t, f.ue, true)
+				if !f.ue.ReclaimTicket(p1) {
+					t.Fatal("nothing came back")
+				}
+				reqU, p2 := f.request(t, f.ue, true)
+				if !bytes.Equal(reqU.SealedVec[:32], abandoned.SealedVec[:32]) || bytes.Equal(reqU.SealedVec, abandoned.SealedVec) {
+					t.Fatal("the reclaimed ticket's request is not a new box on the same locator")
+				}
+				if f.ue.ReclaimTicket(p1) {
+					t.Fatal("one request handed its ticket back twice")
+				}
+				resp, respU := f.exchange(t, reqU)
+				if !resp.Granted {
+					return resp, nil
+				}
+				_, _, err := f.ue.HandleResponse(p2, respU)
+				return resp, err
+			}},
+		{name: "reclaim after a grant hands nothing back", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				reqU, p := f.request(t, f.ue, true)
+				resp, respU := f.exchange(t, reqU)
+				if _, _, err := f.ue.HandleResponse(p, respU); err != nil {
+					t.Fatal(err)
+				}
+				forgetTicket(f.ue) // even to a UE that holds none: the rung below expects none
+				if f.ue.ReclaimTicket(p) {
+					t.Fatal("a granted request handed its ticket back")
+				}
+				return resp, nil
+			}},
+		{name: "a newer ticket wins over a reclaimed one",
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				_, p1 := f.request(t, f.ue, true)
+				reqU, p2 := f.request(t, f.ue, false) // the UE holds none: first contact again
+				resp, respU := f.exchange(t, reqU)
+				if _, _, err := f.ue.HandleResponse(p2, respU); err != nil {
+					t.Fatal(err)
+				}
+				newer := f.ue.ticket.Load()
+				if f.ue.ReclaimTicket(p1) || f.ue.ticket.Load() != newer {
+					t.Fatal("a reclaim displaced the newer ticket")
+				}
+				return resp, nil
+			}},
+		{name: "a signed request reclaims nothing", spent: true,
+			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
+				forgetTicket(f.ue)
+				reqU, p := f.request(t, f.ue, false)
+				if f.ue.ReclaimTicket(p) {
+					t.Fatal("a signed request handed a ticket back")
+				}
+				resp, _ := f.exchange(t, reqU)
+				return resp, nil
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t)
@@ -1110,12 +1183,15 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 	}
 }
 
-// Two goroutines attaching on one UEState: a ticket goes to exactly one of
-// them, so no locator — no 32-byte prefix at all — is ever emitted twice.
+// Two goroutines attaching on one UEState, each abandoning every fifth
+// request unopened: a ticket goes to exactly one of them at a time, so a
+// prefix is emitted again only by the one request that rode the ticket
+// reclaimed from an abandoned one.
 func TestUEStateConcurrentAttachesNeverShareATicket(t *testing.T) {
 	f := newFixture(t)
 	var mu sync.Mutex
-	prefixes, ticketed := map[string]bool{}, 0
+	emitted, abandoned := map[string]int{}, map[string]bool{}
+	sent, ticketed, reclaimed := 0, 0, 0
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -1127,15 +1203,29 @@ func TestUEStateConcurrentAttachesNeverShareATicket(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				prefix := string(reqU.SealedVec[:32])
+				abandon := i%5 == 4 && p.spent != nil
 				mu.Lock()
-				if prefixes[string(reqU.SealedVec[:32])] {
-					t.Error("one prefix emitted twice")
+				if emitted[prefix] > 0 && !abandoned[prefix] {
+					t.Error("one prefix emitted twice without a reclaim between")
 				}
-				prefixes[string(reqU.SealedVec[:32])] = true
-				if p.ticketed {
+				delete(abandoned, prefix)
+				emitted[prefix]++
+				if p.spent != nil {
 					ticketed++
 				}
+				if abandon { // marked before the ticket is back, where the other goroutine can take it
+					abandoned[prefix] = true
+				}
 				mu.Unlock()
+				if abandon {
+					if f.ue.ReclaimTicket(p) {
+						mu.Lock()
+						reclaimed++
+						mu.Unlock()
+					}
+					continue
+				}
 				reqT, err := f.telco.ForwardRequest(reqU)
 				if err != nil {
 					t.Error(err)
@@ -1150,12 +1240,19 @@ func TestUEStateConcurrentAttachesNeverShareATicket(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				mu.Lock()
+				sent++
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if len(prefixes) != 50 || ticketed == 0 {
-		t.Fatalf("%d distinct prefixes over 50 attaches, %d ticketed", len(prefixes), ticketed)
+	repeats := 0
+	for _, n := range emitted {
+		repeats += n - 1
+	}
+	if repeats > reclaimed || sent == 0 || ticketed == 0 || reclaimed == 0 {
+		t.Fatalf("%d repeated prefixes for %d reclaimed tickets; %d granted, %d ticketed", repeats, reclaimed, sent, ticketed)
 	}
 }
 

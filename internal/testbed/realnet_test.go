@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"cellbricks/internal/obs"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
+	"cellbricks/internal/wire"
 )
 
 func counter(name string) float64 { return obs.Default().Snapshot()[name] }
@@ -190,7 +192,9 @@ func TestRealDeploymentReportsSurviveBrokerCrashRestart(t *testing.T) {
 // ue.Device over the loopback deployment, every attach opens its own
 // exchange, the session's baseband reports ride that one and no earlier
 // one, and the broker books them. What the serving bTelco can see links a
-// report to the attach it served — never one session to the next.
+// report to the attach it served — never one session to the next. The one
+// prefix the air sees twice is a shed request's, once more in the request
+// that rode its ticket to another bTelco (DESIGN.md §2.8).
 func TestRealDeploymentUEPrefixNeverRepeatsAcrossAttaches(t *testing.T) {
 	d, err := NewRealDeployment()
 	if err != nil {
@@ -244,6 +248,34 @@ func TestRealDeploymentUEPrefixNeverRepeatsAcrossAttaches(t *testing.T) {
 		if err := dev.Detach(tap); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	d.Broker.ShedLoad(time.Second)
+	var ra *wire.RetryAfterError
+	if _, err := dev.AttachSAP(tap, d.TelcoID()); !errors.As(err, &ra) {
+		t.Fatalf("attach at a shedding broker: %v", err)
+	}
+	d.Broker.Resume()
+	shed := attachPrefix
+	if _, dup := seen[shed]; dup {
+		t.Fatal("the shed attach reuses a session's exchange")
+	}
+	// The deployment has one bTelco, so the other one is a name its AGW does
+	// not answer to: the broker refuses the binding, spending the ticket.
+	if _, err := dev.AttachSAP(tap, "btelco-elsewhere"); !errors.Is(err, ue.ErrRejected) {
+		t.Fatalf("attach naming another bTelco: %v", err)
+	}
+	if attachPrefix != shed {
+		t.Fatal("the request that left the shed one behind did not ride its ticket")
+	}
+	if _, err := dev.AttachSAP(tap, d.TelcoID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, dup := seen[attachPrefix]; dup || attachPrefix == shed {
+		t.Fatal("the attach after reuses an earlier exchange")
+	}
+	if err := dev.Detach(tap); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"cellbricks/internal/apps"
 	"cellbricks/internal/broker"
-	"cellbricks/internal/nas"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
@@ -19,23 +18,20 @@ import (
 // flash-crowd spike — against one broker defended by admission control: a
 // token bucket plus a bound on the backlog of a queue (broker.Batcher) that
 // is drained every Window of virtual time, one broker transaction per item
-// in arrival order. A UE re-attaching at a cell it holds a live session
-// reference for goes over the resume fast path (sap/resume.go) unless
-// StormConfig.Serial turns that off; either way the arrival schedule, the
-// admission gate and the flush instants are the same, so the rendered
-// result is byte-identical across the two AND across any shard count; only
-// the wall-clock (Metrics) numbers differ.
+// in arrival order. Every attach is the SAP handshake — on a ticket after a
+// UE's first grant (DESIGN.md §2.8) — and which kind of request a UE sends
+// never moves a send, so the rendered result is byte-identical across any
+// shard count; only the wall-clock (Metrics) numbers differ.
 //
 // The world is the grouped sharded world of grouped.go, and determinism
 // follows its recipe (DESIGN.md §2.6). Two storm-specific rules are
 // layered on top:
 //
-//   - The UE consumes its resume ticket optimistically at attempt time
-//     and ticket bookkeeping runs on EVERY completion (only session
-//     adoption is attach-seq guarded), with the ticket restored when
-//     admission sheds the attempt — so a UE never presents a stale
-//     single-use ticket and both settings see zero denials on honest
-//     traffic.
+//   - The UE takes its request off its ue.AttachShelf at attempt time and
+//     shelves it again when admission sheds the attempt, so the next try at
+//     that cell resends it; a try at the other cell first abandons a
+//     ticketed one and rides its ticket (AttachShelf.Take) instead of
+//     paying first contact.
 //   - The flush tick runs on shard 0 at shard0TickPhase, pairing
 //     Batcher.Flush outcomes with their completion callbacks in enqueue
 //     order.
@@ -69,9 +65,9 @@ type StormConfig struct {
 	// rate 2xBaseRate, burst BaseRate, max queue 48, hint 500 ms.
 	Admission broker.AdmissionConfig
 
-	// Serial turns the resume fast path off: every attach is a full SAP
-	// handshake. It selects nothing else, and rendered output is identical
-	// either way. (The name is the one benchmark/ reads.)
+	// Serial has no effect. It turned off the HMAC resume fast path, which
+	// is gone; benchmark/emu.go still sets it, so it stays until ROADMAP
+	// item 1a re-fixtures the benchmark.
 	Serial bool
 
 	// Shards is the netem.World shard count (default 1); output is
@@ -146,7 +142,6 @@ type StormResult struct {
 	Attempts int // attach attempts (first tries and retries)
 	Attaches int // attach grants adopted by their UE
 	Grants   int // broker grants (includes grants a UE outraced)
-	Resumes  int // grants served over the resume fast path (0 with Serial)
 	Denied   int // broker denials
 	Sheds    int // attempts refused by admission control
 	Retries  int
@@ -177,34 +172,22 @@ type StormResult struct {
 	BatchFlushes, BatchItems     uint64
 }
 
-type stormCell struct {
-	cellCore
-	// resumeSS maps live session references to their shared secret —
-	// the bTelco-side state the resume fast path co-signs with.
-	resumeSS map[string]nas.MasterKey
-}
-
 type stormUE struct {
 	ueCore
 	grp *stormGroup
-	// resume holds the per-cell fast-path ticket (none with Serial).
-	// A ticket is consumed optimistically at attempt time and restored
-	// if admission sheds the attempt before the broker saw it.
-	resume []*sap.ResumeSession
-	// shelf holds, per cell, the full request admission shed; fwd the cell's
-	// signed forward of it. Taken and restored together, like resume.
+	// shelf holds, per cell, the request admission shed; fwd the cell's
+	// signed forward of it. Taken at attempt time and restored together.
 	shelf ue.AttachShelf
 	fwd   []*sap.AuthReqT
 }
 
 type stormGroup struct {
 	w     *stormWorld
-	cells []*stormCell
+	cells []*cellCore
 	ues   []*stormUE
 
 	// Shard-local tallies, merged after the run.
 	arrivals, spikeArrivals int
-	resumes                 int
 	latMS                   []float64
 }
 
@@ -254,15 +237,11 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	for _, gg := range grid {
 		grp := &stormGroup{w: w}
 		w.groups = append(w.groups, grp)
-		for _, cc := range gg.cells {
-			grp.cells = append(grp.cells, &stormCell{cellCore: cc, resumeSS: make(map[string]nas.MasterKey)})
+		for i := range gg.cells {
+			grp.cells = append(grp.cells, &gg.cells[i])
 		}
 		for _, uc := range gg.ues {
-			grp.ues = append(grp.ues, &stormUE{
-				ueCore: uc, grp: grp,
-				resume: make([]*sap.ResumeSession, C),
-				fwd:    make([]*sap.AuthReqT, C),
-			})
+			grp.ues = append(grp.ues, &stormUE{ueCore: uc, grp: grp, fwd: make([]*sap.AuthReqT, C)})
 		}
 	}
 
@@ -270,7 +249,7 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	// Poisson process at the envelope rate: accepted points follow the
 	// ramp-and-spike intensity exactly, and because the draws happen
 	// here — before the clock starts, from the UE's private rng — the
-	// schedule is identical for any shard count, resume on or off.
+	// schedule is identical for any shard count.
 	spikeMul := cfg.Spike
 	if spikeMul < 1 {
 		spikeMul = 1
@@ -342,42 +321,20 @@ func (u *stormUE) arrive() {
 	u.attempt(u.attachSeq)
 }
 
-// attempt runs one attach attempt. A UE holding a live ticket for the
-// chosen cell goes over the resume fast path; the ticket is consumed NOW
-// (optimistically) so an overlapping attempt can never replay it, and
-// restored only if admission sheds this attempt before the broker consumed
-// it. Without one (always, with Serial) it runs the full handshake — the
-// sends are identically timed either way, which is what keeps the rendered
-// output independent of the setting.
+// attempt runs one attach attempt: the request the UE's shelf hands out
+// for the chosen cell (a resend of the one admission shed there, or a new
+// one), charged against admission with the queue's backlog and enqueued
+// for the next flush. If admission sheds it the broker never saw it, so it
+// goes back on the shelf, with the cell's forward, before the UE backs off.
+// The admission check and enqueue run on shard 0; the rest on the UE's.
 func (u *stormUE) attempt(seq int) {
-	w := u.grp.w
+	w, g := u.grp.w, u.g
 	if seq != u.attachSeq || w.runErr != nil {
 		return
 	}
 	ci := (u.prefer + u.fsm.Candidate()) % len(u.grp.cells)
 	cell := u.grp.cells[ci]
 	u.attempts++
-
-	if tkt := u.resume[ci]; tkt != nil {
-		ss, live := cell.resumeSS[tkt.URef]
-		u.resume[ci] = nil
-		if live {
-			req, err := tkt.NewResumeRequest()
-			if err != nil {
-				w.fail(err)
-				return
-			}
-			if err := cell.telco.ForwardResume(req, ss); err != nil {
-				w.fail(err) // our own ticket failed its MAC: a bug
-				return
-			}
-			u.submit(seq,
-				func() { w.bat.EnqueueResume(req) },
-				func(error) { u.resume[ci] = tkt },
-				func(out broker.BatchOutcome) { u.finishResume(seq, ci, tkt, req, ss, out) })
-			return
-		}
-	}
 
 	pending, resent, err := u.shelf.Take(u.st, cell.telco.IDT)
 	if err != nil {
@@ -392,39 +349,24 @@ func (u *stormUE) attempt(seq int) {
 			return
 		}
 	}
-	u.submit(seq,
-		func() { w.bat.EnqueueAuth(reqT) },
-		func(err error) {
-			u.shelf.Settle(pending, err)
-			u.fwd[ci] = reqT
-		},
-		func(out broker.BatchOutcome) { u.finishFull(seq, ci, pending, out) })
-}
-
-// submit carries one attempt to the broker: admission against the queue's
-// backlog, then enqueue, with finish registered for the outcome the next
-// flush pairs with it. If admission sheds the attempt the broker never saw
-// it, so restore puts back what the attempt consumed before the UE backs
-// off. enqueue runs on shard 0; restore and finish back on the UE's shard.
-func (u *stormUE) submit(seq int, enqueue func(), restore func(error), finish func(broker.BatchOutcome)) {
-	w, g := u.grp.w, u.g
 	w.toBroker(g, func() {
 		if err := w.brk.AdmitAttach(w.bat.Depth()); err != nil {
 			w.tallyShed()
 			w.toGroup(g, func() {
-				restore(err)
+				u.shelf.Settle(pending, err)
+				u.fwd[ci] = reqT
 				u.failAttach(seq, err)
 			})
 			return
 		}
-		enqueue()
-		w.pending = append(w.pending, stormPending{g, finish})
+		w.bat.EnqueueAuth(reqT)
+		w.pending = append(w.pending, stormPending{g, func(out broker.BatchOutcome) { u.finish(seq, cell, pending, out) }})
 	})
 }
 
 // tallyShed and tallyAttach run on shard 0 and classify against the
-// broker clock — flush and admission instants do not depend on whether an
-// attempt resumed, so these rendered counters do not either.
+// broker clock — flush and admission instants do not depend on which kind
+// of request an attempt sent, so these rendered counters do not either.
 func (w *stormWorld) tallyShed() {
 	w.sheds++
 	if w.cfg.inSpike(w.sim0.Now()) {
@@ -433,14 +375,14 @@ func (w *stormWorld) tallyShed() {
 }
 
 func (w *stormWorld) tallyAttach(out broker.BatchOutcome) {
-	granted := (out.Auth != nil && out.Auth.Granted) || (out.Resume != nil && out.Resume.Granted)
 	switch {
-	case granted:
+	case out.Auth == nil:
+	case out.Auth.Granted:
 		w.grants++
 		if w.cfg.inSpike(w.sim0.Now()) {
 			w.spikeGrants++
 		}
-	case out.Auth != nil || out.Resume != nil:
+	default:
 		w.denied++
 	}
 }
@@ -452,19 +394,16 @@ func (u *stormUE) failAttach(seq int, err error) {
 	}
 }
 
-// finishFull completes a full-handshake attempt. Ticket bookkeeping
-// runs on EVERY grant — even one the UE outraced with a newer attach —
-// so the bTelco's resumeSS map and the UE's ticket shelf always agree
-// with the broker's single-use ledger; only session adoption is
-// seq-guarded.
-func (u *stormUE) finishFull(seq, ci int, pending *sap.PendingAttach, out broker.BatchOutcome) {
+// finish completes an attempt the broker decided. A grant the UE outraced
+// with a newer attach still goes through the bTelco and the UE — its
+// ticket is the UE's next — but only the current attach adopts a session.
+func (u *stormUE) finish(seq int, cell *cellCore, pending *sap.PendingAttach, out broker.BatchOutcome) {
 	w := u.grp.w
 	if out.Err != nil {
 		u.failAttach(seq, out.Err)
 		return
 	}
-	cell := u.grp.cells[ci]
-	grant, ss, err := w.finishAttach(u.st, cell.telco, pending, out.Auth)
+	grant, _, err := w.finishAttach(u.st, cell.telco, pending, out.Auth)
 	if errors.Is(err, errUERejected) {
 		w.fail(err)
 		return
@@ -473,58 +412,18 @@ func (u *stormUE) finishFull(seq, ci int, pending *sap.PendingAttach, out broker
 		u.failAttach(seq, err)
 		return
 	}
-	if !w.cfg.Serial {
-		u.resume[ci] = &sap.ResumeSession{IDT: cell.telco.IDT, URef: grant.URef, SS: ss, Sealer: pending.Sealer}
-		cell.resumeSS[grant.URef] = grant.SS
-	}
 	if seq != u.attachSeq {
 		return
 	}
 	u.attachTo(cell, grant.URef, pending.Sealer)
 }
 
-// finishResume completes a fast-path attempt. Like finishFull, the
-// single-use bookkeeping — retire the consumed reference, shelve the
-// successor ticket — is unconditional.
-func (u *stormUE) finishResume(seq, ci int, tkt *sap.ResumeSession, req *sap.ResumeReq, ssOld nas.MasterKey, out broker.BatchOutcome) {
-	w := u.grp.w
-	if out.Err != nil {
-		w.fail(out.Err)
-		return
-	}
-	cell := u.grp.cells[ci]
-	if !out.Resume.Granted {
-		// Honest storms never reach here; the broker's ledger and ours
-		// agree by construction. Fall back like any denial.
-		u.failAttach(seq, fmt.Errorf("testbed: resume denied: %s", out.Resume.Cause))
-		return
-	}
-	grant2, err := cell.telco.AcceptResume(req, out.Resume, ssOld)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	delete(cell.resumeSS, req.URef)
-	cell.resumeSS[grant2.URef] = grant2.SS
-	next, _, err := tkt.HandleResumeResponse(req, out.Resume)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	u.resume[ci] = next
-	u.grp.resumes++
-	if seq != u.attachSeq {
-		return
-	}
-	u.attachTo(cell, grant2.URef, next.Sealer)
-}
-
 // attachTo adopts a granted session: latency sample, then the shared
 // adoption with this world's report chain.
-func (u *stormUE) attachTo(cell *stormCell, uref string, sealer *pki.Sealer) {
+func (u *stormUE) attachTo(cell *cellCore, uref string, sealer *pki.Sealer) {
 	u.grp.latMS = append(u.grp.latMS, float64(u.sim.Now()-u.stormStart)/float64(time.Millisecond))
 	s := new(sessionCore)
-	u.adopt(&cell.cellCore, s, uref, sealer, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
+	u.adopt(cell, s, uref, sealer, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
 
 // reportTick emits the aligned billing pair for session s: synthetic
@@ -578,7 +477,6 @@ func (w *stormWorld) collect() StormResult {
 	for _, grp := range w.groups {
 		res.Arrivals += grp.arrivals
 		res.SpikeArrivals += grp.spikeArrivals
-		res.Resumes += grp.resumes
 		res.LatMS = append(res.LatMS, grp.latMS...)
 		for _, u := range grp.ues {
 			res.Attempts += u.attempts
@@ -644,9 +542,9 @@ func (r StormResult) ShedFraction() float64 {
 }
 
 // Render produces the deterministic summary: identical bytes for any
-// shard count AND either Serial value — the determinism gate hashes
-// exactly this string. Wall-clock numbers are deliberately excluded; so
-// are the queue and resume counters.
+// shard count — the determinism gate hashes exactly this string. Wall-clock
+// numbers are deliberately excluded; so are the queue counters. ("mode=any"
+// is from when a storm had two attach protocols.)
 func (r StormResult) Render() string {
 	var b strings.Builder
 	c := r.Config

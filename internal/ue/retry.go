@@ -2,7 +2,6 @@ package ue
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -16,9 +15,9 @@ import (
 // bTelco or a recovering broker. The retry state machine rotates through
 // candidate bTelcos with jittered exponential backoff, honouring typed
 // retry-after hints from a degraded broker. The decision logic (AttachFSM)
-// is pure so the same machine drives both real sockets (synchronous
-// AttachSAPRetry, injected sleep) and the discrete-event simulator (the
-// testbed failover experiment schedules each Fail's delay as a sim event).
+// is pure: it owns no I/O and no clock, so each emulated world drives it on
+// its own (the testbed schedules each Fail's delay as a sim event) around
+// Device.AttachSAP or the same request path.
 
 // RetryPolicy tunes the attach state machine.
 type RetryPolicy struct {
@@ -78,10 +77,6 @@ func (p RetryPolicy) Budget() time.Duration {
 	}
 	return total
 }
-
-// ErrAttachBudget is returned when the state machine exhausts its attempt
-// budget without a successful attach.
-var ErrAttachBudget = errors.New("ue: attach retry budget exhausted")
 
 // AttachFSM is the retry/fallback decision machine. It owns no I/O: the
 // caller performs an attach attempt against Candidate(), reports the
@@ -179,8 +174,10 @@ const maxShelved = 8
 // broker validates a request or records its nonce, so the next attempt at
 // that bTelco retransmits the identical bytes — as NAS does on T3410 — and
 // every broker check runs on them unchanged; any other outcome drops the
-// request (DESIGN.md §2.4). The zero value is ready to use; the holder
-// serializes access.
+// request (DESIGN.md §2.4). A shed request that rode a ticket is abandoned
+// instead when the UE attaches elsewhere, and its ticket goes with the UE
+// (sap.UEState.ReclaimTicket, DESIGN.md §2.8). The zero value is ready to
+// use; the holder serializes access.
 type AttachShelf struct {
 	Resent  int // requests Take handed out for retransmission
 	byTelco map[string]*sap.PendingAttach
@@ -188,7 +185,18 @@ type AttachShelf struct {
 
 // Take returns the attach to send to bTelco idT: the shelved one, removed
 // so no overlapping attempt can send it too (resent), or else a new one.
+// Every ticketed request shelved for another bTelco is dropped, never to be
+// resent, and hands its ticket back to u if u holds none; a signed one
+// stays shelved.
 func (s *AttachShelf) Take(u *sap.UEState, idT string) (p *sap.PendingAttach, resent bool, err error) {
+	for id, q := range s.byTelco {
+		if id != idT && len(q.Req.Sig) == 0 {
+			delete(s.byTelco, id)
+			if u.ReclaimTicket(q) {
+				mtr.reclaims.Add(1)
+			}
+		}
+	}
 	if p = s.byTelco[idT]; p != nil {
 		delete(s.byTelco, idT)
 		s.Resent++
@@ -210,41 +218,4 @@ func (s *AttachShelf) Settle(p *sap.PendingAttach, err error) {
 		s.byTelco = make(map[string]*sap.PendingAttach)
 	}
 	s.byTelco[p.IDT] = p
-}
-
-// AttachCandidate is one (bTelco, transport) the device can attach
-// through. The serving bTelco goes first; later entries are fallbacks.
-type AttachCandidate struct {
-	TelcoID string
-	Tx      NASTransport
-}
-
-// AttachSAPRetry runs the SAP attach through the retry state machine
-// against real transports: it tries candidates in FSM order, sleeping the
-// machine's backoff between attempts (sleep may be nil for time.Sleep; rng
-// may be nil for no jitter). It returns the attachment, the index of the
-// candidate that served it, and the machine (for attempt accounting).
-func (d *Device) AttachSAPRetry(pol RetryPolicy, rng *rand.Rand, sleep func(time.Duration), cands ...AttachCandidate) (*Attachment, int, *AttachFSM, error) {
-	if len(cands) == 0 {
-		return nil, 0, nil, errors.New("ue: no attach candidates")
-	}
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	fsm := NewAttachFSM(pol, len(cands), rng)
-	var lastErr error
-	for {
-		c := cands[fsm.Candidate()]
-		mtr.attempts.Add(1)
-		a, err := d.AttachSAP(c.Tx, c.TelcoID)
-		if err == nil {
-			return a, fsm.Candidate(), fsm, nil
-		}
-		lastErr = err
-		delay, giveUp := fsm.Fail(err)
-		if giveUp {
-			return nil, 0, fsm, fmt.Errorf("%w: %v", ErrAttachBudget, lastErr)
-		}
-		sleep(delay)
-	}
 }

@@ -132,12 +132,16 @@ func TestFSMBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
+// A typed shed floors the delay at the hint, and never lowers it.
 func TestFSMRetryAfterFloorsDelay(t *testing.T) {
 	m := NewAttachFSM(RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond}, 2, nil)
 	hint := &wire.RetryAfterError{After: 2 * time.Second}
 	d, _ := m.Fail(fmt.Errorf("%w: shed: %w", ErrRejected, hint))
 	if d < 2*time.Second {
 		t.Fatalf("delay %v ignored the 2s retry-after floor", d)
+	}
+	if d, _ = m.Fail(&wire.RetryAfterError{After: time.Millisecond}); d != 20*time.Millisecond {
+		t.Fatalf("delay %v after a 1ms hint, want the 20ms backoff", d)
 	}
 }
 
@@ -190,7 +194,7 @@ func TestPolicyBudgetBoundsWorstCase(t *testing.T) {
 	}
 }
 
-// --- AttachSAPRetry against a real control-plane stack ---
+// --- the retry machine around AttachSAP, against a real control-plane stack ---
 
 // retryWorld is a minimal broker + two-AGW control plane.
 type retryWorld struct {
@@ -245,15 +249,35 @@ func newRetryWorld(t *testing.T) *retryWorld {
 	return w
 }
 
-func (w *retryWorld) candidate(i int, ranID string) AttachCandidate {
-	return AttachCandidate{
-		TelcoID: w.telcos[i].IDT,
-		Tx: func(envelope []byte) ([]byte, error) {
-			if w.down[i] {
-				return nil, fmt.Errorf("btelco %d down", i)
-			}
-			return w.agws[i].HandleNAS(ranID, envelope)
-		},
+// tx is bTelco i's NAS transport for one radio identity.
+func (w *retryWorld) tx(i int, ranID string) NASTransport {
+	return func(envelope []byte) ([]byte, error) {
+		if w.down[i] {
+			return nil, fmt.Errorf("btelco %d down", i)
+		}
+		return w.agws[i].HandleNAS(ranID, envelope)
+	}
+}
+
+// retryAttach is the loop every emulated world runs on its own clock:
+// AttachSAP against the machine's candidate, and its backoff on failure
+// (sleep stands in for the clock). It returns the attachment, the
+// candidate that served it and the machine, or the last attempt's error
+// once the budget is spent. (The tests below are named after the
+// synchronous driver this loop replaced.)
+func (w *retryWorld) retryAttach(d *Device, pol RetryPolicy, sleep func(time.Duration)) (*Attachment, int, *AttachFSM, error) {
+	fsm := NewAttachFSM(pol, len(w.telcos), nil)
+	for {
+		i := fsm.Candidate()
+		a, err := d.AttachSAP(w.tx(i, fmt.Sprintf("%s-%d", d.RANID, i)), w.telcos[i].IDT)
+		if err == nil {
+			return a, i, fsm, nil
+		}
+		delay, giveUp := fsm.Fail(err)
+		if giveUp {
+			return nil, 0, fsm, err
+		}
+		sleep(delay)
 	}
 }
 
@@ -263,10 +287,9 @@ func TestAttachSAPRetryFallsBackToSecondary(t *testing.T) {
 	d := NewDevice("rt-ue-1", nil, w.cb)
 	var slept []time.Duration
 	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
-	a, served, fsm, err := d.AttachSAPRetry(pol, nil, func(dur time.Duration) { slept = append(slept, dur) },
-		w.candidate(0, "rt-ue-1a"), w.candidate(1, "rt-ue-1b"))
+	a, served, fsm, err := w.retryAttach(d, pol, func(dur time.Duration) { slept = append(slept, dur) })
 	if err != nil {
-		t.Fatalf("AttachSAPRetry: %v", err)
+		t.Fatalf("attach: %v", err)
 	}
 	if served != 1 {
 		t.Fatalf("served by candidate %d, want the fallback (1)", served)
@@ -293,10 +316,9 @@ func TestAttachSAPRetryHonoursBrokerShed(t *testing.T) {
 		w.brk.Resume()
 	}
 	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
-	_, _, fsm, err := d.AttachSAPRetry(pol, nil, sleep,
-		w.candidate(0, "rt-ue-2a"), w.candidate(1, "rt-ue-2b"))
+	_, _, fsm, err := w.retryAttach(d, pol, sleep)
 	if err != nil {
-		t.Fatalf("AttachSAPRetry: %v", err)
+		t.Fatalf("attach: %v", err)
 	}
 	if fsm.Attempts() != 1 {
 		t.Fatalf("attempts = %d, want 1 (one shed, one success)", fsm.Attempts())
@@ -314,10 +336,9 @@ func TestAttachSAPRetryBudgetExhausts(t *testing.T) {
 	w.down[0], w.down[1] = true, true
 	d := NewDevice("rt-ue-3", nil, w.cb)
 	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
-	_, _, fsm, err := d.AttachSAPRetry(pol, nil, func(time.Duration) {},
-		w.candidate(0, "rt-ue-3a"), w.candidate(1, "rt-ue-3b"))
-	if !errors.Is(err, ErrAttachBudget) {
-		t.Fatalf("err = %v, want ErrAttachBudget", err)
+	_, _, fsm, err := w.retryAttach(d, pol, func(time.Duration) {})
+	if err == nil || !strings.Contains(err.Error(), "down") {
+		t.Fatalf("err = %v, want the last attempt's transport error", err)
 	}
 	if fsm.Attempts() != 3 {
 		t.Fatalf("attempts = %d, want 3", fsm.Attempts())
@@ -326,9 +347,9 @@ func TestAttachSAPRetryBudgetExhausts(t *testing.T) {
 
 // --- retransmitting a shed request ---
 
-// recording wraps candidate 0's transport, keeping every uplink envelope.
-func (w *retryWorld) recording(ranID string, sent *[][]byte) NASTransport {
-	tx := w.candidate(0, ranID).Tx
+// recording wraps bTelco i's transport, keeping every uplink envelope.
+func (w *retryWorld) recording(i int, ranID string, sent *[][]byte) NASTransport {
+	tx := w.tx(i, ranID)
 	return func(envelope []byte) ([]byte, error) {
 		*sent = append(*sent, append([]byte(nil), envelope...))
 		return tx(envelope)
@@ -339,7 +360,7 @@ func TestAttachSAPRetransmitsShedRequest(t *testing.T) {
 	w := newRetryWorld(t)
 	d := NewDevice("rt-ue-4", nil, w.cb)
 	var sent [][]byte
-	tx := w.recording("rt-ue-4", &sent)
+	tx := w.recording(0, "rt-ue-4", &sent)
 	idT := w.telcos[0].IDT
 	retransmits := mtr.retransmits.Value()
 
@@ -390,7 +411,7 @@ func TestAttachShelfDropsOnAnythingButShed(t *testing.T) {
 	w := newRetryWorld(t)
 	d := NewDevice("rt-ue-5", nil, w.cb)
 	var sent [][]byte
-	tx := w.recording("rt-ue-5", &sent)
+	tx := w.recording(0, "rt-ue-5", &sent)
 	idT := w.telcos[0].IDT
 
 	w.down[0] = true
@@ -435,75 +456,220 @@ func TestAttachShelfDropsOnAnythingButShed(t *testing.T) {
 	}
 }
 
+// attachRequest decodes env as a SAP attach request, or returns nil for any
+// other NAS message.
+func attachRequest(t *testing.T, env []byte) *sap.AuthReqU {
+	t.Helper()
+	_, _, body, err := nas.SplitEnvelope(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := nas.Decode(body)
+	req, ok := msg.(*nas.AttachRequestSAP)
+	if err != nil || !ok {
+		return nil
+	}
+	reqU, err := sap.UnmarshalAuthReqU(req.AuthReqU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqU
+}
+
+// A ticket comes back only from a request shed with a typed retry-after
+// hint, when the UE leaves it for another bTelco — never after a grant, a
+// denial or a transport error once sent, and never over a newer ticket —
+// and the abandoned request is not sent again. A signed shed request
+// reclaims nothing and stays shelved. Each row makes one attempt at bTelco
+// 0, then attaches at bTelco 1 and back at bTelco 0.
+func TestAttachShelfHandsBackOnlyAShedTicket(t *testing.T) {
+	shed := func(w *retryWorld, d *Device, tx NASTransport) error {
+		w.brk.ShedLoad(time.Second)
+		defer w.brk.Resume()
+		_, err := d.AttachSAP(tx, w.telcos[0].IDT)
+		return err
+	}
+	const (
+		signedNext  = iota // the attach at bTelco 1 is first contact again
+		ticketNext         // it rides a ticket, not the attempt's
+		reclaimNext        // it rides the attempt's ticket, in a new box
+	)
+	for _, tc := range []struct {
+		name          string
+		signed        bool // the attempt is the UE's first contact
+		attempt       func(w *retryWorld, d *Device, tx NASTransport) error
+		granted, shed bool // how the attempt ends, if not in another error
+		next          int
+		resent        bool // the attach back at bTelco 0 resends the attempt's bytes
+	}{
+		{name: "typed shed", attempt: shed, shed: true, next: reclaimNext},
+		{name: "grant", granted: true, next: ticketNext,
+			attempt: func(w *retryWorld, d *Device, tx NASTransport) error {
+				if _, err := d.AttachSAP(tx, w.telcos[0].IDT); err != nil {
+					return err
+				}
+				return d.Detach(tx)
+			}},
+		{name: "denial", next: signedNext,
+			attempt: func(w *retryWorld, d *Device, tx NASTransport) error {
+				w.brk.SetPolicy(qos.DefaultParams(), broker.PriceCap(0.5))
+				defer w.brk.SetPolicy(qos.DefaultParams())
+				_, err := d.AttachSAP(tx, w.telcos[0].IDT)
+				return err
+			}},
+		{name: "transport error once sent", next: signedNext,
+			attempt: func(w *retryWorld, d *Device, tx NASTransport) error {
+				_, err := d.AttachSAP(func(env []byte) ([]byte, error) {
+					tx(env) // the broker granted; the reply is lost
+					return nil, errors.New("radio link failure")
+				}, w.telcos[0].IDT)
+				return err
+			}},
+		{name: "a newer ticket", shed: true, next: ticketNext,
+			attempt: func(w *retryWorld, d *Device, tx NASTransport) error {
+				err := shed(w, d, tx)
+				// The same SIM attaches elsewhere meanwhile, and is granted.
+				other := NewDevice(d.RANID+"-other", nil, d.CB)
+				if _, err := other.AttachSAP(w.tx(1, other.RANID), w.telcos[1].IDT); err != nil {
+					t.Fatal(err)
+				}
+				return err
+			}},
+		{name: "typed shed of a signed request", signed: true, attempt: shed, shed: true, next: signedNext, resent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newRetryWorld(t)
+			d := NewDevice("rt-ue-7", nil, w.cb)
+			var sent [][]byte
+			tx := [2]NASTransport{w.recording(0, "rt-ue-7", &sent), w.recording(1, "rt-ue-7", &sent)}
+			attach := func(i int) *sap.AuthReqU {
+				t.Helper()
+				n := len(sent)
+				if _, err := d.AttachSAP(tx[i], w.telcos[i].IDT); err != nil {
+					t.Fatalf("attach at bTelco %d: %v", i, err)
+				}
+				if err := d.Detach(tx[i]); err != nil {
+					t.Fatal(err)
+				}
+				return attachRequest(t, sent[n])
+			}
+			if !tc.signed {
+				attach(0) // first contact: the UE holds a ticket
+			}
+			n, reclaims := len(sent), mtr.reclaims.Value()
+			err := tc.attempt(w, d, tx[0])
+			var ra *wire.RetryAfterError
+			if (err == nil) != tc.granted || errors.As(err, &ra) != tc.shed {
+				t.Fatalf("the attempt: %v", err)
+			}
+			failed := attachRequest(t, sent[n])
+			if (len(failed.Sig) != 0) != tc.signed {
+				t.Fatalf("the attempt carries a %d-byte signature", len(failed.Sig))
+			}
+
+			at1 := attach(1)
+			if (len(at1.Sig) != 0) != (tc.next == signedNext) {
+				t.Fatalf("the attach at bTelco 1 carries a %d-byte signature", len(at1.Sig))
+			}
+			reclaimed := tc.next == reclaimNext
+			if bytes.Equal(at1.SealedVec[:32], failed.SealedVec[:32]) != reclaimed || bytes.Equal(at1.SealedVec, failed.SealedVec) {
+				t.Fatalf("the attach at bTelco 1 shares the attempt's prefix: %v, want %v", !reclaimed, reclaimed)
+			}
+			var want uint64
+			if reclaimed {
+				want = 1
+			}
+			if got := mtr.reclaims.Value() - reclaims; got != want {
+				t.Fatalf("ue_attach_tickets_reclaimed_total moved by %d, want %d", got, want)
+			}
+
+			back := attach(0)
+			if bytes.Equal(back.SealedVec, failed.SealedVec) != tc.resent {
+				t.Fatalf("back at bTelco 0: resent the attempt = %v, want %v", !tc.resent, tc.resent)
+			}
+			if !tc.resent && bytes.Equal(back.SealedVec[:32], failed.SealedVec[:32]) {
+				t.Fatal("back at bTelco 0: the attempt's prefix again")
+			}
+		})
+	}
+}
+
 // Whatever mix of grants, sheds, losses and denials a device lives through,
 // no 32-byte authVec prefix — X25519 key or ticket locator (DESIGN.md §2.8)
 // — leaves it twice, except inside the byte-identical retransmission of a
-// shed request; and after anything but a grant the next request is the
-// signed handshake again.
+// shed request, or once more in the request that rode the ticket of a shed
+// one abandoned for another bTelco; and after anything but a grant or a shed
+// the next request is the signed handshake again.
 func TestDeviceNeverRepeatsAPrefixExceptShedRetransmit(t *testing.T) {
 	w := newRetryWorld(t)
 	d := NewDevice("rt-ue-6", nil, w.cb)
 	var sent [][]byte
-	tx := w.recording("rt-ue-6", &sent)
-	idT := w.telcos[0].IDT
+	tx := [2]NASTransport{w.recording(0, "rt-ue-6", &sent), w.recording(1, "rt-ue-6", &sent)}
 
-	attach := func(wantErr bool) {
+	attach := func(i int, wantErr bool) {
 		t.Helper()
-		if _, err := d.AttachSAP(tx, idT); (err != nil) != wantErr {
+		if _, err := d.AttachSAP(tx[i], w.telcos[i].IDT); (err != nil) != wantErr {
 			t.Fatalf("attach %d: err = %v, want failure=%v", len(sent), err, wantErr)
 		}
 		if !wantErr {
-			if err := d.Detach(tx); err != nil {
+			if err := d.Detach(tx[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	attach(false) // first contact
-	attach(false) // ticketed
+	attach(0, false) // first contact
+	attach(0, false) // ticketed
 	w.brk.ShedLoad(time.Second)
-	attach(true) // ticketed, shed, shelved
+	attach(0, true) // ticketed, shed, shelved
 	w.brk.Resume()
-	attach(false) // the same bytes again, granted
-	attach(false) // ticketed
+	attach(0, false) // the same bytes again, granted
+	attach(0, false) // ticketed
+	w.brk.ShedLoad(time.Second)
+	attach(0, true) // ticketed, shed, shelved
+	w.brk.Resume()
+	attach(1, false) // abandons it, and rides its ticket in a new box
+	attach(0, false) // ticketed: the abandoned request is not resent
 	w.down[0] = true
-	attach(true) // ticketed, lost with its ticket
+	attach(0, true) // ticketed, lost with its ticket
 	w.down[0] = false
-	attach(false) // signed
+	attach(0, false) // signed
 	w.brk.SetPolicy(qos.DefaultParams(), broker.PriceCap(0.5))
-	attach(true) // ticketed, denied with its ticket
+	attach(0, true) // ticketed, denied with its ticket
 	w.brk.SetPolicy(qos.DefaultParams())
-	attach(false) // signed
-	attach(false) // ticketed
+	attach(0, false) // signed
+	attach(0, false) // ticketed
 
-	wantSigned := []bool{true, false, false, false, false, false, true, false, true, false}
-	byPrefix := map[string][]byte{}
+	wantSigned := []bool{true, false, false, false, false, false, false, false, false, true, false, true, false}
+	abandoned := map[int]bool{5: true} // the request shed at bTelco 0 before the attach at bTelco 1
 	var requests [][]byte
+	lastWith := map[string]int{} // prefix -> the last request that carried it
+	resent, reclaimed := 0, 0
 	for _, env := range sent {
-		_, _, body, err := nas.SplitEnvelope(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, err := nas.Decode(body)
-		req, ok := msg.(*nas.AttachRequestSAP)
-		if err != nil || !ok {
+		reqU := attachRequest(t, env)
+		if reqU == nil {
 			continue // a detach
 		}
+		i := len(requests)
 		requests = append(requests, env)
-		reqU, err := sap.UnmarshalAuthReqU(req.AuthReqU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := len(requests) - 1
 		if i < len(wantSigned) && (len(reqU.Sig) != 0) != wantSigned[i] {
 			t.Errorf("request %d carries a %d-byte UE signature, want signed=%v", i, len(reqU.Sig), wantSigned[i])
 		}
 		prefix := string(reqU.SealedVec[:32])
-		if first, dup := byPrefix[prefix]; dup && !bytes.Equal(first, env) {
-			t.Errorf("request %d reuses an earlier request's prefix in different bytes", i)
+		if j, dup := lastWith[prefix]; dup {
+			switch {
+			case bytes.Equal(requests[j], env):
+				resent++
+			case abandoned[j]:
+				delete(abandoned, j)
+				reclaimed++
+			default:
+				t.Errorf("request %d reuses request %d's prefix in different bytes", i, j)
+			}
 		}
-		byPrefix[prefix] = env
+		lastWith[prefix] = i
 	}
-	if len(requests) != len(wantSigned) || len(byPrefix) != len(requests)-1 || !bytes.Equal(requests[2], requests[3]) {
-		t.Fatalf("%d requests over %d prefixes; want %d requests, one retransmitted", len(requests), len(byPrefix), len(wantSigned))
+	if len(requests) != len(wantSigned) || resent != 1 || reclaimed != 1 || len(lastWith) != len(requests)-2 {
+		t.Fatalf("%d requests over %d prefixes, %d resent, %d on a reclaimed ticket; want %d requests, one of each",
+			len(requests), len(lastWith), resent, reclaimed, len(wantSigned))
 	}
 }

@@ -224,7 +224,9 @@ func (d *Device) AttachLegacy(tx NASTransport) (*Attachment, error) {
 // with the network, whose reply carries the broker-sealed authRespU. The
 // shared secret ss then seeds the NAS context (the SMC exchange is
 // subsumed because both sides already hold ss). A request the broker shed
-// stays on the device's AttachShelf for the next attach to idT to resend.
+// stays on the device's AttachShelf for the next attach to idT to resend —
+// unless it rode a ticket and an attach to another bTelco comes first: that
+// one abandons it and rides its ticket (AttachShelf.Take).
 func (d *Device) AttachSAP(tx NASTransport, idT string) (_ *Attachment, err error) {
 	if d.CB == nil {
 		return nil, errors.New("ue: no CellBricks SIM state")
@@ -443,9 +445,8 @@ func (m *BasebandMeter) StartSession() {
 
 // BindSession sets the session reference used in reports and the exchange
 // they are sealed on: the one the session's attach opened with the broker
-// (sap.PendingAttach.Sealer; a resumed session keeps its ticket's). It is
-// dropped at the next StartSession, so reports of two sessions never share
-// a prefix.
+// (sap.PendingAttach.Sealer). It is dropped at the next StartSession, so
+// reports of two sessions never share a prefix.
 func (m *BasebandMeter) BindSession(ref string, sealer *pki.Sealer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
