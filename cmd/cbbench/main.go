@@ -11,7 +11,7 @@
 //	cbbench -exp billing         # verifiable billing across a full drive
 //	cbbench -exp failover        # fault injection: outage-to-recovery + goodput dip
 //	cbbench -exp byzantine       # Byzantine bTelcos vs quarantine, invariant-checked soak
-//	cbbench -exp storm           # attach storm vs broker batching/caching/admission control
+//	cbbench -exp storm           # attach storm vs broker admission control
 //	cbbench -exp all
 //
 // Flags tune the emulated duration, trials and seed; results print the
@@ -496,7 +496,7 @@ func main() {
 		})
 	}
 	if want("storm") {
-		run("storm", "Attach storm: flash crowd vs broker batching, caching and admission control", func() (string, map[string]float64, error) {
+		run("storm", "Attach storm: flash crowd vs broker admission control", func() (string, map[string]float64, error) {
 			// The storm's own 30 s default unless -dur was given explicitly.
 			stormDur := 30 * time.Second
 			if durSet {
@@ -515,18 +515,22 @@ func main() {
 			}
 			wall := res.WallPre + res.WallSpike + res.WallPost
 			m := map[string]float64{
-				"attaches":               float64(res.Attaches),
-				"sheds":                  float64(res.Sheds),
-				"shed_frac":              res.ShedFraction(),
-				"batch_flushes":          float64(res.BatchFlushes),
-				"batch_items":            float64(res.BatchItems),
-				"wall_pre_ms":            res.WallPre.Seconds() * 1000,
-				"wall_spike_ms":          res.WallSpike.Seconds() * 1000,
-				"wall_post_ms":           res.WallPost.Seconds() * 1000,
-				"spike_attaches_per_sec": res.SpikeAttachesPerSec(),
+				"attaches":      float64(res.Attaches),
+				"sheds":         float64(res.Sheds),
+				"batch_flushes": float64(res.BatchFlushes),
+				"batch_items":   float64(res.BatchItems),
+				"wall_pre_ms":   res.WallPre.Seconds() * 1000,
+				"wall_spike_ms": res.WallSpike.Seconds() * 1000,
+				"wall_post_ms":  res.WallPost.Seconds() * 1000,
+			}
+			if res.Attempts > 0 {
+				m["shed_frac"] = float64(res.Sheds) / float64(res.Attempts)
 			}
 			if wall > 0 {
 				m["attaches_per_sec"] = float64(res.Grants) / wall.Seconds()
+			}
+			if res.WallSpike > 0 {
+				m["spike_attaches_per_sec"] = float64(res.SpikeGrants) / res.WallSpike.Seconds()
 			}
 			return res.Render(), m, nil
 		})

@@ -34,12 +34,13 @@ var configKeep = map[string]string{
 }
 
 // TestEveryConfigFieldHasACaller fails when an exported field of a
-// *Config / *Options / Scenario struct under internal/ is set by no
-// non-test code. "Set" is syntactic: a composite-literal key of that type,
-// or an assignment to (or address of) a field of that name in a file that
-// can name the type's package; a type's own Defaults/withDefaults method
-// filling its receiver does not count. Such a field is a constant with
-// extra steps: make it one, or name its reason in configKeep.
+// *Config / *Options / *Policy / Scenario struct under internal/ is set by
+// no non-test code. "Set" is syntactic: a composite-literal key of that
+// type, or an assignment to (or address of) a field of that name in a file
+// that can name the type's package; a type's own Defaults / WithDefaults
+// method (either case) filling its receiver does not count. Such a field is
+// a constant with extra steps: make it one, or name its reason in
+// configKeep.
 func TestEveryConfigFieldHasACaller(t *testing.T) {
 	if len(configKeep) > 16 {
 		t.Fatalf("configKeep has %d entries; the list is capped at 16", len(configKeep))
@@ -68,7 +69,7 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				name := ts.Name.Name
-				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || name == "Scenario") {
+				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy") || name == "Scenario") {
 					return false
 				}
 				for _, fl := range st.Fields.List {
@@ -159,7 +160,7 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
 				own, recv = "", ""
-				if x.Recv != nil && len(x.Recv.List[0].Names) == 1 && (strings.EqualFold(x.Name.Name, "defaults") || x.Name.Name == "withDefaults") {
+				if x.Recv != nil && len(x.Recv.List[0].Names) == 1 && (strings.EqualFold(x.Name.Name, "defaults") || strings.EqualFold(x.Name.Name, "withDefaults")) {
 					own, recv = typeName(x.Recv.List[0].Type), x.Recv.List[0].Names[0].Name
 				}
 			case *ast.AssignStmt:

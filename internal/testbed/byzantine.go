@@ -623,18 +623,19 @@ func (u *byzUE) attempt(seq int) {
 }
 
 func (u *byzUE) failAttach(seq int, err error, extra time.Duration) {
-	delay, retry := u.backoff(seq, err)
-	switch {
-	case retry:
-		u.after(extra+delay, func() { u.attempt(seq) })
-	case seq == u.attachSeq:
-		// Budget exhausted: cool off, then start a fresh machine.
-		u.after(time.Second, func() {
-			if seq == u.attachSeq {
-				u.startAttach(u.prefer, u.handover)
-			}
-		})
+	if seq != u.attachSeq {
+		return // a newer storm superseded this attempt
 	}
+	if delay, retry := u.backoff(err); retry {
+		u.after(extra+delay, func() { u.attempt(seq) })
+		return
+	}
+	// Budget exhausted: cool off, then start a fresh machine.
+	u.after(time.Second, func() {
+		if seq == u.attachSeq {
+			u.startAttach(u.prefer, u.handover)
+		}
+	})
 }
 
 func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.AuthResp) {

@@ -90,8 +90,9 @@ type ueCore struct {
 	st    *sap.UEState
 	meter *ue.BasebandMeter
 
-	// The attach machine: attachSeq names the current attach storm, and
-	// every in-flight attempt of an older one is ignored on arrival.
+	// The attach machine. attachSeq numbers the attach storms; the
+	// Byzantine soak ignores an in-flight attempt of an older one on
+	// arrival (the storm never starts one over another).
 	attachSeq  int
 	fsm        *ue.AttachFSM
 	prefer     int
@@ -165,14 +166,10 @@ func (u *ueCore) startStorm(pol ue.RetryPolicy, cells, prefer int) {
 	u.fsm = ue.NewAttachFSM(pol, cells, u.rng)
 }
 
-// backoff is the shared half of a failed attempt. A stale attempt (its
-// storm was superseded) and an exhausted retry budget both report retry
-// false — the latter counted as a give-up; otherwise delay is the retry
-// machine's backoff before the next attempt.
-func (u *ueCore) backoff(seq int, err error) (delay time.Duration, retry bool) {
-	if seq != u.attachSeq {
-		return 0, false
-	}
+// backoff is the shared half of a failed attempt of the current storm. An
+// exhausted retry budget reports retry false and counts a give-up;
+// otherwise delay is the retry machine's backoff before the next attempt.
+func (u *ueCore) backoff(err error) (delay time.Duration, retry bool) {
 	delay, giveUp := u.fsm.Fail(err)
 	if giveUp {
 		u.giveups++

@@ -24,12 +24,15 @@ import (
 // shard count; only the wall-clock (Metrics) numbers differ.
 //
 // The world is the grouped sharded world of grouped.go, and determinism
-// follows its recipe (DESIGN.md §2.6). Two storm-specific rules are
+// follows its recipe (DESIGN.md §2.6). Three storm-specific rules are
 // layered on top:
 //
+//   - One attach at a time per UE: an arrival that finds its UE mid-attach
+//     is absorbed, so no attempt is ever superseded.
 //   - The UE takes its request off its ue.AttachShelf at attempt time and
-//     shelves it again when admission sheds the attempt, so the next try at
-//     that cell resends it; a try at the other cell first abandons a
+//     shelves it again when admission sheds the attempt; the retry machine
+//     keeps the cell after a shed, so the next attempt resends the same
+//     bytes. A try at another cell (after a give-up) first abandons a
 //     ticketed one and rides its ticket (AttachShelf.Take) instead of
 //     paying first contact.
 //   - The flush tick runs on shard 0 at shard0TickPhase, pairing
@@ -139,15 +142,19 @@ type StormResult struct {
 	Config StormConfig
 
 	Arrivals int // storm arrivals fired
+	Absorbed int // arrivals that found their UE mid-attach
 	Attempts int // attach attempts (first tries and retries)
 	Attaches int // attach grants adopted by their UE
-	Grants   int // broker grants (includes grants a UE outraced)
+	Grants   int // broker grants
 	Denied   int // broker denials
 	Sheds    int // attempts refused by admission control
 	Retries  int
 	GiveUps  int
 
-	Retransmits int // attempts that resent a shed request: attempts minus requests built (not rendered)
+	// Not rendered: Retransmits counts attempts that resent a shed request
+	// (attempts minus requests built), Signed the requests built with a
+	// signature (first contact), Attempters the UEs that attempted at all.
+	Retransmits, Signed, Attempters int
 
 	SpikeArrivals int
 	SpikeGrants   int
@@ -175,10 +182,14 @@ type StormResult struct {
 type stormUE struct {
 	ueCore
 	grp *stormGroup
+	// attaching holds from an arrival's first attempt to adoption or
+	// give-up: an attempt is in flight or its retry is pending.
+	attaching bool
 	// shelf holds, per cell, the request admission shed; fwd the cell's
 	// signed forward of it. Taken at attempt time and restored together.
-	shelf ue.AttachShelf
-	fwd   []*sap.AuthReqT
+	shelf  ue.AttachShelf
+	fwd    []*sap.AuthReqT
+	signed int // requests built with a signature
 }
 
 type stormGroup struct {
@@ -187,8 +198,8 @@ type stormGroup struct {
 	ues   []*stormUE
 
 	// Shard-local tallies, merged after the run.
-	arrivals, spikeArrivals int
-	latMS                   []float64
+	arrivals, spikeArrivals, absorbed int
+	latMS                             []float64
 }
 
 type stormWorld struct {
@@ -198,9 +209,10 @@ type stormWorld struct {
 	bat    *broker.Batcher
 
 	// Shard-0 state: written only by broker-endpoint handlers and the
-	// flush tick. pending pairs, in enqueue order, with the outcomes
-	// the next Flush returns.
-	pending     []stormPending
+	// flush tick. pending pairs, in enqueue order, with the outcomes the
+	// next Flush returns: what becomes of each, or nil for a report,
+	// which is tallied where the flush ran.
+	pending     []func(broker.BatchOutcome)
 	grants      int
 	spikeGrants int
 	denied      int
@@ -208,14 +220,6 @@ type stormWorld struct {
 	spikeSheds  int
 	reports     int
 	mismatches  int
-}
-
-// stormPending is what becomes of one queued item's outcome: an attach's
-// finish runs back on group g's shard; a report (finish nil) is tallied
-// where the flush ran.
-type stormPending struct {
-	g      int
-	finish func(broker.BatchOutcome)
 }
 
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
@@ -286,14 +290,12 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 			w.fail(fmt.Errorf("testbed: storm flush returned %d outcomes for %d callbacks", len(outs), len(pend)))
 			return
 		}
-		for i, p := range pend {
-			out := outs[i]
-			if p.finish == nil {
-				w.reportOutcome(out)
+		for i, done := range pend {
+			if done == nil {
+				w.reportOutcome(outs[i])
 				continue
 			}
-			w.tallyAttach(out)
-			w.toGroup(p.g, func() { p.finish(out) })
+			done(outs[i])
 		}
 		if next := latticeAt(w.sim0.Now()+cfg.Window, shard0TickPhase); next < cfg.Duration {
 			w.sim0.At(next, flushTick)
@@ -303,9 +305,9 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	return w, nil
 }
 
-// arrive is one storm arrival: the subscriber (re)starts its attach —
-// detaching first if attached, as the paper's mobility story has it —
-// preferring the next cell in its rotation.
+// arrive is one storm arrival. A UE mid-attach absorbs it; any other
+// (re)starts its attach — detaching first if attached, as the paper's
+// mobility story has it — preferring the next cell in its rotation.
 func (u *stormUE) arrive() {
 	w := u.grp.w
 	if w.runErr != nil {
@@ -315,10 +317,15 @@ func (u *stormUE) arrive() {
 	if w.cfg.inSpike(u.sim.Now()) {
 		u.grp.spikeArrivals++
 	}
+	if u.attaching {
+		u.grp.absorbed++
+		return
+	}
 	u.detach()
 	C := len(u.grp.cells)
 	u.startStorm(stormRetry, C, (u.attachSeq+1)%C)
-	u.attempt(u.attachSeq)
+	u.attaching = true
+	u.attempt()
 }
 
 // attempt runs one attach attempt: the request the UE's shelf hands out
@@ -327,9 +334,9 @@ func (u *stormUE) arrive() {
 // for the next flush. If admission sheds it the broker never saw it, so it
 // goes back on the shelf, with the cell's forward, before the UE backs off.
 // The admission check and enqueue run on shard 0; the rest on the UE's.
-func (u *stormUE) attempt(seq int) {
+func (u *stormUE) attempt() {
 	w, g := u.grp.w, u.g
-	if seq != u.attachSeq || w.runErr != nil {
+	if w.runErr != nil {
 		return
 	}
 	ci := (u.prefer + u.fsm.Candidate()) % len(u.grp.cells)
@@ -340,6 +347,9 @@ func (u *stormUE) attempt(seq int) {
 	if err != nil {
 		w.fail(err)
 		return
+	}
+	if !resent && len(pending.Req.Sig) != 0 {
+		u.signed++
 	}
 	reqT := u.fwd[ci]
 	u.fwd[ci] = nil
@@ -355,12 +365,15 @@ func (u *stormUE) attempt(seq int) {
 			w.toGroup(g, func() {
 				u.shelf.Settle(pending, err)
 				u.fwd[ci] = reqT
-				u.failAttach(seq, err)
+				u.failAttach(err)
 			})
 			return
 		}
 		w.bat.EnqueueAuth(reqT)
-		w.pending = append(w.pending, stormPending{g, func(out broker.BatchOutcome) { u.finish(seq, cell, pending, out) }})
+		w.pending = append(w.pending, func(out broker.BatchOutcome) {
+			w.tallyAttach(out)
+			w.toGroup(g, func() { u.finish(cell, pending, out) })
+		})
 	})
 }
 
@@ -387,20 +400,21 @@ func (w *stormWorld) tallyAttach(out broker.BatchOutcome) {
 	}
 }
 
-func (u *stormUE) failAttach(seq int, err error) {
-	// On a give-up the UE waits for its next storm arrival.
-	if delay, retry := u.backoff(seq, err); retry {
-		u.after(delay, func() { u.attempt(seq) })
+// failAttach schedules the retry, or on a give-up leaves the UE to wait
+// for its next storm arrival.
+func (u *stormUE) failAttach(err error) {
+	delay, retry := u.backoff(err)
+	if retry {
+		u.after(delay, u.attempt)
 	}
+	u.attaching = retry
 }
 
-// finish completes an attempt the broker decided. A grant the UE outraced
-// with a newer attach still goes through the bTelco and the UE — its
-// ticket is the UE's next — but only the current attach adopts a session.
-func (u *stormUE) finish(seq int, cell *cellCore, pending *sap.PendingAttach, out broker.BatchOutcome) {
+// finish completes an attempt the broker decided.
+func (u *stormUE) finish(cell *cellCore, pending *sap.PendingAttach, out broker.BatchOutcome) {
 	w := u.grp.w
 	if out.Err != nil {
-		u.failAttach(seq, out.Err)
+		u.failAttach(out.Err)
 		return
 	}
 	grant, _, err := w.finishAttach(u.st, cell.telco, pending, out.Auth)
@@ -409,18 +423,16 @@ func (u *stormUE) finish(seq int, cell *cellCore, pending *sap.PendingAttach, ou
 		return
 	}
 	if err != nil {
-		u.failAttach(seq, err)
-		return
-	}
-	if seq != u.attachSeq {
+		u.failAttach(err)
 		return
 	}
 	u.attachTo(cell, grant.URef, pending.Sealer)
 }
 
-// attachTo adopts a granted session: latency sample, then the shared
-// adoption with this world's report chain.
+// attachTo adopts a granted session, ending the attach: latency sample,
+// then the shared adoption with this world's report chain.
 func (u *stormUE) attachTo(cell *cellCore, uref string, sealer *pki.Sealer) {
+	u.attaching = false
 	u.grp.latMS = append(u.grp.latMS, float64(u.sim.Now()-u.stormStart)/float64(time.Millisecond))
 	s := new(sessionCore)
 	u.adopt(cell, s, uref, sealer, u.grp.w.cfg.ReportEvery, func() { u.reportTick(s) })
@@ -447,7 +459,7 @@ func (u *stormUE) reportTick(s *sessionCore) {
 		w.reports += 2
 		w.bat.EnqueueReport(ueEnv)
 		w.bat.EnqueueReport(tEnv)
-		w.pending = append(w.pending, stormPending{}, stormPending{})
+		w.pending = append(w.pending, nil, nil)
 	})
 	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
 }
@@ -476,6 +488,7 @@ func (w *stormWorld) collect() StormResult {
 	var bill ledger
 	for _, grp := range w.groups {
 		res.Arrivals += grp.arrivals
+		res.Absorbed += grp.absorbed
 		res.SpikeArrivals += grp.spikeArrivals
 		res.LatMS = append(res.LatMS, grp.latMS...)
 		for _, u := range grp.ues {
@@ -484,6 +497,8 @@ func (w *stormWorld) collect() StormResult {
 			res.Retries += u.retries
 			res.GiveUps += u.giveups
 			res.Retransmits += u.shelf.Resent
+			res.Signed += u.signed
+			res.Attempters += min(u.attempts, 1)
 			availSum += u.attachedFrac(cfg.Duration)
 		}
 		for _, cell := range grp.cells {
@@ -523,39 +538,20 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	return res, nil
 }
 
-// SpikeAttachesPerSec is the wall-clock grant throughput inside the
-// flash-crowd window.
-func (r StormResult) SpikeAttachesPerSec() float64 {
-	if r.WallSpike <= 0 {
-		return 0
-	}
-	return float64(r.SpikeGrants) / r.WallSpike.Seconds()
-}
-
-// ShedFraction is the fraction of attach attempts refused by admission
-// control.
-func (r StormResult) ShedFraction() float64 {
-	if r.Attempts == 0 {
-		return 0
-	}
-	return float64(r.Sheds) / float64(r.Attempts)
-}
-
 // Render produces the deterministic summary: identical bytes for any
 // shard count — the determinism gate hashes exactly this string. Wall-clock
-// numbers are deliberately excluded; so are the queue counters. ("mode=any"
-// is from when a storm had two attach protocols.)
+// numbers are deliberately excluded; so are the queue counters.
 func (r StormResult) Render() string {
 	var b strings.Builder
 	c := r.Config
-	fmt.Fprintf(&b, "storm seed=%d dur=%v groups=%d cells/grp=%d ues/grp=%d shards=any mode=any\n",
+	fmt.Fprintf(&b, "storm seed=%d dur=%v groups=%d cells/grp=%d ues/grp=%d shards=any\n",
 		c.Seed, c.Duration, c.Groups, c.CellsPerGroup, c.UEsPerGroup)
 	fmt.Fprintf(&b, "rate base=%.1f/s peak=%.1f/s spike=x%.1f @%v for %v window=%v report=%v\n",
 		c.BaseRate, c.peakRate(), c.Spike, c.SpikeAt, c.SpikeDur, c.Window, c.ReportEvery)
 	fmt.Fprintf(&b, "admission rate=%.1f/s burst=%.1f maxqueue=%d hint=%v\n",
 		c.Admission.Rate, c.Admission.Burst, c.Admission.MaxQueue, c.Admission.RetryAfter)
-	fmt.Fprintf(&b, "arrivals=%d attempts=%d attaches=%d grants=%d denied=%d retries=%d giveups=%d\n",
-		r.Arrivals, r.Attempts, r.Attaches, r.Grants, r.Denied, r.Retries, r.GiveUps)
+	fmt.Fprintf(&b, "arrivals=%d absorbed=%d attempts=%d attaches=%d grants=%d denied=%d retries=%d giveups=%d\n",
+		r.Arrivals, r.Absorbed, r.Attempts, r.Attaches, r.Grants, r.Denied, r.Retries, r.GiveUps)
 	fmt.Fprintf(&b, "shed total=%d rate=%d queue=%d admitted=%d\n",
 		r.Sheds, r.RateSheds, r.QueueSheds, r.Admitted)
 	fmt.Fprintf(&b, "spike arrivals=%d grants=%d sheds=%d\n",

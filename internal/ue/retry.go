@@ -13,21 +13,23 @@ import (
 // "a user simply detaches from one cell tower and independently attaches
 // to a new tower" — which only holds if the attach itself survives a dying
 // bTelco or a recovering broker. The retry state machine rotates through
-// candidate bTelcos with jittered exponential backoff, honouring typed
-// retry-after hints from a degraded broker. The decision logic (AttachFSM)
-// is pure: it owns no I/O and no clock, so each emulated world drives it on
-// its own (the testbed schedules each Fail's delay as a sim event) around
-// Device.AttachSAP or the same request path.
+// candidate bTelcos with jittered exponential backoff; a typed retry-after
+// hint from a degraded broker is a wait at the same bTelco, not a move. The
+// decision logic (AttachFSM) is pure: it owns no I/O and no clock, so each
+// emulated world drives it on its own (the testbed schedules each Fail's
+// delay as a sim event) around Device.AttachSAP or the same request path.
+
+// baseBackoff is the delay after the first failure, doubling per attempt
+// up to RetryPolicy.MaxBackoff.
+const baseBackoff = 200 * time.Millisecond
 
 // RetryPolicy tunes the attach state machine.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget across all candidate
 	// bTelcos before the machine gives up (default 8).
 	MaxAttempts int
-	// BaseBackoff is the delay after the first failure (default 200 ms),
-	// doubling per attempt and capped at MaxBackoff (default 5 s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
+	// MaxBackoff caps the doubling backoff (default 5 s).
+	MaxBackoff time.Duration
 	// JitterFrac randomizes each backoff by up to this fraction (0..1).
 	// Jitter draws from the rng handed to the FSM, so a seeded source
 	// replays exactly.
@@ -39,9 +41,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 8
 	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 200 * time.Millisecond
-	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 5 * time.Second
 	}
@@ -52,7 +51,7 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 // failure (1-based). rng may be nil for no jitter.
 func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
 	p = p.WithDefaults()
-	d := p.BaseBackoff << (attempt - 1)
+	d := baseBackoff << (attempt - 1)
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
 	}
@@ -69,7 +68,7 @@ func (p RetryPolicy) Budget() time.Duration {
 	p = p.WithDefaults()
 	var total time.Duration
 	for a := 1; a < p.MaxAttempts; a++ {
-		d := p.BaseBackoff << (a - 1)
+		d := baseBackoff << (a - 1)
 		if d > p.MaxBackoff || d <= 0 {
 			d = p.MaxBackoff
 		}
@@ -139,7 +138,10 @@ func (m *AttachFSM) Fallbacks() int { return m.fallbacks }
 // Fail records a failed attempt and decides what happens next: wait
 // `delay`, then retry against Candidate() — which rotates to the next
 // bTelco, the fallback path for a serving bTelco that died mid-attach.
-// A *wire.RetryAfterError (a shedding broker) floors the delay at the
+// A *wire.RetryAfterError (a shedding broker) is the exception, as in
+// 3GPP's congestion back-off (T3346): the bTelco that relayed it is alive
+// and every candidate reaches the same broker, so the candidate stays —
+// unless the avoid filter now rejects it — and the delay is floored at the
 // server's hint. giveUp reports budget exhaustion.
 func (m *AttachFSM) Fail(err error) (delay time.Duration, giveUp bool) {
 	m.attempt++
@@ -153,8 +155,11 @@ func (m *AttachFSM) Fail(err error) (delay time.Duration, giveUp bool) {
 		mtr.giveups.Add(1)
 		return 0, true
 	}
-	prev := m.cand
-	m.cand = m.nextAllowed((m.cand + 1) % m.candidates)
+	prev, next := m.cand, (m.cand+1)%m.candidates
+	if shed {
+		next = m.cand
+	}
+	m.cand = m.nextAllowed(next)
 	if prev == 0 && m.cand != 0 {
 		m.fallbacks++
 		mtr.fallbacks.Add(1)
@@ -172,10 +177,12 @@ const maxShelved = 8
 // AttachShelf keeps, per target bTelco, the attach request a shedding
 // broker refused. A typed shed (*wire.RetryAfterError) is raised before the
 // broker validates a request or records its nonce, so the next attempt at
-// that bTelco retransmits the identical bytes — as NAS does on T3410 — and
+// that bTelco — after a shed, the next attempt, since AttachFSM.Fail keeps
+// the candidate — retransmits the identical bytes, as NAS does on T3410, and
 // every broker check runs on them unchanged; any other outcome drops the
 // request (DESIGN.md §2.4). A shed request that rode a ticket is abandoned
-// instead when the UE attaches elsewhere, and its ticket goes with the UE
+// instead when the UE attaches elsewhere (after a give-up, or off an avoided
+// bTelco), and its ticket goes with the UE
 // (sap.UEState.ReclaimTicket, DESIGN.md §2.8). The zero value is ready to
 // use; the holder serializes access.
 type AttachShelf struct {

@@ -118,9 +118,9 @@ func TestFSMBudgetExhaustion(t *testing.T) {
 }
 
 func TestFSMBackoffGrowsAndCaps(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 10, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
+	pol := RetryPolicy{MaxAttempts: 10, MaxBackoff: 800 * time.Millisecond}
 	m := NewAttachFSM(pol, 1, nil)
-	want := []time.Duration{100, 200, 400, 400, 400}
+	want := []time.Duration{200, 400, 800, 800, 800}
 	for i, w := range want {
 		d, giveUp := m.Fail(errors.New("x"))
 		if giveUp {
@@ -132,21 +132,79 @@ func TestFSMBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
+// sheds are the two forms a typed shed reaches the machine in: bare, and
+// wrapped as AttachSAP returns it.
+func sheds(after time.Duration) []error {
+	hint := &wire.RetryAfterError{After: after}
+	return []error{hint, fmt.Errorf("%w: shed: %w", ErrRejected, hint)}
+}
+
 // A typed shed floors the delay at the hint, and never lowers it.
 func TestFSMRetryAfterFloorsDelay(t *testing.T) {
-	m := NewAttachFSM(RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond}, 2, nil)
-	hint := &wire.RetryAfterError{After: 2 * time.Second}
-	d, _ := m.Fail(fmt.Errorf("%w: shed: %w", ErrRejected, hint))
-	if d < 2*time.Second {
-		t.Fatalf("delay %v ignored the 2s retry-after floor", d)
+	m := NewAttachFSM(RetryPolicy{MaxAttempts: 5}, 2, nil)
+	for i, err := range sheds(2 * time.Second) {
+		if d, _ := m.Fail(err); d < 2*time.Second {
+			t.Fatalf("shed %d: delay %v ignored the 2s retry-after floor", i, d)
+		}
 	}
-	if d, _ = m.Fail(&wire.RetryAfterError{After: time.Millisecond}); d != 20*time.Millisecond {
-		t.Fatalf("delay %v after a 1ms hint, want the 20ms backoff", d)
+	if d, _ := m.Fail(&wire.RetryAfterError{After: time.Millisecond}); d != 800*time.Millisecond {
+		t.Fatalf("delay %v after a 1ms hint, want the 800ms third backoff", d)
+	}
+}
+
+// A typed shed is a wait, not a move: the bTelco that relayed it is alive
+// and every candidate reaches the same broker, so the candidate stays —
+// while any other failure still rotates.
+func TestFSMShedKeepsCandidate(t *testing.T) {
+	m := NewAttachFSM(RetryPolicy{MaxAttempts: 10}, 3, nil)
+	if _, giveUp := m.Fail(errFail); giveUp || m.Candidate() != 1 {
+		t.Fatalf("a plain failure: candidate %d (gave up %v), want a rotation to 1", m.Candidate(), giveUp)
+	}
+	for i, err := range sheds(time.Second) {
+		if _, giveUp := m.Fail(err); giveUp || m.Candidate() != 1 {
+			t.Fatalf("shed %d: candidate %d (gave up %v), want it kept at 1", i, m.Candidate(), giveUp)
+		}
+	}
+	if m.Fail(errFail); m.Candidate() != 2 {
+		t.Fatalf("a plain failure after sheds: candidate %d, want 2", m.Candidate())
+	}
+	if m.Fallbacks() != 1 {
+		t.Fatalf("fallbacks = %d, want 1", m.Fallbacks())
+	}
+}
+
+// The avoid filter is live: a candidate it starts rejecting between sheds
+// is left on the next shed, and sheds then keep the new one.
+func TestFSMShedLeavesAvoidedCandidate(t *testing.T) {
+	m := NewAttachFSM(RetryPolicy{MaxAttempts: 10}, 3, nil)
+	quarantined := map[int]bool{}
+	m.SetAvoid(func(i int) bool { return quarantined[i] })
+	shed := sheds(time.Second)[1]
+	if m.Fail(shed); m.Candidate() != 0 {
+		t.Fatalf("shed at an allowed candidate moved to %d", m.Candidate())
+	}
+	quarantined[0] = true
+	if m.Fail(shed); m.Candidate() != 1 {
+		t.Fatalf("shed at a quarantined candidate: now %d, want 1", m.Candidate())
+	}
+	if m.Fail(shed); m.Candidate() != 1 || m.Fallbacks() != 1 {
+		t.Fatalf("shed after the move: candidate %d, fallbacks %d; want 1 and 1", m.Candidate(), m.Fallbacks())
+	}
+}
+
+// Sheds spend the attempt budget like any failure: a broker that never
+// stops shedding ends in a give-up.
+func TestFSMShedsExhaustBudget(t *testing.T) {
+	m := NewAttachFSM(RetryPolicy{MaxAttempts: 3}, 2, nil)
+	for i, err := range append(sheds(time.Second), sheds(time.Second)[0]) {
+		if _, giveUp := m.Fail(err); giveUp != (i == 2) {
+			t.Fatalf("shed %d: giveUp = %v", i+1, giveUp)
+		}
 	}
 }
 
 func TestFSMJitterDeterministic(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 8, BaseBackoff: 100 * time.Millisecond, JitterFrac: 0.4}
+	pol := RetryPolicy{MaxAttempts: 8, JitterFrac: 0.4}
 	collect := func(seed int64) []time.Duration {
 		m := NewAttachFSM(pol, 2, rand.New(rand.NewSource(seed)))
 		var ds []time.Duration
@@ -178,7 +236,7 @@ func TestFSMJitterDeterministic(t *testing.T) {
 }
 
 func TestPolicyBudgetBoundsWorstCase(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 6, BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, JitterFrac: 0.5}
+	pol := RetryPolicy{MaxAttempts: 6, MaxBackoff: time.Second, JitterFrac: 0.5}
 	budget := pol.Budget()
 	m := NewAttachFSM(pol, 2, rand.New(rand.NewSource(1)))
 	var total time.Duration
@@ -286,8 +344,7 @@ func TestAttachSAPRetryFallsBackToSecondary(t *testing.T) {
 	w.down[0] = true // serving bTelco is dead
 	d := NewDevice("rt-ue-1", nil, w.cb)
 	var slept []time.Duration
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
-	a, served, fsm, err := w.retryAttach(d, pol, func(dur time.Duration) { slept = append(slept, dur) })
+	a, served, fsm, err := w.retryAttach(d, RetryPolicy{MaxAttempts: 4}, func(dur time.Duration) { slept = append(slept, dur) })
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -307,7 +364,7 @@ func TestAttachSAPRetryFallsBackToSecondary(t *testing.T) {
 
 func TestAttachSAPRetryHonoursBrokerShed(t *testing.T) {
 	w := newRetryWorld(t)
-	w.brk.ShedLoad(40 * time.Millisecond)
+	w.brk.ShedLoad(time.Second)
 	d := NewDevice("rt-ue-2", nil, w.cb)
 	var slept []time.Duration
 	sleep := func(dur time.Duration) {
@@ -315,16 +372,19 @@ func TestAttachSAPRetryHonoursBrokerShed(t *testing.T) {
 		// The broker recovers while the UE backs off.
 		w.brk.Resume()
 	}
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
-	_, _, fsm, err := w.retryAttach(d, pol, sleep)
+	retransmits := mtr.retransmits.Value()
+	_, served, fsm, err := w.retryAttach(d, RetryPolicy{MaxAttempts: 4}, sleep)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	if fsm.Attempts() != 1 {
-		t.Fatalf("attempts = %d, want 1 (one shed, one success)", fsm.Attempts())
+	if fsm.Attempts() != 1 || served != 0 {
+		t.Fatalf("attempts = %d, served by %d; want one shed, then a grant where it was shed", fsm.Attempts(), served)
 	}
-	if len(slept) != 1 || slept[0] < 40*time.Millisecond {
-		t.Fatalf("backoff %v did not honour the broker's 40ms retry-after hint", slept)
+	if len(slept) != 1 || slept[0] < time.Second {
+		t.Fatalf("backoff %v did not honour the broker's 1s retry-after hint", slept)
+	}
+	if got := mtr.retransmits.Value() - retransmits; got != 1 {
+		t.Fatalf("ue_attach_retransmits_total moved by %d, want 1: the retry resends the shed request", got)
 	}
 	if w.brk.ShedCount() != 1 {
 		t.Fatalf("ShedCount = %d, want 1", w.brk.ShedCount())
@@ -335,8 +395,7 @@ func TestAttachSAPRetryBudgetExhausts(t *testing.T) {
 	w := newRetryWorld(t)
 	w.down[0], w.down[1] = true, true
 	d := NewDevice("rt-ue-3", nil, w.cb)
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
-	_, _, fsm, err := w.retryAttach(d, pol, func(time.Duration) {})
+	_, _, fsm, err := w.retryAttach(d, RetryPolicy{MaxAttempts: 3}, func(time.Duration) {})
 	if err == nil || !strings.Contains(err.Error(), "down") {
 		t.Fatalf("err = %v, want the last attempt's transport error", err)
 	}
