@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -37,10 +36,9 @@ import (
 	"time"
 
 	"cellbricks/internal/broker"
+	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/obs"
-	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/testbed"
 	"cellbricks/internal/ue"
@@ -55,33 +53,22 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// Deterministic demo credentials shared by the roles so a multi-process
-// testbed needs no key distribution.
-func demoCA() *pki.CA {
-	ca, err := pki.NewCAFromSeed("demo-ca", bytes.Repeat([]byte{81}, 32))
+// demoCast is the deterministic demo cast every role mints from, so a
+// multi-process testbed needs no key distribution: the CA, the broker and
+// the demo UE (registered with that broker) are seeded, and each role keeps
+// the part it plays. A bTelco's key is drawn fresh; its certificate is
+// valid for 24 h from start-up.
+func demoCast() (*core.Cast, *sap.UEState) {
+	c, err := core.New("demo-ca", core.Seed(81), "broker.demo", core.Seed(82), time.Time{}, nil)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return ca
-}
-
-func demoBrokerKey() *pki.KeyPair {
-	k, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{82}, 32))
+	sim, _, err := c.NewSubscriber(core.Seed(83))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return k
+	return c, sim
 }
-
-func demoUEKey() *pki.KeyPair {
-	k, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{83}, 32))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return k
-}
-
-const demoBrokerID = "broker.demo"
 
 func main() {
 	role := flag.String("role", "demo", "broker|btelco|ue|demo")
@@ -121,34 +108,22 @@ func main() {
 	}
 }
 
-func newDemoBroker() *broker.Brokerd {
-	cfg := broker.DefaultConfig(demoBrokerID, demoBrokerKey(), demoCA().Public())
-	b := broker.New(cfg)
-	b.RegisterUser(demoUEKey().Public()) // the demo UE
-	return b
-}
-
 func runBroker(listen string) {
-	b := newDemoBroker()
-	srv, err := broker.Serve(b, listen)
+	c, _ := demoCast()
+	srv, err := broker.Serve(c.Broker, listen)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer srv.Close()
-	obs.Infof(logSub, "brokerd %s listening on %s", b.ID(), srv.Addr())
+	obs.Infof(logSub, "brokerd %s listening on %s", c.Config.ID, srv.Addr())
 	waitForInterrupt()
 }
 
 func runBTelco(listen, brokerAddr, telcoID string) {
-	ca := demoCA()
-	key, err := pki.GenerateKeyPair()
+	c, _ := demoCast()
+	telco, err := c.NewTelco(telcoID, nil, 2.0)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	cert := ca.Issue(telcoID, "btelco", key.Public(), time.Now().Add(-time.Minute), time.Now().Add(365*24*time.Hour))
-	telco := &sap.TelcoState{
-		IDT: telcoID, Key: key, Cert: cert,
-		Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 2.0},
 	}
 	// One pooled client for the daemon's life (the demo trusts the demo key).
 	bc, err := broker.DialClient(brokerAddr)
@@ -158,7 +133,7 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 	defer bc.Close()
 	agw := epc.NewAGW(epc.AGWConfig{
 		Telco:   telco,
-		Brokers: epc.StaticDirectory{ID: demoBrokerID, Client: bc, Pub: demoBrokerKey().Public()},
+		Brokers: epc.StaticDirectory{ID: c.Config.ID, Client: bc, Pub: c.BrokerPub},
 	})
 	srv, err := epc.ServeNAS(agw, listen)
 	if err != nil {
@@ -170,13 +145,7 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 }
 
 func runUE(btelcoAddr, telcoID string) {
-	key := demoUEKey()
-	sim := &sap.UEState{
-		IDU:       key.Public().Digest(),
-		IDB:       demoBrokerID,
-		Key:       key,
-		BrokerPub: demoBrokerKey().Public(),
-	}
+	_, sim := demoCast()
 	dev := ue.NewDevice("demo-ue", nil, sim)
 	client, err := wire.Dial(btelcoAddr)
 	if err != nil {

@@ -11,55 +11,53 @@ import (
 	"log"
 	"time"
 
+	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
-	"cellbricks/internal/sap"
+	"cellbricks/internal/ue"
 )
 
 func main() {
-	eco, err := core.NewEcosystem("dishonest-ca")
+	cast, err := core.New("dishonest-ca", core.Seed(1), "broker.watchful", core.Seed(2), time.Time{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	brk, err := eco.NewBroker("broker.watchful")
+	telco, err := cast.NewTelco("shady-cell", nil, 0.99) // suspiciously cheap
 	if err != nil {
 		log.Fatal(err)
 	}
-	dir := core.NewDirectory(brk)
-	cheat, err := eco.NewBTelco(core.BTelcoConfig{
-		ID:      "shady-cell",
-		Brokers: dir,
-		Terms:   sap.ServiceTerms{PricePerGB: 0.99}, // suspiciously cheap
-	})
-	if err != nil {
-		log.Fatal(err)
+	cheat := epc.NewAGW(epc.AGWConfig{Telco: telco, Brokers: epc.StaticDirectory{
+		ID: cast.Config.ID, Client: broker.Local{B: cast.Broker}, Pub: cast.BrokerPub}})
+	subscribe := func(name string, seed byte) (*ue.Device, ue.NASTransport) {
+		st, _, err := cast.NewSubscriber(core.Seed(seed))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ue.NewDevice(name, nil, st), func(env []byte) ([]byte, error) { return cheat.HandleNAS(name, env) }
 	}
 
-	sub, err := brk.Subscribe("victim-ue")
-	if err != nil {
-		log.Fatal(err)
-	}
-	att, err := sub.Attach(cheat)
+	sub, tx := subscribe("victim-ue", 3)
+	att, err := sub.AttachSAP(tx, telco.IDT)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("attached through shady-cell; initial reputation %.2f\n",
-		brk.D.TelcoScore("shady-cell"))
+		cast.Broker.TelcoScore("shady-cell"))
 
 	// Several reporting cycles: the cell counts 3x the real traffic.
-	bearer := cheat.AGW.UserPlane().Lookup(att.IP)
+	bearer := cheat.UserPlane().Lookup(att.IP)
 	for cycle := 1; cycle <= 12; cycle++ {
 		for i := 0; i < 300; i++ {
 			now := time.Duration(cycle*1000+i) * time.Millisecond
 			// Real packet, counted by the UE baseband...
 			if bearer.Process(now, epc.Downlink, 1200) {
-				sub.Device.Meter.CountDL(1200)
+				sub.Meter.CountDL(1200)
 			}
 			// ...plus two phantom packets only the cell's counter sees.
 			bearer.Process(now, epc.Downlink, 1200)
 			bearer.Process(now, epc.Downlink, 1200)
 		}
-		m, err := core.ReportCycle(brk, cheat, sub, att.SessionID, time.Duration(cycle)*30*time.Second)
+		m, err := cast.ReportCycle(cheat, sub, att.SessionID, time.Duration(cycle)*30*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,15 +65,12 @@ func main() {
 		if m != nil {
 			flagged = fmt.Sprintf("MISMATCH (telco %dB vs UE %dB, degree %.2f)", m.TelcoBytes, m.UEBytes, m.Degree)
 		}
-		fmt.Printf("cycle %2d: %s; reputation %.3f\n", cycle, flagged, brk.D.TelcoScore("shady-cell"))
+		fmt.Printf("cycle %2d: %s; reputation %.3f\n", cycle, flagged, cast.Broker.TelcoScore("shady-cell"))
 	}
 
 	// The reputation gate now rejects new attachments through this cell.
-	sub2, err := brk.Subscribe("second-ue")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sub2.Attach(cheat); err == nil {
+	sub2, tx2 := subscribe("second-ue", 4)
+	if _, err := sub2.AttachSAP(tx2, telco.IDT); err == nil {
 		log.Fatal("broker still authorizes the cheating bTelco")
 	} else {
 		fmt.Printf("\nnew attach denied: %v\n", err)
@@ -83,8 +78,8 @@ func main() {
 
 	// The session's settlement is conservative: disputed cycles pay out
 	// on the UE-verified bytes, not the inflated claim.
-	uref := cheat.AGW.Session(att.SessionID).URef
-	st, err := brk.D.SettleSession(uref)
+	uref := cheat.Session(att.SessionID).URef
+	st, err := cast.Broker.SettleSession(uref)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,34 +12,31 @@ import (
 	"time"
 
 	"cellbricks/internal/aka"
+	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/ran"
-	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
 )
 
 func main() {
-	eco, err := core.NewEcosystem("dualstack-ca")
+	cast, err := core.New("dualstack-ca", core.Seed(1), "broker.newco", core.Seed(2), time.Time{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	brk, err := eco.NewBroker("broker.newco")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dir := core.NewDirectory(brk)
 
 	// The legacy MNO: subscriber DB + AGW, no SAP support at all.
 	sdb := epc.NewSubscriberDB()
 	legacyCore := epc.NewAGW(epc.AGWConfig{Subscribers: directSDB{sdb}})
 
 	// A new CellBricks bTelco behind an unmodified eNodeB.
-	cbTelco, err := eco.NewBTelco(core.BTelcoConfig{ID: "newco-cell", Brokers: dir, Terms: sap.ServiceTerms{PricePerGB: 1.25}})
+	telco, err := cast.NewTelco("newco-cell", nil, 1.25)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enb := cbTelco.NewENB(ran.Cell{ID: "enb-1", TelcoID: "newco-cell", RRCSetupDelay: 130 * time.Millisecond})
+	cbCore := epc.NewAGW(epc.AGWConfig{Telco: telco, Brokers: epc.StaticDirectory{
+		ID: cast.Config.ID, Client: broker.Local{B: cast.Broker}, Pub: cast.BrokerPub}})
+	enb := ran.NewENB(ran.Cell{ID: "enb-1", TelcoID: "newco-cell", RRCSetupDelay: 130 * time.Millisecond}, cbCore.HandleNAS)
 
 	// One device, both credentials.
 	k, err := aka.NewK()
@@ -47,11 +44,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sdb.Provision("001015550009999", k, epc.SubscriberProfile{APN: "internet"})
-	sub, err := brk.Subscribe("dual-phone")
+	sim, _, err := cast.NewSubscriber(core.Seed(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev := ue.NewDevice("dual-phone", &aka.SIM{K: k, IMSI: "001015550009999"}, sub.Device.CB)
+	dev := ue.NewDevice("dual-phone", &aka.SIM{K: k, IMSI: "001015550009999"}, sim)
 
 	// In MNO coverage: AttachAuto tries SAP, the legacy core can't serve
 	// it, the device falls back to EPS-AKA.
@@ -71,13 +68,13 @@ func main() {
 	if _, err := enb.Connect("dual-phone"); err != nil {
 		log.Fatal(err)
 	}
-	cbTx := core.TransportVia(enb, "dual-phone")
+	cbTx := func(env []byte) ([]byte, error) { return enb.ForwardNAS("dual-phone", env) }
 	a2, err := dev.AttachAuto(cbTx, "newco-cell")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("under the CB bTelco:    attached via %s (ip %s) through an unmodified eNodeB\n",
-		kind(cbTelco.AGW.Session(a2.SessionID)), a2.IP)
+		kind(cbCore.Session(a2.SessionID)), a2.IP)
 	if err := dev.Detach(cbTx); err != nil {
 		log.Fatal(err)
 	}

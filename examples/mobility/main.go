@@ -20,52 +20,55 @@ import (
 	"time"
 
 	"cellbricks/internal/apps"
+	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
+	"cellbricks/internal/epc"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/ran"
-	"cellbricks/internal/mobility"
+	"cellbricks/internal/ue"
 )
 
 func main() {
-	eco, err := core.NewEcosystem("mobility-ca")
+	cast, err := core.New("mobility-ca", core.Seed(1), "broker.mobility", core.Seed(2), time.Time{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	brk, err := eco.NewBroker("broker.mobility")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dir := core.NewDirectory(brk)
+	brokers := epc.StaticDirectory{ID: cast.Config.ID, Client: broker.Local{B: cast.Broker}, Pub: cast.BrokerPub}
 
 	// Ten towers, ten independent bTelcos.
 	deployment := ran.LinearDeployment(10, 800, func(i int) string {
 		return fmt.Sprintf("btelco-%02d", i)
 	})
-	cells := make(map[string]*core.BTelco)
+	cells := make(map[string]*epc.AGW)
 	for _, c := range deployment.Cells {
 		if _, ok := cells[c.TelcoID]; ok {
 			continue
 		}
-		t, err := eco.NewBTelco(core.BTelcoConfig{ID: c.TelcoID, Brokers: dir})
+		t, err := cast.NewTelco(c.TelcoID, nil, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cells[c.TelcoID] = t
+		cells[c.TelcoID] = epc.NewAGW(epc.AGWConfig{Telco: t, Brokers: brokers})
 	}
 
-	sub, err := brk.Subscribe("drive-ue")
+	st, _, err := cast.NewSubscriber(core.Seed(3))
 	if err != nil {
 		log.Fatal(err)
+	}
+	dev := ue.NewDevice("drive-ue", nil, st)
+	via := func(agw *epc.AGW) ue.NASTransport {
+		return func(env []byte) ([]byte, error) { return agw.HandleNAS(dev.RANID, env) }
 	}
 
 	// Control plane: drive at 20 m/s and re-attach at every handover.
 	mobile := ran.NewMobile(deployment, 20)
-	serving := cells[mobile.Serving().TelcoID]
-	if _, err := sub.Attach(serving); err != nil {
+	serving := mobile.Serving().TelcoID
+	if _, err := dev.AttachSAP(via(cells[serving]), serving); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("t=0s attached to %s\n", mobile.Serving().TelcoID)
+	fmt.Printf("t=0s attached to %s\n", serving)
 
 	attachLatencies := []time.Duration{}
 	tick := 100 * time.Millisecond
@@ -77,11 +80,11 @@ func main() {
 		// Host-driven handover: detach, then SAP attach to the new
 		// provider. No coordination between the two bTelcos.
 		start := time.Now()
-		if err := sub.Detach(serving); err != nil {
+		if err := dev.Detach(via(cells[serving])); err != nil {
 			log.Fatal(err)
 		}
-		serving = cells[ev.To.TelcoID]
-		if _, err := sub.Attach(serving); err != nil {
+		serving = ev.To.TelcoID
+		if _, err := dev.AttachSAP(via(cells[serving]), serving); err != nil {
 			log.Fatal(err)
 		}
 		attachLatencies = append(attachLatencies, time.Since(start))

@@ -162,3 +162,18 @@ func (c *Client) UploadReport(env *billing.SealedReport) error {
 
 // Close closes the client's idle connections.
 func (c *Client) Close() error { return c.p.Close() }
+
+// Local is the in-process counterpart of Client: the same epc.BrokerClient
+// and epc.BrokerReceiptClient, as direct calls into B with no codec or
+// socket between, for an AGW that shares a process with its broker.
+type Local struct{ B *Brokerd }
+
+// Authenticate implements the SAP round trip.
+func (c Local) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
+	return c.B.HandleAuthRequest(req)
+}
+
+// RedeemReceipt implements the receipt exchange.
+func (c Local) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
+	return c.B.HandleReceipt(req)
+}

@@ -1,188 +1,187 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"cellbricks/internal/aka"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/epc"
+	"cellbricks/internal/obs"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/ran"
 	"cellbricks/internal/sap"
+	"cellbricks/internal/ue"
 )
 
-// buildEco wires one ecosystem with a broker and two bTelcos.
-func buildEco(t *testing.T) (*Ecosystem, *Broker, *BTelco, *BTelco) {
+func newCast(t *testing.T, caSeed, brokerSeed byte, brokerID string, tune func(*broker.Config)) *Cast {
 	t.Helper()
-	eco, err := NewEcosystem("test-ca")
+	c, err := New(fmt.Sprintf("ca-%d", caSeed), Seed(caSeed), brokerID, Seed(brokerSeed), time.Time{}, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	brk, err := eco.NewBroker("broker.test")
+	return c
+}
+
+// directory is the in-process broker directory of a cell that serves the
+// users of several casts' brokers.
+type directory []*Cast
+
+func (d directory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
+	for _, c := range d {
+		if c.Config.ID == idB {
+			return broker.Local{B: c.Broker}, c.BrokerPub, nil
+		}
+	}
+	return nil, pki.PublicIdentity{}, fmt.Errorf("unknown broker %q", idB)
+}
+
+// cell mints a bTelco of c and starts its AGW behind dir.
+func cell(t *testing.T, c *Cast, id string, price float64, dir epc.BrokerDirectory) (*sap.TelcoState, *epc.AGW) {
+	t.Helper()
+	telco, err := c.NewTelco(id, nil, price)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := NewDirectory(brk)
-	t1, err := eco.NewBTelco(BTelcoConfig{ID: "coffee-shop-cell", Brokers: dir, Terms: sap.ServiceTerms{PricePerGB: 3}})
+	return telco, epc.NewAGW(epc.AGWConfig{Telco: telco, Brokers: dir})
+}
+
+func subscribe(t *testing.T, c *Cast, ranID string) *ue.Device {
+	t.Helper()
+	st, _, err := c.NewSubscriber(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := eco.NewBTelco(BTelcoConfig{ID: "mall-cell", Brokers: dir, Terms: sap.ServiceTerms{PricePerGB: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eco, brk, t1, t2
+	return ue.NewDevice(ranID, nil, st)
+}
+
+func via(agw *epc.AGW, ranID string) ue.NASTransport {
+	return func(env []byte) ([]byte, error) { return agw.HandleNAS(ranID, env) }
+}
+
+// buildEco wires one cast with two bTelcos.
+func buildEco(t *testing.T) (*Cast, *epc.AGW, *epc.AGW) {
+	t.Helper()
+	c := newCast(t, 1, 2, "broker.test", nil)
+	_, a1 := cell(t, c, "coffee-shop-cell", 3, directory{c})
+	_, a2 := cell(t, c, "mall-cell", 1, directory{c})
+	return c, a1, a2
 }
 
 func TestSubscribeAttachDetach(t *testing.T) {
-	_, brk, t1, _ := buildEco(t)
-	sub, err := brk.Subscribe("ue-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sub.Attach(t1)
+	c, agw, _ := buildEco(t)
+	dev := subscribe(t, c, "ue-1")
+	a, err := dev.AttachSAP(via(agw, "ue-1"), "coffee-shop-cell")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.IP == "" {
 		t.Fatal("no IP")
 	}
-	if err := sub.Detach(t1); err != nil {
+	if err := dev.Detach(via(agw, "ue-1")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHostDrivenMobilityAcrossBTelcos(t *testing.T) {
-	_, brk, t1, t2 := buildEco(t)
-	sub, err := brk.Subscribe("ue-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := sub.Attach(t1)
+	c, t1, t2 := buildEco(t)
+	dev := subscribe(t, c, "ue-2")
+	a1, err := dev.AttachSAP(via(t1, "ue-2"), "coffee-shop-cell")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Host-driven handover: detach from T1, independently attach to T2 —
 	// no coordination between the providers.
-	if err := sub.Detach(t1); err != nil {
+	if err := dev.Detach(via(t1, "ue-2")); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := sub.Attach(t2)
+	a2, err := dev.AttachSAP(via(t2, "ue-2"), "mall-cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2.IP == a1.IP && t1.AGW == t2.AGW {
+	if a2.IP == a1.IP && t1 == t2 {
 		t.Fatal("no fresh attachment state")
 	}
-	if t1.AGW.ActiveSessions() != 0 || t2.AGW.ActiveSessions() != 1 {
-		t.Fatalf("sessions: t1=%d t2=%d", t1.AGW.ActiveSessions(), t2.AGW.ActiveSessions())
+	if t1.ActiveSessions() != 0 || t2.ActiveSessions() != 1 {
+		t.Fatalf("sessions: t1=%d t2=%d", t1.ActiveSessions(), t2.ActiveSessions())
 	}
 }
 
 func TestHonestBillingCycle(t *testing.T) {
-	_, brk, t1, _ := buildEco(t)
-	sub, err := brk.Subscribe("ue-3")
+	c, agw, _ := buildEco(t)
+	dev := subscribe(t, c, "ue-3")
+	a, err := dev.AttachSAP(via(agw, "ue-3"), "coffee-shop-cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sub.Attach(t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bearer := t1.AGW.UserPlane().Lookup(a.IP)
+	bearer := agw.UserPlane().Lookup(a.IP)
 	for i := 0; i < 200; i++ {
 		if bearer.Process(time.Duration(i)*5*time.Millisecond, epc.Downlink, 1400) {
-			sub.Device.Meter.CountDL(1400)
+			dev.Meter.CountDL(1400)
 		}
 	}
-	m, err := ReportCycle(brk, t1, sub, a.SessionID, 30*time.Second)
+	m, err := c.ReportCycle(agw, dev, a.SessionID, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != nil {
 		t.Fatalf("honest cycle flagged: %+v", m)
 	}
-	if s := brk.D.TelcoScore("coffee-shop-cell"); s < 0.99 {
+	if s := c.Broker.TelcoScore("coffee-shop-cell"); s < 0.99 {
 		t.Fatalf("score %.2f", s)
 	}
 }
 
 func TestMultiBrokerSingleBTelco(t *testing.T) {
-	eco, err := NewEcosystem("ca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := eco.NewBroker("broker-a")
-	b2, _ := eco.NewBroker("broker-b")
-	dir := NewDirectory(b1, b2)
-	tel, err := eco.NewBTelco(BTelcoConfig{ID: "shared-cell", Brokers: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1 := newCast(t, 1, 2, "broker-a", nil)
+	b2 := newCast(t, 1, 3, "broker-b", nil) // same CA seed: one trust root
+	_, agw := cell(t, b1, "shared-cell", 1, directory{b1, b2})
 	// One bTelco serves users of two brokers simultaneously
 	// ("bTelcos are inherently multi-tenant").
-	s1, _ := b1.Subscribe("ue-a")
-	s2, _ := b2.Subscribe("ue-b")
-	if _, err := s1.Attach(tel); err != nil {
-		t.Fatal(err)
+	for i, c := range []*Cast{b1, b2} {
+		ranID := fmt.Sprintf("ue-%d", i)
+		if _, err := subscribe(t, c, ranID).AttachSAP(via(agw, ranID), "shared-cell"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s2.Attach(tel); err != nil {
-		t.Fatal(err)
-	}
-	if tel.AGW.ActiveSessions() != 2 {
-		t.Fatalf("sessions = %d", tel.AGW.ActiveSessions())
+	if agw.ActiveSessions() != 2 {
+		t.Fatalf("sessions = %d", agw.ActiveSessions())
 	}
 }
 
 func TestUnknownBrokerRejected(t *testing.T) {
-	eco, _ := NewEcosystem("ca")
-	lone, _ := eco.NewBroker("broker-lone")
-	dir := NewDirectory() // empty: the bTelco knows no brokers
-	tel, err := eco.NewBTelco(BTelcoConfig{ID: "cell-x", Brokers: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := lone.Subscribe("ue-x")
-	_, err = sub.Attach(tel)
+	lone := newCast(t, 1, 2, "broker-lone", nil)
+	_, agw := cell(t, lone, "cell-x", 1, directory{}) // the bTelco knows no brokers
+	_, err := subscribe(t, lone, "ue-x").AttachSAP(via(agw, "ue-x"), "cell-x")
 	if err == nil || !strings.Contains(err.Error(), "unknown broker") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestForeignCAUntrusted(t *testing.T) {
-	ecoA, _ := NewEcosystem("ca-a")
-	ecoB, _ := NewEcosystem("ca-b")
-	brk, _ := ecoA.NewBroker("broker.a") // trusts only ca-a
-	dir := NewDirectory(brk)
+	a := newCast(t, 1, 2, "broker.a", nil) // trusts only CA 1
+	b := newCast(t, 4, 5, "broker.b", nil)
 	// bTelco certified by a CA the broker does not trust.
-	tel, err := ecoB.NewBTelco(BTelcoConfig{ID: "rogue-cell", Brokers: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := brk.Subscribe("ue-y")
-	if _, err := sub.Attach(tel); err == nil {
+	_, agw := cell(t, b, "rogue-cell", 1, directory{a})
+	if _, err := subscribe(t, a, "ue-y").AttachSAP(via(agw, "ue-y"), "rogue-cell"); err == nil {
 		t.Fatal("attach through untrusted-CA bTelco succeeded")
 	}
 }
 
 func TestAttachThroughENB(t *testing.T) {
-	_, brk, t1, _ := buildEco(t)
-	enb := t1.NewENB(ran.Cell{ID: "cell-1", TelcoID: t1.State.IDT, RRCSetupDelay: 130 * time.Millisecond})
-	sub, err := brk.Subscribe("enb-ue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := TransportVia(enb, "enb-ue")
+	c, agw, _ := buildEco(t)
+	enb := ran.NewENB(ran.Cell{ID: "cell-1", TelcoID: "coffee-shop-cell", RRCSetupDelay: 130 * time.Millisecond}, agw.HandleNAS)
+	dev := subscribe(t, c, "enb-ue")
+	tx := func(env []byte) ([]byte, error) { return enb.ForwardNAS("enb-ue", env) }
 	// Without an RRC connection the eNB refuses to relay NAS.
-	if _, err := sub.Device.AttachSAP(tx, t1.State.IDT); err == nil {
+	if _, err := dev.AttachSAP(tx, "coffee-shop-cell"); err == nil {
 		t.Fatal("NAS relayed without RRC connection")
 	}
 	if _, err := enb.Connect("enb-ue"); err != nil {
 		t.Fatal(err)
 	}
-	a, err := sub.Device.AttachSAP(tx, t1.State.IDT)
+	a, err := dev.AttachSAP(tx, "coffee-shop-cell")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,87 +197,76 @@ func TestBaselineX2Handover(t *testing.T) {
 	// The network-driven handover CellBricks removes: within one
 	// operator, the session (IP, bearers, security context) survives a
 	// move between eNodeBs via core rebinding.
-	eco, _ := NewEcosystem("x2-ca")
-	brk, _ := eco.NewBroker("broker.x2")
-	dir := NewDirectory(brk)
-	tel, err := eco.NewBTelco(BTelcoConfig{ID: "big-mno", Brokers: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := brk.Subscribe("x2-ue")
-	a, err := sub.Attach(tel)
+	c := newCast(t, 1, 2, "broker.x2", nil)
+	_, agw := cell(t, c, "big-mno", 1, directory{c})
+	dev := subscribe(t, c, "x2-ue")
+	a, err := dev.AttachSAP(via(agw, "x2-ue"), "big-mno")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// X2 handover to a second eNB: new RAN binding, same everything else.
-	if err := tel.AGW.RebindRAN(a.SessionID, "x2-ue@enb2"); err != nil {
+	if err := agw.RebindRAN(a.SessionID, "x2-ue@enb2"); err != nil {
 		t.Fatal(err)
 	}
-	sess := tel.AGW.Session(a.SessionID)
+	sess := agw.Session(a.SessionID)
 	if sess.RANID != "x2-ue@enb2" || sess.IP != a.IP {
 		t.Fatalf("session after rebind: %+v", sess)
 	}
 	// The security context carries over: a protected detach through the
 	// new binding works (the UE's device still signs under the same
 	// context, only the transport path changed).
-	sub.Device.RANID = "x2-ue@enb2"
-	tx := tel.Transport("x2-ue@enb2")
-	if err := sub.Device.Detach(tx); err != nil {
+	dev.RANID = "x2-ue@enb2"
+	if err := dev.Detach(via(agw, "x2-ue@enb2")); err != nil {
 		t.Fatal(err)
 	}
 	// Rebinding an inactive session fails.
-	if err := tel.AGW.RebindRAN(a.SessionID, "x2-ue@enb3"); err == nil {
+	if err := agw.RebindRAN(a.SessionID, "x2-ue@enb3"); err == nil {
 		t.Fatal("rebind of detached session accepted")
 	}
 }
 
-func TestProvisionLegacyAndBrokerWithConfig(t *testing.T) {
-	eco, err := NewEcosystem("misc-ca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := broker.DefaultConfig("broker.custom", nil, pki.PublicIdentity{})
-	cfg.MaxPricePerGB = 3.0
-	brk, err := eco.NewBrokerWithConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := NewDirectory()
-	dir.Add(brk)
-	tel, err := eco.NewBTelco(BTelcoConfig{ID: "cfg-cell", Brokers: dir, Terms: sap.ServiceTerms{PricePerGB: 9.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := brk.Subscribe("cfg-ue")
-	// The custom price cap denies the expensive cell.
-	if _, err := sub.Attach(tel); err == nil {
+// The tune hook shapes the broker before it is built: a price cap set there
+// denies the expensive cell.
+func TestTuneCapsPrice(t *testing.T) {
+	c := newCast(t, 1, 2, "broker.custom", func(cfg *broker.Config) { cfg.MaxPricePerGB = 3.0 })
+	_, agw := cell(t, c, "cfg-cell", 9.0, directory{c})
+	if _, err := subscribe(t, c, "cfg-ue").AttachSAP(via(agw, "cfg-ue"), "cfg-cell"); err == nil {
 		t.Fatal("price-capped broker granted an expensive cell")
 	}
-
-	// Legacy provisioning helper: the device authenticates against the
-	// SDB it was provisioned into.
-	db := epc.NewSubscriberDB()
-	dev, err := ProvisionLegacy(db, "001012223334444", "legacy-ue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agw := epc.NewAGW(epc.AGWConfig{Subscribers: sdbAdapter{db}})
-	tx := func(env []byte) ([]byte, error) { return agw.HandleNAS("legacy-ue", env) }
-	if _, err := dev.AttachLegacy(tx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type sdbAdapter struct{ db *epc.SubscriberDB }
-
-func (a sdbAdapter) AuthInfo(imsi string) (aka.Vector, error) { return a.db.AuthInfo(imsi) }
-func (a sdbAdapter) UpdateLocation(imsi string) (epc.SubscriberProfile, error) {
-	return a.db.UpdateLocation(imsi)
 }
 
 func TestBTelcoConfigValidation(t *testing.T) {
-	eco, _ := NewEcosystem("v-ca")
-	if _, err := eco.NewBTelco(BTelcoConfig{}); err == nil {
+	if _, err := newCast(t, 1, 2, "broker.v", nil).NewTelco("", nil, 1); err == nil {
 		t.Fatal("bTelco without ID accepted")
+	}
+}
+
+// An AGW that reaches its broker in process redeems its MAC-mode grants
+// like one behind broker.Client: after first contact (signed, nothing to
+// receipt), the 256th MAC-mode grant makes a receipt due and the same
+// attach redeems it, so 257 of them leave one receipt and one grant owed.
+func TestInProcessAGWRedeemsReceipts(t *testing.T) {
+	c := newCast(t, 1, 2, "broker.receipts", nil)
+	telco, agw := cell(t, c, "receipt-cell", 1, directory{c})
+	dev := subscribe(t, c, "receipt-ue")
+	tx := via(agw, "receipt-ue")
+	signed := func() float64 { return obs.Default().Snapshot()["broker_receipts_signed_total"] }
+	before := signed()
+	for i := 0; i < 1+257; i++ {
+		if _, err := dev.AttachSAP(tx, "receipt-cell"); err != nil {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+		if err := dev.Detach(tx); err != nil {
+			t.Fatalf("detach %d: %v", i, err)
+		}
+	}
+	if got := signed() - before; got != 1 {
+		t.Fatalf("broker_receipts_signed_total moved by %v, want 1", got)
+	}
+	if telco.ReceiptDue(c.Config.ID) {
+		t.Fatal("a receipt is still due")
+	}
+	if _, owed := telco.Receipts(c.Config.ID); owed != 1 {
+		t.Fatalf("%d grants unreceipted, want 1", owed)
 	}
 }

@@ -153,7 +153,7 @@ type AGW struct {
 	byRAN    map[string]*Session
 	nextSID  uint64
 
-	// Cumulative counters for orchestrator heartbeats.
+	// Cumulative counters, read by Stats.
 	attaches       uint64
 	attachFailures uint64
 	retiredUL      uint64
@@ -625,8 +625,7 @@ func (g *AGW) RebindRAN(sessionID uint64, newRanID string) error {
 	return nil
 }
 
-// AGWStats is a snapshot of the gateway's cumulative counters for
-// orchestrator heartbeats.
+// AGWStats is a snapshot of the gateway's cumulative counters.
 type AGWStats struct {
 	ActiveSessions int
 	Attaches       uint64

@@ -288,8 +288,8 @@ func concurrentSessions(t *testing.T, w *world, n int) []uint64 {
 	return ids
 }
 
-// Report drivers run concurrently — two per session (core.BTelco's and
-// RealDeployment's are both reachable that way), several sessions at once —
+// Report drivers run concurrently — two per session (core.Cast.ReportCycle's
+// and RealDeployment's are both reachable that way), several sessions at once —
 // and share the bTelco's one stream toward the broker. A session must never
 // emit a duplicate or skipped Seq (the verifier would book it as a replay
 // against an honest bTelco), and the stream must sign exactly one checkpoint

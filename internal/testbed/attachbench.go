@@ -6,6 +6,7 @@ import (
 
 	"cellbricks/internal/aka"
 	"cellbricks/internal/broker"
+	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -88,7 +89,6 @@ type AttachBenchResult struct {
 // attachWorld holds the full protocol state for the benchmark.
 type attachWorld struct {
 	agw    *epc.AGW
-	brk    *broker.Brokerd
 	sdb    *epc.SubscriberDB
 	dev    *ue.Device
 	legacy *ue.Device
@@ -132,9 +132,13 @@ func (s instrumentedSDB) UpdateLocation(imsi string) (epc.SubscriberProfile, err
 	return s.w.sdb.UpdateLocation(imsi)
 }
 
-// instrumentedBroker charges the single SAP round trip plus brokerd
-// processing (including its real crypto work).
-type instrumentedBroker struct{ w *attachWorld }
+// instrumentedBroker is broker.Local charged as a northbound request: the
+// network round trip plus brokerd processing (including its real crypto
+// work).
+type instrumentedBroker struct {
+	broker.Local
+	w *attachWorld
+}
 
 func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	defer c.w.remote(SpanBrokerd, costBrokerd)()
@@ -144,20 +148,24 @@ func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, erro
 	if len(req.Sig) == 32 {
 		c.w.macd++
 	}
-	return c.w.brk.HandleAuthRequest(req)
+	return c.Local.Authenticate(req)
+}
+
+func (c instrumentedBroker) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
+	defer c.w.remote(SpanBrokerd, costBrokerd)()
+	return c.Local.RedeemReceipt(req)
 }
 
 func newAttachWorld(place Placement) (*attachWorld, error) {
-	p, err := newPrincipals("bench-ca", flatSeed(41), "broker.bench", flatSeed(42), time.Unix(1_750_000_000, 0), nil)
+	cast, err := core.New("bench-ca", core.Seed(41), "broker.bench", core.Seed(42), time.Unix(1_750_000_000, 0), nil)
 	if err != nil {
 		return nil, err
 	}
-	brk := p.brk
-	cb, _, err := p.newSubscriber(flatSeed(43))
+	cb, _, err := cast.NewSubscriber(core.Seed(43))
 	if err != nil {
 		return nil, err
 	}
-	telco, err := p.newTelco("btelco-bench", flatSeed(44), 1.0)
+	telco, err := cast.NewTelco("btelco-bench", core.Seed(44), 1.0)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +174,11 @@ func newAttachWorld(place Placement) (*attachWorld, error) {
 	k := aka.K{7, 7, 7}
 	sdb.Provision("001010123456789", k, epc.SubscriberProfile{QoS: qos.DefaultParams(), APN: "internet"})
 
-	w := &attachWorld{brk: brk, sdb: sdb, clock: NewVirtualClock(), place: place, telco: telco}
+	w := &attachWorld{sdb: sdb, clock: NewVirtualClock(), place: place, telco: telco}
 	w.agw = epc.NewAGW(epc.AGWConfig{
 		Telco:       telco,
 		Subscribers: instrumentedSDB{w},
-		Brokers:     epc.StaticDirectory{ID: brk.ID(), Client: instrumentedBroker{w}, Pub: brk.Public()},
+		Brokers:     epc.StaticDirectory{ID: cast.Config.ID, Client: instrumentedBroker{broker.Local{B: cast.Broker}, w}, Pub: cast.BrokerPub},
 	})
 	w.dev = ue.NewDevice("bench-ue", nil, cb)
 	w.legacy = ue.NewDevice("bench-ue-legacy", &aka.SIM{K: k, IMSI: "001010123456789"}, nil)

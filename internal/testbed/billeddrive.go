@@ -6,6 +6,7 @@ import (
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
+	"cellbricks/internal/core"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/sap"
@@ -41,16 +42,16 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 	}
 	var res BilledDriveResult
 
-	// Real control-plane principals. The verifier slack absorbs bytes in
+	// The real control-plane cast. The verifier slack absorbs bytes in
 	// flight at a detachment: BDP + bottleneck queue of the night path
 	// (~0.8 MB at ~15 Mbps with a 600 ms AQM budget).
-	prin, err := newPrincipals("drive-ca", flatSeed(71), "broker.drive", flatSeed(72), time.Time{}, func(c *broker.Config) {
+	cast, err := core.New("drive-ca", core.Seed(71), "broker.drive", core.Seed(72), time.Time{}, func(c *broker.Config) {
 		c.VerifierConfig.SlackBytes = 1 << 20
 	})
 	if err != nil {
 		return res, err
 	}
-	ueState, meter, err := prin.newSubscriber(flatSeed(73))
+	ueState, meter, err := cast.NewSubscriber(core.Seed(73))
 	if err != nil {
 		return res, err
 	}
@@ -81,11 +82,11 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 
 	var cur *session
 	attach := func(idx int) error {
-		telco, err := prin.newTelco(fmt.Sprintf("drive-btelco-%d", idx), nil, 2.0)
+		telco, err := cast.NewTelco(fmt.Sprintf("drive-btelco-%d", idx), nil, 2.0)
 		if err != nil {
 			return err
 		}
-		grant, sealer, _, err := prin.attach(ueState, telco)
+		grant, sealer, _, err := attach(cast, ueState, telco)
 		if err != nil {
 			return err
 		}
@@ -132,11 +133,11 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		}
 		rel := sim.Now() - cur.started
 		cur.seq++
-		env, err := prin.telcoReport(cur.telco, cur.uref, cur.seq, rel, cur.telcoBytes)
+		env, err := telcoReport(cast, cur.telco, cur.uref, cur.seq, rel, cur.telcoBytes)
 		if err != nil {
 			return err
 		}
-		if _, err := prin.brk.HandleReport(env); err != nil {
+		if _, err := cast.Broker.HandleReport(env); err != nil {
 			return err
 		}
 		// Radio losses appear to the baseband as RLC sequence gaps; feed
@@ -150,7 +151,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err != nil {
 			return err
 		}
-		m, err := prin.brk.HandleReport(ueEnv)
+		m, err := cast.Broker.HandleReport(ueEnv)
 		if err != nil {
 			return err
 		}
@@ -170,7 +171,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err := report(); err != nil && rollErr == nil {
 			rollErr = err
 		}
-		st, err := prin.brk.SettleSession(cur.uref)
+		st, err := cast.Broker.SettleSession(cur.uref)
 		if err == nil {
 			res.Settlements = append(res.Settlements, st)
 			res.TotalOwed += st.Amount

@@ -298,14 +298,14 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 		},
 	}
 	cfg.Tracer.SetClock(w.sim0.Now)
-	w.brk.EnableQuarantine(w.quar, w.sim0.Now)
+	w.Broker.EnableQuarantine(w.quar, w.sim0.Now)
 
 	// Windowed SLOs, evaluated at 1 Hz on the broker's shard. Crossings
 	// become trace instants and counters; a per-cell overbilling breach
 	// additionally files broker evidence (the optional detection signal),
 	// so the SLO engine is part of the closed loop, not just reporting.
 	obWindow := 4 * byzReportEvery
-	obBound := 1 + w.brkCfg.VerifierConfig.Epsilon
+	obBound := 1 + w.Config.VerifierConfig.Epsilon
 	sloEnter := obs.Default().Counter("slo_breach_enter_total", "SLO windows crossing into breach")
 	sloExit := obs.Default().Counter("slo_breach_exit_total", "SLO windows recovering from breach")
 	w.slo = obs.NewSLOEngine()
@@ -323,7 +323,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 		})
 		if entered && !cfg.DisableSLOSignal {
 			if idT := strings.TrimPrefix(t.Spec.Name, "overbill:"); idT != t.Spec.Name {
-				score := w.brk.ReportSLOBreach(idT, 1)
+				score := w.Broker.ReportSLOBreach(idT, 1)
 				cfg.Tracer.Event("slo", "signal", map[string]string{
 					"telco": idT, "score": fmt.Sprintf("%.3f", score),
 				})
@@ -354,7 +354,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	// the owning group's gateway, which kicks every attached UE into a
 	// re-attach away from the cell. The callback runs under the broker's
 	// lock inside a shard-0 handler — it only records and sends.
-	w.brk.SetQuarantineNotify(func(idT string, entered bool, score float64) {
+	w.Broker.SetQuarantineNotify(func(idT string, entered bool, score float64) {
 		now := w.sim0.Now()
 		w.quarEvents = append(w.quarEvents, ByzQuarEvent{At: now, Telco: idT, Entered: entered, Score: score})
 		name := "exit"
@@ -531,7 +531,7 @@ func (u *byzUE) initialAttach(cell *byzCell) error {
 		}
 	}
 
-	grant, sealer, resp, err := u.grp.w.attach(u.st, cell.telco)
+	grant, sealer, resp, err := attach(u.grp.w.Cast, u.st, cell.telco)
 	if err != nil {
 		return err
 	}
@@ -604,7 +604,7 @@ func (u *byzUE) attempt(seq int) {
 	g := u.g
 	stormStart := u.stormStart
 	w.toBroker(g, func() {
-		resp, err := w.brk.HandleAuthRequest(reqT)
+		resp, err := w.Broker.HandleAuthRequest(reqT)
 		if err == nil && resp.Granted {
 			// Attach-latency SLO sample: storm start to broker grant, on
 			// the broker clock (stormStart was captured on the group
@@ -645,7 +645,7 @@ func (u *byzUE) finishAttach(seq, ci int, pending *sap.PendingAttach, resp *sap.
 	cell := u.grp.cells[ci]
 	// Reputation rides every SAP reply; remember it for steering.
 	u.lastScore[ci] = resp.TelcoScore
-	grant, _, err := u.grp.w.finishAttach(u.st, cell.telco, pending, resp)
+	grant, _, err := finishAttach(u.grp.w.Cast, u.st, cell.telco, pending, resp)
 	if errors.Is(err, errUERejected) {
 		u.grp.w.fail(err)
 		return
@@ -696,11 +696,11 @@ func (u *byzUE) reportTick(s *byzSession) {
 	honest := s.dl
 	cellSLO := cell.slo
 	w.toBroker(u.g, func() {
-		if _, err := w.brk.HandleReport(ueEnv); err != nil {
+		if _, err := w.Broker.HandleReport(ueEnv); err != nil {
 			w.fail(err)
 			return
 		}
-		mm, err := w.brk.HandleReport(tEnv)
+		mm, err := w.Broker.HandleReport(tEnv)
 		switch {
 		case mm != nil:
 			w.mmPerCell[global]++
@@ -752,7 +752,7 @@ func (u *byzUE) watchdogTick() {
 		idT := cell.telco.IDT
 		global := cell.global
 		w.toBroker(u.g, func() {
-			score := w.brk.ReportWatchdog(idT, 1)
+			score := w.Broker.ReportWatchdog(idT, 1)
 			w.wdPerCell[global]++
 			w.cfg.Tracer.Event("watchdog", "evidence", map[string]string{
 				"telco": idT, "score": fmt.Sprintf("%.3f", score),
@@ -799,8 +799,8 @@ func (w *byzWorld) collect() ByzantineResult {
 	cfg := w.cfg
 	res := ByzantineResult{Config: cfg, Quarantine: w.quarEvents}
 
-	eps := w.brkCfg.VerifierConfig.Epsilon
-	slack := float64(w.brkCfg.VerifierConfig.SlackBytes)
+	eps := w.Config.VerifierConfig.Epsilon
+	slack := float64(w.Config.VerifierConfig.SlackBytes)
 	var availSum float64
 	var bill ledger
 	var overbillBad []string
@@ -826,14 +826,14 @@ func (w *byzWorld) collect() ByzantineResult {
 			stat := ByzCellStat{
 				ID:          idT,
 				Adversarial: cell.adv != nil,
-				Score:       w.brk.TelcoScore(idT),
-				Quarantined: w.brk.Quarantined(idT),
+				Score:       w.Broker.TelcoScore(idT),
+				Quarantined: w.Broker.Quarantined(idT),
 				Sessions:    len(cell.sessions),
 				Mismatches:  w.mmPerCell[cell.global],
 				Replays:     w.rplPerCell[cell.global],
 				Watchdog:    w.wdPerCell[cell.global],
 			}
-			if e, ok := w.brk.QuarantineInfo(idT); ok {
+			if e, ok := w.Broker.QuarantineInfo(idT); ok {
 				stat.Strikes = e.Strikes
 			}
 			if cell.adv != nil {
@@ -845,7 +845,7 @@ func (w *byzWorld) collect() ByzantineResult {
 			res.Cells = append(res.Cells, stat)
 
 			for _, s := range cell.sessions {
-				st, ok := bill.settle(w.brk, s)
+				st, ok := bill.settle(w.Broker, s)
 				if !ok {
 					continue
 				}

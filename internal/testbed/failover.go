@@ -10,6 +10,7 @@ import (
 	"cellbricks/internal/apps"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/chaos"
+	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
@@ -136,9 +137,8 @@ type foWorld struct {
 	baseLoss  float64
 	frameLoss float64
 
-	*principals // brk is nil while the broker process is down
-	live        bool
-	lastSnap    []byte
+	*core.Cast // Broker is nil while the broker process is down
+	lastSnap   []byte
 
 	telcos    [2]*sap.TelcoState
 	agws      [2]*epc.AGW
@@ -170,31 +170,30 @@ type foWorld struct {
 
 func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	w := &foWorld{
-		cfg:  cfg,
-		sim:  netem.NewSim(cfg.Seed),
-		live: true,
-		res:  res,
-		ids:  obs.NewSpanIDSource(cfg.Seed),
+		cfg: cfg,
+		sim: netem.NewSim(cfg.Seed),
+		res: res,
+		ids: obs.NewSpanIDSource(cfg.Seed),
 	}
 	// Trace timestamps are virtual time on this run's simulator clock.
 	cfg.Tracer.SetClock(w.sim.Now)
 
-	// Control plane: seeded principals and a fixed certificate epoch so
+	// Control plane: a seeded cast and a fixed certificate epoch so
 	// two runs with the same seed are bit-identical regardless of wall
 	// clock.
 	var err error
-	if w.principals, err = newPrincipals("ft-ca", flatSeed(81), "broker.failover", flatSeed(82), time.Unix(1_750_000_000, 0), nil); err != nil {
+	if w.Cast, err = core.New("ft-ca", core.Seed(81), "broker.failover", core.Seed(82), time.Unix(1_750_000_000, 0), nil); err != nil {
 		return nil, err
 	}
-	if w.ueCB, _, err = w.newSubscriber(flatSeed(83)); err != nil {
+	if w.ueCB, _, err = w.NewSubscriber(core.Seed(83)); err != nil {
 		return nil, err
 	}
 	for i := range w.telcos {
-		if w.telcos[i], err = w.newTelco(fmt.Sprintf("ft-btelco-%d", i), flatSeed(byte(84+i)), 1.0); err != nil {
+		if w.telcos[i], err = w.NewTelco(fmt.Sprintf("ft-btelco-%d", i), core.Seed(byte(84+i)), 1.0); err != nil {
 			return nil, err
 		}
 		w.agws[i] = epc.NewAGW(epc.AGWConfig{
-			Telco: w.telcos[i], Brokers: epc.StaticDirectory{ID: w.brkCfg.ID, Client: foBrokerClient{w}, Pub: w.brokerPub},
+			Telco: w.telcos[i], Brokers: epc.StaticDirectory{ID: w.Config.ID, Client: foBrokerClient{w}, Pub: w.BrokerPub},
 			Tracer: cfg.Tracer, TraceIDs: w.ids,
 		})
 	}
@@ -233,15 +232,24 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	return w, nil
 }
 
-// foBrokerClient routes AGW broker calls to the world's current broker
-// instance — or fails when the broker process is down.
+// foBrokerClient is broker.Local over the world's current broker process,
+// and fails every call while the process is down.
 type foBrokerClient struct{ w *foWorld }
 
+var errBrokerDown = errors.New("testbed: broker unreachable")
+
 func (c foBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
-	if !c.w.live || c.w.brk == nil {
-		return nil, errors.New("testbed: broker unreachable")
+	if c.w.Broker == nil {
+		return nil, errBrokerDown
 	}
-	return c.w.brk.HandleAuthRequest(req)
+	return broker.Local{B: c.w.Broker}.Authenticate(req)
+}
+
+func (c foBrokerClient) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
+	if c.w.Broker == nil {
+		return nil, errBrokerDown
+	}
+	return broker.Local{B: c.w.Broker}.RedeemReceipt(req)
 }
 
 // AuthenticateCtx implements epc.BrokerClientCtx: the broker hop joins the
@@ -353,8 +361,8 @@ func (w *foWorld) nasUplink(ti int, ranID string, envelope []byte) ([]byte, erro
 }
 
 func (w *foWorld) snapshot() {
-	if w.live && w.brk != nil {
-		w.lastSnap = w.brk.Snapshot()
+	if w.Broker != nil {
+		w.lastSnap = w.Broker.Snapshot()
 		w.res.Snapshots++
 		w.cfg.Tracer.Event("broker", "snapshot", nil)
 	}
@@ -478,23 +486,21 @@ func (w *foWorld) hooks() chaos.Hooks {
 		BrokerCrash: func() {
 			// The process dies with its in-memory state; only the last
 			// snapshot survives.
-			if w.brk != nil {
-				w.res.Shed += w.brk.ShedCount()
+			if w.Broker != nil {
+				w.res.Shed += w.Broker.ShedCount()
 			}
-			w.live = false
-			w.brk = nil
+			w.Broker = nil
 			w.cfg.Tracer.Event("broker", "crash", nil)
 		},
 		BrokerRestart: func() {
-			nb, err := broker.Restart(w.brkCfg, w.lastSnap, failoverShedFor)
+			nb, err := broker.Restart(w.Config, w.lastSnap, failoverShedFor)
 			if err != nil {
 				if w.runErr == nil {
 					w.runErr = err
 				}
 				return
 			}
-			w.brk = nb
-			w.live = true
+			w.Broker = nb
 			w.res.BrokerRestores++
 			w.cfg.Tracer.Event("broker", "restore", map[string]string{
 				"shed_for": failoverShedFor.String(),

@@ -1,12 +1,15 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
+	"cellbricks/internal/core"
+	"cellbricks/internal/nas"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
@@ -16,13 +19,13 @@ import (
 // groupedWorld is the sharded world the attach storm and the Byzantine
 // soak share (DESIGN.md §2.6, which also states the determinism recipe):
 // G fault-isolated groups of C bTelco cells and U subscribers, group g
-// entirely on shard g mod K, and the principals' broker behind an endpoint
+// entirely on shard g mod K, and the cast's broker behind an endpoint
 // on shard 0. Only control traffic crosses shards: closures shipped as
 // packet payloads between the broker endpoint and one gateway endpoint per
 // group, so all broker state is touched only by shard-0 handlers, in
 // canonical packet-arrival order, whatever the shard count.
 type groupedWorld struct {
-	*principals
+	*core.Cast
 	world    *netem.World
 	sim0     *netem.Sim
 	prefix   string
@@ -38,7 +41,7 @@ type mailboxGateway struct {
 	name string
 }
 
-// newGroupedWorld stages the world and the principals. Every name derives
+// newGroupedWorld stages the world and the cast. Every name derives
 // from prefix (prefix-broker, prefix-gw-G, prefix-ca, prefix-telco-G-C) and
 // every key seed from tagBase (+1 CA, +2 broker, +10 bTelcos, +20
 // subscribers), so two worlds never share an identity.
@@ -46,8 +49,63 @@ func newGroupedWorld(prefix string, tagBase byte, seed int64, shards int, tune f
 	world := netem.NewWorld(seed, shards)
 	w := groupedWorld{world: world, sim0: world.Shard(0), prefix: prefix, tagBase: tagBase, broker: prefix + "-broker"}
 	var err error
-	w.principals, err = newPrincipals(prefix+"-ca", entitySeed(tagBase+1, 0), w.broker, entitySeed(tagBase+2, 0), time.Unix(1_760_000_000, 0), tune)
+	w.Cast, err = core.New(prefix+"-ca", entitySeed(tagBase+1, 0), w.broker, entitySeed(tagBase+2, 0), time.Unix(1_760_000_000, 0), tune)
 	return w, err
+}
+
+// beginAttach is the outbound half of the in-process SAP handshake every
+// world drives: the UE's request for telco and the bTelco's forward of it.
+func beginAttach(st *sap.UEState, telco *sap.TelcoState) (*sap.PendingAttach, *sap.AuthReqT, error) {
+	reqU, pending, err := st.NewAttachRequest(telco.IDT)
+	if err != nil {
+		return nil, nil, err
+	}
+	reqT, err := telco.ForwardRequest(reqU)
+	return pending, reqT, err
+}
+
+// errUERejected marks the UE refusing a response its own bTelco accepted.
+// Honest worlds never produce it, so the sharded worlds abort the run on it
+// instead of retrying the attach.
+var errUERejected = errors.New("testbed: UE rejected the broker's response")
+
+// finishAttach is the inbound half: c's broker's response through the
+// bTelco to the UE. It returns the bTelco's grant and the UE's copy of the
+// shared secret. A bTelco-side error (a denial, a response failing its
+// checks) comes back as is, since the retry machines classify it.
+func finishAttach(c *core.Cast, st *sap.UEState, telco *sap.TelcoState, pending *sap.PendingAttach, resp *sap.AuthResp) (*sap.Grant, nas.MasterKey, error) {
+	grant, respU, err := telco.HandleResponse(c.BrokerPub, resp)
+	if err != nil {
+		return nil, nas.MasterKey{}, err
+	}
+	ss, _, err := st.HandleResponse(pending, respU)
+	if err != nil {
+		return nil, ss, fmt.Errorf("%w: %w", errUERejected, err)
+	}
+	return grant, ss, nil
+}
+
+// attach runs the whole handshake synchronously against c's broker. The
+// returned sealer is the attach's exchange, for the session's UE reports.
+func attach(c *core.Cast, st *sap.UEState, telco *sap.TelcoState) (*sap.Grant, *pki.Sealer, *sap.AuthResp, error) {
+	pending, reqT, err := beginAttach(st, telco)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	resp, err := c.Broker.HandleAuthRequest(reqT)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	grant, _, err := finishAttach(c, st, telco, pending, resp)
+	return grant, pending.Sealer, resp, err
+}
+
+// telcoReport seals the bTelco's half of a billing cycle for c's broker.
+func telcoReport(c *core.Cast, telco *sap.TelcoState, uref string, seq uint32, rel time.Duration, dlBytes uint64) (*billing.SealedReport, error) {
+	return telco.SealReport(c.BrokerPub, &billing.Report{
+		SessionRef: uref, Reporter: billing.ReporterTelco,
+		Seq: seq, Rel: rel, DLBytes: dlBytes,
+	})
 }
 
 // shard0TickPhase is the sub-millisecond phase of a world's periodic tick
@@ -129,7 +187,7 @@ func (w *groupedWorld) layout(seed int64, G, C, U int) ([]gridGroup, error) {
 		grp.cells, grp.ues = make([]cellCore, 0, C), make([]ueCore, 0, U)
 		for c := 0; c < C; c++ {
 			global := g*C + c
-			telco, err := w.newTelco(fmt.Sprintf("%s-telco-%d-%d", w.prefix, g, c), entitySeed(w.tagBase+10, global), 1.0)
+			telco, err := w.NewTelco(fmt.Sprintf("%s-telco-%d-%d", w.prefix, g, c), entitySeed(w.tagBase+10, global), 1.0)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +195,7 @@ func (w *groupedWorld) layout(seed int64, G, C, U int) ([]gridGroup, error) {
 		}
 		for j := 0; j < U; j++ {
 			global := g*U + j
-			st, meter, err := w.newSubscriber(entitySeed(w.tagBase+20, global))
+			st, meter, err := w.NewSubscriber(entitySeed(w.tagBase+20, global))
 			if err != nil {
 				return nil, err
 			}
@@ -222,7 +280,7 @@ func (w *groupedWorld) reportPair(u *ueCore, s *sessionCore, telco *sap.TelcoSta
 		return nil, nil, err
 	}
 	s.seq++
-	tEnv, err = w.telcoReport(telco, s.uref, s.seq, rel, claimed)
+	tEnv, err = telcoReport(w.Cast, telco, s.uref, s.seq, rel, claimed)
 	return ueEnv, tEnv, err
 }
 

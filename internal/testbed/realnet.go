@@ -8,11 +8,10 @@ import (
 	"cellbricks/internal/aka"
 	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
+	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/nas"
 	"cellbricks/internal/obs"
-	"cellbricks/internal/orc8r"
-	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/ue"
@@ -25,7 +24,6 @@ import (
 // radio would be. This is the §5 prototype topology: UE | eNodeB+EPC |
 // brokerd, minus the SDR.
 type RealDeployment struct {
-	CA     *pki.CA
 	Broker *broker.Brokerd
 	AGW    *epc.AGW
 	SDB    *epc.SubscriberDB
@@ -33,12 +31,9 @@ type RealDeployment struct {
 	BrokerSrv    *broker.Server
 	SDBSrv       *epc.SDBServer
 	NASSrv       *epc.NASServer
-	Orc          *orc8r.Orchestrator
-	OrcSrv       *orc8r.Server
-	orcClient    *orc8r.Client
 	brokerClient *broker.Client // pooled; shared by the AGW's directory and the report uploads
 
-	p      *principals
+	cast   *core.Cast
 	telco  *sap.TelcoState
 	ranSeq atomic.Uint64
 }
@@ -53,11 +48,11 @@ func NewRealDeployment() (*RealDeployment, error) {
 // parents its spans under the NAS envelope's context, and a traced attach
 // over real sockets yields the same span tree the simulator produces.
 func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeployment, error) {
-	p, err := newPrincipals("real-ca", flatSeed(61), "broker.real", flatSeed(62), time.Time{}, nil)
+	cast, err := core.New("real-ca", core.Seed(61), "broker.real", core.Seed(62), time.Time{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	d := &RealDeployment{CA: p.ca, Broker: p.brk, p: p}
+	d := &RealDeployment{Broker: cast.Broker, cast: cast}
 	if d.BrokerSrv, err = broker.ServeTraced(d.Broker, "127.0.0.1:0", tr, ids); err != nil {
 		return nil, err
 	}
@@ -73,7 +68,7 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		return nil, err
 	}
 
-	if d.telco, err = p.newTelco("btelco-real", flatSeed(63), 2.0); err != nil {
+	if d.telco, err = cast.NewTelco("btelco-real", core.Seed(63), 2.0); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -94,47 +89,11 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		d.Close()
 		return nil, err
 	}
-
-	// Orchestrator: the AGW registers and will heartbeat on demand.
-	d.Orc = orc8r.New(orc8r.AGWConfigPush{})
-	if d.OrcSrv, err = orc8r.Serve(d.Orc, "127.0.0.1:0"); err != nil {
-		d.Close()
-		return nil, err
-	}
-	if d.orcClient, err = orc8r.DialClient(d.OrcSrv.Addr()); err != nil {
-		d.Close()
-		return nil, err
-	}
-	if _, err := d.orcClient.Register("agw-real", d.telco.IDT, d.NASSrv.Addr()); err != nil {
-		d.Close()
-		return nil, err
-	}
 	return d, nil
-}
-
-// SendHeartbeat reports the AGW's current counters to the orchestrator
-// over the wire and returns the configuration it got back.
-func (d *RealDeployment) SendHeartbeat(at time.Duration) (orc8r.AGWConfigPush, error) {
-	st := d.AGW.Stats()
-	return d.orcClient.Heartbeat(orc8r.Heartbeat{
-		AGWID:          "agw-real",
-		At:             at,
-		ActiveSessions: uint32(st.ActiveSessions),
-		ULBytes:        st.ULBytes,
-		DLBytes:        st.DLBytes,
-		Attaches:       st.Attaches,
-		AttachFailures: st.AttachFailures,
-	})
 }
 
 // Close stops all servers.
 func (d *RealDeployment) Close() {
-	if d.orcClient != nil {
-		d.orcClient.Close()
-	}
-	if d.OrcSrv != nil {
-		d.OrcSrv.Close()
-	}
 	if d.NASSrv != nil {
 		d.NASSrv.Close()
 	}
@@ -155,7 +114,7 @@ func (d *RealDeployment) TelcoID() string { return d.telco.IDT }
 // NewCellBricksUE provisions a CellBricks device with the broker and
 // returns it along with a NAS transport dialled over real TCP.
 func (d *RealDeployment) NewCellBricksUE() (*ue.Device, ue.NASTransport, error) {
-	st, _, err := d.p.newSubscriber(nil)
+	st, _, err := d.cast.NewSubscriber(nil)
 	if err != nil {
 		return nil, nil, err
 	}

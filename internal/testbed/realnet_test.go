@@ -163,7 +163,7 @@ func TestRealDeploymentReportsSurviveBrokerCrashRestart(t *testing.T) {
 
 	addr := d.BrokerSrv.Addr()
 	d.BrokerSrv.Close()
-	if d.Broker, err = broker.Restart(d.p.brkCfg, d.Broker.Snapshot(), 0); err != nil {
+	if d.Broker, err = broker.Restart(d.cast.Config, d.Broker.Snapshot(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.BrokerSrv, err = broker.Serve(d.Broker, addr); err != nil {

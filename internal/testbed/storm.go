@@ -230,8 +230,8 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	w := &stormWorld{groupedWorld: gw, cfg: cfg}
 	// The shedder refills on virtual time, so shedding is part of the
 	// deterministic output.
-	w.brk.EnableAdmission(cfg.Admission, w.sim0.Now)
-	w.bat = w.brk.NewBatcher()
+	w.Broker.EnableAdmission(cfg.Admission, w.sim0.Now)
+	w.bat = w.Broker.NewBatcher()
 
 	C, nUE := cfg.CellsPerGroup, cfg.Groups*cfg.UEsPerGroup
 	grid, err := w.layout(cfg.Seed, cfg.Groups, C, cfg.UEsPerGroup)
@@ -360,7 +360,7 @@ func (u *stormUE) attempt() {
 		}
 	}
 	w.toBroker(g, func() {
-		if err := w.brk.AdmitAttach(w.bat.Depth()); err != nil {
+		if err := w.Broker.AdmitAttach(w.bat.Depth()); err != nil {
 			w.tallyShed()
 			w.toGroup(g, func() {
 				u.shelf.Settle(pending, err)
@@ -417,7 +417,7 @@ func (u *stormUE) finish(cell *cellCore, pending *sap.PendingAttach, out broker.
 		u.failAttach(out.Err)
 		return
 	}
-	grant, _, err := w.finishAttach(u.st, cell.telco, pending, out.Auth)
+	grant, _, err := finishAttach(w.Cast, u.st, cell.telco, pending, out.Auth)
 	if errors.Is(err, errUERejected) {
 		w.fail(err)
 		return
@@ -482,7 +482,7 @@ func (w *stormWorld) collect() StormResult {
 		Sheds: w.sheds, SpikeSheds: w.spikeSheds,
 		Reports: w.reports, Mismatches: w.mismatches,
 	}
-	res.Admitted, res.RateSheds, res.QueueSheds = w.brk.AdmissionStats()
+	res.Admitted, res.RateSheds, res.QueueSheds = w.Broker.AdmissionStats()
 	res.BatchFlushes, res.BatchItems = w.bat.Stats()
 	var availSum float64
 	var bill ledger
@@ -503,7 +503,7 @@ func (w *stormWorld) collect() StormResult {
 		}
 		for _, cell := range grp.cells {
 			for _, s := range cell.sessions {
-				bill.settle(w.brk, s)
+				bill.settle(w.Broker, s)
 			}
 		}
 	}

@@ -383,7 +383,9 @@ func TestScaleSharedCell(t *testing.T) {
 	t.Log("\n" + RenderScale(results))
 }
 
-func TestOrchestratorHeartbeats(t *testing.T) {
+// The AGW's counters over the real deployment: an attach over TCP opens
+// one session and counts one attach, and the detach closes it.
+func TestRealDeploymentAGWStats(t *testing.T) {
 	d, err := NewRealDeployment()
 	if err != nil {
 		t.Fatal(err)
@@ -396,34 +398,14 @@ func TestOrchestratorHeartbeats(t *testing.T) {
 	if _, err := dev.AttachSAP(tx, d.TelcoID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SendHeartbeat(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	m := d.Orc.Metrics(d.TelcoID())
-	if m.AGWs != 1 || m.ActiveSessions != 1 || m.Attaches != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// A config push arrives with the next heartbeat.
-	want := d.Orc.Alive()[0].Config
-	want.RequireLI = true
-	if err := d.Orc.PushConfig("agw-real", want); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := d.SendHeartbeat(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.RequireLI {
-		t.Fatal("pushed config not delivered on heartbeat")
+	if st := d.AGW.Stats(); st.ActiveSessions != 1 || st.Attaches != 1 {
+		t.Fatalf("after attach: %+v", st)
 	}
 	if err := dev.Detach(tx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SendHeartbeat(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if m := d.Orc.Metrics(d.TelcoID()); m.ActiveSessions != 0 {
-		t.Fatalf("sessions after detach = %d", m.ActiveSessions)
+	if st := d.AGW.Stats(); st.ActiveSessions != 0 {
+		t.Fatalf("after detach: %+v", st)
 	}
 }
 

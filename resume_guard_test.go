@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -56,33 +57,12 @@ func TestResumeStaysRetired(t *testing.T) {
 	}
 
 	used := map[string]bool{} // by benchmark/
-	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	eachGoFile(t, fset, func(p string, f *ast.File) {
+		if strings.HasPrefix(p, "internal/sap/") {
+			return
 		}
-		if d.IsDir() {
-			if p == ".git" || p == filepath.FromSlash("internal/sap") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		sapName := "" // what this file calls internal/sap, if it imports it
-		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "cellbricks/internal/sap" {
-				sapName = "sap"
-				if imp.Name != nil {
-					sapName = imp.Name.Name
-				}
-			}
-		}
-		inBenchmark := strings.HasPrefix(filepath.ToSlash(p), "benchmark/")
+		sapName := importName(f, "cellbricks/internal/sap")
+		inBenchmark := strings.HasPrefix(p, "benchmark/")
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -100,11 +80,7 @@ func TestResumeStaysRetired(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var dead []string
 	for name := range decls {
@@ -122,4 +98,124 @@ func TestResumeStaysRetired(t *testing.T) {
 		t.Errorf("%s exports %s and benchmark/ no longer uses it: delete it", resumeFile, name)
 	}
 	t.Logf("%s exports %d identifiers, all of them benchmark/'s", resumeFile, len(decls)+len(methods))
+}
+
+// brokerClients are the only non-test types outside benchmark/ allowed an
+// Authenticate(*sap.AuthReqT) method: the wire client, the in-process
+// client, and the two testbed worlds' wrappers that add only what their
+// world models on top of the in-process one (broker liveness; Fig. 7's
+// charges).
+var brokerClients = map[string]bool{
+	"internal/broker.Client":              true,
+	"internal/broker.Local":               true,
+	"internal/testbed.foBrokerClient":     true,
+	"internal/testbed.instrumentedBroker": true,
+}
+
+// TestMiddleStaysThin fails when anything imports the retired orchestrator
+// package, and when a non-test type outside benchmark/ and brokerClients
+// grows an Authenticate(*sap.AuthReqT) method — one more way for an AGW to
+// reach a broker; wrap broker.Local or broker.Client instead. An entry of
+// brokerClients that no longer exists fails too, so the list stays exact.
+func TestMiddleStaysThin(t *testing.T) {
+	fset := token.NewFileSet()
+	found := map[string]bool{}
+	eachGoFile(t, fset, func(p string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if ip, _ := strconv.Unquote(imp.Path.Value); ip == "cellbricks/internal/orc8r" {
+				t.Errorf("%s imports %s, which is retired: no result reads an orchestrator", fset.Position(imp.Pos()), ip)
+			}
+		}
+		if strings.HasPrefix(p, "benchmark/") || strings.HasSuffix(p, "_test.go") {
+			return
+		}
+		sapName := importName(f, "cellbricks/internal/sap")
+		if sapName == "" && !strings.HasPrefix(p, "internal/sap/") {
+			return // cannot name sap.AuthReqT
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "Authenticate" || len(fn.Type.Params.List) != 1 {
+				continue
+			}
+			star, ok := fn.Type.Params.List[0].Type.(*ast.StarExpr)
+			if !ok || !isAuthReqT(star.X, sapName) {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if s, ok := recv.(*ast.StarExpr); ok {
+				recv = s.X
+			}
+			id, _ := recv.(*ast.Ident)
+			if id == nil {
+				continue
+			}
+			name := path.Dir(p) + "." + id.Name
+			found[name] = true
+			if !brokerClients[name] {
+				t.Errorf("%s: %s implements Authenticate(*sap.AuthReqT); wrap broker.Local or broker.Client instead", fset.Position(fn.Pos()), name)
+			}
+		}
+	})
+	for name := range brokerClients {
+		if !found[name] {
+			t.Errorf("brokerClients allows %s, which no longer exists: drop it", name)
+		}
+	}
+}
+
+// isAuthReqT reports whether x names sap.AuthReqT: sapName.AuthReqT, or a
+// bare AuthReqT inside package sap itself (sapName empty).
+func isAuthReqT(x ast.Expr, sapName string) bool {
+	switch x := x.(type) {
+	case *ast.SelectorExpr:
+		pkg, ok := x.X.(*ast.Ident)
+		return ok && pkg.Name == sapName && x.Sel.Name == "AuthReqT"
+	case *ast.Ident:
+		return sapName == "" && x.Name == "AuthReqT"
+	}
+	return false
+}
+
+// eachGoFile parses every .go file in the repository, tests included, and
+// hands it to visit with its slash-separated path.
+func eachGoFile(t *testing.T, fset *token.FileSet, visit func(p string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(p), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// importName is what f calls the package at importPath, or "" when f does
+// not import it.
+func importName(f *ast.File, importPath string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path.Base(importPath)
+		}
+	}
+	return ""
 }
