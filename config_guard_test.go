@@ -34,8 +34,8 @@ var configKeep = map[string]string{
 }
 
 // TestEveryConfigFieldHasACaller fails when an exported field of a
-// *Config / *Options / *Policy / Scenario struct under internal/ is set by
-// no non-test code. "Set" is syntactic: a composite-literal key of that
+// *Config / *Options / *Policy / Scenario / Runner struct under internal/ is
+// set by no non-test code. "Set" is syntactic: a composite-literal key of that
 // type, or an assignment to (or address of) a field of that name in a file
 // that can name the type's package; a type's own Defaults / WithDefaults
 // method (either case) filling its receiver does not count. Such a field is
@@ -69,7 +69,7 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				name := ts.Name.Name
-				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy") || name == "Scenario") {
+				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy") || name == "Scenario" || name == "Runner") {
 					return false
 				}
 				for _, fl := range st.Fields.List {

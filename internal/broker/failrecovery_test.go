@@ -192,8 +192,8 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 		t.Fatalf("pre-crash ticket and pass at the restarted broker: UE sig %d B, bTelco sig %d B, %v %+v",
 			len(shed.ReqU.Sig), len(shed.Sig), err, resp)
 	}
-	if len(resp.T.Sig) != 0 || len(resp.U.Sig) != 0 {
-		t.Fatalf("answered with a %d-byte authRespT and a %d-byte authRespU signature", len(resp.T.Sig), len(resp.U.Sig))
+	if len(resp.T.Sig) != 0 {
+		t.Fatalf("answered with a %d-byte authRespT signature", len(resp.T.Sig))
 	}
 	if _, _, err := telco.HandleResponse(nb.Public(), resp); err != nil {
 		t.Fatalf("bTelco on the restarted broker's MAC-mode grant: %v", err)

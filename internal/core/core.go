@@ -88,13 +88,15 @@ func (c *Cast) NewTelco(id string, seed []byte, pricePerGB float64) (*sap.TelcoS
 
 // NewSubscriber registers a subscriber with the broker and returns its SIM
 // state — the broker-issued key pair and the broker's public key, all SAP
-// needs at the UE — and its baseband meter.
+// needs at the UE — and its baseband meter. The broker registers the
+// signing key alone: nothing is ever sealed to a UE's long-term key, so
+// its box half is never derived.
 func (c *Cast) NewSubscriber(seed []byte) (*sap.UEState, *ue.BasebandMeter, error) {
 	key, err := keyFrom(seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &sap.UEState{IDU: c.Broker.RegisterUser(key.Public()), IDB: c.Config.ID, Key: key, BrokerPub: c.BrokerPub}
+	st := &sap.UEState{IDU: c.Broker.RegisterUser(pki.PublicIdentity{SigPub: key.Pub}), IDB: c.Config.ID, Key: key, BrokerPub: c.BrokerPub}
 	return st, ue.NewBasebandMeter(key), nil
 }
 

@@ -16,7 +16,6 @@ package pki
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -40,11 +39,13 @@ var (
 // KeyPair is an Ed25519 signing identity plus the matching X25519 key used
 // for sealed-box decryption. The X25519 key is derived deterministically
 // from the Ed25519 seed so that a single stored secret suffices (as a SIM
-// would hold).
+// would hold), and only on first use: nothing seals to a UE's long-term
+// key, so a UE's KeyPair never derives it.
 type KeyPair struct {
 	Pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 
+	boxOnce sync.Once
 	boxPriv *ecdh.PrivateKey
 	boxPub  []byte
 	memo    boxMemo // epk → key of the exchanges Open has authenticated
@@ -74,37 +75,35 @@ func KeyPairFromSeed(seed []byte) (*KeyPair, error) {
 }
 
 func newKeyPair(pub ed25519.PublicKey, priv ed25519.PrivateKey) (*KeyPair, error) {
-	// Derive the X25519 key from the Ed25519 seed via HMAC-SHA256 with a
-	// domain-separation label.
-	mac := hmac.New(sha256.New, priv.Seed())
-	mac.Write([]byte("cellbricks-box-v1"))
-	boxSeed := mac.Sum(nil)
-	boxPriv, err := ecdh.X25519().NewPrivateKey(clampX25519(boxSeed))
-	if err != nil {
-		return nil, fmt.Errorf("pki: derive box key: %w", err)
-	}
 	seed := boxKeyBytes(priv.Seed())
 	return &KeyPair{
 		Pub:          pub,
 		priv:         priv,
-		boxPriv:      boxPriv,
-		boxPub:       boxPriv.PublicKey().Bytes(),
 		ticketSecret: mac32(&seed, "cellbricks-ticket-v1", nil, ""),
 	}, nil
 }
 
-func clampX25519(k []byte) []byte {
-	out := make([]byte, 32)
-	copy(out, k[:32])
-	out[0] &= 248
-	out[31] &= 127
-	out[31] |= 64
-	return out
+// box returns the X25519 half, deriving it from the Ed25519 seed via
+// HMAC-SHA256 with a domain-separation label on the first call. X25519
+// clamps the scalar itself, so the HMAC output is the private key as is.
+func (k *KeyPair) box() (*ecdh.PrivateKey, []byte) {
+	k.boxOnce.Do(func() {
+		seed := boxKeyBytes(k.priv.Seed())
+		boxSeed := mac32(&seed, "cellbricks-box-v1", nil, "")
+		priv, err := ecdh.X25519().NewPrivateKey(boxSeed[:])
+		if err != nil {
+			panic("pki: derive box key: " + err.Error()) // only a length other than 32 fails
+		}
+		k.boxPriv, k.boxPub = priv, priv.PublicKey().Bytes()
+	})
+	return k.boxPriv, k.boxPub
 }
 
-// Public returns the identity's public half for distribution.
+// Public returns the identity's public half for distribution, deriving the
+// box key if nothing has yet.
 func (k *KeyPair) Public() PublicIdentity {
-	return PublicIdentity{SigPub: append(ed25519.PublicKey(nil), k.Pub...), BoxPub: append([]byte(nil), k.boxPub...)}
+	_, boxPub := k.box()
+	return PublicIdentity{SigPub: append(ed25519.PublicKey(nil), k.Pub...), BoxPub: append([]byte(nil), boxPub...)}
 }
 
 // Sign signs msg with the Ed25519 key.

@@ -2,7 +2,9 @@ package pki
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,6 +165,57 @@ func TestDeterministicSeedStability(t *testing.T) {
 	}
 	if !bytes.Equal(a.Public().BoxPub, b.Public().BoxPub) {
 		t.Fatal("same seed produced different box keys")
+	}
+}
+
+// A KeyPair derives its X25519 half on first use, not when it is built, and
+// derives the key it always did: these are the bytes the eager derivation,
+// which clamped the scalar before X25519 clamped it again, gave three seeds.
+func TestBoxKeyKnownAnswer(t *testing.T) {
+	for seed, want := range map[byte]string{
+		1:  "09787dee04cb618ebb0890385fd399e40c9b0efa77031b8342282b266046b26f",
+		3:  "723bf129451fd92484651cdf26237bfdb1bfc1ecb8b380847b855e96e4d0f15f",
+		77: "33bcfc9b2231f6689df7402e2b97bd5fae2dd6de57bbb92c06d546eff5b1ed2f",
+	} {
+		k := mustPair(t, seed)
+		if k.boxPub != nil {
+			t.Fatalf("seed %d: box key derived at construction", seed)
+		}
+		if got := hex.EncodeToString(k.Public().BoxPub); got != want {
+			t.Fatalf("seed %d: BoxPub %s, want %s", seed, got, want)
+		}
+	}
+}
+
+// The first Open and the first Public of one KeyPair, concurrently: one
+// derivation, which every caller sees (run under -race).
+func TestBoxKeyFirstUseConcurrent(t *testing.T) {
+	want := mustPair(t, 21).Public().BoxPub
+	box, err := Seal(PublicIdentity{BoxPub: want}, []byte("first use"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mustPair(t, 21)
+	var wg sync.WaitGroup
+	pubs := make([][]byte, 8)
+	for i := range pubs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if pt, err := k.Open(box); err != nil || string(pt) != "first use" {
+					t.Errorf("open %d: %q, %v", i, pt, err)
+				}
+				return
+			}
+			pubs[i] = k.Public().BoxPub
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < len(pubs); i += 2 {
+		if !bytes.Equal(pubs[i], want) {
+			t.Fatalf("Public %d: BoxPub %x, want %x", i, pubs[i], want)
+		}
 	}
 }
 

@@ -263,11 +263,12 @@ func (k *KeyPair) open(box []byte) (pt []byte, key boxKeyBytes, err error) {
 		if perr != nil {
 			return nil, key, ErrDecrypt
 		}
-		shared, serr := k.boxPriv.ECDH(pub)
+		boxPriv, boxPub := k.box()
+		shared, serr := boxPriv.ECDH(pub)
 		if serr != nil {
 			return nil, key, ErrDecrypt
 		}
-		key = boxKey(shared, prefix, k.boxPub)
+		key = boxKey(shared, prefix, boxPub)
 		pt, err = openBox(key, box)
 	}
 	if err == nil {

@@ -47,10 +47,8 @@ type PendingAttach struct {
 	Req    *AuthReqU
 	Sealer *pki.Sealer
 
-	// spent is the ticket Sealer rides, nil for a signed request. Its being
-	// set is what makes the response authenticated by opening on Sealer
-	// with no broker signature. It is this UE's own note of what it sent:
-	// nothing the network says sets it.
+	// spent is the ticket Sealer rides, nil for a signed request: what
+	// ReclaimTicket hands back.
 	spent *pki.Ticket
 	// kept is set once this attach has armed a ticket in the UEState — the
 	// one its response carried, or its own handed back — so neither a
@@ -103,25 +101,19 @@ func (u *UEState) ReclaimTicket(p *PendingAttach) bool {
 	return u.ticket.CompareAndSwap((*pki.Ticket)(nil), p.spent)
 }
 
-// HandleResponse runs UE procedures 5–6 of Fig. 2: verify the broker's
-// signature on authRespU, decrypt it — it is sealed on the exchange p's
-// authVec opened, so a response to any other attach fails here — check the
-// echoed nonce and bTelco identity, and return ss for NAS security-context
-// setup along with the broker-assigned session reference the UE labels its
-// billing reports with. The signature is skipped only when p itself went
-// out on a ticket: then the reply key is one nobody but the broker can
-// derive, and a response that opens under it is the broker's. Repeatable:
-// p's request state is read, never consumed; the ticket in the response is
-// kept by the first call that accepts it.
+// HandleResponse runs UE procedures 5–6 of Fig. 2: authenticate authRespU
+// by opening it on p's own exchange — a key only this UE, which drew p's
+// ephemeral key or holds p's ticket, and the broker can form, so a response
+// to any other attach, or anybody else's, fails here — check the echoed
+// nonce and bTelco identity, and return ss for NAS security-context setup
+// along with the broker-assigned session reference the UE labels its
+// billing reports with. Repeatable: p's request state is read, never
+// consumed; the ticket in the response is kept by the first call that
+// accepts it.
 func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterKey, string, error) {
 	var zero nas.MasterKey
 	if resp == nil || p == nil || p.Sealer == nil {
 		return zero, "", ErrBadRequest
-	}
-	if p.spent == nil {
-		if err := u.BrokerPub.Verify(resp.Sealed, resp.Sig); err != nil {
-			return zero, "", fmt.Errorf("sap: authRespU signature: %w", err)
-		}
 	}
 	pt, err := p.Sealer.OpenReply(resp.Sealed)
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 //     decryption, membership. Safe to run for many requests concurrently.
 //   - Decide: the order-sensitive state mutation — replay filter and
 //     authorization policy. Must run in arrival order.
-//   - Finalize: sealing and signing the two responses for a pre-minted
-//     (ss, uref). Stateless again.
+//   - Finalize: sealing the two responses, and signing authRespT, for a
+//     pre-minted (ss, uref). Stateless again.
 //
 // HandleRequest (parties.go) composes the three phases for a standalone
 // BrokerState; brokerd drives them directly from its staged transaction
@@ -30,9 +30,6 @@ type ValidatedAuth struct {
 	Vec       AuthVec
 	DenyCause string
 
-	// ticketed: the vector was authenticated by a ticket bound to Vec.IDU
-	// rather than by the UE's signature, so Finalize answers in kind.
-	ticketed bool
 	// telco is the broker's resident view of the requesting bTelco — a
 	// pointer, not the 64-byte pass, to keep this struct in its size class;
 	// macd: the request was authenticated by a MAC under that pass rather
@@ -102,7 +99,7 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	// carries no signature at all, if the box rides a ticket this broker
 	// minted for that very idU inside an earlier grant: it opened, so the
 	// sender holds the ticket's key, and the locator's tag says whose it is.
-	if v.ticketed = len(req.ReqU.Sig) == 0; v.ticketed {
+	if len(req.ReqU.Sig) == 0 {
 		if !b.Key.TicketBound(req.ReqU.SealedVec, v.Vec.IDU) {
 			return deny("UE ticket invalid")
 		}
@@ -156,17 +153,17 @@ func MintSession() (nas.MasterKey, string, error) {
 	return ss, uref, nil
 }
 
-// Finalize seals and signs the two responses for a granted request using
-// a pre-minted (ss, uref): authRespT on the broker's resident exchange
-// with the certified bTelco, carrying the bTelco's pass; authRespU back on
-// the exchange the UE's authVec arrived on, carrying the ticket for the
-// UE's next attach. Each leg answers in kind. A ticketed request's
-// authRespU goes unsigned: its reply key is derivable by this broker and
-// that UE alone. A MAC'd request's authRespT is sealed on the pass's reply
-// direction, unsigned and without the pass: only this broker and the
-// certificate's holder can form that key. Order-free and repeatable on one v (a
-// fresh ticket each time): a batching broker finalizes many grants in
-// parallel after their decisions committed in arrival order.
+// Finalize seals the two responses for a granted request using a
+// pre-minted (ss, uref): authRespT on the broker's resident exchange with
+// the certified bTelco, carrying the bTelco's pass, and signed; authRespU
+// back on the exchange the UE's authVec arrived on, carrying the ticket for
+// the UE's next attach, and never signed: whichever kind of exchange that
+// is, its reply key is derivable by this broker and that UE alone. A MAC'd
+// request's authRespT is sealed on the pass's reply direction, unsigned and
+// without the pass: only this broker and the certificate's holder can form
+// that key. Order-free and repeatable on one v (a fresh ticket each time):
+// a batching broker finalizes many grants in parallel after their
+// decisions committed in arrival order.
 func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, *GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}
@@ -200,9 +197,6 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 	}
 	if !v.macd {
 		resp.T.Sig = b.Key.Sign(sealedT)
-	}
-	if !v.ticketed {
-		resp.U.Sig = b.Key.Sign(sealedU)
 	}
 	rec := &GrantRecord{URef: uref, IDU: v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
 	return resp, rec, nil

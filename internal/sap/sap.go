@@ -11,10 +11,12 @@
 //     the broker — a single round trip, versus two in the EPS baseline.
 //   - The broker authenticates both the UE (its own issued key) and the
 //     bTelco (CA certificate), decides authorization, and returns two
-//     sealed+signed responses: authRespT (the bTelco's irrefutable proof
+//     sealed responses: authRespT, signed (the bTelco's irrefutable proof
 //     of authorization, carrying the shared secret ss and the QoS values
-//     to enforce) and authRespU (the UE's proof that its broker approved,
-//     echoing the nonce and carrying the same ss).
+//     to enforce), and authRespU (the UE's proof that its broker approved,
+//     echoing the nonce and carrying the same ss), which needs no
+//     signature: it comes back on the UE's own request exchange, a key
+//     only the UE and its broker can form (DESIGN.md §2.7).
 //
 // ss then seeds the standard NAS security context on both sides, exactly
 // where KASME sits in EPS (see package nas).
@@ -23,7 +25,7 @@
 // issued the UE's key — so every grant also carries a single-use ticket,
 // and the UE's next attach rides it: authVec sealed under a key the broker
 // re-derives from the ticket's cleartext locator, no UE signature, no
-// broker signature on authRespU, no X25519 on either side; any attach that
+// X25519 on either side; any attach that
 // does not end in a grant sends the UE back to the full handshake
 // (DESIGN.md §2.8). Nor are a broker and a bTelco it has granted before: that
 // grant carries a pass, a key the broker re-derives from the bTelco's
@@ -408,17 +410,17 @@ type AuthRespT struct {
 	Sig    []byte
 }
 
-// AuthRespU is the sealed+signed confirmation for the UE.
+// AuthRespU is the confirmation for the UE, sealed on the exchange of its
+// own request and unsigned: opening there is what authenticates the broker
+// (DESIGN.md §2.7).
 type AuthRespU struct {
 	Sealed []byte
-	Sig    []byte
 }
 
 // Marshal encodes an AuthRespU for transport inside AttachAccept.
 func (m *AuthRespU) Marshal() []byte {
 	w := codec.NewWriter(256)
 	w.Bytes(m.Sealed)
-	w.Bytes(m.Sig)
 	return w.Out()
 }
 
@@ -427,7 +429,6 @@ func UnmarshalAuthRespU(b []byte) (*AuthRespU, error) {
 	r := codec.NewReader(b)
 	m := &AuthRespU{}
 	m.Sealed = r.BytesCopy()
-	m.Sig = r.BytesCopy()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -457,7 +458,6 @@ func (m *AuthResp) Marshal() []byte {
 	w.Bytes(m.T.Sealed)
 	w.Bytes(m.T.Sig)
 	w.Bytes(m.U.Sealed)
-	w.Bytes(m.U.Sig)
 	return w.Out()
 }
 
@@ -471,7 +471,6 @@ func UnmarshalAuthResp(b []byte) (*AuthResp, error) {
 	m.T.Sealed = r.BytesCopy()
 	m.T.Sig = r.BytesCopy()
 	m.U.Sealed = r.BytesCopy()
-	m.U.Sig = r.BytesCopy()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

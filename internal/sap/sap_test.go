@@ -328,19 +328,68 @@ func TestSAPDenialByPolicy(t *testing.T) {
 	_ = pending
 }
 
+// One rule authenticates the broker to the UE, whichever kind of exchange
+// the request rode: the reply opens on the UE's own pending sealer. No
+// signature backs it up, so every forgery below fails at the open — the
+// third party's carries a well-formed payload echoing the right nonce, idT
+// and idU — and the genuine reply still opens afterwards.
 func TestSAPUERejectsForgedResponse(t *testing.T) {
-	f := newFixture(t)
-	reqU, pending, _ := f.ue.NewAttachRequest(f.telco.IDT)
-	reqT, _ := f.telco.ForwardRequest(reqU)
-	resp, _, _ := f.broker.HandleRequest(reqT)
-	_, respU, err := f.telco.HandleResponse(f.broker.Key.Public(), resp)
+	thirdParty, err := pki.KeyPairFromSeed(bytes.Repeat([]byte{9}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := &AuthRespU{Sealed: respU.Sealed, Sig: append([]byte(nil), respU.Sig...)}
-	forged.Sig[2] ^= 0xFF
-	if _, _, err := f.ue.HandleResponse(pending, forged); err == nil {
-		t.Fatal("UE accepted forged broker signature")
+	forgeries := []struct {
+		name string
+		// forge returns the UE and the pending attach the forgery is
+		// presented to, and the forgery.
+		forge func(t *testing.T, f *fixture, ticketed bool, p *PendingAttach, genuine *AuthRespU) (*UEState, *PendingAttach, *AuthRespU)
+	}{
+		{"a flipped ciphertext byte", func(t *testing.T, f *fixture, _ bool, p *PendingAttach, genuine *AuthRespU) (*UEState, *PendingAttach, *AuthRespU) {
+			box := append([]byte(nil), genuine.Sealed...)
+			box[32+12] ^= 1 // the first byte after prefix and nonce
+			return f.ue, p, &AuthRespU{Sealed: box}
+		}},
+		{"a box under a third party's key on the request's prefix", func(t *testing.T, f *fixture, _ bool, p *PendingAttach, _ *AuthRespU) (*UEState, *PendingAttach, *AuthRespU) {
+			inner := innerRespU{IDU: f.ue.IDU, IDT: p.IDT, Nonce: p.Nonce}
+			key := thirdParty.Pass([32]byte(p.Req.SealedVec[:32])) // the prefix is all anybody on the air sees
+			s, err := pki.TicketSealer(key.Reply())
+			if err != nil {
+				t.Fatal(err)
+			}
+			box, err := s.Seal(inner.marshal())
+			if err != nil || !bytes.Equal(box[:32], p.Req.SealedVec[:32]) {
+				t.Fatalf("forging: %v", err)
+			}
+			return f.ue, p, &AuthRespU{Sealed: box}
+		}},
+		{"a reply to another pending attach", func(t *testing.T, f *fixture, ticketed bool, _ *PendingAttach, genuine *AuthRespU) (*UEState, *PendingAttach, *AuthRespU) {
+			other := f.firstContact()
+			if ticketed {
+				f.oneAttach(t, other)
+			}
+			_, p := f.request(t, other, ticketed)
+			return other, p, genuine
+		}},
+	}
+	for _, ticketed := range []bool{false, true} {
+		mode := map[bool]string{false: "signed", true: "ticketed"}[ticketed]
+		for _, fg := range forgeries {
+			t.Run(mode+"/"+fg.name, func(t *testing.T) {
+				f := newFixture(t)
+				if ticketed {
+					f.oneAttach(t, f.ue)
+				}
+				reqU, p := f.request(t, f.ue, ticketed)
+				_, genuine := f.exchange(t, reqU)
+				u, at, forged := fg.forge(t, f, ticketed, p, genuine)
+				if _, _, err := u.HandleResponse(at, forged); !errors.Is(err, pki.ErrDecrypt) {
+					t.Fatalf("err = %v, want ErrDecrypt", err)
+				}
+				if _, _, err := f.ue.HandleResponse(p, genuine); err != nil {
+					t.Fatalf("the genuine reply: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -763,8 +812,8 @@ func (f *fixture) request(t *testing.T, u *UEState, wantTicketed bool) (*AuthReq
 
 // The first attach is the paper's handshake on both legs; every one after a
 // grant rides the ticket and the pass that grant carried: no UE signature
-// out, a 32-byte MAC for the bTelco's, no broker signature on authRespT or
-// authRespU back, and the same agreement on ss and URef (runAttach checks
+// out, a 32-byte MAC for the bTelco's, no broker signature on authRespT back
+// (authRespU never carries one), and the same agreement on ss and URef (runAttach checks
 // those). Until PR 20 this test asserted that authRespT stayed signed in
 // steady state; that signature is now a receipt per 256 grants (DESIGN.md
 // §2.9).
@@ -797,9 +846,9 @@ func TestTicketedAttachAfterFirstContact(t *testing.T) {
 		if err != nil || !resp.Granted {
 			t.Fatalf("attach %d: %v %+v", i, err, resp)
 		}
-		if len(resp.T.Sig) != 0 || len(resp.U.Sig) != 0 || !bytes.Equal(resp.T.Sealed[:32], digest[:]) {
-			t.Fatalf("attach %d: authRespT sig %d B, authRespU sig %d B, authRespT on the certificate digest: %v",
-				i, len(resp.T.Sig), len(resp.U.Sig), bytes.Equal(resp.T.Sealed[:32], digest[:]))
+		if len(resp.T.Sig) != 0 || !bytes.Equal(resp.T.Sealed[:32], digest[:]) {
+			t.Fatalf("attach %d: authRespT sig %d B, authRespT on the certificate digest: %v",
+				i, len(resp.T.Sig), bytes.Equal(resp.T.Sealed[:32], digest[:]))
 		}
 		grant, respU, err := f.telco.HandleResponse(brokerPub, resp)
 		if err != nil {
@@ -1059,12 +1108,16 @@ func TestTicketedAttachDenyLadder(t *testing.T) {
 				f.telco = honest
 				return resp, nil
 			}},
-		{name: "signed-mode response with its signature stripped", wantErr: pki.ErrBadSignature,
+		{name: "signed-mode response opens only on its exchange", wantErr: pki.ErrDecrypt,
 			run: func(t *testing.T, f *fixture) (*AuthResp, error) {
 				fresh := f.firstContact()
 				reqU, p := f.request(t, fresh, false)
+				_, other := f.request(t, fresh, false) // a second first contact, pending beside it
 				resp, respU := f.exchange(t, reqU)
-				_, _, err := fresh.HandleResponse(p, &AuthRespU{Sealed: respU.Sealed})
+				_, _, err := fresh.HandleResponse(other, respU)
+				if _, _, err := fresh.HandleResponse(p, respU); err != nil {
+					t.Fatalf("on its own exchange: %v", err)
+				}
 				return resp, err
 			}},
 		{name: "ticketed response cross-wired between two attaches", wantErr: pki.ErrDecrypt, spent: true,

@@ -2,6 +2,7 @@ package sap
 
 import (
 	"bytes"
+	"crypto/rand"
 	"testing"
 
 	"cellbricks/internal/pki"
@@ -230,7 +231,7 @@ func FuzzTelcoHandleResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := len(resp.Cause) + len(resp.T.Sealed) + len(resp.T.Sig) + len(resp.U.Sealed) + len(resp.U.Sig); n > len(wire) {
+		if n := len(resp.Cause) + len(resp.T.Sealed) + len(resp.T.Sig) + len(resp.U.Sealed); n > len(wire) {
 			t.Fatalf("%d bytes decoded to %d", len(wire), n)
 		}
 		fx.withPass(fx.telco) // a refused MAC in the last input dropped it
@@ -242,6 +243,84 @@ func FuzzTelcoHandleResponse(f *testing.F) {
 		_, openErr := opener.OpenReply(resp.T.Sealed)
 		if !signed && (len(resp.T.Sig) != 0 || openErr != nil) {
 			t.Fatalf("grant %q from an authRespT neither signed by the broker nor sealed on its pass", grant.URef)
+		}
+	})
+}
+
+// constReader answers every read with one byte.
+type constReader byte
+
+func (c constReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
+	}
+	return len(p), nil
+}
+
+// drawnFrom runs fn with crypto/rand answering every read with b, so what fn
+// draws — an ephemeral key, a nonce, a ticket's locator — is the same in
+// every run. Package sap's tests never run in parallel.
+func drawnFrom(b byte, fn func()) {
+	saved := rand.Reader
+	rand.Reader = constReader(b)
+	defer func() { rand.Reader = saved }()
+	fn()
+}
+
+// FuzzUEHandleResponse is FuzzTelcoHandleResponse's twin at the UE: anybody's
+// authRespU bytes against two pending attaches of newFixture's subscriber,
+// one on first contact and one on a ticket, both drawn from fixed bytes so
+// the checked-in corpus under testdata/fuzz/FuzzUEHandleResponse stays
+// theirs: a grant for each, a denial's empty authRespU, a grant for another
+// pending attach, and a truncated grant. Whatever comes in: no panic, nothing
+// decoded is larger than the input, and a reply is accepted only if it opens
+// under the pending attach's own sealer and echoes its nonce, idT and idU.
+func FuzzUEHandleResponse(f *testing.F) {
+	fx := newFixture(f)
+	type pending struct {
+		u *UEState
+		p *PendingAttach
+	}
+	first, ticketed := pending{u: fx.ue}, pending{u: fx.firstContact()}
+	drawnFrom(1, func() { fx.oneAttach(f, ticketed.u) }) // arms its ticket
+	for i, at := range []*pending{&first, &ticketed} {
+		var reqU *AuthReqU
+		var err error
+		drawnFrom(byte(2+i), func() { reqU, at.p, err = at.u.NewAttachRequest(fx.telco.IDT) })
+		if err != nil || (at.p.spent != nil) != (at == &ticketed) {
+			f.Fatalf("pending attach %d: %v, ticketed=%v", i, err, at.p.spent != nil)
+		}
+		reqT, err := fx.telco.ForwardRequest(reqU)
+		if err != nil {
+			f.Fatal(err)
+		}
+		resp, _, err := fx.broker.HandleRequest(reqT)
+		if err != nil || !resp.Granted {
+			f.Fatalf("seed attach: %v %+v", err, resp)
+		}
+		f.Add(resp.U.Marshal())
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		resp, err := UnmarshalAuthRespU(wire)
+		if err != nil {
+			return
+		}
+		if len(resp.Sealed) > len(wire) {
+			t.Fatalf("%d bytes decoded to %d", len(wire), len(resp.Sealed))
+		}
+		for _, at := range []pending{first, ticketed} {
+			ss, _, err := at.u.HandleResponse(at.p, resp)
+			if err != nil {
+				continue
+			}
+			var inner innerRespU
+			pt, err := at.p.Sealer.OpenReply(resp.Sealed)
+			if err != nil || inner.unmarshal(pt) != nil {
+				t.Fatalf("accepted a reply that does not open on the pending sealer: %v", err)
+			}
+			if inner.Nonce != at.p.Nonce || inner.IDT != at.p.IDT || inner.IDU != at.u.IDU || inner.SS != ss {
+				t.Fatalf("accepted a reply for nonce %x, idT %q, idU %q", inner.Nonce, inner.IDT, inner.IDU)
+			}
 		}
 	})
 }

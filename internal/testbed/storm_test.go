@@ -3,10 +3,12 @@ package testbed
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 	"time"
 
 	"cellbricks/internal/broker"
+	"cellbricks/internal/pki"
 )
 
 // stormTestConfig is small enough for CI yet busy enough to exercise
@@ -140,6 +142,40 @@ func TestStormAttemptAccounting(t *testing.T) {
 	}
 	if res.Availability <= 0 || res.Availability > 1 {
 		t.Errorf("availability out of range: %f", res.Availability)
+	}
+}
+
+// Nothing seals to a UE's long-term key, so no storm UE derives the X25519
+// half of its KeyPair: not at provisioning, not over any number of first
+// contacts, tickets and billing reports. The broker's, which every first
+// contact opens under, is the control that the probe sees a derived key.
+func TestStormUEsNeverDeriveABoxKey(t *testing.T) {
+	// boxDerived reads the KeyPair's unexported box key by reflection, so
+	// pki exports nothing for a test.
+	boxDerived := func(k *pki.KeyPair) bool { return reflect.ValueOf(k).Elem().FieldByName("boxPub").Len() != 0 }
+	cfg := stormTestConfig(1).Defaults()
+	w, err := newStormWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.world.RunUntil(cfg.Duration)
+	if w.runErr != nil {
+		t.Fatal(w.runErr)
+	}
+	if !boxDerived(w.Config.Key) {
+		t.Fatal("the broker's box key reads as underived: the probe is blind")
+	}
+	ues, attaches := 0, 0
+	for _, grp := range w.groups {
+		for _, u := range grp.ues {
+			ues, attaches = ues+1, attaches+u.attaches
+			if boxDerived(u.st.Key) {
+				t.Errorf("UE %d derived its box key", u.global)
+			}
+		}
+	}
+	if attaches < ues {
+		t.Fatalf("%d attaches over %d UEs: the storm never reached every UE's first contact", attaches, ues)
 	}
 }
 

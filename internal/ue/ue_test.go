@@ -66,10 +66,11 @@ func TestAttachSAPRejectsUnexpectedMessage(t *testing.T) {
 
 func TestAttachSAPRejectsForgedAccept(t *testing.T) {
 	// An accept whose authRespU was not produced by the broker must fail
-	// broker authentication at the UE.
+	// broker authentication at the UE: here a box sealed to the UE's own
+	// long-term key, which anybody can build, rather than on the request's
+	// exchange.
 	key := testKey(t, 5)
 	brokerKey := testKey(t, 6)
-	evilKey := testKey(t, 7)
 	cb := &sap.UEState{IDU: "u", IDB: "b", Key: key, BrokerPub: brokerKey.Public()}
 	d := NewDevice("r", nil, cb)
 	tx := func(env []byte) ([]byte, error) {
@@ -77,7 +78,7 @@ func TestAttachSAPRejectsForgedAccept(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		respU := &sap.AuthRespU{Sealed: sealed, Sig: evilKey.Sign(sealed)}
+		respU := &sap.AuthRespU{Sealed: sealed}
 		accept := &nas.AttachAccept{SessionID: 1, IP: "10.0.0.1", AuthRespU: respU.Marshal()}
 		return append([]byte{0}, nas.Encode(accept)...), nil
 	}
