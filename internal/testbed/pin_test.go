@@ -64,17 +64,30 @@ func TestParentOutputPins(t *testing.T) {
 
 	// The billed drive mints random bTelco keys, so session references and
 	// settlements' URefs differ run to run; everything counted does not.
-	for seed, want := range map[int64]string{
-		31: "20a2b9b5ccd98adb047d956d99e0c85c8f787aa79cb0e1e42575f44d61a834cb",
-		32: "307462de4215abee94a9da69efe50d3cf7e760879682ca65e78b9715746fcc54",
+	// Each settlement is rendered, so bytes moved from one session to the
+	// next show even where the totals hold.
+	for _, d := range []struct {
+		seed  int64
+		night bool
+		cycle time.Duration
+		want  string
+	}{
+		{31, true, 30 * time.Second, "5d6424dedc387e5e5fefb6a3eed4504c6cbbec06b2c97e92c32d5b3538bedd15"},
+		{32, true, 30 * time.Second, "c9ceb3056e010ea3a1fedcbcb23764e0775da167ab2b6052607b382aa3337f87"},
+		{31, false, 30 * time.Second, "bda1c0265436c35f6ebb2ed28dce555d926eae82e3fc59c29d43b86262798c59"},
+		{33, true, 5 * time.Second, "27ff47d77128ff7e91a6f4ccd609b3ac47857e64a9094d8451f05ce4f9e07b32"},
 	} {
-		sc := Scenario{Route: mobility.Downtown, Night: true, Arch: ArchCellBricks, Seed: seed, Duration: 4 * time.Minute}
-		res, err := RunBilledDrive(sc, 30*time.Second)
+		sc := Scenario{Route: mobility.Downtown, Night: d.night, Arch: ArchCellBricks, Seed: d.seed, Duration: 4 * time.Minute}
+		res, err := RunBilledDrive(sc, d.cycle)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("billed drive seed=%d", seed), fmt.Sprintf("%d %d %d %d %d %.9f",
-			res.Sessions, res.Cycles, res.Mismatches, res.UEBytes, res.TelcoBytes, res.TotalOwed), want)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d %d %d %d %d %.9f\n", res.Sessions, res.Cycles, res.Mismatches, res.UEBytes, res.TelcoBytes, res.TotalOwed)
+		for _, st := range res.Settlements {
+			fmt.Fprintf(&b, "%s %d %.9f\n", st.IDT, st.VerifiedBytes, st.Amount)
+		}
+		check(fmt.Sprintf("billed drive seed=%d night=%v cycle=%v", d.seed, d.night, d.cycle), b.String(), d.want)
 	}
 
 	cell := RunTable1Cell(mobility.Downtown, true, Table1Config{Duration: 90 * time.Second, Seed: 5})
