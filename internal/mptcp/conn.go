@@ -94,6 +94,9 @@ type Conn struct {
 	ooo       []oooSeg // out-of-order segments beyond recvNext, sorted by seq
 	delivered uint64
 
+	// The radio tallies (see Radio).
+	admitted, arrived Tally
+
 	// OnDeliver fires at the receiver as in-order bytes arrive.
 	OnDeliver func(n int)
 	// OnSubflow fires when a new subflow becomes active (for tests and
@@ -152,7 +155,7 @@ func (c *Conn) newSubflow() {
 	// *new* source address, which misses the kernel's per-(src,dst)
 	// metrics cache, so it performs a fresh slow start — the behaviour
 	// behind the paper's post-handover ramp-and-overshoot (Fig. 8/9).
-	c.sender = newSender(c.sim, c.id, c.subflowSeq, c.serverIP, c.clientIP, &c.segs, c.sndUna, nil)
+	c.sender = newSender(c.sim, c.id, c.subflowSeq, c.serverIP, c.clientIP, &c.segs, c.sndUna, &c.admitted)
 	c.sender.supply(c.appLimit)
 	if c.OnSubflow != nil {
 		c.OnSubflow(c.subflowSeq)
@@ -169,6 +172,26 @@ func (c *Conn) Write(n int) {
 
 // Delivered reports total in-order bytes delivered at the client.
 func (c *Conn) Delivered() uint64 { return c.delivered }
+
+// Tally counts data segments: their payload bytes and their number.
+type Tally struct {
+	Bytes, Packets uint64
+}
+
+func (t *Tally) add(n int) {
+	t.Bytes += uint64(n)
+	t.Packets++
+}
+
+// Sub returns the counts t holds beyond an earlier reading u.
+func (t Tally) Sub(u Tally) Tally { return Tally{t.Bytes - u.Bytes, t.Packets - u.Packets} }
+
+// Radio returns the connection's two downlink tallies since it opened:
+// data segments the network admitted toward the client, which is what the
+// bTelco's gateway counts, and data segments that arrived at the client,
+// retransmitted duplicates included, which is what the UE's PDCP counter
+// sees. A meter reads them once per report and bills the difference.
+func (c *Conn) Radio() (admitted, arrived Tally) { return c.admitted, c.arrived }
 
 // SRTT exposes the active subflow's smoothed RTT (0 when unknown).
 func (c *Conn) SRTT() time.Duration {
@@ -199,6 +222,9 @@ func (c *Conn) handleAtClient(p *netem.Packet) {
 	// the very same box from the pool.
 	seg := *segp
 	c.segs.put(segp)
+	if seg.Len > 0 {
+		c.arrived.add(seg.Len)
+	}
 	if seg.ConnID != c.id || c.state == stateClosed {
 		return
 	}

@@ -474,14 +474,15 @@ func inject(c *Conn, seq uint64, n int) {
 // buffer for the life of the connection reporting a hole end at or below
 // the cumulative ACK.
 func TestOOODropsOvertakenSegments(t *testing.T) {
-	sim, _ := bulkWorld(1, 10e6, time.Millisecond, 0)
+	sim, link := bulkWorld(1, 10e6, time.Millisecond, 0)
 	c := NewConn(sim, "server", "client", DefaultConfig())
 	type ack struct{ ack, holeEnd uint64 }
 	var acks []ack
-	sim.OnSend = func(p *netem.Packet, _ time.Duration) {
+	link.Transit = func(p *netem.Packet, _ time.Duration) bool {
 		if seg := p.Payload.(*Segment); p.Src == "client" {
 			acks = append(acks, ack{seg.Ack, seg.HoleEnd})
 		}
+		return true
 	}
 	inject(c, 4000, 500)
 	inject(c, 2000, 1000)

@@ -103,7 +103,7 @@ type senderState struct {
 	lastProg time.Duration // last time sndUna advanced (RTO restart)
 	dead     bool
 
-	onSend func(*Segment)
+	admitted *Tally // data segments the network took (the Conn's tally)
 }
 
 // Congestion-control constants.
@@ -120,7 +120,7 @@ const (
 	rcvWindow = 1 << 20
 )
 
-func newSender(sim *netem.Sim, connID uint64, subflowID uint32, src, dst string, segs *segPool, startSeq uint64, onSend func(*Segment)) *senderState {
+func newSender(sim *netem.Sim, connID uint64, subflowID uint32, src, dst string, segs *segPool, startSeq uint64, admitted *Tally) *senderState {
 	if segs == nil {
 		segs = &segPool{}
 	}
@@ -139,7 +139,7 @@ func newSender(sim *netem.Sim, connID uint64, subflowID uint32, src, dst string,
 		sndNxt:    startSeq,
 		limit:     startSeq,
 		rto:       initialRTO,
-		onSend:    onSend,
+		admitted:  admitted,
 	}
 	s.rtoTimer = sim.NewTimer(s.onRTO)
 	return s
@@ -182,9 +182,6 @@ func (s *senderState) emit(seq uint64, n int) {
 	seg.Len = n
 	seg.ACK = true
 	seg.SentAt = s.sim.Now()
-	if s.onSend != nil {
-		s.onSend(seg)
-	}
 	pkt := s.sim.GetPacket()
 	pkt.Src, pkt.Dst = s.srcIP, s.dstIP
 	pkt.SrcEP, pkt.DstEP = s.srcEP, s.dstEP
@@ -193,7 +190,9 @@ func (s *senderState) emit(seq uint64, n int) {
 	if !s.sim.Send(pkt) {
 		s.segs.put(seg)
 		s.sim.PutPacket(pkt)
+		return
 	}
+	s.admitted.add(n)
 }
 
 func (s *senderState) armRTO() {

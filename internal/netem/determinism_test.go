@@ -21,16 +21,18 @@ func traceRun(seed int64) []string {
 		BandwidthBps: 8e6,
 	})
 	var trace []string
-	s.OnDeliver = func(pkt *Packet, at time.Duration) {
-		trace = append(trace, fmt.Sprintf("%s->%s %d @%v", pkt.Src, pkt.Dst, pkt.Size, at))
+	record := func(pkt *Packet) {
+		trace = append(trace, fmt.Sprintf("%s->%s %d @%v", pkt.Src, pkt.Dst, pkt.Size, s.Now()))
 	}
 	s.Register("a", func(pkt *Packet) {
+		record(pkt)
 		// Echo smaller replies until the payload wears out.
 		if pkt.Size > 100 {
 			s.Send(&Packet{Src: "a", Dst: "b", Size: pkt.Size / 2})
 		}
 	})
 	s.Register("b", func(pkt *Packet) {
+		record(pkt)
 		if pkt.Size > 100 {
 			s.Send(&Packet{Src: "b", Dst: "a", Size: pkt.Size / 2})
 		}

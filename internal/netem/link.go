@@ -39,7 +39,8 @@ type RateFunc func(t time.Duration) float64
 // NewShaperSojourn the time bound — a struct literal can set either
 // directly, but note that a literal with both fields zero is a burst-only
 // policer: no queueing beyond the bucket credit (no default is applied
-// outside the constructors).
+// outside the constructors). Set the fields before the first packet: the
+// terms admit derives from them are worked out once per rate.
 type Shaper struct {
 	Rate        RateFunc
 	BucketBytes float64 // burst allowance
@@ -53,6 +54,14 @@ type Shaper struct {
 	MaxQueueTime time.Duration
 
 	busyUntil time.Duration // virtual clock: when the policed wire frees up
+
+	// The rate terms of the schedule's last answer (lastRate; 0 before the
+	// first packet). A schedule changes its answer far less often than
+	// admit runs, so admit works them out again only when it does.
+	lastRate     float64
+	bytesPerSec  float64
+	burstTime    time.Duration
+	maxQueueTime time.Duration
 }
 
 // NewShaper builds a byte-bounded shaper with the given rate schedule.
@@ -107,31 +116,36 @@ func (sh *Shaper) admit(now time.Duration, size int) (delay time.Duration, drop 
 	if rate <= 0 {
 		return 0, true
 	}
-	bytesPerSec := rate / 8
-
-	// Burst credit: after idling, the virtual clock may lag `now` by at
-	// most the time it takes to send BucketBytes at the policed rate.
-	burstTime := time.Duration(sh.BucketBytes / bytesPerSec * float64(time.Second))
-	if sh.busyUntil < now-burstTime {
-		sh.busyUntil = now - burstTime
+	if rate != sh.lastRate {
+		sh.setRate(rate)
 	}
-
-	// Drop bound expressed as queued time: the sojourn bound when set,
-	// else the byte bound converted at the instantaneous rate.
-	maxQueueTime := sh.MaxQueueTime
-	if maxQueueTime == 0 {
-		maxQueueTime = time.Duration(float64(sh.MaxQueueBytes) / bytesPerSec * float64(time.Second))
+	if sh.busyUntil < now-sh.burstTime {
+		sh.busyUntil = now - sh.burstTime
 	}
-	if sh.busyUntil-now > maxQueueTime {
+	if sh.busyUntil-now > sh.maxQueueTime {
 		return 0, true
 	}
 
-	txTime := time.Duration(float64(size) / bytesPerSec * float64(time.Second))
+	txTime := time.Duration(float64(size) / sh.bytesPerSec * float64(time.Second))
 	sh.busyUntil += txTime
 	if sh.busyUntil <= now {
 		return 0, false
 	}
 	return sh.busyUntil - now, false
+}
+
+// setRate works out admit's terms at a policed rate in bits per second.
+func (sh *Shaper) setRate(rate float64) {
+	sh.lastRate, sh.bytesPerSec = rate, rate/8
+	// Burst credit: after idling, the virtual clock may lag `now` by at
+	// most the time it takes to send BucketBytes at the policed rate.
+	sh.burstTime = time.Duration(sh.BucketBytes / sh.bytesPerSec * float64(time.Second))
+	// Drop bound expressed as queued time: the sojourn bound when set,
+	// else the byte bound converted at this rate.
+	sh.maxQueueTime = sh.MaxQueueTime
+	if sh.maxQueueTime == 0 {
+		sh.maxQueueTime = time.Duration(float64(sh.MaxQueueBytes) / sh.bytesPerSec * float64(time.Second))
+	}
 }
 
 // Link is a bidirectional path segment between two endpoint identifiers.
@@ -247,8 +261,8 @@ func (s *Sim) Send(pkt *Packet) bool {
 		dst = s.Endpoint(pkt.Dst)
 		pkt.DstEP = dst
 	}
-	// Taps, Transit hooks, and receive handlers compare the string
-	// fields; materialize them from the interning table (no hashing).
+	// Transit hooks and receive handlers compare the string fields;
+	// materialize them from the interning table (no hashing).
 	if pkt.Src == "" {
 		pkt.Src = s.epNames[src-1]
 	}
@@ -350,9 +364,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 	s.mtrLocal.sentBytes += uint64(pkt.Size)
 	if s.mtrLocal.tick++; s.mtrLocal.tick&(flushEvery-1) == 0 {
 		s.FlushMetrics()
-	}
-	if s.OnSend != nil {
-		s.OnSend(pkt, arrival)
 	}
 	if entry.remote != nil {
 		// Cross-shard: the full link model has run on this side; park the

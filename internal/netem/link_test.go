@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -247,9 +248,9 @@ func TestShaperDirectionSurvivesConnectOrder(t *testing.T) {
 	}
 }
 
-// TestNightRateMemoIsQueryOrderIndependent: the per-epoch memo must not
-// change what Rate returns — revisiting an earlier epoch after a later one
-// gives the same draw a fresh policy computes.
+// TestNightRateMemoIsQueryOrderIndependent: the rate memo must not change
+// what Rate returns — revisiting an earlier epoch after a later one gives
+// the same draw a fresh policy computes.
 func TestNightRateMemoIsQueryOrderIndependent(t *testing.T) {
 	memo := NewDefaultDayNightPolicy(5)
 	night := 12 * time.Hour // 01:00 from the 13:00 anchor
@@ -257,6 +258,126 @@ func TestNightRateMemoIsQueryOrderIndependent(t *testing.T) {
 		at := night + time.Duration(epoch)*memo.NightEpoch + time.Second
 		if got, want := memo.Rate(at), NewDefaultDayNightPolicy(5).Rate(at); got != want {
 			t.Fatalf("epoch %d: memoized rate %v, fresh policy %v", epoch, got, want)
+		}
+	}
+}
+
+// rateRef is DayNightPolicy.Rate without its memo: the formula every memo
+// answer must equal.
+func rateRef(p *DayNightPolicy, t time.Duration) float64 {
+	if p.IsDay(t) {
+		return p.DayRateBps
+	}
+	return p.nightRate(t)
+}
+
+// TestDayNightRateMemoMatchesFormula sweeps densely across 00:30, 06:00 and
+// night-epoch boundaries at both anchors mobility uses (sim time 0 at 01:00
+// and at 13:00), asking each instant twice and then an earlier one, so
+// the memo is hit, left forwards, and left backwards.
+func TestDayNightRateMemoMatchesFormula(t *testing.T) {
+	const day = 24 * time.Hour
+	for _, start := range []time.Duration{time.Hour, 13 * time.Hour} {
+		p := NewDefaultDayNightPolicy(7)
+		p.ClockStart = start
+		var at []time.Duration
+		for _, tod := range []time.Duration{p.SwitchOff, p.SwitchOn} {
+			b := (tod - start + day) % day // first sim instant at that time of day
+			for _, edge := range []time.Duration{b, b + day} {
+				for d := -3 * time.Minute; d <= 3*time.Minute; d += 997 * time.Millisecond {
+					at = append(at, edge+d)
+				}
+				at = append(at, edge-1, edge, edge+1)
+			}
+		}
+		for k := time.Duration(0); k < 40; k++ { // epoch boundaries, by night and by day
+			for _, base := range []time.Duration{(p.SwitchOff - start + day) % day, 0} {
+				e := base/p.NightEpoch*p.NightEpoch + k*p.NightEpoch
+				at = append(at, e-1, e, e+1)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(start)))
+		for i, tm := range at {
+			back := tm - time.Duration(rng.Int63n(int64(40*time.Second)))
+			for _, q := range []time.Duration{tm, tm, back, at[rng.Intn(i+1)]} {
+				if q < 0 {
+					continue
+				}
+				if got, want := p.Rate(q), rateRef(p, q); got != want {
+					t.Fatalf("ClockStart %v, t=%v (after %v): memo %v, formula %v", start, q, tm, got, want)
+				}
+			}
+		}
+	}
+}
+
+// shaperRef is the Shaper that works out every rate term on every packet:
+// the arithmetic admit's once-per-rate terms must reproduce bit for bit.
+type shaperRef struct {
+	Shaper
+}
+
+func (sh *shaperRef) admit(now time.Duration, size int) (time.Duration, bool) {
+	rate := sh.Rate(now)
+	if rate <= 0 {
+		return 0, true
+	}
+	bytesPerSec := rate / 8
+	burstTime := time.Duration(sh.BucketBytes / bytesPerSec * float64(time.Second))
+	if sh.busyUntil < now-burstTime {
+		sh.busyUntil = now - burstTime
+	}
+	maxQueueTime := sh.MaxQueueTime
+	if maxQueueTime == 0 {
+		maxQueueTime = time.Duration(float64(sh.MaxQueueBytes) / bytesPerSec * float64(time.Second))
+	}
+	if sh.busyUntil-now > maxQueueTime {
+		return 0, true
+	}
+	sh.busyUntil += time.Duration(float64(size) / bytesPerSec * float64(time.Second))
+	if sh.busyUntil <= now {
+		return 0, false
+	}
+	return sh.busyUntil - now, false
+}
+
+// TestShaperRateTermsMatchPerPacketReference: with a schedule whose answer
+// changes every k packets — back to an earlier rate, through zero, to an
+// odd float — admit yields the (delay, drop) sequence of the reference
+// that recomputes every term, under both queue bounds.
+func TestShaperRateTermsMatchPerPacketReference(t *testing.T) {
+	rates := []float64{8e5, 20e6, 8e5, 0, 1.2e6, 1.2e6, 52.5e6 / 3, 0.2e6}
+	schedule := func(k int) RateFunc {
+		n := 0
+		return func(time.Duration) float64 {
+			r := rates[n/k%len(rates)]
+			n++
+			return r
+		}
+	}
+	for _, k := range []int{1, 3, 17} {
+		for _, bound := range []struct {
+			bytes int
+			time  time.Duration
+		}{{256 * 1024, 0}, {0, 600 * time.Millisecond}} {
+			mk := func() Shaper {
+				return Shaper{Rate: schedule(k), BucketBytes: 32 * 1024, MaxQueueBytes: bound.bytes, MaxQueueTime: bound.time}
+			}
+			sh, ref := mk(), shaperRef{mk()}
+			rng := rand.New(rand.NewSource(int64(k)))
+			var now time.Duration
+			for i := 0; i < 4000; i++ {
+				now += time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+				if rng.Intn(50) == 0 {
+					now += time.Second // idle: burst credit refills
+				}
+				size := 40 + rng.Intn(1400)
+				d, drop := sh.admit(now, size)
+				wd, wdrop := ref.admit(now, size)
+				if d != wd || drop != wdrop {
+					t.Fatalf("k=%d bound=%+v packet %d: admit (%v, %v), reference (%v, %v)", k, bound, i, d, drop, wd, wdrop)
+				}
+			}
 		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 //
 // Virtual time 0 corresponds to ClockStart within a 24h day.
 //
-// Rate memoizes the current night epoch's draw in the policy value, so a
-// value must be owned by one Sim: give each link its own copy (as
+// Rate memoizes its last answer in the policy value, so a value must be
+// owned by one Sim: give each link its own copy (as
 // mobility.Operator.CellularLink does) rather than sharing a pointer
-// between concurrently running simulations.
+// between concurrently running simulations. The memo assumes the exported
+// fields are set before the first Rate call; copy a policy before it is
+// queried, not after.
 type DayNightPolicy struct {
 	ClockStart time.Duration // time-of-day at sim time 0 (e.g. 13h * time.Hour)
 	SwitchOn   time.Duration // daytime policing begins (e.g. 6h)
@@ -32,11 +34,12 @@ type DayNightPolicy struct {
 
 	seed int64
 
-	// Night-rate memo: the draw only changes once per NightEpoch, while the
-	// shaper asks on every packet.
-	memoEpoch int64
-	memoRate  float64
-	memoOK    bool
+	// Rate memo: the last answer and the span [memoFrom, memoTo) of virtual
+	// time it holds for, which ends at the next night-epoch boundary or
+	// day/night switch. The shaper asks on every packet; the answer
+	// changes at most once per NightEpoch. An empty span is no memo.
+	memoFrom, memoTo time.Duration
+	memoRate         float64
 }
 
 // NewDefaultDayNightPolicy returns a policy calibrated to Appendix A:
@@ -74,11 +77,34 @@ func (p *DayNightPolicy) IsDay(t time.Duration) bool {
 }
 
 // Rate is a RateFunc: the policed rate in bits/second at virtual time t.
+// Inside the span of its last answer it answers from the memo.
 func (p *DayNightPolicy) Rate(t time.Duration) float64 {
-	if p.IsDay(t) {
-		return p.DayRateBps
+	if p.memoFrom <= t && t < p.memoTo {
+		return p.memoRate
 	}
-	return p.nightRate(t)
+	const day = 24 * time.Hour
+	var rate float64
+	var from, to time.Duration
+	tod := p.TimeOfDay(t)
+	switch {
+	case !p.IsDay(t):
+		// Night runs [SwitchOff, SwitchOn) in time of day, and the draw
+		// holds within one epoch.
+		rate = p.nightRate(t)
+		if t < 0 {
+			return rate // t/NightEpoch truncates toward zero: no memo
+		}
+		lo := t / p.NightEpoch * p.NightEpoch
+		from, to = max(t-(tod-p.SwitchOff), lo), min(t+(p.SwitchOn-tod), lo+p.NightEpoch)
+	case tod >= p.SwitchOn:
+		rate = p.DayRateBps
+		from, to = t-(tod-p.SwitchOn), t+(day-tod+p.SwitchOff)
+	default: // tod < SwitchOff: the day began at SwitchOn yesterday
+		rate = p.DayRateBps
+		from, to = t-(tod+day-p.SwitchOn), t+(p.SwitchOff-tod)
+	}
+	p.memoFrom, p.memoTo, p.memoRate = from, to, rate
+	return rate
 }
 
 // nightRate draws a deterministic pseudo-random capacity per epoch using a
@@ -86,9 +112,6 @@ func (p *DayNightPolicy) Rate(t time.Duration) float64 {
 // reproducible regardless of query order.
 func (p *DayNightPolicy) nightRate(t time.Duration) float64 {
 	epoch := int64(t / p.NightEpoch)
-	if p.memoOK && epoch == p.memoEpoch {
-		return p.memoRate
-	}
 	u := hash2(uint64(p.seed), uint64(epoch))
 	// Box-Muller from two uniform draws derived from the hash.
 	u1 := float64(u>>11) / float64(1<<53)
@@ -107,7 +130,6 @@ func (p *DayNightPolicy) nightRate(t time.Duration) float64 {
 	if r < 0.2e6 {
 		r = 0.2e6
 	}
-	p.memoEpoch, p.memoRate, p.memoOK = epoch, r, true
 	return r
 }
 

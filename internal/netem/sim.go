@@ -175,14 +175,6 @@ type Sim struct {
 	// queue-depth gauge is suppressed (the World publishes the merged
 	// depth instead).
 	sharded bool
-
-	// OnSend, when set, observes every admitted packet with its scheduled
-	// arrival time (a pcap-style tap for debugging and tests).
-	OnSend func(pkt *Packet, arrival time.Duration)
-	// OnDeliver, when set, observes every packet actually handed to a
-	// registered receiver (packets to unregistered addresses vanish
-	// without firing it).
-	OnDeliver func(pkt *Packet, at time.Duration)
 }
 
 // NewSim returns a simulator seeded deterministically, using the process
@@ -350,9 +342,6 @@ func (s *Sim) Step() bool {
 				s.mtrLocal.delivered++
 				if s.mtrLocal.tick++; s.mtrLocal.tick&(flushEvery-1) == 0 {
 					s.FlushMetrics()
-				}
-				if s.OnDeliver != nil {
-					s.OnDeliver(pkt, s.now)
 				}
 				ref.fn(pkt)
 			}

@@ -359,18 +359,20 @@ func TestPropertyShaperNeverExceedsRate(t *testing.T) {
 	}
 }
 
+// TestLinkStatsAndTap: the link's counters, and Transit as an in-path tap
+// that sees every packet a link up carries and none that a down link drops.
 func TestLinkStatsAndTap(t *testing.T) {
 	s := NewSim(1)
-	l := &Link{Delay: time.Millisecond, Loss: 0}
+	tapped := 0
+	l := &Link{Delay: time.Millisecond, Loss: 0, Transit: func(p *Packet, at time.Duration) bool {
+		tapped++
+		if at != s.Now() {
+			t.Fatalf("tap at %v, now %v", at, s.Now())
+		}
+		return true
+	}}
 	s.Connect("a", "b", l)
 	s.Register("b", func(*Packet) {})
-	tapped := 0
-	s.OnSend = func(p *Packet, arrival time.Duration) {
-		tapped++
-		if arrival < s.Now() {
-			t.Fatal("arrival before now")
-		}
-	}
 	for i := 0; i < 10; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
 	}

@@ -76,11 +76,32 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 	conn := mptcp.NewConn(sim, ServerIP, path.ip, mptcp.Config{
 		Multipath: true, AddrWorkWait: sc.MPTCPWait, Timeout: 60 * time.Second,
 	})
-	// The UE baseband counts *received radio bytes* (PDCP counters see
-	// retransmitted payloads too), not the transport's deduplicated
-	// stream; the tap below mirrors that.
 
+	// The two counters of §4.3 come off the connection's radio tallies,
+	// read once per report. The bTelco counts data segments admitted toward
+	// the UE (at payload size, as a PGW byte counter sees the SDF); the UE
+	// baseband counts the data segments it received, retransmitted payloads
+	// included (PDCP counters), not the transport's deduplicated stream.
+	// The delta is exactly the honest discrepancy of §4.3: bytes the bTelco
+	// carried that never reached the UE (radio loss, in flight at
+	// detachment).
 	var cur *session
+	var readAdm, readArr mptcp.Tally
+	drain := func() {
+		adm, arr := conn.Radio()
+		dAdm, dArr := adm.Sub(readAdm), arr.Sub(readArr)
+		readAdm, readArr = adm, arr
+		if cur == nil {
+			return // settled and not yet re-attached: no session's bytes
+		}
+		cur.telcoBytes += dAdm.Bytes
+		cur.admitted += dAdm.Packets
+		cur.delivered += dArr.Packets
+		res.TelcoBytes += dAdm.Bytes
+		res.UEBytes += dArr.Bytes
+		meter.CountDLBatch(dArr.Bytes, dArr.Packets)
+	}
+
 	attach := func(idx int) error {
 		telco, err := cast.NewTelco(fmt.Sprintf("drive-btelco-%d", idx), nil, 2.0)
 		if err != nil {
@@ -90,6 +111,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		if err != nil {
 			return err
 		}
+		drain()
 		meter.StartSession()
 		meter.BindSession(grant.URef, sealer)
 		cur = &session{telco: telco, uref: grant.URef, started: sim.Now()}
@@ -100,37 +122,12 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		return res, err
 	}
 
-	// The bTelco-side counter: packets admitted toward the UE's current
-	// address (data segments only, at payload size, as a PGW byte counter
-	// would see the SDF). The delta between the two counters is exactly
-	// the honest discrepancy of §4.3: bytes the bTelco carried that never
-	// reached the UE (radio loss, in-flight at detachment).
-	sim.OnSend = func(p *netem.Packet, _ time.Duration) {
-		if cur == nil || p.Dst != path.ip {
-			return
-		}
-		if seg, ok := p.Payload.(*mptcp.Segment); ok && seg.Len > 0 {
-			cur.telcoBytes += uint64(seg.Len)
-			res.TelcoBytes += uint64(seg.Len)
-			cur.admitted++
-		}
-	}
-	sim.OnDeliver = func(p *netem.Packet, _ time.Duration) {
-		if cur == nil || p.Dst != path.ip {
-			return
-		}
-		if seg, ok := p.Payload.(*mptcp.Segment); ok && seg.Len > 0 {
-			meter.CountDL(seg.Len)
-			res.UEBytes += uint64(seg.Len)
-			cur.delivered++
-		}
-	}
-
 	// Reporting cycle: both sides report, broker checks.
 	report := func() error {
 		if cur == nil {
 			return nil
 		}
+		drain()
 		rel := sim.Now() - cur.started
 		cur.seq++
 		env, err := telcoReport(cast, cur.telco, cur.uref, cur.seq, rel, cur.telcoBytes)
@@ -162,7 +159,8 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		return nil
 	}
 
-	// Settle the finished session and attach to the next bTelco.
+	// Settle the finished session; it ends here, so a report tick before
+	// the next attach has nothing to report.
 	var rollErr error
 	settle := func() {
 		if cur == nil {
@@ -176,6 +174,7 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 			res.Settlements = append(res.Settlements, st)
 			res.TotalOwed += st.Amount
 		}
+		cur = nil
 	}
 
 	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {

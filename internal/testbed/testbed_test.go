@@ -448,6 +448,60 @@ func TestBilledDriveEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBilledDriveSettledSessionReportsNoMore: a session ends at its
+// settlement. In the AttachLatency window between a settlement and the next
+// attach, a report tick has no session to report, and a drive that ends
+// there has none to settle again. Seed 195 puts a 5 s tick in the window and
+// seed 108 the drive's end. The drives TestParentOutputPins holds, `cbbench
+// -exp billing` on seeds 1–7, and the benchmark's drive_emu shape on seeds
+// 1–60 never land in it, so none of their outputs moved with the fix.
+func TestBilledDriveSettledSessionReportsNoMore(t *testing.T) {
+	const cycle = 5 * time.Second
+	for _, c := range []struct {
+		seed   int64
+		endHit bool // the window holds the drive's end, not a tick
+	}{{195, false}, {108, true}} {
+		sc := Scenario{Route: mobility.Downtown, Night: true, Arch: ArchCellBricks, Seed: c.seed, Duration: time.Minute}.Defaults()
+		// The handover instants are the drive's first draws from its sim.
+		handovers := sc.Route.Handovers(netem.NewSim(c.seed).Rand(), sc.Night, sc.Duration)
+		settling := func(at time.Duration) bool {
+			for _, h := range handovers {
+				if h <= at && at < h+sc.AttachLatency {
+					return true
+				}
+			}
+			return false
+		}
+		sessions, ticks, tickHit := 1, 0, false
+		for _, h := range handovers {
+			if h+sc.AttachLatency <= sc.Duration {
+				sessions++
+			}
+		}
+		for at := cycle; at < sc.Duration; at += cycle {
+			if settling(at) {
+				tickHit = true
+			} else {
+				ticks++
+			}
+		}
+		if tickHit == c.endHit || settling(sc.Duration) != c.endHit {
+			t.Fatalf("seed %d: tick in a window %v, end in a window %v; the case is not covered", c.seed, tickHit, settling(sc.Duration))
+		}
+
+		res, err := RunBilledDrive(sc, cycle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each open tick reports once, and each session once more as it
+		// settles.
+		if res.Sessions != sessions || len(res.Settlements) != sessions || res.Cycles != ticks+sessions {
+			t.Errorf("seed %d: %d sessions, %d settlements, %d cycles; want %d, %d, %d",
+				c.seed, res.Sessions, len(res.Settlements), res.Cycles, sessions, sessions, ticks+sessions)
+		}
+	}
+}
+
 func TestBrokerOutageResilience(t *testing.T) {
 	// A handover during a 20 s broker outage stalls the attach; MPTCP's
 	// 60 s address watchdog rides it out and the connection resumes.

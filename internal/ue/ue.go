@@ -460,12 +460,17 @@ func (m *BasebandMeter) CountUL(n int) {
 	m.ulBytes += uint64(n)
 }
 
-// CountDL records received bytes.
-func (m *BasebandMeter) CountDL(n int) {
+// CountDL records one received packet of n bytes.
+func (m *BasebandMeter) CountDL(n int) { m.CountDLBatch(uint64(n), 1) }
+
+// CountDLBatch records packets received packets that carried bytes in
+// all: CountDL for a baseband that reads its radio counters once per
+// report instead of once per packet.
+func (m *BasebandMeter) CountDLBatch(bytes, packets uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dlBytes += uint64(n)
-	m.dlRecv++
+	m.dlBytes += bytes
+	m.dlRecv += packets
 }
 
 // CountDLLoss records radio-layer losses observed by the baseband (RLC

@@ -143,6 +143,44 @@ func TestBasebandMeterCountersAndReport(t *testing.T) {
 	}
 }
 
+// TestBasebandMeterBatchCountMatchesPerPacket: one CountDLBatch of (n bytes,
+// k packets) measures the same report as k CountDL calls summing to n,
+// including the loss rate, which divides by the packet count.
+func TestBasebandMeterBatchCountMatchesPerPacket(t *testing.T) {
+	sealer := testSealer(t, testKey(t, 19))
+	meter := func() *BasebandMeter {
+		m := NewBasebandMeter(testKey(t, 18))
+		m.StartSession()
+		m.BindSession("s", sealer)
+		m.CountDLLoss(3)
+		return m
+	}
+	perPacket, batch := meter(), meter()
+	var total uint64
+	sizes := []int{1380, 1380, 17, 1380, 0, 512, 1380}
+	for _, n := range sizes {
+		perPacket.CountDL(n)
+		total += uint64(n)
+	}
+	batch.CountDLBatch(total, uint64(len(sizes)))
+	for cycle := 1; cycle <= 2; cycle++ {
+		rel := time.Duration(cycle) * 30 * time.Second
+		want, _, err := perPacket.measure(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := batch.measure(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("cycle %d: batch measured %+v, per-packet %+v", cycle, got, want)
+		}
+		perPacket.CountDL(700)
+		batch.CountDLBatch(700, 1)
+	}
+}
+
 func TestBasebandMeterResetOnNewSession(t *testing.T) {
 	key := testKey(t, 10)
 	m := NewBasebandMeter(key)

@@ -87,6 +87,7 @@ const FrameTraced byte = 0x80
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	ErrClosed        = errors.New("wire: connection closed")
+	errNoTrace       = errors.New("wire: traced frame without a trace")
 )
 
 // RetryAfterError is the typed load-shedding signal: a degraded server
@@ -197,6 +198,10 @@ func ReadFrameCtx(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte
 		sc, err = obs.DecodeSpanContext(payload)
 		if err != nil {
 			return 0, obs.SpanContext{}, nil, err
+		}
+		if !sc.Valid() {
+			// WriteFrameCtx marks a frame traced only for a valid context.
+			return 0, obs.SpanContext{}, nil, errNoTrace
 		}
 		msgType &^= FrameTraced
 		payload = payload[obs.SpanContextLen:]
