@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"cellbricks/internal/mobility"
 	"cellbricks/internal/netem"
@@ -501,6 +502,14 @@ func TestOOODropsOvertakenSegments(t *testing.T) {
 	want := []ack{{0, 4000}, {0, 2000}, {0, 2000}, {2500, 4000}, {5000, 0}}
 	if fmt.Sprint(acks) != fmt.Sprint(want) {
 		t.Fatalf("acks (ack, holeEnd) = %v, want %v", acks, want)
+	}
+}
+
+// TestSegmentIsOneCacheLine pins the pooled segment box at 64 bytes: every
+// data segment and ACK is one, read on delivery and written on send.
+func TestSegmentIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Segment{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Segment{}) = %d, want 64", n)
 	}
 }
 

@@ -22,27 +22,26 @@ const MSS = 1380
 // headerSize approximates IP+TCP header overhead on the wire.
 const headerSize = 52
 
-// Segment is the transport PDU carried in netem packets.
+// Segment is the transport PDU carried in netem packets. Its fields are
+// ordered widest first so the pooled box is one 64-byte cache line.
 type Segment struct {
-	ConnID    uint64
-	SubflowID uint32
-	Seq       uint64 // connection-level byte offset
-	Len       int
-	Ack       uint64 // cumulative connection-level ack
-	SYN, ACK  bool
-	FIN       bool
-	// REMOVE_ADDR option: the sender asks the peer to forget this
-	// subflow's address (MPTCP RFC 6824 semantics).
-	RemoveAddr uint32
+	ConnID uint64
+	Seq    uint64 // connection-level byte offset
+	Len    int
+	Ack    uint64 // cumulative connection-level ack
 	// HoleEnd is a SACK-lite hint on ACKs: the start of the receiver's
 	// first out-of-order block, i.e. the missing range is [Ack, HoleEnd).
 	// Zero means no out-of-order data is buffered.
-	HoleEnd uint64
+	HoleEnd   uint64
+	SentAt    time.Duration // for RTT sampling (carried in the "timestamp option")
+	SubflowID uint32
+	// REMOVE_ADDR option: the sender asks the peer to forget this
+	// subflow's address (MPTCP RFC 6824 semantics).
+	RemoveAddr uint32
+	SYN, ACK   bool
 	// StaleHint marks an ACK triggered by a fully-duplicate arrival; the
 	// sender must not count it toward duplicate-ACK loss detection.
 	StaleHint bool
-	SentAt    time.Duration // for RTT sampling (carried in the "timestamp option")
-	EchoedAt  time.Duration
 }
 
 // segPool recycles Segments within one connection. A Sim is

@@ -131,6 +131,20 @@ func TestDeliveryEventPooling(t *testing.T) {
 	}
 }
 
+// TestPutPacketTwiceIsNoOp: a packet already back in the pool must not go
+// in again — a handler that forwards its packet across shards has it
+// recycled by Send and then once more by Step — or two GetPackets would
+// hand out one packet.
+func TestPutPacketTwiceIsNoOp(t *testing.T) {
+	s := NewSim(1)
+	p := s.GetPacket()
+	s.PutPacket(p)
+	s.PutPacket(p)
+	if a, b := s.GetPacket(), s.GetPacket(); a == b {
+		t.Fatal("two GetPackets returned the same packet")
+	}
+}
+
 // TestCancelAfterFireSafe pins the contract event pooling must preserve:
 // caller-visible events from At/After are never recycled, so a post-fire
 // Cancel (mptcp does this with its timers) stays a harmless no-op.

@@ -20,8 +20,9 @@ type Packet struct {
 	Size         int      // wire size in bytes
 	Payload      any
 
-	pooled   bool // obtained from Sim.GetPacket; recycled after delivery
-	inflight bool // scheduled for delivery; guards against premature reuse
+	pooled   bool    // obtained from Sim.GetPacket; recycled after delivery
+	inflight bool    // scheduled for delivery; guards against premature reuse
+	next     *Packet // free-list link while in the Sim's pool
 }
 
 // RateFunc returns the shaping rate in bits/second at virtual time t.

@@ -35,7 +35,7 @@ type Event struct {
 	dst       *handlerRef
 	tm        *Timer // non-nil for a Timer's resident event (see timer.go)
 	cancelled bool
-	index     int // heap index while resident in an eventHeap
+	next      *Event // free-list link while a delivery event is pooled
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -66,22 +66,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -137,9 +128,25 @@ func packEPs(x, y Endpoint) uint64 {
 	return uint64(uint32(x))<<32 | uint64(uint32(y))
 }
 
+// cacheLinePad is the distance kept between state a shard writes per event
+// and any other object: two 64-byte lines, because the adjacent-line
+// prefetcher fetches lines in pairs. A World allocates its shards back to
+// back, so without it one shard's counters share a line with the next
+// shard's clock and each event on either core steals the line from the
+// other (DESIGN.md §2.2).
+const cacheLinePad = 128
+
+type cachePad [cacheLinePad]byte
+
+// poolSlab is how many delivery events or pooled packets a Sim allocates at
+// once when its free list runs dry.
+const poolSlab = 16
+
 // Sim is a discrete-event simulator with a virtual clock. The zero value is
 // not usable; construct with NewSim.
 type Sim struct {
+	_ cachePad // keeps the fields below off other objects' lines; see cacheLinePad
+
 	now   time.Duration
 	sched scheduler
 	seq   uint64
@@ -162,11 +169,14 @@ type Sim struct {
 	// free recycles the internal delivery events, the dominant allocation
 	// of a packet-heavy run. Caller-visible events (from At/After) are
 	// never pooled: callers may hold them for Cancel long after firing.
-	free []*Event
+	// The list is threaded through Event.next and refilled poolSlab events
+	// at a time, so it owns no slice to grow.
+	free *Event
 
-	// pktFree recycles pooled Packets (see GetPacket); together with the
-	// event free list this makes the steady-state send path allocation-free.
-	pktFree []*Packet
+	// pktFree recycles pooled Packets (see GetPacket) the same way; together
+	// with the event free list this makes the steady-state send path
+	// allocation-free.
+	pktFree *Packet
 
 	// mtrLocal batches this Sim's telemetry; see metrics.go.
 	mtrLocal simMetrics
@@ -175,6 +185,8 @@ type Sim struct {
 	// queue-depth gauge is suppressed (the World publishes the merged
 	// depth instead).
 	sharded bool
+
+	_ cachePad
 }
 
 // NewSim returns a simulator seeded deterministically, using the process
@@ -243,14 +255,16 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 // from the free list.
 func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef) {
 	s.seq++
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{}
+	e := s.free
+	if e == nil {
+		slab := new([poolSlab]Event)
+		for i := range poolSlab - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		e = &slab[0]
 	}
-	e.at, e.seq, e.pkt, e.dst = t, s.seq, pkt, dst
+	s.free = e.next
+	e.at, e.seq, e.pkt, e.dst, e.next = t, s.seq, pkt, dst, nil
 	s.sched.push(e)
 }
 
@@ -291,8 +305,8 @@ func (s *Sim) release(e *Event) {
 	if e.dst == nil {
 		return
 	}
-	*e = Event{index: -1}
-	s.free = append(s.free, e)
+	*e = Event{next: s.free}
+	s.free = e
 }
 
 // GetPacket returns a Packet from the Sim's pool (or a fresh one). Pooled
@@ -301,22 +315,29 @@ func (s *Sim) release(e *Event) {
 // copy out what you need. A pooled packet that Send rejects (returns
 // false) is still owned by the caller — return it with PutPacket.
 func (s *Sim) GetPacket() *Packet {
-	if n := len(s.pktFree); n > 0 {
-		p := s.pktFree[n-1]
-		s.pktFree = s.pktFree[:n-1]
-		return p
+	p := s.pktFree
+	if p == nil {
+		slab := new([poolSlab]Packet)
+		for i := range poolSlab - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		p = &slab[0]
 	}
-	return &Packet{pooled: true}
+	s.pktFree = p.next
+	p.next, p.pooled = nil, true
+	return p
 }
 
 // PutPacket returns a pooled packet for reuse, zeroing it. Packets not
-// obtained from GetPacket, and packets currently in flight, are ignored.
+// obtained from GetPacket, and packets currently in flight, are ignored. A
+// packet in the pool is not pooled until GetPacket hands it out again, so
+// putting it twice is a no-op.
 func (s *Sim) PutPacket(p *Packet) {
 	if p == nil || !p.pooled || p.inflight {
 		return
 	}
-	*p = Packet{pooled: true}
-	s.pktFree = append(s.pktFree, p)
+	*p = Packet{next: s.pktFree}
+	s.pktFree = p
 }
 
 // Step fires the next pending event. It reports false when the queue is

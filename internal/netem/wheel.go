@@ -41,6 +41,30 @@ func eventCmp(a, b *Event) int {
 	return 1
 }
 
+// slotInsertionMax is the longest slot sortSlot orders by insertion.
+const slotInsertionMax = 64
+
+// sortSlot orders a wheel slot by (at, seq) and reports whether it took the
+// insertion sort. Slots arrive almost in order, because deliveries on one
+// link direction are FIFO, so an insertion sort with the comparison inline
+// beats a generic sort that calls eventCmp through a func value. A longer
+// slot goes to slices.SortFunc, which keeps the worst case O(n log n).
+func sortSlot(s []*Event) (insertion bool) {
+	if len(s) > slotInsertionMax {
+		slices.SortFunc(s, eventCmp)
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		e := s[i]
+		j := i
+		for ; j > 0 && (s[j-1].at > e.at || s[j-1].at == e.at && s[j-1].seq > e.seq); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = e
+	}
+	return true
+}
+
 // heapSched is the reference scheduler: the classic container/heap binary
 // heap. O(log n) per operation; kept as the oracle for the wheel's fuzz
 // and determinism tests and selectable via NewSimScheduler.
@@ -97,7 +121,13 @@ const (
 // Such events are sorted into the *current* slot's undrained tail instead.
 // That preserves global order: everything else in the wheel lives in a
 // strictly later slot, and the current slot drains in (at, seq) order.
+//
+// Every field is written per event, so the wheel is padded at both ends
+// like a Sim (see cacheLinePad): one shard's cursor shares no cache line
+// with another's.
 type timingWheel struct {
+	_ cachePad
+
 	slots0   [wheelSlots][]*Event
 	slots1   [wheelSlots][]*Event
 	overflow eventHeap
@@ -110,6 +140,8 @@ type timingWheel struct {
 	count   int // events across all levels
 	l0count int // undrained events resident in slots0
 	l1count int // events resident in slots1
+
+	_ cachePad
 }
 
 func newTimingWheel() *timingWheel { return &timingWheel{} }
@@ -174,7 +206,7 @@ func (w *timingWheel) advance() *Event {
 		slot := &w.slots0[w.base0&wheelMask]
 		if w.pos < len(*slot) {
 			if !w.sorted {
-				slices.SortFunc(*slot, eventCmp)
+				sortSlot(*slot)
 				w.sorted = true
 			}
 			return (*slot)[w.pos]

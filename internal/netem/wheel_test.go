@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -187,6 +188,40 @@ func TestWheelLatePushWhileDraining(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+// TestWheelLongSlot is sortSlot's worst case: 10,000 events in one slot,
+// pushed in reverse (at, seq) order and in random order, must drain in
+// (at, seq) order through the generic sort, not the quadratic insertion
+// sort slots of a few events take.
+func TestWheelLongSlot(t *testing.T) {
+	const n = 10_000
+	for _, order := range []string{"reverse", "random"} {
+		evs := make([]*Event, n)
+		for i := range evs {
+			// Within one ~1.05 ms slot; every fourth timestamp repeats, so
+			// seq breaks ties.
+			evs[i] = &Event{at: time.Duration(i/4) * 100, seq: uint64(i + 1)}
+		}
+		if order == "reverse" {
+			slices.Reverse(evs)
+		} else {
+			rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		}
+		if sortSlot(slices.Clone(evs)) {
+			t.Fatalf("%s: a %d-event slot took the insertion sort", order, n)
+		}
+		w := newTimingWheel()
+		for _, e := range evs {
+			w.push(e)
+		}
+		for i := 0; i < n; i++ {
+			e := w.pop()
+			if e == nil || e.seq != uint64(i+1) {
+				t.Fatalf("%s: pop %d = %+v, want seq %d", order, i, e, i+1)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // World runs one emulated world across K Sim shards in parallel while
@@ -58,7 +59,9 @@ type World struct {
 
 	// mail[src][dst] is the window's cross-shard traffic from shard src to
 	// shard dst, appended in send order by shard src's goroutine and
-	// drained by the coordinator at the barrier.
+	// drained by the coordinator at the barrier. The rows are cut from one
+	// allocation with mailPad headers before, between and after them, so
+	// the row one shard appends to shares no cache line with another's.
 	mail [][][]xpkt
 	// scratch is the reusable merge buffer, so the steady-state exchange
 	// allocates nothing.
@@ -76,6 +79,13 @@ type xpkt struct {
 	size     int
 	payload  any
 }
+
+// mailPad is how many unused mailbox headers keep the rows cacheLinePad
+// bytes apart.
+const (
+	mailBoxSize = int(unsafe.Sizeof([]xpkt(nil)))
+	mailPad     = (cacheLinePad + mailBoxSize - 1) / mailBoxSize
+)
 
 // remoteRoute marks a pathEntry as the local half of a cross-shard link;
 // Send diverts admitted packets into the world's mailboxes instead of the
@@ -113,10 +123,12 @@ func NewWorld(seed int64, k int) *World {
 		workers: ClampShards(k),
 		mail:    make([][][]xpkt, k),
 	}
+	boxes := make([][]xpkt, mailPad+k*(k+mailPad))
 	for i := range w.shards {
 		w.shards[i] = NewSim(seed)
 		w.shards[i].sharded = k > 1
-		w.mail[i] = make([][]xpkt, k)
+		row := boxes[mailPad+i*(k+mailPad):]
+		w.mail[i] = row[:k:k]
 	}
 	return w
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestWorldCrossShardDelivery pins the basic cross-shard contract: a
@@ -433,6 +434,132 @@ func BenchmarkSendDeliverSharded(b *testing.B) {
 	b.StopTimer()
 	if delivered == 0 {
 		b.Fatal("no deliveries")
+	}
+}
+
+// busyFlow is one shard's bulk flow in BenchmarkWorldBusyShards. It is
+// padded like a Sim so the benchmark itself adds no shared cache line.
+type busyFlow struct {
+	_         cachePad
+	link      Link
+	delivered int
+	_         cachePad
+}
+
+// BenchmarkWorldBusyShards keeps every shard busy at once: one steady bulk
+// flow inside each of two shards, 64 packets in flight on a 200 µs link and
+// re-sent from the receive handler, with an idle cross-shard link that sets
+// a 10 ms window. K=1 runs both flows on one shard. ns/pkt is wall time per
+// delivered packet. BenchmarkSendDeliverSharded keeps only shard 0 busy, so
+// it cannot see shards contending for a cache line; this one can.
+func BenchmarkWorldBusyShards(b *testing.B) {
+	const inflight = 64
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			w := NewWorld(1, k)
+			flows := make([]*busyFlow, 2)
+			for i := range flows {
+				f := &busyFlow{link: Link{Delay: 200 * time.Microsecond}}
+				flows[i] = f
+				src, dst := fmt.Sprintf("src-%d", i), fmt.Sprintf("dst-%d", i)
+				w.Place(src, i%k)
+				w.Place(dst, i%k)
+				w.Connect(src, dst, &f.link)
+				s := w.ShardFor(src)
+				a, d := s.Endpoint(src), s.Endpoint(dst)
+				send := func() {
+					pkt := s.GetPacket()
+					pkt.SrcEP, pkt.DstEP, pkt.Size = a, d, 1400
+					if !s.Send(pkt) {
+						panic("send refused")
+					}
+				}
+				w.Register(dst, func(*Packet) {
+					f.delivered++
+					send()
+				})
+				for range inflight {
+					send()
+				}
+			}
+			w.Connect("src-0", "src-1", &Link{Delay: 10 * time.Millisecond})
+			total := func() (n int) {
+				for _, f := range flows {
+					n += f.delivered
+				}
+				return n
+			}
+			window := func() { w.RunUntil(w.Now() + 10*time.Millisecond) }
+			for range 30 { // warm pools and every L0 slot
+				window()
+			}
+			start := total()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for total()-start < b.N {
+				window()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total()-start), "ns/pkt")
+		})
+	}
+}
+
+// span is the address range [lo, hi) of one shard's per-event state.
+type span struct {
+	shard  int
+	what   string
+	lo, hi uintptr
+}
+
+// fieldSpan covers the named fields of the struct p points to: everything
+// but its blank padding.
+func fieldSpan(shard int, what string, p any) span {
+	v := reflect.ValueOf(p).Elem()
+	base := v.UnsafeAddr()
+	sp := span{shard: shard, what: what, lo: ^uintptr(0)}
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		if f.Name == "_" {
+			continue
+		}
+		sp.lo = min(sp.lo, base+f.Offset)
+		sp.hi = max(sp.hi, base+f.Offset+f.Type.Size())
+	}
+	return sp
+}
+
+// TestShardsShareNoCacheLine pins the layout rule of DESIGN.md §2.2: the
+// state a shard writes per event — its Sim, its wheel and its mailbox row —
+// sits at least cacheLinePad bytes from every other shard's.
+func TestShardsShareNoCacheLine(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		w := NewWorld(1, k)
+		var spans []span
+		for i, s := range w.shards {
+			tw, ok := s.sched.(*timingWheel)
+			if !ok {
+				t.Fatalf("shard %d runs %T, want the timing wheel", i, s.sched)
+			}
+			row := w.mail[i]
+			lo := uintptr(unsafe.Pointer(&row[0]))
+			spans = append(spans,
+				fieldSpan(i, "Sim", s),
+				fieldSpan(i, "wheel", tw),
+				span{i, "mailbox row", lo, lo + uintptr(len(row))*unsafe.Sizeof(row[0])})
+		}
+		for _, a := range spans {
+			for _, b := range spans {
+				if a.shard >= b.shard {
+					continue
+				}
+				gap := max(int64(b.lo)-int64(a.hi), int64(a.lo)-int64(b.hi))
+				if gap < cacheLinePad {
+					t.Errorf("K=%d: shard %d's %s and shard %d's %s are %d B apart, want ≥ %d",
+						k, a.shard, a.what, b.shard, b.what, gap, cacheLinePad)
+				}
+			}
+		}
 	}
 }
 
