@@ -61,8 +61,8 @@ type expRecord struct {
 	AllocBytes   uint64             `json:"alloc_bytes"`
 	OutputSHA256 string             `json:"output_sha256"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
-	// Telemetry is the experiment's delta of the process-wide obs registry
-	// (counters moved, gauges as of the end of the run).
+	// Telemetry is the experiment's delta of the process-wide obs registry:
+	// the counters that moved.
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }
 
@@ -170,7 +170,7 @@ func main() {
 	timelineOut := flag.String("timeline-out", "", "write per-session attach timelines folded from the trace to this file (deterministic text; .json suffix for JSON)")
 	traceSession := flag.String("trace-session", "", "restrict -trace-out/-timeline-out to one trace ID (16 hex digits, as printed in timeline headers)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder ring (recent trace events per component) to this file; always written on a failing exit (default cbbench-flight.txt)")
-	byzNoSLO := flag.Bool("byz-no-slo", false, "byzantine: disable the SLO-breach quarantine signal (the SLO engine still evaluates and renders margins)")
+	byzNoSLO := flag.Bool("byz-no-slo", false, "byzantine: disable the SLO-breach quarantine signal (the windowed SLOs still evaluate and render margins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile per experiment to <prefix>.<exp>.cpu.pprof")
 	memProfile := flag.String("memprofile", "", "write a heap profile per experiment to <prefix>.<exp>.mem.pprof")
 	verbose := flag.Bool("v", false, "enable debug-level logging")

@@ -447,19 +447,61 @@ func TestVerifierReplayRejected(t *testing.T) {
 	}
 }
 
-func TestPenalizeMisconduct(t *testing.T) {
-	v := mkVerifier()
-	v.PenalizeMisconduct("telco-1", 1.0)
-	one := v.TelcoScore("telco-1")
-	wantAlpha := 2 * DefaultVerifierConfig().Alpha
-	if want := 1.0 - wantAlpha; one < want-1e-9 || one > want+1e-9 {
-		t.Fatalf("one full misconduct hit: score %.3f, want %.3f", one, want)
+// TestEvidenceMatchesParentFormulas pins Evidence to the formulas of the
+// four entry points it replaced, written out here, bit for bit: every kind,
+// degrees out of range and in it, from a score below 1, at the default
+// Alpha and at one where double weight caps at 1.
+func TestEvidenceMatchesParentFormulas(t *testing.T) {
+	clamp := func(d float64) float64 {
+		if d > 1 {
+			d = 1
+		}
+		if d < 0 {
+			d = 0
+		}
+		return d
 	}
-	// Heavier than a QoS hit of the same degree.
-	v2 := mkVerifier()
-	v2.PenalizeQoS("telco-1", 1.0)
-	if q := v2.TelcoScore("telco-1"); q <= one {
-		t.Fatalf("QoS penalty (%.3f) should be lighter than misconduct (%.3f)", q, one)
+	// Each returns the score and penalty after one piece of evidence.
+	misconduct := func(score, pen, a, d float64) (float64, float64) { // PenalizeMisconduct
+		d = clamp(d)
+		alpha := math.Min(1, a*2)
+		return score*(1-alpha) + alpha*(1.0-d), pen + d
+	}
+	parent := map[EvidenceKind]func(score, pen, a, d float64) (float64, float64){
+		MismatchEvidence: func(score, pen, a, d float64) (float64, float64) { // Verifier.check
+			fail := 1.0 - math.Min(d, 1.0)
+			return score*(1-a) + a*fail, pen + d
+		},
+		ReplayEvidence:    misconduct,
+		WatchdogEvidence:  misconduct, // Brokerd.ReportWatchdog
+		SLOBreachEvidence: misconduct, // Brokerd.ReportSLOBreach
+		QoSEvidence: func(score, pen, a, d float64) (float64, float64) { // PenalizeQoS
+			d = clamp(d)
+			fail := 1.0 - d
+			alpha := a / 2
+			return score*(1-alpha) + alpha*fail, pen
+		},
+	}
+	if len(parent) != len(evidenceRules) {
+		t.Fatalf("%d kinds, %d parent formulas", len(evidenceRules), len(parent))
+	}
+	const score0, pen0 = 0.8123, 0.25
+	for _, alpha := range []float64{DefaultVerifierConfig().Alpha, 0.6} {
+		for kind, f := range parent {
+			for _, d := range []float64{-0.5, 0, 0.3, 1, 2} {
+				cfg := DefaultVerifierConfig()
+				cfg.Alpha = alpha
+				v := NewVerifier(cfg)
+				v.RestoreReputation("telco-1", score0, 0, 0, pen0)
+				v.Evidence("telco-1", kind, d)
+				e := v.TelcoEntry("telco-1")
+				score, pen := f(score0, pen0, alpha, d)
+				if math.Float64bits(e.Score) != math.Float64bits(score) || math.Float64bits(e.Penalty) != math.Float64bits(pen) {
+					t.Errorf("kind %d alpha %v degree %v: score %v penalty %v, parent %v %v",
+						kind, alpha, d, e.Score, e.Penalty, score, pen)
+				}
+			}
+		}
 	}
 }
 

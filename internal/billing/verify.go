@@ -180,7 +180,7 @@ func (v *Verifier) ingest(r *Report) (*session, *Mismatch, error) {
 		v.replays++
 		if r.Reporter == ReporterTelco {
 			v.repEntry(s.idT).Replays++
-			v.PenalizeMisconduct(s.idT, 1.0)
+			v.Evidence(s.idT, ReplayEvidence, 1)
 		}
 		return nil, nil, fmt.Errorf("%w: session %q reporter %d seq %d rel %v (last seq %d rel %v)",
 			ErrReplayedReport, r.SessionRef, r.Reporter, r.Seq, r.Rel, mine.seq, mine.rel)
@@ -253,12 +253,10 @@ func (v *Verifier) check(s *session, ue, telco *Report) *Mismatch {
 	}
 	v.recordMismatch(m)
 	rep.Mismatches++
-	rep.Penalty += degree
 	// A mismatch contributes a degree-weighted failure to the EWMA: small
 	// overshoots hurt less than brazen inflation ("weighted by the degree
 	// of mismatch").
-	fail := 1.0 - math.Min(degree, 1.0)
-	rep.Score = rep.Score*(1-v.cfg.Alpha) + v.cfg.Alpha*fail
+	v.Evidence(s.idT, MismatchEvidence, degree)
 
 	// Track which bTelcos this user has disagreed with: a user whose
 	// reports clash with many independent bTelcos is the likelier liar.
@@ -300,39 +298,59 @@ func (v *Verifier) recordMismatch(m Mismatch) {
 	v.mmDropped++
 }
 
-// PenalizeMisconduct applies a heavy reputation penalty for directly
-// attested misbehavior — a replayed signed report, or UE watchdog
-// evidence of accept-then-blackhole. Unlike an accounting mismatch
-// (which could be honest skew), this evidence is unambiguous, so it
-// weighs double the accounting alpha. degree in (0,1] scales the hit.
-func (v *Verifier) PenalizeMisconduct(idT string, degree float64) {
-	rep := v.repEntry(idT)
-	if degree > 1 {
-		degree = 1
-	}
-	if degree < 0 {
-		degree = 0
-	}
-	alpha := math.Min(1, v.cfg.Alpha*2)
-	rep.Score = rep.Score*(1-alpha) + alpha*(1.0-degree)
-	rep.Penalty += degree
+// EvidenceKind is what a piece of reputation evidence against a bTelco
+// attests. Only verified evidence moves a score.
+type EvidenceKind int
+
+const (
+	// MismatchEvidence is a Fig. 5 discrepancy; degree is |diff| / DL_U.
+	MismatchEvidence EvidenceKind = iota
+	// ReplayEvidence is a replayed or stale signed report.
+	ReplayEvidence
+	// WatchdogEvidence is a UE's no-goodput attestation (accept, then
+	// blackhole).
+	WatchdogEvidence
+	// QoSEvidence is a UE-attested QoS violation: the paper's footnote-6
+	// extension of reputation to QoS enforcement.
+	QoSEvidence
+	// SLOBreachEvidence is a windowed objective over verified evidence
+	// crossing into breach; callers scale degree by the breach depth.
+	SLOBreachEvidence
+)
+
+// evidenceRules weigh each kind. The EWMA weight is scale·Alpha, at most 1
+// where capped. Unlike an accounting mismatch, which could be honest skew,
+// replay, watchdog and breach evidence is unambiguous, so it weighs double;
+// a QoS miss weighs half. clamp bounds degree to [0, 1] first; penalty adds
+// degree to ReputationEntry.Penalty.
+var evidenceRules = [...]struct {
+	scale                  float64
+	capped, clamp, penalty bool
+}{
+	MismatchEvidence:  {scale: 1, penalty: true},
+	ReplayEvidence:    {scale: 2, capped: true, clamp: true, penalty: true},
+	WatchdogEvidence:  {scale: 2, capped: true, clamp: true, penalty: true},
+	QoSEvidence:       {scale: 0.5, clamp: true},
+	SLOBreachEvidence: {scale: 2, capped: true, clamp: true, penalty: true},
 }
 
-// PenalizeQoS applies a light reputation penalty for a verified
-// quality-of-service violation — the paper's footnote-6 extension of the
-// reputation system to QoS enforcement. degree in (0,1] scales the hit;
-// QoS misses weigh half as much as accounting fraud.
-func (v *Verifier) PenalizeQoS(idT string, degree float64) {
+// Evidence folds one piece of evidence of the given kind into idT's
+// reputation: a failure of 1-min(degree, 1) into the EWMA at the kind's
+// weight.
+func (v *Verifier) Evidence(idT string, kind EvidenceKind, degree float64) {
+	r := evidenceRules[kind]
 	rep := v.repEntry(idT)
-	if degree > 1 {
-		degree = 1
+	if r.clamp {
+		degree = math.Max(0, math.Min(degree, 1))
 	}
-	if degree < 0 {
-		degree = 0
+	if r.penalty {
+		rep.Penalty += degree
 	}
-	fail := 1.0 - degree
-	alpha := v.cfg.Alpha / 2
-	rep.Score = rep.Score*(1-alpha) + alpha*fail
+	alpha := v.cfg.Alpha * r.scale
+	if r.capped {
+		alpha = math.Min(1, alpha)
+	}
+	rep.Score = rep.Score*(1-alpha) + alpha*(1.0-math.Min(degree, 1.0))
 }
 
 // TelcoScore returns a bTelco's reputation (1.0 when unknown — "innocent

@@ -190,7 +190,6 @@ func (b *Brokerd) gateAttach() error {
 	}
 	b.mu.Unlock()
 	if hint > 0 {
-		mtr.attachShed.Add(1)
 		return &wire.RetryAfterError{After: hint}
 	}
 	return b.AdmitAttach(0)
@@ -220,7 +219,6 @@ func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 		return nil, sap.ErrBadRequest
 	}
 	if cause := b.sap.CheckReceiptReq(req); cause != "" {
-		mtr.receiptsRefused.Add(1)
 		return &sap.ReceiptResp{Cause: cause}, nil
 	}
 	b.mu.Lock()
@@ -233,7 +231,6 @@ func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	}
 	b.mu.Unlock()
 	if disowned != "" {
-		mtr.receiptsRefused.Add(1)
 		return &sap.ReceiptResp{Cause: "not a grant of this broker to " + req.IDT, Disowned: disowned}, nil
 	}
 	mtr.receiptsSigned.Add(1)
@@ -286,7 +283,7 @@ func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
 	}
 	if degree > 0 {
 		b.qosViolations[rec.IDT]++
-		b.verifier.PenalizeQoS(rec.IDT, math.Min(degree, 1))
+		b.verifier.Evidence(rec.IDT, billing.QoSEvidence, degree)
 	}
 }
 

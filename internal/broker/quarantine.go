@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/qos"
 )
 
@@ -23,7 +24,7 @@ type QuarantineConfig struct {
 	// quarantine entirely (default 0.9).
 	ExitAbove float64
 	// Probation is the hard-block window length for a first offense;
-	// it doubles with every re-entry (default 30s).
+	// it doubles with every re-entry, up to 16× (default 30s).
 	Probation time.Duration
 }
 
@@ -98,34 +99,17 @@ func (b *Brokerd) QuarantineInfo(idT string) (QuarantineEntry, bool) {
 	return QuarantineEntry{}, false
 }
 
-// ReportWatchdog ingests UE-side no-goodput watchdog evidence against a
-// bTelco: the UE attached, was accepted, and measured no forward progress
-// for its watchdog window. This is treated as attested misconduct
-// (accept-then-blackhole), penalized at full weight, and immediately
-// re-evaluated against the quarantine thresholds. It returns the bTelco's
-// resulting score.
-func (b *Brokerd) ReportWatchdog(idT string, degree float64) float64 {
+// Evidence folds one piece of verified evidence against a bTelco into its
+// reputation (billing.Verifier.Evidence) — a UE's no-goodput watchdog
+// attestation, say, or a windowed SLO crossing into breach — and reviews
+// the bTelco against the quarantine thresholds at once. Every kind but
+// billing.QoSEvidence counts as fresh misbehaviour for a trial-phase
+// re-block. It returns the bTelco's resulting score.
+func (b *Brokerd) Evidence(idT string, kind billing.EvidenceKind, degree float64) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	mtr.watchdogEvidence.Add(1)
-	b.verifier.PenalizeMisconduct(idT, degree)
-	b.reviewTelcoLocked(idT, true)
-	return b.verifier.TelcoScore(idT)
-}
-
-// ReportSLOBreach ingests an SLO breach-enter signal against a bTelco: a
-// windowed objective the broker (or its serving infrastructure) evaluates
-// over verified evidence — e.g. per-cell overbilling ratio — crossed into
-// breach. Like watchdog evidence it is penalized and immediately reviewed
-// against the quarantine thresholds; unlike raw mismatch evidence it is a
-// *rate* signal, so callers scale degree by how deep the breach is. It
-// returns the bTelco's resulting score.
-func (b *Brokerd) ReportSLOBreach(idT string, degree float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	mtr.sloEvidence.Add(1)
-	b.verifier.PenalizeMisconduct(idT, degree)
-	b.reviewTelcoLocked(idT, true)
+	b.verifier.Evidence(idT, kind, degree)
+	b.reviewTelcoLocked(idT, kind != billing.QoSEvidence)
 	return b.verifier.TelcoScore(idT)
 }
 
@@ -145,7 +129,6 @@ func (b *Brokerd) QuarantineRule() Rule {
 			return nil
 		}
 		if b.quarClock() < e.Until {
-			mtr.quarDenied.Add(1)
 			return fmt.Errorf("bTelco %s quarantined (score %.2f, strike %d)",
 				d.IDT, b.verifier.TelcoScore(d.IDT), e.Strikes)
 		}
@@ -156,8 +139,8 @@ func (b *Brokerd) QuarantineRule() Rule {
 
 // reviewTelcoLocked re-evaluates one bTelco against the quarantine
 // thresholds after its reputation changed. misbehaved says whether the
-// triggering event was fresh evidence (mismatch, replay, watchdog) rather
-// than an honest pass — a trial-phase bTelco re-blocks only on fresh
+// triggering event was fresh evidence (any kind but QoS) rather than an
+// honest pass — a trial-phase bTelco re-blocks only on fresh
 // evidence, since its score starts the trial still below the entry
 // threshold by construction. Mutex held by caller.
 func (b *Brokerd) reviewTelcoLocked(idT string, misbehaved bool) {
@@ -170,9 +153,7 @@ func (b *Brokerd) reviewTelcoLocked(idT string, misbehaved bool) {
 	switch {
 	case e == nil:
 		if score < b.quarCfg.EnterBelow {
-			window := b.quarCfg.Probation
-			b.quar[idT] = &QuarantineEntry{Since: now, Until: now + window, Strikes: 1}
-			mtr.quarEnter.Add(1)
+			b.quar[idT] = &QuarantineEntry{Since: now, Until: now + b.quarCfg.Probation, Strikes: 1}
 			if b.quarNotify != nil {
 				b.quarNotify(idT, true, score)
 			}
@@ -181,18 +162,15 @@ func (b *Brokerd) reviewTelcoLocked(idT string, misbehaved bool) {
 		// Trial phase: fresh misbehavior re-blocks with a doubled
 		// window; a rebuilt score clears the record.
 		if misbehaved && score < b.quarCfg.EnterBelow {
-			window := b.quarCfg.Probation << e.Strikes
-			if max := 16 * b.quarCfg.Probation; window > max {
-				window = max
-			}
+			// Doubled per strike up to 16×; shifting further would
+			// overflow into a window that ends before now.
+			window := b.quarCfg.Probation << min(e.Strikes, 4)
 			e.Since, e.Until, e.Strikes = now, now+window, e.Strikes+1
-			mtr.quarEnter.Add(1)
 			if b.quarNotify != nil {
 				b.quarNotify(idT, true, score)
 			}
 		} else if score >= b.quarCfg.ExitAbove {
 			delete(b.quar, idT)
-			mtr.quarExit.Add(1)
 			if b.quarNotify != nil {
 				b.quarNotify(idT, false, score)
 			}

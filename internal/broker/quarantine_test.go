@@ -46,11 +46,11 @@ func TestQuarantineLifecycle(t *testing.T) {
 	_, ref := h.attach(t)
 
 	// Two no-goodput attestations: 0.8^2 = 0.64 < 0.7 → quarantine.
-	h.brk.ReportWatchdog("h-telco", 1.0)
+	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
 	if h.brk.Quarantined("h-telco") {
 		t.Fatal("quarantined after a single watchdog trip")
 	}
-	score := h.brk.ReportWatchdog("h-telco", 1.0)
+	score := h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
 	if score >= 0.7 {
 		t.Fatalf("score %.3f, want < 0.7", score)
 	}
@@ -92,7 +92,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 
 	// Fresh misbehavior during trial re-blocks with a doubled window.
-	h.brk.ReportWatchdog("h-telco", 1.0)
+	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
 	e, _ = h.brk.QuarantineInfo("h-telco")
 	if e.Strikes != 2 || e.Until != vnow+20*time.Second {
 		t.Fatalf("re-entry = %+v", e)
@@ -164,7 +164,7 @@ func TestAuthRespCarriesTelcoScore(t *testing.T) {
 	if resp.TelcoScore != 1.0 {
 		t.Fatalf("fresh bTelco score = %v, want 1.0", resp.TelcoScore)
 	}
-	h.brk.ReportWatchdog("h-telco", 1.0)
+	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
 	resp, err = h.tryAttach(t)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +179,8 @@ func TestQuarantineRuleInCustomChain(t *testing.T) {
 	h.brk.EnableQuarantine(QuarantineConfig{EnterBelow: 0.7, Probation: time.Minute}, nil)
 	h.brk.SetPolicy(qos.DefaultParams(), h.brk.QuarantineRule(), PriceCap(10))
 
-	h.brk.ReportWatchdog("h-telco", 1.0)
-	h.brk.ReportWatchdog("h-telco", 1.0)
+	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
+	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
 	resp, err := h.tryAttach(t)
 	if err != nil {
 		t.Fatal(err)
@@ -197,14 +197,14 @@ func TestSLOBreachEvidence(t *testing.T) {
 	h := newHarness(t)
 	h.brk.EnableQuarantine(QuarantineConfig{EnterBelow: 0.7, Probation: time.Minute}, nil)
 
-	score := h.brk.ReportSLOBreach("h-telco", 1.0)
+	score := h.brk.Evidence("h-telco", billing.SLOBreachEvidence, 1.0)
 	if score >= 1.0 {
 		t.Fatalf("first breach did not penalize: %.3f", score)
 	}
 	if h.brk.Quarantined("h-telco") {
 		t.Fatal("quarantined after a single breach signal")
 	}
-	score = h.brk.ReportSLOBreach("h-telco", 1.0)
+	score = h.brk.Evidence("h-telco", billing.SLOBreachEvidence, 1.0)
 	if score >= 0.7 {
 		t.Fatalf("score %.3f, want < 0.7", score)
 	}
@@ -217,5 +217,36 @@ func TestSLOBreachEvidence(t *testing.T) {
 	}
 	if resp.Granted || !strings.Contains(resp.Cause, "quarantined") {
 		t.Fatalf("breach-quarantined attach: granted=%v cause=%q", resp.Granted, resp.Cause)
+	}
+}
+
+// TestRepeatOffenderStaysHardBlocked walks one bTelco through 70 quarantine
+// entries, each on fresh evidence in the trial after the last: the s-th is
+// hard-blocked for min(P·2^(s−1), 16P). Shifting the probation by the
+// strike count overflowed from the 30th entry on, so a persistent cheat was
+// never hard-blocked again.
+func TestRepeatOffenderStaysHardBlocked(t *testing.T) {
+	h := newHarness(t)
+	const p = 30 * time.Second
+	var vnow time.Duration
+	h.brk.EnableQuarantine(QuarantineConfig{EnterBelow: 0.7, ExitAbove: 0.9, Probation: p},
+		func() time.Duration { return vnow })
+	want := p
+	for s := 1; s <= 70; s++ {
+		for i := 0; i < 2 && !h.brk.Quarantined("h-telco"); i++ {
+			h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
+		}
+		e, ok := h.brk.QuarantineInfo("h-telco")
+		if !ok || e.Strikes != s || e.Since != vnow || e.Until-e.Since != want {
+			t.Fatalf("entry %d = %+v (ok=%v), want since %v, hard-blocked for %v", s, e, ok, vnow, want)
+		}
+		vnow = e.Until - 1
+		if !h.brk.Quarantined("h-telco") {
+			t.Fatalf("entry %d: not hard-blocked just before %v", s, e.Until)
+		}
+		vnow = e.Until
+		if want < 16*p {
+			want *= 2
+		}
 	}
 }

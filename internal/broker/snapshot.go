@@ -73,7 +73,6 @@ func (b *Brokerd) Snapshot() []byte {
 		w.Uint64(uint64(e.Until))
 		w.Uint32(uint32(e.Strikes))
 	}
-	mtr.snapshots.Add(1)
 	return w.Out()
 }
 
@@ -154,11 +153,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 			b.quar[id] = e
 		}
 	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	mtr.restores.Add(1)
-	return nil
+	return r.Done()
 }
 
 // Restart is the crash-recovery constructor: it builds a fresh broker from

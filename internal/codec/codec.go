@@ -20,6 +20,8 @@ import (
 // ErrShort is returned when input is exhausted mid-field.
 var ErrShort = errors.New("codec: input too short")
 
+var errBool = errors.New("codec: bool byte is neither 0 nor 1")
+
 // Writer accumulates encoded fields.
 type Writer struct{ b []byte }
 
@@ -164,8 +166,15 @@ func (r *Reader) Byte() byte {
 	return v
 }
 
-// Bool reads a single 0/1 byte.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
+// Bool reads a single 0/1 byte; any other byte is an error, so a decoded
+// message re-encodes to the bytes it came from.
+func (r *Reader) Bool() bool {
+	v := r.Byte()
+	if v > 1 && r.err == nil {
+		r.err = errBool
+	}
+	return v == 1
+}
 
 // Float64 reads an IEEE-754 big-endian float.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }

@@ -161,3 +161,18 @@ func TestPropertyGarbageSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBoolIsStrict: a bool byte other than 0 or 1 is an error, not true —
+// otherwise a decoded message would not re-encode to its own bytes.
+func TestBoolIsStrict(t *testing.T) {
+	for b, want := range map[byte]bool{0: false, 1: true} {
+		r := NewReader([]byte{b})
+		if got := r.Bool(); got != want || r.Done() != nil {
+			t.Fatalf("byte %d: %v, %v", b, got, r.Done())
+		}
+	}
+	r := NewReader([]byte{2, 1})
+	if r.Bool(); r.Bool() || r.Done() == nil {
+		t.Fatal("byte 2 decoded as a bool")
+	}
+}

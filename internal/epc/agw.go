@@ -210,7 +210,6 @@ var (
 // distinguishes plain from security-protected transport and may carry a
 // span context (see nas.SplitEnvelope).
 func (g *AGW) HandleNAS(ranID string, envelope []byte) ([]byte, error) {
-	mtr.nasMessages.Add(1)
 	protected, sc, body, err := nas.SplitEnvelope(envelope)
 	if err != nil {
 		return nil, nas.ErrTooShort
@@ -499,7 +498,6 @@ func (g *AGW) redeem(rc BrokerReceiptClient, idB string, brokerPub pki.PublicIde
 		}
 	}
 	if err != nil {
-		mtr.receiptFailures.Add(1)
 		return err
 	}
 	mtr.receipts.Add(1)
@@ -516,7 +514,6 @@ func (g *AGW) activate(sess *Session, params qos.Params, respU *sap.AuthRespU) (
 	g.attaches++
 	g.mu.Unlock()
 	mtr.attaches.Add(1)
-	mtr.activeSessions.Add(1)
 	sess.IP = ip
 	sess.Bearer = g.up.CreateBearer(sess.ID, ip, params)
 	sess.state = stateActive
@@ -584,9 +581,6 @@ func (g *AGW) handleDetach(sess *Session, m *nas.DetachRequest) ([]byte, error) 
 func (g *AGW) dropSession(sess *Session) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if sess.state == stateActive {
-		mtr.activeSessions.Add(-1)
-	}
 	if sess.IP != "" {
 		if u, ok := g.up.TotalUsage(sess.IP); ok {
 			g.retiredUL += u.ULBytes

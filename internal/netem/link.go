@@ -283,12 +283,10 @@ func (s *Sim) Send(pkt *Packet) bool {
 	l := entry.link
 	if l.Down {
 		l.stats.DroppedDown++
-		mtr.dropDown.Add(1)
 		return false
 	}
 	if l.Loss > 0 && s.rng.Float64() < l.Loss {
 		l.stats.DroppedLoss++
-		mtr.dropLoss.Add(1)
 		return false
 	}
 	if l.Transit != nil && !l.Transit(pkt, s.now) {
@@ -362,7 +360,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 	l.stats.Sent++
 	l.stats.SentBytes += uint64(pkt.Size)
 	s.mtrLocal.sent++
-	s.mtrLocal.sentBytes += uint64(pkt.Size)
 	if s.mtrLocal.tick++; s.mtrLocal.tick&(flushEvery-1) == 0 {
 		s.FlushMetrics()
 	}

@@ -17,14 +17,10 @@ import (
 // enabling it cannot perturb event ordering or experiment output — the
 // determinism golden tests run with it on.
 var mtr struct {
-	sent       *obs.Counter
-	sentBytes  *obs.Counter
-	delivered  *obs.Counter
-	dropLoss   *obs.Counter
-	dropQueue  *obs.Counter
-	dropDown   *obs.Counter
-	xshard     *obs.Counter
-	queueDepth *obs.Gauge
+	sent      *obs.Counter
+	delivered *obs.Counter
+	dropQueue *obs.Counter
+	xshard    *obs.Counter
 }
 
 func init() { SetMetricsEnabled(true) }
@@ -34,20 +30,14 @@ func init() { SetMetricsEnabled(true) }
 // while simulations are running.
 func SetMetricsEnabled(on bool) {
 	if !on {
-		mtr.sent, mtr.sentBytes, mtr.delivered = nil, nil, nil
-		mtr.dropLoss, mtr.dropQueue, mtr.dropDown = nil, nil, nil
-		mtr.xshard, mtr.queueDepth = nil, nil
+		mtr.sent, mtr.delivered, mtr.dropQueue, mtr.xshard = nil, nil, nil, nil
 		return
 	}
 	r := obs.Default()
 	mtr.sent = r.Counter("netem_packets_sent_total", "packets admitted onto an emulated link")
-	mtr.sentBytes = r.Counter("netem_bytes_sent_total", "bytes admitted onto an emulated link")
 	mtr.delivered = r.Counter("netem_packets_delivered_total", "packets handed to a registered receiver")
-	mtr.dropLoss = r.Counter("netem_drops_loss_total", "packets dropped by random loss")
 	mtr.dropQueue = r.Counter("netem_drops_queue_total", "packets dropped by a full queue, shaper, or transit hook")
-	mtr.dropDown = r.Counter("netem_drops_down_total", "packets dropped on a down link")
 	mtr.xshard = r.Counter("netem_xshard_packets_total", "packets carried across shard mailboxes in sharded worlds")
-	mtr.queueDepth = r.Gauge("netem_event_queue_depth", "scheduled events: the merged world depth for sharded runs, else the most recently flushed simulator")
 }
 
 // flushEvery is the hot-path batch size: per-Sim counts migrate into the
@@ -60,7 +50,6 @@ const flushEvery = 1 << 10
 type simMetrics struct {
 	tick      uint64 // sends+deliveries since the last flush trigger check
 	sent      uint64
-	sentBytes uint64
 	delivered uint64
 }
 
@@ -71,17 +60,10 @@ func (s *Sim) FlushMetrics() {
 	m := &s.mtrLocal
 	if m.sent > 0 {
 		mtr.sent.Add(m.sent)
-		mtr.sentBytes.Add(m.sentBytes)
-		m.sent, m.sentBytes = 0, 0
+		m.sent = 0
 	}
 	if m.delivered > 0 {
 		mtr.delivered.Add(m.delivered)
 		m.delivered = 0
-	}
-	// A shard of a multi-Sim world must not publish its own depth:
-	// last-flush-wins across concurrent shards is meaningless, so the
-	// World sets the merged depth at each barrier instead.
-	if !s.sharded {
-		mtr.queueDepth.Set(int64(s.sched.len()))
 	}
 }

@@ -181,11 +181,6 @@ type Sim struct {
 	// mtrLocal batches this Sim's telemetry; see metrics.go.
 	mtrLocal simMetrics
 
-	// sharded marks a Sim owned by a multi-shard World: the per-Sim
-	// queue-depth gauge is suppressed (the World publishes the merged
-	// depth instead).
-	sharded bool
-
 	_ cachePad
 }
 

@@ -126,7 +126,6 @@ func NewWorld(seed int64, k int) *World {
 	boxes := make([][]xpkt, mailPad+k*(k+mailPad))
 	for i := range w.shards {
 		w.shards[i] = NewSim(seed)
-		w.shards[i].sharded = k > 1
 		row := boxes[mailPad+i*(k+mailPad):]
 		w.mail[i] = row[:k:k]
 	}
@@ -240,15 +239,6 @@ func (w *World) RunUntil(t time.Duration) {
 	w.flushMetrics()
 }
 
-// Pending reports the number of scheduled events across all shards.
-func (w *World) Pending() int {
-	n := 0
-	for _, s := range w.shards {
-		n += s.Pending()
-	}
-	return n
-}
-
 // advanceAll runs every shard to time t, in parallel when the world has
 // both multiple shards and multiple workers. Shards share no state within
 // a window (mailbox rows are single-writer), so worker scheduling cannot
@@ -323,15 +313,9 @@ func (w *World) exchange() {
 	}
 }
 
-// flushMetrics publishes the world-level view at the end of a RunUntil:
-// sharded Sims suppress the per-Sim queue-depth gauge (last-flush-wins is
-// meaningless across shards), so the world sets the merged depth, plus
-// the cross-shard traffic counter.
+// flushMetrics publishes the cross-shard traffic counter at the end of a
+// RunUntil.
 func (w *World) flushMetrics() {
-	if len(w.shards) == 1 {
-		return // the lone shard's own flush is already the world view
-	}
-	mtr.queueDepth.Set(int64(w.Pending()))
 	if w.xshardLocal > 0 {
 		mtr.xshard.Add(w.xshardLocal)
 		w.xshardLocal = 0

@@ -1,132 +1,13 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// TestPrometheusHistogramConformance pins the exposition-format contract
-// for histograms: bucket series are cumulative and monotonically
-// non-decreasing, the +Inf bucket equals _count, and _sum matches the
-// observed total.
-func TestPrometheusHistogramConformance(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("rpc_seconds", "rpc latency", []time.Duration{
-		time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
-	})
-	samples := []time.Duration{
-		500 * time.Microsecond, 500 * time.Microsecond, // le=0.001
-		5 * time.Millisecond,   // le=0.01
-		50 * time.Millisecond,  // le=0.1
-		500 * time.Millisecond, // +Inf
-	}
-	var sum time.Duration
-	for _, s := range samples {
-		h.Observe(s)
-		sum += s
-	}
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-
-	var bucketVals []uint64
-	var infVal, countVal uint64
-	var sumVal float64
-	sc := bufio.NewScanner(strings.NewReader(b.String()))
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, `rpc_seconds_bucket{le="+Inf"}`):
-			fmt.Sscanf(line, `rpc_seconds_bucket{le="+Inf"} %d`, &infVal)
-			bucketVals = append(bucketVals, infVal)
-		case strings.HasPrefix(line, "rpc_seconds_bucket{"):
-			var v uint64
-			fields := strings.Fields(line)
-			v, err := strconv.ParseUint(fields[len(fields)-1], 10, 64)
-			if err != nil {
-				t.Fatalf("bad bucket line %q: %v", line, err)
-			}
-			bucketVals = append(bucketVals, v)
-		case strings.HasPrefix(line, "rpc_seconds_sum "):
-			fmt.Sscanf(line, "rpc_seconds_sum %g", &sumVal)
-		case strings.HasPrefix(line, "rpc_seconds_count "):
-			fmt.Sscanf(line, "rpc_seconds_count %d", &countVal)
-		}
-	}
-	if want := []uint64{2, 3, 4, 5}; len(bucketVals) != len(want) {
-		t.Fatalf("bucket lines = %v, want %v", bucketVals, want)
-	} else {
-		for i := range want {
-			if bucketVals[i] != want[i] {
-				t.Fatalf("bucket[%d] = %d, want %d (cumulative)", i, bucketVals[i], want[i])
-			}
-		}
-	}
-	for i := 1; i < len(bucketVals); i++ {
-		if bucketVals[i] < bucketVals[i-1] {
-			t.Fatalf("buckets not monotonically non-decreasing: %v", bucketVals)
-		}
-	}
-	if infVal != countVal {
-		t.Fatalf(`le="+Inf" bucket (%d) != count (%d)`, infVal, countVal)
-	}
-	if countVal != uint64(len(samples)) {
-		t.Fatalf("count = %d, want %d", countVal, len(samples))
-	}
-	if sumVal != sum.Seconds() {
-		t.Fatalf("sum = %g, want %g", sumVal, sum.Seconds())
-	}
-}
-
-// TestSumSnapshotsMergesHistograms: per-shard registry snapshots must merge
-// histogram series (count, sum, per-bucket counts) additively — the gap
-// this PR closes; previously only _count/_sum were exported.
-func TestSumSnapshotsMergesHistograms(t *testing.T) {
-	bounds := []time.Duration{time.Millisecond, time.Second}
-	shard0 := NewRegistry()
-	shard1 := NewRegistry()
-	h0 := shard0.Histogram("attach_seconds", "", bounds)
-	h1 := shard1.Histogram("attach_seconds", "", bounds)
-
-	h0.Observe(500 * time.Microsecond) // bucket le=0.001
-	h0.Observe(2 * time.Second)        // +Inf
-	h1.Observe(500 * time.Microsecond) // bucket le=0.001
-	h1.Observe(100 * time.Millisecond) // bucket le=1
-
-	sum := SumSnapshots(shard0.Snapshot(), shard1.Snapshot())
-	if got := sum["attach_seconds_count"]; got != 4 {
-		t.Fatalf("merged count = %v, want 4", got)
-	}
-	wantSum := (500*time.Microsecond + 2*time.Second + 500*time.Microsecond + 100*time.Millisecond).Seconds()
-	if got := sum["attach_seconds_sum_seconds"]; got != wantSum {
-		t.Fatalf("merged sum = %v, want %v", got, wantSum)
-	}
-	if got := sum["attach_seconds_bucket_le_0.001"]; got != 2 {
-		t.Fatalf("merged le=0.001 bucket = %v, want 2", got)
-	}
-	if got := sum["attach_seconds_bucket_le_1"]; got != 1 {
-		t.Fatalf("merged le=1 bucket = %v, want 1", got)
-	}
-	if got := sum["attach_seconds_bucket_le_+Inf"]; got != 1 {
-		t.Fatalf("merged +Inf bucket = %v, want 1", got)
-	}
-	// The merged buckets must re-add to the merged count.
-	total := sum["attach_seconds_bucket_le_0.001"] +
-		sum["attach_seconds_bucket_le_1"] +
-		sum["attach_seconds_bucket_le_+Inf"]
-	if total != sum["attach_seconds_count"] {
-		t.Fatalf("bucket total %v != count %v", total, sum["attach_seconds_count"])
-	}
-}
 
 // TestDebugServerConcurrentScrape hammers /metrics and the pprof index
 // from multiple goroutines while the metrics are being updated — run under
@@ -134,7 +15,6 @@ func TestSumSnapshotsMergesHistograms(t *testing.T) {
 func TestDebugServerConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("scrape_smoke_total", "")
-	h := reg.Histogram("scrape_lat_seconds", "", nil)
 	s, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +32,6 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 				return
 			default:
 				c.Inc()
-				h.Observe(time.Millisecond)
 			}
 		}
 	}()

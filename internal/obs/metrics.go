@@ -1,9 +1,8 @@
 // Package obs is the deterministic observability layer shared by every
-// CellBricks component: a lock-free metrics registry (counters, gauges,
-// fixed-bucket latency histograms), a span/event tracer that can run
-// against either the discrete-event simulator clock or the wall clock,
-// a leveled logger, and live debug endpoints (Prometheus text /metrics,
-// expvar, pprof).
+// CellBricks component: a registry of lock-free counters, a span/event
+// tracer that can run against either the discrete-event simulator clock or
+// the wall clock, a leveled logger, and live debug endpoints (Prometheus
+// text /metrics, expvar, pprof).
 //
 // Two properties are load-bearing and guarded by tests elsewhere in the
 // repo:
@@ -24,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. All methods are safe for
@@ -54,146 +52,18 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Name returns the metric name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Gauge is a metric that can go up and down. Nil-safe like Counter.
-type Gauge struct {
-	name string
-	help string
-	v    atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Name returns the metric name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// DefaultLatencyBuckets spans 100µs..10s in roughly 1-2.5-5 steps — wide
-// enough for both loopback RPCs and wide-area attach latencies.
-var DefaultLatencyBuckets = []time.Duration{
-	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
-	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
-	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
-	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
-	time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
-}
-
-// Histogram is a fixed-bucket latency histogram: cumulative bucket counts
-// plus a sum and total count, all atomics. Bucket bounds are fixed at
-// construction; Observe is lock-free. Nil-safe like Counter.
-type Histogram struct {
-	name    string
-	help    string
-	bounds  []time.Duration // upper bounds, ascending; +Inf implied
-	buckets []atomic.Uint64 // non-cumulative per-bucket counts, len(bounds)+1
-	count   atomic.Uint64
-	sumNS   atomic.Int64
-}
-
-// Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	// Linear scan: bucket counts are small and the common case exits in the
-	// first few comparisons; binary search costs more in branch misses.
-	i := 0
-	for i < len(h.bounds) && d > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed latencies.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load())
-}
-
-// Name returns the metric name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// BucketCounts returns the cumulative count at each bound, with the final
-// element the +Inf (total) count.
-func (h *Histogram) BucketCounts() []uint64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]uint64, len(h.buckets))
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		out[i] = cum
-	}
-	return out
-}
-
-// Registry is a named collection of metrics. Registration takes a mutex
-// (it happens once per metric at package init); the returned handles
+// Registry is a named collection of counters. Registration takes a mutex
+// (it happens once per counter at package init); the returned handles
 // update lock-free. The zero value is not usable; use NewRegistry or the
 // package Default.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -216,86 +86,20 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket bounds on first use (nil bounds select
-// DefaultLatencyBuckets). Bounds must be ascending.
-func (r *Registry) Histogram(name, help string, bounds []time.Duration) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
-		}
-	}
-	h := &Histogram{
-		name:    name,
-		help:    help,
-		bounds:  append([]time.Duration(nil), bounds...),
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-	r.histograms[name] = h
-	return h
-}
-
-// Snapshot returns every value in the registry: counters and gauges under
-// their own names, histograms as name_count, name_sum_seconds, and one
-// name_bucket_le_<bound> series per bucket (non-cumulative, so per-shard
-// snapshots merge additively in SumSnapshots; zero buckets are skipped).
-// Keys are stable, so two snapshots diff cleanly.
+// Snapshot returns every counter's value under its name. Keys are stable,
+// so two snapshots diff cleanly.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+2*len(r.histograms))
+	out := make(map[string]float64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = float64(g.Value())
-	}
-	for name, h := range r.histograms {
-		out[name+"_count"] = float64(h.Count())
-		out[name+"_sum_seconds"] = h.Sum().Seconds()
-		for i := range h.buckets {
-			n := h.buckets[i].Load()
-			if n == 0 {
-				continue
-			}
-			out[name+"_bucket_le_"+bucketLabel(h.bounds, i)] = float64(n)
-		}
 	}
 	return out
 }
 
-// bucketLabel names histogram bucket i the way the exposition format spells
-// its upper bound ("0.005", "1", "+Inf").
-func bucketLabel(bounds []time.Duration, i int) string {
-	if i < len(bounds) {
-		return formatSeconds(bounds[i])
-	}
-	return "+Inf"
-}
-
 // Delta returns cur minus prev, dropping zero deltas — the per-experiment
-// view cbbench embeds in its bench-trajectory records. Gauges appear with
-// their current value rather than a difference.
+// view cbbench embeds in its bench-trajectory records.
 func Delta(prev, cur map[string]float64) map[string]float64 {
 	out := make(map[string]float64)
 	for k, v := range cur {
@@ -307,11 +111,8 @@ func Delta(prev, cur map[string]float64) map[string]float64 {
 }
 
 // SumSnapshots merges per-shard registry snapshots into one view by
-// summing values key-wise. Counters and histogram aggregates are naturally
-// additive; the gauges the netem layer exports (queue depth) are per-shard
-// quantities whose across-shard total is the meaningful world-level figure,
-// so they sum too. Missing keys count as zero, so shards that never touched
-// a metric don't need a placeholder.
+// summing values key-wise. Missing keys count as zero, so shards that never
+// touched a counter don't need a placeholder.
 func SumSnapshots(snaps ...map[string]float64) map[string]float64 {
 	out := make(map[string]float64)
 	for _, s := range snaps {
@@ -323,60 +124,23 @@ func SumSnapshots(snaps ...map[string]float64) map[string]float64 {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4), metrics sorted by name so scrapes diff cleanly.
+// format (version 0.0.4), counters sorted by name so scrapes diff cleanly.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))
 	for _, c := range r.counters {
 		counters = append(counters, c)
 	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	histograms := make([]*Histogram, 0, len(r.histograms))
-	for _, h := range r.histograms {
-		histograms = append(histograms, h)
-	}
 	r.mu.Unlock()
 
 	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(histograms, func(i, j int) bool { return histograms[i].name < histograms[j].name })
-
 	var b strings.Builder
 	for _, c := range counters {
-		writeHeader(&b, c.name, c.help, "counter")
-		fmt.Fprintf(&b, "%s %d\n", c.name, c.Value())
-	}
-	for _, g := range gauges {
-		writeHeader(&b, g.name, g.help, "gauge")
-		fmt.Fprintf(&b, "%s %d\n", g.name, g.Value())
-	}
-	for _, h := range histograms {
-		writeHeader(&b, h.name, h.help, "histogram")
-		cum := h.BucketCounts()
-		for i, bound := range h.bounds {
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", h.name, formatSeconds(bound), cum[i])
+		if c.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", c.name, c.help)
 		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum[len(cum)-1])
-		fmt.Fprintf(&b, "%s_sum %g\n", h.name, h.Sum().Seconds())
-		fmt.Fprintf(&b, "%s_count %d\n", h.name, h.Count())
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.Value())
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func writeHeader(b *strings.Builder, name, help, typ string) {
-	if help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", name, help)
-	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
-}
-
-// formatSeconds renders a duration bound as seconds without trailing
-// zeros, matching Prometheus conventions ("0.005", "1", "2.5").
-func formatSeconds(d time.Duration) string {
-	s := fmt.Sprintf("%g", d.Seconds())
-	return s
 }

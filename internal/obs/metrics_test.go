@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("frames_total", "frames")
 	c.Inc()
@@ -18,26 +18,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("frames_total", "other help"); again != c {
 		t.Fatalf("re-registering returned a different handle")
 	}
-
-	g := r.Gauge("depth", "queue depth")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
 }
 
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
-	var h *Histogram
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
-	h.Observe(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil handles must read zero")
+	if c.Value() != 0 {
+		t.Fatalf("a nil counter must read zero")
 	}
 	var tr *Tracer
 	tr.Event("cat", "name", nil)
@@ -48,79 +36,20 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketEdges pins the boundary rule: an observation equal to
-// a bucket's upper bound lands in that bucket (le = "less than or equal"),
-// one just above it lands in the next.
-func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
-	bounds := []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
-	h := r.Histogram("lat", "latency", bounds)
-
-	h.Observe(0)                          // well under the first bound
-	h.Observe(time.Millisecond)           // exactly on the first bound -> bucket 0
-	h.Observe(time.Millisecond + 1)       // just over -> bucket 1
-	h.Observe(10 * time.Millisecond)      // exactly on the second bound -> bucket 1
-	h.Observe(100 * time.Millisecond)     // exactly on the last bound -> bucket 2
-	h.Observe(100*time.Millisecond + 1)   // just over the last bound -> +Inf
-	h.Observe(time.Hour)                  // far overflow -> +Inf
-
-	cum := h.BucketCounts()
-	want := []uint64{2, 4, 5, 7}
-	if len(cum) != len(want) {
-		t.Fatalf("bucket count = %d, want %d", len(cum), len(want))
-	}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("cumulative bucket[%d] = %d, want %d (%v)", i, cum[i], want[i], cum)
-		}
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
-	}
-	wantSum := time.Millisecond + (time.Millisecond + 1) + 10*time.Millisecond +
-		100*time.Millisecond + (100*time.Millisecond + 1) + time.Hour
-	if h.Sum() != wantSum {
-		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
-	}
-}
-
-func TestHistogramZeroAndNegativeDurations(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "", []time.Duration{time.Millisecond})
-	h.Observe(0)
-	h.Observe(-time.Second) // clock skew on a wall-clock sample: first bucket, not a panic
-	if cum := h.BucketCounts(); cum[0] != 2 {
-		t.Fatalf("zero/negative observations should land in the first bucket, got %v", cum)
-	}
-}
-
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("wire_frames_total", "frames exchanged").Add(3)
-	r.Gauge("sessions_active", "").Set(2)
-	h := r.Histogram("attach_seconds", "attach latency", []time.Duration{time.Millisecond, time.Second})
-	h.Observe(500 * time.Microsecond)
-	h.Observe(2 * time.Second)
+	r.Counter("attaches_total", "").Add(2)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{
-		"# TYPE wire_frames_total counter",
-		"wire_frames_total 3",
-		"# TYPE sessions_active gauge",
-		"sessions_active 2",
-		"# TYPE attach_seconds histogram",
-		`attach_seconds_bucket{le="0.001"} 1`,
-		`attach_seconds_bucket{le="1"} 1`,
-		`attach_seconds_bucket{le="+Inf"} 2`,
-		"attach_seconds_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
+	want := "# TYPE attaches_total counter\nattaches_total 2\n" +
+		"# HELP wire_frames_total frames exchanged\n# TYPE wire_frames_total counter\nwire_frames_total 3\n"
+	if out != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", out, want)
 	}
 }
 
@@ -130,13 +59,17 @@ func TestSnapshotAndDelta(t *testing.T) {
 	c.Add(5)
 	prev := r.Snapshot()
 	c.Add(7)
-	r.Gauge("g", "").Set(-3)
+	r.Counter("b_total", "").Add(3)
+	r.Counter("idle_total", "")
 	d := Delta(prev, r.Snapshot())
 	if d["a_total"] != 7 {
 		t.Fatalf("delta a_total = %v, want 7", d["a_total"])
 	}
-	if d["g"] != -3 {
-		t.Fatalf("delta g = %v, want -3", d["g"])
+	if d["b_total"] != 3 {
+		t.Fatalf("delta b_total = %v, want 3", d["b_total"])
+	}
+	if _, ok := d["idle_total"]; ok {
+		t.Fatalf("zero delta kept")
 	}
 	if _, ok := d["a_totalother"]; ok {
 		t.Fatalf("unexpected key in delta")
@@ -146,18 +79,13 @@ func TestSnapshotAndDelta(t *testing.T) {
 func TestSumSnapshots(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("pkts_total", "").Add(10)
-	a.Gauge("depth", "").Set(3)
 	b := NewRegistry()
 	b.Counter("pkts_total", "").Add(4)
-	b.Gauge("depth", "").Set(2)
 	b.Counter("only_b_total", "").Add(1)
 
 	sum := SumSnapshots(a.Snapshot(), b.Snapshot())
 	if sum["pkts_total"] != 14 {
 		t.Fatalf("pkts_total = %v, want 14", sum["pkts_total"])
-	}
-	if sum["depth"] != 5 {
-		t.Fatalf("depth = %v, want 5", sum["depth"])
 	}
 	if sum["only_b_total"] != 1 {
 		t.Fatalf("only_b_total = %v, want 1", sum["only_b_total"])
@@ -170,7 +98,6 @@ func TestSumSnapshots(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n", "")
-	h := r.Histogram("h", "", []time.Duration{time.Millisecond})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -178,15 +105,11 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				h.Observe(time.Duration(j))
 			}
 		}()
 	}
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }

@@ -1324,7 +1324,7 @@ func TestAuthReqTCodecRejectsBadQCICount(t *testing.T) {
 		signed.Uint64(1)
 		signed.Bool(true)
 		signed.Bool(false)
-		signed.Float64(1)
+		signed.Float64(0) // zero bytes: a shifted read meets no bool byte above 1
 		w := codec.NewWriter(256)
 		w.Bytes(signed.Out())
 		w.Bytes(nil)

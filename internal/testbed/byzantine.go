@@ -63,12 +63,12 @@ type ByzantineConfig struct {
 	// clock. Only shard-0 handlers emit, so traced runs render
 	// identically.
 	Tracer *obs.Tracer
-	// DisableSLOSignal cuts the feedback edge from the windowed SLO
-	// engine into the broker's quarantine: breaches are still evaluated,
-	// rendered and traced, but a per-cell overbilling breach no longer
-	// files ReportSLOBreach evidence. The SLO engine itself always runs
-	// (independent of Tracer), so tracing on/off stays byte-identical
-	// while the detection signal remains deterministic.
+	// DisableSLOSignal cuts the feedback edge from the windowed SLOs into
+	// the broker's quarantine: breaches are still evaluated, rendered and
+	// traced, but a per-cell overbilling breach no longer files
+	// billing.SLOBreachEvidence. The SLOs are evaluated whether or not
+	// Tracer is set, so tracing on/off stays byte-identical while the
+	// detection signal remains deterministic.
 	DisableSLOSignal bool
 }
 
@@ -160,7 +160,7 @@ type ByzantineResult struct {
 	BlackholedUEs int
 
 	Availability float64
-	SLO          []obs.SLOReport // windowed SLO summaries, declaration order
+	SLO          []ByzSLO // windowed SLO summaries, declaration order
 	Quarantine   []ByzQuarEvent
 	Invariants   []ByzInvariant
 	Violations   int
@@ -192,8 +192,8 @@ type byzCell struct {
 	adv    *chaos.Adversary // nil for honest cells
 	dl, ul *netem.Shaper
 
-	wdLocal int             // watchdog trips charged to this cell UE-side
-	slo     *obs.SLOTracker // per-cell overbilling ratio window
+	wdLocal int        // watchdog trips charged to this cell UE-side
+	slo     *sloWindow // per-cell overbilling ratio window
 }
 
 type byzUE struct {
@@ -240,14 +240,12 @@ type byzWorld struct {
 	wdPerCell  []int
 	quarEvents []ByzQuarEvent
 
-	// Windowed SLO engine: shard-0 state like the broker. Observations
-	// happen only inside shard-0 handlers and the 1 Hz tick runs at a
-	// lattice phase no other event can occupy, so evaluation order — and
-	// therefore every breach crossing — is identical for any shard count.
-	slo         *obs.SLOEngine
-	sloAvail    *obs.SLOTracker // attach availability, ratio-min
-	sloAttach   *obs.SLOTracker // attach-grant latency, p99
-	sloOverbill *obs.SLOTracker // fleet-wide claimed/honest billing ratio
+	// Windowed SLOs (slo.go), in evaluation order: shard-0 state like the
+	// broker.
+	slos        []*sloWindow
+	sloAvail    *sloWindow // attach availability, ratio-min
+	sloAttach   *sloWindow // attach-grant latency, p99
+	sloOverbill *sloWindow // fleet-wide claimed/honest billing ratio
 }
 
 // perGroupAdversaries spreads round(frac*total) adversaries over the
@@ -301,47 +299,15 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 	w.Broker.EnableQuarantine(w.quar, w.sim0.Now)
 
 	// Windowed SLOs, evaluated at 1 Hz on the broker's shard. Crossings
-	// become trace instants and counters; a per-cell overbilling breach
-	// additionally files broker evidence (the optional detection signal),
-	// so the SLO engine is part of the closed loop, not just reporting.
+	// become trace instants; a per-cell overbilling breach also files
+	// broker evidence (the optional detection signal), so the SLOs are part
+	// of the closed loop, not just reporting.
 	obWindow := 4 * byzReportEvery
 	obBound := 1 + w.Config.VerifierConfig.Epsilon
-	sloEnter := obs.Default().Counter("slo_breach_enter_total", "SLO windows crossing into breach")
-	sloExit := obs.Default().Counter("slo_breach_exit_total", "SLO windows recovering from breach")
-	w.slo = obs.NewSLOEngine()
-	w.slo.OnCross(func(t *obs.SLOTracker, st obs.SLOStatus, entered bool) {
-		name, ctr := "breach-exit", sloExit
-		if entered {
-			name, ctr = "breach-enter", sloEnter
-		}
-		ctr.Add(1)
-		cfg.Tracer.Event("slo", name, map[string]string{
-			"slo":    t.Spec.Name,
-			"value":  fmt.Sprintf("%.4f", st.Value),
-			"margin": fmt.Sprintf("%+.4f", st.Margin),
-			"burn":   fmt.Sprintf("%.2f", st.Burn),
-		})
-		if entered && !cfg.DisableSLOSignal {
-			if idT := strings.TrimPrefix(t.Spec.Name, "overbill:"); idT != t.Spec.Name {
-				score := w.Broker.ReportSLOBreach(idT, 1)
-				cfg.Tracer.Event("slo", "signal", map[string]string{
-					"telco": idT, "score": fmt.Sprintf("%.3f", score),
-				})
-			}
-		}
-	})
-	w.sloAvail = w.slo.Declare(obs.SLOSpec{
-		Name: "availability", Kind: obs.SLORatioMin,
-		Objective: byzAvailabilitySLO, Window: 10 * time.Second, Buckets: 10,
-	})
-	w.sloAttach = w.slo.Declare(obs.SLOSpec{
-		Name: "attach-p99", Kind: obs.SLOLatencyP99,
-		Target: 2 * time.Second, Window: 15 * time.Second, Buckets: 15,
-	})
-	w.sloOverbill = w.slo.Declare(obs.SLOSpec{
-		Name: "overbill-all", Kind: obs.SLORatioMax,
-		Objective: obBound, Window: obWindow, Buckets: 12,
-	})
+	w.sloAvail = newSLOWindow("availability", ratioMin, byzAvailabilitySLO, 10*time.Second, 10)
+	w.sloAttach = newSLOWindow("attach-p99", latencyP99, float64(2*time.Second), 15*time.Second, 15)
+	w.sloOverbill = newSLOWindow("overbill-all", ratioMax, obBound, obWindow, 12)
+	w.slos = []*sloWindow{w.sloAvail, w.sloAttach, w.sloOverbill}
 
 	G, C, U := cfg.Groups, cfg.CellsPerGroup, cfg.UEsPerGroup
 	nUE := G * U
@@ -397,10 +363,9 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 				}
 				sched.Replay(gg.sim, hooks)
 			}
-			cell.slo = w.slo.Declare(obs.SLOSpec{
-				Name: "overbill:" + cell.telco.IDT, Kind: obs.SLORatioMax,
-				Objective: obBound, Window: obWindow, Buckets: 12,
-			})
+			cell.slo = newSLOWindow("overbill:"+cell.telco.IDT, ratioMax, obBound, obWindow, 12)
+			cell.slo.telco = cell.telco.IDT
+			w.slos = append(w.slos, cell.slo)
 			grp.cells = append(grp.cells, cell)
 			w.telcoLoc[cell.telco.IDT] = cell
 		}
@@ -454,10 +419,10 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 		}
 	}
 
-	// SLO evaluation chain: 1 Hz on shard 0 at the engine's private phase.
+	// SLO evaluation chain: 1 Hz on shard 0 at its private phase.
 	var sloTick func()
 	sloTick = func() {
-		w.slo.Tick(w.sim0.Now())
+		w.sloTick(w.sim0.Now())
 		if next := w.sim0.Now() + byzWatchdogTick; next < cfg.Duration {
 			w.sim0.At(next, sloTick)
 		}
@@ -610,7 +575,7 @@ func (u *byzUE) attempt(seq int) {
 			// the broker clock (stormStart was captured on the group
 			// shard before the send — no cross-shard read).
 			now0 := w.sim0.Now()
-			w.sloAttach.ObserveDuration(now0, now0-stormStart)
+			w.sloAttach.observeDuration(now0, now0-stormStart)
 		}
 		w.toGroup(g, func() {
 			if err != nil {
@@ -720,8 +685,8 @@ func (u *byzUE) reportTick(s *byzSession) {
 		// 1.0, so only a lying meter can push a window past 1+epsilon.
 		if !replayed && honest > 0 {
 			now0 := w.sim0.Now()
-			w.sloOverbill.ObserveRatio(now0, float64(claimed), float64(honest))
-			cellSLO.ObserveRatio(now0, float64(claimed), float64(honest))
+			w.sloOverbill.observeRatio(now0, float64(claimed), float64(honest))
+			cellSLO.observeRatio(now0, float64(claimed), float64(honest))
 		}
 	})
 	u.after(byzReportEvery, func() { u.reportTick(s) })
@@ -742,7 +707,7 @@ func (u *byzUE) watchdogTick() {
 		attached = 1
 	}
 	w.toBroker(u.g, func() {
-		w.sloAvail.ObserveRatio(w.sim0.Now(), attached, 1)
+		w.sloAvail.observeRatio(w.sim0.Now(), attached, 1)
 	})
 	if s := u.cur; s != nil && u.wd.Observe(u.sim.Now(), u.conn.Delivered()) {
 		u.grp.wdTrips++
@@ -752,7 +717,7 @@ func (u *byzUE) watchdogTick() {
 		idT := cell.telco.IDT
 		global := cell.global
 		w.toBroker(u.g, func() {
-			score := w.Broker.ReportWatchdog(idT, 1)
+			score := w.Broker.Evidence(idT, billing.WatchdogEvidence, 1)
 			w.wdPerCell[global]++
 			w.cfg.Tracer.Event("watchdog", "evidence", map[string]string{
 				"telco": idT, "score": fmt.Sprintf("%.3f", score),
@@ -862,7 +827,9 @@ func (w *byzWorld) collect() ByzantineResult {
 	}
 	res.Sessions, res.TrueBytes, res.VerifiedBytes, res.PaidUnits = bill.sessions, bill.trueBytes, bill.verified, bill.paid
 	res.Availability = availSum / float64(len(w.groups)*cfg.UEsPerGroup)
-	res.SLO = w.slo.Report()
+	for _, t := range w.slos {
+		res.SLO = append(res.SLO, t.ByzSLO)
+	}
 
 	// Invariants, each with a normalized margin (headroom when positive,
 	// violation depth when negative).

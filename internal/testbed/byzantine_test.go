@@ -154,7 +154,7 @@ func TestByzantineRenderShape(t *testing.T) {
 	}
 }
 
-// TestByzantineSLOEngine pins the windowed SLO engine's contract: the
+// TestByzantineSLOEngine pins the windowed SLOs' contract (slo.go): the
 // render carries per-SLO margin lines and margin-bearing invariants, a
 // brazen overbilling-only adversary breaches its per-cell overbilling
 // window, the breach feeds the quarantine as evidence (slo/signal trace

@@ -109,7 +109,7 @@ func telcoReport(c *core.Cast, telco *sap.TelcoState, uref string, seq uint32, r
 }
 
 // shard0TickPhase is the sub-millisecond phase of a world's periodic tick
-// on shard 0 (the storm's batch flush, the soak's SLO engine). UE lattice
+// on shard 0 (the storm's batch flush, the soak's SLO tick). UE lattice
 // phases are whole microseconds (<= 999 µs) and gateway delays add g*1009
 // ns per hop, so no packet arrival lands on a half-microsecond instant for
 // any plausible group count — the tick never ties with a handler.

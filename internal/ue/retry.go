@@ -145,14 +145,9 @@ func (m *AttachFSM) Fallbacks() int { return m.fallbacks }
 // server's hint. giveUp reports budget exhaustion.
 func (m *AttachFSM) Fail(err error) (delay time.Duration, giveUp bool) {
 	m.attempt++
-	mtr.retries.Add(1)
 	var ra *wire.RetryAfterError
 	shed := errors.As(err, &ra)
-	if shed {
-		mtr.sheds.Add(1)
-	}
 	if m.attempt >= m.pol.MaxAttempts {
-		mtr.giveups.Add(1)
 		return 0, true
 	}
 	prev, next := m.cand, (m.cand+1)%m.candidates
@@ -162,7 +157,6 @@ func (m *AttachFSM) Fail(err error) (delay time.Duration, giveUp bool) {
 	m.cand = m.nextAllowed(next)
 	if prev == 0 && m.cand != 0 {
 		m.fallbacks++
-		mtr.fallbacks.Add(1)
 	}
 	delay = m.pol.Backoff(m.attempt, m.rng)
 	if shed && ra.After > delay {

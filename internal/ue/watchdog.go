@@ -10,8 +10,9 @@ import "time"
 // only signal the bTelco cannot forge, the UE's own delivered-byte
 // counter, and trips after a configurable window with zero forward
 // progress. The caller (the device's attach loop) turns a trip into
-// evidence for the broker (Brokerd.ReportWatchdog) and a re-attach away
-// from the offending cell.
+// evidence for the broker (Brokerd.Evidence with billing.WatchdogEvidence)
+// and a re-attach away from the offending cell. Trips counts them; no
+// registry counter does.
 //
 // The watchdog is pure state over an injected clock: the caller decides
 // when to Observe (per timer tick in the simulator, per poll on real
@@ -67,7 +68,6 @@ func (w *Watchdog) Observe(now time.Duration, delivered uint64) bool {
 	}
 	w.armed = false
 	w.trips++
-	mtr.watchdogTrips.Add(1)
 	return true
 }
 

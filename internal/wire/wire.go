@@ -352,7 +352,6 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (reply
 			s.mu.Lock()
 			s.panics++
 			s.mu.Unlock()
-			mtr.panics.Add(1)
 			obs.Errorf("wire", "handler panic (type %d): %v", msgType, r)
 		}
 	}()
@@ -500,15 +499,10 @@ func (c *Client) Stats() ClientStats {
 // read leaves the framing state undefined, so the connection is never
 // reused and the next call redials.
 func (c *Client) abandon(err error) (byte, []byte, error) {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		mtr.deadlineHits.Add(1)
-	}
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.br = nil, nil
 		c.stats.Broken++
-		mtr.broken.Add(1)
 	}
 	obs.Debugf("wire", "call to %s failed, will redial: %v", c.addr, err)
 	return 0, nil, err
@@ -533,11 +527,6 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	}
 	c.stats.Calls++
 	c.replied = 0
-	mtr.calls.Add(1)
-	if mtr.callLatency != nil {
-		start := time.Now()
-		defer func() { mtr.callLatency.Observe(time.Since(start)) }()
-	}
 	if c.conn == nil {
 		// An earlier call broke the connection: redial first.
 		if err := c.connect(); err != nil {
@@ -564,7 +553,6 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	case TypeRetryAfter:
 		// Typed shed signal: the caller that owns the retry backs off.
 		ra := &RetryAfterError{After: decodeRetryAfter(reply)}
-		mtr.shedReplies.Add(1)
 		obs.Debugf("wire", "server %s shedding load, retry after %v", c.addr, ra.After)
 		return 0, nil, ra
 	}
