@@ -69,6 +69,21 @@ func TestSLORatioMinAvailability(t *testing.T) {
 	}
 }
 
+// TestSLOFirstEvalWorstMargin: the first evaluation seeds the worst margin,
+// even a positive one, so an always-healthy window reports its real margin.
+func TestSLOFirstEvalWorstMargin(t *testing.T) {
+	minW := newSLOWindow("b", ratioMin, 0.5, time.Second, 1)
+	maxW := newSLOWindow("a", ratioMax, 2, time.Second, 1)
+	minW.tick(time.Second)
+	maxW.tick(time.Second)
+	if minW.Evals != 1 || minW.WorstMargin != 0.5 {
+		t.Fatalf("empty ratio-min window: %+v", minW.ByzSLO)
+	}
+	if maxW.Evals != 1 || maxW.WorstMargin != 2 {
+		t.Fatalf("empty ratio-max window: %+v", maxW.ByzSLO)
+	}
+}
+
 func TestSLORatioMaxOverbilling(t *testing.T) {
 	tr := newSLOWindow("overbilling", ratioMax, 1.05, time.Minute, 6)
 	// Honest cycle: claimed == true bytes, ratio 1.0 <= 1.05.
