@@ -274,22 +274,12 @@ func (c *Conn) handleAtClient(p *netem.Packet) {
 	if k > 0 {
 		c.ooo = append(c.ooo[:0], c.ooo[k:]...)
 	}
-	// ACK (immediate, echoing the timestamp for RTT sampling and
-	// reporting the first hole for SACK-lite recovery).
+	// ACK (immediate, echoing the timestamp for RTT sampling).
 	out := c.segs.get()
 	out.ConnID, out.SubflowID = c.id, seg.SubflowID
 	out.ACK, out.Ack, out.SentAt = true, c.recvNext, seg.SentAt
-	out.HoleEnd, out.StaleHint = c.firstOOO(), stale
+	out.StaleHint = stale
 	c.sendSeg(c.clientIP, c.serverIP, c.clientEP, c.serverEP, headerSize, out)
-}
-
-// firstOOO returns the lowest buffered out-of-order offset (0 if none):
-// the end of the receiver's first hole.
-func (c *Conn) firstOOO() uint64 {
-	if len(c.ooo) == 0 {
-		return 0
-	}
-	return c.ooo[0].seq
 }
 
 // oooSeg is one buffered out-of-order segment.
@@ -368,7 +358,7 @@ func (c *Conn) handleAtServer(p *netem.Packet) {
 		if seg.Ack > c.sndUna {
 			c.sndUna = seg.Ack
 		}
-		c.sender.handleAck(seg.Ack, seg.HoleEnd, seg.SentAt, seg.StaleHint)
+		c.sender.handleAck(seg.Ack, seg.SentAt, seg.StaleHint)
 	}
 }
 

@@ -23,16 +23,12 @@ const MSS = 1380
 const headerSize = 52
 
 // Segment is the transport PDU carried in netem packets. Its fields are
-// ordered widest first so the pooled box is one 64-byte cache line.
+// ordered widest first so the pooled box fits one 64-byte cache line.
 type Segment struct {
-	ConnID uint64
-	Seq    uint64 // connection-level byte offset
-	Len    int
-	Ack    uint64 // cumulative connection-level ack
-	// HoleEnd is a SACK-lite hint on ACKs: the start of the receiver's
-	// first out-of-order block, i.e. the missing range is [Ack, HoleEnd).
-	// Zero means no out-of-order data is buffered.
-	HoleEnd   uint64
+	ConnID    uint64
+	Seq       uint64 // connection-level byte offset
+	Len       int
+	Ack       uint64        // cumulative connection-level ack
 	SentAt    time.Duration // for RTT sampling (carried in the "timestamp option")
 	SubflowID uint32
 	// REMOVE_ADDR option: the sender asks the peer to forget this
@@ -234,9 +230,8 @@ func (s *senderState) onRTO() {
 	s.armRTO()
 }
 
-// handleAck processes a cumulative ACK with an RTT sample and the
-// receiver's SACK-lite first-hole hint.
-func (s *senderState) handleAck(ack uint64, holeEnd uint64, sentAt time.Duration, stale bool) {
+// handleAck processes a cumulative ACK with an RTT sample.
+func (s *senderState) handleAck(ack uint64, sentAt time.Duration, stale bool) {
 	if s.dead {
 		return
 	}
@@ -261,12 +256,11 @@ func (s *senderState) handleAck(ack uint64, holeEnd uint64, sentAt time.Duration
 				s.inRecovery = false
 				s.cwnd = s.ssthresh
 			} else {
-				// Partial ack: keep filling the hole the receiver
-				// reported.
+				// Partial ack: keep filling the hole from sndUna.
 				if s.rtxNxt < s.sndUna {
 					s.rtxNxt = s.sndUna
 				}
-				s.retransmitHole(holeEnd)
+				s.retransmitHole()
 			}
 		} else if s.cwnd < s.ssthresh {
 			// Slow start with appropriate byte counting (ABC, RFC 3465):
@@ -293,9 +287,9 @@ func (s *senderState) handleAck(ack uint64, holeEnd uint64, sentAt time.Duration
 			s.inRecovery = true
 			s.recoverEnd = s.sndNxt
 			s.rtxNxt = s.sndUna
-			s.retransmitHole(holeEnd)
+			s.retransmitHole()
 		} else if s.inRecovery {
-			s.retransmitHole(holeEnd)
+			s.retransmitHole()
 		}
 	}
 	s.armRTO()
@@ -336,16 +330,14 @@ func (s *senderState) kill() {
 // clock). Without full SACK scoreboards, drop-tail loss leaves many
 // interleaved one-segment holes; sequential retransmission (the receiver
 // discards duplicates) terminates recovery in one pass instead of one
-// round trip per hole. holeEnd (the receiver's first-hole hint) lets the
-// sender skip straight to the earliest missing byte.
-func (s *senderState) retransmitHole(holeEnd uint64) {
+// round trip per hole.
+func (s *senderState) retransmitHole() {
 	if s.dead {
 		return
 	}
 	if s.rtxNxt < s.sndUna {
 		s.rtxNxt = s.sndUna
 	}
-	_ = holeEnd // pacing is sequential; the hint is subsumed by sndUna
 	const perAck = 2
 	for i := 0; i < perAck && s.rtxNxt < s.recoverEnd; i++ {
 		n := int(minU64(uint64(MSS), s.recoverEnd-s.rtxNxt))

@@ -17,8 +17,8 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,11 +31,15 @@ type Event struct {
 	// destination's current handler instead of calling fn. Such events
 	// are created only inside Send, never escape to callers, and are
 	// recycled through the sim's free list once popped.
-	pkt       *Packet
-	dst       *handlerRef
-	tm        *Timer // non-nil for a Timer's resident event (see timer.go)
+	pkt *Packet
+	dst *handlerRef
+	// tm is non-nil for a Timer's resident event, and for one the timer
+	// orphaned by moving its deadline earlier (see timer.go).
+	tm        *Timer
 	cancelled bool
-	next      *Event // free-list link while a delivery event is pooled
+	// next links the event into its wheel slot while it is queued, and
+	// into the Sim's free list while it is pooled.
+	next *Event
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -57,55 +61,10 @@ type handlerRef struct {
 	fn func(*Packet)
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // Endpoint is a dense integer handle for an endpoint identifier string,
 // interned per Sim. Zero means "unresolved"; valid handles start at 1.
 // Handles are only meaningful within the Sim that issued them.
 type Endpoint int32
-
-// SchedulerKind selects a Sim's event-queue implementation.
-type SchedulerKind int32
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel (default): O(1)
-	// schedule/pop for the short-horizon delivery events that dominate
-	// emulation runs, with an overflow heap for far-future timers.
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap is the reference container/heap binary heap. Firing
-	// order is identical to the wheel; it exists as the determinism oracle
-	// and an escape hatch.
-	SchedulerHeap
-)
-
-var defaultScheduler atomic.Int32 // SchedulerKind; wheel (0) by default
-
-// SetDefaultScheduler changes the scheduler NewSim uses for subsequently
-// constructed simulators. Both kinds fire events in identical (at, seq)
-// order, so experiment output is unaffected; this exists for A/B
-// determinism tests and benchmarks.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the kind NewSim currently uses.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
 
 // pathEntry is an installed link plus the interned handle of its
 // lexicographically-smaller endpoint name, which fixes the link's A->B
@@ -128,6 +87,14 @@ func packEPs(x, y Endpoint) uint64 {
 	return uint64(uint32(x))<<32 | uint64(uint32(y))
 }
 
+// route is one source endpoint's path cache: the destination it last sent
+// to and the path found for it, valid while gen equals the Sim's pathGen.
+type route struct {
+	dst  Endpoint
+	gen  uint64
+	path *pathEntry
+}
+
 // cacheLinePad is the distance kept between state a shard writes per event
 // and any other object: two 64-byte lines, because the adjacent-line
 // prefetcher fetches lines in pairs. A World allocates its shards back to
@@ -148,7 +115,7 @@ type Sim struct {
 	_ cachePad // keeps the fields below off other objects' lines; see cacheLinePad
 
 	now   time.Duration
-	sched scheduler
+	sched *timingWheel
 	seq   uint64
 	rng   *rand.Rand
 
@@ -160,17 +127,18 @@ type Sim struct {
 
 	paths map[uint64]*pathEntry
 
-	// Single-entry path cache: bulk transfers hammer one (src, dst) pair,
-	// so most Sends skip the map lookup entirely. Invalidated on any
-	// Connect/Disconnect.
-	lastKey  uint64
-	lastPath *pathEntry
+	// Per-source path cache (handle-1 -> route): a flow sends to one peer,
+	// so most Sends skip the map lookup entirely, however many flows share
+	// the Sim. Connect, Disconnect and connectRemote bump pathGen, which
+	// invalidates every entry at once.
+	routes  []route
+	pathGen uint64
 
 	// free recycles the internal delivery events, the dominant allocation
-	// of a packet-heavy run. Caller-visible events (from At/After) are
-	// never pooled: callers may hold them for Cancel long after firing.
-	// The list is threaded through Event.next and refilled poolSlab events
-	// at a time, so it owns no slice to grow.
+	// of a packet-heavy run, and the residents Timers orphan. Caller-visible
+	// events (from At/After) are never pooled: callers may hold them for
+	// Cancel long after firing. The list is threaded through Event.next and
+	// refilled poolSlab events at a time, so it owns no slice to grow.
 	free *Event
 
 	// pktFree recycles pooled Packets (see GetPacket) the same way; together
@@ -184,24 +152,11 @@ type Sim struct {
 	_ cachePad
 }
 
-// NewSim returns a simulator seeded deterministically, using the process
-// default scheduler (the timing wheel unless SetDefaultScheduler changed it).
+// NewSim returns a simulator seeded deterministically.
 func NewSim(seed int64) *Sim {
-	return NewSimScheduler(seed, DefaultScheduler())
-}
-
-// NewSimScheduler returns a simulator with an explicit scheduler kind.
-// Output per seed is byte-identical across kinds.
-func NewSimScheduler(seed int64, kind SchedulerKind) *Sim {
-	var sched scheduler
-	if kind == SchedulerHeap {
-		sched = &heapSched{}
-	} else {
-		sched = newTimingWheel()
-	}
 	return &Sim{
 		rng:   rand.New(rand.NewSource(seed)),
-		sched: sched,
+		sched: &timingWheel{},
 		eps:   make(map[string]Endpoint),
 		paths: make(map[uint64]*pathEntry),
 	}
@@ -221,6 +176,7 @@ func (s *Sim) Endpoint(name string) Endpoint {
 	}
 	s.epNames = append(s.epNames, name)
 	s.handlers = append(s.handlers, &handlerRef{})
+	s.routes = append(s.routes, route{})
 	ep := Endpoint(len(s.epNames))
 	s.eps[name] = ep
 	return ep
@@ -246,10 +202,9 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// scheduleDelivery enqueues the internal per-packet delivery event, drawn
-// from the free list.
-func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef) {
-	s.seq++
+// newEvent takes a zeroed event from the free list, refilling the list a
+// slab at a time when it runs dry.
+func (s *Sim) newEvent() *Event {
 	e := s.free
 	if e == nil {
 		slab := new([poolSlab]Event)
@@ -258,8 +213,16 @@ func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef) {
 		}
 		e = &slab[0]
 	}
-	s.free = e.next
-	e.at, e.seq, e.pkt, e.dst, e.next = t, s.seq, pkt, dst, nil
+	s.free, e.next = e.next, nil
+	return e
+}
+
+// scheduleDelivery enqueues the internal per-packet delivery event, drawn
+// from the free list.
+func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef) {
+	s.seq++
+	e := s.newEvent()
+	e.at, e.seq, e.pkt, e.dst = t, s.seq, pkt, dst
 	s.sched.push(e)
 }
 
@@ -273,7 +236,7 @@ func (s *Sim) connectRemote(a, b string, l *Link, r *remoteRoute) {
 		aEP = epB
 	}
 	s.paths[packEPs(epA, epB)] = &pathEntry{link: l, aEP: aEP, remote: r}
-	s.lastPath = nil
+	s.pathGen++
 }
 
 // inject schedules the delivery of a cross-shard packet that already
@@ -294,10 +257,11 @@ func (s *Sim) inject(at time.Duration, src, dst string, size int, payload any) {
 	s.scheduleDelivery(at, pkt, s.handlers[dep-1])
 }
 
-// release returns a popped delivery event to the free list. Events that
-// were handed to a caller (fn-based) are left for the GC instead.
+// release returns a popped internal event — a delivery, or a resident a
+// Timer orphaned — to the free list. Events that were handed to a caller
+// (fn-based) are left for the GC instead.
 func (s *Sim) release(e *Event) {
-	if e.dst == nil {
+	if e.fn != nil {
 		return
 	}
 	*e = Event{next: s.free}
@@ -335,11 +299,19 @@ func (s *Sim) PutPacket(p *Packet) {
 	s.pktFree = p
 }
 
+// forever is a time bound no event is beyond.
+const forever = time.Duration(math.MaxInt64)
+
 // Step fires the next pending event. It reports false when the queue is
 // empty.
-func (s *Sim) Step() bool {
+func (s *Sim) Step() bool { return s.stepBy(forever) }
+
+// stepBy fires the next live event due at or before t and reports whether
+// there was one. Stale events met on the way are disposed of without
+// advancing the clock.
+func (s *Sim) stepBy(t time.Duration) bool {
 	for {
-		e := s.sched.pop()
+		e := s.sched.pop(t)
 		if e == nil {
 			return false
 		}
@@ -384,12 +356,7 @@ func (s *Sim) Run() {
 // RunUntil processes events with timestamps <= t and then advances the
 // clock to exactly t.
 func (s *Sim) RunUntil(t time.Duration) {
-	for {
-		next := s.peek()
-		if next == nil || next.at > t {
-			break
-		}
-		s.Step()
+	for s.stepBy(t) {
 	}
 	if t > s.now {
 		s.now = t
@@ -397,31 +364,19 @@ func (s *Sim) RunUntil(t time.Duration) {
 	s.FlushMetrics()
 }
 
-// peek returns the next live event without firing it, or nil when the
-// queue is drained, discarding stale events at the top so RunUntil's bound
-// check sees a live one.
-func (s *Sim) peek() *Event {
-	for {
-		e := s.sched.peek()
-		if e == nil || !e.stale() {
-			return e
-		}
-		s.sched.pop()
-		s.discard(e)
-	}
-}
-
 // stale reports whether e must be skipped at the queue head without
-// advancing the clock: it was cancelled, or it is a Timer's resident event
-// and the timer has been stopped or re-armed since the event was queued.
+// advancing the clock: it was cancelled, or it carries a Timer that has
+// been stopped or re-armed since the event was queued. Every resident a
+// timer has orphaned is therefore stale.
 func (e *Event) stale() bool {
 	return e.cancelled || e.tm != nil && !(e.tm.armed && e.tm.seq == e.seq)
 }
 
 // discard disposes of a stale event popped from the queue. A timer's
-// resident event goes back in at the live deadline if the timer is armed.
+// resident event goes back in at the live deadline if the timer is armed;
+// an orphaned one is recycled.
 func (s *Sim) discard(e *Event) {
-	if t := e.tm; t != nil {
+	if t := e.tm; t != nil && e == t.ev {
 		t.queued = false
 		if t.armed {
 			t.enqueue()

@@ -10,7 +10,8 @@ import "time"
 // moves later the resident stays where it is; on reaching the queue head it
 // is re-queued at the live (at, seq), or dropped if the timer was stopped,
 // without the clock advancing (see Event.stale). Only a deadline that moves
-// earlier than the resident orphans it and allocates a replacement.
+// earlier than the resident orphans it: the replacement comes from the
+// Sim's event free list, and the orphan goes back to it when it surfaces.
 //
 // At/After are for one-shots; anything re-armed per packet owns a Timer.
 type Timer struct {
@@ -43,8 +44,8 @@ func (t *Timer) Reset(d time.Duration) {
 		if t.ev.at <= t.at {
 			return // the resident surfaces first and re-queues itself
 		}
-		t.ev.tm, t.ev.cancelled = nil, true
-		t.ev = &Event{tm: t}
+		t.ev = s.newEvent()
+		t.ev.tm = t
 	}
 	t.enqueue()
 }

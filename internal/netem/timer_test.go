@@ -10,7 +10,7 @@ import (
 
 const ms = time.Millisecond
 
-// TestTimer pins Timer's contract case by case, on both schedulers: what
+// TestTimer pins Timer's contract case by case, on the timing wheel: what
 // fires, when, in which order relative to one-shots, and where the clock
 // ends up. Each script logs "name@now" lines; want is the full log.
 func TestTimer(t *testing.T) {
@@ -93,54 +93,73 @@ func TestTimer(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, sk := range schedulerKinds {
-			t.Run(tc.name+"/"+sk.name, func(t *testing.T) {
-				s := NewSimScheduler(1, sk.kind)
-				var got []string
-				logf := func(what string) { got = append(got, fmt.Sprintf("%s@%v", what, s.Now())) }
-				var tm *Timer
-				fired := 0
-				tm = s.NewTimer(func() {
-					logf("timer")
-					if fired++; tc.onFire != nil {
-						tc.onFire(tm, fired)
-					}
-				})
-				tc.script(s, tm, logf)
-				if !reflect.DeepEqual(got, tc.want) {
-					t.Fatalf("log = %v, want %v", got, tc.want)
+		t.Run(tc.name+"/wheel", func(t *testing.T) {
+			s := NewSim(1)
+			var got []string
+			logf := func(what string) { got = append(got, fmt.Sprintf("%s@%v", what, s.Now())) }
+			var tm *Timer
+			fired := 0
+			tm = s.NewTimer(func() {
+				logf("timer")
+				if fired++; tc.onFire != nil {
+					tc.onFire(tm, fired)
 				}
 			})
-		}
+			tc.script(s, tm, logf)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("log = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
 // TestTimerResetLaterZeroAlloc is the property the transport relies on: the
 // per-ACK pattern (stop, re-arm for later, let the stale resident surface
-// and re-queue itself) allocates nothing.
+// and re-queue itself) allocates nothing. A wheel slot owns no storage, so
+// one cycle warms everything.
 func TestTimerResetLaterZeroAlloc(t *testing.T) {
-	for _, sk := range schedulerKinds {
-		s := NewSimScheduler(1, sk.kind)
-		fired := 0
-		tm := s.NewTimer(func() { fired++ })
-		cycle := func() {
-			for i := 0; i < 8; i++ {
-				tm.Stop()
-				tm.Reset(200 * ms)
-				s.RunUntil(s.Now() + 50*ms)
-			}
-			s.RunUntil(s.Now() + 300*ms) // let it fire once per cycle
+	s := NewSim(1)
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			tm.Stop()
+			tm.Reset(200 * ms)
+			s.RunUntil(s.Now() + 50*ms)
 		}
-		for i := 0; i < 64; i++ { // warm the wheel's slot storage
-			cycle()
+		s.RunUntil(s.Now() + 300*ms) // let it fire once per cycle
+	}
+	cycle()
+	before := fired
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("re-arming allocates %.1f objects per cycle", allocs)
+	}
+	if fired == before {
+		t.Fatal("timer never fired")
+	}
+}
+
+// TestTimerResetEarlierZeroAlloc: a deadline that moves earlier on every
+// Reset orphans the resident each time. The replacement comes from the
+// Sim's event free list and the orphan goes back to it when it surfaces, so
+// once one slab is out nothing is allocated.
+func TestTimerResetEarlierZeroAlloc(t *testing.T) {
+	s := NewSim(1)
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	cycle := func() {
+		for d := 200 * ms; d > 0; d -= 25 * ms {
+			tm.Reset(d) // earlier than the resident from the second Reset on
 		}
-		before := fired
-		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-			t.Fatalf("%s: re-arming allocates %.1f objects per cycle", sk.name, allocs)
-		}
-		if fired == before {
-			t.Fatalf("%s: timer never fired", sk.name)
-		}
+		s.RunUntil(s.Now() + 300*ms) // fires once, then every orphan surfaces
+	}
+	cycle()
+	before := fired
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("re-arming earlier allocates %.1f objects per cycle", allocs)
+	}
+	if fired-before != 51 { // AllocsPerRun's warm-up call, then 50
+		t.Fatalf("timer fired %d times in 51 cycles", fired-before)
 	}
 }
 
@@ -163,8 +182,8 @@ func (r *refTimer) Stop() { r.ev.Cancel() }
 // one-shot Afters, packet Sends, Steps and RunUntils — three bytes per op:
 // opcode, timer index / scale, delta — runs it on one Sim and returns the
 // firing trace. useTimer selects Timer or the After+Cancel reference.
-func runTimerOps(kind SchedulerKind, useTimer bool, data []byte) []string {
-	s := NewSimScheduler(1, kind)
+func runTimerOps(useTimer bool, data []byte) []string {
+	s := NewSim(1)
 	var trace []string
 	logf := func(what string) { trace = append(trace, fmt.Sprintf("%s@%v", what, s.Now())) }
 	s.Connect("a", "b", &Link{Delay: 3 * ms})
@@ -223,35 +242,38 @@ func runTimerOps(kind SchedulerKind, useTimer bool, data []byte) []string {
 	return trace
 }
 
-// checkTimerOrder runs one op stream four ways — Timer and reference, wheel
-// and heap — and fails on any trace that differs from the heap reference.
-func checkTimerOrder(t *testing.T, data []byte) {
+// checkTimerOrder runs one op stream with Timers and with the reference,
+// fails on any difference, and returns the reference trace.
+func checkTimerOrder(t *testing.T, data []byte) []string {
 	t.Helper()
-	want := runTimerOps(SchedulerHeap, false, data)
-	for _, sk := range schedulerKinds {
-		if got := runTimerOps(sk.kind, true, data); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s Timer trace diverges from the At+Cancel reference:\n got %v\nwant %v", sk.name, got, want)
-		}
+	want := runTimerOps(false, data)
+	if got := runTimerOps(true, data); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Timer trace diverges from the At+Cancel reference:\n got %v\nwant %v", got, want)
 	}
-	if got := runTimerOps(SchedulerWheel, false, data); !reflect.DeepEqual(got, want) {
-		t.Fatalf("wheel reference trace diverges from heap:\n got %v\nwant %v", got, want)
-	}
+	return want
 }
 
 // TestTimerMatchesReferenceRandom is the seeded long-stream version of the
 // fuzz target: thousands of ops per seed, so residents go stale, surface
 // and re-queue many times over between other timers, one-shots and packets.
+// The reference traces are pinned to the hash a heap-backed Sim rendered
+// before the heap left the Sim.
 func TestTimerMatchesReferenceRandom(t *testing.T) {
+	var all []string
 	for seed := int64(1); seed <= 20; seed++ {
 		data := make([]byte, 6000)
 		rand.New(rand.NewSource(seed)).Read(data)
-		checkTimerOrder(t, data)
+		all = append(all, checkTimerOrder(t, data)...)
+	}
+	const want = "f7ca8d1da2c6d5a6d7dae4a1fb99aa6f719bd12a3e3d7b592fe3c272b9cbbea6"
+	if got := traceSHA(all); got != want || len(all) != 21330 {
+		t.Fatalf("%d reference lines hash %s, want 21330 hashing %s", len(all), got, want)
 	}
 }
 
 // FuzzTimerOrder asserts that random Reset/Stop/After/Send interleavings
 // fire in the same order, at the same times, whether timers are Timers or
-// the plain At+Cancel reference, on both schedulers. The checked-in corpus
+// the plain At+Cancel reference. The checked-in corpus
 // under testdata/fuzz/FuzzTimerOrder runs as part of go test.
 func FuzzTimerOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 100, 6, 0, 50, 0, 0, 100, 6, 0, 200})                 // reset later, run past both

@@ -3,27 +3,8 @@ package netem
 import (
 	"container/heap"
 	"slices"
+	"time"
 )
-
-// scheduler is the event-queue abstraction behind a Sim. Both
-// implementations pop events in strict (at, seq) order, so experiment
-// output is byte-identical regardless of which one a Sim was built with;
-// the determinism tests in this package and internal/testbed pin that
-// equivalence.
-//
-// pop (and peek, which shares pop's cursor) may only be called by the Sim
-// event loop: after pop returns a live event the Sim advances its clock to
-// the event's timestamp, which re-establishes the wheel's cursor/now
-// invariant (see the "late push" note on timingWheel).
-type scheduler interface {
-	push(e *Event)
-	// peek returns the earliest pending event (possibly cancelled) without
-	// removing it, or nil when the queue is empty.
-	peek() *Event
-	// pop removes and returns the earliest pending event, or nil.
-	pop() *Event
-	len() int
-}
 
 // eventLess is the total firing order: timestamp, then schedule sequence.
 // seq is unique per Sim, so there are no ties.
@@ -65,36 +46,45 @@ func sortSlot(s []*Event) (insertion bool) {
 	return true
 }
 
-// heapSched is the reference scheduler: the classic container/heap binary
-// heap. O(log n) per operation; kept as the oracle for the wheel's fuzz
-// and determinism tests and selectable via NewSimScheduler.
-type heapSched struct{ h eventHeap }
+// eventHeap is the wheel's overflow: a container/heap binary heap in
+// (at, seq) order.
+type eventHeap []*Event
 
-func (s *heapSched) push(e *Event) { heap.Push(&s.h, e) }
-
-func (s *heapSched) peek() *Event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return s.h[0]
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*Event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
 }
 
-func (s *heapSched) pop() *Event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&s.h).(*Event)
-}
+// eventList is one wheel slot: a singly linked list threaded through
+// Event.next, in push order. A slot owns no storage, so a push never
+// allocates.
+type eventList struct{ head, tail *Event }
 
-func (s *heapSched) len() int { return len(s.h) }
+func (l *eventList) push(e *Event) {
+	e.next = nil
+	if l.tail == nil {
+		l.head = e
+	} else {
+		l.tail.next = e
+	}
+	l.tail = e
+}
 
 // Timing-wheel geometry. Level 0 buckets events into ~1.05 ms slots over a
 // ~269 ms horizon; level 1 buckets 256 level-0 slots (~269 ms) per slot
 // over a ~69 s horizon. Anything further out waits in an overflow heap and
 // cascades down as the cursor approaches. The profile this is built for —
 // discrete-event network emulation — schedules almost everything within a
-// few RTTs of now, so the steady-state cost of schedule/pop is O(1)
-// appends and slot scans instead of heap churn.
+// few RTTs of now, so the steady-state cost of schedule/pop is O(1) list
+// appends and slice reads instead of heap churn.
 const (
 	wheelSlotBits = 20 // log2 of the L0 slot width in nanoseconds
 	wheelBits     = 8  // log2 of the slot count per level
@@ -104,7 +94,7 @@ const (
 )
 
 // timingWheel is a two-level hierarchical timing wheel with an overflow
-// heap, popping in exact (at, seq) order.
+// heap, popping in exact (at, seq) order. It is a Sim's one event queue.
 //
 // Invariants:
 //   - base0 is the absolute L0 slot index of the cursor; base1 == base0>>8.
@@ -113,14 +103,17 @@ const (
 //   - Every event in slots1 has at>>wheelL1Bits in [base1, base1+256) and
 //     at>>wheelSlotBits >= base0+256.
 //   - Every overflow event has at>>wheelL1Bits >= base1+256.
+//   - cur[pos:] is the current slot, moved out of its list and sorted.
+//     While it is non-empty the current slot's list is empty.
 //
-// Late pushes: peek may advance the cursor past empty slots toward a
-// far-future event without the Sim clock following (RunUntil peeks, sees
-// the event is beyond its bound, and stops). A later push can then target
-// a slot the cursor already passed, while still being in the Sim's future.
-// Such events are sorted into the *current* slot's undrained tail instead.
-// That preserves global order: everything else in the wheel lives in a
-// strictly later slot, and the current slot drains in (at, seq) order.
+// Late pushes: pop may advance the cursor past empty slots toward an event
+// beyond its bound without the Sim clock following (RunUntil stops there).
+// A later push can then target a slot the cursor already passed, while
+// still being in the Sim's future. Such events join the *current* slot:
+// spliced into cur's undrained tail while the slot drains, else appended
+// to its list for the sort. That preserves global order: everything else
+// in the wheel lives in a strictly later slot, and the current slot drains
+// in (at, seq) order.
 //
 // Every field is written per event, so the wheel is padded at both ends
 // like a Sim (see cacheLinePad): one shard's cursor shares no cache line
@@ -128,23 +121,21 @@ const (
 type timingWheel struct {
 	_ cachePad
 
-	slots0   [wheelSlots][]*Event
-	slots1   [wheelSlots][]*Event
+	slots0   [wheelSlots]eventList
+	slots1   [wheelSlots]eventList
 	overflow eventHeap
+	cur      []*Event // the current slot, sorted; one slice for every slot
 
-	base0  int64 // absolute L0 slot index of the cursor
-	base1  int64 // absolute L1 slot index; always base0 >> wheelBits
-	pos    int   // drain offset into the current L0 slot
-	sorted bool  // whether the current slot has been sorted
+	base0 int64 // absolute L0 slot index of the cursor
+	base1 int64 // absolute L1 slot index; always base0 >> wheelBits
+	pos   int   // drain offset into cur
 
 	count   int // events across all levels
-	l0count int // undrained events resident in slots0
+	l0count int // undrained events resident in slots0 and cur
 	l1count int // events resident in slots1
 
 	_ cachePad
 }
-
-func newTimingWheel() *timingWheel { return &timingWheel{} }
 
 func (w *timingWheel) len() int { return w.count }
 
@@ -158,30 +149,28 @@ func (w *timingWheel) push(e *Event) {
 		return
 	}
 	if idx-w.base0 < wheelSlots {
-		w.slots0[idx&wheelMask] = append(w.slots0[idx&wheelMask], e)
+		w.slots0[idx&wheelMask].push(e)
 		w.l0count++
 		return
 	}
 	idx1 := int64(e.at) >> wheelL1Bits
 	if idx1-w.base1 < wheelSlots {
-		w.slots1[idx1&wheelMask] = append(w.slots1[idx1&wheelMask], e)
+		w.slots1[idx1&wheelMask].push(e)
 		w.l1count++
 		return
 	}
 	heap.Push(&w.overflow, e)
 }
 
-// insertCurrent places e into the current slot. If the slot is already
-// sorted (it is being drained), e is spliced into the undrained tail at
-// its (at, seq) position; otherwise it is appended and the eventual sort
-// orders it.
+// insertCurrent places e into the current slot. While the slot drains, e
+// is spliced into cur's undrained tail at its (at, seq) position;
+// otherwise it joins the slot's list and the eventual sort orders it.
 func (w *timingWheel) insertCurrent(e *Event) {
-	slot := &w.slots0[w.base0&wheelMask]
-	if !w.sorted {
-		*slot = append(*slot, e)
+	if w.pos == len(w.cur) {
+		w.slots0[w.base0&wheelMask].push(e)
 		return
 	}
-	s := *slot
+	s := w.cur
 	lo, hi := w.pos, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -194,7 +183,7 @@ func (w *timingWheel) insertCurrent(e *Event) {
 	s = append(s, nil)
 	copy(s[lo+1:], s[lo:])
 	s[lo] = e
-	*slot = s
+	w.cur = s
 }
 
 // advance moves the cursor to the next pending event and returns it
@@ -203,17 +192,13 @@ func (w *timingWheel) insertCurrent(e *Event) {
 // pushes into skipped territory are handled by insertCurrent.
 func (w *timingWheel) advance() *Event {
 	for w.count > 0 {
-		slot := &w.slots0[w.base0&wheelMask]
-		if w.pos < len(*slot) {
-			if !w.sorted {
-				sortSlot(*slot)
-				w.sorted = true
-			}
-			return (*slot)[w.pos]
+		if w.pos < len(w.cur) {
+			return w.cur[w.pos]
 		}
-		// Slot exhausted: reset its storage and advance the cursor.
-		*slot = (*slot)[:0]
-		w.pos, w.sorted = 0, false
+		if slot := &w.slots0[w.base0&wheelMask]; slot.head != nil {
+			w.load(slot)
+			continue
+		}
 		switch {
 		case w.l0count > 0:
 			w.base0++
@@ -238,6 +223,21 @@ func (w *timingWheel) advance() *Event {
 	return nil
 }
 
+// load moves a slot's list into cur and sorts it. The links are cleared on
+// the way, so a fired event keeps no pointer to the events behind it.
+func (w *timingWheel) load(slot *eventList) {
+	cur := w.cur[:0]
+	for e := slot.head; e != nil; {
+		next := e.next
+		e.next = nil
+		cur = append(cur, e)
+		e = next
+	}
+	*slot = eventList{}
+	sortSlot(cur)
+	w.cur, w.pos = cur, 0
+}
+
 // cascade runs when base1 advances: overflow events that entered the L1
 // horizon drop into slots1, then the now-current L1 slot is redistributed
 // into L0 (all of its events land within the fresh L0 horizon).
@@ -250,38 +250,37 @@ func (w *timingWheel) cascade() {
 			break
 		}
 		heap.Pop(&w.overflow)
-		w.slots1[idx1&wheelMask] = append(w.slots1[idx1&wheelMask], top)
+		w.slots1[idx1&wheelMask].push(top)
 		w.l1count++
 	}
 	slot := &w.slots1[w.base1&wheelMask]
-	if len(*slot) == 0 {
-		return
+	n := 0
+	for e := slot.head; e != nil; n++ {
+		next := e.next
+		w.slots0[int64(e.at)>>wheelSlotBits&wheelMask].push(e)
+		e = next
 	}
-	for i, e := range *slot {
-		idx := int64(e.at) >> wheelSlotBits
-		w.slots0[idx&wheelMask] = append(w.slots0[idx&wheelMask], e)
-		(*slot)[i] = nil
-	}
-	w.l0count += len(*slot)
-	w.l1count -= len(*slot)
-	*slot = (*slot)[:0]
+	*slot = eventList{}
+	w.l0count += n
+	w.l1count -= n
 }
 
-func (w *timingWheel) peek() *Event { return w.advance() }
-
-func (w *timingWheel) pop() *Event {
+// pop removes and returns the earliest event if it is due at or before t,
+// or returns nil. Only the Sim event loop may call it: after pop returns a
+// live event the Sim advances its clock to the event's timestamp, which
+// re-establishes the cursor/now invariant (see the "late push" note on
+// timingWheel).
+func (w *timingWheel) pop(t time.Duration) *Event {
 	e := w.advance()
-	if e == nil {
+	if e == nil || e.at > t {
 		return nil
 	}
-	slot := &w.slots0[w.base0&wheelMask]
-	(*slot)[w.pos] = nil
+	w.cur[w.pos] = nil
 	w.pos++
 	w.count--
 	w.l0count--
-	if w.pos == len(*slot) {
-		*slot = (*slot)[:0]
-		w.pos, w.sorted = 0, false
+	if w.pos == len(w.cur) {
+		w.cur, w.pos = w.cur[:0], 0
 	}
 	return e
 }

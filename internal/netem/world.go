@@ -112,7 +112,7 @@ func ClampShards(k int) int {
 }
 
 // NewWorld returns a world of k Sim shards (k < 1 selects 1), every shard
-// seeded with the same base seed and using the process default scheduler.
+// seeded with the same base seed.
 func NewWorld(seed int64, k int) *World {
 	if k < 1 {
 		k = 1

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"testing"
 	"time"
-
-	"cellbricks/internal/netem"
 )
 
 // renderSHA hashes an experiment's rendered output, the same bytes the
@@ -16,42 +14,36 @@ func renderSHA(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestSchedulerABExperimentSHA256 is the end-to-end scheduler A/B golden
-// check: a full experiment run under the timing wheel must hash to exactly
-// the same output as the same run under the reference heap, for several
-// seeds. Fig. 8 is used because it exercises the whole stack — mobility,
-// handover, MPTCP, iperf — while being fully virtual-time deterministic.
-// (Fig. 7 is deliberately not hashed here: its attach breakdown charges
-// real wall-clock crypto time into the virtual clock, so even two
-// same-scheduler runs differ in the low digits.)
-func TestSchedulerABExperimentSHA256(t *testing.T) {
-	prev := netem.DefaultScheduler()
-	defer netem.SetDefaultScheduler(prev)
+// fig8Pins are the Fig. 8 (15 s) hashes the timing wheel and the reference
+// heap both rendered, seed by seed, before the heap left the Sim. Fig. 8
+// exercises the whole stack — mobility, handover, MPTCP, iperf — while
+// being fully virtual-time deterministic. (Fig. 7 is deliberately not
+// hashed here: its attach breakdown charges real wall-clock crypto time
+// into the virtual clock, so even two runs differ in the low digits.)
+var fig8Pins = map[int64]string{
+	1:  "69fa61ce6b365c676f6d4eff2d570a08d017604ad86c0c99a8849f76b6960ec8",
+	7:  "1e568c99c42345febe7fd1f1aa1bea10dff01e4ff491e589353be55bef345bde",
+	42: "c066a8290cef002b5b4d12239049d8583076939caebe408ada17a69ac3552a2d",
+	99: "8c6e0597940cca199839f98ca45f6df78054934c6b6630fd7fb2ae336b75e6b0",
+}
 
+// TestSchedulerABExperimentSHA256 is the end-to-end scheduler golden
+// check: a full experiment run must hash to what both scheduler kinds
+// rendered, for several seeds.
+func TestSchedulerABExperimentSHA256(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		netem.SetDefaultScheduler(netem.SchedulerWheel)
-		wheel := renderSHA(RunFig8(seed, 15*time.Second).Render())
-		netem.SetDefaultScheduler(netem.SchedulerHeap)
-		heap := renderSHA(RunFig8(seed, 15*time.Second).Render())
-		if wheel != heap {
-			t.Fatalf("seed %d: wheel output %s != heap output %s", seed, wheel, heap)
+		if got := renderSHA(RunFig8(seed, 15*time.Second).Render()); got != fig8Pins[seed] {
+			t.Fatalf("seed %d: output %s, both schedulers rendered %s", seed, got, fig8Pins[seed])
 		}
 	}
 }
 
-// TestSchedulerSameKindStableSHA256 pins plain run-to-run determinism for
-// each scheduler kind separately: the same seed must reproduce the same
-// bytes.
+// TestSchedulerSameKindStableSHA256 pins plain run-to-run determinism: the
+// same seed reproduces the same bytes, and they are the pinned ones.
 func TestSchedulerSameKindStableSHA256(t *testing.T) {
-	prev := netem.DefaultScheduler()
-	defer netem.SetDefaultScheduler(prev)
-
-	for _, kind := range []netem.SchedulerKind{netem.SchedulerWheel, netem.SchedulerHeap} {
-		netem.SetDefaultScheduler(kind)
-		a := renderSHA(RunFig8(99, 15*time.Second).Render())
-		b := renderSHA(RunFig8(99, 15*time.Second).Render())
-		if a != b {
-			t.Fatalf("kind %d: same-seed runs hash %s vs %s", kind, a, b)
-		}
+	a := renderSHA(RunFig8(99, 15*time.Second).Render())
+	b := renderSHA(RunFig8(99, 15*time.Second).Render())
+	if a != b || a != fig8Pins[99] {
+		t.Fatalf("same-seed runs hash %s vs %s, pinned %s", a, b, fig8Pins[99])
 	}
 }
