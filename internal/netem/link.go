@@ -229,7 +229,7 @@ func (s *Sim) Connect(a, b string, l *Link) {
 		aEP = epB
 	}
 	s.paths[packEPs(epA, epB)] = &pathEntry{link: l, aEP: aEP}
-	s.pathGen++
+	s.lastPath = nil
 }
 
 // Disconnect removes the link between two endpoints.
@@ -239,7 +239,7 @@ func (s *Sim) Disconnect(a, b string) {
 			delete(s.paths, packEPs(epA, epB))
 		}
 	}
-	s.pathGen++
+	s.lastPath = nil
 }
 
 // Send transmits a packet from pkt.Src to pkt.Dst across the installed
@@ -250,7 +250,7 @@ func (s *Sim) Disconnect(a, b string) {
 //
 // The hot path is allocation-free and hash-free: endpoint strings resolve
 // to interned handles once (cached in the Packet), the path table is
-// keyed by packed handle pairs behind a per-source cache, and pooled
+// keyed by packed handle pairs behind a single-entry cache, and pooled
 // packets/events come from per-Sim free lists.
 func (s *Sim) Send(pkt *Packet) bool {
 	src, dst := pkt.SrcEP, pkt.DstEP
@@ -271,14 +271,14 @@ func (s *Sim) Send(pkt *Packet) bool {
 		pkt.Dst = s.epNames[dst-1]
 	}
 
-	r := &s.routes[src-1]
-	entry := r.path
-	if r.dst != dst || r.gen != s.pathGen {
-		entry = s.paths[packEPs(src, dst)]
+	key := packEPs(src, dst)
+	entry := s.lastPath
+	if entry == nil || key != s.lastKey {
+		entry = s.paths[key]
 		if entry == nil {
 			return false
 		}
-		*r = route{dst: dst, gen: s.pathGen, path: entry}
+		s.lastKey, s.lastPath = key, entry
 	}
 	l := entry.link
 	if l.Down {

@@ -87,14 +87,6 @@ func packEPs(x, y Endpoint) uint64 {
 	return uint64(uint32(x))<<32 | uint64(uint32(y))
 }
 
-// route is one source endpoint's path cache: the destination it last sent
-// to and the path found for it, valid while gen equals the Sim's pathGen.
-type route struct {
-	dst  Endpoint
-	gen  uint64
-	path *pathEntry
-}
-
 // cacheLinePad is the distance kept between state a shard writes per event
 // and any other object: two 64-byte lines, because the adjacent-line
 // prefetcher fetches lines in pairs. A World allocates its shards back to
@@ -127,12 +119,11 @@ type Sim struct {
 
 	paths map[uint64]*pathEntry
 
-	// Per-source path cache (handle-1 -> route): a flow sends to one peer,
-	// so most Sends skip the map lookup entirely, however many flows share
-	// the Sim. Connect, Disconnect and connectRemote bump pathGen, which
-	// invalidates every entry at once.
-	routes  []route
-	pathGen uint64
+	// Single-entry path cache: bulk transfers hammer one (src, dst) pair,
+	// so most Sends skip the map lookup entirely. Invalidated on any
+	// Connect/Disconnect.
+	lastKey  uint64
+	lastPath *pathEntry
 
 	// free recycles the internal delivery events, the dominant allocation
 	// of a packet-heavy run, and the residents Timers orphan. Caller-visible
@@ -176,7 +167,6 @@ func (s *Sim) Endpoint(name string) Endpoint {
 	}
 	s.epNames = append(s.epNames, name)
 	s.handlers = append(s.handlers, &handlerRef{})
-	s.routes = append(s.routes, route{})
 	ep := Endpoint(len(s.epNames))
 	s.eps[name] = ep
 	return ep
@@ -236,7 +226,7 @@ func (s *Sim) connectRemote(a, b string, l *Link, r *remoteRoute) {
 		aEP = epB
 	}
 	s.paths[packEPs(epA, epB)] = &pathEntry{link: l, aEP: aEP, remote: r}
-	s.pathGen++
+	s.lastPath = nil
 }
 
 // inject schedules the delivery of a cross-shard packet that already

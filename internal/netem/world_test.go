@@ -398,8 +398,8 @@ func TestWorldShardedZeroAllocSend(t *testing.T) {
 }
 
 // BenchmarkSendDeliverSharded measures the cross-shard hot path per
-// packet: 64-packet windows through the mailbox barrier. Reported
-// allocs/op must stay 0 (CI gates every BenchmarkSendDeliver* on it);
+// packet: 64-packet windows through the mailbox barrier.
+// TestWorldShardedZeroAllocSend holds the same loop at 0 allocs/op;
 // per-window worker/barrier costs amortize across the batch.
 func BenchmarkSendDeliverSharded(b *testing.B) {
 	w := NewWorld(1, 2)
@@ -446,53 +446,63 @@ type busyFlow struct {
 	_         cachePad
 }
 
-// BenchmarkWorldBusyShards keeps every shard busy at once: one steady bulk
-// flow inside each of two shards, 64 packets in flight on a 200 µs link and
-// re-sent from the receive handler, with an idle cross-shard link that sets
-// a 10 ms window. K=1 runs both flows on one shard. ns/pkt is wall time per
-// delivered packet. BenchmarkSendDeliverSharded keeps only shard 0 busy, so
-// it cannot see shards contending for a cache line; this one can.
-func BenchmarkWorldBusyShards(b *testing.B) {
+// busyShards builds BenchmarkWorldBusyShards' world on k shards: one steady
+// bulk flow inside each of two shards, 64 packets in flight on a 200 µs link
+// and re-sent from the receive handler, with an idle cross-shard link that
+// sets a 10 ms window. K=1 runs both flows on one shard. It runs the world
+// until its pools and every L0 slot are warm, and returns one window's step
+// and the count of packets delivered so far.
+func busyShards(k int) (w *World, window func(), total func() int) {
 	const inflight = 64
+	w = NewWorld(1, k)
+	flows := make([]*busyFlow, 2)
+	for i := range flows {
+		f := &busyFlow{link: Link{Delay: 200 * time.Microsecond}}
+		flows[i] = f
+		src, dst := fmt.Sprintf("src-%d", i), fmt.Sprintf("dst-%d", i)
+		w.Place(src, i%k)
+		w.Place(dst, i%k)
+		w.Connect(src, dst, &f.link)
+		s := w.ShardFor(src)
+		a, d := s.Endpoint(src), s.Endpoint(dst)
+		send := func() {
+			pkt := s.GetPacket()
+			pkt.SrcEP, pkt.DstEP, pkt.Size = a, d, 1400
+			if !s.Send(pkt) {
+				panic("send refused")
+			}
+		}
+		w.Register(dst, func(*Packet) {
+			f.delivered++
+			send()
+		})
+		for range inflight {
+			send()
+		}
+	}
+	w.Connect("src-0", "src-1", &Link{Delay: 10 * time.Millisecond})
+	total = func() (n int) {
+		for _, f := range flows {
+			n += f.delivered
+		}
+		return n
+	}
+	window = func() { w.RunUntil(w.Now() + 10*time.Millisecond) }
+	for range 30 {
+		window()
+	}
+	return w, window, total
+}
+
+// BenchmarkWorldBusyShards keeps every shard busy at once (see busyShards).
+// ns/pkt is wall time per delivered packet. BenchmarkSendDeliverSharded
+// keeps only shard 0 busy, so it cannot see shards contending for a cache
+// line; this one can. TestWorldBusyShardsZeroAlloc holds its windows at 0
+// allocations.
+func BenchmarkWorldBusyShards(b *testing.B) {
 	for _, k := range []int{1, 2} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			w := NewWorld(1, k)
-			flows := make([]*busyFlow, 2)
-			for i := range flows {
-				f := &busyFlow{link: Link{Delay: 200 * time.Microsecond}}
-				flows[i] = f
-				src, dst := fmt.Sprintf("src-%d", i), fmt.Sprintf("dst-%d", i)
-				w.Place(src, i%k)
-				w.Place(dst, i%k)
-				w.Connect(src, dst, &f.link)
-				s := w.ShardFor(src)
-				a, d := s.Endpoint(src), s.Endpoint(dst)
-				send := func() {
-					pkt := s.GetPacket()
-					pkt.SrcEP, pkt.DstEP, pkt.Size = a, d, 1400
-					if !s.Send(pkt) {
-						panic("send refused")
-					}
-				}
-				w.Register(dst, func(*Packet) {
-					f.delivered++
-					send()
-				})
-				for range inflight {
-					send()
-				}
-			}
-			w.Connect("src-0", "src-1", &Link{Delay: 10 * time.Millisecond})
-			total := func() (n int) {
-				for _, f := range flows {
-					n += f.delivered
-				}
-				return n
-			}
-			window := func() { w.RunUntil(w.Now() + 10*time.Millisecond) }
-			for range 30 { // warm pools and every L0 slot
-				window()
-			}
+			_, window, total := busyShards(k)
 			start := total()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -502,6 +512,24 @@ func BenchmarkWorldBusyShards(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total()-start), "ns/pkt")
 		})
+	}
+}
+
+// TestWorldBusyShardsZeroAlloc: with both shards busy at once and handlers
+// re-sending inside their own shard, a steady window allocates nothing, at
+// K=1 and K=2. Worker fan-out is forced serial, as in
+// TestWorldShardedZeroAllocSend.
+func TestWorldBusyShardsZeroAlloc(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		w, window, total := busyShards(k)
+		w.workers = 1
+		start := total()
+		if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+			t.Fatalf("K=%d: steady busy-shard window allocates %.1f objects", k, allocs)
+		}
+		if total() == start {
+			t.Fatalf("K=%d: no deliveries", k)
+		}
 	}
 }
 
