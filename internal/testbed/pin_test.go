@@ -115,4 +115,27 @@ func TestParentOutputPins(t *testing.T) {
 	}
 	fmt.Fprint(&gd, geo.Handovers, apps.NewIperf(geo.Sim, geo.Conn, time.Second).Run(geo.Scenario.Duration).Series)
 	check("geo drive", gd.String(), "4bb45fd8bce5132ad3aaf88b47fc4033d519b6b7bfc844e65756b0dc88b1ee8d")
+
+	// The rows below were recorded at the commit before accessPath.handover
+	// became the package's one handover routine. First the apps that manage
+	// their own address, by day (the Table 1 pin is a night cell), under
+	// both architectures.
+	for _, d := range []struct {
+		arch       Arch
+		ping, voip string
+	}{
+		{ArchCellBricks, "547f4ec68e60ff7f94f7c3d92cbfc28770dc143ebe90527c6c153bfcd64f2aac", "8878e6f000165689771e35f3b6d2289539f6cd7718802b067a24ba9213abbc7a"},
+		{ArchBaseline, "ffbba3e789d7e4f25fd0188230804c72ee3e33d23768091bc0cdf9d877ca52ae", "f7a87b6846460c1442a98388fe85b7308b58bdcdd4aa3242fec599da6ba3635e"},
+	} {
+		sc := Scenario{Route: mobility.Suburb, Night: false, Arch: d.arch, Seed: 21, Duration: 4 * time.Minute}
+		p50, loss := RunPing(sc)
+		check(fmt.Sprintf("ping day %s", d.arch), fmt.Sprint(p50, loss), d.ping)
+		check(fmt.Sprintf("voip day %s", d.arch), fmt.Sprintf("%+v", RunVoIP(sc)), d.voip)
+	}
+
+	fb := RunWebFallback(Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 11, Duration: 3 * time.Minute})
+	check("web fallback highway", fmt.Sprint(fb.LoadTimes), "2e2b9d8a08fde1a98ee894c49d1afb0de0297a2d55094e9dfa69ad4a08c5f5e4")
+
+	// Fig. 9 is the one caller that sets a non-default d.
+	check("fig9", runFig9(3, 1, 2*time.Minute, Runner{}).Render(), "8425ee068cad50699e3ed28cda6128ee819716f188397ad1ec647e9e4b1f196e")
 }
