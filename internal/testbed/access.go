@@ -44,8 +44,7 @@ func (a *accessPath) connectNext() string {
 }
 
 // rehome is the data-plane half of a CellBricks handover: the old address
-// is gone at once and the next one is connected. When the new address
-// becomes usable — after the attach — is the caller's business.
+// is gone at once and the next one is connected.
 func (a *accessPath) rehome() string {
 	a.sim.Disconnect(ServerIP, a.ip)
 	return a.connectNext()
@@ -55,20 +54,37 @@ func (a *accessPath) rehome() string {
 // the MNO's intra-provider handover, or a chaos link pause.
 func (a *accessPath) pause(d time.Duration) { a.link.PausedUntil = a.sim.Now() + d }
 
-// drive schedules the scenario's statistical handover instants for an
-// application that manages its own address: a CellBricks handover calls
-// lost, rehomes, and hands the new address to found once the attach
-// latency has passed; an MNO handover only pauses the link.
-func (a *accessPath) drive(sc Scenario, lost func(), found func(ip string)) {
-	for _, at := range sc.Route.Handovers(a.sim.Rand(), sc.Night, sc.Duration) {
-		a.sim.At(at, func() {
-			if sc.Arch != ArchCellBricks {
-				a.pause(sc.MNOOutage)
-				return
-			}
-			lost()
-			newIP := a.rehome()
-			a.sim.After(sc.AttachLatency, func() { found(newIP) })
-		})
+// drive schedules fire at each handover instant and returns the instants:
+// at, or the route's statistical schedule drawn from the simulator's
+// stream when at is nil.
+func (a *accessPath) drive(sc Scenario, at []time.Duration, fire func()) []time.Duration {
+	if at == nil {
+		at = sc.Route.Handovers(a.sim.Rand(), sc.Night, sc.Duration)
 	}
+	for _, t := range at {
+		a.sim.At(t, fire)
+	}
+	return at
+}
+
+// handover is the package's one mobility event. An MNO handover keeps the
+// address and anchor and only pauses the link for MNOOutage: the network
+// forwards buffered data to the target eNodeB, so the gap shows as a delay
+// spike rather than loss. A CellBricks handover
+// runs lost (the old address dies), rehomes, and hands the new address to
+// reattach, the caller's re-attach step, which decides when it becomes
+// usable and schedules that itself.
+func (a *accessPath) handover(sc Scenario, lost func(), reattach func(ip string)) {
+	if sc.Arch != ArchCellBricks {
+		a.pause(sc.MNOOutage)
+		return
+	}
+	lost()
+	reattach(a.rehome())
+}
+
+// after is the re-attach step of an app that only waits out the attach:
+// found gets the new address d later.
+func (a *accessPath) after(d time.Duration, found func(ip string)) func(ip string) {
+	return func(ip string) { a.sim.After(d, func() { found(ip) }) }
 }

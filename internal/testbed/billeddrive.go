@@ -8,7 +8,6 @@ import (
 	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
 	"cellbricks/internal/mptcp"
-	"cellbricks/internal/netem"
 	"cellbricks/internal/sap"
 )
 
@@ -37,10 +36,14 @@ type BilledDriveResult struct {
 // loss-tolerant threshold must absorb.
 func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error) {
 	sc = sc.Defaults()
+	sc.Arch = ArchCellBricks
 	if cycle == 0 {
 		cycle = 30 * time.Second
 	}
 	var res BilledDriveResult
+	// The emulated data plane, with its handovers scheduled.
+	w := newWorld(sc, nil, "bd-ue")
+	sim, conn := w.Sim, w.Conn
 
 	// The real control-plane cast. The verifier slack absorbs bytes in
 	// flight at a detachment: BDP + bottleneck queue of the night path
@@ -69,13 +72,6 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		delivered uint64
 		lossSeen  uint64
 	}
-
-	// Emulated data plane.
-	sim := netem.NewSim(sc.Seed)
-	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "bd-ue")
-	conn := mptcp.NewConn(sim, ServerIP, path.ip, mptcp.Config{
-		Multipath: true, AddrWorkWait: sc.MPTCPWait, Timeout: 60 * time.Second,
-	})
 
 	// The two counters of §4.3 come off the connection's radio tallies,
 	// read once per report. The bTelco counts data segments admitted toward
@@ -177,21 +173,26 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 		cur = nil
 	}
 
-	for _, at := range sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration) {
-		sim.At(at, func() {
+	// A handover settles the session before the address dies; the next
+	// bTelco's attach, named after the path index the handover reached,
+	// comes before the new address is usable.
+	w.lost = func() {
+		if rollErr == nil {
+			settle()
+		}
+		conn.AddrInvalidated()
+	}
+	w.reattach = func(newIP string) {
+		i := w.path.idx
+		sim.After(sc.AttachLatency, func() {
 			if rollErr != nil {
 				return
 			}
-			settle()
-			conn.AddrInvalidated()
-			newIP, i := path.rehome(), path.idx
-			sim.After(sc.AttachLatency, func() {
-				if err := attach(i); err != nil && rollErr == nil {
-					rollErr = err
-					return
-				}
-				conn.AddrAvailable(newIP)
-			})
+			if err := attach(i); err != nil {
+				rollErr = err
+				return
+			}
+			conn.AddrAvailable(newIP)
 		})
 	}
 

@@ -13,7 +13,6 @@ import (
 	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
 	"cellbricks/internal/mobility"
-	"cellbricks/internal/mptcp"
 	"cellbricks/internal/nas"
 	"cellbricks/internal/netem"
 	"cellbricks/internal/obs"
@@ -126,13 +125,13 @@ type foWatcher struct {
 }
 
 // foWorld is the failover world: emulated data plane + in-process
-// control plane, both driven by one simulator clock.
+// control plane, both driven by one simulator clock. The data plane is a
+// World on the downtown day drive (one simulator: the whole fault domain)
+// whose re-attach step is the UE's retry state machine, startAttach.
 type foWorld struct {
 	cfg FailoverConfig
-	sim *netem.Sim // one simulator: the whole fault domain
+	*World
 
-	path      *accessPath
-	conn      *mptcp.Conn
 	flapped   *netem.Link
 	baseLoss  float64
 	frameLoss float64
@@ -169,14 +168,16 @@ type foWorld struct {
 }
 
 func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
+	sc := Scenario{Route: failoverRoute, Arch: ArchCellBricks, Seed: cfg.Seed, Duration: cfg.Duration}
 	w := &foWorld{
-		cfg: cfg,
-		sim: netem.NewSim(cfg.Seed),
-		res: res,
-		ids: obs.NewSpanIDSource(cfg.Seed),
+		cfg:   cfg,
+		World: newWorld(sc.Defaults(), nil, "ft-ip"),
+		res:   res,
+		ids:   obs.NewSpanIDSource(cfg.Seed),
 	}
+	w.lost, w.reattach = w.detach, w.startAttach
 	// Trace timestamps are virtual time on this run's simulator clock.
-	cfg.Tracer.SetClock(w.sim.Now)
+	cfg.Tracer.SetClock(w.Sim.Now)
 
 	// Control plane: a seeded cast and a fixed certificate epoch so
 	// two runs with the same seed are bit-identical regardless of wall
@@ -198,12 +199,7 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 		})
 	}
 
-	// Data plane.
-	w.path = newAccessPath(w.sim, cfg.Seed, failoverRoute, false, "ft-ip")
 	w.baseLoss = w.path.link.Loss
-	w.conn = mptcp.NewConn(w.sim, ServerIP, w.path.ip, mptcp.Config{
-		Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second,
-	})
 
 	// Initial attach, synchronously, before the clock starts. It is the
 	// first traced session (s0).
@@ -216,7 +212,7 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	root, open := w.stormRoot, w.stormOpen
 	w.closeStorm("ok", map[string]string{"telco": w.telcos[0].IDT, "attempts": "1"})
 	if open {
-		w.tracePhases(root, w.sim.Now())
+		w.tracePhases(root, w.Sim.Now())
 	}
 
 	// First snapshot at t=0 so a crash always has state to restore.
@@ -224,11 +220,11 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 	var snapTick func()
 	snapTick = func() {
 		w.snapshot()
-		if w.sim.Now() < cfg.Duration {
-			w.sim.After(failoverSnapshotEvery, snapTick)
+		if w.Sim.Now() < cfg.Duration {
+			w.Sim.After(failoverSnapshotEvery, snapTick)
 		}
 	}
-	w.sim.After(failoverSnapshotEvery, snapTick)
+	w.Sim.After(failoverSnapshotEvery, snapTick)
 	return w, nil
 }
 
@@ -260,13 +256,13 @@ func (c foBrokerClient) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (
 	if !sc.Valid() || w.cfg.Tracer == nil {
 		return c.Authenticate(req)
 	}
-	start := w.sim.Now()
+	start := w.Sim.Now()
 	resp, err := c.Authenticate(req)
 	args := map[string]string(nil)
 	if err != nil {
 		args = map[string]string{"error": err.Error()}
 	}
-	w.cfg.Tracer.SpanCtx(sc.Child(w.ids.Next()), "broker", "handle-auth", start, w.sim.Now()-start, args)
+	w.cfg.Tracer.SpanCtx(sc.Child(w.ids.Next()), "broker", "handle-auth", start, w.Sim.Now()-start, args)
 	return resp, err
 }
 
@@ -279,7 +275,7 @@ func (w *foWorld) openStorm() {
 	}
 	w.closeStorm("superseded", nil)
 	w.stormRoot = w.ids.NewTrace()
-	w.stormStart = w.sim.Now()
+	w.stormStart = w.Sim.Now()
 	w.stormSession = fmt.Sprintf("s%d", w.attachSeq)
 	w.stormOpen = true
 }
@@ -298,7 +294,7 @@ func (w *foWorld) closeStorm(outcome string, args map[string]string) {
 	args["session"] = w.stormSession
 	args["outcome"] = outcome
 	w.cfg.Tracer.SpanCtx(w.stormRoot, "attach", "attach-storm",
-		w.stormStart, w.sim.Now()-w.stormStart, args)
+		w.stormStart, w.Sim.Now()-w.stormStart, args)
 }
 
 // tracePhases records the modeled phase breakdown of a successful attach:
@@ -347,7 +343,7 @@ func (w *foWorld) resolveGoodput(now time.Duration) {
 func (w *foWorld) nasUplink(ti int, ranID string, envelope []byte) ([]byte, error) {
 	_, sc, _, scErr := nas.SplitEnvelope(envelope)
 	traced := scErr == nil && sc.Valid() && w.cfg.Tracer != nil
-	start := w.sim.Now()
+	start := w.Sim.Now()
 	reply, err := w.agws[ti].HandleNAS(ranID, envelope)
 	if traced {
 		args := map[string]string{"ran": ranID, "bytes": strconv.Itoa(len(envelope))}
@@ -355,7 +351,7 @@ func (w *foWorld) nasUplink(ti int, ranID string, envelope []byte) ([]byte, erro
 			args["error"] = err.Error()
 		}
 		w.cfg.Tracer.SpanCtx(sc.Child(w.ids.Next()), "wire", "nas-uplink",
-			start, w.sim.Now()-start, args)
+			start, w.Sim.Now()-start, args)
 	}
 	return reply, err
 }
@@ -388,14 +384,27 @@ func (w *foWorld) tryAttach(ti int) error {
 	return err
 }
 
-// startAttach launches the retry state machine for the UE's new address.
-// Attempts run as simulator events; each failure schedules the next
-// attempt after the machine's backoff (retry-after hints floor it), and a
-// later handover supersedes the whole storm via attachSeq.
+// detach is the failover world's half of a handover before the rehome:
+// count and trace it, and the address dies.
+func (w *foWorld) detach() {
+	w.res.Handovers++
+	w.cfg.Tracer.Event("mobility", "handover", map[string]string{
+		"n": strconv.Itoa(w.res.Handovers),
+	})
+	w.Conn.AddrInvalidated()
+}
+
+// startAttach is the re-attach step: the fresh tower link takes the frame
+// loss in force, and the retry state machine runs for the UE's new
+// address. Attempts run as simulator events; each failure schedules the
+// next attempt after the machine's backoff (retry-after hints floor it),
+// and a later handover supersedes the whole storm via attachSeq.
 func (w *foWorld) startAttach(newIP string) {
+	w.baseLoss = w.path.link.Loss
+	w.applyFrameLoss()
 	w.attachSeq++
 	seq := w.attachSeq
-	fsm := ue.NewAttachFSM(failoverRetry, len(w.agws), w.sim.Rand())
+	fsm := ue.NewAttachFSM(failoverRetry, len(w.agws), w.Sim.Rand())
 	base := w.serving
 	w.openStorm()
 	var attempt func()
@@ -417,12 +426,12 @@ func (w *foWorld) startAttach(newIP string) {
 				"attempts": strconv.Itoa(fsm.Attempts() + 1),
 			})
 			if open {
-				w.tracePhases(root, w.sim.Now())
+				w.tracePhases(root, w.Sim.Now())
 			}
-			w.resolve(w.attachWatch, w.sim.Now())
-			w.sim.After(attachLatency, func() {
+			w.resolve(w.attachWatch, w.Sim.Now())
+			w.Sim.After(attachLatency, func() {
 				if seq == w.attachSeq {
-					w.conn.AddrAvailable(newIP)
+					w.Conn.AddrAvailable(newIP)
 				}
 			})
 			return
@@ -440,23 +449,9 @@ func (w *foWorld) startAttach(newIP string) {
 			})
 			return
 		}
-		w.sim.After(delay, attempt)
+		w.Sim.After(delay, attempt)
 	}
 	attempt()
-}
-
-// handover fires one mobility event: invalidate the address, install a
-// fresh tower path, and run the attach state machine for the new address.
-func (w *foWorld) handover() {
-	w.res.Handovers++
-	w.cfg.Tracer.Event("mobility", "handover", map[string]string{
-		"n": strconv.Itoa(w.res.Handovers),
-	})
-	w.conn.AddrInvalidated()
-	newIP := w.path.rehome()
-	w.baseLoss = w.path.link.Loss
-	w.applyFrameLoss()
-	w.startAttach(newIP)
 }
 
 func (w *foWorld) applyFrameLoss() {
@@ -505,7 +500,7 @@ func (w *foWorld) hooks() chaos.Hooks {
 			w.cfg.Tracer.Event("broker", "restore", map[string]string{
 				"shed_for": failoverShedFor.String(),
 			})
-			w.sim.After(failoverShedFor, nb.Resume)
+			w.Sim.After(failoverShedFor, nb.Resume)
 		},
 		TelcoCrash: func() {
 			w.crashed = w.serving
@@ -559,11 +554,6 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 		return apps.IperfResult{}, err
 	}
 
-	// Route-driven mobility.
-	for _, at := range failoverRoute.Handovers(w.sim.Rand(), false, cfg.Duration) {
-		w.sim.At(at, w.handover)
-	}
-
 	// Arm the fault schedule and its recovery watchers. Attach-path
 	// faults additionally force a mobility event 1 s into the window (or
 	// halfway through short windows), so every outage provably contains
@@ -588,23 +578,23 @@ func runFailoverOnce(cfg FailoverConfig, sched chaos.Schedule, res *FailoverResu
 				force = f.At + f.Dur/2
 			}
 			if f.Kind == chaos.KindBroker { // crash faults force their own handover
-				w.sim.At(force, func() { w.handover() })
+				w.Sim.At(force, w.handover)
 			}
 		default:
 			watch.ready = f.At + f.Dur
 			w.dataWatch = append(w.dataWatch, watch)
 		}
 	}
-	sched.Replay(w.sim, w.hooks())
+	sched.Replay(w.Sim, w.hooks())
 
 	// Goodput measurement; chain onto the iperf delivery tap to feed the
 	// data-plane recovery watchers.
-	ip := apps.NewIperf(w.sim, w.conn, failoverBin)
-	prev := w.conn.OnDeliver
-	w.conn.OnDeliver = func(n int) {
+	ip := apps.NewIperf(w.Sim, w.Conn, failoverBin)
+	prev := w.Conn.OnDeliver
+	w.Conn.OnDeliver = func(n int) {
 		prev(n)
 		if n > 0 {
-			now := w.sim.Now()
+			now := w.Sim.Now()
 			w.resolve(w.dataWatch, now)
 			w.resolveGoodput(now)
 		}

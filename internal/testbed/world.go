@@ -79,6 +79,11 @@ type World struct {
 	Scenario  Scenario
 
 	path *accessPath
+	// lost and reattach are the caller's halves of a CellBricks handover
+	// (accessPath.handover). They default to the bare transport; the billed
+	// drive and the failover world put their control plane in them.
+	lost     func()
+	reattach func(ip string)
 }
 
 // ServerIP is the fixed EC2-side address.
@@ -91,14 +96,14 @@ const ServerIP = "server"
 // (new policer state) is installed, and the new address appears after
 // AttachLatency; MPTCP re-joins after its wait period. MNO handovers: the
 // IP persists and the path merely blacks out for MNOOutage.
-func NewWorld(sc Scenario) *World { return newWorld(sc.Defaults(), nil) }
+func NewWorld(sc Scenario) *World { return newWorld(sc.Defaults(), nil, "ue") }
 
-// newWorld builds the world for a defaulted scenario. handovers fixes the
-// mobility instants; nil draws the route's statistical schedule from the
-// simulator's stream.
-func newWorld(sc Scenario, handovers []time.Duration) *World {
+// newWorld builds the world for a defaulted scenario, naming the UE's
+// addresses prefix-0, prefix-1, …. handovers fixes the mobility instants;
+// nil draws the route's statistical schedule from the simulator's stream.
+func newWorld(sc Scenario, handovers []time.Duration, prefix string) *World {
 	sim := netem.NewSim(sc.Seed)
-	w := &World{Sim: sim, Scenario: sc, path: newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "ue")}
+	w := &World{Sim: sim, Scenario: sc, path: newAccessPath(sim, sc.Seed, sc.Route, sc.Night, prefix)}
 	cfg := mptcp.Config{
 		Multipath:    sc.Arch == ArchCellBricks,
 		Protocol:     sc.Protocol,
@@ -109,28 +114,15 @@ func newWorld(sc Scenario, handovers []time.Duration) *World {
 		cfg.AddrWorkWait = 0 // QUIC has no address-worker artifact
 	}
 	w.Conn = mptcp.NewConn(sim, ServerIP, w.path.ip, cfg)
-
-	if handovers == nil {
-		handovers = sc.Route.Handovers(sim.Rand(), sc.Night, sc.Duration)
-	}
-	w.Handovers = handovers
-	for _, at := range handovers {
-		sim.At(at, w.handover)
-	}
+	w.lost, w.reattach = w.Conn.AddrInvalidated, w.addrAfterAttach
+	w.Handovers = w.path.drive(sc, handovers, w.handover)
 	return w
 }
 
 // handover fires one mobility event against the transport connection.
 func (w *World) handover() {
 	sc := w.Scenario
-	if sc.Arch != ArchCellBricks {
-		// MNO: brief radio interruption, same IP, same anchor. The network
-		// forwards buffered data to the target eNodeB, so the gap appears as
-		// a delay spike rather than loss.
-		w.path.pause(sc.MNOOutage)
-		return
-	}
-	if sc.SoftHandover {
+	if sc.SoftHandover && sc.Arch == ArchCellBricks {
 		// Make-before-break: attach to the target first (the SAP
 		// exchange runs while the old radio link still carries
 		// traffic), then migrate and drop the old path.
@@ -142,10 +134,14 @@ func (w *World) handover() {
 		})
 		return
 	}
-	w.Conn.AddrInvalidated()
-	newIP := w.path.rehome()
-	// A broker outage stalls the SAP attach: the new address only
-	// appears once the broker is reachable again.
+	w.path.handover(sc, w.lost, w.reattach)
+}
+
+// addrAfterAttach is the bare re-attach: the new address appears d later,
+// or, when the handover lands in the broker outage window, d after the
+// broker is reachable again.
+func (w *World) addrAfterAttach(ip string) {
+	sc := w.Scenario
 	ready := sc.AttachLatency
 	if sc.BrokerDownFor > 0 {
 		now := w.Sim.Now()
@@ -154,7 +150,7 @@ func (w *World) handover() {
 			ready = end - now + sc.AttachLatency
 		}
 	}
-	w.Sim.After(ready, func() { w.Conn.AddrAvailable(newIP) })
+	w.Sim.After(ready, func() { w.Conn.AddrAvailable(ip) })
 }
 
 // --- scenario runners for each application class ---
@@ -173,7 +169,7 @@ func RunPing(sc Scenario) (p50 time.Duration, loss float64) {
 	sim := netem.NewSim(sc.Seed)
 	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "ping-ue")
 	p := apps.NewPinger(sim, path.ip, ServerIP, 200*time.Millisecond)
-	path.drive(sc, p.InvalidateClient, p.SetClientIP)
+	path.drive(sc, nil, func() { path.handover(sc, p.InvalidateClient, path.after(sc.AttachLatency, p.SetClientIP)) })
 	p.Run(sc.Duration)
 	return p.Stats()
 }
@@ -187,7 +183,8 @@ func RunVoIP(sc Scenario) apps.VoIPResult {
 	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "voip-ue")
 	v := apps.NewVoIP(sim, path.ip, ServerIP)
 	signalRTT := 2 * sc.Route.Delay
-	path.drive(sc, v.InvalidateClient, func(ip string) { v.Rehome(ip, signalRTT) })
+	rehome := path.after(sc.AttachLatency, func(ip string) { v.Rehome(ip, signalRTT) })
+	path.drive(sc, nil, func() { path.handover(sc, v.InvalidateClient, rehome) })
 	return v.Run(sc.Duration)
 }
 
@@ -224,5 +221,5 @@ func NewGeoWorld(sc Scenario, towers int) (*World, []ran.HandoverEvent) {
 	for i, ev := range events {
 		at[i] = ev.At
 	}
-	return newWorld(sc, at), events
+	return newWorld(sc, at, "ue"), events
 }
