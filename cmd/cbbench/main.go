@@ -17,7 +17,7 @@
 // Flags tune the emulated duration, trials and seed; results print the
 // same rows/series the paper reports. Independent simulations within an
 // experiment fan out over -workers goroutines (default: GOMAXPROCS) with
-// output byte-identical to -seq; -shards K additionally partitions each
+// output byte-identical to -workers 1; -shards K additionally partitions each
 // scale/byzantine/storm world across K netem shards running in parallel, again
 // with byte-identical output for any K; -json appends a machine-readable
 // record of each experiment's wall time, allocations, and headline
@@ -74,7 +74,6 @@ type benchRun struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"` // 0 = GOMAXPROCS; clamped to GOMAXPROCS when larger
-	Sequential bool   `json:"sequential"`
 	// Shards is the requested -shards value; ShardsEffective is after the
 	// GOMAXPROCS clamp — the K that actually ran.
 	Shards          int         `json:"shards"`
@@ -149,7 +148,6 @@ func main() {
 	dur := flag.Duration("dur", 5*time.Minute, "table1: emulated drive time per cell")
 	trials := flag.Int("trials", 3, "fig9: trials per configuration")
 	workers := flag.Int("workers", 0, "worker goroutines for independent simulations (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run every simulation sequentially (same output, no parallelism)")
 	shards := flag.Int("shards", 1, "netem world shards for scale/byzantine/storm (clamped to GOMAXPROCS; output is byte-identical for any value)")
 	scaleN := flag.String("scale-n", "1,4,16,64,1024,10240", "scale: comma-separated UE counts to sweep")
 	faults := flag.String("faults", "flap=2x3s,pause=1x800ms,broker=1x10s,crash=1x6s,corrupt=1x5s@0.05",
@@ -206,7 +204,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flight recorder: %d recent events dumped to %s\n", flight.Len(), path)
 	}
 
-	runner := testbed.Runner{Workers: *workers, Sequential: *seq}
+	runner := testbed.Runner{Workers: *workers}
 	effShards := netem.ClampShards(*shards)
 	rec := benchRun{
 		Label:           *label,
@@ -214,7 +212,6 @@ func main() {
 		GoVersion:       runtime.Version(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Workers:         *workers,
-		Sequential:      *seq,
 		Shards:          *shards,
 		ShardsEffective: effShards,
 		Seed:            *seed,

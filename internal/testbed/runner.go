@@ -17,26 +17,21 @@ import (
 // Render() output byte-identical to a sequential run (asserted by the
 // golden tests in parallel_test.go).
 //
-// The zero value runs with GOMAXPROCS workers. Sequential is the escape
-// hatch: it forces single-goroutine execution in ascending unit order,
-// exactly reproducing the pre-parallel code path.
+// The zero value runs with GOMAXPROCS workers. One worker is the escape
+// hatch: single-goroutine execution in ascending unit order, exactly
+// reproducing the pre-parallel code path.
 type Runner struct {
 	// Workers bounds the pool; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Sequential disables the pool entirely.
-	Sequential bool
 }
 
 // Seq is the sequential escape hatch, for golden tests and debugging.
-var Seq = Runner{Sequential: true}
+var Seq = Runner{Workers: 1}
 
 // workers resolves the pool size, clamping an explicit Workers to
 // GOMAXPROCS — like netem.ClampShards, oversubscribing cores only adds
 // scheduling overhead, and output never depends on the pool size.
 func (r Runner) workers() int {
-	if r.Sequential {
-		return 1
-	}
 	max := runtime.GOMAXPROCS(0)
 	if r.Workers > 0 && r.Workers < max {
 		return r.Workers
@@ -46,7 +41,7 @@ func (r Runner) workers() int {
 
 // ForEach invokes fn(i) for every i in [0, n) across the pool and
 // returns once all invocations complete. fn must touch only state owned
-// by unit i. With one worker (or Sequential) the calls happen in
+// by unit i. With one worker the calls happen in
 // ascending order on the calling goroutine.
 func (r Runner) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
