@@ -31,7 +31,7 @@ func TestDebugServerConcurrentScrape(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Inc()
+				c.Add(1)
 			}
 		}
 	}()

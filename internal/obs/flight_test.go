@@ -147,6 +147,18 @@ func BenchmarkTracerEvent(b *testing.B) {
 	})
 }
 
+// TestTracerEventRetainOffZeroAlloc holds the sink-only path (flight
+// recorder attached, retention off) that long soaks record through at 0
+// allocations per event; BenchmarkTracerEventRetainOff times it.
+func TestTracerEventRetainOffZeroAlloc(t *testing.T) {
+	tr := NewTracer(func() time.Duration { return 0 })
+	tr.SetFlight(NewFlightRecorder(64))
+	tr.SetRetain(false)
+	if n := testing.AllocsPerRun(1000, func() { tr.Span("bench", "op", 0, time.Microsecond, nil) }); n != 0 {
+		t.Fatalf("retain-off event: %v allocs/op, want 0", n)
+	}
+}
+
 // BenchmarkTracerEventRetainOff measures the sink-only path (flight
 // recorder attached, retention off) used by long soaks.
 func BenchmarkTracerEventRetainOff(b *testing.B) {

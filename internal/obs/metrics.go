@@ -41,9 +41,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 for a nil handle).
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -105,19 +102,6 @@ func Delta(prev, cur map[string]float64) map[string]float64 {
 	for k, v := range cur {
 		if d := v - prev[k]; d != 0 {
 			out[k] = d
-		}
-	}
-	return out
-}
-
-// SumSnapshots merges per-shard registry snapshots into one view by
-// summing values key-wise. Missing keys count as zero, so shards that never
-// touched a counter don't need a placeholder.
-func SumSnapshots(snaps ...map[string]float64) map[string]float64 {
-	out := make(map[string]float64)
-	for _, s := range snaps {
-		for k, v := range s {
-			out[k] += v
 		}
 	}
 	return out

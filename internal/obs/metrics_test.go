@@ -10,7 +10,7 @@ import (
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("frames_total", "frames")
-	c.Inc()
+	c.Add(1)
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
@@ -22,7 +22,7 @@ func TestCounterBasics(t *testing.T) {
 
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatalf("a nil counter must read zero")
@@ -76,25 +76,6 @@ func TestSnapshotAndDelta(t *testing.T) {
 	}
 }
 
-func TestSumSnapshots(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("pkts_total", "").Add(10)
-	b := NewRegistry()
-	b.Counter("pkts_total", "").Add(4)
-	b.Counter("only_b_total", "").Add(1)
-
-	sum := SumSnapshots(a.Snapshot(), b.Snapshot())
-	if sum["pkts_total"] != 14 {
-		t.Fatalf("pkts_total = %v, want 14", sum["pkts_total"])
-	}
-	if sum["only_b_total"] != 1 {
-		t.Fatalf("only_b_total = %v, want 1", sum["only_b_total"])
-	}
-	if len(SumSnapshots()) != 0 {
-		t.Fatalf("empty sum not empty")
-	}
-}
-
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n", "")
@@ -104,7 +85,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}

@@ -218,15 +218,6 @@ type CA struct {
 	key  *KeyPair
 }
 
-// NewCA creates a certificate authority with a fresh key.
-func NewCA(name string) (*CA, error) {
-	k, err := GenerateKeyPair()
-	if err != nil {
-		return nil, err
-	}
-	return &CA{Name: name, key: k}, nil
-}
-
 // NewCAFromSeed creates a deterministic CA for tests.
 func NewCAFromSeed(name string, seed []byte) (*CA, error) {
 	k, err := KeyPairFromSeed(seed)
