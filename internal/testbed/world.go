@@ -169,7 +169,8 @@ func RunPing(sc Scenario) (p50 time.Duration, loss float64) {
 	sim := netem.NewSim(sc.Seed)
 	path := newAccessPath(sim, sc.Seed, sc.Route, sc.Night, "ping-ue")
 	p := apps.NewPinger(sim, path.ip, ServerIP, 200*time.Millisecond)
-	path.drive(sc, nil, func() { path.handover(sc, p.InvalidateClient, path.after(sc.AttachLatency, p.SetClientIP)) })
+	found := path.after(sc.AttachLatency, p.SetClientIP)
+	path.drive(sc, nil, func() { path.handover(sc, p.InvalidateClient, found) })
 	p.Run(sc.Duration)
 	return p.Stats()
 }
