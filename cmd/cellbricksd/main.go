@@ -170,8 +170,9 @@ func runUE(btelcoAddr, telcoID string) {
 
 func runDemo(stayUp bool, traceOut string) {
 	// With -trace-out, the whole demo deployment is traced: the UE roots
-	// a span, the context rides the NAS envelope and wire frames, and
-	// every component's spans land in one parented tree.
+	// a span, the context rides the NAS envelope to the AGW and the wire
+	// frames from the AGW to the broker, and every component's spans land
+	// in one parented tree.
 	var tracer *obs.Tracer
 	var ids *obs.SpanIDSource
 	if traceOut != "" {

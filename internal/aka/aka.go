@@ -81,8 +81,8 @@ func GenerateVector(k K, sqn uint64) (Vector, error) {
 	return generateVector(k, sqn, v.RAND), nil
 }
 
-// generateVector is the deterministic core, exposed for tests via
-// GenerateVectorWithRAND.
+// generateVector is the deterministic core: GenerateVector with a
+// caller-chosen RAND (the package's tests call it directly).
 func generateVector(k K, sqn uint64, rnd [RANDSize]byte) Vector {
 	sq := sqnBytes(sqn)
 	macA := f(k, 1, rnd[:], sq)[:MACSize]
@@ -96,12 +96,6 @@ func generateVector(k K, sqn uint64, rnd [RANDSize]byte) Vector {
 	copy(kasme[:], f(k, 3, rnd[:], sq)) // CK||IK -> KASME collapse
 	autn := append(concealed, macA...)
 	return Vector{RAND: rnd, AUTN: autn, XRES: xres, KASME: kasme}
-}
-
-// GenerateVectorWithRAND is GenerateVector with a caller-chosen RAND, for
-// deterministic tests.
-func GenerateVectorWithRAND(k K, sqn uint64, rnd [RANDSize]byte) Vector {
-	return generateVector(k, sqn, rnd)
 }
 
 // SIM is the UE-side AKA state: the permanent key and the highest SQN

@@ -26,7 +26,7 @@ func testRAND(b byte) [RANDSize]byte {
 func TestMutualAuthSuccess(t *testing.T) {
 	k := testK(1)
 	sim := &SIM{K: k, SQN: 10}
-	v := GenerateVectorWithRAND(k, 11, testRAND(7))
+	v := generateVector(k, 11, testRAND(7))
 	res, kasme, err := sim.Answer(v.RAND, v.AUTN)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestMutualAuthSuccess(t *testing.T) {
 }
 
 func TestWrongKeyFailsMAC(t *testing.T) {
-	v := GenerateVectorWithRAND(testK(2), 5, testRAND(9))
+	v := generateVector(testK(2), 5, testRAND(9))
 	sim := &SIM{K: testK(3), SQN: 1}
 	if _, _, err := sim.Answer(v.RAND, v.AUTN); !errors.Is(err, ErrMACFailure) {
 		t.Fatalf("err=%v, want ErrMACFailure", err)
@@ -53,7 +53,7 @@ func TestWrongKeyFailsMAC(t *testing.T) {
 func TestReplayFailsSync(t *testing.T) {
 	k := testK(4)
 	sim := &SIM{K: k, SQN: 0}
-	v := GenerateVectorWithRAND(k, 1, testRAND(1))
+	v := generateVector(k, 1, testRAND(1))
 	if _, _, err := sim.Answer(v.RAND, v.AUTN); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReplayFailsSync(t *testing.T) {
 func TestFarFutureSQNFailsSync(t *testing.T) {
 	k := testK(5)
 	sim := &SIM{K: k, SQN: 0}
-	v := GenerateVectorWithRAND(k, 1<<30, testRAND(2))
+	v := generateVector(k, 1<<30, testRAND(2))
 	if _, _, err := sim.Answer(v.RAND, v.AUTN); !errors.Is(err, ErrSyncFailure) {
 		t.Fatalf("err=%v, want ErrSyncFailure", err)
 	}
@@ -75,7 +75,7 @@ func TestFarFutureSQNFailsSync(t *testing.T) {
 func TestTamperedAUTN(t *testing.T) {
 	k := testK(6)
 	sim := &SIM{K: k}
-	v := GenerateVectorWithRAND(k, 1, testRAND(3))
+	v := generateVector(k, 1, testRAND(3))
 	bad := append([]byte(nil), v.AUTN...)
 	bad[len(bad)-1] ^= 1
 	if _, _, err := sim.Answer(v.RAND, bad); !errors.Is(err, ErrMACFailure) {
@@ -88,8 +88,8 @@ func TestTamperedAUTN(t *testing.T) {
 
 func TestVectorsDifferAcrossSQN(t *testing.T) {
 	k := testK(7)
-	a := GenerateVectorWithRAND(k, 1, testRAND(4))
-	b := GenerateVectorWithRAND(k, 2, testRAND(4))
+	a := generateVector(k, 1, testRAND(4))
+	b := generateVector(k, 2, testRAND(4))
 	if a.KASME == b.KASME {
 		t.Fatal("KASME identical across SQNs")
 	}
@@ -117,8 +117,8 @@ func TestSQNConcealed(t *testing.T) {
 	// AUTN must not leak SQN in the clear: two consecutive SQNs under
 	// different RANDs should not reveal a +1 pattern in the first 6 bytes.
 	k := testK(9)
-	a := GenerateVectorWithRAND(k, 100, testRAND(10))
-	b := GenerateVectorWithRAND(k, 101, testRAND(11))
+	a := generateVector(k, 100, testRAND(10))
+	b := generateVector(k, 101, testRAND(11))
 	if bytes.Equal(a.AUTN[:6], b.AUTN[:6]) {
 		t.Fatal("concealed SQN identical across RANDs")
 	}
@@ -132,7 +132,7 @@ func TestPropertyAKAAgreement(t *testing.T) {
 		sim := &SIM{K: k}
 		n := int(steps%16) + 1
 		for i := 1; i <= n; i++ {
-			v := GenerateVectorWithRAND(k, uint64(i), testRAND(randByte+byte(i)))
+			v := generateVector(k, uint64(i), testRAND(randByte+byte(i)))
 			res, kasme, err := sim.Answer(v.RAND, v.AUTN)
 			if err != nil || !bytes.Equal(res, v.XRES) || kasme != v.KASME {
 				return false

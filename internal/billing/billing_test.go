@@ -327,7 +327,7 @@ func TestVerifierInflationCaught(t *testing.T) {
 	if s := v.TelcoScore("telco-1"); s >= 1.0 {
 		t.Fatalf("score did not drop: %.3f", s)
 	}
-	if e := v.TelcoEntry("telco-1"); e.Mismatches != 1 || e.Reports != 1 {
+	if e := v.telcoRep["telco-1"]; e.Mismatches != 1 || e.Reports != 1 {
 		t.Fatalf("entry = %+v", e)
 	}
 }
@@ -386,8 +386,8 @@ func TestVerifierMismatchRingBounded(t *testing.T) {
 	if len(ms) != 8 {
 		t.Fatalf("ring holds %d, want 8", len(ms))
 	}
-	if v.MismatchesDropped() != 12 {
-		t.Fatalf("dropped = %d, want 12", v.MismatchesDropped())
+	if v.mmDropped != 12 {
+		t.Fatalf("dropped = %d, want 12", v.mmDropped)
 	}
 	// Oldest-first order: the retained window is seqs 13..20.
 	for i, m := range ms {
@@ -396,7 +396,7 @@ func TestVerifierMismatchRingBounded(t *testing.T) {
 		}
 	}
 	// Reputation bookkeeping is unaffected by eviction.
-	if e := v.TelcoEntry("telco-1"); e.Mismatches != 20 {
+	if e := v.telcoRep["telco-1"]; e.Mismatches != 20 {
 		t.Fatalf("entry.Mismatches = %d, want 20", e.Mismatches)
 	}
 }
@@ -415,7 +415,7 @@ func TestVerifierReplayRejected(t *testing.T) {
 	if v.Replays() != 1 {
 		t.Fatalf("Replays() = %d, want 1", v.Replays())
 	}
-	if e := v.TelcoEntry("telco-1"); e.Replays != 1 {
+	if e := v.telcoRep["telco-1"]; e.Replays != 1 {
 		t.Fatalf("entry.Replays = %d, want 1", e.Replays)
 	}
 	if after := v.TelcoScore("telco-1"); after >= before {
@@ -438,11 +438,11 @@ func TestVerifierReplayRejected(t *testing.T) {
 	}
 
 	// UE replays are rejected but do not ding the bTelco.
-	e0 := v.TelcoEntry("telco-1").Replays
+	e0 := v.telcoRep["telco-1"].Replays
 	if _, err := v.Ingest(rpt(ReporterUE, 2, 2_000_000, 0)); !errors.Is(err, ErrReplayedReport) {
 		t.Fatalf("UE duplicate not flagged: %v", err)
 	}
-	if e := v.TelcoEntry("telco-1"); e.Replays != e0 {
+	if e := v.telcoRep["telco-1"]; e.Replays != e0 {
 		t.Fatalf("UE replay attributed to bTelco: %d -> %d", e0, e.Replays)
 	}
 }
@@ -494,7 +494,7 @@ func TestEvidenceMatchesParentFormulas(t *testing.T) {
 				v := NewVerifier(cfg)
 				v.RestoreReputation("telco-1", score0, 0, 0, pen0)
 				v.Evidence("telco-1", kind, d)
-				e := v.TelcoEntry("telco-1")
+				e := v.telcoRep["telco-1"]
 				score, pen := f(score0, pen0, alpha, d)
 				if math.Float64bits(e.Score) != math.Float64bits(score) || math.Float64bits(e.Penalty) != math.Float64bits(pen) {
 					t.Errorf("kind %d alpha %v degree %v: score %v penalty %v, parent %v %v",

@@ -362,9 +362,6 @@ func (v *Verifier) TelcoScore(idT string) float64 {
 	return 1.0
 }
 
-// TelcoEntry returns the full reputation entry, or nil.
-func (v *Verifier) TelcoEntry(idT string) *ReputationEntry { return v.telcoRep[idT] }
-
 // Suspect reports whether a user is on the tampering suspect list.
 func (v *Verifier) Suspect(idU string) bool { return v.suspects[idU] }
 
@@ -380,10 +377,6 @@ func (v *Verifier) Mismatches() []Mismatch {
 	out = append(out, v.mismatches[:v.mmHead]...)
 	return out
 }
-
-// MismatchesDropped counts mismatch incidents evicted from the bounded
-// ring.
-func (v *Verifier) MismatchesDropped() uint64 { return v.mmDropped }
 
 // Replays counts replayed/stale reports rejected by the freshness gate.
 func (v *Verifier) Replays() int { return v.replays }

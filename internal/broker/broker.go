@@ -61,7 +61,6 @@ type Brokerd struct {
 	telcoKeys     map[string]telcoKey         // idT -> certified key (and pass)
 	grants        map[string]*sap.GrantRecord // URef -> grant
 	qosViolations map[string]int              // idT -> QoS incident count
-	policy        sap.Authorizer              // optional rule chain (see policy.go)
 	shedHint      time.Duration               // non-zero = degraded: shed attach load
 	shedCount     uint64                      // auth requests shed while degraded
 
@@ -112,11 +111,12 @@ func (b *Brokerd) RegisterUser(pub pki.PublicIdentity) string { return b.sap.Reg
 // RevokeUser invalidates a user's key.
 func (b *Brokerd) RevokeUser(idU string) { b.sap.RevokeUser(idU) }
 
-// authorizeLocked is the broker's admission policy, run by the commit
+// authorizeLocked is the broker's one admission decision, run by the commit
 // stage of the broker transaction (for a handshake through sap.Decide,
 // which is why the SAP state's policy assumes b.mu is already held):
-// reputation gate, suspect gate, price gate, then QoS selection clamped
-// to the bTelco's capability. Mutex held by caller.
+// reputation gate, suspect gate, price gate, quarantine, then the QoS
+// selection — qos.DefaultParams, or trialQoS for a bTelco on trial —
+// clamped to the bTelco's capability. Mutex held by caller.
 func (b *Brokerd) authorizeLocked(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
 	if b.cfg.MinTelcoScore > 0 {
 		if score := b.verifier.TelcoScore(idT); score < b.cfg.MinTelcoScore {
@@ -129,18 +129,14 @@ func (b *Brokerd) authorizeLocked(idU, idT string, terms sap.ServiceTerms) (qos.
 	if b.cfg.MaxPricePerGB > 0 && terms.PricePerGB > b.cfg.MaxPricePerGB {
 		return qos.Params{}, fmt.Errorf("price %.2f/GB exceeds limit %.2f", terms.PricePerGB, b.cfg.MaxPricePerGB)
 	}
-	// The selection starts from qos.DefaultParams, before clamping to the
-	// bTelco's capability. The quarantine rule always runs: the hard-block
-	// veto applies even ahead of a custom policy chain (which may
-	// additionally include QuarantineRule for the trial-phase demotion).
-	d := &Decision{IDU: idU, IDT: idT, Terms: terms, QoS: qos.DefaultParams()}
-	if err := b.QuarantineRule()(d); err != nil {
+	trial, err := b.quarantineLocked(idT)
+	if err != nil {
 		return qos.Params{}, err
 	}
-	if b.policy != nil {
-		return b.policy.Authorize(idU, idT, terms)
+	if trial {
+		return trialQoS.Clamp(terms.Cap), nil
 	}
-	return d.QoS.Clamp(terms.Cap), nil
+	return qos.DefaultParams().Clamp(terms.Cap), nil
 }
 
 // ShedLoad puts the broker in degraded mode: attach authorizations are
@@ -164,8 +160,8 @@ func (b *Brokerd) Resume() {
 	b.shedHint = 0
 }
 
-// Degraded reports whether the broker is shedding attach load.
-func (b *Brokerd) Degraded() bool {
+// degraded reports whether the broker is shedding attach load.
+func (b *Brokerd) degraded() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.shedHint > 0
@@ -285,14 +281,6 @@ func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
 		b.qosViolations[rec.IDT]++
 		b.verifier.Evidence(rec.IDT, billing.QoSEvidence, degree)
 	}
-}
-
-// QoSViolations reports how many QoS-violation incidents the broker has
-// recorded against a bTelco.
-func (b *Brokerd) QoSViolations(idT string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.qosViolations[idT]
 }
 
 // TelcoScore exposes a bTelco's reputation.

@@ -389,7 +389,7 @@ func TestQoSViolationPenalized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := h.brk.QoSViolations("h-telco"); got != 5 {
+	if got := h.brk.qosViolations["h-telco"]; got != 5 {
 		t.Fatalf("violations = %d, want 5", got)
 	}
 	s := h.brk.TelcoScore("h-telco")
@@ -413,83 +413,8 @@ func TestQoSWithinBudgetNoPenalty(t *testing.T) {
 	if _, err := h.brk.HandleReport(env); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.brk.QoSViolations("h-telco"); got != 0 {
+	if got := h.brk.qosViolations["h-telco"]; got != 0 {
 		t.Fatalf("violations = %d for in-budget metrics", got)
-	}
-}
-
-func TestPolicyChain(t *testing.T) {
-	h := newHarness(t)
-	h.brk.SetPolicy(qos.DefaultParams(),
-		PriceCap(2.0),
-		TierByPrice(1.0, qos.Params{QCI: qos.QCIWebTCPDefault, DLAmbrBps: 2e6, ULAmbrBps: 1e6}),
-	)
-	// The harness telco advertises 1.5/GB: admitted (under the 2.0 cap)
-	// but throttled (over the 1.0 tier threshold).
-	grant, _ := h.attach(t)
-	if grant.Params.DLAmbrBps != 2e6 {
-		t.Fatalf("throttled tier not applied: %+v", grant.Params)
-	}
-
-	// Tighten the cap below the advertised price: vetoed.
-	h.brk.SetPolicy(qos.DefaultParams(), PriceCap(1.0))
-	reqU, _, _ := h.ue.NewAttachRequest(h.telco.IDT)
-	reqT, _ := h.telco.ForwardRequest(reqU)
-	resp, err := h.brk.HandleAuthRequest(reqT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Granted {
-		t.Fatal("price-capped bTelco granted")
-	}
-}
-
-func TestPolicyAllowBlockLists(t *testing.T) {
-	h := newHarness(t)
-	h.brk.SetPolicy(qos.DefaultParams(), AllowTelcos("someone-else"))
-	reqU, _, _ := h.ue.NewAttachRequest(h.telco.IDT)
-	reqT, _ := h.telco.ForwardRequest(reqU)
-	if resp, _ := h.brk.HandleAuthRequest(reqT); resp.Granted {
-		t.Fatal("telco outside allow list granted")
-	}
-	h.brk.SetPolicy(qos.DefaultParams(), BlockTelcos("h-telco"))
-	reqU2, _, _ := h.ue.NewAttachRequest(h.telco.IDT)
-	reqT2, _ := h.telco.ForwardRequest(reqU2)
-	if resp, _ := h.brk.HandleAuthRequest(reqT2); resp.Granted {
-		t.Fatal("blocked telco granted")
-	}
-	h.brk.SetPolicy(qos.DefaultParams(), AllowTelcos("h-telco"))
-	h.attach(t) // allowed again
-}
-
-func TestPolicyRequireLI(t *testing.T) {
-	h := newHarness(t)
-	h.brk.SetPolicy(qos.DefaultParams(), RequireLI())
-	reqU, _, _ := h.ue.NewAttachRequest(h.telco.IDT)
-	reqT, _ := h.telco.ForwardRequest(reqU)
-	if resp, _ := h.brk.HandleAuthRequest(reqT); resp.Granted {
-		t.Fatal("non-LI telco granted under RequireLI")
-	}
-	h.telco.Terms.LawfulIntercept = true
-	h.attach(t)
-}
-
-func TestPolicyPerUserAndOffPeak(t *testing.T) {
-	h := newHarness(t)
-	premium := qos.Params{QCI: qos.QCIWebTCPPremium, DLAmbrBps: 80e6, ULAmbrBps: 40e6}
-	clock := time.Date(2026, 1, 1, 3, 0, 0, 0, time.UTC) // off-peak
-	h.brk.SetPolicy(qos.DefaultParams(),
-		PerUserQoS(map[string]qos.Params{h.ue.IDU: premium}),
-		OffPeakBoost(func() time.Time { return clock }, 1.25),
-	)
-	grant, _ := h.attach(t)
-	// Premium override boosted 1.25x, then clamped to the 100 Mbps cap.
-	want := uint64(80e6 * 1.25)
-	if grant.Params.DLAmbrBps != want {
-		t.Fatalf("DL = %d, want %d", grant.Params.DLAmbrBps, want)
-	}
-	if grant.Params.QCI != qos.QCIWebTCPPremium {
-		t.Fatalf("QCI = %d", grant.Params.QCI)
 	}
 }
 

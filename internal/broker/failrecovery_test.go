@@ -41,7 +41,7 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	defer client.Close()
 
 	h.brk.ShedLoad(300 * time.Millisecond)
-	if !h.brk.Degraded() {
+	if !h.brk.degraded() {
 		t.Fatal("ShedLoad did not mark the broker degraded")
 	}
 	_, err = client.Authenticate(authReq(t, h))
@@ -60,7 +60,7 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	// and losing it would open a billing gap. (The session predates the
 	// degradation.)
 	h.brk.Resume()
-	if h.brk.Degraded() {
+	if h.brk.degraded() {
 		t.Fatal("Resume did not clear degraded state")
 	}
 	resp, err := client.Authenticate(authReq(t, h))
@@ -143,7 +143,7 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if !nb.Degraded() {
+	if !nb.degraded() {
 		t.Fatal("restarted broker should start in the shed window")
 	}
 	if nb.Grant(ref) == nil {
@@ -252,7 +252,7 @@ func TestRestartNilSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart with nil snapshot: %v", err)
 	}
-	if nb.Degraded() {
+	if nb.degraded() {
 		t.Fatal("shedFor=0 must not start degraded")
 	}
 }

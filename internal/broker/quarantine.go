@@ -113,28 +113,23 @@ func (b *Brokerd) Evidence(idT string, kind billing.EvidenceKind, degree float64
 	return b.verifier.TelcoScore(idT)
 }
 
-// QuarantineRule is the quarantine decision as a live policy.Rule: it
-// vetoes hard-blocked bTelcos and demotes trial-phase bTelcos to the
-// configured TrialQoS. The broker's built-in authorize path always runs
-// it; custom SetPolicy chains should include it explicitly. Like every
-// Rule it executes under the broker's lock — it must not be called from
-// outside an authorization.
-func (b *Brokerd) QuarantineRule() Rule {
-	return func(d *Decision) error {
-		if b.quarCfg == nil {
-			return nil
-		}
-		e := b.quar[d.IDT]
-		if e == nil {
-			return nil
-		}
-		if b.quarClock() < e.Until {
-			return fmt.Errorf("bTelco %s quarantined (score %.2f, strike %d)",
-				d.IDT, b.verifier.TelcoScore(d.IDT), e.Strikes)
-		}
-		d.QoS = trialQoS
-		return nil
+// quarantineLocked is the quarantine verdict on one bTelco's admission:
+// an error while it is hard-blocked, trial once its window has run out but
+// its record stands (authorizeLocked then selects trialQoS). Mutex held by
+// caller.
+func (b *Brokerd) quarantineLocked(idT string) (trial bool, err error) {
+	if b.quarCfg == nil {
+		return false, nil
 	}
+	e := b.quar[idT]
+	if e == nil {
+		return false, nil
+	}
+	if b.quarClock() < e.Until {
+		return false, fmt.Errorf("bTelco %s quarantined (score %.2f, strike %d)",
+			idT, b.verifier.TelcoScore(idT), e.Strikes)
+	}
+	return true, nil
 }
 
 // reviewTelcoLocked re-evaluates one bTelco against the quarantine

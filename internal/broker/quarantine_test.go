@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cellbricks/internal/billing"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 )
 
@@ -171,22 +170,6 @@ func TestAuthRespCarriesTelcoScore(t *testing.T) {
 	}
 	if resp.TelcoScore >= 1.0 {
 		t.Fatalf("score did not propagate: %v", resp.TelcoScore)
-	}
-}
-
-func TestQuarantineRuleInCustomChain(t *testing.T) {
-	h := newHarness(t)
-	h.brk.EnableQuarantine(QuarantineConfig{EnterBelow: 0.7, Probation: time.Minute}, nil)
-	h.brk.SetPolicy(qos.DefaultParams(), h.brk.QuarantineRule(), PriceCap(10))
-
-	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
-	h.brk.Evidence("h-telco", billing.WatchdogEvidence, 1.0)
-	resp, err := h.tryAttach(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Granted || !strings.Contains(resp.Cause, "quarantined") {
-		t.Fatalf("chain did not veto: granted=%v cause=%q", resp.Granted, resp.Cause)
 	}
 }
 

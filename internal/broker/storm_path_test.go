@@ -324,7 +324,7 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				return sealItem(t, h, r, h.ueKey)
 			},
 			check: func(t *testing.T, h *harness) {
-				if got := h.brk.QoSViolations("h-telco"); got != 1 {
+				if got := h.brk.qosViolations["h-telco"]; got != 1 {
 					t.Fatalf("QoS violations = %d, want 1", got)
 				}
 			}},
@@ -509,7 +509,7 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				if st.Unpaired != 8 { // billing's cap on a session's unpaired halves
 					t.Fatalf("%d unpaired halves held after 1,000 unpairable reports a side, want the cap", st.Unpaired)
 				}
-				if e := h.brk.verifier.TelcoEntry("h-telco"); (e != nil && *e != billing.ReputationEntry{Score: 1}) || len(h.brk.Mismatches()) != 0 {
+				if e, ok := h.brk.verifier.Reputations()["h-telco"]; (ok && e != billing.ReputationEntry{Score: 1}) || len(h.brk.Mismatches()) != 0 {
 					t.Fatalf("never paired, yet judged: %+v, %d mismatches", e, len(h.brk.Mismatches()))
 				}
 				if n := len(h.brk.Reports(h.macd.ref, billing.ReporterTelco)); n != 1000 {
@@ -743,11 +743,11 @@ func TestBatcherReviewsQuarantinePerItem(t *testing.T) {
 // one item earlier in the same flush is ingested like any other. Its UE
 // cannot know the reference before the flush answers, so the report is
 // written at the first instant after that grant committed — inside the
-// policy check of the next item.
+// admission decision of the next item.
 func TestBatcherReportNamesSessionGrantedInSameFlush(t *testing.T) {
 	h := newHarness(t)
 	report := &billing.SealedReport{}
-	h.brk.policy = sap.AuthorizerFunc(func(_, _ string, terms sap.ServiceTerms) (qos.Params, error) {
+	h.brk.sap.Policy = sap.AuthorizerFunc(func(_, _ string, terms sap.ServiceTerms) (qos.Params, error) {
 		for ref := range h.brk.grants { // b.mu is held: one grant so far
 			env, err := billing.Seal(&billing.Report{SessionRef: ref, Reporter: billing.ReporterUE, Seq: 1, DLBytes: 1000}, h.ueKey, h.brk.Public())
 			if err != nil {

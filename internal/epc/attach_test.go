@@ -485,8 +485,8 @@ func TestDedicatedBearer(t *testing.T) {
 	}
 	// Classification: voice-class packets ride the dedicated bearer,
 	// everything else the default.
-	voice := w.agw.UserPlane().Classify(a.IP, qos.QCIConversationalVoice)
-	def := w.agw.UserPlane().Classify(a.IP, qos.QCIWebTCPDefault)
+	voice := w.agw.UserPlane().classify(a.IP, qos.QCIConversationalVoice)
+	def := w.agw.UserPlane().classify(a.IP, qos.QCIWebTCPDefault)
 	if voice == nil || def == nil || voice.BearerID != bid || def.BearerID != a.BearerID {
 		t.Fatalf("classification wrong: voice=%+v def=%+v", voice, def)
 	}

@@ -21,8 +21,8 @@ func TestIPAllocatorUnique(t *testing.T) {
 		}
 		seen[ip] = true
 	}
-	if a.InUse() != 1000 {
-		t.Fatalf("InUse = %d", a.InUse())
+	if len(a.inUse) != 1000 {
+		t.Fatalf("in use = %d", len(a.inUse))
 	}
 }
 
@@ -33,15 +33,15 @@ func TestIPAllocatorReuseAfterRelease(t *testing.T) {
 	// Releasing an already-freed or unknown address is harmless.
 	a.Release(ip1)
 	a.Release("1.2.3.4")
-	if a.InUse() != 0 {
-		t.Fatalf("InUse = %d, want 0", a.InUse())
+	if len(a.inUse) != 0 {
+		t.Fatalf("in use = %d, want 0", len(a.inUse))
 	}
 	ip2, _ := a.Allocate()
 	if ip1 != ip2 {
 		t.Fatalf("freed IP not reused: %s then %s", ip1, ip2)
 	}
-	if a.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", a.InUse())
+	if len(a.inUse) != 1 {
+		t.Fatalf("in use = %d, want 1", len(a.inUse))
 	}
 }
 

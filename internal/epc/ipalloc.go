@@ -65,10 +65,3 @@ func (a *IPAllocator) Release(ip string) {
 		a.freed = append(a.freed, n)
 	}
 }
-
-// InUse reports the number of live allocations.
-func (a *IPAllocator) InUse() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.inUse)
-}

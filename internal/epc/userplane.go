@@ -196,9 +196,9 @@ func (up *UserPlane) Lookup(ip string) *Bearer {
 	return nil
 }
 
-// Classify routes a packet of the given QoS class to its bearer: the
+// classify routes a packet of the given QoS class to its bearer: the
 // dedicated bearer for that QCI when one exists, else the default.
-func (up *UserPlane) Classify(ip string, q qos.QCI) *Bearer {
+func (up *UserPlane) classify(ip string, q qos.QCI) *Bearer {
 	up.mu.Lock()
 	defer up.mu.Unlock()
 	set, ok := up.byIP[ip]

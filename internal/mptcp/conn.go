@@ -48,8 +48,8 @@ func DefaultConfig() Config {
 	return Config{Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second}
 }
 
-// QUICConfig is connection-ID migration as deployed: no wait period.
-func QUICConfig() Config {
+// quicConfig is connection-ID migration as deployed: no wait period.
+func quicConfig() Config {
 	return Config{Multipath: true, Protocol: ProtoQUIC, Timeout: 60 * time.Second}
 }
 
@@ -199,14 +199,6 @@ func (c *Conn) SRTT() time.Duration {
 		return 0
 	}
 	return c.sender.srtt
-}
-
-// Cwnd exposes the active subflow's congestion window in bytes.
-func (c *Conn) Cwnd() float64 {
-	if c.sender == nil {
-		return 0
-	}
-	return c.sender.cwnd
 }
 
 // State reports whether the connection is usable.

@@ -24,7 +24,7 @@ func TestDebugOvershoot2(t *testing.T) {
 	last := c.Delivered()
 	for half := 23; half <= 34; half++ {
 		sim.RunUntil(time.Duration(half) * 500 * time.Millisecond)
-		fmt.Printf("t=%.1fs rate=%5.1f cwnd=%7.0f ssthresh=%7.0f\n", float64(half)/2, float64(c.Delivered()-last)*8*2/1e6, c.Cwnd(), c.sender.ssthresh)
+		fmt.Printf("t=%.1fs rate=%5.1f cwnd=%7.0f ssthresh=%7.0f\n", float64(half)/2, float64(c.Delivered()-last)*8*2/1e6, c.sender.cwnd, c.sender.ssthresh)
 		last = c.Delivered()
 	}
 }

@@ -323,7 +323,7 @@ func TestQUICMigratesFasterThanMPTCP(t *testing.T) {
 		return resumed - at
 	}
 	mptcpGap := gap(DefaultConfig())
-	quicGap := gap(QUICConfig())
+	quicGap := gap(quicConfig())
 	if quicGap >= mptcpGap {
 		t.Fatalf("QUIC resumed in %v, MPTCP in %v — QUIC should be faster", quicGap, mptcpGap)
 	}
@@ -339,7 +339,7 @@ func TestQUICMigratesFasterThanMPTCP(t *testing.T) {
 
 func TestQUICSurvivesRepeatedMigrations(t *testing.T) {
 	sim, _ := bulkWorld(22, 10e6, 20*time.Millisecond, 0)
-	c := NewConn(sim, "server", "client", QUICConfig())
+	c := NewConn(sim, "server", "client", quicConfig())
 	c.Write(100 << 20)
 	ip := "client"
 	for i := 0; i < 5; i++ {
@@ -420,7 +420,7 @@ func TestPropertyDeliveryConservation(t *testing.T) {
 		sim.Connect("server", "client", &netem.Link{Delay: 15 * time.Millisecond, BandwidthBps: 8e6, Loss: 0.002})
 		cfg := DefaultConfig()
 		if protoBit {
-			cfg = QUICConfig()
+			cfg = quicConfig()
 		}
 		cfg.Timeout = 10 * time.Second
 		c := NewConn(sim, "server", "client", cfg)

@@ -49,7 +49,7 @@ type SecurityContext struct {
 
 // NewSecurityContext runs the key-derivation half of SMC over the master
 // key (KASME / SAP ss): the two NAS keys, each expanded once. The AS keys
-// are DeriveHierarchy's, for a caller that has a radio leg to key.
+// are deriveHierarchy's, for a caller that has a radio leg to key.
 func NewSecurityContext(master MasterKey) *SecurityContext {
 	kasme := pki.NewMAC(master[:])
 	kenc := kdf(&kasme, kdfNASEnc, nil)

@@ -19,7 +19,7 @@
 // once, and keeps them for the life of the session (DESIGN.md §2.4); it
 // does not keep the keys themselves. K_eNB and the AS keys under it
 // (K_RRCenc, K_RRCint, K_UPenc) belong to the radio leg, which this
-// repository does not model: DeriveHierarchy derives all six, from the same
+// repository does not model: deriveHierarchy derives all six, from the same
 // master key and with the same bytes, for whoever asks.
 package nas
 
@@ -72,11 +72,11 @@ func kdf(parent *pki.MAC, label string, ctx []byte) (k Key) {
 	return k
 }
 
-// DeriveHierarchy derives the full key hierarchy from the master key. The
+// deriveHierarchy derives the full key hierarchy from the master key. The
 // ulCount parameter binds K_eNB to the NAS uplink count at derivation time
 // as the standard does, preventing key-stream reuse across re-attachments
 // with the same master key.
-func DeriveHierarchy(master MasterKey, ulCount uint32) Hierarchy {
+func deriveHierarchy(master MasterKey, ulCount uint32) Hierarchy {
 	var cnt [4]byte
 	binary.BigEndian.PutUint32(cnt[:], ulCount)
 	kasme := pki.NewMAC(master[:])

@@ -18,15 +18,15 @@ func testMaster(b byte) MasterKey {
 }
 
 func TestDeriveHierarchyDeterministic(t *testing.T) {
-	a := DeriveHierarchy(testMaster(1), 0)
-	b := DeriveHierarchy(testMaster(1), 0)
+	a := deriveHierarchy(testMaster(1), 0)
+	b := deriveHierarchy(testMaster(1), 0)
 	if a != b {
 		t.Fatal("same master derived different hierarchies")
 	}
 }
 
 func TestDeriveHierarchyDistinctKeys(t *testing.T) {
-	h := DeriveHierarchy(testMaster(2), 0)
+	h := deriveHierarchy(testMaster(2), 0)
 	keys := [][]byte{h.KNASEnc[:], h.KNASInt[:], h.KENB[:], h.KRRCEnc[:], h.KRRCInt[:], h.KUPEnc[:]}
 	for i := range keys {
 		for j := i + 1; j < len(keys); j++ {
@@ -38,8 +38,8 @@ func TestDeriveHierarchyDistinctKeys(t *testing.T) {
 }
 
 func TestDeriveHierarchyCountBinding(t *testing.T) {
-	a := DeriveHierarchy(testMaster(3), 0)
-	b := DeriveHierarchy(testMaster(3), 1)
+	a := deriveHierarchy(testMaster(3), 0)
+	b := deriveHierarchy(testMaster(3), 1)
 	if a.KENB == b.KENB {
 		t.Fatal("K_eNB not bound to NAS count")
 	}
@@ -57,7 +57,7 @@ func TestKnownAnswers(t *testing.T) {
 	for i := range master {
 		master[i] = byte(i*7 + 3)
 	}
-	h := DeriveHierarchy(master, 5)
+	h := deriveHierarchy(master, 5)
 	for _, k := range []struct {
 		name string
 		got  Key
@@ -69,7 +69,7 @@ func TestKnownAnswers(t *testing.T) {
 		{"K_RRCenc", h.KRRCEnc, "e27ae8cf734ba0d9abb99d5d4dcddcd9"},
 		{"K_RRCint", h.KRRCInt, "c7e2d0bb55bdb246dc48041896e17960"},
 		{"K_UPenc", h.KUPEnc, "b55cc7a94a26f5e28d0cd852af51f864"},
-		{"K_eNB at count 0", DeriveHierarchy(master, 0).KENB, "ab6df518995ed793ba32aabf0cd266a4"},
+		{"K_eNB at count 0", deriveHierarchy(master, 0).KENB, "ab6df518995ed793ba32aabf0cd266a4"},
 	} {
 		if got := hex.EncodeToString(k.got[:]); got != k.want {
 			t.Errorf("%s = %s, want %s", k.name, got, k.want)

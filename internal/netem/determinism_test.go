@@ -164,7 +164,7 @@ func TestCancelAfterFireSafe(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired %d times", fired)
 	}
-	if !ev.Cancelled() {
+	if !ev.cancelled {
 		t.Fatal("Cancel not recorded")
 	}
 }

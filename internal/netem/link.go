@@ -36,12 +36,12 @@ type RateFunc func(t time.Duration) float64
 //
 // Queue-bound precedence: a nonzero MaxQueueTime (sojourn bound) always
 // wins over MaxQueueBytes; the byte bound applies only when MaxQueueTime
-// is zero. NewShaper configures the byte bound (with a 256 KB default),
-// NewShaperSojourn the time bound — a struct literal can set either
-// directly, but note that a literal with both fields zero is a burst-only
-// policer: no queueing beyond the bucket credit (no default is applied
-// outside the constructors). Set the fields before the first packet: the
-// terms admit derives from them are worked out once per rate.
+// is zero. NewShaper configures the byte bound (with a 256 KB default);
+// a struct literal sets either directly, as the worlds that bound a queue
+// by time do, but note that a literal with both fields zero is a
+// burst-only policer: no queueing beyond the bucket credit (no default is
+// applied outside the constructors). Set the fields before the first
+// packet: the terms admit derives from them are worked out once per rate.
 type Shaper struct {
 	Rate        RateFunc
 	BucketBytes float64 // burst allowance
@@ -67,8 +67,8 @@ type Shaper struct {
 
 // NewShaper builds a byte-bounded shaper with the given rate schedule.
 // burst and queue are in bytes; sensible defaults (32 KB burst, 256 KB
-// queue) are applied when zero. For a sojourn-time queue bound use
-// NewShaperSojourn.
+// queue) are applied when zero. For a sojourn-time queue bound set
+// MaxQueueTime in a struct literal.
 func NewShaper(rate RateFunc, burstBytes, queueBytes int) *Shaper {
 	if burstBytes <= 0 {
 		burstBytes = 32 * 1024
@@ -83,12 +83,12 @@ func NewShaper(rate RateFunc, burstBytes, queueBytes int) *Shaper {
 	}
 }
 
-// NewShaperSojourn builds a shaper whose queue is bounded by sojourn time
+// newShaperSojourn builds a shaper whose queue is bounded by sojourn time
 // (the AQM-style bound): a packet that would wait longer than maxQueue is
 // dropped. The same 32 KB burst default applies; maxQueue <= 0 selects
 // 100 ms. The sojourn bound takes precedence, so MaxQueueBytes is left
 // zero here and ignored by admit.
-func NewShaperSojourn(rate RateFunc, burstBytes int, maxQueue time.Duration) *Shaper {
+func newShaperSojourn(rate RateFunc, burstBytes int, maxQueue time.Duration) *Shaper {
 	if burstBytes <= 0 {
 		burstBytes = 32 * 1024
 	}

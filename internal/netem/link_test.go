@@ -121,7 +121,7 @@ func TestStatsDroppedQueueShaperOverload(t *testing.T) {
 // The queue-bound precedence contract (see the Shaper doc): a nonzero
 // MaxQueueTime always wins; MaxQueueBytes applies only when the sojourn
 // bound is zero. A sojourn-only Shaper used to be misconfigured through
-// NewShaper (which force-defaults the byte bound); NewShaperSojourn and
+// NewShaper (which force-defaults the byte bound); newShaperSojourn and
 // these tests pin the fixed behaviour.
 
 // flat returns a constant-rate schedule.
@@ -188,7 +188,7 @@ func TestShaperLiteralBothZeroBurstOnly(t *testing.T) {
 }
 
 func TestNewShaperSojournDefaults(t *testing.T) {
-	sh := NewShaperSojourn(flat(8e5), 0, 0)
+	sh := newShaperSojourn(flat(8e5), 0, 0)
 	if sh.BucketBytes != 32*1024 {
 		t.Fatalf("BucketBytes = %v, want 32 KB default", sh.BucketBytes)
 	}
@@ -204,7 +204,7 @@ func TestShaperSojournOnLink(t *testing.T) {
 	s := NewSim(1)
 	// Sojourn-bounded shaper on the A->B direction: a burst overruns the
 	// 5 ms bound and the tail lands in DroppedQueue.
-	l := &Link{ShaperAB: NewShaperSojourn(flat(80e3), 1024, 5*time.Millisecond)}
+	l := &Link{ShaperAB: newShaperSojourn(flat(80e3), 1024, 5*time.Millisecond)}
 	s.Connect("a", "b", l)
 	got := 0
 	s.Register("b", func(*Packet) { got++ })

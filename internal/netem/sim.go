@@ -50,9 +50,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
-
 // handlerRef is the mutable binding from an endpoint identifier to its
 // receive handler. Delivery events capture the ref at send time, so the
 // per-packet lookup happens once on Send instead of once more on
@@ -375,7 +372,3 @@ func (s *Sim) discard(e *Event) {
 	}
 	s.release(e)
 }
-
-// Pending reports the number of scheduled events, including cancelled
-// one-shots and the resident event of a stopped Timer.
-func (s *Sim) Pending() int { return s.sched.len() }

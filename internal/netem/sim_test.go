@@ -45,8 +45,8 @@ func TestSimCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if !e.cancelled {
+		t.Fatal("cancelled = false after Cancel")
 	}
 }
 

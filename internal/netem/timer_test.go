@@ -26,7 +26,7 @@ func TestTimer(t *testing.T) {
 				tm.Reset(10 * ms)
 				s.After(5*ms, func() {
 					tm.Reset(20 * ms)
-					logf(fmt.Sprintf("pending=%d", s.Pending()))
+					logf(fmt.Sprintf("pending=%d", s.sched.len()))
 				})
 				s.Run()
 			},
@@ -73,9 +73,9 @@ func TestTimer(t *testing.T) {
 			script: func(s *Sim, tm *Timer, logf func(string)) {
 				tm.Reset(10 * ms)
 				tm.Stop()
-				logf(fmt.Sprintf("armed=%v pending=%d", tm.Armed(), s.Pending()))
+				logf(fmt.Sprintf("armed=%v pending=%d", tm.Armed(), s.sched.len()))
 				s.Run()
-				logf(fmt.Sprintf("pending=%d", s.Pending()))
+				logf(fmt.Sprintf("pending=%d", s.sched.len()))
 			},
 			want: []string{"armed=false pending=1@0s", "pending=0@0s"},
 		},

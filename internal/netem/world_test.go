@@ -206,7 +206,7 @@ func runShardNet(t testing.TB, ops []wop, K int, horizon time.Duration) (map[str
 		for n := len(st.armed); n > 0; n = len(st.armed) {
 			ev := st.armed[n-1]
 			st.armed = st.armed[:n-1]
-			if !ev.Cancelled() {
+			if !ev.cancelled {
 				ev.Cancel()
 				st.log = append(st.log, fmt.Sprintf("cancel @%v", st.sim.Now()))
 				return

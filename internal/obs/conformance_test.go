@@ -87,8 +87,8 @@ func TestLoggerConcurrentWriters(t *testing.T) {
 		defer mu.Unlock()
 		return sb.Write(p)
 	})
-	SetLogOutput(safe)
-	defer SetLogOutput(nil)
+	setLogOutput(safe)
+	defer setLogOutput(nil)
 	SetLogLevel(LevelDebug)
 	defer SetLogLevel(LevelInfo)
 

@@ -93,16 +93,6 @@ func (fr *FlightRecorder) Len() int {
 	return n
 }
 
-// Dropped reports how many events have been evicted from full rings.
-func (fr *FlightRecorder) Dropped() uint64 {
-	if fr == nil {
-		return 0
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.dropped
-}
-
 // WriteDump writes the recorder contents as JSONL (same shape as a trace
 // file, so the same tooling reads both). Nil-safe.
 func (fr *FlightRecorder) WriteDump(w io.Writer) error {

@@ -18,8 +18,8 @@ func TestFlightRecorderBoundedPerCategory(t *testing.T) {
 	if fr.Len() != 4 {
 		t.Fatalf("len = %d, want 4 (3 wire + 1 broker)", fr.Len())
 	}
-	if fr.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", fr.Dropped())
+	if fr.dropped != 7 {
+		t.Fatalf("dropped = %d, want 7", fr.dropped)
 	}
 	ev := fr.Events()
 	// Oldest surviving wire events first (e7, e8, e9), then broker.
@@ -57,7 +57,7 @@ func TestFlightRecorderDumpDeterministic(t *testing.T) {
 func TestFlightRecorderNilSafety(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(TraceEvent{Cat: "x"})
-	if fr.Len() != 0 || fr.Dropped() != 0 || fr.Events() != nil {
+	if fr.Len() != 0 || fr.Events() != nil {
 		t.Fatalf("nil recorder must be inert")
 	}
 	if err := fr.WriteDump(&bytes.Buffer{}); err != nil {
@@ -89,7 +89,7 @@ func TestTracerFeedsFlightWithRetainOff(t *testing.T) {
 	if ev[0].Start != 12*time.Millisecond || ev[len(ev)-1].Start != 19*time.Millisecond {
 		t.Fatalf("flight should hold the most recent events: %+v", ev)
 	}
-	if tr.Flight() != fr {
+	if tr.flight.Load() != fr {
 		t.Fatalf("Flight() accessor mismatch")
 	}
 }

@@ -59,9 +59,9 @@ func Verbose(v bool) {
 	}
 }
 
-// SetLogOutput redirects log output (tests, or a daemon's log file).
+// setLogOutput redirects log output (the package's tests capture it).
 // Passing nil restores stderr.
-func SetLogOutput(w io.Writer) {
+func setLogOutput(w io.Writer) {
 	logMu.Lock()
 	defer logMu.Unlock()
 	if w == nil {

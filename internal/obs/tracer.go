@@ -108,14 +108,6 @@ func (t *Tracer) SetFlight(fr *FlightRecorder) {
 	t.flight.Store(fr)
 }
 
-// Flight returns the attached flight recorder, if any.
-func (t *Tracer) Flight() *FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	return t.flight.Load()
-}
-
 // Now returns the tracer's current clock reading (0 for nil).
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
@@ -324,8 +316,8 @@ func WriteJSONLEvents(w io.Writer, events []TraceEvent) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]TraceEvent, error) {
+// readJSONL parses a trace written by WriteJSONL.
+func readJSONL(r io.Reader) ([]TraceEvent, error) {
 	var out []TraceEvent
 	dec := json.NewDecoder(r)
 	for {

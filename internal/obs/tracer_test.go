@@ -48,7 +48,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 
 func TestLogLevels(t *testing.T) {
 	var buf bytes.Buffer
-	SetLogOutput(&buf)
-	defer SetLogOutput(nil)
+	setLogOutput(&buf)
+	defer setLogOutput(nil)
 	defer SetLogLevel(LevelInfo)
 
 	SetLogLevel(LevelInfo)

@@ -111,8 +111,8 @@ func (e *ENB) Release(ranID string) {
 	delete(e.conns, ranID)
 }
 
-// State reports a UE's RRC state.
-func (e *ENB) State(ranID string) RRCState {
+// state reports a UE's RRC state.
+func (e *ENB) state(ranID string) RRCState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.conns[ranID]; ok {
@@ -155,9 +155,9 @@ func (e *ENB) ForwardNAS(ranID string, envelope []byte) ([]byte, error) {
 	return relay(ranID, envelope)
 }
 
-// ExpireIdle releases connections idle longer than the inactivity timer
+// expireIdle releases connections idle longer than the inactivity timer
 // (eNBs drop UEs to RRC idle after ~10-20 s of silence).
-func (e *ENB) ExpireIdle(now, timeout time.Duration) int {
+func (e *ENB) expireIdle(now, timeout time.Duration) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0

@@ -14,7 +14,7 @@ func testENB(relay NASRelay) *ENB {
 
 func TestRRCLifecycle(t *testing.T) {
 	e := testENB(func(_ string, env []byte) ([]byte, error) { return env, nil })
-	if e.State("ue1") != RRCIdle {
+	if e.state("ue1") != RRCIdle {
 		t.Fatal("fresh UE not idle")
 	}
 	d, err := e.Connect("ue1")
@@ -24,14 +24,14 @@ func TestRRCLifecycle(t *testing.T) {
 	if d != 130*time.Millisecond {
 		t.Fatalf("setup delay = %v", d)
 	}
-	if e.State("ue1") != RRCConnected || e.Connected() != 1 {
+	if e.state("ue1") != RRCConnected || e.Connected() != 1 {
 		t.Fatal("UE not connected")
 	}
 	if _, err := e.Connect("ue1"); !errors.Is(err, ErrAlreadyActive) {
 		t.Fatalf("double connect err = %v", err)
 	}
 	e.Release("ue1")
-	if e.State("ue1") != RRCIdle {
+	if e.state("ue1") != RRCIdle {
 		t.Fatal("release did not idle the UE")
 	}
 }
@@ -94,10 +94,10 @@ func TestExpireIdle(t *testing.T) {
 	now = 5 * time.Second
 	e.ForwardNAS("b", []byte("keepalive"))
 	now = 12 * time.Second
-	if n := e.ExpireIdle(now, 10*time.Second); n != 1 {
+	if n := e.expireIdle(now, 10*time.Second); n != 1 {
 		t.Fatalf("expired %d, want 1 (only the silent UE)", n)
 	}
-	if e.State("a") != RRCIdle || e.State("b") != RRCConnected {
+	if e.state("a") != RRCIdle || e.state("b") != RRCConnected {
 		t.Fatal("wrong UE expired")
 	}
 }

@@ -76,10 +76,10 @@ func (r *RAN) StrongestAt(posM float64) *Cell {
 	return best
 }
 
-// Neighbors returns the k nearest cells to c (excluding c) — the
+// neighbors returns the k nearest cells to c (excluding c) — the
 // network-assisted neighbor list that lets UE-driven handover "perform
 // smarter cell selection".
-func (r *RAN) Neighbors(c *Cell, k int) []Cell {
+func (r *RAN) neighbors(c *Cell, k int) []Cell {
 	var others []Cell
 	for _, o := range r.Cells {
 		if o.ID != c.ID {
@@ -117,9 +117,6 @@ func NewMobile(r *RAN, speed float64) *Mobile {
 
 // Serving returns the current cell.
 func (m *Mobile) Serving() *Cell { return m.serving }
-
-// Pos returns the current position.
-func (m *Mobile) Pos() float64 { return m.posM }
 
 // HandoverEvent describes one UE-driven cell switch.
 type HandoverEvent struct {

@@ -43,7 +43,7 @@ func TestStrongestAtMidpoints(t *testing.T) {
 
 func TestNeighbors(t *testing.T) {
 	r := testRAN(10)
-	n := r.Neighbors(&r.Cells[5], 4)
+	n := r.neighbors(&r.Cells[5], 4)
 	if len(n) != 4 {
 		t.Fatalf("got %d neighbors", len(n))
 	}
@@ -128,85 +128,5 @@ func TestLinearDeploymentIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate cell ID %s", c.ID)
 		}
 		seen[c.ID] = true
-	}
-}
-
-func selCands() []Candidate {
-	return []Candidate{
-		{Cell: Cell{ID: "strong-pricey"}, RSSI: -60, PricePerGB: 5.0, Reputation: 0.9},
-		{Cell: Cell{ID: "ok-cheap"}, RSSI: -80, PricePerGB: 1.0, Reputation: 0.9},
-		{Cell: Cell{ID: "ok-shady"}, RSSI: -75, PricePerGB: 0.5, Reputation: 0.2},
-		{Cell: Cell{ID: "too-weak"}, RSSI: -118, PricePerGB: 0.1, Reputation: 1.0},
-	}
-}
-
-func TestSelectSignalOnly(t *testing.T) {
-	got := Select(selCands(), SignalOnly())
-	if len(got) == 0 || got[0].Cell.ID != "strong-pricey" {
-		t.Fatalf("signal-only picked %+v", got)
-	}
-}
-
-func TestSelectValueAware(t *testing.T) {
-	got := Select(selCands(), ValueAware())
-	if len(got) == 0 {
-		t.Fatal("no candidates")
-	}
-	// The shady cell is disqualified by MinReputation and the weak one by
-	// MinRSSI; only the two qualified cells may appear, in either order
-	// depending on how the weights trade signal against price.
-	for _, c := range got {
-		if c.Cell.ID == "ok-shady" || c.Cell.ID == "too-weak" {
-			t.Fatalf("disqualified cell ranked: %s", c.Cell.ID)
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("qualified = %d, want 2", len(got))
-	}
-}
-
-func TestSelectEmptyAndSingle(t *testing.T) {
-	if got := Select(nil, ValueAware()); len(got) != 0 {
-		t.Fatal("selection from nothing")
-	}
-	one := []Candidate{{Cell: Cell{ID: "only"}, RSSI: -70, Reputation: 1}}
-	if got := Select(one, ValueAware()); len(got) != 1 || got[0].Cell.ID != "only" {
-		t.Fatalf("single candidate mishandled: %+v", got)
-	}
-}
-
-func TestSelectDropsQuarantined(t *testing.T) {
-	cands := selCands()
-	cands[0].Quarantined = true // best signal, but broker-quarantined
-	got := Select(cands, SignalOnly())
-	if len(got) == 0 {
-		t.Fatal("no candidates")
-	}
-	for _, c := range got {
-		if c.Cell.ID == "strong-pricey" {
-			t.Fatal("quarantined cell survived selection")
-		}
-	}
-	if got[0].Cell.ID != "ok-shady" {
-		t.Fatalf("expected next-strongest cell first, got %s", got[0].Cell.ID)
-	}
-	// Quarantine disqualifies even when every cell is marked: the UE
-	// must then fall back to its FSM-level override, not Select.
-	for i := range cands {
-		cands[i].Quarantined = true
-	}
-	if got := Select(cands, SignalOnly()); len(got) != 0 {
-		t.Fatalf("all-quarantined set returned %d candidates", len(got))
-	}
-}
-
-func TestSelectPriceBreaksTie(t *testing.T) {
-	cands := []Candidate{
-		{Cell: Cell{ID: "same-a"}, RSSI: -70, PricePerGB: 3.0, Reputation: 0.9},
-		{Cell: Cell{ID: "same-b"}, RSSI: -70, PricePerGB: 1.0, Reputation: 0.9},
-	}
-	got := Select(cands, ValueAware())
-	if got[0].Cell.ID != "same-b" {
-		t.Fatalf("equal-signal tie not broken by price: %s first", got[0].Cell.ID)
 	}
 }

@@ -85,9 +85,9 @@ func runTable1Job(j int, route mobility.Route, night bool, cfg Table1Config, cel
 	}
 }
 
-// RunTable1Cell runs all four applications under both architectures for
+// runTable1Cell runs all four applications under both architectures for
 // one route and time of day.
-func RunTable1Cell(route mobility.Route, night bool, cfg Table1Config) Table1Cell {
+func runTable1Cell(route mobility.Route, night bool, cfg Table1Config) Table1Cell {
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * time.Minute
 	}

@@ -90,7 +90,7 @@ func TestParentOutputPins(t *testing.T) {
 		check(fmt.Sprintf("billed drive seed=%d night=%v cycle=%v", d.seed, d.night, d.cycle), b.String(), d.want)
 	}
 
-	cell := RunTable1Cell(mobility.Downtown, true, Table1Config{Duration: 90 * time.Second, Seed: 5})
+	cell := runTable1Cell(mobility.Downtown, true, Table1Config{Duration: 90 * time.Second, Seed: 5})
 	check("table1 downtown night", Table1Result{Cells: []Table1Cell{cell}}.Render(), "d2fdaf742ca30c618e3f29e3c623b60b8ad651ca154f245e3b007d4604048a9d")
 
 	var tr strings.Builder
@@ -108,7 +108,7 @@ func TestParentOutputPins(t *testing.T) {
 	outage.BrokerDownAt, outage.BrokerDownFor = 20*time.Second, 20*time.Second
 	check("broker outage iperf", fmt.Sprint(RunIperf(outage).Series), "3fab293c64479f8e8cd9b052e8f6b3eec1b1ebd82693e9043ba27be46d60eca9")
 
-	geo, events := NewGeoWorld(Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 43, Duration: 4 * time.Minute}, 64)
+	geo, events := newGeoWorld(Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 43, Duration: 4 * time.Minute}, 64)
 	var gd strings.Builder
 	for _, ev := range events {
 		fmt.Fprintf(&gd, "%v %s>%s %v\n", ev.At, ev.From.TelcoID, ev.To.TelcoID, ev.CrossesTelco)

@@ -10,7 +10,6 @@ import (
 	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
 	"cellbricks/internal/epc"
-	"cellbricks/internal/nas"
 	"cellbricks/internal/obs"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -144,14 +143,8 @@ func (d *RealDeployment) dialNAS(ranID string) (ue.NASTransport, error) {
 		return nil, err
 	}
 	return func(envelope []byte) ([]byte, error) {
-		// Mirror the NAS envelope's trace context into the wire frame
-		// header, so transport-level tooling sees the trace identity
-		// without parsing NAS; the AGW still recovers it from the
-		// envelope itself, keeping untraced frames byte-identical.
-		if _, sc, _, err := nas.SplitEnvelope(envelope); err == nil && sc.Valid() {
-			_, reply, err := client.CallCtx(wire.TypeNAS, sc, epc.EncodeNASCall(ranID, envelope))
-			return reply, err
-		}
+		// The trace context rides the NAS envelope, where the AGW reads it;
+		// the wire frame carrying the envelope is untraced.
 		_, reply, err := client.Call(wire.TypeNAS, epc.EncodeNASCall(ranID, envelope))
 		return reply, err
 	}, nil

@@ -537,7 +537,7 @@ func TestBrokerOutageResilience(t *testing.T) {
 
 func TestGeoWorldMatchesCalibratedMTTHO(t *testing.T) {
 	sc := Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 43, Duration: 8 * time.Minute}
-	w, events := NewGeoWorld(sc, 64)
+	w, events := newGeoWorld(sc, 64)
 	if len(events) < 10 {
 		t.Fatalf("only %d geometric handovers", len(events))
 	}
@@ -568,7 +568,7 @@ func TestGeoWorldMatchesCalibratedMTTHO(t *testing.T) {
 	noWait.MPTCPWait = time.Nanosecond
 	var avg [2]float64
 	for i, s := range []Scenario{quic, noWait} {
-		gw, _ := NewGeoWorld(s, 64)
+		gw, _ := newGeoWorld(s, 64)
 		avg[i] = apps.NewIperf(gw.Sim, gw.Conn, time.Second).Run(s.Duration).AvgBps
 	}
 	if avg[0] != avg[1] {

@@ -201,13 +201,13 @@ func RunWeb(sc Scenario) apps.WebResult {
 	return apps.NewWeb(w.Sim, w.Conn).Run(w.Scenario.Duration)
 }
 
-// NewGeoWorld builds a World whose handover instants come from the radio
+// newGeoWorld builds a World whose handover instants come from the radio
 // geometry instead of the statistical schedule: a ran.Mobile drives past
 // a linear deployment of single-tower bTelcos at the route's speed, and
 // each hysteresis-filtered strongest-cell change becomes a detach + SAP
 // re-attach. This ties the UE-driven, network-assisted cell selection of
 // §4.2 into the data-plane emulation.
-func NewGeoWorld(sc Scenario, towers int) (*World, []ran.HandoverEvent) {
+func newGeoWorld(sc Scenario, towers int) (*World, []ran.HandoverEvent) {
 	sc = sc.Defaults()
 	if towers <= 0 {
 		towers = 64

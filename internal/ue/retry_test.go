@@ -88,8 +88,8 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	if w.Observe(20*time.Second, 100) {
 		t.Fatal("disarmed watchdog observed a trip")
 	}
-	if w.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", w.Trips())
+	if w.trips != 1 {
+		t.Fatalf("trips = %d, want 1", w.trips)
 	}
 	// Re-armed after a re-attach: progress resets the window.
 	w.Arm(20*time.Second, 100)
@@ -288,6 +288,7 @@ func newRetryWorld(t *testing.T) *retryWorld {
 	bk := testKey(t, 61)
 	cfg := broker.DefaultConfig("broker.retry", bk, ca.Public())
 	cfg.Now = func() time.Time { return now }
+	cfg.MaxPricePerGB = 2 * retryPrice // a test denies an attach with overpriced
 	w := &retryWorld{brk: broker.New(cfg)}
 
 	uk := testKey(t, 62)
@@ -300,11 +301,22 @@ func newRetryWorld(t *testing.T) *retryWorld {
 		cert := ca.Issue(id, "btelco", tk.Public(), now.Add(-time.Hour), now.Add(time.Hour))
 		w.telcos[i] = &sap.TelcoState{
 			IDT: id, Key: tk, Cert: cert,
-			Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 1.0},
+			Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: retryPrice},
 		}
 		w.agws[i] = epc.NewAGW(epc.AGWConfig{Telco: w.telcos[i], Brokers: retryDirectory{w}})
 	}
 	return w
+}
+
+// retryPrice is what every bTelco of a retry world advertises per GB.
+const retryPrice = 1.0
+
+// overpriced raises bTelco i's advertised price above the broker's
+// MaxPricePerGB, so the broker's price gate denies the attaches through it,
+// until the returned func restores retryPrice.
+func (w *retryWorld) overpriced(i int) (restore func()) {
+	w.telcos[i].Terms.PricePerGB = 4 * retryPrice
+	return func() { w.telcos[i].Terms.PricePerGB = retryPrice }
 }
 
 // tx is bTelco i's NAS transport for one radio identity.
@@ -571,9 +583,11 @@ func TestAttachShelfHandsBackOnlyAShedTicket(t *testing.T) {
 			}},
 		{name: "denial", next: signedNext,
 			attempt: func(w *retryWorld, d *Device, tx NASTransport) error {
-				w.brk.SetPolicy(qos.DefaultParams(), broker.PriceCap(0.5))
-				defer w.brk.SetPolicy(qos.DefaultParams())
+				defer w.overpriced(0)()
 				_, err := d.AttachSAP(tx, w.telcos[0].IDT)
+				if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+					t.Fatalf("the attempt at an overpriced bTelco: %v, want the price gate's denial", err)
+				}
 				return err
 			}},
 		{name: "transport error once sent", next: signedNext,
@@ -692,9 +706,9 @@ func TestDeviceNeverRepeatsAPrefixExceptShedRetransmit(t *testing.T) {
 	attach(0, true) // ticketed, lost with its ticket
 	w.down[0] = false
 	attach(0, false) // signed
-	w.brk.SetPolicy(qos.DefaultParams(), broker.PriceCap(0.5))
+	restore := w.overpriced(0)
 	attach(0, true) // ticketed, denied with its ticket
-	w.brk.SetPolicy(qos.DefaultParams())
+	restore()
 	attach(0, false) // signed
 	attach(0, false) // ticketed
 

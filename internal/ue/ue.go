@@ -107,27 +107,15 @@ func (d *Device) Attached() *Attachment {
 	return d.attach
 }
 
-// Context returns the NAS security context (nil before attach).
-func (d *Device) Context() *nas.SecurityContext {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ctx
-}
-
-// plainEnvelope wraps an unprotected NAS message: flag(0) || encoding,
-// built in a single allocation.
-func plainEnvelope(m nas.Message) []byte {
-	return nas.AppendEncode(make([]byte, 1, 96), m)
-}
-
-// plainEnvelopeCtx is plainEnvelope with a span context in the header; a
-// zero context produces the legacy single-flag-byte envelope.
-func plainEnvelopeCtx(m nas.Message, sc obs.SpanContext) []byte {
-	if !sc.Valid() {
-		return plainEnvelope(m)
+// plainEnvelope wraps an unprotected NAS message, built in a single
+// allocation: flag(0) || encoding, with the span context between them when
+// sc is valid (a zero context is the legacy single-flag-byte envelope).
+func plainEnvelope(m nas.Message, sc obs.SpanContext) []byte {
+	n := 96
+	if sc.Valid() {
+		n += 1 + obs.SpanContextLen
 	}
-	hdr := nas.AppendEnvelopeHeader(make([]byte, 0, 1+obs.SpanContextLen+96), false, sc)
-	return nas.AppendEncode(hdr, m)
+	return nas.AppendEncode(nas.AppendEnvelopeHeader(make([]byte, 0, n), false, sc), m)
 }
 
 func (d *Device) protectedEnvelope(m nas.Message) ([]byte, error) {
@@ -171,7 +159,7 @@ func (d *Device) AttachLegacy(tx NASTransport) (*Attachment, error) {
 	if d.Legacy == nil {
 		return nil, errors.New("ue: no legacy SIM")
 	}
-	reply, err := tx(plainEnvelope(&nas.AttachRequestLegacy{IMSI: d.Legacy.IMSI, Capabilities: 7}))
+	reply, err := tx(plainEnvelope(&nas.AttachRequestLegacy{IMSI: d.Legacy.IMSI, Capabilities: 7}, obs.SpanContext{}))
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +175,7 @@ func (d *Device) AttachLegacy(tx NASTransport) (*Attachment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ue: network authentication: %w", err)
 	}
-	reply, err = tx(plainEnvelope(&nas.AuthenticationResponse{RES: res}))
+	reply, err = tx(plainEnvelope(&nas.AuthenticationResponse{RES: res}, obs.SpanContext{}))
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +238,7 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (_ *Attachment, err erro
 				map[string]string{"telco": idT})
 		}
 	}()
-	reply, err := tx(plainEnvelopeCtx(&nas.AttachRequestSAP{BrokerID: d.CB.IDB, AuthReqU: pending.Req.Marshal()}, sc))
+	reply, err := tx(plainEnvelope(&nas.AttachRequestSAP{BrokerID: d.CB.IDB, AuthReqU: pending.Req.Marshal()}, sc))
 	if err != nil {
 		return nil, err
 	}
@@ -481,23 +469,23 @@ func (m *BasebandMeter) CountDLLoss(packets int) {
 	m.dlLost += uint64(packets)
 }
 
-// AddCallSeconds records voice-call airtime (the "duration for phone
+// addCallSeconds records voice-call airtime (the "duration for phone
 // call" field of the paper's traffic report).
-func (m *BasebandMeter) AddCallSeconds(s float64) {
+func (m *BasebandMeter) addCallSeconds(s float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.callSecs += s
 }
 
-// CountSMS records sent/received SMS events.
-func (m *BasebandMeter) CountSMS(n int) {
+// countSMS records sent/received SMS events.
+func (m *BasebandMeter) countSMS(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.smsCount += uint32(n)
 }
 
-// ObserveDelay records a delay sample in milliseconds.
-func (m *BasebandMeter) ObserveDelay(ms float64) {
+// observeDelay records a delay sample in milliseconds.
+func (m *BasebandMeter) observeDelay(ms float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.delaySumMs += ms

@@ -106,8 +106,8 @@ func TestBasebandMeterCountersAndReport(t *testing.T) {
 	m.CountDL(2000)
 	m.CountUL(300)
 	m.CountDLLoss(2)
-	m.ObserveDelay(40)
-	m.ObserveDelay(60)
+	m.observeDelay(40)
+	m.observeDelay(60)
 
 	ul, dl := m.Snapshot()
 	if ul != 300 || dl != 3000 {
@@ -229,9 +229,9 @@ func TestMeterCallAndSMSAccounting(t *testing.T) {
 	m := NewBasebandMeter(key)
 	m.StartSession()
 	m.BindSession("s", testSealer(t, brokerKey))
-	m.AddCallSeconds(30.5)
-	m.AddCallSeconds(12)
-	m.CountSMS(3)
+	m.addCallSeconds(30.5)
+	m.addCallSeconds(12)
+	m.countSMS(3)
 	env, err := m.Report(time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,10 @@ func (c *scriptedCore) handle(envelope []byte) ([]byte, error) {
 	switch m := msg.(type) {
 	case *nas.AttachRequestLegacy:
 		c.sqn++
-		v := aka.GenerateVectorWithRAND(c.k, c.sqn, [16]byte{9})
+		v, err := aka.GenerateVector(c.k, c.sqn)
+		if err != nil {
+			return nil, err
+		}
 		c.xres = v.XRES
 		c.ctx = nas.NewSecurityContext(v.KASME)
 		c.state = 1
@@ -324,13 +327,13 @@ func TestAttachLegacyFullFlow(t *testing.T) {
 	if a.IP != "10.9.9.9" || a.SessionID != 7 {
 		t.Fatalf("attachment = %+v", a)
 	}
-	if d.Context() == nil {
+	if d.ctx == nil {
 		t.Fatal("no security context after legacy attach")
 	}
 	if err := d.Detach(core.handle); err != nil {
 		t.Fatal(err)
 	}
-	if d.Attached() != nil || d.Context() != nil {
+	if d.Attached() != nil || d.ctx != nil {
 		t.Fatal("state survived detach")
 	}
 }
@@ -342,7 +345,10 @@ func TestAttachLegacyRejectMidway(t *testing.T) {
 	tx := func(envelope []byte) ([]byte, error) {
 		step++
 		if step == 1 {
-			v := aka.GenerateVectorWithRAND(k, 1, [16]byte{1})
+			v, err := aka.GenerateVector(k, 1)
+			if err != nil {
+				return nil, err
+			}
 			return append([]byte{0}, nas.Encode(&nas.AuthenticationRequest{RAND: v.RAND, AUTN: v.AUTN})...), nil
 		}
 		return append([]byte{0}, nas.Encode(&nas.AttachReject{Cause: "subscription expired"})...), nil

@@ -70,6 +70,3 @@ func (w *Watchdog) Observe(now time.Duration, delivered uint64) bool {
 	w.trips++
 	return true
 }
-
-// Trips counts how many times this watchdog has tripped.
-func (w *Watchdog) Trips() int { return w.trips }

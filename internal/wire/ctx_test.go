@@ -10,10 +10,10 @@ import (
 func TestFrameCtxRoundTrip(t *testing.T) {
 	sc := obs.SpanContext{Trace: 0xabc, Span: 0xdef, Parent: 0x123}
 	var buf bytes.Buffer
-	if err := WriteFrameCtx(&buf, TypeNAS, sc, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, TypeNAS, sc, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, got, payload, err := ReadFrameCtx(&buf)
+	msgType, got, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,34 +28,29 @@ func TestFrameCtxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUntracedFrameBytesUnchanged: WriteFrameCtx with a zero context must
-// produce byte-identical frames to the pre-tracing WriteFrame.
+// TestUntracedFrameBytesUnchanged: WriteFrame with a zero context writes
+// the pre-tracing frame, byte for byte: a 4-byte big-endian length, the
+// type byte with no traced bit, the payload.
 func TestUntracedFrameBytesUnchanged(t *testing.T) {
-	var plain, viaCtx bytes.Buffer
-	if err := WriteFrame(&plain, TypeSAPAuthRequest, []byte("x")); err != nil {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, TypeSAPAuthRequest, obs.SpanContext{}, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrameCtx(&viaCtx, TypeSAPAuthRequest, obs.SpanContext{}, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), viaCtx.Bytes()) {
-		t.Fatalf("zero-ctx frame differs from plain frame:\n%x\n%x", plain.Bytes(), viaCtx.Bytes())
-	}
-	// 4 length + 1 type + 1 payload.
-	if plain.Len() != 6 {
-		t.Fatalf("plain frame length = %d, want 6", plain.Len())
+	if want := []byte{0, 0, 0, 2, 0x01, 'x'}; !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("zero-ctx frame = %x, want the pre-tracing %x", buf.Bytes(), want)
 	}
 }
 
-// TestReadFrameDiscardsCtx: a legacy ReadFrame caller receiving a traced
-// frame sees the unmasked type and the bare payload.
+// TestReadFrameDiscardsCtx: a ReadFrame caller that discards the span
+// context of a traced frame (as a client reading its reply does) still sees
+// the unmasked type and the bare payload.
 func TestReadFrameDiscardsCtx(t *testing.T) {
 	var buf bytes.Buffer
 	sc := obs.SpanContext{Trace: 1, Span: 2, Parent: 3}
-	if err := WriteFrameCtx(&buf, TypeNAS, sc, []byte("body")); err != nil {
+	if err := WriteFrame(&buf, TypeNAS, sc, []byte("body")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, payload, err := ReadFrame(&buf)
+	msgType, _, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,11 +179,11 @@ func TestPoolNeverResendsAfterReplyByte(t *testing.T) {
 			go func() {
 				defer conn.Close()
 				for {
-					if _, _, err := ReadFrame(conn); err != nil {
+					if _, _, _, err := ReadFrame(conn); err != nil {
 						return
 					}
 					if requests.Add(1) == 1 {
-						WriteFrame(conn, TypeNASReply, []byte("ok"))
+						WriteFrame(conn, TypeNASReply, obs.SpanContext{}, []byte("ok"))
 						continue
 					}
 					conn.Write([]byte{0, 0}) // half a length prefix, then hang up

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cellbricks/internal/chaos"
+	"cellbricks/internal/obs"
 )
 
 // --- framing edge cases ---
@@ -19,7 +20,7 @@ import (
 func TestReadFrameZeroLength(t *testing.T) {
 	// A zero length prefix is never legal (the type byte alone costs 1):
 	// it must fail loudly, not loop or return an empty frame.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("zero-length frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -27,31 +28,31 @@ func TestReadFrameZeroLength(t *testing.T) {
 func TestReadFrameOversizedPrefix(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncatedHeader(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
 		t.Fatal("truncated header: expected error")
 	}
 }
 
 func TestReadFrameTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeNAS, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, TypeNAS, obs.SpanContext{}, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-3]
-	if _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Fatal("truncated payload: expected error")
 	}
 }
 
 func TestWriteFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeNAS, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(&buf, TypeNAS, obs.SpanContext{}, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 	if buf.Len() != 0 {
@@ -84,7 +85,7 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "handler panic") {
 		t.Fatalf("err = %v, want handler panic error", err)
 	}
-	if got := s.HandlerPanics(); got != 1 {
+	if got := s.handlerPanics(); got != 1 {
 		t.Fatalf("HandlerPanics = %d, want 1", got)
 	}
 	// ...and the server closes that one connection but survives: the call

@@ -132,15 +132,10 @@ const readBuf = 4096
 // Write instead of two (one syscall per frame on a real socket).
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// WriteFrame writes one frame.
-func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
-	return WriteFrameCtx(w, msgType, obs.SpanContext{}, payload)
-}
-
-// WriteFrameCtx writes one frame carrying a span context. An invalid
-// (zero) context writes the plain pre-tracing frame, so untraced traffic
-// is byte-identical with or without this path.
-func WriteFrameCtx(w io.Writer, msgType byte, sc obs.SpanContext, payload []byte) error {
+// WriteFrame writes one frame carrying a span context. An invalid (zero)
+// context writes the plain pre-tracing frame, so untraced traffic is
+// byte-identical with tracing on or off.
+func WriteFrame(w io.Writer, msgType byte, sc obs.SpanContext, payload []byte) error {
 	traced := sc.Valid() && msgType&FrameTraced == 0
 	hdr := 1
 	if traced {
@@ -170,15 +165,9 @@ func WriteFrameCtx(w io.Writer, msgType byte, sc obs.SpanContext, payload []byte
 	return nil
 }
 
-// ReadFrame reads one frame, discarding any span context it carries.
-func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
-	msgType, _, payload, err = ReadFrameCtx(r)
-	return msgType, payload, err
-}
-
-// ReadFrameCtx reads one frame, returning the span context it carries
-// (zero for untraced frames) alongside the unmasked type byte.
-func ReadFrameCtx(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte, err error) {
+// ReadFrame reads one frame, returning the span context it carries (zero
+// for untraced frames) alongside the unmasked type byte.
+func ReadFrame(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, obs.SpanContext{}, nil, err
@@ -200,7 +189,7 @@ func ReadFrameCtx(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte
 			return 0, obs.SpanContext{}, nil, err
 		}
 		if !sc.Valid() {
-			// WriteFrameCtx marks a frame traced only for a valid context.
+			// WriteFrame marks a frame traced only for a valid context.
 			return 0, obs.SpanContext{}, nil, errNoTrace
 		}
 		msgType &^= FrameTraced
@@ -288,8 +277,8 @@ func serve(ln net.Listener, h CtxHandler, o ServerOptions) *Server {
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// HandlerPanics reports how many handler panics the server has recovered.
-func (s *Server) HandlerPanics() uint64 {
+// handlerPanics reports how many handler panics the server has recovered.
+func (s *Server) handlerPanics() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.panics
@@ -372,7 +361,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		msgType, sc, payload, err := ReadFrameCtx(br)
+		msgType, sc, payload, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -385,7 +374,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				replyType, reply = TypeError, []byte(err.Error())
 			}
 		}
-		if err := WriteFrame(conn, replyType, reply); err != nil {
+		if err := WriteFrame(conn, replyType, obs.SpanContext{}, reply); err != nil {
 			return
 		}
 		if panicked {
@@ -539,10 +528,10 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	if c.opts.CallTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
 	}
-	if err := WriteFrameCtx(c.conn, msgType, sc, payload); err != nil {
+	if err := WriteFrame(c.conn, msgType, sc, payload); err != nil {
 		return c.abandon(err)
 	}
-	replyType, reply, err := ReadFrame(c.br)
+	replyType, _, reply, err := ReadFrame(c.br)
 	if err != nil {
 		return c.abandon(err)
 	}

@@ -113,10 +113,10 @@ func TestMultipleClients(t *testing.T) {
 
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeNAS, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, TypeNAS, obs.SpanContext{}, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	mt, p, err := ReadFrame(&buf)
+	mt, _, p, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,10 @@ func TestFrameCodec(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeReportAck, nil); err != nil {
+	if err := WriteFrame(&buf, TypeReportAck, obs.SpanContext{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	mt, p, err := ReadFrame(&buf)
+	mt, _, p, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +141,22 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeNAS, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(&buf, TypeNAS, obs.SpanContext{}, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 	// A malicious length prefix is rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypeNAS})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("read err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, TypeNAS, []byte("hello"))
+	WriteFrame(&buf, TypeNAS, obs.SpanContext{}, []byte("hello"))
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
