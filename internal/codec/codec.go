@@ -167,13 +167,14 @@ func (r *Reader) Byte() byte {
 }
 
 // Bool reads a single 0/1 byte; any other byte is an error, so a decoded
-// message re-encodes to the bytes it came from.
+// message re-encodes to the bytes it came from. Like every failed read, it
+// consumes nothing.
 func (r *Reader) Bool() bool {
-	v := r.Byte()
-	if v > 1 && r.err == nil {
+	if r.err == nil && len(r.b) > 0 && r.b[0] > 1 {
 		r.err = errBool
+		return false
 	}
-	return v == 1
+	return r.Byte() == 1
 }
 
 // Float64 reads an IEEE-754 big-endian float.

@@ -260,11 +260,11 @@ func (g *AGW) HandleNAS(ranID string, envelope []byte) ([]byte, error) {
 	}
 }
 
-// plain wraps an unprotected NAS reply: flag(0) || encoding, built in a
-// single allocation. (AGW handlers run concurrently, so there is no
+// plain wraps an unprotected NAS reply: flag(0) || encoding, in one buffer
+// of exactly its size. (AGW handlers run concurrently, so there is no
 // shared scratch buffer here — each reply owns its storage.)
 func plain(m nas.Message) []byte {
-	return nas.AppendEncode(make([]byte, 1, 96), m)
+	return nas.AppendEncode(make([]byte, 1, 1+nas.EncodedLen(m)), m)
 }
 
 // reject counts a failed attach and produces the reject envelope.
@@ -293,13 +293,6 @@ func (g *AGW) rejectErr(err error) []byte {
 		return plain(&nas.AttachReject{Cause: err.Error(), RetryAfterMS: uint32(ms)})
 	}
 	return g.reject(err.Error())
-}
-
-func (g *AGW) protectedReply(s *Session, m nas.Message) []byte {
-	ct := s.Ctx.Protect(nas.Downlink, nas.Encode(m))
-	out := make([]byte, 1, 1+len(ct))
-	out[0] = 1
-	return append(out, ct...)
 }
 
 // --- legacy (baseline) attach: AIR -> challenge -> SMC -> ULR -> accept ---
@@ -363,7 +356,7 @@ func (g *AGW) handleSMCComplete(sess *Session) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.protectedReply(sess, accept), nil
+	return sess.Ctx.ProtectEnvelope(nas.Downlink, accept), nil
 }
 
 // --- CellBricks SAP attach: one broker round trip ---
@@ -554,16 +547,16 @@ func (g *AGW) handleSessionRequest(sess *Session, m *nas.SessionRequest) ([]byte
 		// GBR classes, only with broker-granted authority: here the
 		// original grant's capability check stands in for a re-negotiation.
 		if err := want.Validate(g.cfg.Telco.Terms.Cap); err != nil {
-			return g.protectedReply(sess, &nas.AttachReject{Cause: err.Error()}), nil
+			return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.AttachReject{Cause: err.Error()}), nil
 		}
 	} else if _, ok := qos.Lookup(want.QCI); !ok {
-		return g.protectedReply(sess, &nas.AttachReject{Cause: "unknown QCI"}), nil
+		return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.AttachReject{Cause: "unknown QCI"}), nil
 	}
 	b, ok := g.up.CreateDedicatedBearer(sess.IP, want)
 	if !ok {
 		return nil, ErrBadState
 	}
-	return g.protectedReply(sess, &nas.SessionAccept{SessionID: sess.ID, BearerID: b.BearerID, QCI: m.QCI}), nil
+	return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.SessionAccept{SessionID: sess.ID, BearerID: b.BearerID, QCI: m.QCI}), nil
 }
 
 func (g *AGW) handleDetach(sess *Session, m *nas.DetachRequest) ([]byte, error) {
@@ -573,7 +566,7 @@ func (g *AGW) handleDetach(sess *Session, m *nas.DetachRequest) ([]byte, error) 
 	if sess.ID != m.SessionID {
 		return nil, fmt.Errorf("epc: detach for session %d on session %d", m.SessionID, sess.ID)
 	}
-	reply := g.protectedReply(sess, &nas.DetachAccept{SessionID: sess.ID})
+	reply := sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.DetachAccept{SessionID: sess.ID})
 	g.dropSession(sess)
 	return reply, nil
 }

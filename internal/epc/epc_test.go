@@ -1,10 +1,12 @@
 package epc
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"cellbricks/internal/aka"
+	"cellbricks/internal/nas"
 	"cellbricks/internal/qos"
 )
 
@@ -192,5 +194,23 @@ func TestVectorProfileCodecs(t *testing.T) {
 	}
 	if gotP != p {
 		t.Fatalf("profile codec mismatch: %+v", gotP)
+	}
+}
+
+// plain frames a reply in one buffer of exactly its size: the accept that
+// carries a sealed authRespU of ~300 bytes as much as a short reject. A
+// fixed 96-byte buffer regrew under the first.
+func TestPlainOneAllocation(t *testing.T) {
+	for _, m := range []nas.Message{
+		&nas.AttachAccept{SessionID: 1, IP: "10.45.0.2", AuthRespU: bytes.Repeat([]byte{7}, 300)},
+		&nas.AttachReject{Cause: "authorization denied", RetryAfterMS: 5},
+	} {
+		var env []byte
+		if n := testing.AllocsPerRun(100, func() { env = plain(m) }); n != 1 {
+			t.Errorf("%T: %v allocations, want 1", m, n)
+		}
+		if env[0] != 0 || !bytes.Equal(env[1:], nas.Encode(m)) || cap(env) != len(env) {
+			t.Errorf("%T: %d-byte envelope in a buffer of %d, or not flag ‖ encoding", m, len(env), cap(env))
+		}
 	}
 }

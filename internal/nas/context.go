@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,7 +34,9 @@ var (
 // SecurityContext is the per-attachment NAS security state established by
 // the security-mode-control procedure: the NAS keys, expanded once into the
 // forms every message uses, plus independent uplink/downlink counters. One
-// side's Uplink counter is the peer's expected receive counter.
+// side's Uplink counter is the peer's expected receive counter. A context
+// serves one message at a time: crypt's counter and keystream blocks live
+// in it, so a message costs its output buffer and nothing else.
 type SecurityContext struct {
 	enc cipher.Block // AES-128 key schedule of K_NASenc
 	mac pki.MAC      // HMAC pads of K_NASint
@@ -41,10 +44,14 @@ type SecurityContext struct {
 	ulCount uint32 // next count for messages we send uplink
 	dlCount uint32 // next count for messages we send downlink
 
-	// Expected receive counters (anti-replay): the lowest acceptable
-	// count from the peer in each direction.
-	rxUL uint32
-	rxDL uint32
+	// Expected receive counters (anti-replay): the lowest acceptable count
+	// from the peer in each direction. Wider than a count, so that having
+	// accepted 2³²−1 leaves 2³², which no count reaches: the direction is
+	// spent, not wrapped back to 0.
+	rxUL uint64
+	rxDL uint64
+
+	ctr, ks [aes.BlockSize]byte // crypt's counter block and keystream
 }
 
 // NewSecurityContext runs the key-derivation half of SMC over the master
@@ -68,6 +75,24 @@ const hdrLen = 5
 // direction, consuming one counter value. Wire layout:
 // count(4) || dir(1) || ciphertext || mac(4).
 func (c *SecurityContext) Protect(dir Direction, payload []byte) []byte {
+	msg := make([]byte, hdrLen, hdrLen+len(payload)+MACSize)
+	return c.seal(dir, append(msg, payload...))
+}
+
+// ProtectEnvelope is Protect of m's encoding behind the protected
+// envelope's flag byte (no span context): m is encoded and ciphered in
+// place, in one buffer of exactly the envelope's size.
+func (c *SecurityContext) ProtectEnvelope(dir Direction, m Message) []byte {
+	out := make([]byte, 1+hdrLen, 1+hdrLen+EncodedLen(m)+MACSize)
+	out[0] = EnvelopeFlagProtected
+	msg := c.seal(dir, AppendEncode(out, m)[1:])
+	return out[:1+len(msg)]
+}
+
+// seal protects msg in place: hdrLen bytes of room for the header, then
+// the plaintext. It consumes one count of dir and appends the tag, inside
+// msg's capacity when the caller left MACSize bytes of it.
+func (c *SecurityContext) seal(dir Direction, msg []byte) []byte {
 	var count uint32
 	switch dir {
 	case Uplink:
@@ -77,18 +102,16 @@ func (c *SecurityContext) Protect(dir Direction, payload []byte) []byte {
 		count = c.dlCount
 		c.dlCount++
 	}
-	out := make([]byte, hdrLen+len(payload)+MACSize)
-	binary.BigEndian.PutUint32(out, count)
-	out[4] = byte(dir)
-	body := out[:hdrLen+len(payload)] // header and ciphertext: what the MAC covers
-	c.crypt(dir, count, body[hdrLen:], payload)
-	tag := c.mac.Sum("", body, nil)
-	copy(out[len(body):], tag[:MACSize])
-	return out
+	binary.BigEndian.PutUint32(msg, count)
+	msg[4] = byte(dir)
+	c.crypt(dir, count, msg[hdrLen:], msg[hdrLen:])
+	tag := c.mac.Sum("", msg, nil) // header and ciphertext: what the MAC covers
+	return append(msg, tag[:MACSize]...)
 }
 
 // Unprotect verifies and deciphers a protected NAS message, enforcing
-// monotonically increasing counts per direction.
+// strictly increasing counts per direction: a direction that has accepted
+// count 2³²−1 accepts nothing more.
 func (c *SecurityContext) Unprotect(dir Direction, msg []byte) ([]byte, error) {
 	if len(msg) < hdrLen+MACSize {
 		return nil, ErrTooShort
@@ -103,26 +126,35 @@ func (c *SecurityContext) Unprotect(dir Direction, msg []byte) ([]byte, error) {
 	if !hmac.Equal(tag, want[:MACSize]) {
 		return nil, ErrIntegrity
 	}
-	var expected *uint32
+	expected := &c.rxDL
 	if dir == Uplink {
 		expected = &c.rxUL
-	} else {
-		expected = &c.rxDL
 	}
-	if count < *expected {
+	if uint64(count) < *expected {
 		return nil, ErrReplay
 	}
-	*expected = count + 1
+	*expected = uint64(count) + 1
 	out := make([]byte, len(body)-hdrLen)
 	c.crypt(dir, count, out, body[hdrLen:])
 	return out, nil
 }
 
 // crypt applies AES-128-CTR with an IV derived from (count, direction),
-// mirroring the EEA2 construction, from in into out.
+// mirroring the EEA2 construction, from in into out (which may be in): the
+// 128-bit counter block count ‖ dir ‖ 0…, incremented big-endian per block
+// as cipher.NewCTR does, run on the context's key schedule and scratch.
 func (c *SecurityContext) crypt(dir Direction, count uint32, out, in []byte) {
-	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint32(iv[:4], count)
-	iv[4] = byte(dir)
-	cipher.NewCTR(c.enc, iv[:]).XORKeyStream(out, in)
+	c.ctr = [aes.BlockSize]byte{}
+	binary.BigEndian.PutUint32(c.ctr[:4], count)
+	c.ctr[4] = byte(dir)
+	for len(in) > 0 {
+		c.enc.Encrypt(c.ks[:], c.ctr[:])
+		n := subtle.XORBytes(out, in, c.ks[:])
+		out, in = out[n:], in[n:]
+		for i := aes.BlockSize - 1; i >= 0; i-- {
+			if c.ctr[i]++; c.ctr[i] != 0 {
+				break
+			}
+		}
+	}
 }

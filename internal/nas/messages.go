@@ -29,6 +29,7 @@ const (
 // Message is a decodable NAS message.
 type Message interface {
 	Type() byte
+	bodyLen() int // exactly what appendBody appends
 	appendBody([]byte) []byte
 	unmarshalBody([]byte) error
 }
@@ -36,10 +37,15 @@ type Message interface {
 // ErrUnknownMessage is returned by Decode for unrecognized type bytes.
 var ErrUnknownMessage = errors.New("nas: unknown message type")
 
-// Encode serializes a NAS message with its type byte.
+// Encode serializes a NAS message with its type byte, in a buffer of
+// exactly its size.
 func Encode(m Message) []byte {
-	return AppendEncode(nil, m)
+	return AppendEncode(make([]byte, 0, EncodedLen(m)), m)
 }
+
+// EncodedLen is the size of m's encoding, type byte included: what a
+// caller framing m in a buffer of its own sizes that buffer by.
+func EncodedLen(m Message) int { return 1 + m.bodyLen() }
 
 // AppendEncode serializes m (type byte + body) onto dst and returns the
 // extended slice — the allocation-free path for callers that reuse a
@@ -104,7 +110,8 @@ type AttachRequestLegacy struct {
 	Capabilities uint32
 }
 
-func (*AttachRequestLegacy) Type() byte { return MsgAttachRequestLegacy }
+func (*AttachRequestLegacy) Type() byte     { return MsgAttachRequestLegacy }
+func (m *AttachRequestLegacy) bodyLen() int { return 8 + len(m.IMSI) }
 func (m *AttachRequestLegacy) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.String(m.IMSI)
@@ -124,7 +131,8 @@ type AuthenticationRequest struct {
 	AUTN []byte
 }
 
-func (*AuthenticationRequest) Type() byte { return MsgAuthenticationRequest }
+func (*AuthenticationRequest) Type() byte     { return MsgAuthenticationRequest }
+func (m *AuthenticationRequest) bodyLen() int { return 24 + len(m.AUTN) }
 func (m *AuthenticationRequest) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Bytes(m.RAND[:])
@@ -148,7 +156,8 @@ func (m *AuthenticationRequest) unmarshalBody(b []byte) error {
 // AuthenticationResponse carries RES.
 type AuthenticationResponse struct{ RES []byte }
 
-func (*AuthenticationResponse) Type() byte { return MsgAuthenticationResponse }
+func (*AuthenticationResponse) Type() byte     { return MsgAuthenticationResponse }
+func (m *AuthenticationResponse) bodyLen() int { return 4 + len(m.RES) }
 func (m *AuthenticationResponse) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Bytes(m.RES)
@@ -168,7 +177,8 @@ type SecurityModeCommand struct {
 	ReplayedCaps uint32
 }
 
-func (*SecurityModeCommand) Type() byte { return MsgSecurityModeCommand }
+func (*SecurityModeCommand) Type() byte   { return MsgSecurityModeCommand }
+func (*SecurityModeCommand) bodyLen() int { return 6 }
 func (m *SecurityModeCommand) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Byte(m.CipherAlg)
@@ -188,6 +198,7 @@ func (m *SecurityModeCommand) unmarshalBody(b []byte) error {
 type SecurityModeComplete struct{}
 
 func (*SecurityModeComplete) Type() byte                   { return MsgSecurityModeComplete }
+func (*SecurityModeComplete) bodyLen() int                 { return 0 }
 func (*SecurityModeComplete) appendBody(b []byte) []byte   { return b }
 func (*SecurityModeComplete) unmarshalBody(b []byte) error { return codec.NewReader(b).Done() }
 
@@ -202,7 +213,8 @@ type AttachRequestSAP struct {
 	AuthReqU []byte
 }
 
-func (*AttachRequestSAP) Type() byte { return MsgAttachRequestSAP }
+func (*AttachRequestSAP) Type() byte     { return MsgAttachRequestSAP }
+func (m *AttachRequestSAP) bodyLen() int { return 8 + len(m.BrokerID) + len(m.AuthReqU) }
 func (m *AttachRequestSAP) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.String(m.BrokerID)
@@ -229,7 +241,8 @@ type AttachAccept struct {
 	AuthRespU []byte
 }
 
-func (*AttachAccept) Type() byte { return MsgAttachAccept }
+func (*AttachAccept) Type() byte     { return MsgAttachAccept }
+func (m *AttachAccept) bodyLen() int { return 37 + len(m.IP) + len(m.AuthRespU) }
 func (m *AttachAccept) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Uint64(m.SessionID)
@@ -262,7 +275,8 @@ type AttachReject struct {
 	RetryAfterMS uint32
 }
 
-func (*AttachReject) Type() byte { return MsgAttachReject }
+func (*AttachReject) Type() byte     { return MsgAttachReject }
+func (m *AttachReject) bodyLen() int { return 8 + len(m.Cause) }
 func (m *AttachReject) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.String(m.Cause)
@@ -279,7 +293,8 @@ func (m *AttachReject) unmarshalBody(b []byte) error {
 // DetachRequest tears down the attachment (host-driven in CellBricks).
 type DetachRequest struct{ SessionID uint64 }
 
-func (*DetachRequest) Type() byte { return MsgDetachRequest }
+func (*DetachRequest) Type() byte   { return MsgDetachRequest }
+func (*DetachRequest) bodyLen() int { return 8 }
 func (m *DetachRequest) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Uint64(m.SessionID)
@@ -294,7 +309,8 @@ func (m *DetachRequest) unmarshalBody(b []byte) error {
 // DetachAccept acknowledges a detach.
 type DetachAccept struct{ SessionID uint64 }
 
-func (*DetachAccept) Type() byte { return MsgDetachAccept }
+func (*DetachAccept) Type() byte   { return MsgDetachAccept }
+func (*DetachAccept) bodyLen() int { return 8 }
 func (m *DetachAccept) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Uint64(m.SessionID)
@@ -313,7 +329,8 @@ type SessionRequest struct {
 	QCI       byte
 }
 
-func (*SessionRequest) Type() byte { return MsgSessionRequest }
+func (*SessionRequest) Type() byte     { return MsgSessionRequest }
+func (m *SessionRequest) bodyLen() int { return 13 + len(m.APN) }
 func (m *SessionRequest) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Uint64(m.SessionID)
@@ -336,7 +353,8 @@ type SessionAccept struct {
 	QCI       byte
 }
 
-func (*SessionAccept) Type() byte { return MsgSessionAccept }
+func (*SessionAccept) Type() byte   { return MsgSessionAccept }
+func (*SessionAccept) bodyLen() int { return 13 }
 func (m *SessionAccept) appendBody(b []byte) []byte {
 	w := codec.AppendTo(b)
 	w.Uint64(m.SessionID)

@@ -2,9 +2,13 @@ package nas
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -96,8 +100,9 @@ func TestKnownAnswers(t *testing.T) {
 }
 
 // A session pays its key set-up once (DESIGN.md §2.4): the context is the
-// struct and the AES schedule, a message its output buffer and a CTR
-// stream. Before, 56 and 23.
+// struct and the AES schedule, and a message costs its output buffer — the
+// CTR stream runs on the context's schedule and scratch. Before, 56 and 23;
+// with a cipher.NewCTR per message, 8.
 func TestSecurityContextAllocs(t *testing.T) {
 	master := testMaster(13)
 	if n := testing.AllocsPerRun(100, func() { NewSecurityContext(master) }); n > 6 {
@@ -109,9 +114,109 @@ func TestSecurityContextAllocs(t *testing.T) {
 		if _, err := net.Unprotect(Uplink, ue.Protect(Uplink, payload)); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 8 {
-		t.Errorf("Protect + Unprotect of %d bytes: %v allocations, want <= 8", len(payload), n)
+	}); n > 2 {
+		t.Errorf("Protect + Unprotect of %d bytes: %v allocations, want <= 2", len(payload), n)
 	}
+	m := &AttachAccept{SessionID: 7, IP: "10.0.0.7", AuthRespU: bytes.Repeat([]byte{1}, 60)} // inside the MAC's stack buffer
+	if n := testing.AllocsPerRun(100, func() { ue.ProtectEnvelope(Downlink, m) }); n != 1 {
+		t.Errorf("ProtectEnvelope: %v allocations, want its one buffer", n)
+	}
+}
+
+// crypt is AES-128-CTR exactly as cipher.NewCTR runs it from the IV
+// count ‖ dir ‖ 0…, at every length across the first block boundaries, in
+// place or not, at the counts where a carry could go wrong.
+func TestCryptMatchesCipherCTR(t *testing.T) {
+	c := NewSecurityContext(testMaster(21))
+	for _, dir := range []Direction{Uplink, Downlink} {
+		for _, count := range []uint32{0, 1, 1<<32 - 1} {
+			for n := 0; n <= 97; n++ {
+				in := make([]byte, n)
+				for i := range in {
+					in[i] = byte(i*31 + n)
+				}
+				var iv [aes.BlockSize]byte
+				binary.BigEndian.PutUint32(iv[:4], count)
+				iv[4] = byte(dir)
+				want := make([]byte, n)
+				cipher.NewCTR(c.enc, iv[:]).XORKeyStream(want, in)
+				got := make([]byte, n)
+				c.crypt(dir, count, got, in)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("dir %d, count %d, %d bytes: crypt differs from cipher.NewCTR", dir, count, n)
+				}
+				c.crypt(dir, count, in, in)
+				if !bytes.Equal(in, want) {
+					t.Fatalf("dir %d, count %d, %d bytes: in place differs", dir, count, n)
+				}
+			}
+		}
+	}
+}
+
+// Anti-replay does not wrap: once a direction has accepted count 2³²−1,
+// nothing it accepted before — nor the sender's wrapped count 0 — is
+// accepted again. The other direction is untouched.
+func TestUnprotectCounterDoesNotWrap(t *testing.T) {
+	a := NewSecurityContext(testMaster(22))
+	b := NewSecurityContext(testMaster(22))
+	first := a.Protect(Uplink, []byte("count 0"))
+	if _, err := b.Unprotect(Uplink, first); err != nil {
+		t.Fatal(err)
+	}
+	a.ulCount = 1<<32 - 1
+	last := a.Protect(Uplink, []byte("count 2^32-1"))
+	if _, err := b.Unprotect(Uplink, last); err != nil {
+		t.Fatalf("count 2^32-1 rejected: %v", err)
+	}
+	wrapped := a.Protect(Uplink, []byte("count 0 again"))
+	for name, msg := range map[string][]byte{"replayed count 0": first, "replayed count 2^32-1": last, "wrapped count 0": wrapped} {
+		if _, err := b.Unprotect(Uplink, msg); !errors.Is(err, ErrReplay) {
+			t.Errorf("%s: err=%v, want ErrReplay", name, err)
+		}
+	}
+	if _, err := a.Unprotect(Downlink, b.Protect(Downlink, []byte("down"))); err != nil {
+		t.Fatalf("downlink after a spent uplink: %v", err)
+	}
+}
+
+// Every message encodes into a buffer of exactly EncodedLen, and
+// ProtectEnvelope is the flag byte ahead of Protect of that encoding.
+func TestEncodeSizedOnce(t *testing.T) {
+	a, b := NewSecurityContext(testMaster(23)), NewSecurityContext(testMaster(23))
+	for _, m := range append(allMessages(), &AttachRequestSAP{BrokerID: "b", AuthReqU: bytes.Repeat([]byte{3}, 300)}) {
+		wire := Encode(m)
+		if len(wire) != EncodedLen(m) || cap(wire) != len(wire) {
+			t.Fatalf("%T: %d bytes in a buffer of %d, EncodedLen %d", m, len(wire), cap(wire), EncodedLen(m))
+		}
+		env := a.ProtectEnvelope(Uplink, m)
+		want := append([]byte{EnvelopeFlagProtected}, b.Protect(Uplink, wire)...)
+		if !bytes.Equal(env, want) || cap(env) != len(env) {
+			t.Fatalf("%T: ProtectEnvelope differs from flag ‖ Protect(Encode), or outgrew its buffer", m)
+		}
+	}
+}
+
+// Each context owns its CTR scratch: sessions on other goroutines share
+// nothing (run under -race).
+func TestContextsRunConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g byte) {
+			defer wg.Done()
+			ue, net := NewSecurityContext(testMaster(g)), NewSecurityContext(testMaster(g))
+			for i := 0; i < 200; i++ {
+				msg := bytes.Repeat([]byte{g}, i%70)
+				got, err := net.Unprotect(Uplink, ue.Protect(Uplink, msg))
+				if err != nil || !bytes.Equal(got, msg) {
+					t.Errorf("goroutine %d, message %d: %v", g, i, err)
+					return
+				}
+			}
+		}(byte(g))
+	}
+	wg.Wait()
 }
 
 func TestProtectUnprotectRoundTrip(t *testing.T) {

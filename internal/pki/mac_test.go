@@ -58,3 +58,33 @@ func TestMACMatchesCryptoHMAC(t *testing.T) {
 		t.Fatalf("Sum allocates %v objects for a spilled message, want its one buffer", n)
 	}
 }
+
+// Property: boxKey, one stack-only MAC, is the crypto/hmac derivation of
+// every X25519 exchange's key it replaced — random inputs, and the 32-byte
+// shared secret and keys of a real exchange — and allocates nothing.
+func TestBoxKeyMatchesCryptoHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	check := func(shared, epk, rpk []byte) bool {
+		ref := hmac.New(sha256.New, shared)
+		ref.Write([]byte("cellbricks-seal-v1"))
+		ref.Write(epk)
+		ref.Write(rpk)
+		got := boxKey(shared, epk, rpk)
+		return hmac.Equal(got[:], ref.Sum(nil))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Fatal(err)
+	}
+	var shared, epk, rpk [32]byte
+	for i := 0; i < 100; i++ {
+		rng.Read(shared[:])
+		rng.Read(epk[:])
+		rng.Read(rpk[:])
+		if !check(shared[:], epk[:], rpk[:]) {
+			t.Fatalf("boxKey differs from crypto/hmac on 32-byte inputs, draw %d", i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { boxKey(shared[:], epk[:], rpk[:]) }); n != 0 {
+		t.Fatalf("boxKey allocates %v objects per call", n)
+	}
+}

@@ -131,14 +131,19 @@ func (p PublicIdentity) Digest() string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// Bytes flattens the identity for embedding in certificates and messages.
+// Bytes flattens the identity for embedding in certificates and messages:
+// each key behind a 4-byte length, the layout of two codec Bytes fields.
 func (p PublicIdentity) Bytes() []byte {
-	out := make([]byte, 0, len(p.SigPub)+len(p.BoxPub)+8)
+	return p.appendTo(make([]byte, 0, p.encodedLen()))
+}
+
+func (p PublicIdentity) encodedLen() int { return 8 + len(p.SigPub) + len(p.BoxPub) }
+
+func (p PublicIdentity) appendTo(out []byte) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(p.SigPub)))
 	out = append(out, p.SigPub...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(p.BoxPub)))
-	out = append(out, p.BoxPub...)
-	return out
+	return append(out, p.BoxPub...)
 }
 
 // ParsePublicIdentity reverses PublicIdentity.Bytes.
@@ -186,25 +191,29 @@ type Certificate struct {
 	Signature []byte // CA signature over signedBytes
 }
 
+// signedBytes is what the CA signs, in a buffer of exactly its size.
 func (c *Certificate) signedBytes() []byte {
-	var out []byte
+	return c.appendSigned(make([]byte, 0, c.signedLen()))
+}
+
+func (c *Certificate) signedLen() int {
+	return 8 + len(c.Subject) + len(c.Role) + c.Identity.encodedLen() + 16
+}
+
+func (c *Certificate) appendSigned(out []byte) []byte {
 	out = appendString(out, c.Subject)
 	out = appendString(out, c.Role)
-	out = append(out, c.Identity.Bytes()...)
+	out = c.Identity.appendTo(out)
 	out = binary.BigEndian.AppendUint64(out, uint64(c.NotBefore.Unix()))
-	out = binary.BigEndian.AppendUint64(out, uint64(c.NotAfter.Unix()))
-	return out
+	return binary.BigEndian.AppendUint64(out, uint64(c.NotAfter.Unix()))
 }
 
 // Digest is the SHA-256 of the certificate's full contents and signature:
 // what CertVerifier keys its cache by, and the public name of the
-// relationship a Pass belongs to (sealer.go).
-func (c *Certificate) Digest() (d [sha256.Size]byte) {
-	h := sha256.New()
-	h.Write(c.signedBytes())
-	h.Write(c.Signature)
-	h.Sum(d[:0])
-	return d
+// relationship a Pass belongs to (sealer.go). Both go into one buffer.
+func (c *Certificate) Digest() [sha256.Size]byte {
+	buf := c.appendSigned(make([]byte, 0, c.signedLen()+len(c.Signature)))
+	return sha256.Sum256(append(buf, c.Signature...))
 }
 
 func appendString(b []byte, s string) []byte {

@@ -4,7 +4,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -43,12 +42,15 @@ const (
 
 type boxKeyBytes = [sha256.Size]byte
 
-// Sealer seals messages to one recipient over one X25519 exchange. It is
-// immutable after NewSealer and safe for concurrent use.
+// Sealer seals messages to one recipient over one exchange and opens the
+// replies that come back on it. It holds both directions' AES-GCM, each
+// built once, when the exchange is: a resident Sealer's Seal and OpenReply
+// allocate only the box and the plaintext (DESIGN.md §2.4). It is
+// immutable after NewSealer or TicketSealer and safe for concurrent use.
 type Sealer struct {
-	epk      [epkSize]byte
-	aead     cipher.AEAD // request direction
-	replyKey boxKeyBytes
+	epk   [epkSize]byte
+	aead  cipher.AEAD // request direction
+	reply cipher.AEAD // reply direction: what OpenReply opens with
 	// macKey tags what rides a ticket's exchange (MACKey); ticketed says
 	// there is one. An X25519 exchange has none: anybody can start one, so
 	// a MAC under its key would say nothing about who sent it.
@@ -73,12 +75,20 @@ func NewSealer(recipient PublicIdentity) (*Sealer, error) {
 	}
 	s := &Sealer{}
 	copy(s.epk[:], eph.PublicKey().Bytes())
-	key := boxKey(shared, s.epk[:], recipient.BoxPub)
-	if s.aead, err = newBoxAEAD(key[:]); err != nil {
+	if err := s.keyBoth(boxKey(shared, s.epk[:], recipient.BoxPub)); err != nil {
 		return nil, err
 	}
-	s.replyKey = replyKey(key)
 	return s, nil
+}
+
+// keyBoth builds the AEADs of both directions of the exchange keyed by key.
+func (s *Sealer) keyBoth(key boxKeyBytes) (err error) {
+	if s.aead, err = newBoxAEAD(key[:]); err != nil {
+		return err
+	}
+	rk := replyKey(key)
+	s.reply, err = newBoxAEAD(rk[:])
+	return err
 }
 
 // Seal encrypts msg on the sealer's exchange under a fresh random nonce.
@@ -96,7 +106,7 @@ func (s *Sealer) OpenReply(box []byte) ([]byte, error) {
 	if subtle.ConstantTimeCompare(box[:epkSize], s.epk[:]) != 1 {
 		return nil, ErrDecrypt
 	}
-	return openBox(s.replyKey, box)
+	return openWith(s.reply, box)
 }
 
 // Ticket is an exchange nobody has to run (DESIGN.md §2.8). Its issuer
@@ -139,9 +149,8 @@ func (k *KeyPair) TicketBound(box []byte, id string) bool {
 
 // TicketSealer returns the sealer of t's exchange: no keygen, no ECDH.
 func TicketSealer(t Ticket) (*Sealer, error) {
-	s := &Sealer{epk: t.Locator, replyKey: replyKey(t.Key), macKey: ticketMACKey(t.Key), ticketed: true}
-	var err error
-	if s.aead, err = newBoxAEAD(t.Key[:]); err != nil {
+	s := &Sealer{epk: t.Locator, macKey: ticketMACKey(t.Key), ticketed: true}
+	if err := s.keyBoth(t.Key); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -194,6 +203,12 @@ func (t Ticket) Reply() Ticket { return Ticket{Locator: t.Locator, Key: replyKey
 // SHA-256 of msg, then one stack-only HMAC. Verify with subtle.ConstantTimeCompare.
 func (t *Ticket) Tag(label string, msg []byte) [sha256.Size]byte {
 	sum := sha256.Sum256(msg)
+	return t.TagDigest(label, &sum)
+}
+
+// TagDigest is Tag for a caller that holds msg's SHA-256 and not msg: a
+// decoder that hashed the span as it read it.
+func (t *Ticket) TagDigest(label string, sum *[sha256.Size]byte) [sha256.Size]byte {
 	return mac32(&t.Key, label, sum[:], "")
 }
 
@@ -277,13 +292,10 @@ func (k *KeyPair) open(box []byte) (pt []byte, key boxKeyBytes, err error) {
 	return pt, key, err
 }
 
-func boxKey(shared, epk, rpk []byte) (key boxKeyBytes) {
-	mac := hmac.New(sha256.New, shared)
-	mac.Write([]byte("cellbricks-seal-v1"))
-	mac.Write(epk)
-	mac.Write(rpk)
-	mac.Sum(key[:0])
-	return key
+// boxKey is HMAC-SHA256(shared, label ‖ epk ‖ rpk), on the stack.
+func boxKey(shared, epk, rpk []byte) boxKeyBytes {
+	m := NewMAC(shared)
+	return m.Sum("cellbricks-seal-v1", epk, rpk)
 }
 
 // replyKey separates the recipient → sender direction of an exchange.
@@ -321,6 +333,12 @@ func openBox(key boxKeyBytes, box []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openWith(aead, box)
+}
+
+// openWith opens box, at least boxOverhead long, under aead: the plaintext
+// is its one allocation.
+func openWith(aead cipher.AEAD, box []byte) ([]byte, error) {
 	pt, err := aead.Open(nil, box[epkSize:epkSize+boxNonceSize], box[epkSize+boxNonceSize:], nil)
 	if err != nil {
 		return nil, ErrDecrypt

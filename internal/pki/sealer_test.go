@@ -450,6 +450,35 @@ func TestMac32IsHMACAndStackOnly(t *testing.T) {
 	}
 }
 
+// A resident sealer — the bTelco's opener of its pass's replies, the
+// broker's sealer of them — built both directions' AES-GCM when its
+// exchange was: Seal allocates the box, OpenReply the plaintext, and
+// nothing else per message (rebuilding the reply AEAD per open cost two
+// more objects).
+func TestResidentSealerAllocatesOnlyItsOutput(t *testing.T) {
+	pass := mustPair(t, 28).Pass(sha256.Sum256([]byte("certificate")))
+	opener, err := TicketSealer(pass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toHolder, err := TicketSealer(pass.Reply())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte{5}, 200)
+	box := mustSeal(t, toHolder, msg)
+	if n := testing.AllocsPerRun(100, func() {
+		if pt, err := opener.OpenReply(box); err != nil || !bytes.Equal(pt, msg) {
+			t.Fatalf("OpenReply: %v", err)
+		}
+	}); n != 1 {
+		t.Errorf("OpenReply: %v allocations, want the plaintext's", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { mustSeal(t, toHolder, msg) }); n != 1 {
+		t.Errorf("Seal: %v allocations, want the box's", n)
+	}
+}
+
 // fuzzKey is the recipient of the checked-in FuzzOpen corpus.
 func fuzzKey(t testing.TB) *KeyPair {
 	k, err := KeyPairFromSeed(bytes.Repeat([]byte{0xF0}, 32))

@@ -2,6 +2,7 @@ package sap
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -262,11 +263,13 @@ func (b *BrokerState) replySealer(rel *telcoRel) (*pki.Sealer, error) {
 // authTelco authenticates msg as sent by the bTelco idT that cert
 // certifies: the chain, validity window, role and subject checks, then —
 // by the length of sig — a MAC under the pass this broker derives for that
-// certificate, or the certified key's signature. It returns the resident
-// view of that bTelco either way. The certificate check is memoized: every
-// message from one bTelco carries the same certificate, so only the first
-// pays the Ed25519 verification (expiry is still enforced per call).
-func (b *BrokerState) authTelco(cert *pki.Certificate, idT, macLabel string, msg, sig []byte) (rel *telcoRel, macd bool, cause string) {
+// certificate, or the certified key's signature. A caller holding msg's
+// SHA-256 passes it as sum, and msg may then be nil for a MAC-length sig.
+// It returns the resident view of that bTelco either way. The certificate
+// check is memoized: every message from one bTelco carries the same
+// certificate, so only the first pays the Ed25519 verification (expiry is
+// still enforced per call).
+func (b *BrokerState) authTelco(cert *pki.Certificate, idT, macLabel string, msg []byte, sum *[sha256.Size]byte, sig []byte) (rel *telcoRel, macd bool, cause string) {
 	digest, err := b.certs.VerifyDigest(cert, b.now())
 	if err != nil {
 		return nil, false, "bTelco certificate invalid"
@@ -276,7 +279,11 @@ func (b *BrokerState) authTelco(cert *pki.Certificate, idT, macLabel string, msg
 	}
 	rel = b.telcoRelFor(digest)
 	if macd = len(sig) == telcoMACSize; macd {
-		if tag := rel.pass.Tag(macLabel, msg); subtle.ConstantTimeCompare(tag[:], sig) != 1 {
+		if sum == nil {
+			s := sha256.Sum256(msg)
+			sum = &s
+		}
+		if tag := rel.pass.TagDigest(macLabel, sum); subtle.ConstantTimeCompare(tag[:], sig) != 1 {
 			return nil, true, causeTelcoMAC
 		}
 	} else if err := cert.Identity.Verify(msg, sig); err != nil {
@@ -457,7 +464,7 @@ func (b *BrokerState) CheckReceiptReq(req *ReceiptReq) (cause string) {
 	if len(req.URefs) == 0 {
 		return "empty receipt request"
 	}
-	_, _, cause = b.authTelco(req.Cert, req.IDT, receiptMACLabel, req.signedBytes(), req.Sig)
+	_, _, cause = b.authTelco(req.Cert, req.IDT, receiptMACLabel, req.signedBytes(), nil, req.Sig)
 	return cause
 }
 

@@ -1,6 +1,7 @@
 package sap
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"cellbricks/internal/nas"
@@ -67,7 +68,14 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	// this broker has granted before, a MAC under the pass of that
 	// certificate (pass.go).
 	var cause string
-	if v.telco, v.macd, cause = b.authTelco(req.Cert, req.IDT, authReqMACLabel, req.signedBytes(), req.Sig); cause != "" {
+	var signed []byte
+	var sum *[sha256.Size]byte
+	if req.summed && len(req.Sig) == telcoMACSize {
+		sum = &req.signedSum
+	} else {
+		signed = req.signedBytes()
+	}
+	if v.telco, v.macd, cause = b.authTelco(req.Cert, req.IDT, authReqMACLabel, signed, sum, req.Sig); cause != "" {
 		return deny(cause)
 	}
 

@@ -39,6 +39,7 @@ package sap
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -71,7 +72,7 @@ type AuthVec struct {
 }
 
 func (v *AuthVec) marshal() []byte {
-	w := codec.NewWriter(64)
+	w := codec.AppendTo(make([]byte, 0, 32+len(v.IDU)+len(v.IDB)+len(v.IDT)))
 	w.String(v.IDU)
 	w.String(v.IDB)
 	w.String(v.IDT)
@@ -189,6 +190,14 @@ type AuthReqT struct {
 	Cert  *pki.Certificate
 	Terms ServiceTerms
 	Sig   []byte // bTelco signature over signedBytes, or its 32-byte pass MAC
+
+	// signedSum is the SHA-256 of the signed span of the bytes a MAC'd
+	// request was decoded from (summed): what its pass MAC covers, so the
+	// broker checks the MAC without encoding the request again. The
+	// decoder is canonical, so it equals the digest of signedBytes — of the
+	// fields as decoded, not as a caller may edit them after.
+	signedSum [sha256.Size]byte
+	summed    bool
 }
 
 // signedLen is the size of encodeSigned's output.
@@ -235,6 +244,9 @@ func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) {
 		return nil, err
 	}
 	m := &AuthReqT{Sig: sig}
+	if len(sig) == telcoMACSize {
+		m.signedSum, m.summed = sha256.Sum256(signed), true
+	}
 	sr := codec.NewReader(signed)
 	reqUB := sr.Bytes()
 	m.IDT = sr.String()
@@ -269,7 +281,10 @@ func marshalCert(w *codec.Writer, c *pki.Certificate) {
 	if c != nil {
 		w.String(c.Subject)
 		w.String(c.Role)
-		w.Bytes(c.Identity.Bytes())
+		id := w.Begin() // c.Identity.Bytes(), in place
+		w.Bytes(c.Identity.SigPub)
+		w.Bytes(c.Identity.BoxPub)
+		w.End(id)
 		w.Uint64(uint64(c.NotBefore.Unix()))
 		w.Uint64(uint64(c.NotAfter.Unix()))
 		w.Bytes(c.Signature)
@@ -322,7 +337,7 @@ type innerRespT struct {
 }
 
 func (v *innerRespT) marshal() []byte {
-	w := codec.NewWriter(128 + len(v.IDB) + len(v.Pass))
+	w := codec.AppendTo(make([]byte, 0, 70+len(v.URef)+len(v.IDT)+len(v.IDB)+len(v.Pass)))
 	w.String(v.URef)
 	w.String(v.IDT)
 	w.Bytes(v.SS[:])
@@ -369,7 +384,7 @@ type innerRespU struct {
 }
 
 func (v *innerRespU) marshal() []byte {
-	w := codec.NewWriter(128)
+	w := codec.AppendTo(make([]byte, 0, 140+len(v.IDU)+len(v.IDT)+len(v.URef)))
 	w.String(v.IDU)
 	w.String(v.IDT)
 	w.String(v.URef)
@@ -419,7 +434,7 @@ type AuthRespU struct {
 
 // Marshal encodes an AuthRespU for transport inside AttachAccept.
 func (m *AuthRespU) Marshal() []byte {
-	w := codec.NewWriter(256)
+	w := codec.AppendTo(make([]byte, 0, 4+len(m.Sealed)))
 	w.Bytes(m.Sealed)
 	return w.Out()
 }
@@ -451,7 +466,7 @@ type AuthResp struct {
 
 // Marshal encodes the broker reply for the wire.
 func (m *AuthResp) Marshal() []byte {
-	w := codec.NewWriter(512)
+	w := codec.AppendTo(make([]byte, 0, 25+len(m.Cause)+len(m.T.Sealed)+len(m.T.Sig)+len(m.U.Sealed)))
 	w.Bool(m.Granted)
 	w.String(m.Cause)
 	w.Float64(m.TelcoScore)

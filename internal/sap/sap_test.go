@@ -3,6 +3,7 @@ package sap
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"math"
 	"strings"
@@ -629,6 +630,81 @@ func TestAuthReqTOneBufferSameBytes(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { signedReq.Marshal() }); n > 2 {
 		t.Errorf("AuthReqT.Marshal: %v allocations, want its buffer and the flattened identity", n)
+	}
+}
+
+// Every message the broker and the UE build on an attach is encoded into a
+// buffer of exactly its size: fixed hints (64, 128, 256) under a ~300-byte
+// sealed blob regrew them.
+func TestEncodersSizedOnce(t *testing.T) {
+	f := newFixture(t)
+	_, _, _, rec := f.runAttach(t)
+	ticket, err := f.broker.Key.MintTicket(rec.IDU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := bytes.Repeat([]byte{4}, 300)
+	for name, enc := range map[string][]byte{
+		"authVec":          (&AuthVec{IDU: rec.IDU, IDB: f.broker.IDB, IDT: rec.IDT}).marshal(),
+		"innerRespT":       (&innerRespT{URef: rec.URef, IDT: rec.IDT, IDB: []byte(f.broker.IDB), Pass: blob[:telcoMACSize]}).marshal(),
+		"innerRespT, MACd": (&innerRespT{URef: rec.URef, IDT: rec.IDT}).marshal(),
+		"innerRespU":       (&innerRespU{IDU: rec.IDU, IDT: rec.IDT, URef: rec.URef, Ticket: ticket}).marshal(),
+		"authRespU":        (&AuthRespU{Sealed: blob}).Marshal(),
+		"authResp":         (&AuthResp{Granted: true, Cause: "c", T: AuthRespT{Sealed: blob, Sig: blob[:64]}, U: AuthRespU{Sealed: blob}}).Marshal(),
+	} {
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: %d bytes in a buffer of %d", name, len(enc), cap(enc))
+		}
+	}
+}
+
+// A MAC'd authReqT off the wire carries the SHA-256 of its signed span,
+// taken as it was decoded: the broker checks the pass MAC against it and
+// does not encode the request again (one allocation fewer than a request
+// handed over in process), and the digest outlives the wire buffer. A
+// signed request has none; its Ed25519 check re-encodes.
+func TestMACdAuthReqTDigestTakenWhileDecoding(t *testing.T) {
+	f := newFixture(t)
+	f.fullAttach(t, f.ue) // the bTelco now holds the broker's pass
+	reqU, _, err := f.ue.NewAttachRequest(f.telco.IDT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	macd, err := f.telco.ForwardRequest(reqU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(macd.Sig) != telcoMACSize {
+		t.Fatalf("forwarded with a %d-byte Sig, want the pass MAC", len(macd.Sig))
+	}
+	wire := macd.Marshal()
+	decoded, err := UnmarshalAuthReqT(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 0xEE
+	}
+	if !decoded.summed || decoded.signedSum != sha256.Sum256(macd.signedBytes()) {
+		t.Fatal("the decoded MAC'd request's digest is not that of its signed bytes")
+	}
+	validate := func(req *AuthReqT) {
+		if v, err := f.broker.Validate(req); err != nil || v.DenyCause != "" || !v.macd {
+			t.Fatalf("validate: %v %q", err, v.DenyCause)
+		}
+	}
+	validate(decoded)
+	inProcess := testing.AllocsPerRun(20, func() { validate(macd) })
+	fromWire := testing.AllocsPerRun(20, func() { validate(decoded) })
+	if fromWire != inProcess-1 {
+		t.Errorf("Validate allocates %v objects for a decoded MAC'd request, %v in process: want one fewer", fromWire, inProcess)
+	}
+	signedReq, err := f.passless().ForwardRequest(reqU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalAuthReqT(signedReq.Marshal()); err != nil || got.summed {
+		t.Fatalf("a signed request decoded with a digest (%v)", err)
 	}
 }
 

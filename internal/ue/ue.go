@@ -58,7 +58,6 @@ type Device struct {
 	mu     sync.Mutex
 	ctx    *nas.SecurityContext
 	attach *Attachment
-	enc    []byte      // NAS encode scratch (guarded by mu; Protect copies out)
 	shelf  AttachShelf // shed SAP requests awaiting retransmission (guarded by mu)
 
 	// Causal tracing (armed by TraceAttach; zero-valued = untraced, with
@@ -107,13 +106,13 @@ func (d *Device) Attached() *Attachment {
 	return d.attach
 }
 
-// plainEnvelope wraps an unprotected NAS message, built in a single
-// allocation: flag(0) || encoding, with the span context between them when
+// plainEnvelope wraps an unprotected NAS message in one buffer of exactly
+// its size: flag(0) || encoding, with the span context between them when
 // sc is valid (a zero context is the legacy single-flag-byte envelope).
 func plainEnvelope(m nas.Message, sc obs.SpanContext) []byte {
-	n := 96
+	n := 1 + nas.EncodedLen(m)
 	if sc.Valid() {
-		n += 1 + obs.SpanContextLen
+		n += obs.SpanContextLen
 	}
 	return nas.AppendEncode(nas.AppendEnvelopeHeader(make([]byte, 0, n), false, sc), m)
 }
@@ -124,33 +123,34 @@ func (d *Device) protectedEnvelope(m nas.Message) ([]byte, error) {
 	if d.ctx == nil {
 		return nil, ErrNotAttached
 	}
-	d.enc = nas.AppendEncode(d.enc[:0], m)
-	ct := d.ctx.Protect(nas.Uplink, d.enc)
-	out := make([]byte, 1, 1+len(ct))
-	out[0] = 1
-	return append(out, ct...), nil
+	return d.ctx.ProtectEnvelope(nas.Uplink, m), nil
 }
 
-// decodeReply unwraps a downlink envelope, unprotecting when flagged.
+// decodeReply unwraps a downlink envelope, unprotecting when flagged. The
+// context runs one message at a time (its CTR scratch), so Unprotect holds
+// mu as protectedEnvelope's Protect does.
 func (d *Device) decodeReply(envelope []byte) (nas.Message, error) {
 	if len(envelope) == 0 {
 		return nil, nas.ErrTooShort
 	}
 	body := envelope[1:]
 	if envelope[0] == 1 {
-		d.mu.Lock()
-		ctx := d.ctx
-		d.mu.Unlock()
-		if ctx == nil {
-			return nil, ErrNotAttached
-		}
-		pt, err := ctx.Unprotect(nas.Downlink, body)
+		pt, err := d.unprotect(body)
 		if err != nil {
 			return nil, err
 		}
 		body = pt
 	}
 	return nas.Decode(body)
+}
+
+func (d *Device) unprotect(body []byte) ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ctx == nil {
+		return nil, ErrNotAttached
+	}
+	return d.ctx.Unprotect(nas.Downlink, body)
 }
 
 // AttachLegacy runs the baseline EPS attach: identify by IMSI, answer the

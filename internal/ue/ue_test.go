@@ -9,6 +9,7 @@ import (
 	"cellbricks/internal/aka"
 	"cellbricks/internal/billing"
 	"cellbricks/internal/nas"
+	"cellbricks/internal/obs"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
 )
@@ -386,5 +387,22 @@ func TestProtectedReplyWithoutContext(t *testing.T) {
 	}
 	if _, err := d.decodeReply(nil); err == nil {
 		t.Fatal("empty reply accepted")
+	}
+}
+
+// plainEnvelope is one buffer of exactly the envelope's size, traced or
+// not, for an attach request carrying a ~300-byte authReqU: the 96-byte
+// buffer it was built in before regrew.
+func TestPlainEnvelopeOneAllocation(t *testing.T) {
+	m := &nas.AttachRequestSAP{BrokerID: "broker-1", AuthReqU: bytes.Repeat([]byte{9}, 300)}
+	for _, sc := range []obs.SpanContext{{}, {Trace: 1, Span: 2, Parent: 3}} {
+		var env []byte
+		if n := testing.AllocsPerRun(100, func() { env = plainEnvelope(m, sc) }); n != 1 {
+			t.Errorf("traced %v: %v allocations, want 1", sc.Valid(), n)
+		}
+		want := nas.AppendEncode(nas.AppendEnvelopeHeader(nil, false, sc), m)
+		if !bytes.Equal(env, want) || cap(env) != len(env) {
+			t.Errorf("traced %v: %d-byte envelope in a buffer of %d, or other bytes", sc.Valid(), len(env), cap(env))
+		}
 	}
 }
