@@ -2,11 +2,8 @@ package cellbricks
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +52,7 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 	if len(apiKeep) > 16 {
 		t.Fatalf("apiKeep has %d entries; the list is capped at 16", len(apiKeep))
 	}
-	fset := token.NewFileSet()
+	fset, tree := goTree(t)
 	pos := map[string]token.Position{} // "pkg.F" or "pkg.T.M" -> declaration
 	funcRefs := map[string]bool{}      // "pkg.F" referenced
 	// methodRefs["M"] holds the "pkg.T" of each method T.M that names .M,
@@ -66,30 +63,20 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 		f   *ast.File
 	}
 	var files []source
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			src := source{f: f}
-			if root == "internal" {
-				src.pkg = path.Base(filepath.ToSlash(filepath.Dir(p)))
-				for _, d := range f.Decls {
-					if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() && !(fn.Recv != nil && stdMethods[fn.Name.Name]) {
-						pos[declKey(src.pkg, fn)] = fset.Position(fn.Pos())
-					}
+	for _, gs := range tree {
+		if gs.test || !under(gs.path, "internal", "cmd", "examples", "benchmark") {
+			continue
+		}
+		src := source{f: gs.f}
+		if under(gs.path, "internal") {
+			src.pkg = path.Base(path.Dir(gs.path))
+			for _, d := range gs.f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() && !(fn.Recv != nil && stdMethods[fn.Name.Name]) {
+					pos[declKey(src.pkg, fn)] = fset.Position(fn.Pos())
 				}
 			}
-			files = append(files, src)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		files = append(files, src)
 	}
 
 	for _, src := range files {

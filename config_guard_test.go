@@ -2,11 +2,8 @@ package cellbricks
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -45,47 +42,38 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 	if len(configKeep) > 16 {
 		t.Fatalf("configKeep has %d entries; the list is capped at 16", len(configKeep))
 	}
-	fset := token.NewFileSet()
+	_, tree := goTree(t)
 	fields := map[string][]string{} // "pkg.Type" -> exported field names
 	set := map[string]bool{}        // "pkg.Type.Field" -> has a setter
 	var files []*ast.File
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return err
+	for _, gs := range tree {
+		if gs.test || !under(gs.path, "internal", "cmd", "examples", "benchmark") {
+			continue
+		}
+		f := gs.f
+		files = append(files, f)
+		if !under(gs.path, "internal") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
 			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+			st, ok := ts.Type.(*ast.StructType)
+			name := ts.Name.Name
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy") || name == "Scenario" || name == "Runner") {
+				return false
 			}
-			files = append(files, f)
-			if root != "internal" {
-				return nil
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				name := ts.Name.Name
-				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy") || name == "Scenario" || name == "Runner") {
-					return false
-				}
-				for _, fl := range st.Fields.List {
-					for _, id := range fl.Names {
-						if id.IsExported() {
-							fields[f.Name.Name+"."+name] = append(fields[f.Name.Name+"."+name], id.Name)
-						}
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					if id.IsExported() {
+						fields[f.Name.Name+"."+name] = append(fields[f.Name.Name+"."+name], id.Name)
 					}
 				}
-				return false
-			})
-			return nil
+			}
+			return false
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	for _, f := range files {

@@ -1,10 +1,9 @@
 package cellbricks
 
 import (
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -61,34 +60,22 @@ func TestMarkdownLinksResolve(t *testing.T) {
 // no package comment: no non-test file whose doc comment on the package
 // clause starts "Package <name> ".
 func TestEveryPackageDocumentsItself(t *testing.T) {
-	dirs, err := filepath.Glob("internal/*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 {
+	_, tree := goTree(t)
+	documented := map[string]bool{} // by directory under internal/
+	for _, gs := range tree {
+		dir := path.Dir(gs.path)
+		if path.Dir(dir) != "internal" {
 			continue
 		}
-		name, documented := filepath.Base(dir), false
-		for _, p := range files {
-			if strings.HasSuffix(p, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.PackageClauseOnly|parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Doc != nil && strings.HasPrefix(f.Doc.Text(), "Package "+name+" ") {
-				documented = true
-				break
-			}
-		}
-		if !documented {
+		doc := gs.f.Doc
+		documented[dir] = documented[dir] || !gs.test && doc != nil && strings.HasPrefix(doc.Text(), "Package "+path.Base(dir)+" ")
+	}
+	if len(documented) == 0 {
+		t.Fatal("found no package under internal/")
+	}
+	for dir, ok := range documented {
+		if !ok {
+			name := path.Base(dir)
 			t.Errorf("package %s has no package comment (// Package %s ...)", name, name)
 		}
 	}

@@ -2,11 +2,8 @@ package cellbricks
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"path/filepath"
+	"path"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -19,21 +16,13 @@ import (
 // selector call, whatever the receiver; a function literal counts as the
 // function it is written in.
 func TestOneHandoverRoutine(t *testing.T) {
-	files, err := filepath.Glob("internal/testbed/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tree := goTree(t)
 	callers := map[string]map[string]bool{"Handovers": {}, "rehome": {}}
-	fset := token.NewFileSet()
-	for _, p := range files {
-		if strings.HasSuffix(p, "_test.go") {
+	for _, gs := range tree {
+		if gs.test || path.Dir(gs.path) != "internal/testbed" {
 			continue
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
+		for _, decl := range gs.f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
@@ -54,7 +43,7 @@ func TestOneHandoverRoutine(t *testing.T) {
 					return true
 				}
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && callers[sel.Sel.Name] != nil {
-					callers[sel.Sel.Name][filepath.Base(p)+": "+name] = true
+					callers[sel.Sel.Name][path.Base(gs.path)+": "+name] = true
 				}
 				return true
 			})

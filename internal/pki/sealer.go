@@ -9,6 +9,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 )
 
@@ -59,26 +60,179 @@ type Sealer struct {
 }
 
 // NewSealer draws an ephemeral key and runs the exchange with recipient's
-// box key: the only asymmetric work any number of Seal calls will cost.
+// box key: the only asymmetric work any number of Seal calls will cost. For a
+// recipient sealed to before, that work may already have run on an idle
+// core (DESIGN.md §2.7); either way the key is fresh and serves this sealer
+// alone.
 func NewSealer(recipient PublicIdentity) (*Sealer, error) {
 	rpub, err := ecdh.X25519().NewPublicKey(recipient.BoxPub)
 	if err != nil {
 		return nil, fmt.Errorf("pki: recipient box key: %w", err)
 	}
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, err
+	x, ok := ahead.take(rpub, recipient.BoxPub)
+	if !ok {
+		if x, err = runExchange(rand.Reader, rpub, recipient.BoxPub); err != nil {
+			return nil, err
+		}
 	}
-	shared, err := eph.ECDH(rpub)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sealer{}
-	copy(s.epk[:], eph.PublicKey().Bytes())
-	if err := s.keyBoth(boxKey(shared, s.epk[:], recipient.BoxPub)); err != nil {
+	s := &Sealer{epk: x.epk}
+	if err := s.keyBoth(x.key); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// exchange is the sender's half of one X25519 exchange: its ephemeral public
+// key and the request-direction key it shares with the recipient.
+type exchange struct {
+	epk [epkSize]byte
+	key boxKeyBytes
+}
+
+// runExchange draws an ephemeral key from r and runs the exchange with the
+// recipient whose box key is rpub (rpk in bytes).
+func runExchange(r io.Reader, rpub *ecdh.PublicKey, rpk []byte) (x exchange, err error) {
+	eph, err := ecdh.X25519().GenerateKey(r)
+	if err != nil {
+		return x, err
+	}
+	shared, err := eph.ECDH(rpub)
+	if err != nil {
+		return x, err
+	}
+	copy(x.epk[:], eph.PublicKey().Bytes())
+	x.key = boxKey(shared, x.epk[:], rpk)
+	return x, nil
+}
+
+const (
+	// aheadWarm is how many NewSealer calls a recipient takes before
+	// exchanges are run ahead for it: a bTelco key minted for one session
+	// is sealed to once and never warms.
+	aheadWarm = 2
+	// aheadDepth bounds a recipient's exchanges ready, owed and running.
+	aheadDepth = 8
+	// aheadRecipients is how many recipients are tracked; the one sealed to
+	// least recently is dropped, and its exchanges with it.
+	aheadRecipients = 8
+)
+
+// systemRand is crypto/rand.Reader as the process started with it: the only
+// source the worker draws from. While rand.Reader is anything else, NewSealer
+// draws inline from it, so a swapped reader decides every ephemeral key.
+var systemRand = rand.Reader
+
+// ahead runs the exchanges of warm recipients on an idle core (DESIGN.md
+// §2.7). Every exchange is handed out once, to a sealer for the recipient it
+// was run for; a caller never waits for one — a miss runs inline. One worker
+// goroutine runs while exchanges are owed and exits when none are.
+var ahead exchangesAhead
+
+type exchangesAhead struct {
+	mu      sync.Mutex
+	lines   [aheadRecipients]aheadLine
+	clock   uint64 // stamps aheadLine.used
+	running bool   // the worker goroutine is alive
+	ran     int    // exchanges the worker ran
+	taken   int    // exchanges handed out
+}
+
+// aheadLine is one tracked recipient. ready[:n] are run and not handed out,
+// and owed are queued for or running on the worker: n + owed ≤ aheadDepth.
+type aheadLine struct {
+	pub   *ecdh.PublicKey // nil: the slot is free
+	rpk   [epkSize]byte
+	gen   uint64 // moves when the slot changes hands; a stale run is dropped
+	used  uint64
+	seals int
+	ready [aheadDepth]exchange
+	n     int
+	owed  int
+}
+
+// take hands out an exchange run ahead for recipient rpub (rpk in bytes), if
+// one is ready, and books the work that keeps its line full: one run for the
+// exchange handed out, two for a miss on a warm recipient, none on a host
+// with one core or while rand.Reader is not systemRand.
+func (a *exchangesAhead) take(rpub *ecdh.PublicKey, rpk []byte) (x exchange, ok bool) {
+	if rand.Reader != systemRand {
+		return x, false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	l := a.line(rpub, rpk)
+	if l.seals++; l.seals < aheadWarm {
+		return x, false
+	}
+	want := 2
+	if l.n > 0 {
+		l.n--
+		x, ok, want = l.ready[l.n], true, 1
+		a.taken++
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		return x, ok
+	}
+	l.owed += max(0, min(want, aheadDepth-l.n-l.owed))
+	if l.owed > 0 && !a.running {
+		a.running = true
+		go a.work()
+	}
+	return x, ok
+}
+
+// line returns rpk's line, taking over a free or the least recently used
+// slot for a recipient not tracked.
+func (a *exchangesAhead) line(rpub *ecdh.PublicKey, rpk []byte) *aheadLine {
+	a.clock++
+	var l *aheadLine
+	for i := range a.lines {
+		c := &a.lines[i]
+		if c.pub != nil && string(c.rpk[:]) == string(rpk) {
+			l = c
+			break
+		}
+		if l == nil || c.used < l.used {
+			l = c
+		}
+	}
+	if l.pub == nil || string(l.rpk[:]) != string(rpk) {
+		*l = aheadLine{pub: rpub, rpk: [epkSize]byte(rpk), gen: l.gen + 1}
+	}
+	l.used = a.clock
+	return l
+}
+
+// work runs owed exchanges until none are, then exits.
+func (a *exchangesAhead) work() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for {
+		var l *aheadLine
+		for i := range a.lines {
+			if a.lines[i].owed > 0 {
+				l = &a.lines[i]
+				break
+			}
+		}
+		if l == nil {
+			a.running = false
+			return
+		}
+		gen, pub, rpk := l.gen, l.pub, l.rpk
+		a.mu.Unlock()
+		x, err := runExchange(systemRand, pub, rpk[:])
+		a.mu.Lock()
+		a.ran++
+		if l.gen != gen {
+			continue // the recipient went cold; its exchange goes with it
+		}
+		l.owed--
+		if err == nil {
+			l.ready[l.n] = x
+			l.n++
+		}
+	}
 }
 
 // keyBoth builds the AEADs of both directions of the exchange keyed by key.

@@ -35,20 +35,14 @@ var textReaders = []string{".github/workflows/ci.yml", ".claude/skills/verify/SK
 // material: no result, gate or drive looks at it. Each handle lives in its
 // package's mtr struct, which is how "updates" is told from "registers".
 func TestEveryMetricHasAWriterAndAReader(t *testing.T) {
-	fset := token.NewFileSet()
+	fset, tree := goTree(t)
 	var regs []*series
 	byHandle := map[string]*series{}
-	type goFile struct {
-		p string
-		f *ast.File
-	}
-	var files []goFile
-	eachGoFile(t, fset, func(p string, f *ast.File) {
-		files = append(files, goFile{p, f})
-		if strings.HasSuffix(p, "_test.go") || !(strings.HasPrefix(p, "internal/") || strings.HasPrefix(p, "cmd/")) {
-			return
+	for _, gs := range tree {
+		if gs.test || !under(gs.path, "internal", "cmd") {
+			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(gs.f, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Lhs) != len(as.Rhs) {
 				return true
@@ -60,23 +54,22 @@ func TestEveryMetricHasAWriterAndAReader(t *testing.T) {
 				}
 				s := &series{name: name, pos: fset.Position(rhs.Pos()).String()}
 				if fld := mtrField(as.Lhs[i]); fld != "" {
-					s.handle = path.Dir(p) + "." + fld
+					s.handle = path.Dir(gs.path) + "." + fld
 					byHandle[s.handle] = s
 				}
 				regs = append(regs, s)
 			}
 			return true
 		})
-	})
+	}
 	if len(regs) == 0 {
 		t.Fatal("found no registered metric series")
 	}
 
 	read := map[string]bool{} // series names, and handles as "pkg.field"
-	for _, gf := range files {
-		p, f := gf.p, gf.f
-		test := strings.HasSuffix(p, "_test.go")
-		if !test && !(strings.HasPrefix(p, "internal/") || strings.HasPrefix(p, "cmd/")) {
+	for _, gs := range tree {
+		p, f, test := gs.path, gs.f, gs.test
+		if !test && !under(p, "internal", "cmd") {
 			continue
 		}
 		// Assignment targets (registration, or a package nilling its handles)

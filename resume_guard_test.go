@@ -2,14 +2,9 @@ package cellbricks
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -24,10 +19,15 @@ const resumeFile = "internal/sap/resume.go"
 // "Names" is syntactic: sap.X for a package-level X of that file, and .M
 // for any of its methods, whatever the receiver expression.
 func TestResumeStaysRetired(t *testing.T) {
-	fset := token.NewFileSet()
-	rf, err := parser.ParseFile(fset, resumeFile, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
+	fset, tree := goTree(t)
+	var rf *ast.File
+	for _, gs := range tree {
+		if gs.path == resumeFile {
+			rf = gs.f
+		}
+	}
+	if rf == nil {
+		t.Fatalf("%s is gone: delete this guard with it", resumeFile)
 	}
 	decls, methods := map[string]bool{}, map[string]bool{}
 	for _, d := range rf.Decls {
@@ -57,12 +57,13 @@ func TestResumeStaysRetired(t *testing.T) {
 	}
 
 	used := map[string]bool{} // by benchmark/
-	eachGoFile(t, fset, func(p string, f *ast.File) {
-		if strings.HasPrefix(p, "internal/sap/") {
-			return
+	for _, gs := range tree {
+		p, f := gs.path, gs.f
+		if under(p, "internal/sap") {
+			continue
 		}
 		sapName := importName(f, "cellbricks/internal/sap")
-		inBenchmark := strings.HasPrefix(p, "benchmark/")
+		inBenchmark := under(p, "benchmark")
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -80,7 +81,7 @@ func TestResumeStaysRetired(t *testing.T) {
 			}
 			return true
 		})
-	})
+	}
 
 	var dead []string
 	for name := range decls {
@@ -118,20 +119,21 @@ var brokerClients = map[string]bool{
 // reach a broker; wrap broker.Local or broker.Client instead. An entry of
 // brokerClients that no longer exists fails too, so the list stays exact.
 func TestMiddleStaysThin(t *testing.T) {
-	fset := token.NewFileSet()
+	fset, tree := goTree(t)
 	found := map[string]bool{}
-	eachGoFile(t, fset, func(p string, f *ast.File) {
+	for _, gs := range tree {
+		p, f := gs.path, gs.f
 		for _, imp := range f.Imports {
 			if ip, _ := strconv.Unquote(imp.Path.Value); ip == "cellbricks/internal/orc8r" {
 				t.Errorf("%s imports %s, which is retired: no result reads an orchestrator", fset.Position(imp.Pos()), ip)
 			}
 		}
-		if strings.HasPrefix(p, "benchmark/") || strings.HasSuffix(p, "_test.go") {
-			return
+		if under(p, "benchmark") || gs.test {
+			continue
 		}
 		sapName := importName(f, "cellbricks/internal/sap")
-		if sapName == "" && !strings.HasPrefix(p, "internal/sap/") {
-			return // cannot name sap.AuthReqT
+		if sapName == "" && !under(p, "internal/sap") {
+			continue // cannot name sap.AuthReqT
 		}
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -156,7 +158,7 @@ func TestMiddleStaysThin(t *testing.T) {
 				t.Errorf("%s: %s implements Authenticate(*sap.AuthReqT); wrap broker.Local or broker.Client instead", fset.Position(fn.Pos()), name)
 			}
 		}
-	})
+	}
 	for name := range brokerClients {
 		if !found[name] {
 			t.Errorf("brokerClients allows %s, which no longer exists: drop it", name)
@@ -175,35 +177,6 @@ func isAuthReqT(x ast.Expr, sapName string) bool {
 		return sapName == "" && x.Name == "AuthReqT"
 	}
 	return false
-}
-
-// eachGoFile parses every .go file in the repository, tests included, and
-// hands it to visit with its slash-separated path.
-func eachGoFile(t *testing.T, fset *token.FileSet, visit func(p string, f *ast.File)) {
-	t.Helper()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		visit(filepath.ToSlash(p), f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // importName is what f calls the package at importPath, or "" when f does
