@@ -176,7 +176,7 @@ func (a *exchangesAhead) take(rpub *ecdh.PublicKey, rpk []byte) (x exchange, ok 
 	l.owed += max(0, min(want, aheadDepth-l.n-l.owed))
 	if l.owed > 0 && !a.running {
 		a.running = true
-		go a.work()
+		go runAhead()
 	}
 	return x, ok
 }
@@ -203,8 +203,11 @@ func (a *exchangesAhead) line(rpub *ecdh.PublicKey, rpk []byte) *aheadLine {
 	return l
 }
 
-// work runs owed exchanges until none are, then exits.
-func (a *exchangesAhead) work() {
+// runAhead is the worker: it runs owed exchanges until none are, then
+// exits. A go statement with no arguments allocates no closure, so it is
+// a func on ahead and not a method.
+func runAhead() {
+	a := &ahead
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for {
