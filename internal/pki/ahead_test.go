@@ -195,3 +195,32 @@ func TestSealerAheadOnlyOnDemand(t *testing.T) {
 		runtime.Gosched()
 	}
 }
+
+// Rule "no idle core, no work ahead": a worker that finds GOMAXPROCS at 1
+// exits before its next exchange and leaves what is owed for a NewSealer on
+// more cores, which starts it again.
+func TestSealerAheadStopsAtOneCore(t *testing.T) {
+	k := freshPair(t)
+	withProcs(2, func() {
+		for i := 0; i < aheadWarm; i++ {
+			mustSealer(t, k)
+		}
+	})
+	ran0, _ := aheadIdle(t)
+	withProcs(1, func() {
+		ahead.mu.Lock()
+		l := ahead.line(nil, k.Public().BoxPub)
+		l.owed = aheadDepth - l.n
+		ahead.running = true
+		ahead.mu.Unlock()
+		runAhead()
+	})
+	if ran, _ := aheadIdle(t); ran != ran0 {
+		t.Fatalf("the worker ran %d exchanges at GOMAXPROCS 1", ran-ran0)
+	}
+	withProcs(2, func() { mustSealer(t, k) })
+	aheadIdle(t)
+	if got := aheadReady(k.Public()); got != aheadDepth {
+		t.Fatalf("%d exchanges ready after the owed ones and a replacement ran on two cores, want %d", got, aheadDepth)
+	}
+}
