@@ -110,7 +110,7 @@ const (
 	// exchanges are run ahead for it: a bTelco key minted for one session
 	// is sealed to once and never warms.
 	aheadWarm = 2
-	// aheadDepth bounds a recipient's exchanges ready, owed and running.
+	// aheadDepth bounds a recipient's exchanges ready and owed.
 	aheadDepth = 8
 	// aheadRecipients is how many recipients are tracked; the one sealed to
 	// least recently is dropped, and its exchanges with it.
