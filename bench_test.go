@@ -15,10 +15,10 @@ import (
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/epc"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/testbed"
-	"cellbricks/internal/mobility"
 )
 
 // BenchmarkFig7AttachLatency regenerates Fig. 7: per-module attachment

@@ -23,12 +23,11 @@ type Iperf struct {
 	conn *mptcp.Conn
 	bin  time.Duration
 
-	series    []float64
-	binBytes  uint64
-	total     uint64
-	started   time.Duration
-	stopped   bool
-	stopEvent *netem.Event
+	series   []float64
+	binBytes uint64
+	total    uint64
+	started  time.Duration
+	stopped  bool
 }
 
 // NewIperf attaches an iperf measurement to a connection. bin is the
@@ -51,25 +50,25 @@ func NewIperf(sim *netem.Sim, conn *mptcp.Conn, bin time.Duration) *Iperf {
 func (ip *Iperf) Run(dur time.Duration) IperfResult {
 	ip.started = ip.sim.Now()
 	// Keep the pipe deeply backlogged: top up every second.
-	var topUp func()
-	topUp = func() {
+	var topUp, sampler *netem.Timer
+	fill := func() {
 		if ip.stopped {
 			return
 		}
 		ip.conn.Write(64 << 20)
-		ip.sim.After(time.Second, topUp)
+		topUp.Reset(time.Second)
 	}
-	topUp()
+	topUp = ip.sim.NewTimer(fill)
+	fill()
 
-	var sample func()
-	sample = func() {
+	sampler = ip.sim.NewTimer(func() {
 		ip.series = append(ip.series, float64(ip.binBytes)*8/ip.bin.Seconds())
 		ip.binBytes = 0
 		if !ip.stopped {
-			ip.sim.After(ip.bin, sample)
+			sampler.Reset(ip.bin)
 		}
-	}
-	ip.sim.After(ip.bin, sample)
+	})
+	sampler.Reset(ip.bin)
 	ip.sim.After(dur, func() { ip.stopped = true })
 	ip.sim.RunUntil(ip.started + dur)
 

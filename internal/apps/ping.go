@@ -10,6 +10,7 @@ import (
 type probe struct {
 	Seq    uint64
 	SentAt time.Duration
+	next   *probe // free-list link while pooled
 	Echo   bool
 }
 
@@ -26,22 +27,30 @@ type Pinger struct {
 	seq     uint64
 	sent    uint64
 	samples []time.Duration
-	free    []*probe // probe free list; see getProbe/putProbe
+	free    *probe // probe free list; see getProbe/putProbe
 	stopped bool
 }
 
+// boxSlab is how many payload boxes a pool allocates at once when its free
+// list runs dry, as netem does for events and packets.
+const boxSlab = 16
+
 func (p *Pinger) getProbe() *probe {
-	if n := len(p.free); n > 0 {
-		pr := p.free[n-1]
-		p.free = p.free[:n-1]
-		return pr
+	pr := p.free
+	if pr == nil {
+		slab := new([boxSlab]probe)
+		for i := range boxSlab - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		pr = &slab[0]
 	}
-	return &probe{}
+	p.free, pr.next = pr.next, nil
+	return pr
 }
 
 func (p *Pinger) putProbe(pr *probe) {
-	*pr = probe{}
-	p.free = append(p.free, pr)
+	*pr = probe{next: p.free}
+	p.free = pr
 }
 
 // NewPinger wires a prober between clientIP and serverIP (a link must
@@ -103,8 +112,8 @@ func (p *Pinger) InvalidateClient() {
 // Run probes for dur and returns RTT samples collected.
 func (p *Pinger) Run(dur time.Duration) []time.Duration {
 	end := p.sim.Now() + dur
-	var tick func()
-	tick = func() {
+	var tick *netem.Timer
+	send := func() {
 		if p.stopped || p.sim.Now() >= end {
 			return
 		}
@@ -121,9 +130,10 @@ func (p *Pinger) Run(dur time.Duration) []time.Duration {
 			p.putProbe(pr)
 			p.sim.PutPacket(pkt)
 		}
-		p.sim.After(p.interval, tick)
+		tick.Reset(p.interval)
 	}
-	tick()
+	tick = p.sim.NewTimer(send)
+	send()
 	p.sim.RunUntil(end + time.Second) // drain trailing echoes
 	return p.samples
 }

@@ -75,8 +75,8 @@ func (v *Video) Run(dur time.Duration) VideoResult {
 	v.conn.OnDeliver = func(n int) { v.onBytes(n) }
 
 	// Playback drain: every 100ms, consume buffer; count stalls.
-	var drain func()
-	drain = func() {
+	var drain *netem.Timer
+	drain = v.sim.NewTimer(func() {
 		if v.done {
 			return
 		}
@@ -98,10 +98,10 @@ func (v *Video) Run(dur time.Duration) VideoResult {
 			v.stallTime += elapsed
 		}
 		if now < v.end {
-			v.sim.After(100*time.Millisecond, drain)
+			drain.Reset(100 * time.Millisecond)
 		}
-	}
-	v.sim.After(100*time.Millisecond, drain)
+	})
+	drain.Reset(100 * time.Millisecond)
 
 	v.fetchNext()
 	v.sim.RunUntil(v.end)

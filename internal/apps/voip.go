@@ -10,6 +10,7 @@ import (
 type rtpPacket struct {
 	Seq    uint64
 	SentAt time.Duration
+	next   *rtpPacket // free-list link while pooled
 }
 
 // VoIPResult summarizes a call.
@@ -34,7 +35,7 @@ type VoIP struct {
 	clientEP netem.Endpoint
 	serverEP netem.Endpoint
 
-	free []*rtpPacket // frame free list
+	free *rtpPacket // frame free list
 
 	seq      uint64
 	sent     uint64
@@ -66,17 +67,21 @@ func NewVoIP(sim *netem.Sim, clientIP, serverIP string) *VoIP {
 }
 
 func (v *VoIP) getFrame() *rtpPacket {
-	if n := len(v.free); n > 0 {
-		f := v.free[n-1]
-		v.free = v.free[:n-1]
-		return f
+	f := v.free
+	if f == nil {
+		slab := new([boxSlab]rtpPacket)
+		for i := range boxSlab - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		f = &slab[0]
 	}
-	return &rtpPacket{}
+	v.free, f.next = f.next, nil
+	return f
 }
 
 func (v *VoIP) putFrame(f *rtpPacket) {
-	*f = rtpPacket{}
-	v.free = append(v.free, f)
+	*f = rtpPacket{next: v.free}
+	v.free = f
 }
 
 func (v *VoIP) handleMedia(pkt *netem.Packet) {
@@ -124,8 +129,8 @@ func (v *VoIP) Rehome(newIP string, signalRTT time.Duration) {
 // Run streams for dur and returns call-quality metrics.
 func (v *VoIP) Run(dur time.Duration) VoIPResult {
 	end := v.sim.Now() + dur
-	var tick func()
-	tick = func() {
+	var tick *netem.Timer
+	send := func() {
 		if v.stopped || v.sim.Now() >= end {
 			return
 		}
@@ -142,9 +147,10 @@ func (v *VoIP) Run(dur time.Duration) VoIPResult {
 			v.putFrame(f)
 			v.sim.PutPacket(pkt)
 		}
-		v.sim.After(frameInterval, tick)
+		tick.Reset(frameInterval)
 	}
-	tick()
+	tick = v.sim.NewTimer(send)
+	send()
 	v.sim.RunUntil(end + time.Second)
 	v.stopped = true
 

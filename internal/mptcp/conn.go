@@ -201,7 +201,8 @@ func (c *Conn) SRTT() time.Duration {
 	return c.sender.srtt
 }
 
-// State reports whether the connection is usable.
+// Closed reports whether the connection has been torn down: by its
+// Timeout, or, for plain TCP, by losing its address.
 func (c *Conn) Closed() bool { return c.state == stateClosed }
 
 // handleAtClient processes downlink data segments and emits ACKs.
@@ -406,10 +407,6 @@ func (c *Conn) AddrAvailable(newIP string) {
 	}
 }
 
-// sendJoin emits the MP_JOIN SYN from the new address, carrying
-// REMOVE_ADDR for the stale subflow, and arms a retry in case the
-// handshake is lost (the connection-level Timeout still bounds the total
-// wait).
 // releaseOld drops the pre-migration address after a soft switch; the old
 // subflow's sender is superseded by newSubflow.
 func (c *Conn) releaseOld() {
@@ -423,6 +420,10 @@ func (c *Conn) releaseOld() {
 	c.dropOld = ""
 }
 
+// sendJoin emits the MP_JOIN SYN from the new address, carrying
+// REMOVE_ADDR for the stale subflow, and arms a retry in case the
+// handshake is lost (the connection-level Timeout still bounds the total
+// wait).
 func (c *Conn) sendJoin() {
 	out := c.segs.get()
 	out.ConnID, out.SubflowID = c.id, c.subflowSeq+1

@@ -249,6 +249,48 @@ func cellLink(rateBps float64, delay time.Duration) *netem.Link {
 	}
 }
 
+// TestJoinedSubflowSlowStartsFresh: a subflow joined from a new address
+// misses the per-(src,dst) metrics cache, so it opens at initialCwnd with
+// ssthresh unset, as newSubflow says; and delivery resumes within 2 s of
+// the new address on a 16 Mbit/s cell.
+func TestJoinedSubflowSlowStartsFresh(t *testing.T) {
+	const rate = 16e6
+	sim := netem.NewSim(11)
+	sim.Connect("server", "client", cellLink(rate, 25*time.Millisecond))
+	cfg := DefaultConfig()
+	cfg.AddrWorkWait = 0
+	c := NewConn(sim, "server", "client", cfg)
+	c.Write(500 << 20)
+	sim.RunUntil(10 * time.Second)
+	c.AddrInvalidated()
+	sim.Connect("server", "client2", cellLink(rate, 25*time.Millisecond))
+	joined := 0
+	c.OnSubflow = func(id uint32) {
+		joined++
+		if id != 2 || c.sender.cwnd != initialCwnd || c.sender.ssthresh != 1<<30 {
+			t.Errorf("subflow %d opens at cwnd %.0f ssthresh %.0f, want 2 at %d and %d",
+				id, c.sender.cwnd, c.sender.ssthresh, initialCwnd, 1<<30)
+		}
+	}
+	const newAddr = 11 * time.Second
+	resumed := time.Duration(-1)
+	sim.At(newAddr, func() {
+		c.OnDeliver = func(int) {
+			if resumed < 0 {
+				resumed = sim.Now()
+			}
+		}
+		c.AddrAvailable("client2")
+	})
+	sim.RunUntil(newAddr + 2*time.Second)
+	if joined != 1 {
+		t.Fatalf("%d subflows joined, want 1", joined)
+	}
+	if resumed < newAddr {
+		t.Fatalf("no delivery within 2 s of the new address at %v", newAddr)
+	}
+}
+
 func TestSlowStartOvershootAfterResume(t *testing.T) {
 	// The paper's Fig. 8/9 observation: right after a handover, the fresh
 	// subflow in slow start rides the token-bucket credit the policer
@@ -555,5 +597,46 @@ func TestBulkTransferZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
 		t.Fatalf("steady-state transfer allocates %.1f objects per 64 segments", allocs)
+	}
+}
+
+// TestColdTransferAllocations counts what TestBulkTransferZeroAlloc's warm
+// pools hide: a fresh Sim and Conn run 30 s over steadyBulkTransfer's link,
+// so every pool starts empty and grows to the size of the window. The second
+// case hands over to a new address at 15 s and re-subflows. Segments, events
+// and packets come a slab at a time, so the count is a few hundred objects
+// for a window of hundreds of segments.
+func TestColdTransferAllocations(t *testing.T) {
+	cases := []struct {
+		name     string
+		handover bool
+		ceiling  float64
+	}{
+		{"steady", false, 300},
+		{"handover at 15s", true, 330},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cold := func() {
+				op := mobility.NewOperator(1)
+				sim := netem.NewSim(1)
+				sim.Connect("server", "client", op.CellularLink(mobility.Downtown, true))
+				c := NewConn(sim, "server", "client", DefaultConfig())
+				c.Write(1 << 40)
+				if tc.handover {
+					sim.RunUntil(15 * time.Second)
+					c.AddrInvalidated()
+					sim.Connect("server", "client2", op.CellularLink(mobility.Downtown, true))
+					c.AddrAvailable("client2")
+				}
+				sim.RunUntil(30 * time.Second)
+				if c.Delivered() == 0 || c.Closed() {
+					t.Fatalf("delivered %d, closed %v", c.Delivered(), c.Closed())
+				}
+			}
+			if allocs := testing.AllocsPerRun(3, cold); allocs > tc.ceiling {
+				t.Fatalf("a cold 30 s Conn allocates %.0f objects, ceiling %.0f", allocs, tc.ceiling)
+			}
+		})
 	}
 }

@@ -25,11 +25,13 @@ const headerSize = 52
 // Segment is the transport PDU carried in netem packets. Its fields are
 // ordered widest first so the pooled box fits one 64-byte cache line.
 type Segment struct {
-	ConnID    uint64
-	Seq       uint64 // connection-level byte offset
-	Len       int
-	Ack       uint64        // cumulative connection-level ack
-	SentAt    time.Duration // for RTT sampling (carried in the "timestamp option")
+	ConnID uint64
+	Seq    uint64 // connection-level byte offset
+	Len    int
+	Ack    uint64        // cumulative connection-level ack
+	SentAt time.Duration // for RTT sampling (carried in the "timestamp option")
+	// next links the box into its connection's free list while it is pooled.
+	next      *Segment
 	SubflowID uint32
 	// REMOVE_ADDR option: the sender asks the peer to forget this
 	// subflow's address (MPTCP RFC 6824 semantics).
@@ -40,25 +42,34 @@ type Segment struct {
 	StaleHint bool
 }
 
+// segSlab is how many Segments a pool allocates at once when its free list
+// runs dry, as netem does for events and packets.
+const segSlab = 16
+
 // segPool recycles Segments within one connection. A Sim is
-// single-goroutine, so a plain free list suffices. Receive handlers copy
-// a delivered segment by value and return the box immediately; senders
-// return a segment only when netem rejects the carrying packet — each box
-// is therefore put at most once per trip.
-type segPool struct{ free []*Segment }
+// single-goroutine, so a plain free list suffices; it is threaded through
+// Segment.next and refilled segSlab boxes at a time, so it owns no slice to
+// grow. Receive handlers copy a delivered segment by value and return the
+// box immediately; senders return a segment only when netem rejects the
+// carrying packet — each box is therefore put at most once per trip.
+type segPool struct{ free *Segment }
 
 func (p *segPool) get() *Segment {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s
+	s := p.free
+	if s == nil {
+		slab := new([segSlab]Segment)
+		for i := range segSlab - 1 {
+			slab[i].next = &slab[i+1]
+		}
+		s = &slab[0]
 	}
-	return &Segment{}
+	p.free, s.next = s.next, nil
+	return s
 }
 
 func (p *segPool) put(s *Segment) {
-	*s = Segment{}
-	p.free = append(p.free, s)
+	*s = Segment{next: p.free}
+	p.free = s
 }
 
 // senderState is one TCP sender: congestion control and retransmission for

@@ -2,18 +2,19 @@ package netem
 
 import "time"
 
-// Timer is a re-armable callback for a deadline that moves on every packet
-// (a retransmission timeout). Reset takes (at, seq) exactly as After would
-// at that instant, so firing order is identical to cancelling an Event and
+// Timer is a re-armable callback: a deadline that moves on every packet (a
+// retransmission timeout), or a fixed-period tick that re-arms itself each
+// time it fires. Reset takes (at, seq) exactly as After would at that
+// instant, so firing order is identical to cancelling an Event and
 // scheduling a new one — but a Timer keeps one resident event in the
-// scheduler instead of leaving a tombstone per re-arm. When the deadline
+// scheduler instead of leaving a tombstone, or a new Event, per re-arm. When the deadline
 // moves later the resident stays where it is; on reaching the queue head it
 // is re-queued at the live (at, seq), or dropped if the timer was stopped,
 // without the clock advancing (see Event.stale). Only a deadline that moves
 // earlier than the resident orphans it: the replacement comes from the
 // Sim's event free list, and the orphan goes back to it when it surfaces.
 //
-// At/After are for one-shots; anything re-armed per packet owns a Timer.
+// At/After are for one-shots; anything that re-arms itself owns a Timer.
 type Timer struct {
 	s      *Sim
 	fn     func()
@@ -24,10 +25,12 @@ type Timer struct {
 	queued bool
 }
 
-// NewTimer returns a stopped timer that calls fn when it expires.
+// NewTimer returns a stopped timer that calls fn when it expires. Its first
+// resident comes from the Sim's event free list, as Reset's replacements do.
 func (s *Sim) NewTimer(fn func()) *Timer {
 	t := &Timer{s: s, fn: fn}
-	t.ev = &Event{tm: t}
+	t.ev = s.newEvent()
+	t.ev.tm = t
 	return t
 }
 

@@ -163,6 +163,29 @@ func TestTimerResetEarlierZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewTimerOneAllocation: in a warm Sim a new timer's resident comes off
+// the event free list, so NewTimer + Reset allocates the Timer alone.
+func TestNewTimerOneAllocation(t *testing.T) {
+	s := NewSim(1)
+	s.Connect("a", "b", &Link{Delay: ms})
+	s.Register("b", func(*Packet) {})
+	a, bEP := s.Endpoint("a"), s.Endpoint("b")
+	// Every delivery event goes back to the free list once popped: 8 slabs
+	// cover AllocsPerRun's warm-up call and the 100 measured ones.
+	for range 8 * poolSlab {
+		pkt := s.GetPacket()
+		pkt.SrcEP, pkt.DstEP = a, bEP
+		if !s.Send(pkt) {
+			t.Fatal("send refused")
+		}
+	}
+	s.Run()
+	fn := func() {}
+	if allocs := testing.AllocsPerRun(100, func() { s.NewTimer(fn).Reset(ms) }); allocs != 1 {
+		t.Fatalf("NewTimer + Reset allocates %.1f objects, want 1 (the Timer)", allocs)
+	}
+}
+
 // refTimer is the reference a Timer must be indistinguishable from: every
 // Reset cancels the pending Event and schedules a new one with After.
 type refTimer struct {

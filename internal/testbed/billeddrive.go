@@ -8,6 +8,7 @@ import (
 	"cellbricks/internal/broker"
 	"cellbricks/internal/core"
 	"cellbricks/internal/mptcp"
+	"cellbricks/internal/netem"
 	"cellbricks/internal/sap"
 )
 
@@ -197,26 +198,26 @@ func RunBilledDrive(sc Scenario, cycle time.Duration) (BilledDriveResult, error)
 	}
 
 	// Periodic reporting and a backlogged sender.
-	var tick func()
-	tick = func() {
+	var tick, topUp *netem.Timer
+	tick = sim.NewTimer(func() {
 		if sim.Now() >= sc.Duration || rollErr != nil {
 			return
 		}
 		if err := report(); err != nil && rollErr == nil {
 			rollErr = err
 		}
-		sim.After(cycle, tick)
-	}
-	sim.After(cycle, tick)
-	var topUp func()
-	topUp = func() {
+		tick.Reset(cycle)
+	})
+	tick.Reset(cycle)
+	fill := func() {
 		if sim.Now() >= sc.Duration {
 			return
 		}
 		conn.Write(32 << 20)
-		sim.After(time.Second, topUp)
+		topUp.Reset(time.Second)
 	}
-	topUp()
+	topUp = sim.NewTimer(fill)
+	fill()
 
 	sim.RunUntil(sc.Duration)
 	settle()

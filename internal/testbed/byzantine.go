@@ -408,12 +408,13 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			u.sim.At(latticeAt(byzWatchdogTick, u.phase), u.watchdogTick)
 			conn := u.conn
 			sim := u.sim
-			var topUp func()
-			topUp = func() {
+			var topUp *netem.Timer
+			fill := func() {
 				conn.Write(4 << 20)
-				sim.After(time.Second, topUp)
+				topUp.Reset(time.Second)
 			}
-			topUp()
+			topUp = sim.NewTimer(fill)
+			fill()
 			roamAt := cfg.Duration/4 + cfg.Duration/4*time.Duration(u.global)/time.Duration(nUE)
 			u.sim.At(latticeAt(roamAt, u.phase), u.roamTick)
 		}

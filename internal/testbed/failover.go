@@ -217,14 +217,14 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 
 	// First snapshot at t=0 so a crash always has state to restore.
 	w.snapshot()
-	var snapTick func()
-	snapTick = func() {
+	var snapTick *netem.Timer
+	snapTick = w.Sim.NewTimer(func() {
 		w.snapshot()
 		if w.Sim.Now() < cfg.Duration {
-			w.Sim.After(failoverSnapshotEvery, snapTick)
+			snapTick.Reset(failoverSnapshotEvery)
 		}
-	}
-	w.Sim.After(failoverSnapshotEvery, snapTick)
+	})
+	snapTick.Reset(failoverSnapshotEvery)
 	return w, nil
 }
 

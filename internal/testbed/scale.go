@@ -170,25 +170,26 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 			conns[ue] = mptcp.NewConn(sim, srvIP, ueIP, mptcp.DefaultConfig())
 			// Keep every sender backlogged.
 			conn := conns[ue]
-			var topUp func()
-			topUp = func() {
+			var topUp *netem.Timer
+			fill := func() {
 				conn.Write(16 << 20)
-				sim.After(time.Second, topUp)
+				topUp.Reset(time.Second)
 			}
-			topUp()
+			topUp = sim.NewTimer(fill)
+			fill()
 		}
 
 		// Tower → core heartbeat with a per-cell phase: phases are distinct
 		// in (0, hbPeriod), so cross-shard arrivals at the core never tie.
 		phase := time.Duration(c+1) * hbPeriod / time.Duration(cells+1)
-		var beat func()
-		beat = func() {
+		var beat *netem.Timer
+		beat = sim.NewTimer(func() {
 			pkt := sim.GetPacket()
 			pkt.Src, pkt.Dst, pkt.Size = cellIP, coreIP, 200
 			sim.Send(pkt)
-			sim.After(hbPeriod, beat)
-		}
-		sim.At(phase, beat)
+			beat.Reset(hbPeriod)
+		})
+		beat.Reset(phase - sim.Now())
 	}
 
 	t0 := time.Now()
