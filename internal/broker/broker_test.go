@@ -3,12 +3,14 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cellbricks/internal/billing"
+	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -479,6 +481,51 @@ func TestRestoreRejectsWrongBrokerOrVersion(t *testing.T) {
 	}
 	if err := h.brk.Restore(snap[:10]); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// A restored broker keeps nothing of the buffer it restored from: the
+// caller may reuse it at once. And a grant's ss is 32 bytes or the snapshot
+// is refused, not zero-padded into a secret nobody shares.
+func TestRestoreOwnsItsState(t *testing.T) {
+	h := newHarness(t)
+	h.attach(t)
+	snap := h.brk.Snapshot()
+	fresh := New(h.brk.cfg)
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap {
+		snap[i] = 0xEE
+	}
+	if got, want := fresh.sap.Users(), h.brk.sap.Users(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored users %v, want %v", got, want)
+	}
+	if got, want := fresh.telcoKeys["h-telco"].pub, h.brk.telcoKeys["h-telco"].pub; want.SigPub == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored bTelco key %v, want %v", got, want)
+	}
+
+	for _, n := range []int{31, 33} {
+		w := codec.NewWriter(0)
+		w.Byte(snapshotVersion)
+		w.String(h.brk.cfg.ID)
+		w.Uint32(0) // users
+		w.Uint32(0) // bTelco keys
+		w.Uint32(1) // grants
+		w.String("uref")
+		w.String("idU")
+		w.String("idT")
+		w.Bytes(make([]byte, n))
+		w.Byte(9)
+		w.Uint64(1)
+		w.Uint64(1)
+		w.Float64(1)
+		for range 3 { // reputations, suspects, quarantine
+			w.Uint32(0)
+		}
+		if err := New(h.brk.cfg).Restore(w.Out()); err == nil {
+			t.Fatalf("a %d-byte ss restored", n)
+		}
 	}
 }
 

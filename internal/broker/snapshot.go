@@ -95,7 +95,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 	nUsers := r.Uint32()
 	for i := uint32(0); i < nUsers && r.Err() == nil; i++ {
 		_ = r.String() // the idU: RegisterUser derives the same digest from the key
-		pub, err := pki.ParsePublicIdentity(r.Bytes())
+		pub, err := pki.ParsePublicIdentity(r.BytesCopy()) // its keys alias what it parses
 		if err != nil {
 			return err
 		}
@@ -104,7 +104,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 	nTelcos := r.Uint32()
 	for i := uint32(0); i < nTelcos && r.Err() == nil; i++ {
 		tid := r.String()
-		pub, err := pki.ParsePublicIdentity(r.Bytes())
+		pub, err := pki.ParsePublicIdentity(r.BytesCopy())
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,11 @@ func (b *Brokerd) Restore(snap []byte) error {
 		g.URef = uref
 		g.IDU = r.String()
 		g.IDT = r.String()
-		copy(g.SS[:], r.Bytes())
+		ss := r.Bytes()
+		if r.Err() == nil && len(ss) != len(g.SS) {
+			return fmt.Errorf("broker: snapshot grant %q: a %d-byte ss", uref, len(ss))
+		}
+		copy(g.SS[:], ss)
 		g.QoS.QCI = qos.QCI(r.Byte())
 		g.QoS.DLAmbrBps = r.Uint64()
 		g.QoS.ULAmbrBps = r.Uint64()
