@@ -62,19 +62,34 @@ type Checkpoint struct {
 	Sig     []byte // reporter's signature over signedBytes
 }
 
-func (c *Checkpoint) signedBytes() []byte {
-	w := codec.NewWriter(len(checkpointLabel) + 8 + digestSize*len(c.Digests))
-	w.String(checkpointLabel)
-	return appendDigests(w.Out(), c.Digests)
+// digests lists the digests end to end: how a checkpoint both signs and
+// carries them.
+func (c *Checkpoint) digests(cd codec.Coder) codec.Coder {
+	for i := range c.Digests {
+		cd.Raw(c.Digests[i][:])
+	}
+	return cd
 }
 
-// appendDigests appends ds end to end: how a checkpoint's list is both
-// signed and carried.
-func appendDigests(dst []byte, ds []Digest) []byte {
-	for i := range ds {
-		dst = append(dst, ds[i][:]...)
-	}
-	return dst
+func (c *Checkpoint) signed(cd codec.Coder) codec.Coder {
+	label := checkpointLabel
+	cd.String(&label)
+	return c.digests(cd)
+}
+
+func (c *Checkpoint) signedBytes() []byte { return codec.Encode(c.signed) }
+
+var errCheckpointSize = fmt.Errorf("billing: a checkpoint of no digests or more than %d", checkpointEvery)
+
+// fields lists the checkpoint as it rides an envelope: the digests behind
+// their length in bytes, then the signature. Read, the count is checked
+// against checkpointEvery before anything is allocated from it.
+func (c *Checkpoint) fields(cd codec.Coder) codec.Coder {
+	codec.List(&cd, &c.Digests, digestSize, checkpointEvery, errCheckpointSize)
+	cd.Check(len(c.Digests) > 0, errCheckpointSize)
+	cd = c.digests(cd)
+	cd.Bytes(&c.Sig)
+	return cd
 }
 
 // ErrBadCheckpoint is VerifyCheckpoint's refusal.

@@ -10,7 +10,6 @@ package billing
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"cellbricks/internal/codec"
@@ -53,49 +52,35 @@ type Report struct {
 	QoS        QoSMetrics
 }
 
-// Marshal encodes a report body.
-func (r *Report) Marshal() []byte {
-	w := codec.NewWriter(128)
-	w.String(r.SessionRef)
-	w.Byte(byte(r.Reporter))
-	w.Uint32(r.Seq)
-	w.Uint64(uint64(r.Rel))
-	w.Uint64(r.ULBytes)
-	w.Uint64(r.DLBytes)
-	w.Float64(r.CallSecs)
-	w.Uint32(r.SMSCount)
-	w.Float64(r.QoS.DLBitrateBps)
-	w.Float64(r.QoS.ULBitrateBps)
-	w.Float64(r.QoS.DLLossRate)
-	w.Float64(r.QoS.ULLossRate)
-	w.Float64(r.QoS.DLDelayMs)
-	w.Float64(r.QoS.ULDelayMs)
-	return w.Out()
+var errReporter = errors.New("billing: bad reporter")
+
+func (r *Report) fields(c codec.Coder) codec.Coder {
+	c.String(&r.SessionRef)
+	c.Byte((*byte)(&r.Reporter))
+	c.Check(r.Reporter == ReporterUE || r.Reporter == ReporterTelco, errReporter)
+	c.Uint32(&r.Seq)
+	c.Int64((*int64)(&r.Rel))
+	c.Uint64(&r.ULBytes)
+	c.Uint64(&r.DLBytes)
+	c.Float64(&r.CallSecs)
+	c.Uint32(&r.SMSCount)
+	c.Float64(&r.QoS.DLBitrateBps)
+	c.Float64(&r.QoS.ULBitrateBps)
+	c.Float64(&r.QoS.DLLossRate)
+	c.Float64(&r.QoS.ULLossRate)
+	c.Float64(&r.QoS.DLDelayMs)
+	c.Float64(&r.QoS.ULDelayMs)
+	return c
 }
+
+// Marshal encodes a report body.
+func (r *Report) Marshal() []byte { return codec.Encode(r.fields) }
 
 // UnmarshalReport decodes a report body.
 func UnmarshalReport(b []byte) (*Report, error) {
-	rd := codec.NewReader(b)
 	r := &Report{}
-	r.SessionRef = rd.String()
-	r.Reporter = Reporter(rd.Byte())
-	r.Seq = rd.Uint32()
-	r.Rel = time.Duration(rd.Uint64())
-	r.ULBytes = rd.Uint64()
-	r.DLBytes = rd.Uint64()
-	r.CallSecs = rd.Float64()
-	r.SMSCount = rd.Uint32()
-	r.QoS.DLBitrateBps = rd.Float64()
-	r.QoS.ULBitrateBps = rd.Float64()
-	r.QoS.DLLossRate = rd.Float64()
-	r.QoS.ULLossRate = rd.Float64()
-	r.QoS.DLDelayMs = rd.Float64()
-	r.QoS.ULDelayMs = rd.Float64()
-	if err := rd.Done(); err != nil {
+	if err := codec.Decode(b, r.fields); err != nil {
 		return nil, err
-	}
-	if r.Reporter != ReporterUE && r.Reporter != ReporterTelco {
-		return nil, fmt.Errorf("billing: bad reporter %d", r.Reporter)
 	}
 	return r, nil
 }
@@ -114,51 +99,27 @@ type SealedReport struct {
 	Checkpoint *Checkpoint // optional; nil on all but one envelope in checkpointEvery
 }
 
-// Marshal encodes the envelope. Without a checkpoint these are the bytes
-// the envelope always had; a checkpoint follows them as two more fields,
-// the digests end to end and the signature over them.
-func (s *SealedReport) Marshal() []byte {
-	cp, hint := s.Checkpoint, 256
-	if cp != nil {
-		hint += 128 + digestSize*len(cp.Digests)
+// fields lists the envelope. Without a checkpoint these are the bytes the
+// envelope always had; a checkpoint follows them (Checkpoint.fields).
+func (s *SealedReport) fields(c codec.Coder) codec.Coder {
+	c.Bytes(&s.Sealed)
+	c.Bytes(&s.Sig)
+	if c.Optional(s.Checkpoint != nil) {
+		if s.Checkpoint == nil {
+			s.Checkpoint = new(Checkpoint)
+		}
+		c = s.Checkpoint.fields(c)
 	}
-	w := codec.NewWriter(hint)
-	w.Bytes(s.Sealed)
-	w.Bytes(s.Sig)
-	if cp == nil {
-		return w.Out()
-	}
-	w.Uint32(uint32(digestSize * len(cp.Digests)))
-	tail := codec.AppendTo(appendDigests(w.Out(), cp.Digests))
-	tail.Bytes(cp.Sig)
-	return tail.Out()
+	return c
 }
 
-// UnmarshalSealedReport decodes the envelope. A checkpoint's digest field
-// is read in place and its count checked against checkpointEvery before
-// anything is allocated from it.
+// Marshal encodes the envelope.
+func (s *SealedReport) Marshal() []byte { return codec.Encode(s.fields) }
+
+// UnmarshalSealedReport decodes the envelope.
 func UnmarshalSealedReport(b []byte) (*SealedReport, error) {
-	rd := codec.NewReader(b)
 	s := &SealedReport{}
-	s.Sealed = rd.BytesCopy()
-	s.Sig = rd.BytesCopy()
-	if rd.Err() == nil && rd.Len() > 0 {
-		raw := rd.Bytes()
-		if rd.Err() != nil {
-			return nil, rd.Err()
-		}
-		n := len(raw) / digestSize
-		if n < 1 || n > checkpointEvery || len(raw)%digestSize != 0 {
-			return nil, fmt.Errorf("billing: a checkpoint of %d digest bytes", len(raw))
-		}
-		cp := &Checkpoint{Digests: make([]Digest, n)}
-		for i := range cp.Digests {
-			copy(cp.Digests[i][:], raw[i*digestSize:])
-		}
-		cp.Sig = rd.BytesCopy()
-		s.Checkpoint = cp
-	}
-	if err := rd.Done(); err != nil {
+	if err := codec.Decode(b, s.fields); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -95,7 +95,8 @@ func (b *Brokerd) Restore(snap []byte) error {
 	nUsers := r.Uint32()
 	for i := uint32(0); i < nUsers && r.Err() == nil; i++ {
 		_ = r.String() // the idU: RegisterUser derives the same digest from the key
-		pub, err := pki.ParsePublicIdentity(r.BytesCopy()) // its keys alias what it parses
+		// A copy: the parsed keys alias it, and outlive snap.
+		pub, err := pki.ParsePublicIdentity(r.BytesCopy())
 		if err != nil {
 			return err
 		}

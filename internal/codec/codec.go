@@ -1,13 +1,23 @@
 // Package codec provides the length-prefixed big-endian binary field codec
-// shared by the SAP, billing, and wire-protocol message formats.
+// shared by the SAP, billing, NAS and wire-protocol message formats.
 //
-// The Writer appends fields; the Reader consumes them in the same order
-// and accumulates the first error, so decoding code stays linear:
+// A message declares its fields once, in wire order, in a method that walks
+// them with a Coder:
 //
-//	r := codec.NewReader(b)
-//	v.Name = r.String()
-//	v.Count = r.Uint32()
-//	return r.Done()
+//	func (m *Msg) fields(c codec.Coder) codec.Coder {
+//		c.String(&m.Name)
+//		c.Uint32(&m.Count)
+//		return c
+//	}
+//
+// and that one list is its size (Size), its encoding (Encode, Append) and
+// its decoding (Decode). Begin and End nest a length-prefixed span in place
+// — a message inside a message, or the span a signature covers — and when
+// reading, End hands back the span's bytes. A read error latches: the
+// fields after it read nothing, and Decode returns it.
+//
+// Writer and Reader are the appending and reading halves on their own, for
+// a format walked field by field rather than declared once.
 package codec
 
 import (
@@ -15,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 )
 
 // ErrShort is returned when input is exhausted mid-field.
@@ -22,178 +33,397 @@ var ErrShort = errors.New("codec: input too short")
 
 var errBool = errors.New("codec: bool byte is neither 0 nor 1")
 
-// Writer accumulates encoded fields.
-type Writer struct{ b []byte }
+type mode uint8
 
-// NewWriter returns a Writer with optional capacity hint.
-func NewWriter(sizeHint int) *Writer { return &Writer{b: make([]byte, 0, sizeHint)} }
+const (
+	appending mode = iota // the zero value: a Writer appends to nil
+	sizing
+	reading
+)
 
-// AppendTo returns a Writer whose fields extend dst; Out returns the
-// extended slice. The allocation-free path for callers that reuse a
-// scratch buffer.
-func AppendTo(dst []byte) Writer { return Writer{b: dst} }
-
-// Bytes appends a length-prefixed byte field.
-func (w *Writer) Bytes(v []byte) {
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(v)))
-	w.b = append(w.b, v...)
+// Coder walks a message's fields in one of three modes: sizing, appending
+// or reading. Each field method takes a pointer to the field, reads it when
+// sizing or appending, and sets it when reading. A message's fields method
+// takes the Coder and returns it by value, so neither escapes.
+type Coder struct {
+	mode mode
+	b    []byte // appending: the output; reading: the input
+	n    int    // sizing: the length so far; reading: the offset of the next field
+	end  int    // reading: where the innermost open span ends
+	err  error  // reading: the first error
 }
 
-// String appends a length-prefixed string field.
-func (w *Writer) String(v string) {
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(v)))
-	w.b = append(w.b, v...)
+// Size is the length of what fields lists.
+func Size(fields func(Coder) Coder) int { return fields(Coder{mode: sizing}).n }
+
+// Encode returns what fields lists, in a buffer of exactly its size.
+func Encode(fields func(Coder) Coder) []byte {
+	return Append(make([]byte, 0, Size(fields)), fields)
 }
 
-// Begin opens a length-prefixed field whose content is whatever the caller
-// appends until End: a nested message is encoded in place, in the buffer it
-// is a field of, where Bytes(inner.Marshal()) builds it apart and copies
-// it. Fields nest; each End takes the mark its Begin returned.
-func (w *Writer) Begin() (mark int) {
-	w.b = append(w.b, 0, 0, 0, 0)
-	return len(w.b)
+// Append appends what fields lists to dst and returns the extended slice.
+func Append(dst []byte, fields func(Coder) Coder) []byte { return fields(Coder{b: dst}).b }
+
+// Decode sets what fields lists from b, which it must consume exactly.
+// Decoded fields own their bytes, except those read with View.
+func Decode(b []byte, fields func(Coder) Coder) error {
+	c := fields(Coder{mode: reading, b: b, end: len(b)})
+	return c.done()
 }
 
-// End closes the field opened at mark by writing its length prefix.
-func (w *Writer) End(mark int) {
-	binary.BigEndian.PutUint32(w.b[mark-4:], uint32(len(w.b)-mark))
+func (c *Coder) done() error {
+	if c.err == nil && c.n != c.end {
+		return fmt.Errorf("codec: %d trailing bytes", c.end-c.n)
+	}
+	return c.err
 }
 
-// Uint32 appends a fixed 4-byte field.
-func (w *Writer) Uint32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
+// take consumes k bytes of the open span, or latches ErrShort and consumes
+// nothing.
+func (c *Coder) take(k int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if k < 0 || k > c.end-c.n {
+		c.err = ErrShort
+		return nil
+	}
+	c.n += k
+	return c.b[c.n-k : c.n]
+}
 
-// Uint64 appends a fixed 8-byte field.
-func (w *Writer) Uint64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
+// read consumes a k-byte big-endian integer, k in {1, 4, 8}.
+func (c *Coder) read(k int) uint64 {
+	f := c.take(k)
+	switch {
+	case f == nil:
+		return 0
+	case k == 1:
+		return uint64(f[0])
+	case k == 4:
+		return uint64(binary.BigEndian.Uint32(f))
+	}
+	return binary.BigEndian.Uint64(f)
+}
 
-// Byte appends a single byte.
-func (w *Writer) Byte(v byte) { w.b = append(w.b, v) }
-
-// Bool appends a single 0/1 byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
+// write sizes or appends a k-byte big-endian integer, k in {1, 4, 8}.
+func (c *Coder) write(v uint64, k int) {
+	switch {
+	case c.mode == sizing:
+		c.n += k
+	case k == 1:
+		c.b = append(c.b, byte(v))
+	case k == 4:
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(v))
+	default:
+		c.b = binary.BigEndian.AppendUint64(c.b, v)
 	}
 }
 
-// Float64 appends an IEEE-754 big-endian float.
-func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
-
-// Out returns the accumulated encoding.
-func (w *Writer) Out() []byte { return w.b }
-
-// Reader consumes encoded fields, latching the first error.
-type Reader struct {
-	b   []byte
-	err error
+// field consumes a length-prefixed field in place; a failed read consumes
+// nothing.
+func (c *Coder) field() []byte {
+	at := c.n
+	f := c.take(int(c.read(4)))
+	if c.err != nil {
+		c.n = at
+	}
+	return f
 }
 
+// raw sizes or appends v without a length prefix.
+func (c *Coder) raw(v []byte) {
+	if c.mode == sizing {
+		c.n += len(v)
+	} else {
+		c.b = append(c.b, v...)
+	}
+}
+
+// Bytes codes a length-prefixed byte field. Reading, it copies: an empty
+// field decodes nil.
+func (c *Coder) Bytes(v *[]byte) {
+	if c.mode != reading {
+		c.write(uint64(len(*v)), 4)
+		c.raw(*v)
+	} else if f := c.field(); len(f) > 0 {
+		*v = append([]byte(nil), f...)
+	} else {
+		*v = nil
+	}
+}
+
+// View is Bytes, except that what it reads aliases the input.
+func (c *Coder) View(v *[]byte) {
+	if c.mode != reading {
+		c.Bytes(v)
+	} else {
+		*v = c.field()
+	}
+}
+
+// String codes a length-prefixed string field.
+func (c *Coder) String(v *string) {
+	if c.mode != reading {
+		c.write(uint64(len(*v)), 4)
+		if c.mode == sizing {
+			c.n += len(*v)
+		} else {
+			c.b = append(c.b, *v...)
+		}
+	} else {
+		*v = string(c.field())
+	}
+}
+
+// Fixed codes a length-prefixed field of exactly len(v) bytes, such as an
+// array's: reading, any other length is an error.
+func (c *Coder) Fixed(v []byte) {
+	if c.mode != reading {
+		c.write(uint64(len(v)), 4)
+		c.raw(v)
+	} else if f := c.field(); c.err == nil && len(f) != len(v) {
+		c.err = fmt.Errorf("codec: a %d-byte field where %d belong", len(f), len(v))
+	} else {
+		copy(v, f)
+	}
+}
+
+// Raw codes len(v) bytes with no length prefix.
+func (c *Coder) Raw(v []byte) {
+	if c.mode != reading {
+		c.raw(v)
+	} else {
+		copy(v, c.take(len(v)))
+	}
+}
+
+// Byte codes a single byte.
+func (c *Coder) Byte(v *byte) {
+	if c.mode != reading {
+		c.write(uint64(*v), 1)
+	} else {
+		*v = byte(c.read(1))
+	}
+}
+
+// Bool codes a single 0/1 byte. Reading, any other byte is an error, so a
+// decoded message re-encodes to the bytes it came from; like every failed
+// read, it consumes nothing.
+func (c *Coder) Bool(v *bool) {
+	if c.mode != reading {
+		var b uint64
+		if *v {
+			b = 1
+		}
+		c.write(b, 1)
+		return
+	}
+	switch c.read(1) {
+	case 0:
+		*v = false
+	case 1:
+		*v = true
+	default:
+		c.n--
+		c.err, *v = errBool, false
+	}
+}
+
+// Uint32 codes a fixed 4-byte field.
+func (c *Coder) Uint32(v *uint32) {
+	if c.mode != reading {
+		c.write(uint64(*v), 4)
+	} else {
+		*v = uint32(c.read(4))
+	}
+}
+
+// Uint64 codes a fixed 8-byte field.
+func (c *Coder) Uint64(v *uint64) {
+	if c.mode != reading {
+		c.write(*v, 8)
+	} else {
+		*v = c.read(8)
+	}
+}
+
+// Int64 codes a signed 8-byte field, two's complement.
+func (c *Coder) Int64(v *int64) {
+	if c.mode != reading {
+		c.write(uint64(*v), 8)
+	} else {
+		*v = int64(c.read(8))
+	}
+}
+
+// Float64 codes an IEEE-754 big-endian float.
+func (c *Coder) Float64(v *float64) {
+	if c.mode != reading {
+		c.write(math.Float64bits(*v), 8)
+	} else {
+		*v = math.Float64frombits(c.read(8))
+	}
+}
+
+// Unix codes a time as its whole Unix seconds, in 8 bytes.
+func (c *Coder) Unix(v *time.Time) {
+	if c.mode != reading {
+		c.write(uint64(v.Unix()), 8)
+	} else {
+		*v = time.Unix(int64(c.read(8)), 0)
+	}
+}
+
+// Span is an open length-prefixed span, from Begin to its End.
+type Span struct{ at, end int }
+
+// Begin opens a length-prefixed span whose content is the fields coded
+// until End: a nested message is encoded in place, in the buffer it is a
+// field of. Spans nest; each End takes the Span its Begin returned.
+func (c *Coder) Begin() Span {
+	switch c.mode {
+	case sizing:
+		c.n += 4
+		return Span{}
+	case appending:
+		c.b = append(c.b, 0, 0, 0, 0)
+		return Span{at: len(c.b)}
+	}
+	s := Span{end: c.end}
+	if f := c.field(); c.err == nil {
+		s.at, c.n, c.end = c.n-len(f), c.n-len(f), c.n
+	}
+	return s
+}
+
+// End closes the span s opened. Reading, the span's fields must have
+// consumed it exactly, and End returns its bytes (nil after an error);
+// otherwise it returns nil.
+func (c *Coder) End(s Span) []byte {
+	switch c.mode {
+	case sizing:
+		return nil
+	case appending:
+		binary.BigEndian.PutUint32(c.b[s.at-4:], uint32(len(c.b)-s.at))
+		return nil
+	}
+	err := c.done()
+	if c.n, c.end = c.end, s.end; err != nil {
+		c.err = err
+		return nil
+	}
+	return c.b[s.at:c.n]
+}
+
+// Optional codes the presence of a trailing optional group of fields:
+// sizing or appending, present; reading, whether the open span has bytes
+// left.
+func (c *Coder) Optional(present bool) bool {
+	if c.mode != reading {
+		return present
+	}
+	return c.err == nil && c.n < c.end
+}
+
+// Check latches err when reading and ok is false: a decoded value the
+// format does not allow.
+func (c *Coder) Check(ok bool, err error) {
+	if c.mode == reading && !ok && c.err == nil {
+		c.err = err
+	}
+}
+
+// List codes the count of a list and returns the slice its elements are
+// then coded into, one after another: *v, or when reading, *v made anew at
+// the decoded count (nil for none). The count goes on the wire times unit —
+// 1 for a count, or an element's size for elements of that fixed size laid
+// end to end, whose length prefix it then is. Reading, a count above max,
+// or a length no multiple of unit, latches tooMany before anything is
+// allocated.
+func List[T any](c *Coder, v *[]T, unit, max int, tooMany error) []T {
+	if c.mode != reading {
+		c.write(uint64(unit*len(*v)), 4)
+		return *v
+	}
+	n := c.read(4)
+	if c.err == nil && (n%uint64(unit) != 0 || n/uint64(unit) > uint64(max)) {
+		c.err = tooMany
+	}
+	*v = nil
+	if c.err == nil && n > 0 {
+		*v = make([]T, n/uint64(unit))
+	}
+	return *v
+}
+
+// Writer appends fields one call at a time.
+type Writer struct{ c Coder }
+
+// NewWriter returns a Writer with optional capacity hint.
+func NewWriter(sizeHint int) *Writer { return &Writer{Coder{b: make([]byte, 0, sizeHint)}} }
+
+// Bytes appends a length-prefixed byte field.
+func (w *Writer) Bytes(v []byte) { w.c.Bytes(&v) }
+
+// String appends a length-prefixed string field.
+func (w *Writer) String(v string) { w.c.String(&v) }
+
+// Uint32 appends a fixed 4-byte field.
+func (w *Writer) Uint32(v uint32) { w.c.Uint32(&v) }
+
+// Uint64 appends a fixed 8-byte field.
+func (w *Writer) Uint64(v uint64) { w.c.Uint64(&v) }
+
+// Byte appends a single byte.
+func (w *Writer) Byte(v byte) { w.c.Byte(&v) }
+
+// Bool appends a single 0/1 byte.
+func (w *Writer) Bool(v bool) { w.c.Bool(&v) }
+
+// Float64 appends an IEEE-754 big-endian float.
+func (w *Writer) Float64(v float64) { w.c.Float64(&v) }
+
+// Out returns the accumulated encoding.
+func (w *Writer) Out() []byte { return w.c.b }
+
+// Reader consumes fields one call at a time, latching the first error;
+// every read after it returns the zero value.
+type Reader struct{ c Coder }
+
 // NewReader wraps b for decoding.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
+func NewReader(b []byte) *Reader { return &Reader{Coder{mode: reading, b: b, end: len(b)}} }
 
 // Bytes reads a length-prefixed byte field. The returned slice aliases the
 // input; callers that retain it must copy.
-func (r *Reader) Bytes() []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < 4 {
-		r.err = ErrShort
-		return nil
-	}
-	n := binary.BigEndian.Uint32(r.b)
-	if uint64(len(r.b)-4) < uint64(n) {
-		r.err = ErrShort
-		return nil
-	}
-	v := r.b[4 : 4+n]
-	r.b = r.b[4+n:]
-	return v
-}
+func (r *Reader) Bytes() (v []byte) { r.c.View(&v); return v }
 
 // BytesCopy reads a length-prefixed byte field into fresh storage.
-func (r *Reader) BytesCopy() []byte {
-	v := r.Bytes()
-	if v == nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
+func (r *Reader) BytesCopy() (v []byte) { r.c.Bytes(&v); return v }
 
 // String reads a length-prefixed string field.
-func (r *Reader) String() string { return string(r.Bytes()) }
+func (r *Reader) String() (v string) { r.c.String(&v); return v }
 
 // Uint32 reads a fixed 4-byte field.
-func (r *Reader) Uint32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.err = ErrShort
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
+func (r *Reader) Uint32() (v uint32) { r.c.Uint32(&v); return v }
 
 // Uint64 reads a fixed 8-byte field.
-func (r *Reader) Uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = ErrShort
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
+func (r *Reader) Uint64() (v uint64) { r.c.Uint64(&v); return v }
 
 // Byte reads a single byte.
-func (r *Reader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.err = ErrShort
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
+func (r *Reader) Byte() (v byte) { r.c.Byte(&v); return v }
 
-// Bool reads a single 0/1 byte; any other byte is an error, so a decoded
-// message re-encodes to the bytes it came from. Like every failed read, it
-// consumes nothing.
-func (r *Reader) Bool() bool {
-	if r.err == nil && len(r.b) > 0 && r.b[0] > 1 {
-		r.err = errBool
-		return false
-	}
-	return r.Byte() == 1
-}
+// Bool reads a single 0/1 byte; any other byte is an error.
+func (r *Reader) Bool() (v bool) { r.c.Bool(&v); return v }
 
 // Float64 reads an IEEE-754 big-endian float.
-func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+func (r *Reader) Float64() (v float64) { r.c.Float64(&v); return v }
 
 // Err returns the latched error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error { return r.c.err }
 
-// Len returns how many bytes are left to read: a format with an optional
-// trailing field asks before it reads one.
-func (r *Reader) Len() int { return len(r.b) }
+// Len returns how many bytes are left to read.
+func (r *Reader) Len() int { return r.c.end - r.c.n }
 
 // Done returns the latched error, or an error when input remains.
-func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("codec: %d trailing bytes", len(r.b))
-	}
-	return nil
-}
+func (r *Reader) Done() error { return r.c.done() }

@@ -2,10 +2,12 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRoundTripAllFieldTypes(t *testing.T) {
@@ -174,5 +176,121 @@ func TestBoolIsStrict(t *testing.T) {
 	r := NewReader([]byte{2, 1})
 	if r.Bool(); r.Bool() || r.Done() == nil {
 		t.Fatal("byte 2 decoded as a bool")
+	}
+}
+
+// msg exercises every Coder field kind through one list.
+type msg struct {
+	name   string
+	raw    []byte
+	view   []byte
+	nonce  [4]byte
+	tag    [2]byte
+	n32    uint32
+	n64    uint64
+	i64    int64
+	by     byte
+	ok     bool
+	f      float64
+	at     time.Time
+	list   []string
+	signed []byte // read: the nested span's bytes
+	extra  *uint32
+}
+
+var errTooMany = errors.New("too many")
+
+func (m *msg) fields(c Coder) Coder {
+	span := c.Begin()
+	c.String(&m.name)
+	c.Bytes(&m.raw)
+	c.View(&m.view)
+	c.Fixed(m.nonce[:])
+	if signed := c.End(span); signed != nil {
+		m.signed = signed
+	}
+	c.Raw(m.tag[:])
+	c.Uint32(&m.n32)
+	c.Uint64(&m.n64)
+	c.Int64(&m.i64)
+	c.Byte(&m.by)
+	c.Bool(&m.ok)
+	c.Float64(&m.f)
+	c.Unix(&m.at)
+	list := List(&c, &m.list, 1, 3, errTooMany)
+	for i := range list {
+		c.String(&list[i])
+	}
+	if c.Optional(m.extra != nil) {
+		if m.extra == nil {
+			m.extra = new(uint32)
+		}
+		c.Uint32(m.extra)
+	}
+	return c
+}
+
+// One list is the size, the encoding and the decoding; a decoded message
+// re-encodes to its bytes, owns them except for View, and End hands back
+// the nested span it closed.
+func TestCoderOneListThreeModes(t *testing.T) {
+	extra := uint32(7)
+	in := &msg{name: "n", raw: []byte{1}, view: []byte{2, 3}, nonce: [4]byte{4}, tag: [2]byte{5, 6}, n32: 8, n64: 9,
+		i64: -10, by: 11, ok: true, f: 1.5, at: time.Unix(1_700_000_000, 0), list: []string{"a", "bc"}, extra: &extra}
+	b := Encode(in.fields)
+	if len(b) != Size(in.fields) || cap(b) != len(b) {
+		t.Fatalf("%d bytes in a buffer of %d, Size %d", len(b), cap(b), Size(in.fields))
+	}
+	if got := Append([]byte{0xAA}, in.fields); !bytes.Equal(got[1:], b) {
+		t.Fatal("Append differs from Encode")
+	}
+	var out msg
+	if err := Decode(b, out.fields); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(Encode(out.fields), b) || *out.extra != extra || out.at.Unix() != in.at.Unix() || out.i64 != -10 {
+		t.Fatalf("decoded %+v", out)
+	}
+	if !bytes.Equal(out.signed, b[4:4+binary.BigEndian.Uint32(b)]) {
+		t.Fatal("End did not return the span's bytes")
+	}
+	b[4+4+1+4] = 0xEE     // raw's one byte
+	b[4+4+1+4+1+4] = 0xEE // view's first byte
+	if out.raw[0] != 1 || out.view[0] != 0xEE {
+		t.Fatal("Bytes must copy, View must alias")
+	}
+
+	var empty msg
+	if err := Decode(Encode(empty.fields), empty.fields); err != nil || empty.raw != nil || empty.list != nil || empty.extra != nil {
+		t.Fatalf("empty fields decode to %+v, %v", empty, err)
+	}
+}
+
+// Reading refuses, and names, what the list does not allow.
+func TestCoderRefusals(t *testing.T) {
+	good := Encode((&msg{list: []string{"a"}}).fields)
+	at := func(off int, v byte) []byte {
+		b := bytes.Clone(good)
+		b[off] = v
+		return b
+	}
+	listAt := len(good) - 4 - 4 - 1
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"short", good[:len(good)-1], ErrShort},
+		{"trailing", append(bytes.Clone(good), 0), nil},
+		{"span longer than its fields", at(3, good[3]+1), nil},
+		{"fixed field of another length", at(4+4+4+4+3, 3), nil},
+		{"list above its bound", at(listAt+3, 4), errTooMany},
+		{"bool byte 2", at(listAt-8-8-1, 2), errBool},
+	} {
+		var m msg
+		err := Decode(c.b, m.fields)
+		if err == nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
 	}
 }

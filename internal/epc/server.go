@@ -38,26 +38,35 @@ func (s *NASServer) handle(msgType byte, payload []byte) (byte, []byte, error) {
 	if msgType != wire.TypeNAS {
 		return 0, nil, fmt.Errorf("epc: unexpected message type %d", msgType)
 	}
-	r := codec.NewReader(payload)
-	ranID := r.String()
-	envelope := r.BytesCopy()
-	if err := r.Done(); err != nil {
+	var call nasCall
+	if err := codec.Decode(payload, call.fields); err != nil {
 		return 0, nil, err
 	}
-	reply, err := s.G.HandleNAS(ranID, envelope)
+	reply, err := s.G.HandleNAS(call.ranID, call.envelope)
 	if err != nil {
 		return 0, nil, err
 	}
 	return wire.TypeNASReply, reply, nil
 }
 
+// nasCall is the UE->AGW wire call: a NAS envelope and the RAN identifier
+// it came in on.
+type nasCall struct {
+	ranID    string
+	envelope []byte
+}
+
+func (m *nasCall) fields(c codec.Coder) codec.Coder {
+	c.String(&m.ranID)
+	c.Bytes(&m.envelope)
+	return c
+}
+
 // EncodeNASCall frames a NAS envelope with its RAN identifier for the
 // UE->AGW wire call.
 func EncodeNASCall(ranID string, envelope []byte) []byte {
-	w := codec.NewWriter(len(envelope) + 32)
-	w.String(ranID)
-	w.Bytes(envelope)
-	return w.Out()
+	call := nasCall{ranID, envelope}
+	return codec.Encode(call.fields)
 }
 
 // SDBServer exposes a SubscriberDB over the wire protocol (the S6A-like

@@ -77,59 +77,42 @@ func (db *SubscriberDB) UpdateLocation(imsi string) (SubscriberProfile, error) {
 
 // --- wire codec for the S6A-like RPCs ---
 
-// MarshalVector encodes an AIA payload.
-func MarshalVector(v aka.Vector) []byte {
-	w := codec.NewWriter(128)
-	w.Bytes(v.RAND[:])
-	w.Bytes(v.AUTN)
-	w.Bytes(v.XRES)
-	w.Bytes(v.KASME[:])
-	return w.Out()
+// aia is an authentication vector as the AIA payload carries it.
+type aia aka.Vector
+
+func (v *aia) fields(c codec.Coder) codec.Coder {
+	c.Fixed(v.RAND[:])
+	c.Bytes(&v.AUTN)
+	c.Bytes(&v.XRES)
+	c.Fixed(v.KASME[:])
+	return c
 }
+
+// MarshalVector encodes an AIA payload.
+func MarshalVector(v aka.Vector) []byte { return codec.Encode((*aia)(&v).fields) }
 
 // UnmarshalVector decodes an AIA payload.
 func UnmarshalVector(b []byte) (aka.Vector, error) {
-	r := codec.NewReader(b)
 	var v aka.Vector
-	rnd := r.Bytes()
-	autn := r.BytesCopy()
-	xres := r.BytesCopy()
-	kasme := r.Bytes()
-	if err := r.Done(); err != nil {
-		return v, err
-	}
-	if len(rnd) != len(v.RAND) || len(kasme) != len(v.KASME) {
-		return v, errors.New("epc: bad vector field sizes")
-	}
-	copy(v.RAND[:], rnd)
-	v.AUTN = autn
-	v.XRES = xres
-	copy(v.KASME[:], kasme)
-	return v, nil
+	err := codec.Decode(b, (*aia)(&v).fields)
+	return v, err
+}
+
+func (p *SubscriberProfile) fields(c codec.Coder) codec.Coder {
+	c.String(&p.IMSI)
+	c.String(&p.APN)
+	c.Byte((*byte)(&p.QoS.QCI))
+	c.Uint64(&p.QoS.DLAmbrBps)
+	c.Uint64(&p.QoS.ULAmbrBps)
+	return c
 }
 
 // MarshalProfile encodes a ULA payload.
-func MarshalProfile(p SubscriberProfile) []byte {
-	w := codec.NewWriter(64)
-	w.String(p.IMSI)
-	w.String(p.APN)
-	w.Byte(byte(p.QoS.QCI))
-	w.Uint64(p.QoS.DLAmbrBps)
-	w.Uint64(p.QoS.ULAmbrBps)
-	return w.Out()
-}
+func MarshalProfile(p SubscriberProfile) []byte { return codec.Encode(p.fields) }
 
 // UnmarshalProfile decodes a ULA payload.
 func UnmarshalProfile(b []byte) (SubscriberProfile, error) {
-	r := codec.NewReader(b)
 	var p SubscriberProfile
-	p.IMSI = r.String()
-	p.APN = r.String()
-	p.QoS.QCI = qos.QCI(r.Byte())
-	p.QoS.DLAmbrBps = r.Uint64()
-	p.QoS.ULAmbrBps = r.Uint64()
-	if err := r.Done(); err != nil {
-		return p, err
-	}
-	return p, nil
+	err := codec.Decode(b, p.fields)
+	return p, err
 }

@@ -26,12 +26,12 @@ const (
 	MsgSessionAccept
 )
 
-// Message is a decodable NAS message.
+// Message is a decodable NAS message. Its body is its fields, in wire
+// order; the Coder goes in and out by value, so it does not escape through
+// the interface.
 type Message interface {
 	Type() byte
-	bodyLen() int // exactly what appendBody appends
-	appendBody([]byte) []byte
-	unmarshalBody([]byte) error
+	fields(codec.Coder) codec.Coder
 }
 
 // ErrUnknownMessage is returned by Decode for unrecognized type bytes.
@@ -45,14 +45,13 @@ func Encode(m Message) []byte {
 
 // EncodedLen is the size of m's encoding, type byte included: what a
 // caller framing m in a buffer of its own sizes that buffer by.
-func EncodedLen(m Message) int { return 1 + m.bodyLen() }
+func EncodedLen(m Message) int { return 1 + codec.Size(m.fields) }
 
 // AppendEncode serializes m (type byte + body) onto dst and returns the
 // extended slice — the allocation-free path for callers that reuse a
 // scratch buffer.
 func AppendEncode(dst []byte, m Message) []byte {
-	dst = append(dst, m.Type())
-	return m.appendBody(dst)
+	return codec.Append(append(dst, m.Type()), m.fields)
 }
 
 // Decode parses a NAS message.
@@ -90,7 +89,7 @@ func Decode(b []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownMessage, b[0])
 	}
 	// Bodies are codec fields; its errors stay nas's own at this boundary.
-	switch err := m.unmarshalBody(b[1:]); {
+	switch err := codec.Decode(b[1:], m.fields); {
 	case err == nil:
 		return m, nil
 	case errors.Is(err, codec.ErrShort):
@@ -110,19 +109,11 @@ type AttachRequestLegacy struct {
 	Capabilities uint32
 }
 
-func (*AttachRequestLegacy) Type() byte     { return MsgAttachRequestLegacy }
-func (m *AttachRequestLegacy) bodyLen() int { return 8 + len(m.IMSI) }
-func (m *AttachRequestLegacy) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.String(m.IMSI)
-	w.Uint32(m.Capabilities)
-	return w.Out()
-}
-func (m *AttachRequestLegacy) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.IMSI = r.String()
-	m.Capabilities = r.Uint32()
-	return r.Done()
+func (*AttachRequestLegacy) Type() byte { return MsgAttachRequestLegacy }
+func (m *AttachRequestLegacy) fields(c codec.Coder) codec.Coder {
+	c.String(&m.IMSI)
+	c.Uint32(&m.Capabilities)
+	return c
 }
 
 // AuthenticationRequest carries the AKA challenge (RAND, AUTN).
@@ -131,42 +122,20 @@ type AuthenticationRequest struct {
 	AUTN []byte
 }
 
-func (*AuthenticationRequest) Type() byte     { return MsgAuthenticationRequest }
-func (m *AuthenticationRequest) bodyLen() int { return 24 + len(m.AUTN) }
-func (m *AuthenticationRequest) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Bytes(m.RAND[:])
-	w.Bytes(m.AUTN)
-	return w.Out()
-}
-func (m *AuthenticationRequest) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	rnd := r.Bytes()
-	m.AUTN = r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if len(rnd) != 16 {
-		return fmt.Errorf("RAND length %d", len(rnd))
-	}
-	copy(m.RAND[:], rnd)
-	return nil
+func (*AuthenticationRequest) Type() byte { return MsgAuthenticationRequest }
+func (m *AuthenticationRequest) fields(c codec.Coder) codec.Coder {
+	c.Fixed(m.RAND[:])
+	c.Bytes(&m.AUTN)
+	return c
 }
 
 // AuthenticationResponse carries RES.
 type AuthenticationResponse struct{ RES []byte }
 
-func (*AuthenticationResponse) Type() byte     { return MsgAuthenticationResponse }
-func (m *AuthenticationResponse) bodyLen() int { return 4 + len(m.RES) }
-func (m *AuthenticationResponse) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Bytes(m.RES)
-	return w.Out()
-}
-func (m *AuthenticationResponse) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.RES = r.BytesCopy()
-	return r.Done()
+func (*AuthenticationResponse) Type() byte { return MsgAuthenticationResponse }
+func (m *AuthenticationResponse) fields(c codec.Coder) codec.Coder {
+	c.Bytes(&m.RES)
+	return c
 }
 
 // SecurityModeCommand selects algorithms and replays the UE capabilities
@@ -177,30 +146,19 @@ type SecurityModeCommand struct {
 	ReplayedCaps uint32
 }
 
-func (*SecurityModeCommand) Type() byte   { return MsgSecurityModeCommand }
-func (*SecurityModeCommand) bodyLen() int { return 6 }
-func (m *SecurityModeCommand) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Byte(m.CipherAlg)
-	w.Byte(m.IntegrityAlg)
-	w.Uint32(m.ReplayedCaps)
-	return w.Out()
-}
-func (m *SecurityModeCommand) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.CipherAlg = r.Byte()
-	m.IntegrityAlg = r.Byte()
-	m.ReplayedCaps = r.Uint32()
-	return r.Done()
+func (*SecurityModeCommand) Type() byte { return MsgSecurityModeCommand }
+func (m *SecurityModeCommand) fields(c codec.Coder) codec.Coder {
+	c.Byte(&m.CipherAlg)
+	c.Byte(&m.IntegrityAlg)
+	c.Uint32(&m.ReplayedCaps)
+	return c
 }
 
 // SecurityModeComplete acknowledges SMC under the new context.
 type SecurityModeComplete struct{}
 
-func (*SecurityModeComplete) Type() byte                   { return MsgSecurityModeComplete }
-func (*SecurityModeComplete) bodyLen() int                 { return 0 }
-func (*SecurityModeComplete) appendBody(b []byte) []byte   { return b }
-func (*SecurityModeComplete) unmarshalBody(b []byte) error { return codec.NewReader(b).Done() }
+func (*SecurityModeComplete) Type() byte                       { return MsgSecurityModeComplete }
+func (*SecurityModeComplete) fields(c codec.Coder) codec.Coder { return c }
 
 // --- CellBricks SAP attach ---
 
@@ -213,19 +171,11 @@ type AttachRequestSAP struct {
 	AuthReqU []byte
 }
 
-func (*AttachRequestSAP) Type() byte     { return MsgAttachRequestSAP }
-func (m *AttachRequestSAP) bodyLen() int { return 8 + len(m.BrokerID) + len(m.AuthReqU) }
-func (m *AttachRequestSAP) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.String(m.BrokerID)
-	w.Bytes(m.AuthReqU)
-	return w.Out()
-}
-func (m *AttachRequestSAP) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.BrokerID = r.String()
-	m.AuthReqU = r.BytesCopy()
-	return r.Done()
+func (*AttachRequestSAP) Type() byte { return MsgAttachRequestSAP }
+func (m *AttachRequestSAP) fields(c codec.Coder) codec.Coder {
+	c.String(&m.BrokerID)
+	c.Bytes(&m.AuthReqU)
+	return c
 }
 
 // AttachAccept completes either attach flow. For SAP it carries the
@@ -241,29 +191,16 @@ type AttachAccept struct {
 	AuthRespU []byte
 }
 
-func (*AttachAccept) Type() byte     { return MsgAttachAccept }
-func (m *AttachAccept) bodyLen() int { return 37 + len(m.IP) + len(m.AuthRespU) }
-func (m *AttachAccept) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Uint64(m.SessionID)
-	w.String(m.IP)
-	w.Uint32(m.BearerID)
-	w.Byte(m.QCI)
-	w.Uint64(m.DLAmbrBps)
-	w.Uint64(m.ULAmbrBps)
-	w.Bytes(m.AuthRespU)
-	return w.Out()
-}
-func (m *AttachAccept) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.SessionID = r.Uint64()
-	m.IP = r.String()
-	m.BearerID = r.Uint32()
-	m.QCI = r.Byte()
-	m.DLAmbrBps = r.Uint64()
-	m.ULAmbrBps = r.Uint64()
-	m.AuthRespU = r.BytesCopy()
-	return r.Done()
+func (*AttachAccept) Type() byte { return MsgAttachAccept }
+func (m *AttachAccept) fields(c codec.Coder) codec.Coder {
+	c.Uint64(&m.SessionID)
+	c.String(&m.IP)
+	c.Uint32(&m.BearerID)
+	c.Byte(&m.QCI)
+	c.Uint64(&m.DLAmbrBps)
+	c.Uint64(&m.ULAmbrBps)
+	c.Bytes(&m.AuthRespU)
+	return c
 }
 
 // AttachReject reports a failed attach with a cause string. RetryAfterMS,
@@ -275,51 +212,29 @@ type AttachReject struct {
 	RetryAfterMS uint32
 }
 
-func (*AttachReject) Type() byte     { return MsgAttachReject }
-func (m *AttachReject) bodyLen() int { return 8 + len(m.Cause) }
-func (m *AttachReject) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.String(m.Cause)
-	w.Uint32(m.RetryAfterMS)
-	return w.Out()
-}
-func (m *AttachReject) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.Cause = r.String()
-	m.RetryAfterMS = r.Uint32()
-	return r.Done()
+func (*AttachReject) Type() byte { return MsgAttachReject }
+func (m *AttachReject) fields(c codec.Coder) codec.Coder {
+	c.String(&m.Cause)
+	c.Uint32(&m.RetryAfterMS)
+	return c
 }
 
 // DetachRequest tears down the attachment (host-driven in CellBricks).
 type DetachRequest struct{ SessionID uint64 }
 
-func (*DetachRequest) Type() byte   { return MsgDetachRequest }
-func (*DetachRequest) bodyLen() int { return 8 }
-func (m *DetachRequest) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Uint64(m.SessionID)
-	return w.Out()
-}
-func (m *DetachRequest) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.SessionID = r.Uint64()
-	return r.Done()
+func (*DetachRequest) Type() byte { return MsgDetachRequest }
+func (m *DetachRequest) fields(c codec.Coder) codec.Coder {
+	c.Uint64(&m.SessionID)
+	return c
 }
 
 // DetachAccept acknowledges a detach.
 type DetachAccept struct{ SessionID uint64 }
 
-func (*DetachAccept) Type() byte   { return MsgDetachAccept }
-func (*DetachAccept) bodyLen() int { return 8 }
-func (m *DetachAccept) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Uint64(m.SessionID)
-	return w.Out()
-}
-func (m *DetachAccept) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.SessionID = r.Uint64()
-	return r.Done()
+func (*DetachAccept) Type() byte { return MsgDetachAccept }
+func (m *DetachAccept) fields(c codec.Coder) codec.Coder {
+	c.Uint64(&m.SessionID)
+	return c
 }
 
 // SessionRequest asks for an additional PDN session/bearer.
@@ -329,21 +244,12 @@ type SessionRequest struct {
 	QCI       byte
 }
 
-func (*SessionRequest) Type() byte     { return MsgSessionRequest }
-func (m *SessionRequest) bodyLen() int { return 13 + len(m.APN) }
-func (m *SessionRequest) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Uint64(m.SessionID)
-	w.String(m.APN)
-	w.Byte(m.QCI)
-	return w.Out()
-}
-func (m *SessionRequest) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.SessionID = r.Uint64()
-	m.APN = r.String()
-	m.QCI = r.Byte()
-	return r.Done()
+func (*SessionRequest) Type() byte { return MsgSessionRequest }
+func (m *SessionRequest) fields(c codec.Coder) codec.Coder {
+	c.Uint64(&m.SessionID)
+	c.String(&m.APN)
+	c.Byte(&m.QCI)
+	return c
 }
 
 // SessionAccept grants the additional bearer.
@@ -353,19 +259,10 @@ type SessionAccept struct {
 	QCI       byte
 }
 
-func (*SessionAccept) Type() byte   { return MsgSessionAccept }
-func (*SessionAccept) bodyLen() int { return 13 }
-func (m *SessionAccept) appendBody(b []byte) []byte {
-	w := codec.AppendTo(b)
-	w.Uint64(m.SessionID)
-	w.Uint32(m.BearerID)
-	w.Byte(m.QCI)
-	return w.Out()
-}
-func (m *SessionAccept) unmarshalBody(b []byte) error {
-	r := codec.NewReader(b)
-	m.SessionID = r.Uint64()
-	m.BearerID = r.Uint32()
-	m.QCI = r.Byte()
-	return r.Done()
+func (*SessionAccept) Type() byte { return MsgSessionAccept }
+func (m *SessionAccept) fields(c codec.Coder) codec.Coder {
+	c.Uint64(&m.SessionID)
+	c.Uint32(&m.BearerID)
+	c.Byte(&m.QCI)
+	return c
 }

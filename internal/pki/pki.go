@@ -18,13 +18,14 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"cellbricks/internal/codec"
 )
 
 // Errors returned by verification and sealing operations.
@@ -131,52 +132,27 @@ func (p PublicIdentity) Digest() string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// Bytes flattens the identity for embedding in certificates and messages:
-// each key behind a 4-byte length, the layout of two codec Bytes fields.
-func (p PublicIdentity) Bytes() []byte {
-	return p.appendTo(make([]byte, 0, p.encodedLen()))
+// fields lists the identity: each key behind a 4-byte length. Read, the
+// keys alias the input.
+func (p *PublicIdentity) fields(c codec.Coder) codec.Coder {
+	c.View((*[]byte)(&p.SigPub))
+	c.View(&p.BoxPub)
+	c.Check(len(p.SigPub) == ed25519.PublicKeySize, errSigKey)
+	return c
 }
 
-func (p PublicIdentity) encodedLen() int { return 8 + len(p.SigPub) + len(p.BoxPub) }
+var errSigKey = errors.New("pki: bad signing key length")
 
-func (p PublicIdentity) appendTo(out []byte) []byte {
-	out = binary.BigEndian.AppendUint32(out, uint32(len(p.SigPub)))
-	out = append(out, p.SigPub...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(p.BoxPub)))
-	return append(out, p.BoxPub...)
-}
+// Bytes flattens the identity for embedding in certificates and messages.
+func (p PublicIdentity) Bytes() []byte { return codec.Encode(p.fields) }
 
-// ParsePublicIdentity reverses PublicIdentity.Bytes.
+// ParsePublicIdentity reverses PublicIdentity.Bytes. The keys alias b.
 func ParsePublicIdentity(b []byte) (PublicIdentity, error) {
 	var p PublicIdentity
-	sig, rest, err := readChunk(b)
-	if err != nil {
-		return p, err
+	if err := codec.Decode(b, p.fields); err != nil {
+		return PublicIdentity{}, err
 	}
-	box, rest, err := readChunk(rest)
-	if err != nil {
-		return p, err
-	}
-	if len(rest) != 0 {
-		return p, fmt.Errorf("pki: %d trailing bytes in identity", len(rest))
-	}
-	if len(sig) != ed25519.PublicKeySize {
-		return p, fmt.Errorf("pki: bad signing key length %d", len(sig))
-	}
-	p.SigPub = ed25519.PublicKey(sig)
-	p.BoxPub = box
 	return p, nil
-}
-
-func readChunk(b []byte) (chunk, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, ErrShortInput
-	}
-	n := binary.BigEndian.Uint32(b)
-	if uint64(len(b)-4) < uint64(n) {
-		return nil, nil, ErrShortInput
-	}
-	return b[4 : 4+n], b[4+n:], nil
 }
 
 // Certificate binds a subject name and role to a public identity, signed
@@ -191,35 +167,29 @@ type Certificate struct {
 	Signature []byte // CA signature over signedBytes
 }
 
-// signedBytes is what the CA signs, in a buffer of exactly its size.
-func (c *Certificate) signedBytes() []byte {
-	return c.appendSigned(make([]byte, 0, c.signedLen()))
+// signed lists what the CA signs: the identity flat among the other fields.
+func (c *Certificate) signed(cd codec.Coder) codec.Coder {
+	cd.String(&c.Subject)
+	cd.String(&c.Role)
+	cd = c.Identity.fields(cd)
+	cd.Unix(&c.NotBefore)
+	cd.Unix(&c.NotAfter)
+	return cd
 }
 
-func (c *Certificate) signedLen() int {
-	return 8 + len(c.Subject) + len(c.Role) + c.Identity.encodedLen() + 16
-}
+func (c *Certificate) signedBytes() []byte { return codec.Encode(c.signed) }
 
-func (c *Certificate) appendSigned(out []byte) []byte {
-	out = appendString(out, c.Subject)
-	out = appendString(out, c.Role)
-	out = c.Identity.appendTo(out)
-	out = binary.BigEndian.AppendUint64(out, uint64(c.NotBefore.Unix()))
-	return binary.BigEndian.AppendUint64(out, uint64(c.NotAfter.Unix()))
+// digested is the certificate's full contents and signature.
+func (c *Certificate) digested(cd codec.Coder) codec.Coder {
+	cd = c.signed(cd)
+	cd.Raw(c.Signature)
+	return cd
 }
 
 // Digest is the SHA-256 of the certificate's full contents and signature:
 // what CertVerifier keys its cache by, and the public name of the
-// relationship a Pass belongs to (sealer.go). Both go into one buffer.
-func (c *Certificate) Digest() [sha256.Size]byte {
-	buf := c.appendSigned(make([]byte, 0, c.signedLen()+len(c.Signature)))
-	return sha256.Sum256(append(buf, c.Signature...))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
+// relationship a Pass belongs to (sealer.go).
+func (c *Certificate) Digest() [sha256.Size]byte { return sha256.Sum256(codec.Encode(c.digested)) }
 
 // CA is a certificate authority.
 type CA struct {

@@ -2,6 +2,7 @@ package sap
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 )
 
@@ -18,6 +19,29 @@ func FuzzUnmarshalAuthReqU(f *testing.F) {
 		}
 		if out := m.Marshal(); !bytes.Equal(out, b) {
 			t.Fatalf("request %x re-encodes to %x", b, out)
+		}
+	})
+}
+
+// FuzzUnmarshalAuthReqT checks the claim the broker's MAC check rests on
+// (AuthReqT.signedSum): the decoder is canonical. An accepted request
+// re-encodes to exactly the bytes it was decoded from, and one with a
+// MAC-sized Sig carries the digest of its signed bytes, taken while
+// decoding; no other does. The corpus under
+// testdata/fuzz/FuzzUnmarshalAuthReqT holds a signed and a MAC'd request of
+// newFixture's principals, one with no certificate, one whose signed span
+// has a trailing byte, and truncations.
+func FuzzUnmarshalAuthReqT(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := UnmarshalAuthReqT(b)
+		if err != nil {
+			return
+		}
+		if out := m.Marshal(); !bytes.Equal(out, b) {
+			t.Fatalf("request %x re-encodes to %x", b, out)
+		}
+		if macd := len(m.Sig) == telcoMACSize; m.summed != macd || macd && m.signedSum != sha256.Sum256(m.signedBytes()) {
+			t.Fatalf("a %d-byte Sig decoded with digest %x (taken: %v)", len(m.Sig), m.signedSum, m.summed)
 		}
 	})
 }

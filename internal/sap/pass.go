@@ -306,12 +306,12 @@ func (r *Receipt) signedBytes() []byte { return receiptBytes(receiptLabel, r.IDB
 
 // receiptBytes is what a receipt and a receipt request sign, apart by label.
 func receiptBytes(label, idB, idT string, urefs []string) []byte {
-	w := codec.NewWriter(64 + 28*len(urefs))
-	w.String(label)
-	w.String(idB)
-	w.String(idT)
-	marshalURefs(w, urefs)
-	return w.Out()
+	return codec.Encode(func(c codec.Coder) codec.Coder {
+		c.String(&label)
+		c.String(&idB)
+		c.String(&idT)
+		return urefFields(c, &urefs)
+	})
 }
 
 // VerifyReceipt is what a third party runs: r is brokerPub's statement, and
@@ -475,80 +475,43 @@ func (b *BrokerState) SignReceipt(idT string, urefs []string) Receipt {
 	return r
 }
 
-func marshalURefs(w *codec.Writer, urefs []string) {
-	w.Uint32(uint32(len(urefs)))
-	for _, u := range urefs {
-		w.String(u)
+// urefFields lists session references as receipts carry them.
+func urefFields(c codec.Coder, urefs *[]string) codec.Coder {
+	us := codec.List(&c, urefs, 1, receiptEvery, ErrBadRequest)
+	for i := range us {
+		c.String(&us[i])
 	}
+	return c
 }
 
-func unmarshalURefs(r *codec.Reader) ([]string, error) {
-	n := r.Uint32()
-	if n > receiptEvery {
-		return nil, fmt.Errorf("%w: %d session references in a receipt", ErrBadRequest, n)
-	}
-	var urefs []string
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		urefs = append(urefs, r.String())
-	}
-	return urefs, nil
+func (m *ReceiptReq) fields(c codec.Coder) codec.Coder {
+	c.String(&m.IDB)
+	c.String(&m.IDT)
+	c = certFields(c, &m.Cert)
+	c = urefFields(c, &m.URefs)
+	c.Bytes(&m.Sig)
+	return c
 }
 
 // Marshal encodes the request for the wire.
-func (m *ReceiptReq) Marshal() []byte {
-	w := codec.NewWriter(512 + 28*len(m.URefs))
-	w.String(m.IDB)
-	w.String(m.IDT)
-	marshalCert(w, m.Cert)
-	marshalURefs(w, m.URefs)
-	w.Bytes(m.Sig)
-	return w.Out()
-}
+func (m *ReceiptReq) Marshal() []byte { return codec.Encode(m.fields) }
 
 // UnmarshalReceiptReq decodes a receipt request.
-func UnmarshalReceiptReq(b []byte) (*ReceiptReq, error) {
-	r := codec.NewReader(b)
-	m := &ReceiptReq{IDB: r.String(), IDT: r.String()}
-	certB := r.Bytes()
-	urefs, err := unmarshalURefs(r)
-	if err != nil {
-		return nil, err
-	}
-	m.URefs, m.Sig = urefs, r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if m.Cert, err = unmarshalCert(certB); err != nil {
-		return nil, err
-	}
-	return m, nil
+func UnmarshalReceiptReq(b []byte) (*ReceiptReq, error) { return decode(b, new(ReceiptReq)) }
+
+func (m *ReceiptResp) fields(c codec.Coder) codec.Coder {
+	c.Bool(&m.Granted)
+	c.String(&m.Cause)
+	c.String(&m.Disowned)
+	c.String(&m.Receipt.IDB)
+	c.String(&m.Receipt.IDT)
+	c = urefFields(c, &m.Receipt.URefs)
+	c.Bytes(&m.Receipt.Sig)
+	return c
 }
 
 // Marshal encodes the broker's answer for the wire.
-func (m *ReceiptResp) Marshal() []byte {
-	w := codec.NewWriter(160 + 28*len(m.Receipt.URefs))
-	w.Bool(m.Granted)
-	w.String(m.Cause)
-	w.String(m.Disowned)
-	w.String(m.Receipt.IDB)
-	w.String(m.Receipt.IDT)
-	marshalURefs(w, m.Receipt.URefs)
-	w.Bytes(m.Receipt.Sig)
-	return w.Out()
-}
+func (m *ReceiptResp) Marshal() []byte { return codec.Encode(m.fields) }
 
 // UnmarshalReceiptResp decodes a broker's answer.
-func UnmarshalReceiptResp(b []byte) (*ReceiptResp, error) {
-	r := codec.NewReader(b)
-	m := &ReceiptResp{Granted: r.Bool(), Cause: r.String(), Disowned: r.String()}
-	m.Receipt.IDB, m.Receipt.IDT = r.String(), r.String()
-	urefs, err := unmarshalURefs(r)
-	if err != nil {
-		return nil, err
-	}
-	m.Receipt.URefs, m.Receipt.Sig = urefs, r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func UnmarshalReceiptResp(b []byte) (*ReceiptResp, error) { return decode(b, new(ReceiptResp)) }

@@ -38,12 +38,12 @@
 package sap
 
 import (
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"cellbricks/internal/codec"
 	"cellbricks/internal/nas"
@@ -71,30 +71,16 @@ type AuthVec struct {
 	Nonce [NonceSize]byte
 }
 
-func (v *AuthVec) marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 32+len(v.IDU)+len(v.IDB)+len(v.IDT)))
-	w.String(v.IDU)
-	w.String(v.IDB)
-	w.String(v.IDT)
-	w.Bytes(v.Nonce[:])
-	return w.Out()
+func (v *AuthVec) fields(c codec.Coder) codec.Coder {
+	c.String(&v.IDU)
+	c.String(&v.IDB)
+	c.String(&v.IDT)
+	c.Fixed(v.Nonce[:])
+	return c
 }
 
-func (v *AuthVec) unmarshal(b []byte) error {
-	r := codec.NewReader(b)
-	v.IDU = r.String()
-	v.IDB = r.String()
-	v.IDT = r.String()
-	n := r.Bytes()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if len(n) != NonceSize {
-		return fmt.Errorf("%w: nonce length %d", ErrBadRequest, len(n))
-	}
-	copy(v.Nonce[:], n)
-	return nil
-}
+func (v *AuthVec) marshal() []byte          { return codec.Encode(v.fields) }
+func (v *AuthVec) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // AuthReqU is the UE's attach request: authReqU = (sig_authvec, authVec*,
 // idB) (Fig. 2 step 4). SealedVec is authVec encrypted to pkB; Sig is the
@@ -107,30 +93,24 @@ type AuthReqU struct {
 	Sig       []byte
 }
 
+func (m *AuthReqU) fields(c codec.Coder) codec.Coder {
+	c.String(&m.IDB)
+	c.Bytes(&m.SealedVec)
+	c.Bytes(&m.Sig)
+	return c
+}
+
 // Marshal encodes the request for transport inside a NAS message.
-func (m *AuthReqU) Marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, m.encodedLen()))
-	m.encode(&w)
-	return w.Out()
-}
-
-func (m *AuthReqU) encodedLen() int { return 12 + len(m.IDB) + len(m.SealedVec) + len(m.Sig) }
-
-func (m *AuthReqU) encode(w *codec.Writer) {
-	w.String(m.IDB)
-	w.Bytes(m.SealedVec)
-	w.Bytes(m.Sig)
-}
+func (m *AuthReqU) Marshal() []byte { return codec.Encode(m.fields) }
 
 // UnmarshalAuthReqU decodes an AuthReqU.
-func UnmarshalAuthReqU(b []byte) (*AuthReqU, error) {
-	r := codec.NewReader(b)
-	m := &AuthReqU{}
-	m.IDB = r.String()
-	m.SealedVec = r.BytesCopy()
-	m.Sig = r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
+func UnmarshalAuthReqU(b []byte) (*AuthReqU, error) { return decode(b, new(AuthReqU)) }
+
+// decode decodes b into m: m, or nil and the error.
+func decode[M interface{ fields(codec.Coder) codec.Coder }](b []byte, m M) (M, error) {
+	if err := codec.Decode(b, m.fields); err != nil {
+		var none M
+		return none, err
 	}
 	return m, nil
 }
@@ -145,39 +125,20 @@ type ServiceTerms struct {
 	PricePerGB      float64 // in arbitrary currency units
 }
 
-func marshalTerms(w *codec.Writer, t ServiceTerms) {
-	w.Uint32(uint32(len(t.Cap.QCIs)))
-	for _, q := range t.Cap.QCIs {
-		w.Byte(byte(q))
-	}
-	w.Uint64(t.Cap.MaxDLAmbrBps)
-	w.Uint64(t.Cap.MaxULAmbrBps)
-	w.Bool(t.Cap.GBRSupported)
-	w.Bool(t.LawfulIntercept)
-	w.Float64(t.PricePerGB)
-}
-
-// termsFixedLen is what marshalTerms writes besides one byte per QCI.
-const termsFixedLen = 30
-
 // maxQCIs bounds a decoded capability: the standard defines fewer than 64.
 const maxQCIs = 64
 
-func unmarshalTerms(r *codec.Reader) (ServiceTerms, error) {
-	var t ServiceTerms
-	n := r.Uint32()
-	if n > maxQCIs {
-		return t, fmt.Errorf("%w: %d QCIs in a capability", ErrBadRequest, n)
+func (t *ServiceTerms) fields(c codec.Coder) codec.Coder {
+	qcis := codec.List(&c, &t.Cap.QCIs, 1, maxQCIs, ErrBadRequest)
+	for i := range qcis {
+		c.Byte((*byte)(&qcis[i]))
 	}
-	for i := uint32(0); i < n; i++ {
-		t.Cap.QCIs = append(t.Cap.QCIs, qos.QCI(r.Byte()))
-	}
-	t.Cap.MaxDLAmbrBps = r.Uint64()
-	t.Cap.MaxULAmbrBps = r.Uint64()
-	t.Cap.GBRSupported = r.Bool()
-	t.LawfulIntercept = r.Bool()
-	t.PricePerGB = r.Float64()
-	return t, nil
+	c.Uint64(&t.Cap.MaxDLAmbrBps)
+	c.Uint64(&t.Cap.MaxULAmbrBps)
+	c.Bool(&t.Cap.GBRSupported)
+	c.Bool(&t.LawfulIntercept)
+	c.Float64(&t.PricePerGB)
+	return c
 }
 
 // AuthReqT is the bTelco's augmented, signed forward of the UE request to
@@ -194,127 +155,71 @@ type AuthReqT struct {
 	// signedSum is the SHA-256 of the signed span of the bytes a MAC'd
 	// request was decoded from (summed): what its pass MAC covers, so the
 	// broker checks the MAC without encoding the request again. The
-	// decoder is canonical, so it equals the digest of signedBytes — of the
-	// fields as decoded, not as a caller may edit them after.
+	// decoder is canonical (FuzzUnmarshalAuthReqT), so it equals the digest
+	// of signedBytes — of the fields as decoded, not as a caller may edit
+	// them after.
 	signedSum [sha256.Size]byte
 	summed    bool
 }
 
-// signedLen is the size of encodeSigned's output.
-func (m *AuthReqT) signedLen() int {
-	return 4 + m.ReqU.encodedLen() + 4 + len(m.IDT) + termsFixedLen + len(m.Terms.Cap.QCIs)
+// signed lists what the bTelco signs — authReqU || idT || terms — the
+// nested request in place: one buffer, no copy per level.
+func (m *AuthReqT) signed(c codec.Coder) codec.Coder {
+	reqU := c.Begin()
+	c = m.ReqU.fields(c)
+	c.End(reqU)
+	c.String(&m.IDT)
+	return m.Terms.fields(c)
 }
 
-// encodeSigned appends what the bTelco signs — authReqU || idT || terms —
-// each nested message in place: one buffer, no copy per level.
-func (m *AuthReqT) encodeSigned(w *codec.Writer) {
-	reqU := w.Begin()
-	m.ReqU.encode(w)
-	w.End(reqU)
-	w.String(m.IDT)
-	marshalTerms(w, m.Terms)
-}
+func (m *AuthReqT) signedBytes() []byte { return codec.Encode(m.signed) }
 
-func (m *AuthReqT) signedBytes() []byte {
-	w := codec.AppendTo(make([]byte, 0, m.signedLen()))
-	m.encodeSigned(&w)
-	return w.Out()
+// fields lists the request on the wire: the signed span, the certificate
+// and Sig. Read, a MAC-sized Sig has the span's digest taken there and then.
+func (m *AuthReqT) fields(c codec.Coder) codec.Coder {
+	span := c.Begin()
+	c = m.signed(c)
+	signed := c.End(span)
+	c = certFields(c, &m.Cert)
+	c.Bytes(&m.Sig)
+	if signed != nil && len(m.Sig) == telcoMACSize {
+		m.signedSum, m.summed = sha256.Sum256(signed), true
+	}
+	return c
 }
 
 // Marshal encodes the full request for the wire.
-func (m *AuthReqT) Marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 4+m.signedLen()+certLen+4+len(m.Sig)))
-	signed := w.Begin()
-	m.encodeSigned(&w)
-	w.End(signed)
-	marshalCert(&w, m.Cert)
-	w.Bytes(m.Sig)
-	return w.Out()
-}
+func (m *AuthReqT) Marshal() []byte { return codec.Encode(m.fields) }
 
-// UnmarshalAuthReqT decodes an AuthReqT. The three nested encodings are
-// parsed where they lie and dropped; what the message keeps is copied out
-// of b at the leaves.
-func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) {
-	r := codec.NewReader(b)
-	signed := r.Bytes()
-	certB := r.Bytes()
-	sig := r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	m := &AuthReqT{Sig: sig}
-	if len(sig) == telcoMACSize {
-		m.signedSum, m.summed = sha256.Sum256(signed), true
-	}
-	sr := codec.NewReader(signed)
-	reqUB := sr.Bytes()
-	m.IDT = sr.String()
-	terms, err := unmarshalTerms(sr)
-	if err != nil {
-		return nil, err
-	}
-	m.Terms = terms
-	if err := sr.Done(); err != nil {
-		return nil, err
-	}
-	reqU, err := UnmarshalAuthReqU(reqUB)
-	if err != nil {
-		return nil, err
-	}
-	m.ReqU = *reqU
-	cert, err := unmarshalCert(certB)
-	if err != nil {
-		return nil, err
-	}
-	m.Cert = cert
-	return m, nil
-}
+// UnmarshalAuthReqT decodes an AuthReqT. The nested encodings are parsed
+// where they lie; what the message keeps is copied out of b at the leaves.
+func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) { return decode(b, new(AuthReqT)) }
 
-// certLen is room for a length-prefixed certificate with Ed25519 and X25519
-// keys and names of a few dozen bytes; a longer one grows the buffer.
-const certLen = 256
+var errCertKey = fmt.Errorf("%w: certificate signing key length", ErrBadRequest)
 
-// marshalCert appends c as one length-prefixed field, empty for nil.
-func marshalCert(w *codec.Writer, c *pki.Certificate) {
-	cert := w.Begin()
-	if c != nil {
-		w.String(c.Subject)
-		w.String(c.Role)
-		id := w.Begin() // c.Identity.Bytes(), in place
-		w.Bytes(c.Identity.SigPub)
-		w.Bytes(c.Identity.BoxPub)
-		w.End(id)
-		w.Uint64(uint64(c.NotBefore.Unix()))
-		w.Uint64(uint64(c.NotAfter.Unix()))
-		w.Bytes(c.Signature)
+// certFields lists a certificate as SAP carries it: one length-prefixed
+// field, empty for none, with the identity nested where the CA's signed
+// bytes have it flat (pki.Certificate.signed) — two layouts on purpose.
+func certFields(c codec.Coder, cert **pki.Certificate) codec.Coder {
+	span := c.Begin()
+	if c.Optional(*cert != nil) {
+		if *cert == nil {
+			*cert = new(pki.Certificate)
+		}
+		x := *cert
+		c.String(&x.Subject)
+		c.String(&x.Role)
+		id := c.Begin()
+		c.Bytes((*[]byte)(&x.Identity.SigPub))
+		c.Bytes(&x.Identity.BoxPub)
+		c.Check(len(x.Identity.SigPub) == ed25519.PublicKeySize, errCertKey)
+		c.End(id)
+		c.Unix(&x.NotBefore)
+		c.Unix(&x.NotAfter)
+		c.Bytes(&x.Signature)
 	}
-	w.End(cert)
-}
-
-func unmarshalCert(b []byte) (*pki.Certificate, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	r := codec.NewReader(b)
-	c := &pki.Certificate{}
-	c.Subject = r.String()
-	c.Role = r.String()
-	idB := r.BytesCopy() // the parsed identity's keys alias it, and outlive b
-	nb := r.Uint64()
-	na := r.Uint64()
-	c.Signature = r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	id, err := pki.ParsePublicIdentity(idB)
-	if err != nil {
-		return nil, err
-	}
-	c.Identity = id
-	c.NotBefore = time.Unix(int64(nb), 0)
-	c.NotAfter = time.Unix(int64(na), 0)
-	return c, nil
+	c.End(span)
+	return c
 }
 
 // innerRespT is the broker->bTelco grant payload, sealed to the bTelco:
@@ -336,40 +241,22 @@ type innerRespT struct {
 	Pass   []byte
 }
 
-func (v *innerRespT) marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 70+len(v.URef)+len(v.IDT)+len(v.IDB)+len(v.Pass)))
-	w.String(v.URef)
-	w.String(v.IDT)
-	w.Bytes(v.SS[:])
-	w.Byte(byte(v.Params.QCI))
-	w.Uint64(v.Params.DLAmbrBps)
-	w.Uint64(v.Params.ULAmbrBps)
-	w.Bool(v.LI)
-	w.Bytes(v.IDB)
-	w.Bytes(v.Pass)
-	return w.Out()
+func (v *innerRespT) fields(c codec.Coder) codec.Coder {
+	c.String(&v.URef)
+	c.String(&v.IDT)
+	c.Fixed(v.SS[:])
+	c.Byte((*byte)(&v.Params.QCI))
+	c.Uint64(&v.Params.DLAmbrBps)
+	c.Uint64(&v.Params.ULAmbrBps)
+	c.Bool(&v.LI)
+	c.View(&v.IDB)
+	c.View(&v.Pass)
+	c.Check(len(v.Pass) == 0 || len(v.Pass) == telcoMACSize, ErrBadRequest)
+	return c
 }
 
-func (v *innerRespT) unmarshal(b []byte) error {
-	r := codec.NewReader(b)
-	v.URef = r.String()
-	v.IDT = r.String()
-	ss := r.Bytes()
-	v.Params.QCI = qos.QCI(r.Byte())
-	v.Params.DLAmbrBps = r.Uint64()
-	v.Params.ULAmbrBps = r.Uint64()
-	v.LI = r.Bool()
-	v.IDB = r.Bytes()
-	v.Pass = r.Bytes()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if len(ss) != len(v.SS) || (len(v.Pass) != 0 && len(v.Pass) != telcoMACSize) {
-		return fmt.Errorf("%w: ss length %d, pass length %d", ErrBadRequest, len(ss), len(v.Pass))
-	}
-	copy(v.SS[:], ss)
-	return nil
-}
+func (v *innerRespT) marshal() []byte          { return codec.Encode(v.fields) }
+func (v *innerRespT) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // innerRespU is the broker->UE payload, sealed to the UE: "identifiers of
 // U and T, ss, and the U-generated nonce" — and the ticket U's next attach
@@ -383,40 +270,19 @@ type innerRespU struct {
 	Ticket pki.Ticket
 }
 
-func (v *innerRespU) marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 140+len(v.IDU)+len(v.IDT)+len(v.URef)))
-	w.String(v.IDU)
-	w.String(v.IDT)
-	w.String(v.URef)
-	w.Bytes(v.SS[:])
-	w.Bytes(v.Nonce[:])
-	w.Bytes(v.Ticket.Locator[:])
-	w.Bytes(v.Ticket.Key[:])
-	return w.Out()
+func (v *innerRespU) fields(c codec.Coder) codec.Coder {
+	c.String(&v.IDU)
+	c.String(&v.IDT)
+	c.String(&v.URef)
+	c.Fixed(v.SS[:])
+	c.Fixed(v.Nonce[:])
+	c.Fixed(v.Ticket.Locator[:])
+	c.Fixed(v.Ticket.Key[:])
+	return c
 }
 
-func (v *innerRespU) unmarshal(b []byte) error {
-	r := codec.NewReader(b)
-	v.IDU = r.String()
-	v.IDT = r.String()
-	v.URef = r.String()
-	ss := r.Bytes()
-	nonce := r.Bytes()
-	loc := r.Bytes()
-	key := r.Bytes()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if len(ss) != len(v.SS) || len(nonce) != NonceSize ||
-		len(loc) != len(v.Ticket.Locator) || len(key) != len(v.Ticket.Key) {
-		return ErrBadRequest
-	}
-	copy(v.SS[:], ss)
-	copy(v.Nonce[:], nonce)
-	copy(v.Ticket.Locator[:], loc)
-	copy(v.Ticket.Key[:], key)
-	return nil
-}
+func (v *innerRespU) marshal() []byte          { return codec.Encode(v.fields) }
+func (v *innerRespU) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // AuthRespT is the sealed+signed grant for the bTelco. The answer to a
 // MAC'd authReqT is sealed on the bTelco's pass and carries no Sig.
@@ -432,23 +298,16 @@ type AuthRespU struct {
 	Sealed []byte
 }
 
-// Marshal encodes an AuthRespU for transport inside AttachAccept.
-func (m *AuthRespU) Marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 4+len(m.Sealed)))
-	w.Bytes(m.Sealed)
-	return w.Out()
+func (m *AuthRespU) fields(c codec.Coder) codec.Coder {
+	c.Bytes(&m.Sealed)
+	return c
 }
 
+// Marshal encodes an AuthRespU for transport inside AttachAccept.
+func (m *AuthRespU) Marshal() []byte { return codec.Encode(m.fields) }
+
 // UnmarshalAuthRespU decodes an AuthRespU.
-func UnmarshalAuthRespU(b []byte) (*AuthRespU, error) {
-	r := codec.NewReader(b)
-	m := &AuthRespU{}
-	m.Sealed = r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func UnmarshalAuthRespU(b []byte) (*AuthRespU, error) { return decode(b, new(AuthRespU)) }
 
 // AuthResp is the broker's reply to the bTelco: grant (both sub-responses)
 // or denial with a cause. TelcoScore piggybacks the broker's current
@@ -464,33 +323,21 @@ type AuthResp struct {
 	U          AuthRespU
 }
 
-// Marshal encodes the broker reply for the wire.
-func (m *AuthResp) Marshal() []byte {
-	w := codec.AppendTo(make([]byte, 0, 25+len(m.Cause)+len(m.T.Sealed)+len(m.T.Sig)+len(m.U.Sealed)))
-	w.Bool(m.Granted)
-	w.String(m.Cause)
-	w.Float64(m.TelcoScore)
-	w.Bytes(m.T.Sealed)
-	w.Bytes(m.T.Sig)
-	w.Bytes(m.U.Sealed)
-	return w.Out()
+func (m *AuthResp) fields(c codec.Coder) codec.Coder {
+	c.Bool(&m.Granted)
+	c.String(&m.Cause)
+	c.Float64(&m.TelcoScore)
+	c.Bytes(&m.T.Sealed)
+	c.Bytes(&m.T.Sig)
+	c.Bytes(&m.U.Sealed)
+	return c
 }
 
+// Marshal encodes the broker reply for the wire.
+func (m *AuthResp) Marshal() []byte { return codec.Encode(m.fields) }
+
 // UnmarshalAuthResp decodes a broker reply.
-func UnmarshalAuthResp(b []byte) (*AuthResp, error) {
-	r := codec.NewReader(b)
-	m := &AuthResp{}
-	m.Granted = r.Bool()
-	m.Cause = r.String()
-	m.TelcoScore = r.Float64()
-	m.T.Sealed = r.BytesCopy()
-	m.T.Sig = r.BytesCopy()
-	m.U.Sealed = r.BytesCopy()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func UnmarshalAuthResp(b []byte) (*AuthResp, error) { return decode(b, new(AuthResp)) }
 
 // NewMasterSecret draws the 32-byte shared secret ss.
 func NewMasterSecret() (nas.MasterKey, error) {
