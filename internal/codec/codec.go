@@ -44,7 +44,8 @@ const (
 // Coder walks a message's fields in one of three modes: sizing, appending
 // or reading. Each field method takes a pointer to the field, reads it when
 // sizing or appending, and sets it when reading. A message's fields method
-// takes the Coder and returns it by value, so neither escapes.
+// takes the Coder and returns it by value, so the Coder stays on the stack
+// even when that method is called through an interface.
 type Coder struct {
 	mode mode
 	b    []byte // appending: the output; reading: the input
@@ -292,7 +293,8 @@ func (c *Coder) Begin() Span {
 	}
 	s := Span{end: c.end}
 	if f := c.field(); c.err == nil {
-		s.at, c.n, c.end = c.n-len(f), c.n-len(f), c.n
+		s.at = c.n - len(f)
+		c.n, c.end = s.at, c.n // the fields until End read the span alone
 	}
 	return s
 }
