@@ -29,8 +29,9 @@ func FuzzUnmarshalAuthReqU(f *testing.F) {
 // MAC-sized Sig carries the digest of its signed bytes, taken while
 // decoding; no other does. The corpus under
 // testdata/fuzz/FuzzUnmarshalAuthReqT holds a signed and a MAC'd request of
-// newFixture's principals, one with no certificate, one whose signed span
-// has a trailing byte, and truncations.
+// newFixture's principals, the MAC'd one without its certificate, short by a
+// byte and with a byte too many, and one whose signed span has a byte after
+// the terms.
 func FuzzUnmarshalAuthReqT(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := UnmarshalAuthReqT(b)
