@@ -168,8 +168,8 @@ type Link struct {
 	ShaperAB *Shaper // shaping for a->b (a = lexicographically smaller)
 	ShaperBA *Shaper
 
-	// Up reports whether the link can carry traffic. A down link drops
-	// every packet (used to model detachment between bTelcos).
+	// Down marks the link as unable to carry traffic: Send drops every
+	// packet on a down link (used to model detachment between bTelcos).
 	Down bool
 	// PausedUntil buffers rather than drops: packets sent before this
 	// instant are held and released afterwards, preserving order — the
@@ -342,16 +342,15 @@ func (s *Sim) Send(pkt *Packet) bool {
 	}
 	// Preserve FIFO ordering within a direction: real links delay-vary
 	// but do not reorder back-to-back packets, and transports read
-	// reordering as loss.
+	// reordering as loss. The clamp is also what keeps each link queue
+	// in firing order (see linkQueue).
 	arrival := s.now + delay
 	if l.PausedUntil > arrival {
 		arrival = l.PausedUntil
 	}
-	var lastArr *time.Duration
-	if forward {
-		lastArr = &l.lastArrAB
-	} else {
-		lastArr = &l.lastArrBA
+	lastArr, q := &l.lastArrAB, &entry.q[0]
+	if !forward {
+		lastArr, q = &l.lastArrBA, &entry.q[1]
 	}
 	if arrival < *lastArr {
 		arrival = *lastArr
@@ -375,6 +374,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 		return true
 	}
 	pkt.inflight = true
-	s.scheduleDelivery(arrival, pkt, s.handlers[dst-1])
+	s.scheduleDelivery(arrival, pkt, s.handlers[dst-1], q)
 	return true
 }

@@ -37,8 +37,9 @@ type Event struct {
 	// orphaned by moving its deadline earlier (see timer.go).
 	tm        *Timer
 	cancelled bool
-	// next links the event into its wheel slot while it is queued, and
-	// into the Sim's free list while it is pooled.
+	// next has three uses that never overlap: the link into its wheel slot
+	// while the wheel holds it, into its path's link queue while a delivery
+	// waits there, and into the Sim's free list while it is pooled.
 	next *Event
 }
 
@@ -68,11 +69,13 @@ type Endpoint int32
 // direction (shaper and serialization state are per-direction). A non-nil
 // remote marks the local half of a cross-shard link (see World): Send
 // applies the full link model here, then parks the packet in the world's
-// mailbox instead of the local event queue.
+// mailbox instead of the local event queue. q holds each direction's
+// deliveries in flight, A->B first (see linkQueue).
 type pathEntry struct {
 	link   *Link
 	aEP    Endpoint
 	remote *remoteRoute
+	q      [2]linkQueue
 }
 
 // packEPs builds the order-insensitive path-map key for a pair of
@@ -107,6 +110,12 @@ type Sim struct {
 	sched *timingWheel
 	seq   uint64
 	rng   *rand.Rand
+
+	// lq is a min-heap of the non-empty link queues, keyed by their heads;
+	// nlq is its length. It sits beside the wheel: stepBy fires whichever
+	// head comes first. See linkHeapCap for why it is bounded.
+	lq  [linkHeapCap]queueHead
+	nlq int
 
 	// Endpoint interning: names resolve once to dense handles; the
 	// per-packet path indexes slices instead of hashing strings.
@@ -205,12 +214,24 @@ func (s *Sim) newEvent() *Event {
 }
 
 // scheduleDelivery enqueues the internal per-packet delivery event, drawn
-// from the free list.
-func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef) {
+// from the free list, on the link queue q: behind the deliveries already
+// there, or as a new head if the heap has room. Anything else, and a
+// delivery with no queue (nil q: a cross-shard inject), goes to the wheel.
+func (s *Sim) scheduleDelivery(t time.Duration, pkt *Packet, dst *handlerRef, q *linkQueue) {
 	s.seq++
 	e := s.newEvent()
 	e.at, e.seq, e.pkt, e.dst = t, s.seq, pkt, dst
-	s.sched.push(e)
+	switch {
+	case q == nil:
+		s.sched.push(e)
+	case q.tail != nil:
+		q.tail.next, q.tail = e, e
+	case s.nlq < linkHeapCap:
+		q.head, q.tail = e, e
+		s.pushQueue(q)
+	default:
+		s.sched.push(e)
+	}
 }
 
 // connectRemote installs the local half of a cross-shard link: the same
@@ -241,7 +262,7 @@ func (s *Sim) inject(at time.Duration, src, dst string, size int, payload any) {
 	pkt.SrcEP, pkt.DstEP = s.Endpoint(src), dep
 	pkt.Size, pkt.Payload = size, payload
 	pkt.inflight = true
-	s.scheduleDelivery(at, pkt, s.handlers[dep-1])
+	s.scheduleDelivery(at, pkt, s.handlers[dep-1], nil)
 }
 
 // release returns a popped internal event — a delivery, or a resident a
@@ -294,17 +315,27 @@ const forever = time.Duration(math.MaxInt64)
 func (s *Sim) Step() bool { return s.stepBy(forever) }
 
 // stepBy fires the next live event due at or before t and reports whether
-// there was one. Stale events met on the way are disposed of without
-// advancing the clock.
+// there was one: the earlier in (at, seq) of the wheel's head and the first
+// link queue's head, so the wheel advances once per event. Stale events met
+// on the way are disposed of without advancing the clock. A link queue
+// holds deliveries only, and a delivery is never stale.
 func (s *Sim) stepBy(t time.Duration) bool {
 	for {
-		e := s.sched.pop(t)
-		if e == nil {
-			return false
-		}
-		if e.stale() {
-			s.discard(e)
-			continue
+		e := s.sched.advance()
+		if s.nlq > 0 && (e == nil || s.lq[0].before(e)) {
+			if s.lq[0].at > t {
+				return false
+			}
+			e = s.popQueue()
+		} else {
+			if e == nil || e.at > t {
+				return false
+			}
+			s.sched.take()
+			if e.stale() {
+				s.discard(e)
+				continue
+			}
 		}
 		s.now = e.at
 		if e.dst != nil {

@@ -3,7 +3,6 @@ package netem
 import (
 	"container/heap"
 	"slices"
-	"time"
 )
 
 // eventLess is the total firing order: timestamp, then schedule sequence.
@@ -94,7 +93,9 @@ const (
 )
 
 // timingWheel is a two-level hierarchical timing wheel with an overflow
-// heap, popping in exact (at, seq) order. It is a Sim's one event queue.
+// heap, popping in exact (at, seq) order. It holds a Sim's timers, its
+// At/After events and every delivery that is not on a link queue (see
+// linkQueue).
 //
 // Invariants:
 //   - base0 is the absolute L0 slot index of the cursor; base1 == base0>>8.
@@ -106,8 +107,9 @@ const (
 //   - cur[pos:] is the current slot, moved out of its list and sorted.
 //     While it is non-empty the current slot's list is empty.
 //
-// Late pushes: pop may advance the cursor past empty slots toward an event
-// beyond its bound without the Sim clock following (RunUntil stops there).
+// Late pushes: advance may move the cursor past empty slots toward an
+// event the Sim does not fire next without the Sim clock following
+// (RunUntil stops short of it, or a link queue's head comes first).
 // A later push can then target a slot the cursor already passed, while
 // still being in the Sim's future. Such events join the *current* slot:
 // spliced into cur's undrained tail while the slot drains, else appended
@@ -265,16 +267,11 @@ func (w *timingWheel) cascade() {
 	w.l1count -= n
 }
 
-// pop removes and returns the earliest event if it is due at or before t,
-// or returns nil. Only the Sim event loop may call it: after pop returns a
-// live event the Sim advances its clock to the event's timestamp, which
-// re-establishes the cursor/now invariant (see the "late push" note on
-// timingWheel).
-func (w *timingWheel) pop(t time.Duration) *Event {
-	e := w.advance()
-	if e == nil || e.at > t {
-		return nil
-	}
+// take removes the event advance just returned. Only the Sim event loop
+// may call it: after take the Sim advances its clock to the event's
+// timestamp, which re-establishes the cursor/now invariant (see the "late
+// push" note on timingWheel).
+func (w *timingWheel) take() {
 	w.cur[w.pos] = nil
 	w.pos++
 	w.count--
@@ -282,5 +279,4 @@ func (w *timingWheel) pop(t time.Duration) *Event {
 	if w.pos == len(w.cur) {
 		w.cur, w.pos = w.cur[:0], 0
 	}
-	return e
 }

@@ -27,6 +27,17 @@ func (s *heapSched) pop(t time.Duration) *Event {
 
 func (s *heapSched) len() int { return len(s.h) }
 
+// pop is the queue interface's bounded pop on the wheel: what stepBy does
+// when no link queue is pending, advance and then take.
+func (w *timingWheel) pop(t time.Duration) *Event {
+	e := w.advance()
+	if e == nil || e.at > t {
+		return nil
+	}
+	w.take()
+	return e
+}
+
 // eventQueue is what the equivalence tests drive op for op: the timing
 // wheel and heapSched.
 type eventQueue interface {
