@@ -70,7 +70,6 @@ func newLQOracle(t testing.TB) *lqOracle {
 		pending: make(map[*Packet][]int),
 	}
 	for i := range lqHosts {
-		i := i
 		o.s.Register(lqName(i), func(p *Packet) { o.deliver(i, p) })
 		for j := i + 1; j < lqHosts; j++ {
 			// 1–7 ms plus a sub-slot offset, so arrivals tie across

@@ -253,11 +253,10 @@ func (w *World) RunUntil(t time.Duration) {
 // output.
 //
 // The caller yields once after starting the helpers. A new goroutine waits
-// in its starter's run-next slot, and without the yield the last helper
-// often ran only once the caller blocked in Wait, after the caller had
-// claimed every shard itself: a scale_emu-shaped run (K=2) took 35 % more
-// wall time and 27 % more CPU than with K goroutines. With it, this P runs
-// the helper at once and the caller resumes on the next free P.
+// in its starter's run-next slot until another P steals it, and without the
+// yield a scale_emu-shaped run (K=2) took 35 % more wall time and 27 % more
+// CPU than with K goroutines. With it, this P runs the helper at once and
+// the caller resumes on the next free P.
 func (w *World) advanceAll(t time.Duration) {
 	n := min(w.workers, len(w.shards))
 	if n <= 1 {
