@@ -63,6 +63,12 @@ type Shaper struct {
 	bytesPerSec  float64
 	burstTime    time.Duration
 	maxQueueTime time.Duration
+	// txTime is the time to send lastSize bytes at lastRate. Each
+	// direction of a drive sends one size almost every time — MSS data
+	// one way, ACKs the other — so admit divides once per (rate, size).
+	// setRate zeroes both: 0 bytes take 0 time at any rate.
+	lastSize int
+	txTime   time.Duration
 }
 
 // NewShaper builds a byte-bounded shaper with the given rate schedule.
@@ -127,8 +133,10 @@ func (sh *Shaper) admit(now time.Duration, size int) (delay time.Duration, drop 
 		return 0, true
 	}
 
-	txTime := time.Duration(float64(size) / sh.bytesPerSec * float64(time.Second))
-	sh.busyUntil += txTime
+	if size != sh.lastSize {
+		sh.lastSize, sh.txTime = size, time.Duration(float64(size)/sh.bytesPerSec*float64(time.Second))
+	}
+	sh.busyUntil += sh.txTime
 	if sh.busyUntil <= now {
 		return 0, false
 	}
@@ -138,6 +146,7 @@ func (sh *Shaper) admit(now time.Duration, size int) (delay time.Duration, drop 
 // setRate works out admit's terms at a policed rate in bits per second.
 func (sh *Shaper) setRate(rate float64) {
 	sh.lastRate, sh.bytesPerSec = rate, rate/8
+	sh.lastSize, sh.txTime = 0, 0
 	// Burst credit: after idling, the virtual clock may lag `now` by at
 	// most the time it takes to send BucketBytes at the policed rate.
 	sh.burstTime = time.Duration(sh.BucketBytes / sh.bytesPerSec * float64(time.Second))
@@ -285,7 +294,7 @@ func (s *Sim) Send(pkt *Packet) bool {
 		l.stats.DroppedDown++
 		return false
 	}
-	if l.Loss > 0 && s.rng.Float64() < l.Loss {
+	if l.Loss > 0 && s.src.Float64() < l.Loss {
 		l.stats.DroppedLoss++
 		return false
 	}
@@ -338,7 +347,7 @@ func (s *Sim) Send(pkt *Packet) bool {
 
 	delay := l.Delay + shapeDelay + txTime
 	if l.Jitter > 0 {
-		delay += time.Duration(s.rng.Float64() * float64(l.Jitter))
+		delay += time.Duration(s.src.Float64() * float64(l.Jitter))
 	}
 	// Preserve FIFO ordering within a direction: real links delay-vary
 	// but do not reorder back-to-back packets, and transports read

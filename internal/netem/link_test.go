@@ -382,6 +382,129 @@ func TestShaperRateTermsMatchPerPacketReference(t *testing.T) {
 	}
 }
 
+// TestShaperTxMemoMatchesReference: the per-(rate, size) transmit-time
+// memo against the reference that divides on every packet, on a drive's
+// packet mix — runs of MSS data and of ACKs, sizes 1432 and 52 — with the
+// rate changed between two packets of the same size (so a stale memo would
+// answer), through zero, back to an earlier rate, and with a 0-byte packet
+// straight after a change (the memo's cleared state).
+func TestShaperTxMemoMatchesReference(t *testing.T) {
+	rates := []float64{14.5e6, 20e6, 14.5e6, 0, 0.2e6, 52.5e6 / 3, 1.2e6}
+	for _, bound := range []struct {
+		bytes int
+		time  time.Duration
+	}{{256 * 1024, 0}, {0, 600 * time.Millisecond}} {
+		rate := rates[0]
+		mk := func() Shaper {
+			return Shaper{Rate: func(time.Duration) float64 { return rate }, BucketBytes: 1200 * 1024,
+				MaxQueueBytes: bound.bytes, MaxQueueTime: bound.time}
+		}
+		sh, ref := mk(), shaperRef{mk()}
+		rng := rand.New(rand.NewSource(11))
+		var now time.Duration
+		size, changes := 1432, 0
+		for i := 0; i < 20_000; i++ {
+			now += time.Duration(rng.Int63n(int64(time.Millisecond)))
+			switch r := rng.Intn(40); {
+			case r < 8: // end the run: the other size
+				size = 1432 + 52 - size
+			case r == 8: // same size as the last packet, new rate
+				rate = rates[rng.Intn(len(rates))]
+				changes++
+			case r == 9:
+				rate = rates[rng.Intn(len(rates))]
+				size = 0
+				changes++
+			default:
+				if size == 0 {
+					size = 52
+				}
+			}
+			d, drop := sh.admit(now, size)
+			wd, wdrop := ref.admit(now, size)
+			if d != wd || drop != wdrop {
+				t.Fatalf("bound=%+v packet %d (size %d, rate %v): admit (%v, %v), reference (%v, %v)",
+					bound, i, size, rate, d, drop, wd, wdrop)
+			}
+		}
+		if changes < 500 {
+			t.Fatalf("only %d rate changes", changes)
+		}
+	}
+}
+
+// lossySend returns one packet of a drive on a drive-shaped link — Downtown's
+// delay and jitter, 1 % loss, a night DayNightPolicy shaper pair with a
+// 600 ms sojourn bound, MaxQueue 2 s — as GetPacket + Send + Step: MSS data
+// one way, an ACK the other, alternately. Every Send draws the loss and
+// jitter and passes a shaper. delivered counts the packets that arrived.
+func lossySend(delivered *int) func() {
+	s := NewSim(1)
+	p := NewDefaultDayNightPolicy(1)
+	p.ClockStart = time.Hour
+	pair := [2]*Shaper{}
+	for i := range pair {
+		pair[i] = NewShaper(p.Rate, 1200*1024, 0)
+		pair[i].MaxQueueTime = 600 * time.Millisecond
+	}
+	s.Connect("ue", "srv", &Link{Delay: 24 * time.Millisecond, Jitter: 4 * time.Millisecond, Loss: 0.01,
+		MaxQueue: 2 * time.Second, ShaperAB: pair[0], ShaperBA: pair[1]})
+	s.Register("ue", func(*Packet) { *delivered++ })
+	s.Register("srv", func(*Packet) { *delivered++ })
+	ue, srv := s.Endpoint("ue"), s.Endpoint("srv")
+	n := 0
+	return func() {
+		pkt := s.GetPacket()
+		if n++; n&1 == 0 {
+			pkt.SrcEP, pkt.DstEP, pkt.Size = srv, ue, 1432
+		} else {
+			pkt.SrcEP, pkt.DstEP, pkt.Size = ue, srv, 52
+		}
+		if !s.Send(pkt) {
+			s.PutPacket(pkt) // lost or dropped: still the sender's
+		}
+		s.Step()
+	}
+}
+
+// TestSendDeliverLossyZeroAlloc: on the drive's link, with every loss and
+// jitter draw and shaper admit on the path, the pooled send/deliver loop
+// allocates nothing once one slab of events and packets is out.
+func TestSendDeliverLossyZeroAlloc(t *testing.T) {
+	delivered := 0
+	send := lossySend(&delivered)
+	for i := 0; i < poolSlab; i++ {
+		send()
+	}
+	burst := func() {
+		for range 256 {
+			send()
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, burst); allocs != 0 {
+		t.Fatalf("lossy send/deliver allocates %.1f objects per 256 packets", allocs)
+	}
+	if sent := poolSlab + 4*256; delivered < sent*9/10 {
+		t.Fatalf("%d of %d packets delivered", delivered, sent)
+	}
+}
+
+// BenchmarkSendDeliverLossy is BenchmarkSendDeliver on the drive's link:
+// the per-packet cost of the loss and jitter draws and the shaper on top of
+// the pooled hot path. TestSendDeliverLossyZeroAlloc holds it at 0 allocs/op.
+func BenchmarkSendDeliverLossy(b *testing.B) {
+	delivered := 0
+	send := lossySend(&delivered)
+	for i := 0; i < poolSlab; i++ {
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}
+
 // nightAdmit returns the operator policer at night, where the rate is a
 // per-epoch lognormal draw, as one admit per call, packets 500 µs apart
 // (about 40 epochs per 1M calls).

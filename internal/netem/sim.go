@@ -109,7 +109,6 @@ type Sim struct {
 	now   time.Duration
 	sched *timingWheel
 	seq   uint64
-	rng   *rand.Rand
 
 	// lq is a min-heap of the non-empty link queues, keyed by their heads;
 	// nlq is its length. It sits beside the wheel: stepBy fires whichever
@@ -146,24 +145,37 @@ type Sim struct {
 	// mtrLocal batches this Sim's telemetry; see metrics.go.
 	mtrLocal simMetrics
 
+	// src is the one random stream: Send's loss and jitter draws call it
+	// directly, and Rand wraps it. It comes last so the fields stepBy reads
+	// per event stay on the lines they share ahead of it. The Sim keeps no
+	// *rand.Rand: with one more pointer it would outgrow its allocation
+	// size class.
+	src lagSource
+
 	_ cachePad
 }
 
 // NewSim returns a simulator seeded deterministically.
 func NewSim(seed int64) *Sim {
-	return &Sim{
-		rng:   rand.New(rand.NewSource(seed)),
+	s := &Sim{
 		sched: &timingWheel{},
 		eps:   make(map[string]Endpoint),
 		paths: make(map[uint64]*pathEntry),
 	}
+	s.src.Seed(seed)
+	return s
 }
 
 // Now returns the current virtual time (duration since simulation start).
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Rand returns the simulator's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+// Rand returns the simulator's deterministic random source: the stream
+// rand.New(rand.NewSource(seed)) yields. Send's loss and jitter draws come
+// from the same stream, so a caller's draws and the link model's interleave
+// in the order they happen. Each call wraps the stream anew; wrappers
+// differ only in Read's leftover bytes, so a caller that reads bytes keeps
+// one.
+func (s *Sim) Rand() *rand.Rand { return rand.New(&s.src) }
 
 // Endpoint interns an endpoint identifier, returning its dense handle.
 // Repeated calls with the same name return the same handle.
