@@ -219,22 +219,6 @@ func BenchmarkUserPlane(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSoftHandover contrasts break-before-make (the paper's
-// evaluated design point) with make-before-break migration on the
-// handover-dense highway route.
-func BenchmarkAblationSoftHandover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := testbed.Scenario{Route: mobility.Highway, Night: true, Arch: testbed.ArchCellBricks, Seed: 13, Duration: 4 * time.Minute}
-		hard := testbed.RunIperf(base)
-		soft := base
-		soft.SoftHandover = true
-		softRes := testbed.RunIperf(soft)
-		if i == 0 {
-			b.Logf("\nbreak-before-make: %s\nmake-before-break: %s", formatMbps(hard.AvgBps), formatMbps(softRes.AvgBps))
-		}
-	}
-}
-
 // BenchmarkAblationTransports compares the host-transport options (MPTCP
 // deployed/modified, QUIC migration, TCP + L7 restart) on web loads.
 func BenchmarkAblationTransports(b *testing.B) {

@@ -13,7 +13,6 @@ import (
 // example sets, each with the reason it is a field and not a constant. A
 // field off this list survives only while some non-test caller sets it.
 var configKeep = map[string]string{
-	"testbed.Scenario.SoftHandover":   "DESIGN.md ablation: make-before-break handover",
 	"testbed.Scenario.BrokerDownAt":   "DESIGN.md ablation: broker outage start",
 	"testbed.Scenario.BrokerDownFor":  "DESIGN.md ablation: broker outage length",
 	"testbed.Scenario.MNOOutage":      "DESIGN.md ablation: MNO handover interruption",

@@ -1,6 +1,7 @@
 package cellbricks
 
 import (
+	"go/ast"
 	"io/fs"
 	"os"
 	"path"
@@ -79,4 +80,122 @@ func TestEveryPackageDocumentsItself(t *testing.T) {
 			t.Errorf("package %s has no package comment (// Package %s ...)", name, name)
 		}
 	}
+}
+
+// docNames are the documents whose backticked pkg.Name references
+// TestDocNamesResolve checks. EXPERIMENTS.md is not among them: it is a
+// record of per-change notes that name code as it was when each note was
+// written, and it is due to be rewritten as one section per result.
+var docNames = []string{"DESIGN.md", "README.md", "internal/README.md"}
+
+// docCode matches a backticked span; docRef a pkg.Name or T.Name chain in
+// one, not preceded by a path or another selector.
+var (
+	docCode = regexp.MustCompile("`([^`\n]+)`")
+	docRef  = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*|[A-Z]\w*)\.([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)*)`)
+	// metricName is a benchmark metric's name after its layer, as in
+	// BENCHMARK.json (`broker.auth_us`): lower snake case, not Go.
+	metricName = regexp.MustCompile(`^[a-z0-9]+(_[a-z0-9]+)+$`)
+)
+
+// TestDocNamesResolve fails when DESIGN.md, README.md or internal/README.md
+// names, in backticks, a pkg.Name whose pkg is a package under internal/ or
+// cmd/ and whose Name that package does not declare: no func, method, type,
+// var, const or field of that name. For pkg.T.M with T a type, and for a
+// bare T.M with T a type some such package declares, M must be a method or
+// field of T. Such a reference names code that was renamed or deleted.
+func TestDocNamesResolve(t *testing.T) {
+	_, tree := goTree(t)
+	top := map[string]map[string]bool{}   // pkg -> every name it declares
+	types := map[string]map[string]bool{} // "pkg.T" -> method and field names
+	member := func(key, name string) {
+		if types[key] == nil {
+			types[key] = map[string]bool{}
+		}
+		types[key][name] = true
+	}
+	for _, gs := range tree {
+		if !under(gs.path, "internal", "cmd") {
+			continue
+		}
+		pkg := path.Base(path.Dir(gs.path))
+		if top[pkg] == nil {
+			top[pkg] = map[string]bool{}
+		}
+		for _, d := range gs.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				top[pkg][d.Name.Name] = true
+				if d.Recv != nil {
+					member(strings.TrimSuffix(declKey(pkg, d), "."+d.Name.Name), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							top[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						top[pkg][s.Name.Name] = true
+						types[pkg+"."+s.Name.Name] = types[pkg+"."+s.Name.Name] // a type even with no members
+						st, ok := s.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, f := range st.Fields.List {
+							for _, n := range f.Names {
+								top[pkg][n.Name] = true
+								member(pkg+"."+s.Name.Name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	byType := map[string][]string{} // T -> the packages declaring a type T
+	for key := range types {
+		pkg, typ, _ := strings.Cut(key, ".")
+		byType[typ] = append(byType[typ], pkg)
+	}
+	refs := 0
+	for _, doc := range docNames {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, code := range docCode.FindAllStringSubmatch(line, -1) {
+				for _, m := range docRef.FindAllStringSubmatch(code[1], -1) {
+					pkg, name := m[1], m[2]
+					if pkgs := byType[pkg]; len(pkgs) > 0 { // T.M
+						refs++
+						found := false
+						for _, p := range pkgs {
+							found = found || types[p+"."+pkg][name]
+						}
+						if !found {
+							t.Errorf("%s:%d: `%s.%s`: no type %s has a method or field %s", doc, i+1, pkg, name, pkg, name)
+						}
+						continue
+					}
+					if top[pkg] == nil || metricName.MatchString(name) {
+						continue
+					}
+					refs++
+					ref := pkg + "." + name + m[3]
+					if !top[pkg][name] {
+						t.Errorf("%s:%d: `%s`: package %s declares no %s", doc, i+1, ref, pkg, name)
+						continue
+					}
+					members, isType := types[pkg+"."+name]
+					if sel := strings.Split(m[3], "."); isType && len(sel) > 1 && !members[sel[1]] {
+						t.Errorf("%s:%d: `%s`: %s.%s has no method or field %s", doc, i+1, ref, pkg, name, sel[1])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d pkg.Name references in %s resolve", refs, strings.Join(docNames, ", "))
 }

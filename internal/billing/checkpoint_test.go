@@ -146,17 +146,27 @@ func TestEnvelopeWithoutCheckpointIsUnchanged(t *testing.T) {
 }
 
 // What a dispute needs: the report body, the checkpoint and the reporter's
-// public key — and nothing of the broker's.
+// public key — and nothing of the broker's. The verifier keeps every body it
+// accepted, in arrival order, past the cap on unpaired halves.
 func TestVerifyCheckpointIsAThirdPartyCheck(t *testing.T) {
 	g := newMACRig(t, ReporterUE)
-	var bodies []*Report
+	var accepted []*Report
 	var cp *Checkpoint
 	for cp == nil {
 		env := g.next()
 		o := g.mustIngest(env)
-		bodies = append(bodies, o.Report)
+		accepted = append(accepted, o.Report)
 		if o.Kept {
 			cp = env.Checkpoint
+		}
+	}
+	bodies := g.v.sessions["sess"].bodies
+	if len(bodies) != len(accepted) || len(bodies) <= maxHalves {
+		t.Fatalf("%d bodies kept of %d accepted", len(bodies), len(accepted))
+	}
+	for i := range bodies {
+		if bodies[i] != accepted[i] {
+			t.Fatalf("body %d is not the report accepted %d-th", i, i)
 		}
 	}
 	pub := g.reporter.Public()

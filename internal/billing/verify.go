@@ -378,9 +378,6 @@ func (v *Verifier) Mismatches() []Mismatch {
 	return out
 }
 
-// Replays counts replayed/stale reports rejected by the freshness gate.
-func (v *Verifier) Replays() int { return v.replays }
-
 // Settlement is a periodic payout summary for one session: the broker
 // compensates the bTelco based on verified usage ("at some later time, T1
 // bills B based on the usage reports"). Verified bytes use the UE report
@@ -411,20 +408,6 @@ func (v *Verifier) Settle(ref string, pricePerGB float64) Settlement {
 	}
 	return Settlement{SessionRef: ref, IDT: s.idT, VerifiedBytes: total,
 		Amount: float64(total) / 1e9 * pricePerGB, Disputed: s.disputed, Unpaired: len(s.halves)}
-}
-
-// Reports returns the bodies of the reports IngestOpened accepted from one
-// side of a session, in arrival order.
-func (v *Verifier) Reports(ref string, rep Reporter) []*Report {
-	var out []*Report
-	if s := v.sessions[ref]; s != nil {
-		for _, r := range s.bodies {
-			if r.Reporter == rep {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
 }
 
 // Reputations returns a copy of all reputation entries (snapshotting).

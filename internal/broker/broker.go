@@ -290,13 +290,6 @@ func (b *Brokerd) TelcoScore(idT string) float64 {
 	return b.verifier.TelcoScore(idT)
 }
 
-// Suspect reports whether a user is on the suspect list.
-func (b *Brokerd) Suspect(idU string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.verifier.Suspect(idU)
-}
-
 // Mismatches returns all recorded discrepancy incidents.
 func (b *Brokerd) Mismatches() []billing.Mismatch {
 	b.mu.Lock()
@@ -312,14 +305,6 @@ func (b *Brokerd) Checkpoints(rep billing.Reporter, id string) []*billing.Checkp
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.verifier.Checkpoints(rep, id)
-}
-
-// Reports returns the bodies of the reports the broker accepted from one
-// side of a session, in arrival order: the other thing an arbiter asks for.
-func (b *Brokerd) Reports(uref string, rep billing.Reporter) []*billing.Report {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.verifier.Reports(uref, rep)
 }
 
 // Grant returns the grant record for a session reference.

@@ -81,12 +81,17 @@ func (h *harness) started(t *testing.T, m *macStream) *macStream {
 	return m
 }
 
+// body is the stream's report numbered seq.
+func (m *macStream) body(seq uint32) *billing.Report {
+	return &billing.Report{SessionRef: m.ref, Reporter: m.rep, Seq: seq,
+		Rel: time.Duration(seq) * 30 * time.Second, DLBytes: 1000 * uint64(seq)}
+}
+
 // next seals the stream's next report.
 func (m *macStream) next(t *testing.T) *billing.SealedReport {
 	t.Helper()
 	m.seq++
-	env, err := m.stream.Seal(&billing.Report{SessionRef: m.ref, Reporter: m.rep, Seq: m.seq,
-		Rel: time.Duration(m.seq) * 30 * time.Second, DLBytes: 1000 * uint64(m.seq)}, m.signer, m.sealer, &m.mac)
+	env, err := m.stream.Seal(m.body(m.seq), m.signer, m.sealer, &m.mac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,8 +657,10 @@ func TestBrokerReceiptLadder(t *testing.T) {
 }
 
 // What a dispute needs is recoverable from broker state (DESIGN.md §2.10):
-// the report body it stored, the checkpoint it kept and the reporter's
-// public key convince a third party, and an altered body does not.
+// the report bodies it accepted (billing's verifier keeps each one,
+// TestVerifyCheckpointIsAThirdPartyCheck), the checkpoint it kept and the
+// reporter's public key convince a third party, and an altered body does
+// not.
 func TestBrokerKeepsWhatADisputeNeeds(t *testing.T) {
 	h := newHarness(t)
 	m := h.ueMACStream(t)
@@ -662,9 +669,9 @@ func TestBrokerKeepsWhatADisputeNeeds(t *testing.T) {
 	if len(cps) != 1 {
 		t.Fatalf("%d checkpoints kept after 256 MAC'd reports, want 1", len(cps))
 	}
-	stored := h.brk.Reports(m.ref, billing.ReporterUE)
-	if len(stored) != 257 {
-		t.Fatalf("%d report bodies stored, want 257", len(stored))
+	stored := make([]*billing.Report, m.seq)
+	for i := range stored {
+		stored[i] = m.body(uint32(i + 1))
 	}
 	pub := h.ueKey.Public()
 	for _, r := range stored[1:] {
@@ -718,9 +725,8 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 	}); err != nil || !slices.Equal(sigs, []int{32, 64}) {
 		t.Fatalf("upload to a freshly restored broker: Sig lengths %v, %v", sigs, err)
 	}
-	stored := nb.Reports(m.ref, billing.ReporterTelco)
-	if len(stored) != 1 || stored[0].Seq != m.seq {
-		t.Fatalf("%d bTelco reports stored after the restore, want the resent one", len(stored))
+	if st, err := nb.SettleSession(m.ref); err != nil || st.Unpaired != 1 {
+		t.Fatalf("after the restore: %+v, %v; want the resent report held, once", st, err)
 	}
 	ueStream.send(t, 2)
 	h.attach(t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -188,8 +189,8 @@ func TestAttachThroughENB(t *testing.T) {
 	if a.IP == "" {
 		t.Fatal("no IP through eNB path")
 	}
-	if enb.Connected() != 1 {
-		t.Fatalf("connected = %d", enb.Connected())
+	if _, err := enb.Connect("enb-ue"); !errors.Is(err, ran.ErrAlreadyActive) {
+		t.Fatalf("the attached UE's RRC connection is gone: %v", err)
 	}
 }
 

@@ -152,12 +152,6 @@ type AGW struct {
 	sessions map[uint64]*Session
 	byRAN    map[string]*Session
 	nextSID  uint64
-
-	// Cumulative counters, read by Stats.
-	attaches       uint64
-	attachFailures uint64
-	retiredUL      uint64
-	retiredDL      uint64
 }
 
 // NewAGW builds an access gateway.
@@ -245,11 +239,6 @@ func (g *AGW) HandleNAS(ranID string, envelope []byte) ([]byte, error) {
 		return g.handleSMCComplete(sess)
 	case *nas.AttachRequestSAP:
 		return g.handleSAPAttach(ranID, m, sc)
-	case *nas.SessionRequest:
-		if !protected {
-			return nil, ErrProtectedRequired
-		}
-		return g.handleSessionRequest(sess, m)
 	case *nas.DetachRequest:
 		if !protected {
 			return nil, ErrProtectedRequired
@@ -269,9 +258,6 @@ func plain(m nas.Message) []byte {
 
 // reject counts a failed attach and produces the reject envelope.
 func (g *AGW) reject(cause string) []byte {
-	g.mu.Lock()
-	g.attachFailures++
-	g.mu.Unlock()
 	mtr.attachFailures.Add(1)
 	return plain(&nas.AttachReject{Cause: cause})
 }
@@ -282,9 +268,6 @@ func (g *AGW) reject(cause string) []byte {
 func (g *AGW) rejectErr(err error) []byte {
 	var ra *wire.RetryAfterError
 	if errors.As(err, &ra) {
-		g.mu.Lock()
-		g.attachFailures++
-		g.mu.Unlock()
 		mtr.attachFailures.Add(1)
 		ms := ra.After.Milliseconds()
 		if ms < 1 {
@@ -503,9 +486,6 @@ func (g *AGW) activate(sess *Session, params qos.Params, respU *sap.AuthRespU) (
 	if err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	g.attaches++
-	g.mu.Unlock()
 	mtr.attaches.Add(1)
 	sess.IP = ip
 	sess.Bearer = g.up.CreateBearer(sess.ID, ip, params)
@@ -531,34 +511,6 @@ func (g *AGW) activate(sess *Session, params qos.Params, respU *sap.AuthRespU) (
 	return accept, nil
 }
 
-// handleSessionRequest provisions a dedicated bearer for an additional
-// traffic class, within the QoS bounds of the attachment (the SAP grant
-// for CellBricks sessions, the subscription profile for legacy ones).
-func (g *AGW) handleSessionRequest(sess *Session, m *nas.SessionRequest) ([]byte, error) {
-	if sess == nil {
-		return nil, ErrNoSession
-	}
-	if sess.state != stateActive || sess.ID != m.SessionID {
-		return nil, ErrBadState
-	}
-	want := qos.Params{QCI: qos.QCI(m.QCI), DLAmbrBps: sess.Bearer.Params.DLAmbrBps, ULAmbrBps: sess.Bearer.Params.ULAmbrBps}
-	if sess.Kind == KindSAP {
-		// The bTelco may only provision classes it advertised — and, for
-		// GBR classes, only with broker-granted authority: here the
-		// original grant's capability check stands in for a re-negotiation.
-		if err := want.Validate(g.cfg.Telco.Terms.Cap); err != nil {
-			return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.AttachReject{Cause: err.Error()}), nil
-		}
-	} else if _, ok := qos.Lookup(want.QCI); !ok {
-		return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.AttachReject{Cause: "unknown QCI"}), nil
-	}
-	b, ok := g.up.CreateDedicatedBearer(sess.IP, want)
-	if !ok {
-		return nil, ErrBadState
-	}
-	return sess.Ctx.ProtectEnvelope(nas.Downlink, &nas.SessionAccept{SessionID: sess.ID, BearerID: b.BearerID, QCI: m.QCI}), nil
-}
-
 func (g *AGW) handleDetach(sess *Session, m *nas.DetachRequest) ([]byte, error) {
 	if sess == nil {
 		return nil, ErrNoSession
@@ -575,10 +527,6 @@ func (g *AGW) dropSession(sess *Session) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if sess.IP != "" {
-		if u, ok := g.up.TotalUsage(sess.IP); ok {
-			g.retiredUL += u.ULBytes
-			g.retiredDL += u.DLBytes
-		}
 		g.up.DeleteBearer(sess.IP)
 		g.ipam.Release(sess.IP)
 	}
@@ -610,39 +558,6 @@ func (g *AGW) RebindRAN(sessionID uint64, newRanID string) error {
 	sess.RANID = newRanID
 	g.byRAN[newRanID] = sess
 	return nil
-}
-
-// AGWStats is a snapshot of the gateway's cumulative counters.
-type AGWStats struct {
-	ActiveSessions int
-	Attaches       uint64
-	AttachFailures uint64
-	ULBytes        uint64
-	DLBytes        uint64
-}
-
-// Stats snapshots the gateway's counters: live bearer usage plus retired
-// sessions.
-func (g *AGW) Stats() AGWStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := AGWStats{
-		Attaches:       g.attaches,
-		AttachFailures: g.attachFailures,
-		ULBytes:        g.retiredUL,
-		DLBytes:        g.retiredDL,
-	}
-	for _, sess := range g.sessions {
-		if sess.state != stateActive {
-			continue
-		}
-		st.ActiveSessions++
-		if u, ok := g.up.TotalUsage(sess.IP); ok {
-			st.ULBytes += u.ULBytes
-			st.DLBytes += u.DLBytes
-		}
-	}
-	return st
 }
 
 // GenerateReport builds the bTelco-side traffic report for a SAP session
@@ -683,7 +598,10 @@ func (g *AGW) measure(sessionID uint64, rel time.Duration, m billing.QoSMetrics)
 	sess.reportSeq++
 	seq := sess.reportSeq
 	g.mu.Unlock()
-	u, _ := g.up.TotalUsage(sess.IP)
+	var u Usage
+	if b := g.up.Lookup(sess.IP); b != nil {
+		u = b.Usage()
+	}
 	return billing.Report{
 		SessionRef: sess.URef,
 		Reporter:   billing.ReporterTelco,

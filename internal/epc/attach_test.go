@@ -469,47 +469,6 @@ func TestDishonestTelcoDetected(t *testing.T) {
 	}
 }
 
-func TestDedicatedBearer(t *testing.T) {
-	w := buildWorld(t)
-	a, err := w.dev.AttachSAP(w.tx, "btelco-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Request a voice bearer (QCI 1, advertised in DefaultCapability).
-	bid, err := w.dev.RequestDedicatedBearer(w.tx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bid == a.BearerID {
-		t.Fatal("dedicated bearer reused default bearer ID")
-	}
-	// Classification: voice-class packets ride the dedicated bearer,
-	// everything else the default.
-	voice := w.agw.UserPlane().classify(a.IP, qos.QCIConversationalVoice)
-	def := w.agw.UserPlane().classify(a.IP, qos.QCIWebTCPDefault)
-	if voice == nil || def == nil || voice.BearerID != bid || def.BearerID != a.BearerID {
-		t.Fatalf("classification wrong: voice=%+v def=%+v", voice, def)
-	}
-	voice.Process(0, Downlink, 200)
-	def.Process(0, Downlink, 1400)
-	// The telco-side report covers all bearers.
-	total, ok := w.agw.UserPlane().TotalUsage(a.IP)
-	if !ok || total.DLBytes != 1600 {
-		t.Fatalf("total usage = %+v", total)
-	}
-	// An unsupported class is refused.
-	if _, err := w.dev.RequestDedicatedBearer(w.tx, 3); err == nil {
-		t.Fatal("QCI 3 (not advertised) accepted")
-	}
-}
-
-func TestDedicatedBearerRequiresAttachment(t *testing.T) {
-	w := buildWorld(t)
-	if _, err := w.dev.RequestDedicatedBearer(w.tx, 1); err == nil {
-		t.Fatal("bearer request without attachment accepted")
-	}
-}
-
 func TestLawfulInterceptTap(t *testing.T) {
 	w := buildWorld(t)
 	// The bTelco advertises LI; the broker's grant carries the flag; the
@@ -652,6 +611,7 @@ func TestSDBWireServer(t *testing.T) {
 
 func TestAGWStateMachineErrors(t *testing.T) {
 	w := buildWorld(t)
+	attaches := mtr.attaches.Value()
 	// Protected message with no session.
 	if _, err := w.agw.HandleNAS("ghost", []byte{1, 0, 0, 0, 0}); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("err = %v", err)
@@ -674,10 +634,9 @@ func TestAGWStateMachineErrors(t *testing.T) {
 	if _, err := w.agw.HandleNAS("ran-ue-1", plainDetach); !errors.Is(err, ErrProtectedRequired) {
 		t.Fatalf("err = %v", err)
 	}
-	// AGW stats reflect the attach.
-	st := w.agw.Stats()
-	if st.Attaches != 1 || st.ActiveSessions != 1 {
-		t.Fatalf("stats = %+v", st)
+	// The AGW's counters reflect the attach.
+	if n, active := mtr.attaches.Value()-attaches, w.agw.ActiveSessions(); n != 1 || active != 1 {
+		t.Fatalf("%d attaches counted, %d sessions active", n, active)
 	}
 }
 
@@ -689,8 +648,9 @@ func TestAGWRejectCounting(t *testing.T) {
 		Key: strangerKey, BrokerPub: w.brk.Public(),
 	})
 	tx := func(env []byte) ([]byte, error) { return w.agw.HandleNAS("ran-rej", env) }
+	failures := mtr.attachFailures.Value()
 	stranger.AttachSAP(tx, "btelco-1") // denied: unknown user
-	if st := w.agw.Stats(); st.AttachFailures == 0 {
-		t.Fatalf("failure not counted: %+v", st)
+	if mtr.attachFailures.Value() == failures {
+		t.Fatal("failure not counted")
 	}
 }

@@ -63,6 +63,7 @@ func (w *world) reattach(t *testing.T, dev *ue.Device) {
 // forward too — somebody forging denials — is an ordinary reject.
 func TestSAPAttachReforwardsOnceOnAStalePass(t *testing.T) {
 	w := buildWorld(t)
+	attaches, failures := mtr.attaches.Value(), mtr.attachFailures.Value()
 	var sizes []int
 	redeemed := 0
 	dir := &swapDirectory{client: recordingBroker{b: w.brk, sigSizes: &sizes, redeemed: &redeemed}, pub: w.brk.Public()}
@@ -87,8 +88,8 @@ func TestSAPAttachReforwardsOnceOnAStalePass(t *testing.T) {
 	if len(sizes) != 2 || sizes[0] != 32 || sizes[1] != 64 {
 		t.Fatalf("authReqT authenticator sizes %v, want a refused MAC then a signature", sizes)
 	}
-	if st := w.agw.Stats(); st.AttachFailures != 0 || st.Attaches != 3 {
-		t.Fatalf("AGW stats %+v, want 3 attaches and no failure", st)
+	if a, f := mtr.attaches.Value()-attaches, mtr.attachFailures.Value()-failures; f != 0 || a != 3 {
+		t.Fatalf("AGW counted %d attaches and %d failures, want 3 and none", a, f)
 	}
 	sizes = sizes[:0]
 	w.reattach(t, fresh)
@@ -104,8 +105,8 @@ func TestSAPAttachReforwardsOnceOnAStalePass(t *testing.T) {
 	if _, err := fresh.AttachSAP(w.tx, "btelco-1"); !errors.Is(err, ue.ErrRejected) {
 		t.Fatalf("forged refusals: err = %v, want a reject", err)
 	}
-	if len(sizes) != 2 || sizes[0] != 32 || sizes[1] != 64 || w.agw.Stats().AttachFailures != 1 {
-		t.Fatalf("forged refusals: sizes %v, stats %+v", sizes, w.agw.Stats())
+	if f := mtr.attachFailures.Value() - failures; len(sizes) != 2 || sizes[0] != 32 || sizes[1] != 64 || f != 1 {
+		t.Fatalf("forged refusals: sizes %v, %d failures counted", sizes, f)
 	}
 	forger.forge = nil
 	dir.client = forger

@@ -132,23 +132,16 @@ func (b *Bearer) Usage() Usage {
 	return b.usage
 }
 
-// bearerSet is one UE's default bearer plus any dedicated bearers, keyed
-// by QCI (traffic classification in this model is by QoS class).
-type bearerSet struct {
-	def       *Bearer
-	dedicated map[qos.QCI]*Bearer
-}
-
-// UserPlane is the packet-gateway function: bearer sets indexed by UE IP.
+// UserPlane is the packet-gateway function: one bearer per UE IP.
 type UserPlane struct {
 	mu      sync.Mutex
-	byIP    map[string]*bearerSet
+	byIP    map[string]*Bearer
 	nextBID uint32
 }
 
 // NewUserPlane creates an empty user plane.
 func NewUserPlane() *UserPlane {
-	return &UserPlane{byIP: make(map[string]*bearerSet)}
+	return &UserPlane{byIP: make(map[string]*Bearer)}
 }
 
 // CreateBearer provisions the default bearer for a session.
@@ -156,99 +149,31 @@ func (up *UserPlane) CreateBearer(sessionID uint64, ip string, params qos.Params
 	up.mu.Lock()
 	defer up.mu.Unlock()
 	up.nextBID++
-	b := newBearer(sessionID, up.nextBID, ip, params)
-	up.byIP[ip] = &bearerSet{def: b, dedicated: make(map[qos.QCI]*Bearer)}
-	return b
-}
-
-// newBearer builds a bearer with its policers precomputed from params.
-func newBearer(sessionID uint64, bid uint32, ip string, params qos.Params) *Bearer {
-	return &Bearer{
-		SessionID: sessionID, BearerID: bid, IP: ip, Params: params,
+	b := &Bearer{
+		SessionID: sessionID, BearerID: up.nextBID, IP: ip, Params: params,
 		ulState: newPolicer(float64(params.ULAmbrBps)),
 		dlState: newPolicer(float64(params.DLAmbrBps)),
 	}
+	up.byIP[ip] = b
+	return b
 }
 
-// CreateDedicatedBearer provisions an additional bearer for one traffic
-// class on an existing session (the EPS dedicated-bearer concept: e.g. a
-// GBR voice bearer beside the default best-effort bearer).
-func (up *UserPlane) CreateDedicatedBearer(ip string, params qos.Params) (*Bearer, bool) {
-	up.mu.Lock()
-	defer up.mu.Unlock()
-	set, ok := up.byIP[ip]
-	if !ok {
-		return nil, false
-	}
-	up.nextBID++
-	b := newBearer(set.def.SessionID, up.nextBID, ip, params)
-	set.dedicated[params.QCI] = b
-	return b, true
-}
-
-// Lookup finds the default bearer for a UE IP.
+// Lookup finds the bearer for a UE IP.
 func (up *UserPlane) Lookup(ip string) *Bearer {
 	up.mu.Lock()
 	defer up.mu.Unlock()
-	if set, ok := up.byIP[ip]; ok {
-		return set.def
-	}
-	return nil
+	return up.byIP[ip]
 }
 
-// classify routes a packet of the given QoS class to its bearer: the
-// dedicated bearer for that QCI when one exists, else the default.
-func (up *UserPlane) classify(ip string, q qos.QCI) *Bearer {
-	up.mu.Lock()
-	defer up.mu.Unlock()
-	set, ok := up.byIP[ip]
-	if !ok {
-		return nil
-	}
-	if b, ok := set.dedicated[q]; ok {
-		return b
-	}
-	return set.def
-}
-
-// DeleteBearer removes a session's bearer set at detach, returning the
-// default bearer's final usage for the closing traffic report.
+// DeleteBearer removes a session's bearer at detach, returning its final
+// usage for the closing traffic report.
 func (up *UserPlane) DeleteBearer(ip string) (Usage, bool) {
 	up.mu.Lock()
 	defer up.mu.Unlock()
-	set, ok := up.byIP[ip]
+	b, ok := up.byIP[ip]
 	if !ok {
 		return Usage{}, false
 	}
 	delete(up.byIP, ip)
-	return set.def.Usage(), true
-}
-
-// TotalUsage sums usage across a session's default and dedicated bearers
-// (what the bTelco reports for billing).
-func (up *UserPlane) TotalUsage(ip string) (Usage, bool) {
-	up.mu.Lock()
-	defer up.mu.Unlock()
-	set, ok := up.byIP[ip]
-	if !ok {
-		return Usage{}, false
-	}
-	u := set.def.Usage()
-	for _, b := range set.dedicated {
-		du := b.Usage()
-		u.ULBytes += du.ULBytes
-		u.DLBytes += du.DLBytes
-		u.ULPackets += du.ULPackets
-		u.DLPackets += du.DLPackets
-		u.ULDropped += du.ULDropped
-		u.DLDropped += du.DLDropped
-	}
-	return u, true
-}
-
-// Count reports the number of live sessions.
-func (up *UserPlane) Count() int {
-	up.mu.Lock()
-	defer up.mu.Unlock()
-	return len(up.byIP)
+	return b.Usage(), true
 }

@@ -48,11 +48,6 @@ func DefaultConfig() Config {
 	return Config{Multipath: true, AddrWorkWait: 500 * time.Millisecond, Timeout: 60 * time.Second}
 }
 
-// quicConfig is connection-ID migration as deployed: no wait period.
-func quicConfig() Config {
-	return Config{Multipath: true, Protocol: ProtoQUIC, Timeout: 60 * time.Second}
-}
-
 // connState is the connection lifecycle.
 type connState int
 
@@ -106,7 +101,6 @@ type Conn struct {
 	state        connState
 	timeoutTimer *netem.Event
 	waitTimer    *netem.Event
-	dropOld      string // old address to release after a soft migration
 }
 
 // nextConnID is atomic because independent sims construct connections
@@ -330,7 +324,6 @@ func (c *Conn) handleAtServer(p *netem.Packet) {
 				c.timeoutTimer.Cancel()
 				c.timeoutTimer = nil
 			}
-			c.releaseOld()
 			c.newSubflow()
 		}
 		return
@@ -343,7 +336,6 @@ func (c *Conn) handleAtServer(p *netem.Packet) {
 			c.timeoutTimer.Cancel()
 			c.timeoutTimer = nil
 		}
-		c.releaseOld()
 		c.newSubflow()
 		return
 	}
@@ -407,19 +399,6 @@ func (c *Conn) AddrAvailable(newIP string) {
 	}
 }
 
-// releaseOld drops the pre-migration address after a soft switch; the old
-// subflow's sender is superseded by newSubflow.
-func (c *Conn) releaseOld() {
-	if c.dropOld == "" {
-		return
-	}
-	if c.sender != nil {
-		c.sender.kill()
-	}
-	c.sim.Unregister(c.dropOld)
-	c.dropOld = ""
-}
-
 // sendJoin emits the MP_JOIN SYN from the new address, carrying
 // REMOVE_ADDR for the stale subflow, and arms a retry in case the
 // handshake is lost (the connection-level Timeout still bounds the total
@@ -435,32 +414,6 @@ func (c *Conn) sendJoin() {
 			c.sendJoin()
 		}
 	})
-}
-
-// MigrateSoft performs a make-before-break migration (the soft-handover
-// variant the paper leaves to future work): the new address joins while
-// the old subflow is still carrying traffic; once the new path is
-// validated the old address is dropped, so the data plane never goes
-// dark. Requires a link between the server and newIP to already exist.
-func (c *Conn) MigrateSoft(newIP string) {
-	if c.state != stateEstablished {
-		// Fall back to the break-before-make path.
-		c.AddrAvailable(newIP)
-		return
-	}
-	oldIP := c.clientIP
-	c.clientIP = newIP
-	c.sim.Register(newIP, c.handleAtClient)
-	c.clientEP = c.sim.Endpoint(newIP)
-	// Keep receiving on the old address until the switch completes.
-	c.sim.Register(oldIP, c.handleAtClient)
-	c.state = stateJoining
-	c.sendJoin()
-	// The join/path-validation handshake runs while the old subflow keeps
-	// flowing; handleAtServer's activation path (or the QUIC immediate
-	// switch) calls newSubflow, which supersedes the old sender. Dropping
-	// the old address happens when the radio actually detaches:
-	c.dropOld = oldIP
 }
 
 func (c *Conn) close() {

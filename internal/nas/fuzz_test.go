@@ -100,6 +100,9 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(Encode(m))
 	}
+	// The retired dedicated-bearer types decode to ErrUnknownMessage.
+	f.Add([]byte{11, 0, 0, 0, 0, 0, 0, 0, 99, 0, 0, 0, 8, 'i', 'n', 't', 'e', 'r', 'n', 'e', 't', 8})
+	f.Add([]byte{12, 0, 0, 0, 0, 0, 0, 0, 99, 0, 0, 0, 6, 8})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

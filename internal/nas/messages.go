@@ -22,8 +22,6 @@ const (
 	MsgAttachReject
 	MsgDetachRequest
 	MsgDetachAccept
-	MsgSessionRequest
-	MsgSessionAccept
 )
 
 // Message is a decodable NAS message. Its body is its fields, in wire
@@ -81,10 +79,6 @@ func Decode(b []byte) (Message, error) {
 		m = &DetachRequest{}
 	case MsgDetachAccept:
 		m = &DetachAccept{}
-	case MsgSessionRequest:
-		m = &SessionRequest{}
-	case MsgSessionAccept:
-		m = &SessionAccept{}
 	default:
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownMessage, b[0])
 	}
@@ -234,35 +228,5 @@ type DetachAccept struct{ SessionID uint64 }
 func (*DetachAccept) Type() byte { return MsgDetachAccept }
 func (m *DetachAccept) fields(c codec.Coder) codec.Coder {
 	c.Uint64(&m.SessionID)
-	return c
-}
-
-// SessionRequest asks for an additional PDN session/bearer.
-type SessionRequest struct {
-	SessionID uint64
-	APN       string
-	QCI       byte
-}
-
-func (*SessionRequest) Type() byte { return MsgSessionRequest }
-func (m *SessionRequest) fields(c codec.Coder) codec.Coder {
-	c.Uint64(&m.SessionID)
-	c.String(&m.APN)
-	c.Byte(&m.QCI)
-	return c
-}
-
-// SessionAccept grants the additional bearer.
-type SessionAccept struct {
-	SessionID uint64
-	BearerID  uint32
-	QCI       byte
-}
-
-func (*SessionAccept) Type() byte { return MsgSessionAccept }
-func (m *SessionAccept) fields(c codec.Coder) codec.Coder {
-	c.Uint64(&m.SessionID)
-	c.Uint32(&m.BearerID)
-	c.Byte(&m.QCI)
 	return c
 }

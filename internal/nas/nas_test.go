@@ -330,8 +330,6 @@ func allMessages() []Message {
 		&AttachReject{Cause: "authorization denied"},
 		&DetachRequest{SessionID: 99},
 		&DetachAccept{SessionID: 99},
-		&SessionRequest{SessionID: 99, APN: "internet", QCI: 8},
-		&SessionAccept{SessionID: 99, BearerID: 6, QCI: 8},
 	}
 }
 
@@ -365,8 +363,8 @@ func TestMessageTypeBytesStable(t *testing.T) {
 	if got := (&AttachRequestSAP{}).Type(); got != 6 {
 		t.Fatalf("AttachRequestSAP type byte moved: %d", got)
 	}
-	if got := (&SessionAccept{}).Type(); got != 12 {
-		t.Fatalf("SessionAccept type byte moved: %d", got)
+	if got := (&DetachAccept{}).Type(); got != 10 {
+		t.Fatalf("DetachAccept type byte moved: %d", got)
 	}
 }
 
@@ -374,8 +372,9 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty decode accepted")
 	}
-	// 13 was the retired AttachResume message: unknown like any other.
-	for _, ty := range []byte{13, 0xFF} {
+	// 11 and 12 were the retired dedicated-bearer SessionRequest and
+	// SessionAccept, 13 the retired AttachResume: unknown like any other.
+	for _, ty := range []byte{11, 12, 13, 0xFF} {
 		if _, err := Decode([]byte{ty}); !errors.Is(err, ErrUnknownMessage) {
 			t.Fatalf("unknown type %d: err=%v", ty, err)
 		}

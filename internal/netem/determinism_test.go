@@ -43,7 +43,7 @@ func traceRun(seed int64) []string {
 			s.Send(&Packet{Src: "b", Dst: "a", Size: sz})
 		})
 	}
-	s.Run()
+	run(s)
 	return trace
 }
 
@@ -154,12 +154,12 @@ func TestCancelAfterFireSafe(t *testing.T) {
 	ev := s.After(time.Millisecond, func() { fired++ })
 	s.Connect("a", "b", &Link{Delay: time.Millisecond})
 	s.Register("b", func(*Packet) {})
-	s.Run()
+	run(s)
 	ev.Cancel() // after firing: must not corrupt anything
 	// Drive pooled delivery traffic over the same sim afterwards.
 	for i := 0; i < 10; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
-		s.Run()
+		run(s)
 	}
 	if fired != 1 {
 		t.Fatalf("fired %d times", fired)

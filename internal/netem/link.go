@@ -89,25 +89,6 @@ func NewShaper(rate RateFunc, burstBytes, queueBytes int) *Shaper {
 	}
 }
 
-// newShaperSojourn builds a shaper whose queue is bounded by sojourn time
-// (the AQM-style bound): a packet that would wait longer than maxQueue is
-// dropped. The same 32 KB burst default applies; maxQueue <= 0 selects
-// 100 ms. The sojourn bound takes precedence, so MaxQueueBytes is left
-// zero here and ignored by admit.
-func newShaperSojourn(rate RateFunc, burstBytes int, maxQueue time.Duration) *Shaper {
-	if burstBytes <= 0 {
-		burstBytes = 32 * 1024
-	}
-	if maxQueue <= 0 {
-		maxQueue = 100 * time.Millisecond
-	}
-	return &Shaper{
-		Rate:         rate,
-		BucketBytes:  float64(burstBytes),
-		MaxQueueTime: maxQueue,
-	}
-}
-
 // admit decides the extra queueing delay a packet experiences at the
 // shaper, or reports drop=true when the queue is full. It mutates shaper
 // state, so call exactly once per packet in arrival order.
@@ -199,8 +180,9 @@ type Link struct {
 	stats LinkStats
 }
 
-// LinkStats counts a link's traffic for observability (a tcpdump-grade
-// view of the emulation).
+// LinkStats counts a link's traffic (a tcpdump-grade view of the
+// emulation). Only the package's tests read it; the registry's netem
+// counters are what a run reports.
 type LinkStats struct {
 	Sent         uint64
 	SentBytes    uint64
@@ -208,9 +190,6 @@ type LinkStats struct {
 	DroppedQueue uint64
 	DroppedDown  uint64
 }
-
-// Stats returns a snapshot of the link's counters.
-func (l *Link) Stats() LinkStats { return l.stats }
 
 // Register installs the receive handler for an endpoint identifier.
 // Re-registering replaces the previous handler (used when a UE's address

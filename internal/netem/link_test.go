@@ -18,7 +18,7 @@ func TestStatsDroppedLoss(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
 	}
-	st := l.Stats()
+	st := l.stats
 	if st.DroppedLoss != 10 {
 		t.Fatalf("DroppedLoss = %d, want 10", st.DroppedLoss)
 	}
@@ -37,7 +37,7 @@ func TestStatsDroppedDown(t *testing.T) {
 			t.Fatal("down link admitted a packet")
 		}
 	}
-	st := l.Stats()
+	st := l.stats
 	if st.DroppedDown != 7 {
 		t.Fatalf("DroppedDown = %d, want 7", st.DroppedDown)
 	}
@@ -50,7 +50,7 @@ func TestStatsDroppedDown(t *testing.T) {
 	if !s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
 		t.Fatal("restored link rejected a packet")
 	}
-	if st := l.Stats(); st.Sent != 1 {
+	if st := l.stats; st.Sent != 1 {
 		t.Fatalf("Sent = %d after restore, want 1", st.Sent)
 	}
 }
@@ -68,7 +68,7 @@ func TestStatsDroppedQueueBandwidth(t *testing.T) {
 			admitted++
 		}
 	}
-	st := l.Stats()
+	st := l.stats
 	if admitted != 1 || st.DroppedQueue != 4 {
 		t.Fatalf("admitted=%d DroppedQueue=%d, want 1 and 4 (stats %+v)", admitted, st.DroppedQueue, st)
 	}
@@ -86,7 +86,7 @@ func TestStatsDroppedQueueShaperZeroRate(t *testing.T) {
 			t.Fatal("zero-rate shaper admitted a packet")
 		}
 	}
-	if st := l.Stats(); st.DroppedQueue != 3 {
+	if st := l.stats; st.DroppedQueue != 3 {
 		t.Fatalf("DroppedQueue = %d, want 3", st.DroppedQueue)
 	}
 }
@@ -105,8 +105,8 @@ func TestStatsDroppedQueueShaperOverload(t *testing.T) {
 			sent++
 		}
 	}
-	s.Run()
-	st := l.Stats()
+	run(s)
+	st := l.stats
 	if st.DroppedQueue == 0 {
 		t.Fatalf("expected shaper queue drops, stats %+v", st)
 	}
@@ -214,8 +214,8 @@ func TestShaperSojournOnLink(t *testing.T) {
 			sent++
 		}
 	}
-	s.Run()
-	st := l.Stats()
+	run(s)
+	st := l.stats
 	if st.DroppedQueue == 0 || st.DroppedQueue+st.Sent != 50 {
 		t.Fatalf("stats %+v: want sojourn drops and drops+sent == 50", st)
 	}
@@ -534,5 +534,24 @@ func BenchmarkShaperAdmitNight(b *testing.B) {
 func TestShaperAdmitNightZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200_000, nightAdmit()); allocs != 0 {
 		t.Fatalf("night admit allocates %.1f objects per packet", allocs)
+	}
+}
+
+// newShaperSojourn builds a shaper whose queue is bounded by sojourn time
+// (the AQM-style bound): a packet that would wait longer than maxQueue is
+// dropped. The same 32 KB burst default applies; maxQueue <= 0 selects
+// 100 ms. The sojourn bound takes precedence, so MaxQueueBytes is left
+// zero here and ignored by admit.
+func newShaperSojourn(rate RateFunc, burstBytes int, maxQueue time.Duration) *Shaper {
+	if burstBytes <= 0 {
+		burstBytes = 32 * 1024
+	}
+	if maxQueue <= 0 {
+		maxQueue = 100 * time.Millisecond
+	}
+	return &Shaper{
+		Rate:         rate,
+		BucketBytes:  float64(burstBytes),
+		MaxQueueTime: maxQueue,
 	}
 }

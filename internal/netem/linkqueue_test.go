@@ -282,7 +282,7 @@ func (o *lqOracle) run(data []byte) {
 			}
 		}
 	}
-	s.Run()
+	run(s)
 	o.checkBound(s.Now())
 	for k := 1; k < len(o.fired); k++ {
 		p, c := &o.recs[o.fired[k-1]], &o.recs[o.fired[k]]

@@ -42,7 +42,7 @@ func SetMetricsEnabled(on bool) {
 
 // flushEvery is the hot-path batch size: per-Sim counts migrate into the
 // shared registry every 2^10 sends+deliveries (and at the end of every
-// Run/RunUntil), trading one atomic per packet for one per kilopacket.
+// RunUntil), trading one atomic per packet for one per kilopacket.
 const flushEvery = 1 << 10
 
 // simMetrics is a Sim's local accumulation. Plain integers: a Sim is

@@ -56,7 +56,7 @@ func TestMetricsCountDeliveries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sim.Send(&Packet{Src: "a", Dst: "b", Size: 100})
 	}
-	sim.Run()
+	run(sim)
 
 	if got != n {
 		t.Fatalf("delivered %d, want %d", got, n)
@@ -67,8 +67,8 @@ func TestMetricsCountDeliveries(t *testing.T) {
 	if d := mtr.delivered.Value() - deliveredBefore; d != n {
 		t.Fatalf("netem_packets_delivered_total moved by %d, want %d", d, n)
 	}
-	if link.Stats().Sent != n {
-		t.Fatalf("link stats sent = %d, want %d", link.Stats().Sent, n)
+	if link.stats.Sent != n {
+		t.Fatalf("link stats sent = %d, want %d", link.stats.Sent, n)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestMetricsDisabledIsInert(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sim.Send(&Packet{Src: "a", Dst: "b", Size: 100})
 	}
-	sim.Run()
+	run(sim)
 	if got == 0 || got == 100 {
 		t.Fatalf("lossy link delivered %d of 100, want strictly between", got)
 	}

@@ -376,13 +376,6 @@ func (s *Sim) stepBy(t time.Duration) bool {
 	}
 }
 
-// Run processes events until the queue is empty.
-func (s *Sim) Run() {
-	for s.Step() {
-	}
-	s.FlushMetrics()
-}
-
 // RunUntil processes events with timestamps <= t and then advances the
 // clock to exactly t.
 func (s *Sim) RunUntil(t time.Duration) {

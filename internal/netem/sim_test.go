@@ -6,13 +6,20 @@ import (
 	"time"
 )
 
+// run fires every pending event, then flushes the Sim's counters.
+func run(s *Sim) {
+	for s.Step() {
+	}
+	s.FlushMetrics()
+}
+
 func TestSimOrdering(t *testing.T) {
 	s := NewSim(1)
 	var got []int
 	s.After(30*time.Millisecond, func() { got = append(got, 3) })
 	s.After(10*time.Millisecond, func() { got = append(got, 1) })
 	s.After(20*time.Millisecond, func() { got = append(got, 2) })
-	s.Run()
+	run(s)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
 	}
@@ -28,7 +35,7 @@ func TestSimFIFOAtSameInstant(t *testing.T) {
 		i := i
 		s.After(time.Millisecond, func() { got = append(got, i) })
 	}
-	s.Run()
+	run(s)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant events not FIFO: %v", got)
@@ -41,7 +48,7 @@ func TestSimCancel(t *testing.T) {
 	fired := false
 	e := s.After(time.Millisecond, func() { fired = true })
 	e.Cancel()
-	s.Run()
+	run(s)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -63,7 +70,7 @@ func TestSimRunUntil(t *testing.T) {
 	if s.Now() != 3*time.Second {
 		t.Fatalf("clock = %v, want 3s", s.Now())
 	}
-	s.Run()
+	run(s)
 	if count != 5 {
 		t.Fatalf("count = %d after Run, want 5", count)
 	}
@@ -72,7 +79,7 @@ func TestSimRunUntil(t *testing.T) {
 func TestSimSchedulePastPanics(t *testing.T) {
 	s := NewSim(1)
 	s.After(time.Second, func() {})
-	s.Run()
+	run(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -92,7 +99,7 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	s.After(0, step)
-	s.Run()
+	run(s)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
@@ -106,7 +113,7 @@ func TestLinkDelivery(t *testing.T) {
 	if !s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
 		t.Fatal("send rejected")
 	}
-	s.Run()
+	run(s)
 	if at != 10*time.Millisecond {
 		t.Fatalf("delivered at %v, want 10ms", at)
 	}
@@ -120,7 +127,7 @@ func TestLinkBidirectional(t *testing.T) {
 	s.Register("b", func(p *Packet) { gotB++ })
 	s.Send(&Packet{Src: "a", Dst: "b", Size: 1})
 	s.Send(&Packet{Src: "b", Dst: "a", Size: 1})
-	s.Run()
+	run(s)
 	if gotA != 1 || gotB != 1 {
 		t.Fatalf("gotA=%d gotB=%d, want 1,1", gotA, gotB)
 	}
@@ -134,7 +141,7 @@ func TestLinkLossAllAndNone(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 1})
 	}
-	s.Run()
+	run(s)
 	if got != 0 {
 		t.Fatalf("loss=1.0 delivered %d packets", got)
 	}
@@ -146,7 +153,7 @@ func TestLinkLossAllAndNone(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s2.Send(&Packet{Src: "a", Dst: "b", Size: 1})
 	}
-	s2.Run()
+	run(s2)
 	if got2 != 50 {
 		t.Fatalf("loss=0 delivered %d packets, want 50", got2)
 	}
@@ -161,7 +168,7 @@ func TestLinkLossStatistical(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 1})
 	}
-	s.Run()
+	run(s)
 	frac := float64(got) / n
 	if frac < 0.66 || frac > 0.74 {
 		t.Fatalf("delivery fraction %.3f, want ~0.70", frac)
@@ -182,7 +189,7 @@ func TestLinkDownDrops(t *testing.T) {
 	if !s.Send(&Packet{Src: "a", Dst: "b", Size: 1}) {
 		t.Fatal("send on up link rejected")
 	}
-	s.Run()
+	run(s)
 	if got != 1 {
 		t.Fatalf("got %d, want 1", got)
 	}
@@ -194,7 +201,7 @@ func TestUnregisteredDestinationSilentDrop(t *testing.T) {
 	if !s.Send(&Packet{Src: "a", Dst: "b", Size: 1}) {
 		t.Fatal("send rejected; in-flight drop expected instead")
 	}
-	s.Run() // must not panic
+	run(s) // must not panic
 }
 
 func TestBandwidthSerialization(t *testing.T) {
@@ -206,7 +213,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 1000})
 	}
-	s.Run()
+	run(s)
 	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
 	if len(arrivals) != 3 {
 		t.Fatalf("arrivals = %v", arrivals)
@@ -321,7 +328,7 @@ func TestPropertyClockMonotonic(t *testing.T) {
 				last = s.Now()
 			})
 		}
-		s.Run()
+		run(s)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -349,7 +356,7 @@ func TestPropertyShaperNeverExceedsRate(t *testing.T) {
 			s.At(at, func() { s.Send(&Packet{Src: "a", Dst: "b", Size: size}) })
 		}
 		window := time.Duration(len(sizes)) * 100 * time.Microsecond
-		s.Run()
+		run(s)
 		elapsed := window + s.Now() // generous upper bound on drain window
 		maxBytes := rate/8*elapsed.Seconds() + float64(burst) + 256
 		return float64(delivered) <= maxBytes
@@ -378,8 +385,8 @@ func TestLinkStatsAndTap(t *testing.T) {
 	}
 	l.Down = true
 	s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
-	s.Run()
-	st := l.Stats()
+	run(s)
+	st := l.stats
 	if st.Sent != 10 || st.SentBytes != 1000 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -399,7 +406,7 @@ func TestLinkStatsLossCounted(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Send(&Packet{Src: "a", Dst: "b", Size: 10})
 	}
-	st := l.Stats()
+	st := l.stats
 	if st.Sent+st.DroppedLoss != 1000 {
 		t.Fatalf("sent %d + lost %d != 1000", st.Sent, st.DroppedLoss)
 	}

@@ -28,7 +28,7 @@ func TestTimer(t *testing.T) {
 					tm.Reset(20 * ms)
 					logf(fmt.Sprintf("pending=%d", s.sched.len()))
 				})
-				s.Run()
+				run(s)
 			},
 			want: []string{"pending=1@5ms", "timer@25ms"},
 		},
@@ -38,7 +38,7 @@ func TestTimer(t *testing.T) {
 				tm.Reset(100 * ms)
 				s.After(50*ms, func() { logf("b") })
 				tm.Reset(10 * ms)
-				s.Run()
+				run(s)
 				logf("end")
 			},
 			want: []string{"timer@10ms", "b@50ms", "end@50ms"},
@@ -50,7 +50,7 @@ func TestTimer(t *testing.T) {
 				s.After(10*ms, func() { logf("a") }) // (10ms, seq 2)
 				tm.Stop()
 				tm.Reset(10 * ms) // (10ms, seq 3): behind a, as After would be
-				s.Run()
+				run(s)
 			},
 			want: []string{"a@10ms", "timer@10ms"},
 		},
@@ -63,7 +63,7 @@ func TestTimer(t *testing.T) {
 			},
 			script: func(s *Sim, tm *Timer, logf func(string)) {
 				tm.Reset(10 * ms)
-				s.Run()
+				run(s)
 				logf(fmt.Sprintf("armed=%v", tm.Armed()))
 			},
 			want: []string{"timer@10ms", "timer@20ms", "timer@30ms", "armed=false@30ms"},
@@ -74,7 +74,7 @@ func TestTimer(t *testing.T) {
 				tm.Reset(10 * ms)
 				tm.Stop()
 				logf(fmt.Sprintf("armed=%v pending=%d", tm.Armed(), s.sched.len()))
-				s.Run()
+				run(s)
 				logf(fmt.Sprintf("pending=%d", s.sched.len()))
 			},
 			want: []string{"armed=false pending=1@0s", "pending=0@0s"},
@@ -179,7 +179,7 @@ func TestNewTimerOneAllocation(t *testing.T) {
 			t.Fatal("send refused")
 		}
 	}
-	s.Run()
+	run(s)
 	fn := func() {}
 	if allocs := testing.AllocsPerRun(100, func() { s.NewTimer(fn).Reset(ms) }); allocs != 1 {
 		t.Fatalf("NewTimer + Reset allocates %.1f objects, want 1 (the Timer)", allocs)
@@ -260,7 +260,7 @@ func runTimerOps(useTimer bool, data []byte) []string {
 			rearm[idx] = d + 1
 		}
 	}
-	s.Run()
+	run(s)
 	logf("end")
 	return trace
 }

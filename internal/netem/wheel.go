@@ -139,8 +139,6 @@ type timingWheel struct {
 	_ cachePad
 }
 
-func (w *timingWheel) len() int { return w.count }
-
 func (w *timingWheel) push(e *Event) {
 	w.count++
 	idx := int64(e.at) >> wheelSlotBits

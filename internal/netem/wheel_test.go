@@ -207,7 +207,7 @@ func TestWheelClampedPush(t *testing.T) {
 	s.At(10*time.Second, func() { order = append(order, s.Now()) })
 	s.RunUntil(time.Second) // reaches the 10 s event; cursor has moved
 	s.At(2*time.Second, func() { order = append(order, s.Now()) })
-	s.Run()
+	run(s)
 	if len(order) != 2 || order[0] != 2*time.Second || order[1] != 10*time.Second {
 		t.Fatalf("firing order/times = %v", order)
 	}
@@ -228,7 +228,7 @@ func TestWheelLatePushWhileDraining(t *testing.T) {
 	})
 	s.At(at, func() { order = append(order, 1) })
 	s.At(at, func() { order = append(order, 2) })
-	s.Run()
+	run(s)
 	want := []int{0, 1, 2, 3}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v", order)
@@ -353,7 +353,7 @@ func cancelInterleaving(seed int64) []string {
 	for i := 0; i < 200; i++ {
 		schedule(0)
 	}
-	s.Run()
+	run(s)
 	return trace
 }
 
@@ -517,3 +517,6 @@ func BenchmarkSendDeliver(b *testing.B) {
 		b.Fatal("no deliveries")
 	}
 }
+
+// len is the number of pending events.
+func (w *timingWheel) len() int { return w.count }

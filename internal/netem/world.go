@@ -144,12 +144,8 @@ func (w *World) Shards() int { return len(w.shards) }
 
 // Shard returns shard i's simulator. Direct use is the point — schedule
 // timers, connect same-shard links, build transports on it — but never
-// run it (Step/Run/RunUntil) yourself; only the world may advance clocks.
+// run it (Step/RunUntil) yourself; only the world may advance clocks.
 func (w *World) Shard(i int) *Sim { return w.shards[i] }
-
-// Now returns the world's virtual clock: the time every shard has been
-// advanced to at the last barrier.
-func (w *World) Now() time.Duration { return w.now }
 
 // Place assigns an endpoint name to a shard. Placing the same name twice
 // on different shards panics; cross-shard routing needs one home per name.

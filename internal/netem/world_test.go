@@ -48,8 +48,8 @@ func TestWorldCrossShardDelivery(t *testing.T) {
 	if !reflect.DeepEqual(deliveries, want) {
 		t.Fatalf("deliveries = %+v, want %+v", deliveries, want)
 	}
-	if w.Now() != 20*time.Millisecond {
-		t.Fatalf("world clock = %v", w.Now())
+	if w.now != 20*time.Millisecond {
+		t.Fatalf("world clock = %v", w.now)
 	}
 	// Reply direction uses the other half-link with the same delay.
 	var back time.Duration
@@ -387,7 +387,7 @@ func TestWorldShardedZeroAllocSend(t *testing.T) {
 				t.Fatal("send refused")
 			}
 		}
-		w.RunUntil(w.Now() + time.Millisecond)
+		w.RunUntil(w.now + time.Millisecond)
 	}
 	for i := 0; i < 512; i++ { // warm pools, mailboxes, and every wheel slot
 		window()
@@ -421,7 +421,7 @@ func BenchmarkSendDeliverSharded(b *testing.B) {
 				b.Fatal("send refused")
 			}
 		}
-		w.RunUntil(w.Now() + time.Millisecond)
+		w.RunUntil(w.now + time.Millisecond)
 	}
 	for i := 0; i < 512; i++ {
 		window()
@@ -487,7 +487,7 @@ func busyShards(k int) (w *World, window func(), total func() int) {
 		}
 		return n
 	}
-	window = func() { w.RunUntil(w.Now() + 10*time.Millisecond) }
+	window = func() { w.RunUntil(w.now + 10*time.Millisecond) }
 	for range 30 {
 		window()
 	}

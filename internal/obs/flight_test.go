@@ -119,7 +119,7 @@ func TestTracerStripedOrder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr2.Span("par", "s", 0, time.Millisecond, nil)
+				tr2.SpanCtx(SpanContext{}, "par", "s", 0, time.Millisecond, nil)
 			}
 		}(g)
 	}
@@ -142,7 +142,7 @@ func BenchmarkTracerEvent(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			tr.Span("bench", "op", 0, time.Microsecond, nil)
+			tr.SpanCtx(SpanContext{}, "bench", "op", 0, time.Microsecond, nil)
 		}
 	})
 }
@@ -154,7 +154,7 @@ func TestTracerEventRetainOffZeroAlloc(t *testing.T) {
 	tr := NewTracer(func() time.Duration { return 0 })
 	tr.SetFlight(NewFlightRecorder(64))
 	tr.SetRetain(false)
-	if n := testing.AllocsPerRun(1000, func() { tr.Span("bench", "op", 0, time.Microsecond, nil) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { tr.SpanCtx(SpanContext{}, "bench", "op", 0, time.Microsecond, nil) }); n != 0 {
 		t.Fatalf("retain-off event: %v allocs/op, want 0", n)
 	}
 }
@@ -168,7 +168,7 @@ func BenchmarkTracerEventRetainOff(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			tr.Span("bench", "op", 0, time.Microsecond, nil)
+			tr.SpanCtx(SpanContext{}, "bench", "op", 0, time.Microsecond, nil)
 		}
 	})
 }

@@ -59,17 +59,6 @@ func Verbose(v bool) {
 	}
 }
 
-// setLogOutput redirects log output (the package's tests capture it).
-// Passing nil restores stderr.
-func setLogOutput(w io.Writer) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	if w == nil {
-		w = os.Stderr
-	}
-	logOut = w
-}
-
 // logf is the single formatting path: timestamp, level, subsystem tag.
 func logf(l Level, sub, format string, args ...any) {
 	if l > LogLevel() {

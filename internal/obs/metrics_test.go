@@ -29,8 +29,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.Event("cat", "name", nil)
-	tr.Span("cat", "name", 0, time.Second, nil)
-	tr.Begin("cat", "name", nil)()
+	tr.SpanCtx(SpanContext{}, "cat", "name", 0, time.Second, nil)
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatalf("nil tracer must record nothing")
 	}

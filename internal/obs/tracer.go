@@ -147,14 +147,6 @@ func (t *Tracer) EventAt(at time.Duration, cat, name string, args map[string]str
 	t.record(TraceEvent{Cat: cat, Name: name, Start: at, Instant: true, Args: args})
 }
 
-// Span records a complete span [start, start+dur).
-func (t *Tracer) Span(cat, name string, start, dur time.Duration, args map[string]string) {
-	if t == nil {
-		return
-	}
-	t.record(TraceEvent{Cat: cat, Name: name, Start: start, Dur: dur, Args: args})
-}
-
 // SpanCtx records a complete span carrying a span context: sc.Span is this
 // span's identity, sc.Parent the caller that caused it.
 func (t *Tracer) SpanCtx(sc SpanContext, cat, name string, start, dur time.Duration, args map[string]string) {
@@ -165,16 +157,6 @@ func (t *Tracer) SpanCtx(sc SpanContext, cat, name string, start, dur time.Durat
 		Cat: cat, Name: name, Start: start, Dur: dur,
 		Trace: sc.Trace, Span: sc.Span, Parent: sc.Parent, Args: args,
 	})
-}
-
-// Begin opens a span at the current clock reading and returns a closure
-// that records it on completion.
-func (t *Tracer) Begin(cat, name string, args map[string]string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := t.Now()
-	return func() { t.Span(cat, name, start, t.Now()-start, args) }
 }
 
 // Events returns a copy of everything recorded so far, in recording order

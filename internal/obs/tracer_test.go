@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +18,10 @@ func TestTracerRecordsAgainstInjectedClock(t *testing.T) {
 	now = 10 * time.Millisecond
 	tr.Event("chaos", "fault", map[string]string{"kind": "flap"})
 	now = 15 * time.Millisecond
-	end := tr.Begin("attach", "sap", nil)
+	start := tr.Now()
 	now = 40 * time.Millisecond
-	end()
-	tr.Span("wire", "call", 5*time.Millisecond, 2*time.Millisecond, nil)
+	tr.SpanCtx(SpanContext{}, "attach", "sap", start, tr.Now()-start, nil)
+	tr.SpanCtx(SpanContext{}, "wire", "call", 5*time.Millisecond, 2*time.Millisecond, nil)
 
 	ev := tr.Events()
 	if len(ev) != 3 {
@@ -30,7 +31,7 @@ func TestTracerRecordsAgainstInjectedClock(t *testing.T) {
 		t.Fatalf("bad instant event: %+v", ev[0])
 	}
 	if ev[1].Instant || ev[1].Start != 15*time.Millisecond || ev[1].Dur != 25*time.Millisecond {
-		t.Fatalf("bad begin/end span: %+v", ev[1])
+		t.Fatalf("bad span timed on the injected clock: %+v", ev[1])
 	}
 	if ev[2].Start != 5*time.Millisecond || ev[2].Dur != 2*time.Millisecond {
 		t.Fatalf("bad explicit span: %+v", ev[2])
@@ -42,7 +43,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(func() time.Duration { return now })
 	tr.Event("a", "x", map[string]string{"k": "v"})
 	now = time.Second
-	tr.Span("b", "y", 100*time.Millisecond, 50*time.Millisecond, nil)
+	tr.SpanCtx(SpanContext{}, "b", "y", 100*time.Millisecond, 50*time.Millisecond, nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -69,7 +70,7 @@ func TestChromeTraceShape(t *testing.T) {
 	var now time.Duration
 	tr := NewTracer(func() time.Duration { return now })
 	tr.Event("chaos", "fault", nil)
-	tr.Span("attach", "sap", time.Millisecond, 2*time.Millisecond, map[string]string{"telco": "t0"})
+	tr.SpanCtx(SpanContext{}, "attach", "sap", time.Millisecond, 2*time.Millisecond, map[string]string{"telco": "t0"})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -108,7 +109,7 @@ func TestTraceDeterminism(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			now += time.Millisecond
 			tr.Event("cat", "e", map[string]string{"b": "2", "a": "1", "c": "3"})
-			tr.Span("cat", "s", now, time.Millisecond, nil)
+			tr.SpanCtx(SpanContext{}, "cat", "s", now, time.Millisecond, nil)
 		}
 		return tr
 	}
@@ -193,4 +194,15 @@ func TestLogLevels(t *testing.T) {
 	if !strings.Contains(buf.String(), "retry 2") {
 		t.Fatalf("debug message missing at debug level:\n%s", buf.String())
 	}
+}
+
+// setLogOutput redirects log output for a test to capture it. Passing nil
+// restores stderr.
+func setLogOutput(w io.Writer) {
+	logMu.Lock()
+	defer logMu.Unlock()
+	if w == nil {
+		w = os.Stderr
+	}
+	logOut = w
 }

@@ -2,38 +2,14 @@ package ran
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
 
 // This file models the eNodeB's RRC front-end — the piece of srsENB the
 // prototype reuses unmodified. CellBricks changes nothing below NAS, so
-// the eNB's job is: run the RRC connection state machine per UE, then
-// relay NAS transparently between the UE and the core.
-
-// RRCState is the per-UE radio connection state.
-type RRCState int
-
-// RRC states.
-const (
-	RRCIdle RRCState = iota
-	RRCConnecting
-	RRCConnected
-)
-
-func (s RRCState) String() string {
-	switch s {
-	case RRCIdle:
-		return "idle"
-	case RRCConnecting:
-		return "connecting"
-	case RRCConnected:
-		return "connected"
-	default:
-		return fmt.Sprintf("rrc(%d)", int(s))
-	}
-}
+// the eNB's job is: set up the UE's RRC connection, then relay NAS
+// transparently between the UE and the core.
 
 // NASRelay forwards one NAS envelope to the core and returns the reply —
 // the S1-AP leg; epc.AGW.HandleNAS fits after binding the RAN id.
@@ -44,36 +20,19 @@ type NASRelay func(ranID string, envelope []byte) ([]byte, error)
 type ENB struct {
 	Cell  Cell
 	Relay NASRelay
-	// MaxConnected bounds admitted UEs (RRC admission control);
-	// 0 = unlimited.
-	MaxConnected int
-	// Clock returns virtual or wall time for connection bookkeeping.
-	Clock func() time.Duration
 
 	mu    sync.Mutex
-	conns map[string]*rrcConn
-}
-
-type rrcConn struct {
-	state       RRCState
-	connectedAt time.Duration
-	lastUsed    time.Duration
+	conns map[string]struct{} // RAN ids with an RRC connection
 }
 
 // NewENB builds an eNodeB front-end for a cell.
 func NewENB(cell Cell, relay NASRelay) *ENB {
-	return &ENB{
-		Cell:  cell,
-		Relay: relay,
-		Clock: func() time.Duration { return 0 },
-		conns: make(map[string]*rrcConn),
-	}
+	return &ENB{Cell: cell, Relay: relay, conns: make(map[string]struct{})}
 }
 
 // Errors from the RRC layer.
 var (
 	ErrNotConnected  = errors.New("ran: UE has no RRC connection")
-	ErrAdmissionFull = errors.New("ran: cell admission control rejected the UE")
 	ErrAlreadyActive = errors.New("ran: RRC connection already active")
 	ErrRelayUnset    = errors.New("ran: eNB has no core relay")
 )
@@ -84,54 +43,11 @@ var (
 func (e *ENB) Connect(ranID string) (time.Duration, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c, ok := e.conns[ranID]; ok && c.state == RRCConnected {
+	if _, ok := e.conns[ranID]; ok {
 		return 0, ErrAlreadyActive
 	}
-	if e.MaxConnected > 0 {
-		active := 0
-		for _, c := range e.conns {
-			if c.state == RRCConnected {
-				active++
-			}
-		}
-		if active >= e.MaxConnected {
-			return 0, ErrAdmissionFull
-		}
-	}
-	now := e.Clock()
-	e.conns[ranID] = &rrcConn{state: RRCConnected, connectedAt: now, lastUsed: now}
+	e.conns[ranID] = struct{}{}
 	return e.Cell.RRCSetupDelay, nil
-}
-
-// Release tears the RRC connection down (UE detach or radio-link
-// failure).
-func (e *ENB) Release(ranID string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.conns, ranID)
-}
-
-// state reports a UE's RRC state.
-func (e *ENB) state(ranID string) RRCState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.conns[ranID]; ok {
-		return c.state
-	}
-	return RRCIdle
-}
-
-// Connected counts UEs in RRC connected state.
-func (e *ENB) Connected() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, c := range e.conns {
-		if c.state == RRCConnected {
-			n++
-		}
-	}
-	return n
 }
 
 // ForwardNAS relays a NAS envelope for a connected UE. The eNB never
@@ -140,32 +56,14 @@ func (e *ENB) Connected() int {
 // stations.
 func (e *ENB) ForwardNAS(ranID string, envelope []byte) ([]byte, error) {
 	e.mu.Lock()
-	c, ok := e.conns[ranID]
-	if ok {
-		c.lastUsed = e.Clock()
-	}
+	_, ok := e.conns[ranID]
 	relay := e.Relay
 	e.mu.Unlock()
-	if !ok || c.state != RRCConnected {
+	if !ok {
 		return nil, ErrNotConnected
 	}
 	if relay == nil {
 		return nil, ErrRelayUnset
 	}
 	return relay(ranID, envelope)
-}
-
-// expireIdle releases connections idle longer than the inactivity timer
-// (eNBs drop UEs to RRC idle after ~10-20 s of silence).
-func (e *ENB) expireIdle(now, timeout time.Duration) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for id, c := range e.conns {
-		if now-c.lastUsed > timeout {
-			delete(e.conns, id)
-			n++
-		}
-	}
-	return n
 }

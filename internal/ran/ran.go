@@ -1,15 +1,13 @@
 // Package ran models the radio access network layer CellBricks leaves
 // unmodified: cells (towers) with positions and transmit power, a
-// log-distance path-loss signal model, neighbor lists for UE-driven
-// network-assisted cell selection, and a mobile terminal that generates
-// handover decisions with hysteresis as it moves — each handover being,
-// in CellBricks, a full detach + SAP re-attach, possibly to a different
-// bTelco.
+// log-distance path-loss signal model, the eNodeB's RRC front-end, and a
+// mobile terminal that generates handover decisions with hysteresis as it
+// moves — each handover being, in CellBricks, a full detach + SAP
+// re-attach, possibly to a different bTelco.
 package ran
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -76,25 +74,6 @@ func (r *RAN) StrongestAt(posM float64) *Cell {
 	return best
 }
 
-// neighbors returns the k nearest cells to c (excluding c) — the
-// network-assisted neighbor list that lets UE-driven handover "perform
-// smarter cell selection".
-func (r *RAN) neighbors(c *Cell, k int) []Cell {
-	var others []Cell
-	for _, o := range r.Cells {
-		if o.ID != c.ID {
-			others = append(others, o)
-		}
-	}
-	sort.Slice(others, func(i, j int) bool {
-		return math.Abs(others[i].PosM-c.PosM) < math.Abs(others[j].PosM-c.PosM)
-	})
-	if len(others) > k {
-		others = others[:k]
-	}
-	return others
-}
-
 // HandoverHysteresisDB prevents ping-ponging at cell edges.
 const HandoverHysteresisDB = 3.0
 
@@ -145,17 +124,4 @@ func (m *Mobile) Advance(now, dt time.Duration) *HandoverEvent {
 	}
 	m.serving = best
 	return ev
-}
-
-// DriveHandovers runs the terminal for dur at a tick granularity and
-// collects all handover events — the geometric counterpart to
-// mobility.Route.Handovers.
-func (m *Mobile) DriveHandovers(dur, tick time.Duration) []HandoverEvent {
-	var out []HandoverEvent
-	for t := time.Duration(0); t < dur; t += tick {
-		if ev := m.Advance(t, tick); ev != nil {
-			out = append(out, *ev)
-		}
-	}
-	return out
 }

@@ -41,29 +41,23 @@ func TestStrongestAtMidpoints(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	r := testRAN(10)
-	n := r.neighbors(&r.Cells[5], 4)
-	if len(n) != 4 {
-		t.Fatalf("got %d neighbors", len(n))
-	}
-	// Nearest first: cells 4 and 6 must lead.
-	near := map[string]bool{r.Cells[4].ID: true, r.Cells[6].ID: true}
-	if !near[n[0].ID] || !near[n[1].ID] {
-		t.Fatalf("neighbors not nearest-first: %v %v", n[0].ID, n[1].ID)
-	}
-	for _, c := range n {
-		if c.ID == r.Cells[5].ID {
-			t.Fatal("cell is its own neighbor")
+// drive runs the terminal for dur at a tick granularity and collects its
+// handover events.
+func drive(m *Mobile, dur, tick time.Duration) []HandoverEvent {
+	var out []HandoverEvent
+	for t := time.Duration(0); t < dur; t += tick {
+		if ev := m.Advance(t, tick); ev != nil {
+			out = append(out, *ev)
 		}
 	}
+	return out
 }
 
 func TestMobileHandoverSequence(t *testing.T) {
 	r := testRAN(12)
 	m := NewMobile(r, 10) // 10 m/s over 800 m spacing -> HO every ~80 s
 	dur := 800 * time.Second
-	events := m.DriveHandovers(dur, 100*time.Millisecond)
+	events := drive(m, dur, 100*time.Millisecond)
 	// Crossing ~10 cell boundaries.
 	if len(events) < 8 || len(events) > 11 {
 		t.Fatalf("got %d handovers over %v", len(events), dur)
@@ -109,7 +103,7 @@ func TestSameTelcoDeployment(t *testing.T) {
 	// One MNO owning all towers: handovers never cross providers.
 	r := LinearDeployment(5, 800, func(int) string { return "mno-1" })
 	m := NewMobile(r, 20)
-	events := m.DriveHandovers(200*time.Second, 100*time.Millisecond)
+	events := drive(m, 200*time.Second, 100*time.Millisecond)
 	if len(events) == 0 {
 		t.Fatal("no handovers")
 	}

@@ -85,19 +85,6 @@ func runTable1Job(j int, route mobility.Route, night bool, cfg Table1Config, cel
 	}
 }
 
-// runTable1Cell runs all four applications under both architectures for
-// one route and time of day.
-func runTable1Cell(route mobility.Route, night bool, cfg Table1Config) Table1Cell {
-	if cfg.Duration == 0 {
-		cfg.Duration = 10 * time.Minute
-	}
-	cell := Table1Cell{Route: route.Name, Night: night}
-	cfg.Runner.ForEach(table1Jobs, func(j int) {
-		runTable1Job(j, route, night, cfg, &cell)
-	})
-	return cell
-}
-
 // Table1Result is the full table.
 type Table1Result struct {
 	Cells []Table1Cell

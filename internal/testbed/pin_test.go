@@ -99,12 +99,8 @@ func TestParentOutputPins(t *testing.T) {
 	}
 	check("transports", tr.String(), "4e148c071ba9e9f41c0f31df5535a9e8a11e4b84ec890a30c2959dfe6e137c7a")
 
-	// The handover variants NewWorld carries beyond the plain drive.
-	hwy := Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 13, Duration: 2 * time.Minute}
-	soft := hwy
-	soft.SoftHandover = true
-	check("soft handover iperf", fmt.Sprint(RunIperf(soft).Series), "779bc87c77a109e8c8bee882c44adfdf9a948e22d1495a3a930b892e2a472f1b")
-	outage := hwy
+	// The handover variant NewWorld carries beyond the plain drive.
+	outage := Scenario{Route: mobility.Highway, Night: true, Arch: ArchCellBricks, Seed: 13, Duration: 2 * time.Minute}
 	outage.BrokerDownAt, outage.BrokerDownFor = 20*time.Second, 20*time.Second
 	check("broker outage iperf", fmt.Sprint(RunIperf(outage).Series), "3fab293c64479f8e8cd9b052e8f6b3eec1b1ebd82693e9043ba27be46d60eca9")
 
@@ -138,4 +134,17 @@ func TestParentOutputPins(t *testing.T) {
 
 	// Fig. 9 is the one caller that sets a non-default d.
 	check("fig9", runFig9(3, 1, 2*time.Minute, Runner{}).Render(), "8425ee068cad50699e3ed28cda6128ee819716f188397ad1ec647e9e4b1f196e")
+}
+
+// runTable1Cell runs all four applications under both architectures for
+// one route and time of day.
+func runTable1Cell(route mobility.Route, night bool, cfg Table1Config) Table1Cell {
+	if cfg.Duration == 0 {
+		cfg.Duration = 10 * time.Minute
+	}
+	cell := Table1Cell{Route: route.Name, Night: night}
+	cfg.Runner.ForEach(table1Jobs, func(j int) {
+		runTable1Job(j, route, night, cfg, &cell)
+	})
+	return cell
 }

@@ -31,6 +31,7 @@ type RealDeployment struct {
 	SDBSrv       *epc.SDBServer
 	NASSrv       *epc.NASServer
 	brokerClient *broker.Client // pooled; shared by the AGW's directory and the report uploads
+	sdbClient    *epc.SDBClient // the AGW's legacy northbound
 
 	cast   *core.Cast
 	telco  *sap.TelcoState
@@ -72,14 +73,13 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		return nil, err
 	}
 
-	sdbClient, err := epc.DialSDB(d.SDBSrv.Addr())
-	if err != nil {
+	if d.sdbClient, err = epc.DialSDB(d.SDBSrv.Addr()); err != nil {
 		d.Close()
 		return nil, err
 	}
 	d.AGW = epc.NewAGW(epc.AGWConfig{
 		Telco:       d.telco,
-		Subscribers: sdbClient,
+		Subscribers: d.sdbClient,
 		Brokers:     epc.StaticDirectory{ID: d.Broker.ID(), Client: d.brokerClient, Pub: d.Broker.Public()},
 		Tracer:      tr,
 		TraceIDs:    ids,
@@ -91,10 +91,13 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 	return d, nil
 }
 
-// Close stops all servers.
+// Close stops all servers and closes the clients the deployment dialled.
 func (d *RealDeployment) Close() {
 	if d.NASSrv != nil {
 		d.NASSrv.Close()
+	}
+	if d.sdbClient != nil {
+		d.sdbClient.Close()
 	}
 	if d.SDBSrv != nil {
 		d.SDBSrv.Close()

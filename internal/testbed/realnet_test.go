@@ -3,6 +3,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -17,6 +18,37 @@ import (
 )
 
 func counter(name string) float64 { return obs.Default().Snapshot()[name] }
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no per-process descriptor table to count: %v", err)
+	}
+	return len(fds)
+}
+
+// A deployment closes every socket it opened: five start-and-close cycles
+// leave the descriptor count where one warm-up cycle left it.
+func TestRealDeploymentCloseLeaksNoSocket(t *testing.T) {
+	cycle := func() {
+		d, err := NewRealDeployment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}
+	openFDs(t)
+	cycle() // the runtime's poller and the process's first sockets
+	before := openFDs(t)
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	if after := openFDs(t); after > before {
+		t.Fatalf("%d descriptors open before five deployments, %d after they closed", before, after)
+	}
+}
 
 // billedSession is one session_real op: attach, both reports, detach.
 func billedSession(d *RealDeployment, dev *ue.Device, tx ue.NASTransport) error {
@@ -101,6 +133,7 @@ func TestRealDeploymentAttachSurvivesBrokerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	attaches, failures := counter("epc_attaches_total"), counter("epc_attach_failures_total")
 	if err := attachDetach(d, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +150,8 @@ func TestRealDeploymentAttachSurvivesBrokerRestart(t *testing.T) {
 	if got := counter("wire_client_redials_total") - redials; got != 1 {
 		t.Fatalf("attach after broker restart cost %v redials, want exactly 1", got)
 	}
-	if st := d.AGW.Stats(); st.AttachFailures != 0 || st.Attaches != 2 {
-		t.Fatalf("AGW stats %+v, want 2 attaches and no failure", st)
+	if a, f := counter("epc_attaches_total")-attaches, counter("epc_attach_failures_total")-failures; f != 0 || a != 2 {
+		t.Fatalf("AGW counted %v attaches and %v failures, want 2 and none", a, f)
 	}
 }
 

@@ -1,14 +1,12 @@
 package testbed
 
 import (
-	"fmt"
 	"time"
 
 	"cellbricks/internal/apps"
 	"cellbricks/internal/mobility"
 	"cellbricks/internal/mptcp"
 	"cellbricks/internal/netem"
-	"cellbricks/internal/ran"
 )
 
 // Scenario configures one wide-area emulation run (§6.2): a route, time of
@@ -29,11 +27,6 @@ type Scenario struct {
 	// Protocol selects the host transport for CellBricks runs
 	// (default MPTCP; ProtoQUIC for connection-ID migration).
 	Protocol mptcp.Protocol
-	// SoftHandover performs make-before-break migrations: the new
-	// attachment completes (and the new subflow joins) before the old
-	// radio link drops — the soft-handover variant the paper defers to
-	// future work, here as an ablation.
-	SoftHandover bool
 	// BrokerDownAt/BrokerDownFor inject a broker outage window: SAP
 	// attachments cannot complete inside it, so a handover that lands in
 	// the window leaves the UE address-less until the broker returns.
@@ -120,22 +113,7 @@ func newWorld(sc Scenario, handovers []time.Duration, prefix string) *World {
 }
 
 // handover fires one mobility event against the transport connection.
-func (w *World) handover() {
-	sc := w.Scenario
-	if sc.SoftHandover && sc.Arch == ArchCellBricks {
-		// Make-before-break: attach to the target first (the SAP
-		// exchange runs while the old radio link still carries
-		// traffic), then migrate and drop the old path.
-		oldIP := w.path.ip
-		newIP := w.path.connectNext()
-		w.Sim.After(sc.AttachLatency, func() {
-			w.Conn.MigrateSoft(newIP)
-			w.Sim.After(200*time.Millisecond, func() { w.Sim.Disconnect(ServerIP, oldIP) })
-		})
-		return
-	}
-	w.path.handover(sc, w.lost, w.reattach)
-}
+func (w *World) handover() { w.path.handover(w.Scenario, w.lost, w.reattach) }
 
 // addrAfterAttach is the bare re-attach: the new address appears d later,
 // or, when the handover lands in the broker outage window, d after the
@@ -199,28 +177,4 @@ func RunVideo(sc Scenario) apps.VideoResult {
 func RunWeb(sc Scenario) apps.WebResult {
 	w := NewWorld(sc)
 	return apps.NewWeb(w.Sim, w.Conn).Run(w.Scenario.Duration)
-}
-
-// newGeoWorld builds a World whose handover instants come from the radio
-// geometry instead of the statistical schedule: a ran.Mobile drives past
-// a linear deployment of single-tower bTelcos at the route's speed, and
-// each hysteresis-filtered strongest-cell change becomes a detach + SAP
-// re-attach. This ties the UE-driven, network-assisted cell selection of
-// §4.2 into the data-plane emulation.
-func newGeoWorld(sc Scenario, towers int) (*World, []ran.HandoverEvent) {
-	sc = sc.Defaults()
-	if towers <= 0 {
-		towers = 64
-	}
-	deployment := ran.LinearDeployment(towers, sc.Route.TowerSpacingM, func(i int) string {
-		return fmt.Sprintf("geo-btelco-%d", i)
-	})
-	mobile := ran.NewMobile(deployment, sc.Route.Speed(sc.Night))
-	events := mobile.DriveHandovers(sc.Duration, 100*time.Millisecond)
-
-	at := make([]time.Duration, len(events)) // non-nil even for a drive with no handover
-	for i, ev := range events {
-		at[i] = ev.At
-	}
-	return newWorld(sc, at, "ue"), events
 }

@@ -82,7 +82,7 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	if !w.Observe(5*time.Second, 100) {
 		t.Fatal("did not trip after a full stalled window")
 	}
-	if w.Armed() {
+	if w.armed {
 		t.Fatal("still armed after trip")
 	}
 	if w.Observe(20*time.Second, 100) {

@@ -311,35 +311,6 @@ func (d *Device) AttachAuto(tx NASTransport, idT string) (*Attachment, error) {
 	return d.AttachLegacy(tx)
 }
 
-// RequestDedicatedBearer asks the network for an additional bearer of the
-// given QoS class on the current session (e.g. a voice bearer beside the
-// default), over the protected NAS channel.
-func (d *Device) RequestDedicatedBearer(tx NASTransport, qci byte) (uint32, error) {
-	d.mu.Lock()
-	a := d.attach
-	d.mu.Unlock()
-	if a == nil {
-		return 0, ErrNotAttached
-	}
-	env, err := d.protectedEnvelope(&nas.SessionRequest{SessionID: a.SessionID, APN: "internet", QCI: qci})
-	if err != nil {
-		return 0, err
-	}
-	reply, err := tx(env)
-	if err != nil {
-		return 0, err
-	}
-	msg, err := d.decodeReply(reply)
-	if err != nil {
-		return 0, err
-	}
-	accept, ok := msg.(*nas.SessionAccept)
-	if !ok {
-		return 0, rejectOr(msg)
-	}
-	return accept.BearerID, nil
-}
-
 // Detach tears the attachment down (host-driven: "a user simply detaches
 // from one cell tower and independently attaches to a new tower").
 func (d *Device) Detach(tx NASTransport) error {
@@ -467,29 +438,6 @@ func (m *BasebandMeter) CountDLLoss(packets int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.dlLost += uint64(packets)
-}
-
-// addCallSeconds records voice-call airtime (the "duration for phone
-// call" field of the paper's traffic report).
-func (m *BasebandMeter) addCallSeconds(s float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.callSecs += s
-}
-
-// countSMS records sent/received SMS events.
-func (m *BasebandMeter) countSMS(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.smsCount += uint32(n)
-}
-
-// observeDelay records a delay sample in milliseconds.
-func (m *BasebandMeter) observeDelay(ms float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.delaySumMs += ms
-	m.delayN++
 }
 
 // Snapshot returns current usage (ul, dl bytes).

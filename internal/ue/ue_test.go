@@ -406,3 +406,26 @@ func TestPlainEnvelopeOneAllocation(t *testing.T) {
 		}
 	}
 }
+
+// addCallSeconds records voice-call airtime (the "duration for phone
+// call" field of the paper's traffic report).
+func (m *BasebandMeter) addCallSeconds(s float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.callSecs += s
+}
+
+// countSMS records sent/received SMS events.
+func (m *BasebandMeter) countSMS(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.smsCount += uint32(n)
+}
+
+// observeDelay records a delay sample in milliseconds.
+func (m *BasebandMeter) observeDelay(ms float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.delaySumMs += ms
+	m.delayN++
+}

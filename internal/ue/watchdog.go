@@ -47,9 +47,6 @@ func (w *Watchdog) Arm(now time.Duration, delivered uint64) {
 // Disarm stops the watch — call it on detach, when a stall is expected.
 func (w *Watchdog) Disarm() { w.armed = false }
 
-// Armed reports whether the watchdog is running.
-func (w *Watchdog) Armed() bool { return w.armed }
-
 // Observe feeds the current delivered-byte counter at time now and
 // reports whether the watchdog tripped: no forward progress for a full
 // window. A trip disarms the watchdog (the caller re-arms after the

@@ -85,8 +85,11 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "handler panic") {
 		t.Fatalf("err = %v, want handler panic error", err)
 	}
-	if got := s.handlerPanics(); got != 1 {
-		t.Fatalf("HandlerPanics = %d, want 1", got)
+	s.mu.Lock()
+	panics := s.panics
+	s.mu.Unlock()
+	if panics != 1 {
+		t.Fatalf("%d handler panics recovered, want 1", panics)
 	}
 	// ...and the server closes that one connection but survives: the call
 	// that finds it closed fails and abandons it, the one after redials.
@@ -100,7 +103,7 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if rt != TypeAIA || string(reply) != "alive" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
 		t.Fatalf("a handler panic must cost exactly one connection, stats %+v", st)
 	}
 }
@@ -140,7 +143,7 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "two" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
 		t.Fatalf("an idle reap must cost exactly one connection, stats %+v", st)
 	}
 }
@@ -170,7 +173,7 @@ func TestRetryAfterSurfacesTyped(t *testing.T) {
 		t.Fatalf("After = %v, want 250ms", ra.After)
 	}
 	// A shed reply is a completed exchange: the connection stays healthy.
-	if st := c.Stats(); st.Broken != 0 {
+	if st := c.stats; st.Broken != 0 {
 		t.Fatalf("shed reply must not break the conn, stats %+v", st)
 	}
 }
@@ -219,7 +222,7 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "through the fire" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.Stats(); st.Broken != 1 || st.Redials != 1 {
+	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
 		t.Fatalf("expected the truncated conn to be broken and redialled once, stats %+v", st)
 	}
 }
@@ -278,7 +281,7 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 		}
 	}
 	// Two drops and one truncation; every one cost its connection.
-	if st := c.Stats(); failed != 3 || st.Broken != failed || st.Redials != failed {
+	if st := c.stats; failed != 3 || st.Broken != failed || st.Redials != failed {
 		t.Fatalf("%d failed calls, want 3, each breaking one conn and redialled once, stats %+v", failed, st)
 	}
 	// A fresh call on the healed client must work first try.
@@ -307,7 +310,7 @@ func TestCallTimeoutBreaksConn(t *testing.T) {
 	if _, _, err := c.Call(TypeNAS, []byte("stuck")); err == nil {
 		t.Fatal("expected deadline error")
 	}
-	if st := c.Stats(); st.Broken != 1 {
+	if st := c.stats; st.Broken != 1 {
 		t.Fatalf("timed-out conn must be broken, stats %+v", st)
 	}
 }

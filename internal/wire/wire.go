@@ -277,13 +277,6 @@ func serve(ln net.Listener, h CtxHandler, o ServerOptions) *Server {
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// handlerPanics reports how many handler panics the server has recovered.
-func (s *Server) handlerPanics() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.panics
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	backoff := acceptBackoff
@@ -475,13 +468,6 @@ func (c *Client) connect() error {
 	}
 	c.conn, c.br = conn, bufio.NewReaderSize(replyReader{c}, readBuf)
 	return nil
-}
-
-// Stats returns a snapshot of the client's recovery counters.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // abandon gives up on a call whose transport failed: a partial write or
