@@ -176,19 +176,6 @@ type Link struct {
 	nextFreeBA time.Duration
 	lastArrAB  time.Duration
 	lastArrBA  time.Duration
-
-	stats LinkStats
-}
-
-// LinkStats counts a link's traffic (a tcpdump-grade view of the
-// emulation). Only the package's tests read it; the registry's netem
-// counters are what a run reports.
-type LinkStats struct {
-	Sent         uint64
-	SentBytes    uint64
-	DroppedLoss  uint64
-	DroppedQueue uint64
-	DroppedDown  uint64
 }
 
 // Register installs the receive handler for an endpoint identifier.
@@ -270,15 +257,12 @@ func (s *Sim) Send(pkt *Packet) bool {
 	}
 	l := entry.link
 	if l.Down {
-		l.stats.DroppedDown++
 		return false
 	}
 	if l.Loss > 0 && s.src.Float64() < l.Loss {
-		l.stats.DroppedLoss++
 		return false
 	}
 	if l.Transit != nil && !l.Transit(pkt, s.now) {
-		l.stats.DroppedQueue++
 		mtr.dropQueue.Add(1)
 		return false
 	}
@@ -292,7 +276,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 	}
 	shapeDelay, drop := shaper.admit(s.now, pkt.Size)
 	if drop {
-		l.stats.DroppedQueue++
 		mtr.dropQueue.Add(1)
 		return false
 	}
@@ -315,7 +298,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 			maxQueue = 100 * time.Millisecond
 		}
 		if start-s.now > maxQueue {
-			l.stats.DroppedQueue++
 			mtr.dropQueue.Add(1)
 			return false // drop-tail: queue budget exceeded
 		}
@@ -344,8 +326,6 @@ func (s *Sim) Send(pkt *Packet) bool {
 		arrival = *lastArr
 	}
 	*lastArr = arrival
-	l.stats.Sent++
-	l.stats.SentBytes += uint64(pkt.Size)
 	s.mtrLocal.sent++
 	if s.mtrLocal.tick++; s.mtrLocal.tick&(flushEvery-1) == 0 {
 		s.FlushMetrics()

@@ -7,23 +7,35 @@ import (
 )
 
 // Drop accounting is what the chaos harness and the failover experiment
-// read to attribute outages, so each counter must tick for exactly its own
-// drop cause.
+// read to attribute outages. Each test below sets up a link on which only
+// one drop cause can fire, so Send's refusals count that cause exactly;
+// the registry's sent and queue-drop counters must tick for their own
+// events and no others.
+
+// registryCounts flushes s's local counts and reads the registry's
+// netem_packets_sent_total and netem_drops_queue_total.
+func registryCounts(s *Sim) (sent, dropQueue uint64) {
+	s.FlushMetrics()
+	return mtr.sent.Value(), mtr.dropQueue.Value()
+}
 
 func TestStatsDroppedLoss(t *testing.T) {
 	s := NewSim(1)
 	l := &Link{Loss: 1.0}
 	s.Connect("a", "b", l)
 	s.Register("b", func(p *Packet) {})
+	sent0, queue0 := registryCounts(s)
+	refused := 0
 	for i := 0; i < 10; i++ {
-		s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
+		if !s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
+			refused++
+		}
 	}
-	st := l.stats
-	if st.DroppedLoss != 10 {
-		t.Fatalf("DroppedLoss = %d, want 10", st.DroppedLoss)
+	if refused != 10 {
+		t.Fatalf("loss refused %d sends, want 10", refused)
 	}
-	if st.DroppedDown != 0 || st.DroppedQueue != 0 || st.Sent != 0 {
-		t.Fatalf("loss drops leaked into other counters: %+v", st)
+	if sent, queue := registryCounts(s); sent != sent0 || queue != queue0 {
+		t.Fatalf("loss drops leaked into other counters: sent +%d, queue drops +%d", sent-sent0, queue-queue0)
 	}
 }
 
@@ -32,26 +44,23 @@ func TestStatsDroppedDown(t *testing.T) {
 	l := &Link{Down: true}
 	s.Connect("a", "b", l)
 	s.Register("b", func(p *Packet) {})
+	sent0, queue0 := registryCounts(s)
 	for i := 0; i < 7; i++ {
 		if s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
 			t.Fatal("down link admitted a packet")
 		}
 	}
-	st := l.stats
-	if st.DroppedDown != 7 {
-		t.Fatalf("DroppedDown = %d, want 7", st.DroppedDown)
-	}
-	if st.DroppedLoss != 0 || st.DroppedQueue != 0 {
-		t.Fatalf("down drops leaked into other counters: %+v", st)
+	if sent, queue := registryCounts(s); sent != sent0 || queue != queue0 {
+		t.Fatalf("down drops leaked into other counters: sent +%d, queue drops +%d", sent-sent0, queue-queue0)
 	}
 
-	// Flap the link back up: traffic and the Sent counter resume.
+	// Flap the link back up: traffic and the sent counter resume.
 	l.Down = false
 	if !s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
 		t.Fatal("restored link rejected a packet")
 	}
-	if st := l.stats; st.Sent != 1 {
-		t.Fatalf("Sent = %d after restore, want 1", st.Sent)
+	if sent, _ := registryCounts(s); sent-sent0 != 1 {
+		t.Fatalf("sent +%d after restore, want +1", sent-sent0)
 	}
 }
 
@@ -62,15 +71,16 @@ func TestStatsDroppedQueueBandwidth(t *testing.T) {
 	l := &Link{BandwidthBps: 8000, MaxQueue: 10 * time.Millisecond}
 	s.Connect("a", "b", l)
 	s.Register("b", func(p *Packet) {})
+	sent0, queue0 := registryCounts(s)
 	admitted := 0
 	for i := 0; i < 5; i++ {
 		if s.Send(&Packet{Src: "a", Dst: "b", Size: 1000}) {
 			admitted++
 		}
 	}
-	st := l.stats
-	if admitted != 1 || st.DroppedQueue != 4 {
-		t.Fatalf("admitted=%d DroppedQueue=%d, want 1 and 4 (stats %+v)", admitted, st.DroppedQueue, st)
+	sent, queue := registryCounts(s)
+	if admitted != 1 || sent-sent0 != 1 || queue-queue0 != 4 {
+		t.Fatalf("admitted=%d, sent +%d, queue drops +%d; want 1, 1 and 4", admitted, sent-sent0, queue-queue0)
 	}
 }
 
@@ -81,13 +91,14 @@ func TestStatsDroppedQueueShaperZeroRate(t *testing.T) {
 	l := &Link{ShaperAB: NewShaper(func(time.Duration) float64 { return 0 }, 1024, 1024)}
 	s.Connect("a", "b", l)
 	s.Register("b", func(p *Packet) {})
+	_, queue0 := registryCounts(s)
 	for i := 0; i < 3; i++ {
 		if s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
 			t.Fatal("zero-rate shaper admitted a packet")
 		}
 	}
-	if st := l.stats; st.DroppedQueue != 3 {
-		t.Fatalf("DroppedQueue = %d, want 3", st.DroppedQueue)
+	if _, queue := registryCounts(s); queue-queue0 != 3 {
+		t.Fatalf("queue drops +%d, want +3", queue-queue0)
 	}
 }
 
@@ -99,22 +110,23 @@ func TestStatsDroppedQueueShaperOverload(t *testing.T) {
 	s.Connect("a", "b", l)
 	got := 0
 	s.Register("b", func(p *Packet) { got++ })
-	sent := 0
+	sent0, queue0 := registryCounts(s)
+	admitted := 0
 	for i := 0; i < 50; i++ {
 		if s.Send(&Packet{Src: "a", Dst: "b", Size: 1500}) {
-			sent++
+			admitted++
 		}
 	}
 	run(s)
-	st := l.stats
-	if st.DroppedQueue == 0 {
-		t.Fatalf("expected shaper queue drops, stats %+v", st)
+	sent, queue := registryCounts(s)
+	if queue == queue0 {
+		t.Fatal("expected shaper queue drops")
 	}
-	if uint64(sent) != st.Sent || got != sent {
-		t.Fatalf("admitted %d, Sent %d, delivered %d — counters disagree (%+v)", sent, st.Sent, got, st)
+	if sent-sent0 != uint64(admitted) || got != admitted {
+		t.Fatalf("admitted %d, sent +%d, delivered %d — counters disagree", admitted, sent-sent0, got)
 	}
-	if st.DroppedQueue+st.Sent != 50 {
-		t.Fatalf("drops (%d) + sent (%d) != offered 50", st.DroppedQueue, st.Sent)
+	if queue-queue0+uint64(admitted) != 50 {
+		t.Fatalf("queue drops (+%d) + admitted (%d) != offered 50", queue-queue0, admitted)
 	}
 }
 
@@ -203,11 +215,12 @@ func TestNewShaperSojournDefaults(t *testing.T) {
 func TestShaperSojournOnLink(t *testing.T) {
 	s := NewSim(1)
 	// Sojourn-bounded shaper on the A->B direction: a burst overruns the
-	// 5 ms bound and the tail lands in DroppedQueue.
+	// 5 ms bound and the tail is counted as queue drops.
 	l := &Link{ShaperAB: newShaperSojourn(flat(80e3), 1024, 5*time.Millisecond)}
 	s.Connect("a", "b", l)
 	got := 0
 	s.Register("b", func(*Packet) { got++ })
+	sent0, queue0 := registryCounts(s)
 	sent := 0
 	for i := 0; i < 50; i++ {
 		if s.Send(&Packet{Src: "a", Dst: "b", Size: 1500}) {
@@ -215,9 +228,10 @@ func TestShaperSojournOnLink(t *testing.T) {
 		}
 	}
 	run(s)
-	st := l.stats
-	if st.DroppedQueue == 0 || st.DroppedQueue+st.Sent != 50 {
-		t.Fatalf("stats %+v: want sojourn drops and drops+sent == 50", st)
+	sentN, queueN := registryCounts(s)
+	if queueN == queue0 || queueN-queue0+uint64(sent) != 50 || sentN-sent0 != uint64(sent) {
+		t.Fatalf("queue drops +%d, sent +%d, admitted %d: want sojourn drops and drops+admitted == 50",
+			queueN-queue0, sentN-sent0, sent)
 	}
 	if got != sent {
 		t.Fatalf("delivered %d of %d admitted", got, sent)

@@ -21,6 +21,11 @@ var mtr struct {
 	delivered *obs.Counter
 	dropQueue *obs.Counter
 	xshard    *obs.Counter
+
+	// A sharded World's barriers: its windows, and the nanoseconds its
+	// coordinator waited for the other workers.
+	windows     *obs.Counter
+	barrierWait *obs.Counter
 }
 
 func init() { SetMetricsEnabled(true) }
@@ -31,6 +36,7 @@ func init() { SetMetricsEnabled(true) }
 func SetMetricsEnabled(on bool) {
 	if !on {
 		mtr.sent, mtr.delivered, mtr.dropQueue, mtr.xshard = nil, nil, nil, nil
+		mtr.windows, mtr.barrierWait = nil, nil
 		return
 	}
 	r := obs.Default()
@@ -38,6 +44,8 @@ func SetMetricsEnabled(on bool) {
 	mtr.delivered = r.Counter("netem_packets_delivered_total", "packets handed to a registered receiver")
 	mtr.dropQueue = r.Counter("netem_drops_queue_total", "packets dropped by a full queue, shaper, or transit hook")
 	mtr.xshard = r.Counter("netem_xshard_packets_total", "packets carried across shard mailboxes in sharded worlds")
+	mtr.windows = r.Counter("netem_world_windows_total", "lock-step windows run by sharded worlds")
+	mtr.barrierWait = r.Counter("netem_world_barrier_wait_ns_total", "nanoseconds a sharded world's coordinator waited at window barriers for its other workers")
 }
 
 // flushEvery is the hot-path batch size: per-Sim counts migrate into the

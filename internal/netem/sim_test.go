@@ -366,51 +366,59 @@ func TestPropertyShaperNeverExceedsRate(t *testing.T) {
 	}
 }
 
-// TestLinkStatsAndTap: the link's counters, and Transit as an in-path tap
-// that sees every packet a link up carries and none that a down link drops.
-func TestLinkStatsAndTap(t *testing.T) {
+// TestLinkSendCountsAndTap: what an up link carries and a down link refuses,
+// and Transit as an in-path tap that sees every packet a link up carries
+// and none that a down link drops.
+func TestLinkSendCountsAndTap(t *testing.T) {
 	s := NewSim(1)
-	tapped := 0
+	tapped, tappedBytes := 0, 0
 	l := &Link{Delay: time.Millisecond, Loss: 0, Transit: func(p *Packet, at time.Duration) bool {
 		tapped++
+		tappedBytes += p.Size
 		if at != s.Now() {
 			t.Fatalf("tap at %v, now %v", at, s.Now())
 		}
 		return true
 	}}
 	s.Connect("a", "b", l)
-	s.Register("b", func(*Packet) {})
+	gotBytes := 0
+	s.Register("b", func(p *Packet) { gotBytes += p.Size })
+	sent0, _ := registryCounts(s)
 	for i := 0; i < 10; i++ {
-		s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
+		if !s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
+			t.Fatal("up link refused a packet")
+		}
 	}
 	l.Down = true
-	s.Send(&Packet{Src: "a", Dst: "b", Size: 100})
+	if s.Send(&Packet{Src: "a", Dst: "b", Size: 100}) {
+		t.Fatal("down link admitted a packet")
+	}
 	run(s)
-	st := l.stats
-	if st.Sent != 10 || st.SentBytes != 1000 {
-		t.Fatalf("stats = %+v", st)
+	if sent, _ := registryCounts(s); sent-sent0 != 10 || gotBytes != 1000 {
+		t.Fatalf("sent +%d carrying %d B, want +10 and 1000 B", sent-sent0, gotBytes)
 	}
-	if st.DroppedDown != 1 {
-		t.Fatalf("down drops = %d", st.DroppedDown)
-	}
-	if tapped != 10 {
-		t.Fatalf("tap saw %d", tapped)
+	if tapped != 10 || tappedBytes != 1000 {
+		t.Fatalf("tap saw %d packets, %d B", tapped, tappedBytes)
 	}
 }
 
-func TestLinkStatsLossCounted(t *testing.T) {
+func TestLinkLossRefusals(t *testing.T) {
 	s := NewSim(3)
 	l := &Link{Loss: 0.5}
 	s.Connect("a", "b", l)
 	s.Register("b", func(*Packet) {})
+	sent0, _ := registryCounts(s)
+	lost := uint64(0)
 	for i := 0; i < 1000; i++ {
-		s.Send(&Packet{Src: "a", Dst: "b", Size: 10})
+		if !s.Send(&Packet{Src: "a", Dst: "b", Size: 10}) {
+			lost++
+		}
 	}
-	st := l.stats
-	if st.Sent+st.DroppedLoss != 1000 {
-		t.Fatalf("sent %d + lost %d != 1000", st.Sent, st.DroppedLoss)
+	sent, _ := registryCounts(s)
+	if sent-sent0+lost != 1000 {
+		t.Fatalf("sent %d + lost %d != 1000", sent-sent0, lost)
 	}
-	if st.DroppedLoss < 400 || st.DroppedLoss > 600 {
-		t.Fatalf("loss drops = %d, want ~500", st.DroppedLoss)
+	if lost < 400 || lost > 600 {
+		t.Fatalf("loss drops = %d, want ~500", lost)
 	}
 }

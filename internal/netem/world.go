@@ -67,14 +67,23 @@ type World struct {
 	// allocates nothing.
 	scratch []xpkt
 
-	// A window's fan-out (see advanceAll): the time the shards run to, the
-	// next shard to claim, and the helpers still running. Kept here so a
-	// window allocates only its helper goroutines.
+	// A call's fan-out (see runWindows): the time the window's shards run
+	// to, the next shard to claim, the shards still running, the window
+	// word the helpers wait on (see publish), the helpers still running,
+	// and the helper function, bound once so starting a helper allocates
+	// nothing.
 	until   time.Duration
 	claim   atomic.Int64
+	pending atomic.Int64
+	window  atomic.Uint64
 	helpers sync.WaitGroup
+	help    func()
 
-	xshardLocal uint64 // cross-shard packets since the last metrics flush
+	// Counts since the last metrics flush: cross-shard packets, windows,
+	// and the nanoseconds the coordinator waited at a barrier.
+	xshardLocal  uint64
+	windowsLocal uint64
+	waitLocal    uint64
 }
 
 // xpkt is a cross-shard packet parked in a mailbox between windows: the
@@ -130,6 +139,7 @@ func NewWorld(seed int64, k int) *World {
 		workers: ClampShards(k),
 		mail:    make([][][]xpkt, k),
 	}
+	w.help = w.runHelper
 	boxes := make([][]xpkt, mailPad+k*(k+mailPad))
 	for i := range w.shards {
 		w.shards[i] = NewSim(seed)
@@ -224,59 +234,147 @@ func (w *World) enqueue(r *remoteRoute, pkt *Packet, arrival time.Duration) {
 // a no-op for t in the past.
 func (w *World) RunUntil(t time.Duration) {
 	w.started = true
-	for w.now < t {
-		end := t
-		if w.lookahead > 0 && w.now+w.lookahead < t {
-			end = w.now + w.lookahead
+	if n := min(w.workers, len(w.shards)); n > 1 && w.now < t {
+		w.runWindows(t, n)
+	} else {
+		for w.now < t {
+			end := w.windowEnd(t)
+			w.runSerial(end)
+			w.now = end
+			w.windowsLocal++
+			w.exchange()
 		}
-		w.advanceAll(end)
-		w.now = end
-		w.exchange()
 	}
-	// Boundary drain: the final exchange may have injected arrivals at
+	// Boundary pass: the final exchange may have injected arrivals at
 	// exactly t, which a single Sim would have fired inside RunUntil(t).
 	// Their handlers can only send further cross-shard packets arriving
-	// after t (lookahead > 0), so one extra pass settles the boundary.
-	w.advanceAll(t)
+	// after t (lookahead > 0), so one extra pass settles the boundary. It
+	// is almost always empty, so it runs on the caller.
+	w.runSerial(t)
 	w.exchange()
 	w.flushMetrics()
 }
 
-// advanceAll runs every shard to time t, in parallel when the world has
-// both multiple shards and multiple workers: the calling goroutine is one
-// worker and starts the other n-1. Shards share no state within a window
-// (mailbox rows are single-writer), so worker scheduling cannot affect
-// output.
-//
-// The caller yields once after starting the helpers. A new goroutine waits
-// in its starter's run-next slot until another P steals it, and without the
-// yield a scale_emu-shaped run (K=2) took 35 % more wall time and 27 % more
-// CPU than with K goroutines. With it, this P runs the helper at once and
-// the caller resumes on the next free P.
-func (w *World) advanceAll(t time.Duration) {
-	n := min(w.workers, len(w.shards))
-	if n <= 1 {
-		for _, s := range w.shards {
-			s.RunUntil(t)
-		}
-		return
+// windowEnd is where the window that starts at w.now ends on the way to t.
+func (w *World) windowEnd(t time.Duration) time.Duration {
+	if w.lookahead > 0 && w.now+w.lookahead < t {
+		return w.now + w.lookahead
 	}
-	w.until = t
-	w.claim.Store(0)
-	w.helpers.Add(n - 1)
-	for range n - 1 {
-		go w.helpAdvance()
-	}
-	runtime.Gosched()
-	w.runShards()
-	w.helpers.Wait()
+	return t
 }
 
-// helpAdvance is one helper goroutine of a window.
-func (w *World) helpAdvance() {
-	defer w.helpers.Done()
-	w.runShards()
+// runSerial runs every shard to time t on the calling goroutine.
+func (w *World) runSerial(t time.Duration) {
+	for _, s := range w.shards {
+		s.RunUntil(t)
+	}
 }
+
+// runWindows runs the windows from w.now to t on n workers: the calling
+// goroutine (the coordinator) and n-1 helpers, started with the first
+// window and kept until the last. Between windows a helper polls the
+// window word and is not restarted, so a window whose shards finish close
+// together costs no goroutine and no OS wake-up. The helpers exit with the
+// call's last window: a World never keeps a goroutine between calls, so
+// one that is dropped leaves nothing running that still refers to it.
+//
+// Shards share no state within a window (mailbox rows are single-writer)
+// and each is claimed by one worker, which runs it to the window's end
+// before it claims another, so worker scheduling cannot affect output.
+//
+// The coordinator yields once after starting the helpers. A new goroutine
+// waits in its starter's run-next slot until another P steals it; with
+// the yield, this P runs the helper at once and the coordinator resumes
+// on the next free P.
+func (w *World) runWindows(t time.Duration, n int) {
+	end := w.windowEnd(t)
+	w.publish(end, end == t)
+	w.helpers.Add(n - 1)
+	for range n - 1 {
+		go w.help()
+	}
+	runtime.Gosched()
+	for {
+		w.runShards()
+		last := end == t
+		w.barrier(last)
+		w.now = end
+		w.windowsLocal++
+		w.exchange()
+		if last {
+			return
+		}
+		end = w.windowEnd(t)
+		w.publish(end, end == t)
+	}
+}
+
+// publish opens the next window to the helpers. The window word counts
+// windows in steps of two, and its low bit marks the call's last window.
+// The shard count and the claim counter are reset before the word
+// changes, and until before the claim counter, so a worker that claims a
+// shard reads this window's end, whichever window it last saw.
+func (w *World) publish(end time.Duration, last bool) {
+	w.until = end
+	w.pending.Store(int64(len(w.shards)))
+	w.claim.Store(0)
+	v := w.window.Load()&^1 + 2
+	if last {
+		v |= 1
+	}
+	w.window.Store(v)
+}
+
+// runHelper is one helper of a runWindows call: it runs shards in every
+// window until it has run its part of the last one.
+func (w *World) runHelper() {
+	defer w.helpers.Done()
+	v := w.window.Load()
+	for {
+		w.runShards()
+		if v&1 != 0 {
+			return
+		}
+		for i := 0; ; i++ {
+			if nv := w.window.Load(); nv != v {
+				v = nv
+				break
+			}
+			if i >= pollSpins {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// barrier waits until every shard has reached the window's end, and adds
+// the wait to the world's barrier time. Within a call it polls the count
+// of shards still running. On the call's last window it waits, parked,
+// for the helpers to exit instead: a coordinator that polled there made
+// BenchmarkWorldBusyShards, whose calls are one window each, about a
+// tenth slower at K=2.
+func (w *World) barrier(last bool) {
+	if !last && w.pending.Load() == 0 {
+		return
+	}
+	start := time.Now()
+	if last {
+		w.helpers.Wait()
+	} else {
+		for i := 0; w.pending.Load() != 0; i++ {
+			if i >= pollSpins {
+				runtime.Gosched()
+			}
+		}
+	}
+	w.waitLocal += uint64(time.Since(start))
+}
+
+// pollSpins is how many times a waiting worker polls before it yields
+// its P between polls. Spinning alone keeps a core busy through every
+// uneven window; yielding alone can leave both workers on one P while
+// the other sleeps.
+const pollSpins = 1 << 10
 
 // runShards claims shards one at a time and runs each to the window's end,
 // until none is left.
@@ -287,6 +385,7 @@ func (w *World) runShards() {
 			return
 		}
 		w.shards[i].RunUntil(w.until)
+		w.pending.Add(-1)
 	}
 }
 
@@ -331,11 +430,18 @@ func (w *World) exchange() {
 	}
 }
 
-// flushMetrics publishes the cross-shard traffic counter at the end of a
-// RunUntil.
+// flushMetrics publishes the world's counters at the end of a RunUntil.
 func (w *World) flushMetrics() {
 	if w.xshardLocal > 0 {
 		mtr.xshard.Add(w.xshardLocal)
 		w.xshardLocal = 0
+	}
+	if w.windowsLocal > 0 {
+		mtr.windows.Add(w.windowsLocal)
+		w.windowsLocal = 0
+	}
+	if w.waitLocal > 0 {
+		mtr.barrierWait.Add(w.waitLocal)
+		w.waitLocal = 0
 	}
 }

@@ -366,8 +366,8 @@ func FuzzWorldOrder(f *testing.F) {
 
 // TestWorldShardedZeroAllocSend: the cross-shard steady state — send,
 // mailbox park, barrier merge, inject, deliver — must allocate nothing.
-// Worker fan-out is forced serial here (its per-window goroutine costs
-// are amortized and measured by BenchmarkSendDeliverSharded instead).
+// Worker fan-out is forced serial here; TestWorldFanOutZeroAlloc holds a
+// call with its helpers running at 0 allocations.
 func TestWorldShardedZeroAllocSend(t *testing.T) {
 	w := NewWorld(1, 2)
 	w.Place("a", 0)
@@ -529,6 +529,83 @@ func TestWorldBusyShardsZeroAlloc(t *testing.T) {
 		}
 		if total() == start {
 			t.Fatalf("K=%d: no deliveries", k)
+		}
+	}
+}
+
+// fanOutWindows is how many windows each call spans in the fan-out tests
+// below; busyShards' windows are 10 ms wide.
+const fanOutWindows = 16
+
+// TestWorldFanOutZeroAlloc: a steady call of many windows on two workers,
+// both shards busy, allocates nothing — its helper's start included, so
+// nothing per window either. TestWorldBusyShardsZeroAlloc runs the same
+// world on one worker.
+func TestWorldFanOutZeroAlloc(t *testing.T) {
+	w, _, total := busyShards(2)
+	w.workers = 2
+	call := func() { w.RunUntil(w.now + fanOutWindows*10*time.Millisecond) }
+	call()
+	start := total()
+	if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
+		t.Fatalf("a %d-window call on two workers allocates %.1f objects", fanOutWindows, allocs)
+	}
+	if total() == start {
+		t.Fatal("no deliveries")
+	}
+}
+
+// TestWorldCountsWindowsAndBarrierWait: every window adds one to
+// netem_world_windows_total, with one worker or two; only a call that
+// fans out waits at a barrier, and its last window always does, for the
+// helpers to exit.
+func TestWorldCountsWindowsAndBarrierWait(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		w, _, _ := busyShards(2)
+		w.workers = workers
+		windows, wait := mtr.windows.Value(), mtr.barrierWait.Value()
+		w.RunUntil(w.now + fanOutWindows*10*time.Millisecond)
+		if d := mtr.windows.Value() - windows; d != fanOutWindows {
+			t.Errorf("workers=%d: netem_world_windows_total +%d, want +%d", workers, d, fanOutWindows)
+		}
+		d := mtr.barrierWait.Value() - wait
+		if workers == 1 && d != 0 || workers == 2 && d == 0 {
+			t.Errorf("workers=%d: netem_world_barrier_wait_ns_total +%d", workers, d)
+		}
+	}
+}
+
+// TestWorldHelpersEndWithTheCall: a call's helpers exit with it, at K=2
+// and K=4, so the goroutine count settles back at its baseline once
+// RunUntil returns, and a World that is then dropped is collected: no
+// helper outlives the call to keep it reachable.
+func TestWorldHelpersEndWithTheCall(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		base := runtime.NumGoroutine()
+		w, _, _ := busyShards(k)
+		w.workers = k
+		w.RunUntil(w.now + fanOutWindows*10*time.Millisecond)
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("K=%d: %d goroutines after RunUntil returned, %d before", k, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		collected := make(chan struct{})
+		runtime.AddCleanup(w, func(done chan struct{}) { close(done) }, collected)
+		w = nil
+		for i := 0; ; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+			case <-time.After(10 * time.Millisecond):
+				if i < 100 {
+					continue
+				}
+				t.Fatalf("K=%d: a dropped World was not collected", k)
+			}
+			break
 		}
 	}
 }

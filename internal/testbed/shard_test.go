@@ -37,6 +37,41 @@ func TestScaleShardGoldenSHA256(t *testing.T) {
 	}
 }
 
+// TestScaleOneHashAtCISizes is the shard determinism gate at the CI
+// speedup artifact's sizes (cbbench -exp scale -scale-n 64,2048 -dur 10s
+// -seed 17): the sweep renders one hash at K = 1, 2 and 4.
+func TestScaleOneHashAtCISizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := ScaleConfig{Seed: 17, CellBps: 50e6, Duration: 10 * time.Second}
+	var want string
+	for _, k := range []int{1, 2, 4} {
+		cfg.Shards = k
+		got := renderSHA(RenderScale(RunScaleSweep(cfg, []int{64, 2048})))
+		if k == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("K=%d output hash %s != K=1 hash %s", k, got, want)
+		}
+	}
+}
+
+// TestScaleWindowCount pins the barrier count of one scale run: 3 s at the
+// 25 ms backhaul is 120 lock-step windows whenever a cell sits off the
+// core's shard, and one window at K=1, where no link crosses shards.
+func TestScaleWindowCount(t *testing.T) {
+	cfg := ScaleConfig{Seed: 17, N: 130, UEsPerCell: 48, CellBps: 20e6, Duration: 3 * time.Second}
+	for k, want := range map[int]float64{1: 1, 2: 120, 4: 120} {
+		cfg.Shards = k
+		before := counter("netem_world_windows_total")
+		RunScale(cfg)
+		if got := counter("netem_world_windows_total") - before; got != want {
+			t.Errorf("K=%d: %v windows, want %v", k, got, want)
+		}
+	}
+}
+
 // TestFailoverShardGoldenSHA256 pins the failover experiment to one hash
 // across re-runs. The failover world is a single fault domain on one
 // netem.Sim: there is no shard count to vary.
