@@ -240,9 +240,7 @@ func (w *World) RunUntil(t time.Duration) {
 		for w.now < t {
 			end := w.windowEnd(t)
 			w.runSerial(end)
-			w.now = end
-			w.windowsLocal++
-			w.exchange()
+			w.closeWindow(end)
 		}
 	}
 	// Boundary pass: the final exchange may have injected arrivals at
@@ -261,6 +259,14 @@ func (w *World) windowEnd(t time.Duration) time.Duration {
 		return w.now + w.lookahead
 	}
 	return t
+}
+
+// closeWindow ends the window that every shard has just run to end: it
+// advances the world clock, counts the window and merges the mailboxes.
+func (w *World) closeWindow(end time.Duration) {
+	w.now = end
+	w.windowsLocal++
+	w.exchange()
 }
 
 // runSerial runs every shard to time t on the calling goroutine.
@@ -298,9 +304,7 @@ func (w *World) runWindows(t time.Duration, n int) {
 		w.runShards()
 		last := end == t
 		w.barrier(last)
-		w.now = end
-		w.windowsLocal++
-		w.exchange()
+		w.closeWindow(end)
 		if last {
 			return
 		}
