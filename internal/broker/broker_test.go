@@ -2,7 +2,9 @@ package broker
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -731,4 +733,47 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 	ueStream.send(t, 2)
 	h.attach(t)
 	m.send(t, 2)
+}
+
+// TestSnapshotKnownAnswer pins the snapshot format: a broker holding one
+// entry in each section, set directly (one entry each, so Go's map order
+// cannot vary the bytes), snapshots to these bytes, and restoring them
+// into a fresh broker snapshots to the same bytes again.
+func TestSnapshotKnownAnswer(t *testing.T) {
+	bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{91}, 32))
+	ca, err := pki.NewCAFromSeed("h-ca", bytes.Repeat([]byte{90}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("broker.kat", bk, ca.Public())
+	b := New(cfg)
+	uk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{92}, 32))
+	idU := b.RegisterUser(uk.Public())
+	tk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{93}, 32))
+	b.telcoKeys["kat-telco"] = telcoKey{pub: tk.Public()}
+	g := &sap.GrantRecord{
+		URef: "kat-uref", IDU: idU, IDT: "kat-telco",
+		Terms: sap.ServiceTerms{PricePerGB: 1.5},
+		QoS:   qos.Params{QCI: qos.QCIWebTCPDefault, DLAmbrBps: 100_000_000, ULAmbrBps: 50_000_000},
+	}
+	for i := range g.SS {
+		g.SS[i] = byte(i)
+	}
+	b.grants[g.URef] = g
+	b.verifier.RestoreReputation("kat-telco", 0.8, 10, 2, 0.25)
+	b.verifier.RestoreSuspect(idU)
+	b.quar = map[string]*QuarantineEntry{"kat-telco": {Since: time.Second, Until: 3 * time.Second, Strikes: 2}}
+
+	snap := b.Snapshot()
+	const want = "145d5d852f327b8c70116f2c97d864105740df447037d18a8bd1ebc78420f2a5"
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != want {
+		t.Fatalf("snapshot sha256 %s, want %s\n%x", got, want, snap)
+	}
+	fresh := New(cfg)
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if again := fresh.Snapshot(); !bytes.Equal(again, snap) {
+		t.Fatalf("restored broker snapshots to\n%x\nnot\n%x", again, snap)
+	}
 }

@@ -1,9 +1,13 @@
 package sap
 
 import (
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
+
+	"cellbricks/internal/nas"
+	"cellbricks/internal/qos"
 )
 
 // The retired resume exchange (resume.go), kept correct while
@@ -149,4 +153,29 @@ func TestResumeWrongSecretCannotForge(t *testing.T) {
 		t.Fatalf("bTelco forwarded a forged resume: %v", err)
 	}
 	_ = ueSS
+}
+
+// TestGrantResumeMACKnownAnswer pins the bytes GrantResume's confirmation
+// MACs cover: any change to how resumeRespMAC lays out its fields moves
+// these.
+func TestGrantResumeMACKnownAnswer(t *testing.T) {
+	var ss nas.MasterKey
+	for i := range ss {
+		ss[i] = byte(i)
+	}
+	req := &resumeReq{URef: "uref-kat", IDT: "btelco-kat"}
+	for i := range req.Nonce {
+		req.Nonce[i] = byte(0xA0 + i)
+	}
+	params := qos.Params{QCI: qos.QCIWebTCPDefault, DLAmbrBps: 100_000_000, ULAmbrBps: 50_000_000}
+	resp, _, uref2 := GrantResume(req, ss, params, 0.75)
+	for _, c := range []struct{ name, got, want string }{
+		{"uref'", uref2, "9fde537f6ec235d1b2ba5ca3"},
+		{"MACU", hex.EncodeToString(resp.MACU), "b41b7c7ec8153491bcef32609fc64360963b1a92e177fe522b5eb4bbc18c18ed"},
+		{"MACT", hex.EncodeToString(resp.MACT), "cedd675780d0b6137ce05a201ad4b9dfdd4ac9e47019975678c73a8407d35954"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
 }

@@ -313,3 +313,7 @@ func TestRealDeploymentTracePropagation(t *testing.T) {
 		}
 	}
 }
+
+// newTracer is a wall-clock tracer; the runs it is handed rebind it to
+// their simulator's clock.
+func newTracer() *obs.Tracer { return obs.NewTracer(nil) }
