@@ -179,7 +179,7 @@ func main() {
 	// full event log is retained only when something will consume it.
 	// Recording is observation-only — traced and untraced runs render
 	// byte-identically (tested), so an always-on tracer is safe.
-	tracer := obs.NewTracer(nil) // rebound to each run's sim clock
+	tracer := obs.NewTracer(*seed, nil) // rebound to each run's sim clock and seed
 	tracer.SetRetain(*traceOut != "" || *timelineOut != "" || *traceSession != "")
 	flight := obs.NewFlightRecorder(64)
 	tracer.SetFlight(flight)

@@ -174,12 +174,10 @@ func runDemo(stayUp bool, traceOut string) {
 	// frames from the AGW to the broker, and every component's spans land
 	// in one parented tree.
 	var tracer *obs.Tracer
-	var ids *obs.SpanIDSource
 	if traceOut != "" {
-		tracer = obs.NewTracer(nil)
-		ids = obs.NewSpanIDSource(1)
+		tracer = obs.NewTracer(1, nil)
 	}
-	d, err := testbed.NewRealDeploymentTraced(tracer, ids)
+	d, err := testbed.NewRealDeploymentTraced(tracer)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -191,9 +189,7 @@ func runDemo(stayUp bool, traceOut string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if tracer != nil {
-		dev.TraceAttach(tracer, ids, ids.NewTrace())
-	}
+	dev.TraceAttach(tracer, tracer.NewTrace())
 	a, err := dev.AttachSAP(tx, d.TelcoID())
 	if err != nil {
 		fatalf("SAP attach: %v", err)

@@ -16,20 +16,19 @@ type Server struct {
 	B   *Brokerd
 	srv *wire.Server
 
-	tr  *obs.Tracer
-	ids *obs.SpanIDSource
+	tr *obs.Tracer
 }
 
 // Serve starts the broker's wire server on addr.
 func Serve(b *Brokerd, addr string) (*Server, error) {
-	return ServeTraced(b, addr, nil, nil)
+	return ServeTraced(b, addr, nil)
 }
 
 // ServeTraced starts the broker's wire server with causal tracing: requests
 // whose frame header carries a span context get a broker-side child span.
-// tr/ids may be nil, in which case this is identical to Serve.
-func ServeTraced(b *Brokerd, addr string, tr *obs.Tracer, ids *obs.SpanIDSource) (*Server, error) {
-	s := &Server{B: b, tr: tr, ids: ids}
+// tr may be nil, in which case this is identical to Serve.
+func ServeTraced(b *Brokerd, addr string, tr *obs.Tracer) (*Server, error) {
+	s := &Server{B: b, tr: tr}
 	srv, err := wire.NewServerCtx(addr, s.handle)
 	if err != nil {
 		return nil, err
@@ -44,21 +43,6 @@ func (s *Server) Addr() string { return s.srv.Addr() }
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// span records a broker-side span for a traced request, bracketing f.
-func (s *Server) span(sc obs.SpanContext, name string, f func() error) error {
-	if !sc.Valid() || s.tr == nil || s.ids == nil {
-		return f()
-	}
-	start := s.tr.Now()
-	err := f()
-	args := map[string]string(nil)
-	if err != nil {
-		args = map[string]string{"error": err.Error()}
-	}
-	s.tr.SpanCtx(sc.Child(s.ids.Next()), "broker", name, start, s.tr.Now()-start, args)
-	return err
-}
-
 func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte, []byte, error) {
 	switch msgType {
 	case wire.TypeSAPAuthRequest:
@@ -67,8 +51,7 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 			return 0, nil, err
 		}
 		var resp *sap.AuthResp
-		if err := s.span(sc, "handle-auth", func() error {
-			var e error
+		if err := s.tr.Span(sc, "broker", "handle-auth", nil, func() (e error) {
 			resp, e = s.B.HandleAuthRequest(req)
 			return e
 		}); err != nil {
@@ -80,7 +63,7 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.span(sc, "ingest-report", func() error {
+		if err := s.tr.Span(sc, "broker", "ingest-report", nil, func() error {
 			_, e := s.B.HandleReport(env)
 			return e
 		}); errors.Is(err, billing.ErrMustSign) {
@@ -95,8 +78,7 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 			return 0, nil, err
 		}
 		var resp *sap.ReceiptResp
-		if err := s.span(sc, "handle-receipt", func() error {
-			var e error
+		if err := s.tr.Span(sc, "broker", "handle-receipt", nil, func() (e error) {
 			resp, e = s.B.HandleReceipt(req)
 			return e
 		}); err != nil {

@@ -94,11 +94,9 @@ type AGWConfig struct {
 	// Intercept receives mirrored user-plane events for LI-flagged
 	// sessions. Nil disables interception even when a grant requests it.
 	Intercept func(InterceptRecord)
-	// Tracer, with TraceIDs, enables causal tracing: SAP attaches whose
-	// envelope carries a span context get per-step child spans.
+	// Tracer enables causal tracing: SAP attaches whose envelope carries a
+	// span context get per-step child spans.
 	Tracer *obs.Tracer
-	// TraceIDs mints span IDs deterministically from the sim seed.
-	TraceIDs *obs.SpanIDSource
 }
 
 // SessionKind distinguishes the two attach flows.
@@ -350,30 +348,16 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	}
 	// When the envelope carried a span context and this AGW has a tracer,
 	// each SAP step below records a child span under an overall epc/attach
-	// span parented to the UE's request. step is a no-op when untraced.
-	tr, ids := g.cfg.Tracer, g.cfg.TraceIDs
-	traced := sc.Valid() && tr != nil && ids != nil
-	var epcCtx obs.SpanContext
-	if traced {
-		epcCtx = sc.Child(ids.Next())
+	// span parented to the UE's request. Untraced, epcCtx is zero and each
+	// step only runs.
+	tr := g.cfg.Tracer
+	epcCtx := tr.Child(sc)
+	if epcCtx.Valid() {
 		epcStart := tr.Now()
 		defer func() {
 			tr.SpanCtx(epcCtx, "epc", "attach", epcStart, tr.Now()-epcStart,
 				map[string]string{"ran": ranID, "broker": m.BrokerID})
 		}()
-	}
-	step := func(cat, name string, f func() error) error {
-		if !traced {
-			return f()
-		}
-		start := tr.Now()
-		err := f()
-		args := map[string]string(nil)
-		if err != nil {
-			args = map[string]string{"error": err.Error()}
-		}
-		tr.SpanCtx(epcCtx.Child(ids.Next()), cat, name, start, tr.Now()-start, args)
-		return err
 	}
 	reqU, err := sap.UnmarshalAuthReqU(m.AuthReqU)
 	if err != nil {
@@ -391,15 +375,15 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	// more, signed, and the UE never hears of it.
 	for try := 0; ; try++ {
 		var reqT *sap.AuthReqT
-		if err := step("sap", "forward-request", func() (e error) {
+		if err := tr.Span(epcCtx, "sap", "forward-request", nil, func() (e error) {
 			reqT, e = g.cfg.Telco.ForwardRequest(reqU)
 			return e
 		}); err != nil {
 			return nil, err
 		}
 		var resp *sap.AuthResp
-		if err := step("broker", "authenticate", func() (e error) {
-			if cc, ok := client.(BrokerClientCtx); ok && traced {
+		if err := tr.Span(epcCtx, "broker", "authenticate", nil, func() (e error) {
+			if cc, ok := client.(BrokerClientCtx); ok && epcCtx.Valid() {
 				resp, e = cc.AuthenticateCtx(epcCtx, reqT)
 			} else {
 				resp, e = client.Authenticate(reqT)
@@ -408,7 +392,7 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		}); err != nil {
 			return g.rejectErr(err), nil
 		}
-		err := step("sap", "handle-response", func() (e error) {
+		err := tr.Span(epcCtx, "sap", "handle-response", nil, func() (e error) {
 			grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
 			return e
 		})
@@ -420,7 +404,7 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		}
 	}
 	if rc, ok := client.(BrokerReceiptClient); ok && g.cfg.Telco.ReceiptDue(m.BrokerID) {
-		_ = step("broker", "redeem-receipt", func() error { return g.redeem(rc, m.BrokerID, brokerPub) })
+		_ = tr.Span(epcCtx, "broker", "redeem-receipt", nil, func() error { return g.redeem(rc, m.BrokerID, brokerPub) })
 	}
 
 	g.mu.Lock()
@@ -442,7 +426,7 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	// derivation); the SMC exchange itself is folded into attach accept in
 	// SAP since both sides already hold ss.
 	var accept *nas.AttachAccept
-	if err := step("epc", "activate", func() (e error) {
+	if err := tr.Span(epcCtx, "epc", "activate", nil, func() (e error) {
 		sess.Ctx = nas.NewSecurityContext(grant.SS)
 		accept, e = g.activate(sess, grant.Params, respU)
 		return e

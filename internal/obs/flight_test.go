@@ -70,7 +70,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 // bounded-memory soak configuration.
 func TestTracerFeedsFlightWithRetainOff(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
+	tr := NewTracer(0, func() time.Duration { return now })
 	fr := NewFlightRecorder(8)
 	tr.SetFlight(fr)
 	tr.SetRetain(false)
@@ -98,7 +98,7 @@ func TestTracerFeedsFlightWithRetainOff(t *testing.T) {
 // single-goroutine recording keeps its program order.
 func TestTracerStripedOrder(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
+	tr := NewTracer(0, func() time.Duration { return now })
 	for i := 0; i < 100; i++ {
 		tr.Event("seq", fmt.Sprintf("e%d", i), nil)
 	}
@@ -112,7 +112,7 @@ func TestTracerStripedOrder(t *testing.T) {
 		}
 	}
 
-	tr2 := NewTracer(func() time.Duration { return 0 })
+	tr2 := NewTracer(0, func() time.Duration { return 0 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -138,7 +138,7 @@ func TestTracerStripedOrder(t *testing.T) {
 // BenchmarkTracerEvent measures the per-record cost of the striped append
 // path — the satellite fix for the old single-global-mutex tracer.
 func BenchmarkTracerEvent(b *testing.B) {
-	tr := NewTracer(func() time.Duration { return 0 })
+	tr := NewTracer(0, func() time.Duration { return 0 })
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -151,7 +151,7 @@ func BenchmarkTracerEvent(b *testing.B) {
 // recorder attached, retention off) that long soaks record through at 0
 // allocations per event; BenchmarkTracerEventRetainOff times it.
 func TestTracerEventRetainOffZeroAlloc(t *testing.T) {
-	tr := NewTracer(func() time.Duration { return 0 })
+	tr := NewTracer(0, func() time.Duration { return 0 })
 	tr.SetFlight(NewFlightRecorder(64))
 	tr.SetRetain(false)
 	if n := testing.AllocsPerRun(1000, func() { tr.SpanCtx(SpanContext{}, "bench", "op", 0, time.Microsecond, nil) }); n != 0 {
@@ -162,7 +162,7 @@ func TestTracerEventRetainOffZeroAlloc(t *testing.T) {
 // BenchmarkTracerEventRetainOff measures the sink-only path (flight
 // recorder attached, retention off) used by long soaks.
 func BenchmarkTracerEventRetainOff(b *testing.B) {
-	tr := NewTracer(func() time.Duration { return 0 })
+	tr := NewTracer(0, func() time.Duration { return 0 })
 	tr.SetFlight(NewFlightRecorder(64))
 	tr.SetRetain(false)
 	b.ReportAllocs()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // SpanContext is the compact causal-trace identity carried end-to-end
@@ -23,12 +22,6 @@ const SpanContextLen = 24
 
 // Valid reports whether the context carries a trace (Trace != 0).
 func (sc SpanContext) Valid() bool { return sc.Trace != 0 }
-
-// Child derives the context for a callee span: same trace, the given span
-// ID, parented under the receiver's span.
-func (sc SpanContext) Child(span uint64) SpanContext {
-	return SpanContext{Trace: sc.Trace, Span: span, Parent: sc.Span}
-}
 
 // AppendSpanContext appends the 24-byte big-endian encoding of sc to dst.
 func AppendSpanContext(dst []byte, sc SpanContext) []byte {
@@ -50,28 +43,18 @@ func DecodeSpanContext(b []byte) (SpanContext, error) {
 	}, nil
 }
 
-// SpanIDSource mints deterministic span IDs: each ID is a splitmix64 mix of
-// the source seed and a process-order sequence number, so a run with a fixed
-// seed and a fixed span-creation order yields byte-identical traces — never
-// the math/rand global, which other components may consume from. Safe for
-// concurrent use; in deterministic simulations callers must additionally
-// mint IDs in a deterministic order (e.g. only from shard-0 handlers).
-type SpanIDSource struct {
-	seed uint64
-	seq  atomic.Uint64
-}
+// Span IDs are minted by the Tracer that records the spans: each ID is a
+// splitmix64 mix of the tracer's seed and a process-order sequence number,
+// so a run with a fixed seed and a fixed span-creation order yields
+// byte-identical traces — never the math/rand global, which other
+// components may consume from. Minting is safe for concurrent use; in
+// deterministic simulations callers must additionally mint in a
+// deterministic order (e.g. only from shard-0 handlers).
 
-// NewSpanIDSource builds a source keyed to a simulation seed.
-func NewSpanIDSource(seed int64) *SpanIDSource {
-	return &SpanIDSource{seed: splitmix64(uint64(seed) ^ 0x5ca1ab1e5eed5eed)}
-}
-
-// Next mints the next span ID. IDs are never zero (zero means "no context").
-func (s *SpanIDSource) Next() uint64 {
-	if s == nil {
-		return 0
-	}
-	id := splitmix64(s.seed + s.seq.Add(1)*0x9e3779b97f4a7c15)
+// nextID mints the next span ID. IDs are never zero (zero means "no
+// context").
+func (t *Tracer) nextID() uint64 {
+	id := splitmix64(t.idSeed.Load() + t.idSeq.Add(1)*0x9e3779b97f4a7c15)
 	if id == 0 {
 		id = 1
 	}
@@ -79,10 +62,24 @@ func (s *SpanIDSource) Next() uint64 {
 }
 
 // NewTrace mints a root context: a fresh trace whose root span shares the
-// trace ID (Trace == Span, Parent == 0) so roots are recognizable.
-func (s *SpanIDSource) NewTrace() SpanContext {
-	id := s.Next()
+// trace ID (Trace == Span, Parent == 0) so roots are recognizable. A nil
+// tracer mints the zero context, which traces nothing.
+func (t *Tracer) NewTrace() SpanContext {
+	if t == nil {
+		return SpanContext{}
+	}
+	id := t.nextID()
 	return SpanContext{Trace: id, Span: id}
+}
+
+// Child mints the context for a span parent caused: same trace, a fresh
+// span ID, parented under parent's span. A nil tracer or an invalid parent
+// yields the zero context, so an untraced caller's children stay untraced.
+func (t *Tracer) Child(parent SpanContext) SpanContext {
+	if t == nil || !parent.Valid() {
+		return SpanContext{}
+	}
+	return SpanContext{Trace: parent.Trace, Span: t.nextID(), Parent: parent.Span}
 }
 
 // splitmix64 is the finalizer from Vigna's SplitMix64 generator — a cheap

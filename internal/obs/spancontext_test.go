@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -30,27 +31,40 @@ func TestSpanContextValidAndChild(t *testing.T) {
 	if zero.Valid() {
 		t.Fatalf("zero context must be invalid")
 	}
-	root := SpanContext{Trace: 9, Span: 9}
+	tr := NewTracer(7, nil)
+	root := tr.NewTrace()
 	if !root.Valid() {
 		t.Fatalf("root context must be valid")
 	}
-	child := root.Child(33)
-	if child.Trace != 9 || child.Span != 33 || child.Parent != 9 {
-		t.Fatalf("bad child: %+v", child)
+	child := tr.Child(root)
+	if child.Trace != root.Trace || child.Span == 0 || child.Span == root.Span || child.Parent != root.Span {
+		t.Fatalf("bad child of %+v: %+v", root, child)
 	}
-	grand := child.Child(44)
-	if grand.Trace != 9 || grand.Parent != 33 {
+	grand := tr.Child(child)
+	if grand.Trace != root.Trace || grand.Parent != child.Span {
 		t.Fatalf("bad grandchild: %+v", grand)
+	}
+	if tr.Child(zero).Valid() {
+		t.Fatalf("an untraced parent must have untraced children")
+	}
+	var none *Tracer
+	if none.NewTrace().Valid() || none.Child(root).Valid() {
+		t.Fatalf("a nil tracer must mint only zero contexts")
 	}
 }
 
 // TestSpanIDSourceDeterminism pins the ID scheme: same seed, same sequence
-// of calls, same IDs — and distinct seeds diverge.
+// of calls, same IDs — distinct seeds diverge, and Rebind restarts the
+// stream at its seed.
 func TestSpanIDSourceDeterminism(t *testing.T) {
-	a, b := NewSpanIDSource(7), NewSpanIDSource(7)
-	seen := make(map[uint64]bool)
+	a, b := NewTracer(7, nil), NewTracer(7, nil)
+	root := a.NewTrace()
+	if root != b.NewTrace() || !root.Valid() || root.Trace != root.Span || root.Parent != 0 {
+		t.Fatalf("bad root context: %+v", root)
+	}
+	seen := map[uint64]bool{root.Span: true}
 	for i := 0; i < 1000; i++ {
-		ia, ib := a.Next(), b.Next()
+		ia, ib := a.Child(root).Span, b.Child(root).Span
 		if ia != ib {
 			t.Fatalf("call %d: same seed diverged: %x vs %x", i, ia, ib)
 		}
@@ -62,16 +76,60 @@ func TestSpanIDSourceDeterminism(t *testing.T) {
 		}
 		seen[ia] = true
 	}
-	if NewSpanIDSource(8).Next() == NewSpanIDSource(7).Next() {
+	if NewTracer(8, nil).NewTrace() == NewTracer(7, nil).NewTrace() {
 		t.Fatalf("different seeds produced the same first ID")
 	}
-	root := NewSpanIDSource(7).NewTrace()
-	if !root.Valid() || root.Trace != root.Span || root.Parent != 0 {
-		t.Fatalf("bad root context: %+v", root)
+	a.Rebind(7, nil)
+	if again := a.NewTrace(); again != root {
+		t.Fatalf("after Rebind the stream restarts: got %+v, want %+v", again, root)
 	}
-	var nilSrc *SpanIDSource
-	if nilSrc.Next() != 0 {
-		t.Fatalf("nil source must mint 0")
+}
+
+// TestTracerSpanTimesAndRecordsAChild checks the one wrapper every traced
+// layer uses: f runs, its span is a child of the parent timed on the
+// tracer's clock and minted after f's own spans, a failure adds an
+// "error" arg, and an untraced parent only runs f.
+func TestTracerSpanTimesAndRecordsAChild(t *testing.T) {
+	var now time.Duration
+	tr := NewTracer(5, func() time.Duration { return now })
+	root := tr.NewTrace()
+	var inner SpanContext
+	boom := errors.New("boom")
+	err := tr.Span(root, "epc", "step", map[string]string{"ran": "r1"}, func() error {
+		inner = tr.Child(root)
+		now += 3
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("Span returned %v, want f's error", err)
+	}
+	ev := tr.Events()
+	if len(ev) != 1 {
+		t.Fatalf("events = %d, want 1", len(ev))
+	}
+	e := ev[0]
+	if e.Trace != root.Trace || e.Parent != root.Span || e.Span == inner.Span || e.Start != 0 || e.Dur != 3 {
+		t.Fatalf("bad span %+v (root %+v)", e, root)
+	}
+	if e.Args["ran"] != "r1" || e.Args["error"] != "boom" {
+		t.Fatalf("args = %v", e.Args)
+	}
+	// The ID stream: root, f's child, then the span's own.
+	want := NewTracer(5, nil)
+	want.NewTrace()
+	want.Child(root)
+	if e.Span != want.Child(root).Span {
+		t.Fatalf("span ID %x was not minted after f's", e.Span)
+	}
+
+	ran := 0
+	for _, tt := range []*Tracer{tr, nil} {
+		if err := tt.Span(SpanContext{}, "x", "y", nil, func() error { ran++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ran != 2 || tr.Len() != 1 {
+		t.Fatalf("untraced Span ran f %d times and recorded %d events", ran, tr.Len())
 	}
 }
 
@@ -116,10 +174,9 @@ func TestFilterTrace(t *testing.T) {
 // records keep the pre-context serialization (no id keys at all).
 func TestTracerSpanContextRecords(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
-	ids := NewSpanIDSource(3)
-	root := ids.NewTrace()
-	child := root.Child(ids.Next())
+	tr := NewTracer(3, func() time.Duration { return now })
+	root := tr.NewTrace()
+	child := tr.Child(root)
 
 	tr.SpanCtx(root, "ue", "attach", 0, 10, map[string]string{"session": "s1"})
 	tr.SpanCtx(child, "sap", "auth", now, 0, nil)

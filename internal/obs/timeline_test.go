@@ -11,17 +11,17 @@ import (
 // experiment's: per-session root span with phase children, plus unrelated
 // id-less noise.
 func syntheticAttachTrace() []TraceEvent {
-	ids := NewSpanIDSource(11)
+	tr := NewTracer(11, nil)
 	var out []TraceEvent
 	addSession := func(label string, base time.Duration, outcome string) {
-		root := ids.NewTrace()
+		root := tr.NewTrace()
 		out = append(out, TraceEvent{
 			Cat: "attach", Name: "attach-storm", Start: base, Dur: 30 * time.Millisecond,
 			Trace: root.Trace, Span: root.Span,
 			Args: map[string]string{"session": label, "outcome": outcome},
 		})
 		phase := func(cat, name string, off, dur time.Duration) {
-			c := root.Child(ids.Next())
+			c := tr.Child(root)
 			out = append(out, TraceEvent{
 				Cat: cat, Name: name, Start: base + off, Dur: dur,
 				Trace: c.Trace, Span: c.Span, Parent: c.Parent,
@@ -82,8 +82,7 @@ func TestBuildTimelines(t *testing.T) {
 }
 
 func TestTimelineSessionFallsBackToTraceID(t *testing.T) {
-	ids := NewSpanIDSource(1)
-	root := ids.NewTrace()
+	root := NewTracer(1, nil).NewTrace()
 	tls := BuildTimelines([]TraceEvent{
 		{Cat: "a", Name: "op", Trace: root.Trace, Span: root.Span, Dur: time.Second},
 	})

@@ -48,44 +48,49 @@ type tracerStripe struct {
 
 type clockFunc func() time.Duration
 
-// Tracer records structured spans and events against an injected clock.
-// All methods are nil-safe no-ops, so call sites pass a tracer through
-// unconditionally and pay one branch when tracing is off. Recording takes
-// a striped mutex (one of 16, picked round-robin by an atomic counter) —
-// concurrent recorders from different goroutines rarely collide, and
-// Events() restores the canonical global order by sequence number.
+// Tracer records structured spans and events against an injected clock,
+// and mints the span IDs they carry from a seed. All methods are nil-safe
+// no-ops, so call sites pass a tracer through unconditionally and pay one
+// branch when tracing is off. Recording takes a striped mutex (one of 16,
+// picked round-robin by an atomic counter) — concurrent recorders from
+// different goroutines rarely collide, and Events() restores the canonical
+// global order by sequence number.
 type Tracer struct {
 	clock   atomic.Pointer[clockFunc]
 	seq     atomic.Uint64
+	idSeed  atomic.Uint64
+	idSeq   atomic.Uint64
 	retain  atomic.Bool
 	flight  atomic.Pointer[FlightRecorder]
 	stripes [tracerStripes]tracerStripe
 }
 
-// NewTracer builds a tracer on the given clock — a simulator's Now for
-// deterministic virtual-time traces, or nil for wall time measured from
-// tracer creation.
-func NewTracer(clock func() time.Duration) *Tracer {
+// NewTracer builds a tracer that mints span IDs from seed, on the given
+// clock — a simulator's Now for deterministic virtual-time traces, or nil
+// for wall time measured from tracer creation.
+func NewTracer(seed int64, clock func() time.Duration) *Tracer {
+	t := &Tracer{}
+	t.retain.Store(true)
+	t.Rebind(seed, clock)
+	return t
+}
+
+// Rebind points the tracer at a new run: the run's clock (nil for wall
+// time from now on), and its seed, restarting the span-ID stream there.
+// A simulation builds its clock after the tracer it is handed, and two runs
+// of one seed mint the same IDs whatever ran on the tracer before.
+func (t *Tracer) Rebind(seed int64, clock func() time.Duration) {
+	if t == nil {
+		return
+	}
 	if clock == nil {
 		t0 := time.Now()
 		clock = func() time.Duration { return time.Since(t0) }
 	}
-	t := &Tracer{}
 	cf := clockFunc(clock)
 	t.clock.Store(&cf)
-	t.retain.Store(true)
-	return t
-}
-
-// SetClock rebinds the tracer to a new clock — used when the component
-// that owns the clock (e.g. a simulator) is constructed after the tracer.
-// A nil clock is ignored.
-func (t *Tracer) SetClock(clock func() time.Duration) {
-	if t == nil || clock == nil {
-		return
-	}
-	cf := clockFunc(clock)
-	t.clock.Store(&cf)
+	t.idSeed.Store(splitmix64(uint64(seed) ^ 0x5ca1ab1e5eed5eed))
+	t.idSeq.Store(0)
 }
 
 // SetRetain controls whether records are kept in the tracer's buffer.
@@ -157,6 +162,27 @@ func (t *Tracer) SpanCtx(sc SpanContext, cat, name string, start, dur time.Durat
 		Cat: cat, Name: name, Start: start, Dur: dur,
 		Trace: sc.Trace, Span: sc.Span, Parent: sc.Parent, Args: args,
 	})
+}
+
+// Span runs f and, when parent is valid, records it as a child span of
+// parent named cat/name, timed on the tracer's clock, with args and, when
+// f fails, an "error" arg. The child's ID is minted after f returns, so
+// the spans f records take theirs first. On a nil tracer or an invalid
+// parent, Span only runs f.
+func (t *Tracer) Span(parent SpanContext, cat, name string, args map[string]string, f func() error) error {
+	if t == nil || !parent.Valid() {
+		return f()
+	}
+	start := t.Now()
+	err := f()
+	if err != nil {
+		if args == nil {
+			args = make(map[string]string, 1)
+		}
+		args["error"] = err.Error()
+	}
+	t.SpanCtx(t.Child(parent), cat, name, start, t.Now()-start, args)
+	return err
 }
 
 // Events returns a copy of everything recorded so far, in recording order

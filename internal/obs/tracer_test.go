@@ -13,7 +13,7 @@ import (
 
 func TestTracerRecordsAgainstInjectedClock(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
+	tr := NewTracer(0, func() time.Duration { return now })
 
 	now = 10 * time.Millisecond
 	tr.Event("chaos", "fault", map[string]string{"kind": "flap"})
@@ -40,7 +40,7 @@ func TestTracerRecordsAgainstInjectedClock(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
+	tr := NewTracer(0, func() time.Duration { return now })
 	tr.Event("a", "x", map[string]string{"k": "v"})
 	now = time.Second
 	tr.SpanCtx(SpanContext{}, "b", "y", 100*time.Millisecond, 50*time.Millisecond, nil)
@@ -68,7 +68,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestChromeTraceShape(t *testing.T) {
 	var now time.Duration
-	tr := NewTracer(func() time.Duration { return now })
+	tr := NewTracer(0, func() time.Duration { return now })
 	tr.Event("chaos", "fault", nil)
 	tr.SpanCtx(SpanContext{}, "attach", "sap", time.Millisecond, 2*time.Millisecond, map[string]string{"telco": "t0"})
 
@@ -105,7 +105,7 @@ func TestChromeTraceShape(t *testing.T) {
 func TestTraceDeterminism(t *testing.T) {
 	mk := func() *Tracer {
 		var now time.Duration
-		tr := NewTracer(func() time.Duration { return now })
+		tr := NewTracer(0, func() time.Duration { return now })
 		for i := 0; i < 50; i++ {
 			now += time.Millisecond
 			tr.Event("cat", "e", map[string]string{"b": "2", "a": "1", "c": "3"})

@@ -295,7 +295,7 @@ func newByzWorld(cfg ByzantineConfig) (*byzWorld, error) {
 			Probation: 2 * cfg.Duration,
 		},
 	}
-	cfg.Tracer.SetClock(w.sim0.Now)
+	cfg.Tracer.Rebind(cfg.Seed, w.sim0.Now)
 	w.Broker.EnableQuarantine(w.quar, w.sim0.Now)
 
 	// Windowed SLOs, evaluated at 1 Hz on the broker's shard. Crossings

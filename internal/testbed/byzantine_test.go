@@ -106,7 +106,7 @@ func TestByzantineTraceStability(t *testing.T) {
 		t.Fatalf("plain run: %v", err)
 	}
 	cfg := byzTestConfig(7)
-	cfg.Tracer = obs.NewTracer(nil) // RunByzantine rebinds to virtual time
+	cfg.Tracer = obs.NewTracer(0, nil) // RunByzantine rebinds to virtual time
 	traced, err := RunByzantine(cfg)
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
@@ -173,7 +173,7 @@ func TestByzantineSLOEngine(t *testing.T) {
 		return cfg
 	}
 
-	tr := obs.NewTracer(nil)
+	tr := obs.NewTracer(0, nil)
 	res, err := RunByzantine(mk(false, tr))
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -240,7 +240,7 @@ func TestByzantineSLOEngine(t *testing.T) {
 
 	// Cutting the feedback edge: breaches still evaluated and rendered,
 	// but no evidence filed with the broker.
-	tr2 := obs.NewTracer(nil)
+	tr2 := obs.NewTracer(0, nil)
 	res2, err := RunByzantine(mk(true, tr2))
 	if err != nil {
 		t.Fatalf("disabled run: %v", err)

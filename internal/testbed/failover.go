@@ -148,11 +148,10 @@ type foWorld struct {
 
 	attachSeq int
 
-	// Causal tracing: each attach storm is one trace. ids mints span IDs
-	// deterministically from the seed; the storm fields track the open
-	// storm's root span so success/give-up/supersede can close it with an
-	// outcome, and the goodput fields arm the first-goodput watch.
-	ids          *obs.SpanIDSource
+	// Causal tracing: each attach storm is one trace, its span IDs minted
+	// by cfg.Tracer from the seed. The storm fields track the open storm's
+	// root span so success/give-up/supersede can close it with an outcome,
+	// and the goodput fields arm the first-goodput watch.
 	stormRoot    obs.SpanContext
 	stormStart   time.Duration
 	stormSession string
@@ -173,11 +172,11 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 		cfg:   cfg,
 		World: newWorld(sc.Defaults(), nil, "ft-ip"),
 		res:   res,
-		ids:   obs.NewSpanIDSource(cfg.Seed),
 	}
 	w.lost, w.reattach = w.detach, w.startAttach
-	// Trace timestamps are virtual time on this run's simulator clock.
-	cfg.Tracer.SetClock(w.Sim.Now)
+	// Trace timestamps are virtual time on this run's simulator clock, and
+	// span IDs restart at this run's seed.
+	cfg.Tracer.Rebind(cfg.Seed, w.Sim.Now)
 
 	// Control plane: a seeded cast and a fixed certificate epoch so
 	// two runs with the same seed are bit-identical regardless of wall
@@ -195,7 +194,7 @@ func newFoWorld(cfg FailoverConfig, res *FailoverResult) (*foWorld, error) {
 		}
 		w.agws[i] = epc.NewAGW(epc.AGWConfig{
 			Telco: w.telcos[i], Brokers: epc.StaticDirectory{ID: w.Config.ID, Client: foBrokerClient{w}, Pub: w.BrokerPub},
-			Tracer: cfg.Tracer, TraceIDs: w.ids,
+			Tracer: cfg.Tracer,
 		})
 	}
 
@@ -251,18 +250,11 @@ func (c foBrokerClient) RedeemReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, er
 // AuthenticateCtx implements epc.BrokerClientCtx: the broker hop joins the
 // attach trace with a broker/handle-auth span, mirroring what
 // broker.ServeTraced records in the real-socket deployment.
-func (c foBrokerClient) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.AuthResp, error) {
-	w := c.w
-	if !sc.Valid() || w.cfg.Tracer == nil {
-		return c.Authenticate(req)
-	}
-	start := w.Sim.Now()
-	resp, err := c.Authenticate(req)
-	args := map[string]string(nil)
-	if err != nil {
-		args = map[string]string{"error": err.Error()}
-	}
-	w.cfg.Tracer.SpanCtx(sc.Child(w.ids.Next()), "broker", "handle-auth", start, w.Sim.Now()-start, args)
+func (c foBrokerClient) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (resp *sap.AuthResp, err error) {
+	err = c.w.cfg.Tracer.Span(sc, "broker", "handle-auth", nil, func() (e error) {
+		resp, e = c.Authenticate(req)
+		return e
+	})
 	return resp, err
 }
 
@@ -274,7 +266,7 @@ func (w *foWorld) openStorm() {
 		return
 	}
 	w.closeStorm("superseded", nil)
-	w.stormRoot = w.ids.NewTrace()
+	w.stormRoot = w.cfg.Tracer.NewTrace()
 	w.stormStart = w.Sim.Now()
 	w.stormSession = fmt.Sprintf("s%d", w.attachSeq)
 	w.stormOpen = true
@@ -319,7 +311,7 @@ func (w *foWorld) tracePhases(root obs.SpanContext, now time.Duration) {
 		{"sap", sap.PhaseSAPAuth, auth},
 		{"epc", sap.PhaseBearerSetup, bearer},
 	} {
-		w.cfg.Tracer.SpanCtx(root.Child(w.ids.Next()), ph.cat, ph.name, t, ph.dur, nil)
+		w.cfg.Tracer.SpanCtx(w.cfg.Tracer.Child(root), ph.cat, ph.name, t, ph.dur, nil)
 		t += ph.dur
 	}
 	w.goodputRoot = root
@@ -332,7 +324,7 @@ func (w *foWorld) resolveGoodput(now time.Duration) {
 	if !w.goodputRoot.Valid() || now < w.goodputFrom {
 		return
 	}
-	w.cfg.Tracer.SpanCtx(w.goodputRoot.Child(w.ids.Next()), "app", sap.PhaseFirstGoodput,
+	w.cfg.Tracer.SpanCtx(w.cfg.Tracer.Child(w.goodputRoot), "app", sap.PhaseFirstGoodput,
 		w.goodputFrom, now-w.goodputFrom, nil)
 	w.goodputRoot = obs.SpanContext{}
 }
@@ -340,19 +332,16 @@ func (w *foWorld) resolveGoodput(now time.Duration) {
 // nasUplink models the radio/S1 leg between a UE and bTelco ti's AGW,
 // recording a wire span (child of the envelope's context) around NAS
 // handling when the attach is traced.
-func (w *foWorld) nasUplink(ti int, ranID string, envelope []byte) ([]byte, error) {
-	_, sc, _, scErr := nas.SplitEnvelope(envelope)
-	traced := scErr == nil && sc.Valid() && w.cfg.Tracer != nil
-	start := w.Sim.Now()
-	reply, err := w.agws[ti].HandleNAS(ranID, envelope)
-	if traced {
-		args := map[string]string{"ran": ranID, "bytes": strconv.Itoa(len(envelope))}
-		if err != nil {
-			args["error"] = err.Error()
-		}
-		w.cfg.Tracer.SpanCtx(sc.Child(w.ids.Next()), "wire", "nas-uplink",
-			start, w.Sim.Now()-start, args)
+func (w *foWorld) nasUplink(ti int, ranID string, envelope []byte) (reply []byte, err error) {
+	_, sc, _, _ := nas.SplitEnvelope(envelope) // the zero context when malformed
+	var args map[string]string
+	if sc.Valid() {
+		args = map[string]string{"ran": ranID, "bytes": strconv.Itoa(len(envelope))}
 	}
+	err = w.cfg.Tracer.Span(sc, "wire", "nas-uplink", args, func() (e error) {
+		reply, e = w.agws[ti].HandleNAS(ranID, envelope)
+		return e
+	})
 	return reply, err
 }
 
@@ -373,7 +362,7 @@ func (w *foWorld) tryAttach(ti int) error {
 	ranID := fmt.Sprintf("ft-ue-%d", w.res.AttachAttempts)
 	dev := ue.NewDevice(ranID, nil, w.ueCB)
 	if w.stormOpen {
-		dev.TraceAttach(w.cfg.Tracer, w.ids, w.stormRoot)
+		dev.TraceAttach(w.cfg.Tracer, w.stormRoot)
 	}
 	_, err := dev.AttachSAP(func(envelope []byte) ([]byte, error) {
 		if w.telcoDown[ti] {

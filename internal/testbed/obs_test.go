@@ -28,7 +28,7 @@ func TestFailoverTraceDoesNotPerturb(t *testing.T) {
 		t.Fatalf("untraced run: %v", err)
 	}
 
-	cfg.Tracer = obs.NewTracer(nil)
+	cfg.Tracer = obs.NewTracer(0, nil)
 	traced, err := RunFailover(cfg)
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
@@ -49,7 +49,7 @@ func TestFailoverTraceDerivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer(nil)
+	tr := obs.NewTracer(0, nil)
 	cfg := FailoverConfig{Seed: 7, Duration: 75 * time.Second, Spec: spec, Tracer: tr}
 	res, err := RunFailover(cfg)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestFailoverSpanTreeAndTimelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() ([]obs.TraceEvent, string, string) {
-		tr := obs.NewTracer(nil)
+		tr := obs.NewTracer(0, nil)
 		cfg := FailoverConfig{Seed: 7, Duration: 75 * time.Second, Spec: spec, Tracer: tr}
 		if _, err := RunFailover(cfg); err != nil {
 			t.Fatal(err)
@@ -258,9 +258,8 @@ func TestFailoverSpanTreeAndTimelines(t *testing.T) {
 // billing spans all under one trace ID, with the broker's span recorded
 // server-side from the wire frame's span context.
 func TestRealDeploymentTracePropagation(t *testing.T) {
-	tr := obs.NewTracer(nil)
-	ids := obs.NewSpanIDSource(99)
-	d, err := NewRealDeploymentTraced(tr, ids)
+	tr := obs.NewTracer(99, nil)
+	d, err := NewRealDeploymentTraced(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +269,8 @@ func TestRealDeploymentTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := ids.NewTrace()
-	dev.TraceAttach(tr, ids, root)
+	root := tr.NewTrace()
+	dev.TraceAttach(tr, root)
 	if _, err := dev.AttachSAP(tx, d.TelcoID()); err != nil {
 		t.Fatal(err)
 	}
@@ -316,4 +315,4 @@ func TestRealDeploymentTracePropagation(t *testing.T) {
 
 // newTracer is a wall-clock tracer; the runs it is handed rebind it to
 // their simulator's clock.
-func newTracer() *obs.Tracer { return obs.NewTracer(nil) }
+func newTracer() *obs.Tracer { return obs.NewTracer(0, nil) }

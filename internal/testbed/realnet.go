@@ -40,20 +40,20 @@ type RealDeployment struct {
 
 // NewRealDeployment starts all three servers on loopback.
 func NewRealDeployment() (*RealDeployment, error) {
-	return NewRealDeploymentTraced(nil, nil)
+	return NewRealDeploymentTraced(nil)
 }
 
 // NewRealDeploymentTraced is NewRealDeployment with causal tracing armed:
 // the broker server decodes trace contexts from incoming frames, the AGW
 // parents its spans under the NAS envelope's context, and a traced attach
 // over real sockets yields the same span tree the simulator produces.
-func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeployment, error) {
+func NewRealDeploymentTraced(tr *obs.Tracer) (*RealDeployment, error) {
 	cast, err := core.New("real-ca", core.Seed(61), "broker.real", core.Seed(62), time.Time{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	d := &RealDeployment{Broker: cast.Broker, cast: cast}
-	if d.BrokerSrv, err = broker.ServeTraced(d.Broker, "127.0.0.1:0", tr, ids); err != nil {
+	if d.BrokerSrv, err = broker.ServeTraced(d.Broker, "127.0.0.1:0", tr); err != nil {
 		return nil, err
 	}
 
@@ -82,7 +82,6 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		Subscribers: d.sdbClient,
 		Brokers:     epc.StaticDirectory{ID: d.Broker.ID(), Client: d.brokerClient, Pub: d.Broker.Public()},
 		Tracer:      tr,
-		TraceIDs:    ids,
 	})
 	if d.NASSrv, err = epc.ServeNAS(d.AGW, "127.0.0.1:0"); err != nil {
 		d.Close()

@@ -63,18 +63,17 @@ type Device struct {
 	// Causal tracing (armed by TraceAttach; zero-valued = untraced, with
 	// byte-identical envelopes to the pre-tracing format).
 	tr       *obs.Tracer
-	ids      *obs.SpanIDSource
 	traceCtx obs.SpanContext // parent context for the next attach
 }
 
 // TraceAttach arms causal tracing for subsequent SAP attaches: the device
 // records a "ue" span for each attach, parented under parent, and embeds
 // its context in the uplink NAS envelope so the serving AGW (and everything
-// behind it) can join the same trace. Passing a nil ids or an invalid
+// behind it) can join the same trace. Passing a nil tracer or an invalid
 // parent disarms tracing.
-func (d *Device) TraceAttach(tr *obs.Tracer, ids *obs.SpanIDSource, parent obs.SpanContext) {
+func (d *Device) TraceAttach(tr *obs.Tracer, parent obs.SpanContext) {
 	d.mu.Lock()
-	d.tr, d.ids, d.traceCtx = tr, ids, parent
+	d.tr, d.traceCtx = tr, parent
 	d.mu.Unlock()
 }
 
@@ -83,10 +82,7 @@ func (d *Device) TraceAttach(tr *obs.Tracer, ids *obs.SpanIDSource, parent obs.S
 func (d *Device) attachSpanCtx() obs.SpanContext {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.ids == nil || !d.traceCtx.Valid() {
-		return obs.SpanContext{}
-	}
-	return d.traceCtx.Child(d.ids.Next())
+	return d.tr.Child(d.traceCtx)
 }
 
 // NewDevice builds a device. key is the broker-issued UE key (also the
@@ -263,14 +259,12 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (_ *Attachment, err erro
 	d.mu.Unlock()
 	a := d.install(accept)
 	if d.Meter != nil {
-		bindStart := d.tr.Now()
-		d.Meter.BindSession(uref, pending.Sealer)
 		// No uref in the args: broker references come from crypto/rand, and
 		// trace output must be byte-identical across runs of one seed.
-		if sc.Valid() {
-			d.tr.SpanCtx(sc.Child(d.ids.Next()), "billing", "bind-session",
-				bindStart, d.tr.Now()-bindStart, nil)
-		}
+		d.tr.Span(sc, "billing", "bind-session", nil, func() error {
+			d.Meter.BindSession(uref, pending.Sealer)
+			return nil
+		})
 	}
 	return a, nil
 }
