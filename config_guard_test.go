@@ -25,7 +25,7 @@ var configKeep = map[string]string{
 	"broker.Config.MaxPricePerGB":     "price-cap denial is a paper policy only tests exercise",
 	"epc.AGWConfig.Intercept":         "the lawful-intercept tap is a paper feature only tests drive",
 	"wire.Options.CallTimeout":        "fault detection: a stalled peer must break the connection",
-	"wire.Options.Dialer":             "the seam chaos.FaultyConn plugs into",
+	"wire.Options.Dialer":             "the wire robustness tests dial through a fault-injecting conn",
 	"wire.ServerOptions.IdleTimeout":  "fault detection: a dead peer must not hold a goroutine forever",
 }
 

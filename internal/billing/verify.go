@@ -101,8 +101,6 @@ type Verifier struct {
 	userMisses map[string]map[string]bool // idU -> set of bTelcos disagreed with
 	suspects   map[string]bool
 
-	replays int
-
 	// audits tracks each reporter's MAC'd reports against its checkpoints
 	// (checkpoint.go); an entry appears with a reporter's first MAC'd
 	// report.
@@ -177,7 +175,6 @@ func (v *Verifier) ingest(r *Report) (*session, *Mismatch, error) {
 	// machinery via mismatches it causes).
 	mine, other := &s.fresh[r.Reporter-1], s.fresh[2-r.Reporter]
 	if mine.seen && (r.Seq <= mine.seq || r.Rel < mine.rel) {
-		v.replays++
 		if r.Reporter == ReporterTelco {
 			v.repEntry(s.idT).Replays++
 			v.Evidence(s.idT, ReplayEvidence, 1)

@@ -513,24 +513,29 @@ func TestRestoreOwnsItsState(t *testing.T) {
 	}
 
 	for _, n := range []int{31, 33} {
-		w := codec.NewWriter(0)
-		w.Byte(snapshotVersion)
-		w.String(h.brk.cfg.ID)
-		w.Uint32(0) // users
-		w.Uint32(0) // bTelco keys
-		w.Uint32(1) // grants
-		w.String("uref")
-		w.String("idU")
-		w.String("idT")
-		w.Bytes(make([]byte, n))
-		w.Byte(9)
-		w.Uint64(1)
-		w.Uint64(1)
-		w.Float64(1)
-		for range 3 { // reputations, suspects, quarantine
-			w.Uint32(0)
-		}
-		if err := New(h.brk.cfg).Restore(w.Out()); err == nil {
+		snap := codec.Encode(func(c codec.Coder) codec.Coder {
+			v, id, zero, one := byte(snapshotVersion), h.brk.cfg.ID, uint32(0), uint32(1)
+			uref, idU, idT, ss := "uref", "idU", "idT", make([]byte, n)
+			qci, bps, price := byte(9), uint64(1), 1.0
+			c.Byte(&v)
+			c.String(&id)
+			c.Uint32(&zero) // users
+			c.Uint32(&zero) // bTelco keys
+			c.Uint32(&one)  // grants
+			c.String(&uref)
+			c.String(&idU)
+			c.String(&idT)
+			c.Bytes(&ss)
+			c.Byte(&qci)
+			c.Uint64(&bps)
+			c.Uint64(&bps)
+			c.Float64(&price)
+			for range 3 { // reputations, suspects, quarantine
+				c.Uint32(&zero)
+			}
+			return c
+		})
+		if err := New(h.brk.cfg).Restore(snap); err == nil {
 			t.Fatalf("a %d-byte ss restored", n)
 		}
 	}

@@ -1,12 +1,13 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"cellbricks/internal/billing"
 	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 )
 
@@ -22,143 +23,162 @@ import (
 // pending digests are soft state — DESIGN.md §2.10.)
 const snapshotVersion = 2
 
+var (
+	errSnapshotVersion = errors.New("broker: snapshot version unsupported")
+	errSnapshotCount   = errors.New("broker: snapshot section longer than the snapshot")
+)
+
+// snapshot is the durable state in wire order, one list per section.
+// Snapshot fills it from the broker's maps; Restore decodes all of it
+// before it touches the broker.
+type snapshot struct {
+	version  byte
+	id       string
+	users    []snapKey // the idU, then the encoded key
+	telcos   []snapKey
+	grants   []sap.GrantRecord
+	reps     []snapRep
+	suspects []string
+	quar     []snapQuar
+	size     int // reading: the snapshot's length, which bounds each count
+}
+
+type snapKey struct {
+	id  string
+	pub []byte
+}
+
+type snapRep struct {
+	id string
+	e  billing.ReputationEntry
+}
+
+type snapQuar struct {
+	id string
+	e  QuarantineEntry
+}
+
+func (s *snapshot) fields(c codec.Coder) codec.Coder {
+	c.Byte(&s.version)
+	c.Check(s.version == snapshotVersion, errSnapshotVersion)
+	c.String(&s.id)
+	max := s.size / 4 // an entry's first field alone takes 4 bytes
+	for _, keys := range []*[]snapKey{&s.users, &s.telcos} {
+		ks := codec.List(&c, keys, 1, max, errSnapshotCount)
+		for i := range ks {
+			c.String(&ks[i].id)
+			c.Bytes(&ks[i].pub) // a copy: the parsed keys alias it, and outlive the input
+		}
+	}
+	gs := codec.List(&c, &s.grants, 1, max, errSnapshotCount)
+	for i := range gs {
+		g := &gs[i]
+		c.String(&g.URef)
+		c.String(&g.IDU)
+		c.String(&g.IDT)
+		c.Fixed(g.SS[:])
+		c.Byte((*byte)(&g.QoS.QCI))
+		c.Uint64(&g.QoS.DLAmbrBps)
+		c.Uint64(&g.QoS.ULAmbrBps)
+		c.Float64(&g.Terms.PricePerGB)
+	}
+	rs := codec.List(&c, &s.reps, 1, max, errSnapshotCount)
+	for i := range rs {
+		c.String(&rs[i].id)
+		c.Float64(&rs[i].e.Score)
+		uint32Int(&c, &rs[i].e.Reports)
+		uint32Int(&c, &rs[i].e.Mismatches)
+		c.Float64(&rs[i].e.Penalty)
+	}
+	ss := codec.List(&c, &s.suspects, 1, max, errSnapshotCount)
+	for i := range ss {
+		c.String(&ss[i])
+	}
+	qs := codec.List(&c, &s.quar, 1, max, errSnapshotCount)
+	for i := range qs {
+		c.String(&qs[i].id)
+		since, until := uint64(qs[i].e.Since), uint64(qs[i].e.Until)
+		c.Uint64(&since)
+		c.Uint64(&until)
+		qs[i].e.Since, qs[i].e.Until = time.Duration(since), time.Duration(until)
+		uint32Int(&c, &qs[i].e.Strikes)
+	}
+	return c
+}
+
+// uint32Int codes an int as the 4-byte field the format carries it in.
+func uint32Int(c *codec.Coder, v *int) {
+	n := uint32(*v)
+	c.Uint32(&n)
+	*v = int(n)
+}
+
 // Snapshot encodes the broker's durable state.
 func (b *Brokerd) Snapshot() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	w := codec.NewWriter(4096)
-	w.Byte(snapshotVersion)
-	w.String(b.cfg.ID)
-
-	users := b.sap.Users()
-	w.Uint32(uint32(len(users)))
-	for id, pub := range users {
-		w.String(id)
-		w.Bytes(pub.Bytes())
+	s := snapshot{version: snapshotVersion, id: b.cfg.ID, suspects: b.verifier.Suspects()}
+	for id, pub := range b.sap.Users() {
+		s.users = append(s.users, snapKey{id, pub.Bytes()})
 	}
-	w.Uint32(uint32(len(b.telcoKeys)))
 	for id, k := range b.telcoKeys {
-		w.String(id)
-		w.Bytes(k.pub.Bytes())
+		s.telcos = append(s.telcos, snapKey{id, k.pub.Bytes()})
 	}
-	w.Uint32(uint32(len(b.grants)))
-	for uref, g := range b.grants {
-		w.String(uref)
-		w.String(g.IDU)
-		w.String(g.IDT)
-		w.Bytes(g.SS[:])
-		w.Byte(byte(g.QoS.QCI))
-		w.Uint64(g.QoS.DLAmbrBps)
-		w.Uint64(g.QoS.ULAmbrBps)
-		w.Float64(g.Terms.PricePerGB)
+	for _, g := range b.grants {
+		s.grants = append(s.grants, *g)
 	}
-	reps := b.verifier.Reputations()
-	w.Uint32(uint32(len(reps)))
-	for id, e := range reps {
-		w.String(id)
-		w.Float64(e.Score)
-		w.Uint32(uint32(e.Reports))
-		w.Uint32(uint32(e.Mismatches))
-		w.Float64(e.Penalty)
+	for id, e := range b.verifier.Reputations() {
+		s.reps = append(s.reps, snapRep{id, e})
 	}
-	suspects := b.verifier.Suspects()
-	w.Uint32(uint32(len(suspects)))
-	for _, id := range suspects {
-		w.String(id)
-	}
-	w.Uint32(uint32(len(b.quar)))
 	for id, e := range b.quar {
-		w.String(id)
-		w.Uint64(uint64(e.Since))
-		w.Uint64(uint64(e.Until))
-		w.Uint32(uint32(e.Strikes))
+		s.quar = append(s.quar, snapQuar{id, *e})
 	}
-	return w.Out()
+	return codec.Append(make([]byte, 0, 4096), s.fields)
 }
 
 // Restore loads a snapshot into a freshly constructed broker (same ID and
-// key as the one that produced it). Both the current v2 format and the
-// quarantine-less v1 format are accepted.
+// key as the one that produced it).
 func (b *Brokerd) Restore(snap []byte) error {
-	r := codec.NewReader(snap)
-	v := r.Byte()
-	if v != 1 && v != snapshotVersion {
-		return fmt.Errorf("broker: snapshot version %d unsupported", v)
+	s := snapshot{size: len(snap)}
+	if err := codec.Decode(snap, s.fields); err != nil {
+		return err
 	}
-	id := r.String()
-	if id != b.cfg.ID {
-		return fmt.Errorf("broker: snapshot for %q, this broker is %q", id, b.cfg.ID)
+	if s.id != b.cfg.ID {
+		return fmt.Errorf("broker: snapshot for %q, this broker is %q", s.id, b.cfg.ID)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-
-	nUsers := r.Uint32()
-	for i := uint32(0); i < nUsers && r.Err() == nil; i++ {
-		_ = r.String() // the idU: RegisterUser derives the same digest from the key
-		// A copy: the parsed keys alias it, and outlive snap.
-		pub, err := pki.ParsePublicIdentity(r.BytesCopy())
+	for _, u := range s.users { // RegisterUser derives the same idU from the key
+		pub, err := pki.ParsePublicIdentity(u.pub)
 		if err != nil {
 			return err
 		}
 		b.sap.RegisterUser(pub)
 	}
-	nTelcos := r.Uint32()
-	for i := uint32(0); i < nTelcos && r.Err() == nil; i++ {
-		tid := r.String()
-		pub, err := pki.ParsePublicIdentity(r.BytesCopy())
+	for _, t := range s.telcos {
+		pub, err := pki.ParsePublicIdentity(t.pub)
 		if err != nil {
 			return err
 		}
-		b.telcoKeys[tid] = telcoKey{pub: pub}
+		b.telcoKeys[t.id] = telcoKey{pub: pub}
 	}
-	nGrants := r.Uint32()
-	for i := uint32(0); i < nGrants && r.Err() == nil; i++ {
-		g := &sap.GrantRecord{}
-		uref := r.String()
-		g.URef = uref
-		g.IDU = r.String()
-		g.IDT = r.String()
-		ss := r.Bytes()
-		if r.Err() == nil && len(ss) != len(g.SS) {
-			return fmt.Errorf("broker: snapshot grant %q: a %d-byte ss", uref, len(ss))
-		}
-		copy(g.SS[:], ss)
-		g.QoS.QCI = qos.QCI(r.Byte())
-		g.QoS.DLAmbrBps = r.Uint64()
-		g.QoS.ULAmbrBps = r.Uint64()
-		g.Terms.PricePerGB = r.Float64()
-		b.grants[uref] = g
-		b.verifier.BindSession(uref, g.IDU, g.IDT)
+	for _, g := range s.grants {
+		b.grants[g.URef] = &g
+		b.verifier.BindSession(g.URef, g.IDU, g.IDT)
 	}
-	nReps := r.Uint32()
-	for i := uint32(0); i < nReps && r.Err() == nil; i++ {
-		tid := r.String()
-		score := r.Float64()
-		reports := int(r.Uint32())
-		mismatches := int(r.Uint32())
-		penalty := r.Float64()
-		b.verifier.RestoreReputation(tid, score, reports, mismatches, penalty)
+	for _, r := range s.reps {
+		b.verifier.RestoreReputation(r.id, r.e.Score, r.e.Reports, r.e.Mismatches, r.e.Penalty)
 	}
-	nSusp := r.Uint32()
-	for i := uint32(0); i < nSusp && r.Err() == nil; i++ {
-		b.verifier.RestoreSuspect(r.String())
+	for _, id := range s.suspects {
+		b.verifier.RestoreSuspect(id)
 	}
-	if v >= 2 {
-		nQuar := r.Uint32()
-		if nQuar > 0 && b.quar == nil {
-			b.quar = make(map[string]*QuarantineEntry)
-		}
-		for i := uint32(0); i < nQuar && r.Err() == nil; i++ {
-			id := r.String()
-			e := &QuarantineEntry{
-				Since:   time.Duration(r.Uint64()),
-				Until:   time.Duration(r.Uint64()),
-				Strikes: int(r.Uint32()),
-			}
-			b.quar[id] = e
-		}
+	if len(s.quar) > 0 && b.quar == nil {
+		b.quar = make(map[string]*QuarantineEntry)
 	}
-	return r.Done()
+	for _, q := range s.quar {
+		b.quar[q.id] = &q.e
+	}
+	return nil
 }
 
 // Restart is the crash-recovery constructor: it builds a fresh broker from

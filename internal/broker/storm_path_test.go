@@ -891,24 +891,3 @@ func TestRestartKeepsAgreedPrice(t *testing.T) {
 		t.Fatalf("settled %.9f after the restart, %.9f before", after.Amount, before.Amount)
 	}
 }
-
-func TestSnapshotV1StillRestores(t *testing.T) {
-	// A v1 snapshot is a v2 snapshot minus the trailing quarantine section.
-	h := newHarness(t)
-	_, ref := h.attach(t)
-	h.report(t, billing.ReporterUE, h.ueKey, ref, 1, 500)
-	snap := h.brk.Snapshot()
-	// Strip the (empty) quarantine section: a u32 zero at the tail.
-	if len(snap) < 4 || snap[len(snap)-4] != 0 {
-		t.Fatalf("unexpected tail %x", snap[len(snap)-4:])
-	}
-	v1 := append([]byte(nil), snap[:len(snap)-4]...)
-	v1[0] = 1
-	fresh, err := Restart(restartConfig(h), v1, 0)
-	if err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	if fresh.Grant(ref) == nil {
-		t.Fatal("v1 restore lost the grant")
-	}
-}

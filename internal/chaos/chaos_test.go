@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -254,48 +253,5 @@ func TestCompileBoundsAndOrder(t *testing.T) {
 		if f.At+f.Dur > horizon {
 			t.Errorf("fault %s extends past horizon %v", f, horizon)
 		}
-	}
-}
-
-func TestFaultyConnDeterministic(t *testing.T) {
-	run := func(seed int64) (corrupted, truncated int, payload []byte) {
-		client, server := net.Pipe()
-		defer server.Close()
-		fc := NewFaultyConn(client, seed, 0.3, 0.2)
-		done := make(chan []byte, 1)
-		go func() {
-			buf := make([]byte, 4096)
-			total := 0
-			for {
-				n, err := server.Read(buf[total:])
-				total += n
-				if err != nil {
-					break
-				}
-			}
-			done <- buf[:total]
-		}()
-		for i := 0; i < 20; i++ {
-			msg := make([]byte, 16)
-			for j := range msg {
-				msg[j] = byte(i)
-			}
-			if _, err := fc.Write(msg); err != nil {
-				break
-			}
-		}
-		fc.Close()
-		payload = <-done
-		corrupted, truncated = fc.Faults()
-		return
-	}
-	c1, t1, p1 := run(99)
-	c2, t2, p2 := run(99)
-	if c1 != c2 || t1 != t2 || string(p1) != string(p2) {
-		t.Fatalf("same seed diverged: (%d,%d,%d bytes) vs (%d,%d,%d bytes)",
-			c1, t1, len(p1), c2, t2, len(p2))
-	}
-	if c1 == 0 && t1 == 0 {
-		t.Fatalf("expected some faults at 30%%/20%% over 20 writes")
 	}
 }

@@ -15,9 +15,6 @@
 // — a message inside a message, or the span a signature covers — and when
 // reading, End hands back the span's bytes. A read error latches: the
 // fields after it read nothing, and Decode returns it.
-//
-// Writer and Reader are the appending and reading halves on their own, for
-// a format walked field by field rather than declared once.
 package codec
 
 import (
@@ -36,7 +33,7 @@ var errBool = errors.New("codec: bool byte is neither 0 nor 1")
 type mode uint8
 
 const (
-	appending mode = iota // the zero value: a Writer appends to nil
+	appending mode = iota // the zero value: a Coder{} appends to nil
 	sizing
 	reading
 )
@@ -358,74 +355,3 @@ func List[T any](c *Coder, v *[]T, unit, max int, tooMany error) []T {
 	}
 	return *v
 }
-
-// Writer appends fields one call at a time.
-type Writer struct{ c Coder }
-
-// NewWriter returns a Writer with optional capacity hint.
-func NewWriter(sizeHint int) *Writer { return &Writer{Coder{b: make([]byte, 0, sizeHint)}} }
-
-// Bytes appends a length-prefixed byte field.
-func (w *Writer) Bytes(v []byte) { w.c.Bytes(&v) }
-
-// String appends a length-prefixed string field.
-func (w *Writer) String(v string) { w.c.String(&v) }
-
-// Uint32 appends a fixed 4-byte field.
-func (w *Writer) Uint32(v uint32) { w.c.Uint32(&v) }
-
-// Uint64 appends a fixed 8-byte field.
-func (w *Writer) Uint64(v uint64) { w.c.Uint64(&v) }
-
-// Byte appends a single byte.
-func (w *Writer) Byte(v byte) { w.c.Byte(&v) }
-
-// Bool appends a single 0/1 byte.
-func (w *Writer) Bool(v bool) { w.c.Bool(&v) }
-
-// Float64 appends an IEEE-754 big-endian float.
-func (w *Writer) Float64(v float64) { w.c.Float64(&v) }
-
-// Out returns the accumulated encoding.
-func (w *Writer) Out() []byte { return w.c.b }
-
-// Reader consumes fields one call at a time, latching the first error;
-// every read after it returns the zero value.
-type Reader struct{ c Coder }
-
-// NewReader wraps b for decoding.
-func NewReader(b []byte) *Reader { return &Reader{Coder{mode: reading, b: b, end: len(b)}} }
-
-// Bytes reads a length-prefixed byte field. The returned slice aliases the
-// input; callers that retain it must copy.
-func (r *Reader) Bytes() (v []byte) { r.c.View(&v); return v }
-
-// BytesCopy reads a length-prefixed byte field into fresh storage.
-func (r *Reader) BytesCopy() (v []byte) { r.c.Bytes(&v); return v }
-
-// String reads a length-prefixed string field.
-func (r *Reader) String() (v string) { r.c.String(&v); return v }
-
-// Uint32 reads a fixed 4-byte field.
-func (r *Reader) Uint32() (v uint32) { r.c.Uint32(&v); return v }
-
-// Uint64 reads a fixed 8-byte field.
-func (r *Reader) Uint64() (v uint64) { r.c.Uint64(&v); return v }
-
-// Byte reads a single byte.
-func (r *Reader) Byte() (v byte) { r.c.Byte(&v); return v }
-
-// Bool reads a single 0/1 byte; any other byte is an error.
-func (r *Reader) Bool() (v bool) { r.c.Bool(&v); return v }
-
-// Float64 reads an IEEE-754 big-endian float.
-func (r *Reader) Float64() (v float64) { r.c.Float64(&v); return v }
-
-// Err returns the latched error, if any.
-func (r *Reader) Err() error { return r.c.err }
-
-// Len returns how many bytes are left to read.
-func (r *Reader) Len() int { return r.c.end - r.c.n }
-
-// Done returns the latched error, or an error when input remains.
-func (r *Reader) Done() error { return r.c.done() }

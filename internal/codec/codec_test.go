@@ -5,127 +5,133 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestRoundTripAllFieldTypes(t *testing.T) {
-	w := NewWriter(64)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	w.Uint32(0xDEADBEEF)
-	w.Uint64(1 << 60)
-	w.Byte(0x7F)
-	w.Bool(true)
-	w.Bool(false)
-	w.Float64(3.14159)
+// reader is a Coder in reading mode over b, as Decode starts one.
+func reader(b []byte) *Coder { return &Coder{mode: reading, b: b, end: len(b)} }
 
-	r := NewReader(w.Out())
-	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("bytes = %v", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Fatalf("string = %q", got)
-	}
-	if got := r.Uint32(); got != 0xDEADBEEF {
-		t.Fatalf("u32 = %x", got)
-	}
-	if got := r.Uint64(); got != 1<<60 {
-		t.Fatalf("u64 = %x", got)
-	}
-	if got := r.Byte(); got != 0x7F {
-		t.Fatalf("byte = %x", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Fatal("bools wrong")
-	}
-	if got := r.Float64(); got != 3.14159 {
-		t.Fatalf("float = %v", got)
-	}
-	if err := r.Done(); err != nil {
+// scalars is one field of each primitive kind.
+type scalars struct {
+	b      []byte
+	s      string
+	u32    uint32
+	u64    uint64
+	by     byte
+	on, no bool
+	f      float64
+}
+
+func (v *scalars) fields(c Coder) Coder {
+	c.View(&v.b)
+	c.String(&v.s)
+	c.Uint32(&v.u32)
+	c.Uint64(&v.u64)
+	c.Byte(&v.by)
+	c.Bool(&v.on)
+	c.Bool(&v.no)
+	c.Float64(&v.f)
+	return c
+}
+
+func TestRoundTripAllFieldTypes(t *testing.T) {
+	in := scalars{b: []byte{1, 2, 3}, s: "hello", u32: 0xDEADBEEF, u64: 1 << 60, by: 0x7F, on: true, f: 3.14159}
+	var out scalars
+	if err := Decode(Encode(in.fields), out.fields); err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
 	}
 }
 
 func TestEmptyFields(t *testing.T) {
-	w := NewWriter(0)
-	w.Bytes(nil)
-	w.String("")
-	r := NewReader(w.Out())
-	if got := r.Bytes(); len(got) != 0 {
-		t.Fatalf("bytes = %v", got)
-	}
-	if got := r.String(); got != "" {
-		t.Fatalf("string = %q", got)
-	}
-	if err := r.Done(); err != nil {
+	var in, out scalars
+	b := Encode(in.fields)
+	if err := Decode(b, out.fields); err != nil {
 		t.Fatal(err)
+	}
+	if len(out.b) != 0 || out.s != "" {
+		t.Fatalf("bytes = %v, string = %q", out.b, out.s)
 	}
 }
 
 func TestErrorLatching(t *testing.T) {
-	r := NewReader([]byte{0, 0}) // too short for anything
-	_ = r.Uint32()
-	if !errors.Is(r.Err(), ErrShort) {
-		t.Fatalf("err = %v", r.Err())
+	r := reader([]byte{0, 0}) // too short for anything
+	var v scalars
+	r.Uint32(&v.u32)
+	if !errors.Is(r.err, ErrShort) {
+		t.Fatalf("err = %v", r.err)
 	}
-	// Subsequent reads return zero values without panicking.
-	if r.Uint64() != 0 || r.Byte() != 0 || r.String() != "" || r.Bytes() != nil || r.Bool() || r.Float64() != 0 {
-		t.Fatal("post-error reads not zero")
+	// Subsequent reads set zero values without panicking.
+	v = scalars{b: []byte{1}, s: "x", u64: 1, by: 1, on: true, f: 1}
+	r.Uint64(&v.u64)
+	r.Byte(&v.by)
+	r.String(&v.s)
+	r.View(&v.b)
+	r.Bool(&v.on)
+	r.Float64(&v.f)
+	if !reflect.DeepEqual(v, scalars{}) {
+		t.Fatalf("post-error reads not zero: %+v", v)
 	}
-	if !errors.Is(r.Done(), ErrShort) {
-		t.Fatal("Done did not surface latched error")
+	if !errors.Is(r.done(), ErrShort) {
+		t.Fatal("done did not surface latched error")
 	}
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	w := NewWriter(8)
-	w.Uint32(7)
-	r := NewReader(append(w.Out(), 0xFF))
-	if r.Uint32() != 7 {
-		t.Fatal("value wrong")
-	}
-	if err := r.Done(); err == nil {
-		t.Fatal("trailing byte accepted")
+	v := uint32(7)
+	u32 := func(c Coder) Coder { c.Uint32(&v); return c }
+	b := append(Encode(u32), 0xFF)
+	v = 0
+	if err := Decode(b, u32); err == nil || v != 7 {
+		t.Fatalf("value %d, err %v: trailing byte accepted", v, err)
 	}
 }
 
 func TestMaliciousLengthPrefix(t *testing.T) {
 	// Length prefix claims 4 GB: must latch ErrShort, not allocate.
-	r := NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	if got := r.Bytes(); got != nil {
+	r := reader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
+	var got []byte
+	if r.Bytes(&got); got != nil {
 		t.Fatalf("got %d bytes", len(got))
 	}
-	if !errors.Is(r.Err(), ErrShort) {
-		t.Fatalf("err = %v", r.Err())
+	if !errors.Is(r.err, ErrShort) {
+		t.Fatalf("err = %v", r.err)
 	}
 }
 
 func TestBytesCopyIndependent(t *testing.T) {
-	w := NewWriter(16)
-	w.Bytes([]byte{9, 9, 9})
-	buf := w.Out()
-	r := NewReader(buf)
-	got := r.BytesCopy()
+	v := []byte{9, 9, 9}
+	buf := Encode(func(c Coder) Coder { c.Bytes(&v); return c })
+	var got []byte
+	reader(buf).Bytes(&got)
 	buf[4] = 0 // mutate underlying storage
 	if got[0] != 9 {
-		t.Fatal("BytesCopy aliases input")
+		t.Fatal("Bytes aliases input")
 	}
 }
 
 func TestFloatSpecials(t *testing.T) {
+	roundTrip := func(v float64) float64 {
+		f := func(c Coder) Coder { c.Float64(&v); return c }
+		b := Encode(f)
+		v = 0
+		if err := Decode(b, f); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	for _, v := range []float64{0, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64} {
-		w := NewWriter(8)
-		w.Float64(v)
-		if got := NewReader(w.Out()).Float64(); got != v {
+		if got := roundTrip(v); got != v {
 			t.Fatalf("float %v -> %v", v, got)
 		}
 	}
 	// NaN round-trips as NaN.
-	w := NewWriter(8)
-	w.Float64(math.NaN())
-	if got := NewReader(w.Out()).Float64(); !math.IsNaN(got) {
+	if got := roundTrip(math.NaN()); !math.IsNaN(got) {
 		t.Fatalf("NaN -> %v", got)
 	}
 }
@@ -133,15 +139,10 @@ func TestFloatSpecials(t *testing.T) {
 // Property: any sequence of (bytes, string, u32, u64) fields round-trips.
 func TestPropertyMixedRoundTrip(t *testing.T) {
 	f := func(b1 []byte, s1 string, u32 uint32, u64 uint64, by byte) bool {
-		w := NewWriter(0)
-		w.Bytes(b1)
-		w.String(s1)
-		w.Uint32(u32)
-		w.Uint64(u64)
-		w.Byte(by)
-		r := NewReader(w.Out())
-		return bytes.Equal(r.Bytes(), b1) && r.String() == s1 &&
-			r.Uint32() == u32 && r.Uint64() == u64 && r.Byte() == by && r.Done() == nil
+		in := scalars{b: b1, s: s1, u32: u32, u64: u64, by: by}
+		var out scalars
+		return Decode(Encode(in.fields), out.fields) == nil && bytes.Equal(out.b, b1) && out.s == s1 &&
+			out.u32 == u32 && out.u64 == u64 && out.by == by
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -152,11 +153,13 @@ func TestPropertyMixedRoundTrip(t *testing.T) {
 // without panicking.
 func TestPropertyGarbageSafe(t *testing.T) {
 	f := func(garbage []byte) bool {
-		r := NewReader(garbage)
-		_ = r.Bytes()
-		_ = r.String()
-		_ = r.Uint64()
-		_ = r.Done()
+		var v scalars
+		_ = Decode(garbage, func(c Coder) Coder {
+			c.View(&v.b)
+			c.String(&v.s)
+			c.Uint64(&v.u64)
+			return c
+		})
 		return true // reaching here without panic is the property
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -168,13 +171,16 @@ func TestPropertyGarbageSafe(t *testing.T) {
 // otherwise a decoded message would not re-encode to its own bytes.
 func TestBoolIsStrict(t *testing.T) {
 	for b, want := range map[byte]bool{0: false, 1: true} {
-		r := NewReader([]byte{b})
-		if got := r.Bool(); got != want || r.Done() != nil {
-			t.Fatalf("byte %d: %v, %v", b, got, r.Done())
+		r := reader([]byte{b})
+		var got bool
+		if r.Bool(&got); got != want || r.done() != nil {
+			t.Fatalf("byte %d: %v, %v", b, got, r.done())
 		}
 	}
-	r := NewReader([]byte{2, 1})
-	if r.Bool(); r.Bool() || r.Done() == nil {
+	r := reader([]byte{2, 1})
+	var got bool
+	r.Bool(&got)
+	if r.Bool(&got); got || r.done() == nil {
 		t.Fatal("byte 2 decoded as a bool")
 	}
 }

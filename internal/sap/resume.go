@@ -73,15 +73,15 @@ func resumeReqMAC(key []byte, uref, idT string, nonce [NonceSize]byte) []byte {
 
 // resumeRespMAC computes the grant-confirmation MAC under a role key.
 func resumeRespMAC(key []byte, newURef string, nonce [NonceSize]byte, params qos.Params) []byte {
-	w := codec.NewWriter(64)
-	w.String(newURef)
-	w.Bytes(nonce[:])
-	w.Byte(byte(params.QCI))
-	w.Uint64(params.DLAmbrBps)
-	w.Uint64(params.ULAmbrBps)
 	m := hmac.New(sha256.New, key)
-	m.Write([]byte("resp\x00"))
-	m.Write(w.Out())
+	m.Write(codec.Append([]byte("resp\x00"), func(c codec.Coder) codec.Coder {
+		c.String(&newURef)
+		c.Fixed(nonce[:])
+		c.Byte((*byte)(&params.QCI))
+		c.Uint64(&params.DLAmbrBps)
+		c.Uint64(&params.ULAmbrBps)
+		return c
+	}))
 	return m.Sum(nil)
 }
 

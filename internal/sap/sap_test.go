@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -560,8 +561,29 @@ func TestAuthReqTCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
+// refEncoder is the byte layout of the codec spelled out independently of
+// it, for tests that compare a message's encoding with a reference: each
+// field appended in turn, variable-length ones after a 4-byte big-endian
+// length.
+type refEncoder struct{ b []byte }
+
+func (r *refEncoder) bytes(v []byte) { r.u32(uint32(len(v))); r.b = append(r.b, v...) }
+func (r *refEncoder) str(v string)   { r.bytes([]byte(v)) }
+func (r *refEncoder) u32(v uint32)   { r.b = binary.BigEndian.AppendUint32(r.b, v) }
+func (r *refEncoder) u64(v uint64)   { r.b = binary.BigEndian.AppendUint64(r.b, v) }
+func (r *refEncoder) byte1(v byte)   { r.b = append(r.b, v) }
+func (r *refEncoder) f64(v float64)  { r.u64(math.Float64bits(v)) }
+
+func (r *refEncoder) bool1(v bool) {
+	if v {
+		r.byte1(1)
+	} else {
+		r.byte1(0)
+	}
+}
+
 // AuthReqT is encoded in one buffer; its bytes are those of the encoding it
-// replaced, one Writer per nesting level and a copy into each parent, which
+// replaced, one encoder per nesting level and a copy into each parent, which
 // this test keeps as the reference. The decoded message owns its bytes: it
 // parses the nested encodings in place but copies every leaf.
 func TestAuthReqTOneBufferSameBytes(t *testing.T) {
@@ -579,45 +601,45 @@ func TestAuthReqTOneBufferSameBytes(t *testing.T) {
 		"no cert": {ReqU: *reqU, IDT: "t", Terms: f.telco.Terms, Sig: []byte("sig")},
 		"empty":   {},
 	} {
-		ru := codec.NewWriter(0)
-		ru.String(m.ReqU.IDB)
-		ru.Bytes(m.ReqU.SealedVec)
-		ru.Bytes(m.ReqU.Sig)
-		if got := m.ReqU.Marshal(); !bytes.Equal(got, ru.Out()) || cap(got) != len(got) {
-			t.Fatalf("%s: AuthReqU.Marshal: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(ru.Out()))
+		ru := new(refEncoder)
+		ru.str(m.ReqU.IDB)
+		ru.bytes(m.ReqU.SealedVec)
+		ru.bytes(m.ReqU.Sig)
+		if got := m.ReqU.Marshal(); !bytes.Equal(got, ru.b) || cap(got) != len(got) {
+			t.Fatalf("%s: AuthReqU.Marshal: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(ru.b))
 		}
-		signed := codec.NewWriter(0)
-		signed.Bytes(ru.Out())
-		signed.String(m.IDT)
-		signed.Uint32(uint32(len(m.Terms.Cap.QCIs)))
+		signed := new(refEncoder)
+		signed.bytes(ru.b)
+		signed.str(m.IDT)
+		signed.u32(uint32(len(m.Terms.Cap.QCIs)))
 		for _, q := range m.Terms.Cap.QCIs {
-			signed.Byte(byte(q))
+			signed.byte1(byte(q))
 		}
-		signed.Uint64(m.Terms.Cap.MaxDLAmbrBps)
-		signed.Uint64(m.Terms.Cap.MaxULAmbrBps)
-		signed.Bool(m.Terms.Cap.GBRSupported)
-		signed.Bool(m.Terms.LawfulIntercept)
-		signed.Float64(m.Terms.PricePerGB)
-		if got := m.signedBytes(); !bytes.Equal(got, signed.Out()) || cap(got) != len(got) {
-			t.Fatalf("%s: signedBytes: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(signed.Out()))
+		signed.u64(m.Terms.Cap.MaxDLAmbrBps)
+		signed.u64(m.Terms.Cap.MaxULAmbrBps)
+		signed.bool1(m.Terms.Cap.GBRSupported)
+		signed.bool1(m.Terms.LawfulIntercept)
+		signed.f64(m.Terms.PricePerGB)
+		if got := m.signedBytes(); !bytes.Equal(got, signed.b) || cap(got) != len(got) {
+			t.Fatalf("%s: signedBytes: %d bytes in a buffer of %d, reference %d", name, len(got), cap(got), len(signed.b))
 		}
 		var cert []byte
 		if c := m.Cert; c != nil {
-			cw := codec.NewWriter(0)
-			cw.String(c.Subject)
-			cw.String(c.Role)
-			cw.Bytes(c.Identity.Bytes())
-			cw.Uint64(uint64(c.NotBefore.Unix()))
-			cw.Uint64(uint64(c.NotAfter.Unix()))
-			cw.Bytes(c.Signature)
-			cert = cw.Out()
+			cw := new(refEncoder)
+			cw.str(c.Subject)
+			cw.str(c.Role)
+			cw.bytes(c.Identity.Bytes())
+			cw.u64(uint64(c.NotBefore.Unix()))
+			cw.u64(uint64(c.NotAfter.Unix()))
+			cw.bytes(c.Signature)
+			cert = cw.b
 		}
-		full := codec.NewWriter(0)
-		full.Bytes(signed.Out())
-		full.Bytes(cert)
-		full.Bytes(m.Sig)
+		full := new(refEncoder)
+		full.bytes(signed.b)
+		full.bytes(cert)
+		full.bytes(m.Sig)
 		wire := m.Marshal()
-		if !bytes.Equal(wire, full.Out()) {
+		if !bytes.Equal(wire, full.b) {
 			t.Fatalf("%s: Marshal differs from the nested encoding", name)
 		}
 
@@ -629,7 +651,7 @@ func TestAuthReqTOneBufferSameBytes(t *testing.T) {
 		for i := range wire {
 			wire[i] = 0xEE
 		}
-		if !bytes.Equal(again, full.Out()) || !bytes.Equal(got.Marshal(), full.Out()) {
+		if !bytes.Equal(again, full.b) || !bytes.Equal(got.Marshal(), full.b) {
 			t.Fatalf("%s: the decoded message aliases the buffer it was read from", name)
 		}
 	}
@@ -1394,23 +1416,23 @@ func TestUEStateConcurrentAttachesNeverShareATicket(t *testing.T) {
 // lets the shifted remainder reach the signature check.
 func TestAuthReqTCodecRejectsBadQCICount(t *testing.T) {
 	wire := func(count uint32, qcis int) []byte {
-		signed := codec.NewWriter(128)
-		signed.Bytes((&AuthReqU{IDB: "b"}).Marshal())
-		signed.String("t")
-		signed.Uint32(count)
+		signed := new(refEncoder)
+		signed.bytes((&AuthReqU{IDB: "b"}).Marshal())
+		signed.str("t")
+		signed.u32(count)
 		for i := 0; i < qcis; i++ {
-			signed.Byte(9)
+			signed.byte1(9)
 		}
-		signed.Uint64(1)
-		signed.Uint64(1)
-		signed.Bool(true)
-		signed.Bool(false)
-		signed.Float64(0) // zero bytes: a shifted read meets no bool byte above 1
-		w := codec.NewWriter(256)
-		w.Bytes(signed.Out())
-		w.Bytes(nil)
-		w.Bytes(nil)
-		return w.Out()
+		signed.u64(1)
+		signed.u64(1)
+		signed.bool1(true)
+		signed.bool1(false)
+		signed.f64(0) // zero bytes: a shifted read meets no bool byte above 1
+		w := new(refEncoder)
+		w.bytes(signed.b)
+		w.bytes(nil)
+		w.bytes(nil)
+		return w.b
 	}
 	for _, tc := range []struct {
 		name        string

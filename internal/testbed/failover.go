@@ -504,8 +504,8 @@ func (w *foWorld) hooks() chaos.Hooks {
 		// The simulator carries abstract packets, not byte frames, so
 		// frame corruption/truncation maps to extra loss on the radio
 		// link (a corrupted frame fails its checksum and is dropped);
-		// byte-exact corruption runs against real sockets via
-		// chaos.FaultyConn in the wire tests.
+		// byte-exact corruption runs against real sockets in the wire
+		// package's robustness tests.
 		FrameFault: func(corruptRate, truncRate float64) {
 			w.frameLoss = corruptRate + truncRate
 			w.applyFrameLoss()

@@ -1,17 +1,19 @@
-package chaos
+package wire
 
 import (
 	"math/rand"
 	"net"
 	"sync"
+	"testing"
 )
 
-// FaultyConn wraps a real net.Conn and injects byte corruption and write
+// faultyConn wraps a real net.Conn and injects byte corruption and write
 // truncation from a seeded rng, so wire-level recovery (redial, framing
 // resync, retries) can be exercised against real TCP sockets with a
 // reproducible fault sequence. Faults are drawn per Write in call order:
 // the same seed against the same write sequence corrupts the same bytes.
-type FaultyConn struct {
+// The robustness tests plug it in through Options.Dialer.
+type faultyConn struct {
 	net.Conn
 
 	mu           sync.Mutex
@@ -23,10 +25,10 @@ type FaultyConn struct {
 	truncated int
 }
 
-// NewFaultyConn wraps conn with a seeded fault source. Rates are
+// newFaultyConn wraps conn with a seeded fault source. Rates are
 // per-Write probabilities in [0,1].
-func NewFaultyConn(conn net.Conn, seed int64, corruptRate, truncateRate float64) *FaultyConn {
-	return &FaultyConn{
+func newFaultyConn(conn net.Conn, seed int64, corruptRate, truncateRate float64) *faultyConn {
+	return &faultyConn{
 		Conn:         conn,
 		rng:          rand.New(rand.NewSource(seed)),
 		corruptRate:  corruptRate,
@@ -34,19 +36,12 @@ func NewFaultyConn(conn net.Conn, seed int64, corruptRate, truncateRate float64)
 	}
 }
 
-// Faults reports how many writes were corrupted and truncated.
-func (c *FaultyConn) Faults() (corrupted, truncated int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.corrupted, c.truncated
-}
-
 // Write injects the scheduled faults. A truncated write sends only the
 // first half of the buffer but reports success for all of it — the
 // nastiest failure mode for a length-prefixed framing protocol, since the
 // peer now reads a frame that never completes. A corrupted write flips one
 // byte in a copy (the caller's buffer is never mutated).
-func (c *FaultyConn) Write(p []byte) (int, error) {
+func (c *faultyConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	truncate := len(p) > 1 && c.truncateRate > 0 && c.rng.Float64() < c.truncateRate
 	corrupt := !truncate && len(p) > 0 && c.corruptRate > 0 && c.rng.Float64() < c.corruptRate
@@ -76,5 +71,49 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 		return c.Conn.Write(buf)
 	default:
 		return c.Conn.Write(p)
+	}
+}
+
+func TestFaultyConnDeterministic(t *testing.T) {
+	run := func(seed int64) (corrupted, truncated int, payload []byte) {
+		client, server := net.Pipe()
+		defer server.Close()
+		fc := newFaultyConn(client, seed, 0.3, 0.2)
+		done := make(chan []byte, 1)
+		go func() {
+			buf := make([]byte, 4096)
+			total := 0
+			for {
+				n, err := server.Read(buf[total:])
+				total += n
+				if err != nil {
+					break
+				}
+			}
+			done <- buf[:total]
+		}()
+		for i := 0; i < 20; i++ {
+			msg := make([]byte, 16)
+			for j := range msg {
+				msg[j] = byte(i)
+			}
+			if _, err := fc.Write(msg); err != nil {
+				break
+			}
+		}
+		fc.Close()
+		payload = <-done
+		fc.mu.Lock()
+		defer fc.mu.Unlock()
+		return fc.corrupted, fc.truncated, payload
+	}
+	c1, t1, p1 := run(99)
+	c2, t2, p2 := run(99)
+	if c1 != c2 || t1 != t2 || string(p1) != string(p2) {
+		t.Fatalf("same seed diverged: (%d,%d,%d bytes) vs (%d,%d,%d bytes)",
+			c1, t1, len(p1), c2, t2, len(p2))
+	}
+	if c1 == 0 && t1 == 0 {
+		t.Fatalf("expected some faults at 30%%/20%% over 20 writes")
 	}
 }

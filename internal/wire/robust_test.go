@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"cellbricks/internal/chaos"
 	"cellbricks/internal/obs"
 )
 
@@ -79,11 +78,16 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	redials, conn := mtr.redials.Value(), c.conn
 
-	// The panicking request gets a TypeError reply...
+	// The panicking request gets a TypeError reply, on a connection the
+	// client keeps...
 	_, _, err = c.Call(TypeNAS, []byte("boom"))
 	if err == nil || !strings.Contains(err.Error(), "handler panic") {
 		t.Fatalf("err = %v, want handler panic error", err)
+	}
+	if c.conn != conn {
+		t.Fatal("an error reply must not break the connection")
 	}
 	s.mu.Lock()
 	panics := s.panics
@@ -93,8 +97,8 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	}
 	// ...and the server closes that one connection but survives: the call
 	// that finds it closed fails and abandons it, the one after redials.
-	if _, _, err := c.Call(TypeAIR, []byte("dead conn")); err == nil {
-		t.Fatal("call on the connection the server closed must fail")
+	if _, _, err := c.Call(TypeAIR, []byte("dead conn")); err == nil || c.conn != nil {
+		t.Fatalf("call on the connection the server closed must fail and abandon it: %v", err)
 	}
 	rt, reply, err := c.Call(TypeAIR, []byte("alive"))
 	if err != nil {
@@ -103,8 +107,8 @@ func TestHandlerPanicClosesOneConn(t *testing.T) {
 	if rt != TypeAIA || string(reply) != "alive" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
-		t.Fatalf("a handler panic must cost exactly one connection, stats %+v", st)
+	if got := mtr.redials.Value() - redials; got != 1 {
+		t.Fatalf("a handler panic must cost exactly one connection, %d redials", got)
 	}
 }
 
@@ -125,6 +129,7 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	}
 	defer c.Close()
 
+	redials := mtr.redials.Value()
 	if _, _, err := c.Call(TypeNAS, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +138,8 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	// it redials. (A Pool hides this one failed call behind its resend:
 	// TestPoolRedialsConnectionClosedWhileIdle.)
 	time.Sleep(200 * time.Millisecond)
-	if _, _, err := c.Call(TypeNAS, []byte("lost")); err == nil {
-		t.Fatal("call on the reaped connection must fail")
+	if _, _, err := c.Call(TypeNAS, []byte("lost")); err == nil || c.conn != nil {
+		t.Fatalf("call on the reaped connection must fail and abandon it: %v", err)
 	}
 	rt, reply, err := c.Call(TypeNAS, []byte("two"))
 	if err != nil {
@@ -143,8 +148,8 @@ func TestIdleTimeoutAndRedial(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "two" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
-		t.Fatalf("an idle reap must cost exactly one connection, stats %+v", st)
+	if got := mtr.redials.Value() - redials; got != 1 {
+		t.Fatalf("an idle reap must cost exactly one connection, %d redials", got)
 	}
 }
 
@@ -163,6 +168,7 @@ func TestRetryAfterSurfacesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	conn := c.conn
 
 	_, _, err = c.Call(TypeSAPAuthRequest, nil)
 	var ra *RetryAfterError
@@ -173,8 +179,8 @@ func TestRetryAfterSurfacesTyped(t *testing.T) {
 		t.Fatalf("After = %v, want 250ms", ra.After)
 	}
 	// A shed reply is a completed exchange: the connection stays healthy.
-	if st := c.stats; st.Broken != 0 {
-		t.Fatalf("shed reply must not break the conn, stats %+v", st)
+	if c.conn != conn {
+		t.Fatal("shed reply must not break the conn")
 	}
 }
 
@@ -202,7 +208,7 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 				return nil, err
 			}
 			if dials.Add(1) == 1 {
-				return chaos.NewFaultyConn(conn, 7, 0, 1.0), nil
+				return newFaultyConn(conn, 7, 0, 1.0), nil
 			}
 			return conn, nil
 		},
@@ -211,9 +217,10 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	redials := mtr.redials.Value()
 
-	if _, _, err := c.Call(TypeNAS, []byte("into the fire")); err == nil {
-		t.Fatal("call over the truncating conn must fail")
+	if _, _, err := c.Call(TypeNAS, []byte("into the fire")); err == nil || c.conn != nil {
+		t.Fatalf("call over the truncating conn must fail and abandon it: %v", err)
 	}
 	rt, reply, err := c.Call(TypeNAS, []byte("through the fire"))
 	if err != nil {
@@ -222,8 +229,8 @@ func TestCallRecoversFromTruncatedWrite(t *testing.T) {
 	if rt != TypeNASReply || string(reply) != "through the fire" {
 		t.Fatalf("reply = %d %q", rt, reply)
 	}
-	if st := c.stats; st.Broken != 1 || st.Redials != 1 {
-		t.Fatalf("expected the truncated conn to be broken and redialled once, stats %+v", st)
+	if got := mtr.redials.Value() - redials; got != 1 {
+		t.Fatalf("expected the truncated conn to be redialled once, %d redials", got)
 	}
 }
 
@@ -256,7 +263,7 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 				return nil, err
 			}
 			if dials.Add(1) == 2 {
-				return chaos.NewFaultyConn(conn, 11, 0, 1.0), nil
+				return newFaultyConn(conn, 11, 0, 1.0), nil
 			}
 			return conn, nil
 		},
@@ -266,6 +273,7 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 	}
 	defer c.Close()
 
+	redials := mtr.redials.Value()
 	var failed uint64
 	for ; ; failed++ {
 		req := fmt.Sprintf("attach req %d", failed)
@@ -276,13 +284,16 @@ func TestCallSurvivesAdversarialNASDropAndTruncation(t *testing.T) {
 			}
 			break
 		}
+		if c.conn != nil {
+			t.Fatalf("failed call %d kept its connection: %v", failed, err)
+		}
 		if failed == 6 {
 			t.Fatalf("no call got through the drop+truncation storm: %v", err)
 		}
 	}
 	// Two drops and one truncation; every one cost its connection.
-	if st := c.stats; failed != 3 || st.Broken != failed || st.Redials != failed {
-		t.Fatalf("%d failed calls, want 3, each breaking one conn and redialled once, stats %+v", failed, st)
+	if got := mtr.redials.Value() - redials; failed != 3 || got != failed {
+		t.Fatalf("%d failed calls, want 3, each breaking one conn and redialled once; %d redials", failed, got)
 	}
 	// A fresh call on the healed client must work first try.
 	if _, _, err := c.Call(TypeNAS, []byte("steady")); err != nil {
@@ -310,7 +321,7 @@ func TestCallTimeoutBreaksConn(t *testing.T) {
 	if _, _, err := c.Call(TypeNAS, []byte("stuck")); err == nil {
 		t.Fatal("expected deadline error")
 	}
-	if st := c.stats; st.Broken != 1 {
-		t.Fatalf("timed-out conn must be broken, stats %+v", st)
+	if c.conn != nil {
+		t.Fatal("timed-out conn must be broken")
 	}
 }

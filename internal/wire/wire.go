@@ -409,13 +409,6 @@ type Options struct {
 // dialTimeout bounds each (re)dial.
 const dialTimeout = 5 * time.Second
 
-// ClientStats counts the client's recovery actions.
-type ClientStats struct {
-	Calls   uint64 // completed Call invocations
-	Redials uint64 // reconnects (including the lazy redial after a break)
-	Broken  uint64 // connections abandoned mid-frame
-}
-
 // Client is a synchronous request/response client over one TCP connection.
 // Safe for concurrent use; calls serialize.
 type Client struct {
@@ -426,7 +419,6 @@ type Client struct {
 	addr    string
 	closed  bool
 	opts    Options
-	stats   ClientStats
 }
 
 // replyReader counts the call's reply bytes: a Pool resends only if none came.
@@ -477,7 +469,6 @@ func (c *Client) abandon(err error) (byte, []byte, error) {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.br = nil, nil
-		c.stats.Broken++
 	}
 	obs.Debugf("wire", "call to %s failed, will redial: %v", c.addr, err)
 	return 0, nil, err
@@ -500,14 +491,12 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	if c.closed {
 		return 0, nil, ErrClosed
 	}
-	c.stats.Calls++
 	c.replied = 0
 	if c.conn == nil {
 		// An earlier call broke the connection: redial first.
 		if err := c.connect(); err != nil {
 			return c.abandon(err)
 		}
-		c.stats.Redials++
 		mtr.redials.Add(1)
 		obs.Debugf("wire", "redialled %s", c.addr)
 	}
