@@ -24,8 +24,8 @@ import (
 const snapshotVersion = 2
 
 var (
-	errSnapshotVersion = errors.New("broker: snapshot version unsupported")
-	errSnapshotCount   = errors.New("broker: snapshot section longer than the snapshot")
+	errSnapshotVersion = errors.New("unsupported version")
+	errSnapshotCount   = errors.New("a section longer than the snapshot")
 )
 
 // snapshot is the durable state in wire order, one list per section.
@@ -62,15 +62,15 @@ func (s *snapshot) fields(c codec.Coder) codec.Coder {
 	c.Byte(&s.version)
 	c.Check(s.version == snapshotVersion, errSnapshotVersion)
 	c.String(&s.id)
-	max := s.size / 4 // an entry's first field alone takes 4 bytes
+	most := s.size / 4 // an entry's first field alone takes 4 bytes
 	for _, keys := range []*[]snapKey{&s.users, &s.telcos} {
-		ks := codec.List(&c, keys, 1, max, errSnapshotCount)
+		ks := codec.List(&c, keys, 1, most, errSnapshotCount)
 		for i := range ks {
 			c.String(&ks[i].id)
 			c.Bytes(&ks[i].pub) // a copy: the parsed keys alias it, and outlive the input
 		}
 	}
-	gs := codec.List(&c, &s.grants, 1, max, errSnapshotCount)
+	gs := codec.List(&c, &s.grants, 1, most, errSnapshotCount)
 	for i := range gs {
 		g := &gs[i]
 		c.String(&g.URef)
@@ -82,7 +82,7 @@ func (s *snapshot) fields(c codec.Coder) codec.Coder {
 		c.Uint64(&g.QoS.ULAmbrBps)
 		c.Float64(&g.Terms.PricePerGB)
 	}
-	rs := codec.List(&c, &s.reps, 1, max, errSnapshotCount)
+	rs := codec.List(&c, &s.reps, 1, most, errSnapshotCount)
 	for i := range rs {
 		c.String(&rs[i].id)
 		c.Float64(&rs[i].e.Score)
@@ -90,11 +90,11 @@ func (s *snapshot) fields(c codec.Coder) codec.Coder {
 		uint32Int(&c, &rs[i].e.Mismatches)
 		c.Float64(&rs[i].e.Penalty)
 	}
-	ss := codec.List(&c, &s.suspects, 1, max, errSnapshotCount)
+	ss := codec.List(&c, &s.suspects, 1, most, errSnapshotCount)
 	for i := range ss {
 		c.String(&ss[i])
 	}
-	qs := codec.List(&c, &s.quar, 1, max, errSnapshotCount)
+	qs := codec.List(&c, &s.quar, 1, most, errSnapshotCount)
 	for i := range qs {
 		c.String(&qs[i].id)
 		since, until := uint64(qs[i].e.Since), uint64(qs[i].e.Until)
@@ -141,7 +141,7 @@ func (b *Brokerd) Snapshot() []byte {
 func (b *Brokerd) Restore(snap []byte) error {
 	s := snapshot{size: len(snap)}
 	if err := codec.Decode(snap, s.fields); err != nil {
-		return err
+		return fmt.Errorf("broker: snapshot: %w", err)
 	}
 	if s.id != b.cfg.ID {
 		return fmt.Errorf("broker: snapshot for %q, this broker is %q", s.id, b.cfg.ID)

@@ -314,5 +314,5 @@ func TestRealDeploymentTracePropagation(t *testing.T) {
 }
 
 // newTracer is a wall-clock tracer; the runs it is handed rebind it to
-// their simulator's clock.
+// their simulator's clock and seed.
 func newTracer() *obs.Tracer { return obs.NewTracer(0, nil) }
