@@ -103,25 +103,6 @@ func appendBenchRun(path string, run benchRun) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// writeTrace renders the recorded trace: Chrome trace-event JSON (open in
-// Perfetto or chrome://tracing) by default, JSON lines when the path ends
-// in .jsonl.
-func writeTrace(events []obs.TraceEvent, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = obs.WriteJSONLEvents(f, events)
-	} else {
-		err = obs.WriteChromeTraceEvents(f, events)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // writeTimelines folds the trace into per-session timelines: deterministic
 // text by default, JSON when the path ends in .json.
 func writeTimelines(events []obs.TraceEvent, path string) (int, error) {
@@ -558,7 +539,7 @@ func main() {
 			events = obs.FilterTrace(events, id)
 		}
 		if *traceOut != "" {
-			if err := writeTrace(events, *traceOut); err != nil {
+			if err := obs.WriteTraceFile(*traceOut, events); err != nil {
 				fmt.Fprintf(os.Stderr, "trace file: %v\n", err)
 				os.Exit(1)
 			}

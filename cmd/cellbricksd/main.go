@@ -233,19 +233,7 @@ func runDemo(stayUp bool, traceOut string) {
 	obs.Infof(logSub, "demo complete")
 
 	if tracer != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(traceOut) > 6 && traceOut[len(traceOut)-6:] == ".jsonl" {
-			err = tracer.WriteJSONL(f)
-		} else {
-			err = tracer.WriteChromeTrace(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteTraceFile(traceOut, tracer.Events()); err != nil {
 			fatalf("trace: %v", err)
 		}
 		obs.Infof(logSub, "wrote %d trace events to %s", tracer.Len(), traceOut)

@@ -1,19 +1,20 @@
 package broker
 
 import (
-	"sync"
 	"time"
 
 	"cellbricks/internal/wire"
 )
 
 // Admission control: a token-bucket + queue-depth load shedder that
-// refuses attach work the broker cannot absorb *before* any crypto runs,
-// answering with the same typed retry-after hint the degraded-mode
-// (ShedLoad) path already carries end-to-end through NAS — ue.AttachFSM
-// knows how to floor its backoff at the hint. Report ingestion is never
-// shed: reports are cheap, idempotent per (session, seq), and dropping
-// them would open a billing gap.
+// refuses attach work a queue in front of the broker cannot absorb *before*
+// any crypto runs, answering with the same typed retry-after hint the
+// degraded-mode (ShedLoad) path already carries end-to-end through NAS —
+// ue.AttachFSM knows how to floor its backoff at the hint. It stands beside
+// the broker, not in it: the caller that owns the queue charges each attach
+// with the queue's depth before enqueueing it, and the broker's handlers
+// never consult it. Report ingestion is never shed: reports are cheap,
+// idempotent per (session, seq), and dropping them would open a billing gap.
 
 // AdmissionConfig tunes the shedder.
 type AdmissionConfig struct {
@@ -23,8 +24,8 @@ type AdmissionConfig struct {
 	// Burst is the bucket capacity — how far above Rate a short burst may
 	// go before shedding starts.
 	Burst float64
-	// MaxQueue sheds when the caller-observed backlog (e.g.
-	// Batcher.Depth()) reaches this depth (0 disables the queue gate).
+	// MaxQueue sheds when the caller-observed backlog reaches this depth
+	// (0 disables the queue gate).
 	MaxQueue int
 	// RetryAfter is the base backoff hint; queue-depth sheds double it
 	// (the queue signal means the broker is further behind than the rate
@@ -32,13 +33,12 @@ type AdmissionConfig struct {
 	RetryAfter time.Duration
 }
 
-// admissionState is the live shedder. It has its own mutex so admission
-// never contends with the broker's decision lock.
-type admissionState struct {
+// Admission is the live shedder. It is not safe for concurrent use: its
+// owner charges it from the one place that enqueues attaches.
+type Admission struct {
 	cfg   AdmissionConfig
 	clock func() time.Duration
 
-	mu         sync.Mutex
 	tokens     float64
 	last       time.Duration
 	admitted   uint64
@@ -46,55 +46,20 @@ type admissionState struct {
 	queueSheds uint64
 }
 
-// EnableAdmission arms the shedder. clock supplies monotonic time for
-// bucket refill — virtual time in the simulator so shedding is
-// deterministic; nil uses a wall-clock stopwatch. The bucket starts
-// full.
-func (b *Brokerd) EnableAdmission(cfg AdmissionConfig, clock func() time.Duration) {
-	if clock == nil {
-		start := time.Now()
-		clock = func() time.Duration { return time.Since(start) }
-	}
+// NewAdmission builds a shedder whose bucket starts full. clock supplies
+// monotonic time for bucket refill — virtual time in the simulator, so
+// shedding is deterministic.
+func NewAdmission(cfg AdmissionConfig, clock func() time.Duration) *Admission {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	a := &admissionState{cfg: cfg, clock: clock, tokens: cfg.Burst}
-	a.last = clock()
-	b.mu.Lock()
-	b.adm = a
-	b.mu.Unlock()
+	return &Admission{cfg: cfg, clock: clock, tokens: cfg.Burst, last: clock()}
 }
 
-// AdmitAttach charges one attach against the shedder. queueDepth is the caller-observed backlog — pass
-// Batcher.Depth() when enqueueing, 0 when calling the broker directly.
-// Returns nil when admission is disabled or granted, else a typed
-// *wire.RetryAfterError carrying the backoff hint.
-func (b *Brokerd) AdmitAttach(queueDepth int) error {
-	b.mu.Lock()
-	a := b.adm
-	b.mu.Unlock()
-	if a == nil {
-		return nil
-	}
-	return a.admit(queueDepth)
-}
-
-// AdmissionStats reports cumulative (admitted, rateSheds, queueSheds).
-func (b *Brokerd) AdmissionStats() (admitted, rateSheds, queueSheds uint64) {
-	b.mu.Lock()
-	a := b.adm
-	b.mu.Unlock()
-	if a == nil {
-		return 0, 0, 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted, a.rateSheds, a.queueSheds
-}
-
-func (a *admissionState) admit(depth int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// Admit charges one attach against the shedder. depth is the backlog of
+// the queue the attach would join. It returns nil when admitted, else a
+// typed *wire.RetryAfterError carrying the backoff hint.
+func (a *Admission) Admit(depth int) error {
 	now := a.clock()
 	if a.cfg.Rate > 0 {
 		a.tokens += a.cfg.Rate * (now - a.last).Seconds()
@@ -120,4 +85,9 @@ func (a *admissionState) admit(depth int) error {
 	}
 	a.admitted++
 	return nil
+}
+
+// Stats reports cumulative (admitted, rateSheds, queueSheds).
+func (a *Admission) Stats() (admitted, rateSheds, queueSheds uint64) {
+	return a.admitted, a.rateSheds, a.queueSheds
 }

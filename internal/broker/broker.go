@@ -56,22 +56,18 @@ type Brokerd struct {
 	cfg Config
 	sap *sap.BrokerState
 
-	mu            sync.Mutex
-	verifier      *billing.Verifier
-	telcoKeys     map[string]telcoKey         // idT -> certified key (and pass)
-	grants        map[string]*sap.GrantRecord // URef -> grant
-	qosViolations map[string]int              // idT -> QoS incident count
-	shedHint      time.Duration               // non-zero = degraded: shed attach load
-	shedCount     uint64                      // auth requests shed while degraded
+	mu        sync.Mutex
+	verifier  *billing.Verifier
+	telcoKeys map[string]telcoKey         // idT -> certified key (and pass)
+	grants    map[string]*sap.GrantRecord // URef -> grant
+	shedHint  time.Duration               // non-zero = degraded: shed attach load
+	shedCount uint64                      // auth requests shed while degraded
 
 	// Dynamic quarantine (see quarantine.go); nil quarCfg = disabled.
 	quarCfg    *QuarantineConfig
 	quarClock  func() time.Duration
 	quar       map[string]*QuarantineEntry
 	quarNotify func(idT string, entered bool, score float64)
-
-	// Admission-control shedder (admission.go); nil = disabled.
-	adm *admissionState
 }
 
 // telcoKey is what the broker remembers of a bTelco it granted through: the
@@ -87,11 +83,10 @@ type telcoKey struct {
 // New creates a brokerd.
 func New(cfg Config) *Brokerd {
 	b := &Brokerd{
-		cfg:           cfg,
-		verifier:      billing.NewVerifier(cfg.VerifierConfig),
-		telcoKeys:     make(map[string]telcoKey),
-		grants:        make(map[string]*sap.GrantRecord),
-		qosViolations: make(map[string]int),
+		cfg:       cfg,
+		verifier:  billing.NewVerifier(cfg.VerifierConfig),
+		telcoKeys: make(map[string]telcoKey),
+		grants:    make(map[string]*sap.GrantRecord),
 	}
 	b.sap = sap.NewBrokerState(cfg.ID, cfg.Key, cfg.Anchor, sap.AuthorizerFunc(b.authorizeLocked), cfg.Now)
 	return b
@@ -160,13 +155,6 @@ func (b *Brokerd) Resume() {
 	b.shedHint = 0
 }
 
-// degraded reports whether the broker is shedding attach load.
-func (b *Brokerd) degraded() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.shedHint > 0
-}
-
 // ShedCount reports how many auth requests were refused while degraded.
 func (b *Brokerd) ShedCount() uint64 {
 	b.mu.Lock()
@@ -174,10 +162,9 @@ func (b *Brokerd) ShedCount() uint64 {
 	return b.shedCount
 }
 
-// gateAttach is the entry gate of the single-request attach handlers: a
-// degraded broker sheds with its typed retry-after hint, then an armed
-// admission shedder (EnableAdmission) charges one attach. Both run before
-// any nonce or crypto work, so a shed request can be retransmitted as is.
+// gateAttach is the entry gate of the attach handler: a degraded broker
+// sheds with its typed retry-after hint. It runs before any nonce or crypto
+// work, so a shed request can be retransmitted as is.
 func (b *Brokerd) gateAttach() error {
 	b.mu.Lock()
 	hint := b.shedHint
@@ -188,7 +175,7 @@ func (b *Brokerd) gateAttach() error {
 	if hint > 0 {
 		return &wire.RetryAfterError{After: hint}
 	}
-	return b.AdmitAttach(0)
+	return nil
 }
 
 // HandleAuthRequest processes one SAP request from a bTelco: the entry
@@ -201,7 +188,7 @@ func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	}
 	it := txItem{kind: txAuth, auth: req}
 	b.transact(&it)
-	return it.out.Auth, it.out.Err
+	return it.resp, it.err
 }
 
 // HandleReceipt signs a receipt for grants a bTelco was given under its
@@ -251,7 +238,7 @@ var (
 func (b *Brokerd) HandleReport(env *billing.SealedReport) (*billing.Mismatch, error) {
 	it := txItem{kind: txReport, report: env}
 	b.transact(&it)
-	return it.out.Mismatch, it.out.Err
+	return it.mismatch, it.err
 }
 
 // isReplay reports whether an ingest error is the replay rejection.
@@ -278,7 +265,6 @@ func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
 		degree += math.Min(r.QoS.DLLossRate/math.Max(target*qosViolationFactor, 0.05)-1, 1)
 	}
 	if degree > 0 {
-		b.qosViolations[rec.IDT]++
 		b.verifier.Evidence(rec.IDT, billing.QoSEvidence, degree)
 	}
 }

@@ -381,8 +381,10 @@ func TestQoSViolationPenalized(t *testing.T) {
 	h := newHarness(t)
 	_, ref := h.attach(t)
 	// UE attests terrible delay (QCI 9 budget 300 ms; 3x factor = 900 ms)
-	// over several cycles: QoS incidents accrue and the score dips, but
-	// far more gently than accounting fraud would.
+	// over several cycles: each incident lowers the score, but far more
+	// gently than accounting fraud would, and adds no Penalty (QoS evidence
+	// carries none; billing's evidenceRules).
+	prev := h.brk.TelcoScore("h-telco")
 	for seq := uint32(1); seq <= 5; seq++ {
 		r := &billing.Report{
 			SessionRef: ref, Reporter: billing.ReporterUE, Seq: seq,
@@ -397,16 +399,16 @@ func TestQoSViolationPenalized(t *testing.T) {
 		if _, err := h.brk.HandleReport(env); err != nil {
 			t.Fatal(err)
 		}
+		if s := h.brk.TelcoScore("h-telco"); s >= prev {
+			t.Fatalf("incident %d: score %v, was %v", seq, s, prev)
+		}
+		prev = h.brk.TelcoScore("h-telco")
 	}
-	if got := h.brk.qosViolations["h-telco"]; got != 5 {
-		t.Fatalf("violations = %d, want 5", got)
+	if e := h.brk.verifier.Reputations()["h-telco"]; e.Penalty != 0 {
+		t.Fatalf("QoS incidents added Penalty %v", e.Penalty)
 	}
-	s := h.brk.TelcoScore("h-telco")
-	if s >= 1.0 {
-		t.Fatalf("score unchanged: %v", s)
-	}
-	if s < 0.7 {
-		t.Fatalf("QoS-only penalty too harsh: %.2f", s)
+	if prev < 0.7 {
+		t.Fatalf("QoS-only penalty too harsh: %.2f", prev)
 	}
 }
 
@@ -422,8 +424,8 @@ func TestQoSWithinBudgetNoPenalty(t *testing.T) {
 	if _, err := h.brk.HandleReport(env); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.brk.qosViolations["h-telco"]; got != 0 {
-		t.Fatalf("violations = %d for in-budget metrics", got)
+	if s := h.brk.TelcoScore("h-telco"); s != 1 {
+		t.Fatalf("in-budget metrics moved the score to %v", s)
 	}
 }
 
@@ -740,15 +742,14 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 	m.send(t, 2)
 }
 
-// TestSnapshotKnownAnswer pins the snapshot format: a broker holding one
-// entry in each section, set directly (one entry each, so Go's map order
-// cannot vary the bytes), snapshots to these bytes, and restoring them
-// into a fresh broker snapshots to the same bytes again.
-func TestSnapshotKnownAnswer(t *testing.T) {
+// katBroker is a broker holding one entry in each snapshot section, set
+// directly (one entry each, so Go's map order cannot vary its snapshot's
+// bytes), and the config it was built from.
+func katBroker(tb testing.TB) (Config, *Brokerd) {
 	bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{91}, 32))
 	ca, err := pki.NewCAFromSeed("h-ca", bytes.Repeat([]byte{90}, 32))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig("broker.kat", bk, ca.Public())
 	b := New(cfg)
@@ -768,7 +769,14 @@ func TestSnapshotKnownAnswer(t *testing.T) {
 	b.verifier.RestoreReputation("kat-telco", 0.8, 10, 2, 0.25)
 	b.verifier.RestoreSuspect(idU)
 	b.quar = map[string]*QuarantineEntry{"kat-telco": {Since: time.Second, Until: 3 * time.Second, Strikes: 2}}
+	return cfg, b
+}
 
+// TestSnapshotKnownAnswer pins the snapshot format: katBroker snapshots to
+// these bytes, and restoring them into a fresh broker snapshots to the
+// same bytes again.
+func TestSnapshotKnownAnswer(t *testing.T) {
+	cfg, b := katBroker(t)
 	snap := b.Snapshot()
 	const want = "145d5d852f327b8c70116f2c97d864105740df447037d18a8bd1ebc78420f2a5"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != want {
@@ -781,4 +789,29 @@ func TestSnapshotKnownAnswer(t *testing.T) {
 	if again := fresh.Snapshot(); !bytes.Equal(again, snap) {
 		t.Fatalf("restored broker snapshots to\n%x\nnot\n%x", again, snap)
 	}
+}
+
+// FuzzRestore feeds arbitrary bytes to a fresh broker's Restore, seeded with
+// TestSnapshotKnownAnswer's snapshot and a truncation of it. Restore never
+// panics; an input it rejects leaves the broker's snapshot as it was, since
+// Restore checks everything before it touches state; and a broker that
+// accepted one snapshots to bytes another fresh broker's Restore accepts.
+func FuzzRestore(f *testing.F) {
+	cfg, b := katBroker(f)
+	snap := b.Snapshot()
+	f.Add(snap)
+	f.Add(snap[:len(snap)/2])
+	empty := New(cfg).Snapshot()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		fresh := New(cfg)
+		if err := fresh.Restore(in); err != nil {
+			if got := fresh.Snapshot(); !bytes.Equal(got, empty) {
+				t.Fatalf("a rejected snapshot (%v) changed the broker: it snapshots to %x", err, got)
+			}
+			return
+		}
+		if err := New(cfg).Restore(fresh.Snapshot()); err != nil {
+			t.Fatalf("the snapshot of a restored broker does not restore: %v", err)
+		}
+	})
 }

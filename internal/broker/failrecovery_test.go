@@ -27,6 +27,13 @@ func authReq(t *testing.T, h *harness) *sap.AuthReqT {
 	return reqT
 }
 
+// degraded reports whether b is shedding attach load.
+func degraded(b *Brokerd) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shedHint > 0
+}
+
 func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	h := newHarness(t)
 	srv, err := Serve(h.brk, "127.0.0.1:0")
@@ -41,7 +48,7 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	defer client.Close()
 
 	h.brk.ShedLoad(300 * time.Millisecond)
-	if !h.brk.degraded() {
+	if !degraded(h.brk) {
 		t.Fatal("ShedLoad did not mark the broker degraded")
 	}
 	_, err = client.Authenticate(authReq(t, h))
@@ -60,7 +67,7 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	// and losing it would open a billing gap. (The session predates the
 	// degradation.)
 	h.brk.Resume()
-	if h.brk.degraded() {
+	if degraded(h.brk) {
 		t.Fatal("Resume did not clear degraded state")
 	}
 	resp, err := client.Authenticate(authReq(t, h))
@@ -143,7 +150,7 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if !nb.degraded() {
+	if !degraded(nb) {
 		t.Fatal("restarted broker should start in the shed window")
 	}
 	if nb.Grant(ref) == nil {
@@ -252,13 +259,13 @@ func TestRestartNilSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart with nil snapshot: %v", err)
 	}
-	if nb.degraded() {
+	if degraded(nb) {
 		t.Fatal("shedFor=0 must not start degraded")
 	}
 }
 
 // A typed shed means the broker never looked at the request: on each of
-// the three ways an attach can be shed, the very same request is granted
+// the two ways an attach can be shed, the very same request is granted
 // once the broker admits it, and only a second delivery after that grant
 // trips the replay filter. This is what lets a UE retransmit a shed
 // request instead of sealing and signing a new one.
@@ -290,37 +297,16 @@ func TestShedLeavesNonceUnconsumed(t *testing.T) {
 		grantedThenReplay(t, h, req)
 	})
 
-	t.Run("AdmitAttach refusal inside HandleAuthRequest", func(t *testing.T) {
+	t.Run("storm admission before the handler", func(t *testing.T) {
 		h := newHarness(t)
-		var now time.Duration
-		h.brk.EnableAdmission(AdmissionConfig{Rate: 1, Burst: 2}, func() time.Duration { return now })
-		h.attach(t)
-		h.attach(t) // bucket drained
+		a := NewAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 1}, func() time.Duration { return 0 })
 		req := authReq(t, h)
-		if _, err := h.brk.HandleAuthRequest(req); !isShed(err) {
+		if err := a.Admit(1); !isShed(err) { // queue full: shed before the handler
 			t.Fatalf("err = %v, want a typed shed", err)
 		}
-		now += 2 * time.Second // two tokens: the retransmission and the replay
+		if err := a.Admit(0); err != nil {
+			t.Fatal(err)
+		}
 		grantedThenReplay(t, h, req)
-	})
-
-	t.Run("storm pre-enqueue AdmitAttach", func(t *testing.T) {
-		h := newHarness(t)
-		h.brk.EnableAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 1}, func() time.Duration { return 0 })
-		bat := h.brk.NewBatcher()
-		req := authReq(t, h)
-		if err := h.brk.AdmitAttach(1); !isShed(err) { // queue full: shed before enqueue
-			t.Fatalf("err = %v, want a typed shed", err)
-		}
-		for i, want := range []string{"", "replayed nonce"} {
-			if err := h.brk.AdmitAttach(0); err != nil {
-				t.Fatal(err)
-			}
-			bat.EnqueueAuth(req)
-			outs := bat.Flush()
-			if len(outs) != 1 || outs[0].Err != nil || outs[0].Auth.Granted != (want == "") || outs[0].Auth.Cause != want {
-				t.Fatalf("delivery %d: %+v, want cause %q", i, outs, want)
-			}
-		}
 	})
 }

@@ -16,8 +16,6 @@ var mtr struct {
 
 	admissionRateShed  *obs.Counter
 	admissionQueueShed *obs.Counter
-	batchFlushes       *obs.Counter
-	batchItems         *obs.Counter
 	receiptsSigned     *obs.Counter
 
 	reportsMACd         *obs.Counter
@@ -35,8 +33,6 @@ func init() {
 	mtr.replays = r.Counter("broker_report_replays_total", "replayed/stale billing reports rejected")
 	mtr.admissionRateShed = r.Counter("broker_admission_rate_shed_total", "attaches shed by the token-bucket rate gate")
 	mtr.admissionQueueShed = r.Counter("broker_admission_queue_shed_total", "attaches shed by the queue-depth gate")
-	mtr.batchFlushes = r.Counter("broker_batch_flushes_total", "batcher flush windows processed")
-	mtr.batchItems = r.Counter("broker_batch_items_total", "control-plane items enqueued into the batcher")
 	mtr.receiptsSigned = r.Counter("broker_receipts_signed_total", "receipts signed for bTelcos' MAC-mode grants")
 	mtr.reportsMACd = r.Counter("broker_reports_macd_total", "billing reports ingested on a MAC rather than a signature")
 	mtr.checkpointsVerified = r.Counter("broker_checkpoints_verified_total", "signed report checkpoints verified and kept")

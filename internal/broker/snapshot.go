@@ -146,21 +146,21 @@ func (b *Brokerd) Restore(snap []byte) error {
 	if s.id != b.cfg.ID {
 		return fmt.Errorf("broker: snapshot for %q, this broker is %q", s.id, b.cfg.ID)
 	}
+	users, err := parseKeys(s.users)
+	if err != nil {
+		return err
+	}
+	telcos, err := parseKeys(s.telcos)
+	if err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, u := range s.users { // RegisterUser derives the same idU from the key
-		pub, err := pki.ParsePublicIdentity(u.pub)
-		if err != nil {
-			return err
-		}
+	for _, pub := range users { // RegisterUser derives the same idU from the key
 		b.sap.RegisterUser(pub)
 	}
-	for _, t := range s.telcos {
-		pub, err := pki.ParsePublicIdentity(t.pub)
-		if err != nil {
-			return err
-		}
-		b.telcoKeys[t.id] = telcoKey{pub: pub}
+	for i, t := range s.telcos {
+		b.telcoKeys[t.id] = telcoKey{pub: telcos[i]}
 	}
 	for _, g := range s.grants {
 		b.grants[g.URef] = &g
@@ -179,6 +179,19 @@ func (b *Brokerd) Restore(snap []byte) error {
 		b.quar[q.id] = &q.e
 	}
 	return nil
+}
+
+// parseKeys parses a section's keys, so that a bad one fails Restore
+// before it touches the broker.
+func parseKeys(ks []snapKey) ([]pki.PublicIdentity, error) {
+	pubs := make([]pki.PublicIdentity, len(ks))
+	for i, k := range ks {
+		var err error
+		if pubs[i], err = pki.ParsePublicIdentity(k.pub); err != nil {
+			return nil, fmt.Errorf("broker: snapshot key of %q: %w", k.id, err)
+		}
+	}
+	return pubs, nil
 }
 
 // Restart is the crash-recovery constructor: it builds a fresh broker from

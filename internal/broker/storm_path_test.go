@@ -10,7 +10,6 @@ import (
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/pki"
-	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
 	"cellbricks/internal/wire"
 )
@@ -18,113 +17,58 @@ import (
 // --- admission control ---
 
 func TestAdmissionRateGate(t *testing.T) {
-	h := newHarness(t)
 	var now time.Duration
-	h.brk.EnableAdmission(AdmissionConfig{Rate: 1, Burst: 2, RetryAfter: 500 * time.Millisecond},
+	a := NewAdmission(AdmissionConfig{Rate: 1, Burst: 2, RetryAfter: 500 * time.Millisecond},
 		func() time.Duration { return now })
-	if err := h.brk.AdmitAttach(0); err != nil {
+	if err := a.Admit(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.brk.AdmitAttach(0); err != nil {
+	if err := a.Admit(0); err != nil {
 		t.Fatal(err)
 	}
-	err := h.brk.AdmitAttach(0) // bucket drained
+	err := a.Admit(0) // bucket drained
 	var ra *wire.RetryAfterError
 	if !errors.As(err, &ra) || ra.After != 500*time.Millisecond {
 		t.Fatalf("err=%v, want typed 500ms hint", err)
 	}
 	now += time.Second // refills one token
-	if err := h.brk.AdmitAttach(0); err != nil {
+	if err := a.Admit(0); err != nil {
 		t.Fatalf("post-refill: %v", err)
 	}
-	admitted, rateSheds, queueSheds := h.brk.AdmissionStats()
+	admitted, rateSheds, queueSheds := a.Stats()
 	if admitted != 3 || rateSheds != 1 || queueSheds != 0 {
 		t.Fatalf("stats = %d/%d/%d", admitted, rateSheds, queueSheds)
 	}
 }
 
 func TestAdmissionQueueGateDoublesHint(t *testing.T) {
-	h := newHarness(t)
-	h.brk.EnableAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 4, RetryAfter: time.Second},
+	a := NewAdmission(AdmissionConfig{Rate: 1000, Burst: 1000, MaxQueue: 4, RetryAfter: time.Second},
 		func() time.Duration { return 0 })
-	if err := h.brk.AdmitAttach(3); err != nil {
+	if err := a.Admit(3); err != nil {
 		t.Fatal(err)
 	}
-	err := h.brk.AdmitAttach(4)
+	err := a.Admit(4)
 	var ra *wire.RetryAfterError
 	if !errors.As(err, &ra) || ra.After != 2*time.Second {
 		t.Fatalf("err=%v, want doubled 2s hint", err)
 	}
 	// The queue gate outranks available tokens.
-	_, _, queueSheds := h.brk.AdmissionStats()
+	_, _, queueSheds := a.Stats()
 	if queueSheds != 1 {
 		t.Fatalf("queueSheds=%d", queueSheds)
 	}
 }
 
-func TestAdmissionGatesAttachPath(t *testing.T) {
-	h := newHarness(t)
-	h.brk.EnableAdmission(AdmissionConfig{Rate: 1, Burst: 1}, func() time.Duration { return 0 })
-	h.attach(t) // consumes the only token
-	reqU, _, _ := h.ue.NewAttachRequest(h.telco.IDT)
-	reqT, _ := h.telco.ForwardRequest(reqU)
-	_, err := h.brk.HandleAuthRequest(reqT)
-	var ra *wire.RetryAfterError
-	if !errors.As(err, &ra) {
-		t.Fatalf("second attach err=%v, want retry-after", err)
-	}
-}
-
-// entryShapes are the two ways one request reaches the broker
-// transaction: the single-request handler, and a Batcher flush of that one
-// item.
-var entryShapes = []struct {
-	name   string
-	submit func(h *harness, in *txItem) BatchOutcome
-}{
-	{"handler", func(h *harness, in *txItem) BatchOutcome {
-		var out BatchOutcome
-		switch in.kind {
-		case txAuth:
-			out.Auth, out.Err = h.brk.HandleAuthRequest(in.auth)
-		case txReport:
-			out.Mismatch, out.Err = h.brk.HandleReport(in.report)
-		}
-		return out
-	}},
-	{"batcher", func(h *harness, in *txItem) BatchOutcome {
-		bat := h.brk.NewBatcher()
-		enqueue(bat, in)
-		return bat.Flush()[0]
-	}},
-}
-
-func enqueue(bat *Batcher, in *txItem) {
+// submit delivers one request through its handler, the one way into the
+// broker transaction, and records the outcome in the item.
+func submit(h *harness, in *txItem) *txItem {
 	switch in.kind {
 	case txAuth:
-		bat.EnqueueAuth(in.auth)
+		in.resp, in.err = h.brk.HandleAuthRequest(in.auth)
 	case txReport:
-		bat.EnqueueReport(in.report)
+		in.mismatch, in.err = h.brk.HandleReport(in.report)
 	}
-}
-
-// brokerCounts holds every counter a transaction can move, and the
-// batcher's two queue counters.
-type brokerCounts struct {
-	granted, denied                       uint64
-	reports, mismatches, replays          uint64
-	macd, checkpoints, checkpointsRefused uint64
-	batchItems, batchFlushes              uint64
-}
-
-// countersSince reads the counters relative to an earlier reading.
-func countersSince(base brokerCounts) brokerCounts {
-	return brokerCounts{
-		mtr.attachGranted.Value() - base.granted, mtr.attachDenied.Value() - base.denied,
-		mtr.reports.Value() - base.reports, mtr.mismatches.Value() - base.mismatches, mtr.replays.Value() - base.replays,
-		mtr.reportsMACd.Value() - base.macd, mtr.checkpointsVerified.Value() - base.checkpoints, mtr.checkpointsRefused.Value() - base.checkpointsRefused,
-		mtr.batchItems.Value() - base.batchItems, mtr.batchFlushes.Value() - base.batchFlushes,
-	}
+	return in
 }
 
 // errClass maps an outcome error to the sentinel it wraps (the full text
@@ -139,20 +83,20 @@ func errClass(err error) error {
 }
 
 // verdict flattens an outcome to what a caller can observe of it.
-func verdict(o BatchOutcome) string {
+func verdict(o *txItem) string {
 	switch {
-	case o.Err != nil:
-		return "err: " + errClass(o.Err).Error()
-	case o.Auth != nil:
-		return fmt.Sprintf("auth granted=%v cause=%q score=%v", o.Auth.Granted, o.Auth.Cause, o.Auth.TelcoScore)
+	case o.err != nil:
+		return "err: " + errClass(o.err).Error()
+	case o.resp != nil:
+		return fmt.Sprintf("auth granted=%v cause=%q score=%v", o.resp.Granted, o.resp.Cause, o.resp.TelcoScore)
 	}
-	return fmt.Sprintf("report mismatch=%v", o.Mismatch != nil)
+	return fmt.Sprintf("report mismatch=%v", o.mismatch != nil)
 }
 
-// The adversarial inputs, each through both entry shapes: the broker
-// must reach the same verdict, cause, score and counters whichever way
-// the request came in, and never panic. (The name is from when a third of
-// the rows were the HMAC resume's; that protocol is gone from the broker.)
+// The adversarial inputs, each through its handler: the broker reaches the
+// verdict and cause the row names, and never panics. (The name is from when
+// a third of the rows were the HMAC resume's; that protocol is gone from
+// the broker.)
 func TestBrokerResumeDenyLadder(t *testing.T) {
 	// ticketed is the harness UE's second attach request: the first one's
 	// grant armed a ticket (DESIGN.md §2.8), so this one rides it unsigned.
@@ -324,8 +268,8 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				return sealItem(t, h, r, h.ueKey)
 			},
 			check: func(t *testing.T, h *harness) {
-				if got := h.brk.qosViolations["h-telco"]; got != 1 {
-					t.Fatalf("QoS violations = %d, want 1", got)
+				if s := h.brk.TelcoScore("h-telco"); s >= 1 {
+					t.Fatalf("QoS violation left the score at %v", s)
 				}
 			}},
 		// The billing leg after first contact (DESIGN.md §2.10): a MAC'd
@@ -549,74 +493,49 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var first string
-			for _, shape := range entryShapes {
-				h := newHarness(t)
-				in := c.build(t, h)
-				before := countersSince(brokerCounts{})
-				out := shape.submit(h, in)
-				delta := countersSince(before)
-
-				if !errors.Is(out.Err, c.wantErr) || (c.wantErr == nil && out.Err != nil) {
-					t.Fatalf("%s: err = %v, want %v", shape.name, out.Err, c.wantErr)
+			h := newHarness(t)
+			out := submit(h, c.build(t, h))
+			if !errors.Is(out.err, c.wantErr) || (c.wantErr == nil && out.err != nil) {
+				t.Fatalf("err = %v, want %v", out.err, c.wantErr)
+			}
+			if c.wantCause != "" {
+				granted, cause := true, ""
+				if out.resp != nil {
+					granted, cause = out.resp.Granted, out.resp.Cause
 				}
-				if c.wantCause != "" {
-					granted, cause := true, ""
-					if out.Auth != nil {
-						granted, cause = out.Auth.Granted, out.Auth.Cause
-					}
-					if granted || !strings.Contains(cause, c.wantCause) {
-						t.Fatalf("%s: outcome %s, want a denial with %q", shape.name, verdict(out), c.wantCause)
-					}
+				if granted || !strings.Contains(cause, c.wantCause) {
+					t.Fatalf("outcome %s, want a denial with %q", verdict(out), c.wantCause)
 				}
-				if c.check != nil {
-					c.check(t, h)
-				}
-				// Only the batcher's own queue counters may tell the
-				// shapes apart; the handler must not touch them.
-				wantQueue := uint64(1)
-				if shape.name == "handler" {
-					wantQueue = 0
-				}
-				if delta.batchItems != wantQueue || delta.batchFlushes != wantQueue {
-					t.Fatalf("%s: batch items/flushes moved by %d/%d", shape.name, delta.batchItems, delta.batchFlushes)
-				}
-				delta.batchItems, delta.batchFlushes = 0, 0
-				got := fmt.Sprintf("%s | broker score %v | counters %+v", verdict(out), h.brk.TelcoScore("h-telco"), delta)
-				if first == "" {
-					first = got
-				} else if got != first {
-					t.Fatalf("%s disagrees with %s:\n  %s\n  %s", shape.name, entryShapes[0].name, got, first)
-				}
+			}
+			if c.check != nil {
+				c.check(t, h)
 			}
 		})
 	}
 }
 
 // broker_attach_granted_total counts grants only; a protocol denial
-// (policy, replayed nonce) is a denial, whichever way the request came in.
+// (policy, replayed nonce) is a denial.
 func TestAttachCountersSplitGrantsFromDenials(t *testing.T) {
-	for _, shape := range entryShapes {
-		h := newHarness(t)
-		before := countersSince(brokerCounts{})
-		req := authReq(t, h)
-		for i, wantCause := range []string{"", "replayed nonce", "price"} {
-			if i == 2 {
-				h.brk.cfg.MaxPricePerGB = 1.0 // the telco advertises 1.5
-				req = authReq(t, h)
-			}
-			out := shape.submit(h, &txItem{kind: txAuth, auth: req})
-			if out.Err != nil || out.Auth.Granted != (wantCause == "") || !strings.Contains(out.Auth.Cause, wantCause) {
-				t.Fatalf("%s delivery %d: %s, want cause %q", shape.name, i, verdict(out), wantCause)
-			}
+	h := newHarness(t)
+	granted, denied := mtr.attachGranted.Value(), mtr.attachDenied.Value()
+	req := authReq(t, h)
+	for i, wantCause := range []string{"", "replayed nonce", "price"} {
+		if i == 2 {
+			h.brk.cfg.MaxPricePerGB = 1.0 // the telco advertises 1.5
+			req = authReq(t, h)
 		}
-		if delta := countersSince(before); delta.granted != 1 || delta.denied != 2 {
-			t.Fatalf("%s: granted +%d denied +%d, want +1/+2", shape.name, delta.granted, delta.denied)
+		out := submit(h, &txItem{kind: txAuth, auth: req})
+		if out.err != nil || out.resp.Granted != (wantCause == "") || !strings.Contains(out.resp.Cause, wantCause) {
+			t.Fatalf("delivery %d: %s, want cause %q", i, verdict(out), wantCause)
 		}
+	}
+	if g, d := mtr.attachGranted.Value()-granted, mtr.attachDenied.Value()-denied; g != 1 || d != 2 {
+		t.Fatalf("granted +%d denied +%d, want +1/+2", g, d)
 	}
 }
 
-// --- batcher: a queue in front of the handlers ---
+// --- report items ---
 
 // sealItem seals r for the harness broker as a report item.
 func sealItem(t *testing.T, h *harness, r *billing.Report, signer *pki.KeyPair) *txItem {
@@ -635,84 +554,13 @@ func sealedReport(t *testing.T, h *harness, ref string, rep billing.Reporter, si
 		Rel: time.Duration(seq) * 30 * time.Second, DLBytes: dl}, signer)
 }
 
-// stormMix builds a control-plane mix against the harness's broker: full
-// attaches, one of them delivered twice, honest and inflated report pairs
-// for the pre-existing session ref.
-func stormMix(t *testing.T, h *harness, ref string) []*txItem {
-	t.Helper()
-	var mix []*txItem
-	for i := 0; i < 3; i++ {
-		mix = append(mix, &txItem{kind: txAuth, auth: authReq(t, h)})
-	}
-	twice := authReq(t, h) // the second delivery must be refused as a replayed nonce
-	mix = append(mix, &txItem{kind: txAuth, auth: twice}, &txItem{kind: txAuth, auth: twice})
-	mix = append(mix,
-		sealedReport(t, h, ref, billing.ReporterUE, h.ueKey, 1, 1_000_000),
-		sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, 1, 1_005_000), // honest pair
-		sealedReport(t, h, ref, billing.ReporterUE, h.ueKey, 2, 1_000_000),
-		sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, 2, 9_000_000), // inflation
-		// The adversarial inputs of TestBrokerResumeDenyLadder inside one
-		// flush: an unknown session, a UE report forged under the telco's
-		// key, a replayed sequence number, and nil requests.
-		sealedReport(t, h, "bogus", billing.ReporterUE, h.ueKey, 1, 0),
-		sealedReport(t, h, ref, billing.ReporterUE, h.telco.Key, 3, 1_000_000),
-		sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, 1, 1_005_000),
-		&txItem{kind: txAuth},
-		&txItem{kind: txReport},
-	)
-	return mix
-}
-
-// A Batcher flush is the handlers, later: the same mix gets the same
-// verdicts either way. (The name is from when there were two drivers.)
-func TestBatcherSerialAndPipelinedAgree(t *testing.T) {
-	// Two harnesses built from identical seeds hold identical broker
-	// state; run the same mix through the single-request handlers on one
-	// and through one Batcher flush on the other and compare every
-	// decision.
-	hh, hb := newHarness(t), newHarness(t)
-	_, refH := hh.attach(t)
-	_, refB := hb.attach(t)
-
-	var outH []BatchOutcome
-	for _, in := range stormMix(t, hh, refH) {
-		outH = append(outH, entryShapes[0].submit(hh, in))
-	}
-	bat := hb.brk.NewBatcher()
-	for _, in := range stormMix(t, hb, refB) {
-		enqueue(bat, in)
-	}
-	if d := bat.Depth(); d != 14 {
-		t.Fatalf("depth %d, want 14", d)
-	}
-	outB := bat.Flush()
-	if len(outH) != len(outB) {
-		t.Fatalf("outcome counts %d != %d", len(outH), len(outB))
-	}
-	for i := range outH {
-		if vh, vb := verdict(outH[i]), verdict(outB[i]); vh != vb {
-			t.Fatalf("item %d: handler %s, batcher %s", i, vh, vb)
-		}
-	}
-	if fH, fB := hh.brk.TelcoScore("h-telco"), hb.brk.TelcoScore("h-telco"); fH != fB {
-		t.Fatalf("post-flush scores diverge: %v vs %v", fH, fB)
-	}
-	if flushes, items := bat.Stats(); flushes != 1 || items != 14 {
-		t.Fatalf("stats = %d flushes / %d items", flushes, items)
-	}
-	if bat.Depth() != 0 {
-		t.Fatal("flush left a backlog")
-	}
-}
-
 // The quarantine review runs after every ingest, so a score that dips
-// under EnterBelow and climbs back inside one flush still quarantines — a
-// flush that reviewed once at its end would see only the recovered score.
-func TestBatcherReviewsQuarantinePerItem(t *testing.T) {
+// under EnterBelow and climbs back quarantines — a review that ran once
+// after a run of reports would see only the recovered score.
+func TestQuarantineReviewedPerReport(t *testing.T) {
 	h := newHarness(t)
 	h.brk.EnableQuarantine(QuarantineConfig{}, func() time.Duration { return 0 })
 	_, ref := h.attach(t)
-	bat := h.brk.NewBatcher()
 	// Alpha 0.1: four brazen inflations take the score to 0.9^4 = 0.656,
 	// under the 0.7 entry line; two honest pairs bring it back to 0.721.
 	for seq := uint32(1); seq <= 6; seq++ {
@@ -720,83 +568,20 @@ func TestBatcherReviewsQuarantinePerItem(t *testing.T) {
 		if seq > 4 {
 			telcoDL = 1_000_000
 		}
-		enqueue(bat, sealedReport(t, h, ref, billing.ReporterUE, h.ueKey, seq, 1_000_000))
-		enqueue(bat, sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, seq, telcoDL))
-	}
-	for i, out := range bat.Flush() {
-		if out.Err != nil {
-			t.Fatalf("report %d: %v", i, out.Err)
+		for _, in := range []*txItem{
+			sealedReport(t, h, ref, billing.ReporterUE, h.ueKey, seq, 1_000_000),
+			sealedReport(t, h, ref, billing.ReporterTelco, h.telco.Key, seq, telcoDL),
+		} {
+			if out := submit(h, in); out.err != nil {
+				t.Fatalf("report seq %d: %v", seq, out.err)
+			}
 		}
 	}
 	if s := h.brk.TelcoScore("h-telco"); s < 0.7 {
 		t.Fatalf("setup: score %.3f did not recover above the entry line", s)
 	}
 	if !h.brk.Quarantined("h-telco") {
-		t.Fatal("a dip under EnterBelow inside one flush did not quarantine")
-	}
-}
-
-// A flush is no atomicity boundary: a report naming the session granted
-// one item earlier in the same flush is ingested like any other. Its UE
-// cannot know the reference before the flush answers, so the report is
-// written at the first instant after that grant committed — inside the
-// admission decision of the next item.
-func TestBatcherReportNamesSessionGrantedInSameFlush(t *testing.T) {
-	h := newHarness(t)
-	report := &billing.SealedReport{}
-	h.brk.sap.Policy = sap.AuthorizerFunc(func(_, _ string, terms sap.ServiceTerms) (qos.Params, error) {
-		for ref := range h.brk.grants { // b.mu is held: one grant so far
-			env, err := billing.Seal(&billing.Report{SessionRef: ref, Reporter: billing.ReporterUE, Seq: 1, DLBytes: 1000}, h.ueKey, h.brk.Public())
-			if err != nil {
-				t.Fatal(err)
-			}
-			*report = *env
-		}
-		return qos.DefaultParams().Clamp(terms.Cap), nil
-	})
-	bat := h.brk.NewBatcher()
-	bat.EnqueueAuth(authReq(t, h))
-	bat.EnqueueAuth(authReq(t, h))
-	bat.EnqueueReport(report)
-	outs := bat.Flush()
-	if outs[0].Err != nil || !outs[0].Auth.Granted || !outs[1].Auth.Granted {
-		t.Fatalf("attaches: %s, %s", verdict(outs[0]), verdict(outs[1]))
-	}
-	if outs[2].Err != nil {
-		t.Fatalf("report on the session granted earlier in the flush: %v", outs[2].Err)
-	}
-}
-
-func TestBatcherGrantedAuthUsableByUE(t *testing.T) {
-	h := newHarness(t)
-	bat := h.brk.NewBatcher()
-	reqU, pending, err := h.ue.NewAttachRequest(h.telco.IDT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqT, err := h.telco.ForwardRequest(reqU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat.EnqueueAuth(reqT)
-	out := bat.Flush()
-	if len(out) != 1 || out[0].Err != nil || out[0].Auth == nil || !out[0].Auth.Granted {
-		t.Fatalf("batched auth outcome = %+v", out)
-	}
-	// The sealed+signed response survives the full client-side checks.
-	grant, respU, err := h.telco.HandleResponse(h.brk.Public(), out[0].Auth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, uref, err := h.ue.HandleResponse(pending, respU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uref != grant.URef || ss != grant.SS {
-		t.Fatal("batched grant disagrees between UE and bTelco")
-	}
-	if h.brk.Grant(uref) == nil {
-		t.Fatal("batched grant not recorded")
+		t.Fatal("a dip under EnterBelow between reports did not quarantine")
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 )
 
 // The broker transaction (DESIGN.md §2.5). Every SAP handshake and billing
-// report is decided by the same five stages, one item at a time, whether it
-// arrives alone (HandleAuthRequest, HandleReport) or is drained from a
-// Batcher queue:
+// report enters through its handler (HandleAuthRequest, HandleReport) and
+// is decided by the same five stages, one item at a time:
 //
 //	prepare   stateless  sap.Validate; report decrypt + decode (billing.Open)
 //	resolve   b.mu       a report's grant record, expected signer, the
@@ -26,8 +25,8 @@ import (
 //	                     bTelco
 //	finalize  stateless  seal + sign a granted handshake
 //
-// An item that fails a stage carries the failure in out.Err and the
-// later stages skip it. A grant is committed before it is finalized: if
+// An item that fails a stage carries the failure in err and the later
+// stages skip it. A grant is committed before it is finalized: if
 // sealing fails the caller gets the error and the (unusable, never
 // delivered) grant record stays.
 
@@ -54,7 +53,11 @@ type txItem struct {
 	rec   *sap.GrantRecord
 	score float64 // commit: the bTelco's reputation, echoed in the grant
 
-	out BatchOutcome
+	// The outcome, as the handler returns it: a handshake's response (nil
+	// plus err for a hard error), or a report's mismatch verdict and err.
+	resp     *sap.AuthResp
+	mismatch *billing.Mismatch
+	err      error
 }
 
 // transact runs the stages for one item; it is the only driver. The
@@ -77,15 +80,15 @@ func (b *Brokerd) transact(it *txItem) {
 func (b *Brokerd) prepare(it *txItem) {
 	switch it.kind {
 	case txAuth:
-		it.v, it.out.Err = b.sap.Validate(it.auth)
+		it.v, it.err = b.sap.Validate(it.auth)
 	case txReport:
 		if it.report == nil {
-			it.out.Err = sap.ErrBadRequest
+			it.err = sap.ErrBadRequest
 			return
 		}
 		var err error
 		if it.o, err = billing.Open(it.report, b.cfg.Key); err != nil {
-			it.out.Err = fmt.Errorf("broker: report unreadable: %w", err)
+			it.err = fmt.Errorf("broker: report unreadable: %w", err)
 		}
 	}
 }
@@ -95,7 +98,7 @@ func (b *Brokerd) prepare(it *txItem) {
 // the certificate its latest grant carried (a UE's MAC key needs no state:
 // verify derives it from the report's own box). Mutex held.
 func (b *Brokerd) resolveLocked(it *txItem) {
-	if it.out.Err != nil || it.kind != txReport {
+	if it.err != nil || it.kind != txReport {
 		return
 	}
 	if it.rec = b.grants[it.o.Report.SessionRef]; it.rec == nil {
@@ -113,11 +116,11 @@ func (b *Brokerd) resolveLocked(it *txItem) {
 // verify runs the crypto that needed resolve's answer, outside the lock
 // so concurrent requests do not serialize on it.
 func (b *Brokerd) verify(it *txItem) {
-	if it.out.Err != nil || it.kind != txReport {
+	if it.err != nil || it.kind != txReport {
 		return
 	}
 	if it.rec == nil {
-		it.out.Err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
+		it.err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
 		return
 	}
 	mac := it.pass
@@ -132,10 +135,10 @@ func (b *Brokerd) verify(it *txItem) {
 		if errors.Is(err, billing.ErrBadCheckpoint) {
 			mtr.checkpointsRefused.Add(1)
 		}
-		it.out.Err = ErrBadReporterKey
+		it.err = ErrBadReporterKey
 		if it.o.MACd {
 			// The reporter's answer to either is the same report, signed.
-			it.out.Err = fmt.Errorf("%w: %w", ErrBadReporterKey, billing.ErrMustSign)
+			it.err = fmt.Errorf("%w: %w", ErrBadReporterKey, billing.ErrMustSign)
 		}
 	}
 }
@@ -145,7 +148,7 @@ func (b *Brokerd) commitLocked(it *txItem) {
 	switch {
 	case it.kind == txAuth:
 		b.commitAuthLocked(it)
-	case it.out.Err != nil: // failed an earlier stage: nothing to commit
+	case it.err != nil: // failed an earlier stage: nothing to commit
 	default:
 		b.commitReportLocked(it)
 	}
@@ -156,7 +159,7 @@ func (b *Brokerd) commitLocked(it *txItem) {
 // record the grant — bound for billing alignment, with the bTelco's
 // certified key remembered for report verification. Mutex held.
 func (b *Brokerd) commitAuthLocked(it *txItem) {
-	if it.out.Err != nil {
+	if it.err != nil {
 		mtr.attachDenied.Add(1)
 		return
 	}
@@ -170,13 +173,13 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 	it.score = b.verifier.TelcoScore(req.IDT)
 	if cause != "" {
 		mtr.attachDenied.Add(1)
-		it.out.Auth = &sap.AuthResp{Granted: false, Cause: cause, TelcoScore: it.score}
+		it.resp = &sap.AuthResp{Granted: false, Cause: cause, TelcoScore: it.score}
 		return
 	}
 	ss, uref, err := sap.MintSession()
 	if err != nil {
 		mtr.attachDenied.Add(1)
-		it.out.Err = err
+		it.err = err
 		return
 	}
 	it.rec = &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
@@ -198,7 +201,7 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 func (b *Brokerd) commitReportLocked(it *txItem) {
 	r := it.o.Report
 	if b.verifier.MustSign(&it.o) {
-		it.out.Err = billing.ErrMustSign
+		it.err = billing.ErrMustSign
 		return
 	}
 	if r.Reporter == billing.ReporterUE {
@@ -221,7 +224,7 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 	if it.o.Refused {
 		mtr.checkpointsRefused.Add(1)
 	}
-	it.out.Mismatch, it.out.Err = mm, err
+	it.mismatch, it.err = mm, err
 	// Any ingest can move the reputation — pass, mismatch or replay
 	// penalty — so every ingest owes a quarantine review.
 	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err))
@@ -234,9 +237,9 @@ func (b *Brokerd) finalize(it *txItem) {
 	}
 	resp, _, err := b.sap.Finalize(it.v, it.rec.QoS, it.rec.SS, it.rec.URef)
 	if err != nil {
-		it.out.Err = err
+		it.err = err
 		return
 	}
 	resp.TelcoScore = it.score
-	it.out.Auth = resp
+	it.resp = resp
 }

@@ -175,13 +175,16 @@ func (c *Coder) String(v *string) {
 }
 
 // Fixed codes a length-prefixed field of exactly len(v) bytes, such as an
-// array's: reading, any other length is an error.
+// array's: reading, any other length is an error, and consumes nothing.
 func (c *Coder) Fixed(v []byte) {
 	if c.mode != reading {
 		c.write(uint64(len(v)), 4)
 		c.raw(v)
-	} else if f := c.field(); c.err == nil && len(f) != len(v) {
-		c.err = fmt.Errorf("codec: a %d-byte field where %d belong", len(f), len(v))
+		return
+	}
+	at := c.n
+	if f := c.field(); c.err == nil && len(f) != len(v) {
+		c.n, c.err = at, fmt.Errorf("codec: a %d-byte field where %d belong", len(f), len(v))
 	} else {
 		copy(v, f)
 	}
@@ -297,8 +300,8 @@ func (c *Coder) Begin() Span {
 }
 
 // End closes the span s opened. Reading, the span's fields must have
-// consumed it exactly, and End returns its bytes (nil after an error);
-// otherwise it returns nil.
+// consumed it exactly, and End returns its bytes (nil after an error, which
+// consumes nothing); otherwise it returns nil.
 func (c *Coder) End(s Span) []byte {
 	switch c.mode {
 	case sizing:
@@ -308,7 +311,7 @@ func (c *Coder) End(s Span) []byte {
 		return nil
 	}
 	err := c.done()
-	if c.n, c.end = c.end, s.end; err != nil {
+	if c.end = s.end; err != nil {
 		c.err = err
 		return nil
 	}
@@ -339,7 +342,7 @@ func (c *Coder) Check(ok bool, err error) {
 // 1 for a count, or an element's size for elements of that fixed size laid
 // end to end, whose length prefix it then is. Reading, a count above max,
 // or a length no multiple of unit, latches tooMany before anything is
-// allocated.
+// allocated, and consumes nothing.
 func List[T any](c *Coder, v *[]T, unit, max int, tooMany error) []T {
 	if c.mode != reading {
 		c.write(uint64(unit*len(*v)), 4)
@@ -347,7 +350,7 @@ func List[T any](c *Coder, v *[]T, unit, max int, tooMany error) []T {
 	}
 	n := c.read(4)
 	if c.err == nil && (n%uint64(unit) != 0 || n/uint64(unit) > uint64(max)) {
-		c.err = tooMany
+		c.n, c.err = c.n-4, tooMany
 	}
 	*v = nil
 	if c.err == nil && n > 0 {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,22 +233,31 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders the trace in Chrome trace-event JSON array
-// format, loadable in Perfetto or chrome://tracing. Categories map to
-// thread IDs so each subsystem gets its own row.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		return nil
+// WriteTraceFile writes events to path: one JSON object per line when the
+// path ends in .jsonl, else Chrome trace-event JSON, which Perfetto and
+// chrome://tracing open.
+func WriteTraceFile(path string, events []TraceEvent) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return WriteChromeTraceEvents(w, t.Events())
+	if strings.HasSuffix(path, ".jsonl") {
+		err = WriteJSONLEvents(f, events)
+	} else {
+		err = writeChromeTrace(f, events)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// WriteChromeTraceEvents renders an event slice (e.g. a filtered trace or a
-// flight-recorder dump) in Chrome trace-event JSON array format. Events
+// writeChromeTrace renders events in Chrome trace-event JSON array format.
+// Categories map to thread IDs so each subsystem gets its own row. Events
 // that carry a span context surface it as hex args so the viewer shows the
 // causal identity; id-less events serialize exactly as before contexts
 // existed.
-func WriteChromeTraceEvents(w io.Writer, events []TraceEvent) error {
+func writeChromeTrace(w io.Writer, events []TraceEvent) error {
 	tids := make(map[string]int)
 	tidOf := func(cat string) int {
 		if id, ok := tids[cat]; ok {
@@ -303,16 +314,9 @@ func WriteChromeTraceEvents(w io.Writer, events []TraceEvent) error {
 	return enc.Encode(out)
 }
 
-// WriteJSONL renders the trace one TraceEvent JSON object per line — the
-// grep/jq-friendly form, and the one the trace-derivation tests consume.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return WriteJSONLEvents(w, t.Events())
-}
-
-// WriteJSONLEvents renders an event slice one JSON object per line.
+// WriteJSONLEvents renders events one TraceEvent JSON object per line —
+// the grep/jq-friendly form, and the one the trace-derivation tests
+// consume.
 func WriteJSONLEvents(w io.Writer, events []TraceEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -324,7 +328,7 @@ func WriteJSONLEvents(w io.Writer, events []TraceEvent) error {
 	return bw.Flush()
 }
 
-// readJSONL parses a trace written by WriteJSONL.
+// readJSONL parses a trace written by WriteJSONLEvents.
 func readJSONL(r io.Reader) ([]TraceEvent, error) {
 	var out []TraceEvent
 	dec := json.NewDecoder(r)

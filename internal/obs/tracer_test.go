@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.SpanCtx(SpanContext{}, "b", "y", 100*time.Millisecond, 50*time.Millisecond, nil)
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONLEvents(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readJSONL(&buf)
@@ -73,7 +74,7 @@ func TestChromeTraceShape(t *testing.T) {
 	tr.SpanCtx(SpanContext{}, "attach", "sap", time.Millisecond, 2*time.Millisecond, map[string]string{"telco": "t0"})
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := writeChromeTrace(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var evs []map[string]any
@@ -101,6 +102,33 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 }
 
+// WriteTraceFile writes JSON lines for a .jsonl path and the Chrome trace
+// for any other.
+func TestWriteTraceFileFormatBySuffix(t *testing.T) {
+	tr := NewTracer(0, func() time.Duration { return time.Millisecond })
+	tr.Event("chaos", "fault", map[string]string{"kind": "flap"})
+	for name, write := range map[string]func(io.Writer, []TraceEvent) error{
+		"trace.jsonl": WriteJSONLEvents,
+		"trace.json":  writeChromeTrace,
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := WriteTraceFile(path, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := write(&want, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s holds\n%s\nwant\n%s", name, got, want.Bytes())
+		}
+	}
+}
+
 // TestTraceDeterminism: same recorded sequence, byte-identical serialization.
 func TestTraceDeterminism(t *testing.T) {
 	mk := func() *Tracer {
@@ -114,19 +142,19 @@ func TestTraceDeterminism(t *testing.T) {
 		return tr
 	}
 	var b1, b2, c1, c2 bytes.Buffer
-	if err := mk().WriteJSONL(&b1); err != nil {
+	if err := WriteJSONLEvents(&b1, mk().Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk().WriteJSONL(&b2); err != nil {
+	if err := WriteJSONLEvents(&b2, mk().Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatalf("JSONL serialization not deterministic")
 	}
-	if err := mk().WriteChromeTrace(&c1); err != nil {
+	if err := writeChromeTrace(&c1, mk().Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk().WriteChromeTrace(&c2); err != nil {
+	if err := writeChromeTrace(&c2, mk().Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(c1.Bytes(), c2.Bytes()) {

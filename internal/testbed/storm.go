@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cellbricks/internal/apps"
+	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/sap"
@@ -15,13 +16,14 @@ import (
 
 // This file is the attach storm (EXPERIMENTS.md "Attach storm"): an
 // open-loop, seeded Poisson arrival process — a ramping rate with a
-// flash-crowd spike — against one broker defended by admission control: a
-// token bucket plus a bound on the backlog of a queue (broker.Batcher) that
-// is drained every Window of virtual time, one broker transaction per item
-// in arrival order. Every attach is the SAP handshake — on a ticket after a
-// UE's first grant (DESIGN.md §2.8) — and which kind of request a UE sends
-// never moves a send, so the rendered result is byte-identical across any
-// shard count; only the wall-clock (Metrics) numbers differ.
+// flash-crowd spike — against one broker defended by admission control
+// (broker.Admission): a token bucket plus a bound on the backlog of the
+// storm's own queue, which is drained every Window of virtual time through
+// the broker's handlers, one item at a time in arrival order. Every attach
+// is the SAP handshake — on a ticket after a UE's first grant (DESIGN.md
+// §2.8) — and which kind of request a UE sends never moves a send, so the
+// rendered result is byte-identical across any shard count; only the
+// wall-clock (Metrics) numbers differ.
 //
 // The world is the grouped sharded world of grouped.go, and determinism
 // follows its recipe (DESIGN.md §2.6). Three storm-specific rules are
@@ -35,9 +37,9 @@ import (
 //     bytes. A try at another cell (after a give-up) first abandons a
 //     ticketed one and rides its ticket (AttachShelf.Take) instead of
 //     paying first contact.
-//   - The flush tick runs on shard 0 at shard0TickPhase, pairing
-//     Batcher.Flush outcomes with their completion callbacks in enqueue
-//     order.
+//   - The flush tick runs on shard 0 at shard0TickPhase and runs each
+//     queued item through its handler, then the item's completion, in
+//     enqueue order.
 
 // StormConfig parameterizes one attach-storm run.
 type StormConfig struct {
@@ -173,8 +175,8 @@ type StormResult struct {
 	VerifiedBytes uint64
 	Availability  float64
 
-	// Wall-clock segments (pre-spike, spike, post-spike) and derived
-	// throughput — Metrics-only, never rendered.
+	// Wall-clock segments (pre-spike, spike, post-spike) and the queue's
+	// flush ticks and items enqueued — Metrics-only, never rendered.
 	WallPre, WallSpike, WallPost time.Duration
 	BatchFlushes, BatchItems     uint64
 }
@@ -206,20 +208,20 @@ type stormWorld struct {
 	groupedWorld
 	cfg    StormConfig
 	groups []*stormGroup
-	bat    *broker.Batcher
 
 	// Shard-0 state: written only by broker-endpoint handlers and the
-	// flush tick. pending pairs, in enqueue order, with the outcomes the
-	// next Flush returns: what becomes of each, or nil for a report,
-	// which is tallied where the flush ran.
-	pending     []func(broker.BatchOutcome)
-	grants      int
-	spikeGrants int
-	denied      int
-	sheds       int
-	spikeSheds  int
-	reports     int
-	mismatches  int
+	// flush tick. queue holds the requests since the last flush, in
+	// enqueue order; its length is the backlog admission sees.
+	adm            *broker.Admission
+	queue          []stormItem
+	flushes, items uint64
+	grants         int
+	spikeGrants    int
+	denied         int
+	sheds          int
+	spikeSheds     int
+	reports        int
+	mismatches     int
 }
 
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
@@ -227,11 +229,9 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &stormWorld{groupedWorld: gw, cfg: cfg}
 	// The shedder refills on virtual time, so shedding is part of the
 	// deterministic output.
-	w.Broker.EnableAdmission(cfg.Admission, w.sim0.Now)
-	w.bat = w.Broker.NewBatcher()
+	w := &stormWorld{groupedWorld: gw, cfg: cfg, adm: broker.NewAdmission(cfg.Admission, gw.sim0.Now)}
 
 	C, nUE := cfg.CellsPerGroup, cfg.Groups*cfg.UEsPerGroup
 	grid, err := w.layout(cfg.Seed, cfg.Groups, C, cfg.UEsPerGroup)
@@ -280,23 +280,10 @@ func newStormWorld(cfg StormConfig) (*stormWorld, error) {
 	}
 
 	// Flush tick: shard 0, every Window, at a phase nothing else can
-	// occupy. Outcomes pair with pending callbacks in enqueue order.
+	// occupy.
 	var flushTick func()
 	flushTick = func() {
-		outs := w.bat.Flush()
-		pend := w.pending
-		w.pending = nil
-		if len(outs) != len(pend) {
-			w.fail(fmt.Errorf("testbed: storm flush returned %d outcomes for %d callbacks", len(outs), len(pend)))
-			return
-		}
-		for i, done := range pend {
-			if done == nil {
-				w.reportOutcome(outs[i])
-				continue
-			}
-			done(outs[i])
-		}
+		w.flush()
 		if next := latticeAt(w.sim0.Now()+cfg.Window, shard0TickPhase); next < cfg.Duration {
 			w.sim0.At(next, flushTick)
 		}
@@ -330,7 +317,7 @@ func (u *stormUE) arrive() {
 
 // attempt runs one attach attempt: the request the UE's shelf hands out
 // for the chosen cell (a resend of the one admission shed there, or a new
-// one), charged against admission with the queue's backlog and enqueued
+// one), charged against admission with the queue's backlog and queued
 // for the next flush. If admission sheds it the broker never saw it, so it
 // goes back on the shelf, with the cell's forward, before the UE backs off.
 // The admission check and enqueue run on shard 0; the rest on the UE's.
@@ -360,7 +347,7 @@ func (u *stormUE) attempt() {
 		}
 	}
 	w.toBroker(g, func() {
-		if err := w.Broker.AdmitAttach(w.bat.Depth()); err != nil {
+		if err := w.adm.Admit(len(w.queue)); err != nil {
 			w.tallyShed()
 			w.toGroup(g, func() {
 				u.shelf.Settle(pending, err)
@@ -369,12 +356,47 @@ func (u *stormUE) attempt() {
 			})
 			return
 		}
-		w.bat.EnqueueAuth(reqT)
-		w.pending = append(w.pending, func(out broker.BatchOutcome) {
-			w.tallyAttach(out)
-			w.toGroup(g, func() { u.finish(cell, pending, out) })
-		})
+		w.enqueue(stormItem{auth: reqT, done: func(resp *sap.AuthResp, err error) {
+			w.tallyAttach(resp)
+			w.toGroup(g, func() { u.finish(cell, pending, resp, err) })
+		}})
 	})
+}
+
+// stormItem is one request in the storm's broker queue: an attach, with
+// the completion that takes its outcome, or a billing report.
+type stormItem struct {
+	auth   *sap.AuthReqT
+	done   func(*sap.AuthResp, error)
+	report *billing.SealedReport
+}
+
+func (w *stormWorld) enqueue(it stormItem) {
+	w.queue = append(w.queue, it)
+	w.items++
+}
+
+// flush runs the queue through the broker's handlers in enqueue order,
+// each attach's completion right after its transaction, and empties the
+// queue for reuse.
+func (w *stormWorld) flush() {
+	w.flushes++
+	for i := range w.queue {
+		it := &w.queue[i]
+		if it.auth != nil {
+			it.done(w.Broker.HandleAuthRequest(it.auth))
+			continue
+		}
+		mm, err := w.Broker.HandleReport(it.report)
+		if mm != nil {
+			w.mismatches++
+		}
+		if err != nil {
+			w.fail(fmt.Errorf("testbed: storm report rejected: %w", err))
+		}
+	}
+	clear(w.queue)
+	w.queue = w.queue[:0]
 }
 
 // tallyShed and tallyAttach run on shard 0 and classify against the
@@ -387,10 +409,10 @@ func (w *stormWorld) tallyShed() {
 	}
 }
 
-func (w *stormWorld) tallyAttach(out broker.BatchOutcome) {
+func (w *stormWorld) tallyAttach(resp *sap.AuthResp) {
 	switch {
-	case out.Auth == nil:
-	case out.Auth.Granted:
+	case resp == nil:
+	case resp.Granted:
 		w.grants++
 		if w.cfg.inSpike(w.sim0.Now()) {
 			w.spikeGrants++
@@ -411,13 +433,13 @@ func (u *stormUE) failAttach(err error) {
 }
 
 // finish completes an attempt the broker decided.
-func (u *stormUE) finish(cell *cellCore, pending *sap.PendingAttach, out broker.BatchOutcome) {
+func (u *stormUE) finish(cell *cellCore, pending *sap.PendingAttach, resp *sap.AuthResp, err error) {
 	w := u.grp.w
-	if out.Err != nil {
-		u.failAttach(out.Err)
+	if err != nil {
+		u.failAttach(err)
 		return
 	}
-	grant, _, err := finishAttach(w.Cast, u.st, cell.telco, pending, out.Auth)
+	grant, _, err := finishAttach(w.Cast, u.st, cell.telco, pending, resp)
 	if errors.Is(err, errUERejected) {
 		w.fail(err)
 		return
@@ -457,20 +479,10 @@ func (u *stormUE) reportTick(s *sessionCore) {
 	}
 	w.toBroker(u.g, func() {
 		w.reports += 2
-		w.bat.EnqueueReport(ueEnv)
-		w.bat.EnqueueReport(tEnv)
-		w.pending = append(w.pending, nil, nil)
+		w.enqueue(stormItem{report: ueEnv})
+		w.enqueue(stormItem{report: tEnv})
 	})
 	u.after(w.cfg.ReportEvery, func() { u.reportTick(s) })
-}
-
-func (w *stormWorld) reportOutcome(out broker.BatchOutcome) {
-	if out.Mismatch != nil {
-		w.mismatches++
-	}
-	if out.Err != nil {
-		w.fail(fmt.Errorf("testbed: storm report rejected: %w", out.Err))
-	}
 }
 
 // collect builds the result after the world has run to the horizon.
@@ -482,8 +494,8 @@ func (w *stormWorld) collect() StormResult {
 		Sheds: w.sheds, SpikeSheds: w.spikeSheds,
 		Reports: w.reports, Mismatches: w.mismatches,
 	}
-	res.Admitted, res.RateSheds, res.QueueSheds = w.Broker.AdmissionStats()
-	res.BatchFlushes, res.BatchItems = w.bat.Stats()
+	res.Admitted, res.RateSheds, res.QueueSheds = w.adm.Stats()
+	res.BatchFlushes, res.BatchItems = w.flushes, w.items
 	var availSum float64
 	var bill ledger
 	for _, grp := range w.groups {
