@@ -56,8 +56,13 @@ func (r *lagSource) Seed(seed int64) {
 	}
 }
 
-// mix is math/rand's seeding without the cooked table: the registers are
-// the seedrand chain from the reduced seed, three links per register.
+// mix is math/rand's seeding without the cooked table. math/rand fills the
+// registers from its seed chain, x[n+1] = 48271·x[n] mod (2³¹−1) from the
+// reduced seed x[0]: it discards x[1..20], then takes three links per
+// register, x[21+3i], x[22+3i] and x[23+3i] for register i. Each link is
+// x[0]·48271ⁿ mod (2³¹−1), so mix reads the powers from lagPow and computes
+// every link on its own, a multiply and a reduction apiece, where walking
+// the chain is 1,841 dependent steps.
 func (r *lagSource) mix(seed int64) {
 	r.tap = 0
 	seed %= int32max
@@ -67,27 +72,37 @@ func (r *lagSource) mix(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < lagLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			r.vec[i] = u ^ int64(x)
-		}
+	x := uint64(seed)
+	for i := range r.vec {
+		p := lagPow[lagSkip+3*i:][:3]
+		u := int64(x*p[0]%int32max) << 40
+		u ^= int64(x*p[1]%int32max) << 20
+		r.vec[i] = u ^ int64(x*p[2]%int32max)
 	}
 }
 
-// seedrand is x[n+1] = 48271 * x[n] mod (2**31 - 1), math/rand's seed chain.
-func seedrand(x int32) int32 {
-	const a, q, rem = 48271, 44488, 3399
-	x = a*(x%q) - rem*(x/q)
-	if x < 0 {
-		x += int32max
+// lagSkip is the index of the first link of the seed chain that reaches a
+// register.
+const lagSkip = 21
+
+// lagPow holds 48271ⁿ mod (2³¹−1) for every n the seeding reads: n up to
+// lagSkip + 3·lagLen − 1 = 1,841, the chain's last link. Both factors of a
+// link's product are below 2³¹, so the product fits in 62 bits.
+var lagPow = func() (pow [lagSkip + 3*lagLen]uint64) {
+	pow[0] = 1
+	for n := 1; n < len(pow); n++ {
+		pow[n] = pow[n-1] * 48271 % int32max
 	}
-	return x
+	return pow
+}()
+
+// NewRand returns a generator that yields, value for value, the stream
+// rand.New(rand.NewSource(seed)) does, seeded as a Sim's is: without
+// walking math/rand's seed chain.
+func NewRand(seed int64) *rand.Rand {
+	src := new(lagSource)
+	src.Seed(seed)
+	return rand.New(src)
 }
 
 // Uint64 steps the generator: rand.Source64.

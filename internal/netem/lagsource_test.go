@@ -87,6 +87,29 @@ func FuzzSimSource(f *testing.F) {
 	})
 }
 
+// TestNewRandMatchesMathRand: over the seeds TestSimSourceMatchesMathRand
+// uses, one per branch of math/rand's seed reduction, NewRand's stream is
+// rand.New(rand.NewSource(seed))'s through every kind of draw and a reseed.
+func TestNewRandMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 89482311, 1, 2, 7, -5, int32max, 1 << 31, 1 << 40, math.MinInt64, math.MaxInt64} {
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		for i := range 20_000 {
+			if i == 10_000 {
+				got.Seed(seed ^ 1<<35)
+				want.Seed(seed ^ 1<<35)
+			}
+			g := []any{got.Uint64(), got.Int63(), got.Float64(), got.Intn(i + 1), got.Int63n(int64(i)<<33 + 1)}
+			w := []any{want.Uint64(), want.Int63(), want.Float64(), want.Intn(i + 1), want.Int63n(int64(i)<<33 + 1)}
+			if !slices.Equal(g, w) {
+				t.Fatalf("seed %d draw %d: NewRand %v, math/rand %v", seed, i, g, w)
+			}
+			if i%1000 == 0 && !slices.Equal(got.Perm(i%24), want.Perm(i%24)) {
+				t.Fatalf("seed %d draw %d: Perm differs", seed, i)
+			}
+		}
+	}
+}
+
 // TestNewSimAllocs: a Sim holds its source instead of a *rand.Rand over a
 // separately allocated one, and NewSim must not cost more for it. The
 // bounds are NewSim's cost when it built rand.New(rand.NewSource(seed)):

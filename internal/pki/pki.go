@@ -43,60 +43,120 @@ var (
 // would hold), and only on first use: nothing seals to a UE's long-term
 // key, so a UE's KeyPair never derives it.
 type KeyPair struct {
-	Pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
+	Pub ed25519.PublicKey
+
+	// derived is what the seed determines — the private key, the ticket
+	// secret and the box pair — which KeyPairs of one seed share.
+	derived *seedKeys
 
 	boxOnce sync.Once
 	boxPriv *ecdh.PrivateKey
 	boxPub  []byte
 	memo    boxMemo // epk → key of the exchanges Open has authenticated
+}
+
+// seedKeys is everything an identity's seed determines. Once built it is
+// read only — the box pair is filled once, on first use — so KeyPairs of
+// one seed share it: what belongs to one KeyPair (the box memo, its own
+// box Once) is never in it.
+type seedKeys struct {
+	pub  ed25519.PublicKey
+	priv ed25519.PrivateKey
 
 	// ticketSecret keys the PRF behind MintTicket: derived from the seed, so
 	// a KeyPair rebuilt from it honours every ticket the old one minted.
 	ticketSecret boxKeyBytes
+
+	boxOnce sync.Once
+	boxPriv *ecdh.PrivateKey
+	boxPub  []byte
+}
+
+// seedTableCap bounds seedTable: the largest grouped world's 999 UEs and
+// its cells, its broker and its CA come to well under it. A seed past the
+// cap is derived on every call and not kept.
+const seedTableCap = 4096
+
+// seedTable is KeyPairFromSeed's process-wide table from a seed to what it
+// derived from it. A testbed world rebuilds the same cast from the same
+// seeds on every run; with the table each identity's Ed25519 expansion,
+// ticket secret and X25519 box key are derived once per process.
+var seedTable struct {
+	mu   sync.Mutex
+	keys map[[ed25519.SeedSize]byte]*seedKeys
 }
 
 // GenerateKeyPair creates a fresh identity using crypto/rand.
 func GenerateKeyPair() (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate: %w", err)
 	}
-	return newKeyPair(pub, priv)
+	return deriveSeedKeys(priv).keyPair(), nil
 }
 
 // KeyPairFromSeed creates a deterministic identity from a 32-byte seed.
-// Intended for tests and reproducible experiments.
+// Intended for tests and reproducible experiments. Every call returns a
+// KeyPair of its own; what the seed determines is derived once per process
+// (seedTable).
 func KeyPairFromSeed(seed []byte) (*KeyPair, error) {
 	if len(seed) != ed25519.SeedSize {
 		return nil, fmt.Errorf("pki: seed must be %d bytes, got %d", ed25519.SeedSize, len(seed))
 	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return newKeyPair(priv.Public().(ed25519.PublicKey), priv)
+	s := [ed25519.SeedSize]byte(seed)
+	seedTable.mu.Lock()
+	d := seedTable.keys[s]
+	seedTable.mu.Unlock()
+	if d == nil {
+		d = deriveSeedKeys(ed25519.NewKeyFromSeed(seed))
+		seedTable.mu.Lock()
+		if kept := seedTable.keys[s]; kept != nil {
+			d = kept // derived concurrently: every KeyPair of a seed shares one
+		} else if len(seedTable.keys) < seedTableCap {
+			if seedTable.keys == nil {
+				seedTable.keys = make(map[[ed25519.SeedSize]byte]*seedKeys)
+			}
+			seedTable.keys[s] = d
+		}
+		seedTable.mu.Unlock()
+	}
+	return d.keyPair(), nil
 }
 
-func newKeyPair(pub ed25519.PublicKey, priv ed25519.PrivateKey) (*KeyPair, error) {
+func deriveSeedKeys(priv ed25519.PrivateKey) *seedKeys {
 	seed := boxKeyBytes(priv.Seed())
-	return &KeyPair{
-		Pub:          pub,
+	return &seedKeys{
+		pub:          priv.Public().(ed25519.PublicKey),
 		priv:         priv,
 		ticketSecret: mac32(&seed, "cellbricks-ticket-v1", nil, ""),
-	}, nil
+	}
+}
+
+// keyPair is a new KeyPair over d. Pub is exported, so it gets its own copy.
+func (d *seedKeys) keyPair() *KeyPair {
+	return &KeyPair{Pub: append(ed25519.PublicKey(nil), d.pub...), derived: d}
 }
 
 // box returns the X25519 half, deriving it from the Ed25519 seed via
 // HMAC-SHA256 with a domain-separation label on the first call. X25519
 // clamps the scalar itself, so the HMAC output is the private key as is.
-func (k *KeyPair) box() (*ecdh.PrivateKey, []byte) {
-	k.boxOnce.Do(func() {
-		seed := boxKeyBytes(k.priv.Seed())
+func (d *seedKeys) box() (*ecdh.PrivateKey, []byte) {
+	d.boxOnce.Do(func() {
+		seed := boxKeyBytes(d.priv.Seed())
 		boxSeed := mac32(&seed, "cellbricks-box-v1", nil, "")
 		priv, err := ecdh.X25519().NewPrivateKey(boxSeed[:])
 		if err != nil {
 			panic("pki: derive box key: " + err.Error()) // only a length other than 32 fails
 		}
-		k.boxPriv, k.boxPub = priv, priv.PublicKey().Bytes()
+		d.boxPriv, d.boxPub = priv, priv.PublicKey().Bytes()
 	})
+	return d.boxPriv, d.boxPub
+}
+
+// box returns the X25519 half, taken from the seed's shared derivation on
+// the KeyPair's first call.
+func (k *KeyPair) box() (*ecdh.PrivateKey, []byte) {
+	k.boxOnce.Do(func() { k.boxPriv, k.boxPub = k.derived.box() })
 	return k.boxPriv, k.boxPub
 }
 
@@ -108,7 +168,7 @@ func (k *KeyPair) Public() PublicIdentity {
 }
 
 // Sign signs msg with the Ed25519 key.
-func (k *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.priv, msg) }
+func (k *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.derived.priv, msg) }
 
 // PublicIdentity is the distributable half of a KeyPair.
 type PublicIdentity struct {

@@ -289,9 +289,9 @@ func (k *KeyPair) MintTicket(id string) (t Ticket, err error) {
 	if _, err = io.ReadFull(rand.Reader, t.Locator[:ticketRandSize]); err != nil {
 		return t, err
 	}
-	tag := mac32(&k.ticketSecret, ticketBindLabel, t.Locator[:ticketRandSize], id)
+	tag := mac32(&k.derived.ticketSecret, ticketBindLabel, t.Locator[:ticketRandSize], id)
 	copy(t.Locator[ticketRandSize:], tag[:])
-	t.Key = mac32(&k.ticketSecret, ticketKeyLabel, t.Locator[:], "")
+	t.Key = mac32(&k.derived.ticketSecret, ticketKeyLabel, t.Locator[:], "")
 	return t, nil
 }
 
@@ -303,7 +303,7 @@ func (k *KeyPair) TicketBound(box []byte, id string) bool {
 	if len(box) < epkSize {
 		return false
 	}
-	tag := mac32(&k.ticketSecret, ticketBindLabel, box[:ticketRandSize], id)
+	tag := mac32(&k.derived.ticketSecret, ticketBindLabel, box[:ticketRandSize], id)
 	return subtle.ConstantTimeCompare(tag[:epkSize-ticketRandSize], box[ticketRandSize:epkSize]) == 1
 }
 
@@ -333,7 +333,7 @@ func (k *KeyPair) TicketMAC(box []byte, id string) (t Ticket, ok bool) {
 		return t, false
 	}
 	copy(t.Locator[:], box)
-	t.Key = ticketMACKey(mac32(&k.ticketSecret, ticketKeyLabel, t.Locator[:], ""))
+	t.Key = ticketMACKey(mac32(&k.derived.ticketSecret, ticketKeyLabel, t.Locator[:], ""))
 	return t, true
 }
 
@@ -349,7 +349,7 @@ func ticketMACKey(key boxKeyBytes) boxKeyBytes {
 // k's owner re-derives it from the certificate each request carries and the
 // peer fetches it once, inside a sealed and signed grant.
 func (k *KeyPair) Pass(certDigest [sha256.Size]byte) Ticket {
-	return Ticket{Locator: certDigest, Key: mac32(&k.ticketSecret, passLabel, certDigest[:], "")}
+	return Ticket{Locator: certDigest, Key: mac32(&k.derived.ticketSecret, passLabel, certDigest[:], "")}
 }
 
 // Reply is the ticket of t's reverse direction: what TicketSealer(t.Reply())
@@ -432,7 +432,7 @@ func (k *KeyPair) open(box []byte) (pt []byte, key boxKeyBytes, err error) {
 		pt, err = openBox(key, box)
 		return pt, key, err
 	}
-	key = mac32(&k.ticketSecret, ticketKeyLabel, prefix, "")
+	key = mac32(&k.derived.ticketSecret, ticketKeyLabel, prefix, "")
 	if pt, err = openBox(key, box); err != nil {
 		pub, perr := ecdh.X25519().NewPublicKey(prefix)
 		if perr != nil {

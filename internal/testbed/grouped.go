@@ -202,7 +202,7 @@ func (w *groupedWorld) layout(seed int64, G, C, U int) ([]gridGroup, error) {
 			grp.ues = append(grp.ues, ueCore{
 				sim: grp.sim, g: g, idx: j, global: global,
 				phase: time.Duration(global+1) * time.Microsecond,
-				rng:   rand.New(rand.NewSource(seed + 5000 + int64(global))),
+				rng:   netem.NewRand(seed + 5000 + int64(global)),
 				st:    st, meter: meter,
 			})
 		}
