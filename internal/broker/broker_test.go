@@ -543,6 +543,26 @@ func TestRestoreOwnsItsState(t *testing.T) {
 	}
 }
 
+// A user's idU is the digest of its key, and a snapshot whose stored idU
+// is another's is refused before the broker is touched: restored as is, its
+// grants and suspects would name a user no key answers to.
+func TestRestoreRejectsUserIDMismatch(t *testing.T) {
+	cfg, b := katBroker(t)
+	snap := b.Snapshot()
+	uk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{92}, 32)) // katBroker's user
+	idU := uk.Public().Digest()
+	at := bytes.Index(snap, []byte(idU)) // the users section comes first
+	snap[at] ^= 1
+	fresh := New(cfg)
+	empty := fresh.Snapshot()
+	if err := fresh.Restore(snap); err == nil || !strings.Contains(err.Error(), idU) {
+		t.Fatalf("a snapshot with one idU byte flipped: %v", err)
+	}
+	if got := fresh.Snapshot(); !bytes.Equal(got, empty) {
+		t.Fatalf("the refused snapshot changed the broker: it snapshots to %x", got)
+	}
+}
+
 // Receipts (DESIGN.md §2.9): the broker vouches, with one signature, for
 // exactly the grants it recorded for the asking bTelco — whatever shape the
 // request arrives in — and what it signs a third party can check with

@@ -47,6 +47,7 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	}
 	defer client.Close()
 
+	_, ref := h.attach(t) // a session granted before the degradation
 	h.brk.ShedLoad(300 * time.Millisecond)
 	if !degraded(h.brk) {
 		t.Fatal("ShedLoad did not mark the broker degraded")
@@ -64,8 +65,28 @@ func TestShedLoadTypedRetryAfterOverWire(t *testing.T) {
 	}
 
 	// Reports must keep flowing while attaches shed: ingestion is cheap
-	// and losing it would open a billing gap. (The session predates the
-	// degradation.)
+	// and losing it would open a billing gap. The session predates the
+	// degradation; its first billing pair goes up over the wire now.
+	const dl = 1_000_000
+	for _, side := range []struct {
+		rep billing.Reporter
+		key *pki.KeyPair
+	}{{billing.ReporterUE, h.ueKey}, {billing.ReporterTelco, h.telco.Key}} {
+		r := &billing.Report{SessionRef: ref, Reporter: side.rep, Seq: 1, Rel: 30 * time.Second, DLBytes: dl}
+		env, err := billing.Seal(r, side.key, h.brk.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.UploadReport(env); err != nil {
+			t.Fatalf("report while attaches shed: %v", err)
+		}
+	}
+	if st, err := h.brk.SettleSession(ref); err != nil || st.VerifiedBytes != dl || st.Unpaired != 0 {
+		t.Fatalf("pair uploaded while attaches shed: %+v, %v; want %d verified bytes", st, err, dl)
+	}
+	if h.brk.ShedCount() != 1 || !degraded(h.brk) {
+		t.Fatalf("after the reports: ShedCount %d, degraded %v; want 1, true", h.brk.ShedCount(), degraded(h.brk))
+	}
 	h.brk.Resume()
 	if degraded(h.brk) {
 		t.Fatal("Resume did not clear degraded state")

@@ -150,13 +150,18 @@ func (b *Brokerd) Restore(snap []byte) error {
 	if err != nil {
 		return err
 	}
+	for i, u := range s.users { // an idU is its key's digest: RegisterUser derives it
+		if id := users[i].Digest(); id != u.id {
+			return fmt.Errorf("broker: snapshot user %q holds the key of %q", u.id, id)
+		}
+	}
 	telcos, err := parseKeys(s.telcos)
 	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, pub := range users { // RegisterUser derives the same idU from the key
+	for _, pub := range users {
 		b.sap.RegisterUser(pub)
 	}
 	for i, t := range s.telcos {

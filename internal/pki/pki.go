@@ -72,8 +72,8 @@ type seedKeys struct {
 	boxPub  []byte
 }
 
-// seedTableCap bounds seedTable: the largest grouped world's 999 UEs and
-// its cells, its broker and its CA come to well under it. A seed past the
+// seedTableCap bounds seedTable. It is sized for the largest grouped
+// testbed world — 999 UEs — with its cells, broker and CA. A seed past the
 // cap is derived on every call and not kept.
 const seedTableCap = 4096
 
