@@ -60,7 +60,6 @@ type KeyPair struct {
 // one seed share it: what belongs to one KeyPair (the box memo, its own
 // box Once) is never in it.
 type seedKeys struct {
-	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 
 	// ticketSecret keys the PRF behind MintTicket: derived from the seed, so
@@ -125,16 +124,13 @@ func KeyPairFromSeed(seed []byte) (*KeyPair, error) {
 
 func deriveSeedKeys(priv ed25519.PrivateKey) *seedKeys {
 	seed := boxKeyBytes(priv.Seed())
-	return &seedKeys{
-		pub:          priv.Public().(ed25519.PublicKey),
-		priv:         priv,
-		ticketSecret: mac32(&seed, "cellbricks-ticket-v1", nil, ""),
-	}
+	return &seedKeys{priv: priv, ticketSecret: mac32(&seed, "cellbricks-ticket-v1", nil, "")}
 }
 
-// keyPair is a new KeyPair over d. Pub is exported, so it gets its own copy.
+// keyPair is a new KeyPair over d. Pub is exported, so it is a copy of its
+// own (Public copies).
 func (d *seedKeys) keyPair() *KeyPair {
-	return &KeyPair{Pub: append(ed25519.PublicKey(nil), d.pub...), derived: d}
+	return &KeyPair{Pub: d.priv.Public().(ed25519.PublicKey), derived: d}
 }
 
 // box returns the X25519 half, deriving it from the Ed25519 seed via
