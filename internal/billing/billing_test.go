@@ -489,7 +489,7 @@ func TestEvidenceMatchesParentFormulas(t *testing.T) {
 				cfg := DefaultVerifierConfig()
 				cfg.Alpha = alpha
 				v := NewVerifier(cfg)
-				v.RestoreReputation("telco-1", score0, 0, 0, pen0)
+				v.telcoRep["telco-1"] = &ReputationEntry{Score: score0, Penalty: pen0}
 				v.Evidence("telco-1", kind, d)
 				e := v.telcoRep["telco-1"]
 				score, pen := f(score0, pen0, alpha, d)

@@ -273,9 +273,9 @@ type audit struct {
 // reporterOf names the stream a report of reporter rep on session s belongs to.
 func (s *session) reporterOf(rep Reporter) reporterID {
 	if rep == ReporterUE {
-		return reporterID{ReporterUE, s.idU}
+		return reporterID{ReporterUE, s.IDU}
 	}
-	return reporterID{ReporterTelco, s.idT}
+	return reporterID{ReporterTelco, s.IDT}
 }
 
 // MustSign reports whether o is a MAC'd envelope from a reporter that is

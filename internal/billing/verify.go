@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"time"
+
+	"cellbricks/internal/qos"
 )
 
 // Mismatch records one detected accounting discrepancy: a pair of aligned
@@ -63,11 +65,20 @@ type freshness struct {
 // it could otherwise have been paid.
 const maxHalves = 8
 
-// session is everything the verifier holds for one bound session reference:
+// Grant is what the broker granted a session reference: the user, the
+// bTelco it attached through, the QoS class the UE's reports are held to
+// and the price per GB the session settles at.
+type Grant struct {
+	IDU, IDT   string
+	QCI        qos.QCI
+	PricePerGB float64
+}
+
+// session is everything the broker holds for one granted session reference:
 // evicting a session is deleting its row.
 type session struct {
-	idU, idT string
-	fresh    [2]freshness // by Reporter-1: the replay gate
+	Grant
+	fresh [2]freshness // by Reporter-1: the replay gate
 	// halves are the reports that can still pair: Seq ascending, all from
 	// the reporter that is ahead and all above the other's freshest Seq.
 	halves []*Report
@@ -95,7 +106,7 @@ var ErrReplayedReport = fmt.Errorf("billing: replayed or stale report")
 type Verifier struct {
 	cfg VerifierConfig
 
-	sessions map[string]*session // by session reference, from BindSession
+	sessions map[string]*session // by session reference, from Bind
 
 	telcoRep   map[string]*ReputationEntry
 	userMisses map[string]map[string]bool // idU -> set of bTelcos disagreed with
@@ -135,15 +146,26 @@ func NewVerifier(cfg VerifierConfig) *Verifier {
 	}
 }
 
-// BindSession tells the verifier which user and bTelco a session reference
-// belongs to (from the SAP grant record).
-func (v *Verifier) BindSession(ref, idU, idT string) {
+// Bind records the grant of a session reference, opening its row.
+func (v *Verifier) Bind(ref string, g Grant) {
 	s := v.sessions[ref]
 	if s == nil {
 		s = &session{}
 		v.sessions[ref] = s
 	}
-	s.idU, s.idT = idU, idT
+	s.Grant = g
+}
+
+// BindSession is Bind for a session with no QoS class or price.
+func (v *Verifier) BindSession(ref, idU, idT string) { v.Bind(ref, Grant{IDU: idU, IDT: idT}) }
+
+// Lookup returns a copy of the grant of a session reference, and whether
+// there is one.
+func (v *Verifier) Lookup(ref string) (Grant, bool) {
+	if s := v.sessions[ref]; s != nil {
+		return s.Grant, true
+	}
+	return Grant{}, false
 }
 
 // Ingest adds one verified report body. When its counterpart (same
@@ -176,8 +198,8 @@ func (v *Verifier) ingest(r *Report) (*session, *Mismatch, error) {
 	mine, other := &s.fresh[r.Reporter-1], s.fresh[2-r.Reporter]
 	if mine.seen && (r.Seq <= mine.seq || r.Rel < mine.rel) {
 		if r.Reporter == ReporterTelco {
-			v.repEntry(s.idT).Replays++
-			v.Evidence(s.idT, ReplayEvidence, 1)
+			v.repEntry(s.IDT).Replays++
+			v.Evidence(s.IDT, ReplayEvidence, 1)
 		}
 		return nil, nil, fmt.Errorf("%w: session %q reporter %d seq %d rel %v (last seq %d rel %v)",
 			ErrReplayedReport, r.SessionRef, r.Reporter, r.Seq, r.Rel, mine.seq, mine.rel)
@@ -220,7 +242,7 @@ func (v *Verifier) ingest(r *Report) (*session, *Mismatch, error) {
 // weighted by the degree of mismatch. The verdict is also folded into the
 // session's settlement, which is all Settle reads.
 func (v *Verifier) check(s *session, ue, telco *Report) *Mismatch {
-	rep := v.repEntry(s.idT)
+	rep := v.repEntry(s.IDT)
 	rep.Reports++
 
 	slack := float64(v.cfg.SlackBytes)
@@ -253,18 +275,18 @@ func (v *Verifier) check(s *session, ue, telco *Report) *Mismatch {
 	// A mismatch contributes a degree-weighted failure to the EWMA: small
 	// overshoots hurt less than brazen inflation ("weighted by the degree
 	// of mismatch").
-	v.Evidence(s.idT, MismatchEvidence, degree)
+	v.Evidence(s.IDT, MismatchEvidence, degree)
 
 	// Track which bTelcos this user has disagreed with: a user whose
 	// reports clash with many independent bTelcos is the likelier liar.
-	set := v.userMisses[s.idU]
+	set := v.userMisses[s.IDU]
 	if set == nil {
 		set = make(map[string]bool)
-		v.userMisses[s.idU] = set
+		v.userMisses[s.IDU] = set
 	}
-	set[s.idT] = true
+	set[s.IDT] = true
 	if len(set) >= v.cfg.SuspectTelcoCount {
-		v.suspects[s.idU] = true
+		v.suspects[s.IDU] = true
 	}
 	return &m
 }
@@ -403,32 +425,55 @@ func (v *Verifier) Settle(ref string, pricePerGB float64) Settlement {
 	if !s.mismatched {
 		total = (total + s.telcoBytes) / 2
 	}
-	return Settlement{SessionRef: ref, IDT: s.idT, VerifiedBytes: total,
+	return Settlement{SessionRef: ref, IDT: s.IDT, VerifiedBytes: total,
 		Amount: float64(total) / 1e9 * pricePerGB, Disputed: s.disputed, Unpaired: len(s.halves)}
 }
 
-// Reputations returns a copy of all reputation entries (snapshotting).
-func (v *Verifier) Reputations() map[string]ReputationEntry {
-	out := make(map[string]ReputationEntry, len(v.telcoRep))
+// State is the verifier's durable part: each session's grant, each bTelco's
+// reputation and the suspect list. The rest of a session's row, the audits
+// and the mismatch log are soft state (DESIGN.md §2.5).
+type State struct {
+	Grants      []SessionGrant
+	Reputations []TelcoReputation
+	Suspects    []string // idUs
+}
+
+// SessionGrant is one session reference's grant.
+type SessionGrant struct {
+	URef  string
+	Grant Grant
+}
+
+// TelcoReputation is one bTelco's reputation.
+type TelcoReputation struct {
+	IDT   string
+	Entry ReputationEntry
+}
+
+// State returns a copy of the verifier's durable part.
+func (v *Verifier) State() State {
+	var st State
+	for ref, s := range v.sessions {
+		st.Grants = append(st.Grants, SessionGrant{ref, s.Grant})
+	}
 	for id, e := range v.telcoRep {
-		out[id] = *e
+		st.Reputations = append(st.Reputations, TelcoReputation{id, *e})
 	}
-	return out
-}
-
-// Suspects returns the suspect user list (snapshotting).
-func (v *Verifier) Suspects() []string {
-	out := make([]string, 0, len(v.suspects))
 	for id := range v.suspects {
-		out = append(out, id)
+		st.Suspects = append(st.Suspects, id)
 	}
-	return out
+	return st
 }
 
-// RestoreReputation reinstates a reputation entry (snapshot restore).
-func (v *Verifier) RestoreReputation(idT string, score float64, reports, mismatches int, penalty float64) {
-	v.telcoRep[idT] = &ReputationEntry{Score: score, Reports: reports, Mismatches: mismatches, Penalty: penalty}
+// Restore loads a State, as State returned it, into the verifier.
+func (v *Verifier) Restore(st State) {
+	for _, g := range st.Grants {
+		v.Bind(g.URef, g.Grant)
+	}
+	for _, r := range st.Reputations {
+		v.telcoRep[r.IDT] = &r.Entry
+	}
+	for _, id := range st.Suspects {
+		v.suspects[id] = true
+	}
 }
-
-// RestoreSuspect reinstates a suspect-list entry (snapshot restore).
-func (v *Verifier) RestoreSuspect(idU string) { v.suspects[idU] = true }

@@ -56,12 +56,13 @@ type Brokerd struct {
 	cfg Config
 	sap *sap.BrokerState
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// verifier holds one row per granted URef — its grant, then what the
+	// session's reports concluded — and the reputation state.
 	verifier  *billing.Verifier
-	telcoKeys map[string]telcoKey         // idT -> certified key (and pass)
-	grants    map[string]*sap.GrantRecord // URef -> grant
-	shedHint  time.Duration               // non-zero = degraded: shed attach load
-	shedCount uint64                      // auth requests shed while degraded
+	telcoKeys map[string]telcoKey // idT -> certified key (and pass)
+	shedHint  time.Duration       // non-zero = degraded: shed attach load
+	shedCount uint64              // auth requests shed while degraded
 
 	// Dynamic quarantine (see quarantine.go); nil quarCfg = disabled.
 	quarCfg    *QuarantineConfig
@@ -86,7 +87,6 @@ func New(cfg Config) *Brokerd {
 		cfg:       cfg,
 		verifier:  billing.NewVerifier(cfg.VerifierConfig),
 		telcoKeys: make(map[string]telcoKey),
-		grants:    make(map[string]*sap.GrantRecord),
 	}
 	b.sap = sap.NewBrokerState(cfg.ID, cfg.Key, cfg.Anchor, sap.AuthorizerFunc(b.authorizeLocked), cfg.Now)
 	return b
@@ -194,9 +194,10 @@ func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
 // HandleReceipt signs a receipt for grants a bTelco was given under its
 // pass (sap/pass.go): the request is authenticated like an authReqT, and
 // every session reference in it must be a grant this broker recorded for
-// that bTelco — the records it keeps and snapshots anyway. A refusal is a
-// response naming the cause and, for a reference it will not vouch for,
-// the reference. It passes no gate: one signature per 256 attaches.
+// that bTelco — a row of the one session table, which settlement keeps
+// anyway. A refusal is a response naming the cause and, for a reference it
+// will not vouch for, the reference. It passes no gate: one signature per
+// 256 attaches.
 func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	if req == nil {
 		return nil, sap.ErrBadRequest
@@ -207,7 +208,7 @@ func (b *Brokerd) HandleReceipt(req *sap.ReceiptReq) (*sap.ReceiptResp, error) {
 	b.mu.Lock()
 	disowned := ""
 	for _, uref := range req.URefs {
-		if rec := b.grants[uref]; rec == nil || rec.IDT != req.IDT {
+		if g, ok := b.verifier.Lookup(uref); !ok || g.IDT != req.IDT {
 			disowned = uref
 			break
 		}
@@ -252,8 +253,8 @@ const qosViolationFactor = 3.0
 // checkQoS compares the UE's attested quality metrics against the
 // standardized profile of the QCI the broker granted — the reputation
 // system extended to QoS enforcement. Mutex held by caller.
-func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
-	prof, ok := qos.Lookup(rec.QoS.QCI)
+func (b *Brokerd) checkQoS(g billing.Grant, r *billing.Report) {
+	prof, ok := qos.Lookup(g.QCI)
 	if !ok {
 		return
 	}
@@ -265,7 +266,7 @@ func (b *Brokerd) checkQoS(rec *sap.GrantRecord, r *billing.Report) {
 		degree += math.Min(r.QoS.DLLossRate/math.Max(target*qosViolationFactor, 0.05)-1, 1)
 	}
 	if degree > 0 {
-		b.verifier.Evidence(rec.IDT, billing.QoSEvidence, degree)
+		b.verifier.Evidence(g.IDT, billing.QoSEvidence, degree)
 	}
 }
 
@@ -293,22 +294,15 @@ func (b *Brokerd) Checkpoints(rep billing.Reporter, id string) []*billing.Checkp
 	return b.verifier.Checkpoints(rep, id)
 }
 
-// Grant returns the grant record for a session reference.
-func (b *Brokerd) Grant(uref string) *sap.GrantRecord {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.grants[uref]
-}
-
 // SettleSession computes the payout owed to the bTelco for a session: what
 // report ingestion has concluded about it so far, at the price agreed in
 // the SAP exchange.
 func (b *Brokerd) SettleSession(uref string) (billing.Settlement, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	rec := b.grants[uref]
-	if rec == nil {
+	g, ok := b.verifier.Lookup(uref)
+	if !ok {
 		return billing.Settlement{}, fmt.Errorf("%w: %s", ErrUnknownSession, uref)
 	}
-	return b.verifier.Settle(uref, rec.Terms.PricePerGB), nil
+	return b.verifier.Settle(uref, g.PricePerGB), nil
 }

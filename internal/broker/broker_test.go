@@ -202,14 +202,30 @@ func (h *harness) report(t testing.TB, rep billing.Reporter, signer *pki.KeyPair
 
 func TestGrantRecordedAndBound(t *testing.T) {
 	h := newHarness(t)
-	grant, ref := h.attach(t)
-	rec := h.brk.Grant(ref)
-	if rec == nil || rec.IDT != "h-telco" {
-		t.Fatalf("grant record = %+v", rec)
+	_, ref := h.attach(t)
+	if st, err := h.brk.SettleSession(ref); err != nil || st.IDT != "h-telco" {
+		t.Fatalf("settlement of a fresh grant = %+v, %v", st, err)
 	}
-	if rec.SS != grant.SS {
-		t.Fatal("broker and telco ss differ")
+}
+
+// The broker keeps no session secret past the attach that minted it, so
+// its snapshot holds none.
+func TestSnapshotHoldsNoSessionSecret(t *testing.T) {
+	h := newHarness(t)
+	grant, _ := h.attach(t)
+	if bytes.Contains(h.brk.Snapshot(), grant.SS[:]) {
+		t.Fatal("the snapshot holds a grant's ss")
 	}
+}
+
+// reputation is the broker's reputation entry for idT, if it holds one.
+func reputation(b *Brokerd, idT string) (billing.ReputationEntry, bool) {
+	for _, r := range b.verifier.State().Reputations {
+		if r.IDT == idT {
+			return r.Entry, true
+		}
+	}
+	return billing.ReputationEntry{}, false
 }
 
 func TestReportPipelineHonest(t *testing.T) {
@@ -404,7 +420,7 @@ func TestQoSViolationPenalized(t *testing.T) {
 		}
 		prev = h.brk.TelcoScore("h-telco")
 	}
-	if e := h.brk.verifier.Reputations()["h-telco"]; e.Penalty != 0 {
+	if e, _ := reputation(h.brk, "h-telco"); e.Penalty != 0 {
 		t.Fatalf("QoS incidents added Penalty %v", e.Penalty)
 	}
 	if prev < 0.7 {
@@ -453,8 +469,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if got := fresh.TelcoScore("h-telco"); got != scoreBefore {
 		t.Fatalf("restored score %.3f != %.3f", got, scoreBefore)
 	}
-	if fresh.Grant(ref) == nil {
-		t.Fatal("grant lost across restart")
+	if _, err := fresh.SettleSession(ref); err != nil {
+		t.Fatalf("grant lost across restart: %v", err)
 	}
 	// The restored broker keeps serving: the old user attaches again...
 	h.brk = fresh
@@ -472,6 +488,20 @@ func TestSnapshotRestore(t *testing.T) {
 	// Price survived the restart (1.5/GB from the original SAP terms).
 	if want := float64(st.VerifiedBytes) / 1e9 * 1.5; st.Amount != want {
 		t.Fatalf("amount %.9f, want %.9f", st.Amount, want)
+	}
+	// So did the QCI: a UE report on the old session that misses its class's
+	// delay budget lowers the restored broker's score.
+	before := fresh.TelcoScore("h-telco")
+	env, err := billing.Seal(&billing.Report{SessionRef: ref, Reporter: billing.ReporterUE, Seq: 3,
+		Rel: 90 * time.Second, DLBytes: 3_000_000, QoS: billing.QoSMetrics{DLDelayMs: 2500}}, h.ueKey, fresh.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.HandleReport(env); err != nil {
+		t.Fatal(err)
+	}
+	if after := fresh.TelcoScore("h-telco"); after >= before {
+		t.Fatalf("a QoS-violating report on the restored session left the score at %v (was %v)", after, before)
 	}
 }
 
@@ -540,26 +570,6 @@ func TestRestoreOwnsItsState(t *testing.T) {
 		if err := New(h.brk.cfg).Restore(snap); err == nil {
 			t.Fatalf("a %d-byte ss restored", n)
 		}
-	}
-}
-
-// A user's idU is the digest of its key, and a snapshot whose stored idU
-// is another's is refused before the broker is touched: restored as is, its
-// grants and suspects would name a user no key answers to.
-func TestRestoreRejectsUserIDMismatch(t *testing.T) {
-	cfg, b := katBroker(t)
-	snap := b.Snapshot()
-	uk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{92}, 32)) // katBroker's user
-	idU := uk.Public().Digest()
-	at := bytes.Index(snap, []byte(idU)) // the users section comes first
-	snap[at] ^= 1
-	fresh := New(cfg)
-	empty := fresh.Snapshot()
-	if err := fresh.Restore(snap); err == nil || !strings.Contains(err.Error(), idU) {
-		t.Fatalf("a snapshot with one idU byte flipped: %v", err)
-	}
-	if got := fresh.Snapshot(); !bytes.Equal(got, empty) {
-		t.Fatalf("the refused snapshot changed the broker: it snapshots to %x", got)
 	}
 }
 
@@ -777,17 +787,11 @@ func katBroker(tb testing.TB) (Config, *Brokerd) {
 	idU := b.RegisterUser(uk.Public())
 	tk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{93}, 32))
 	b.telcoKeys["kat-telco"] = telcoKey{pub: tk.Public()}
-	g := &sap.GrantRecord{
-		URef: "kat-uref", IDU: idU, IDT: "kat-telco",
-		Terms: sap.ServiceTerms{PricePerGB: 1.5},
-		QoS:   qos.Params{QCI: qos.QCIWebTCPDefault, DLAmbrBps: 100_000_000, ULAmbrBps: 50_000_000},
-	}
-	for i := range g.SS {
-		g.SS[i] = byte(i)
-	}
-	b.grants[g.URef] = g
-	b.verifier.RestoreReputation("kat-telco", 0.8, 10, 2, 0.25)
-	b.verifier.RestoreSuspect(idU)
+	b.verifier.Restore(billing.State{
+		Grants:      []billing.SessionGrant{{URef: "kat-uref", Grant: billing.Grant{IDU: idU, IDT: "kat-telco", QCI: qos.QCIWebTCPDefault, PricePerGB: 1.5}}},
+		Reputations: []billing.TelcoReputation{{IDT: "kat-telco", Entry: billing.ReputationEntry{Score: 0.8, Reports: 10, Mismatches: 2, Penalty: 0.25}}},
+		Suspects:    []string{idU},
+	})
 	b.quar = map[string]*QuarantineEntry{"kat-telco": {Since: time.Second, Until: 3 * time.Second, Strikes: 2}}
 	return cfg, b
 }

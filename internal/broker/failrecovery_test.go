@@ -174,8 +174,8 @@ func TestRestartRestoresSnapshotOverWire(t *testing.T) {
 	if !degraded(nb) {
 		t.Fatal("restarted broker should start in the shed window")
 	}
-	if nb.Grant(ref) == nil {
-		t.Fatal("grant did not survive the snapshot round trip")
+	if _, err := nb.SettleSession(ref); err != nil {
+		t.Fatalf("grant did not survive the snapshot round trip: %v", err)
 	}
 
 	srv, err := Serve(nb, "127.0.0.1:0")

@@ -8,20 +8,27 @@ import (
 	"cellbricks/internal/billing"
 	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
-	"cellbricks/internal/sap"
 )
 
-// Snapshot serializes the broker's durable state — registered users,
-// known bTelco keys, grants, agreed prices, reputation entries, and
-// (since v2) live quarantine entries — so a restarted brokerd resumes
-// exactly where it stopped: sessions keep settling, reputation history
-// survives, and a quarantined bTelco stays quarantined through the
-// restart. (Pending unpaired reports and the nonce replay cache are
-// deliberately excluded: reports retransmit, and a restart naturally
-// re-arms replay protection. So is everything about MAC'd reports: a
-// bTelco's pass comes back with its next grant, and kept checkpoints and
-// pending digests are soft state — DESIGN.md §2.10.)
-const snapshotVersion = 2
+// Snapshot serializes the broker's durable state, only what Restore reads,
+// so a restarted brokerd resumes where it stopped: sessions keep settling,
+// reputation history survives, and a quarantined bTelco stays quarantined
+// through the restart. Version 3 holds, section by section:
+//
+//	users     each registered user's key (its idU is the key's digest)
+//	bTelcos   each idT and the certified key its reports verify under
+//	sessions  each URef's grant: idU, idT, QCI and price per GB
+//	reps      each bTelco's score, report and mismatch counts, and penalty
+//	suspects  the idUs on the suspect list
+//	quar      each live quarantine entry: since, until, strikes
+//
+// No session secret, AMBR or user idU: nothing reads them after the
+// attach, or they are derived. Pending unpaired reports, the stored bodies
+// and the nonce replay cache are deliberately excluded: reports retransmit,
+// and a restart naturally re-arms replay protection. So is everything about
+// MAC'd reports: a bTelco's pass comes back with its next grant, and kept
+// checkpoints and pending digests are soft state (DESIGN.md §2.10).
+const snapshotVersion = 3
 
 var (
 	errSnapshotVersion = errors.New("unsupported version")
@@ -29,28 +36,21 @@ var (
 )
 
 // snapshot is the durable state in wire order, one list per section.
-// Snapshot fills it from the broker's maps; Restore decodes all of it
-// before it touches the broker.
+// Snapshot fills it from the broker's maps and the verifier's State;
+// Restore decodes all of it before it touches the broker.
 type snapshot struct {
-	version  byte
-	id       string
-	users    []snapKey // the idU, then the encoded key
-	telcos   []snapKey
-	grants   []sap.GrantRecord
-	reps     []snapRep
-	suspects []string
-	quar     []snapQuar
-	size     int // reading: the snapshot's length, which bounds each count
+	version byte
+	id      string
+	users   [][]byte // encoded keys
+	telcos  []snapKey
+	billing.State
+	quar []snapQuar
+	size int // reading: the snapshot's length, which bounds each count
 }
 
 type snapKey struct {
 	id  string
 	pub []byte
-}
-
-type snapRep struct {
-	id string
-	e  billing.ReputationEntry
 }
 
 type snapQuar struct {
@@ -63,36 +63,36 @@ func (s *snapshot) fields(c codec.Coder) codec.Coder {
 	c.Check(s.version == snapshotVersion, errSnapshotVersion)
 	c.String(&s.id)
 	most := s.size / 4 // an entry's first field alone takes 4 bytes
-	for _, keys := range []*[]snapKey{&s.users, &s.telcos} {
-		ks := codec.List(&c, keys, 1, most, errSnapshotCount)
-		for i := range ks {
-			c.String(&ks[i].id)
-			c.Bytes(&ks[i].pub) // a copy: the parsed keys alias it, and outlive the input
-		}
+	us := codec.List(&c, &s.users, 1, most, errSnapshotCount)
+	for i := range us {
+		c.Bytes(&us[i]) // a copy: the parsed keys alias it, and outlive the input
 	}
-	gs := codec.List(&c, &s.grants, 1, most, errSnapshotCount)
+	ts := codec.List(&c, &s.telcos, 1, most, errSnapshotCount)
+	for i := range ts {
+		c.String(&ts[i].id)
+		c.Bytes(&ts[i].pub)
+	}
+	gs := codec.List(&c, &s.Grants, 1, most, errSnapshotCount)
 	for i := range gs {
-		g := &gs[i]
-		c.String(&g.URef)
+		g := &gs[i].Grant
+		c.String(&gs[i].URef)
 		c.String(&g.IDU)
 		c.String(&g.IDT)
-		c.Fixed(g.SS[:])
-		c.Byte((*byte)(&g.QoS.QCI))
-		c.Uint64(&g.QoS.DLAmbrBps)
-		c.Uint64(&g.QoS.ULAmbrBps)
-		c.Float64(&g.Terms.PricePerGB)
+		c.Byte((*byte)(&g.QCI))
+		c.Float64(&g.PricePerGB)
 	}
-	rs := codec.List(&c, &s.reps, 1, most, errSnapshotCount)
+	rs := codec.List(&c, &s.Reputations, 1, most, errSnapshotCount)
 	for i := range rs {
-		c.String(&rs[i].id)
-		c.Float64(&rs[i].e.Score)
-		uint32Int(&c, &rs[i].e.Reports)
-		uint32Int(&c, &rs[i].e.Mismatches)
-		c.Float64(&rs[i].e.Penalty)
+		e := &rs[i].Entry
+		c.String(&rs[i].IDT)
+		c.Float64(&e.Score)
+		uint32Int(&c, &e.Reports)
+		uint32Int(&c, &e.Mismatches)
+		c.Float64(&e.Penalty)
 	}
-	ss := codec.List(&c, &s.suspects, 1, most, errSnapshotCount)
-	for i := range ss {
-		c.String(&ss[i])
+	sus := codec.List(&c, &s.Suspects, 1, most, errSnapshotCount)
+	for i := range sus {
+		c.String(&sus[i])
 	}
 	qs := codec.List(&c, &s.quar, 1, most, errSnapshotCount)
 	for i := range qs {
@@ -117,18 +117,12 @@ func uint32Int(c *codec.Coder, v *int) {
 func (b *Brokerd) Snapshot() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := snapshot{version: snapshotVersion, id: b.cfg.ID, suspects: b.verifier.Suspects()}
-	for id, pub := range b.sap.Users() {
-		s.users = append(s.users, snapKey{id, pub.Bytes()})
+	s := snapshot{version: snapshotVersion, id: b.cfg.ID, State: b.verifier.State()}
+	for _, pub := range b.sap.Users() {
+		s.users = append(s.users, pub.Bytes())
 	}
 	for id, k := range b.telcoKeys {
 		s.telcos = append(s.telcos, snapKey{id, k.pub.Bytes()})
-	}
-	for _, g := range b.grants {
-		s.grants = append(s.grants, *g)
-	}
-	for id, e := range b.verifier.Reputations() {
-		s.reps = append(s.reps, snapRep{id, e})
 	}
 	for id, e := range b.quar {
 		s.quar = append(s.quar, snapQuar{id, *e})
@@ -146,18 +140,20 @@ func (b *Brokerd) Restore(snap []byte) error {
 	if s.id != b.cfg.ID {
 		return fmt.Errorf("broker: snapshot for %q, this broker is %q", s.id, b.cfg.ID)
 	}
-	users, err := parseKeys(s.users)
-	if err != nil {
-		return err
-	}
-	for i, u := range s.users { // an idU is its key's digest: RegisterUser derives it
-		if id := users[i].Digest(); id != u.id {
-			return fmt.Errorf("broker: snapshot user %q holds the key of %q", u.id, id)
+	// Every key is parsed before the broker is touched, so a bad one fails
+	// Restore with the broker as it was.
+	var err error
+	users := make([]pki.PublicIdentity, len(s.users))
+	for i, k := range s.users {
+		if users[i], err = pki.ParsePublicIdentity(k); err != nil {
+			return fmt.Errorf("broker: snapshot user key %d: %w", i, err)
 		}
 	}
-	telcos, err := parseKeys(s.telcos)
-	if err != nil {
-		return err
+	telcos := make([]pki.PublicIdentity, len(s.telcos))
+	for i, t := range s.telcos {
+		if telcos[i], err = pki.ParsePublicIdentity(t.pub); err != nil {
+			return fmt.Errorf("broker: snapshot key of %q: %w", t.id, err)
+		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -167,16 +163,7 @@ func (b *Brokerd) Restore(snap []byte) error {
 	for i, t := range s.telcos {
 		b.telcoKeys[t.id] = telcoKey{pub: telcos[i]}
 	}
-	for _, g := range s.grants {
-		b.grants[g.URef] = &g
-		b.verifier.BindSession(g.URef, g.IDU, g.IDT)
-	}
-	for _, r := range s.reps {
-		b.verifier.RestoreReputation(r.id, r.e.Score, r.e.Reports, r.e.Mismatches, r.e.Penalty)
-	}
-	for _, id := range s.suspects {
-		b.verifier.RestoreSuspect(id)
-	}
+	b.verifier.Restore(s.State)
 	if len(s.quar) > 0 && b.quar == nil {
 		b.quar = make(map[string]*QuarantineEntry)
 	}
@@ -184,19 +171,6 @@ func (b *Brokerd) Restore(snap []byte) error {
 		b.quar[q.id] = &q.e
 	}
 	return nil
-}
-
-// parseKeys parses a section's keys, so that a bad one fails Restore
-// before it touches the broker.
-func parseKeys(ks []snapKey) ([]pki.PublicIdentity, error) {
-	pubs := make([]pki.PublicIdentity, len(ks))
-	for i, k := range ks {
-		var err error
-		if pubs[i], err = pki.ParsePublicIdentity(k.pub); err != nil {
-			return nil, fmt.Errorf("broker: snapshot key of %q: %w", k.id, err)
-		}
-	}
-	return pubs, nil
 }
 
 // Restart is the crash-recovery constructor: it builds a fresh broker from

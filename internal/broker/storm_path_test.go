@@ -453,7 +453,7 @@ func TestBrokerResumeDenyLadder(t *testing.T) {
 				if st.Unpaired != 8 { // billing's cap on a session's unpaired halves
 					t.Fatalf("%d unpaired halves held after 1,000 unpairable reports a side, want the cap", st.Unpaired)
 				}
-				if e, ok := h.brk.verifier.Reputations()["h-telco"]; (ok && e != billing.ReputationEntry{Score: 1}) || len(h.brk.Mismatches()) != 0 {
+				if e, ok := reputation(h.brk, "h-telco"); (ok && e != billing.ReputationEntry{Score: 1}) || len(h.brk.Mismatches()) != 0 {
 					t.Fatalf("never paired, yet judged: %+v, %d mismatches", e, len(h.brk.Mismatches()))
 				}
 			}},

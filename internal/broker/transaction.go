@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cellbricks/internal/billing"
+	"cellbricks/internal/nas"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -15,12 +16,12 @@ import (
 // is decided by the same five stages, one item at a time:
 //
 //	prepare   stateless  sap.Validate; report decrypt + decode (billing.Open)
-//	resolve   b.mu       a report's grant record, expected signer, the
+//	resolve   b.mu       a report's grant (a copy), expected signer, the
 //	                     bTelco's pass
 //	verify    stateless  report MAC or signature, and its checkpoint's
 //	                     signature (billing's Authenticate)
-//	commit    b.mu       arrival order: nonce + policy, mint, grant
-//	                     bookkeeping, report ingest with its reporter's
+//	commit    b.mu       arrival order: nonce + policy, mint, bind the
+//	                     grant, report ingest with its reporter's
 //	                     checkpoint audit, and the quarantine review of its
 //	                     bTelco
 //	finalize  stateless  seal + sign a granted handshake
@@ -28,7 +29,8 @@ import (
 // An item that fails a stage carries the failure in err and the later
 // stages skip it. A grant is committed before it is finalized: if
 // sealing fails the caller gets the error and the (unusable, never
-// delivered) grant record stays.
+// delivered) grant stays bound. The session secret lives in the item
+// alone, from the mint to finalize: the broker keeps no copy.
 
 type txKind uint8
 
@@ -48,10 +50,12 @@ type txItem struct {
 	o      billing.Opened     // prepare: opened report; verify, commit: what they found
 	signer pki.PublicIdentity // resolve: key the report's signatures must verify under
 	pass   *pki.Ticket        // resolve: key a bTelco's MAC'd report must verify under
-	// rec is the session a report names (resolve), or the grant a
-	// handshake just committed (commit; nil = not granted).
-	rec   *sap.GrantRecord
-	score float64 // commit: the bTelco's reputation, echoed in the grant
+	grant  billing.Grant      // resolve: the grant of the session a report names
+	score  float64            // commit: the bTelco's reputation, echoed in the grant
+	// commit: what a granted handshake's finalize seals ("" = not granted).
+	uref   string
+	ss     nas.MasterKey
+	params qos.Params
 
 	// The outcome, as the handler returns it: a handshake's response (nil
 	// plus err for a hard error), or a report's mismatch verdict and err.
@@ -93,22 +97,25 @@ func (b *Brokerd) prepare(it *txItem) {
 	}
 }
 
-// resolveLocked looks up the session a report names and the keys it is
-// expected under: the reporter's public key, and for a bTelco the pass of
-// the certificate its latest grant carried (a UE's MAC key needs no state:
-// verify derives it from the report's own box). Mutex held.
+// resolveLocked looks up the grant of the session a report names and the
+// keys it is expected under: the reporter's public key, and for a bTelco
+// the pass of the certificate its latest grant carried (a UE's MAC key
+// needs no state: verify derives it from the report's own box). Mutex held.
 func (b *Brokerd) resolveLocked(it *txItem) {
 	if it.err != nil || it.kind != txReport {
 		return
 	}
-	if it.rec = b.grants[it.o.Report.SessionRef]; it.rec == nil {
+	g, ok := b.verifier.Lookup(it.o.Report.SessionRef)
+	if !ok {
+		it.err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
 		return
 	}
+	it.grant = g
 	switch it.o.Report.Reporter {
 	case billing.ReporterUE:
-		it.signer = b.sap.UserKey(it.rec.IDU)
+		it.signer = b.sap.UserKey(g.IDU)
 	case billing.ReporterTelco:
-		k := b.telcoKeys[it.rec.IDT]
+		k := b.telcoKeys[g.IDT]
 		it.signer, it.pass = k.pub, k.pass
 	}
 }
@@ -119,15 +126,11 @@ func (b *Brokerd) verify(it *txItem) {
 	if it.err != nil || it.kind != txReport {
 		return
 	}
-	if it.rec == nil {
-		it.err = fmt.Errorf("%w: %s", ErrUnknownSession, it.o.Report.SessionRef)
-		return
-	}
 	mac := it.pass
 	if it.o.MACd && it.o.Report.Reporter == billing.ReporterUE {
 		// The key of the ticket the report's box rides, if that is a
 		// ticket this broker minted for the session's user.
-		if t, ok := b.cfg.Key.TicketMAC(it.report.Sealed, it.rec.IDU); ok {
+		if t, ok := b.cfg.Key.TicketMAC(it.report.Sealed, it.grant.IDU); ok {
 			mac = &t
 		}
 	}
@@ -156,7 +159,7 @@ func (b *Brokerd) commitLocked(it *txItem) {
 
 // commitAuthLocked decides a handshake: replay filter and policy (Decide
 // reaches authorizeLocked through the SAP state's policy), then mint and
-// record the grant — bound for billing alignment, with the bTelco's
+// bind the grant — the session's row in the verifier, with the bTelco's
 // certified key remembered for report verification. Mutex held.
 func (b *Brokerd) commitAuthLocked(it *txItem) {
 	if it.err != nil {
@@ -164,9 +167,8 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 		return
 	}
 	req, cause := it.auth, it.v.DenyCause
-	var params qos.Params
 	if cause == "" {
-		params, cause = b.sap.Decide(it.v, nil)
+		it.params, cause = b.sap.Decide(it.v, nil)
 	}
 	// Every reply — grant or denial — carries the requester's current
 	// reputation, so scores propagate into SAP offers.
@@ -176,21 +178,19 @@ func (b *Brokerd) commitAuthLocked(it *txItem) {
 		it.resp = &sap.AuthResp{Granted: false, Cause: cause, TelcoScore: it.score}
 		return
 	}
-	ss, uref, err := sap.MintSession()
-	if err != nil {
+	var err error
+	if it.ss, it.uref, err = sap.MintSession(); err != nil {
 		mtr.attachDenied.Add(1)
 		it.err = err
 		return
 	}
-	it.rec = &sap.GrantRecord{URef: uref, IDU: it.v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
-	b.grants[uref] = it.rec
 	// Same digest, same certificate, same key: only a bTelco's first grant,
 	// its first after a restore and one under a renewed certificate store.
 	if k := b.telcoKeys[req.IDT]; k.pass == nil || k.pass.Locator != it.v.TelcoPass().Locator {
 		pass := it.v.TelcoPass()
 		b.telcoKeys[req.IDT] = telcoKey{pub: req.Cert.Identity, pass: &pass}
 	}
-	b.verifier.BindSession(uref, it.rec.IDU, req.IDT)
+	b.verifier.Bind(it.uref, billing.Grant{IDU: it.v.Vec.IDU, IDT: req.IDT, QCI: it.params.QCI, PricePerGB: req.Terms.PricePerGB})
 	mtr.attachGranted.Add(1)
 }
 
@@ -205,7 +205,7 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 		return
 	}
 	if r.Reporter == billing.ReporterUE {
-		b.checkQoS(it.rec, r)
+		b.checkQoS(it.grant, r)
 	}
 	mtr.reports.Add(1)
 	mm, err := b.verifier.IngestOpened(&it.o)
@@ -227,15 +227,15 @@ func (b *Brokerd) commitReportLocked(it *txItem) {
 	it.mismatch, it.err = mm, err
 	// Any ingest can move the reputation — pass, mismatch or replay
 	// penalty — so every ingest owes a quarantine review.
-	b.reviewTelcoLocked(it.rec.IDT, mm != nil || isReplay(err))
+	b.reviewTelcoLocked(it.grant.IDT, mm != nil || isReplay(err))
 }
 
 // finalize seals and signs the responses of a committed grant.
 func (b *Brokerd) finalize(it *txItem) {
-	if it.kind != txAuth || it.rec == nil {
+	if it.kind != txAuth || it.uref == "" {
 		return
 	}
-	resp, _, err := b.sap.Finalize(it.v, it.rec.QoS, it.rec.SS, it.rec.URef)
+	resp, _, err := b.sap.Finalize(it.v, it.params, it.ss, it.uref)
 	if err != nil {
 		it.err = err
 		return

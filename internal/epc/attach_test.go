@@ -122,8 +122,8 @@ func TestSAPAttachEndToEnd(t *testing.T) {
 		t.Fatalf("session = %+v", sess)
 	}
 	// The broker recorded the grant under the same reference.
-	if g := w.brk.Grant(sess.URef); g == nil || g.IDT != "btelco-1" {
-		t.Fatalf("broker grant missing for %q", sess.URef)
+	if st, err := w.brk.SettleSession(sess.URef); err != nil || st.IDT != "btelco-1" {
+		t.Fatalf("broker grant missing for %q: %+v, %v", sess.URef, st, err)
 	}
 	// The UE and AGW share a working security context: detach (protected)
 	// round-trips.

@@ -385,6 +385,9 @@ func TestRealDeploymentReportCountersMove(t *testing.T) {
 	if err := attachDetach(d, n); err != nil {
 		t.Fatal(err)
 	}
+	// A server counts a reply's frame once its Write returns, which can be
+	// after the client read the reply; Close waits for every handler.
+	d.Close()
 	after := obs.Default().Snapshot()
 	moved := make(map[string]float64, len(names))
 	for _, name := range names {
