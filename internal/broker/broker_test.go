@@ -802,7 +802,7 @@ func katBroker(tb testing.TB) (Config, *Brokerd) {
 func TestSnapshotKnownAnswer(t *testing.T) {
 	cfg, b := katBroker(t)
 	snap := b.Snapshot()
-	const want = "145d5d852f327b8c70116f2c97d864105740df447037d18a8bd1ebc78420f2a5"
+	const want = "ca4ceb91a25d81a2117d290b5571afab74873d4efbdf1f9ae9091abcae4fb142"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != want {
 		t.Fatalf("snapshot sha256 %s, want %s\n%x", got, want, snap)
 	}
