@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cellbricks/internal/codec"
 	"cellbricks/internal/pki"
 )
 
@@ -164,7 +165,7 @@ func FuzzOpenVerified(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
 		var env *SealedReport
 		seal := func(macd bool, cp *Checkpoint) {
-			sealed, err := sealer.Seal(data)
+			sealed, err := sealer.Seal(func(c codec.Coder) codec.Coder { c.Raw(data); return c })
 			if err != nil {
 				t.Fatal(err)
 			}

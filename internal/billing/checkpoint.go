@@ -117,6 +117,7 @@ type Stream struct {
 	mu      sync.Mutex
 	started bool     // the first report has gone out (signed)
 	digests []Digest // MAC'd since the last checkpoint, < checkpointEvery
+	body    []byte   // scratch: a MAC'd report's body, encoded to be digested
 }
 
 // Seal seals r on sealer and authenticates it. With a MAC key — and once
@@ -126,8 +127,7 @@ type Stream struct {
 // what the paper specifies; that envelope adds nothing to the next
 // checkpoint, and needs no stream at all (SealOn passes none).
 func (st *Stream) Seal(r *Report, signer *pki.KeyPair, sealer *pki.Sealer, mac *pki.Ticket) (*SealedReport, error) {
-	body := r.Marshal()
-	sealed, err := sealer.Seal(body)
+	sealed, err := sealer.Seal(r.fields)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,8 @@ func (st *Stream) Seal(r *Report, signer *pki.KeyPair, sealer *pki.Sealer, mac *
 			st.started, signed = true, true
 		}
 		if !signed {
-			d = digestOf(body)
+			st.body = codec.Reencode(st.body, r.fields)
+			d = digestOf(st.body)
 			if st.digests = append(st.digests, d); len(st.digests) == checkpointEvery {
 				due, st.digests = st.digests, nil
 			}

@@ -544,31 +544,26 @@ func TestRestoreOwnsItsState(t *testing.T) {
 		t.Fatalf("restored bTelco key %v, want %v", got, want)
 	}
 
-	for _, n := range []int{31, 33} {
-		snap := codec.Encode(func(c codec.Coder) codec.Coder {
-			v, id, zero, one := byte(snapshotVersion), h.brk.cfg.ID, uint32(0), uint32(1)
-			uref, idU, idT, ss := "uref", "idU", "idT", make([]byte, n)
-			qci, bps, price := byte(9), uint64(1), 1.0
-			c.Byte(&v)
-			c.String(&id)
-			c.Uint32(&zero) // users
-			c.Uint32(&zero) // bTelco keys
-			c.Uint32(&one)  // grants
-			c.String(&uref)
-			c.String(&idU)
-			c.String(&idT)
-			c.Bytes(&ss)
-			c.Byte(&qci)
-			c.Uint64(&bps)
-			c.Uint64(&bps)
-			c.Float64(&price)
-			for range 3 { // reputations, suspects, quarantine
-				c.Uint32(&zero)
+	// A well-formed snapshot whose one user key has a signing key of 31 or
+	// 33 bytes is refused for that key, with the broker as it was; the same
+	// snapshot with 32 bytes restores.
+	box := h.ueKey.Public().BoxPub
+	for _, n := range []int{31, 33, 32} {
+		key := pki.PublicIdentity{SigPub: bytes.Repeat([]byte{7}, n), BoxPub: box}
+		snap := codec.Encode((&snapshot{version: snapshotVersion, id: h.brk.cfg.ID, users: [][]byte{key.Bytes()}}).fields)
+		fresh := New(h.brk.cfg)
+		err := fresh.Restore(snap)
+		if n == 32 {
+			if err != nil {
+				t.Fatalf("a 32-byte user key: %v", err)
 			}
-			return c
-		})
-		if err := New(h.brk.cfg).Restore(snap); err == nil {
-			t.Fatalf("a %d-byte ss restored", n)
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "user key 0") || !strings.Contains(err.Error(), "signing key length") {
+			t.Fatalf("a %d-byte user key: %v, want a refusal of its length", n, err)
+		}
+		if users := fresh.sap.Users(); len(users) != 0 {
+			t.Fatalf("a refused snapshot registered %d users", len(users))
 		}
 	}
 }

@@ -59,11 +59,25 @@ func Encode(fields func(Coder) Coder) []byte {
 	return Append(make([]byte, 0, Size(fields)), fields)
 }
 
+// Reencode encodes what fields lists into buf's storage and returns it: for
+// a scratch encoding — a span to hash or sign — in a buffer its owner keeps
+// from call to call. The first encoding takes a buffer of exactly its size,
+// and one that outgrows buf a larger one.
+func Reencode(buf []byte, fields func(Coder) Coder) []byte {
+	if cap(buf) == 0 {
+		return Encode(fields)
+	}
+	return Append(buf[:0], fields)
+}
+
 // Append appends what fields lists to dst and returns the extended slice.
 func Append(dst []byte, fields func(Coder) Coder) []byte { return fields(Coder{b: dst}).b }
 
 // Decode sets what fields lists from b, which it must consume exactly.
-// Decoded fields own their bytes, except those read with View.
+// Decoded fields own their bytes, except those read with View, which alias
+// b: a caller that reuses b (a frame buffer, an opened plaintext) copies
+// such a field where it keeps it. A string field whose bytes equal what it
+// already holds keeps that string (String).
 func Decode(b []byte, fields func(Coder) Coder) error {
 	c := fields(Coder{mode: reading, b: b, end: len(b)})
 	return c.done()
@@ -160,7 +174,11 @@ func (c *Coder) View(v *[]byte) {
 	}
 }
 
-// String codes a length-prefixed string field.
+// String codes a length-prefixed string field. Reading, a field whose
+// bytes equal *v leaves *v as it is: a caller that already holds the
+// identifier a message should carry sets it before decoding, and the
+// decoder adopts the held string instead of allocating a copy. Any other
+// bytes decode to a string of their own.
 func (c *Coder) String(v *string) {
 	if c.mode != reading {
 		c.write(uint64(len(*v)), 4)
@@ -169,8 +187,8 @@ func (c *Coder) String(v *string) {
 		} else {
 			c.b = append(c.b, *v...)
 		}
-	} else {
-		*v = string(c.field())
+	} else if f := c.field(); string(f) != *v {
+		*v = string(f)
 	}
 }
 

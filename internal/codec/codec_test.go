@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // reader is a Coder in reading mode over b, as Decode starts one.
@@ -112,6 +113,31 @@ func TestBytesCopyIndependent(t *testing.T) {
 	buf[4] = 0 // mutate underlying storage
 	if got[0] != 9 {
 		t.Fatal("Bytes aliases input")
+	}
+}
+
+// A string field whose bytes equal the string it holds keeps that string,
+// allocating nothing; any other bytes decode to a string of their own, which
+// does not alias the input.
+func TestStringAdoptsHeldValue(t *testing.T) {
+	id := "broker.example"
+	buf := Encode(func(c Coder) Coder { c.String(&id); return c })
+	held := string([]byte(id)) // equal, at an address of its own
+	got := held
+	if n := testing.AllocsPerRun(100, func() {
+		got = held
+		reader(buf).String(&got)
+	}); n != 0 || unsafe.StringData(got) != unsafe.StringData(held) {
+		t.Fatalf("decoding the held value: %v allocations, adopted %t", n, unsafe.StringData(got) == unsafe.StringData(held))
+	}
+	for _, other := range []string{"", "broker.exampl", "broker.examplf"} {
+		got := other
+		reader(buf).String(&got)
+		buf[4] ^= 0xFF // the decoded string must not see the input move
+		if got != id {
+			t.Fatalf("holding %q, decoded %q", other, got)
+		}
+		buf[4] ^= 0xFF
 	}
 }
 

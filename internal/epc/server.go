@@ -50,7 +50,9 @@ func (s *NASServer) handle(msgType byte, payload []byte) (byte, []byte, error) {
 }
 
 // nasCall is the UE->AGW wire call: a NAS envelope and the RAN identifier
-// it came in on.
+// it came in on. Read, the envelope aliases the request frame, which lives
+// as long as the handler's call (wire.Handler): HandleNAS keeps none of it,
+// since the NAS decoders copy what a message keeps.
 type nasCall struct {
 	ranID    string
 	envelope []byte
@@ -58,7 +60,7 @@ type nasCall struct {
 
 func (m *nasCall) fields(c codec.Coder) codec.Coder {
 	c.String(&m.ranID)
-	c.Bytes(&m.envelope)
+	c.View(&m.envelope)
 	return c
 }
 

@@ -84,7 +84,7 @@ func TestSealersAheadDistinctAndOwnRecipient(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					box, err := s.Seal([]byte("authVec"))
+					box, err := s.Seal(raw([]byte("authVec")))
 					if err != nil {
 						t.Error(err)
 						return

@@ -310,6 +310,7 @@ type CertVerifier struct {
 
 	mu   sync.Mutex
 	seen map[[32]byte]certWindow
+	buf  []byte // scratch: the certificate being digested
 }
 
 type certWindow struct{ notBefore, notAfter time.Time }
@@ -335,9 +336,9 @@ func (v *CertVerifier) VerifyDigest(c *Certificate, now time.Time) (key [sha256.
 	if c == nil {
 		return key, ErrBadCertificate
 	}
-	key = c.Digest()
-
 	v.mu.Lock()
+	v.buf = codec.Reencode(v.buf, c.digested)
+	key = sha256.Sum256(v.buf) // c.Digest(), in the verifier's buffer
 	w, hit := v.seen[key]
 	v.mu.Unlock()
 	if hit {

@@ -299,6 +299,15 @@ func TestCertVerifierMemoization(t *testing.T) {
 			t.Fatalf("VerifyDigest call %d: %x, %v", i, d, err)
 		}
 	}
+	// A hit hashes the certificate in the verifier's buffer: nothing to
+	// allocate.
+	if n := testing.AllocsPerRun(100, func() {
+		if err := v.Verify(cert, now); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a cached certificate check: %v allocations, want 0", n)
+	}
 	// Cached entry must still honour the validity window.
 	if err := v.Verify(cert, now.Add(2*time.Hour)); err != ErrExpired {
 		t.Fatalf("cached expired cert: err=%v, want ErrExpired", err)

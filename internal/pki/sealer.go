@@ -11,6 +11,8 @@ import (
 	"io"
 	"runtime"
 	"sync"
+
+	"cellbricks/internal/codec"
 )
 
 // One exchange per relationship (DESIGN.md §2.7). A sealed box is
@@ -34,6 +36,11 @@ const (
 
 	// boxMemoSize bounds a KeyPair's epk → key memo.
 	boxMemoSize = 1024
+	// keptOpeners bounds the AEADs a KeyPair keeps for the exchanges that
+	// keep sending it boxes; keepAfterHits is how many memo hits make one
+	// (boxMemo.opener).
+	keptOpeners   = 8
+	keepAfterHits = 2
 	// maxResidentSealers bounds a Sealers set, like CertVerifier's cache.
 	maxResidentSealers = 256
 	// sealsPerResident is how many boxes ride one resident exchange before
@@ -251,9 +258,11 @@ func (s *Sealer) keyBoth(key boxKeyBytes) (err error) {
 	return err
 }
 
-// Seal encrypts msg on the sealer's exchange under a fresh random nonce.
-func (s *Sealer) Seal(msg []byte) ([]byte, error) {
-	return sealBox(s.aead, s.epk[:], msg)
+// Seal encrypts what fields lists on the sealer's exchange under a fresh
+// random nonce. The message is encoded in the box and encrypted where it
+// lies: the box is the one allocation.
+func (s *Sealer) Seal(fields func(codec.Coder) codec.Coder) ([]byte, error) {
+	return sealBox(s.aead, s.epk[:], fields)
 }
 
 // OpenReply decrypts a box the recipient built with SealReply from a box
@@ -380,7 +389,7 @@ func Seal(recipient PublicIdentity, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Seal(msg)
+	return s.Seal(func(c codec.Coder) codec.Coder { c.Raw(msg); return c })
 }
 
 // Open decrypts a sealed box addressed to k. The key of an exchange whose
@@ -394,12 +403,12 @@ func (k *KeyPair) Open(box []byte) ([]byte, error) {
 	return pt, err
 }
 
-// SealReply encrypts msg to whoever sealed requestBox to k, on that box's
-// exchange: the reply echoes its prefix and is keyed for the reverse
-// direction, so only the holder of the request's Sealer opens it. The
-// caller has opened requestBox; an exchange the memo no longer holds is
-// recomputed.
-func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
+// SealReply encrypts what fields lists to whoever sealed requestBox to k,
+// on that box's exchange: the reply echoes its prefix and is keyed for the
+// reverse direction, so only the holder of the request's Sealer opens it.
+// The caller has opened requestBox; an exchange the memo no longer holds is
+// recomputed. Like Sealer.Seal, the box is the one buffer.
+func (k *KeyPair) SealReply(requestBox []byte, fields func(codec.Coder) codec.Coder) ([]byte, error) {
 	if len(requestBox) < boxOverhead {
 		return nil, ErrShortInput
 	}
@@ -415,7 +424,7 @@ func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealBox(aead, requestBox[:epkSize], msg)
+	return sealBox(aead, requestBox[:epkSize], fields)
 }
 
 // open decrypts box and returns the request-direction key of its exchange,
@@ -427,9 +436,8 @@ func (k *KeyPair) SealReply(requestBox, msg []byte) ([]byte, error) {
 // other forgery.
 func (k *KeyPair) open(box []byte) (pt []byte, key boxKeyBytes, err error) {
 	prefix := box[:epkSize]
-	var known bool
-	if key, known = k.memo.get(prefix); known {
-		pt, err = openBox(key, box)
+	if aead, known := k.memo.opener(prefix, &key); known {
+		pt, err = openWith(aead, box)
 		return pt, key, err
 	}
 	key = mac32(&k.derived.ticketSecret, ticketKeyLabel, prefix, "")
@@ -478,14 +486,18 @@ func newBoxAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-func sealBox(aead cipher.AEAD, epk, msg []byte) ([]byte, error) {
-	out := make([]byte, epkSize+boxNonceSize, boxOverhead+len(msg))
+// sealBox encodes what fields lists behind epk and a fresh nonce, in a box
+// of exactly its size, and encrypts it in place.
+func sealBox(aead cipher.AEAD, epk []byte, fields func(codec.Coder) codec.Coder) ([]byte, error) {
+	const head = epkSize + boxNonceSize
+	out := make([]byte, head, boxOverhead+codec.Size(fields))
 	copy(out, epk)
-	nonce := out[epkSize:]
+	nonce := out[epkSize:head]
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
-	return aead.Seal(out, nonce, msg, nil), nil
+	out = codec.Append(out, fields)
+	return aead.Seal(out[:head], nonce, out[head:], nil), nil
 }
 
 func openBox(key boxKeyBytes, box []byte) ([]byte, error) {
@@ -510,19 +522,84 @@ func openWith(aead cipher.AEAD, box []byte) ([]byte, error) {
 // authenticated, first in first out. It holds 32-byte keys rather than
 // cipher.AEADs (an AEAD is ~1 KiB; rebuilding one is a fraction of a
 // microsecond) and allocates nothing until the first put: most KeyPairs
-// in a world are UEs, which never open a request-direction box.
+// in a world are UEs, which never open a request-direction box. The
+// exception is an exchange that keeps sending boxes — a bTelco's resident
+// one, which carries every report it files: from its keepAfterHits-th hit
+// its AEAD is kept too, for the keptOpeners such exchanges used most
+// recently. A UE's exchange carries its authVec and its session's reports,
+// and one that is kept is soon pushed out by the bTelcos'.
 type boxMemo struct {
 	mu   sync.Mutex
-	keys map[[epkSize]byte]boxKeyBytes
+	keys map[[epkSize]byte]memoEntry
 	ring [][epkSize]byte // insertion order; ring[next] is the oldest once full
 	next int
+
+	kept  [keptOpeners]keptOpener
+	clock uint64 // stamps keptOpener.used
+}
+
+type memoEntry struct {
+	key  boxKeyBytes
+	hits uint32
+}
+
+type keptOpener struct {
+	epk  [epkSize]byte
+	aead cipher.AEAD // nil: the slot is free
+	used uint64
 }
 
 func (m *boxMemo) get(epk []byte) (boxKeyBytes, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key, ok := m.keys[[epkSize]byte(epk)]
-	return key, ok
+	e, ok := m.keys[[epkSize]byte(epk)]
+	return e.key, ok
+}
+
+// opener returns the AEAD that opens boxes of the exchange epk names, with
+// its key in *key, if the memo knows that exchange: a kept one, or one
+// built for this box and kept when the exchange has earned it.
+func (m *boxMemo) opener(epk []byte, key *boxKeyBytes) (cipher.AEAD, bool) {
+	x := [epkSize]byte(epk)
+	m.mu.Lock()
+	e, ok := m.keys[x]
+	if !ok {
+		m.mu.Unlock()
+		return nil, false
+	}
+	*key = e.key
+	m.clock++
+	for i := range m.kept {
+		if k := &m.kept[i]; k.aead != nil && k.epk == x {
+			k.used = m.clock
+			m.mu.Unlock()
+			return k.aead, true
+		}
+	}
+	e.hits++
+	m.keys[x] = e
+	if e.hits < keepAfterHits {
+		m.mu.Unlock()
+		return mustBoxAEAD(e.key), true
+	}
+	defer m.mu.Unlock()
+	slot := &m.kept[0]
+	for i := range m.kept {
+		if k := &m.kept[i]; k.aead == nil || k.used < slot.used {
+			slot = k
+		}
+	}
+	*slot = keptOpener{epk: x, aead: mustBoxAEAD(e.key), used: m.clock}
+	return slot.aead, true
+}
+
+// mustBoxAEAD is newBoxAEAD for a key of the right length, which never fails.
+func mustBoxAEAD(key boxKeyBytes) cipher.AEAD {
+	aead, err := newBoxAEAD(key[:])
+	if err != nil {
+		panic("pki: box key: " + err.Error())
+	}
+	return aead
 }
 
 func (m *boxMemo) put(epk []byte, key boxKeyBytes) {
@@ -533,16 +610,22 @@ func (m *boxMemo) put(epk []byte, key boxKeyBytes) {
 		return
 	}
 	if m.keys == nil {
-		m.keys = make(map[[epkSize]byte]boxKeyBytes)
+		m.keys = make(map[[epkSize]byte]memoEntry)
 	}
 	if len(m.ring) < boxMemoSize {
 		m.ring = append(m.ring, e)
 	} else {
-		delete(m.keys, m.ring[m.next])
+		old := m.ring[m.next]
+		delete(m.keys, old)
+		for i := range m.kept {
+			if m.kept[i].epk == old {
+				m.kept[i] = keptOpener{}
+			}
+		}
 		m.ring[m.next] = e
 		m.next = (m.next + 1) % boxMemoSize
 	}
-	m.keys[e] = key
+	m.keys[e] = memoEntry{key: key}
 }
 
 // Sealers keeps one resident Sealer per infrastructure recipient — the

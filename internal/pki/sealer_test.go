@@ -9,7 +9,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cellbricks/internal/codec"
 )
+
+// raw lists msg as it is: what a box of bytes not encoded by a message seals.
+func raw(msg []byte) func(codec.Coder) codec.Coder {
+	return func(c codec.Coder) codec.Coder { c.Raw(msg); return c }
+}
 
 func mustSealer(t testing.TB, to *KeyPair) *Sealer {
 	t.Helper()
@@ -22,7 +29,7 @@ func mustSealer(t testing.TB, to *KeyPair) *Sealer {
 
 func mustSeal(t testing.TB, s *Sealer, msg []byte) []byte {
 	t.Helper()
-	box, err := s.Seal(msg)
+	box, err := s.Seal(raw(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +89,69 @@ func TestSealerManyBoxesOneExchange(t *testing.T) {
 	}
 }
 
+// keptLen is how many exchanges k keeps an AEAD for.
+func (k *KeyPair) keptLen() int {
+	k.memo.mu.Lock()
+	defer k.memo.mu.Unlock()
+	n := 0
+	for _, o := range k.memo.kept {
+		if o.aead != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// An exchange that keeps sending boxes — a bTelco's resident one, carrying
+// its reports — has its AEAD kept from its keepAfterHits-th memo hit: a box
+// then costs only its plaintext. An exchange of two boxes, a UE's authVec
+// and its one report, leaves only its key. At most keptOpeners are kept,
+// the least recently used going first, and one that went still opens.
+func TestOpenKeepsTheOpenerOfARepeatingExchange(t *testing.T) {
+	k := mustPair(t, 29)
+	msg := bytes.Repeat([]byte("r"), 117)
+	ue := mustSealer(t, k)
+	for range 2 {
+		if _, err := k.Open(mustSeal(t, ue, msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := k.keptLen(); n != 0 {
+		t.Fatalf("a two-box exchange left %d kept openers", n)
+	}
+	resident := mustSealer(t, k)
+	box := mustSeal(t, resident, msg)
+	for range keepAfterHits + 1 {
+		if _, err := k.Open(box); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := k.keptLen(); n != 1 {
+		t.Fatalf("a repeating exchange left %d kept openers, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if pt, err := k.Open(box); err != nil || !bytes.Equal(pt, msg) {
+			t.Fatalf("Open: %v", err)
+		}
+	}); n != 1 {
+		t.Errorf("Open on a kept opener: %v allocations, want the plaintext's", n)
+	}
+	for range 2 * keptOpeners {
+		s := mustSealer(t, k)
+		for range keepAfterHits + 1 {
+			if _, err := k.Open(mustSeal(t, s, msg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := k.keptLen(); n > keptOpeners {
+			t.Fatalf("%d kept openers, bound %d", n, keptOpeners)
+		}
+	}
+	if got, err := k.Open(box); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("an exchange whose opener went: %q, %v", got, err)
+	}
+}
+
 // Rule "memo": bounded, authenticated-only, and a miss gives what a hit
 // gives.
 func TestOpenMemoBoundedAuthenticatedMissEqualsHit(t *testing.T) {
@@ -135,7 +205,7 @@ func TestOpenMemoBoundedAuthenticatedMissEqualsHit(t *testing.T) {
 	if err != nil || !bytes.Equal(again, cold) {
 		t.Fatalf("evicted exchange: %q, %v", again, err)
 	}
-	reply, err := k.SealReply(box0, msg)
+	reply, err := k.SealReply(box0, raw(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +224,7 @@ func TestReplyOpensOnlyOnOwnExchangeAndDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("authRespU")
-	reply, err := k.SealReply(req, msg)
+	reply, err := k.SealReply(req, raw(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +233,7 @@ func TestReplyOpensOnlyOnOwnExchangeAndDirection(t *testing.T) {
 	}
 	// Repeatable on one request: nothing is consumed on either side.
 	for i := 0; i < 3; i++ {
-		r, err := k.SealReply(req, msg)
+		r, err := k.SealReply(req, raw(msg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +259,7 @@ func TestReplyOpensOnlyOnOwnExchangeAndDirection(t *testing.T) {
 		{"low-order epk", func() ([]byte, error) { return k.Open(make([]byte, boxOverhead)) }, ErrDecrypt},
 		{"truncated reply", func() ([]byte, error) { return s.OpenReply(reply[:boxOverhead-1]) }, ErrShortInput},
 		{"truncated request", func() ([]byte, error) { return k.Open(req[:boxOverhead-1]) }, ErrShortInput},
-		{"reply to a truncated request", func() ([]byte, error) { return k.SealReply(req[:epkSize], msg) }, ErrShortInput},
+		{"reply to a truncated request", func() ([]byte, error) { return k.SealReply(req[:epkSize], raw(msg)) }, ErrShortInput},
 	} {
 		if pt, err := tc.open(); !errors.Is(err, tc.want) || pt != nil {
 			t.Errorf("%s: got %q, %v; want %v", tc.name, pt, err, tc.want)
@@ -260,7 +330,7 @@ func TestSealerConcurrentUse(t *testing.T) {
 					return
 				}
 				for _, s := range []*Sealer{shared, own, res} {
-					box, err := s.Seal(msg)
+					box, err := s.Seal(raw(msg))
 					if err != nil {
 						t.Error(err)
 						return
@@ -269,7 +339,7 @@ func TestSealerConcurrentUse(t *testing.T) {
 						t.Errorf("open: %q, %v", got, err)
 						return
 					}
-					reply, err := k.SealReply(box, msg)
+					reply, err := k.SealReply(box, raw(msg))
 					if err != nil {
 						t.Error(err)
 						return
@@ -318,7 +388,7 @@ func TestTicketExchangeStatelessBoundAndKeyed(t *testing.T) {
 		if k.memoLen() != 0 {
 			t.Fatal("memo not empty before the first open")
 		}
-		reply, err := k.SealReply(box, []byte("authRespU")) // before any Open: derives
+		reply, err := k.SealReply(box, raw([]byte("authRespU"))) // before any Open: derives
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,9 +423,9 @@ func TestTicketExchangeStatelessBoundAndKeyed(t *testing.T) {
 		open func() ([]byte, error)
 	}{
 		{"locator replayed without its key", func() ([]byte, error) { return mustPair(t, 23).Open(stolen) }},
-		{"reply to a locator replayed without its key", func() ([]byte, error) { return mustPair(t, 23).SealReply(stolen, msg) }},
+		{"reply to a locator replayed without its key", func() ([]byte, error) { return mustPair(t, 23).SealReply(stolen, raw(msg)) }},
 		{"ticket presented to a different seed", func() ([]byte, error) { return other.Open(box) }},
-		{"reply from a different seed", func() ([]byte, error) { return other.SealReply(box, msg) }},
+		{"reply from a different seed", func() ([]byte, error) { return other.SealReply(box, raw(msg)) }},
 		{"request opened as a reply", func() ([]byte, error) { return s.OpenReply(box) }},
 	} {
 		if pt, err := tc.open(); !errors.Is(err, ErrDecrypt) || pt != nil {
@@ -527,7 +597,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		// Whatever came in, replying to it neither panics nor opens under
 		// an unrelated sealer.
-		if reply, err := k.SealReply(box, []byte("r")); err == nil {
+		if reply, err := k.SealReply(box, raw([]byte("r"))); err == nil {
 			if _, err := live.OpenReply(reply); err == nil && !bytes.Equal(box[:epkSize], liveBox[:epkSize]) {
 				t.Fatal("reply to a foreign exchange opened on the live sealer")
 			}
@@ -544,7 +614,7 @@ func BenchmarkSealerSeal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = s.Seal(msg)
+		benchSink, _ = s.Seal(raw(msg))
 	}
 }
 

@@ -77,7 +77,7 @@ func (u *UEState) NewAttachRequest(idT string) (*AuthReqU, *PendingAttach, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
-	sealed, err := sealer.Seal(vec.marshal())
+	sealed, err := sealer.Seal(vec.fields)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: seal authVec: %w", err)
 	}
@@ -119,7 +119,7 @@ func (u *UEState) HandleResponse(p *PendingAttach, resp *AuthRespU) (nas.MasterK
 	if err != nil {
 		return zero, "", fmt.Errorf("sap: authRespU decrypt: %w", err)
 	}
-	var inner innerRespU
+	inner := innerRespU{IDU: u.IDU, IDT: p.IDT} // held: the decoder adopts them
 	if err := inner.unmarshal(pt); err != nil {
 		return zero, "", err
 	}
@@ -202,7 +202,7 @@ func (t *TelcoState) ForwardRequest(reqU *AuthReqU) (*AuthReqT, error) {
 		return nil, ErrBadRequest
 	}
 	m := &AuthReqT{ReqU: *reqU, IDT: t.IDT, Cert: t.Cert, Terms: t.Terms}
-	m.Sig = t.authenticate(reqU.IDB, authReqMACLabel, m.signedBytes())
+	m.Sig = t.authenticate(reqU.IDB, authReqMACLabel, m.signed)
 	return m, nil
 }
 
@@ -253,7 +253,7 @@ func (t *TelcoState) HandleResponse(brokerPub pki.PublicIdentity, resp *AuthResp
 	if err != nil {
 		return nil, nil, fmt.Errorf("sap: authRespT decrypt: %w", err)
 	}
-	var inner innerRespT
+	inner := innerRespT{IDT: t.IDT} // held: the decoder adopts it
 	if err := inner.unmarshal(pt); err != nil {
 		return nil, nil, err
 	}
@@ -405,7 +405,11 @@ func (b *BrokerState) HandleRequest(req *AuthReqT) (*AuthResp, *GrantRecord, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.Finalize(v, params, ss, uref)
+	resp, rec, err := b.Finalize(v, params, ss, uref)
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, &rec, nil
 }
 
 func newURef() (string, error) {

@@ -89,6 +89,7 @@ type brokerRel struct {
 type brokerRels struct {
 	mu   sync.Mutex
 	rels []brokerRel
+	buf  []byte // scratch: the span authenticate MACs or signs; a receipt request's is the largest, ≈ 7 KiB
 }
 
 func (rs *brokerRels) byIDB(idB string) *brokerRel {
@@ -109,23 +110,22 @@ func (rs *brokerRels) byPub(pub []byte) (*brokerRel, int) {
 	return nil, -1
 }
 
-// authenticate produces the Sig of a message from t to broker idB: a MAC
-// under the pass t holds for idB under its current certificate, or else
-// t's signature.
-func (t *TelcoState) authenticate(idB, macLabel string, msg []byte) []byte {
-	t.brokers.mu.Lock()
-	r := t.brokers.byIDB(idB)
-	held := r != nil && r.cert != nil && r.cert == t.Cert
-	var pass pki.Ticket
-	if held {
-		pass.Key = r.key
+// authenticate produces the Sig of a message from t to broker idB, whose
+// signed span signed lists: a MAC under the pass t holds for idB under its
+// current certificate, or else t's signature. The span is encoded in the
+// table's buffer, so both run under its lock: a MAC is a fraction of a
+// microsecond, and a signature is first contact with idB.
+func (t *TelcoState) authenticate(idB, macLabel string, signed func(codec.Coder) codec.Coder) []byte {
+	rs := &t.brokers
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.buf = codec.Reencode(rs.buf, signed)
+	if r := rs.byIDB(idB); r != nil && r.cert != nil && r.cert == t.Cert {
+		pass := pki.Ticket{Key: r.key}
+		tag := pass.Tag(macLabel, rs.buf)
+		return tag[:]
 	}
-	t.brokers.mu.Unlock()
-	if !held {
-		return t.Key.Sign(msg)
-	}
-	tag := pass.Tag(macLabel, msg)
-	return tag[:]
+	return t.Key.Sign(rs.buf)
 }
 
 // learn stores the pass a signed grant carried. The first pass per idB
@@ -274,7 +274,7 @@ func (b *BrokerState) authTelco(cert *pki.Certificate, idT, macLabel string, msg
 	if err != nil {
 		return nil, false, "bTelco certificate invalid"
 	}
-	if cert.Role != "btelco" || cert.Subject != idT {
+	if cert.Role != telcoRole || cert.Subject != idT {
 		return nil, false, "bTelco certificate subject/role mismatch"
 	}
 	rel = b.telcoRelFor(digest)
@@ -302,16 +302,17 @@ type Receipt struct {
 	Sig   []byte // broker signature over signedBytes
 }
 
-func (r *Receipt) signedBytes() []byte { return receiptBytes(receiptLabel, r.IDB, r.IDT, r.URefs) }
+func (r *Receipt) signedBytes() []byte {
+	return codec.Encode(func(c codec.Coder) codec.Coder { return receiptSigned(c, receiptLabel, r.IDB, r.IDT, &r.URefs) })
+}
 
-// receiptBytes is what a receipt and a receipt request sign, apart by label.
-func receiptBytes(label, idB, idT string, urefs []string) []byte {
-	return codec.Encode(func(c codec.Coder) codec.Coder {
-		c.String(&label)
-		c.String(&idB)
-		c.String(&idT)
-		return urefFields(c, &urefs)
-	})
+// receiptSigned lists what a receipt and a receipt request sign, apart by
+// label.
+func receiptSigned(c codec.Coder, label, idB, idT string, urefs *[]string) codec.Coder {
+	c.String(&label)
+	c.String(&idB)
+	c.String(&idT)
+	return urefFields(c, urefs)
 }
 
 // VerifyReceipt is what a third party runs: r is brokerPub's statement, and
@@ -340,9 +341,11 @@ type ReceiptReq struct {
 	Sig   []byte
 }
 
-func (m *ReceiptReq) signedBytes() []byte {
-	return receiptBytes(receiptReqLabel, m.IDB, m.IDT, m.URefs)
+func (m *ReceiptReq) signed(c codec.Coder) codec.Coder {
+	return receiptSigned(c, receiptReqLabel, m.IDB, m.IDT, &m.URefs)
 }
+
+func (m *ReceiptReq) signedBytes() []byte { return codec.Encode(m.signed) }
 
 // ReceiptResp is the broker's answer: the receipt, or a refusal — which,
 // when the broker has no grant for one of the URefs at that bTelco, names
@@ -376,7 +379,7 @@ func (t *TelcoState) ReceiptRequest(idB string) *ReceiptReq {
 		return nil
 	}
 	m := &ReceiptReq{IDB: idB, IDT: t.IDT, Cert: t.Cert, URefs: urefs}
-	m.Sig = t.authenticate(idB, receiptMACLabel, m.signedBytes())
+	m.Sig = t.authenticate(idB, receiptMACLabel, m.signed)
 	return m
 }
 
@@ -487,7 +490,7 @@ func urefFields(c codec.Coder, urefs *[]string) codec.Coder {
 func (m *ReceiptReq) fields(c codec.Coder) codec.Coder {
 	c.String(&m.IDB)
 	c.String(&m.IDT)
-	c = certFields(c, &m.Cert)
+	c = certFields(c, &m.Cert, m.IDT)
 	c = urefFields(c, &m.URefs)
 	c.Bytes(&m.Sig)
 	return c

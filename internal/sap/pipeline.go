@@ -87,6 +87,7 @@ func (b *BrokerState) Validate(req *AuthReqT) (*ValidatedAuth, error) {
 	if err != nil {
 		return deny("authVec undecryptable")
 	}
+	v.Vec = AuthVec{IDB: b.IDB, IDT: req.IDT} // held: the decoder adopts them
 	if err := v.Vec.unmarshal(pt); err != nil {
 		return deny("authVec malformed")
 	}
@@ -171,8 +172,10 @@ func MintSession() (nas.MasterKey, string, error) {
 // without the pass: only this broker and the certificate's holder can form
 // that key. Order-free and repeatable on one v (a fresh ticket each time):
 // a batching broker finalizes many grants in parallel after their
-// decisions committed in arrival order.
-func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, *GrantRecord, error) {
+// decisions committed in arrival order. The grant's record comes back by
+// value: a caller that keeps it takes it, and one that does not (brokerd,
+// whose verifier row is the grant) costs no allocation.
+func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}
 	var toTelco *pki.Sealer
@@ -184,19 +187,19 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 		toTelco, err = b.toTelco.To(req.Cert.Identity)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
+		return nil, GrantRecord{}, fmt.Errorf("sap: seal authRespT: %w", err)
 	}
-	sealedT, err := toTelco.Seal(respT.marshal())
+	sealedT, err := toTelco.Seal(respT.fields)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sap: seal authRespT: %w", err)
+		return nil, GrantRecord{}, fmt.Errorf("sap: seal authRespT: %w", err)
 	}
 	respU := innerRespU{IDU: v.Vec.IDU, IDT: req.IDT, URef: uref, SS: ss, Nonce: v.Vec.Nonce}
 	if respU.Ticket, err = b.Key.MintTicket(v.Vec.IDU); err != nil {
-		return nil, nil, fmt.Errorf("sap: mint ticket: %w", err)
+		return nil, GrantRecord{}, fmt.Errorf("sap: mint ticket: %w", err)
 	}
-	sealedU, err := b.Key.SealReply(req.ReqU.SealedVec, respU.marshal())
+	sealedU, err := b.Key.SealReply(req.ReqU.SealedVec, respU.fields)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sap: seal authRespU: %w", err)
+		return nil, GrantRecord{}, fmt.Errorf("sap: seal authRespU: %w", err)
 	}
 	resp := &AuthResp{
 		Granted: true,
@@ -206,6 +209,5 @@ func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.Maste
 	if !v.macd {
 		resp.T.Sig = b.Key.Sign(sealedT)
 	}
-	rec := &GrantRecord{URef: uref, IDU: v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}
-	return resp, rec, nil
+	return resp, GrantRecord{URef: uref, IDU: v.Vec.IDU, IDT: req.IDT, SS: ss, Terms: req.Terms, QoS: params}, nil
 }

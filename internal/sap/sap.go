@@ -79,7 +79,6 @@ func (v *AuthVec) fields(c codec.Coder) codec.Coder {
 	return c
 }
 
-func (v *AuthVec) marshal() []byte          { return codec.Encode(v.fields) }
 func (v *AuthVec) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // AuthReqU is the UE's attach request: authReqU = (sig_authvec, authVec*,
@@ -180,7 +179,7 @@ func (m *AuthReqT) fields(c codec.Coder) codec.Coder {
 	span := c.Begin()
 	c = m.signed(c)
 	signed := c.End(span)
-	c = certFields(c, &m.Cert)
+	c = certFields(c, &m.Cert, m.IDT)
 	c.Bytes(&m.Sig)
 	if signed != nil && len(m.Sig) == telcoMACSize {
 		m.signedSum, m.summed = sha256.Sum256(signed), true
@@ -197,14 +196,20 @@ func UnmarshalAuthReqT(b []byte) (*AuthReqT, error) { return decode(b, new(AuthR
 
 var errCertKey = fmt.Errorf("%w: certificate signing key length", ErrBadRequest)
 
+// telcoRole is the role a bTelco's certificate carries (authTelco).
+const telcoRole = "btelco"
+
 // certFields lists a certificate as SAP carries it: one length-prefixed
 // field, empty for none, with the identity nested where the CA's signed
 // bytes have it flat (pki.Certificate.signed) — two layouts on purpose.
-func certFields(c codec.Coder, cert **pki.Certificate) codec.Coder {
+// Every certificate SAP carries is a bTelco's, sent by the bTelco idT its
+// message names: read, the subject and role adopt idT and telcoRole when
+// they match (codec.Coder.String).
+func certFields(c codec.Coder, cert **pki.Certificate, idT string) codec.Coder {
 	span := c.Begin()
 	if c.Optional(*cert != nil) {
 		if *cert == nil {
-			*cert = new(pki.Certificate)
+			*cert = &pki.Certificate{Subject: idT, Role: telcoRole}
 		}
 		x := *cert
 		c.String(&x.Subject)
@@ -255,7 +260,6 @@ func (v *innerRespT) fields(c codec.Coder) codec.Coder {
 	return c
 }
 
-func (v *innerRespT) marshal() []byte          { return codec.Encode(v.fields) }
 func (v *innerRespT) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // innerRespU is the broker->UE payload, sealed to the UE: "identifiers of
@@ -281,7 +285,6 @@ func (v *innerRespU) fields(c codec.Coder) codec.Coder {
 	return c
 }
 
-func (v *innerRespU) marshal() []byte          { return codec.Encode(v.fields) }
 func (v *innerRespU) unmarshal(b []byte) error { return codec.Decode(b, v.fields) }
 
 // AuthRespT is the sealed+signed grant for the bTelco. The answer to a

@@ -358,7 +358,7 @@ func TestSAPUERejectsForgedResponse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			box, err := s.Seal(inner.marshal())
+			box, err := s.Seal(inner.fields)
 			if err != nil || !bytes.Equal(box[:32], p.Req.SealedVec[:32]) {
 				t.Fatalf("forging: %v", err)
 			}
@@ -660,9 +660,15 @@ func TestAuthReqTOneBufferSameBytes(t *testing.T) {
 	}
 }
 
+// The plaintexts the sealed boxes carry, encoded on their own: what the
+// known answers pin.
+func (v *AuthVec) marshal() []byte    { return codec.Encode(v.fields) }
+func (v *innerRespT) marshal() []byte { return codec.Encode(v.fields) }
+func (v *innerRespU) marshal() []byte { return codec.Encode(v.fields) }
+
 // Every message the broker and the UE build on an attach is encoded into a
-// buffer of exactly its size: fixed hints (64, 128, 256) under a ~300-byte
-// sealed blob regrew them.
+// buffer of exactly its size — a sealed one into its box: fixed hints (64,
+// 128, 256) under a ~300-byte sealed blob regrew them.
 func TestEncodersSizedOnce(t *testing.T) {
 	f := newFixture(t)
 	_, _, _, rec := f.runAttach(t)
@@ -670,12 +676,23 @@ func TestEncodersSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sealer, err := pki.NewSealer(f.broker.Key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(fields func(codec.Coder) codec.Coder) []byte {
+		box, err := sealer.Seal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return box
+	}
 	blob := bytes.Repeat([]byte{4}, 300)
 	for name, enc := range map[string][]byte{
-		"authVec":          (&AuthVec{IDU: rec.IDU, IDB: f.broker.IDB, IDT: rec.IDT}).marshal(),
-		"innerRespT":       (&innerRespT{URef: rec.URef, IDT: rec.IDT, IDB: []byte(f.broker.IDB), Pass: blob[:telcoMACSize]}).marshal(),
-		"innerRespT, MACd": (&innerRespT{URef: rec.URef, IDT: rec.IDT}).marshal(),
-		"innerRespU":       (&innerRespU{IDU: rec.IDU, IDT: rec.IDT, URef: rec.URef, Ticket: ticket}).marshal(),
+		"authVec":          seal((&AuthVec{IDU: rec.IDU, IDB: f.broker.IDB, IDT: rec.IDT}).fields),
+		"innerRespT":       seal((&innerRespT{URef: rec.URef, IDT: rec.IDT, IDB: []byte(f.broker.IDB), Pass: blob[:telcoMACSize]}).fields),
+		"innerRespT, MACd": seal((&innerRespT{URef: rec.URef, IDT: rec.IDT}).fields),
+		"innerRespU":       seal((&innerRespU{IDU: rec.IDU, IDT: rec.IDT, URef: rec.URef, Ticket: ticket}).fields),
 		"authRespU":        (&AuthRespU{Sealed: blob}).Marshal(),
 		"authResp":         (&AuthResp{Granted: true, Cause: "c", T: AuthRespT{Sealed: blob, Sig: blob[:64]}, U: AuthRespU{Sealed: blob}}).Marshal(),
 	} {

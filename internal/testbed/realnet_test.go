@@ -416,3 +416,42 @@ func TestRealDeploymentReportCountersMove(t *testing.T) {
 		t.Errorf("broker holds %d of the bTelco's checkpoints, want %d", kept, (n-1)/256)
 	}
 }
+
+// realSessionAllocs bounds one billed session's allocations: the count
+// measured when it was set, plus 2.
+const realSessionAllocs = 120
+
+// One billed session over loopback sockets — the session_real op, servers
+// and clients in this process — allocates at most realSessionAllocs objects.
+// 512 sessions cross exactly two receipt and two checkpoint boundaries
+// (every 256 MAC-mode grants and MAC'd reports), so the average is the
+// steady state's, receipts and checkpoints included.
+func TestRealSessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	d, err := NewRealDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := billedSession(d, dev, tx); err != nil { // first contact on every leg
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(512, func() {
+		if e := billedSession(d, dev, tx); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v allocations per billed session", n)
+	if n > realSessionAllocs {
+		t.Errorf("%v allocations per billed session, bound %d", n, realSessionAllocs)
+	}
+}

@@ -13,7 +13,7 @@ func TestFrameCtxRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, TypeNAS, sc, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, got, payload, err := ReadFrame(&buf)
+	msgType, got, payload, err := readOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestUntracedFrameBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestReadFrameDiscardsCtx: a ReadFrame caller that discards the span
+// TestReadFrameDiscardsCtx: a readFrame caller that discards the span
 // context of a traced frame (as a client reading its reply does) still sees
 // the unmasked type and the bare payload.
 func TestReadFrameDiscardsCtx(t *testing.T) {
@@ -50,7 +50,7 @@ func TestReadFrameDiscardsCtx(t *testing.T) {
 	if err := WriteFrame(&buf, TypeNAS, sc, []byte("body")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, _, payload, err := ReadFrame(&buf)
+	msgType, _, payload, err := readOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

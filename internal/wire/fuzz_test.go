@@ -17,7 +17,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
-		msgType, sc, payload, err := ReadFrame(r)
+		msgType, sc, payload, err := readOne(r)
 		if len(b) >= 4 {
 			if n := binary.BigEndian.Uint32(b); (n == 0 || n > MaxFrame) && err == nil {
 				t.Fatalf("length prefix %d accepted", n)

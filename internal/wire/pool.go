@@ -68,7 +68,9 @@ func (p *Pool) put(c *Client) {
 // Call is Client.CallCtx on a borrowed connection. One the peer closed
 // while it sat idle (restart, ServerOptions.IdleTimeout) fails before a
 // single reply byte arrives: that costs one redial and resend here, not a
-// failed call. After any reply byte the request is never resent.
+// failed call. After any reply byte the request is never resent. The reply
+// is a buffer of its own: the caller decodes it after the connection is
+// back in the pool, where another caller may already be using it.
 func (p *Pool) Call(msgType byte, sc obs.SpanContext, payload []byte) (byte, []byte, error) {
 	c, reused, err := p.get()
 	if err != nil {

@@ -179,7 +179,7 @@ func TestPoolNeverResendsAfterReplyByte(t *testing.T) {
 			go func() {
 				defer conn.Close()
 				for {
-					if _, _, _, err := ReadFrame(conn); err != nil {
+					if _, _, _, err := readOne(conn); err != nil {
 						return
 					}
 					if requests.Add(1) == 1 {

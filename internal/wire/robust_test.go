@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -16,10 +17,15 @@ import (
 
 // --- framing edge cases ---
 
+// readOne reads one frame into buffers of its own.
+func readOne(r io.Reader) (byte, obs.SpanContext, []byte, error) {
+	return readFrame(r, new([4]byte), nil)
+}
+
 func TestReadFrameZeroLength(t *testing.T) {
 	// A zero length prefix is never legal (the type byte alone costs 1):
 	// it must fail loudly, not loop or return an empty frame.
-	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readOne(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("zero-length frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -27,13 +33,13 @@ func TestReadFrameZeroLength(t *testing.T) {
 func TestReadFrameOversizedPrefix(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readOne(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncatedHeader(t *testing.T) {
-	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
+	if _, _, _, err := readOne(bytes.NewReader([]byte{0, 0})); err == nil {
 		t.Fatal("truncated header: expected error")
 	}
 }
@@ -44,7 +50,7 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-3]
-	if _, _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
+	if _, _, _, err := readOne(bytes.NewReader(short)); err == nil {
 		t.Fatal("truncated payload: expected error")
 	}
 }

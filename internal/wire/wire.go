@@ -165,10 +165,14 @@ func WriteFrame(w io.Writer, msgType byte, sc obs.SpanContext, payload []byte) e
 	return nil
 }
 
-// ReadFrame reads one frame, returning the span context it carries (zero
-// for untraced frames) alongside the unmasked type byte.
-func ReadFrame(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte, err error) {
-	var lenBuf [4]byte
+// readFrame reads one frame, returning the span context it carries (zero
+// for untraced frames) alongside the unmasked type byte. It reads into the
+// buffers of the connection r reads: the length prefix to *lenBuf and, when
+// frame is non-nil, the frame to *frame, which is reused for every frame
+// that fits it and replaced by one that does not, up to readBuf. The
+// payload then aliases *frame until the next call; with a nil frame it is
+// a buffer of its own.
+func readFrame(r io.Reader, lenBuf *[4]byte, frame *[]byte) (msgType byte, sc obs.SpanContext, payload []byte, err error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, obs.SpanContext{}, nil, err
 	}
@@ -176,7 +180,16 @@ func ReadFrame(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte, e
 	if n == 0 || n > MaxFrame {
 		return 0, obs.SpanContext{}, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
+	var buf []byte
+	switch {
+	case frame != nil && int(n) <= cap(*frame):
+		buf = (*frame)[:n]
+	case frame != nil && n <= readBuf:
+		buf = make([]byte, n)
+		*frame = buf
+	default:
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, obs.SpanContext{}, nil, err
 	}
@@ -201,11 +214,17 @@ func ReadFrame(r io.Reader) (msgType byte, sc obs.SpanContext, payload []byte, e
 // Handler serves one request frame, returning the reply frame. Returning
 // an error sends a TypeError frame with the error text (or a
 // TypeRetryAfter frame when the error is a *RetryAfterError).
+//
+// The payload is valid only for the duration of the call: the server reads
+// every request of a connection into one buffer. A decoded message owns its
+// leaves, so it may outlive the call; a field decoded with codec's View,
+// or the payload itself, must be copied where it is kept. The reply may
+// alias the payload — it is written before the next request is read.
 type Handler func(msgType byte, payload []byte) (replyType byte, reply []byte, err error)
 
 // CtxHandler is a Handler that also receives the span context carried by a
 // traced frame (zero for untraced frames) — the server side of end-to-end
-// causal tracing.
+// causal tracing. Its payload is valid as a Handler's is.
 type CtxHandler func(sc obs.SpanContext, msgType byte, payload []byte) (replyType byte, reply []byte, err error)
 
 // ServerOptions tunes server robustness. The zero value keeps connections
@@ -350,11 +369,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, readBuf)
+	var lenBuf [4]byte
+	var frame []byte // every request's payload, in turn (Handler)
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		msgType, sc, payload, err := ReadFrame(br)
+		msgType, sc, payload, err := readFrame(br, &lenBuf, &frame)
 		if err != nil {
 			return
 		}
@@ -416,6 +437,7 @@ type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader // over replyReader, so over conn; lives and dies with it
 	replied int           // reply bytes the current call read off the socket
+	lenBuf  [4]byte       // a reply's length prefix
 	addr    string
 	closed  bool
 	opts    Options
@@ -506,7 +528,7 @@ func (c *Client) CallCtx(msgType byte, sc obs.SpanContext, payload []byte) (byte
 	if err := WriteFrame(c.conn, msgType, sc, payload); err != nil {
 		return c.abandon(err)
 	}
-	replyType, _, reply, err := ReadFrame(c.br)
+	replyType, _, reply, err := readFrame(c.br, &c.lenBuf, nil)
 	if err != nil {
 		return c.abandon(err)
 	}

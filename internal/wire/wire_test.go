@@ -48,6 +48,53 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
+// A server reads every request of a connection into one buffer (Handler):
+// a frame that fits it lands where the last one did, a larger one replaces
+// it, and an echoed payload still comes back whole, since the reply is
+// written before the next request is read. Each connection has its own.
+func TestServerReadsAConnectionsRequestsIntoOneBuffer(t *testing.T) {
+	var mu sync.Mutex
+	var at []*byte
+	s, err := NewServer("127.0.0.1:0", func(mt byte, p []byte) (byte, []byte, error) {
+		mu.Lock()
+		at = append(at, &p[0])
+		mu.Unlock()
+		return mt, p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	call := func(c *Client, size int) {
+		t.Helper()
+		req := bytes.Repeat([]byte{byte(size)}, size)
+		if _, reply, err := c.Call(TypeNAS, req); err != nil || !bytes.Equal(reply, req) {
+			t.Fatalf("%d-byte echo: %v", size, err)
+		}
+	}
+	c1, c2 := dialT(t, s.Addr()), dialT(t, s.Addr())
+	for _, size := range []int{300, 100, 300, 700, 50} {
+		call(c1, size)
+	}
+	call(c2, 100)
+	if at[0] != at[1] || at[1] != at[2] || at[2] == at[3] || at[3] != at[4] {
+		t.Fatalf("payload addresses %v: want one buffer for the first three requests and one for the next two", at[:5])
+	}
+	if at[5] == at[0] || at[5] == at[3] {
+		t.Fatal("two connections share a request buffer")
+	}
+}
+
+func dialT(t *testing.T, addr string) *Client {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 func TestCallDifferentTypes(t *testing.T) {
 	_, c := echoServer(t)
 	rt, reply, err := c.Call(TypeAIR, []byte("imsi"))
@@ -116,7 +163,7 @@ func TestFrameCodec(t *testing.T) {
 	if err := WriteFrame(&buf, TypeNAS, obs.SpanContext{}, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	mt, _, p, err := ReadFrame(&buf)
+	mt, _, p, err := readOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +177,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := WriteFrame(&buf, TypeReportAck, obs.SpanContext{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	mt, _, p, err := ReadFrame(&buf)
+	mt, _, p, err := readOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +194,7 @@ func TestFrameTooLarge(t *testing.T) {
 	// A malicious length prefix is rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypeNAS})
-	if _, _, _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readOne(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("read err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -156,7 +203,7 @@ func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, TypeNAS, obs.SpanContext{}, []byte("hello"))
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, _, _, err := readOne(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
