@@ -181,14 +181,10 @@ func readFrame(r io.Reader, lenBuf *[4]byte, frame *[]byte) (msgType byte, sc ob
 		return 0, obs.SpanContext{}, nil, ErrFrameTooLarge
 	}
 	var buf []byte
-	switch {
-	case frame != nil && int(n) <= cap(*frame):
+	if frame != nil && int(n) <= cap(*frame) {
 		buf = (*frame)[:n]
-	case frame != nil && n <= readBuf:
-		buf = make([]byte, n)
+	} else if buf = make([]byte, n); frame != nil && n <= readBuf {
 		*frame = buf
-	default:
-		buf = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, obs.SpanContext{}, nil, err
