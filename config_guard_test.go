@@ -15,7 +15,6 @@ import (
 var configKeep = map[string]string{
 	"testbed.Scenario.BrokerDownAt":   "DESIGN.md ablation: broker outage start",
 	"testbed.Scenario.BrokerDownFor":  "DESIGN.md ablation: broker outage length",
-	"testbed.Scenario.MNOOutage":      "DESIGN.md ablation: MNO handover interruption",
 	"testbed.StormConfig.SpikeAt":     "the pinned small-storm test config moves the spike",
 	"testbed.StormConfig.SpikeDur":    "the pinned small-storm test config shortens the spike",
 	"testbed.StormConfig.Window":      "the pinned small-storm test config sets the batch window",

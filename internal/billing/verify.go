@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"cellbricks/internal/qos"
@@ -450,7 +451,8 @@ type TelcoReputation struct {
 	Entry ReputationEntry
 }
 
-// State returns a copy of the verifier's durable part.
+// State returns a copy of the verifier's durable part, each list sorted by
+// its key, so one verifier's state is one value.
 func (v *Verifier) State() State {
 	var st State
 	for ref, s := range v.sessions {
@@ -462,6 +464,9 @@ func (v *Verifier) State() State {
 	for id := range v.suspects {
 		st.Suspects = append(st.Suspects, id)
 	}
+	slices.SortFunc(st.Grants, func(a, b SessionGrant) int { return strings.Compare(a.URef, b.URef) })
+	slices.SortFunc(st.Reputations, func(a, b TelcoReputation) int { return strings.Compare(a.IDT, b.IDT) })
+	slices.Sort(st.Suspects)
 	return st
 }
 

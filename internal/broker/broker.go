@@ -106,12 +106,12 @@ func (b *Brokerd) RegisterUser(pub pki.PublicIdentity) string { return b.sap.Reg
 // RevokeUser invalidates a user's key.
 func (b *Brokerd) RevokeUser(idU string) { b.sap.RevokeUser(idU) }
 
-// authorizeLocked is the broker's one admission decision, run by the commit
-// stage of the broker transaction (for a handshake through sap.Decide,
-// which is why the SAP state's policy assumes b.mu is already held):
-// reputation gate, suspect gate, price gate, quarantine, then the QoS
-// selection — qos.DefaultParams, or trialQoS for a bTelco on trial —
-// clamped to the bTelco's capability. Mutex held by caller.
+// authorizeLocked is the broker's one admission decision, which
+// HandleAuthRequest reaches through sap.Decide under b.mu (so the SAP state's
+// policy assumes the lock is held): reputation gate, suspect gate, price
+// gate, quarantine, then the QoS selection — qos.DefaultParams, or trialQoS
+// for a bTelco on trial — clamped to the bTelco's capability. Mutex held by
+// caller.
 func (b *Brokerd) authorizeLocked(idU, idT string, terms sap.ServiceTerms) (qos.Params, error) {
 	if b.cfg.MinTelcoScore > 0 {
 		if score := b.verifier.TelcoScore(idT); score < b.cfg.MinTelcoScore {
@@ -178,19 +178,6 @@ func (b *Brokerd) gateAttach() error {
 	return nil
 }
 
-// HandleAuthRequest processes one SAP request from a bTelco: the entry
-// gate, then a broker transaction of one item. On grant it binds the
-// session for billing alignment and remembers the bTelco's certified key
-// for report verification.
-func (b *Brokerd) HandleAuthRequest(req *sap.AuthReqT) (*sap.AuthResp, error) {
-	if err := b.gateAttach(); err != nil {
-		return nil, err
-	}
-	it := txItem{kind: txAuth, auth: req}
-	b.transact(&it)
-	return it.resp, it.err
-}
-
 // HandleReceipt signs a receipt for grants a bTelco was given under its
 // pass (sap/pass.go): the request is authenticated like an authReqT, and
 // every session reference in it must be a grant this broker recorded for
@@ -229,18 +216,6 @@ var (
 	ErrUnknownSession = errors.New("broker: report for unknown session")
 	ErrBadReporterKey = errors.New("broker: report signature does not match registered key")
 )
-
-// HandleReport ingests one sealed traffic report from either side. The
-// broker decrypts it with its own key, identifies the session and
-// reporter, authenticates it — a signature against the key it expects for
-// that reporter, or a MAC under the key that reporter's attach proved
-// (DESIGN.md §2.10) — and runs the discrepancy check when the pair
-// completes. Reports pass no gate (see ShedLoad).
-func (b *Brokerd) HandleReport(env *billing.SealedReport) (*billing.Mismatch, error) {
-	it := txItem{kind: txReport, report: env}
-	b.transact(&it)
-	return it.mismatch, it.err
-}
 
 // isReplay reports whether an ingest error is the replay rejection.
 func isReplay(err error) bool { return errors.Is(err, billing.ErrReplayedReport) }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -327,6 +328,96 @@ func TestSettleSessionFlow(t *testing.T) {
 	}
 	if _, err := h.brk.SettleSession("bogus"); err == nil {
 		t.Fatal("settle for unknown session accepted")
+	}
+}
+
+// Eight UEs, each through its own bTelco, attach and report four aligned
+// pairs against one broker at once, as broker.Serve's per-connection
+// goroutines would call it. Every grant is bound, no pair mismatches, and
+// each session settles at exactly the bytes both sides reported. Under
+// -race this checks every lock boundary of the two handlers.
+func TestHandlersConcurrent(t *testing.T) {
+	h := newHarness(t)
+	const n, pairs = 8, 4
+	peers := make([]*harness, n)
+	for i := range peers {
+		uk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{120 + byte(i)}, 32))
+		tk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{130 + byte(i)}, 32))
+		idT := fmt.Sprintf("c-telco-%d", i)
+		p := *h
+		p.ueKey = uk
+		p.ue = &sap.UEState{IDU: h.brk.RegisterUser(uk.Public()), IDB: "broker.h", Key: uk, BrokerPub: h.brk.Public()}
+		p.telco = &sap.TelcoState{IDT: idT, Key: tk, Cert: h.ca.Issue(idT, "btelco", tk.Public(), h.now.Add(-time.Hour), h.now.Add(time.Hour)),
+			Terms: h.telco.Terms}
+		peers[i] = &p
+	}
+	refs := make([]string, n)
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reqU, pending, err := p.ue.NewAttachRequest(p.telco.IDT)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reqT, err := p.telco.ForwardRequest(reqU)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := p.brk.HandleAuthRequest(reqT)
+			if err != nil || !resp.Granted {
+				t.Errorf("peer %d: attach %+v, %v", i, resp, err)
+				return
+			}
+			grant, respU, err := p.telco.HandleResponse(p.brk.Public(), resp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := p.ue.HandleResponse(pending, respU); err != nil {
+				t.Error(err)
+				return
+			}
+			refs[i] = grant.URef
+			for seq := uint32(1); seq <= pairs; seq++ {
+				r := billing.Report{SessionRef: grant.URef, Seq: seq, Rel: time.Duration(seq) * 30 * time.Second,
+					DLBytes: uint64(i+1) * 1_000_000 * uint64(seq)}
+				for _, side := range []struct {
+					rep billing.Reporter
+					key *pki.KeyPair
+				}{{billing.ReporterUE, p.ueKey}, {billing.ReporterTelco, p.telco.Key}} {
+					r.Reporter = side.rep
+					env, err := billing.Seal(&r, side.key, p.brk.Public())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := p.brk.HandleReport(env); err != nil {
+						t.Errorf("peer %d: report %d from %v: %v", i, seq, side.rep, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if mm := h.brk.Mismatches(); len(mm) != 0 {
+		t.Fatalf("%d mismatches among honest pairs: %+v", len(mm), mm)
+	}
+	for i, ref := range refs {
+		st, err := h.brk.SettleSession(ref)
+		if err != nil {
+			t.Fatalf("peer %d: grant %s not bound: %v", i, ref, err)
+		}
+		if want := uint64(i+1) * 1_000_000 * pairs; st.IDT != peers[i].telco.IDT || st.VerifiedBytes != want || st.Disputed || st.Unpaired != 0 {
+			t.Fatalf("peer %d settled %+v, want %d bytes through %s", i, st, want, peers[i].telco.IDT)
+		}
 	}
 }
 
@@ -768,8 +859,7 @@ func TestRestoredBrokerRelearnsAPassAtTheNextGrant(t *testing.T) {
 }
 
 // katBroker is a broker holding one entry in each snapshot section, set
-// directly (one entry each, so Go's map order cannot vary its snapshot's
-// bytes), and the config it was built from.
+// directly, and the config it was built from.
 func katBroker(tb testing.TB) (Config, *Brokerd) {
 	bk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{91}, 32))
 	ca, err := pki.NewCAFromSeed("h-ca", bytes.Repeat([]byte{90}, 32))
@@ -810,11 +900,38 @@ func TestSnapshotKnownAnswer(t *testing.T) {
 	}
 }
 
+// One broker state is one snapshot: katBroker grown to four entries in every
+// section, enough for Go's map order to shuffle each of them, snapshots to
+// the same bytes 20 times over.
+func TestSnapshotDeterministic(t *testing.T) {
+	_, b := katBroker(t)
+	var st billing.State
+	for i := byte(0); i < 3; i++ {
+		uk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{100 + i}, 32))
+		idU := b.RegisterUser(uk.Public())
+		tk, _ := pki.KeyPairFromSeed(bytes.Repeat([]byte{110 + i}, 32))
+		idT := fmt.Sprintf("det-telco-%d", i)
+		b.telcoKeys[idT] = telcoKey{pub: tk.Public()}
+		st.Grants = append(st.Grants, billing.SessionGrant{URef: fmt.Sprintf("det-uref-%d", i), Grant: billing.Grant{IDU: idU, IDT: idT}})
+		st.Reputations = append(st.Reputations, billing.TelcoReputation{IDT: idT, Entry: billing.ReputationEntry{Score: 0.9, Reports: int(i)}})
+		st.Suspects = append(st.Suspects, idU)
+		b.quar[idT] = &QuarantineEntry{Since: time.Duration(i) * time.Second, Until: time.Minute, Strikes: 1}
+	}
+	b.verifier.Restore(st)
+	want := b.Snapshot()
+	for i := 0; i < 20; i++ {
+		if got := b.Snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot %d of an unchanged broker differs:\n%x\nnot\n%x", i, got, want)
+		}
+	}
+}
+
 // FuzzRestore feeds arbitrary bytes to a fresh broker's Restore, seeded with
 // TestSnapshotKnownAnswer's snapshot and a truncation of it. Restore never
 // panics; an input it rejects leaves the broker's snapshot as it was, since
 // Restore checks everything before it touches state; and a broker that
-// accepted one snapshots to bytes another fresh broker's Restore accepts.
+// accepted one snapshots to bytes another fresh broker's Restore accepts and
+// snapshots to again.
 func FuzzRestore(f *testing.F) {
 	cfg, b := katBroker(f)
 	snap := b.Snapshot()
@@ -829,8 +946,13 @@ func FuzzRestore(f *testing.F) {
 			}
 			return
 		}
-		if err := New(cfg).Restore(fresh.Snapshot()); err != nil {
+		snap := fresh.Snapshot()
+		again := New(cfg)
+		if err := again.Restore(snap); err != nil {
 			t.Fatalf("the snapshot of a restored broker does not restore: %v", err)
+		}
+		if got := again.Snapshot(); !bytes.Equal(got, snap) {
+			t.Fatalf("a restored snapshot, restored again, snapshots to\n%x\nnot\n%x", got, snap)
 		}
 	})
 }

@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"cellbricks/internal/billing"
@@ -113,7 +116,9 @@ func uint32Int(c *codec.Coder, v *int) {
 	*v = int(n)
 }
 
-// Snapshot encodes the broker's durable state.
+// Snapshot encodes the broker's durable state. Each section is sorted by its
+// key (users by key bytes, the rest by idT, URef or idU), so one broker
+// state snapshots to one byte string.
 func (b *Brokerd) Snapshot() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -127,6 +132,9 @@ func (b *Brokerd) Snapshot() []byte {
 	for id, e := range b.quar {
 		s.quar = append(s.quar, snapQuar{id, *e})
 	}
+	slices.SortFunc(s.users, bytes.Compare)
+	slices.SortFunc(s.telcos, func(a, b snapKey) int { return strings.Compare(a.id, b.id) })
+	slices.SortFunc(s.quar, func(a, b snapQuar) int { return strings.Compare(a.id, b.id) })
 	return codec.Append(make([]byte, 0, 4096), s.fields)
 }
 

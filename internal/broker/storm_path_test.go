@@ -59,8 +59,27 @@ func TestAdmissionQueueGateDoublesHint(t *testing.T) {
 	}
 }
 
+type txKind uint8
+
+const (
+	txAuth txKind = iota
+	txReport
+)
+
+// txItem is one request under test and what its handler returned: exactly
+// one of auth/report is the input, selected by kind.
+type txItem struct {
+	kind   txKind
+	auth   *sap.AuthReqT
+	report *billing.SealedReport
+
+	resp     *sap.AuthResp
+	mismatch *billing.Mismatch
+	err      error
+}
+
 // submit delivers one request through its handler, the one way into the
-// broker transaction, and records the outcome in the item.
+// broker's decisions, and records the outcome in the item.
 func submit(h *harness, in *txItem) *txItem {
 	switch in.kind {
 	case txAuth:

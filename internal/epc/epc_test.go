@@ -28,6 +28,21 @@ func TestIPAllocatorUnique(t *testing.T) {
 	}
 }
 
+// Slot n of a pool is prefix.(n/250).(n%250+1): the first, the last of the
+// first 250, the first of the next 250 and the last slot before exhaustion.
+// The string is format's one allocation.
+func TestIPAllocatorFormat(t *testing.T) {
+	a := NewIPAllocator("10.45")
+	for n, want := range map[int]string{1: "10.45.0.2", 249: "10.45.0.250", 250: "10.45.1.1", 62_499: "10.45.249.250"} {
+		if got := a.format(n); got != want {
+			t.Errorf("format(%d) = %q, want %q", n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.format(62_499) }); allocs != 1 {
+		t.Errorf("format allocates %v objects, want 1", allocs)
+	}
+}
+
 func TestIPAllocatorReuseAfterRelease(t *testing.T) {
 	a := NewIPAllocator("10.45")
 	ip1, _ := a.Allocate()

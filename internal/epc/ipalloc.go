@@ -8,7 +8,7 @@ package epc
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -32,8 +32,16 @@ func NewIPAllocator(prefix string) *IPAllocator {
 	return &IPAllocator{prefix: prefix, next: 1, inUse: make(map[string]int)}
 }
 
+// format is the address of pool slot n: prefix.(n/250).(n%250+1), built in
+// a stack buffer so the string is its one allocation.
 func (a *IPAllocator) format(n int) string {
-	return fmt.Sprintf("%s.%d.%d", a.prefix, n/250, n%250+1)
+	buf := make([]byte, 0, 24)
+	buf = append(buf, a.prefix...)
+	buf = append(buf, '.')
+	buf = strconv.AppendInt(buf, int64(n/250), 10)
+	buf = append(buf, '.')
+	buf = strconv.AppendInt(buf, int64(n%250+1), 10)
+	return string(buf)
 }
 
 // Allocate returns a fresh address.

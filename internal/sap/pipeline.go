@@ -20,8 +20,8 @@ import (
 //     pre-minted (ss, uref). Stateless again.
 //
 // HandleRequest (parties.go) composes the three phases for a standalone
-// BrokerState; brokerd drives them directly from its staged transaction
-// (broker/transaction.go), one request at a time.
+// BrokerState; brokerd's HandleAuthRequest (broker/transaction.go) calls them
+// itself, Decide under its lock and the other two outside it.
 
 // ValidatedAuth is the outcome of the Validate phase for one request.
 // When DenyCause is non-empty, validation already failed and Decide /
@@ -148,8 +148,8 @@ func (b *BrokerState) Decide(v *ValidatedAuth, policy Authorizer) (qos.Params, s
 }
 
 // MintSession draws a fresh shared secret and opaque session reference
-// for a granted request. Thread-safe and order-free: the batching broker
-// mints inline while committing decisions.
+// for a granted request. Thread-safe and order-free: brokerd mints under its
+// lock, right after Decide grants.
 func MintSession() (nas.MasterKey, string, error) {
 	ss, err := NewMasterSecret()
 	if err != nil {
@@ -170,11 +170,10 @@ func MintSession() (nas.MasterKey, string, error) {
 // is, its reply key is derivable by this broker and that UE alone. A MAC'd
 // request's authRespT is sealed on the pass's reply direction, unsigned and
 // without the pass: only this broker and the certificate's holder can form
-// that key. Order-free and repeatable on one v (a fresh ticket each time):
-// a batching broker finalizes many grants in parallel after their
-// decisions committed in arrival order. The grant's record comes back by
-// value: a caller that keeps it takes it, and one that does not (brokerd,
-// whose verifier row is the grant) costs no allocation.
+// that key. Order-free and repeatable on one v (a fresh ticket each time), so
+// a broker runs it outside the lock that ordered the decision. The grant's
+// record comes back by value: a caller that keeps it takes it, and one that
+// does not (brokerd, whose verifier row is the grant) costs no allocation.
 func (b *BrokerState) Finalize(v *ValidatedAuth, params qos.Params, ss nas.MasterKey, uref string) (*AuthResp, GrantRecord, error) {
 	req := v.Req
 	respT := innerRespT{URef: uref, IDT: req.IDT, SS: ss, Params: params, LI: req.Terms.LawfulIntercept}

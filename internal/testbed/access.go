@@ -68,7 +68,7 @@ func (a *accessPath) drive(sc Scenario, at []time.Duration, fire func()) []time.
 }
 
 // handover is the package's one mobility event. An MNO handover keeps the
-// address and anchor and only pauses the link for MNOOutage: the network
+// address and anchor and only pauses the link for mnoOutage: the network
 // forwards buffered data to the target eNodeB, so the gap shows as a delay
 // spike rather than loss. A CellBricks handover runs lost (the old address
 // dies), rehomes, and hands the new address to reattach, the caller's
@@ -76,7 +76,7 @@ func (a *accessPath) drive(sc Scenario, at []time.Duration, fire func()) []time.
 // itself.
 func (a *accessPath) handover(sc Scenario, lost func(), reattach func(ip string)) {
 	if sc.Arch != ArchCellBricks {
-		a.pause(sc.MNOOutage)
+		a.pause(mnoOutage)
 		return
 	}
 	lost()

@@ -419,7 +419,7 @@ func TestRealDeploymentReportCountersMove(t *testing.T) {
 
 // realSessionAllocs bounds one billed session's allocations: the count
 // measured when it was set, plus 2.
-const realSessionAllocs = 120
+const realSessionAllocs = 119
 
 // One billed session over loopback sockets — the session_real op, servers
 // and clients in this process — allocates at most realSessionAllocs objects.

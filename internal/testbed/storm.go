@@ -377,7 +377,7 @@ func (w *stormWorld) enqueue(it stormItem) {
 }
 
 // flush runs the queue through the broker's handlers in enqueue order,
-// each attach's completion right after its transaction, and empties the
+// each attach's completion right after its handler returns, and empties the
 // queue for reuse.
 func (w *stormWorld) flush() {
 	w.flushes++

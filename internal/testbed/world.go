@@ -21,9 +21,6 @@ type Scenario struct {
 	// MPTCPWait is the address-worker wait (default 500 ms; the paper's
 	// "modified" runs set 0).
 	MPTCPWait time.Duration
-	// MNOOutage is the baseline's intra-provider handover interruption
-	// (default 40 ms: LTE break-before-make data-plane gap).
-	MNOOutage time.Duration
 	// Protocol selects the host transport for CellBricks runs
 	// (default MPTCP; ProtoQUIC for connection-ID migration).
 	Protocol mptcp.Protocol
@@ -42,6 +39,10 @@ type Scenario struct {
 // re-attach: the paper's measured us-west-1 attachment latency.
 const attachLatency = 31680 * time.Microsecond
 
+// mnoOutage is the baseline's intra-provider handover interruption: LTE's
+// break-before-make data-plane gap.
+const mnoOutage = 40 * time.Millisecond
+
 // Defaults fills zero fields with the paper's parameters.
 func (sc Scenario) Defaults() Scenario {
 	if sc.AttachLatency == 0 {
@@ -49,9 +50,6 @@ func (sc Scenario) Defaults() Scenario {
 	}
 	if sc.MPTCPWait == 0 && sc.Arch == ArchCellBricks {
 		sc.MPTCPWait = 500 * time.Millisecond
-	}
-	if sc.MNOOutage == 0 {
-		sc.MNOOutage = 40 * time.Millisecond
 	}
 	if sc.Duration == 0 {
 		sc.Duration = 10 * time.Minute
@@ -88,7 +86,7 @@ const ServerIP = "server"
 // CellBricks handovers: the address is invalidated, a fresh tower path
 // (new policer state) is installed, and the new address appears after
 // AttachLatency; MPTCP re-joins after its wait period. MNO handovers: the
-// IP persists and the path merely blacks out for MNOOutage.
+// IP persists and the path merely blacks out for mnoOutage.
 func NewWorld(sc Scenario) *World { return newWorld(sc.Defaults(), nil, "ue") }
 
 // newWorld builds the world for a defaulted scenario, naming the UE's
