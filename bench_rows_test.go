@@ -33,7 +33,8 @@ var benchWallTimesOnly = map[string]bool{
 
 // benchSet is one labelled set of repository-benchmark runs in a BENCH
 // file: the verbatim lines `go run ./benchmark -out` appended, and what
-// they were measured on.
+// they were measured on. A traced line (`--trace 1`) carries the
+// per-layer metrics only.
 type benchSet struct {
 	Label      string `json:"label"` // "parent" or "change"
 	Commit     string `json:"commit"`
@@ -42,6 +43,7 @@ type benchSet struct {
 	Lines      []struct {
 		Workload string `json:"workload"`
 		Seed     int64  `json:"seed"`
+		Trace    bool   `json:"trace"`
 		Result   struct {
 			Correct   bool `json:"correct"`
 			Attempted int  `json:"attempted"`
@@ -189,7 +191,8 @@ func TestBenchClaimsRecompute(t *testing.T) {
 	t.Logf("%d claims recomputed", claims)
 }
 
-// checkClaim recomputes c from sets; better is "lower" or "higher".
+// checkClaim recomputes c from the untraced lines of sets; better is
+// "lower" or "higher".
 func checkClaim(sets []benchSet, c benchClaim, better string) error {
 	if better != "lower" && better != "higher" {
 		return fmt.Errorf("metric %q is not in BENCHMARK.json", c.Metric)
@@ -201,7 +204,7 @@ func checkClaim(sets []benchSet, c benchClaim, better string) error {
 			continue
 		}
 		for _, l := range s.Lines {
-			if l.Workload != c.Workload {
+			if l.Workload != c.Workload || l.Trace {
 				continue
 			}
 			m, ok := l.Result.Metrics[c.Metric]

@@ -19,25 +19,19 @@
 // experiment fan out over -workers goroutines (default: GOMAXPROCS) with
 // output byte-identical to -workers 1; -shards K additionally partitions each
 // scale/byzantine/storm world across K netem shards running in parallel, again
-// with byte-identical output for any K; -json appends a machine-readable
-// record of each experiment's wall time, allocations, and headline
-// metrics to BENCH_<date>.json, building a benchmark trajectory across
-// commits.
+// with byte-identical output for any K. Measured performance is the
+// repository benchmark's (go run ./benchmark), not this command's.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
-
-	"runtime/pprof"
 
 	"cellbricks/internal/chaos"
 	"cellbricks/internal/mobility"
@@ -49,59 +43,6 @@ import (
 // expNames is the -exp vocabulary; it feeds the flag help and
 // the unknown-experiment error.
 const expNames = "fig7|table1|fig8|fig9|fig10|transports|scale|billing|failover|byzantine|storm|all"
-
-// testbedDowntown avoids importing trace at every call site.
-func testbedDowntown() mobility.Route { return mobility.Downtown }
-
-// expRecord is one experiment's entry in the bench-trajectory file.
-type expRecord struct {
-	Name         string             `json:"name"`
-	WallMS       float64            `json:"wall_ms"`
-	Mallocs      uint64             `json:"mallocs"`
-	AllocBytes   uint64             `json:"alloc_bytes"`
-	OutputSHA256 string             `json:"output_sha256"`
-	Metrics      map[string]float64 `json:"metrics,omitempty"`
-	// Telemetry is the experiment's delta of the process-wide obs registry:
-	// the counters that moved.
-	Telemetry map[string]float64 `json:"telemetry,omitempty"`
-}
-
-// benchRun is one cbbench invocation: its configuration plus every
-// experiment it ran.
-type benchRun struct {
-	Label      string `json:"label,omitempty"`
-	Date       string `json:"date"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"` // 0 = GOMAXPROCS; clamped to GOMAXPROCS when larger
-	// Shards is the requested -shards value; ShardsEffective is after the
-	// GOMAXPROCS clamp — the K that actually ran.
-	Shards          int         `json:"shards"`
-	ShardsEffective int         `json:"shards_effective"`
-	Seed            int64       `json:"seed"`
-	Experiments     []expRecord `json:"experiments"`
-}
-
-// benchFile is the on-disk trajectory: successive runs append, so one file
-// carries before/after numbers across commits.
-type benchFile struct {
-	Runs []benchRun `json:"runs"`
-}
-
-func appendBenchRun(path string, run benchRun) error {
-	var f benchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("%s exists but is not a bench file: %w", path, err)
-		}
-	}
-	f.Runs = append(f.Runs, run)
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // writeTimelines folds the trace into per-session timelines: deterministic
 // text by default, JSON when the path ends in .json.
@@ -142,14 +83,10 @@ func main() {
 	stormRate := flag.Float64("storm-rate", 40, "storm: fleet-wide base attach arrival rate per second (ramps to 2x by the horizon)")
 	stormSpike := flag.Float64("storm-spike", 8, "storm: flash-crowd rate multiplier over the mid-run spike window")
 	stormUEs := flag.Int("storm-ues", 25, "storm: UEs per group (4 groups of 2 cells)")
-	jsonOut := flag.Bool("json", false, "append wall time/allocs/metrics to the bench-trajectory file")
-	jsonPath := flag.String("json-file", "", "bench-trajectory file (default BENCH_<date>.json)")
-	label := flag.String("label", "", "label for this run in the bench-trajectory file")
 	traceOut := flag.String("trace-out", "", "write the failover protocol trace to this file (Chrome trace-event JSON; .jsonl suffix for JSON lines)")
 	timelineOut := flag.String("timeline-out", "", "write per-session attach timelines folded from the trace to this file (deterministic text; .json suffix for JSON)")
 	traceSession := flag.String("trace-session", "", "restrict -trace-out/-timeline-out to one trace ID (16 hex digits, as printed in timeline headers)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder ring (recent trace events per component) to this file; always written on a failing exit (default cbbench-flight.txt)")
-	byzNoSLO := flag.Bool("byz-no-slo", false, "byzantine: disable the SLO-breach quarantine signal (the windowed SLOs still evaluate and render margins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile per experiment to <prefix>.<exp>.cpu.pprof")
 	memProfile := flag.String("memprofile", "", "write a heap profile per experiment to <prefix>.<exp>.mem.pprof")
 	verbose := flag.Bool("v", false, "enable debug-level logging")
@@ -187,16 +124,6 @@ func main() {
 
 	runner := testbed.Runner{Workers: *workers}
 	effShards := netem.ClampShards(*shards)
-	rec := benchRun{
-		Label:           *label,
-		Date:            time.Now().UTC().Format(time.RFC3339),
-		GoVersion:       runtime.Version(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Workers:         *workers,
-		Shards:          *shards,
-		ShardsEffective: effShards,
-		Seed:            *seed,
-	}
 	// -dur defaults to the Table 1 drive time; the scale sweep has its own
 	// 60 s default unless -dur was given explicitly.
 	durSet := false
@@ -206,13 +133,10 @@ func main() {
 		scaleDur = *dur
 	}
 
-	// run executes one experiment, prints its rendered output, and (for
-	// -json) records wall time, allocation deltas, and headline metrics.
-	run := func(name, title string, f func() (string, map[string]float64, error)) {
+	// run executes one experiment, under the profilers when asked, and
+	// prints its rendered output.
+	run := func(name, title string, f func() (string, error)) {
 		fmt.Printf("==== %s ====\n", title)
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		telemBefore := obs.Default().Snapshot()
 		var cpuFile *os.File
 		if *cpuProfile != "" {
 			var err error
@@ -226,15 +150,11 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		t0 := time.Now()
-		out, metrics, err := f()
-		wall := time.Since(t0)
+		out, err := f()
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
 		if *memProfile != "" {
 			mf, merr := os.Create(fmt.Sprintf("%s.%s.mem.pprof", *memProfile, name))
 			if merr == nil {
@@ -256,16 +176,6 @@ func main() {
 		}
 		fmt.Print(out)
 		fmt.Println()
-		sum := sha256.Sum256([]byte(out))
-		rec.Experiments = append(rec.Experiments, expRecord{
-			Name:         name,
-			WallMS:       float64(wall.Microseconds()) / 1000,
-			Mallocs:      after.Mallocs - before.Mallocs,
-			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-			OutputSHA256: hex.EncodeToString(sum[:]),
-			Metrics:      metrics,
-			Telemetry:    obs.Delta(telemBefore, obs.Default().Snapshot()),
-		})
 	}
 
 	matched := false
@@ -276,155 +186,89 @@ func main() {
 	}
 
 	if want("fig7") {
-		run("fig7", "Fig. 7: attachment latency breakdown (BL = Magma baseline, CB = CellBricks first contact, CBt = CellBricks on a ticket)", func() (string, map[string]float64, error) {
+		run("fig7", "Fig. 7: attachment latency breakdown (BL = Magma baseline, CB = CellBricks first contact, CBt = CellBricks on a ticket)", func() (string, error) {
 			results, err := testbed.RunFig7(*n, runner)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
-			m := make(map[string]float64)
-			for _, r := range results {
-				m[fmt.Sprintf("%s_%s_mean_ms", r.Placement.Name, r.Arch)] = r.Mean.Seconds() * 1000
-			}
-			return testbed.RenderFig7(results), m, nil
+			return testbed.RenderFig7(results), nil
 		})
 	}
 	if want("table1") {
-		run("table1", "Table 1: application performance, MNO vs CellBricks", func() (string, map[string]float64, error) {
-			res := testbed.RunTable1(testbed.Table1Config{Duration: *dur, Seed: *seed, Runner: runner})
-			ipD, mosD, vidD, webD := res.Slowdown(false)
-			ipN, mosN, vidN, webN := res.Slowdown(true)
-			m := map[string]float64{
-				"slowdown_day_iperf": ipD, "slowdown_day_voip": mosD,
-				"slowdown_day_video": vidD, "slowdown_day_web": webD,
-				"slowdown_night_iperf": ipN, "slowdown_night_voip": mosN,
-				"slowdown_night_video": vidN, "slowdown_night_web": webN,
-			}
-			return res.Render(), m, nil
+		run("table1", "Table 1: application performance, MNO vs CellBricks", func() (string, error) {
+			return testbed.RunTable1(testbed.Table1Config{Duration: *dur, Seed: *seed, Runner: runner}).Render(), nil
 		})
 	}
 	if want("fig8") {
-		run("fig8", "Fig. 8: iperf throughput around a handover (day, downtown)", func() (string, map[string]float64, error) {
-			res := testbed.RunFig8(*seed, 60*time.Second)
-			mnoMean, _, _ := testbed.Stats(res.MNOSeries)
-			cbMean, _, _ := testbed.Stats(res.CBSeries)
-			m := map[string]float64{"mno_mean_mbps": mnoMean / 1e6, "cb_mean_mbps": cbMean / 1e6}
-			return res.Render(), m, nil
+		run("fig8", "Fig. 8: iperf throughput around a handover (day, downtown)", func() (string, error) {
+			return testbed.RunFig8(*seed, 60*time.Second).Render(), nil
 		})
 	}
 	if want("fig9") {
-		run("fig9", "Fig. 9: relative throughput vs time since handover (night)", func() (string, map[string]float64, error) {
-			res := testbed.RunFig9(*seed, *trials, runner)
-			m := make(map[string]float64)
-			for _, c := range res.Curves {
-				if len(c.Points) > 0 {
-					m[fmt.Sprintf("relperf_1s[%s]", c.Label)] = c.Points[0].RelPerf
-				}
-			}
-			return res.Render(), m, nil
+		run("fig9", "Fig. 9: relative throughput vs time since handover (night)", func() (string, error) {
+			return testbed.RunFig9(*seed, *trials, runner).Render(), nil
 		})
 	}
 	if want("transports") {
-		run("transports", "Ablation: host transports (MPTCP/QUIC/TCP+L7) web loads", func() (string, map[string]float64, error) {
+		run("transports", "Ablation: host transports (MPTCP/QUIC/TCP+L7) web loads", func() (string, error) {
 			out := ""
-			m := make(map[string]float64)
 			for _, c := range testbed.RunTransportComparisonAll(*seed, *dur, runner) {
 				out += fmt.Sprintf("%-22s %6.2fs over %d pages\n", c.Label, c.WebLoad.Seconds(), c.Pages)
-				m[fmt.Sprintf("webload_s[%s]", c.Label)] = c.WebLoad.Seconds()
 			}
-			return out, m, nil
+			return out, nil
 		})
 	}
 	if want("billing") {
-		run("billing", "Integration: verifiable billing across a full night drive", func() (string, map[string]float64, error) {
-			sc := testbed.Scenario{Route: testbedDowntown(), Night: true, Arch: testbed.ArchCellBricks, Seed: *seed, Duration: *dur}
+		run("billing", "Integration: verifiable billing across a full night drive", func() (string, error) {
+			sc := testbed.Scenario{Route: mobility.Downtown, Night: true, Arch: testbed.ArchCellBricks, Seed: *seed, Duration: *dur}
 			res, err := testbed.RunBilledDrive(sc, 30*time.Second)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
-			out := fmt.Sprintf("sessions=%d cycles=%d mismatches=%d\nUE-attested %d bytes, bTelco-claimed %d (gap %.3f%%)\nsettled %.6f units across %d bTelcos\n",
+			return fmt.Sprintf("sessions=%d cycles=%d mismatches=%d\nUE-attested %d bytes, bTelco-claimed %d (gap %.3f%%)\nsettled %.6f units across %d bTelcos\n",
 				res.Sessions, res.Cycles, res.Mismatches,
 				res.UEBytes, res.TelcoBytes,
 				100*(float64(res.TelcoBytes)-float64(res.UEBytes))/float64(res.UEBytes),
-				res.TotalOwed, len(res.Settlements))
-			m := map[string]float64{
-				"sessions":   float64(res.Sessions),
-				"mismatches": float64(res.Mismatches),
-				"total_owed": res.TotalOwed,
-			}
-			return out, m, nil
+				res.TotalOwed, len(res.Settlements)), nil
 		})
 	}
 	if want("scale") {
-		run("scale", "Ablation: shared-cell scaling (50 Mbps cells, sharded world)", func() (string, map[string]float64, error) {
+		run("scale", "Ablation: shared-cell scaling (50 Mbps cells, sharded world)", func() (string, error) {
 			var counts []int
 			for _, f := range strings.Split(*scaleN, ",") {
 				n, err := strconv.Atoi(strings.TrimSpace(f))
 				if err != nil || n < 1 {
-					return "", nil, fmt.Errorf("scale: bad -scale-n entry %q", f)
+					return "", fmt.Errorf("scale: bad -scale-n entry %q", f)
 				}
 				counts = append(counts, n)
 			}
 			cfg := testbed.ScaleConfig{Seed: *seed, CellBps: 50e6, Duration: scaleDur, Shards: effShards}
-			results := testbed.RunScaleSweep(cfg, counts)
-			m := make(map[string]float64)
-			for _, r := range results {
-				m[fmt.Sprintf("fairness_%due", r.N)] = r.Fairness
-				m[fmt.Sprintf("wall_ms_%due", r.N)] = r.WallMS
-				m[fmt.Sprintf("perue_p50_mbps_%due", r.N)] = r.PerUEBps.P50 / 1e6
-				m[fmt.Sprintf("perue_p90_mbps_%due", r.N)] = r.PerUEBps.P90 / 1e6
-				m[fmt.Sprintf("perue_p99_mbps_%due", r.N)] = r.PerUEBps.P99 / 1e6
-				m[fmt.Sprintf("perue_min_mbps_%due", r.N)] = r.PerUEBps.Min / 1e6
-				m[fmt.Sprintf("perue_max_mbps_%due", r.N)] = r.PerUEBps.Max / 1e6
-			}
-			return testbed.RenderScale(results), m, nil
+			return testbed.RenderScale(testbed.RunScaleSweep(cfg, counts)), nil
 		})
 	}
 	if want("failover") {
-		run("failover", "Failover: seeded fault injection, outage-to-recovery and goodput dip", func() (string, map[string]float64, error) {
+		run("failover", "Failover: seeded fault injection, outage-to-recovery and goodput dip", func() (string, error) {
 			spec, err := chaos.ParseSpec(*faults)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
 			res, err := testbed.RunFailover(testbed.FailoverConfig{
 				Seed: *seed, Duration: *dur, Spec: spec, Tracer: tracer,
 			})
 			if err != nil {
-				return "", nil, err
-			}
-			m := map[string]float64{
-				"baseline_mbps":   res.BaselineBps / 1e6,
-				"faulted_mbps":    res.FaultedBps / 1e6,
-				"attach_retries":  float64(res.AttachRetries),
-				"fallbacks":       float64(res.Fallbacks),
-				"broker_restores": float64(res.BrokerRestores),
-				"unrecovered":     float64(res.Unrecovered),
-			}
-			// Per-kind worst case: the number the availability story is
-			// judged on.
-			for _, o := range res.Outcomes {
-				if !o.Recovered {
-					continue
-				}
-				key := fmt.Sprintf("recovery_ms_%s", o.Kind)
-				if ms := o.Recovery.Seconds() * 1000; ms > m[key] {
-					m[key] = ms
-				}
-				key = fmt.Sprintf("dip_pct_%s", o.Kind)
-				if o.DipPct > m[key] {
-					m[key] = o.DipPct
-				}
+				return "", err
 			}
 			if res.Unrecovered > 0 {
-				return res.Render(), m, fmt.Errorf("failover: %d fault(s) did not recover", res.Unrecovered)
+				return res.Render(), fmt.Errorf("failover: %d fault(s) did not recover", res.Unrecovered)
 			}
-			return res.Render(), m, nil
+			return res.Render(), nil
 		})
 	}
 	if want("byzantine") {
-		run("byzantine", "Byzantine soak: adversarial bTelcos vs closed-loop quarantine", func() (string, map[string]float64, error) {
+		run("byzantine", "Byzantine soak: adversarial bTelcos vs closed-loop quarantine", func() (string, error) {
 			spec, err := chaos.ParseSpec(*byzSpec)
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
 			// The soak's own 60 s default unless -dur was given explicitly.
 			byzDur := 60 * time.Second
@@ -432,33 +276,18 @@ func main() {
 				byzDur = *dur
 			}
 			res, err := testbed.RunByzantine(testbed.ByzantineConfig{
-				Seed:             *seed,
-				Duration:         byzDur,
-				Groups:           *byzGroups,
-				CellsPerGroup:    *byzCells,
-				UEsPerGroup:      *byzUEs,
-				AdversarialFrac:  *byzFrac,
-				AdvSpec:          spec,
-				Shards:           effShards,
-				Tracer:           tracer,
-				DisableSLOSignal: *byzNoSLO,
+				Seed:            *seed,
+				Duration:        byzDur,
+				Groups:          *byzGroups,
+				CellsPerGroup:   *byzCells,
+				UEsPerGroup:     *byzUEs,
+				AdversarialFrac: *byzFrac,
+				AdvSpec:         spec,
+				Shards:          effShards,
+				Tracer:          tracer,
 			})
 			if err != nil {
-				return "", nil, err
-			}
-			quarantined := 0
-			for _, c := range res.Cells {
-				if c.Quarantined {
-					quarantined++
-				}
-			}
-			m := map[string]float64{
-				"adversaries":    float64(res.Adversaries),
-				"quarantined":    float64(quarantined),
-				"availability":   res.Availability,
-				"watchdog_trips": float64(res.WatchdogTrips),
-				"kicks":          float64(res.Kicks),
-				"violations":     float64(res.Violations),
+				return "", err
 			}
 			if res.Violations > 0 {
 				bad := make([]string, 0, res.Violations)
@@ -467,14 +296,14 @@ func main() {
 						bad = append(bad, fmt.Sprintf("%s (%s)", iv.Name, iv.Detail))
 					}
 				}
-				return res.Render(), m, fmt.Errorf("byzantine: %d invariant violation(s): %s",
+				return res.Render(), fmt.Errorf("byzantine: %d invariant violation(s): %s",
 					res.Violations, strings.Join(bad, "; "))
 			}
-			return res.Render(), m, nil
+			return res.Render(), nil
 		})
 	}
 	if want("storm") {
-		run("storm", "Attach storm: flash crowd vs broker admission control", func() (string, map[string]float64, error) {
+		run("storm", "Attach storm: flash crowd vs broker admission control", func() (string, error) {
 			// The storm's own 30 s default unless -dur was given explicitly.
 			stormDur := 30 * time.Second
 			if durSet {
@@ -489,37 +318,14 @@ func main() {
 				Shards:      effShards,
 			})
 			if err != nil {
-				return "", nil, err
+				return "", err
 			}
-			wall := res.WallPre + res.WallSpike + res.WallPost
-			m := map[string]float64{
-				"attaches":      float64(res.Attaches),
-				"sheds":         float64(res.Sheds),
-				"batch_flushes": float64(res.BatchFlushes),
-				"batch_items":   float64(res.BatchItems),
-				"wall_pre_ms":   res.WallPre.Seconds() * 1000,
-				"wall_spike_ms": res.WallSpike.Seconds() * 1000,
-				"wall_post_ms":  res.WallPost.Seconds() * 1000,
-			}
-			if res.Attempts > 0 {
-				m["shed_frac"] = float64(res.Sheds) / float64(res.Attempts)
-			}
-			if wall > 0 {
-				m["attaches_per_sec"] = float64(res.Grants) / wall.Seconds()
-			}
-			if res.WallSpike > 0 {
-				m["spike_attaches_per_sec"] = float64(res.SpikeGrants) / res.WallSpike.Seconds()
-			}
-			return res.Render(), m, nil
+			return res.Render(), nil
 		})
 	}
 	if want("fig10") {
-		run("fig10", "Fig. 10 (Appendix A): day vs night rate limiting (downtown)", func() (string, map[string]float64, error) {
-			res := testbed.RunFig10(*seed, 500*time.Second)
-			dm, _, _ := testbed.Stats(res.DaySeries)
-			nm, _, _ := testbed.Stats(res.NightSeries)
-			m := map[string]float64{"night_day_ratio": nm / dm}
-			return res.Render(), m, nil
+		run("fig10", "Fig. 10 (Appendix A): day vs night rate limiting (downtown)", func() (string, error) {
+			return testbed.RunFig10(*seed, 500*time.Second).Render(), nil
 		})
 	}
 
@@ -556,17 +362,5 @@ func main() {
 	}
 	if *flightOut != "" {
 		dumpFlight()
-	}
-
-	if *jsonOut {
-		path := *jsonPath
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02"))
-		}
-		if err := appendBenchRun(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "bench file: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("appended run (%d experiments) to %s\n", len(rec.Experiments), path)
 	}
 }

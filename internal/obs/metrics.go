@@ -95,8 +95,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Delta returns cur minus prev, dropping zero deltas — the per-experiment
-// view cbbench embeds in its bench-trajectory records.
+// Delta returns cur minus prev, dropping zero deltas — the per-run view the
+// repository benchmark checks and reports.
 func Delta(prev, cur map[string]float64) map[string]float64 {
 	out := make(map[string]float64)
 	for k, v := range cur {

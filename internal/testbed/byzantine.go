@@ -60,16 +60,9 @@ type ByzantineConfig struct {
 	Shards int
 	// Tracer, when set, records quarantine transitions, watchdog
 	// evidence, billing verdicts and SLO crossings against the simulator
-	// clock. Only shard-0 handlers emit, so traced runs render
-	// identically.
+	// clock. Only shard-0 handlers emit, and the SLOs are evaluated
+	// whether or not Tracer is set, so traced runs render identically.
 	Tracer *obs.Tracer
-	// DisableSLOSignal cuts the feedback edge from the windowed SLOs into
-	// the broker's quarantine: breaches are still evaluated, rendered and
-	// traced, but a per-cell overbilling breach no longer files
-	// billing.SLOBreachEvidence. The SLOs are evaluated whether or not
-	// Tracer is set, so tracing on/off stays byte-identical while the
-	// detection signal remains deterministic.
-	DisableSLOSignal bool
 }
 
 // DefaultByzantineSpec is the adversary behavior schedule: one seeded

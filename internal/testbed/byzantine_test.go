@@ -158,23 +158,21 @@ func TestByzantineRenderShape(t *testing.T) {
 // render carries per-SLO margin lines and margin-bearing invariants, a
 // brazen overbilling-only adversary breaches its per-cell overbilling
 // window, the breach feeds the quarantine as evidence (slo/signal trace
-// instants) unless DisableSLOSignal cuts the edge — and none of it
-// perturbs determinism.
+// instants) — and none of it perturbs determinism.
 func TestByzantineSLOEngine(t *testing.T) {
 	spec, err := chaos.ParseSpec("overbill=1x60s@1")
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	mk := func(disable bool, tr *obs.Tracer) ByzantineConfig {
+	mk := func(tr *obs.Tracer) ByzantineConfig {
 		cfg := byzTestConfig(13)
 		cfg.AdvSpec = spec
-		cfg.DisableSLOSignal = disable
 		cfg.Tracer = tr
 		return cfg
 	}
 
 	tr := obs.NewTracer(0, nil)
-	res, err := RunByzantine(mk(false, tr))
+	res, err := RunByzantine(mk(tr))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -230,33 +228,11 @@ func TestByzantineSLOEngine(t *testing.T) {
 
 	// The SLO machinery must not perturb the run: an untraced rerun with
 	// the signal enabled renders identically.
-	rerun, err := RunByzantine(mk(false, nil))
+	rerun, err := RunByzantine(mk(nil))
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
 	if rerun.Render() != out {
 		t.Fatalf("SLO-signal rerun diverged:\n--- first\n%s\n--- rerun\n%s", out, rerun.Render())
-	}
-
-	// Cutting the feedback edge: breaches still evaluated and rendered,
-	// but no evidence filed with the broker.
-	tr2 := obs.NewTracer(0, nil)
-	res2, err := RunByzantine(mk(true, tr2))
-	if err != nil {
-		t.Fatalf("disabled run: %v", err)
-	}
-	disabledBreaches := 0
-	for _, s := range res2.SLO {
-		if strings.HasPrefix(s.Name, "overbill:") {
-			disabledBreaches += s.Breaches
-		}
-	}
-	if disabledBreaches == 0 {
-		t.Fatal("DisableSLOSignal must not stop breach evaluation")
-	}
-	for _, e := range tr2.Events() {
-		if e.Cat == "slo" && e.Name == "signal" {
-			t.Fatal("evidence filed despite DisableSLOSignal")
-		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// renderSHA hashes an experiment's rendered output, the same bytes the
-// bench harness records as output_sha256.
+// renderSHA hashes an experiment's rendered output, the same bytes cbbench
+// prints for it.
 func renderSHA(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])

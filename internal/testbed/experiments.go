@@ -390,9 +390,9 @@ type Fig10Result struct {
 	NightSeries []float64
 }
 
-// Stats summarizes one series: mean, peak, stddev (the quantities the
+// stats summarizes one series: mean, peak, stddev (the quantities the
 // appendix reports).
-func Stats(series []float64) (mean, peak, std float64) {
+func stats(series []float64) (mean, peak, std float64) {
 	if len(series) == 0 {
 		return
 	}
@@ -429,8 +429,8 @@ func RunFig10(seed int64, dur time.Duration) Fig10Result {
 // Render prints the appendix summary plus a coarse timeline.
 func (r Fig10Result) Render() string {
 	var b strings.Builder
-	dm, dp, ds := Stats(r.DaySeries)
-	nm, np, ns := Stats(r.NightSeries)
+	dm, dp, ds := stats(r.DaySeries)
+	nm, np, ns := stats(r.NightSeries)
 	fmt.Fprintf(&b, "day:   mean %6.2f mbps  peak %6.2f  std %6.2f\n", dm/1e6, dp/1e6, ds/1e6)
 	fmt.Fprintf(&b, "night: mean %6.2f mbps  peak %6.2f  std %6.2f\n", nm/1e6, np/1e6, ns/1e6)
 	fmt.Fprintf(&b, "night/day mean ratio: %.1fx\n", nm/dm)

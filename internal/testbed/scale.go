@@ -53,11 +53,11 @@ func (c ScaleConfig) defaults() ScaleConfig {
 // ScaleSummary is the O(1) shape of a per-UE throughput distribution,
 // reported instead of the raw O(N) slice at 10k-UE scale.
 type ScaleSummary struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
+	P50 float64
+	P90 float64
+	P99 float64
+	Min float64
+	Max float64
 }
 
 func summarize(samples []float64) ScaleSummary {
@@ -83,27 +83,22 @@ func summarize(samples []float64) ScaleSummary {
 }
 
 // ScaleResult summarizes a shared-cell contention run: N UEs downloading
-// through cells of fixed capacity. PerUE stays in-memory for tests but is
-// excluded from JSON — at 10k UEs the percentile summary is the record.
+// through cells of fixed capacity. PerUE keeps every UE's rate for tests;
+// at 10k UEs the percentile summary is what renders.
 type ScaleResult struct {
-	N        int     `json:"ues"`
-	Cells    int     `json:"cells"`
-	CellBps  float64 `json:"cell_bps"`
-	TotalBps float64 `json:"total_bps"`
+	N        int
+	Cells    int
+	CellBps  float64
+	TotalBps float64
 
-	PerUE    []float64    `json:"-"`
-	PerUEBps ScaleSummary `json:"per_ue_bps"`
+	PerUE    []float64
+	PerUEBps ScaleSummary
 
-	Fairness float64 `json:"fairness"` // Jain's index: 1.0 = perfectly fair
+	Fairness float64 // Jain's index: 1.0 = perfectly fair
 
 	// Heartbeats counts the cross-shard control-plane beats delivered to
 	// the core endpoint — the traffic that exercises the shard mailboxes.
-	Heartbeats uint64 `json:"heartbeats"`
-
-	// WallMS is host wall-clock time of the simulation run. It is
-	// excluded from Render (output must be byte-identical across shard
-	// counts and machines); the bench harness records it per point.
-	WallMS float64 `json:"wall_ms"`
+	Heartbeats uint64
 }
 
 // RunScale emulates cfg.N UEs attached to bTelco cells whose air
@@ -192,15 +187,12 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		beat.Reset(phase - sim.Now())
 	}
 
-	t0 := time.Now()
 	w.RunUntil(cfg.Duration)
-	wall := time.Since(t0)
 
 	res := ScaleResult{
 		N: n, Cells: cells, CellBps: cfg.CellBps,
 		PerUE:      make([]float64, n),
 		Heartbeats: heartbeats,
-		WallMS:     float64(wall.Microseconds()) / 1000,
 	}
 	var sum, sumSq float64
 	for i, conn := range conns {

@@ -172,7 +172,7 @@ func (w *byzWorld) sloTick(now time.Duration) {
 		}
 		w.cfg.Tracer.Event("slo", name, map[string]string{"slo": t.Name, "value": fmt.Sprintf("%.4f", value),
 			"margin": fmt.Sprintf("%+.4f", margin), "burn": fmt.Sprintf("%.2f", burn)})
-		if t.breached && t.telco != "" && !w.cfg.DisableSLOSignal {
+		if t.breached && t.telco != "" {
 			score := w.Broker.Evidence(t.telco, billing.SLOBreachEvidence, 1)
 			w.cfg.Tracer.Event("slo", "signal", map[string]string{"telco": t.telco, "score": fmt.Sprintf("%.3f", score)})
 		}

@@ -22,8 +22,7 @@ import (
 // the broker's handlers, one item at a time in arrival order. Every attach
 // is the SAP handshake — on a ticket after a UE's first grant (DESIGN.md
 // §2.8) — and which kind of request a UE sends never moves a send, so the
-// rendered result is byte-identical across any shard count; only the
-// wall-clock (Metrics) numbers differ.
+// rendered result is byte-identical across any shard count.
 //
 // The world is the grouped sharded world of grouped.go, and determinism
 // follows its recipe (DESIGN.md §2.6). Three storm-specific rules are
@@ -136,10 +135,8 @@ func (c StormConfig) rateAt(t time.Duration) float64 {
 	return r
 }
 
-// StormResult is the outcome of one storm run. Every field above
-// Metrics derives from virtual time and seeded randomness — Render
-// uses only those. Metrics carries the wall-clock performance numbers
-// (which legitimately differ run to run).
+// StormResult is the outcome of one storm run. Every field derives from
+// virtual time and seeded randomness.
 type StormResult struct {
 	Config StormConfig
 
@@ -174,11 +171,6 @@ type StormResult struct {
 	PaidUnits     float64
 	VerifiedBytes uint64
 	Availability  float64
-
-	// Wall-clock segments (pre-spike, spike, post-spike) and the queue's
-	// flush ticks and items enqueued — Metrics-only, never rendered.
-	WallPre, WallSpike, WallPost time.Duration
-	BatchFlushes, BatchItems     uint64
 }
 
 type stormUE struct {
@@ -212,16 +204,15 @@ type stormWorld struct {
 	// Shard-0 state: written only by broker-endpoint handlers and the
 	// flush tick. queue holds the requests since the last flush, in
 	// enqueue order; its length is the backlog admission sees.
-	adm            *broker.Admission
-	queue          []stormItem
-	flushes, items uint64
-	grants         int
-	spikeGrants    int
-	denied         int
-	sheds          int
-	spikeSheds     int
-	reports        int
-	mismatches     int
+	adm         *broker.Admission
+	queue       []stormItem
+	grants      int
+	spikeGrants int
+	denied      int
+	sheds       int
+	spikeSheds  int
+	reports     int
+	mismatches  int
 }
 
 func newStormWorld(cfg StormConfig) (*stormWorld, error) {
@@ -373,14 +364,12 @@ type stormItem struct {
 
 func (w *stormWorld) enqueue(it stormItem) {
 	w.queue = append(w.queue, it)
-	w.items++
 }
 
 // flush runs the queue through the broker's handlers in enqueue order,
 // each attach's completion right after its handler returns, and empties the
 // queue for reuse.
 func (w *stormWorld) flush() {
-	w.flushes++
 	for i := range w.queue {
 		it := &w.queue[i]
 		if it.auth != nil {
@@ -495,7 +484,6 @@ func (w *stormWorld) collect() StormResult {
 		Reports: w.reports, Mismatches: w.mismatches,
 	}
 	res.Admitted, res.RateSheds, res.QueueSheds = w.adm.Stats()
-	res.BatchFlushes, res.BatchItems = w.flushes, w.items
 	var availSum float64
 	var bill ledger
 	for _, grp := range w.groups {
@@ -533,26 +521,15 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	if err != nil {
 		return StormResult{Config: cfg}, err
 	}
-	// Segmented run: the wall-clock cost of each phase is what the bench
-	// compares between runs. Wall time never enters Render.
-	t0 := time.Now()
-	w.world.RunUntil(cfg.SpikeAt)
-	t1 := time.Now()
-	w.world.RunUntil(cfg.SpikeAt + cfg.SpikeDur)
-	t2 := time.Now()
 	w.world.RunUntil(cfg.Duration)
-	t3 := time.Now()
 	if w.runErr != nil {
 		return StormResult{Config: cfg}, fmt.Errorf("testbed: storm run: %w", w.runErr)
 	}
-	res := w.collect()
-	res.WallPre, res.WallSpike, res.WallPost = t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
-	return res, nil
+	return w.collect(), nil
 }
 
 // Render produces the deterministic summary: identical bytes for any
-// shard count — the determinism gate hashes exactly this string. Wall-clock
-// numbers are deliberately excluded; so are the queue counters.
+// shard count — the determinism gate hashes exactly this string.
 func (r StormResult) Render() string {
 	var b strings.Builder
 	c := r.Config

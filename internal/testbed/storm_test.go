@@ -93,9 +93,6 @@ func TestStormExercisesStormPath(t *testing.T) {
 	if res.Sessions == 0 || res.PaidUnits <= 0 {
 		t.Errorf("billing inert: sessions=%d paid=%f", res.Sessions, res.PaidUnits)
 	}
-	if res.BatchFlushes == 0 || res.BatchItems == 0 {
-		t.Errorf("batcher inert: flushes=%d items=%d", res.BatchFlushes, res.BatchItems)
-	}
 }
 
 // What the storm's availability rests on is admission control, not how

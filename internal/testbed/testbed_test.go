@@ -150,8 +150,8 @@ func TestNightFasterThanDay(t *testing.T) {
 
 func TestFig10Bimodal(t *testing.T) {
 	r := RunFig10(2, 200*time.Second)
-	dm, _, ds := Stats(r.DaySeries)
-	nm, np, ns := Stats(r.NightSeries)
+	dm, _, ds := stats(r.DaySeries)
+	nm, np, ns := stats(r.NightSeries)
 	if nm < 8*dm {
 		t.Fatalf("night/day = %.1fx, paper 14.5x", nm/dm)
 	}
